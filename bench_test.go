@@ -255,7 +255,7 @@ func BenchmarkDecompose16b(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Decompose(joined, spec.OutputRels()); err != nil {
+		if _, err := core.Decompose(joined, spec.OutputRels(), 0, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -375,69 +375,6 @@ func BenchmarkParallelReduce16b(b *testing.B) {
 			ex := &engine.Executor{Src: e.DB, Parallelism: p}
 			opts := core.DefaultOptions()
 			opts.Parallelism = p
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				rels, err := ex.BaseRelations(spec)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, _, err := core.SemiJoinReduce(spec, rels, nil, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkVectorizedJoin16b compares the row-at-a-time and vectorized
-// (colstore) executions of the heaviest acyclic query's single-table plan
-// (hash joins + filters) at serial parallelism. Results are bit-identical
-// across sub-benchmarks; only the timing changes.
-func BenchmarkVectorizedJoin16b(b *testing.B) {
-	e := jobEnvLarge(b)
-	sel, err := e.Select("16b")
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec, err := engine.AnalyzeSPJ(sel, e.DB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []string{"row", "vec"} {
-		b.Run(mode, func(b *testing.B) {
-			ex := &engine.Executor{Src: e.DB, Parallelism: 1, Vectorized: mode == "vec"}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ex.RunSPJ(spec); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkVectorizedReduce16b compares the row-at-a-time and vectorized
-// executions of the RESULTDB-SEMIJOIN reduction (semi-join probes, Bloom
-// prefilter, Decompose) at serial parallelism.
-func BenchmarkVectorizedReduce16b(b *testing.B) {
-	e := jobEnvLarge(b)
-	sel, err := e.Select("16b")
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec, err := engine.AnalyzeSPJ(sel, e.DB)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, mode := range []string{"row", "vec"} {
-		b.Run(mode, func(b *testing.B) {
-			vec := mode == "vec"
-			ex := &engine.Executor{Src: e.DB, Parallelism: 1, Vectorized: vec}
-			opts := core.DefaultOptions()
-			opts.Parallelism = 1
-			opts.Vectorized = vec
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -3,80 +3,44 @@
 // workloads. Example:
 //
 //	go run ./cmd/benchrunner -exp table1
-//	go run ./cmd/benchrunner -exp all -scale 0.5 -reps 3
+//	go run ./cmd/benchrunner -exp all -scale 0.5 -reps 3 -par 1
+//
+// Flags: -exp, -scale, -reps, -mbps, -queries, -par. Throughput, latency and
+// per-layer numbers of the running system come from the repo benchmark
+// (bash benchmark/run.sh), not from here.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"math"
 	"os"
-	"runtime"
-	"sort"
-	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"resultdb/internal/bench"
-	"resultdb/internal/db"
-	"resultdb/internal/durable"
 	"resultdb/internal/parallel"
-	"resultdb/internal/sqlparse"
-	"resultdb/internal/trace"
-	"resultdb/internal/wal"
 	"resultdb/internal/wire"
-	"resultdb/internal/workload/job"
 	"resultdb/internal/workload/ssb"
 	"resultdb/internal/workload/star"
 )
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment: table1|fig7|fig8|table2|fig9|table3|ssb|ablation-root|ablation-fold|ablation-bloom|ablation-joinorder|all")
-		scale     = flag.Float64("scale", 0.25, "JOB workload scale factor (1.0 = 10k titles / 80k cast rows)")
-		reps      = flag.Int("reps", 5, "repetitions per measurement (median reported)")
-		mbps      = flag.Float64("mbps", 100, "modeled data transfer rate in Mbps (Table 3)")
-		queries   = flag.String("queries", "", "comma-separated JOB query names (default: experiment's own set)")
-		par       = flag.Int("par", 0, "degree of intra-query parallelism (0 = auto via RESULTDB_PARALLELISM or GOMAXPROCS, 1 = serial)")
-		traceFile = flag.String("trace", "", "write JSON execution traces of the selected RESULTDB queries to this file and exit")
-		cacheRep  = flag.Bool("cache", false, "report cold vs warm timings with the semantic result cache and exit")
-		vecRep    = flag.Bool("vec", false, "report row-path vs vectorized-path timings per JOB query and exit")
-		statsRep  = flag.Bool("stats", false, "report heuristic vs cost-based planning timings per JOB query, write results/stats-bench.txt, and exit")
-		wireRep   = flag.String("wire", "", "report per-query encoded payload size, encode time and modeled transfer time for the listed wire versions (comma list of v1,v2) and exit")
-		durRep    = flag.Bool("durability", false, "report WAL ingest throughput across fsync policies and group-commit settings, plus recovery time vs WAL length, and exit")
-		concRep   = flag.String("concurrent", "", "report reader latency under concurrent writers with R/W goroutines (e.g. -concurrent 8/2): MVCC snapshot reads vs an emulated coarse reader/writer lock, write results/mvcc-bench.txt, and exit")
+		exp     = flag.String("exp", "all", "experiment: table1|fig7|fig8|table2|fig9|table3|ssb|ablation-root|ablation-fold|ablation-bloom|ablation-joinorder|all")
+		scale   = flag.Float64("scale", 0.25, "JOB workload scale factor (1.0 = 10k titles / 80k cast rows)")
+		reps    = flag.Int("reps", 5, "repetitions per measurement (median reported)")
+		mbps    = flag.Float64("mbps", 100, "modeled data transfer rate in Mbps (Table 3)")
+		queries = flag.String("queries", "", "comma-separated JOB query names (default: experiment's own set)")
+		par     = flag.Int("par", 0, "degree of intra-query parallelism (0 = auto via RESULTDB_PARALLELISM or GOMAXPROCS, 1 = serial)")
 	)
 	flag.Parse()
-
-	if *durRep {
-		if err := durabilityReport(*reps); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *concRep != "" {
-		readers, writers, err := parseRW(*concRep)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner: -concurrent:", err)
-			os.Exit(1)
-		}
-		if err := concurrentReport(*reps, readers, writers); err != nil {
-			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(*exp, *scale, *reps, *mbps, *queries, *par, *traceFile, *cacheRep, *vecRep, *statsRep, *wireRep); err != nil {
+	if err := run(*exp, *scale, *reps, *mbps, *queries, *par); err != nil {
 		fmt.Fprintln(os.Stderr, "benchrunner:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp string, scale float64, reps int, mbps float64, queryList string, par int, traceFile string, cacheRep, vecRep, statsRep bool, wireRep string) error {
+func run(exp string, scale float64, reps int, mbps float64, queryList string, par int) error {
 	var names []string
 	if queryList != "" {
 		names = strings.Split(queryList, ",")
@@ -85,9 +49,8 @@ func run(exp string, scale float64, reps int, mbps float64, queryList string, pa
 		}
 	}
 
-	needsJOB := exp != "fig7" && exp != "ssb" || traceFile != "" || cacheRep || vecRep || statsRep || wireRep != ""
 	var env *bench.Env
-	if needsJOB {
+	if exp != "fig7" && exp != "ssb" {
 		start := time.Now()
 		var err error
 		env, err = bench.NewJOBEnv(scale)
@@ -98,22 +61,6 @@ func run(exp string, scale float64, reps int, mbps float64, queryList string, pa
 		env.DB.CoreOptions.Parallelism = par
 		fmt.Printf("loaded JOB workload (scale %.2f) in %v, parallelism %d\n\n",
 			scale, time.Since(start).Round(time.Millisecond), parallel.Degree(par))
-	}
-
-	if traceFile != "" {
-		return writeTraces(env, names, traceFile)
-	}
-	if cacheRep {
-		return cacheReport(env, names)
-	}
-	if vecRep {
-		return vecReport(env, names, scale, par)
-	}
-	if statsRep {
-		return statsReport(env, names, scale, par)
-	}
-	if wireRep != "" {
-		return wireReport(env, names, scale, par, mbps, wireRep)
 	}
 
 	want := func(name string) bool { return exp == name || exp == "all" }
@@ -199,739 +146,5 @@ func run(exp string, scale float64, reps int, mbps float64, queryList string, pa
 		}
 		fmt.Println(bench.FormatAblation("Ablation: Bloom prefilter", rows, variants))
 	}
-	return nil
-}
-
-// cacheReport runs each selected JOB query as SELECT RESULTDB twice against
-// the semantic result cache — cold (cache just cleared) and warm (best
-// repetition served from the cache) — and prints the per-query speedup.
-func cacheReport(env *bench.Env, names []string) error {
-	qs := job.Queries()
-	if len(names) > 0 {
-		var picked []job.Query
-		for _, name := range names {
-			q, err := job.QueryByName(name)
-			if err != nil {
-				return err
-			}
-			picked = append(picked, q)
-		}
-		qs = picked
-	}
-	env.DB.EnableCache(db.DefaultCacheBudget)
-	reps := env.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	fmt.Println("Semantic result cache: cold vs warm (SELECT RESULTDB)")
-	fmt.Printf("%-6s %12s %12s %10s\n", "query", "cold", "warm", "speedup")
-	for _, q := range qs {
-		sql := "SELECT RESULTDB" + strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT")
-		env.DB.ClearCache()
-		start := time.Now()
-		if _, err := env.DB.Exec(sql); err != nil {
-			return fmt.Errorf("query %s: %w", q.Name, err)
-		}
-		cold := time.Since(start)
-		var warm time.Duration
-		for r := 0; r < reps; r++ {
-			start = time.Now()
-			if _, err := env.DB.Exec(sql); err != nil {
-				return fmt.Errorf("query %s: %w", q.Name, err)
-			}
-			if e := time.Since(start); r == 0 || e < warm {
-				warm = e
-			}
-		}
-		speedup := float64(cold) / float64(warm)
-		fmt.Printf("%-6s %10.3fms %10.4fms %9.1fx\n",
-			q.Name, float64(cold.Nanoseconds())/1e6, float64(warm.Nanoseconds())/1e6, speedup)
-	}
-	st := env.DB.CacheStats()
-	fmt.Printf("\ncache stats: %d hits, %d misses, %d entries, %d bytes in budget %d\n",
-		st.Hits, st.Misses, st.Entries, st.Bytes, st.Budget)
-	return nil
-}
-
-// vecReport times each selected JOB query as SELECT RESULTDB on the
-// row-at-a-time path and on the vectorized (colstore) path — median of reps
-// on the same loaded database — and prints the per-query speedup plus the
-// geometric-mean speedup over all queries. Results are bit-identical across
-// the two paths; only time differs.
-func vecReport(env *bench.Env, names []string, scale float64, par int) error {
-	qs := job.Queries()
-	if len(names) > 0 {
-		var picked []job.Query
-		for _, name := range names {
-			q, err := job.QueryByName(name)
-			if err != nil {
-				return err
-			}
-			picked = append(picked, q)
-		}
-		qs = picked
-	}
-	reps := env.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	defer func() { env.DB.CoreOptions.Vectorized = true }()
-
-	median := func(sql string, vec bool) (time.Duration, error) {
-		env.DB.CoreOptions.Vectorized = vec
-		times := make([]time.Duration, reps)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			if _, err := env.DB.Exec(sql); err != nil {
-				return 0, err
-			}
-			times[r] = time.Since(start)
-		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		return times[len(times)/2], nil
-	}
-
-	fmt.Printf("Vectorized execution: row path vs colstore path (SELECT RESULTDB, JOB scale %.2f, par %d, median of %d)\n",
-		scale, parallel.Degree(par), reps)
-	fmt.Printf("%-6s %12s %12s %10s\n", "query", "row", "vectorized", "speedup")
-	logSum, n := 0.0, 0
-	for _, q := range qs {
-		sql := "SELECT RESULTDB" + strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT")
-		row, err := median(sql, false)
-		if err != nil {
-			return fmt.Errorf("query %s (row path): %w", q.Name, err)
-		}
-		vec, err := median(sql, true)
-		if err != nil {
-			return fmt.Errorf("query %s (vectorized): %w", q.Name, err)
-		}
-		speedup := float64(row) / float64(vec)
-		logSum += math.Log(speedup)
-		n++
-		fmt.Printf("%-6s %10.3fms %10.3fms %9.2fx\n",
-			q.Name, float64(row.Nanoseconds())/1e6, float64(vec.Nanoseconds())/1e6, speedup)
-	}
-	if n > 0 {
-		fmt.Printf("\ngeomean speedup: %.2fx over %d queries\n", math.Exp(logSum/float64(n)), n)
-	}
-	return nil
-}
-
-// statsReport times each selected JOB query as SELECT RESULTDB under the
-// heuristic planner and under the cost-based planner (statistics pre-built
-// via ANALYZE, so the sweep measures planning quality, not stats builds) —
-// median of reps on the same loaded database — and prints the per-query
-// speedup plus the geometric-mean speedup. The report also lands in
-// results/stats-bench.txt. Results are byte-identical across the two
-// planners; only the plan, and therefore time, differs.
-func statsReport(env *bench.Env, names []string, scale float64, par int) error {
-	qs := job.Queries()
-	if len(names) > 0 {
-		var picked []job.Query
-		for _, name := range names {
-			q, err := job.QueryByName(name)
-			if err != nil {
-				return err
-			}
-			picked = append(picked, q)
-		}
-		qs = picked
-	}
-	reps := env.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	defer func() { env.DB.CoreOptions.CostBased = false }()
-	if _, err := env.DB.Exec("ANALYZE"); err != nil {
-		return err
-	}
-
-	batched := func(sql string, cost bool, batch int) (time.Duration, error) {
-		env.DB.CoreOptions.CostBased = cost
-		runtime.GC() // start every sample from the same heap state
-		start := time.Now()
-		for i := 0; i < batch; i++ {
-			if _, err := env.DB.Exec(sql); err != nil {
-				return 0, err
-			}
-		}
-		return time.Since(start) / time.Duration(batch), nil
-	}
-	// Repetitions interleave the two planners after one untimed warmup each,
-	// alternating which planner runs first in each repetition. Each timed
-	// sample executes the query in a batch sized (from the warmup) to take
-	// at least ~4ms, because individual sub-millisecond executions are
-	// dominated by scheduler and allocator noise. The reported speedup is
-	// the median of the per-repetition ratios: the two samples of one
-	// repetition are adjacent in time, so clock-frequency drift and
-	// periodic background work cancel within each pair instead of biasing
-	// whichever planner happened to occupy a slow slot. (A best-of-N
-	// estimator over unpaired samples still showed ±10% run-to-run spread
-	// on sub-250µs queries with byte-identical code on both sides.)
-	paired := func(sql string) (heur, cost time.Duration, speedup float64, err error) {
-		var w time.Duration
-		if w, err = batched(sql, false, 1); err != nil {
-			return
-		}
-		if _, err = batched(sql, true, 1); err != nil {
-			return
-		}
-		batch := 1
-		if w > 0 && w < 4*time.Millisecond {
-			batch = int(4*time.Millisecond/w) + 1
-		}
-		h := make([]time.Duration, reps)
-		c := make([]time.Duration, reps)
-		ratios := make([]float64, reps)
-		for r := 0; r < reps; r++ {
-			if r%2 == 0 {
-				if h[r], err = batched(sql, false, batch); err != nil {
-					return
-				}
-				if c[r], err = batched(sql, true, batch); err != nil {
-					return
-				}
-			} else {
-				if c[r], err = batched(sql, true, batch); err != nil {
-					return
-				}
-				if h[r], err = batched(sql, false, batch); err != nil {
-					return
-				}
-			}
-			ratios[r] = float64(h[r]) / float64(c[r])
-		}
-		sort.Slice(h, func(i, j int) bool { return h[i] < h[j] })
-		sort.Slice(c, func(i, j int) bool { return c[i] < c[j] })
-		sort.Float64s(ratios)
-		return h[reps/2], c[reps/2], ratios[reps/2], nil
-	}
-
-	var report strings.Builder
-	out := io.MultiWriter(os.Stdout, &report)
-	fmt.Fprintf(out, "Cost-based planning: heuristic vs statistics-driven (SELECT RESULTDB, JOB scale %.2f, par %d, median of %d paired >=4ms batches; speedup = median per-pair ratio)\n",
-		scale, parallel.Degree(par), reps)
-	fmt.Fprintf(out, "%-6s %12s %12s %10s\n", "query", "heuristic", "cost-based", "speedup")
-	logSum, n := 0.0, 0
-	for _, q := range qs {
-		sql := "SELECT RESULTDB" + strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT")
-		heur, cost, speedup, err := paired(sql)
-		if err != nil {
-			return fmt.Errorf("query %s: %w", q.Name, err)
-		}
-		logSum += math.Log(speedup)
-		n++
-		fmt.Fprintf(out, "%-6s %10.3fms %10.3fms %9.2fx\n",
-			q.Name, float64(heur.Nanoseconds())/1e6, float64(cost.Nanoseconds())/1e6, speedup)
-	}
-	if n > 0 {
-		fmt.Fprintf(out, "\ngeomean speedup: %.2fx over %d queries\n", math.Exp(logSum/float64(n)), n)
-	}
-	if err := os.MkdirAll("results", 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile("results/stats-bench.txt", []byte(report.String()), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote results/stats-bench.txt")
-	return nil
-}
-
-// wireReport executes each selected JOB query as SELECT RESULTDB once, then
-// encodes the result at every requested wire format version, reporting the
-// encoded payload size, the median encode time, and the modeled transfer
-// time at the configured DTR — plus, when both versions are requested, the
-// per-query and geometric-mean v1/v2 compression ratio. The decoded results
-// are byte-identical across versions (the differential gate asserts it);
-// only bytes and time differ.
-func wireReport(env *bench.Env, names []string, scale float64, par int, mbps float64, versionList string) error {
-	var versions []int
-	for _, v := range strings.Split(versionList, ",") {
-		switch strings.TrimSpace(v) {
-		case "v1":
-			versions = append(versions, wire.FormatV1)
-		case "v2":
-			versions = append(versions, wire.FormatV2)
-		default:
-			return fmt.Errorf("-wire: unknown version %q (want a comma list of v1,v2)", v)
-		}
-	}
-	qs := job.Queries()
-	if len(names) > 0 {
-		var picked []job.Query
-		for _, name := range names {
-			q, err := job.QueryByName(name)
-			if err != nil {
-				return err
-			}
-			picked = append(picked, q)
-		}
-		qs = picked
-	}
-	reps := env.Reps
-	if reps < 1 {
-		reps = 1
-	}
-	model := wire.TransferModel{Mbps: mbps}
-	vname := func(v int) string {
-		if v == wire.FormatV2 {
-			return "v2"
-		}
-		return "v1"
-	}
-
-	fmt.Printf("Wire format sweep: SELECT RESULTDB payloads (JOB scale %.2f, par %d, %.0f Mbps DTR, median of %d encodes)\n",
-		scale, parallel.Degree(par), mbps, reps)
-	fmt.Printf("%-6s", "query")
-	for _, v := range versions {
-		fmt.Printf(" %12s %9s %9s", vname(v)+" bytes", "enc ms", "xfer ms")
-	}
-	both := len(versions) == 2
-	if both {
-		fmt.Printf(" %8s", "ratio")
-	}
-	fmt.Println()
-
-	logSum, n := 0.0, 0
-	for _, q := range qs {
-		sql := "SELECT RESULTDB" + strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT")
-		res, err := env.DB.Exec(sql)
-		if err != nil {
-			return fmt.Errorf("query %s: %w", q.Name, err)
-		}
-		fmt.Printf("%-6s", q.Name)
-		bytesByVersion := make(map[int]int)
-		for _, v := range versions {
-			opts := wire.EncodeOptions{Version: v, Parallelism: par}
-			times := make([]time.Duration, reps)
-			var size int
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				payload := wire.EncodeResultOptions(res, opts)
-				times[r] = time.Since(start)
-				size = len(payload)
-			}
-			sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-			enc := times[len(times)/2]
-			bytesByVersion[v] = size
-			fmt.Printf(" %12d %9.3f %9.3f", size,
-				float64(enc.Nanoseconds())/1e6, float64(model.Duration(size).Nanoseconds())/1e6)
-		}
-		if both {
-			ratio := float64(bytesByVersion[versions[0]]) / float64(bytesByVersion[versions[1]])
-			if versions[0] == wire.FormatV2 {
-				ratio = 1 / ratio
-			}
-			logSum += math.Log(ratio)
-			n++
-			fmt.Printf(" %7.2fx", ratio)
-		}
-		fmt.Println()
-	}
-	if both && n > 0 {
-		fmt.Printf("\ngeomean compression ratio (v1/v2 bytes): %.2fx over %d queries\n", math.Exp(logSum/float64(n)), n)
-	}
-	return nil
-}
-
-// durabilityReport measures the write-ahead log two ways. First, ingest
-// throughput: concurrent writers insert into a durable database on a real
-// temporary directory under every fsync policy, with group commit on and
-// off, reporting statements/sec and how many fsyncs the run actually paid
-// (group commit's whole point is the gap between sync requests and fsyncs).
-// Second, recovery time: WALs of growing length are replayed from an
-// in-memory filesystem (so the numbers isolate replay CPU, not disk reads).
-func durabilityReport(reps int) error {
-	if reps < 1 {
-		reps = 1
-	}
-	const (
-		writers          = 8
-		insertsPerWriter = 100
-	)
-	total := writers * insertsPerWriter
-	bootstrap := func(d *db.Database) error {
-		_, err := d.Exec("CREATE TABLE ingest (id INTEGER PRIMARY KEY, payload TEXT)")
-		return err
-	}
-
-	fmt.Printf("WAL ingest throughput: %d writers x %d inserts, best of %d runs\n", writers, insertsPerWriter, reps)
-	fmt.Printf("%-10s %-6s %12s %10s %14s %14s\n", "fsync", "group", "stmts/s", "fsyncs", "sync reqs", "group shared")
-	for _, policy := range []wal.SyncPolicy{wal.SyncAlways, wal.SyncInterval, wal.SyncOff} {
-		for _, group := range []bool{true, false} {
-			var best time.Duration
-			var bestStats wal.Stats
-			for r := 0; r < reps; r++ {
-				dir, err := os.MkdirTemp("", "walbench")
-				if err != nil {
-					return err
-				}
-				mgr, d, err := durable.Open(durable.Options{
-					Dir:           dir,
-					Fsync:         policy,
-					NoGroupCommit: !group,
-				}, bootstrap)
-				if err != nil {
-					os.RemoveAll(dir)
-					return err
-				}
-				start := time.Now()
-				var wg sync.WaitGroup
-				errs := make([]error, writers)
-				for w := 0; w < writers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for i := 0; i < insertsPerWriter; i++ {
-							id := w*insertsPerWriter + i
-							sql := fmt.Sprintf("INSERT INTO ingest VALUES (%d, 'row-%d')", id, id)
-							if _, err := d.Exec(sql); err != nil {
-								errs[w] = err
-								return
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-				elapsed := time.Since(start)
-				st := mgr.Stats().Wal
-				mgr.Close()
-				os.RemoveAll(dir)
-				for _, err := range errs {
-					if err != nil {
-						return err
-					}
-				}
-				if r == 0 || elapsed < best {
-					best, bestStats = elapsed, st
-				}
-			}
-			groupLabel := "on"
-			if !group {
-				groupLabel = "off"
-			}
-			fmt.Printf("%-10s %-6s %12.0f %10d %14d %14d\n",
-				policy, groupLabel, float64(total)/best.Seconds(),
-				bestStats.Fsyncs, bestStats.SyncRequests, bestStats.GroupShared)
-		}
-	}
-
-	fmt.Printf("\nRecovery time vs WAL length (in-memory fs, no checkpoint, best of %d runs)\n", reps)
-	fmt.Printf("%-10s %12s %12s %14s\n", "records", "wal bytes", "recover", "records/s")
-	for _, n := range []int{256, 1024, 4096} {
-		fsys := wal.NewMemFS()
-		mgr, d, err := durable.Open(durable.Options{FS: fsys, Fsync: wal.SyncOff}, bootstrap)
-		if err != nil {
-			return err
-		}
-		for i := 0; i < n; i++ {
-			if _, err := d.Exec(fmt.Sprintf("INSERT INTO ingest VALUES (%d, 'row-%d')", i, i)); err != nil {
-				return err
-			}
-		}
-		walBytes := mgr.Stats().Wal.Bytes
-		if err := mgr.Close(); err != nil {
-			return err
-		}
-		var best time.Duration
-		for r := 0; r < reps; r++ {
-			img := fsys.Clone()
-			start := time.Now()
-			mgr2, d2, err := durable.Open(durable.Options{FS: img, Fsync: wal.SyncOff}, bootstrap)
-			if err != nil {
-				return err
-			}
-			elapsed := time.Since(start)
-			if got := int64(mgr2.Stats().Replayed); got != int64(n) {
-				return fmt.Errorf("recovery replayed %d records, want %d", got, n)
-			}
-			tbl, err := d2.Table("ingest")
-			if err != nil {
-				return err
-			}
-			if tbl.Len() != n {
-				return fmt.Errorf("recovered %d rows, want %d", tbl.Len(), n)
-			}
-			mgr2.Close()
-			if r == 0 || elapsed < best {
-				best = elapsed
-			}
-		}
-		fmt.Printf("%-10d %12d %12s %14.0f\n", n, walBytes, best.Round(time.Microsecond), float64(n)/best.Seconds())
-	}
-	return nil
-}
-
-// parseRW parses the -concurrent "R/W" goroutine spec (e.g. "8/2").
-func parseRW(spec string) (readers, writers int, err error) {
-	r, w, ok := strings.Cut(spec, "/")
-	if ok {
-		readers, err = strconv.Atoi(strings.TrimSpace(r))
-		if err == nil {
-			writers, err = strconv.Atoi(strings.TrimSpace(w))
-		}
-	}
-	if !ok || err != nil || readers < 1 || writers < 1 {
-		return 0, 0, fmt.Errorf("want READERS/WRITERS (e.g. 8/2), got %q", spec)
-	}
-	return readers, writers, nil
-}
-
-// concurrentReport measures reader latency under concurrent write load two
-// ways on identically seeded databases:
-//
-//   - mvcc: readers query through per-goroutine sessions while writers
-//     commit multi-row INSERT batches — the engine's real path, where a
-//     reader pins an immutable snapshot and never waits for a writer.
-//   - rwlock: the same traffic under an emulated coarse reader/writer lock
-//     at the bench level (readers RLock around each query, writers Lock
-//     around each batch) — the design MVCC replaced, where every reader
-//     stalls for the full duration of any in-flight batch.
-//
-// The load is paced (writers pause between batches, readers between reads)
-// so the system is not CPU-saturated and the measured tail is lock blocking,
-// not run-queue starvation; both modes execute pre-parsed statements so the
-// baseline's lock hold is the batch's real apply cost, not parsing.
-//
-// Reported per mode: reads completed, writer batches committed, and the
-// p50/p99 reader latency; plus the p99 improvement ratio. The report also
-// lands in results/mvcc-bench.txt.
-func concurrentReport(reps, readers, writers int) error {
-	if reps < 1 {
-		reps = 1
-	}
-	const (
-		seedRows    = 20000
-		batchRows   = 20000
-		window      = 1500 * time.Millisecond
-		writerPause = 25 * time.Millisecond
-		readerPause = time.Millisecond
-	)
-	build := func() (*db.Database, error) {
-		d := db.Open(db.DefaultConfig())
-		if _, err := d.Exec("CREATE TABLE r (id INTEGER PRIMARY KEY, val INTEGER)"); err != nil {
-			return nil, err
-		}
-		if _, err := d.Exec("CREATE TABLE w (id INTEGER PRIMARY KEY, payload TEXT)"); err != nil {
-			return nil, err
-		}
-		var b strings.Builder
-		for i := 0; i < seedRows; i++ {
-			if i%1000 == 0 {
-				if b.Len() > 0 {
-					if _, err := d.Exec(b.String()); err != nil {
-						return nil, err
-					}
-				}
-				b.Reset()
-				b.WriteString("INSERT INTO r VALUES ")
-			} else {
-				b.WriteString(", ")
-			}
-			fmt.Fprintf(&b, "(%d, %d)", i, i%997)
-		}
-		if _, err := d.Exec(b.String()); err != nil {
-			return nil, err
-		}
-		return d, nil
-	}
-	// One pre-rendered, pre-parsed batch statement reused every commit, and a
-	// pre-parsed read: both modes execute the same ASTs, so the only varying
-	// cost is the concurrency regime itself.
-	var batch strings.Builder
-	batch.WriteString("INSERT INTO w VALUES ")
-	for i := 0; i < batchRows; i++ {
-		if i > 0 {
-			batch.WriteString(", ")
-		}
-		fmt.Fprintf(&batch, "(%d, 'payload-%d')", i, i)
-	}
-	batchSt, err := sqlparse.Parse(batch.String())
-	if err != nil {
-		return err
-	}
-	readSt, err := sqlparse.Parse("SELECT r.id, r.val FROM r AS r WHERE r.val < 100")
-	if err != nil {
-		return err
-	}
-
-	percentile := func(times []time.Duration, q float64) time.Duration {
-		if len(times) == 0 {
-			return 0
-		}
-		return times[int(q*float64(len(times)-1))]
-	}
-
-	type outcome struct {
-		reads   int
-		batches int64
-		p50     time.Duration
-		p99     time.Duration
-	}
-	measure := func(locked bool) (outcome, error) {
-		var best outcome
-		for rep := 0; rep < reps; rep++ {
-			d, err := build()
-			if err != nil {
-				return outcome{}, err
-			}
-			var lock sync.RWMutex // bench-level emulation only (locked mode)
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			errs := make([]error, readers+writers)
-			var batches int64
-			var batchMu sync.Mutex
-			lats := make([][]time.Duration, readers)
-			for i := 0; i < readers; i++ {
-				wg.Add(1)
-				go func(i int) {
-					defer wg.Done()
-					sess := d.NewSession()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						start := time.Now()
-						if locked {
-							lock.RLock()
-						}
-						_, err := sess.ExecStatement(readSt)
-						if locked {
-							lock.RUnlock()
-						}
-						if err != nil {
-							errs[i] = err
-							return
-						}
-						lats[i] = append(lats[i], time.Since(start))
-						time.Sleep(readerPause)
-					}
-				}(i)
-			}
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					sess := d.NewSession()
-					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						if locked {
-							lock.Lock()
-						}
-						_, err := sess.ExecStatement(batchSt)
-						if locked {
-							lock.Unlock()
-						}
-						if err != nil {
-							errs[readers+w] = err
-							return
-						}
-						batchMu.Lock()
-						batches++
-						batchMu.Unlock()
-						time.Sleep(writerPause)
-					}
-				}(w)
-			}
-			time.Sleep(window)
-			close(stop)
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					return outcome{}, err
-				}
-			}
-			var all []time.Duration
-			for _, l := range lats {
-				all = append(all, l...)
-			}
-			sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-			o := outcome{
-				reads:   len(all),
-				batches: batches,
-				p50:     percentile(all, 0.50),
-				p99:     percentile(all, 0.99),
-			}
-			if rep == 0 || o.p99 < best.p99 {
-				best = o
-			}
-		}
-		return best, nil
-	}
-
-	mvcc, err := measure(false)
-	if err != nil {
-		return err
-	}
-	rw, err := measure(true)
-	if err != nil {
-		return err
-	}
-
-	var report strings.Builder
-	out := io.MultiWriter(os.Stdout, &report)
-	fmt.Fprintf(out, "Concurrent reader latency: %d readers x %d writers (%d-row batches), %v windows, best of %d\n",
-		readers, writers, batchRows, window, reps)
-	fmt.Fprintf(out, "%-8s %10s %10s %12s %12s\n", "mode", "reads", "batches", "p50", "p99")
-	msf := func(d time.Duration) string { return fmt.Sprintf("%.3fms", float64(d.Nanoseconds())/1e6) }
-	fmt.Fprintf(out, "%-8s %10d %10d %12s %12s\n", "mvcc", mvcc.reads, mvcc.batches, msf(mvcc.p50), msf(mvcc.p99))
-	fmt.Fprintf(out, "%-8s %10d %10d %12s %12s\n", "rwlock", rw.reads, rw.batches, msf(rw.p50), msf(rw.p99))
-	if mvcc.p99 > 0 {
-		fmt.Fprintf(out, "\np99 reader latency improvement (rwlock/mvcc): %.1fx\n", float64(rw.p99)/float64(mvcc.p99))
-	}
-	if err := os.MkdirAll("results", 0o755); err != nil {
-		return err
-	}
-	if err := os.WriteFile("results/mvcc-bench.txt", []byte(report.String()), 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote results/mvcc-bench.txt")
-	return nil
-}
-
-// writeTraces executes each selected JOB query as SELECT RESULTDB with the
-// tracer enabled and writes the structured traces (one JSON array) to path.
-func writeTraces(env *bench.Env, names []string, path string) error {
-	qs := job.Queries()
-	if len(names) > 0 {
-		var picked []job.Query
-		for _, name := range names {
-			q, err := job.QueryByName(name)
-			if err != nil {
-				return err
-			}
-			picked = append(picked, q)
-		}
-		qs = picked
-	}
-	var traces []*trace.Trace
-	for _, q := range qs {
-		sel, err := sqlparse.ParseSelect(q.SQL)
-		if err != nil {
-			return fmt.Errorf("query %s: %w", q.Name, err)
-		}
-		sel.ResultDB = true
-		_, tr, err := env.DB.QueryWithTrace(sel)
-		if err != nil {
-			return fmt.Errorf("query %s: %w", q.Name, err)
-		}
-		tr.Query = q.Name + ": " + tr.Query
-		traces = append(traces, tr)
-		fmt.Printf("traced %-4s %3d spans  %6.2fms\n", q.Name, len(tr.Spans), float64(tr.WallNS)/1e6)
-	}
-	data, err := json.MarshalIndent(traces, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %d traces to %s\n", len(traces), path)
 	return nil
 }

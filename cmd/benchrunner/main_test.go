@@ -1,9 +1,6 @@
 package main
 
-import (
-	"os"
-	"testing"
-)
+import "testing"
 
 // TestRunEachExperiment smoke-tests the runner end to end at a tiny scale:
 // every experiment id must execute and print without error.
@@ -21,7 +18,7 @@ func TestRunEachExperiment(t *testing.T) {
 			if exp == "ablation-fold" {
 				queries = "6a"
 			}
-			if err := run(exp, 0.02, 1, 100, queries, 0, "", false, false, false, ""); err != nil {
+			if err := run(exp, 0.02, 1, 100, queries, 0); err != nil {
 				t.Fatalf("run(%s): %v", exp, err)
 			}
 		})
@@ -29,55 +26,7 @@ func TestRunEachExperiment(t *testing.T) {
 }
 
 func TestRunRejectsUnknownQueries(t *testing.T) {
-	if err := run("table1", 0.02, 1, 100, "zz", 0, "", false, false, false, ""); err == nil {
+	if err := run("table1", 0.02, 1, 100, "zz", 0); err == nil {
 		t.Fatal("unknown query should error")
-	}
-}
-
-// TestRunCacheReport smoke-tests the -cache cold/warm report.
-func TestRunCacheReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cache report smoke test is not -short")
-	}
-	if err := run("all", 0.02, 1, 100, "3c,9c", 0, "", true, false, false, ""); err != nil {
-		t.Fatalf("cache report: %v", err)
-	}
-}
-
-// TestRunWireReport smoke-tests the -wire payload sweep.
-func TestRunWireReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("wire report smoke test is not -short")
-	}
-	if err := run("all", 0.02, 1, 100, "3c,9c", 0, "", false, false, false, "v1,v2"); err != nil {
-		t.Fatalf("wire report: %v", err)
-	}
-	if err := run("all", 0.02, 1, 100, "3c", 0, "", false, false, false, "v3"); err == nil {
-		t.Fatal("unknown wire version should error")
-	}
-}
-
-// TestRunStatsReport smoke-tests the -stats heuristic-vs-cost-based report,
-// including the results/stats-bench.txt artifact.
-func TestRunStatsReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stats report smoke test is not -short")
-	}
-	t.Chdir(t.TempDir())
-	if err := run("all", 0.02, 1, 100, "3c,9c", 0, "", false, false, true, ""); err != nil {
-		t.Fatalf("stats report: %v", err)
-	}
-	if _, err := os.Stat("results/stats-bench.txt"); err != nil {
-		t.Fatalf("stats report artifact: %v", err)
-	}
-}
-
-// TestRunVecReport smoke-tests the -vec row-vs-vectorized report.
-func TestRunVecReport(t *testing.T) {
-	if testing.Short() {
-		t.Skip("vec report smoke test is not -short")
-	}
-	if err := run("all", 0.02, 1, 100, "3c,9c", 0, "", false, true, false, ""); err != nil {
-		t.Fatalf("vec report: %v", err)
 	}
 }

@@ -62,7 +62,7 @@ func (e *Env) Fig9(names []string) ([]Fig9Row, error) {
 			if err != nil {
 				return err
 			}
-			_, err = core.Decompose(joined, spec.OutputRels())
+			_, err = core.Decompose(joined, spec.OutputRels(), ex.Parallelism, nil)
 			return err
 		})
 		if err != nil {

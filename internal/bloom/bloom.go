@@ -15,16 +15,16 @@ package bloom
 import (
 	"math"
 	"sync/atomic"
-
-	"resultdb/internal/types"
 )
 
 // Filter is a standard partitioned Bloom filter over 64-bit hashes.
 //
-// Two build modes exist: the plain Add* methods are single-goroutine, the
-// Add*Atomic methods may be called concurrently from the morsel workers of
-// the parallel prefilter build (internal/core). Probing (Contains*) is
-// read-only and always safe concurrently once the build is complete.
+// Callers hash their keys themselves (internal/core hashes join keys through
+// colstore.Key and skips NULL keys, which can never join). Two build modes
+// exist: AddHash is single-goroutine, AddHashAtomic may be called
+// concurrently from the morsel workers of the parallel prefilter build.
+// Probing (ContainsHash) is read-only and always safe concurrently once the
+// build is complete.
 type Filter struct {
 	bits   []uint64
 	k      int
@@ -109,8 +109,8 @@ func (f *Filter) AddHash(h uint64) {
 }
 
 // AddHashAtomic inserts a precomputed hash with atomic bit sets; safe to call
-// concurrently with other Add*Atomic calls (but not with plain Add* calls or
-// with probes). Used by the parallel prefilter build.
+// concurrently with other AddHashAtomic calls (but not with AddHash or with
+// probes). Used by the parallel prefilter build.
 func (f *Filter) AddHashAtomic(h uint64) {
 	for i := 0; i < f.k; i++ {
 		p := f.probe(h, i)
@@ -126,17 +126,6 @@ func (f *Filter) AddHashAtomic(h uint64) {
 	atomic.AddInt64(&f.numAdd, 1)
 }
 
-// AddKeyAtomic is AddKey with atomic bit sets (see AddHashAtomic). Keys
-// containing NULL are skipped.
-func (f *Filter) AddKeyAtomic(row types.Row, cols []int) {
-	for _, c := range cols {
-		if row[c].IsNull() {
-			return
-		}
-	}
-	f.AddHashAtomic(row.HashKey(cols))
-}
-
 // ContainsHash tests a precomputed hash. False positives possible, false
 // negatives not.
 func (f *Filter) ContainsHash(h uint64) bool {
@@ -147,27 +136,6 @@ func (f *Filter) ContainsHash(h uint64) bool {
 		}
 	}
 	return true
-}
-
-// AddKey inserts the projection of row onto cols. Keys containing NULL are
-// skipped (they can never join).
-func (f *Filter) AddKey(row types.Row, cols []int) {
-	for _, c := range cols {
-		if row[c].IsNull() {
-			return
-		}
-	}
-	f.AddHash(row.HashKey(cols))
-}
-
-// ContainsKey probes the projection of row onto cols. NULL keys never match.
-func (f *Filter) ContainsKey(row types.Row, cols []int) bool {
-	for _, c := range cols {
-		if row[c].IsNull() {
-			return false
-		}
-	}
-	return f.ContainsHash(row.HashKey(cols))
 }
 
 // Len returns the number of inserted keys.

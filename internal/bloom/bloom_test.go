@@ -5,8 +5,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-
-	"resultdb/internal/types"
 )
 
 func TestNoFalseNegatives(t *testing.T) {
@@ -52,29 +50,6 @@ func TestFalsePositiveRateReasonable(t *testing.T) {
 	}
 	if est := f.EstimatedFPRate(); est <= 0 || est > 0.2 {
 		t.Errorf("estimated fp rate %.4f implausible", est)
-	}
-}
-
-func TestKeySemantics(t *testing.T) {
-	f := New(10, 0.01)
-	row := types.Row{types.NewInt(7), types.NewText("x")}
-	f.AddKey(row, []int{0, 1})
-	if !f.ContainsKey(types.Row{types.NewInt(7), types.NewText("x")}, []int{0, 1}) {
-		t.Error("inserted key not found")
-	}
-	// NULL keys: never inserted, never matched.
-	nullRow := types.Row{types.Null(), types.NewText("x")}
-	f.AddKey(nullRow, []int{0, 1})
-	if f.Len() != 1 {
-		t.Errorf("NULL key inserted; Len = %d", f.Len())
-	}
-	if f.ContainsKey(nullRow, []int{0, 1}) {
-		t.Error("NULL probe matched")
-	}
-	// Numeric cross-kind equality carries through hashing.
-	f.AddKey(types.Row{types.NewInt(3)}, []int{0})
-	if !f.ContainsKey(types.Row{types.NewFloat(3)}, []int{0}) {
-		t.Error("3 and 3.0 must be filter-equal")
 	}
 }
 

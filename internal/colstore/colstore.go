@@ -2,19 +2,20 @@
 // per-table typed column vectors with null bitmaps and a dictionary-encoded
 // TEXT representation, plus the selection-vector kernels (typed predicate
 // evaluation, allocation-free FNV key hashing, key-set / hash-table
-// build-probe) the engine's vectorized operators run on.
+// build-probe) the engine's operators run on.
 //
 // Design rules:
 //
-//   - Bit-identical to the row path. Every primitive reproduces the exact
-//     semantics of its row-major counterpart: Column.Value reconstructs the
-//     stored types.Value (kind included), Column.HashFNV advances the FNV-1a
-//     state by exactly the byte stream types.Value.HashInto defines, and
-//     kernels implement the engine's three-valued predicate semantics
-//     (NULL never passes). A query answered through colstore produces the
-//     same rows, in the same order, with the same wire encoding, as the
-//     row-at-a-time fallback — the differential gates in internal/wire lock
-//     this in.
+//   - Bit-identical to the row-major values. Every primitive reproduces the
+//     exact semantics of its row-major counterpart: Column.Value reconstructs
+//     the stored types.Value (kind included), Column.HashFNV advances the
+//     FNV-1a state by exactly the byte stream types.Value.HashInto defines,
+//     and kernels implement the bound expression's three-valued predicate
+//     semantics (NULL never passes). Reading a relation through its frame or
+//     through its rows therefore gives the same keys, the same hashes and
+//     the same order, which is what lets one operator serve both forms (Key,
+//     in hash.go); internal/engine's kernel property test and the
+//     differential gates in internal/wire lock this in.
 //   - Late materialization. Operators pass ascending selection vectors of
 //     row indices; rows are gathered back to types.Row only when results
 //     materialize. Gathers are pointer copies from the backing row slice.

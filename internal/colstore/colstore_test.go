@@ -123,8 +123,10 @@ func TestFrameHashMatchesRowHash(t *testing.T) {
 	}
 	// Degenerate dictionaries: all-equal and all-distinct TEXT.
 	for name, gen := range map[string]func(i int) string{
-		"all-equal":    func(int) string { return "same" },
-		"all-distinct": func(i int) string { return "v" + string(rune('0'+i%10)) + string(rune('a'+i/10%26)) + string(rune('a'+i/260)) },
+		"all-equal": func(int) string { return "same" },
+		"all-distinct": func(i int) string {
+			return "v" + string(rune('0'+i%10)) + string(rune('a'+i/10%26)) + string(rune('a'+i/260))
+		},
 	} {
 		rows := make([]types.Row, 300)
 		for i := range rows {
@@ -318,46 +320,72 @@ func TestViewNarrow(t *testing.T) {
 	}
 }
 
-func TestKeySetMatchesRowKeySet(t *testing.T) {
+// TestKeySetMatchesNaive checks the key set against a linear scan: NULL keys
+// are skipped on build and never match on probe, duplicate keys collapse,
+// composite keys compare column by column, and none of it depends on whether
+// either side is columnar or row-major.
+func TestKeySetMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	kinds := []types.Kind{types.KindText, types.KindInt}
 	build := randomTypedRows(rng, kinds, 600, 0.2, 4)
 	probe := randomTypedRows(rng, kinds, 600, 0.2, 4)
 	cols := []int{0, 1}
 
-	bf := NewFrame(kinds, build)
-	bv := &View{Frame: bf}
-
-	ref := types.NewKeySet()
-	for _, r := range build {
-		ref.AddKey(r, cols)
-	}
-
-	for name, pk := range map[string]Key{
-		"columnar": ViewKey(&View{Frame: NewFrame(kinds, probe)}, cols),
-		"rowmajor": RowsKey(probe, cols),
-	} {
-		s := NewKeySet(ViewKey(bv, cols))
-		for j := 0; j < len(build); j++ {
-			s.Add(j)
-		}
-		if s.Len() != ref.Len() {
-			t.Fatalf("%s: KeySet.Len = %d, want %d", name, s.Len(), ref.Len())
-		}
-		for j, r := range probe {
-			if got, want := s.Contains(pk, j), ref.ContainsKey(r, cols); got != want {
-				t.Fatalf("%s: Contains(row %d %v) = %v, want %v", name, j, r, got, want)
+	keyOf := func(r types.Row, cols []int) (types.Row, bool) {
+		k := r.Project(cols)
+		for _, v := range k {
+			if v.IsNull() {
+				return nil, false
 			}
 		}
+		return k, true
+	}
+	var distinct []types.Row
+	contains := func(k types.Row) bool {
+		for _, d := range distinct {
+			if d.Equal(k) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, r := range build {
+		if k, ok := keyOf(r, cols); ok && !contains(k) {
+			distinct = append(distinct, k)
+		}
 	}
 
-	// Row-major build side too.
-	s := NewKeySet(RowsKey(build, cols))
-	for j := range build {
-		s.Add(j)
+	// The probe also runs with its columns stored in the opposite order,
+	// addressed through a reordered column list.
+	swapped := make([]types.Row, len(probe))
+	for i, r := range probe {
+		swapped[i] = types.Row{r[1], r[0]}
 	}
-	if s.Len() != ref.Len() {
-		t.Fatalf("rows-build: Len = %d, want %d", s.Len(), ref.Len())
+	swappedKinds := []types.Kind{kinds[1], kinds[0]}
+	for bname, bk := range map[string]Key{
+		"columnar": ViewKey(&View{Frame: NewFrame(kinds, build)}, cols),
+		"rowmajor": RowsKey(build, cols),
+	} {
+		s := NewKeySet(bk)
+		for j := range build {
+			s.Add(j)
+		}
+		if s.Len() != len(distinct) {
+			t.Fatalf("%s build: KeySet.Len = %d, want %d", bname, s.Len(), len(distinct))
+		}
+		for pname, pk := range map[string]Key{
+			"columnar":         ViewKey(&View{Frame: NewFrame(kinds, probe)}, cols),
+			"rowmajor":         RowsKey(probe, cols),
+			"columnar-swapped": ViewKey(&View{Frame: NewFrame(swappedKinds, swapped)}, []int{1, 0}),
+			"rowmajor-swapped": RowsKey(swapped, []int{1, 0}),
+		} {
+			for j, r := range probe {
+				k, ok := keyOf(r, cols)
+				if got, want := s.Contains(pk, j), ok && contains(k); got != want {
+					t.Fatalf("%s build, %s probe: Contains(row %d %v) = %v, want %v", bname, pname, j, r, got, want)
+				}
+			}
+		}
 	}
 }
 
@@ -377,7 +405,7 @@ func TestHashTableMatchesNaive(t *testing.T) {
 		for j, pr := range probe {
 			var got []int32
 			ht.Each(pk, j, func(pos int32) { got = append(got, pos) })
-			// Naive oracle: scan build side with row-path key equality.
+			// Naive oracle: scan build side with row-by-row key equality.
 			var want []int32
 			prNull := false
 			for _, c := range cols {

@@ -7,7 +7,7 @@ import (
 )
 
 // TestGatherView checks the projection gather the wire encoder and the
-// vectorized project+distinct rely on: values land in output order, null
+// columnar project+distinct rely on: values land in output order, null
 // bitmaps are rebuilt (and dropped when the gathered rows have no NULL), and
 // TEXT dictionaries are shared with the source frame, not copied.
 func TestGatherView(t *testing.T) {

@@ -6,7 +6,7 @@ import (
 )
 
 // Key addresses the join-key columns of one input, columnar when a View is
-// available and row-major otherwise, so vectorized joins can mix sides (a
+// available and row-major otherwise, so joins can mix sides (a
 // scanned base table against a folded intermediate, say). Hashing is the
 // allocation-free inlined FNV-1a of internal/types in both forms, so a
 // columnar build probes a row-major set (and vice versa) with identical
@@ -75,10 +75,9 @@ func KeysEqual(a Key, i int, b Key, j int) bool {
 	return true
 }
 
-// KeySet is the vectorized semi-join build side: a hash set of the distinct
-// non-NULL keys of one input, probed by membership. Unlike the row-path
-// types.KeySet it stores row positions, not projected key rows, so neither
-// build nor probe allocates per row.
+// KeySet is the semi-join build side: a hash set of the distinct non-NULL
+// keys of one input, probed by membership. It stores row positions, not
+// projected key rows, so neither build nor probe allocates per row.
 type KeySet struct {
 	src     Key
 	buckets map[uint64][]int32
@@ -124,17 +123,23 @@ func (s *KeySet) Contains(p Key, j int) bool {
 // Len returns the number of distinct keys.
 func (s *KeySet) Len() int { return s.n }
 
-// HashTable is the vectorized join build side: key hash → ascending build
-// row positions, hash-partitioned so it can be built in parallel (same
-// two-phase morsel scheme, and the same ascending-positions invariant, as
-// the row path's engine hash table).
+// HashTable is the join build side: key hash → ascending build row
+// positions, hash-partitioned so it can be built in parallel. Bucket
+// position lists are always in ascending row order — the invariant that
+// keeps parallel probes bit-identical to serial.
 type HashTable struct {
 	src   Key
 	parts []map[uint64][]int32
 }
 
 // BuildHashTable indexes src's rows by key hash at degree par. NULL keys are
-// skipped.
+// skipped (they can never match under SQL join semantics).
+//
+// The parallel build is two-phase morsel style: (1) each worker scans a
+// contiguous row chunk, hashing keys and scattering (hash, pos) entries into
+// chunk-local partition lists; (2) each worker owns one partition and folds
+// the chunk-local lists into its hash map, visiting chunks in input order so
+// bucket position lists stay ascending.
 func BuildHashTable(src Key, par int) *HashTable {
 	n := src.Len()
 	nc := parallel.Chunks(n, par)

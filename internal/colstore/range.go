@@ -128,8 +128,8 @@ func anyMinMax(v *View, c *AnyColumn) (lo, hi float64, ok bool) {
 // NumRangeSelect returns the logical positions (ascending) of the view's
 // rows whose col value is non-NULL and within [lo, hi] under cmp3 semantics
 // (NaN passes: cmp3 reports 0 against both bounds, mirroring types.Compare).
-// ok is false for non-numeric or untyped columns; callers fall back to a
-// row-path filter. The scan is chunked across the worker pool at degree par
+// ok is false for non-numeric or untyped columns; callers fall back to
+// reading the rows. The scan is chunked across the worker pool at degree par
 // with the deterministic ordered merge, so results are identical at any
 // degree.
 func NumRangeSelect(v *View, col int, lo, hi float64, par int) (keep []int32, ok bool) {

@@ -77,6 +77,28 @@ func analyze(t *testing.T, src engine.Source, sql string) (*engine.SPJSpec, map[
 	return spec, rels
 }
 
+// mixForms returns rels with the columnar view stripped from some relations,
+// so the operators under test meet every key form: form 0 keeps every scan's
+// view (colstore.ViewKey on both sides), form 1 strips every other relation
+// in alias order (mixed sides), form 2 strips all (colstore.RowsKey on both
+// sides, what a decoded result set or a join output looks like).
+func mixForms(rels map[string]*engine.Relation, form int) map[string]*engine.Relation {
+	aliases := make([]string, 0, len(rels))
+	for a := range rels {
+		aliases = append(aliases, a)
+	}
+	sort.Strings(aliases)
+	out := make(map[string]*engine.Relation, len(rels))
+	for i, a := range aliases {
+		rel := rels[a]
+		if form == 2 || form == 1 && i%2 == 1 {
+			rel = &engine.Relation{Cols: rel.Cols, Rows: rel.Rows}
+		}
+		out[a] = rel
+	}
+	return out
+}
+
 func TestBuildGraphMergesParallelEdges(t *testing.T) {
 	src := memSource{
 		"a": mkTable(t, "a", []catalog.Column{intCol("id"), intCol("x"), intCol("y")}, ir(1, 2, 3)),
@@ -221,7 +243,7 @@ func TestFoldJoinGraphTriangle(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &Stats{}
-	if err := FoldJoinGraph(g, FoldMaxDegree, st); err != nil {
+	if err := FoldJoinGraph(g, FoldMaxDegree, st, 1, nil); err != nil {
 		t.Fatal(err)
 	}
 	if g.IsCyclic() {
@@ -266,7 +288,7 @@ func TestFoldStrategiesAllTerminate(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := &Stats{}
-		if err := FoldJoinGraph(g, strat, st); err != nil {
+		if err := FoldJoinGraph(g, strat, st, 1, nil); err != nil {
 			t.Fatalf("strategy %d: %v", strat, err)
 		}
 		if g.IsCyclic() {
@@ -295,26 +317,28 @@ func TestSemiJoinReduceCyclicMatchesDecompose(t *testing.T) {
 func assertReduceMatchesDecompose(t *testing.T, src engine.Source, sql string) {
 	t.Helper()
 	spec, rels := analyze(t, src, sql)
-	reduced, _, err := SemiJoinReduce(spec, rels, nil, DefaultOptions())
-	if err != nil {
-		t.Fatalf("%s: %v", sql, err)
-	}
 	ex := &engine.Executor{Src: src}
 	joined, err := ex.RunSPJ(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := Decompose(joined, spec.OutputRels())
+	oracle, err := Decompose(joined, spec.OutputRels(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, alias := range spec.OutputRels() {
-		key := strings.ToLower(alias)
-		got := reduced[key].Distinct()
-		want := oracle[key]
-		if !sameRelation(got, want) {
-			t.Errorf("%s: relation %s mismatch:\nreduced: %v\ndecompose: %v",
-				sql, alias, renderSorted(got), renderSorted(want))
+	for form := 0; form < 3; form++ {
+		reduced, _, err := SemiJoinReduce(spec, mixForms(rels, form), nil, DefaultOptions())
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		for _, alias := range spec.OutputRels() {
+			key := strings.ToLower(alias)
+			got := reduced[key].Distinct()
+			want := oracle[key]
+			if !sameRelation(got, want) {
+				t.Errorf("%s (form %d): relation %s mismatch:\nreduced: %v\ndecompose: %v",
+					sql, form, alias, renderSorted(got), renderSorted(want))
+			}
 		}
 	}
 }
@@ -408,7 +432,7 @@ func TestRelationshipPreservingAttrs(t *testing.T) {
 
 func TestDecomposeErrors(t *testing.T) {
 	rel := &engine.Relation{Cols: []engine.ColRef{{Rel: "a", Name: "x"}}}
-	if _, err := Decompose(rel, []string{"missing"}); err == nil {
+	if _, err := Decompose(rel, []string{"missing"}, 1, nil); err == nil {
 		t.Error("Decompose with unknown alias should fail")
 	}
 }
@@ -419,6 +443,45 @@ func TestStatsString(t *testing.T) {
 	for _, want := range []string{"root=t", "semijoins=5", "folds=2", "cyclic", "early-stop"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Stats.String() = %q missing %q", s, want)
+		}
+	}
+}
+
+// TestBloomPrefilterKeySemantics pins what the Bloom pass hashes: join keys
+// through colstore.Key, on whichever form each side comes in. A NULL key is
+// never inserted and never passes, an INT 3 probes a FLOAT 3.0 build key
+// successfully (numeric equality carries through hashing), and the target
+// keeps its form.
+func TestBloomPrefilterKeySemantics(t *testing.T) {
+	rel := func(alias string, kind types.Kind, keys ...types.Value) *engine.Relation {
+		r := &engine.Relation{Cols: []engine.ColRef{{Rel: alias, Name: "k", Kind: kind}}}
+		for _, k := range keys {
+			r.Rows = append(r.Rows, types.Row{k})
+		}
+		return r
+	}
+	target := rel("t", types.KindInt, types.NewInt(3), types.Null(), types.NewInt(7))
+	source := rel("s", types.KindFloat, types.NewFloat(3), types.Null())
+	forms := func(r *engine.Relation) []*engine.Relation {
+		return []*engine.Relation{r, engine.Columnarize(r, 1)}
+	}
+	for _, tr := range forms(target) {
+		for _, sr := range forms(source) {
+			tn, sn := &Node{Aliases: []string{"t"}, Rel: tr}, &Node{Aliases: []string{"s"}, Rel: sr}
+			e := &Edge{X: tn, Y: sn, Preds: []engine.JoinPred{{LeftRel: "t", LeftCol: "k", RightRel: "s", RightCol: "k"}}}
+			st := &Stats{}
+			if err := bloomSemiJoinNodes(tn, sn, e, 0, 1e-9, st, &Options{Parallelism: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if got := renderSorted(tn.Rel); len(got) != 1 || got[0] != "3" {
+				t.Errorf("target view=%v source view=%v: kept %v, want only the key 3", tr.Vec != nil, sr.Vec != nil, got)
+			}
+			if (tn.Rel.Vec != nil) != (tr.Vec != nil) {
+				t.Errorf("target view=%v: form not preserved", tr.Vec != nil)
+			}
+			if st.BloomSemiJoins != 1 || st.BloomDropped != 2 {
+				t.Errorf("stats = %+v, want 1 Bloom semi-join dropping 2 rows", st)
+			}
 		}
 	}
 }

@@ -31,12 +31,10 @@ const (
 // Lemma 4.3 guarantees termination and result preservation: each fold
 // removes one node and at least one edge, and joining adjacent relations
 // never changes the overall join result (associativity).
-func FoldJoinGraph(g *Graph, strategy FoldStrategy, st *Stats) error {
-	opts := Options{Fold: strategy}
-	return foldJoinGraphTrace(g, strategy, st, &opts)
-}
-
-func foldJoinGraphTrace(g *Graph, strategy FoldStrategy, st *Stats, opts *Options) error {
+//
+// Each fold join runs at degree par (0 = auto, 1 = serial) and records one
+// span on tr (nil = tracing disabled).
+func FoldJoinGraph(g *Graph, strategy FoldStrategy, st *Stats, par int, tr *trace.Tracer) error {
 	for g.IsCyclic() {
 		x, y, err := chooseFoldPair(g, strategy)
 		if err != nil {
@@ -45,23 +43,20 @@ func foldJoinGraphTrace(g *Graph, strategy FoldStrategy, st *Stats, opts *Option
 		xn, yn := x.Name(), y.Name()
 		xr, yr := len(x.Rel.Rows), len(y.Rel.Rows)
 		var sp *trace.Span
-		if opts.Tracer.Enabled() {
-			sp = opts.Tracer.Span("fold", xn+" ⋈ "+yn)
+		if tr.Enabled() {
+			sp = tr.Span("fold", xn+" ⋈ "+yn)
 			sp.Phase = "fold"
 			sp.RowsIn = xr
 			sp.RowsBuild = yr
 		}
-		if err := foldPairSpan(g, x, y, opts.Parallelism, opts.Vectorized, sp); err != nil {
+		if err := foldPair(g, x, y, par, sp); err != nil {
 			return err
 		}
 		st.Folds++
 		z := g.Nodes[len(g.Nodes)-1]
 		if sp != nil {
 			sp.RowsOut = len(z.Rel.Rows)
-			opts.Tracer.AddRowsJoined(len(z.Rel.Rows))
-		}
-		if opts.Trace != nil {
-			opts.Trace(fmt.Sprintf("fold %s ⋈ %s  rows: %d x %d -> %d", xn, yn, xr, yr, len(z.Rel.Rows)))
+			tr.AddRowsJoined(len(z.Rel.Rows))
 		}
 	}
 	return nil
@@ -130,15 +125,9 @@ func cardProduct(e *Edge) int {
 
 // foldPair replaces x and y by the node x ⋈ y, re-pointing and merging all
 // affected edges (line 5 of Algorithm 3). The fold join runs at degree par
-// (0 = auto, 1 = serial) with deterministic ordered output.
-func foldPair(g *Graph, x, y *Node, par int) error {
-	return foldPairSpan(g, x, y, par, false, nil)
-}
-
-// foldPairSpan is foldPair recording the fold join's build/probe timings on
-// sp (nil = no tracing). With vec, the join hashes its keys from the inputs'
-// columnar views when present (bit-identical output either way).
-func foldPairSpan(g *Graph, x, y *Node, par int, vec bool, sp *trace.Span) error {
+// (0 = auto, 1 = serial) with deterministic ordered output, recording its
+// build/probe timings on sp (nil = no tracing).
+func foldPair(g *Graph, x, y *Node, par int, sp *trace.Span) error {
 	// Join x and y on the conjunction of all predicates between them.
 	var between *Edge
 	for _, e := range g.Edges {
@@ -154,16 +143,10 @@ func foldPairSpan(g *Graph, x, y *Node, par int, vec bool, sp *trace.Span) error
 	if err != nil {
 		return err
 	}
-	join := engine.HashJoinSpan
-	if vec {
-		join = engine.HashJoinVecSpan
+	if between.X != x {
+		xCols, yCols = yCols, xCols
 	}
-	var joined *engine.Relation
-	if between.X == x {
-		joined = join(x.Rel, y.Rel, xCols, yCols, par, sp)
-	} else {
-		joined = join(x.Rel, y.Rel, yCols, xCols, par, sp)
-	}
+	joined := engine.HashJoin(x.Rel, y.Rel, xCols, yCols, par, sp)
 	z := &Node{
 		Aliases: append(append([]string(nil), x.Aliases...), y.Aliases...),
 		Rel:     joined,

@@ -9,6 +9,7 @@ import (
 	"resultdb/internal/engine"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/storage"
+	"resultdb/internal/trace"
 	"resultdb/internal/types"
 )
 
@@ -44,7 +45,7 @@ func bigChainSource(rng *rand.Rand, n int) memSource {
 // to engage the parallel morsel paths, and asserts that every reduced output
 // relation is byte-identical — same rows in the same order — between serial
 // (Parallelism=1) and parallel (Parallelism=4) execution, with and without
-// the Bloom prefilter.
+// the Bloom prefilter, whether the inputs carry columnar views or not.
 func TestReductionParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	src := bigChainSource(rng, 4000)
@@ -72,14 +73,14 @@ func TestReductionParallelMatchesSerial(t *testing.T) {
 		}
 		ex := &engine.Executor{Src: src}
 		for vi, base := range variants {
-			run := func(par int) map[string]*engine.Relation {
+			run := func(par, form int) map[string]*engine.Relation {
 				rels, err := ex.BaseRelations(spec)
 				if err != nil {
 					t.Fatal(err)
 				}
 				opts := base
 				opts.Parallelism = par
-				reduced, st, err := SemiJoinReduce(spec, rels, nil, opts)
+				reduced, st, err := SemiJoinReduce(spec, mixForms(rels, form), nil, opts)
 				if err != nil {
 					t.Fatalf("query %d variant %d par %d: %v", qi, vi, par, err)
 				}
@@ -88,19 +89,23 @@ func TestReductionParallelMatchesSerial(t *testing.T) {
 				}
 				return reduced
 			}
-			want := run(1)
-			got := run(4)
-			for _, alias := range spec.OutputRels() {
-				key := strings.ToLower(alias)
-				w, g := want[key], got[key]
-				if len(g.Rows) != len(w.Rows) {
-					t.Fatalf("query %d variant %d relation %s: %d rows parallel vs %d serial",
-						qi, vi, alias, len(g.Rows), len(w.Rows))
-				}
-				for i := range g.Rows {
-					if !g.Rows[i].Equal(w.Rows[i]) {
-						t.Fatalf("query %d variant %d relation %s row %d differs:\nparallel: %v\nserial:   %v",
-							qi, vi, alias, i, g.Rows[i], w.Rows[i])
+			// Serial over row-major inputs is the baseline; parallel runs
+			// over columnar, mixed and row-major inputs must reproduce it.
+			want := run(1, 2)
+			for form := 0; form < 3; form++ {
+				got := run(4, form)
+				for _, alias := range spec.OutputRels() {
+					key := strings.ToLower(alias)
+					w, g := want[key], got[key]
+					if len(g.Rows) != len(w.Rows) {
+						t.Fatalf("query %d variant %d form %d relation %s: %d rows parallel vs %d serial",
+							qi, vi, form, alias, len(g.Rows), len(w.Rows))
+					}
+					for i := range g.Rows {
+						if !g.Rows[i].Equal(w.Rows[i]) {
+							t.Fatalf("query %d variant %d form %d relation %s row %d differs:\nparallel: %v\nserial:   %v",
+								qi, vi, form, alias, i, g.Rows[i], w.Rows[i])
+						}
 					}
 				}
 			}
@@ -108,9 +113,9 @@ func TestReductionParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestDecomposeParMatchesSerial checks the Decompose operator at several
+// TestDecomposeAtAnyDegreeMatchesSerial checks the Decompose operator at several
 // degrees on a wide joined relation with heavy duplication per alias.
-func TestDecomposeParMatchesSerial(t *testing.T) {
+func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	joined := &engine.Relation{Cols: []engine.ColRef{
 		{Rel: "x", Name: "a", Kind: types.KindInt},
@@ -127,29 +132,68 @@ func TestDecomposeParMatchesSerial(t *testing.T) {
 		})
 	}
 	aliases := []string{"x", "y", "z"}
-	want, err := DecomposePar(joined, aliases, 1)
+	want, err := Decompose(joined, aliases, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{2, 4, 7} {
-		got, err := DecomposePar(joined, aliases, par)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, alias := range aliases {
-			w, g := want[alias], got[alias]
-			if len(g.Rows) != len(w.Rows) {
-				t.Fatalf("par=%d alias %s: %d rows, want %d", par, alias, len(g.Rows), len(w.Rows))
+	// A join result arrives row-major; a single-relation "join" arrives with
+	// its scan's view. Both must decompose identically.
+	inputs := map[string]*engine.Relation{"rows": joined, "view": engine.Columnarize(joined, 1)}
+	for form, in := range inputs {
+		for _, par := range []int{1, 2, 4, 7} {
+			got, err := Decompose(in, aliases, par, nil)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i := range g.Rows {
-				if !g.Rows[i].Equal(w.Rows[i]) {
-					t.Fatalf("par=%d alias %s row %d differs", par, alias, i)
+			for _, alias := range aliases {
+				w, g := want[alias], got[alias]
+				if len(g.Rows) != len(w.Rows) {
+					t.Fatalf("%s par=%d alias %s: %d rows, want %d", form, par, alias, len(g.Rows), len(w.Rows))
+				}
+				for i := range g.Rows {
+					if !g.Rows[i].Equal(w.Rows[i]) {
+						t.Fatalf("%s par=%d alias %s row %d differs", form, par, alias, i)
+					}
 				}
 			}
 		}
 	}
 	// Unknown alias must surface the same error at any degree.
-	if _, err := DecomposePar(joined, []string{"nope"}, 4); err == nil {
+	if _, err := Decompose(joined, []string{"nope"}, 4, nil); err == nil {
 		t.Fatal("expected error for unknown alias")
+	}
+}
+
+// TestTraceFingerprintIndependentOfKeyForm: the deterministic portion of the
+// reduction's trace (ops, labels, phases, cardinalities — CountsFingerprint)
+// does not depend on whether the operators met their inputs as columnar views
+// or as plain rows, on acyclic and cyclic (folding) queries, with the Bloom
+// prefilter on, at parallelism 1 and 4.
+func TestTraceFingerprintIndependentOfKeyForm(t *testing.T) {
+	src := bigChainSource(rand.New(rand.NewSource(9)), 1200)
+	queries := []string{
+		`SELECT b1.id, b4.id FROM b1 AS b1, b2 AS b2, b3 AS b3, b4 AS b4
+		 WHERE b1.k = b2.k AND b2.k = b3.k AND b3.k = b4.k AND b2.k2 < 6`,
+		`SELECT b1.id, b2.id FROM b1 AS b1, b2 AS b2, b3 AS b3
+		 WHERE b1.k2 = b2.k2 AND b2.k2 = b3.k2 AND b3.k2 = b1.k2 AND b1.k < 40`,
+	}
+	for qi, sql := range queries {
+		spec, rels := analyze(t, src, sql)
+		var want string
+		for form := 0; form < 3; form++ {
+			for _, par := range []int{1, 4} {
+				tr := trace.New(sql)
+				opts := Options{EarlyStop: true, BloomPrefilter: true, BloomFPRate: 0.05, Parallelism: par, Tracer: tr}
+				if _, _, err := SemiJoinReduce(spec, mixForms(rels, form), nil, opts); err != nil {
+					t.Fatal(err)
+				}
+				got := tr.Finish().CountsFingerprint()
+				if want == "" {
+					want = got
+				} else if got != want {
+					t.Fatalf("query %d form %d par %d: trace counts differ:\n%s\nwant:\n%s", qi, form, par, got, want)
+				}
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"resultdb/internal/catalog"
 	"resultdb/internal/engine"
+	"resultdb/internal/reference"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/storage"
 	"resultdb/internal/types"
@@ -137,16 +138,37 @@ func TestTheorem44RandomQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: ST %q: %v", trial, sql, err)
 		}
-		oracle, err := Decompose(joined, spec.OutputRels())
+		oracle, err := Decompose(joined, spec.OutputRels(), 1, nil)
 		if err != nil {
 			t.Fatalf("trial %d: decompose: %v", trial, err)
 		}
-		for _, opts := range optsList {
+		// The engine's own Decompose is what Theorem 4.4 names; the naive
+		// reference confirms it before it is used as the oracle.
+		refSets, err := reference.Subdatabase(src, sel, false)
+		if err != nil {
+			t.Fatalf("trial %d: reference %q: %v", trial, sql, err)
+		}
+		for _, set := range refSets {
+			full := oracle[strings.ToLower(set.Name)]
+			cols := make([]int, len(set.Columns))
+			for i, c := range set.Columns {
+				if cols[i], err = full.ColIndex(set.Name, c); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dec := full.Project(cols).Distinct()
+			if ref := (&engine.Relation{Cols: dec.Cols, Rows: set.Rows}); !sameRelation(ref, dec) {
+				t.Fatalf("trial %d: %q relation %s: Decompose disagrees with the reference:\ndecompose: %v\nreference: %v",
+					trial, sql, set.Name, renderSorted(dec), renderSorted(ref))
+			}
+		}
+		for oi, opts := range optsList {
 			rels, err := ex.BaseRelations(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			reduced, _, err := SemiJoinReduce(spec, rels, nil, opts)
+			// Rotate through columnar, mixed and row-major inputs.
+			reduced, _, err := SemiJoinReduce(spec, mixForms(rels, (trial+oi)%3), nil, opts)
 			if err != nil {
 				t.Fatalf("trial %d opts %+v: %q: %v", trial, opts, sql, err)
 			}

@@ -41,18 +41,12 @@ func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outp
 		if st.ImpliedEdgesDropped > 0 {
 			msg := fmt.Sprintf("alpha-reduction dropped %d implied edge(s)", st.ImpliedEdgesDropped)
 			opts.Tracer.Note(msg)
-			if opts.Trace != nil {
-				opts.Trace(msg)
-			}
 		}
 	}
 	if g.IsCyclic() {
 		msg := fmt.Sprintf("join graph cyclic (%d nodes, %d edges); folding", len(g.Nodes), len(g.Edges))
 		opts.Tracer.Note(msg)
-		if opts.Trace != nil {
-			opts.Trace(msg)
-		}
-		if err := foldJoinGraphTrace(g, opts.Fold, st, &opts); err != nil {
+		if err := FoldJoinGraph(g, opts.Fold, st, opts.Parallelism, opts.Tracer); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -64,14 +58,10 @@ func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outp
 	for _, n := range g.Nodes {
 		if n.IsFold() {
 			// Decompose the fold: project out each contained base relation
-			// and deduplicate (the join may have multiplied its tuples). On
-			// the vectorized path the fold result is columnarized once and
-			// each alias dedups on column-data key hashes, materializing only
-			// the surviving rows.
-			src := n.Rel
-			if opts.Vectorized && src.Vec == nil {
-				src = engine.Columnarize(src, opts.Parallelism)
-			}
+			// and deduplicate (the join may have multiplied its tuples). The
+			// fold result is columnarized once and each alias dedups on
+			// column-data key hashes, materializing only the surviving rows.
+			src := engine.Columnarize(n.Rel, opts.Parallelism)
 			for _, alias := range n.Aliases {
 				if !g.projected[strings.ToLower(alias)] {
 					continue
@@ -79,7 +69,6 @@ func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outp
 				base := src.ProjectDistinctPar(src.ColumnsOf(alias), opts.Parallelism)
 				if sp := opts.Tracer.Span("decompose", alias); sp != nil {
 					sp.Phase = "decompose"
-					sp.Vec = opts.Vectorized
 					sp.Detail = "unfold " + n.Name()
 					sp.RowsIn = len(n.Rel.Rows)
 					sp.RowsOut = len(base.Rows)
@@ -110,42 +99,21 @@ func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outp
 // for SemiJoinReduce (Theorem 4.4).
 //
 // joined must carry alias-qualified columns for every alias in aliases
-// (engine.Executor.RunSPJ produces exactly that).
-func Decompose(joined *engine.Relation, aliases []string) (map[string]*engine.Relation, error) {
-	return DecomposePar(joined, aliases, 0)
-}
-
-// DecomposePar is Decompose at an explicit degree of parallelism (0 = auto,
-// 1 = serial). The per-relation project+dedup steps are independent, so they
-// run concurrently across aliases; each step's own project/dedup work is also
-// chunked at the same degree. Results are identical at any degree.
-func DecomposePar(joined *engine.Relation, aliases []string, par int) (map[string]*engine.Relation, error) {
-	return DecomposeTraced(joined, aliases, par, nil)
-}
-
-// DecomposeTraced is DecomposePar recording one span per decomposed relation
-// (rows before projection, rows after dedup). Spans are registered after the
-// parallel fan-out completes, in alias order, so the trace is deterministic
-// at any degree; tr may be nil.
-func DecomposeTraced(joined *engine.Relation, aliases []string, par int, tr *trace.Tracer) (map[string]*engine.Relation, error) {
-	return decomposeTraced(joined, aliases, par, false, tr)
-}
-
-// DecomposeVecTraced is DecomposeTraced on the columnar path: the join result
-// is columnarized once (shared across aliases) and each per-alias dedup runs
-// on column-data key hashes, materializing only the surviving rows. Output is
-// bit-identical to DecomposeTraced.
-func DecomposeVecTraced(joined *engine.Relation, aliases []string, par int, tr *trace.Tracer) (map[string]*engine.Relation, error) {
-	return decomposeTraced(joined, aliases, par, true, tr)
-}
-
-func decomposeTraced(joined *engine.Relation, aliases []string, par int, vec bool, tr *trace.Tracer) (map[string]*engine.Relation, error) {
+// (engine.Executor.RunSPJ produces exactly that). It is columnarized once
+// (shared across aliases) unless it already carries a view; the per-relation
+// project+dedup steps are independent, so they run concurrently across
+// aliases at degree par (0 = auto, 1 = serial), each step's own work chunked
+// at the same degree. Results are identical at any degree. One span per
+// decomposed relation (rows before projection, rows after dedup) is
+// registered on tr after the fan-out completes, in alias order, so the trace
+// is deterministic too; tr may be nil.
+func Decompose(joined *engine.Relation, aliases []string, par int, tr *trace.Tracer) (map[string]*engine.Relation, error) {
 	var t0 time.Time
 	if tr.Enabled() {
 		t0 = time.Now()
 	}
 	src := joined
-	if vec && src.Vec == nil {
+	if src.Vec == nil {
 		src = engine.Columnarize(src, par)
 	}
 	results := make([]*engine.Relation, len(aliases))
@@ -157,11 +125,7 @@ func decomposeTraced(joined *engine.Relation, aliases []string, par int, vec boo
 			errs[i] = fmt.Errorf("core: decompose: no columns for relation %q", alias)
 			return
 		}
-		if vec {
-			results[i] = src.ProjectDistinctPar(cols, par)
-		} else {
-			results[i] = src.ProjectPar(cols, par).DistinctPar(par)
-		}
+		results[i] = src.ProjectDistinctPar(cols, par)
 	})
 	var durNS int64
 	if tr.Enabled() {
@@ -174,7 +138,6 @@ func decomposeTraced(joined *engine.Relation, aliases []string, par int, vec boo
 		}
 		if sp := tr.Span("decompose", alias); sp != nil {
 			sp.Phase = "decompose"
-			sp.Vec = vec
 			sp.RowsIn = len(joined.Rows)
 			sp.RowsOut = len(results[i].Rows)
 			sp.Par = parallel.Degree(par)
@@ -192,7 +155,7 @@ func decomposeTraced(joined *engine.Relation, aliases []string, par int, vec boo
 // original join predicates and project to the original attributes. Filters
 // are not re-applied — the reduced relations already satisfy them.
 func PostJoin(preds []engine.JoinPred, rels map[string]*engine.Relation, projection []engine.Attr) (*engine.Relation, error) {
-	joined, err := engine.JoinAll(preds, rels)
+	joined, err := engine.JoinAll(preds, rels, 0, nil)
 	if err != nil {
 		return nil, err
 	}

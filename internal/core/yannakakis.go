@@ -11,7 +11,6 @@ import (
 	"resultdb/internal/parallel"
 	"resultdb/internal/stats"
 	"resultdb/internal/trace"
-	"resultdb/internal/types"
 )
 
 // ErrDisconnected reports a join graph whose relations are not all
@@ -152,21 +151,13 @@ func semiJoinNodes(target, source *Node, e *Edge, st *Stats, opts *Options, phas
 			}
 		}
 	}
-	if opts.Vectorized {
-		target.Rel = engine.SemiJoinVecSpan(target.Rel, tCols, source.Rel, sCols, opts.Parallelism, sp)
-	} else {
-		target.Rel = engine.SemiJoinSpan(target.Rel, tCols, source.Rel, sCols, opts.Parallelism, sp)
-	}
+	target.Rel = engine.SemiJoin(target.Rel, tCols, source.Rel, sCols, opts.Parallelism, sp)
 	st.SemiJoins++
 	st.TuplesDropped += before - len(target.Rel.Rows)
 	est.observe(target)
 	if sp != nil {
 		sp.RowsOut = len(target.Rel.Rows)
 		opts.Tracer.AddRowsDropped(before - len(target.Rel.Rows))
-	}
-	if opts.Trace != nil {
-		opts.Trace(fmt.Sprintf("semi-join %s ⋉ %s  rows: %d -> %d",
-			target.Name(), source.Name(), before, len(target.Rel.Rows)))
 	}
 	return nil
 }
@@ -198,78 +189,39 @@ func bloomSemiJoinNodes(target, source *Node, e *Edge, nEst int, fpRate float64,
 		t0 = time.Now()
 	}
 	f := bloom.New(nEst, fpRate)
-	out := &engine.Relation{Cols: target.Rel.Cols}
-	if opts.Vectorized {
-		// Columnar build and probe: hash straight from column data (identical
-		// bits — colstore key hashes equal Row.HashKey), skip NULL keys like
-		// AddKey/ContainsKey, and narrow the target's view so later exact
-		// semi-joins stay columnar.
-		if sp != nil {
-			sp.Vec = true
-		}
-		sk := engine.KeyFor(source.Rel, sCols)
-		if parallel.Chunks(len(source.Rel.Rows), par) > 1 {
-			parallel.For(len(source.Rel.Rows), par, func(lo, hi int) {
-				for j := lo; j < hi; j++ {
-					if !sk.HasNull(j) {
-						f.AddHashAtomic(sk.Hash(j))
-					}
-				}
-			})
-		} else {
-			for j, n := 0, len(source.Rel.Rows); j < n; j++ {
-				if !sk.HasNull(j) {
-					f.AddHash(sk.Hash(j))
-				}
-			}
-		}
-		if sp != nil {
-			sp.BuildNS = time.Since(t0).Nanoseconds()
-			t0 = time.Now()
-		}
-		tk := engine.KeyFor(target.Rel, tCols)
-		kept := parallel.Map(len(target.Rel.Rows), par, func(lo, hi int) []int32 {
-			idx := make([]int32, 0, hi-lo)
+	// Build and probe hash straight from the key columns (the same hashes on
+	// a columnar and a row-major side), skipping NULL keys, and narrow the
+	// target's view so later exact semi-joins stay columnar.
+	sk := engine.KeyFor(source.Rel, sCols)
+	if parallel.Chunks(sk.Len(), par) > 1 {
+		parallel.For(sk.Len(), par, func(lo, hi int) {
 			for j := lo; j < hi; j++ {
-				if !tk.HasNull(j) && f.ContainsHash(tk.Hash(j)) {
-					idx = append(idx, int32(j))
+				if !sk.HasNull(j) {
+					f.AddHashAtomic(sk.Hash(j))
 				}
 			}
-			return idx
 		})
-		out.Rows = make([]types.Row, len(kept))
-		for i, j := range kept {
-			out.Rows[i] = target.Rel.Rows[j]
-		}
-		if target.Rel.Vec != nil {
-			out.Vec = target.Rel.Vec.Narrow(kept)
-		}
 	} else {
-		if parallel.Chunks(len(source.Rel.Rows), par) > 1 {
-			parallel.For(len(source.Rel.Rows), par, func(lo, hi int) {
-				for _, row := range source.Rel.Rows[lo:hi] {
-					f.AddKeyAtomic(row, sCols)
-				}
-			})
-		} else {
-			for _, row := range source.Rel.Rows {
-				f.AddKey(row, sCols)
+		for j, n := 0, sk.Len(); j < n; j++ {
+			if !sk.HasNull(j) {
+				f.AddHash(sk.Hash(j))
 			}
 		}
-		if sp != nil {
-			sp.BuildNS = time.Since(t0).Nanoseconds()
-			t0 = time.Now()
-		}
-		out.Rows = parallel.Map(len(target.Rel.Rows), par, func(lo, hi int) []types.Row {
-			kept := make([]types.Row, 0, hi-lo)
-			for _, row := range target.Rel.Rows[lo:hi] {
-				if f.ContainsKey(row, tCols) {
-					kept = append(kept, row)
-				}
-			}
-			return kept
-		})
 	}
+	if sp != nil {
+		sp.BuildNS = time.Since(t0).Nanoseconds()
+		t0 = time.Now()
+	}
+	tk := engine.KeyFor(target.Rel, tCols)
+	out := target.Rel.Narrow(parallel.Map(tk.Len(), par, func(lo, hi int) []int32 {
+		idx := make([]int32, 0, hi-lo)
+		for j := lo; j < hi; j++ {
+			if !tk.HasNull(j) && f.ContainsHash(tk.Hash(j)) {
+				idx = append(idx, int32(j))
+			}
+		}
+		return idx
+	}))
 	st.BloomSemiJoins++
 	st.BloomDropped += len(target.Rel.Rows) - len(out.Rows)
 	if sp != nil {
@@ -319,10 +271,6 @@ func ReduceRelations(g *Graph, opts Options, st *Stats) error {
 		sp.Detail = fmt.Sprintf("(degree %d, projected %v)", g.Degree(root), g.Projected(root))
 		sp.RowsIn = len(root.Rel.Rows)
 		sp.RowsOut = len(root.Rel.Rows)
-	}
-	if opts.Trace != nil {
-		opts.Trace(fmt.Sprintf("root: %s (degree %d, projected %v)",
-			root.Name(), g.Degree(root), g.Projected(root)))
 	}
 	order, err := bfsEdges(g, root)
 	if err != nil {
@@ -416,17 +364,11 @@ func ReduceRelations(g *Graph, opts Options, st *Stats) error {
 			if remainingProjected == 0 {
 				st.EarlyStopped = true
 				opts.Tracer.Note("early stop: all output relations fully reduced")
-				if opts.Trace != nil {
-					opts.Trace("early stop: all output relations fully reduced")
-				}
 				break
 			}
 			if !needed[be.child] {
 				st.SkippedSemiJoins++
 				opts.Tracer.Note("skip top-down into " + be.child.Name() + " (no output relation in subtree)")
-				if opts.Trace != nil {
-					opts.Trace("skip top-down into " + be.child.Name() + " (no output relation in subtree)")
-				}
 				continue
 			}
 		}
@@ -483,14 +425,6 @@ type Options struct {
 	// else GOMAXPROCS), 1 = serial, n > 1 = n workers. Results are
 	// bit-identical at any degree (ordered morsel merge).
 	Parallelism int
-	// Vectorized runs scans, semi-joins, the Bloom prefilter, fold joins,
-	// and decomposition on the colstore columnar path (typed column vectors,
-	// dictionary-encoded TEXT, selection-vector kernels). Results are
-	// bit-identical to the row path at any parallelism degree; only speed and
-	// the `vectorized` trace annotation differ. Defaults to on; the
-	// RESULTDB_VECTORIZED environment variable ("on"/"off") overrides it at
-	// db.New time.
-	Vectorized bool
 	// ResultCache enables the semantic query-result cache at the database
 	// layer (internal/cache wired through internal/db): SELECT results —
 	// classic, RESULTDB, and RESULTDB PRESERVING — are cached under their
@@ -522,10 +456,6 @@ type Options struct {
 	// queries (Section 4.1's gap between the two notions) skip folding
 	// entirely. Exact: only logically redundant predicates are removed.
 	AlphaReduce bool
-	// Trace, when non-nil, receives one line per algorithm step (root
-	// choice, folds, semi-joins with cardinalities). Retained for legacy
-	// line-oriented consumers; the structured Tracer below supersedes it.
-	Trace func(string)
 	// Tracer, when non-nil, records structured per-operator spans (per-edge
 	// semi-join reductions of the forward/backward passes, Bloom prefilter
 	// work, folds, root choice). Nil is the disabled fast path.
@@ -535,7 +465,7 @@ type Options struct {
 // DefaultOptions mirror the paper's implementation choices, plus the
 // α-reduction extension (exact and strictly work-saving).
 func DefaultOptions() Options {
-	return Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, AlphaReduce: true, Vectorized: true}
+	return Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, AlphaReduce: true}
 }
 
 // Stats reports what the algorithm did; the ablation benches and tests
@@ -566,6 +496,8 @@ type Stats struct {
 	PlanDiverged bool
 	// Parallelism records the effective degree of parallelism used
 	// (after resolving 0 = auto against the environment and GOMAXPROCS).
+	// String leaves it out: the one-line summary is part of EXPLAIN's
+	// deterministic text, and the degree varies with the host.
 	Parallelism int
 }
 
@@ -574,9 +506,6 @@ func (s *Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "root=%s semijoins=%d skipped=%d dropped=%d folds=%d",
 		s.Root, s.SemiJoins, s.SkippedSemiJoins, s.TuplesDropped, s.Folds)
-	if s.Parallelism > 1 {
-		fmt.Fprintf(&b, " par=%d", s.Parallelism)
-	}
 	if s.Cyclic {
 		b.WriteString(" cyclic")
 	}

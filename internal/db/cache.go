@@ -15,9 +15,9 @@ const DefaultCacheBudget = 64 << 20
 
 // EnableCache switches the semantic result cache on with the given byte
 // budget (0 = DefaultCacheBudget). Entries survive re-enabling but respect
-// the new budget immediately.
-//
-// Deprecated: set Config.CacheEnabled/Config.CacheBudget at Open time.
+// the new budget immediately. This is the runtime switch behind the shell's
+// \cache and resultdbd's -cache on a recovered database; a database that
+// never toggles sets Config.CacheEnabled/Config.CacheBudget at Open time.
 // EnableCache serializes against writers but not against in-flight reads.
 func (d *Database) EnableCache(budget int64) {
 	if budget <= 0 {
@@ -31,8 +31,6 @@ func (d *Database) EnableCache(budget int64) {
 }
 
 // DisableCache switches the result cache off and drops all entries.
-//
-// Deprecated: configure the cache at Open time (Config.CacheEnabled).
 func (d *Database) DisableCache() {
 	d.withWriter(func() {
 		d.CoreOptions.ResultCache = false

@@ -328,13 +328,13 @@ func TestCacheSingleFlightUnderConcurrency(t *testing.T) {
 func TestCacheParallelismSharesEntries(t *testing.T) {
 	d := cacheTestDB(t)
 	q := "SELECT RESULTDB m.title, r.actor FROM movies m, roles r WHERE m.id = r.movie_id"
-	d.SetParallelism(1)
-	r1, err := d.Exec(q)
+	serial, parallel := d.NewSession(), d.NewSession()
+	serial.CoreOptions.Parallelism, parallel.CoreOptions.Parallelism = 1, 4
+	r1, err := serial.Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetParallelism(4)
-	r2, err := d.Exec(q)
+	r2, err := parallel.Exec(q)
 	if err != nil {
 		t.Fatal(err)
 	}

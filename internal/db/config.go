@@ -11,22 +11,16 @@ import (
 	"resultdb/internal/stats"
 )
 
-// Config collects every construction-time knob of a Database in one value,
-// replacing the sprawl of ad-hoc setters (SetParallelism, SetVectorized,
-// SetCostBased, EnableCache, SetCommitLog) that grew with the engine. Build
-// one with DefaultConfig, optionally layer the RESULTDB_* environment over
-// it with FromEnv, adjust fields, and pass it to Open:
+// Config collects every construction-time knob of a Database in one value.
+// Build one with DefaultConfig, optionally layer the RESULTDB_* environment
+// over it with FromEnv, adjust fields, and pass it to Open:
 //
 //	d := db.Open(db.DefaultConfig().FromEnv())
 //
-// db.New() is exactly that one-liner. The zero Config is usable but turns
-// everything off (serial, row-at-a-time, heuristic planning, no cache);
-// DefaultConfig is the paper-default starting point.
-//
-// The deprecated setters remain as thin wrappers for existing embedders,
-// with the same caveat they always had, now documented: they are not
-// synchronized against in-flight statements, so call them at setup time or
-// between statements.
+// db.New() is exactly that one-liner. The zero Config is usable and means
+// the same as DefaultConfig: semi-join strategy, auto parallelism, heuristic
+// planning, greedy join order, no cache. Per-connection overrides go through
+// Session.CoreOptions.
 type Config struct {
 	// Strategy selects the SELECT RESULTDB execution strategy
 	// (StrategySemiJoin, the paper's Algorithm 4, is the default).
@@ -35,9 +29,6 @@ type Config struct {
 	// (RESULTDB_PARALLELISM, else GOMAXPROCS), 1 = serial, n > 1 = n
 	// workers. Results are identical at any degree.
 	Parallelism int
-	// Vectorized runs execution on the colstore columnar path. Results are
-	// bit-identical to the row path; only speed differs.
-	Vectorized bool
 	// CostBased switches planning to the statistics-driven cost model.
 	// Results are byte-identical to the heuristic plan; only speed differs.
 	CostBased bool
@@ -67,13 +58,6 @@ const (
 	//	RESULTDB_CACHE=off         disable (the default when unset)
 	CacheEnvVar = "RESULTDB_CACHE"
 
-	// VecEnvVar toggles the vectorized (colstore) execution path:
-	// "off"/"0"/"false"/"no" falls back to the row-at-a-time path, anything
-	// else (or unset) keeps the default (on). Results are bit-identical
-	// either way; the variable exists for A/B benchmarking and as an escape
-	// hatch.
-	VecEnvVar = "RESULTDB_VECTORIZED"
-
 	// StatsEnvVar toggles cost-based planning: "on"/"1"/"true"/"yes"
 	// enables the statistics-driven planner (root choice, semi-join order,
 	// adaptive Bloom prefilters, sideways information passing, and join
@@ -88,22 +72,20 @@ const (
 )
 
 // DefaultConfig returns the paper-default configuration: semi-join strategy,
-// auto parallelism, vectorized execution, heuristic planning, cache off.
+// auto parallelism, heuristic planning, cache off.
 func DefaultConfig() Config {
 	opts := core.DefaultOptions()
 	return Config{
 		Strategy:    StrategySemiJoin,
 		Parallelism: opts.Parallelism,
-		Vectorized:  opts.Vectorized,
 		CostBased:   opts.CostBased,
 		CacheBudget: DefaultCacheBudget,
 	}
 }
 
 // FromEnv returns a copy of c with the RESULTDB_* environment variables
-// applied on top: RESULTDB_CACHE, RESULTDB_VECTORIZED, RESULTDB_STATS, and
-// RESULTDB_PARALLELISM. Unset or unparsable variables leave the receiver's
-// values untouched.
+// applied on top: RESULTDB_CACHE, RESULTDB_STATS, and RESULTDB_PARALLELISM.
+// Unset or unparsable variables leave the receiver's values untouched.
 func (c Config) FromEnv() Config {
 	switch envToggle(CacheEnvVar) {
 	case envOn:
@@ -116,12 +98,6 @@ func (c Config) FromEnv() Config {
 			c.CacheEnabled = true
 			c.CacheBudget = budget
 		}
-	}
-	switch envToggle(VecEnvVar) {
-	case envOn:
-		c.Vectorized = true
-	case envOff:
-		c.Vectorized = false
 	}
 	switch envToggle(StatsEnvVar) {
 	case envOn:
@@ -172,7 +148,6 @@ func Open(cfg Config) *Database {
 	}
 	d.state.Store(emptyState())
 	d.CoreOptions.Parallelism = cfg.Parallelism
-	d.CoreOptions.Vectorized = cfg.Vectorized
 	d.CoreOptions.CostBased = cfg.CostBased
 	if cfg.CacheEnabled {
 		budget := cfg.CacheBudget
@@ -191,28 +166,3 @@ func Open(cfg Config) *Database {
 func New() *Database {
 	return Open(DefaultConfig().FromEnv())
 }
-
-// SetParallelism sets the degree of intra-query parallelism used by joins,
-// filters, semi-join reduction, and Decompose.
-//
-// Deprecated: set Config.Parallelism at Open time (or Session.CoreOptions
-// per connection). Not synchronized against in-flight statements.
-func (d *Database) SetParallelism(p int) { d.CoreOptions.Parallelism = p }
-
-// SetVectorized toggles the vectorized (colstore) execution path. Results
-// are bit-identical to the row path.
-//
-// Deprecated: set Config.Vectorized at Open time (or Session.CoreOptions
-// per connection). Not synchronized against in-flight statements.
-func (d *Database) SetVectorized(on bool) { d.CoreOptions.Vectorized = on }
-
-// SetCostBased toggles cost-based planning (see StatsEnvVar). Statistics are
-// built lazily per table on first use and cached until the table changes;
-// ANALYZE pre-builds them eagerly.
-//
-// Deprecated: set Config.CostBased at Open time (or Session.CoreOptions per
-// connection). Not synchronized against in-flight statements.
-func (d *Database) SetCostBased(on bool) { d.CoreOptions.CostBased = on }
-
-// CostBased reports whether cost-based planning is enabled.
-func (d *Database) CostBased() bool { return d.CoreOptions.CostBased }

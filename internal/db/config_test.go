@@ -12,7 +12,7 @@ func TestDefaultConfigMatchesCoreDefaults(t *testing.T) {
 	if cfg.Strategy != StrategySemiJoin {
 		t.Errorf("Strategy = %v, want semi-join", cfg.Strategy)
 	}
-	if cfg.Parallelism != opts.Parallelism || cfg.Vectorized != opts.Vectorized || cfg.CostBased != opts.CostBased {
+	if cfg.Parallelism != opts.Parallelism || cfg.CostBased != opts.CostBased {
 		t.Errorf("engine knobs diverge from core defaults: %+v vs %+v", cfg, opts)
 	}
 	if cfg.CacheEnabled {
@@ -42,14 +42,9 @@ func TestConfigFromEnv(t *testing.T) {
 			t.Error("unparsable RESULTDB_CACHE enabled the cache")
 		}
 	})
-	t.Run("vectorized and stats toggles", func(t *testing.T) {
-		t.Setenv(VecEnvVar, "off")
+	t.Run("stats toggle", func(t *testing.T) {
 		t.Setenv(StatsEnvVar, "on")
-		cfg := DefaultConfig().FromEnv()
-		if cfg.Vectorized {
-			t.Error("RESULTDB_VECTORIZED=off ignored")
-		}
-		if !cfg.CostBased {
+		if cfg := DefaultConfig().FromEnv(); !cfg.CostBased {
 			t.Error("RESULTDB_STATS=on ignored")
 		}
 	})
@@ -66,7 +61,6 @@ func TestConfigFromEnv(t *testing.T) {
 	})
 	t.Run("unset env is a no-op", func(t *testing.T) {
 		t.Setenv(CacheEnvVar, "")
-		t.Setenv(VecEnvVar, "")
 		t.Setenv(StatsEnvVar, "")
 		t.Setenv(ParallelismEnvVar, "")
 		if got, want := DefaultConfig().FromEnv(), DefaultConfig(); got != want {
@@ -79,7 +73,6 @@ func TestOpenWiresConfig(t *testing.T) {
 	cfg := Config{
 		Strategy:     StrategyDecompose,
 		Parallelism:  5,
-		Vectorized:   true,
 		CostBased:    true,
 		DPJoinOrder:  true,
 		CacheEnabled: true,
@@ -89,7 +82,7 @@ func TestOpenWiresConfig(t *testing.T) {
 	if d.Strategy != StrategyDecompose || !d.DPJoinOrder {
 		t.Error("strategy knobs not wired")
 	}
-	if d.CoreOptions.Parallelism != 5 || !d.CoreOptions.Vectorized || !d.CoreOptions.CostBased {
+	if d.CoreOptions.Parallelism != 5 || !d.CoreOptions.CostBased {
 		t.Errorf("core options not wired: %+v", d.CoreOptions)
 	}
 	if !d.CacheEnabled() {
@@ -105,29 +98,10 @@ func TestOpenWiresConfig(t *testing.T) {
 	}
 	// The zero config is usable: everything off, statements still execute.
 	d3 := Open(Config{})
-	if d3.CacheEnabled() || d3.CoreOptions.Vectorized || d3.CoreOptions.CostBased {
+	if d3.CacheEnabled() || d3.CoreOptions.CostBased {
 		t.Error("zero config did not turn everything off")
 	}
 	if _, err := d3.Exec("CREATE TABLE z (id INTEGER)"); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// The deprecated setters must keep working as thin wrappers over the fields.
-func TestDeprecatedSettersStillWork(t *testing.T) {
-	d := Open(DefaultConfig())
-	d.SetParallelism(9)
-	d.SetVectorized(false)
-	d.SetCostBased(true)
-	if d.CoreOptions.Parallelism != 9 || d.CoreOptions.Vectorized || !d.CoreOptions.CostBased || !d.CostBased() {
-		t.Errorf("deprecated setters broken: %+v", d.CoreOptions)
-	}
-	d.EnableCache(1 << 20)
-	if !d.CacheEnabled() || d.CacheStats().Budget != 1<<20 {
-		t.Error("EnableCache wrapper broken")
-	}
-	d.DisableCache()
-	if d.CacheEnabled() {
-		t.Error("DisableCache wrapper broken")
 	}
 }

@@ -249,9 +249,10 @@ type ResultSet struct {
 	Columns []string
 	Rows    []types.Row
 	// Vec, when non-nil, is a columnar view aligned with Rows (same values,
-	// same order, one frame column per Columns entry). It is attached by the
-	// vectorized execution path and consumed by the columnar wire encoder,
-	// which reuses its TEXT dictionaries instead of re-deduplicating strings.
+	// same order, one frame column per Columns entry). It is attached when
+	// the set's relation still carries one and consumed by the columnar wire
+	// encoder, which reuses its TEXT dictionaries instead of re-deduplicating
+	// strings.
 	// Purely an accelerator: Rows alone fully determine the result.
 	Vec *colstore.View
 }
@@ -317,7 +318,6 @@ func (d *Database) executorWith(src engine.Source, ec execCtx, tr *trace.Tracer)
 		Src:         src,
 		DPJoinOrder: ec.dpJoinOrder,
 		Parallelism: ec.opts.Parallelism,
-		Vectorized:  ec.opts.Vectorized,
 		CostBased:   ec.opts.CostBased,
 		Tracer:      tr,
 		StatsOf: func(table string) *stats.Table {

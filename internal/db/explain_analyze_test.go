@@ -8,9 +8,9 @@ import (
 	"resultdb/internal/sqlparse"
 )
 
-// stripAnnotations removes the run-varying trailing [...] brackets (wall
-// times, parallel degree, morsel counts) from EXPLAIN ANALYZE lines; what
-// remains is the deterministic operator tree.
+// stripAnnotations removes the run- and host-varying trailing [...] brackets
+// (wall times, parallel degree, morsel counts) from EXPLAIN ANALYZE lines;
+// what remains is the deterministic operator tree.
 var annotationRE = regexp.MustCompile(`\s*\[[^\]]*\]`)
 
 func stripAnnotations(lines []string) string {
@@ -77,7 +77,7 @@ func TestExplainAnalyzeGoldenResultDB(t *testing.T) {
 	sql := "EXPLAIN ANALYZE SELECT RESULTDB" + listing1[len("\nSELECT"):]
 	got := stripAnnotations(explainLines(t, d, sql))
 	want := strings.Join([]string{
-		"mode: resultdb  strategy: semijoin  parallelism: 1",
+		"mode: resultdb  strategy: semijoin",
 		"output relations: c, p",
 		"strategy: native semi-join reduction",
 		"scan",

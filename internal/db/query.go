@@ -257,11 +257,7 @@ func (d *Database) reduceSpec(ec execCtx, sel *sqlparse.Select, spec *engine.SPJ
 	if err != nil {
 		return nil, nil, err
 	}
-	decompose := core.DecomposeTraced
-	if ec.opts.Vectorized {
-		decompose = core.DecomposeVecTraced
-	}
-	reduced, err := decompose(joined, outputs, ec.opts.Parallelism, tr)
+	reduced, err := core.Decompose(joined, outputs, ec.opts.Parallelism, tr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -357,9 +353,8 @@ func projectSet(alias string, rel *engine.Relation, attrs []string, par int) (*R
 		}
 		cols[i] = idx
 	}
-	// ProjectDistinctPar dedups on columnar key hashes when the reduced
-	// relation still carries its scan's columnar view (vectorized path) and
-	// is exactly ProjectPar+DistinctPar otherwise.
+	// The reduced relation still carries its scan's columnar view, so the
+	// dedup runs on columnar key hashes and the set comes out columnar too.
 	projected := rel.ProjectDistinctPar(cols, par)
 	return relToSet(alias, projected, attrs), nil
 }

@@ -26,7 +26,12 @@ func loadJOBTrace(t *testing.T) *db.Database {
 	return d
 }
 
-func tracedQuery(t *testing.T, d *db.Database, sql string, resultDB bool) (*db.Result, *trace.Trace) {
+// tracer is what tracedQuery needs of a database or a session.
+type tracer interface {
+	QueryWithTrace(*sqlparse.Select) (*db.Result, *trace.Trace, error)
+}
+
+func tracedQuery(t *testing.T, d tracer, sql string, resultDB bool) (*db.Result, *trace.Trace) {
 	t.Helper()
 	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {
@@ -104,12 +109,12 @@ func TestTraceOutputSpansMatchResultSets(t *testing.T) {
 // the single-table execution of every JOB template.
 func TestTraceCountsIdenticalAcrossParallelism(t *testing.T) {
 	d := loadJOBTrace(t)
+	serial, parallel := d.NewSession(), d.NewSession()
+	serial.CoreOptions.Parallelism, parallel.CoreOptions.Parallelism = 1, 4
 	for _, resultDB := range []bool{true, false} {
 		for _, q := range job.Queries() {
-			d.SetParallelism(1)
-			_, tr1 := tracedQuery(t, d, q.SQL, resultDB)
-			d.SetParallelism(4)
-			_, tr4 := tracedQuery(t, d, q.SQL, resultDB)
+			_, tr1 := tracedQuery(t, serial, q.SQL, resultDB)
+			_, tr4 := tracedQuery(t, parallel, q.SQL, resultDB)
 			fp1, fp4 := tr1.CountsFingerprint(), tr4.CountsFingerprint()
 			if fp1 != fp4 {
 				t.Errorf("%s (resultdb=%v): trace counts differ between par 1 and par 4:\npar1:\n%s\npar4:\n%s",

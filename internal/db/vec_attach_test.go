@@ -2,13 +2,12 @@ package db
 
 import "testing"
 
-// TestVectorizedResultSetsCarryViews checks the wire encoder's fast-path
-// precondition: vectorized RESULTDB executions attach an aligned colstore
-// view to their result sets (same length, one frame column per output
-// column), which is what lets the v2 encoder reuse scan-time dictionaries.
-func TestVectorizedResultSetsCarryViews(t *testing.T) {
+// TestResultSetsCarryViews checks the wire encoder's fast-path precondition:
+// RESULTDB executions attach an aligned colstore view to their result sets
+// (same length, one frame column per output column), which is what lets the
+// v2 encoder reuse scan-time dictionaries.
+func TestResultSetsCarryViews(t *testing.T) {
 	d := New()
-	d.SetVectorized(true)
 	if _, err := d.ExecScript(`
 CREATE TABLE a (id INT PRIMARY KEY, name TEXT);
 CREATE TABLE b (id INT PRIMARY KEY, a_id INT, v FLOAT);

@@ -84,8 +84,6 @@ type Options struct {
 	// CheckpointEvery takes an automatic checkpoint after that many logged
 	// batches (0 = manual/drain checkpoints only).
 	CheckpointEvery int64
-	// NoGroupCommit disables group-commit sharing (benchmark A/B knob).
-	NoGroupCommit bool
 }
 
 // Manager binds a database to its data directory. It implements
@@ -200,11 +198,10 @@ func Open(opts Options, bootstrap func(*db.Database) error) (*Manager, *db.Datab
 	d.SetRecoveredLSN(stats.LastLSN)
 
 	m.log, err = wal.Open(wal.Options{
-		FS:            fsys,
-		SegmentBytes:  opts.SegmentBytes,
-		Policy:        opts.Fsync,
-		Interval:      opts.SyncInterval,
-		NoGroupCommit: opts.NoGroupCommit,
+		FS:           fsys,
+		SegmentBytes: opts.SegmentBytes,
+		Policy:       opts.Fsync,
+		Interval:     opts.SyncInterval,
 	}, stats.LastLSN)
 	if err != nil {
 		return nil, nil, err

@@ -315,40 +315,46 @@ func TestRecoveryColdCache(t *testing.T) {
 	}
 }
 
-// TestRecoveryVectorizedResults: colstore frames are keyed by table
-// generation counters; recovery builds fresh tables, so the vectorized path
-// must rebuild frames from recovered rows and agree byte-for-byte with the
-// row-at-a-time path on the same recovered state.
-func TestRecoveryVectorizedResults(t *testing.T) {
-	img := buildImage(t, func(d *db.Database) error {
+// TestRecoveryRebuildsColumnarFrames: colstore frames are keyed by table
+// generation counters; recovery builds fresh tables, so execution after
+// recovery must rebuild its frames from the recovered rows. The pre-crash
+// process warms frames and then commits more rows; the recovered database
+// must answer byte-for-byte like a database that never crashed and received
+// the same statements.
+func TestRecoveryRebuildsColumnarFrames(t *testing.T) {
+	bootstrap := func(d *db.Database) error {
 		return hierarchy.Load(d, hierarchy.DefaultConfig())
-	})
-	// Pre-crash process touches the vectorized path (warming frames), then
-	// commits more rows, then "crashes".
+	}
+	img := buildImage(t, bootstrap)
 	m, d := openMem(t, img, Options{})
-	d.SetVectorized(true)
 	suite := hierarchySuite()
 	if _, err := d.QuerySQL(suite[1].sql); err != nil {
 		t.Fatal(err)
 	}
-	for _, sql := range crashDML(t, d, suite)[:3] {
+	dml := crashDML(t, d, suite)[:3]
+	for _, sql := range dml {
 		if _, err := d.Exec(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
 	m.Close()
 
-	mv, dv := openMem(t, img, Options{})
-	defer mv.Close()
-	dv.SetVectorized(true)
-	mr, dr := openMem(t, img.Clone(), Options{})
+	mr, recovered := openMem(t, img, Options{})
 	defer mr.Close()
-	dr.SetVectorized(false)
+	uncrashed := db.New()
+	if err := bootstrap(uncrashed); err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range dml {
+		if _, err := uncrashed.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, q := range suite {
-		vec := encodeSuite(t, dv, []suiteQuery{q})
-		row := encodeSuite(t, dr, []suiteQuery{q})
-		if !bytes.Equal(vec, row) {
-			t.Fatalf("%s: vectorized post-recovery answer differs from row path", q.name)
+		got := encodeSuite(t, recovered, []suiteQuery{q})
+		want := encodeSuite(t, uncrashed, []suiteQuery{q})
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: post-recovery answer differs from the uncrashed database", q.name)
 		}
 	}
 }

@@ -390,27 +390,40 @@ func TestJoinAllCycleEdgesApplied(t *testing.T) {
 	expectRows(t, rel, "1 | 1")
 }
 
+// keyForms returns rel in both forms an operator can meet it in: row-major
+// (addressed through colstore.RowsKey) and carrying a columnar view
+// (colstore.ViewKey).
+func keyForms(rel *Relation) map[string]*Relation {
+	return map[string]*Relation{"rows": rel, "view": Columnarize(rel, 1)}
+}
+
 func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
-	// Randomized join vs a brute-force oracle.
+	// Randomized join vs a brute-force oracle, over every pairing of
+	// row-major and columnar inputs. NULL keys never match. The inputs have
+	// equal sizes, so r is the build side and the output is in nested-loop
+	// order exactly.
 	for seed := int64(0); seed < 5; seed++ {
-		l := &Relation{Cols: []ColRef{{Rel: "l", Name: "k"}, {Rel: "l", Name: "v"}}}
-		r := &Relation{Cols: []ColRef{{Rel: "r", Name: "k"}, {Rel: "r", Name: "w"}}}
+		l := &Relation{Cols: []ColRef{{Rel: "l", Name: "k", Kind: types.KindInt}, {Rel: "l", Name: "v", Kind: types.KindInt}}}
+		r := &Relation{Cols: []ColRef{{Rel: "r", Name: "k", Kind: types.KindInt}, {Rel: "r", Name: "w", Kind: types.KindInt}}}
 		rng := newTestRand(seed)
 		for i := 0; i < 60; i++ {
 			l.Rows = append(l.Rows, ir(rng(8), i))
 			r.Rows = append(r.Rows, ir(rng(8), i+1000))
 		}
-		got := hashJoinInner(l, r, []int{0}, []int{0}, 1, nil)
-		want := 0
+		l.Rows[7][0], r.Rows[11][0] = types.Null(), types.Null()
+		want := &Relation{Cols: concatCols(l.Cols, r.Cols)}
 		for _, lr := range l.Rows {
 			for _, rr := range r.Rows {
-				if types.Equal(lr[0], rr[0]) {
-					want++
+				if !lr[0].IsNull() && !rr[0].IsNull() && types.Equal(lr[0], rr[0]) {
+					want.Rows = append(want.Rows, concatRows(lr, rr))
 				}
 			}
 		}
-		if len(got.Rows) != want {
-			t.Fatalf("seed %d: hash join %d rows, oracle %d", seed, len(got.Rows), want)
+		for lf, lrel := range keyForms(l) {
+			for rf, rrel := range keyForms(r) {
+				got := HashJoin(lrel, rrel, []int{0}, []int{0}, 1, nil)
+				identicalRows(t, fmt.Sprintf("seed %d, l as %s, r as %s", seed, lf, rf), got, want)
+			}
 		}
 	}
 }
@@ -429,8 +442,15 @@ func TestSemiJoinExported(t *testing.T) {
 	r := &Relation{Cols: []ColRef{{Rel: "r", Name: "k"}}}
 	l.Rows = []types.Row{ir(1), ir(2), ir(3), ir(2)}
 	r.Rows = []types.Row{ir(2), ir(4)}
-	out := SemiJoin(l, []int{0}, r, []int{0})
-	expectRows(t, out, "2", "2")
+	for lf, lrel := range keyForms(l) {
+		for rf, rrel := range keyForms(r) {
+			out := SemiJoin(lrel, []int{0}, rrel, []int{0}, 1, nil)
+			expectRows(t, out, "2", "2")
+			if (out.Vec != nil) != (lf == "view") {
+				t.Errorf("l as %s, r as %s: result view = %v, want l's form preserved", lf, rf, out.Vec != nil)
+			}
+		}
+	}
 }
 
 func TestRelationHelpers(t *testing.T) {

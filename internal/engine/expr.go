@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"resultdb/internal/colstore"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/types"
 )
@@ -359,14 +360,15 @@ func (b *binder) bindInSubquery(x *sqlparse.InSubquery) (boundExpr, error) {
 	if len(rel.Cols) != 1 {
 		return nil, fmt.Errorf("engine: IN subquery must return one column, got %d", len(rel.Cols))
 	}
-	keys := types.NewKeySet()
+	keyCol := []int{0}
+	keys := colstore.NewKeySet(KeyFor(rel, keyCol))
 	sawNull := false
-	for _, row := range rel.Rows {
+	for j, row := range rel.Rows {
 		if row[0].IsNull() {
 			sawNull = true
 			continue
 		}
-		keys.AddKey(row, []int{0})
+		keys.Add(j)
 	}
 	return func(r types.Row) (types.Value, error) {
 		v, err := ev(r)
@@ -376,14 +378,30 @@ func (b *binder) bindInSubquery(x *sqlparse.InSubquery) (boundExpr, error) {
 		if v.IsNull() {
 			return types.Null(), nil
 		}
-		probe := types.Row{v}
-		if keys.ContainsKey(probe, []int{0}) {
+		if keys.Contains(colstore.RowsKey([]types.Row{{v}}, keyCol), 0) {
 			return types.NewBool(!x.Not), nil
 		}
 		if sawNull {
 			return types.Null(), nil
 		}
 		return types.NewBool(x.Not), nil
+	}, nil
+}
+
+// BindPredicate compiles cond against rel's schema and returns the
+// row-at-a-time evaluator that defines filter semantics: whether cond is TRUE
+// for a row (NULL and FALSE both reject). It is the same binder the
+// executor's scans and filters evaluate through, exported for the reference
+// implementation the differential tests compare against
+// (internal/reference). Subqueries are rejected at bind time.
+func BindPredicate(rel *Relation, cond sqlparse.Expr) (func(types.Row) (bool, error), error) {
+	check, err := (&binder{rel: rel}).bind(cond)
+	if err != nil {
+		return nil, err
+	}
+	return func(r types.Row) (bool, error) {
+		v, err := check(r)
+		return err == nil && truthy(v), err
 	}, nil
 }
 

@@ -4,87 +4,36 @@ import (
 	"fmt"
 	"time"
 
+	"resultdb/internal/colstore"
 	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/trace"
 	"resultdb/internal/types"
 )
 
-// hashJoinInner joins l and r on the equi columns lCols (positions in l) and
-// rCols (positions in r). With empty column lists it degrades to a Cartesian
-// product. Output schema is l's columns followed by r's.
-//
-// Execution is morsel-parallel at degree par (0 = auto, 1 = serial): the
-// build side is partitioned across workers, the probe side is split into
-// contiguous row chunks with per-chunk output buffers merged in input order,
-// so the result is bit-identical to serial execution at any degree.
-//
-// A non-nil sp records the build/probe wall-time split, the effective
-// degree, and the morsel count; a nil sp (tracing disabled) skips all clock
-// reads.
-func hashJoinInner(l, r *Relation, lCols, rCols []int, par int, sp *trace.Span) *Relation {
+// crossJoin is the Cartesian product l × r (a join with no equi predicate).
+// Output schema is l's columns followed by r's. The loop over l's rows runs in
+// parallel chunks at degree par (0 = auto, 1 = serial) with per-chunk output
+// buffers merged in input order, so the result is bit-identical to serial
+// execution at any degree. A non-nil sp records the wall time, the effective
+// degree, and the morsel count; a nil sp skips all clock reads.
+func crossJoin(l, r *Relation, par int, sp *trace.Span) *Relation {
 	out := &Relation{Cols: concatCols(l.Cols, r.Cols)}
 	var t0 time.Time
-	if len(lCols) == 0 {
-		if sp != nil {
-			sp.Par = parallel.Degree(par)
-			sp.Morsels = parallel.Chunks(len(l.Rows), par)
-			t0 = time.Now()
-		}
-		out.Rows = parallel.Map(len(l.Rows), par, func(lo, hi int) []types.Row {
-			rows := make([]types.Row, 0, (hi-lo)*len(r.Rows))
-			for _, lr := range l.Rows[lo:hi] {
-				for _, rr := range r.Rows {
-					rows = append(rows, concatRows(lr, rr))
-				}
-			}
-			return rows
-		})
-		if sp != nil {
-			sp.ProbeNS = time.Since(t0).Nanoseconds()
-		}
-		return out
-	}
-	// Build on the smaller input, probe with the larger in parallel chunks.
-	build, probe := r, l
-	buildCols, probeCols := rCols, lCols
-	if len(r.Rows) > len(l.Rows) {
-		build, probe = l, r
-		buildCols, probeCols = lCols, rCols
-	}
 	if sp != nil {
 		sp.Par = parallel.Degree(par)
-		sp.Morsels = parallel.Chunks(len(probe.Rows), par)
+		sp.Morsels = parallel.Chunks(len(l.Rows), par)
 		t0 = time.Now()
 	}
-	idx := buildHash(build, buildCols, par)
-	if sp != nil {
-		sp.BuildNS = time.Since(t0).Nanoseconds()
-		t0 = time.Now()
-	}
-	if probe == l {
-		out.Rows = parallel.Map(len(probe.Rows), par, func(lo, hi int) []types.Row {
-			rows := make([]types.Row, 0, hi-lo)
-			var lr types.Row
-			emit := func(pos int) { rows = append(rows, concatRows(lr, build.Rows[pos])) }
-			for _, row := range probe.Rows[lo:hi] {
-				lr = row
-				probeHashEach(idx, build, buildCols, lr, probeCols, emit)
+	out.Rows = parallel.Map(len(l.Rows), par, func(lo, hi int) []types.Row {
+		rows := make([]types.Row, 0, (hi-lo)*len(r.Rows))
+		for _, lr := range l.Rows[lo:hi] {
+			for _, rr := range r.Rows {
+				rows = append(rows, concatRows(lr, rr))
 			}
-			return rows
-		})
-	} else {
-		out.Rows = parallel.Map(len(probe.Rows), par, func(lo, hi int) []types.Row {
-			rows := make([]types.Row, 0, hi-lo)
-			var rr types.Row
-			emit := func(pos int) { rows = append(rows, concatRows(build.Rows[pos], rr)) }
-			for _, row := range probe.Rows[lo:hi] {
-				rr = row
-				probeHashEach(idx, build, buildCols, rr, probeCols, emit)
-			}
-			return rows
-		})
-	}
+		}
+		return rows
+	})
 	if sp != nil {
 		sp.ProbeNS = time.Since(t0).Nanoseconds()
 	}
@@ -92,9 +41,9 @@ func hashJoinInner(l, r *Relation, lCols, rCols []int, par int, sp *trace.Span) 
 }
 
 // joinOn joins l and r with an arbitrary ON expression, inner or left outer.
-// Equi conjuncts of the ON tree are executed as a hash join; remaining
-// conjuncts are evaluated per candidate pair. For a left outer join,
-// unmatched left rows are padded with NULLs.
+// Equi conjuncts of the ON tree probe the same colstore hash table HashJoin
+// builds; remaining conjuncts are evaluated per candidate pair. For a left
+// outer join, unmatched left rows are padded with NULLs.
 //
 // The probe over l's rows runs in parallel chunks (bound expressions are
 // pure after binding, so concurrent evaluation is safe); per-chunk buffers
@@ -124,59 +73,45 @@ func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, pa
 		}
 	}
 
-	nullPad := make(types.Row, len(r.Cols))
-	emit := func(dst *[]types.Row, lr types.Row, matched *bool, rr types.Row) error {
-		row := concatRows(lr, rr)
-		if check != nil {
-			v, err := check(row)
-			if err != nil {
-				return err
-			}
-			if !truthy(v) {
-				return nil
-			}
-		}
-		*matched = true
-		*dst = append(*dst, row)
-		return nil
-	}
-
+	// Candidates for an l row are the hash table's matches when ON has an
+	// equi conjunct, every r row otherwise (nested loop).
+	var ht *colstore.HashTable
+	var pk colstore.Key
 	if len(lCols) > 0 {
-		idx := buildHash(r, rCols, par)
-		rows, err := parallel.MapErr(len(l.Rows), par, func(lo, hi int) ([]types.Row, error) {
-			chunk := make([]types.Row, 0, hi-lo)
-			for _, lr := range l.Rows[lo:hi] {
-				matched := false
-				var probeErr error
-				probeHashEach(idx, r, rCols, lr, lCols, func(pos int) {
-					if probeErr == nil {
-						probeErr = emit(&chunk, lr, &matched, r.Rows[pos])
-					}
-				})
-				if probeErr != nil {
-					return nil, probeErr
-				}
-				if outer && !matched {
-					chunk = append(chunk, concatRows(lr, nullPad))
-				}
-			}
-			return chunk, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		combined.Rows = rows
-		return combined, nil
+		ht = colstore.BuildHashTable(KeyFor(r, rCols), par)
+		pk = KeyFor(l, lCols)
 	}
-	// No equi conjunct: nested loop, chunked over the left input.
+	nullPad := make(types.Row, len(r.Cols))
 	rows, err := parallel.MapErr(len(l.Rows), par, func(lo, hi int) ([]types.Row, error) {
 		chunk := make([]types.Row, 0, hi-lo)
-		for _, lr := range l.Rows[lo:hi] {
+		for j := lo; j < hi; j++ {
+			lr := l.Rows[j]
 			matched := false
-			for _, rr := range r.Rows {
-				if err := emit(&chunk, lr, &matched, rr); err != nil {
-					return nil, err
+			var pairErr error
+			try := func(pos int32) {
+				if pairErr != nil {
+					return
 				}
+				row := concatRows(lr, r.Rows[pos])
+				if check != nil {
+					v, err := check(row)
+					if err != nil || !truthy(v) {
+						pairErr = err
+						return
+					}
+				}
+				matched = true
+				chunk = append(chunk, row)
+			}
+			if ht != nil {
+				ht.Each(pk, j, try)
+			} else {
+				for pos := 0; pos < len(r.Rows) && pairErr == nil; pos++ {
+					try(int32(pos))
+				}
+			}
+			if pairErr != nil {
+				return nil, pairErr
 			}
 			if outer && !matched {
 				chunk = append(chunk, concatRows(lr, nullPad))
@@ -214,186 +149,6 @@ func equiPair(e sqlparse.Expr, l, r *Relation) (li, ri int, ok bool) {
 		}
 	}
 	return 0, 0, false
-}
-
-// HashJoin is the exported inner hash join used by internal/core when
-// folding join-graph nodes (Algorithm 3). Empty key lists produce a
-// Cartesian product. The degree of parallelism is resolved from the
-// environment (see HashJoinDegree for an explicit degree).
-func HashJoin(l, r *Relation, lCols, rCols []int) *Relation {
-	return hashJoinInner(l, r, lCols, rCols, 0, nil)
-}
-
-// HashJoinDegree is HashJoin at an explicit degree of parallelism
-// (0 = auto, 1 = serial).
-func HashJoinDegree(l, r *Relation, lCols, rCols []int, par int) *Relation {
-	return hashJoinInner(l, r, lCols, rCols, par, nil)
-}
-
-// HashJoinSpan is HashJoinDegree recording build/probe timings, degree, and
-// morsel count into sp (which may be nil).
-func HashJoinSpan(l, r *Relation, lCols, rCols []int, par int, sp *trace.Span) *Relation {
-	return hashJoinInner(l, r, lCols, rCols, par, sp)
-}
-
-// SemiJoin filters l to the rows whose key appears in r (l ⋉ r); the
-// primitive of the paper's reduction phase (Section 4.1).
-func SemiJoin(l *Relation, lCols []int, r *Relation, rCols []int) *Relation {
-	return SemiJoinSpan(l, lCols, r, rCols, 0, nil)
-}
-
-// SemiJoinDegree is SemiJoin with an explicit degree of parallelism: the key
-// set is built serially (the build side is typically the smaller input), the
-// probe over l's rows runs in parallel chunks merged in input order.
-func SemiJoinDegree(l *Relation, lCols []int, r *Relation, rCols []int, par int) *Relation {
-	return SemiJoinSpan(l, lCols, r, rCols, par, nil)
-}
-
-// SemiJoinSpan is SemiJoinDegree recording the key-set build and probe
-// wall-time split, degree, and morsel count into sp (nil = no recording, no
-// clock reads).
-func SemiJoinSpan(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *trace.Span) *Relation {
-	var t0 time.Time
-	if sp != nil {
-		sp.Par = parallel.Degree(par)
-		sp.Morsels = parallel.Chunks(len(l.Rows), par)
-		t0 = time.Now()
-	}
-	keys := types.NewKeySet()
-	for _, rr := range r.Rows {
-		keys.AddKey(rr, rCols)
-	}
-	if sp != nil {
-		sp.BuildNS = time.Since(t0).Nanoseconds()
-		t0 = time.Now()
-	}
-	out := &Relation{Cols: l.Cols}
-	out.Rows = parallel.Map(len(l.Rows), par, func(lo, hi int) []types.Row {
-		rows := make([]types.Row, 0, hi-lo)
-		for _, lr := range l.Rows[lo:hi] {
-			if keys.ContainsKey(lr, lCols) {
-				rows = append(rows, lr)
-			}
-		}
-		return rows
-	})
-	if sp != nil {
-		sp.ProbeNS = time.Since(t0).Nanoseconds()
-	}
-	return out
-}
-
-// hashTable is a join index partitioned by hash so it can be built in
-// parallel: partition p owns the keys with hash % P == p. The serial build
-// uses a single partition. Bucket position lists are always in ascending row
-// order — the invariant that keeps parallel probes bit-identical to serial.
-type hashTable struct {
-	parts []map[uint64][]int
-}
-
-// lookup returns the candidate build positions for hash h.
-func (t *hashTable) lookup(h uint64) []int {
-	if len(t.parts) == 1 {
-		return t.parts[0][h]
-	}
-	return t.parts[h%uint64(len(t.parts))][h]
-}
-
-// buildHash indexes r's rows by their key hash at degree par. Rows with NULL
-// keys are skipped (they can never match under SQL join semantics).
-//
-// The parallel build is two-phase morsel style: (1) each worker scans a
-// contiguous row chunk, hashing keys and scattering (hash, pos) entries into
-// chunk-local partition lists; (2) each worker owns one partition and folds
-// the chunk-local lists into its hash map, visiting chunks in input order so
-// bucket position lists stay ascending.
-func buildHash(r *Relation, cols []int, par int) *hashTable {
-	n := len(r.Rows)
-	nc := parallel.Chunks(n, par)
-	if nc <= 1 {
-		m := make(map[uint64][]int, n)
-		for pos, row := range r.Rows {
-			if hasNull(row, cols) {
-				continue
-			}
-			h := row.HashKey(cols)
-			m[h] = append(m[h], pos)
-		}
-		return &hashTable{parts: []map[uint64][]int{m}}
-	}
-
-	type entry struct {
-		h   uint64
-		pos int
-	}
-	P := nc // one partition per chunk keeps both phases balanced
-	locals := make([][][]entry, nc)
-	parallel.ForChunks(n, par, func(chunk, lo, hi int) {
-		local := make([][]entry, P)
-		est := (hi-lo)/P + 1
-		for p := range local {
-			local[p] = make([]entry, 0, est)
-		}
-		for pos := lo; pos < hi; pos++ {
-			row := r.Rows[pos]
-			if hasNull(row, cols) {
-				continue
-			}
-			h := row.HashKey(cols)
-			p := int(h % uint64(P))
-			local[p] = append(local[p], entry{h: h, pos: pos})
-		}
-		locals[chunk] = local
-	})
-
-	parts := make([]map[uint64][]int, P)
-	parallel.Each(P, par, func(p int) {
-		total := 0
-		for c := 0; c < nc; c++ {
-			total += len(locals[c][p])
-		}
-		m := make(map[uint64][]int, total)
-		for c := 0; c < nc; c++ { // chunk order => ascending positions
-			for _, e := range locals[c][p] {
-				m[e.h] = append(m[e.h], e.pos)
-			}
-		}
-		parts[p] = m
-	})
-	return &hashTable{parts: parts}
-}
-
-// probeHashEach invokes yield for every build-side position whose key matches
-// probe's, in ascending position order. The callback form avoids the per-probe
-// slice allocation of a return-value API on the hot loop.
-func probeHashEach(idx *hashTable, built *Relation, builtCols []int, probe types.Row, probeCols []int, yield func(pos int)) {
-	if hasNull(probe, probeCols) {
-		return
-	}
-	h := probe.HashKey(probeCols)
-	for _, pos := range idx.lookup(h) {
-		if keysMatch(built.Rows[pos], builtCols, probe, probeCols) {
-			yield(pos)
-		}
-	}
-}
-
-func hasNull(r types.Row, cols []int) bool {
-	for _, c := range cols {
-		if r[c].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-func keysMatch(a types.Row, aCols []int, b types.Row, bCols []int) bool {
-	for i := range aCols {
-		if !types.Equal(a[aCols[i]], b[bCols[i]]) {
-			return false
-		}
-	}
-	return true
 }
 
 func concatCols(a, b []ColRef) []ColRef {

@@ -6,8 +6,8 @@ import (
 	"math/bits"
 	"strings"
 
+	"resultdb/internal/colstore"
 	"resultdb/internal/trace"
-	"resultdb/internal/types"
 )
 
 // maxDPRelations bounds the dynamic-programming join-order search; beyond
@@ -24,21 +24,12 @@ const maxDPRelations = 14
 // cardinalities into mutable's optimizer. Plan cost is the sum of estimated
 // intermediate cardinalities; the greedy order (JoinAll) remains the
 // default and the fallback for queries beyond maxDPRelations.
-func JoinAllDP(preds []JoinPred, rels map[string]*Relation) (*Relation, error) {
-	return JoinAllDPDegree(preds, rels, 0)
-}
-
-// JoinAllDPDegree is JoinAllDP executing the chosen plan's hash joins at an
-// explicit degree of parallelism (0 = auto, 1 = serial). Planning itself
-// stays serial; only plan execution fans out.
-func JoinAllDPDegree(preds []JoinPred, rels map[string]*Relation, par int) (*Relation, error) {
-	return joinAllDP(preds, rels, par, nil)
-}
-
-// joinAllDP is the traced DP join; tr may be nil (disabled tracing).
-func joinAllDP(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tracer) (*Relation, error) {
+//
+// Planning is serial; the chosen plan's hash joins execute at degree par
+// (0 = auto, 1 = serial), one span per join on tr (nil = tracing disabled).
+func JoinAllDP(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tracer) (*Relation, error) {
 	if len(rels) < 2 || len(rels) > maxDPRelations {
-		return joinAll(preds, rels, par, tr)
+		return JoinAll(preds, rels, par, tr)
 	}
 	opt, err := newOptimizer(preds, rels)
 	if err != nil {
@@ -58,7 +49,7 @@ type optimizer struct {
 	// par is the degree of parallelism for executing the chosen plan.
 	par int
 	// tr records one span per executed plan join (nil = disabled).
-	tr *trace.Tracer
+	tr      *trace.Tracer
 	aliases []string // index -> alias (lower-cased), deterministic order
 	base    []*Relation
 	preds   []JoinPred
@@ -138,9 +129,9 @@ func (o *optimizer) measureNDV(idx int, rel, col string) {
 		o.ndv[idx][key] = 1
 		return
 	}
-	seen := types.NewKeySet()
-	for _, row := range r.Rows {
-		seen.AddKey(row, []int{ci})
+	seen := colstore.NewKeySet(KeyFor(r, []int{ci}))
+	for j := range r.Rows {
+		seen.Add(j)
 	}
 	n := float64(seen.Len())
 	if n < 1 {
@@ -301,7 +292,7 @@ func (o *optimizer) execute(n *planNode) (*Relation, error) {
 		sp.RowsIn = len(l.Rows)
 		sp.RowsBuild = len(r.Rows)
 	}
-	joined := hashJoinVecInner(l, r, lCols, rCols, o.par, sp)
+	joined := HashJoin(l, r, lCols, rCols, o.par, sp)
 	if sp != nil {
 		sp.RowsOut = len(joined.Rows)
 		o.tr.AddRowsJoined(len(joined.Rows))

@@ -9,9 +9,11 @@ import (
 )
 
 // The morsel-parallel operators promise bit-identical results at any degree
-// of parallelism (ordered chunk merge). These tests verify exact row-order
-// equality between the serial path (par=1) and several parallel degrees on
-// inputs large enough to actually engage chunking (> 2*parallel.Threshold).
+// of parallelism (ordered chunk merge), whichever form their inputs come in.
+// These tests verify exact row-order equality between serial execution
+// (par=1) over row-major inputs and several parallel degrees over every
+// pairing of row-major and columnar inputs (see keyForms), on inputs large
+// enough to actually engage chunking (> 2*parallel.Threshold).
 
 // bigRelation builds a relation with n rows: (id, key, payload), where key is
 // drawn from a domain small enough to generate plenty of join matches and
@@ -56,13 +58,17 @@ func TestHashJoinParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	l := bigRelation(rng, "l", 5000, 97)
 	r := bigRelation(rng, "r", 3000, 97)
-	want := hashJoinInner(l, r, []int{1}, []int{1}, 1, nil)
+	want := HashJoin(l, r, []int{1}, []int{1}, 1, nil)
 	if len(want.Rows) == 0 {
 		t.Fatal("test setup: join produced no rows")
 	}
-	for _, par := range sweepDegrees {
-		got := hashJoinInner(l, r, []int{1}, []int{1}, par, nil)
-		identicalRows(t, fmt.Sprintf("hashJoinInner par=%d", par), got, want)
+	for lf, lrel := range keyForms(l) {
+		for rf, rrel := range keyForms(r) {
+			for _, par := range append([]int{1}, sweepDegrees...) {
+				got := HashJoin(lrel, rrel, []int{1}, []int{1}, par, nil)
+				identicalRows(t, fmt.Sprintf("HashJoin l as %s, r as %s, par=%d", lf, rf, par), got, want)
+			}
+		}
 	}
 }
 
@@ -70,9 +76,12 @@ func TestHashJoinParallelCrossProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	l := bigRelation(rng, "l", 1200, 7)
 	r := bigRelation(rng, "r", 3, 7)
-	want := hashJoinInner(l, r, nil, nil, 1, nil)
+	want := HashJoin(l, r, nil, nil, 1, nil)
+	if len(want.Rows) != len(l.Rows)*len(r.Rows) {
+		t.Fatalf("cross product has %d rows, want %d", len(want.Rows), len(l.Rows)*len(r.Rows))
+	}
 	for _, par := range sweepDegrees {
-		got := hashJoinInner(l, r, nil, nil, par, nil)
+		got := HashJoin(l, r, nil, nil, par, nil)
 		identicalRows(t, fmt.Sprintf("cross par=%d", par), got, want)
 	}
 }
@@ -81,14 +90,22 @@ func TestSemiJoinParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	l := bigRelation(rng, "l", 6000, 211)
 	r := bigRelation(rng, "r", 500, 211)
-	want := SemiJoinDegree(l, []int{1}, r, []int{1}, 1)
+	want := SemiJoin(l, []int{1}, r, []int{1}, 1, nil)
 	if len(want.Rows) == 0 || len(want.Rows) == len(l.Rows) {
 		t.Fatalf("test setup: semi-join kept %d of %d rows (want a strict subset)",
 			len(want.Rows), len(l.Rows))
 	}
-	for _, par := range sweepDegrees {
-		got := SemiJoinDegree(l, []int{1}, r, []int{1}, par)
-		identicalRows(t, fmt.Sprintf("SemiJoinDegree par=%d", par), got, want)
+	for lf, lrel := range keyForms(l) {
+		for rf, rrel := range keyForms(r) {
+			for _, par := range append([]int{1}, sweepDegrees...) {
+				got := SemiJoin(lrel, []int{1}, rrel, []int{1}, par, nil)
+				what := fmt.Sprintf("SemiJoin l as %s, r as %s, par=%d", lf, rf, par)
+				identicalRows(t, what, got, want)
+				if got.Vec != nil && got.Vec.Len() != len(got.Rows) {
+					t.Fatalf("%s: narrowed view has %d rows, relation %d", what, got.Vec.Len(), len(got.Rows))
+				}
+			}
+		}
 	}
 }
 
@@ -96,14 +113,44 @@ func TestDistinctParMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	// keyDomain small → many exact duplicate (key, payload) pairs after
 	// projecting id away.
-	rel := bigRelation(rng, "d", 8000, 23).Project([]int{1, 2})
-	want := rel.DistinctPar(1)
+	full := bigRelation(rng, "d", 8000, 23)
+	rel := full.Project([]int{1, 2})
+	// The expected rows come from a plain first-occurrence-wins loop.
+	want := &Relation{Cols: rel.Cols}
+	seen := types.NewRowSet()
+	for _, row := range rel.Rows {
+		if seen.Add(row) {
+			want.Rows = append(want.Rows, row)
+		}
+	}
 	if len(want.Rows) == len(rel.Rows) {
 		t.Fatal("test setup: no duplicates to remove")
 	}
-	for _, par := range sweepDegrees {
-		got := rel.DistinctPar(par)
-		identicalRows(t, fmt.Sprintf("DistinctPar par=%d", par), got, want)
+	for form, frel := range keyForms(rel) {
+		for _, par := range append([]int{1}, sweepDegrees...) {
+			identicalRows(t, fmt.Sprintf("DistinctPar on %s, par=%d", form, par), frel.DistinctPar(par), want)
+		}
+	}
+	// Project+dedup in one step finds the same rows from the unprojected
+	// relation, and keeps the result columnar when its input was.
+	for form, frel := range keyForms(full) {
+		for _, par := range append([]int{1}, sweepDegrees...) {
+			got := frel.ProjectDistinctPar([]int{1, 2}, par)
+			what := fmt.Sprintf("ProjectDistinctPar on %s, par=%d", form, par)
+			identicalRows(t, what, got, want)
+			if (got.Vec != nil) != (form == "view") {
+				t.Fatalf("%s: result view = %v", what, got.Vec != nil)
+			}
+			if got.Vec != nil {
+				for i, row := range got.Rows {
+					for c := range row {
+						if v := got.Vec.Frame.Col(c).Value(got.Vec.Index(i)); !types.Equal(v, row[c]) {
+							t.Fatalf("%s: view cell (%d,%d) = %v, row has %v", what, i, c, v, row[c])
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -170,7 +217,7 @@ func TestFilterRowsParallelErrorMatchesSerial(t *testing.T) {
 	}
 }
 
-func TestJoinAllDegreeMatchesSerial(t *testing.T) {
+func TestJoinAllParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	rels := map[string]*Relation{
 		"a": bigRelation(rng, "a", 2500, 601),
@@ -188,7 +235,7 @@ func TestJoinAllDegreeMatchesSerial(t *testing.T) {
 		}
 		return m
 	}
-	want, err := JoinAllDegree(preds, clone(), 1)
+	want, err := JoinAll(preds, clone(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,10 +243,10 @@ func TestJoinAllDegreeMatchesSerial(t *testing.T) {
 		t.Fatal("test setup: join produced no rows")
 	}
 	for _, par := range sweepDegrees {
-		got, err := JoinAllDegree(preds, clone(), par)
+		got, err := JoinAll(preds, clone(), par, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		identicalRows(t, fmt.Sprintf("JoinAllDegree par=%d", par), got, want)
+		identicalRows(t, fmt.Sprintf("JoinAll par=%d", par), got, want)
 	}
 }

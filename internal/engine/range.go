@@ -84,14 +84,7 @@ func RangeSemiFilter(rel *Relation, col int, lo, hi float64, par int) (*Relation
 	if len(keep) == len(rel.Rows) {
 		return rel, 0
 	}
-	out := &Relation{Cols: rel.Cols, Rows: make([]types.Row, len(keep))}
-	for i, j := range keep {
-		out.Rows[i] = rel.Rows[j]
-	}
-	if rel.Vec != nil {
-		out.Vec = rel.Vec.Narrow(keep)
-	}
-	return out, len(rel.Rows) - len(keep)
+	return rel.Narrow(keep), len(rel.Rows) - len(keep)
 }
 
 // rangeCmp3 mirrors colstore's cmp3 (types.Compare on non-NULL numerics):

@@ -31,13 +31,12 @@ type ColRef struct {
 //
 // Vec, when non-nil, is the relation's columnar image: a colstore view whose
 // logical order matches Rows exactly (Vec.Len() == len(Rows), and
-// Vec.Index(j) is the frame position backing Rows[j]). Vectorized operators
-// attach it so downstream operators (semi-joins, Bloom probes,
-// project+distinct) can run on typed column vectors and selection vectors
-// instead of re-touching rows; operators that cannot preserve the alignment
-// (joins, general projection) leave it nil and later consumers fall back to
-// the row-major path. Vec never changes what a relation *is* — only how fast
-// operators read it.
+// Vec.Index(j) is the frame position backing Rows[j]). Scans attach it so
+// downstream operators (semi-joins, Bloom probes, project+distinct) can run
+// on typed column vectors and selection vectors instead of re-touching rows;
+// operators that cannot preserve the alignment (joins, general projection)
+// leave it nil and later consumers address the rows directly (see KeyFor).
+// Vec never changes what a relation *is* — only how fast operators read it.
 type Relation struct {
 	Cols []ColRef
 	Rows []types.Row
@@ -110,84 +109,25 @@ func (r *Relation) Distinct() *Relation {
 }
 
 // DistinctPar is Distinct at an explicit degree of parallelism (0 = auto,
-// 1 = serial). The parallel path hash-partitions rows so equal rows land in
-// the same partition, deduplicates each partition independently (keeping the
-// first occurrence by original row index), and emits the survivors in
-// ascending index order — exactly the rows, and exactly the order, the
-// serial first-occurrence-wins loop produces.
+// 1 = serial): the rows at distinctPositions over every column, so the
+// result is the same rows in the same order at any degree.
 func (r *Relation) DistinctPar(par int) *Relation {
-	n := len(r.Rows)
-	nc := parallel.Chunks(n, par)
-	out := &Relation{Cols: r.Cols}
-	if nc <= 1 {
-		seen := types.NewRowSet()
-		for _, row := range r.Rows {
-			if seen.Add(row) {
-				out.Rows = append(out.Rows, row)
-			}
-		}
-		return out
+	all := make([]int, len(r.Cols))
+	for i := range all {
+		all[i] = i
 	}
+	return r.Narrow(distinctPositions(KeyFor(r, all), par))
+}
 
-	// Phase 1: hash every row (disjoint writes).
-	hs := make([]uint64, n)
-	parallel.For(n, par, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hs[i] = r.Rows[i].Hash()
-		}
-	})
-
-	// Phase 2: chunk-local partition lists; duplicates share a hash, hence a
-	// partition, and indices stay ascending within each (chunk, partition).
-	P := nc
-	locals := make([][][]int, nc)
-	parallel.ForChunks(n, par, func(chunk, lo, hi int) {
-		local := make([][]int, P)
-		for i := lo; i < hi; i++ {
-			p := int(hs[i] % uint64(P))
-			local[p] = append(local[p], i)
-		}
-		locals[chunk] = local
-	})
-
-	// Phase 3: per-partition dedup, visiting chunks in input order so the
-	// first occurrence by original index survives.
-	survivors := make([][]int, P)
-	parallel.Each(P, par, func(p int) {
-		seen := make(map[uint64][]int)
-		var keep []int
-		for c := 0; c < nc; c++ {
-			for _, i := range locals[c][p] {
-				h := hs[i]
-				dup := false
-				for _, j := range seen[h] {
-					if r.Rows[j].Equal(r.Rows[i]) {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					seen[h] = append(seen[h], i)
-					keep = append(keep, i)
-				}
-			}
-		}
-		survivors[p] = keep
-	})
-
-	// Phase 4: merge survivors back into global input order.
-	total := 0
-	for _, s := range survivors {
-		total += len(s)
+// Narrow returns r restricted to the ascending row positions kept (pointer
+// copies of the rows), with its view, when it carries one, narrowed alongside.
+func (r *Relation) Narrow(kept []int32) *Relation {
+	out := &Relation{Cols: r.Cols, Rows: make([]types.Row, len(kept))}
+	for i, j := range kept {
+		out.Rows[i] = r.Rows[j]
 	}
-	order := make([]int, 0, total)
-	for _, s := range survivors {
-		order = append(order, s...)
-	}
-	sort.Ints(order)
-	out.Rows = make([]types.Row, len(order))
-	for i, idx := range order {
-		out.Rows[i] = r.Rows[idx]
+	if r.Vec != nil {
+		out.Vec = r.Vec.Narrow(kept)
 	}
 	return out
 }

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
@@ -24,11 +23,6 @@ type Executor struct {
 	// GOMAXPROCS, 1 forces serial execution. Results are identical at any
 	// degree (deterministic morsel merge).
 	Parallelism int
-	// Vectorized switches base-table scans and equi-joins to the colstore
-	// columnar path (typed column vectors, selection-vector kernels,
-	// dictionary-encoded TEXT). Results are bit-identical to the row path;
-	// only speed and the `vectorized` trace annotation differ.
-	Vectorized bool
 	// CostBased switches the greedy SPJ join ordering from raw cardinality
 	// to the statistics-driven estimate (joinAllStats), when StatsOf is also
 	// set. DPJoinOrder takes precedence. The joined row multiset is
@@ -127,11 +121,11 @@ func (e *Executor) RunSPJ(spec *SPJSpec) (*Relation, error) {
 	var joined *Relation
 	switch {
 	case e.DPJoinOrder:
-		joined, err = joinAllDP(spec.JoinPreds, rels, e.Parallelism, e.Tracer)
+		joined, err = JoinAllDP(spec.JoinPreds, rels, e.Parallelism, e.Tracer)
 	case e.CostBased && e.StatsOf != nil:
 		joined, err = joinAllStats(spec, rels, e.StatsOf, e.Parallelism, e.Tracer)
 	default:
-		joined, err = joinAll(spec.JoinPreds, rels, e.Parallelism, e.Tracer)
+		joined, err = JoinAll(spec.JoinPreds, rels, e.Parallelism, e.Tracer)
 	}
 	if err != nil {
 		return nil, err
@@ -169,18 +163,9 @@ func projectionLabel(spec *SPJSpec) string {
 //
 // rels is keyed by lower-cased alias. It is also the post-join operator of
 // the paper (Section 6.4): internal/core hands it the reduced relations.
-func JoinAll(preds []JoinPred, rels map[string]*Relation) (*Relation, error) {
-	return joinAll(preds, rels, 0, nil)
-}
-
-// JoinAllDegree is JoinAll at an explicit degree of parallelism (0 = auto,
-// 1 = serial); each hash join's build is partitioned and its probe chunked
-// across the shared worker pool.
-func JoinAllDegree(preds []JoinPred, rels map[string]*Relation, par int) (*Relation, error) {
-	return joinAll(preds, rels, par, nil)
-}
-
-func joinAll(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tracer) (*Relation, error) {
+// Each hash join runs at degree par (0 = auto, 1 = serial) and records one
+// span on tr (nil = tracing disabled).
+func JoinAll(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tracer) (*Relation, error) {
 	remaining := make(map[string]*Relation, len(rels))
 	for k, v := range rels {
 		remaining[k] = v
@@ -288,7 +273,7 @@ func joinStep(cur *Relation, inSet map[string]bool, next string, nrel *Relation,
 		sp.RowsBuild = len(nrel.Rows)
 		sp.EstOut = estOut
 	}
-	cur = hashJoinVecInner(cur, nrel, lCols, rCols, par, sp)
+	cur = HashJoin(cur, nrel, lCols, rCols, par, sp)
 	if sp != nil {
 		sp.RowsOut = len(cur.Rows)
 		tr.AddRowsJoined(len(cur.Rows))
@@ -309,62 +294,6 @@ func (e *Executor) BaseRelations(spec *SPJSpec) (map[string]*Relation, error) {
 		rels[strings.ToLower(r.Alias)] = rel
 	}
 	return rels, nil
-}
-
-// baseRelation scans one base table into an alias-qualified relation,
-// applying the pushed-down filter conjuncts during the scan.
-func (e *Executor) baseRelation(r RelRef, filters []sqlparse.Expr) (*Relation, error) {
-	t, err := e.Src.Table(r.Table)
-	if err != nil {
-		return nil, err
-	}
-	if e.Vectorized {
-		return e.baseRelationVec(t, r, filters)
-	}
-	var sp *trace.Span
-	var t0 time.Time
-	if e.Tracer.Enabled() {
-		sp = e.Tracer.Span("scan", r.Table+" AS "+r.Alias)
-		sp.Phase = "scan"
-		sp.Detail = "true"
-		if len(filters) > 0 {
-			sp.Detail = sqlparse.AndAll(filters).SQL()
-		}
-		sp.RowsIn = len(t.Rows)
-		sp.Par = parallel.Degree(e.Parallelism)
-		sp.Morsels = parallel.Chunks(len(t.Rows), e.Parallelism)
-		t0 = time.Now()
-	}
-	rel := &Relation{Cols: make([]ColRef, len(t.Def.Columns))}
-	for i, c := range t.Def.Columns {
-		rel.Cols[i] = ColRef{Rel: r.Alias, Name: c.Name, Kind: c.Type}
-	}
-	if len(filters) == 0 {
-		rel.Rows = t.Rows
-		if sp != nil {
-			sp.RowsOut = len(rel.Rows)
-			sp.DurNS = time.Since(t0).Nanoseconds()
-			e.Tracer.AddRowsScanned(len(rel.Rows))
-		}
-		return rel, nil
-	}
-	b := &binder{rel: rel, sub: e.subRunner()}
-	check, err := b.bind(sqlparse.AndAll(filters))
-	if err != nil {
-		return nil, err
-	}
-	out := &Relation{Cols: rel.Cols}
-	out.Rows, err = filterRows(t.Rows, check, e.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	if sp != nil {
-		sp.RowsOut = len(out.Rows)
-		sp.DurNS = time.Since(t0).Nanoseconds()
-		e.Tracer.AddRowsScanned(len(out.Rows))
-		e.Tracer.AddRowsDropped(len(t.Rows) - len(out.Rows))
-	}
-	return out, nil
 }
 
 // filter returns the rows of rel satisfying cond.
@@ -430,7 +359,7 @@ func (e *Executor) selectSequential(sel *sqlparse.Select) (*Relation, error) {
 		if cur == nil {
 			cur = base
 		} else {
-			cur = hashJoinInner(cur, base, nil, nil, e.Parallelism, nil) // comma join: cross product
+			cur = crossJoin(cur, base, e.Parallelism, nil) // comma join
 		}
 		for _, j := range item.Joins {
 			right, err := e.baseRelation(RelRef{Alias: j.Ref.Name(), Table: j.Ref.Table}, nil)

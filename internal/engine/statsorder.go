@@ -7,7 +7,7 @@ import (
 	"resultdb/internal/trace"
 )
 
-// joinAllStats is joinAll with a statistics-driven join order: instead of
+// joinAllStats is JoinAll with a statistics-driven join order: instead of
 // picking the connected relation with the smallest raw cardinality, it picks
 // the one minimizing the estimated join output under the standard NDV
 // containment model |A ⋈ B| ≈ |A|·|B| / Π_p max(ndv_A(p), ndv_B(p)), with
@@ -16,7 +16,7 @@ import (
 // known — the intermediate result and every base relation are materialized,
 // so only join output sizes are estimates.
 //
-// The join ORDER may differ from joinAll's; each individual hash join is the
+// The join ORDER may differ from JoinAll's; each individual hash join is the
 // identical operator, so the joined row multiset is the same (row order
 // within the result depends on the order, which is why differential tests
 // canonicalize with ORDER BY before comparing the two planners byte-wise).
@@ -45,7 +45,7 @@ func joinAllStats(spec *SPJSpec, rels map[string]*Relation, statsOf func(table s
 	}
 
 	// Seed: smallest actual cardinality, ties towards the smaller alias —
-	// the same deterministic seed rule as joinAll.
+	// the same deterministic seed rule as JoinAll.
 	var curAlias string
 	for alias, rel := range remaining {
 		if curAlias == "" ||
@@ -98,7 +98,7 @@ func joinAllStats(spec *SPJSpec, rels map[string]*Relation, statsOf func(table s
 	for len(remaining) > 0 {
 		// Choose the next relation: smallest estimated join output among
 		// connected candidates, else the smallest relation overall (the
-		// cross product is deferred as long as possible, like joinAll).
+		// cross product is deferred as long as possible, like JoinAll).
 		next := ""
 		nextConnected := false
 		nextEst := 0.0

@@ -1,32 +1,30 @@
 package engine
 
-// Vectorized execution: the engine side of internal/colstore.
+// Columnar execution: the engine side of internal/colstore.
 //
-// The vectorized path is engaged per-relation, by data: a scan run with
-// Executor.Vectorized attaches the table's columnar image (a colstore.View
-// aligned with the materialized rows) to the Relation it produces, and every
-// vectorized operator below consumes the view when present and falls back to
-// row-major keys when not. Operators therefore compose freely across the two
-// representations — a columnar base table semi-joins against a folded
-// (row-major) intermediate without conversion, because both sides hash with
-// the same inlined FNV-1a (types.Value.HashFNV == colstore.Column.HashFNV).
+// Every operator runs on colstore keys, and which key form it uses is read
+// from the data: a base-table scan attaches the table's columnar image (a
+// colstore.View aligned with the materialized rows) to the Relation it
+// produces, operators address a relation that carries a view through
+// colstore.ViewKey and one that does not (join outputs, decoded result sets)
+// through colstore.RowsKey. The two forms compose freely — a columnar base
+// table semi-joins against a folded (row-major) intermediate without
+// conversion, because both sides hash with the same inlined FNV-1a
+// (types.Value.HashFNV == colstore.Column.HashFNV).
 //
-// Every function in this file is bit-identical to its row-path counterpart:
-// same rows, same order, same trace cardinalities, at any parallelism degree.
-// The only observable difference is the `vectorized` annotation on trace
-// spans (excluded from trace.CountsFingerprint).
+// Results are the same rows in the same order, with the same trace
+// cardinalities, at any parallelism degree.
 //
 // Scan filters are compiled into colstore kernels under a prefix rule: the
 // longest prefix of the pushed-down conjuncts that maps onto typed kernels
 // runs columnar (dictionary-mask text predicates, typed numeric comparisons,
-// IS NULL tests); the remaining conjuncts evaluate row-at-a-time over the
-// survivors, exactly as the row path's bound expression would. All kernels
-// are error-free, so the split cannot reorder errors, with one documented
-// exception: when an earlier conjunct evaluates to NULL (not FALSE) for a
-// row, the row path still evaluates the later conjuncts (and would surface
-// their runtime errors, e.g. LIKE on a non-text value) while the kernel path
-// drops the row without touching them. The engine's test suites contain no
-// such query; SQL implementations differ on this point anyway.
+// IS NULL tests); the remaining conjuncts are bound and evaluated
+// row-at-a-time over the survivors, in order. All kernels are error-free, and
+// either way a row is dropped at the first conjunct that is not TRUE. That
+// defines the error semantics of a pushed-down conjunctive filter: when an
+// earlier conjunct evaluates to NULL (or FALSE) for a row, later conjuncts
+// are not evaluated for it, so their runtime errors (e.g. LIKE on a non-text
+// value) do not surface.
 
 import (
 	"sort"
@@ -63,10 +61,16 @@ func gatherRows(src []types.Row, v *colstore.View) []types.Row {
 	return out
 }
 
-// baseRelationVec is the vectorized scan: filter the table's columnar image
-// with compiled kernels (plus a row-wise residual for unsupported conjuncts)
-// and gather the surviving rows. Bit-identical to baseRelation's row path.
-func (e *Executor) baseRelationVec(t *storage.Table, r RelRef, filters []sqlparse.Expr) (*Relation, error) {
+// baseRelation scans one base table into an alias-qualified relation,
+// applying the pushed-down filter conjuncts during the scan: compiled kernels
+// filter the table's columnar image, the bound expression evaluates whatever
+// conjuncts have no kernel over the survivors, and the surviving rows are
+// gathered. The relation carries the view the filter produced.
+func (e *Executor) baseRelation(r RelRef, filters []sqlparse.Expr) (*Relation, error) {
+	t, err := e.Src.Table(r.Table)
+	if err != nil {
+		return nil, err
+	}
 	f := t.Columns()
 	rel := &Relation{Cols: make([]ColRef, len(t.Def.Columns))}
 	for i, c := range t.Def.Columns {
@@ -84,64 +88,74 @@ func (e *Executor) baseRelationVec(t *storage.Table, r RelRef, filters []sqlpars
 		sp.RowsIn = len(t.Rows)
 		sp.Par = parallel.Degree(e.Parallelism)
 		sp.Morsels = parallel.Chunks(len(t.Rows), e.Parallelism)
-		sp.Vec = true
 		sp.Dict = f.DictEntries()
 		t0 = time.Now()
 	}
-	view := &colstore.View{Frame: f}
-	if len(filters) == 0 {
-		rel.Rows = t.Rows
-		rel.Vec = view
-		if sp != nil {
-			sp.RowsOut = len(rel.Rows)
-			sp.DurNS = time.Since(t0).Nanoseconds()
-			e.Tracer.AddRowsScanned(len(rel.Rows))
-		}
-		return rel, nil
-	}
 	kernels, residual := compileScanKernels(f, rel, filters)
-	if len(kernels) > 0 {
-		view = &colstore.View{Frame: f, Sel: colstore.RunKernels(f.Rows(), kernels, e.Parallelism)}
+	rel.Vec, err = e.filterView(t, rel, kernels, residual)
+	if err != nil {
+		return nil, err
 	}
-	if len(residual) > 0 {
-		b := &binder{rel: rel, sub: e.subRunner()}
-		check, err := b.bind(sqlparse.AndAll(residual))
-		if err != nil {
+	rel.Rows = gatherRows(t.Rows, rel.Vec)
+	if sp != nil {
+		sp.RowsOut = len(rel.Rows)
+		sp.DurNS = time.Since(t0).Nanoseconds()
+		e.Tracer.AddRowsScanned(len(rel.Rows))
+		e.Tracer.AddRowsDropped(len(t.Rows) - len(rel.Rows))
+	}
+	return rel, nil
+}
+
+// filterView selects the rows of t that pass every kernel and then every
+// residual conjunct. The residual conjuncts are bound against rel's schema
+// one by one and evaluated row-at-a-time over the kernels' survivors, in
+// order, stopping at the first that is not TRUE — the same drop-at-first-
+// failure rule the kernel prefix follows, so which conjuncts happen to have a
+// kernel never decides whether a later conjunct's runtime error surfaces.
+func (e *Executor) filterView(t *storage.Table, rel *Relation, kernels []colstore.Kernel, residual []sqlparse.Expr) (*colstore.View, error) {
+	f := t.Columns()
+	view := &colstore.View{Frame: f}
+	if len(kernels) > 0 {
+		view.Sel = colstore.RunKernels(f.Rows(), kernels, e.Parallelism)
+	}
+	if len(residual) == 0 {
+		return view, nil
+	}
+	b := &binder{rel: rel, sub: e.subRunner()}
+	checks := make([]boundExpr, len(residual))
+	for i, cond := range residual {
+		var err error
+		if checks[i], err = b.bind(cond); err != nil {
 			return nil, err
 		}
-		keep, err := parallel.MapErr(view.Len(), e.Parallelism, func(lo, hi int) ([]int32, error) {
-			out := make([]int32, 0, hi-lo)
-			for j := lo; j < hi; j++ {
-				v, err := check(t.Rows[view.Index(j)])
+	}
+	keep, err := parallel.MapErr(view.Len(), e.Parallelism, func(lo, hi int) ([]int32, error) {
+		out := make([]int32, 0, hi-lo)
+	rows:
+		for j := lo; j < hi; j++ {
+			row := t.Rows[view.Index(j)]
+			for _, check := range checks {
+				v, err := check(row)
 				if err != nil {
 					return nil, err
 				}
-				if truthy(v) {
-					out = append(out, int32(j))
+				if !truthy(v) {
+					continue rows
 				}
 			}
-			return out, nil
-		})
-		if err != nil {
-			return nil, err
+			out = append(out, int32(j))
 		}
-		view = view.Narrow(keep)
+		return out, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	out := &Relation{Cols: rel.Cols, Vec: view}
-	out.Rows = gatherRows(t.Rows, view)
-	if sp != nil {
-		sp.RowsOut = len(out.Rows)
-		sp.DurNS = time.Since(t0).Nanoseconds()
-		e.Tracer.AddRowsScanned(len(out.Rows))
-		e.Tracer.AddRowsDropped(len(t.Rows) - len(out.Rows))
-	}
-	return out, nil
+	return view.Narrow(keep), nil
 }
 
 // compileScanKernels maps the longest kernelizable prefix of the pushed-down
 // conjuncts onto colstore kernels; the rest is returned as the row-wise
-// residual (in original order, so error behavior matches the row path — see
-// the package comment's prefix rule).
+// residual, in original order (see the prefix rule in this file's header).
 func compileScanKernels(f *colstore.Frame, rel *Relation, filters []sqlparse.Expr) ([]colstore.Kernel, []sqlparse.Expr) {
 	var kernels []colstore.Kernel
 	for i, cond := range filters {
@@ -395,8 +409,8 @@ func compileKernel(f *colstore.Frame, rel *Relation, e sqlparse.Expr) (colstore.
 		if !ok {
 			return nil, false
 		}
-		// Only a typed TEXT column is safe: the row path raises an error for
-		// LIKE on non-text values, which a kernel must not swallow.
+		// Only a typed TEXT column is safe: the bound expression raises an
+		// error for LIKE on non-text values, which a kernel must not swallow.
 		c, ok := f.Col(idx).(*colstore.TextColumn)
 		if !ok {
 			return nil, false
@@ -416,21 +430,18 @@ func compileKernel(f *colstore.Frame, rel *Relation, e sqlparse.Expr) (colstore.
 	return nil, false
 }
 
-// SemiJoinVec is SemiJoinVecSpan without tracing.
-func SemiJoinVec(l *Relation, lCols []int, r *Relation, rCols []int, par int) *Relation {
-	return SemiJoinVecSpan(l, lCols, r, rCols, par, nil)
-}
-
-// SemiJoinVecSpan is the vectorized l ⋉ r: the build side's distinct keys go
-// into a position-based key set (no per-row key projection, dictionary-hash
-// text keys), the probe emits a selection vector, and only the surviving rows
-// are gathered. Either side may be columnar or row-major; the result carries
-// l's view narrowed to the survivors when l was columnar. Bit-identical to
-// SemiJoinSpan.
-func SemiJoinVecSpan(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *trace.Span) *Relation {
+// SemiJoin filters l to the rows whose key appears in r (l ⋉ r); the
+// primitive of the paper's reduction phase (Section 4.1). The build side's
+// distinct keys go into a position-based key set (no per-row key projection,
+// dictionary-hash text keys), the probe over l's rows runs in parallel chunks
+// at degree par (0 = auto, 1 = serial) emitting a selection vector merged in
+// input order, and only the surviving rows are gathered. Either side may be
+// columnar or row-major; the result carries l's view narrowed to the
+// survivors when l was columnar. A non-nil sp records the build/probe
+// wall-time split, degree, and morsel count; nil skips all clock reads.
+func SemiJoin(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *trace.Span) *Relation {
 	var t0 time.Time
 	if sp != nil {
-		sp.Vec = true
 		sp.Par = parallel.Degree(par)
 		sp.Morsels = parallel.Chunks(len(l.Rows), par)
 		t0 = time.Now()
@@ -454,39 +465,39 @@ func SemiJoinVecSpan(l *Relation, lCols []int, r *Relation, rCols []int, par int
 		}
 		return out
 	})
-	out := &Relation{Cols: l.Cols}
-	out.Rows = make([]types.Row, len(kept))
-	for i, j := range kept {
-		out.Rows[i] = l.Rows[j]
-	}
-	if l.Vec != nil {
-		out.Vec = l.Vec.Narrow(kept)
-	}
+	out := l.Narrow(kept)
 	if sp != nil {
 		sp.ProbeNS = time.Since(t0).Nanoseconds()
 	}
 	return out
 }
 
-// hashJoinVecInner is hashJoinInner running build and probe on colstore keys
-// when at least one side is columnar (same side choice, same emit order, same
-// two-phase parallel build). Cross joins and all-row-major inputs delegate to
-// the row path unchanged. The joined output is row-major (Vec nil): its
-// schema no longer matches either frame.
-func hashJoinVecInner(l, r *Relation, lCols, rCols []int, par int, sp *trace.Span) *Relation {
-	if len(lCols) == 0 || (l.Vec == nil && r.Vec == nil) {
-		return hashJoinInner(l, r, lCols, rCols, par, sp)
+// HashJoin is the inner equi-join of l and r on lCols (positions in l) and
+// rCols (positions in r); with empty column lists it is the Cartesian
+// product. Output schema is l's columns followed by r's, and the output is
+// row-major (Vec nil): its schema matches neither input's frame.
+//
+// The smaller input is indexed in a colstore.HashTable (hash-partitioned so
+// the build runs in parallel), the larger is probed in contiguous row chunks
+// at degree par (0 = auto, 1 = serial) with per-chunk output buffers merged
+// in input order, so the result is bit-identical to serial execution at any
+// degree. A non-nil sp records the build/probe wall-time split, the
+// effective degree, and the morsel count; nil skips all clock reads.
+func HashJoin(l, r *Relation, lCols, rCols []int, par int, sp *trace.Span) *Relation {
+	if len(lCols) == 0 {
+		return crossJoin(l, r, par, sp)
 	}
 	out := &Relation{Cols: concatCols(l.Cols, r.Cols)}
 	build, probe := r, l
 	buildCols, probeCols := rCols, lCols
+	probeIsLeft := true
 	if len(r.Rows) > len(l.Rows) {
 		build, probe = l, r
 		buildCols, probeCols = lCols, rCols
+		probeIsLeft = false
 	}
 	var t0 time.Time
 	if sp != nil {
-		sp.Vec = true
 		sp.Par = parallel.Degree(par)
 		sp.Morsels = parallel.Chunks(len(probe.Rows), par)
 		t0 = time.Now()
@@ -497,40 +508,26 @@ func hashJoinVecInner(l, r *Relation, lCols, rCols []int, par int, sp *trace.Spa
 		t0 = time.Now()
 	}
 	pk := KeyFor(probe, probeCols)
-	if probe == l {
-		out.Rows = parallel.Map(len(probe.Rows), par, func(lo, hi int) []types.Row {
-			rows := make([]types.Row, 0, hi-lo)
-			for j := lo; j < hi; j++ {
-				lr := probe.Rows[j]
-				ht.Each(pk, j, func(pos int32) {
-					rows = append(rows, concatRows(lr, build.Rows[pos]))
-				})
+	out.Rows = parallel.Map(len(probe.Rows), par, func(lo, hi int) []types.Row {
+		rows := make([]types.Row, 0, hi-lo)
+		var pr types.Row
+		emit := func(pos int32) {
+			if probeIsLeft {
+				rows = append(rows, concatRows(pr, build.Rows[pos]))
+			} else {
+				rows = append(rows, concatRows(build.Rows[pos], pr))
 			}
-			return rows
-		})
-	} else {
-		out.Rows = parallel.Map(len(probe.Rows), par, func(lo, hi int) []types.Row {
-			rows := make([]types.Row, 0, hi-lo)
-			for j := lo; j < hi; j++ {
-				rr := probe.Rows[j]
-				ht.Each(pk, j, func(pos int32) {
-					rows = append(rows, concatRows(build.Rows[pos], rr))
-				})
-			}
-			return rows
-		})
-	}
+		}
+		for j := lo; j < hi; j++ {
+			pr = probe.Rows[j]
+			ht.Each(pk, j, emit)
+		}
+		return rows
+	})
 	if sp != nil {
 		sp.ProbeNS = time.Since(t0).Nanoseconds()
 	}
 	return out
-}
-
-// HashJoinVecSpan is the exported vectorized hash join (used by internal/core
-// when folding): vectorized when either input carries a columnar view, the
-// plain row join otherwise. sp may be nil.
-func HashJoinVecSpan(l, r *Relation, lCols, rCols []int, par int, sp *trace.Span) *Relation {
-	return hashJoinVecInner(l, r, lCols, rCols, par, sp)
 }
 
 // Columnarize returns rel with a freshly built columnar image attached (a
@@ -547,71 +544,68 @@ func Columnarize(rel *Relation, par int) *Relation {
 	return &Relation{Cols: rel.Cols, Rows: rel.Rows, Vec: &colstore.View{Frame: f}}
 }
 
-// ProjectDistinctPar projects r onto cols and removes duplicate rows —
-// exactly ProjectPar(cols, par).DistinctPar(par), but when r carries a
-// columnar view the dedup runs on column data (dictionary-hash keys, no
-// materialization of dropped rows): survivors are found first, then only they
-// are projected. First occurrence wins, output in input order, identical at
-// any degree.
+// ProjectDistinctPar projects r onto cols and removes duplicate rows. The
+// dedup runs on the key columns in place (dictionary-hash keys when r carries
+// a columnar view): survivors are found first, then only they are projected.
+// First occurrence wins, output in input order, identical at any degree. When
+// r is columnar the output is too.
 func (r *Relation) ProjectDistinctPar(cols []int, par int) *Relation {
-	if r.Vec == nil {
-		return r.ProjectPar(cols, par).DistinctPar(par)
-	}
 	out := &Relation{Cols: make([]ColRef, len(cols))}
 	for i, c := range cols {
 		out.Cols[i] = r.Cols[c]
 	}
-	key := colstore.ViewKey(r.Vec, cols)
-	n := len(r.Rows)
-	nc := parallel.Chunks(n, par)
-
-	materialize := func(order []int32) {
-		out.Rows = make([]types.Row, len(order))
-		parallel.For(len(order), par, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				out.Rows[i] = r.Rows[order[i]].Project(cols)
-			}
-		})
-		// Keep the output columnar too: gather the surviving positions into
-		// a frame aligned with out.Rows. Text columns share the source
-		// dictionary (code copies only), which is what lets the columnar
-		// wire encoder ship scan-time dictionaries without re-encoding.
+	order := distinctPositions(KeyFor(r, cols), par)
+	out.Rows = make([]types.Row, len(order))
+	parallel.For(len(order), par, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out.Rows[i] = r.Rows[order[i]].Project(cols)
+		}
+	})
+	if r.Vec != nil {
+		// Gather the surviving positions into a frame aligned with out.Rows.
+		// Text columns share the source dictionary (code copies only), which
+		// is what lets the columnar wire encoder ship scan-time dictionaries
+		// without re-encoding.
 		kinds := make([]types.Kind, len(out.Cols))
 		for i, c := range out.Cols {
 			kinds[i] = c.Kind
 		}
 		out.Vec = &colstore.View{Frame: colstore.GatherView(r.Vec, cols, kinds, order, par)}
 	}
+	return out
+}
 
+// distinctPositions returns, ascending, the position of the first occurrence
+// of every distinct key (grouping semantics: NULLs compare equal). The
+// parallel path hash-partitions positions so equal keys land in the same
+// partition, deduplicates each partition independently, and merges the
+// survivors back into input order — exactly the positions the serial
+// first-occurrence-wins loop keeps.
+func distinctPositions(key colstore.Key, par int) []int32 {
+	n := key.Len()
+	nc := parallel.Chunks(n, par)
 	if nc <= 1 {
 		buckets := make(map[uint64][]int32, n)
 		order := make([]int32, 0, n)
 		for j := 0; j < n; j++ {
 			h := key.Hash(j)
-			dup := false
-			for _, p := range buckets[h] {
-				if colstore.KeysEqual(key, int(p), key, j) {
-					dup = true
-					break
-				}
-			}
-			if !dup {
+			if !seenKey(key, buckets[h], j) {
 				buckets[h] = append(buckets[h], int32(j))
 				order = append(order, int32(j))
 			}
 		}
-		materialize(order)
-		return out
+		return order
 	}
 
-	// Parallel path: the same four phases as DistinctPar, on key hashes
-	// instead of materialized rows.
+	// Phase 1: hash every key (disjoint writes).
 	hs := make([]uint64, n)
 	parallel.For(n, par, func(lo, hi int) {
 		for j := lo; j < hi; j++ {
 			hs[j] = key.Hash(j)
 		}
 	})
+	// Phase 2: chunk-local partition lists; duplicates share a hash, hence a
+	// partition, and positions stay ascending within each (chunk, partition).
 	P := nc
 	locals := make([][][]int32, nc)
 	parallel.ForChunks(n, par, func(chunk, lo, hi int) {
@@ -622,6 +616,8 @@ func (r *Relation) ProjectDistinctPar(cols []int, par int) *Relation {
 		}
 		locals[chunk] = local
 	})
+	// Phase 3: per-partition dedup, visiting chunks in input order so the
+	// first occurrence survives.
 	survivors := make([][]int32, P)
 	parallel.Each(P, par, func(p int) {
 		seen := make(map[uint64][]int32)
@@ -629,14 +625,7 @@ func (r *Relation) ProjectDistinctPar(cols []int, par int) *Relation {
 		for c := 0; c < nc; c++ {
 			for _, j := range locals[c][p] {
 				h := hs[j]
-				dup := false
-				for _, q := range seen[h] {
-					if colstore.KeysEqual(key, int(q), key, int(j)) {
-						dup = true
-						break
-					}
-				}
-				if !dup {
+				if !seenKey(key, seen[h], int(j)) {
 					seen[h] = append(seen[h], j)
 					keep = append(keep, j)
 				}
@@ -644,6 +633,7 @@ func (r *Relation) ProjectDistinctPar(cols []int, par int) *Relation {
 		}
 		survivors[p] = keep
 	})
+	// Phase 4: merge survivors back into global input order.
 	total := 0
 	for _, s := range survivors {
 		total += len(s)
@@ -653,6 +643,16 @@ func (r *Relation) ProjectDistinctPar(cols []int, par int) *Relation {
 		order = append(order, s...)
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	materialize(order)
-	return out
+	return order
+}
+
+// seenKey reports whether key j equals the key at any of the positions in
+// bucket (earlier positions sharing j's hash).
+func seenKey(key colstore.Key, bucket []int32, j int) bool {
+	for _, p := range bucket {
+		if colstore.KeysEqual(key, int(p), key, j) {
+			return true
+		}
+	}
+	return false
 }

@@ -2,12 +2,10 @@ package rewrite
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
-	"resultdb/internal/core"
 	"resultdb/internal/db"
-	"resultdb/internal/engine"
+	"resultdb/internal/reference"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/workload/hierarchy"
 	"resultdb/internal/workload/job"
@@ -17,9 +15,10 @@ import (
 // This file is the differential oracle of the reproduction: for a query Q it
 // computes the subdatabase six independent ways —
 //
-//	(1) brute force: denormalized single-table join, then one projection +
-//	    dedup per output relation (the textbook reading of Definition 2.2/2.3,
-//	    no semi-joins, no folding, no rewrite tricks),
+//	(1) brute force: internal/reference's denormalized single-table join, then
+//	    one projection + dedup per output relation (the textbook reading of
+//	    Definition 2.2/2.3: no semi-joins, no folding, no rewrite tricks, and
+//	    no operator shared with the engine),
 //	(2) native RESULTDB-SEMIJOIN (Algorithm 4),
 //	(3)-(6) the four SQL rewrite methods RM1..RM4 (Section 3),
 //
@@ -28,59 +27,21 @@ import (
 // reduction order, decomposition, dedup, or the rewrites shows up as a
 // divergence from the brute-force reference.
 
-// bruteForceSubdatabase joins all relations into the denormalized
-// single-table result and derives each output relation by projection + dedup.
-func bruteForceSubdatabase(d *db.Database, sel *sqlparse.Select, mode db.Mode, par int) (*db.Result, error) {
-	spec, err := engine.AnalyzeSPJ(sel, d)
+// bruteForceSubdatabase is the reference result in db.Result form.
+func bruteForceSubdatabase(d *db.Database, sel *sqlparse.Select, mode db.Mode) (*db.Result, error) {
+	sets, err := reference.Subdatabase(d, sel, mode == db.ModeRDBRP)
 	if err != nil {
 		return nil, err
-	}
-	ex := &engine.Executor{Src: d, Parallelism: par}
-	joined, err := ex.RunSPJ(spec)
-	if err != nil {
-		return nil, err
-	}
-	var outputs []string
-	if mode == db.ModeRDBRP {
-		for _, r := range spec.Rels {
-			if len(spec.ProjectionOf(r.Alias)) > 0 || len(spec.JoinAttrsOf(r.Alias)) > 0 {
-				outputs = append(outputs, r.Alias)
-			}
-		}
-	} else {
-		outputs = spec.OutputRels()
 	}
 	res := &db.Result{}
-	for _, alias := range outputs {
-		var attrs []string
-		if mode == db.ModeRDBRP {
-			attrs = core.RelationshipPreservingAttrs(spec, alias)
-		} else {
-			seen := map[string]bool{}
-			for _, a := range spec.ProjectionOf(alias) {
-				key := strings.ToLower(a)
-				if !seen[key] {
-					seen[key] = true
-					attrs = append(attrs, a)
-				}
-			}
-		}
-		cols := make([]int, len(attrs))
-		for i, a := range attrs {
-			idx, err := joined.ColIndex(alias, a)
-			if err != nil {
-				return nil, err
-			}
-			cols[i] = idx
-		}
-		rel := joined.Project(cols).Distinct()
-		res.Sets = append(res.Sets, &db.ResultSet{Name: alias, Columns: attrs, Rows: rel.Rows})
+	for _, s := range sets {
+		res.Sets = append(res.Sets, &db.ResultSet{Name: s.Name, Columns: s.Columns, Rows: s.Rows})
 	}
 	return res, nil
 }
 
 // checkDifferential compares brute force vs native vs RM1..RM4 for one query
-// in both modes at the database's current parallelism.
+// in both modes; par is d's configured parallelism, for the failure label.
 func checkDifferential(t *testing.T, d *db.Database, name string, sel *sqlparse.Select, par int) {
 	t.Helper()
 	for _, mode := range []db.Mode{db.ModeRDB, db.ModeRDBRP} {
@@ -89,7 +50,7 @@ func checkDifferential(t *testing.T, d *db.Database, name string, sel *sqlparse.
 			rwMode = ModeRDBRP
 		}
 		label := fmt.Sprintf("%s/mode%d/par%d", name, mode, par)
-		ref, err := bruteForceSubdatabase(d, sel, mode, par)
+		ref, err := bruteForceSubdatabase(d, sel, mode)
 		if err != nil {
 			t.Fatalf("%s brute force: %v", label, err)
 		}
@@ -132,12 +93,11 @@ func parseSPJ(t *testing.T, sql string) *sqlparse.Select {
 // TestDifferentialOracleJOB runs the full oracle over all 33 JOB templates at
 // parallelism 1 and 4.
 func TestDifferentialOracleJOB(t *testing.T) {
-	d := db.New()
-	if err := job.Load(d, job.Config{Scale: 0.05, Seed: 42}); err != nil {
-		t.Fatal(err)
-	}
 	for _, par := range []int{1, 4} {
-		d.SetParallelism(par)
+		d := db.Open(db.Config{Parallelism: par})
+		if err := job.Load(d, job.Config{Scale: 0.05, Seed: 42}); err != nil {
+			t.Fatal(err)
+		}
 		for _, q := range job.Queries() {
 			checkDifferential(t, d, "job-"+q.Name, parseSPJ(t, q.SQL), par)
 		}
@@ -148,11 +108,7 @@ func TestDifferentialOracleJOB(t *testing.T) {
 // (Figure 7's shape): the full-width star join and the payload-only RDB
 // variant, each at two dimension selectivities.
 func TestDifferentialOracleStar(t *testing.T) {
-	d := db.New()
 	cfg := star.DefaultConfig()
-	if err := star.Load(d, cfg); err != nil {
-		t.Fatal(err)
-	}
 	queries := map[string]string{
 		"star-full-050":    star.Query(cfg, 0.5),
 		"star-full-100":    star.Query(cfg, 1.0),
@@ -160,7 +116,10 @@ func TestDifferentialOracleStar(t *testing.T) {
 		"star-payload-100": star.PayloadQuery(cfg, 1.0),
 	}
 	for _, par := range []int{1, 4} {
-		d.SetParallelism(par)
+		d := db.Open(db.Config{Parallelism: par})
+		if err := star.Load(d, cfg); err != nil {
+			t.Fatal(err)
+		}
 		for name, sql := range queries {
 			checkDifferential(t, d, name, parseSPJ(t, sql), par)
 		}
@@ -170,16 +129,15 @@ func TestDifferentialOracleStar(t *testing.T) {
 // TestDifferentialOracleHierarchy runs the oracle on the hierarchy workload's
 // subtype queries (the SPJ formulation of its subdatabase use case).
 func TestDifferentialOracleHierarchy(t *testing.T) {
-	d := db.New()
-	if err := hierarchy.Load(d, hierarchy.DefaultConfig()); err != nil {
-		t.Fatal(err)
-	}
 	queries := map[string]string{
 		"hier-electronics": hierarchy.ResultDBElectronics,
 		"hier-clothing":    hierarchy.ResultDBClothing,
 	}
 	for _, par := range []int{1, 4} {
-		d.SetParallelism(par)
+		d := db.Open(db.Config{Parallelism: par})
+		if err := hierarchy.Load(d, hierarchy.DefaultConfig()); err != nil {
+			t.Fatal(err)
+		}
 		for name, sql := range queries {
 			checkDifferential(t, d, name, parseSPJ(t, sql), par)
 		}

@@ -3,8 +3,7 @@
 // for the cost-based planning mode (core.Options.CostBased, RESULTDB_STATS).
 //
 // Statistics are built in one pass over the row-major storage (never from the
-// columnar frames, so estimates are identical whether vectorized execution is
-// on or off), are fully deterministic (the NDV sketch hashes with the same
+// columnar frames, so they need no frame to exist), are fully deterministic (the NDV sketch hashes with the same
 // seeded FNV-1a stream as the join hash tables), and are cached against the
 // table's generation counter by Cache — the same invalidation pattern as the
 // colstore frame cache in storage.Table.Columns.
@@ -119,12 +118,12 @@ func trimFloat(f float64) string {
 
 // colAcc accumulates one column's statistics during the single build pass.
 type colAcc struct {
-	nulls   int
-	sk      sketch
-	numeric bool
-	hasRange bool
+	nulls      int
+	sk         sketch
+	numeric    bool
+	hasRange   bool
 	minF, maxF float64
-	vals    []float64 // histogram sample (numeric, non-NaN)
+	vals       []float64 // histogram sample (numeric, non-NaN)
 }
 
 // FromTable builds fresh statistics for t in a single pass over its rows.

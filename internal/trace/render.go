@@ -80,14 +80,15 @@ func (tr *Trace) CompactLines() []string {
 func (tr *Trace) TreeLines() []string {
 	var lines []string
 	head := "mode: " + orDash(tr.Mode) + "  strategy: " + orDash(tr.Strategy)
-	if tr.Parallelism > 0 {
-		head += fmt.Sprintf("  parallelism: %d", tr.Parallelism)
-	}
-	// The bracket section is strippable: everything inside it is run-varying
-	// (wall time, result-cache outcome) and excluded from CountsFingerprint.
+	// The bracket section is strippable: everything inside it varies with the
+	// run or the host (wall time, effective parallel degree, result-cache
+	// outcome) and is excluded from CountsFingerprint.
 	var headAnn []string
 	if tr.WallNS > 0 {
 		headAnn = append(headAnn, ms(tr.WallNS))
+	}
+	if tr.Parallelism > 0 {
+		headAnn = append(headAnn, fmt.Sprintf("parallelism: %d", tr.Parallelism))
 	}
 	if tr.Cache != "" {
 		headAnn = append(headAnn, "cache: "+tr.Cache)
@@ -194,9 +195,6 @@ func spanLine(sp *Span) string {
 	}
 
 	var ann []string
-	if sp.Vec {
-		ann = append(ann, "vectorized")
-	}
 	if sp.EstOut > 0 {
 		ann = append(ann, fmt.Sprintf("est %d, actual %d", sp.EstOut, sp.RowsOut))
 	}

@@ -59,15 +59,9 @@ type Span struct {
 	// spans).
 	Bytes int `json:"bytes,omitempty"`
 
-	// Vec marks an operator that ran on the vectorized (colstore) path.
-	// Run-invariant for a fixed configuration but excluded from
-	// CountsFingerprint so vectorized and row-path executions of the same
-	// query fingerprint identically — the flag is the only allowed
-	// difference between the two traces.
-	Vec bool `json:"vec,omitempty"`
 	// Dict is the total number of distinct dictionary entries across the
-	// TEXT columns of a vectorized scan's frame. Excluded from
-	// CountsFingerprint (like Vec).
+	// TEXT columns of a scan's frame. Excluded from CountsFingerprint: it
+	// describes the storage image, not the operator's result.
 	Dict int `json:"dict,omitempty"`
 
 	// Par is the effective degree of parallelism the operator ran at.
@@ -90,7 +84,7 @@ type Span struct {
 	EstOut int `json:"est_out,omitempty"`
 	// RangeSkipped counts probe rows dropped by the sideways-information-
 	// passing min/max range prefilter before hashing. Excluded from
-	// CountsFingerprint (like Vec); rendered in the [...] bracket.
+	// CountsFingerprint (like EstOut); rendered in the [...] bracket.
 	RangeSkipped int `json:"range_skipped,omitempty"`
 }
 

@@ -155,55 +155,3 @@ func (s *RowSet) Contains(r Row) bool {
 
 // Len returns the number of distinct rows.
 func (s *RowSet) Len() int { return s.n }
-
-// KeySet is a hash set of projected keys, the workhorse of semi-join
-// reduction: build from one side's join columns, probe with the other's.
-type KeySet struct {
-	buckets map[uint64][]Row
-	n       int
-}
-
-// NewKeySet returns an empty key set.
-func NewKeySet() *KeySet {
-	return &KeySet{buckets: make(map[uint64][]Row)}
-}
-
-// AddKey inserts the projection of r onto cols. Keys containing NULL are
-// skipped: a NULL join key can never match under SQL semantics.
-func (s *KeySet) AddKey(r Row, cols []int) {
-	for _, c := range cols {
-		if r[c].IsNull() {
-			return
-		}
-	}
-	key := r.Project(cols)
-	h := key.Hash()
-	for _, existing := range s.buckets[h] {
-		if existing.Equal(key) {
-			return
-		}
-	}
-	s.buckets[h] = append(s.buckets[h], key)
-	s.n++
-}
-
-// ContainsKey reports whether the projection of r onto cols is present.
-// Keys containing NULL never match (SQL join semantics: NULL != NULL).
-func (s *KeySet) ContainsKey(r Row, cols []int) bool {
-	for _, c := range cols {
-		if r[c].IsNull() {
-			return false
-		}
-	}
-	key := r.Project(cols)
-	h := key.Hash()
-	for _, existing := range s.buckets[h] {
-		if existing.Equal(key) {
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the number of distinct keys.
-func (s *KeySet) Len() int { return s.n }

@@ -133,40 +133,6 @@ func normKey(r Row) string {
 	return out
 }
 
-func TestKeySetNullSemantics(t *testing.T) {
-	s := NewKeySet()
-	s.AddKey(Row{Null(), NewInt(1)}, []int{0}) // NULL key skipped on build
-	s.AddKey(Row{NewInt(5)}, []int{0})
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1 (NULL keys skipped)", s.Len())
-	}
-	if s.ContainsKey(Row{Null()}, []int{0}) {
-		t.Error("NULL probe must never match (SQL join semantics)")
-	}
-	if !s.ContainsKey(Row{NewInt(5)}, []int{0}) {
-		t.Error("present key missed")
-	}
-	if s.ContainsKey(Row{NewInt(6)}, []int{0}) {
-		t.Error("absent key found")
-	}
-}
-
-func TestKeySetCompositeKeys(t *testing.T) {
-	s := NewKeySet()
-	s.AddKey(Row{NewInt(1), NewText("a"), NewInt(9)}, []int{0, 1})
-	if !s.ContainsKey(Row{NewText("a"), NewInt(1)}, []int{1, 0}) {
-		t.Error("composite probe with reordered columns missed")
-	}
-	if s.ContainsKey(Row{NewText("b"), NewInt(1)}, []int{1, 0}) {
-		t.Error("wrong composite matched")
-	}
-	// Duplicate keys collapse.
-	s.AddKey(Row{NewInt(1), NewText("a")}, []int{0, 1})
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
-	}
-}
-
 func TestRowWireSize(t *testing.T) {
 	r := Row{NewInt(1), NewText("abc"), Null()}
 	if got := r.WireSize(); got != 8+3+1 {

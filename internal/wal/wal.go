@@ -95,19 +95,14 @@ type Options struct {
 	Policy SyncPolicy
 	// Interval is the SyncInterval flush period (0 = DefaultSyncInterval).
 	Interval time.Duration
-	// NoGroupCommit makes every Sync call perform its own fsync even when
-	// the durable watermark already covers its LSN — the A/B knob the
-	// durability benchmark uses to measure what group commit buys.
-	NoGroupCommit bool
 }
 
 // Log is an append-only write-ahead log over an FS. Append/Sync are safe for
 // concurrent use; Prune and Close must not race Append.
 type Log struct {
-	fs      FS
-	segMax  int64
-	policy  SyncPolicy
-	noGroup bool
+	fs     FS
+	segMax int64
+	policy SyncPolicy
 
 	mu       sync.Mutex
 	seg      File   // current segment, open for append
@@ -197,10 +192,9 @@ func Open(opts Options, base uint64) (*Log, error) {
 		return nil, errors.New("wal: Options.FS is required")
 	}
 	l := &Log{
-		fs:      opts.FS,
-		segMax:  opts.SegmentBytes,
-		policy:  opts.Policy,
-		noGroup: opts.NoGroupCommit,
+		fs:     opts.FS,
+		segMax: opts.SegmentBytes,
+		policy: opts.Policy,
 	}
 	if l.segMax <= 0 {
 		l.segMax = DefaultSegmentBytes
@@ -348,13 +342,13 @@ func (l *Log) Sync(lsn uint64) error {
 		return nil
 	}
 	l.stats.syncRequests.Add(1)
-	if !l.noGroup && l.synced.Load() >= lsn {
+	if l.synced.Load() >= lsn {
 		l.stats.groupShared.Add(1)
 		return nil
 	}
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
-	if !l.noGroup && l.synced.Load() >= lsn {
+	if l.synced.Load() >= lsn {
 		l.stats.groupShared.Add(1)
 		return nil
 	}

@@ -20,9 +20,12 @@ import (
 // byte-exact oracle result or a typed *ExchangeError — never a silent
 // partial or corrupt result, and never a hang.
 
-func chaosDB(t testing.TB) *db.Database {
+func chaosDB(t testing.TB) *db.Database { return chaosDBPar(t, 0) }
+
+// chaosDBPar is chaosDB at an explicit parallelism degree (0 = auto).
+func chaosDBPar(t testing.TB, par int) *db.Database {
 	t.Helper()
-	d := db.New()
+	d := db.Open(db.Config{Parallelism: par})
 	script := `
 CREATE TABLE cust (id INT PRIMARY KEY, name TEXT, tier TEXT);
 CREATE TABLE ord (id INT PRIMARY KEY, cust_id INT, total FLOAT);
@@ -121,8 +124,7 @@ func TestChaosDifferentialGate(t *testing.T) {
 			name := fmt.Sprintf("v%d_stream=%v_par%d", opts.Version-1, opts.Streaming, par)
 			t.Run(name, func(t *testing.T) {
 				t.Parallel()
-				served := chaosDB(t)
-				served.SetParallelism(par)
+				served := chaosDBPar(t, par)
 				srv := NewServer(served)
 				addr, err := srv.Listen("127.0.0.1:0")
 				if err != nil {

@@ -213,7 +213,6 @@ func EncodeResultOptions(r *db.Result, opts EncodeOptions) []byte {
 			sp.Phase = "wire"
 			if v == FormatV2 {
 				sp.Detail = "v2 columnar"
-				sp.Vec = set.Vec != nil
 			}
 			sp.RowsIn = len(set.Rows)
 			sp.RowsOut = len(set.Rows)

@@ -1,0 +1,454 @@
+package wire
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"resultdb/internal/db"
+	"resultdb/internal/reference"
+	"resultdb/internal/sqlparse"
+	"resultdb/internal/types"
+	"resultdb/internal/workload/hierarchy"
+	"resultdb/internal/workload/job"
+	"resultdb/internal/workload/star"
+)
+
+// This file is the correctness gate of query execution as a whole. There is
+// one execution path, so there is no second path to diff it against; instead
+// every answer is pinned from two sides:
+//
+//   - against internal/reference, the naive reading of Definitions 2.2/2.3
+//     that shares no operator with the engine, compared as sorted sets (the
+//     reference promises no row order), and
+//   - against itself across the configuration lattice: parallelism {1, 4} ×
+//     result cache {off, on} × planner {heuristic, cost-based} × transport
+//     {local, v1 over TCP, v2 over TCP, v2 streamed over TCP}, each compared
+//     byte for byte to the v1 encoding of the serial, uncached, heuristic
+//     execution.
+//
+// The wire encoding covers set names, column lists, row data (values AND
+// their order) and the shipped post-join plan, so any divergence — a kernel
+// mis-evaluating three-valued logic, a dictionary code collision, a selection
+// vector out of order, a dedup keeping the wrong duplicate, a chunk stitched
+// out of order — shows up as a byte diff. A relationship-preserving result
+// is additionally post-joined on the client side from its wire-decoded sets
+// (row-major inputs, no columnar view) and compared with the reference's
+// single-table result.
+
+// execConfig is one point of the configuration lattice.
+type execConfig struct {
+	par   int
+	cache bool
+	cost  bool
+}
+
+func (c execConfig) String() string {
+	name := fmt.Sprintf("par%d", c.par)
+	if c.cache {
+		name += "-cache"
+	}
+	if c.cost {
+		name += "-cost"
+	}
+	return name
+}
+
+// execCandidate is one configured database, served over TCP.
+type execCandidate struct {
+	cfg     execConfig
+	d       *db.Database
+	clients []wireCandidate
+}
+
+type execFleet struct {
+	baseline *db.Database
+	cands    []execCandidate
+}
+
+// newExecFleet loads the same workload into the serial, uncached, heuristic
+// baseline and into one served database per lattice point.
+func newExecFleet(t *testing.T, load func(d *db.Database) error) *execFleet {
+	t.Helper()
+	f := &execFleet{baseline: db.Open(db.Config{Parallelism: 1})}
+	if err := load(f.baseline); err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		for _, cache := range []bool{false, true} {
+			for _, cost := range []bool{false, true} {
+				cand := execCandidate{cfg: execConfig{par, cache, cost}}
+				cand.d = db.Open(db.Config{Parallelism: par, CacheEnabled: cache, CacheBudget: 256 << 20, CostBased: cost})
+				if err := load(cand.d); err != nil {
+					t.Fatal(err)
+				}
+				srv := NewServer(cand.d)
+				addr, err := srv.Listen("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				for _, opt := range []struct {
+					name string
+					opts Options
+				}{
+					{"v1", Options{Version: FormatV1}},
+					{"v2", Options{Version: FormatV2}},
+					{"v2-stream", Options{Version: FormatV2, Streaming: true}},
+				} {
+					c, err := DialOptions(addr, opt.opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Cleanup(func() { c.Close() })
+					cand.clients = append(cand.clients, wireCandidate{name: opt.name, client: c})
+				}
+				f.cands = append(f.cands, cand)
+			}
+		}
+	}
+	return f
+}
+
+// sortedEncoding is the v1 encoding of res with every set's rows sorted into
+// a canonical order (detaching the columnar view, which is row-order
+// aligned). Used where row order is not part of the contract: single-table
+// results under cost-based planning, whose join order may differ.
+func sortedEncoding(res *db.Result) []byte {
+	sorted := &db.Result{PostJoinPlan: res.PostJoinPlan}
+	for _, set := range res.Sets {
+		rows := append([]types.Row(nil), set.Rows...)
+		keys := renderRows(rows)
+		order := make([]int, len(rows))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
+		for i, j := range order {
+			rows[i] = set.Rows[j]
+		}
+		sorted.Sets = append(sorted.Sets, &db.ResultSet{Name: set.Name, Columns: set.Columns, Rows: rows})
+	}
+	return EncodeResult(sorted)
+}
+
+// renderRows renders each row as a string that distinguishes distinct rows.
+func renderRows(rows []types.Row) []string {
+	out := make([]string, len(rows))
+	for i, r := range rows {
+		var b strings.Builder
+		for _, v := range r {
+			b.WriteString(v.String())
+			b.WriteByte(0)
+		}
+		out[i] = b.String()
+	}
+	return out
+}
+
+// sameSet reports whether got and want hold the same rows, ignoring order;
+// distinct additionally ignores multiplicity.
+func sameSet(got, want []types.Row, distinct bool) bool {
+	a, b := renderRows(got), renderRows(want)
+	sort.Strings(a)
+	sort.Strings(b)
+	if distinct {
+		a, b = uniq(a), uniq(b)
+	}
+	return strings.Join(a, "\x01") == strings.Join(b, "\x01")
+}
+
+func uniq(sorted []string) []string {
+	var out []string
+	for i, s := range sorted {
+		if i == 0 || s != sorted[i-1] {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// checkAgainstReference compares the baseline's answer with the reference's,
+// as sorted sets. Statements the reference cannot evaluate (anything that is
+// not a plain select-project-join) are pinned by the lattice comparison only.
+func checkAgainstReference(t *testing.T, f *execFleet, name string, sel *sqlparse.Select, res *db.Result) {
+	t.Helper()
+	if !sel.ResultDB {
+		want, err := reference.SingleTable(f.baseline, sel)
+		if errors.Is(err, reference.ErrUnsupported) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		if got := res.First(); len(got.Columns) != len(want.Columns) || !sameSet(got.Rows, want.Rows, false) {
+			t.Fatalf("%s: single-table result differs from the reference (%d vs %d rows)\nsql: %s",
+				name, len(got.Rows), len(want.Rows), sel.SQL())
+		}
+		return
+	}
+	want, err := reference.Subdatabase(f.baseline, sel, sel.Preserving)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	if len(res.Sets) != len(want) {
+		t.Fatalf("%s: %d result sets, reference has %d", name, len(res.Sets), len(want))
+	}
+	for i, set := range res.Sets {
+		if !strings.EqualFold(set.Name, want[i].Name) || strings.Join(set.Columns, ",") != strings.Join(want[i].Columns, ",") {
+			t.Fatalf("%s: set %d is %s%v, reference has %s%v", name, i, set.Name, set.Columns, want[i].Name, want[i].Columns)
+		}
+		if !sameSet(set.Rows, want[i].Rows, false) {
+			t.Fatalf("%s: relation %s differs from the reference (%d vs %d rows)\nsql: %s",
+				name, set.Name, len(set.Rows), len(want[i].Rows), sel.SQL())
+		}
+	}
+}
+
+// checkPostJoin post-joins a wire-decoded relationship-preserving result on
+// the client side and compares it with the reference's single-table result
+// (Definition 2.3). The decoded sets are deduplicated relations, so
+// multiplicities are not comparable; the row sets are.
+func checkPostJoin(t *testing.T, f *execFleet, name string, sel *sqlparse.Select, decoded *db.Result) {
+	t.Helper()
+	want, err := reference.SingleTable(f.baseline, sel)
+	if err != nil {
+		t.Fatalf("%s: reference: %v", name, err)
+	}
+	got, err := db.ExecutePostJoinPlan(decoded)
+	if err != nil {
+		t.Fatalf("%s: post-join: %v", name, err)
+	}
+	if !sameSet(got.Rows, want.Rows, true) {
+		t.Fatalf("%s: client post-join differs from the reference single-table result\nsql: %s", name, sel.SQL())
+	}
+}
+
+// check runs sql on the whole fleet.
+func (f *execFleet) check(t *testing.T, name, sql string) {
+	t.Helper()
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		t.Fatalf("%s: parse: %v", name, err)
+	}
+	base, err := f.baseline.Exec(sql)
+	if err != nil {
+		t.Fatalf("%s: baseline: %v", name, err)
+	}
+	checkAgainstReference(t, f, name, sel, base)
+
+	var decoded *db.Result
+	for _, cand := range f.cands {
+		// A cost-based plan may join in a different order, which permutes a
+		// single-table result's rows; subdatabase relations keep scan order
+		// under every plan.
+		encode, want := EncodeResult, EncodeResult(base)
+		if cand.cfg.cost && !sel.ResultDB {
+			encode, want = sortedEncoding, sortedEncoding(base)
+		}
+		// Cached candidates run twice locally, so both the cold fill and the
+		// warm hit are compared; their clients then read warm entries.
+		runs := 1
+		if cand.cfg.cache {
+			runs = 2
+		}
+		for run := 0; run < runs; run++ {
+			res, err := cand.d.Exec(sql)
+			if err != nil {
+				t.Fatalf("%s [%s]: %v", name, cand.cfg, err)
+			}
+			if !bytes.Equal(encode(res), want) {
+				t.Fatalf("%s [%s, local run %d]: execution differs from the serial uncached heuristic baseline\nsql: %s",
+					name, cand.cfg, run, sql)
+			}
+		}
+		for _, c := range cand.clients {
+			got, err := c.client.Exec(sql)
+			if err != nil {
+				t.Fatalf("%s [%s %s]: %v", name, cand.cfg, c.name, err)
+			}
+			if !bytes.Equal(encode(got), want) {
+				t.Fatalf("%s [%s %s]: result received over the wire differs from the baseline\nsql: %s",
+					name, cand.cfg, c.name, sql)
+			}
+			decoded = got
+		}
+	}
+	if sel.ResultDB && sel.Preserving {
+		plain := *sel
+		plain.ResultDB, plain.Preserving = false, false
+		checkPostJoin(t, f, name, &plain, decoded)
+	}
+}
+
+func TestExecutionDifferentialJOB(t *testing.T) {
+	f := newExecFleet(t, func(d *db.Database) error {
+		return job.Load(d, job.Config{Scale: 0.05, Seed: 42})
+	})
+	for _, q := range job.Queries() {
+		f.check(t, q.Name+"/rdb", "SELECT RESULTDB"+strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT"))
+	}
+	for _, name := range job.Table1Queries {
+		q, err := job.QueryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trimmed := strings.TrimSpace(q.SQL)
+		f.check(t, name+"/rdbrp", "SELECT RESULTDB PRESERVING"+strings.TrimPrefix(trimmed, "SELECT"))
+		f.check(t, name+"/st", trimmed)
+	}
+}
+
+func TestExecutionDifferentialStar(t *testing.T) {
+	cfg := star.Config{Dims: 3, DimRows: 12, PayloadLen: 16, Seed: 7}
+	f := newExecFleet(t, func(d *db.Database) error { return star.Load(d, cfg) })
+	for _, sel := range []float64{0.2, 0.6, 1.0} {
+		rdb := strings.TrimPrefix(strings.TrimSpace(star.PayloadQuery(cfg, sel)), "SELECT")
+		f.check(t, fmt.Sprintf("star-%.1f/st", sel), star.Query(cfg, sel))
+		f.check(t, fmt.Sprintf("star-%.1f/rdb", sel), "SELECT RESULTDB"+rdb)
+		f.check(t, fmt.Sprintf("star-%.1f/rdbrp", sel), "SELECT RESULTDB PRESERVING"+rdb)
+	}
+}
+
+func TestExecutionDifferentialHierarchy(t *testing.T) {
+	f := newExecFleet(t, func(d *db.Database) error {
+		return hierarchy.Load(d, hierarchy.DefaultConfig())
+	})
+	f.check(t, "hier/outer", strings.TrimSpace(hierarchy.OuterJoinQuery))
+	f.check(t, "hier/rdb-electronics", strings.TrimSpace(hierarchy.ResultDBElectronics))
+	f.check(t, "hier/rdb-clothing", strings.TrimSpace(hierarchy.ResultDBClothing))
+}
+
+// --- Property sweep: random rows and predicates ------------------------------
+
+// propVariant shapes the random data so the corners of the columnar layout
+// get hit end to end — scan, join, dedup and wire encoding: NULL-heavy columns
+// (bitmap paths, NULL join keys, NULLs grouping together) and degenerate TEXT
+// dictionaries (one entry; all-distinct entries).
+type propVariant struct {
+	name     string
+	nullProb float64
+	// textMode: 0 = small shared dictionary, 1 = single value, 2 = all distinct
+	textMode int
+}
+
+// propLoad creates two joinable tables with every column kind and fills them
+// with seeded random rows (identical SQL on every database).
+func propLoad(rng *rand.Rand, v propVariant) []string {
+	stmts := []string{
+		"CREATE TABLE r (k INT, a INT, b FLOAT, c TEXT, d BOOL)",
+		"CREATE TABLE s (k INT, e INT, f TEXT)",
+	}
+	lit := func(gen func() string) string {
+		if rng.Float64() < v.nullProb {
+			return "NULL"
+		}
+		return gen()
+	}
+	text := func(i int) string {
+		switch v.textMode {
+		case 1:
+			return "'const'"
+		case 2:
+			return fmt.Sprintf("'u%d'", i)
+		default:
+			return fmt.Sprintf("'v%d'", rng.Intn(8))
+		}
+	}
+	var rRows, sRows []string
+	for i := 0; i < 160; i++ {
+		i := i
+		rRows = append(rRows, fmt.Sprintf("(%s, %s, %s, %s, %s)",
+			lit(func() string { return fmt.Sprintf("%d", rng.Intn(20)) }),
+			lit(func() string { return fmt.Sprintf("%d", rng.Intn(100)) }),
+			lit(func() string { return fmt.Sprintf("%d.%d", rng.Intn(50), rng.Intn(10)) }),
+			lit(func() string { return text(i) }),
+			lit(func() string {
+				if rng.Intn(2) == 0 {
+					return "TRUE"
+				}
+				return "FALSE"
+			})))
+	}
+	for i := 0; i < 120; i++ {
+		i := i
+		sRows = append(sRows, fmt.Sprintf("(%s, %s, %s)",
+			lit(func() string { return fmt.Sprintf("%d", rng.Intn(20)) }),
+			lit(func() string { return fmt.Sprintf("%d", rng.Intn(100)) }),
+			lit(func() string { return text(i + 1000) })))
+	}
+	stmts = append(stmts,
+		"INSERT INTO r VALUES "+strings.Join(rRows, ", "),
+		"INSERT INTO s VALUES "+strings.Join(sRows, ", "))
+	return stmts
+}
+
+// rPreds and sPreds mix predicates a scan compiles to kernels with ones it
+// leaves to the bound expression (column-vs-column, arithmetic). Kernel
+// semantics proper are pinned in internal/engine's kernel property test;
+// here they only need to vary what reaches the join, the dedup and the
+// encoder.
+var rPreds = []string{
+	"r.a < 50",
+	"r.a NOT BETWEEN 20 AND 80",
+	"r.a IN (5, NULL, 61)",
+	"r.c LIKE 'v%'",
+	"r.c IS NULL",
+	"r.b IS NOT NULL",
+	"r.d <> FALSE",
+	"r.a = r.k",
+	"r.a + 0 < 50",
+}
+
+var sPreds = []string{
+	"s.e BETWEEN 5 AND 95",
+	"s.f LIKE 'v%'",
+	"s.f IS NOT NULL",
+	"s.e * 1 >= 10",
+}
+
+// TestExecutionDifferentialProperty sweeps seeded random predicate
+// combinations over NULL-heavy and dictionary-degenerate data in all three
+// query modes.
+func TestExecutionDifferentialProperty(t *testing.T) {
+	variants := []propVariant{
+		{"nullheavy", 0.35, 0},
+		{"dict1", 0.15, 1},
+		{"dictN", 0.15, 2},
+	}
+	for _, v := range variants {
+		v := v
+		t.Run(v.name, func(t *testing.T) {
+			stmts := propLoad(rand.New(rand.NewSource(31+int64(v.textMode))), v)
+			f := newExecFleet(t, func(d *db.Database) error {
+				for _, s := range stmts {
+					if _, err := d.Exec(s); err != nil {
+						return fmt.Errorf("%q: %w", s[:min(len(s), 40)], err)
+					}
+				}
+				return nil
+			})
+			qRng := rand.New(rand.NewSource(97 + int64(v.textMode)))
+			for iter := 0; iter < 25; iter++ {
+				conds := []string{"r.k = s.k"}
+				for n := qRng.Intn(3) + 1; n > 0; n-- {
+					conds = append(conds, rPreds[qRng.Intn(len(rPreds))])
+				}
+				for n := qRng.Intn(2); n > 0; n-- {
+					conds = append(conds, sPreds[qRng.Intn(len(sPreds))])
+				}
+				where := strings.Join(conds, " AND ")
+				f.check(t, fmt.Sprintf("%s-%d/st", v.name, iter),
+					fmt.Sprintf("SELECT DISTINCT r.a, r.c, s.f FROM r, s WHERE %s", where))
+				f.check(t, fmt.Sprintf("%s-%d/rdb", v.name, iter),
+					fmt.Sprintf("SELECT RESULTDB r.a, r.c, s.f FROM r, s WHERE %s", where))
+				f.check(t, fmt.Sprintf("%s-%d/rdbrp", v.name, iter),
+					fmt.Sprintf("SELECT RESULTDB PRESERVING r.a, s.f FROM r, s WHERE %s", where))
+			}
+		})
+	}
+}

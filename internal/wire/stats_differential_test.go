@@ -3,12 +3,10 @@ package wire
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
 	"resultdb/internal/db"
-	"resultdb/internal/types"
 	"resultdb/internal/workload/hierarchy"
 	"resultdb/internal/workload/job"
 	"resultdb/internal/workload/star"
@@ -16,11 +14,11 @@ import (
 
 // This file is the correctness gate of the cost-based planner: for every
 // workload query, the wire-encoded response of a cost-based database — across
-// parallelism degrees and both execution paths — must be byte-identical to a
-// heuristic-planner oracle that received exactly the same statements. The
-// cost model is allowed to change the root, the semi-join order, the Bloom
-// decisions, the range prefilter, and the single-table join order; it is not
-// allowed to change a single output byte.
+// parallelism degrees, with statistics built eagerly and lazily — must be
+// byte-identical to a heuristic-planner oracle that received exactly the same
+// statements. The cost model is allowed to change the root, the semi-join
+// order, the Bloom decisions, the range prefilter, and the single-table join
+// order; it is not allowed to change a single output byte.
 //
 // Subdatabase (RDB/RDBRP) results are compared raw: semi-join reduction
 // preserves each relation's scan order no matter how the plan is shaped.
@@ -32,34 +30,27 @@ import (
 type statsConfig struct {
 	name    string
 	par     int
-	vec     bool
 	analyze bool // eager ANALYZE vs lazy on-demand stats build
 }
 
 var statsConfigs = []statsConfig{
-	{"cost-par1", 1, false, true},
-	{"cost-par4", 4, false, false},
-	{"cost-par1-vec", 1, true, false},
-	{"cost-par4-vec", 4, true, true},
+	{"cost-par1-analyze", 1, true},
+	{"cost-par1-lazy", 1, false},
+	{"cost-par4-analyze", 4, true},
+	{"cost-par4-lazy", 4, false},
 }
 
 // statsFleet loads the same workload into a heuristic oracle and one
 // cost-based candidate per configuration.
-func statsFleet(t *testing.T, vecOracle bool, load func(d *db.Database) error) (*db.Database, []*db.Database) {
+func statsFleet(t *testing.T, load func(d *db.Database) error) (*db.Database, []*db.Database) {
 	t.Helper()
-	oracle := db.New()
-	oracle.SetVectorized(vecOracle)
-	oracle.SetParallelism(1)
-	oracle.SetCostBased(false)
+	oracle := db.Open(db.Config{Parallelism: 1})
 	if err := load(oracle); err != nil {
 		t.Fatal(err)
 	}
 	cands := make([]*db.Database, len(statsConfigs))
 	for i, cfg := range statsConfigs {
-		d := db.New()
-		d.SetVectorized(cfg.vec)
-		d.SetParallelism(cfg.par)
-		d.SetCostBased(true)
+		d := db.Open(db.Config{Parallelism: cfg.par, CostBased: true})
 		if err := load(d); err != nil {
 			t.Fatal(err)
 		}
@@ -73,39 +64,15 @@ func statsFleet(t *testing.T, vecOracle bool, load func(d *db.Database) error) (
 	return oracle, cands
 }
 
-// sortedBytes executes sql and encodes the result with every set's rows
-// sorted into a canonical order (detaching the columnar view, which is
-// row-order-aligned). Used for single-table comparisons, where join order
-// legitimately permutes rows.
+// sortedBytes executes sql and returns sortedEncoding of the result. Used for
+// single-table comparisons, where join order legitimately permutes rows.
 func sortedBytes(t *testing.T, d *db.Database, sql string) []byte {
 	t.Helper()
 	res, err := d.Exec(sql)
 	if err != nil {
 		t.Fatalf("exec %q: %v", sql, err)
 	}
-	for _, set := range res.Sets {
-		set.Vec = nil
-		keys := make([]string, len(set.Rows))
-		order := make([]int, len(set.Rows))
-		for i, r := range set.Rows {
-			var b strings.Builder
-			for _, v := range r {
-				b.WriteString(v.String())
-				b.WriteByte(0)
-			}
-			keys[i] = b.String()
-			order[i] = i
-		}
-		sort.SliceStable(order, func(i, j int) bool {
-			return keys[order[i]] < keys[order[j]]
-		})
-		sorted := make([]types.Row, len(set.Rows))
-		for i, j := range order {
-			sorted[i] = set.Rows[j]
-		}
-		set.Rows = sorted
-	}
-	return EncodeResult(res)
+	return sortedEncoding(res)
 }
 
 // checkStats runs sql on the oracle and every candidate and requires
@@ -128,7 +95,7 @@ func checkStats(t *testing.T, oracle *db.Database, cands []*db.Database, name, s
 }
 
 func TestStatsDifferentialJOB(t *testing.T) {
-	oracle, cands := statsFleet(t, false, func(d *db.Database) error {
+	oracle, cands := statsFleet(t, func(d *db.Database) error {
 		return job.Load(d, job.Config{Scale: 0.05, Seed: 42})
 	})
 	for _, q := range job.Queries() {
@@ -149,7 +116,7 @@ func TestStatsDifferentialJOB(t *testing.T) {
 
 func TestStatsDifferentialStar(t *testing.T) {
 	cfg := star.Config{Dims: 3, DimRows: 12, PayloadLen: 16, Seed: 7}
-	oracle, cands := statsFleet(t, true, func(d *db.Database) error {
+	oracle, cands := statsFleet(t, func(d *db.Database) error {
 		return star.Load(d, cfg)
 	})
 	queries := func(tag string) {
@@ -176,7 +143,7 @@ func TestStatsDifferentialStar(t *testing.T) {
 }
 
 func TestStatsDifferentialHierarchy(t *testing.T) {
-	oracle, cands := statsFleet(t, false, func(d *db.Database) error {
+	oracle, cands := statsFleet(t, func(d *db.Database) error {
 		return hierarchy.Load(d, hierarchy.DefaultConfig())
 	})
 	checkStats(t, oracle, cands, "hier/outer", strings.TrimSpace(hierarchy.OuterJoinQuery), false)

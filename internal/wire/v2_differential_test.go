@@ -15,7 +15,7 @@ import (
 // This file is the correctness gate of the columnar v2 wire format and the
 // streamed transfer path: for every workload query, the result decoded from
 // a v2 connection — buffered and streamed, at server parallelism 1 and 4 —
-// must be value-identical to what a local row-path oracle computes (compared
+// must be value-identical to what a local serial oracle computes (compared
 // through the canonical v1 encoding, which is injective on results), and the
 // v2 payload must never exceed the v1 payload of the same result. Any codec
 // bug — a bitmap off by one, a dictionary code remapped wrong, a delta
@@ -28,21 +28,17 @@ type wireCandidate struct {
 }
 
 // wireFleet loads the workload into a local oracle and into two served
-// databases (parallelism 1 and 4, vectorized so the dictionary-reuse encode
-// path runs), then connects a buffered and a streamed v2 client to each.
+// databases (parallelism 1 and 4), then connects a buffered and a streamed v2
+// client to each.
 func wireFleet(t *testing.T, load func(d *db.Database) error) (*db.Database, []wireCandidate) {
 	t.Helper()
-	oracle := db.New()
-	oracle.SetVectorized(false)
-	oracle.SetParallelism(1)
+	oracle := db.Open(db.Config{Parallelism: 1})
 	if err := load(oracle); err != nil {
 		t.Fatal(err)
 	}
 	var cands []wireCandidate
 	for _, par := range []int{1, 4} {
-		d := db.New()
-		d.SetVectorized(true)
-		d.SetParallelism(par)
+		d := db.Open(db.Config{Parallelism: par})
 		if err := load(d); err != nil {
 			t.Fatal(err)
 		}

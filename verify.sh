@@ -1,27 +1,23 @@
 #!/bin/sh
 # verify.sh — repo verification gate.
 #
-# Runs static checks, a full build, the complete test suite (which includes
-# the cache differential gate: cold/warm/post-DML executions byte-identical
-# to an uncached oracle across JOB, star, and hierarchy), the race detector
-# over the concurrency-sensitive packages (the morsel-parallel execution
-# layer, the columnar store, their consumers, the tracer, the result cache,
-# and the wire server/client stress tests), the vectorized differential gate
-# (colstore execution byte-identical to the row-path oracle across
-# parallelism degrees and cache settings), the wire v2 differential gate
-# (columnar payloads and streamed transfer byte-identical to a row-path
-# oracle across workloads, parallelism degrees, and connection flavors), a
-# vectorized benchmark smoke, the stats differential gate (cost-based
-# planning byte-identical to the heuristic planner across workloads,
-# parallelism degrees, and execution paths), the chaos differential gate (fault-injected
-# connections must either converge to the byte-exact oracle after retries
-# or fail with a typed terminal error — never silent corruption), the
-# crash-recovery differential gate (kill the process at every interesting
-# WAL byte offset, recover, and require byte-identical state against an
-# uncrashed oracle with prefix consistency: acked commits never lost,
-# unacked tail droppable, nothing half-applied), a short fuzzing pass over
-# the byte-hostile surfaces (SQL text in, wire bytes in, fault plans in,
-# WAL segments in, snapshots in), and the tracer overhead guard.
+# Stages, in order: go vet; go build; the complete test suite (uncached);
+# the host-independence stage (db, core and engine once more under GOMAXPROCS
+# 1, 2 and 4 — EXPLAIN goldens and trace fingerprints must not depend on the
+# host's core count); the race detector over the concurrency-sensitive
+# packages; the MVCC concurrency gate; the grep lints (writer lock confined to
+# db.go; no identifier of the deleted row-at-a-time path or of the deleted A/B
+# knobs; internal/reference imported from tests only); then the differential
+# gates under -race — cache (cold/warm/invalidate vs uncached oracle),
+# execution (every answer vs the naive reference as sorted sets, byte for
+# byte across parallelism x cache x planner x transport, and the six-way
+# rewrite oracle), stats (cost-based
+# vs heuristic planner), wire v2 (buffered/streamed vs v1), chaos (fault-
+# injected connections converge to the exact oracle or fail typed) and
+# crash-recovery (kill at every WAL byte offset vs an uncrashed oracle); a
+# short fuzzing pass over the byte-hostile surfaces (SQL text in, wire bytes
+# in, fault plans in, WAL segments in, snapshots in, histogram input); and
+# the tracer overhead guard.
 set -eu
 
 cd "$(dirname "$0")"
@@ -32,8 +28,13 @@ go vet ./...
 echo "== go build ./..."
 go build ./...
 
-echo "== go test ./..."
-go test ./...
+echo "== go test -count=1 ./..."
+go test -count=1 ./...
+
+echo "== host independence (GOMAXPROCS=1,2,4: db, core, engine)"
+for procs in 1 2 4; do
+	GOMAXPROCS=$procs go test -count=1 ./internal/db ./internal/core ./internal/engine
+done
 
 echo "== go test -race (parallel, colstore, engine, core, bloom, stats, trace, db, cache, wire, faultnet, client, wal, snapshot, durable)"
 go test -race -timeout 300s ./internal/parallel ./internal/colstore ./internal/engine \
@@ -57,13 +58,35 @@ if [ -n "$mu_refs" ]; then
 	exit 1
 fi
 
+echo "== lint: one execution path, no A/B knobs"
+# The row-at-a-time operator family, the Vectorized switch and the bench-only
+# toggles were deleted in PR 12; any of these identifiers reappearing means a
+# second path or a wrapper family is growing back. benchmark/ is its own
+# module with its own rules and is not scanned.
+dead='Vectorized|RESULTDB_VECTORIZED|NoGroupCommit|HashJoinDegree|HashJoinSpan|HashJoinVecSpan|SemiJoinDegree|SemiJoinSpan|SemiJoinVec|DecomposePar|DecomposeTraced|DecomposeVecTraced|JoinAllDegree|JoinAllDPDegree'
+dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
+if [ -n "$dead_refs" ]; then
+	echo "FAIL: identifiers of the deleted row path / A-B knobs are back:"
+	echo "$dead_refs"
+	exit 1
+fi
+
+echo "== lint: internal/reference is imported from tests only"
+ref_imports=$(grep -rn '"resultdb/internal/reference"' --include='*.go' --exclude-dir=.bench_build . | grep -v '_test\.go:' || true)
+if [ -n "$ref_imports" ]; then
+	echo "FAIL: the reference implementation must not be linked into production code:"
+	echo "$ref_imports"
+	exit 1
+fi
+
 echo "== cache differential + stress gate (cold/warm/invalidate vs uncached oracle, under -race)"
 go test -race -run 'TestCacheDifferential|TestServerCacheStress' -count=1 ./internal/wire
 
-echo "== vectorized differential gate (colstore candidates vs row-path oracle, par x cache, under -race)"
-go test -race -run 'TestVectorizedDifferential' -count=1 ./internal/wire
+echo "== execution differential gate (vs naive reference as sorted sets; par x cache x planner x transport byte-identical, under -race)"
+go test -race -timeout 600s -run 'TestExecutionDifferential' -count=1 ./internal/wire
+go test -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
 
-echo "== stats differential gate (cost-based planner vs heuristic oracle, par x vec, under -race)"
+echo "== stats differential gate (cost-based planner vs heuristic oracle, par x eager/lazy stats, under -race)"
 go test -race -run 'TestStatsDifferential|TestCostBased' -count=1 ./internal/wire ./internal/core
 
 echo "== wire v2 differential gate (v2 buffered/streamed x par vs v1 oracle, v2 <= v1 bytes, under -race)"
@@ -77,11 +100,8 @@ go test -race -timeout 300s -count=1 \
 
 echo "== crash-recovery differential gate (kill at every WAL byte offset vs uncrashed oracle, under -race)"
 go test -race -timeout 300s -count=1 \
-	-run 'TestCrashRecoveryDifferential|TestCrashDuringCheckpoint|TestRecoveryLiveness|TestRecoveryColdCache|TestRecoveryVectorizedResults' \
+	-run 'TestCrashRecoveryDifferential|TestCrashDuringCheckpoint|TestRecoveryLiveness|TestRecoveryColdCache|TestRecoveryRebuildsColumnarFrames' \
 	./internal/durable
-
-echo "== vectorized benchmark smoke (both paths run once on the 16b plan)"
-go test -run '^$' -bench 'BenchmarkVectorized(Join|Reduce)16b' -benchtime 1x .
 
 echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse
