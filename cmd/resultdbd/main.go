@@ -38,8 +38,8 @@ func main() {
 		addr         = flag.String("addr", ":7483", "listen address")
 		workload     = flag.String("workload", "job", "preload a workload: job | star | hierarchy | none")
 		scale        = flag.Float64("scale", 0.25, "JOB workload scale factor")
-		cacheOn      = flag.Bool("cache", false, "enable the semantic result cache")
-		cacheBudget  = flag.String("cache-budget", "64MiB", "result cache byte budget (e.g. 256MB, 1GiB)")
+		cacheOn      = flag.Bool("cache", false, "enable the semantic result cache (hits are served from the encoded payloads each entry keeps)")
+		cacheBudget  = flag.String("cache-budget", "64MiB", "result cache byte budget, covering rows and kept wire payloads (e.g. 256MB, 1GiB)")
 		maxConns     = flag.Int("max-conns", 0, "max concurrently served connections (0 = unlimited)")
 		readTimeout  = flag.Duration("read-timeout", 0, "idle-connection read deadline (0 = none)")
 		writeTimeout = flag.Duration("write-timeout", 0, "per-response write deadline (0 = none)")

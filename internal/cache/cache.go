@@ -268,6 +268,36 @@ func (c *Cache[V]) evictToFitLocked(incoming int64) {
 	}
 }
 
+// Retain re-costs the live entry under key by delta bytes, provided the entry
+// still holds v (compared by identity, so V must be a comparable type such as
+// a pointer). It exists for values that start to pin more memory after
+// admission — internal/db's results keep their encoded wire payloads from the
+// first response on — so that Stats.Bytes covers everything an entry retains
+// without a second budget. Growing counts as a use (the entry moves to the
+// LRU front) and evicts least-recently-used entries until the budget holds
+// again; an entry that alone outgrows the budget is dropped. Retain reports
+// whether the entry is resident afterwards with the delta charged: false
+// means the caller must not keep the extra memory alive on the entry's
+// behalf. A negative delta refunds an earlier charge.
+func (c *Cache[V]) Retain(key string, v V, delta int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok || e.value != any(v) {
+		return false
+	}
+	e.bytes += delta
+	c.bytes += delta
+	if e.bytes > c.budget {
+		c.removeLocked(e)
+		c.evictions++
+		return false
+	}
+	c.lru.MoveToFront(e.elem)
+	c.evictToFitLocked(0)
+	return true
+}
+
 // Do is the single-flight read-through: it returns the cached value for key
 // if fresh (hit=true); otherwise it either joins an identical in-flight
 // computation (hit=true, counted as Collapsed) or runs compute itself,

@@ -99,6 +99,52 @@ func TestOversizedNotAdmitted(t *testing.T) {
 	}
 }
 
+func TestRetainRecostsWithinBudget(t *testing.T) {
+	c := New[*int](100)
+	a, b, other := new(int), new(int), new(int)
+	c.Put("a", a, 40, []string{"t"})
+	c.Put("b", b, 40, []string{"t"})
+
+	// Only the value the entry holds may re-cost it.
+	if c.Retain("a", other, 10) || c.Retain("missing", a, 10) {
+		t.Fatal("Retain charged an entry it does not describe")
+	}
+	if st := c.Stats(); st.Bytes != 80 {
+		t.Fatalf("refused Retain moved the accounting: %+v", st)
+	}
+
+	// Growth that fits is charged, and refunded by a negative delta.
+	if !c.Retain("a", a, 15) {
+		t.Fatal("Retain refused growth that fits the budget")
+	}
+	if st := c.Stats(); st.Bytes != 95 || st.Entries != 2 {
+		t.Fatalf("after +15: %+v", st)
+	}
+	if !c.Retain("a", a, -15) {
+		t.Fatal("refund refused")
+	}
+
+	// Growth past the budget evicts the least recently used *other* entry:
+	// growing counts as a use of the grown one.
+	if !c.Retain("a", a, 30) {
+		t.Fatal("Retain refused growth that fits after evicting b")
+	}
+	if _, ok := c.Peek("b"); ok {
+		t.Fatal("b should have been evicted to make room for a's growth")
+	}
+	if st := c.Stats(); st.Bytes != 70 || st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("after growing a past b: %+v", st)
+	}
+
+	// An entry that alone outgrows the budget is dropped and says so.
+	if c.Retain("a", a, 31) {
+		t.Fatal("Retain kept an entry larger than the whole budget")
+	}
+	if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 || st.Evictions != 2 {
+		t.Fatalf("after outgrowing the budget: %+v", st)
+	}
+}
+
 func TestSetBudgetShrinkEvicts(t *testing.T) {
 	c := New[int](100)
 	c.Put("a", 1, 40, []string{"t"})

@@ -126,22 +126,26 @@ func cacheKey(ec execCtx, sel *sqlparse.Select) string {
 // Cached *Result values are shared snapshots: callers must not mutate them
 // (the repo's surfaces — shell printing, wire encoding, PostJoin — only
 // read).
-func (d *Database) queryCached(ec execCtx, sel *sqlparse.Select) (*Result, error) {
+//
+// hit reports that the result was not computed by this call: it came from a
+// resident entry or from a concurrent identical execution.
+func (d *Database) queryCached(ec execCtx, sel *sqlparse.Select) (res *Result, hit bool, err error) {
 	key := cacheKey(ec, sel)
 	tables := sqlparse.Tables(sel)
-	res, _, err := d.resultCache.DoAt(key, tables, ec.snap.versionOf, func() (*Result, int64, error) {
+	return d.resultCache.DoAt(key, tables, ec.snap.versionOf, func() (*Result, int64, error) {
 		r, err := d.queryUncached(ec, sel, nil)
 		if err != nil {
 			return nil, 0, err
 		}
+		d.seal(key, r)
 		return r, cachedResultBytes(r), nil
 	})
-	return res, err
 }
 
-// cachedResultBytes measures a result's cache cost: the Section 6.1 wire
-// size of every set plus a small fixed overhead per set for names, columns,
-// and bookkeeping.
+// cachedResultBytes measures a result's cache cost at admission: the Section
+// 6.1 wire size of every set plus a small fixed overhead per set for names,
+// columns, and bookkeeping. The encoded payloads a resident result keeps
+// later are charged to its entry when they are kept (PayloadMemo.Keep).
 func cachedResultBytes(r *Result) int64 {
 	const perSetOverhead = 64
 	n := int64(r.WireSize())

@@ -255,6 +255,10 @@ type ResultSet struct {
 	// strings.
 	// Purely an accelerator: Rows alone fully determine the result.
 	Vec *colstore.View
+
+	// memo keeps the set's wire payloads once the result cache owns the
+	// result (see PayloadMemo); nil otherwise.
+	memo *PayloadMemo
 }
 
 // WireSize returns the Section 6.1 result-set size in bytes.

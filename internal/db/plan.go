@@ -22,6 +22,10 @@ type PostJoinPlan struct {
 	// Projection is the original single-table projection, restricted to
 	// returned relations.
 	Projection []engine.Attr
+
+	// memo keeps the plan's wire payload once the result cache owns the
+	// result (see PayloadMemo); nil otherwise.
+	memo *PayloadMemo
 }
 
 // Empty reports whether the plan carries nothing to do (single-relation

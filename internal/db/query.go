@@ -55,7 +55,8 @@ func (d *Database) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, 
 func (d *Database) query(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer) (*Result, error) {
 	if ec.opts.ResultCache && ec.snap != nil {
 		if !tr.Enabled() {
-			return d.queryCached(ec, sel)
+			res, _, err := d.queryCached(ec, sel)
+			return res, err
 		}
 		key := cacheKey(ec, sel)
 		if _, ok := d.resultCache.PeekAt(key, sqlparse.Tables(sel), ec.snap.versionOf); ok {
@@ -65,6 +66,7 @@ func (d *Database) query(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer) (*R
 		}
 		res, err := d.queryUncached(ec, sel, tr)
 		if err == nil {
+			d.seal(key, res)
 			d.resultCache.PutAt(key, res, cachedResultBytes(res), sqlparse.Tables(sel), ec.snap.versionOf)
 		}
 		return res, err

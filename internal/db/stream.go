@@ -20,6 +20,14 @@ type StreamMeta struct {
 	Plan *PostJoinPlan
 	// Stats reports the native reduction's work, when that strategy ran.
 	Stats *core.Stats
+	// Materialised reports that the result existed before this statement
+	// asked for it — a SELECT served from the result cache — or is a
+	// non-SELECT's: the emit calls that follow are a replay with no work
+	// between them, and a cached result's sets may already carry their
+	// encoded payloads (PayloadMemo), so a consumer has nothing to overlap
+	// its own work with. A SELECT this call had to execute reports false
+	// even when the cache makes it replay: its sets are still to be encoded.
+	Materialised bool
 }
 
 // streamSink receives a streamed execution, nil-safe: a nil sink turns
@@ -51,7 +59,8 @@ func (s *streamSink) emit(set *ResultSet) error {
 // before relation i+1 is projected, which is what makes server-side
 // pipelining (execute ‖ encode ‖ transmit) possible. Cached SELECTs and
 // non-SELECT statements execute fully first and then replay their result
-// through the callbacks, so consumers see one protocol either way.
+// through the callbacks (StreamMeta.Materialised marks the replays that
+// involved no execution at all), so consumers see one protocol either way.
 //
 // SELECTs stream from a snapshot pinned at entry, lock-free: the emitted
 // sets are immutable views of one committed state even while writers
@@ -89,17 +98,17 @@ func (d *Database) execStreamAt(ec execCtx, onMutated func(), sql string, begin 
 		if onMutated != nil {
 			onMutated()
 		}
-		return res, replayStream(res, begin, emit)
+		return res, replayStream(res, true, begin, emit)
 	}
 	if ec.opts.ResultCache {
 		// The cache stores whole results (and may return one computed by a
 		// concurrent identical query at the same snapshot versions), so the
 		// streamed form is a replay.
-		res, err := d.queryCached(ec, sel)
+		res, hit, err := d.queryCached(ec, sel)
 		if err != nil {
 			return nil, err
 		}
-		return res, replayStream(res, begin, emit)
+		return res, replayStream(res, hit, begin, emit)
 	}
 	sink := &streamSink{beginFn: begin, emitFn: emit}
 	if sel.ResultDB {
@@ -112,10 +121,10 @@ func (d *Database) execStreamAt(ec execCtx, onMutated func(), sql string, begin 
 	return d.querySingleTableAt(ec, sel, nil, sink)
 }
 
-// replayStream feeds an already-materialized result through the streaming
+// replayStream feeds an already-computed result through the streaming
 // callbacks (used for cached results and non-SELECT statements).
-func replayStream(res *Result, begin func(StreamMeta) error, emit func(*ResultSet) error) error {
-	if err := begin(StreamMeta{NumSets: len(res.Sets), Plan: res.PostJoinPlan, Stats: res.Stats}); err != nil {
+func replayStream(res *Result, materialised bool, begin func(StreamMeta) error, emit func(*ResultSet) error) error {
+	if err := begin(StreamMeta{NumSets: len(res.Sets), Plan: res.PostJoinPlan, Stats: res.Stats, Materialised: materialised}); err != nil {
 		return err
 	}
 	for _, set := range res.Sets {

@@ -100,6 +100,9 @@ func TestExecStreamSingleTable(t *testing.T) {
 	if meta.NumSets != 1 || len(sets) != 1 {
 		t.Fatalf("single-table stream: NumSets=%d, emitted %d", meta.NumSets, len(sets))
 	}
+	if meta.Materialised {
+		t.Fatal("a SELECT that executes while it streams was announced as materialised")
+	}
 	sameSets(t, sets, res)
 }
 
@@ -111,6 +114,9 @@ func TestExecStreamNonSelectReplays(t *testing.T) {
 	}
 	if res.Affected != 1 {
 		t.Fatalf("affected = %d, want 1", res.Affected)
+	}
+	if !meta.Materialised {
+		t.Fatal("a non-SELECT's replay was not announced as materialised")
 	}
 }
 
@@ -125,6 +131,11 @@ func TestExecStreamCachedReplays(t *testing.T) {
 			t.Fatalf("%s: meta.NumSets = %d, result has %d", phase, meta.NumSets, len(res.Sets))
 		}
 		sameSets(t, sets, res)
+		// Only the hit existed before it was asked for; the fill still has
+		// its sets to encode, and consumers overlap that work.
+		if meta.Materialised != (phase == "warm") {
+			t.Fatalf("%s: Materialised = %v", phase, meta.Materialised)
+		}
 	}
 	if st := d.CacheStats(); st.Hits == 0 {
 		t.Error("warm replay did not come from the cache")

@@ -1,10 +1,15 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
+	"net"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"resultdb/internal/db"
 	"resultdb/internal/sqlparse"
@@ -27,6 +32,12 @@ import (
 // The wire encoding covers set names, column lists, row data, and the
 // shipped post-join plan, so any divergence — stale rows, wrong dedup, a
 // mixed-up entry, a surviving pre-DML result — shows up as a byte diff.
+//
+// The second half of the file repeats the exercise on the socket, where a
+// cached result's encoded payloads are kept from the first response on
+// (db.PayloadMemo): over every way a connection can ask for its responses,
+// the filling response, the response served from the kept bytes and a
+// cache-off server's response must be the same bytes.
 
 // literalFor produces a deterministic, distinctive literal for a column.
 func literalFor(kind types.Kind, seq int) string {
@@ -177,4 +188,365 @@ func TestCacheDifferentialHierarchy(t *testing.T) {
 	checkColdWarmInvalidate(t, cached, oracle, "hier/outer", strings.TrimSpace(hierarchy.OuterJoinQuery))
 	checkColdWarmInvalidate(t, cached, oracle, "hier/rdb-electronics", strings.TrimSpace(hierarchy.ResultDBElectronics))
 	checkColdWarmInvalidate(t, cached, oracle, "hier/rdb-clothing", strings.TrimSpace(hierarchy.ResultDBClothing))
+}
+
+// --- On the socket: hit bytes == miss bytes == cache-off bytes ---------------
+
+// cacheTransport is one way a connection can ask for its responses.
+type cacheTransport struct {
+	name    string
+	hello   bool
+	version int
+	flags   uint64
+}
+
+var cacheTransports = []cacheTransport{
+	{name: "v1-legacy"},
+	{name: "v1-hello", hello: true, version: FormatV1, flags: helloIntegrity},
+	{name: "v2-buffered", hello: true, version: FormatV2, flags: helloIntegrity},
+	{name: "v2-streamed", hello: true, version: FormatV2, flags: helloStreaming | helloIntegrity},
+}
+
+// rawClient speaks the protocol frame by frame and hands back a response's
+// payload bytes exactly as they crossed the socket (chunk payloads
+// concatenated), undecoded.
+type rawClient struct {
+	conn net.Conn
+	r    *bufio.Reader
+	crc  bool
+}
+
+func dialRaw(t testing.TB, addr string, tr cacheTransport) *rawClient {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	c := &rawClient{conn: conn, r: bufio.NewReader(conn)}
+	if !tr.hello {
+		return c
+	}
+	if err := writeFrame(conn, frameHello, encodeHello(tr.version, tr.flags), false); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(c.r, false)
+	if err != nil || typ != frameHello {
+		t.Fatalf("%s: hello reply: type %d, %v", tr.name, typ, err)
+	}
+	v, flags, err := decodeHello(payload)
+	if err != nil || v != tr.version || flags != tr.flags {
+		t.Fatalf("%s: negotiated version %d flags %#x (%v), want %d %#x", tr.name, v, flags, err, tr.version, tr.flags)
+	}
+	c.crc = flags&helloIntegrity != 0
+	return c
+}
+
+// exec returns errors instead of failing the test so that goroutines other
+// than the test's own may call it.
+func (c *rawClient) exec(sql string) ([]byte, error) {
+	c.conn.SetDeadline(time.Now().Add(60 * time.Second))
+	if err := writeFrame(c.conn, frameQuery, []byte(sql), c.crc); err != nil {
+		return nil, err
+	}
+	var body []byte
+	for {
+		typ, payload, err := readFrame(c.r, c.crc)
+		if err != nil {
+			return nil, err
+		}
+		switch typ {
+		case frameOK:
+			return payload, nil
+		case frameChunk:
+			body = append(body, payload...)
+		case frameEnd:
+			return body, nil
+		case frameErr:
+			return nil, errors.New(string(payload))
+		default:
+			return nil, fmt.Errorf("unexpected frame type %d", typ)
+		}
+	}
+}
+
+func (c *rawClient) mustExec(t *testing.T, what, sql string) []byte {
+	t.Helper()
+	b, err := c.exec(sql)
+	if err != nil {
+		t.Fatalf("%s: %v\nsql: %s", what, err, sql)
+	}
+	return b
+}
+
+// socketFleet is a cache-on and a cache-off server over the same data at one
+// parallelism degree, with one raw connection per transport to each.
+type socketFleet struct {
+	par            int
+	cached, oracle *db.Database
+	toCached       []*rawClient // parallel to cacheTransports
+	toOracle       []*rawClient
+}
+
+func newSocketFleet(t *testing.T, par int, load func(d *db.Database) error) *socketFleet {
+	t.Helper()
+	f := &socketFleet{
+		par:    par,
+		cached: db.Open(db.Config{Parallelism: par}),
+		oracle: db.Open(db.Config{Parallelism: par}),
+	}
+	for _, d := range []*db.Database{f.cached, f.oracle} {
+		if err := load(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.cached.EnableCache(256 << 20)
+	for _, side := range []struct {
+		d     *db.Database
+		conns *[]*rawClient
+	}{{f.cached, &f.toCached}, {f.oracle, &f.toOracle}} {
+		srv := NewServer(side.d)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		for _, tr := range cacheTransports {
+			*side.conns = append(*side.conns, dialRaw(t, addr, tr))
+		}
+	}
+	return f
+}
+
+// check runs one statement through every transport: from a cleared cache the
+// filling response, the response served from the kept payload and the
+// cache-off response must be the same bytes. Then, after an INSERT into a
+// table the statement reads, all four transports are served from one new
+// entry — the first recomputes it, the others hit it, the v1 and v2
+// connections each in their own version — and still match the cache-off
+// server, which saw the same INSERT.
+func (f *socketFleet) check(t *testing.T, name, sql string) {
+	t.Helper()
+	for i, tr := range cacheTransports {
+		what := fmt.Sprintf("%s [%s par%d]", name, tr.name, f.par)
+		f.cached.ClearCache()
+		st0 := f.cached.CacheStats()
+		first := f.toCached[i].mustExec(t, what, sql)
+		second := f.toCached[i].mustExec(t, what, sql)
+		want := f.toOracle[i].mustExec(t, what, sql)
+		if st := f.cached.CacheStats(); st.Misses != st0.Misses+1 || st.Hits != st0.Hits+1 {
+			t.Fatalf("%s: want one miss then one hit, got %+v -> %+v", what, st0, st)
+		}
+		if !bytes.Equal(first, want) {
+			t.Fatalf("%s: filling response differs from the cache-off server's", what)
+		}
+		if !bytes.Equal(second, want) {
+			t.Fatalf("%s: response served from the kept payload differs from the cache-off server's", what)
+		}
+	}
+
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		t.Fatalf("%s: parse: %v", name, err)
+	}
+	ins := invalidatingInsert(t, f.cached, sel)
+	for _, d := range []*db.Database{f.cached, f.oracle} {
+		if _, err := d.Exec(ins); err != nil {
+			t.Fatalf("%s: %q: %v", name, ins, err)
+		}
+	}
+	st0 := f.cached.CacheStats()
+	for i, tr := range cacheTransports {
+		what := fmt.Sprintf("%s after INSERT [%s par%d]", name, tr.name, f.par)
+		got := f.toCached[i].mustExec(t, what, sql)
+		want := f.toOracle[i].mustExec(t, what, sql)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: response differs from the cache-off server's (stale payload?)", what)
+		}
+	}
+	st := f.cached.CacheStats()
+	if st.Invalidations != st0.Invalidations+1 || st.Misses != st0.Misses+1 || st.Hits != st0.Hits+uint64(len(cacheTransports))-1 {
+		t.Fatalf("%s: want one invalidation, one miss and %d hits after the INSERT, got %+v -> %+v",
+			name, len(cacheTransports)-1, st0, st)
+	}
+}
+
+func TestCacheDifferentialSocketJOB(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		f := newSocketFleet(t, par, func(d *db.Database) error {
+			return job.Load(d, job.Config{Scale: 0.05, Seed: 42})
+		})
+		for _, q := range job.Queries() {
+			sql := "SELECT RESULTDB" + strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT")
+			f.check(t, q.Name+"/rdb", sql)
+		}
+		for _, name := range job.Table1Queries {
+			q, err := job.QueryByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rp := "SELECT RESULTDB PRESERVING" + strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT")
+			f.check(t, name+"/rdbrp", rp)
+		}
+	}
+}
+
+func TestCacheDifferentialSocketStar(t *testing.T) {
+	cfg := star.Config{Dims: 3, DimRows: 12, PayloadLen: 16, Seed: 7}
+	for _, par := range []int{1, 4} {
+		f := newSocketFleet(t, par, func(d *db.Database) error { return star.Load(d, cfg) })
+		for _, sel := range []float64{0.2, 0.6, 1.0} {
+			rdb := "SELECT RESULTDB" + strings.TrimPrefix(strings.TrimSpace(star.PayloadQuery(cfg, sel)), "SELECT")
+			rp := "SELECT RESULTDB PRESERVING" + strings.TrimPrefix(strings.TrimSpace(star.Query(cfg, sel)), "SELECT")
+			f.check(t, fmt.Sprintf("star-%.1f/st", sel), star.Query(cfg, sel))
+			f.check(t, fmt.Sprintf("star-%.1f/rdb", sel), rdb)
+			f.check(t, fmt.Sprintf("star-%.1f/rdbrp", sel), rp)
+		}
+	}
+}
+
+func TestCacheDifferentialSocketHierarchy(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		f := newSocketFleet(t, par, func(d *db.Database) error {
+			return hierarchy.Load(d, hierarchy.DefaultConfig())
+		})
+		f.check(t, "hier/outer", strings.TrimSpace(hierarchy.OuterJoinQuery))
+		f.check(t, "hier/rdb-electronics", strings.TrimSpace(hierarchy.ResultDBElectronics))
+		f.check(t, "hier/rdb-clothing", strings.TrimSpace(hierarchy.ResultDBClothing))
+	}
+}
+
+// bothVersions encodes res in v1 and v2.
+func bothVersions(res *db.Result) [2][]byte {
+	return [2][]byte{EncodeResult(res), EncodeResultV2(res)}
+}
+
+// TestCacheDifferentialWriteAndPinnedSession: a write that changes a cached
+// statement's answer makes the kept payloads unreachable — the next response
+// carries the new rows — while a session pinned before the write keeps
+// getting its snapshot's bytes.
+func TestCacheDifferentialWriteAndPinnedSession(t *testing.T) {
+	cached, oracle := chaosDBPar(t, 1), chaosDBPar(t, 1)
+	cached.EnableCache(64 << 20)
+	exec := func(s *db.Session) [2][]byte {
+		t.Helper()
+		res, err := s.Exec(chaosQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bothVersions(res)
+	}
+	pinned, live, ref := cached.NewSession(), cached.NewSession(), oracle.NewSession()
+	pinned.Pin()
+
+	before := exec(ref)
+	if got := exec(pinned); got[0] == nil || !bytes.Equal(got[0], before[0]) || !bytes.Equal(got[1], before[1]) {
+		t.Fatal("filling execution differs from the uncached oracle")
+	}
+	if got := exec(live); !bytes.Equal(got[0], before[0]) || !bytes.Equal(got[1], before[1]) {
+		t.Fatal("hit served from the kept payloads differs from the uncached oracle")
+	}
+
+	// Customer 1 gains an order the statement selects.
+	const ins = "INSERT INTO ord VALUES (999999, 1, 4242.5)"
+	for _, s := range []*db.Session{live, ref} {
+		if _, err := s.Exec(ins); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := exec(ref)
+	if bytes.Equal(after[0], before[0]) || bytes.Equal(after[1], before[1]) {
+		t.Fatal("test is vacuous: the INSERT did not change the answer")
+	}
+	for round := 0; round < 2; round++ { // recompute, then hit
+		if got := exec(live); !bytes.Equal(got[0], after[0]) || !bytes.Equal(got[1], after[1]) {
+			t.Fatalf("round %d after the INSERT: response does not carry the new rows", round)
+		}
+		if got := exec(pinned); !bytes.Equal(got[0], before[0]) || !bytes.Equal(got[1], before[1]) {
+			t.Fatalf("round %d after the INSERT: pinned session lost its snapshot's bytes", round)
+		}
+	}
+}
+
+// TestCacheDifferentialConcurrentFirstEncode releases 16 connections together
+// onto one cold statement: the fill is single-flight, the first encode of the
+// shared result is not, and every connection must still receive the
+// cache-off bytes. Then 16 goroutines race the first v1 encode of one cached
+// result directly: identical bytes, and exactly one copy charged to the
+// entry. Run under -race (verify.sh does).
+func TestCacheDifferentialConcurrentFirstEncode(t *testing.T) {
+	served, oracle := chaosDBPar(t, 2), chaosDBPar(t, 1)
+	served.EnableCache(64 << 20)
+	srv := NewServer(served)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ref, err := oracle.Exec(chaosQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := bothVersions(ref)
+
+	const n = 16
+	streamed := cacheTransports[len(cacheTransports)-1]
+	conns := make([]*rawClient, n)
+	for i := range conns {
+		conns[i] = dialRaw(t, addr, streamed)
+	}
+	got := make([][]byte, n)
+	errs := make([]error, n)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range conns {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = conns[i].exec(chaosQuery)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("connection %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want[1]) {
+			t.Fatalf("connection %d: response differs from the cache-off bytes", i)
+		}
+	}
+	if st := served.CacheStats(); st.Misses != 1 || st.Hits+st.Collapsed != n-1 {
+		t.Fatalf("want one execution shared by %d connections, got %+v", n, st)
+	}
+
+	res, err := served.Exec(chaosQuery) // a hit: the v2 payloads are kept, v1 not yet
+	if err != nil {
+		t.Fatal(err)
+	}
+	resident := served.CacheStats().Bytes
+	v1 := make([][]byte, n)
+	start = make(chan struct{})
+	for i := range v1 {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			v1[i] = EncodeResult(res)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range v1 {
+		if !bytes.Equal(v1[i], want[0]) {
+			t.Fatalf("racing encoder %d produced different v1 bytes", i)
+		}
+	}
+	var hdr Encoder
+	hdr.encodeHeader(FormatV1, len(res.Sets), res.PostJoinPlan != nil)
+	if grew := served.CacheStats().Bytes - resident; grew != int64(len(want[0])-hdr.Len()) {
+		t.Fatalf("racing first encoders charged the entry %d bytes, want exactly one copy (%d)",
+			grew, len(want[0])-hdr.Len())
+	}
 }

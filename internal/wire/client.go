@@ -165,7 +165,7 @@ func (c *Client) connect() error {
 	}
 	// The hello itself always travels checksum-free: the trailer discipline
 	// starts with the first post-hello frame, once both sides know it.
-	if err := writeFrame(c.w, frameHello, encodeHello(want, flags)); err != nil {
+	if err := writeFrame(c.w, frameHello, encodeHello(want, flags), false); err != nil {
 		conn.Close()
 		c.broken = true
 		return err
@@ -196,7 +196,7 @@ func (c *Client) finishHello() error {
 	if !c.helloPending {
 		return nil
 	}
-	typ, payload, err := readFrame(c.r)
+	typ, payload, err := readFrame(c.r, false)
 	if err != nil {
 		c.broken = true
 		return err
@@ -384,7 +384,7 @@ func (c *Client) exchange(sql string, overall time.Time) (*db.Result, *ExchangeE
 	if err := c.finishHello(); err != nil {
 		return fail(classifyTransport(err), 0, 0, fmt.Errorf("hello exchange: %w", err))
 	}
-	if err := writeFrameCRC(c.w, frameQuery, []byte(sql), c.integrity); err != nil {
+	if err := writeFrame(c.w, frameQuery, []byte(sql), c.integrity); err != nil {
 		return fail(KindRetryable, 0, 0, err)
 	}
 	if err := c.w.Flush(); err != nil {
@@ -393,7 +393,7 @@ func (c *Client) exchange(sql string, overall time.Time) (*db.Result, *ExchangeE
 	frames := 0
 	var bytes int64
 	readNext := func() (byte, []byte, error) {
-		typ, payload, err := readFrameCRC(c.r, c.integrity)
+		typ, payload, err := readFrame(c.r, c.integrity)
 		if err != nil {
 			return 0, nil, err
 		}

@@ -63,30 +63,27 @@ func NewEncoderSized(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
 }
 
-// resultCapacityHint estimates the encoded size of r from its row and column
+// setCapacityHint estimates the encoded size of set from its row and column
 // counts alone (no value scan): per-cell costs average a few bytes for
 // varint integers and bools and tens for JOB-style text, so 12 bytes per
 // cell lands within one append-doubling of the real size on the benchmark
 // workloads — close enough that encoding does O(1) allocations either way.
-func resultCapacityHint(r *db.Result) int {
-	h := 16
-	for _, set := range r.Sets {
-		h += setCapacityHint(set)
-	}
-	if p := r.PostJoinPlan; p != nil {
-		h += 16 + 64*len(p.Preds) + 32*len(p.Projection)
-	}
-	return h
-}
-
-// setCapacityHint is resultCapacityHint for a single set (the streaming
-// server sizes each chunk's encoder with it).
 func setCapacityHint(set *db.ResultSet) int {
 	h := 24 + len(set.Name)
 	for _, c := range set.Columns {
 		h += 8 + len(c)
 	}
 	return h + len(set.Rows)*len(set.Columns)*12
+}
+
+// reserve makes room for n more bytes in one step (at least doubling, so a
+// run of reservations copies what is already encoded O(1) times).
+func (e *Encoder) reserve(n int) {
+	if cap(e.buf)-len(e.buf) < n {
+		grown := make([]byte, len(e.buf), max(len(e.buf)+n, 2*cap(e.buf)))
+		copy(grown, e.buf)
+		e.buf = grown
+	}
 }
 
 // Bytes returns the encoded payload.
@@ -204,7 +201,9 @@ func EncodeResultOptions(r *db.Result, opts EncodeOptions) []byte {
 		panic(fmt.Sprintf("wire: unknown format version %d", v))
 	}
 	tr := opts.Tracer
-	e := NewEncoderSized(resultCapacityHint(r))
+	// Sized for the header only: each part reserves its own room when it has
+	// to be encoded, and a kept payload needs exactly its length.
+	e := Encoder{buf: make([]byte, 0, 16)}
 	e.encodeHeader(v, len(r.Sets), r.PostJoinPlan != nil)
 	for _, set := range r.Sets {
 		before := e.Len()
@@ -247,16 +246,57 @@ func (e *Encoder) encodeHeader(version, nSets int, hasPlan bool) {
 	e.uvarint(uint64(nSets))
 }
 
-// encodeSetVersion writes one result set in the given format version.
-func (e *Encoder) encodeSetVersion(set *db.ResultSet, version, par int) {
-	if version == FormatV2 {
-		e.encodeSetV2(set, par)
-		return
+// appendKept appends the payload a result part — a set in one format
+// version, or the post-join plan — keeps in its memo, and reports whether
+// there was one. encodeSetVersion and encodePlan are the only readers and
+// writers of db.PayloadMemo: buffered and streamed responses,
+// EncodeResultOptions and the shell all reach the memo through them. A part
+// of a result the cache does not own has a nil memo and is encoded afresh
+// every time.
+//
+// An encoder that owns no buffer yet adopts the shared bytes instead of
+// copying them (their capacity is clamped, so a later append moves to a
+// fresh buffer); that is how the streaming server hands kept chunks to the
+// socket without touching them.
+func (e *Encoder) appendKept(memo *db.PayloadMemo, slot int) bool {
+	b := memo.Load(slot)
+	if b == nil {
+		return false
 	}
-	e.encodeSet(set)
+	if cap(e.buf) == 0 {
+		e.buf = b
+	} else {
+		e.buf = append(e.buf, b...)
+	}
+	return true
 }
 
+// encodeSetVersion writes one result set in the given format version: the
+// payload the set keeps for that version, or a fresh encoding, which the set
+// is then offered to keep.
+func (e *Encoder) encodeSetVersion(set *db.ResultSet, version, par int) {
+	memo, slot := set.Memo(), version-FormatV1
+	if e.appendKept(memo, slot) {
+		return
+	}
+	start := len(e.buf)
+	e.reserve(setCapacityHint(set))
+	if version == FormatV2 {
+		e.encodeSetV2(set, par)
+	} else {
+		e.encodeSet(set)
+	}
+	memo.Keep(slot, e.buf[start:])
+}
+
+// encodePlan writes the shipped post-join plan (the same bytes in every
+// format version, so it uses one memo slot).
 func (e *Encoder) encodePlan(p *db.PostJoinPlan) {
+	memo := p.Memo()
+	if e.appendKept(memo, 0) {
+		return
+	}
+	start := len(e.buf)
 	e.uvarint(uint64(len(p.Preds)))
 	for _, j := range p.Preds {
 		e.str(j.LeftRel)
@@ -269,6 +309,7 @@ func (e *Encoder) encodePlan(p *db.PostJoinPlan) {
 		e.str(a.Rel)
 		e.str(a.Col)
 	}
+	memo.Keep(0, e.buf[start:])
 }
 
 func (e *Encoder) encodeSet(set *db.ResultSet) {

@@ -26,10 +26,12 @@ import (
 // negotiated payload version, and — when streaming was granted — arrive as
 // frameChunk frames terminated by a frameEnd. The concatenated chunk
 // payloads are byte-identical to the frameOK payload the same query would
-// have produced unstreamed; chunking exists so the server can flush
-// relation-by-relation while the executor is still projecting later
-// relations. A frameErr may replace frameOK or interrupt a chunk stream at
-// any point (the client discards the partial buffer).
+// have produced unstreamed, and that concatenation is the whole contract:
+// where chunks begin and end, and how many of them share a TCP segment, is
+// the server's choice (clients append until frameEnd). Chunking exists so
+// the server can flush relation-by-relation while the executor is still
+// projecting later relations. A frameErr may replace frameOK or interrupt a
+// chunk stream at any point (the client discards the partial buffer).
 //
 // When the integrity flag is granted, every frame after the hello exchange
 // — both directions — carries a 4-byte big-endian CRC32-IEEE trailer over
@@ -94,63 +96,32 @@ var errFrameTooLarge = errors.New("wire: frame exceeds size limit")
 // cannot be trusted.
 var errChecksum = errors.New("wire: frame checksum mismatch")
 
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
+// writeFrame writes one frame, appending the CRC32-IEEE trailer (over header
+// and payload, folded in as the pieces are written) when crc is set.
+func writeFrame(w io.Writer, typ byte, payload []byte, crc bool) error {
 	var hdr [5]byte
 	hdr[0] = typ
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
-}
-
-func readFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("%w (%d bytes > %d)", errFrameTooLarge, n, maxFrame)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], payload, nil
-}
-
-// writeFrameCRC writes one frame, appending the CRC32-IEEE trailer (over
-// header and payload) when crc is set.
-func writeFrameCRC(w io.Writer, typ byte, payload []byte, crc bool) error {
-	if !crc {
-		return writeFrame(w, typ, payload)
-	}
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	sum := crc32.ChecksumIEEE(hdr[:])
-	sum = crc32.Update(sum, crc32.IEEETable, payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
+	if !crc {
+		return nil
+	}
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
 	var trailer [4]byte
 	binary.BigEndian.PutUint32(trailer[:], sum)
 	_, err := w.Write(trailer[:])
 	return err
 }
 
-// readFrameCRC reads one frame, consuming and verifying the CRC32 trailer
-// when crc is set. A mismatch returns errChecksum (wrapped) with the frame
-// fully consumed, so the stream stays synchronized.
-func readFrameCRC(r io.Reader, crc bool) (byte, []byte, error) {
-	if !crc {
-		return readFrame(r)
-	}
+// readFrame reads one frame, consuming and verifying the CRC32 trailer when
+// crc is set. A mismatch returns errChecksum (wrapped) with the frame fully
+// consumed, so the stream stays synchronized.
+func readFrame(r io.Reader, crc bool) (byte, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
@@ -159,21 +130,50 @@ func readFrameCRC(r io.Reader, crc bool) (byte, []byte, error) {
 	if n > maxFrame {
 		return 0, nil, fmt.Errorf("%w (%d bytes > %d)", errFrameTooLarge, n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload, err := readPayload(r, int(n))
+	if err != nil {
 		return 0, nil, err
+	}
+	if !crc {
+		return hdr[0], payload, nil
 	}
 	var trailer [4]byte
 	if _, err := io.ReadFull(r, trailer[:]); err != nil {
 		return 0, nil, err
 	}
-	sum := crc32.ChecksumIEEE(hdr[:])
-	sum = crc32.Update(sum, crc32.IEEETable, payload)
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
 	if got := binary.BigEndian.Uint32(trailer[:]); got != sum {
 		return 0, nil, fmt.Errorf("%w (frame type %d, %d bytes, got %08x want %08x)",
 			errChecksum, hdr[0], n, got, sum)
 	}
 	return hdr[0], payload, nil
+}
+
+// payloadReadStep is the first allocation readPayload makes for a frame that
+// claims more than this.
+const payloadReadStep = 64 << 10
+
+// readPayload reads an n-byte frame payload. The length is the peer's claim
+// and arrives before any of the bytes it promises, so the buffer starts at
+// payloadReadStep and doubles only as it fills: memory held stays within
+// a small multiple of the bytes actually received plus one step, whatever a
+// five-byte header says.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, min(n, payloadReadStep))
+	read := 0
+	for {
+		m, err := io.ReadFull(r, buf[read:])
+		read += m
+		if err != nil {
+			return nil, err
+		}
+		if read == n {
+			return buf, nil
+		}
+		grown := make([]byte, min(n, 2*len(buf)))
+		copy(grown, buf)
+		buf = grown
+	}
 }
 
 // serverStats is the server's atomic counter block; ServerStats is its
@@ -435,7 +435,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 		}
-		err := writeFrameCRC(w, typ, payload, integrity)
+		err := writeFrame(w, typ, payload, integrity)
 		if err == nil {
 			err = w.Flush()
 		}
@@ -444,13 +444,14 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		return err
 	}
-	// send writes one frame without flushing (chunk pipelining: the flush
-	// happens per chunk in the stream writer, after the frame is complete).
+	// send writes one frame without flushing: the streamed paths decide when
+	// a flush is due (per chunk while a statement still executes, once per
+	// response when the result is materialised).
 	send := func(typ byte, payload []byte) error {
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 		}
-		err := writeFrameCRC(w, typ, payload, integrity)
+		err := writeFrame(w, typ, payload, integrity)
 		if isTimeout(err) {
 			s.stats.writeStalls.Add(1)
 		}
@@ -464,7 +465,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
 		}
-		typ, payload, err := readFrameCRC(r, integrity)
+		typ, payload, err := readFrame(r, integrity)
 		if err != nil {
 			if errors.Is(err, errFrameTooLarge) {
 				// Answer before dropping: the stream cannot be resynced past
@@ -541,27 +542,31 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// serveStreamed answers one query as a chunk stream, overlapping execution,
-// encoding, and transmission: the header chunk goes out before the first
-// relation is projected; each relation is encoded on its own goroutine
-// (columns in parallel inside it) while the executor projects the next one;
-// and a writer goroutine flushes chunks in order as their encodes finish.
-// Returns false when the connection is no longer usable.
-func (s *Server) serveStreamed(sess *db.Session, sql string, version int, reply, send func(byte, []byte) error, w *bufio.Writer) bool {
-	par := sess.CoreOptions.Parallelism
+// chunkPipeline is the ordered delivery pipeline of a streamed response whose
+// statement is still executing: enqueue hands each chunk's encode to its own
+// goroutine and queues a promise for it; a writer goroutine resolves the
+// promises in order, sending and flushing each chunk as its encode finishes.
+type chunkPipeline struct {
+	s *Server
+	// queue bounds how far encoding may run ahead of the network. A nil
+	// resolved payload marks a panicked encode — the writer aborts the
+	// stream rather than send a gap.
+	queue    chan chan []byte
+	writeErr chan error
+	failed   chan struct{}
+}
 
-	// Ordered delivery pipeline: emit enqueues a promise per chunk; the
-	// writer resolves them in order. Capacity bounds how far encoding may
-	// run ahead of the network. A nil resolved payload marks a panicked
-	// encode — the writer aborts the stream rather than send a gap.
-	queue := make(chan chan []byte, 4)
-	writeErr := make(chan error, 1)
-	failed := make(chan struct{})
-	var failOnce sync.Once
+func (s *Server) startPipeline(send func(byte, []byte) error, w *bufio.Writer) *chunkPipeline {
+	p := &chunkPipeline{
+		s:        s,
+		queue:    make(chan chan []byte, 4),
+		writeErr: make(chan error, 1),
+		failed:   make(chan struct{}),
+	}
 	go func() {
 		var err error
-		for p := range queue {
-			data := <-p
+		for promise := range p.queue {
+			data := <-promise
 			if err != nil {
 				continue // drain remaining promises after a write error
 			}
@@ -573,32 +578,77 @@ func (s *Server) serveStreamed(sess *db.Session, sql string, version int, reply,
 				err = werr
 			}
 			if err != nil {
-				failOnce.Do(func() { close(failed) })
+				close(p.failed)
 			}
 		}
-		writeErr <- err
+		p.writeErr <- err
 	}()
-	enqueue := func(encode func() []byte) error {
-		p := make(chan []byte, 1)
-		go func() {
-			defer func() {
-				if pn := recover(); pn != nil {
-					s.stats.panics.Add(1)
-					p <- nil // resolve the promise so the writer never hangs
-				}
-			}()
-			data := encode()
-			if data == nil {
-				data = []byte{}
+	return p
+}
+
+func (p *chunkPipeline) enqueue(encode func() []byte) error {
+	promise := make(chan []byte, 1)
+	go func() {
+		defer func() {
+			if pn := recover(); pn != nil {
+				p.s.stats.panics.Add(1)
+				promise <- nil // resolve the promise so the writer never hangs
 			}
-			p <- data
 		}()
-		select {
-		case queue <- p:
-			return nil
-		case <-failed:
-			return errors.New("wire: connection write failed")
+		data := encode()
+		if data == nil {
+			data = []byte{}
 		}
+		promise <- data
+	}()
+	select {
+	case p.queue <- promise:
+		return nil
+	case <-p.failed:
+		return errors.New("wire: connection write failed")
+	}
+}
+
+// finish waits for every queued chunk to be written and returns the first
+// write error.
+func (p *chunkPipeline) finish() error {
+	close(p.queue)
+	return <-p.writeErr
+}
+
+// serveStreamed answers one query as a chunk stream: a header chunk, one
+// chunk per relation, a chunk for the post-join plan when one is shipped,
+// then frameEnd. Only the concatenation of the chunk payloads is protocol;
+// where the boundaries fall is the server's business.
+//
+// A statement that executes while it streams (an uncached SELECT) overlaps
+// execution, encoding, and transmission through a chunkPipeline: the header
+// chunk goes out before the first relation is projected, and each relation
+// is encoded on its own goroutine (columns in parallel inside it) while the
+// executor projects the next one; a SELECT that just filled the result cache
+// replays through the same pipeline, so its relations are still encoded side
+// by side. A materialised result (a SELECT served from the cache, a
+// non-SELECT) has nothing to overlap with, so its frames — the payloads the
+// cached result keeps, as they are — go into the connection's buffered
+// writer back to back on this goroutine and leave in one flush with
+// frameEnd.
+// Returns false when the connection is no longer usable.
+func (s *Server) serveStreamed(sess *db.Session, sql string, version int, reply, send func(byte, []byte) error, w *bufio.Writer) bool {
+	par := sess.CoreOptions.Parallelism
+	var pipe *chunkPipeline // nil: the result is materialised
+	var werr error          // first write error of the direct path
+	chunk := func(encode func(*Encoder)) error {
+		if pipe != nil {
+			return pipe.enqueue(func() []byte {
+				var e Encoder
+				encode(&e)
+				return e.buf
+			})
+		}
+		var e Encoder
+		encode(&e)
+		werr = send(frameChunk, e.buf)
+		return werr
 	}
 
 	res, execErr := func() (res *db.Result, err error) {
@@ -610,29 +660,21 @@ func (s *Server) serveStreamed(sess *db.Session, sql string, version int, reply,
 		}()
 		return sess.ExecStream(sql,
 			func(meta db.StreamMeta) error {
-				return enqueue(func() []byte {
-					e := NewEncoderSized(16)
-					e.encodeHeader(version, meta.NumSets, meta.Plan != nil)
-					return e.Bytes()
-				})
+				if !meta.Materialised {
+					pipe = s.startPipeline(send, w)
+				}
+				return chunk(func(e *Encoder) { e.encodeHeader(version, meta.NumSets, meta.Plan != nil) })
 			},
 			func(set *db.ResultSet) error {
-				return enqueue(func() []byte {
-					e := NewEncoderSized(setCapacityHint(set))
-					e.encodeSetVersion(set, version, par)
-					return e.Bytes()
-				})
+				return chunk(func(e *Encoder) { e.encodeSetVersion(set, version, par) })
 			})
 	}()
 	if execErr == nil && res.PostJoinPlan != nil {
-		execErr = enqueue(func() []byte {
-			e := NewEncoder()
-			e.encodePlan(res.PostJoinPlan)
-			return e.Bytes()
-		})
+		execErr = chunk(func(e *Encoder) { e.encodePlan(res.PostJoinPlan) })
 	}
-	close(queue)
-	werr := <-writeErr
+	if pipe != nil {
+		werr = pipe.finish()
+	}
 	if werr != nil {
 		return false
 	}

@@ -1,9 +1,12 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -81,6 +84,75 @@ func TestServerOversizedFrameAnswersErrAndDrops(t *testing.T) {
 	// The connection must then be closed by the server.
 	if _, err := io.ReadFull(conn, make([]byte, 1)); err == nil {
 		t.Fatal("server kept a poisoned connection open")
+	}
+}
+
+// allocatedDuring reports the bytes the process allocated while f ran.
+func allocatedDuring(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestClaimedFrameLengthDoesNotDriveAllocation: a frame header is five bytes
+// from a peer nobody has authenticated, and its length field is only a
+// claim. Neither side may allocate for bytes that have not arrived.
+func TestClaimedFrameLengthDoesNotDriveAllocation(t *testing.T) {
+	const claimed, ceiling = 512 << 20, 1 << 20
+
+	// Server side: the header, a few payload bytes, then silence. The server
+	// must hold kilobytes, not the claim, and reap the connection on its
+	// read deadline.
+	srv := NewServer(hardenedTestDB(t))
+	srv.ReadTimeout = 150 * time.Millisecond
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	grew := allocatedDuring(func() {
+		rawFrame(t, conn, frameQuery, claimed, []byte("SELECT"))
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.ReadFull(conn, make([]byte, 1)); !errors.Is(err, io.EOF) {
+			t.Fatalf("stalled connection was not reaped by the read deadline: %v", err)
+		}
+	})
+	if grew > ceiling {
+		t.Fatalf("server allocated %d KiB for a stalled frame claiming %d MiB", grew>>10, claimed>>20)
+	}
+
+	// Client side: readFrame is what wire.Client reads a hostile server's
+	// response with. 100 KiB arrive, then the stream ends.
+	var hdr [5]byte
+	hdr[0] = frameOK
+	binary.BigEndian.PutUint32(hdr[1:], claimed)
+	stream := io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(make([]byte, 100<<10)))
+	grew = allocatedDuring(func() {
+		if _, _, err := readFrame(stream, true); !errors.Is(err, io.ErrUnexpectedEOF) {
+			t.Fatalf("truncated frame: got %v, want io.ErrUnexpectedEOF", err)
+		}
+	})
+	if grew > ceiling {
+		t.Fatalf("readFrame allocated %d KiB for 100 KiB of a frame claiming %d MiB", grew>>10, claimed>>20)
+	}
+
+	// A frame that keeps its promise still arrives whole, across several
+	// growth steps and with its checksum intact.
+	payload := bytes.Repeat([]byte("0123456789abcdef"), (5*payloadReadStep+4096)/16)
+	var buf bytes.Buffer
+	if err := writeFrame(&buf, frameOK, payload, true); err != nil {
+		t.Fatal(err)
+	}
+	typ, got, err := readFrame(&buf, true)
+	if err != nil || typ != frameOK || !bytes.Equal(got, payload) {
+		t.Fatalf("large frame round trip: type %d, %d bytes, %v", typ, len(got), err)
 	}
 }
 

@@ -217,7 +217,7 @@ func TestClientAbandonsStreamOnMidStreamError(t *testing.T) {
 		}
 		defer conn.Close()
 		// Hello exchange.
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := readFrame(conn, false)
 		if err != nil || typ != frameHello {
 			return
 		}
@@ -225,15 +225,15 @@ func TestClientAbandonsStreamOnMidStreamError(t *testing.T) {
 		if err != nil {
 			return
 		}
-		writeFrame(conn, frameHello, encodeHello(v, helloStreaming))
+		writeFrame(conn, frameHello, encodeHello(v, helloStreaming), false)
 		// Query: answer with one chunk, then die mid-stream.
-		if typ, _, err = readFrame(conn); err != nil || typ != frameQuery {
+		if typ, _, err = readFrame(conn, false); err != nil || typ != frameQuery {
 			return
 		}
 		e := NewEncoder()
 		e.encodeHeader(FormatV2, 1, false)
-		writeFrame(conn, frameChunk, e.Bytes())
-		writeFrame(conn, frameErr, []byte("executor died mid-stream"))
+		writeFrame(conn, frameChunk, e.Bytes(), false)
+		writeFrame(conn, frameErr, []byte("executor died mid-stream"), false)
 	}()
 
 	c, err := Dial(ln.Addr().String())
@@ -261,7 +261,7 @@ func TestClientRejectsDowngradedPayload(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := readFrame(conn, false)
 		if err != nil || typ != frameHello {
 			return
 		}
@@ -269,12 +269,12 @@ func TestClientRejectsDowngradedPayload(t *testing.T) {
 		if err != nil {
 			return
 		}
-		writeFrame(conn, frameHello, encodeHello(v, 0))
-		if typ, _, err = readFrame(conn); err != nil || typ != frameQuery {
+		writeFrame(conn, frameHello, encodeHello(v, 0), false)
+		if typ, _, err = readFrame(conn, false); err != nil || typ != frameQuery {
 			return
 		}
 		// Negotiated v2, but ship v1 bytes.
-		writeFrame(conn, frameOK, EncodeResult(&db.Result{}))
+		writeFrame(conn, frameOK, EncodeResult(&db.Result{}), false)
 	}()
 
 	c, err := DialOptions(ln.Addr().String(), Options{Version: FormatV2})
@@ -303,10 +303,10 @@ func TestServerRejectsMalformedHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, frameHello, []byte{0x80}); err != nil { // truncated uvarint
+	if err := writeFrame(conn, frameHello, []byte{0x80}, false); err != nil { // truncated uvarint
 		t.Fatal(err)
 	}
-	typ, _, err := readFrame(conn)
+	typ, _, err := readFrame(conn, false)
 	if err != nil {
 		t.Fatal(err)
 	}

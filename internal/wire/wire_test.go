@@ -252,10 +252,10 @@ func TestServerConcurrentClients(t *testing.T) {
 
 func TestWriteReadFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameQuery, []byte("SELECT 1")); err != nil {
+	if err := writeFrame(&buf, frameQuery, []byte("SELECT 1"), false); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(&buf)
+	typ, payload, err := readFrame(&buf, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,10 +263,10 @@ func TestWriteReadFrameRoundTrip(t *testing.T) {
 		t.Errorf("frame = %d %q", typ, payload)
 	}
 	// Empty payloads round-trip too.
-	if err := writeFrame(&buf, frameOK, nil); err != nil {
+	if err := writeFrame(&buf, frameOK, nil, false); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err = readFrame(&buf)
+	typ, payload, err = readFrame(&buf, false)
 	if err != nil || typ != frameOK || len(payload) != 0 {
 		t.Errorf("empty frame = %d %q %v", typ, payload, err)
 	}
@@ -277,16 +277,16 @@ func TestReadFrameRejectsOversizeAndTruncation(t *testing.T) {
 	var hdr [5]byte
 	hdr[0] = frameQuery
 	binary.BigEndian.PutUint32(hdr[1:], maxFrame+1)
-	if _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(hdr[:]), false); err == nil {
 		t.Error("oversize frame accepted")
 	}
 	// Truncated payload.
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameQuery, []byte("abcdef")); err != nil {
+	if err := writeFrame(&buf, frameQuery, []byte("abcdef"), false); err != nil {
 		t.Fatal(err)
 	}
 	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, _, err := readFrame(bytes.NewReader(trunc)); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(trunc), false); err == nil {
 		t.Error("truncated frame accepted")
 	}
 }
@@ -304,10 +304,10 @@ func TestServerRejectsUnknownFrameType(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, 0x7F, []byte("junk")); err != nil {
+	if err := writeFrame(conn, 0x7F, []byte("junk"), false); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(conn)
+	typ, payload, err := readFrame(conn, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,10 @@
 # packages; the MVCC concurrency gate; the grep lints (writer lock confined to
 # db.go; no identifier of the deleted row-at-a-time path or of the deleted A/B
 # knobs; internal/reference imported from tests only); then the differential
-# gates under -race — cache (cold/warm/invalidate vs uncached oracle),
+# gates under -race — cache (cold/warm/invalidate vs uncached oracle; on the
+# socket, filling response == response from kept payloads == cache-off
+# response over every transport; the payload-memo guards; and
+# BenchmarkServeCachedHit once as a smoke),
 # execution (every answer vs the naive reference as sorted sets, byte for
 # byte across parallelism x cache x planner x transport, and the six-way
 # rewrite oracle), stats (cost-based
@@ -79,8 +82,9 @@ if [ -n "$ref_imports" ]; then
 	exit 1
 fi
 
-echo "== cache differential + stress gate (cold/warm/invalidate vs uncached oracle, under -race)"
-go test -race -run 'TestCacheDifferential|TestServerCacheStress' -count=1 ./internal/wire
+echo "== cache differential + stress gate (cold/warm/invalidate vs uncached oracle; hit bytes == miss bytes == cache-off bytes on the socket; payload-memo guards; warm-hit benchmark smoke, under -race)"
+go test -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit' \
+	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire
 
 echo "== execution differential gate (vs naive reference as sorted sets; par x cache x planner x transport byte-identical, under -race)"
 go test -race -timeout 600s -run 'TestExecutionDifferential' -count=1 ./internal/wire
