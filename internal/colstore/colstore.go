@@ -1,8 +1,9 @@
 // Package colstore is the columnar execution layer of the reproduction:
 // per-table typed column vectors with null bitmaps and a dictionary-encoded
 // TEXT representation, plus the selection-vector kernels (typed predicate
-// evaluation, allocation-free FNV key hashing, key-set / hash-table
-// build-probe) the engine's operators run on.
+// evaluation, allocation-free FNV key hashing, and the one open-addressing
+// position table behind key sets, join hash tables and dedup) the engine's
+// operators run on.
 //
 // Design rules:
 //
@@ -23,9 +24,10 @@
 //     are plain slices; the dictionary is a first-occurrence-ordered string
 //     table with per-entry precomputed hashes.
 //
-// Frames are built lazily from storage.Table rows and cached alongside the
-// table's hash indexes, invalidated by the same generation counter (see
-// storage.Table.Columns).
+// Frames are built lazily from storage.Table rows and cached on the table
+// version they image (see storage.Table.Columns). Hash structures are not
+// cached: every join, semi-join and dedup builds its own position table
+// (hash.go) over the rows that survived the scan.
 //
 // Under the MVCC regime a frame belongs to exactly one published table
 // version: versions are immutable once visible, so a frame, once built, is
@@ -257,27 +259,6 @@ func (f *Frame) DictEntries() int {
 		}
 	}
 	return n
-}
-
-// HashKey advances a fresh FNV-1a state over the key columns of row i —
-// byte-identical to types.Row.HashKey on the materialized row.
-func (f *Frame) HashKey(i int, cols []int) uint64 {
-	h := types.FNVOffset64
-	for _, c := range cols {
-		h = f.cols[c].HashFNV(i, h)
-	}
-	return h
-}
-
-// KeyHasNull reports whether any key column of row i is NULL (NULL keys
-// never join).
-func (f *Frame) KeyHasNull(i int, cols []int) bool {
-	for _, c := range cols {
-		if f.cols[c].Null(i) {
-			return true
-		}
-	}
-	return false
 }
 
 // NewFrame builds the columnar image of rows under the declared column

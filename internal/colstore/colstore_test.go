@@ -108,16 +108,17 @@ func TestFrameHashMatchesRowHash(t *testing.T) {
 		{4, 0, 1, 2}, // everything
 	}
 	for _, cols := range keySets {
+		hs, null := hashAll(ViewKey(&View{Frame: f}, cols), 1)
 		for i, r := range rows {
-			if got, want := f.HashKey(i, cols), r.HashKey(cols); got != want {
-				t.Fatalf("HashKey(%d, %v) = %#x, want %#x (row %v)", i, cols, got, want, r)
+			if got, want := hs[i], r.HashKey(cols); got != want {
+				t.Fatalf("hash(%d, %v) = %#x, want %#x (row %v)", i, cols, got, want, r)
 			}
 			wantNull := false
 			for _, c := range cols {
 				wantNull = wantNull || r[c].IsNull()
 			}
-			if got := f.KeyHasNull(i, cols); got != wantNull {
-				t.Fatalf("KeyHasNull(%d, %v) = %v, want %v", i, cols, got, wantNull)
+			if null[i] != wantNull {
+				t.Fatalf("null(%d, %v) = %v, want %v", i, cols, null[i], wantNull)
 			}
 		}
 	}
@@ -132,10 +133,10 @@ func TestFrameHashMatchesRowHash(t *testing.T) {
 		for i := range rows {
 			rows[i] = types.Row{types.NewText(gen(i))}
 		}
-		f := NewFrame([]types.Kind{types.KindText}, rows)
+		hs, _ := hashAll(ViewKey(&View{Frame: NewFrame([]types.Kind{types.KindText}, rows)}, []int{0}), 1)
 		for i, r := range rows {
-			if got, want := f.HashKey(i, []int{0}), r.HashKey([]int{0}); got != want {
-				t.Fatalf("%s: HashKey(%d) mismatch", name, i)
+			if got, want := hs[i], r.HashKey([]int{0}); got != want {
+				t.Fatalf("%s: hash(%d) mismatch", name, i)
 			}
 		}
 	}
@@ -317,140 +318,5 @@ func TestViewNarrow(t *testing.T) {
 	w := v.Narrow([]int32{0, 3})
 	if w.Len() != 2 || w.Index(0) != 1 || w.Index(1) != 9 {
 		t.Fatalf("double narrow wrong: %v", w.Sel)
-	}
-}
-
-// TestKeySetMatchesNaive checks the key set against a linear scan: NULL keys
-// are skipped on build and never match on probe, duplicate keys collapse,
-// composite keys compare column by column, and none of it depends on whether
-// either side is columnar or row-major.
-func TestKeySetMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	kinds := []types.Kind{types.KindText, types.KindInt}
-	build := randomTypedRows(rng, kinds, 600, 0.2, 4)
-	probe := randomTypedRows(rng, kinds, 600, 0.2, 4)
-	cols := []int{0, 1}
-
-	keyOf := func(r types.Row, cols []int) (types.Row, bool) {
-		k := r.Project(cols)
-		for _, v := range k {
-			if v.IsNull() {
-				return nil, false
-			}
-		}
-		return k, true
-	}
-	var distinct []types.Row
-	contains := func(k types.Row) bool {
-		for _, d := range distinct {
-			if d.Equal(k) {
-				return true
-			}
-		}
-		return false
-	}
-	for _, r := range build {
-		if k, ok := keyOf(r, cols); ok && !contains(k) {
-			distinct = append(distinct, k)
-		}
-	}
-
-	// The probe also runs with its columns stored in the opposite order,
-	// addressed through a reordered column list.
-	swapped := make([]types.Row, len(probe))
-	for i, r := range probe {
-		swapped[i] = types.Row{r[1], r[0]}
-	}
-	swappedKinds := []types.Kind{kinds[1], kinds[0]}
-	for bname, bk := range map[string]Key{
-		"columnar": ViewKey(&View{Frame: NewFrame(kinds, build)}, cols),
-		"rowmajor": RowsKey(build, cols),
-	} {
-		s := NewKeySet(bk)
-		for j := range build {
-			s.Add(j)
-		}
-		if s.Len() != len(distinct) {
-			t.Fatalf("%s build: KeySet.Len = %d, want %d", bname, s.Len(), len(distinct))
-		}
-		for pname, pk := range map[string]Key{
-			"columnar":         ViewKey(&View{Frame: NewFrame(kinds, probe)}, cols),
-			"rowmajor":         RowsKey(probe, cols),
-			"columnar-swapped": ViewKey(&View{Frame: NewFrame(swappedKinds, swapped)}, []int{1, 0}),
-			"rowmajor-swapped": RowsKey(swapped, []int{1, 0}),
-		} {
-			for j, r := range probe {
-				k, ok := keyOf(r, cols)
-				if got, want := s.Contains(pk, j), ok && contains(k); got != want {
-					t.Fatalf("%s build, %s probe: Contains(row %d %v) = %v, want %v", bname, pname, j, r, got, want)
-				}
-			}
-		}
-	}
-}
-
-func TestHashTableMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	kinds := []types.Kind{types.KindInt, types.KindText}
-	build := randomTypedRows(rng, kinds, 2500, 0.15, 3)
-	probe := randomTypedRows(rng, kinds, 400, 0.15, 3)
-	cols := []int{1, 0}
-
-	bf := NewFrame(kinds, build)
-	bk := ViewKey(&View{Frame: bf}, cols)
-	pk := RowsKey(probe, cols)
-
-	for _, par := range []int{1, 4} {
-		ht := BuildHashTable(bk, par)
-		for j, pr := range probe {
-			var got []int32
-			ht.Each(pk, j, func(pos int32) { got = append(got, pos) })
-			// Naive oracle: scan build side with row-by-row key equality.
-			var want []int32
-			prNull := false
-			for _, c := range cols {
-				prNull = prNull || pr[c].IsNull()
-			}
-			if !prNull {
-				for i, br := range build {
-					match, bNull := true, false
-					for _, c := range cols {
-						bNull = bNull || br[c].IsNull()
-						if !types.Equal(br[c], pr[c]) {
-							match = false
-						}
-					}
-					if match && !bNull {
-						want = append(want, int32(i))
-					}
-				}
-			}
-			if !sameSel(got, want) {
-				t.Fatalf("par=%d probe %d: positions %v, want %v", par, j, got, want)
-			}
-		}
-	}
-}
-
-// TestKeyMixedSides locks in the interop rule: a columnar build probed by a
-// row-major key (and vice versa) behaves identically, because both hash with
-// the same inlined FNV-1a.
-func TestKeyMixedSides(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	kinds := []types.Kind{types.KindText, types.KindFloat}
-	rows := randomTypedRows(rng, kinds, 300, 0.3, 2)
-	f := NewFrame(kinds, rows)
-	ck := ViewKey(&View{Frame: f}, []int{0, 1})
-	rk := RowsKey(rows, []int{0, 1})
-	for j := range rows {
-		if ck.Hash(j) != rk.Hash(j) {
-			t.Fatalf("row %d: columnar hash %#x != row hash %#x", j, ck.Hash(j), rk.Hash(j))
-		}
-		if ck.HasNull(j) != rk.HasNull(j) {
-			t.Fatalf("row %d: HasNull disagrees", j)
-		}
-		if !KeysEqual(ck, j, rk, j) && !ck.HasNull(j) {
-			t.Fatalf("row %d: KeysEqual(self) false", j)
-		}
 	}
 }

@@ -1,6 +1,10 @@
 package colstore
 
 import (
+	"math"
+	"math/bits"
+	"slices"
+
 	"resultdb/internal/parallel"
 	"resultdb/internal/types"
 )
@@ -15,10 +19,17 @@ type Key struct {
 	view *View
 	rows []types.Row
 	cols []int
+	kc   []Column // columnar form: the key columns, resolved at construction
 }
 
 // ViewKey addresses cols of v's selected rows.
-func ViewKey(v *View, cols []int) Key { return Key{view: v, cols: cols} }
+func ViewKey(v *View, cols []int) Key {
+	kc := make([]Column, len(cols))
+	for i, c := range cols {
+		kc[i] = v.Frame.cols[c]
+	}
+	return Key{view: v, cols: cols, kc: kc}
+}
 
 // RowsKey addresses cols of a row slice (the fallback form).
 func RowsKey(rows []types.Row, cols []int) Key { return Key{rows: rows, cols: cols} }
@@ -31,185 +42,426 @@ func (k Key) Len() int {
 	return len(k.rows)
 }
 
-// HasNull reports whether logical row j's key contains NULL.
-func (k Key) HasNull(j int) bool {
-	if k.view != nil {
-		return k.view.Frame.KeyHasNull(k.view.Index(j), k.cols)
-	}
-	r := k.rows[j]
-	for _, c := range k.cols {
-		if r[c].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-// Hash returns the composite FNV-1a key hash of logical row j, identical to
-// types.Row.HashKey on the materialized row.
-func (k Key) Hash(j int) uint64 {
-	if k.view != nil {
-		return k.view.Frame.HashKey(k.view.Index(j), k.cols)
-	}
-	return k.rows[j].HashKey(k.cols)
-}
-
 // value returns key column c (position in the key, not the schema) of
 // logical row j.
 func (k Key) value(j, c int) types.Value {
 	if k.view != nil {
-		return k.view.Frame.Col(k.cols[c]).Value(k.view.Index(j))
+		return k.kc[c].Value(k.view.Index(j))
 	}
 	return k.rows[j][k.cols[c]]
 }
 
-// KeysEqual reports whether row i of a and row j of b agree on their key
-// columns under types.Equal (grouping semantics — both sides are known
-// non-NULL when this runs after a hash match).
-func KeysEqual(a Key, i int, b Key, j int) bool {
-	for c := range a.cols {
-		if !types.Equal(a.value(i, c), b.value(j, c)) {
-			return false
+// batch is how many keys the consumers of hashes work on at a time: small
+// enough for the hash and NULL buffers to live on the caller's stack, large
+// enough to amortize the per-column type switch.
+const batch = 512
+
+// hashes is the batch entry point of the hash kernel: it fills hs[i] with the
+// composite FNV-1a key hash of logical row lo+i — identical to
+// types.Row.HashKey on the materialized row — and null[i] with whether that
+// key contains NULL. The columnar form runs one type-switched loop per key
+// column over the whole batch.
+func (k Key) hashes(lo int, hs []uint64, null []bool) {
+	null = null[:len(hs)]
+	if k.view == nil {
+		for i := range hs {
+			r := k.rows[lo+i]
+			hs[i] = r.HashKey(k.cols)
+			null[i] = false
+			for _, c := range k.cols {
+				if r[c].IsNull() {
+					null[i] = true
+				}
+			}
+		}
+		return
+	}
+	var sel []int32
+	if k.view.Sel != nil {
+		sel = k.view.Sel[lo : lo+len(hs)]
+	}
+	at := func(i int) int {
+		if sel != nil {
+			return int(sel[i])
+		}
+		return lo + i
+	}
+	for i := range hs {
+		hs[i] = types.FNVOffset64
+		null[i] = false
+	}
+	for n, col := range k.kc {
+		switch c := col.(type) {
+		case *Int64Column:
+			for i := range hs {
+				f := at(i)
+				if c.Nulls.Get(f) {
+					hs[i], null[i] = types.FNVByte(hs[i], 0), true
+					continue
+				}
+				hs[i] = types.FNVUint64LE(types.FNVByte(hs[i], 1), math.Float64bits(float64(c.Vals[f])))
+			}
+		case *TextColumn:
+			for i := range hs {
+				f := at(i)
+				switch {
+				case c.Nulls.Get(f):
+					hs[i], null[i] = types.FNVByte(hs[i], 0), true
+				case n == 0:
+					hs[i] = c.DictHash[c.Codes[f]] // dictionary fast path
+				default:
+					hs[i] = c.HashFNV(f, hs[i])
+				}
+			}
+		default:
+			for i := range hs {
+				f := at(i)
+				hs[i] = col.HashFNV(f, hs[i])
+				if col.Null(f) {
+					null[i] = true
+				}
+			}
+		}
+	}
+}
+
+// EachHash calls fn with the position and key hash of every row in [lo, hi)
+// whose key contains no NULL, in order.
+func (k Key) EachHash(lo, hi int, fn func(j int, h uint64)) {
+	var hs [batch]uint64
+	var null [batch]bool
+	for ; lo < hi; lo += batch {
+		n := min(batch, hi-lo)
+		k.hashes(lo, hs[:n], null[:n])
+		for i := 0; i < n; i++ {
+			if !null[i] {
+				fn(lo+i, hs[i])
+			}
+		}
+	}
+}
+
+// hash1 is hashes for the single row j.
+func (k Key) hash1(j int) (h uint64, null bool) {
+	var hs [1]uint64
+	var nl [1]bool
+	k.hashes(j, hs[:], nl[:])
+	return hs[0], nl[0]
+}
+
+// hashAll hashes every key of k at degree par (disjoint writes).
+func hashAll(k Key, par int) (hs []uint64, null []bool) {
+	n := k.Len()
+	hs, null = make([]uint64, n), make([]bool, n)
+	parallel.For(n, par, func(lo, hi int) {
+		for ; lo < hi; lo += batch {
+			e := min(lo+batch, hi)
+			k.hashes(lo, hs[lo:e], null[lo:e])
+		}
+	})
+	return hs, null
+}
+
+// eqCol is the equality rule of one key column pairing, fixed when two keys
+// meet: both Int64 columns compare by float64 value (which is types.Equal on
+// integers), two TEXT columns over one dictionary compare codes, and every
+// other pairing boxes both sides and asks types.Equal.
+type eqCol struct {
+	ai, bi *Int64Column
+	at, bt *TextColumn
+}
+
+// matcher compares keys of a (by build position) with keys of b (by probe
+// position) under types.Equal, grouping semantics: NULL equals NULL. Callers
+// that want join semantics skip NULL keys before they compare.
+type matcher struct {
+	a, b Key
+	cols []eqCol // nil when either side is row-major: every column through types.Equal
+}
+
+func newMatcher(a, b Key) matcher {
+	m := matcher{a: a, b: b}
+	if a.view == nil || b.view == nil {
+		return m
+	}
+	m.cols = make([]eqCol, len(a.kc))
+	for c := range a.kc {
+		e := &m.cols[c]
+		switch ac := a.kc[c].(type) {
+		case *Int64Column:
+			if bc, ok := b.kc[c].(*Int64Column); ok {
+				e.ai, e.bi = ac, bc
+			}
+		case *TextColumn:
+			if bc, ok := b.kc[c].(*TextColumn); ok && len(ac.Dict) == len(bc.Dict) &&
+				(len(ac.Dict) == 0 || &ac.Dict[0] == &bc.Dict[0]) {
+				e.at, e.bt = ac, bc
+			}
+		}
+	}
+	return m
+}
+
+func (m *matcher) equal(i, j int) bool {
+	if m.cols == nil {
+		for c := range m.a.cols {
+			if !types.Equal(m.a.value(i, c), m.b.value(j, c)) {
+				return false
+			}
+		}
+		return true
+	}
+	fa, fb := m.a.view.Index(i), m.b.view.Index(j)
+	for c := range m.cols {
+		e := &m.cols[c]
+		switch {
+		case e.ai != nil:
+			na, nb := e.ai.Nulls.Get(fa), e.bi.Nulls.Get(fb)
+			if na != nb || (!na && float64(e.ai.Vals[fa]) != float64(e.bi.Vals[fb])) {
+				return false
+			}
+		case e.at != nil:
+			na, nb := e.at.Nulls.Get(fa), e.bt.Nulls.Get(fb)
+			if na != nb || (!na && e.at.Codes[fa] != e.bt.Codes[fb]) {
+				return false
+			}
+		default:
+			if !types.Equal(m.a.kc[c].Value(fa), m.b.kc[c].Value(fb)) {
+				return false
+			}
 		}
 	}
 	return true
 }
 
-// KeySet is the semi-join build side: a hash set of the distinct non-NULL
-// keys of one input, probed by membership. It stores row positions, not
-// projected key rows, so neither build nor probe allocates per row.
-type KeySet struct {
-	src     Key
-	buckets map[uint64][]int32
-	n       int
+// posTable is the one hash structure of the execution path: an
+// open-addressing table of build row positions, addressed by precomputed
+// 64-bit key hashes, with linear probing. It is sized once for the number of
+// rows that can be inserted (load at most 1/2, so a probe always ends at an
+// empty slot) and never rehashes — which is why a slot keeps only half the
+// hash, as a tag that spares key compares: 8 bytes a slot, not 16, and table
+// bytes are the largest allocation of a cold query. A slot stands for one
+// distinct key; what its position means — the first row with that key, or
+// the head of a chain of them — is its owner's business.
+type posTable struct {
+	slots []slot
+	shift uint // 64 - log2(len(slots))
 }
 
-// NewKeySet returns an empty set over src's keys.
-func NewKeySet(src Key) *KeySet {
-	return &KeySet{src: src, buckets: make(map[uint64][]int32)}
+type slot struct {
+	tag uint32 // low half of the key hash: spares most key compares
+	ref int32  // build position + 1; 0 marks an empty slot
 }
 
-// Add inserts logical row j's key; NULL keys are skipped, duplicates kept
-// once (collision buckets hold one position per distinct key).
-func (s *KeySet) Add(j int) {
-	if s.src.HasNull(j) {
-		return
-	}
-	h := s.src.Hash(j)
-	for _, pos := range s.buckets[h] {
-		if KeysEqual(s.src, int(pos), s.src, j) {
-			return
+// newPosTable returns an empty table with room for n insertions.
+func newPosTable(n int) posTable {
+	lg := bits.Len(uint(2*max(n, 1) - 1)) // 2n rounded up to a power of two
+	return posTable{slots: make([]slot, 1<<lg), shift: uint(64 - lg)}
+}
+
+// home is h's first slot: the top bits of a remix, because FNV's own high
+// bits see little of the last key bytes. (The hash itself stays FNV.)
+func (t *posTable) home(h uint64) uint64 { return (h * 0x9E3779B97F4A7C15) >> t.shift }
+
+// lookup returns the slot of the key of m's probe row j, whose hash is h: the
+// slot that holds it, or else the empty slot (ref 0) where it belongs — to
+// insert the key, store h's tag and a position there.
+func (t *posTable) lookup(h uint64, m *matcher, j int) *slot {
+	mask := uint64(len(t.slots) - 1)
+	for i := t.home(h); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.ref == 0 || (s.tag == uint32(h) && m.equal(int(s.ref-1), j)) {
+			return s
 		}
 	}
-	s.buckets[h] = append(s.buckets[h], int32(j))
-	s.n++
 }
 
-// Contains reports whether probe row j's key is present. NULL keys never
-// match.
+// KeySet is the semi-join build side: the set of the distinct non-NULL keys
+// of one input, probed by membership. It stores row positions, not projected
+// key rows, so neither build nor probe allocates per row.
+type KeySet struct {
+	src Key
+	tab posTable
+	n   int
+}
+
+// BuildKeySet returns the set of src's keys; NULL keys are skipped,
+// duplicates kept once (the first row with each key stands for it).
+func BuildKeySet(src Key) *KeySet {
+	n := src.Len()
+	s := &KeySet{src: src, tab: newPosTable(n)}
+	m := newMatcher(src, src)
+	var hs [batch]uint64
+	var null [batch]bool
+	for lo := 0; lo < n; lo += batch {
+		b := min(batch, n-lo)
+		src.hashes(lo, hs[:b], null[:b])
+		for i := 0; i < b; i++ {
+			if null[i] {
+				continue
+			}
+			if sl := s.tab.lookup(hs[i], &m, lo+i); sl.ref == 0 {
+				sl.tag, sl.ref = uint32(hs[i]), int32(lo+i)+1
+				s.n++
+			}
+		}
+	}
+	return s
+}
+
+// Select appends to out the positions in [lo, hi) of p's rows whose key is in
+// the set, ascending. NULL keys never match. out grows with the hit rate
+// observed, not with the rows probed.
+func (s *KeySet) Select(p Key, lo, hi int, out []int32) []int32 {
+	m := newMatcher(s.src, p)
+	var hs [batch]uint64
+	var null [batch]bool
+	var hit [batch]int32
+	for ; lo < hi; lo += batch {
+		b := min(batch, hi-lo)
+		p.hashes(lo, hs[:b], null[:b])
+		k := 0
+		for i := 0; i < b; i++ {
+			if !null[i] && s.tab.lookup(hs[i], &m, lo+i).ref != 0 {
+				hit[k] = int32(lo + i)
+				k++
+			}
+		}
+		if len(out)+k > cap(out) {
+			// Reserve as if the batches left hit like this one did.
+			out = slices.Grow(out, k*((hi-lo+batch-1)/batch))
+		}
+		out = append(out, hit[:k]...)
+	}
+	return out
+}
+
+// Contains reports whether probe row j's key is present.
 func (s *KeySet) Contains(p Key, j int) bool {
-	if p.HasNull(j) {
+	h, null := p.hash1(j)
+	if null {
 		return false
 	}
-	h := p.Hash(j)
-	for _, pos := range s.buckets[h] {
-		if KeysEqual(s.src, int(pos), p, j) {
-			return true
-		}
-	}
-	return false
+	m := newMatcher(s.src, p)
+	return s.tab.lookup(h, &m, j).ref != 0
 }
 
 // Len returns the number of distinct keys.
 func (s *KeySet) Len() int { return s.n }
 
-// HashTable is the join build side: key hash → ascending build row
-// positions, hash-partitioned so it can be built in parallel. Bucket
-// position lists are always in ascending row order — the invariant that
-// keeps parallel probes bit-identical to serial.
+// HashTable is the join build side: every non-NULL key of one input, its
+// rows chained in ascending position order — the invariant that keeps
+// parallel probes bit-identical to serial. It is hash-partitioned so it can
+// be built in parallel: a key lives in the table of partition hash mod P,
+// and the chains of all partitions thread through one next vector.
 type HashTable struct {
 	src   Key
-	parts []map[uint64][]int32
+	parts []posTable
+	next  []int32 // next[pos]: following build position with pos's key, +1; 0 ends the chain
 }
 
-// BuildHashTable indexes src's rows by key hash at degree par. NULL keys are
+// BuildHashTable indexes src's rows by key at degree par. NULL keys are
 // skipped (they can never match under SQL join semantics).
 //
-// The parallel build is two-phase morsel style: (1) each worker scans a
-// contiguous row chunk, hashing keys and scattering (hash, pos) entries into
-// chunk-local partition lists; (2) each worker owns one partition and folds
-// the chunk-local lists into its hash map, visiting chunks in input order so
-// bucket position lists stay ascending.
+// The keys are hashed once, in parallel chunks; then each worker owns one
+// partition and inserts that partition's rows into a table of its own, last
+// row first, pushing each onto the front of its key's chain — so chains come
+// out ascending, and workers write disjoint tables and disjoint next entries.
 func BuildHashTable(src Key, par int) *HashTable {
 	n := src.Len()
-	nc := parallel.Chunks(n, par)
-	if nc <= 1 {
-		m := make(map[uint64][]int32, n)
-		for j := 0; j < n; j++ {
-			if src.HasNull(j) {
-				continue
-			}
-			h := src.Hash(j)
-			m[h] = append(m[h], int32(j))
-		}
-		return &HashTable{src: src, parts: []map[uint64][]int32{m}}
-	}
-
-	type entry struct {
-		h   uint64
-		pos int32
-	}
-	P := nc
-	locals := make([][][]entry, nc)
-	parallel.ForChunks(n, par, func(chunk, lo, hi int) {
-		local := make([][]entry, P)
-		est := (hi-lo)/P + 1
-		for p := range local {
-			local[p] = make([]entry, 0, est)
-		}
-		for j := lo; j < hi; j++ {
-			if src.HasNull(j) {
-				continue
-			}
-			h := src.Hash(j)
-			local[h%uint64(P)] = append(local[h%uint64(P)], entry{h: h, pos: int32(j)})
-		}
-		locals[chunk] = local
-	})
-
-	parts := make([]map[uint64][]int32, P)
+	P := max(parallel.Chunks(n, par), 1)
+	hs, null := hashAll(src, par)
+	t := &HashTable{src: src, parts: make([]posTable, P), next: make([]int32, n)}
+	m := newMatcher(src, src)
 	parallel.Each(P, par, func(p int) {
-		total := 0
-		for c := 0; c < nc; c++ {
-			total += len(locals[c][p])
-		}
-		m := make(map[uint64][]int32, total)
-		for c := 0; c < nc; c++ { // chunk order => ascending positions
-			for _, e := range locals[c][p] {
-				m[e.h] = append(m[e.h], e.pos)
+		mine := func(j int) bool { return !null[j] && hs[j]%uint64(P) == uint64(p) }
+		cnt := 0
+		for j := range hs {
+			if mine(j) {
+				cnt++
 			}
 		}
-		parts[p] = m
+		tab := newPosTable(cnt)
+		for j := n - 1; j >= 0; j-- {
+			if mine(j) {
+				sl := tab.lookup(hs[j], &m, j)
+				sl.tag = uint32(hs[j])
+				t.next[j], sl.ref = sl.ref, int32(j)+1
+			}
+		}
+		t.parts[p] = tab
 	})
-	return &HashTable{src: src, parts: parts}
+	return t
+}
+
+// Prober probes a HashTable with the rows of one key: the equality rule of
+// the two sides is resolved once and shared by every probe.
+type Prober struct {
+	t *HashTable
+	p Key
+	m matcher
+}
+
+// Prober returns a prober for p's rows. Probers are cheap; parallel probes
+// take one per chunk.
+func (t *HashTable) Prober(p Key) Prober {
+	return Prober{t: t, p: p, m: newMatcher(t.src, p)}
 }
 
 // Each invokes yield for every build position whose key equals probe row j's
 // key, in ascending position order. NULL probes match nothing.
-func (t *HashTable) Each(p Key, j int, yield func(pos int32)) {
-	if p.HasNull(j) {
+func (pr *Prober) Each(j int, yield func(pos int32)) {
+	h, null := pr.p.hash1(j)
+	if null {
 		return
 	}
-	h := p.Hash(j)
-	var bucket []int32
-	if len(t.parts) == 1 {
-		bucket = t.parts[0][h]
-	} else {
-		bucket = t.parts[h%uint64(len(t.parts))][h]
+	tab := &pr.t.parts[h%uint64(len(pr.t.parts))]
+	for ref := tab.lookup(h, &pr.m, j).ref; ref != 0; ref = pr.t.next[ref-1] {
+		yield(ref - 1)
 	}
-	for _, pos := range bucket {
-		if KeysEqual(t.src, int(pos), p, j) {
-			yield(pos)
+}
+
+// DistinctPositions returns, ascending, the position of the first occurrence
+// of every distinct key (grouping semantics: NULLs compare equal). Keys are
+// hashed once, in parallel chunks; equal keys share a hash, hence a
+// partition, so each worker deduplicates one partition in input order into a
+// table of its own and marks the survivors — exactly the positions a serial
+// first-occurrence-wins loop keeps, at any degree.
+func DistinctPositions(key Key, par int) []int32 {
+	n := key.Len()
+	P := max(parallel.Chunks(n, par), 1)
+	hs, _ := hashAll(key, par)
+	first := make([]bool, n)
+	kept := make([]int, P)
+	m := newMatcher(key, key)
+	parallel.Each(P, par, func(p int) {
+		cnt := 0
+		for _, h := range hs {
+			if h%uint64(P) == uint64(p) {
+				cnt++
+			}
+		}
+		tab := newPosTable(cnt)
+		for j, h := range hs {
+			if h%uint64(P) != uint64(p) {
+				continue
+			}
+			if sl := tab.lookup(h, &m, j); sl.ref == 0 {
+				sl.tag, sl.ref = uint32(h), int32(j)+1
+				first[j] = true
+				kept[p]++
+			}
+		}
+	})
+	total := 0
+	for _, k := range kept {
+		total += k
+	}
+	order := make([]int32, 0, total)
+	for j, f := range first {
+		if f {
+			order = append(order, int32(j))
 		}
 	}
+	return order
 }

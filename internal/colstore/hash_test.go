@@ -1,0 +1,409 @@
+package colstore
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"resultdb/internal/types"
+)
+
+// keyForm is one way of presenting (rows, cols) to the hash kernel. Every
+// form must hash, NULL-test and compare exactly like the plain rows.
+type keyForm struct {
+	name string
+	key  func(kinds []types.Kind, rows []types.Row, cols []int) Key
+}
+
+var keyForms = []keyForm{
+	{"rows", func(_ []types.Kind, rows []types.Row, cols []int) Key {
+		return RowsKey(rows, cols)
+	}},
+	{"view", func(kinds []types.Kind, rows []types.Row, cols []int) Key {
+		return ViewKey(&View{Frame: NewFrame(kinds, rows)}, cols)
+	}},
+	// The frame interleaves every row with a decoy; Sel picks the real ones.
+	{"view-sel", func(kinds []types.Kind, rows []types.Row, cols []int) Key {
+		padded := make([]types.Row, 0, 2*len(rows))
+		sel := make([]int32, 0, len(rows))
+		for i, r := range rows {
+			padded = append(padded, rows[(i*7+3)%len(rows)])
+			sel = append(sel, int32(len(padded)))
+			padded = append(padded, r)
+		}
+		return ViewKey(&View{Frame: NewFrame(kinds, padded), Sel: sel}, cols)
+	}},
+	// Undeclared kinds: every column degrades to AnyColumn.
+	{"view-any", func(kinds []types.Kind, rows []types.Row, cols []int) Key {
+		return ViewKey(&View{Frame: NewFrame(make([]types.Kind, len(kinds)), rows)}, cols)
+	}},
+	// Columns stored in reverse order, addressed through a reversed list.
+	{"view-reordered", func(kinds []types.Kind, rows []types.Row, cols []int) Key {
+		w := len(kinds)
+		rk := make([]types.Kind, w)
+		for c, k := range kinds {
+			rk[w-1-c] = k
+		}
+		rr := make([]types.Row, len(rows))
+		for i, r := range rows {
+			rr[i] = make(types.Row, w)
+			for c, v := range r {
+				rr[i][w-1-c] = v
+			}
+		}
+		rc := make([]int, len(cols))
+		for i, c := range cols {
+			rc[i] = w - 1 - c
+		}
+		return ViewKey(&View{Frame: NewFrame(rk, rr)}, rc)
+	}},
+}
+
+func keyNull(r types.Row, cols []int) bool {
+	for _, c := range cols {
+		if r[c].IsNull() {
+			return true
+		}
+	}
+	return false
+}
+
+func keysEq(a types.Row, aCols []int, b types.Row, bCols []int) bool {
+	for i := range aCols {
+		if !types.Equal(a[aCols[i]], b[bCols[i]]) {
+			return false
+		}
+	}
+	return true
+}
+
+// side is one input of a join in the checks below.
+type side struct {
+	kinds []types.Kind
+	rows  []types.Row
+	cols  []int
+}
+
+// checkJoinAgainstScan compares KeySet and HashTable with a linear scan of
+// the build rows, for every pairing of build and probe forms: NULL keys never
+// match, KeySet.Len counts distinct non-NULL build keys, Select and Contains
+// agree with the scan, and HashTable probes yield exactly the scan's
+// positions, ascending, at par 1 and 4.
+func checkJoinAgainstScan(t *testing.T, build, probe side) {
+	t.Helper()
+	want := make([][]int32, len(probe.rows))
+	for j, pr := range probe.rows {
+		if keyNull(pr, probe.cols) {
+			continue
+		}
+		for i, br := range build.rows {
+			if !keyNull(br, build.cols) && keysEq(br, build.cols, pr, probe.cols) {
+				want[j] = append(want[j], int32(i))
+			}
+		}
+	}
+	distinct := 0
+	for i, br := range build.rows {
+		first := !keyNull(br, build.cols)
+		for _, prev := range build.rows[:i] {
+			if first && !keyNull(prev, build.cols) && keysEq(prev, build.cols, br, build.cols) {
+				first = false
+			}
+		}
+		if first {
+			distinct++
+		}
+	}
+	var wantSel []int32
+	for j := range probe.rows {
+		if len(want[j]) > 0 {
+			wantSel = append(wantSel, int32(j))
+		}
+	}
+	for _, bf := range keyForms {
+		bk := bf.key(build.kinds, build.rows, build.cols)
+		set := BuildKeySet(bk)
+		if set.Len() != distinct {
+			t.Fatalf("%s build: KeySet.Len = %d, want %d", bf.name, set.Len(), distinct)
+		}
+		tables := map[int]*HashTable{1: BuildHashTable(bk, 1), 4: BuildHashTable(bk, 4)}
+		for _, pf := range keyForms {
+			what := bf.name + " build, " + pf.name + " probe"
+			pk := pf.key(probe.kinds, probe.rows, probe.cols)
+			if got := set.Select(pk, 0, pk.Len(), nil); !sameSel(got, wantSel) {
+				t.Fatalf("%s: Select = %v, want %v", what, got, wantSel)
+			}
+			// An odd-sized sub-range crossing a batch boundary.
+			if lo, hi := pk.Len()/3, pk.Len()-1; lo < hi {
+				var sub []int32
+				for _, j := range wantSel {
+					if int(j) >= lo && int(j) < hi {
+						sub = append(sub, j)
+					}
+				}
+				if got := set.Select(pk, lo, hi, nil); !sameSel(got, sub) {
+					t.Fatalf("%s: Select[%d,%d) = %v, want %v", what, lo, hi, got, sub)
+				}
+			}
+			for par, ht := range tables {
+				pr := ht.Prober(pk)
+				for j := range probe.rows {
+					if got := set.Contains(pk, j); got != (len(want[j]) > 0) {
+						t.Fatalf("%s: Contains(row %d %v) = %v", what, j, probe.rows[j], got)
+					}
+					var got []int32
+					pr.Each(j, func(pos int32) { got = append(got, pos) })
+					if !sameSel(got, want[j]) {
+						t.Fatalf("%s par=%d: probe %d %v yields %v, want %v", what, par, j, probe.rows[j], got, want[j])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKeySetMatchesNaive: composite keys with NULLs on both sides and heavy
+// duplication, the probe addressing its columns through a reordered list.
+func TestKeySetMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	kinds := []types.Kind{types.KindText, types.KindInt}
+	build := randomTypedRows(rng, kinds, 600, 0.2, 4)
+	probe := randomTypedRows(rng, kinds, 700, 0.2, 4)
+	swapped := make([]types.Row, len(probe))
+	for i, r := range probe {
+		swapped[i] = types.Row{r[1], r[0]}
+	}
+	checkJoinAgainstScan(t,
+		side{kinds, build, []int{0, 1}},
+		side{[]types.Kind{kinds[1], kinds[0]}, swapped, []int{1, 0}})
+}
+
+// TestHashTableMatchesNaive: a build large enough for the partitioned
+// parallel build to engage, chains of many duplicates per key.
+func TestHashTableMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	kinds := []types.Kind{types.KindInt, types.KindText}
+	checkJoinAgainstScan(t,
+		side{kinds, randomTypedRows(rng, kinds, 2500, 0.15, 3), []int{1, 0}},
+		side{kinds, randomTypedRows(rng, kinds, 300, 0.15, 3), []int{1, 0}})
+}
+
+// TestKeyMixedSides locks in the interop rules: every form of a key hashes
+// and NULL-tests identically (so a columnar build probes a row-major side and
+// vice versa, and Bloom bits agree), and equality is types.Equal whatever
+// pairing of column representations meets — 3 ≡ 3.0 across INTEGER and
+// DOUBLE, text by code over a shared dictionary and by value otherwise.
+func TestKeyMixedSides(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	kinds := []types.Kind{types.KindText, types.KindFloat, types.KindInt, types.KindBool}
+	rows := randomTypedRows(rng, kinds, 700, 0.3, 2)
+	cols := []int{3, 0, 2, 1}
+	for _, f := range keyForms {
+		k := f.key(kinds, rows, cols)
+		hs, null := hashAll(k, 4)
+		m := newMatcher(k, k)
+		var each []int
+		k.EachHash(0, k.Len(), func(j int, h uint64) {
+			each = append(each, j)
+			if h != hs[j] {
+				t.Fatalf("%s row %d: EachHash %#x, hashAll %#x", f.name, j, h, hs[j])
+			}
+		})
+		for j, r := range rows {
+			if hs[j] != r.HashKey(cols) {
+				t.Fatalf("%s row %d: hash %#x, row hash %#x", f.name, j, hs[j], r.HashKey(cols))
+			}
+			if null[j] != keyNull(r, cols) {
+				t.Fatalf("%s row %d: null = %v", f.name, j, null[j])
+			}
+			if !m.equal(j, j) {
+				t.Fatalf("%s row %d: key not equal to itself", f.name, j)
+			}
+			if !null[j] {
+				if len(each) == 0 || each[0] != j {
+					t.Fatalf("%s row %d: EachHash skipped a non-NULL key", f.name, j)
+				}
+				each = each[1:]
+			}
+		}
+		if len(each) != 0 {
+			t.Fatalf("%s: EachHash visited NULL keys %v", f.name, each)
+		}
+	}
+
+	// INTEGER against DOUBLE, both directions; 2^53 and 2^53+1 are one key
+	// (integers compare and hash by float64 value — what internal/reference
+	// does too, see core's TestBigIntegerKeysMatchReference).
+	const big = int64(1) << 53
+	ints := []types.Row{{types.NewInt(3)}, {types.NewInt(-7)}, {types.Null()}, {types.NewInt(big)}, {types.NewInt(big + 1)}, {types.NewInt(4)}}
+	floats := []types.Row{{types.NewFloat(3)}, {types.NewFloat(3.5)}, {types.NewFloat(float64(big))}, {types.Null()}, {types.NewFloat(-7)}}
+	iside := side{[]types.Kind{types.KindInt}, ints, []int{0}}
+	fside := side{[]types.Kind{types.KindFloat}, floats, []int{0}}
+	checkJoinAgainstScan(t, iside, fside)
+	checkJoinAgainstScan(t, fside, iside)
+	checkJoinAgainstScan(t, iside, iside)
+	bigSet := BuildKeySet(ViewKey(&View{Frame: NewFrame(iside.kinds, ints[3:4])}, []int{0}))
+	if !bigSet.Contains(ViewKey(&View{Frame: NewFrame(iside.kinds, ints[4:5])}, []int{0}), 0) {
+		t.Fatal("2^53+1 no longer matches 2^53: integer keys stopped comparing by float64 value")
+	}
+
+	// Text over one dictionary (two selections of one frame) compares codes;
+	// over two dictionaries it compares strings. Same answers.
+	tk := []types.Kind{types.KindText, types.KindInt}
+	trows := randomTypedRows(rng, tk, 400, 0.1, 5)
+	var evens, odds []int32
+	var erows, orows []types.Row
+	for i, r := range trows {
+		if i%2 == 0 {
+			evens, erows = append(evens, int32(i)), append(erows, r)
+		} else {
+			odds, orows = append(odds, int32(i)), append(orows, r)
+		}
+	}
+	f := NewFrame(tk, trows)
+	shared := newMatcher(ViewKey(&View{Frame: f, Sel: evens}, []int{0, 1}), ViewKey(&View{Frame: f, Sel: odds}, []int{0, 1}))
+	apart := newMatcher(ViewKey(&View{Frame: NewFrame(tk, erows)}, []int{0, 1}), ViewKey(&View{Frame: NewFrame(tk, orows)}, []int{0, 1}))
+	if shared.cols[0].at == nil || shared.cols[1].ai == nil {
+		t.Fatal("shared-dictionary text / int pairing did not resolve to the typed compares")
+	}
+	if apart.cols[0].at != nil || apart.cols[1].ai == nil {
+		t.Fatal("text over two dictionaries must not compare codes")
+	}
+	for i, er := range erows {
+		for j, or := range orows {
+			want := keysEq(er, []int{0, 1}, or, []int{0, 1})
+			if shared.equal(i, j) != want || apart.equal(i, j) != want {
+				t.Fatalf("rows %v / %v: shared %v, apart %v, want %v", er, or, shared.equal(i, j), apart.equal(i, j), want)
+			}
+		}
+	}
+}
+
+// TestPosTableCollisions feeds the table a constant hash, so every key
+// collides on all 64 bits and only the probe sequence and the key compare
+// tell them apart, with as many distinct keys as the table was sized for.
+func TestPosTableCollisions(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 4, 5, 64, 300} {
+		tab := newPosTable(n)
+		if s := len(tab.slots); s < 2*n || s < 1 || s&(s-1) != 0 {
+			t.Fatalf("n=%d: %d slots", n, s)
+		}
+		rows := make([]types.Row, 2*n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i % max(n, 1)))} // every key twice
+		}
+		for _, f := range keyForms {
+			k := f.key([]types.Kind{types.KindInt}, rows, []int{0})
+			m := newMatcher(k, k)
+			tab := newPosTable(n)
+			for j := range rows {
+				sl := tab.lookup(42, &m, j)
+				if found := sl.ref != 0; found != (j >= n) {
+					t.Fatalf("%s n=%d: lookup(%d) found = %v", f.name, n, j, found)
+				}
+				if sl.ref == 0 {
+					sl.tag, sl.ref = 42, int32(j)+1
+				}
+			}
+			for j := range rows {
+				if got := tab.lookup(42, &m, j).ref - 1; int(got) != j%max(n, 1) {
+					t.Fatalf("%s n=%d: lookup(%d) = %d", f.name, n, j, got)
+				}
+			}
+			if n > 0 && tab.lookup(41, &m, 0).ref != 0 {
+				t.Fatalf("%s n=%d: find matched a hash that was never inserted", f.name, n)
+			}
+		}
+	}
+	// Empty and one-row builds through the public structures.
+	kinds := []types.Kind{types.KindInt}
+	one := []types.Row{{types.NewInt(9)}}
+	probe := side{kinds, []types.Row{{types.NewInt(9)}, {types.Null()}, {types.NewInt(8)}}, []int{0}}
+	checkJoinAgainstScan(t, side{kinds, one, []int{0}}, probe)
+	for _, f := range keyForms {
+		empty := f.key(kinds, nil, []int{0})
+		pk := RowsKey(probe.rows, probe.cols)
+		if s := BuildKeySet(empty); s.Len() != 0 || s.Contains(pk, 0) || len(s.Select(pk, 0, 3, nil)) != 0 {
+			t.Fatalf("%s: empty KeySet matched", f.name)
+		}
+		pr := BuildHashTable(empty, 4).Prober(pk)
+		pr.Each(0, func(int32) { t.Fatalf("%s: empty HashTable matched", f.name) })
+		if got := DistinctPositions(empty, 4); len(got) != 0 {
+			t.Fatalf("%s: DistinctPositions(empty) = %v", f.name, got)
+		}
+	}
+}
+
+// TestDistinctPositionsKeepsFirst: grouping semantics (NULL equals NULL,
+// 1 equals 1.0), first occurrence wins, ascending output, at par 1 and 4.
+func TestDistinctPositionsKeepsFirst(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	kinds := []types.Kind{types.KindInt, types.KindText, types.KindFloat}
+	rows := randomTypedRows(rng, kinds, 3000, 0.25, 3)
+	for i := range rows {
+		rows[i][0] = types.NewInt(rng.Int63n(6))
+		if !rows[i][2].IsNull() {
+			rows[i][2] = types.NewFloat(float64(rng.Intn(3)))
+		}
+		if i%5 == 0 {
+			rows[i][0] = types.Null()
+		}
+	}
+	for _, cols := range [][]int{{0}, {1}, {2, 0}, {0, 1, 2}} {
+		var want []int32
+		for j, r := range rows {
+			first := true
+			for _, p := range want {
+				if keysEq(rows[p], cols, r, cols) {
+					first = false
+					break
+				}
+			}
+			if first {
+				want = append(want, int32(j))
+			}
+		}
+		for _, f := range keyForms {
+			k := f.key(kinds, rows, cols)
+			for _, par := range []int{1, 4} {
+				if got := DistinctPositions(k, par); !sameSel(got, want) {
+					t.Fatalf("%s cols %v par=%d: %d positions %v..., want %d %v...", f.name, cols, par,
+						len(got), got[:min(len(got), 8)], len(want), want[:min(len(want), 8)])
+				}
+			}
+		}
+	}
+}
+
+// TestHashKernelAllocations: building and probing allocate a number of
+// objects that does not depend on how many distinct keys there are (the map
+// of position slices this replaced allocated at least one per key).
+func TestHashKernelAllocations(t *testing.T) {
+	kinds := []types.Kind{types.KindInt}
+	key := func(n int) Key {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i))}
+		}
+		return ViewKey(&View{Frame: NewFrame(kinds, rows)}, []int{0})
+	}
+	small, large := key(100), key(10000)
+	for name, run := range map[string]func(k Key){
+		"KeySet":            func(k Key) { BuildKeySet(k).Select(k, 0, k.Len(), make([]int32, 0, k.Len())) },
+		"HashTable":         func(k Key) { BuildHashTable(k, 1) },
+		"DistinctPositions": func(k Key) { DistinctPositions(k, 1) },
+	} {
+		few := testing.AllocsPerRun(10, func() { run(small) })
+		many := testing.AllocsPerRun(10, func() { run(large) })
+		if many != few || many > 16 {
+			t.Errorf("%s: %v allocations over 100 keys, %v over 10000", name, few, many)
+		}
+	}
+}
+
+func ExampleKeySet_Select() {
+	build := RowsKey([]types.Row{{types.NewInt(1)}, {types.NewFloat(3)}, {types.Null()}}, []int{0})
+	probe := RowsKey([]types.Row{{types.NewInt(3)}, {types.Null()}, {types.NewInt(2)}, {types.NewInt(1)}}, []int{0})
+	fmt.Println(BuildKeySet(build).Select(probe, 0, 4, nil))
+	// Output: [0 3]
+}

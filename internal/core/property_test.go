@@ -260,3 +260,63 @@ func TestPostJoinReconstructionRandom(t *testing.T) {
 func sameRelationSet(a, b *engine.Relation) bool {
 	return sameRelation(a.Distinct(), b.Distinct())
 }
+
+// TestBigIntegerKeysMatchReference pins what join keys beyond 2^53 do today:
+// INTEGER keys compare and hash by float64 value, in the naive reference
+// (types.Equal) and in the engine's typed key compare alike, so 2^53 and
+// 2^53+1 are one key. Changing that is a semantics change for both at once,
+// not a detail of the hash kernel.
+func TestBigIntegerKeysMatchReference(t *testing.T) {
+	const big = int64(1) << 53
+	src := memSource{}
+	for name, keys := range map[string][]int64{"a": {big, big + 1, 7, big + 2}, "b": {big + 1, 8, big}} {
+		def := catalog.MustTableDef(name, []catalog.Column{{Name: "id", Type: types.KindInt}, {Name: "k", Type: types.KindInt}})
+		tab := storage.NewTable(def)
+		for i, k := range keys {
+			if err := tab.Insert(types.Row{types.NewInt(int64(i)), types.NewInt(k)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		src[name] = tab
+	}
+	sel, err := sqlparse.ParseSelect("SELECT a.id, b.id FROM a, b WHERE a.k = b.k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	refSets, err := reference.Subdatabase(src, sel, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// a: ids 0 and 1 (2^53, 2^53+1) match both big rows of b; 2^53+2 is a
+	// different float64 and matches nothing.
+	for _, set := range refSets {
+		if len(set.Rows) != 2 {
+			t.Fatalf("reference changed: relation %s has %d rows, want 2: %v", set.Name, len(set.Rows), set.Rows)
+		}
+	}
+	spec, err := engine.AnalyzeSPJ(sel, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for form := 0; form < 3; form++ {
+		rels, err := (&engine.Executor{Src: src}).BaseRelations(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reduced, _, err := SemiJoinReduce(spec, mixForms(rels, form), nil, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, set := range refSets {
+			full := reduced[strings.ToLower(set.Name)]
+			idCol, err := full.ColIndex(set.Name, "id")
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := full.Project([]int{idCol}).Distinct()
+			if ref := (&engine.Relation{Cols: got.Cols, Rows: set.Rows}); !sameRelation(ref, got) {
+				t.Fatalf("form %d relation %s: engine %v, reference %v", form, set.Name, renderSorted(got), renderSorted(ref))
+			}
+		}
+	}
+}

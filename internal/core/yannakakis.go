@@ -193,35 +193,31 @@ func bloomSemiJoinNodes(target, source *Node, e *Edge, nEst int, fpRate float64,
 	// a columnar and a row-major side), skipping NULL keys, and narrow the
 	// target's view so later exact semi-joins stay columnar.
 	sk := engine.KeyFor(source.Rel, sCols)
+	add := f.AddHash
 	if parallel.Chunks(sk.Len(), par) > 1 {
-		parallel.For(sk.Len(), par, func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				if !sk.HasNull(j) {
-					f.AddHashAtomic(sk.Hash(j))
-				}
-			}
-		})
-	} else {
-		for j, n := 0, sk.Len(); j < n; j++ {
-			if !sk.HasNull(j) {
-				f.AddHash(sk.Hash(j))
-			}
-		}
+		add = f.AddHashAtomic
 	}
+	parallel.For(sk.Len(), par, func(lo, hi int) {
+		sk.EachHash(lo, hi, func(_ int, h uint64) { add(h) })
+	})
 	if sp != nil {
 		sp.BuildNS = time.Since(t0).Nanoseconds()
 		t0 = time.Now()
 	}
 	tk := engine.KeyFor(target.Rel, tCols)
-	out := target.Rel.Narrow(parallel.Map(tk.Len(), par, func(lo, hi int) []int32 {
-		idx := make([]int32, 0, hi-lo)
-		for j := lo; j < hi; j++ {
-			if !tk.HasNull(j) && f.ContainsHash(tk.Hash(j)) {
+	kept := parallel.Map(tk.Len(), par, func(lo, hi int) []int32 {
+		var idx []int32
+		tk.EachHash(lo, hi, func(j int, h uint64) {
+			if f.ContainsHash(h) {
 				idx = append(idx, int32(j))
 			}
-		}
+		})
 		return idx
-	}))
+	})
+	out := target.Rel
+	if len(kept) < len(out.Rows) {
+		out = out.Narrow(kept)
+	}
 	st.BloomSemiJoins++
 	st.BloomDropped += len(target.Rel.Rows) - len(out.Rows)
 	if sp != nil {

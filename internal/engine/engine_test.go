@@ -453,6 +453,32 @@ func TestSemiJoinExported(t *testing.T) {
 	}
 }
 
+// TestSemiJoinAllocations: a semi-join over single-INTEGER keys allocates a
+// number of objects that does not depend on how many distinct keys there are
+// (the map-of-slices key set allocated at least one per key), and one that
+// drops nothing returns its input instead of copying it.
+func TestSemiJoinAllocations(t *testing.T) {
+	ints := func(n int) *Relation {
+		rel := &Relation{Cols: []ColRef{{Rel: "t", Name: "k", Kind: types.KindInt}}, Rows: make([]types.Row, n)}
+		for i := range rel.Rows {
+			rel.Rows[i] = ir(i)
+		}
+		return rel
+	}
+	allocs := func(n int) float64 {
+		l, r := Columnarize(ints(n), 1), Columnarize(ints(n/2), 1) // half of l survives
+		return testing.AllocsPerRun(10, func() { SemiJoin(l, []int{0}, r, []int{0}, 1, nil) })
+	}
+	if few, many := allocs(100), allocs(10000); many != few || many > 16 {
+		t.Errorf("SemiJoin: %v allocations over 100 keys, %v over 10000", few, many)
+	}
+	for form, rel := range keyForms(ints(2000)) {
+		if out := SemiJoin(rel, []int{0}, rel, []int{0}, 4, nil); out != rel {
+			t.Errorf("%s: a semi-join that kept every row copied the relation", form)
+		}
+	}
+}
+
 func TestRelationHelpers(t *testing.T) {
 	rel := &Relation{
 		Cols: []ColRef{{Rel: "a", Name: "x"}, {Rel: "a", Name: "y"}, {Rel: "b", Name: "x"}},

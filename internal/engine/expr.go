@@ -361,14 +361,10 @@ func (b *binder) bindInSubquery(x *sqlparse.InSubquery) (boundExpr, error) {
 		return nil, fmt.Errorf("engine: IN subquery must return one column, got %d", len(rel.Cols))
 	}
 	keyCol := []int{0}
-	keys := colstore.NewKeySet(KeyFor(rel, keyCol))
+	keys := colstore.BuildKeySet(KeyFor(rel, keyCol)) // skips NULLs
 	sawNull := false
-	for j, row := range rel.Rows {
-		if row[0].IsNull() {
-			sawNull = true
-			continue
-		}
-		keys.Add(j)
+	for _, row := range rel.Rows {
+		sawNull = sawNull || row[0].IsNull()
 	}
 	return func(r types.Row) (types.Value, error) {
 		v, err := ev(r)

@@ -84,6 +84,10 @@ func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, pa
 	nullPad := make(types.Row, len(r.Cols))
 	rows, err := parallel.MapErr(len(l.Rows), par, func(lo, hi int) ([]types.Row, error) {
 		chunk := make([]types.Row, 0, hi-lo)
+		var prober colstore.Prober
+		if ht != nil {
+			prober = ht.Prober(pk)
+		}
 		for j := lo; j < hi; j++ {
 			lr := l.Rows[j]
 			matched := false
@@ -104,7 +108,7 @@ func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, pa
 				chunk = append(chunk, row)
 			}
 			if ht != nil {
-				ht.Each(pk, j, try)
+				prober.Each(j, try)
 			} else {
 				for pos := 0; pos < len(r.Rows) && pairErr == nil; pos++ {
 					try(int32(pos))

@@ -129,11 +129,7 @@ func (o *optimizer) measureNDV(idx int, rel, col string) {
 		o.ndv[idx][key] = 1
 		return
 	}
-	seen := colstore.NewKeySet(KeyFor(r, []int{ci}))
-	for j := range r.Rows {
-		seen.Add(j)
-	}
-	n := float64(seen.Len())
+	n := float64(colstore.BuildKeySet(KeyFor(r, []int{ci})).Len())
 	if n < 1 {
 		n = 1
 	}

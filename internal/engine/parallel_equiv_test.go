@@ -3,8 +3,10 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"testing"
 
+	"resultdb/internal/parallel"
 	"resultdb/internal/types"
 )
 
@@ -126,9 +128,11 @@ func TestDistinctParMatchesSerial(t *testing.T) {
 	if len(want.Rows) == len(rel.Rows) {
 		t.Fatal("test setup: no duplicates to remove")
 	}
+	// Distinct runs at the default degree, which the environment sets.
 	for form, frel := range keyForms(rel) {
 		for _, par := range append([]int{1}, sweepDegrees...) {
-			identicalRows(t, fmt.Sprintf("DistinctPar on %s, par=%d", form, par), frel.DistinctPar(par), want)
+			t.Setenv(parallel.EnvVar, strconv.Itoa(par))
+			identicalRows(t, fmt.Sprintf("Distinct on %s, par=%d", form, par), frel.Distinct(), want)
 		}
 	}
 	// Project+dedup in one step finds the same rows from the unprojected
@@ -157,10 +161,11 @@ func TestDistinctParMatchesSerial(t *testing.T) {
 func TestProjectParMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	rel := bigRelation(rng, "p", 4000, 50)
-	want := rel.ProjectPar([]int{2, 0}, 1)
+	t.Setenv(parallel.EnvVar, "1")
+	want := rel.Project([]int{2, 0})
 	for _, par := range sweepDegrees {
-		got := rel.ProjectPar([]int{2, 0}, par)
-		identicalRows(t, fmt.Sprintf("ProjectPar par=%d", par), got, want)
+		t.Setenv(parallel.EnvVar, strconv.Itoa(par))
+		identicalRows(t, fmt.Sprintf("Project par=%d", par), rel.Project([]int{2, 0}), want)
 	}
 }
 

@@ -80,21 +80,16 @@ func (r *Relation) ColumnsOf(rel string) []int {
 	return out
 }
 
-// Project returns a new relation restricted to the given column positions.
+// Project returns a new relation restricted to the given column positions, at
+// the default degree of parallelism. Output rows are written to fixed
+// positions, so the result is identical at any degree.
 func (r *Relation) Project(cols []int) *Relation {
-	return r.ProjectPar(cols, 0)
-}
-
-// ProjectPar is Project at an explicit degree of parallelism (0 = auto,
-// 1 = serial). Output rows are written to fixed positions, so the result is
-// identical at any degree.
-func (r *Relation) ProjectPar(cols []int, par int) *Relation {
 	out := &Relation{Cols: make([]ColRef, len(cols))}
 	for i, c := range cols {
 		out.Cols[i] = r.Cols[c]
 	}
 	out.Rows = make([]types.Row, len(r.Rows))
-	parallel.For(len(r.Rows), par, func(lo, hi int) {
+	parallel.For(len(r.Rows), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			out.Rows[i] = r.Rows[i].Project(cols)
 		}
@@ -102,21 +97,16 @@ func (r *Relation) ProjectPar(cols []int, par int) *Relation {
 	return out
 }
 
-// Distinct returns a new relation with duplicate rows removed (first
-// occurrence wins).
+// Distinct returns r with duplicate rows removed (first occurrence wins), at
+// the default degree of parallelism: the rows at colstore.DistinctPositions
+// over every column, so the result is the same rows in the same order at any
+// degree.
 func (r *Relation) Distinct() *Relation {
-	return r.DistinctPar(0)
-}
-
-// DistinctPar is Distinct at an explicit degree of parallelism (0 = auto,
-// 1 = serial): the rows at distinctPositions over every column, so the
-// result is the same rows in the same order at any degree.
-func (r *Relation) DistinctPar(par int) *Relation {
 	all := make([]int, len(r.Cols))
 	for i := range all {
 		all[i] = i
 	}
-	return r.Narrow(distinctPositions(KeyFor(r, all), par))
+	return r.Narrow(colstore.DistinctPositions(KeyFor(r, all), 0))
 }
 
 // Narrow returns r restricted to the ascending row positions kept (pointer

@@ -27,7 +27,6 @@ package engine
 // value) do not surface.
 
 import (
-	"sort"
 	"time"
 
 	"resultdb/internal/colstore"
@@ -435,10 +434,11 @@ func compileKernel(f *colstore.Frame, rel *Relation, e sqlparse.Expr) (colstore.
 // distinct keys go into a position-based key set (no per-row key projection,
 // dictionary-hash text keys), the probe over l's rows runs in parallel chunks
 // at degree par (0 = auto, 1 = serial) emitting a selection vector merged in
-// input order, and only the surviving rows are gathered. Either side may be
-// columnar or row-major; the result carries l's view narrowed to the
-// survivors when l was columnar. A non-nil sp records the build/probe
-// wall-time split, degree, and morsel count; nil skips all clock reads.
+// input order, and only the surviving rows are gathered — when every row
+// survives, l itself is returned. Either side may be columnar or row-major;
+// the result carries l's view narrowed to the survivors when l was columnar.
+// A non-nil sp records the build/probe wall-time split, degree, and morsel
+// count; nil skips all clock reads.
 func SemiJoin(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *trace.Span) *Relation {
 	var t0 time.Time
 	if sp != nil {
@@ -446,26 +446,19 @@ func SemiJoin(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *t
 		sp.Morsels = parallel.Chunks(len(l.Rows), par)
 		t0 = time.Now()
 	}
-	build := KeyFor(r, rCols)
-	keys := colstore.NewKeySet(build)
-	for j, n := 0, build.Len(); j < n; j++ {
-		keys.Add(j)
-	}
+	keys := colstore.BuildKeySet(KeyFor(r, rCols))
 	if sp != nil {
 		sp.BuildNS = time.Since(t0).Nanoseconds()
 		t0 = time.Now()
 	}
 	probe := KeyFor(l, lCols)
 	kept := parallel.Map(len(l.Rows), par, func(lo, hi int) []int32 {
-		out := make([]int32, 0, hi-lo)
-		for j := lo; j < hi; j++ {
-			if keys.Contains(probe, j) {
-				out = append(out, int32(j))
-			}
-		}
-		return out
+		return keys.Select(probe, lo, hi, nil)
 	})
-	out := l.Narrow(kept)
+	out := l
+	if len(kept) < len(l.Rows) {
+		out = l.Narrow(kept)
+	}
 	if sp != nil {
 		sp.ProbeNS = time.Since(t0).Nanoseconds()
 	}
@@ -518,9 +511,10 @@ func HashJoin(l, r *Relation, lCols, rCols []int, par int, sp *trace.Span) *Rela
 				rows = append(rows, concatRows(build.Rows[pos], pr))
 			}
 		}
+		prober := ht.Prober(pk)
 		for j := lo; j < hi; j++ {
 			pr = probe.Rows[j]
-			ht.Each(pk, j, emit)
+			prober.Each(j, emit)
 		}
 		return rows
 	})
@@ -554,7 +548,7 @@ func (r *Relation) ProjectDistinctPar(cols []int, par int) *Relation {
 	for i, c := range cols {
 		out.Cols[i] = r.Cols[c]
 	}
-	order := distinctPositions(KeyFor(r, cols), par)
+	order := colstore.DistinctPositions(KeyFor(r, cols), par)
 	out.Rows = make([]types.Row, len(order))
 	parallel.For(len(order), par, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -573,86 +567,4 @@ func (r *Relation) ProjectDistinctPar(cols []int, par int) *Relation {
 		out.Vec = &colstore.View{Frame: colstore.GatherView(r.Vec, cols, kinds, order, par)}
 	}
 	return out
-}
-
-// distinctPositions returns, ascending, the position of the first occurrence
-// of every distinct key (grouping semantics: NULLs compare equal). The
-// parallel path hash-partitions positions so equal keys land in the same
-// partition, deduplicates each partition independently, and merges the
-// survivors back into input order — exactly the positions the serial
-// first-occurrence-wins loop keeps.
-func distinctPositions(key colstore.Key, par int) []int32 {
-	n := key.Len()
-	nc := parallel.Chunks(n, par)
-	if nc <= 1 {
-		buckets := make(map[uint64][]int32, n)
-		order := make([]int32, 0, n)
-		for j := 0; j < n; j++ {
-			h := key.Hash(j)
-			if !seenKey(key, buckets[h], j) {
-				buckets[h] = append(buckets[h], int32(j))
-				order = append(order, int32(j))
-			}
-		}
-		return order
-	}
-
-	// Phase 1: hash every key (disjoint writes).
-	hs := make([]uint64, n)
-	parallel.For(n, par, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			hs[j] = key.Hash(j)
-		}
-	})
-	// Phase 2: chunk-local partition lists; duplicates share a hash, hence a
-	// partition, and positions stay ascending within each (chunk, partition).
-	P := nc
-	locals := make([][][]int32, nc)
-	parallel.ForChunks(n, par, func(chunk, lo, hi int) {
-		local := make([][]int32, P)
-		for j := lo; j < hi; j++ {
-			p := int(hs[j] % uint64(P))
-			local[p] = append(local[p], int32(j))
-		}
-		locals[chunk] = local
-	})
-	// Phase 3: per-partition dedup, visiting chunks in input order so the
-	// first occurrence survives.
-	survivors := make([][]int32, P)
-	parallel.Each(P, par, func(p int) {
-		seen := make(map[uint64][]int32)
-		var keep []int32
-		for c := 0; c < nc; c++ {
-			for _, j := range locals[c][p] {
-				h := hs[j]
-				if !seenKey(key, seen[h], int(j)) {
-					seen[h] = append(seen[h], j)
-					keep = append(keep, j)
-				}
-			}
-		}
-		survivors[p] = keep
-	})
-	// Phase 4: merge survivors back into global input order.
-	total := 0
-	for _, s := range survivors {
-		total += len(s)
-	}
-	order := make([]int32, 0, total)
-	for _, s := range survivors {
-		order = append(order, s...)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	return order
-}
-
-// seenKey reports whether key j equals the key at any of the positions in
-// bucket (earlier positions sharing j's hash).
-func seenKey(key colstore.Key, bucket []int32, j int) bool {
-	for _, p := range bucket {
-		if colstore.KeysEqual(key, int(p), key, j) {
-			return true
-		}
-	}
-	return false
 }

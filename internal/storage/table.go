@@ -1,6 +1,7 @@
-// Package storage provides in-memory, row-major physical tables plus hash
-// indexes. A Table pairs a catalog.TableDef with its rows and is the unit the
-// executor scans and the semi-join reducer filters.
+// Package storage provides in-memory, row-major physical tables. A Table
+// pairs a catalog.TableDef with its rows and is the unit the executor scans;
+// joins, semi-join reductions and dedup hash the scanned rows themselves
+// (internal/colstore's position table), so a table carries no hash index.
 package storage
 
 import (
@@ -26,14 +27,12 @@ import (
 // Direct mutation (Insert/InsertAll on a published table) remains supported
 // for the single-threaded bulk-load paths (workload generators, CSV import,
 // snapshot restore) that run before any concurrent traffic; it must never be
-// used on a table reachable by a concurrent reader. The lazily built derived
-// caches (Columns, Index) are internally locked because concurrent readers
-// of the *same version* may race to build them.
+// used on a table reachable by a concurrent reader. The lazily built columnar
+// image (Columns) is internally locked because concurrent readers of the
+// *same version* may race to build it.
 type Table struct {
 	Def  *catalog.TableDef
 	Rows []types.Row
-
-	indexes map[string]*HashIndex // keyed by canonical column list
 
 	// gen counts invalidations; the column-vector cache is tagged with the
 	// generation it was built from and discarded when the table moves on.
@@ -64,12 +63,9 @@ func (t *Table) BeginVersion() *Table {
 	return &Table{Def: t.Def, Rows: t.Rows, gen: t.gen + 1}
 }
 
-// invalidate discards derived structures (hash indexes, column vectors)
-// after the row set changed. One call per logical mutation batch.
-func (t *Table) invalidate() {
-	t.indexes = nil
-	t.gen++
-}
+// invalidate marks the derived column vectors stale after the row set
+// changed. One call per logical mutation batch.
+func (t *Table) invalidate() { t.gen++ }
 
 // Generation returns the table's invalidation counter. It changes whenever
 // the row set changes, so derived caches can detect staleness in O(1).
@@ -110,7 +106,7 @@ func (t *Table) Insert(row types.Row) error {
 
 // InsertAll appends rows, stopping at the first error. Derived caches are
 // invalidated once per batch, not once per row, so bulk loads do not
-// repeatedly discard (and any interleaved reader rebuild) indexes.
+// repeatedly discard (and any interleaved reader rebuild) the column vectors.
 func (t *Table) InsertAll(rows []types.Row) error {
 	if len(rows) == 0 {
 		return nil
@@ -152,24 +148,10 @@ func (t *Table) SortRows() {
 	})
 }
 
-// Distinct removes duplicate rows in place, preserving first-seen order.
-func (t *Table) Distinct() {
-	seen := types.NewRowSet()
-	out := t.Rows[:0:0]
-	for _, r := range t.Rows {
-		if seen.Add(r) {
-			out = append(out, r)
-		}
-	}
-	t.Rows = out
-	t.invalidate()
-}
-
 // Columns returns the table's columnar image (typed vectors, dictionary-
 // encoded TEXT, null bitmaps), building it lazily on first use and caching
 // it until the next mutation. Safe for concurrent readers: the build is
-// guarded by a mutex and tagged with the generation it was built from, the
-// same counter that invalidates hash indexes.
+// guarded by a mutex and tagged with the generation it was built from.
 func (t *Table) Columns() *colstore.Frame {
 	t.colMu.Lock()
 	defer t.colMu.Unlock()
@@ -183,90 +165,4 @@ func (t *Table) Columns() *colstore.Frame {
 	t.cols = colstore.NewFrame(kinds, t.Rows)
 	t.colsGen = t.gen
 	return t.cols
-}
-
-// HashIndex maps composite key hashes to row positions; used by hash joins
-// and semi-join reductions.
-type HashIndex struct {
-	cols    []int
-	buckets map[uint64][]int
-	table   *Table
-}
-
-// Index returns (building if necessary) a hash index on the given column
-// positions of t.
-func (t *Table) Index(cols []int) *HashIndex {
-	key := fmt.Sprint(cols)
-	if t.indexes == nil {
-		t.indexes = make(map[string]*HashIndex)
-	}
-	if idx, ok := t.indexes[key]; ok {
-		return idx
-	}
-	idx := &HashIndex{
-		cols:    append([]int(nil), cols...),
-		buckets: make(map[uint64][]int),
-		table:   t,
-	}
-	for pos, r := range t.Rows {
-		if rowHasNull(r, cols) {
-			continue // NULL keys never join
-		}
-		h := r.HashKey(cols)
-		idx.buckets[h] = append(idx.buckets[h], pos)
-	}
-	t.indexes[key] = idx
-	return idx
-}
-
-// Probe returns the positions of rows whose key columns equal probe's key
-// columns (probeCols in the probing row). NULL probes match nothing.
-func (idx *HashIndex) Probe(probe types.Row, probeCols []int) []int {
-	if rowHasNull(probe, probeCols) {
-		return nil
-	}
-	h := probe.HashKey(probeCols)
-	candidates := idx.buckets[h]
-	if len(candidates) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(candidates))
-	for _, pos := range candidates {
-		if keysEqual(idx.table.Rows[pos], idx.cols, probe, probeCols) {
-			out = append(out, pos)
-		}
-	}
-	return out
-}
-
-// Contains reports whether any indexed row matches probe's key.
-func (idx *HashIndex) Contains(probe types.Row, probeCols []int) bool {
-	if rowHasNull(probe, probeCols) {
-		return false
-	}
-	h := probe.HashKey(probeCols)
-	for _, pos := range idx.buckets[h] {
-		if keysEqual(idx.table.Rows[pos], idx.cols, probe, probeCols) {
-			return true
-		}
-	}
-	return false
-}
-
-func rowHasNull(r types.Row, cols []int) bool {
-	for _, c := range cols {
-		if r[c].IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-func keysEqual(a types.Row, aCols []int, b types.Row, bCols []int) bool {
-	for i := range aCols {
-		if !types.Equal(a[aCols[i]], b[bCols[i]]) {
-			return false
-		}
-	}
-	return true
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"math/rand"
 	"testing"
 
 	"resultdb/internal/catalog"
@@ -64,26 +63,6 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-func TestDistinct(t *testing.T) {
-	tab := newTable(t)
-	rows := []types.Row{
-		{types.NewInt(1), types.NewText("a"), types.NewFloat(1)},
-		{types.NewInt(1), types.NewText("a"), types.NewFloat(1)},
-		{types.NewInt(2), types.NewText("a"), types.NewFloat(1)},
-	}
-	if err := tab.InsertAll(rows); err != nil {
-		t.Fatal(err)
-	}
-	tab.Distinct()
-	if tab.Len() != 2 {
-		t.Errorf("Distinct left %d rows, want 2", tab.Len())
-	}
-	// First-seen order preserved.
-	if tab.Rows[0][0].Int() != 1 || tab.Rows[1][0].Int() != 2 {
-		t.Errorf("Distinct reordered rows: %v", tab.Rows)
-	}
-}
-
 func TestSortRowsAndWireSize(t *testing.T) {
 	tab := newTable(t)
 	if err := tab.InsertAll([]types.Row{
@@ -102,109 +81,9 @@ func TestSortRowsAndWireSize(t *testing.T) {
 	}
 }
 
-func TestHashIndexProbe(t *testing.T) {
-	tab := newTable(t)
-	for i := 0; i < 100; i++ {
-		err := tab.Insert(types.Row{
-			types.NewInt(int64(i)),
-			types.NewText("n"),
-			types.NewFloat(float64(i % 10)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	idx := tab.Index([]int{2}) // score has 10 distinct values
-	probe := types.Row{types.NewFloat(3)}
-	hits := idx.Probe(probe, []int{0})
-	if len(hits) != 10 {
-		t.Errorf("Probe hits = %d, want 10", len(hits))
-	}
-	for _, pos := range hits {
-		if tab.Rows[pos][2].Float() != 3 {
-			t.Errorf("false positive at %d", pos)
-		}
-	}
-	if !idx.Contains(probe, []int{0}) {
-		t.Error("Contains misses present key")
-	}
-	if idx.Contains(types.Row{types.NewFloat(42)}, []int{0}) {
-		t.Error("Contains finds absent key")
-	}
-	// NULL probes never match.
-	if idx.Contains(types.Row{types.Null()}, []int{0}) {
-		t.Error("NULL probe matched")
-	}
-}
-
-func TestIndexInvalidatedOnInsert(t *testing.T) {
-	tab := newTable(t)
-	if err := tab.Insert(types.Row{types.NewInt(1), types.Null(), types.Null()}); err != nil {
-		t.Fatal(err)
-	}
-	idx := tab.Index([]int{0})
-	if !idx.Contains(types.Row{types.NewInt(1)}, []int{0}) {
-		t.Fatal("index missing row")
-	}
-	if err := tab.Insert(types.Row{types.NewInt(2), types.Null(), types.Null()}); err != nil {
-		t.Fatal(err)
-	}
-	idx2 := tab.Index([]int{0})
-	if !idx2.Contains(types.Row{types.NewInt(2)}, []int{0}) {
-		t.Error("index not rebuilt after insert")
-	}
-}
-
-func TestIndexSkipsNullKeys(t *testing.T) {
-	tab := newTable(t)
-	if err := tab.InsertAll([]types.Row{
-		{types.NewInt(1), types.Null(), types.Null()},
-		{types.NewInt(2), types.NewText("x"), types.Null()},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	idx := tab.Index([]int{1}) // name column: one NULL, one "x"
-	if got := idx.Probe(types.Row{types.NewText("x")}, []int{0}); len(got) != 1 {
-		t.Errorf("probe = %v", got)
-	}
-}
-
-// TestHashIndexRandomized cross-checks Probe against a linear scan.
-func TestHashIndexRandomized(t *testing.T) {
-	tab := newTable(t)
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 500; i++ {
-		err := tab.Insert(types.Row{
-			types.NewInt(int64(rng.Intn(50))),
-			types.NewText(string(rune('a' + rng.Intn(5)))),
-			types.NewFloat(float64(rng.Intn(5))),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	idx := tab.Index([]int{0, 1})
-	for trial := 0; trial < 200; trial++ {
-		probe := types.Row{
-			types.NewInt(int64(rng.Intn(60))),
-			types.NewText(string(rune('a' + rng.Intn(6)))),
-		}
-		got := idx.Probe(probe, []int{0, 1})
-		want := 0
-		for _, r := range tab.Rows {
-			if types.Equal(r[0], probe[0]) && types.Equal(r[1], probe[1]) {
-				want++
-			}
-		}
-		if len(got) != want {
-			t.Fatalf("probe %v: got %d hits, scan says %d", probe, len(got), want)
-		}
-	}
-}
-
 // TestColumnsCacheAndGeneration: the columnar frame is built lazily, cached
-// until the table changes, and invalidated by the same generation counter as
-// the hash indexes. A batch InsertAll bumps the generation exactly once.
+// until the table changes, and invalidated by the generation counter. A batch
+// InsertAll bumps the generation exactly once.
 func TestColumnsCacheAndGeneration(t *testing.T) {
 	tab := newTable(t)
 	rows := []types.Row{
@@ -246,12 +125,5 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 				t.Fatalf("frame[%d][%d] = %v, want %v", c, j, f2.Col(c).Value(j), row[c])
 			}
 		}
-	}
-
-	// Distinct mutates rows in place and must invalidate too.
-	tab.Distinct()
-	f3 := tab.Columns()
-	if f3.Rows() != len(tab.Rows) {
-		t.Fatalf("frame rows after Distinct = %d, want %d", f3.Rows(), len(tab.Rows))
 	}
 }

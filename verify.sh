@@ -6,10 +6,11 @@
 # 1, 2 and 4 — EXPLAIN goldens and trace fingerprints must not depend on the
 # host's core count); the race detector over the concurrency-sensitive
 # packages; the MVCC concurrency gate; the grep lints (writer lock confined to
-# db.go; no identifier of the deleted row-at-a-time path or of the deleted A/B
-# knobs; internal/reference imported from tests only); then the differential
-# gates under -race — cache (cold/warm/invalidate vs uncached oracle; on the
-# socket, filling response == response from kept payloads == cache-off
+# db.go; no identifier of the deleted row-at-a-time path, of the deleted A/B
+# knobs or of the deleted storage hash index; no map-of-position-slices bucket
+# structure in colstore/engine/storage; internal/reference imported from tests
+# only); then the differential gates under -race — cache
+# (cold/warm/invalidate vs uncached oracle; on the socket, filling response == response from kept payloads == cache-off
 # response over every transport; the payload-memo guards; and
 # BenchmarkServeCachedHit once as a smoke),
 # execution (every answer vs the naive reference as sorted sets, byte for
@@ -66,11 +67,22 @@ echo "== lint: one execution path, no A/B knobs"
 # toggles were deleted in PR 12; any of these identifiers reappearing means a
 # second path or a wrapper family is growing back. benchmark/ is its own
 # module with its own rules and is not scanned.
-dead='Vectorized|RESULTDB_VECTORIZED|NoGroupCommit|HashJoinDegree|HashJoinSpan|HashJoinVecSpan|SemiJoinDegree|SemiJoinSpan|SemiJoinVec|DecomposePar|DecomposeTraced|DecomposeVecTraced|JoinAllDegree|JoinAllDPDegree'
+dead='Vectorized|RESULTDB_VECTORIZED|NoGroupCommit|HashJoinDegree|HashJoinSpan|HashJoinVecSpan|SemiJoinDegree|SemiJoinSpan|SemiJoinVec|DecomposePar|DecomposeTraced|DecomposeVecTraced|JoinAllDegree|JoinAllDPDegree|HashIndex'
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
 	echo "FAIL: identifiers of the deleted row path / A-B knobs are back:"
 	echo "$dead_refs"
+	exit 1
+fi
+
+echo "== lint: one hash structure (colstore's position table), no bucket maps"
+# Key sets, join hash tables and dedup all probe the open-addressing table in
+# internal/colstore/hash.go; a map from key hash to a slice of positions in
+# the execution packages is a second hash structure growing back.
+bucket_maps=$(grep -rnE 'map\[uint64\]\[\]int' --include='*.go' internal/colstore internal/engine internal/storage | grep -v '_test\.go:' || true)
+if [ -n "$bucket_maps" ]; then
+	echo "FAIL: map[uint64][]int... bucket structure in the execution path:"
+	echo "$bucket_maps"
 	exit 1
 fi
 
