@@ -38,8 +38,8 @@ import (
 	"resultdb/internal/db"
 	"resultdb/internal/durable"
 	"resultdb/internal/snapshot"
-	"resultdb/internal/wal"
 	"resultdb/internal/sqlparse"
+	"resultdb/internal/wal"
 	"resultdb/internal/wire"
 	"resultdb/internal/workload/hierarchy"
 	"resultdb/internal/workload/job"

@@ -12,14 +12,14 @@
 //     the stored types.Value (kind included), Column.HashFNV advances the
 //     FNV-1a state by exactly the byte stream types.Value.HashInto defines,
 //     and kernels implement the bound expression's three-valued predicate
-//     semantics (NULL never passes). Reading a relation through its frame or
-//     through its rows therefore gives the same keys, the same hashes and
-//     the same order, which is what lets one operator serve both forms (Key,
-//     in hash.go); internal/engine's kernel property test and the
-//     differential gates in internal/wire lock this in.
-//   - Late materialization. Operators pass ascending selection vectors of
-//     row indices; rows are gathered back to types.Row only when results
-//     materialize. Gathers are pointer copies from the backing row slice.
+//     semantics (NULL never passes). A frame therefore gives the keys, the
+//     hashes and the order its rows would; internal/engine's kernel property
+//     test and the differential gates in internal/wire lock this in.
+//   - Late materialization. A relation is a View — an immutable frame plus
+//     an ascending selection vector — and operators pass positions: filters
+//     and semi-joins narrow the selection, joins gather a new frame from
+//     position pairs (dictionaries shared). Tuples are boxed into types.Row
+//     by View.Rows only, for the consumers that need them.
 //   - Zero dependencies beyond internal/types and internal/parallel. Columns
 //     are plain slices; the dictionary is a first-occurrence-ordered string
 //     table with per-entry precomputed hashes.
@@ -230,11 +230,13 @@ func (c *AnyColumn) Value(i int) types.Value        { return c.Vals[i] }
 func (c *AnyColumn) HashFNV(i int, h uint64) uint64 { return c.Vals[i].HashFNV(h) }
 
 // Frame is the columnar image of a relation: one typed Column per schema
-// column, all of equal length.
+// column, all of equal length. Frames are immutable once built.
 type Frame struct {
-	kinds []types.Kind
-	cols  []Column
-	n     int
+	cols []Column
+	n    int
+	// src is the row slice the frame was built from (NewFrame), nil for a
+	// gathered frame; View.Rows hands these rows back instead of boxing.
+	src []types.Row
 }
 
 // Rows returns the row count.
@@ -245,9 +247,6 @@ func (f *Frame) NumCols() int { return len(f.cols) }
 
 // Col returns column i.
 func (f *Frame) Col(i int) Column { return f.cols[i] }
-
-// Kind returns the declared kind of column i.
-func (f *Frame) Kind(i int) types.Kind { return f.kinds[i] }
 
 // DictEntries returns the total number of dictionary entries across the
 // frame's TEXT columns (surfaced in trace spans).
@@ -264,23 +263,13 @@ func (f *Frame) DictEntries() int {
 // NewFrame builds the columnar image of rows under the declared column
 // kinds. Columns whose values all match their declared kind (or are NULL)
 // get a typed vector; mismatching columns fall back to AnyColumn so value
-// reconstruction stays exact.
+// reconstruction stays exact. The frame keeps rows (which must not change
+// afterwards) so View.Rows can return them.
 func NewFrame(kinds []types.Kind, rows []types.Row) *Frame {
-	return NewFrameDegree(kinds, rows, 1)
-}
-
-// NewFrameDegree is NewFrame with the per-column builds spread across the
-// worker pool at degree par (columns are independent). The result is
-// identical at any degree.
-func NewFrameDegree(kinds []types.Kind, rows []types.Row, par int) *Frame {
-	f := &Frame{
-		kinds: append([]types.Kind(nil), kinds...),
-		cols:  make([]Column, len(kinds)),
-		n:     len(rows),
+	f := &Frame{cols: make([]Column, len(kinds)), n: len(rows), src: rows[:len(rows):len(rows)]}
+	for j, kind := range kinds {
+		f.cols[j] = buildColumn(kind, rows, j)
 	}
-	parallel.Each(len(kinds), par, func(j int) {
-		f.cols[j] = buildColumn(kinds[j], rows, j)
-	})
 	return f
 }
 
@@ -389,18 +378,15 @@ func anyColumn(rows []types.Row, j int) Column {
 
 // GatherView materializes a new Frame from a subset of v's columns and
 // logical positions: column j of the result is v's frame column cols[j]
-// restricted to the rows order[i] (logical view positions, in output order).
-// Dictionaries and their precomputed hashes are shared with the source —
-// gathering a TEXT column copies uint32 codes, never strings — which is what
-// lets the columnar wire encoder reuse scan-time dictionaries with zero
+// restricted to the rows order[i] (logical view positions, in output order,
+// repeats allowed). Dictionaries and their precomputed hashes are shared with
+// the source — gathering a TEXT column copies uint32 codes, never strings —
+// which is what lets a join output semi-join a base relation by dictionary
+// code and the columnar wire encoder reuse scan-time dictionaries with zero
 // string re-encoding. Column gathers run at degree par; the result is
 // identical at any degree.
-func GatherView(v *View, cols []int, kinds []types.Kind, order []int32, par int) *Frame {
-	f := &Frame{
-		kinds: append([]types.Kind(nil), kinds...),
-		cols:  make([]Column, len(cols)),
-		n:     len(order),
-	}
+func GatherView(v *View, cols []int, order []int32, par int) *Frame {
+	f := &Frame{cols: make([]Column, len(cols)), n: len(order)}
 	idx := make([]int, len(order))
 	for i, j := range order {
 		idx[i] = v.Index(int(j))
@@ -409,6 +395,22 @@ func GatherView(v *View, cols []int, kinds []types.Kind, order []int32, par int)
 		f.cols[j] = gatherColumn(v.Frame.cols[cols[j]], idx)
 	})
 	return f
+}
+
+// Project returns the frame of f's columns cols, in that order. Column
+// vectors are shared, not copied.
+func (f *Frame) Project(cols []int) *Frame {
+	out := &Frame{cols: make([]Column, len(cols)), n: f.n}
+	for j, c := range cols {
+		out.cols[j] = f.cols[c]
+	}
+	return out
+}
+
+// Zip returns the frame of a's columns followed by b's (a join output: the
+// two sides gathered to the same row count). Column vectors are shared.
+func Zip(a, b *Frame) *Frame {
+	return &Frame{cols: append(append([]Column(nil), a.cols...), b.cols...), n: a.n}
 }
 
 // gatherNulls rebuilds the null bitmap of a gathered column (nil when the
@@ -466,9 +468,8 @@ func gatherColumn(c Column, idx []int) Column {
 }
 
 // View is a Frame restricted to a selection vector: Sel lists the surviving
-// frame row indices in ascending order; nil Sel means all rows. Engine
-// relations carry a View alongside their materialized rows so downstream
-// operators (semi-joins, Bloom probes, project+distinct) can work columnar.
+// frame row indices in ascending order; nil Sel means all rows. It is what an
+// engine relation is made of.
 type View struct {
 	Frame *Frame
 	Sel   []int32
@@ -502,4 +503,29 @@ func (v *View) Narrow(keep []int32) *View {
 		}
 	}
 	return &View{Frame: v.Frame, Sel: sel}
+}
+
+// Rows boxes the selected rows into tuples, in order: the rows the frame was
+// built from when it has them (pointer copies; the result may alias the
+// builder's slice and must not be modified), otherwise fresh rows over one
+// value block, filled column by column.
+func (v *View) Rows() []types.Row {
+	f := v.Frame
+	if f.src != nil {
+		if v.Sel == nil {
+			return f.src
+		}
+		out := make([]types.Row, len(v.Sel))
+		for i, j := range v.Sel {
+			out[i] = f.src[j]
+		}
+		return out
+	}
+	out := types.MakeRows(v.Len(), len(f.cols))
+	for c, col := range f.cols {
+		for i, row := range out {
+			row[c] = col.Value(v.Index(i))
+		}
+	}
+	return out
 }

@@ -42,34 +42,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindText, types.KindBool}
 	rows := randomTypedRows(rng, kinds, 777, 0.15, 7)
-	for _, par := range []int{1, 4} {
-		f := NewFrameDegree(kinds, rows, par)
-		if f.Rows() != len(rows) || f.NumCols() != len(kinds) {
-			t.Fatalf("par=%d: frame shape %dx%d, want %dx%d", par, f.Rows(), f.NumCols(), len(rows), len(kinds))
-		}
-		// Typed columns must have been chosen (no fallback for conforming data).
-		if _, ok := f.Col(0).(*Int64Column); !ok {
-			t.Fatalf("col 0 is %T, want *Int64Column", f.Col(0))
-		}
-		if _, ok := f.Col(1).(*Float64Column); !ok {
-			t.Fatalf("col 1 is %T, want *Float64Column", f.Col(1))
-		}
-		if _, ok := f.Col(2).(*TextColumn); !ok {
-			t.Fatalf("col 2 is %T, want *TextColumn", f.Col(2))
-		}
-		if _, ok := f.Col(3).(*BoolColumn); !ok {
-			t.Fatalf("col 3 is %T, want *BoolColumn", f.Col(3))
-		}
-		for i, r := range rows {
-			for j := range kinds {
-				got := f.Col(j).Value(i)
-				if got.Kind() != r[j].Kind() || !types.Equal(got, r[j]) && !(got.IsNull() && r[j].IsNull()) {
-					t.Fatalf("par=%d: Value(%d,%d) = %v (%s), want %v (%s)",
-						par, i, j, got, got.Kind(), r[j], r[j].Kind())
-				}
-				if f.Col(j).Null(i) != r[j].IsNull() {
-					t.Fatalf("Null(%d,%d) mismatch", i, j)
-				}
+	f := NewFrame(kinds, rows)
+	if f.Rows() != len(rows) || f.NumCols() != len(kinds) {
+		t.Fatalf("frame shape %dx%d, want %dx%d", f.Rows(), f.NumCols(), len(rows), len(kinds))
+	}
+	// Typed columns must have been chosen (no fallback for conforming data).
+	if _, ok := f.Col(0).(*Int64Column); !ok {
+		t.Fatalf("col 0 is %T, want *Int64Column", f.Col(0))
+	}
+	if _, ok := f.Col(1).(*Float64Column); !ok {
+		t.Fatalf("col 1 is %T, want *Float64Column", f.Col(1))
+	}
+	if _, ok := f.Col(2).(*TextColumn); !ok {
+		t.Fatalf("col 2 is %T, want *TextColumn", f.Col(2))
+	}
+	if _, ok := f.Col(3).(*BoolColumn); !ok {
+		t.Fatalf("col 3 is %T, want *BoolColumn", f.Col(3))
+	}
+	for i, r := range rows {
+		for j := range kinds {
+			got := f.Col(j).Value(i)
+			if got.Kind() != r[j].Kind() || !types.Equal(got, r[j]) && !(got.IsNull() && r[j].IsNull()) {
+				t.Fatalf("Value(%d,%d) = %v (%s), want %v (%s)",
+					i, j, got, got.Kind(), r[j], r[j].Kind())
+			}
+			if f.Col(j).Null(i) != r[j].IsNull() {
+				t.Fatalf("Null(%d,%d) mismatch", i, j)
 			}
 		}
 	}
@@ -318,5 +316,64 @@ func TestViewNarrow(t *testing.T) {
 	w := v.Narrow([]int32{0, 3})
 	if w.Len() != 2 || w.Index(0) != 1 || w.Index(1) != 9 {
 		t.Fatalf("double narrow wrong: %v", w.Sel)
+	}
+}
+
+// TestViewRows: boxing a view gives the selected tuples, in order, with their
+// kinds — the builder's own rows when the frame has them (no copy), fresh
+// ones when it was gathered, projected or zipped.
+func TestViewRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(18))
+	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindText, types.KindBool}
+	rows := randomTypedRows(rng, kinds, 300, 0.2, 5)
+	rows[7][1] = types.NewInt(4) // an INTEGER in the DOUBLE column: AnyColumn, kind kept
+	f := NewFrame(kinds, rows)
+	sel := []int32{0, 7, 8, 150, 299}
+	same := func(what string, got, want []types.Row) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if len(got[i]) != len(want[i]) {
+				t.Fatalf("%s row %d: width %d, want %d", what, i, len(got[i]), len(want[i]))
+			}
+			for c := range want[i] {
+				if got[i][c] != want[i][c] {
+					t.Fatalf("%s cell (%d,%d) = %v (%s), want %v (%s)", what, i, c, got[i][c], got[i][c].Kind(), want[i][c], want[i][c].Kind())
+				}
+			}
+		}
+	}
+	var picked []types.Row
+	for _, j := range sel {
+		picked = append(picked, rows[j])
+	}
+	if got := (&View{Frame: f}).Rows(); &got[0] != &rows[0] {
+		t.Error("Rows() of an unselected NewFrame view copied the builder's slice")
+	}
+	narrowed := (&View{Frame: f, Sel: sel}).Rows()
+	same("selected", narrowed, picked)
+	if &narrowed[1][0] != &rows[7][0] {
+		t.Error("Rows() of a NewFrame view boxed fresh tuples instead of handing back the builder's")
+	}
+	all := []int{0, 1, 2, 3}
+	same("gathered", (&View{Frame: GatherView(&View{Frame: f, Sel: sel}, all, []int32{0, 1, 2, 3, 4}, 2)}).Rows(), picked)
+	same("gathered, selected", (&View{Frame: GatherView(&View{Frame: f}, all, []int32{299, 0, 7, 8, 150, 1}, 1), Sel: []int32{1, 2, 3, 4}}).Rows(), picked[:4])
+
+	// Project reorders shared column vectors; Zip sets two frames side by side.
+	var swapped, doubled []types.Row
+	for _, r := range picked {
+		swapped = append(swapped, types.Row{r[2], r[0]})
+		doubled = append(doubled, types.Row{r[2], r[0], r[0], r[1], r[2], r[3]})
+	}
+	proj := f.Project([]int{2, 0})
+	if proj.Col(0) != f.Col(2) || proj.Rows() != f.Rows() {
+		t.Error("Project copied a column vector or changed the row count")
+	}
+	same("projected", (&View{Frame: proj, Sel: sel}).Rows(), swapped)
+	same("zipped", (&View{Frame: Zip(proj, f), Sel: sel}).Rows(), doubled)
+	if empty := (&View{Frame: GatherView(&View{Frame: f}, all, nil, 1)}).Rows(); len(empty) != 0 {
+		t.Errorf("empty gather boxed %d rows", len(empty))
 	}
 }

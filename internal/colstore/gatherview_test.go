@@ -33,7 +33,7 @@ func TestGatherView(t *testing.T) {
 	// Project columns {text, int} in that order, gathering view positions
 	// out of order and with a repeat.
 	order := []int32{5, 0, 3, 0, 7}
-	got := GatherView(view, []int{1, 0}, []types.Kind{types.KindText, types.KindInt}, order, 2)
+	got := GatherView(view, []int{1, 0}, order, 2)
 	if got.Rows() != len(order) || got.NumCols() != 2 {
 		t.Fatalf("gathered %dx%d, want %dx2", got.Rows(), got.NumCols(), len(order))
 	}
@@ -61,7 +61,7 @@ func TestGatherView(t *testing.T) {
 	}
 
 	// Gathering only non-NULL positions must drop the bitmap entirely.
-	noNulls := GatherView(view, []int{2}, []types.Kind{types.KindFloat}, []int32{0, 1, 3}, 1)
+	noNulls := GatherView(view, []int{2}, []int32{0, 1, 3}, 1)
 	fc, ok := noNulls.Col(0).(*Float64Column)
 	if !ok {
 		t.Fatal("gathered float column has unexpected representation")
@@ -73,7 +73,7 @@ func TestGatherView(t *testing.T) {
 	// Gathering a NULL position must rebuild the bitmap at the new index:
 	// view position 7 is frame row 15, whose float is NULL; position 1 is
 	// frame row 3, non-NULL.
-	withNull := GatherView(view, []int{2}, []types.Kind{types.KindFloat}, []int32{1, 7}, 1)
+	withNull := GatherView(view, []int{2}, []int32{1, 7}, 1)
 	fc, ok = withNull.Col(0).(*Float64Column)
 	if !ok {
 		t.Fatal("gathered float column has unexpected representation")

@@ -9,17 +9,14 @@ import (
 	"resultdb/internal/types"
 )
 
-// Key addresses the join-key columns of one input, columnar when a View is
-// available and row-major otherwise, so joins can mix sides (a
-// scanned base table against a folded intermediate, say). Hashing is the
-// allocation-free inlined FNV-1a of internal/types in both forms, so a
-// columnar build probes a row-major set (and vice versa) with identical
-// hashes — and identical Bloom filter bits.
+// Key addresses the join-key columns of one input: some columns of a view's
+// selected rows. Hashing is the allocation-free inlined FNV-1a of
+// internal/types — the hash types.Row.HashKey gives the boxed row — so any
+// two keys meet with identical hashes, and identical Bloom filter bits,
+// whatever their column representations.
 type Key struct {
 	view *View
-	rows []types.Row
-	cols []int
-	kc   []Column // columnar form: the key columns, resolved at construction
+	kc   []Column // the key columns, resolved at construction
 }
 
 // ViewKey addresses cols of v's selected rows.
@@ -28,28 +25,11 @@ func ViewKey(v *View, cols []int) Key {
 	for i, c := range cols {
 		kc[i] = v.Frame.cols[c]
 	}
-	return Key{view: v, cols: cols, kc: kc}
+	return Key{view: v, kc: kc}
 }
-
-// RowsKey addresses cols of a row slice (the fallback form).
-func RowsKey(rows []types.Row, cols []int) Key { return Key{rows: rows, cols: cols} }
 
 // Len returns the number of keyed rows.
-func (k Key) Len() int {
-	if k.view != nil {
-		return k.view.Len()
-	}
-	return len(k.rows)
-}
-
-// value returns key column c (position in the key, not the schema) of
-// logical row j.
-func (k Key) value(j, c int) types.Value {
-	if k.view != nil {
-		return k.kc[c].Value(k.view.Index(j))
-	}
-	return k.rows[j][k.cols[c]]
-}
+func (k Key) Len() int { return k.view.Len() }
 
 // batch is how many keys the consumers of hashes work on at a time: small
 // enough for the hash and NULL buffers to live on the caller's stack, large
@@ -59,23 +39,10 @@ const batch = 512
 // hashes is the batch entry point of the hash kernel: it fills hs[i] with the
 // composite FNV-1a key hash of logical row lo+i — identical to
 // types.Row.HashKey on the materialized row — and null[i] with whether that
-// key contains NULL. The columnar form runs one type-switched loop per key
-// column over the whole batch.
+// key contains NULL: one type-switched loop per key column over the whole
+// batch.
 func (k Key) hashes(lo int, hs []uint64, null []bool) {
 	null = null[:len(hs)]
-	if k.view == nil {
-		for i := range hs {
-			r := k.rows[lo+i]
-			hs[i] = r.HashKey(k.cols)
-			null[i] = false
-			for _, c := range k.cols {
-				if r[c].IsNull() {
-					null[i] = true
-				}
-			}
-		}
-		return
-	}
 	var sel []int32
 	if k.view.Sel != nil {
 		sel = k.view.Sel[lo : lo+len(hs)]
@@ -176,15 +143,11 @@ type eqCol struct {
 // that want join semantics skip NULL keys before they compare.
 type matcher struct {
 	a, b Key
-	cols []eqCol // nil when either side is row-major: every column through types.Equal
+	cols []eqCol
 }
 
 func newMatcher(a, b Key) matcher {
-	m := matcher{a: a, b: b}
-	if a.view == nil || b.view == nil {
-		return m
-	}
-	m.cols = make([]eqCol, len(a.kc))
+	m := matcher{a: a, b: b, cols: make([]eqCol, len(a.kc))}
 	for c := range a.kc {
 		e := &m.cols[c]
 		switch ac := a.kc[c].(type) {
@@ -203,14 +166,6 @@ func newMatcher(a, b Key) matcher {
 }
 
 func (m *matcher) equal(i, j int) bool {
-	if m.cols == nil {
-		for c := range m.a.cols {
-			if !types.Equal(m.a.value(i, c), m.b.value(j, c)) {
-				return false
-			}
-		}
-		return true
-	}
 	fa, fb := m.a.view.Index(i), m.b.view.Index(j)
 	for c := range m.cols {
 		e := &m.cols[c]
@@ -336,14 +291,25 @@ func (s *KeySet) Select(p Key, lo, hi int, out []int32) []int32 {
 	return out
 }
 
-// Contains reports whether probe row j's key is present.
-func (s *KeySet) Contains(p Key, j int) bool {
-	h, null := p.hash1(j)
-	if null {
+// ContainsValue reports whether v is a key of the set, which must be over a
+// single column: the probe of a scalar that belongs to no frame. It hashes
+// and compares as a one-column key holding v would (types.Equal against the
+// build column); NULL never matches. Allocation-free.
+func (s *KeySet) ContainsValue(v types.Value) bool {
+	if v.IsNull() {
 		return false
 	}
-	m := newMatcher(s.src, p)
-	return s.tab.lookup(h, &m, j).ref != 0
+	h := v.HashFNV(types.FNVOffset64)
+	col, mask := s.src.kc[0], uint64(len(s.tab.slots)-1)
+	for i := s.tab.home(h); ; i = (i + 1) & mask {
+		sl := s.tab.slots[i]
+		if sl.ref == 0 {
+			return false
+		}
+		if sl.tag == uint32(h) && types.Equal(col.Value(s.src.view.Index(int(sl.ref-1))), v) {
+			return true
+		}
+	}
 }
 
 // Len returns the number of distinct keys.

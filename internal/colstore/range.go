@@ -10,10 +10,10 @@ import (
 // This file holds the kernels behind sideways information passing (SIP): the
 // cost-based planner computes the build side's [min, max] key bounds and
 // pre-drops probe rows that cannot possibly match before they are hashed.
-// Both kernels read a single-column Key — typed vectors when it is columnar,
-// boxed values otherwise — and mirror cmp3 (types.Compare on non-NULL
-// numerics) exactly, so the pre-filter never drops a row the exact semi-join
-// would keep: NaN probe values pass any range (cmp3 reports 0 against every
+// Both kernels read a single-column Key — typed numeric vectors directly,
+// any other column through boxed values — and mirror cmp3 (types.Compare on
+// non-NULL numerics) exactly, so the pre-filter never drops a row the exact
+// semi-join would keep: NaN probe values pass any range (cmp3 reports 0 against every
 // bound, matching their Compare behavior), and NULL, non-numeric or
 // out-of-range values can never equal an in-range numeric build key.
 
@@ -30,29 +30,28 @@ const (
 // logical row. One reader per column representation keeps the loops below
 // single.
 func (k Key) numReader() func(j int) (float64, numKind) {
-	if k.view != nil {
-		v := k.view
-		switch c := k.kc[0].(type) {
-		case *Int64Column:
-			return func(j int) (float64, numKind) {
-				i := v.Index(j)
-				if c.Nulls.Get(i) {
-					return 0, numNull
-				}
-				return float64(c.Vals[i]), numValue
+	v := k.view
+	switch c := k.kc[0].(type) {
+	case *Int64Column:
+		return func(j int) (float64, numKind) {
+			i := v.Index(j)
+			if c.Nulls.Get(i) {
+				return 0, numNull
 			}
-		case *Float64Column:
-			return func(j int) (float64, numKind) {
-				i := v.Index(j)
-				if c.Nulls.Get(i) {
-					return 0, numNull
-				}
-				return c.Vals[i], numValue
+			return float64(c.Vals[i]), numValue
+		}
+	case *Float64Column:
+		return func(j int) (float64, numKind) {
+			i := v.Index(j)
+			if c.Nulls.Get(i) {
+				return 0, numNull
 			}
+			return c.Vals[i], numValue
 		}
 	}
+	col := k.kc[0]
 	return func(j int) (float64, numKind) {
-		val := k.value(j, 0)
+		val := col.Value(v.Index(j))
 		switch val.Kind() {
 		case types.KindNull:
 			return 0, numNull

@@ -77,11 +77,13 @@ func analyze(t *testing.T, src engine.Source, sql string) (*engine.SPJSpec, map[
 	return spec, rels
 }
 
-// mixForms returns rels with the columnar view stripped from some relations,
-// so the operators under test meet every key form: form 0 keeps every scan's
-// view (colstore.ViewKey on both sides), form 1 strips every other relation
-// in alias order (mixed sides), form 2 strips all (colstore.RowsKey on both
-// sides, what a decoded result set or a join output looks like).
+// mixForms returns rels with some relations rebuilt from their boxed rows, so
+// the operators under test meet every pairing of column representations: form
+// 0 keeps every scan's selection over its table's frame, form 1 rebuilds
+// every other relation in alias order as a dense frame with dictionaries of
+// its own (what a decoded result set looks like), form 2 rebuilds all of them
+// with undeclared kinds, so every column is an exact-value AnyColumn and every
+// compare goes through types.Equal.
 func mixForms(rels map[string]*engine.Relation, form int) map[string]*engine.Relation {
 	aliases := make([]string, 0, len(rels))
 	for a := range rels {
@@ -91,8 +93,15 @@ func mixForms(rels map[string]*engine.Relation, form int) map[string]*engine.Rel
 	out := make(map[string]*engine.Relation, len(rels))
 	for i, a := range aliases {
 		rel := rels[a]
-		if form == 2 || form == 1 && i%2 == 1 {
-			rel = &engine.Relation{Cols: rel.Cols, Rows: rel.Rows}
+		switch {
+		case form == 2:
+			cols := append([]engine.ColRef(nil), rel.Cols...)
+			for c := range cols {
+				cols[c].Kind = types.KindNull
+			}
+			rel = engine.FromRows(cols, rel.Rows())
+		case form == 1 && i%2 == 1:
+			rel = engine.FromRows(rel.Cols, rel.Rows())
 		}
 		out[a] = rel
 	}
@@ -165,8 +174,8 @@ func TestReduceRelationsChain(t *testing.T) {
 		if n == nil {
 			t.Fatalf("missing node %s", alias)
 		}
-		if len(n.Rel.Rows) != want {
-			t.Errorf("%s reduced to %d rows, want %d", alias, len(n.Rel.Rows), want)
+		if n.Rel.Len() != want {
+			t.Errorf("%s reduced to %d rows, want %d", alias, n.Rel.Len(), want)
 		}
 	}
 	if st.SemiJoins == 0 {
@@ -221,8 +230,8 @@ func sameRelation(a, b *engine.Relation) bool {
 }
 
 func renderSorted(r *engine.Relation) []string {
-	out := make([]string, len(r.Rows))
-	for i, row := range r.Rows {
+	out := make([]string, r.Len())
+	for i, row := range r.Rows() {
 		out[i] = row.String()
 	}
 	sort.Strings(out)
@@ -355,13 +364,13 @@ func TestRootStrategies(t *testing.T) {
 		if st.Root == "" {
 			t.Errorf("strategy %d: no root recorded", strat)
 		}
-		if len(reduced["r1"].Rows) != 1 {
-			t.Errorf("strategy %d: r1 rows = %d", strat, len(reduced["r1"].Rows))
+		if reduced["r1"].Len() != 1 {
+			t.Errorf("strategy %d: r1 rows = %d", strat, reduced["r1"].Len())
 		}
 		// Rebuild rels: the reduction mutates node relations but not the
 		// input map's relations (SemiJoin allocates new row slices); verify.
-		if len(rels["r1"].Rows) != 3 {
-			t.Fatalf("input relations mutated: r1 has %d rows", len(rels["r1"].Rows))
+		if rels["r1"].Len() != 3 {
+			t.Fatalf("input relations mutated: r1 has %d rows", rels["r1"].Len())
 		}
 	}
 	// The heuristic must pick a projected relation as root.
@@ -431,7 +440,7 @@ func TestRelationshipPreservingAttrs(t *testing.T) {
 }
 
 func TestDecomposeErrors(t *testing.T) {
-	rel := &engine.Relation{Cols: []engine.ColRef{{Rel: "a", Name: "x"}}}
+	rel := engine.FromRows([]engine.ColRef{{Rel: "a", Name: "x"}}, nil)
 	if _, err := Decompose(rel, []string{"missing"}, 1, nil); err == nil {
 		t.Error("Decompose with unknown alias should fail")
 	}
@@ -448,25 +457,24 @@ func TestStatsString(t *testing.T) {
 }
 
 // TestBloomPrefilterKeySemantics pins what the Bloom pass hashes: join keys
-// through colstore.Key, on whichever form each side comes in. A NULL key is
-// never inserted and never passes, an INT 3 probes a FLOAT 3.0 build key
-// successfully (numeric equality carries through hashing), and the target
-// keeps its form.
+// through colstore.Key, whatever column representation each side has (typed
+// vectors under the declared kind, or the AnyColumn fallback under an
+// undeclared one). A NULL key is never inserted and never passes, an INT 3
+// probes a FLOAT 3.0 build key successfully (numeric equality carries through
+// hashing), and the target comes out as a selection over its own frame.
 func TestBloomPrefilterKeySemantics(t *testing.T) {
 	rel := func(alias string, kind types.Kind, keys ...types.Value) *engine.Relation {
-		r := &engine.Relation{Cols: []engine.ColRef{{Rel: alias, Name: "k", Kind: kind}}}
-		for _, k := range keys {
-			r.Rows = append(r.Rows, types.Row{k})
+		rows := make([]types.Row, len(keys))
+		for i, k := range keys {
+			rows[i] = types.Row{k}
 		}
-		return r
+		return engine.FromRows([]engine.ColRef{{Rel: alias, Name: "k", Kind: kind}}, rows)
 	}
-	target := rel("t", types.KindInt, types.NewInt(3), types.Null(), types.NewInt(7))
-	source := rel("s", types.KindFloat, types.NewFloat(3), types.Null())
-	forms := func(r *engine.Relation) []*engine.Relation {
-		return []*engine.Relation{r, engine.Columnarize(r, 1)}
-	}
-	for _, tr := range forms(target) {
-		for _, sr := range forms(source) {
+	tKeys := []types.Value{types.NewInt(3), types.Null(), types.NewInt(7)}
+	sKeys := []types.Value{types.NewFloat(3), types.Null()}
+	for _, tk := range []types.Kind{types.KindInt, types.KindNull} {
+		for _, sk := range []types.Kind{types.KindFloat, types.KindNull} {
+			tr, sr := rel("t", tk, tKeys...), rel("s", sk, sKeys...)
 			tn, sn := &Node{Aliases: []string{"t"}, Rel: tr}, &Node{Aliases: []string{"s"}, Rel: sr}
 			e := &Edge{X: tn, Y: sn, Preds: []engine.JoinPred{{LeftRel: "t", LeftCol: "k", RightRel: "s", RightCol: "k"}}}
 			st := &Stats{}
@@ -474,10 +482,10 @@ func TestBloomPrefilterKeySemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := renderSorted(tn.Rel); len(got) != 1 || got[0] != "3" {
-				t.Errorf("target view=%v source view=%v: kept %v, want only the key 3", tr.Vec != nil, sr.Vec != nil, got)
+				t.Errorf("target kind %v source kind %v: kept %v, want only the key 3", tk, sk, got)
 			}
-			if (tn.Rel.Vec != nil) != (tr.Vec != nil) {
-				t.Errorf("target view=%v: form not preserved", tr.Vec != nil)
+			if tn.Rel.Vec.Frame != tr.Vec.Frame {
+				t.Errorf("target kind %v: output is not a selection over the target's frame", tk)
 			}
 			if st.BloomSemiJoins != 1 || st.BloomDropped != 2 {
 				t.Errorf("stats = %+v, want 1 Bloom semi-join dropping 2 rows", st)

@@ -77,7 +77,7 @@ func newEstimator(g *Graph, tableStats map[string]*stats.Table) *estimator {
 		colNDV: make(map[*Node][]float64, len(g.Nodes)),
 	}
 	for _, n := range g.Nodes {
-		est.rows[n] = float64(len(n.Rel.Rows))
+		est.rows[n] = float64(n.Rel.Len())
 		est.colNDV[n] = make([]float64, len(n.Rel.Cols))
 	}
 	return est
@@ -100,7 +100,7 @@ func (est *estimator) baseNDV(n *Node, c int) float64 {
 // keeping later estimates anchored to reality.
 func (est *estimator) observe(n *Node) {
 	if est != nil {
-		est.rows[n] = float64(len(n.Rel.Rows))
+		est.rows[n] = float64(n.Rel.Len())
 	}
 }
 
@@ -187,7 +187,7 @@ func (est *estimator) rangeFrac(n *Node, col int, lo, hi float64) float64 {
 // estimated drop substantial enough that the (approximate) pass saves the
 // exact pass real work.
 func (est *estimator) bloomWorth(target, source *Node, e *Edge) bool {
-	if len(target.Rel.Rows) < bloomMinTargetRows {
+	if target.Rel.Len() < bloomMinTargetRows {
 		return false
 	}
 	return est.liveSel(target, source, e) <= bloomMaxSel
@@ -199,7 +199,7 @@ func (est *estimator) bloomSize(source *Node, e *Edge) int {
 	// edgeColsFor(source, e) resolves source's own key columns first.
 	sCols, _, err := edgeColsFor(source, e)
 	if err != nil {
-		return len(source.Rel.Rows)
+		return source.Rel.Len()
 	}
 	n := int(est.ndv(est.rows, source, sCols))
 	if n < 1 {

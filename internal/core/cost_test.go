@@ -74,7 +74,7 @@ func statsFor(t *testing.T, src memSource, spec *engine.SPJSpec) map[string]*sta
 
 func relFingerprint(rel *engine.Relation) string {
 	s := ""
-	for _, row := range rel.Rows {
+	for _, row := range rel.Rows() {
 		for _, v := range row {
 			s += v.String() + "|"
 		}
@@ -130,7 +130,7 @@ func TestCostBasedMatchesHeuristic(t *testing.T) {
 			}
 			if relFingerprint(g) != relFingerprint(want) {
 				t.Errorf("earlyStop=%v: alias %s differs between heuristic and cost-based plans (%d vs %d rows)",
-					early, alias, len(g.Rows), len(want.Rows))
+					early, alias, g.Len(), want.Len())
 			}
 		}
 		if st.Root == "" {

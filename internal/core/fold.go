@@ -41,7 +41,7 @@ func FoldJoinGraph(g *Graph, strategy FoldStrategy, st *Stats, par int, tr *trac
 			return err
 		}
 		xn, yn := x.Name(), y.Name()
-		xr, yr := len(x.Rel.Rows), len(y.Rel.Rows)
+		xr, yr := x.Rel.Len(), y.Rel.Len()
 		var sp *trace.Span
 		if tr.Enabled() {
 			sp = tr.Span("fold", xn+" ⋈ "+yn)
@@ -55,8 +55,8 @@ func FoldJoinGraph(g *Graph, strategy FoldStrategy, st *Stats, par int, tr *trac
 		st.Folds++
 		z := g.Nodes[len(g.Nodes)-1]
 		if sp != nil {
-			sp.RowsOut = len(z.Rel.Rows)
-			tr.AddRowsJoined(len(z.Rel.Rows))
+			sp.RowsOut = z.Rel.Len()
+			tr.AddRowsJoined(z.Rel.Len())
 		}
 	}
 	return nil
@@ -90,7 +90,7 @@ func chooseFoldPair(g *Graph, strategy FoldStrategy) (*Node, *Node, error) {
 			if da != db {
 				return da > db
 			}
-			return len(a.Rel.Rows) < len(b.Rel.Rows)
+			return a.Rel.Len() < b.Rel.Len()
 		})
 		for _, x := range candidates {
 			edges := g.EdgesOf(x)
@@ -107,9 +107,9 @@ func chooseFoldPair(g *Graph, strategy FoldStrategy) (*Node, *Node, error) {
 				switch {
 				case d > yDeg:
 					y, yDeg = o, d
-				case d == yDeg && y != nil && len(o.Rel.Rows) < len(y.Rel.Rows):
+				case d == yDeg && y != nil && o.Rel.Len() < y.Rel.Len():
 					y = o
-				case d == yDeg && y != nil && len(o.Rel.Rows) == len(y.Rel.Rows) && o.Name() < y.Name():
+				case d == yDeg && y != nil && o.Rel.Len() == y.Rel.Len() && o.Name() < y.Name():
 					y = o
 				}
 			}
@@ -120,7 +120,7 @@ func chooseFoldPair(g *Graph, strategy FoldStrategy) (*Node, *Node, error) {
 }
 
 func cardProduct(e *Edge) int {
-	return len(e.X.Rel.Rows) * len(e.Y.Rel.Rows)
+	return e.X.Rel.Len() * e.Y.Rel.Len()
 }
 
 // foldPair replaces x and y by the node x ⋈ y, re-pointing and merging all

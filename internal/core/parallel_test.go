@@ -89,22 +89,22 @@ func TestReductionParallelMatchesSerial(t *testing.T) {
 				}
 				return reduced
 			}
-			// Serial over row-major inputs is the baseline; parallel runs
-			// over columnar, mixed and row-major inputs must reproduce it.
+			// Serial over rebuilt AnyColumn inputs is the baseline; parallel
+			// runs over every input form (see mixForms) must reproduce it.
 			want := run(1, 2)
 			for form := 0; form < 3; form++ {
 				got := run(4, form)
 				for _, alias := range spec.OutputRels() {
 					key := strings.ToLower(alias)
-					w, g := want[key], got[key]
-					if len(g.Rows) != len(w.Rows) {
+					w, g := want[key].Rows(), got[key].Rows()
+					if len(g) != len(w) {
 						t.Fatalf("query %d variant %d form %d relation %s: %d rows parallel vs %d serial",
-							qi, vi, form, alias, len(g.Rows), len(w.Rows))
+							qi, vi, form, alias, len(g), len(w))
 					}
-					for i := range g.Rows {
-						if !g.Rows[i].Equal(w.Rows[i]) {
+					for i := range g {
+						if !g[i].Equal(w[i]) {
 							t.Fatalf("query %d variant %d form %d relation %s row %d differs:\nparallel: %v\nserial:   %v",
-								qi, vi, form, alias, i, g.Rows[i], w.Rows[i])
+								qi, vi, form, alias, i, g[i], w[i])
 						}
 					}
 				}
@@ -117,28 +117,39 @@ func TestReductionParallelMatchesSerial(t *testing.T) {
 // degrees on a wide joined relation with heavy duplication per alias.
 func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	joined := &engine.Relation{Cols: []engine.ColRef{
+	cols := []engine.ColRef{
 		{Rel: "x", Name: "a", Kind: types.KindInt},
 		{Rel: "x", Name: "b", Kind: types.KindInt},
 		{Rel: "y", Name: "c", Kind: types.KindInt},
 		{Rel: "z", Name: "d", Kind: types.KindInt},
-	}}
-	for i := 0; i < 9000; i++ {
-		joined.Rows = append(joined.Rows, types.Row{
+	}
+	rows := make([]types.Row, 9000)
+	for i := range rows {
+		rows[i] = types.Row{
 			types.NewInt(int64(rng.Intn(40))),
 			types.NewInt(int64(rng.Intn(40))),
 			types.NewInt(int64(rng.Intn(25))),
 			types.NewInt(int64(rng.Intn(3000))),
-		})
+		}
 	}
+	joined := engine.FromRows(cols, rows)
 	aliases := []string{"x", "y", "z"}
 	want, err := Decompose(joined, aliases, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A join result arrives row-major; a single-relation "join" arrives with
-	// its scan's view. Both must decompose identically.
-	inputs := map[string]*engine.Relation{"rows": joined, "view": engine.Columnarize(joined, 1)}
+	// A join result arrives as a dense gathered frame; a single-relation
+	// "join" arrives as its scan's selection. Both must decompose identically.
+	every := make([]int32, 0, len(rows))
+	for i := 0; i < len(rows); i += 2 {
+		every = append(every, int32(i))
+	}
+	wantHalf, err := Decompose(engine.FromRows(cols, engine.FromRows(cols, rows).Narrow(every).Rows()), aliases, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string]*engine.Relation{"dense": joined, "selected": joined.Narrow(every)}
+	wants := map[string]map[string]*engine.Relation{"dense": want, "selected": wantHalf}
 	for form, in := range inputs {
 		for _, par := range []int{1, 2, 4, 7} {
 			got, err := Decompose(in, aliases, par, nil)
@@ -146,12 +157,12 @@ func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, alias := range aliases {
-				w, g := want[alias], got[alias]
-				if len(g.Rows) != len(w.Rows) {
-					t.Fatalf("%s par=%d alias %s: %d rows, want %d", form, par, alias, len(g.Rows), len(w.Rows))
+				w, g := wants[form][alias].Rows(), got[alias].Rows()
+				if len(g) != len(w) {
+					t.Fatalf("%s par=%d alias %s: %d rows, want %d", form, par, alias, len(g), len(w))
 				}
-				for i := range g.Rows {
-					if !g.Rows[i].Equal(w.Rows[i]) {
+				for i := range g {
+					if !g[i].Equal(w[i]) {
 						t.Fatalf("%s par=%d alias %s row %d differs", form, par, alias, i)
 					}
 				}
@@ -166,8 +177,8 @@ func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 
 // TestTraceFingerprintIndependentOfKeyForm: the deterministic portion of the
 // reduction's trace (ops, labels, phases, cardinalities — CountsFingerprint)
-// does not depend on whether the operators met their inputs as columnar views
-// or as plain rows, on acyclic and cyclic (folding) queries, with the Bloom
+// does not depend on which column representations the operators met their
+// inputs in (see mixForms), on acyclic and cyclic (folding) queries, with the Bloom
 // prefilter on, at parallelism 1 and 4.
 func TestTraceFingerprintIndependentOfKeyForm(t *testing.T) {
 	src := bigChainSource(rand.New(rand.NewSource(9)), 1200)

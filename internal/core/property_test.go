@@ -157,7 +157,7 @@ func TestTheorem44RandomQueries(t *testing.T) {
 				}
 			}
 			dec := full.Project(cols).Distinct()
-			if ref := (&engine.Relation{Cols: dec.Cols, Rows: set.Rows}); !sameRelation(ref, dec) {
+			if ref := engine.FromRows(dec.Cols, set.Rows); !sameRelation(ref, dec) {
 				t.Fatalf("trial %d: %q relation %s: Decompose disagrees with the reference:\ndecompose: %v\nreference: %v",
 					trial, sql, set.Name, renderSorted(dec), renderSorted(ref))
 			}
@@ -167,7 +167,7 @@ func TestTheorem44RandomQueries(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Rotate through columnar, mixed and row-major inputs.
+			// Rotate through the input forms (see mixForms).
 			reduced, _, err := SemiJoinReduce(spec, mixForms(rels, (trial+oi)%3), nil, opts)
 			if err != nil {
 				t.Fatalf("trial %d opts %+v: %q: %v", trial, opts, sql, err)
@@ -314,7 +314,7 @@ func TestBigIntegerKeysMatchReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := full.Project([]int{idCol}).Distinct()
-			if ref := (&engine.Relation{Cols: got.Cols, Rows: set.Rows}); !sameRelation(ref, got) {
+			if ref := engine.FromRows(got.Cols, set.Rows); !sameRelation(ref, got) {
 				t.Fatalf("form %d relation %s: engine %v, reference %v", form, set.Name, renderSorted(got), renderSorted(ref))
 			}
 		}

@@ -58,20 +58,19 @@ func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outp
 	for _, n := range g.Nodes {
 		if n.IsFold() {
 			// Decompose the fold: project out each contained base relation
-			// and deduplicate (the join may have multiplied its tuples). The
-			// fold result is columnarized once and each alias dedups on
-			// column-data key hashes, materializing only the surviving rows.
-			src := engine.Columnarize(n.Rel, opts.Parallelism)
+			// and deduplicate (the join may have multiplied its tuples). Each
+			// alias dedups on column-data key hashes and gathers only the
+			// surviving rows.
 			for _, alias := range n.Aliases {
 				if !g.projected[strings.ToLower(alias)] {
 					continue
 				}
-				base := src.ProjectDistinctPar(src.ColumnsOf(alias), opts.Parallelism)
+				base := n.Rel.ProjectDistinctPar(n.Rel.ColumnsOf(alias), opts.Parallelism)
 				if sp := opts.Tracer.Span("decompose", alias); sp != nil {
 					sp.Phase = "decompose"
 					sp.Detail = "unfold " + n.Name()
-					sp.RowsIn = len(n.Rel.Rows)
-					sp.RowsOut = len(base.Rows)
+					sp.RowsIn = n.Rel.Len()
+					sp.RowsOut = base.Len()
 				}
 				out[strings.ToLower(alias)] = base
 			}
@@ -99,8 +98,7 @@ func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outp
 // for SemiJoinReduce (Theorem 4.4).
 //
 // joined must carry alias-qualified columns for every alias in aliases
-// (engine.Executor.RunSPJ produces exactly that). It is columnarized once
-// (shared across aliases) unless it already carries a view; the per-relation
+// (engine.Executor.RunSPJ produces exactly that). The per-relation
 // project+dedup steps are independent, so they run concurrently across
 // aliases at degree par (0 = auto, 1 = serial), each step's own work chunked
 // at the same degree. Results are identical at any degree. One span per
@@ -112,20 +110,16 @@ func Decompose(joined *engine.Relation, aliases []string, par int, tr *trace.Tra
 	if tr.Enabled() {
 		t0 = time.Now()
 	}
-	src := joined
-	if src.Vec == nil {
-		src = engine.Columnarize(src, par)
-	}
 	results := make([]*engine.Relation, len(aliases))
 	errs := make([]error, len(aliases))
 	parallel.Each(len(aliases), par, func(i int) {
 		alias := aliases[i]
-		cols := src.ColumnsOf(alias)
+		cols := joined.ColumnsOf(alias)
 		if len(cols) == 0 {
 			errs[i] = fmt.Errorf("core: decompose: no columns for relation %q", alias)
 			return
 		}
-		results[i] = src.ProjectDistinctPar(cols, par)
+		results[i] = joined.ProjectDistinctPar(cols, par)
 	})
 	var durNS int64
 	if tr.Enabled() {
@@ -138,8 +132,8 @@ func Decompose(joined *engine.Relation, aliases []string, par int, tr *trace.Tra
 		}
 		if sp := tr.Span("decompose", alias); sp != nil {
 			sp.Phase = "decompose"
-			sp.RowsIn = len(joined.Rows)
-			sp.RowsOut = len(results[i].Rows)
+			sp.RowsIn = joined.Len()
+			sp.RowsOut = results[i].Len()
 			sp.Par = parallel.Degree(par)
 			if i == 0 {
 				sp.DurNS = durNS // whole fan-out, attributed once

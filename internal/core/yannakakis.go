@@ -118,13 +118,13 @@ func semiJoinNodes(target, source *Node, e *Edge, st *Stats, opts *Options, phas
 	if err != nil {
 		return err
 	}
-	before := len(target.Rel.Rows)
+	before := target.Rel.Len()
 	var sp *trace.Span
 	if opts.Tracer.Enabled() {
 		sp = opts.Tracer.Span("semi-join", target.Name()+" ⋉ "+source.Name())
 		sp.Phase = phase
 		sp.RowsIn = before
-		sp.RowsBuild = len(source.Rel.Rows)
+		sp.RowsBuild = source.Rel.Len()
 		if est != nil {
 			sp.EstOut = int(est.liveSel(target, source, e)*float64(before) + 0.5)
 		}
@@ -136,7 +136,7 @@ func semiJoinNodes(target, source *Node, e *Edge, st *Stats, opts *Options, phas
 	// range is itself a full scan of the build keys, which only amortizes
 	// against a substantially larger probe.
 	if est != nil && len(tCols) == 1 && before >= sipMinTargetRows &&
-		len(source.Rel.Rows) > 0 && len(source.Rel.Rows)*4 <= before {
+		source.Rel.Len() > 0 && source.Rel.Len()*4 <= before {
 		if lo, hi, ok := engine.NumKeyRange(source.Rel, sCols[0]); ok {
 			if est.rangeFrac(target, tCols[0], lo, hi) <= sipMaxKeepFrac {
 				filtered, skipped := engine.RangeSemiFilter(target.Rel, tCols[0], lo, hi, opts.Parallelism)
@@ -153,11 +153,11 @@ func semiJoinNodes(target, source *Node, e *Edge, st *Stats, opts *Options, phas
 	}
 	target.Rel = engine.SemiJoin(target.Rel, tCols, source.Rel, sCols, opts.Parallelism, sp)
 	st.SemiJoins++
-	st.TuplesDropped += before - len(target.Rel.Rows)
+	st.TuplesDropped += before - target.Rel.Len()
 	est.observe(target)
 	if sp != nil {
-		sp.RowsOut = len(target.Rel.Rows)
-		opts.Tracer.AddRowsDropped(before - len(target.Rel.Rows))
+		sp.RowsOut = target.Rel.Len()
+		opts.Tracer.AddRowsDropped(before - target.Rel.Len())
 	}
 	return nil
 }
@@ -171,7 +171,7 @@ func semiJoinNodes(target, source *Node, e *Edge, st *Stats, opts *Options, phas
 func bloomSemiJoinNodes(target, source *Node, e *Edge, nEst int, fpRate float64, st *Stats, opts *Options) error {
 	par := opts.Parallelism
 	if nEst <= 0 {
-		nEst = len(source.Rel.Rows)
+		nEst = source.Rel.Len()
 	}
 	tCols, sCols, err := edgeColsFor(target, e)
 	if err != nil {
@@ -182,17 +182,16 @@ func bloomSemiJoinNodes(target, source *Node, e *Edge, nEst int, fpRate float64,
 	if opts.Tracer.Enabled() {
 		sp = opts.Tracer.Span("bloom-semi-join", target.Name()+" ⋉ "+source.Name())
 		sp.Phase = "bloom-prefilter"
-		sp.RowsIn = len(target.Rel.Rows)
-		sp.RowsBuild = len(source.Rel.Rows)
+		sp.RowsIn = target.Rel.Len()
+		sp.RowsBuild = source.Rel.Len()
 		sp.Par = parallel.Degree(par)
-		sp.Morsels = parallel.Chunks(len(target.Rel.Rows), par)
+		sp.Morsels = parallel.Chunks(target.Rel.Len(), par)
 		t0 = time.Now()
 	}
 	f := bloom.New(nEst, fpRate)
-	// Build and probe hash straight from the key columns (the same hashes on
-	// a columnar and a row-major side), skipping NULL keys, and narrow the
-	// target's view so later exact semi-joins stay columnar.
-	sk := engine.KeyFor(source.Rel, sCols)
+	// Build and probe hash straight from the key columns, skipping NULL keys,
+	// and narrow the target's selection to the probable matches.
+	sk := source.Rel.Key(sCols)
 	add := f.AddHash
 	if parallel.Chunks(sk.Len(), par) > 1 {
 		add = f.AddHashAtomic
@@ -204,7 +203,7 @@ func bloomSemiJoinNodes(target, source *Node, e *Edge, nEst int, fpRate float64,
 		sp.BuildNS = time.Since(t0).Nanoseconds()
 		t0 = time.Now()
 	}
-	tk := engine.KeyFor(target.Rel, tCols)
+	tk := target.Rel.Key(tCols)
 	kept := parallel.Map(tk.Len(), par, func(lo, hi int) []int32 {
 		var idx []int32
 		tk.EachHash(lo, hi, func(j int, h uint64) {
@@ -215,15 +214,15 @@ func bloomSemiJoinNodes(target, source *Node, e *Edge, nEst int, fpRate float64,
 		return idx
 	})
 	out := target.Rel
-	if len(kept) < len(out.Rows) {
+	if len(kept) < out.Len() {
 		out = out.Narrow(kept)
 	}
 	st.BloomSemiJoins++
-	st.BloomDropped += len(target.Rel.Rows) - len(out.Rows)
+	st.BloomDropped += target.Rel.Len() - out.Len()
 	if sp != nil {
 		sp.ProbeNS = time.Since(t0).Nanoseconds()
-		sp.RowsOut = len(out.Rows)
-		opts.Tracer.AddRowsDropped(len(target.Rel.Rows) - len(out.Rows))
+		sp.RowsOut = out.Len()
+		opts.Tracer.AddRowsDropped(target.Rel.Len() - out.Len())
 	}
 	target.Rel = out
 	return nil
@@ -265,8 +264,8 @@ func ReduceRelations(g *Graph, opts Options, st *Stats) error {
 	st.Root = root.Name()
 	if sp := opts.Tracer.Span("root", root.Name()); sp != nil {
 		sp.Detail = fmt.Sprintf("(degree %d, projected %v)", g.Degree(root), g.Projected(root))
-		sp.RowsIn = len(root.Rel.Rows)
-		sp.RowsOut = len(root.Rel.Rows)
+		sp.RowsIn = root.Rel.Len()
+		sp.RowsOut = root.Rel.Len()
 	}
 	order, err := bfsEdges(g, root)
 	if err != nil {

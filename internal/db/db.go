@@ -248,11 +248,11 @@ type ResultSet struct {
 	Name    string
 	Columns []string
 	Rows    []types.Row
-	// Vec, when non-nil, is a columnar view aligned with Rows (same values,
-	// same order, one frame column per Columns entry). It is attached when
-	// the set's relation still carries one and consumed by the columnar wire
-	// encoder, which reuses its TEXT dictionaries instead of re-deduplicating
-	// strings.
+	// Vec, when non-nil, is the columnar view Rows was boxed from (same
+	// values, same order, one frame column per Columns entry). Every set the
+	// engine produces carries it; hand-built and decoded sets do not. The
+	// columnar wire encoder reads it and reuses its TEXT dictionaries instead
+	// of re-deduplicating strings.
 	// Purely an accelerator: Rows alone fully determine the result.
 	Vec *colstore.View
 
@@ -626,8 +626,8 @@ func (d *Database) execCreateMatView(tx *writeTxn, s *sqlparse.CreateMaterialize
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = append(t.Rows, rel.Rows...)
-	return &Result{Affected: len(rel.Rows)}, nil
+	t.Rows = append(t.Rows, rel.Rows()...)
+	return &Result{Affected: rel.Len()}, nil
 }
 
 // createResultDBView materializes a subdatabase view (use case 2 of the
@@ -699,9 +699,10 @@ func anyStar(items []sqlparse.SelectItem) bool {
 }
 
 func inferKind(rel *engine.Relation, col int) types.Kind {
-	for _, r := range rel.Rows {
-		if !r[col].IsNull() {
-			return r[col].Kind()
+	c := rel.Vec.Frame.Col(col)
+	for j := 0; j < rel.Len(); j++ {
+		if v := c.Value(rel.Vec.Index(j)); !v.IsNull() {
+			return v.Kind()
 		}
 	}
 	return types.KindText

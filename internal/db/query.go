@@ -115,7 +115,7 @@ func (d *Database) querySingleTableAt(ec execCtx, sel *sqlparse.Select, tr *trac
 	set := relToSet("result", rel, rel.ColumnNames())
 	if sp := tr.Span("output", "result"); sp != nil {
 		sp.Phase = "output"
-		sp.RowsIn = len(rel.Rows)
+		sp.RowsIn = rel.Len()
 		sp.RowsOut = len(set.Rows)
 		sp.Bytes = set.WireSize()
 		tr.AddRowsOut(len(set.Rows))
@@ -176,7 +176,7 @@ func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode, 
 		}
 		if sp := tr.Span("output", alias); sp != nil {
 			sp.Phase = "output"
-			sp.RowsIn = len(rel.Rows)
+			sp.RowsIn = rel.Len()
 			sp.RowsOut = len(set.Rows)
 			sp.Bytes = set.WireSize()
 			tr.AddRowsOut(len(set.Rows))
@@ -355,27 +355,20 @@ func projectSet(alias string, rel *engine.Relation, attrs []string, par int) (*R
 		}
 		cols[i] = idx
 	}
-	// The reduced relation still carries its scan's columnar view, so the
-	// dedup runs on columnar key hashes and the set comes out columnar too.
-	projected := rel.ProjectDistinctPar(cols, par)
-	return relToSet(alias, projected, attrs), nil
+	return relToSet(alias, rel.ProjectDistinctPar(cols, par), attrs), nil
 }
 
+// relToSet is where a relation leaves the engine: its tuples are boxed once,
+// here, for the consumers that read ResultSet.Rows, and its view rides along
+// for the columnar wire encoder.
 func relToSet(name string, rel *engine.Relation, columns []string) *ResultSet {
-	set := &ResultSet{Name: name, Columns: columns, Rows: rel.Rows}
-	// Carry the relation's columnar view when it is aligned with the rows
-	// (same length, one frame column per output column), so the columnar
-	// wire encoder can reuse scan-time dictionaries.
-	if rel.Vec != nil && rel.Vec.Len() == len(rel.Rows) && rel.Vec.Frame.NumCols() == len(columns) {
-		set.Vec = rel.Vec
-	}
-	return set
+	return &ResultSet{Name: name, Columns: columns, Rows: rel.Rows(), Vec: rel.Vec}
 }
 
 // setToRelation rebuilds an alias-qualified relation from a result set so it
 // can participate in a post-join.
 func setToRelation(set *ResultSet) *engine.Relation {
-	rel := &engine.Relation{Cols: make([]engine.ColRef, len(set.Columns))}
+	cols := make([]engine.ColRef, len(set.Columns))
 	for i, c := range set.Columns {
 		kind := types.KindText
 		for _, r := range set.Rows {
@@ -384,8 +377,7 @@ func setToRelation(set *ResultSet) *engine.Relation {
 				break
 			}
 		}
-		rel.Cols[i] = engine.ColRef{Rel: set.Name, Name: c, Kind: kind}
+		cols[i] = engine.ColRef{Rel: set.Name, Name: c, Kind: kind}
 	}
-	rel.Rows = set.Rows
-	return rel
+	return engine.FromRows(cols, set.Rows)
 }

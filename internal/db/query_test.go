@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"resultdb/internal/reference"
 	"resultdb/internal/sqlparse"
 )
 
@@ -343,5 +344,50 @@ func TestValuesRoundTripThroughEngine(t *testing.T) {
 	}
 	if rows[1][0].Float() != 2.5 || !rows[1][1].Bool() || rows[1][2].Text() != "x" {
 		t.Errorf("row1 = %v", rows[1])
+	}
+}
+
+// TestInSubqueryMatchesReferenceOnLiteralList pins [NOT] IN (SELECT ...) —
+// the key-set probe and the NULL-member rule — against internal/reference.
+// The reference binds no subqueries, so it evaluates the same predicate with
+// the subquery's rows spelled as a literal list: no NULL member, a NULL
+// member (NOT IN is never TRUE, IN still finds matches), a DOUBLE member an
+// INTEGER probe equals, and an empty subquery.
+func TestInSubqueryMatchesReferenceOnLiteralList(t *testing.T) {
+	d := New()
+	if _, err := d.ExecScript(`
+CREATE TABLE t (id INT PRIMARY KEY, k INT);
+CREATE TABLE s (id INT PRIMARY KEY, v FLOAT, tag TEXT);
+INSERT INTO t VALUES (1, 1), (2, 2), (3, 3), (4, NULL);
+INSERT INTO s VALUES (1, 1.0, 'plain'), (2, -1.0, 'plain'), (3, 3.0, 'plain'),
+	(4, 2.0, 'nulls'), (5, NULL, 'nulls'), (6, 9.5, 'nulls');`); err != nil {
+		t.Fatal(err)
+	}
+	for tag, list := range map[string]string{"plain": "1.0, -1.0, 3.0", "nulls": "2.0, NULL, 9.5", "empty": ""} {
+		for _, not := range []string{"", "NOT "} {
+			sub := "SELECT t.id FROM t AS t WHERE t.k " + not + "IN (SELECT s.v FROM s AS s WHERE s.tag = '" + tag + "')"
+			got, err := d.QuerySQL(sub)
+			if err != nil {
+				t.Fatalf("%s: %v", sub, err)
+			}
+			if list == "" {
+				// No literal spelling of an empty list: IN () is FALSE, NOT IN () TRUE.
+				if want := map[string]int{"": 0, "NOT ": 3}[not]; len(got.First().Rows) != want {
+					t.Errorf("%s: %d rows, want %d", sub, len(got.First().Rows), want)
+				}
+				continue
+			}
+			lit, err := sqlparse.ParseSelect("SELECT t.id FROM t AS t WHERE t.k " + not + "IN (" + list + ")")
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := reference.SingleTable(d.Snapshot(), lit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g, w := rowsToStrings(got.First().Rows), rowsToStrings(want.Rows); strings.Join(g, ",") != strings.Join(w, ",") {
+				t.Errorf("%s: rows %v, reference on the literal list %v", sub, g, w)
+			}
+		}
 	}
 }

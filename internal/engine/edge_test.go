@@ -43,7 +43,7 @@ func TestAggregatesOverEmptyInput(t *testing.T) {
 		"t": mkTable(t, "t", []catalog.Column{intCol("id"), intCol("x")}, nil),
 	}
 	rel := runSelect(t, src, `SELECT COUNT(*), COUNT(t.x), SUM(t.x), MIN(t.x), MAX(t.x), AVG(t.x) FROM t AS t`)
-	r := rel.Rows[0]
+	r := rel.Rows()[0]
 	if r[0].Int() != 0 || r[1].Int() != 0 {
 		t.Errorf("counts = %v", r)
 	}
@@ -60,7 +60,7 @@ func TestAggregatesIgnoreNulls(t *testing.T) {
 			ir(1, 10), ir(2, nil), ir(3, 20)),
 	}
 	rel := runSelect(t, src, `SELECT COUNT(*), COUNT(t.x), SUM(t.x), AVG(t.x) FROM t AS t`)
-	r := rel.Rows[0]
+	r := rel.Rows()[0]
 	if r[0].Int() != 3 || r[1].Int() != 2 || r[2].Int() != 30 || r[3].Float() != 15 {
 		t.Errorf("aggregates = %v", r)
 	}
@@ -72,7 +72,7 @@ func TestMinMaxOverText(t *testing.T) {
 			ir(1, "pear"), ir(2, "apple"), ir(3, "zebra")),
 	}
 	rel := runSelect(t, src, `SELECT MIN(t.s), MAX(t.s) FROM t AS t`)
-	r := rel.Rows[0]
+	r := rel.Rows()[0]
 	if r[0].Text() != "apple" || r[1].Text() != "zebra" {
 		t.Errorf("min/max = %v", r)
 	}
@@ -157,25 +157,53 @@ func TestSubqueryWithNullsThreeValued(t *testing.T) {
 	expectRows(t, rel, "1")
 }
 
+// TestInSubqueryProbeAllocatesNothing: the bound IN (SELECT ...) probes the
+// subquery's key set with the evaluated scalar itself — no per-row key, row
+// or slice — and an INTEGER probe finds a DOUBLE member (3 ≡ 3.0).
+func TestInSubqueryProbeAllocatesNothing(t *testing.T) {
+	floatCol := catalog.Column{Name: "v", Type: types.KindFloat}
+	src := memSource{"s": mkTable(t, "s", []catalog.Column{floatCol}, nil, ir(3.0), ir(4.5), ir(nil))}
+	ex := &Executor{Src: src, Parallelism: 1}
+	b := &binder{cols: []ColRef{{Rel: "t", Name: "id", Kind: types.KindInt}}, sub: ex.subRunner()}
+	in, err := b.bind(parseConjuncts(t, "t", []string{"t.id IN (SELECT s.v FROM s AS s)"})[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []types.Row{ir(3), ir(4), ir(nil)}
+	want := []types.Value{types.NewBool(true), types.Null(), types.Null()} // no match beside a NULL member is UNKNOWN
+	for i, row := range rows {
+		if got, err := in(row); err != nil || got != want[i] {
+			t.Errorf("%v IN (3.0, 4.5, NULL) = %v, %v; want %v", row, got, err, want[i])
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		for _, row := range rows {
+			in(row)
+		}
+	}); a != 0 {
+		t.Errorf("probing an IN subquery allocates %v objects per %d rows, want 0", a, len(rows))
+	}
+}
+
 func TestSelectItemBareStarWithJoin(t *testing.T) {
 	src := shopSource(t)
 	rel := runSelect(t, src, `SELECT * FROM customers AS c, orders AS o WHERE c.id = o.cid AND c.id = 0`)
 	if len(rel.Cols) != 6 { // 3 customer cols + 3 order cols
 		t.Errorf("star columns = %d", len(rel.Cols))
 	}
-	if len(rel.Rows) != 2 {
-		t.Errorf("rows = %d", len(rel.Rows))
+	if rel.Len() != 2 {
+		t.Errorf("rows = %d", rel.Len())
 	}
 }
 
 func TestLimitZeroAndBeyond(t *testing.T) {
 	src := shopSource(t)
 	rel := runSelect(t, src, "SELECT c.id FROM customers AS c LIMIT 0")
-	if len(rel.Rows) != 0 {
-		t.Errorf("LIMIT 0 rows = %d", len(rel.Rows))
+	if rel.Len() != 0 {
+		t.Errorf("LIMIT 0 rows = %d", rel.Len())
 	}
 	rel = runSelect(t, src, "SELECT c.id FROM customers AS c LIMIT 99")
-	if len(rel.Rows) != 3 {
-		t.Errorf("LIMIT 99 rows = %d", len(rel.Rows))
+	if rel.Len() != 3 {
+		t.Errorf("LIMIT 99 rows = %d", rel.Len())
 	}
 }

@@ -2,11 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
 	"resultdb/internal/catalog"
+	"resultdb/internal/colstore"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/storage"
 	"resultdb/internal/types"
@@ -89,8 +92,8 @@ func runSelect(t *testing.T, src Source, sql string) *Relation {
 }
 
 func sortedStrings(rel *Relation) []string {
-	out := make([]string, len(rel.Rows))
-	for i, r := range rel.Rows {
+	out := make([]string, rel.Len())
+	for i, r := range rel.Rows() {
 		out[i] = r.String()
 	}
 	sort.Strings(out)
@@ -134,8 +137,8 @@ func TestSelectExplicitJoinSyntax(t *testing.T) {
 func TestSelectDistinctAndOrderLimit(t *testing.T) {
 	rel := runSelect(t, shopSource(t), `
 		SELECT DISTINCT p.category FROM products AS p ORDER BY p.category`)
-	if len(rel.Rows) != 2 || rel.Rows[0].String() != "clothing" {
-		t.Fatalf("rows = %v", rel.Rows)
+	if rel.Len() != 2 || rel.Rows()[0].String() != "clothing" {
+		t.Fatalf("rows = %v", rel.Rows())
 	}
 	rel2 := runSelect(t, shopSource(t), `
 		SELECT p.name FROM products AS p ORDER BY p.name DESC LIMIT 2`)
@@ -158,13 +161,13 @@ func TestSelectLeftOuterJoin(t *testing.T) {
 func TestSelectAggregates(t *testing.T) {
 	src := shopSource(t)
 	rel := runSelect(t, src, `SELECT COUNT(*) FROM orders AS o`)
-	if rel.Rows[0][0].Int() != 6 {
-		t.Fatalf("count = %v", rel.Rows[0])
+	if rel.Rows()[0][0].Int() != 6 {
+		t.Fatalf("count = %v", rel.Rows()[0])
 	}
 	rel = runSelect(t, src, `
 		SELECT COUNT(*), MIN(o.pid), MAX(o.pid), SUM(o.pid), AVG(o.pid)
 		FROM orders AS o WHERE o.cid = 1`)
-	r := rel.Rows[0]
+	r := rel.Rows()[0]
 	if r[0].Int() != 3 || r[1].Int() != 1 || r[2].Int() != 3 || r[3].Int() != 6 || r[4].Float() != 2 {
 		t.Fatalf("aggregates = %v", r)
 	}
@@ -172,8 +175,8 @@ func TestSelectAggregates(t *testing.T) {
 	rel = runSelect(t, src, `
 		SELECT COUNT(*) FROM customers AS c, orders AS o
 		WHERE c.id = o.cid AND c.state = 'NY'`)
-	if rel.Rows[0][0].Int() != 3 {
-		t.Fatalf("join count = %v", rel.Rows[0])
+	if rel.Rows()[0][0].Int() != 3 {
+		t.Fatalf("join count = %v", rel.Rows()[0])
 	}
 }
 
@@ -191,8 +194,8 @@ func TestSelectInSubquery(t *testing.T) {
 func TestSelectComputedItems(t *testing.T) {
 	rel := runSelect(t, shopSource(t), `
 		SELECT o.pid * 10 + o.cid AS code FROM orders AS o WHERE o.oid = 2`)
-	if rel.Rows[0][0].Int() != 21 {
-		t.Fatalf("computed = %v", rel.Rows[0])
+	if rel.Rows()[0][0].Int() != 21 {
+		t.Fatalf("computed = %v", rel.Rows()[0])
 	}
 	if rel.Cols[0].Name != "code" {
 		t.Errorf("alias = %s", rel.Cols[0].Name)
@@ -290,7 +293,7 @@ func TestArith(t *testing.T) {
 		"t": mkTable(t, "t", []catalog.Column{intCol("id"), intCol("x")}, []string{"id"}, ir(1, 7)),
 	}
 	rel := runSelect(t, src, "SELECT t.x + 1, t.x - 2, t.x * 3, t.x / 2, -t.x FROM t AS t")
-	r := rel.Rows[0]
+	r := rel.Rows()[0]
 	want := []int64{8, 5, 21, 3, -7}
 	for i, w := range want {
 		if r[i].Int() != w {
@@ -390,39 +393,93 @@ func TestJoinAllCycleEdgesApplied(t *testing.T) {
 	expectRows(t, rel, "1 | 1")
 }
 
-// keyForms returns rel in both forms an operator can meet it in: row-major
-// (addressed through colstore.RowsKey) and carrying a columnar view
-// (colstore.ViewKey).
+// keyForms returns rel in the two shapes an operator can meet a relation in:
+// a dense frame (nil selection) and a selection over a frame that interleaves
+// every row with a decoy.
 func keyForms(rel *Relation) map[string]*Relation {
-	return map[string]*Relation{"rows": rel, "view": Columnarize(rel, 1)}
+	rows := rel.Rows()
+	padded := make([]types.Row, 0, 2*len(rows))
+	sel := make([]int32, 0, len(rows))
+	for i, r := range rows {
+		padded = append(padded, rows[(i*7+3)%len(rows)])
+		sel = append(sel, int32(len(padded)))
+		padded = append(padded, r)
+	}
+	return map[string]*Relation{"dense": rel, "sel": FromRows(rel.Cols, padded).Narrow(sel)}
+}
+
+// nestedLoopJoin is the linear-scan oracle for an inner equi-join on column 0
+// of both sides: NULL keys never match, output in l-major order.
+func nestedLoopJoin(l, r []types.Row) []types.Row {
+	var out []types.Row
+	for _, lr := range l {
+		for _, rr := range r {
+			if !lr[0].IsNull() && !rr[0].IsNull() && types.Equal(lr[0], rr[0]) {
+				out = append(out, append(append(types.Row(nil), lr...), rr...))
+			}
+		}
+	}
+	return out
 }
 
 func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
-	// Randomized join vs a brute-force oracle, over every pairing of
-	// row-major and columnar inputs. NULL keys never match. The inputs have
-	// equal sizes, so r is the build side and the output is in nested-loop
-	// order exactly.
-	for seed := int64(0); seed < 5; seed++ {
-		l := &Relation{Cols: []ColRef{{Rel: "l", Name: "k", Kind: types.KindInt}, {Rel: "l", Name: "v", Kind: types.KindInt}}}
-		r := &Relation{Cols: []ColRef{{Rel: "r", Name: "k", Kind: types.KindInt}, {Rel: "r", Name: "w", Kind: types.KindInt}}}
+	lCols := []ColRef{{Rel: "l", Name: "k", Kind: types.KindInt}, {Rel: "l", Name: "v", Kind: types.KindInt}}
+	rCols := []ColRef{{Rel: "r", Name: "k", Kind: types.KindInt}, {Rel: "r", Name: "w", Kind: types.KindInt}}
+	rfCols := []ColRef{{Rel: "r", Name: "k", Kind: types.KindFloat}, {Rel: "r", Name: "w", Kind: types.KindInt}}
+	// Randomized sides over a small key domain: duplicate keys and NULL keys
+	// on both sides.
+	side := func(seed int64, n, tag int) []types.Row {
 		rng := newTestRand(seed)
-		for i := 0; i < 60; i++ {
-			l.Rows = append(l.Rows, ir(rng(8), i))
-			r.Rows = append(r.Rows, ir(rng(8), i+1000))
-		}
-		l.Rows[7][0], r.Rows[11][0] = types.Null(), types.Null()
-		want := &Relation{Cols: concatCols(l.Cols, r.Cols)}
-		for _, lr := range l.Rows {
-			for _, rr := range r.Rows {
-				if !lr[0].IsNull() && !rr[0].IsNull() && types.Equal(lr[0], rr[0]) {
-					want.Rows = append(want.Rows, concatRows(lr, rr))
-				}
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = ir(rng(8), i+tag)
+			if rng(9) == 0 {
+				rows[i][0] = types.Null()
 			}
 		}
-		for lf, lrel := range keyForms(l) {
-			for rf, rrel := range keyForms(r) {
-				got := HashJoin(lrel, rrel, []int{0}, []int{0}, 1, nil)
-				identicalRows(t, fmt.Sprintf("seed %d, l as %s, r as %s", seed, lf, rf), got, want)
+		return rows
+	}
+	floatKeys := func(rows []types.Row) []types.Row {
+		out := make([]types.Row, len(rows))
+		for i, r := range rows {
+			out[i] = r.Clone()
+			if !r[0].IsNull() {
+				out[i][0] = types.NewFloat(float64(r[0].Int())) // 3 joins 3.0
+			}
+		}
+		return out
+	}
+	cases := []struct {
+		name  string
+		rCols []ColRef
+		l, r  []types.Row
+	}{
+		{"equal sizes", rCols, side(1, 60, 0), side(2, 60, 1000)},
+		{"build side swaps to l", rCols, side(3, 20, 0), side(4, 90, 1000)},
+		{"int x float keys", rfCols, side(5, 50, 0), floatKeys(side(6, 40, 1000))},
+		{"empty build", rCols, side(7, 30, 0), nil},
+		{"empty probe", rCols, nil, side(8, 30, 1000)},
+	}
+	for _, c := range cases {
+		// The probe side's order is the output's: l-major when r is the
+		// build side, r-major after the swap.
+		want := nestedLoopJoin(c.l, c.r)
+		if len(c.r) > len(c.l) {
+			want = want[:0]
+			for _, rr := range c.r {
+				want = append(want, nestedLoopJoin(c.l, []types.Row{rr})...)
+			}
+		}
+		if len(c.l) > 0 && len(c.r) > 0 && len(want) == 0 {
+			t.Fatalf("%s: test setup: no matches", c.name)
+		}
+		for lf, lrel := range keyForms(FromRows(lCols, c.l)) {
+			for rf, rrel := range keyForms(FromRows(c.rCols, c.r)) {
+				for _, par := range []int{1, 4} {
+					got := HashJoin(lrel, rrel, []int{0}, []int{0}, par, nil)
+					what := fmt.Sprintf("%s, l %s, r %s, par=%d", c.name, lf, rf, par)
+					identicalRows(t, what, got, FromRows(concatCols(lCols, c.rCols), want))
+				}
 			}
 		}
 	}
@@ -437,53 +494,163 @@ func newTestRand(seed int64) func(n int) int {
 	}
 }
 
+// TestJoinOutputSharesDictionaries: a join output's TEXT columns are code
+// gathers over its inputs' dictionaries (pointer-equal backing arrays), which
+// is the precondition of the hash kernel's code-compare rule — so a fold node
+// semi-joins a base relation over a TEXT key by dictionary code. The result
+// is checked against a scan, and the allocation count must not grow with the
+// rows: nothing row- or string-shaped is built on the way.
+func TestJoinOutputSharesDictionaries(t *testing.T) {
+	cols := func(alias string) []ColRef {
+		return []ColRef{{Rel: alias, Name: "k", Kind: types.KindInt}, {Rel: alias, Name: "s", Kind: types.KindText}}
+	}
+	side := func(alias string, n int) *Relation {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = ir(i%50, fmt.Sprintf("%s-%d", alias, i%17))
+		}
+		return keyForms(FromRows(cols(alias), rows))["sel"]
+	}
+	dictOf := func(rel *Relation, col int) []string {
+		tc, ok := rel.Vec.Frame.Col(col).(*colstore.TextColumn)
+		if !ok {
+			t.Fatalf("column %d is %T, want a dictionary-encoded TEXT column", col, rel.Vec.Frame.Col(col))
+		}
+		return tc.Dict
+	}
+	for _, n := range []int{400, 4000} {
+		l, r := side("l", n), side("r", n/2)
+		fold := HashJoin(l, r, []int{0}, []int{0}, 4, nil)
+		if fold.Len() == 0 {
+			t.Fatal("test setup: join produced no rows")
+		}
+		if &dictOf(fold, 1)[0] != &dictOf(l, 1)[0] || &dictOf(fold, 3)[0] != &dictOf(r, 1)[0] {
+			t.Fatal("join output copied a TEXT dictionary instead of sharing its input's")
+		}
+		// fold ⋉ l and l ⋉ fold over the TEXT column: same rows as the scan.
+		keep := map[string]bool{}
+		for _, row := range fold.Rows() {
+			keep[row[1].Text()] = true
+		}
+		var want []types.Row
+		for _, row := range l.Rows() {
+			if keep[row[1].Text()] {
+				want = append(want, row)
+			}
+		}
+		got := SemiJoin(l, []int{1}, fold, []int{1}, 1, nil)
+		identicalRows(t, "base ⋉ fold over TEXT", got, FromRows(l.Cols, want))
+		if out := SemiJoin(fold, []int{1}, l, []int{1}, 1, nil); out != fold {
+			t.Error("fold ⋉ base over its own TEXT column dropped rows")
+		}
+		if a := testing.AllocsPerRun(5, func() { SemiJoin(l, []int{1}, fold, []int{1}, 1, nil) }); a > 16 {
+			t.Errorf("n=%d: base ⋉ fold over a shared dictionary allocates %v objects", n, a)
+		}
+	}
+}
+
 func TestSemiJoinExported(t *testing.T) {
-	l := &Relation{Cols: []ColRef{{Rel: "l", Name: "k"}}}
-	r := &Relation{Cols: []ColRef{{Rel: "r", Name: "k"}}}
-	l.Rows = []types.Row{ir(1), ir(2), ir(3), ir(2)}
-	r.Rows = []types.Row{ir(2), ir(4)}
-	for lf, lrel := range keyForms(l) {
-		for rf, rrel := range keyForms(r) {
+	l := FromRows([]ColRef{{Rel: "l", Name: "k"}}, []types.Row{ir(1), ir(2), ir(3), ir(2)})
+	r := FromRows([]ColRef{{Rel: "r", Name: "k"}}, []types.Row{ir(2), ir(4)})
+	for _, lrel := range keyForms(l) {
+		for _, rrel := range keyForms(r) {
 			out := SemiJoin(lrel, []int{0}, rrel, []int{0}, 1, nil)
 			expectRows(t, out, "2", "2")
-			if (out.Vec != nil) != (lf == "view") {
-				t.Errorf("l as %s, r as %s: result view = %v, want l's form preserved", lf, rf, out.Vec != nil)
+			if out.Vec.Frame != lrel.Vec.Frame {
+				t.Error("semi-join output is not a selection over its input's frame")
 			}
 		}
 	}
 }
 
-// TestSemiJoinAllocations: a semi-join over single-INTEGER keys allocates a
-// number of objects that does not depend on how many distinct keys there are
-// (the map-of-slices key set allocated at least one per key), and one that
-// drops nothing returns its input instead of copying it.
-func TestSemiJoinAllocations(t *testing.T) {
-	ints := func(n int) *Relation {
-		rel := &Relation{Cols: []ColRef{{Rel: "t", Name: "k", Kind: types.KindInt}}, Rows: make([]types.Row, n)}
-		for i := range rel.Rows {
-			rel.Rows[i] = ir(i)
-		}
-		return rel
+// intsRelation is the one-INTEGER-column relation 0..n-1.
+func intsRelation(n int) *Relation {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = ir(i)
 	}
+	return FromRows([]ColRef{{Rel: "t", Name: "k", Kind: types.KindInt}}, rows)
+}
+
+// allocBytes is the heap bytes one call of fn allocates (serial code only).
+func allocBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSemiJoinAllocations: a semi-join over single-INTEGER keys allocates a
+// number of objects that does not depend on how many rows or distinct keys
+// there are, what it allocates per kept probe row is the selection vector
+// and nothing row-shaped (a []types.Row header alone is 24 bytes a row), and
+// one that drops nothing returns its input instead of copying it.
+func TestSemiJoinAllocations(t *testing.T) {
 	allocs := func(n int) float64 {
-		l, r := Columnarize(ints(n), 1), Columnarize(ints(n/2), 1) // half of l survives
+		l, r := intsRelation(n), intsRelation(n/2) // half of l survives
 		return testing.AllocsPerRun(10, func() { SemiJoin(l, []int{0}, r, []int{0}, 1, nil) })
 	}
 	if few, many := allocs(100), allocs(10000); many != few || many > 16 {
 		t.Errorf("SemiJoin: %v allocations over 100 keys, %v over 10000", few, many)
 	}
-	for form, rel := range keyForms(ints(2000)) {
+	// Double the probe side over a fixed build side (every other probe row
+	// finds its key): the extra bytes are what the extra kept rows cost.
+	build := intsRelation(5000)
+	bytes := func(n int) uint64 {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = ir(i % 10000)
+		}
+		probe := FromRows(build.Cols, rows)
+		return allocBytes(func() {
+			if out := SemiJoin(probe, []int{0}, build, []int{0}, 1, nil); out.Len() != n/2 {
+				t.Fatalf("kept %d of %d rows, want half", out.Len(), n)
+			}
+		})
+	}
+	if perKept := float64(bytes(20000)-bytes(10000)) / 5000; perKept >= 24 {
+		t.Errorf("SemiJoin allocates %.1f bytes per kept probe row, want under 24", perKept)
+	}
+	for form, rel := range keyForms(intsRelation(2000)) {
 		if out := SemiJoin(rel, []int{0}, rel, []int{0}, 4, nil); out != rel {
 			t.Errorf("%s: a semi-join that kept every row copied the relation", form)
 		}
 	}
 }
 
-func TestRelationHelpers(t *testing.T) {
-	rel := &Relation{
-		Cols: []ColRef{{Rel: "a", Name: "x"}, {Rel: "a", Name: "y"}, {Rel: "b", Name: "x"}},
-		Rows: []types.Row{ir(1, 2, 3)},
+// TestBaseRelationAllocatesNoRows: a scan whose filter compiles to kernels is
+// a selection over the table's frame — it allocates less than the row headers
+// of its survivors alone would take.
+func TestBaseRelationAllocatesNoRows(t *testing.T) {
+	const n = 10000
+	rows := make([]types.Row, n)
+	for i := range rows {
+		rows[i] = ir(i, i%7)
 	}
+	src := memSource{"t": mkTable(t, "t", []catalog.Column{intCol("id"), intCol("m")}, []string{"id"}, rows...)}
+	filters := parseConjuncts(t, "t", []string{"t.id < 5000"})
+	ex := &Executor{Src: src, Parallelism: 1}
+	scan := func() *Relation {
+		rel, err := ex.baseRelation(RelRef{Alias: "t", Table: "t"}, filters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rel
+	}
+	if rel := scan(); rel.Len() != n/2 { // also builds and caches the frame
+		t.Fatalf("scan kept %d rows, want %d", rel.Len(), n/2)
+	}
+	if got := allocBytes(func() { scan() }); got >= 24*n/2 {
+		t.Errorf("filtered scan allocates %d bytes, want under %d (the survivors' row headers)", got, 24*n/2)
+	}
+}
+
+func TestRelationHelpers(t *testing.T) {
+	rel := FromRows(
+		[]ColRef{{Rel: "a", Name: "x"}, {Rel: "a", Name: "y"}, {Rel: "b", Name: "x"}},
+		[]types.Row{ir(1, 2, 3)})
 	if _, err := rel.ColIndex("", "x"); err == nil {
 		t.Error("ambiguous bare name should error")
 	}
@@ -500,16 +667,49 @@ func TestRelationHelpers(t *testing.T) {
 		t.Errorf("ColumnNames = %v", names)
 	}
 	p := rel.Project([]int{2, 0})
-	if p.Rows[0][0].Int() != 3 || p.Cols[0].Rel != "b" {
+	if p.Rows()[0][0].Int() != 3 || p.Cols[0].Rel != "b" {
 		t.Errorf("Project = %+v", p)
 	}
 }
 
-func TestTableToRelation(t *testing.T) {
-	src := shopSource(t)
-	tab, _ := src.Table("customers")
-	rel := TableToRelation("c", tab)
-	if len(rel.Cols) != 3 || rel.Cols[0].Rel != "c" || len(rel.Rows) != 3 {
-		t.Errorf("TableToRelation = %+v", rel)
+// TestFromRowsRoundTrip: boxing gives back exactly the tuples a relation was
+// built from — kinds included — whether it still holds them (FromRows), lost
+// them to a gather, or never saw the values' kinds declared.
+func TestFromRowsRoundTrip(t *testing.T) {
+	cols := []ColRef{
+		{Rel: "t", Name: "i", Kind: types.KindInt},
+		{Rel: "t", Name: "f", Kind: types.KindFloat}, // holds an INTEGER: AnyColumn
+		{Rel: "t", Name: "s", Kind: types.KindText},
+		{Rel: "t", Name: "n", Kind: types.KindBool}, // all NULL: stays typed
+		{Rel: "t", Name: "u"},                       // undeclared kind
+	}
+	rows := []types.Row{
+		ir(1, 1.5, "a", nil, true),
+		ir(nil, 2, "b", nil, "x"),
+		ir(3, nil, nil, nil, nil),
+		ir(4, 4.25, "a", nil, 7),
+	}
+	rel := FromRows(cols, rows)
+	if _, ok := rel.Vec.Frame.Col(1).(*colstore.AnyColumn); !ok {
+		t.Errorf("FLOAT column holding an INTEGER is %T, want the AnyColumn fallback", rel.Vec.Frame.Col(1))
+	}
+	if _, ok := rel.Vec.Frame.Col(3).(*colstore.BoolColumn); !ok {
+		t.Errorf("all-NULL BOOLEAN column is %T, want its declared kind preserved", rel.Vec.Frame.Col(3))
+	}
+	gathered := &Relation{Cols: cols, Vec: &colstore.View{
+		Frame: colstore.GatherView(rel.Vec, allCols(len(cols)), []int32{0, 1, 2, 3}, 1)}}
+	for name, r := range map[string]*Relation{"FromRows": rel, "gathered": gathered} {
+		if got := r.Rows(); !reflect.DeepEqual(got, rows) {
+			t.Errorf("%s: Rows() = %v, want %v", name, got, rows)
+		}
+	}
+	want := []types.Row{rows[1], rows[3]}
+	for name, r := range map[string]*Relation{"FromRows": rel, "gathered": gathered} {
+		if got := r.Narrow([]int32{1, 3}).Rows(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s narrowed: Rows() = %v, want %v", name, got, want)
+		}
+	}
+	if empty := FromRows(cols, nil); empty.Len() != 0 || len(empty.Rows()) != 0 {
+		t.Errorf("empty relation has %d rows", empty.Len())
 	}
 }

@@ -19,11 +19,11 @@ type SubqueryRunner func(*sqlparse.Select) (*Relation, error)
 
 // binder compiles AST expressions against a relation schema.
 type binder struct {
-	rel *Relation
-	sub SubqueryRunner
+	cols []ColRef
+	sub  SubqueryRunner
 }
 
-// bind compiles e for evaluation against rows of b.rel.
+// bind compiles e for evaluation against rows under the schema b.cols.
 func (b *binder) bind(e sqlparse.Expr) (boundExpr, error) {
 	switch x := e.(type) {
 	case *sqlparse.Literal:
@@ -31,7 +31,7 @@ func (b *binder) bind(e sqlparse.Expr) (boundExpr, error) {
 		return func(types.Row) (types.Value, error) { return v, nil }, nil
 
 	case *sqlparse.ColumnRef:
-		idx, err := b.rel.ColIndex(x.Table, x.Column)
+		idx, err := colIndex(b.cols, x.Table, x.Column)
 		if err != nil {
 			return nil, err
 		}
@@ -360,11 +360,10 @@ func (b *binder) bindInSubquery(x *sqlparse.InSubquery) (boundExpr, error) {
 	if len(rel.Cols) != 1 {
 		return nil, fmt.Errorf("engine: IN subquery must return one column, got %d", len(rel.Cols))
 	}
-	keyCol := []int{0}
-	keys := colstore.BuildKeySet(KeyFor(rel, keyCol)) // skips NULLs
+	keys := colstore.BuildKeySet(rel.Key([]int{0})) // skips NULLs
 	sawNull := false
-	for _, row := range rel.Rows {
-		sawNull = sawNull || row[0].IsNull()
+	for j, col := 0, rel.Vec.Frame.Col(0); j < rel.Len() && !sawNull; j++ {
+		sawNull = col.Null(rel.Vec.Index(j))
 	}
 	return func(r types.Row) (types.Value, error) {
 		v, err := ev(r)
@@ -374,7 +373,7 @@ func (b *binder) bindInSubquery(x *sqlparse.InSubquery) (boundExpr, error) {
 		if v.IsNull() {
 			return types.Null(), nil
 		}
-		if keys.Contains(colstore.RowsKey([]types.Row{{v}}, keyCol), 0) {
+		if keys.ContainsValue(v) {
 			return types.NewBool(!x.Not), nil
 		}
 		if sawNull {
@@ -384,14 +383,14 @@ func (b *binder) bindInSubquery(x *sqlparse.InSubquery) (boundExpr, error) {
 	}, nil
 }
 
-// BindPredicate compiles cond against rel's schema and returns the
+// BindPredicate compiles cond against the schema cols and returns the
 // row-at-a-time evaluator that defines filter semantics: whether cond is TRUE
 // for a row (NULL and FALSE both reject). It is the same binder the
 // executor's scans and filters evaluate through, exported for the reference
 // implementation the differential tests compare against
 // (internal/reference). Subqueries are rejected at bind time.
-func BindPredicate(rel *Relation, cond sqlparse.Expr) (func(types.Row) (bool, error), error) {
-	check, err := (&binder{rel: rel}).bind(cond)
+func BindPredicate(cols []ColRef, cond sqlparse.Expr) (func(types.Row) (bool, error), error) {
+	check, err := (&binder{cols: cols}).bind(cond)
 	if err != nil {
 		return nil, err
 	}

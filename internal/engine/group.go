@@ -29,7 +29,8 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 	if sel.Distinct && len(sel.GroupBy) == 0 {
 		joined = joined.Distinct()
 	}
-	b := &binder{rel: joined, sub: e.subRunner()}
+	b := &binder{cols: joined.Cols, sub: e.subRunner()}
+	rows := joined.Rows()
 
 	// Partition by the grouping key.
 	keyEvals := make([]boundExpr, len(sel.GroupBy))
@@ -45,10 +46,10 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 	}
 	var groups []*group
 	if len(sel.GroupBy) == 0 {
-		groups = []*group{{rows: joined.Rows}}
+		groups = []*group{{rows: rows}}
 	} else {
 		index := map[uint64][]*group{}
-		for _, row := range joined.Rows {
+		for _, row := range rows {
 			key := make(types.Row, len(keyEvals))
 			for i, ev := range keyEvals {
 				key[i], err = ev(row)
@@ -74,7 +75,7 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 	}
 
 	// Output schema: one column per select item.
-	out := &Relation{}
+	var outCols []ColRef
 	for _, item := range sel.Items {
 		if item.Star {
 			return nil, fmt.Errorf("engine: cannot mix * with aggregates/GROUP BY")
@@ -89,7 +90,7 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 		if col.Name == "" {
 			col.Name = item.Expr.SQL()
 		}
-		out.Cols = append(out.Cols, col)
+		outCols = append(outCols, col)
 	}
 
 	groupBySQL := map[string]int{}
@@ -97,21 +98,21 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 		groupBySQL[g.SQL()] = i
 	}
 
+	var outRows []types.Row
 	for _, g := range groups {
-		grel := &Relation{Cols: joined.Cols, Rows: g.rows}
 		row := make(types.Row, len(sel.Items))
 		for i, item := range sel.Items {
-			v, err := e.evalGroupExpr(item.Expr, g.key, groupBySQL, grel, b)
+			v, err := e.evalGroupExpr(item.Expr, g.key, groupBySQL, g.rows, b)
 			if err != nil {
 				return nil, err
 			}
 			row[i] = v
-			if !v.IsNull() && out.Cols[i].Kind == types.KindNull {
-				out.Cols[i].Kind = v.Kind()
+			if !v.IsNull() && outCols[i].Kind == types.KindNull {
+				outCols[i].Kind = v.Kind()
 			}
 		}
 		if sel.Having != nil {
-			hv, err := e.evalGroupExpr(sel.Having, g.key, groupBySQL, grel, b)
+			hv, err := e.evalGroupExpr(sel.Having, g.key, groupBySQL, g.rows, b)
 			if err != nil {
 				return nil, fmt.Errorf("engine: HAVING: %w", err)
 			}
@@ -119,8 +120,9 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 				continue
 			}
 		}
-		out.Rows = append(out.Rows, row)
+		outRows = append(outRows, row)
 	}
+	out := FromRows(outCols, outRows)
 	if sel.Distinct && len(sel.GroupBy) > 0 {
 		out = out.Distinct()
 	}
@@ -132,7 +134,7 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 // and scalar operators recurse. A column reference that is neither grouped
 // nor inside an aggregate is an error (the usual SQL rule).
 func (e *Executor) evalGroupExpr(expr sqlparse.Expr, key types.Row,
-	groupBySQL map[string]int, grel *Relation, b *binder) (types.Value, error) {
+	groupBySQL map[string]int, rows []types.Row, b *binder) (types.Value, error) {
 	if i, ok := groupBySQL[expr.SQL()]; ok {
 		return key[i], nil
 	}
@@ -140,20 +142,20 @@ func (e *Executor) evalGroupExpr(expr sqlparse.Expr, key types.Row,
 	case *sqlparse.Literal:
 		return x.Value, nil
 	case *sqlparse.FuncCall:
-		v, _, err := e.aggregate(x, grel, b)
+		v, _, err := e.aggregate(x, rows, b)
 		return v, err
 	case *sqlparse.Binary:
-		l, err := e.evalGroupExpr(x.L, key, groupBySQL, grel, b)
+		l, err := e.evalGroupExpr(x.L, key, groupBySQL, rows, b)
 		if err != nil {
 			return types.Value{}, err
 		}
-		r, err := e.evalGroupExpr(x.R, key, groupBySQL, grel, b)
+		r, err := e.evalGroupExpr(x.R, key, groupBySQL, rows, b)
 		if err != nil {
 			return types.Value{}, err
 		}
 		return applyBinary(x.Op, l, r)
 	case *sqlparse.Unary:
-		v, err := e.evalGroupExpr(x.E, key, groupBySQL, grel, b)
+		v, err := e.evalGroupExpr(x.E, key, groupBySQL, rows, b)
 		if err != nil {
 			return types.Value{}, err
 		}

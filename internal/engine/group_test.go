@@ -96,14 +96,14 @@ func TestGroupByErrors(t *testing.T) {
 func TestGroupByEmptyInput(t *testing.T) {
 	rel := runSelect(t, salesSource(t), `
 		SELECT s.region, COUNT(*) FROM sales AS s WHERE s.amount > 999 GROUP BY s.region`)
-	if len(rel.Rows) != 0 {
-		t.Errorf("empty grouping produced %d rows", len(rel.Rows))
+	if rel.Len() != 0 {
+		t.Errorf("empty grouping produced %d rows", rel.Len())
 	}
 	// Without GROUP BY, aggregates over empty input yield one row.
 	rel = runSelect(t, salesSource(t), `
 		SELECT COUNT(*) FROM sales AS s WHERE s.amount > 999`)
-	if len(rel.Rows) != 1 || rel.Rows[0][0].Int() != 0 {
-		t.Errorf("global aggregate over empty input = %v", rel.Rows)
+	if rel.Len() != 1 || rel.Rows()[0][0].Int() != 0 {
+		t.Errorf("global aggregate over empty input = %v", rel.Rows())
 	}
 }
 

@@ -12,28 +12,25 @@ import (
 )
 
 // crossJoin is the Cartesian product l × r (a join with no equi predicate).
-// Output schema is l's columns followed by r's. The loop over l's rows runs in
-// parallel chunks at degree par (0 = auto, 1 = serial) with per-chunk output
-// buffers merged in input order, so the result is bit-identical to serial
-// execution at any degree. A non-nil sp records the wall time, the effective
-// degree, and the morsel count; a nil sp skips all clock reads.
+// Output schema is l's columns followed by r's, rows in l-major order — every
+// (l position, r position) pair, gathered like any join output. A non-nil sp
+// records the wall time, the effective degree, and the morsel count; a nil sp
+// skips all clock reads.
 func crossJoin(l, r *Relation, par int, sp *trace.Span) *Relation {
-	out := &Relation{Cols: concatCols(l.Cols, r.Cols)}
 	var t0 time.Time
 	if sp != nil {
 		sp.Par = parallel.Degree(par)
-		sp.Morsels = parallel.Chunks(len(l.Rows), par)
+		sp.Morsels = parallel.Chunks(l.Len(), par)
 		t0 = time.Now()
 	}
-	out.Rows = parallel.Map(len(l.Rows), par, func(lo, hi int) []types.Row {
-		rows := make([]types.Row, 0, (hi-lo)*len(r.Rows))
-		for _, lr := range l.Rows[lo:hi] {
-			for _, rr := range r.Rows {
-				rows = append(rows, concatRows(lr, rr))
-			}
+	nl, nr := l.Len(), r.Len()
+	lpos, rpos := make([]int32, 0, nl*nr), make([]int32, 0, nl*nr)
+	for i := 0; i < nl; i++ {
+		for j := 0; j < nr; j++ {
+			lpos, rpos = append(lpos, int32(i)), append(rpos, int32(j))
 		}
-		return rows
-	})
+	}
+	out := gatherPairs(l, r, lpos, rpos, par)
 	if sp != nil {
 		sp.ProbeNS = time.Since(t0).Nanoseconds()
 	}
@@ -42,14 +39,16 @@ func crossJoin(l, r *Relation, par int, sp *trace.Span) *Relation {
 
 // joinOn joins l and r with an arbitrary ON expression, inner or left outer.
 // Equi conjuncts of the ON tree probe the same colstore hash table HashJoin
-// builds; remaining conjuncts are evaluated per candidate pair. For a left
-// outer join, unmatched left rows are padded with NULLs.
+// builds, with r as the build side; an inner join on equi conjuncts alone is
+// exactly that hash join. Otherwise this is the sequential pipeline: both
+// inputs are boxed once, remaining conjuncts are evaluated per candidate
+// pair, and for a left outer join unmatched left rows are padded with NULLs.
 //
 // The probe over l's rows runs in parallel chunks (bound expressions are
 // pure after binding, so concurrent evaluation is safe); per-chunk buffers
 // keep the output order identical to the serial loop.
 func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, par int) (*Relation, error) {
-	combined := &Relation{Cols: concatCols(l.Cols, r.Cols)}
+	cols := concatCols(l.Cols, r.Cols)
 
 	// Split ON into hashable equi pairs and a residual.
 	var lCols, rCols []int
@@ -63,9 +62,12 @@ func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, pa
 		}
 		residual = append(residual, c)
 	}
+	if len(lCols) > 0 && len(residual) == 0 && !outer {
+		return equiJoin(l, r, lCols, rCols, false, par, nil), nil
+	}
 	var check boundExpr
 	if len(residual) > 0 {
-		b := &binder{rel: combined, sub: sub}
+		b := &binder{cols: cols, sub: sub}
 		var err error
 		check, err = b.bind(sqlparse.AndAll(residual))
 		if err != nil {
@@ -78,25 +80,26 @@ func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, pa
 	var ht *colstore.HashTable
 	var pk colstore.Key
 	if len(lCols) > 0 {
-		ht = colstore.BuildHashTable(KeyFor(r, rCols), par)
-		pk = KeyFor(l, lCols)
+		ht = colstore.BuildHashTable(r.Key(rCols), par)
+		pk = l.Key(lCols)
 	}
+	lRows, rRows := l.Rows(), r.Rows()
 	nullPad := make(types.Row, len(r.Cols))
-	rows, err := parallel.MapErr(len(l.Rows), par, func(lo, hi int) ([]types.Row, error) {
+	rows, err := parallel.MapErr(len(lRows), par, func(lo, hi int) ([]types.Row, error) {
 		chunk := make([]types.Row, 0, hi-lo)
 		var prober colstore.Prober
 		if ht != nil {
 			prober = ht.Prober(pk)
 		}
 		for j := lo; j < hi; j++ {
-			lr := l.Rows[j]
+			lr := lRows[j]
 			matched := false
 			var pairErr error
 			try := func(pos int32) {
 				if pairErr != nil {
 					return
 				}
-				row := concatRows(lr, r.Rows[pos])
+				row := joinedRow(lr, rRows[pos])
 				if check != nil {
 					v, err := check(row)
 					if err != nil || !truthy(v) {
@@ -110,7 +113,7 @@ func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, pa
 			if ht != nil {
 				prober.Each(j, try)
 			} else {
-				for pos := 0; pos < len(r.Rows) && pairErr == nil; pos++ {
+				for pos := 0; pos < len(rRows) && pairErr == nil; pos++ {
 					try(int32(pos))
 				}
 			}
@@ -118,7 +121,7 @@ func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, pa
 				return nil, pairErr
 			}
 			if outer && !matched {
-				chunk = append(chunk, concatRows(lr, nullPad))
+				chunk = append(chunk, joinedRow(lr, nullPad))
 			}
 		}
 		return chunk, nil
@@ -126,8 +129,7 @@ func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, pa
 	if err != nil {
 		return nil, err
 	}
-	combined.Rows = rows
-	return combined, nil
+	return FromRows(cols, rows), nil
 }
 
 // equiPair recognizes an ON conjunct "x = y" where one side resolves in l
@@ -161,10 +163,11 @@ func concatCols(a, b []ColRef) []ColRef {
 	return append(out, b...)
 }
 
-func concatRows(a, b types.Row) types.Row {
-	out := make(types.Row, 0, len(a)+len(b))
-	out = append(out, a...)
-	return append(out, b...)
+// joinedRow is the tuple joinOn evaluates a residual conjunct on and emits.
+func joinedRow(l, r types.Row) types.Row {
+	out := make(types.Row, 0, len(l)+len(r))
+	out = append(out, l...)
+	return append(out, r...)
 }
 
 // crossCheck asserts both column lists have equal length; join construction

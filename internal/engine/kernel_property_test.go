@@ -126,9 +126,9 @@ func parseConjuncts(t *testing.T, table string, preds []string) []sqlparse.Expr 
 // errors, so AND's three-valued evaluation and the scan's drop-at-first-
 // failure agree; TestScanConjunctionShortCircuitsErrors covers where they
 // differ.)
-func boundSelection(t *testing.T, rel *Relation, rows []types.Row, filters []sqlparse.Expr) []int32 {
+func boundSelection(t *testing.T, cols []ColRef, rows []types.Row, filters []sqlparse.Expr) []int32 {
 	t.Helper()
-	keep, err := BindPredicate(rel, sqlparse.AndAll(filters))
+	keep, err := BindPredicate(cols, sqlparse.AndAll(filters))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,8 +150,11 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			tab := kernelTable(t, rand.New(rand.NewSource(31+int64(v.textMode))), v)
-			rel := TableToRelation("r", tab)
 			f := tab.Columns()
+			rel := make([]ColRef, len(tab.Def.Columns))
+			for i, c := range tab.Def.Columns {
+				rel[i] = ColRef{Rel: "r", Name: c.Name, Kind: c.Type}
+			}
 
 			// selection runs the scan's filter with an explicit split and
 			// returns the frame positions it selects.
@@ -211,7 +214,7 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 			}
 
 			// The scan itself, splitting where the first conjunct without a
-			// kernel falls: rows, order and view all follow the definition.
+			// kernel falls: selection, rows and order all follow the definition.
 			for iter := 0; iter < 40; iter++ {
 				var preds []string
 				for n := rng.Intn(4) + 1; n > 0; n-- {
@@ -229,12 +232,13 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if len(got.Rows) != len(want) || got.Vec.Len() != len(want) {
+					rows := got.Rows()
+					if len(rows) != len(want) || got.Len() != len(want) {
 						t.Fatalf("%v par=%d: scan returns %d rows (view %d), bound expression %d",
-							preds, par, len(got.Rows), got.Vec.Len(), len(want))
+							preds, par, len(rows), got.Len(), len(want))
 					}
 					for j, pos := range want {
-						if got.Vec.Index(j) != int(pos) || !got.Rows[j].Equal(tab.Rows[pos]) {
+						if got.Vec.Index(j) != int(pos) || !rows[j].Equal(tab.Rows[pos]) {
 							t.Fatalf("%v par=%d: row %d is table row %d, want %d", preds, par, j, got.Vec.Index(j), pos)
 						}
 					}
@@ -260,7 +264,7 @@ func TestScanConjunctionShortCircuitsErrors(t *testing.T) {
 	// for row 2, so neither reaches it past "n > 9" — as a kernel ("m.n > 9")
 	// or as a bound expression ("m.n + 0 > 9").
 	for _, first := range []string{"m.n > 9", "m.n + 0 > 9"} {
-		if rel, err := scan(first, "m.id LIKE 'x%'"); err != nil || len(rel.Rows) != 0 {
+		if rel, err := scan(first, "m.id LIKE 'x%'"); err != nil || rel.Len() != 0 {
 			t.Errorf("%s: rejected rows reached the LIKE: %v rows, err %v", first, rel, err)
 		}
 	}

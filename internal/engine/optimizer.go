@@ -129,7 +129,7 @@ func (o *optimizer) measureNDV(idx int, rel, col string) {
 		o.ndv[idx][key] = 1
 		return
 	}
-	n := float64(colstore.BuildKeySet(KeyFor(r, []int{ci})).Len())
+	n := float64(colstore.BuildKeySet(r.Key([]int{ci})).Len())
 	if n < 1 {
 		n = 1
 	}
@@ -143,7 +143,7 @@ func (o *optimizer) plan() (*planNode, error) {
 	for i := 0; i < n; i++ {
 		m := uint32(1) << i
 		o.bestCost[m] = 0
-		o.bestRows[m] = float64(len(o.base[i].Rows))
+		o.bestRows[m] = float64(o.base[i].Len())
 		o.bestPlan[m] = &planNode{mask: m, leaf: i}
 	}
 	for size := 2; size <= n; size++ {
@@ -285,13 +285,13 @@ func (o *optimizer) execute(n *planNode) (*Relation, error) {
 		sp = o.tr.Span(op, o.maskLabel(n.right.mask))
 		sp.Phase = "join"
 		sp.Keys = len(lCols)
-		sp.RowsIn = len(l.Rows)
-		sp.RowsBuild = len(r.Rows)
+		sp.RowsIn = l.Len()
+		sp.RowsBuild = r.Len()
 	}
 	joined := HashJoin(l, r, lCols, rCols, o.par, sp)
 	if sp != nil {
-		sp.RowsOut = len(joined.Rows)
-		o.tr.AddRowsJoined(len(joined.Rows))
+		sp.RowsOut = joined.Len()
+		o.tr.AddRowsJoined(joined.Len())
 	}
 	return joined, nil
 }

@@ -30,8 +30,8 @@ func TestDPMatchesGreedyOnPaperExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(a.Rows) != len(b.Rows) {
-		t.Fatalf("greedy %d rows, DP %d rows", len(a.Rows), len(b.Rows))
+	if a.Len() != b.Len() {
+		t.Fatalf("greedy %d rows, DP %d rows", a.Len(), b.Len())
 	}
 	// Same multiset of rows (column order may differ between join orders).
 	if got, want := sumCells(a), sumCells(b); got != want {
@@ -42,7 +42,7 @@ func TestDPMatchesGreedyOnPaperExample(t *testing.T) {
 // sumCells builds an order-insensitive fingerprint over cell values.
 func sumCells(r *Relation) int {
 	seen := map[string]int{}
-	for _, row := range r.Rows {
+	for _, row := range r.Rows() {
 		for i, v := range row {
 			seen[r.Cols[i].Rel+"."+r.Cols[i].Name+"="+v.String()]++
 		}
@@ -104,8 +104,8 @@ func TestDPMatchesGreedyRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d dp: %v", trial, err)
 		}
-		if len(ra.Rows) != len(rb.Rows) || sumCells(ra) != sumCells(rb) {
-			t.Fatalf("trial %d: %q: greedy %d rows vs dp %d rows", trial, sql, len(ra.Rows), len(rb.Rows))
+		if ra.Len() != rb.Len() || sumCells(ra) != sumCells(rb) {
+			t.Fatalf("trial %d: %q: greedy %d rows vs dp %d rows", trial, sql, ra.Len(), rb.Len())
 		}
 	}
 }
@@ -195,7 +195,7 @@ func TestDPFallsBackBeyondLimit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rel.Rows) != 2 {
-		t.Errorf("rows = %d, want 2", len(rel.Rows))
+	if rel.Len() != 2 {
+		t.Errorf("rows = %d, want 2", rel.Len())
 	}
 }

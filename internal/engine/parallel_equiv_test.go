@@ -11,30 +11,29 @@ import (
 )
 
 // The morsel-parallel operators promise bit-identical results at any degree
-// of parallelism (ordered chunk merge), whichever form their inputs come in.
+// of parallelism (ordered chunk merge), whichever shape their inputs come in.
 // These tests verify exact row-order equality between serial execution
-// (par=1) over row-major inputs and several parallel degrees over every
-// pairing of row-major and columnar inputs (see keyForms), on inputs large
-// enough to actually engage chunking (> 2*parallel.Threshold).
+// (par=1) over dense inputs and several parallel degrees over every pairing
+// of dense and selected inputs (see keyForms), on inputs large enough to
+// actually engage chunking (> 2*parallel.Threshold).
 
 // bigRelation builds a relation with n rows: (id, key, payload), where key is
 // drawn from a domain small enough to generate plenty of join matches and
 // duplicates.
 func bigRelation(rng *rand.Rand, alias string, n, keyDomain int) *Relation {
-	rel := &Relation{Cols: []ColRef{
-		{Rel: alias, Name: "id", Kind: types.KindInt},
-		{Rel: alias, Name: "key", Kind: types.KindInt},
-		{Rel: alias, Name: "payload", Kind: types.KindText},
-	}}
-	rel.Rows = make([]types.Row, n)
+	rows := make([]types.Row, n)
 	for i := 0; i < n; i++ {
-		rel.Rows[i] = types.Row{
+		rows[i] = types.Row{
 			types.NewInt(int64(i)),
 			types.NewInt(int64(rng.Intn(keyDomain))),
 			types.NewText(fmt.Sprintf("p%d", rng.Intn(keyDomain/2+1))),
 		}
 	}
-	return rel
+	return FromRows([]ColRef{
+		{Rel: alias, Name: "id", Kind: types.KindInt},
+		{Rel: alias, Name: "key", Kind: types.KindInt},
+		{Rel: alias, Name: "payload", Kind: types.KindText},
+	}, rows)
 }
 
 // identicalRows asserts exact equality: same schema width, same row count,
@@ -44,12 +43,13 @@ func identicalRows(t *testing.T, what string, got, want *Relation) {
 	if len(got.Cols) != len(want.Cols) {
 		t.Fatalf("%s: schema width %d != %d", what, len(got.Cols), len(want.Cols))
 	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("%s: row count %d != %d", what, len(got.Rows), len(want.Rows))
+	g, w := got.Rows(), want.Rows()
+	if len(g) != len(w) || got.Len() != len(w) {
+		t.Fatalf("%s: row count %d (Len %d) != %d", what, len(g), got.Len(), len(w))
 	}
-	for i := range got.Rows {
-		if !got.Rows[i].Equal(want.Rows[i]) {
-			t.Fatalf("%s: row %d differs:\n got %v\nwant %v", what, i, got.Rows[i], want.Rows[i])
+	for i := range g {
+		if !g[i].Equal(w[i]) {
+			t.Fatalf("%s: row %d differs:\n got %v\nwant %v", what, i, g[i], w[i])
 		}
 	}
 }
@@ -61,7 +61,7 @@ func TestHashJoinParallelMatchesSerial(t *testing.T) {
 	l := bigRelation(rng, "l", 5000, 97)
 	r := bigRelation(rng, "r", 3000, 97)
 	want := HashJoin(l, r, []int{1}, []int{1}, 1, nil)
-	if len(want.Rows) == 0 {
+	if want.Len() == 0 {
 		t.Fatal("test setup: join produced no rows")
 	}
 	for lf, lrel := range keyForms(l) {
@@ -79,9 +79,16 @@ func TestHashJoinParallelCrossProduct(t *testing.T) {
 	l := bigRelation(rng, "l", 1200, 7)
 	r := bigRelation(rng, "r", 3, 7)
 	want := HashJoin(l, r, nil, nil, 1, nil)
-	if len(want.Rows) != len(l.Rows)*len(r.Rows) {
-		t.Fatalf("cross product has %d rows, want %d", len(want.Rows), len(l.Rows)*len(r.Rows))
+	if want.Len() != l.Len()*r.Len() {
+		t.Fatalf("cross product has %d rows, want %d", want.Len(), l.Len()*r.Len())
 	}
+	var scan []types.Row
+	for _, lr := range l.Rows() {
+		for _, rr := range r.Rows() {
+			scan = append(scan, append(append(types.Row(nil), lr...), rr...))
+		}
+	}
+	identicalRows(t, "cross par=1 vs nested loop", want, FromRows(want.Cols, scan))
 	for _, par := range sweepDegrees {
 		got := HashJoin(l, r, nil, nil, par, nil)
 		identicalRows(t, fmt.Sprintf("cross par=%d", par), got, want)
@@ -93,19 +100,15 @@ func TestSemiJoinParallelMatchesSerial(t *testing.T) {
 	l := bigRelation(rng, "l", 6000, 211)
 	r := bigRelation(rng, "r", 500, 211)
 	want := SemiJoin(l, []int{1}, r, []int{1}, 1, nil)
-	if len(want.Rows) == 0 || len(want.Rows) == len(l.Rows) {
+	if want.Len() == 0 || want.Len() == l.Len() {
 		t.Fatalf("test setup: semi-join kept %d of %d rows (want a strict subset)",
-			len(want.Rows), len(l.Rows))
+			want.Len(), l.Len())
 	}
 	for lf, lrel := range keyForms(l) {
 		for rf, rrel := range keyForms(r) {
 			for _, par := range append([]int{1}, sweepDegrees...) {
 				got := SemiJoin(lrel, []int{1}, rrel, []int{1}, par, nil)
-				what := fmt.Sprintf("SemiJoin l as %s, r as %s, par=%d", lf, rf, par)
-				identicalRows(t, what, got, want)
-				if got.Vec != nil && got.Vec.Len() != len(got.Rows) {
-					t.Fatalf("%s: narrowed view has %d rows, relation %d", what, got.Vec.Len(), len(got.Rows))
-				}
+				identicalRows(t, fmt.Sprintf("SemiJoin l as %s, r as %s, par=%d", lf, rf, par), got, want)
 			}
 		}
 	}
@@ -118,16 +121,17 @@ func TestDistinctParMatchesSerial(t *testing.T) {
 	full := bigRelation(rng, "d", 8000, 23)
 	rel := full.Project([]int{1, 2})
 	// The expected rows come from a plain first-occurrence-wins loop.
-	want := &Relation{Cols: rel.Cols}
+	var first []types.Row
 	seen := types.NewRowSet()
-	for _, row := range rel.Rows {
+	for _, row := range rel.Rows() {
 		if seen.Add(row) {
-			want.Rows = append(want.Rows, row)
+			first = append(first, row)
 		}
 	}
-	if len(want.Rows) == len(rel.Rows) {
+	if len(first) == rel.Len() {
 		t.Fatal("test setup: no duplicates to remove")
 	}
+	want := FromRows(rel.Cols, first)
 	// Distinct runs at the default degree, which the environment sets.
 	for form, frel := range keyForms(rel) {
 		for _, par := range append([]int{1}, sweepDegrees...) {
@@ -136,86 +140,72 @@ func TestDistinctParMatchesSerial(t *testing.T) {
 		}
 	}
 	// Project+dedup in one step finds the same rows from the unprojected
-	// relation, and keeps the result columnar when its input was.
+	// relation.
 	for form, frel := range keyForms(full) {
 		for _, par := range append([]int{1}, sweepDegrees...) {
 			got := frel.ProjectDistinctPar([]int{1, 2}, par)
-			what := fmt.Sprintf("ProjectDistinctPar on %s, par=%d", form, par)
-			identicalRows(t, what, got, want)
-			if (got.Vec != nil) != (form == "view") {
-				t.Fatalf("%s: result view = %v", what, got.Vec != nil)
-			}
-			if got.Vec != nil {
-				for i, row := range got.Rows {
-					for c := range row {
-						if v := got.Vec.Frame.Col(c).Value(got.Vec.Index(i)); !types.Equal(v, row[c]) {
-							t.Fatalf("%s: view cell (%d,%d) = %v, row has %v", what, i, c, v, row[c])
-						}
-					}
-				}
-			}
+			identicalRows(t, fmt.Sprintf("ProjectDistinctPar on %s, par=%d", form, par), got, want)
 		}
 	}
 }
 
-func TestProjectParMatchesSerial(t *testing.T) {
+// TestProjectIsColumnSubset: projection keeps the selection and shares the
+// frame's column vectors.
+func TestProjectIsColumnSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
-	rel := bigRelation(rng, "p", 4000, 50)
-	t.Setenv(parallel.EnvVar, "1")
-	want := rel.Project([]int{2, 0})
-	for _, par := range sweepDegrees {
-		t.Setenv(parallel.EnvVar, strconv.Itoa(par))
-		identicalRows(t, fmt.Sprintf("Project par=%d", par), rel.Project([]int{2, 0}), want)
+	for form, rel := range keyForms(bigRelation(rng, "p", 4000, 50)) {
+		var want []types.Row
+		for _, row := range rel.Rows() {
+			want = append(want, row.Project([]int{2, 0}))
+		}
+		got := rel.Project([]int{2, 0})
+		identicalRows(t, "Project on "+form, got, FromRows(got.Cols, want))
+		if got.Vec.Frame.Col(1) != rel.Vec.Frame.Col(0) {
+			t.Errorf("%s: Project copied a column vector", form)
+		}
 	}
 }
 
-func TestFilterRowsParallelMatchesSerial(t *testing.T) {
+func TestFilterParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	rel := bigRelation(rng, "f", 7000, 113)
-	check := func(row types.Row) (types.Value, error) {
-		return types.NewBool(row[1].Int()%3 == 0), nil
-	}
-	want, err := filterRows(rel.Rows, check, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) == 0 || len(want) == len(rel.Rows) {
-		t.Fatalf("test setup: filter kept %d of %d rows", len(want), len(rel.Rows))
-	}
-	for _, par := range sweepDegrees {
-		got, err := filterRows(rel.Rows, check, par)
-		if err != nil {
-			t.Fatal(err)
+	cond := parseConjuncts(t, "f", []string{"f.id + 0 < 2000"})[0]
+	var keep []types.Row
+	for _, row := range rel.Rows() {
+		if row[0].Int() < 2000 {
+			keep = append(keep, row)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("par=%d: kept %d rows, want %d", par, len(got), len(want))
-		}
-		for i := range got {
-			if !got[i].Equal(want[i]) {
-				t.Fatalf("par=%d: row %d differs", par, i)
+	}
+	if len(keep) == 0 || len(keep) == rel.Len() {
+		t.Fatalf("test setup: filter kept %d of %d rows", len(keep), rel.Len())
+	}
+	want := FromRows(rel.Cols, keep)
+	for form, frel := range keyForms(rel) {
+		for _, par := range append([]int{1}, sweepDegrees...) {
+			got, err := (&Executor{Parallelism: par}).filter(frel, cond)
+			if err != nil {
+				t.Fatal(err)
+			}
+			identicalRows(t, fmt.Sprintf("filter on %s, par=%d", form, par), got, want)
+			if got.Vec.Frame != frel.Vec.Frame {
+				t.Errorf("%s par=%d: filter output is not a selection over its input's frame", form, par)
 			}
 		}
 	}
 }
 
-func TestFilterRowsParallelErrorMatchesSerial(t *testing.T) {
+func TestFilterParallelErrorMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(48))
 	rel := bigRelation(rng, "e", 6000, 50)
-	// Fail on the first row whose id is >= 4999; the serial scan hits row
-	// 4999 first, and MapErr must report the same (lowest-chunk) error.
-	boom := fmt.Errorf("boom")
-	check := func(row types.Row) (types.Value, error) {
-		if row[0].Int() >= 4999 {
-			return types.Value{}, boom
-		}
-		return types.NewBool(true), nil
-	}
-	_, wantErr := filterRows(rel.Rows, check, 1)
+	// Division by zero on the one row whose id is 4999, deep in the input:
+	// the error surfaces at every degree.
+	cond := parseConjuncts(t, "e", []string{"100 / (e.id - 4999) < 1000"})[0]
+	_, wantErr := (&Executor{Parallelism: 1}).filter(rel, cond)
 	if wantErr == nil {
 		t.Fatal("test setup: serial filter did not error")
 	}
 	for _, par := range sweepDegrees {
-		_, err := filterRows(rel.Rows, check, par)
+		_, err := (&Executor{Parallelism: par}).filter(rel, cond)
 		if err == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("par=%d: error %v, want %v", par, err, wantErr)
 		}
@@ -244,7 +234,7 @@ func TestJoinAllParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(want.Rows) == 0 {
+	if want.Len() == 0 {
 		t.Fatal("test setup: join produced no rows")
 	}
 	for _, par := range sweepDegrees {

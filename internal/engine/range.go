@@ -18,23 +18,23 @@ import "resultdb/internal/colstore"
 // any non-null value is non-numeric (a range filter would be unsound to
 // derive), when only NaN values exist, or when the column is empty.
 func NumKeyRange(rel *Relation, col int) (lo, hi float64, ok bool) {
-	return colstore.NumMinMax(KeyFor(rel, []int{col}))
+	return colstore.NumMinMax(rel.Key([]int{col}))
 }
 
 // RangeSemiFilter returns rel restricted to rows whose col value could equal
 // a numeric join key in [lo, hi]: non-NULL, numeric, and within the bounds
-// under cmp3 semantics (NaN always passes). Rows are kept in input order and
-// the columnar view (when present) is narrowed alongside, so a subsequent
-// exact semi-join sees a smaller but otherwise identical relation. The
-// second result is the number of rows skipped.
+// under cmp3 semantics (NaN always passes). Rows are kept in input order (the
+// selection is narrowed), so a subsequent exact semi-join sees a smaller but
+// otherwise identical relation. The second result is the number of rows
+// skipped.
 //
 // Only sound when the build side is all-numeric (see NumKeyRange): dropped
 // rows are NULL (never join), non-numeric (never equal a numeric key), or
 // numerically outside every build key.
 func RangeSemiFilter(rel *Relation, col int, lo, hi float64, par int) (*Relation, int) {
-	keep := colstore.NumRangeSelect(KeyFor(rel, []int{col}), lo, hi, par)
-	if len(keep) == len(rel.Rows) {
+	keep := colstore.NumRangeSelect(rel.Key([]int{col}), lo, hi, par)
+	if len(keep) == rel.Len() {
 		return rel, 0
 	}
-	return rel.Narrow(keep), len(rel.Rows) - len(keep)
+	return rel.Narrow(keep), rel.Len() - len(keep)
 }

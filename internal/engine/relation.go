@@ -4,18 +4,17 @@
 // outer joins, expression evaluation with SQL three-valued logic, DISTINCT,
 // aggregation (COUNT), ORDER BY, and LIMIT.
 //
-// Operators materialize intermediate relations (batch-at-a-time execution),
-// which matches a main-memory engine and keeps cardinalities exact — the
-// paper injects true cardinalities into mutable's optimizer for the same
-// effect (Section 6.3).
+// A relation is a columnar frame plus a selection (Relation); operators pass
+// positions and cardinalities stay exact — the paper injects true
+// cardinalities into mutable's optimizer for the same effect (Section 6.3).
+// Tuples are boxed for the row-at-a-time sequential pipeline and at the db
+// boundary only (Relation.Rows).
 package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"resultdb/internal/colstore"
-	"resultdb/internal/parallel"
 	"resultdb/internal/types"
 )
 
@@ -27,27 +26,56 @@ type ColRef struct {
 	Kind types.Kind
 }
 
-// Relation is a materialized intermediate result: a schema plus rows.
-//
-// Vec, when non-nil, is the relation's columnar image: a colstore view whose
-// logical order matches Rows exactly (Vec.Len() == len(Rows), and
-// Vec.Index(j) is the frame position backing Rows[j]). Scans attach it so
-// downstream operators (semi-joins, Bloom probes, project+distinct) can run
-// on typed column vectors and selection vectors instead of re-touching rows;
-// operators that cannot preserve the alignment (joins, general projection)
-// leave it nil and later consumers address the rows directly (see KeyFor).
-// Vec never changes what a relation *is* — only how fast operators read it.
+// Relation is an intermediate result: a schema over a colstore view — an
+// immutable frame (one column per Cols entry) and an ascending selection of
+// its rows. Vec is never nil. Every operator consumes and produces exactly
+// this: filters and semi-joins narrow the selection, joins gather a new frame
+// from position pairs, projection is a column subset. Tuples exist on demand
+// only (Rows), and FromRows is the way back.
 type Relation struct {
 	Cols []ColRef
-	Rows []types.Row
 	Vec  *colstore.View
+}
+
+// FromRows wraps rows in a relation: the frame colstore.NewFrame builds under
+// the schema's kinds (a column holding a value of another kind degrades to an
+// exact-value AnyColumn). It is how tuples computed row-at-a-time — the
+// sequential pipeline's output, a decoded result set — re-enter the engine.
+// rows must not be modified afterwards.
+func FromRows(cols []ColRef, rows []types.Row) *Relation {
+	kinds := make([]types.Kind, len(cols))
+	for i, c := range cols {
+		kinds[i] = c.Kind
+	}
+	return &Relation{Cols: cols, Vec: &colstore.View{Frame: colstore.NewFrame(kinds, rows)}}
+}
+
+// Len returns the number of rows.
+func (r *Relation) Len() int { return r.Vec.Len() }
+
+// Rows boxes the relation into tuples, for a consumer that needs them (see
+// colstore.View.Rows). One-shot: nothing caches the result, and it must not
+// be modified.
+func (r *Relation) Rows() []types.Row { return r.Vec.Rows() }
+
+// Key addresses cols of r's rows for the hash kernel.
+func (r *Relation) Key(cols []int) colstore.Key { return colstore.ViewKey(r.Vec, cols) }
+
+// Narrow returns r restricted to the ascending row positions kept.
+func (r *Relation) Narrow(kept []int32) *Relation {
+	return &Relation{Cols: r.Cols, Vec: r.Vec.Narrow(kept)}
 }
 
 // ColIndex resolves a (possibly table-qualified) column reference against
 // the schema. rel == "" means a bare column name, which must be unambiguous.
 func (r *Relation) ColIndex(rel, name string) (int, error) {
+	return colIndex(r.Cols, rel, name)
+}
+
+// colIndex is ColIndex over a bare schema.
+func colIndex(cols []ColRef, rel, name string) (int, error) {
 	found := -1
-	for i, c := range r.Cols {
+	for i, c := range cols {
 		if !equalFold(c.Name, name) {
 			continue
 		}
@@ -80,20 +108,14 @@ func (r *Relation) ColumnsOf(rel string) []int {
 	return out
 }
 
-// Project returns a new relation restricted to the given column positions, at
-// the default degree of parallelism. Output rows are written to fixed
-// positions, so the result is identical at any degree.
+// Project returns r restricted to the given column positions: a column
+// subset of the same frame under the same selection, nothing copied.
 func (r *Relation) Project(cols []int) *Relation {
 	out := &Relation{Cols: make([]ColRef, len(cols))}
 	for i, c := range cols {
 		out.Cols[i] = r.Cols[c]
 	}
-	out.Rows = make([]types.Row, len(r.Rows))
-	parallel.For(len(r.Rows), 0, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Rows[i] = r.Rows[i].Project(cols)
-		}
-	})
+	out.Vec = &colstore.View{Frame: r.Vec.Frame.Project(cols), Sel: r.Vec.Sel}
 	return out
 }
 
@@ -102,51 +124,16 @@ func (r *Relation) Project(cols []int) *Relation {
 // over every column, so the result is the same rows in the same order at any
 // degree.
 func (r *Relation) Distinct() *Relation {
-	all := make([]int, len(r.Cols))
+	return r.Narrow(colstore.DistinctPositions(r.Key(allCols(len(r.Cols))), 0))
+}
+
+// allCols lists the column positions 0..n-1.
+func allCols(n int) []int {
+	all := make([]int, n)
 	for i := range all {
 		all[i] = i
 	}
-	return r.Narrow(colstore.DistinctPositions(KeyFor(r, all), 0))
-}
-
-// Narrow returns r restricted to the ascending row positions kept (pointer
-// copies of the rows), with its view, when it carries one, narrowed alongside.
-func (r *Relation) Narrow(kept []int32) *Relation {
-	out := &Relation{Cols: r.Cols, Rows: make([]types.Row, len(kept))}
-	for i, j := range kept {
-		out.Rows[i] = r.Rows[j]
-	}
-	if r.Vec != nil {
-		out.Vec = r.Vec.Narrow(kept)
-	}
-	return out
-}
-
-// SortBy orders rows by the given key columns (all ascending unless desc).
-func (r *Relation) SortBy(keys []int, desc []bool) {
-	sort.SliceStable(r.Rows, func(i, j int) bool {
-		a, b := r.Rows[i], r.Rows[j]
-		for k, col := range keys {
-			c := types.Compare(a[col], b[col])
-			if c == 0 {
-				continue
-			}
-			if desc[k] {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-}
-
-// WireSize returns the Section 6.1 result-set size of the relation in bytes.
-func (r *Relation) WireSize() int {
-	n := 0
-	for _, row := range r.Rows {
-		n += row.WireSize()
-	}
-	return n
+	return all
 }
 
 // ColumnNames renders output column labels ("rel.name" when rel is set).

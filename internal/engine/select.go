@@ -2,12 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
+	"resultdb/internal/colstore"
 	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/stats"
-	"resultdb/internal/storage"
 	"resultdb/internal/trace"
 	"resultdb/internal/types"
 )
@@ -69,8 +70,8 @@ func (e *Executor) Select(sel *sqlparse.Select) (*Relation, error) {
 				out = out.Distinct()
 			}
 			if sp := e.Tracer.Span("project", projectionLabel(spec)); sp != nil {
-				sp.RowsIn = len(joined.Rows)
-				sp.RowsOut = len(out.Rows)
+				sp.RowsIn = joined.Len()
+				sp.RowsOut = out.Len()
 				if sel.Distinct {
 					sp.Detail = "distinct"
 				}
@@ -84,7 +85,9 @@ func (e *Executor) Select(sel *sqlparse.Select) (*Relation, error) {
 	return e.selectSequential(sel)
 }
 
-// finish applies ORDER BY and LIMIT to the projected relation.
+// finish applies ORDER BY and LIMIT to the projected relation: the sort
+// compares boxed rows and gathers the relation in the sorted order, LIMIT
+// keeps a prefix of the selection.
 func (e *Executor) finish(rel *Relation, sel *sqlparse.Select) (*Relation, error) {
 	if len(sel.OrderBy) > 0 {
 		keys := make([]int, len(sel.OrderBy))
@@ -101,12 +104,44 @@ func (e *Executor) finish(rel *Relation, sel *sqlparse.Select) (*Relation, error
 			keys[i] = idx
 			desc[i] = o.Desc
 		}
-		rel.SortBy(keys, desc)
+		rel = rel.sortBy(keys, desc)
 	}
-	if sel.Limit != nil && int64(len(rel.Rows)) > *sel.Limit {
-		rel.Rows = rel.Rows[:*sel.Limit]
+	if sel.Limit != nil && int64(rel.Len()) > *sel.Limit {
+		rel = rel.Narrow(allPositions(int(*sel.Limit)))
 	}
 	return rel, nil
+}
+
+// sortBy returns r stably ordered by the given key columns (ascending unless
+// desc).
+func (r *Relation) sortBy(keys []int, desc []bool) *Relation {
+	rows := r.Rows()
+	order := allPositions(len(rows))
+	sort.SliceStable(order, func(i, j int) bool {
+		a, b := rows[order[i]], rows[order[j]]
+		for k, col := range keys {
+			c := types.Compare(a[col], b[col])
+			if c == 0 {
+				continue
+			}
+			if desc[k] {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+	f := colstore.GatherView(r.Vec, allCols(len(r.Cols)), order, 0)
+	return &Relation{Cols: r.Cols, Vec: &colstore.View{Frame: f}}
+}
+
+// allPositions lists the row positions 0..n-1.
+func allPositions(n int) []int32 {
+	all := make([]int32, n)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return all
 }
 
 // RunSPJ executes the join part of an analyzed SPJ query: scan with pushed
@@ -131,7 +166,7 @@ func (e *Executor) RunSPJ(spec *SPJSpec) (*Relation, error) {
 		return nil, err
 	}
 	if len(spec.Residual) > 0 {
-		before := len(joined.Rows)
+		before := joined.Len()
 		joined, err = e.filter(joined, sqlparse.AndAll(spec.Residual))
 		if err != nil {
 			return nil, err
@@ -140,7 +175,7 @@ func (e *Executor) RunSPJ(spec *SPJSpec) (*Relation, error) {
 			sp.Phase = "join"
 			sp.Detail = sqlparse.AndAll(spec.Residual).SQL()
 			sp.RowsIn = before
-			sp.RowsOut = len(joined.Rows)
+			sp.RowsOut = joined.Len()
 		}
 	}
 	return joined, nil
@@ -177,8 +212,8 @@ func JoinAll(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tra
 	var curAlias string
 	for alias, rel := range remaining {
 		if curAlias == "" ||
-			len(rel.Rows) < len(remaining[curAlias].Rows) ||
-			len(rel.Rows) == len(remaining[curAlias].Rows) && alias < curAlias {
+			rel.Len() < remaining[curAlias].Len() ||
+			rel.Len() == remaining[curAlias].Len() && alias < curAlias {
 			curAlias = alias
 		}
 	}
@@ -209,9 +244,9 @@ func JoinAll(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tra
 				next, nextConnected = alias, c
 			case c && !nextConnected:
 				next, nextConnected = alias, c
-			case c == nextConnected && len(rel.Rows) < len(remaining[next].Rows):
+			case c == nextConnected && rel.Len() < remaining[next].Len():
 				next = alias
-			case c == nextConnected && len(rel.Rows) == len(remaining[next].Rows) && alias < next:
+			case c == nextConnected && rel.Len() == remaining[next].Len() && alias < next:
 				next = alias
 			}
 		}
@@ -259,7 +294,7 @@ func joinStep(cur *Relation, inSet map[string]bool, next string, nrel *Relation,
 	if err := crossCheck(lCols, rCols); err != nil {
 		return nil, err
 	}
-	before := len(cur.Rows)
+	before := cur.Len()
 	var sp *trace.Span
 	if tr.Enabled() {
 		op := "hash-join"
@@ -270,13 +305,13 @@ func joinStep(cur *Relation, inSet map[string]bool, next string, nrel *Relation,
 		sp.Phase = "join"
 		sp.Keys = len(lCols)
 		sp.RowsIn = before
-		sp.RowsBuild = len(nrel.Rows)
+		sp.RowsBuild = nrel.Len()
 		sp.EstOut = estOut
 	}
 	cur = HashJoin(cur, nrel, lCols, rCols, par, sp)
 	if sp != nil {
-		sp.RowsOut = len(cur.Rows)
-		tr.AddRowsJoined(len(cur.Rows))
+		sp.RowsOut = cur.Len()
+		tr.AddRowsJoined(cur.Len())
 	}
 	return cur, nil
 }
@@ -296,41 +331,37 @@ func (e *Executor) BaseRelations(spec *SPJSpec) (map[string]*Relation, error) {
 	return rels, nil
 }
 
-// filter returns the rows of rel satisfying cond.
+// filter returns rel narrowed to the rows satisfying cond. The compiled
+// predicate is evaluated over the boxed rows in parallel chunks (bound
+// expressions are pure after binding); the passing positions are merged in
+// input order.
 func (e *Executor) filter(rel *Relation, cond sqlparse.Expr) (*Relation, error) {
 	if cond == nil {
 		return rel, nil
 	}
-	b := &binder{rel: rel, sub: e.subRunner()}
+	b := &binder{cols: rel.Cols, sub: e.subRunner()}
 	check, err := b.bind(cond)
 	if err != nil {
 		return nil, err
 	}
-	out := &Relation{Cols: rel.Cols}
-	out.Rows, err = filterRows(rel.Rows, check, e.Parallelism)
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// filterRows evaluates a compiled predicate over rows in parallel chunks
-// (bound expressions are pure after binding), keeping the passing rows in
-// input order via the deterministic per-chunk merge.
-func filterRows(rows []types.Row, check boundExpr, par int) ([]types.Row, error) {
-	return parallel.MapErr(len(rows), par, func(lo, hi int) ([]types.Row, error) {
-		kept := make([]types.Row, 0, hi-lo)
-		for _, row := range rows[lo:hi] {
-			v, err := check(row)
+	rows := rel.Rows()
+	kept, err := parallel.MapErr(len(rows), e.Parallelism, func(lo, hi int) ([]int32, error) {
+		kept := make([]int32, 0, hi-lo)
+		for j := lo; j < hi; j++ {
+			v, err := check(rows[j])
 			if err != nil {
 				return nil, err
 			}
 			if truthy(v) {
-				kept = append(kept, row)
+				kept = append(kept, int32(j))
 			}
 		}
 		return kept, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return rel.Narrow(kept), nil
 }
 
 func (e *Executor) subRunner() SubqueryRunner {
@@ -408,7 +439,7 @@ func projectAttrs(rel *Relation, attrs []Attr) (*Relation, error) {
 func (e *Executor) projectItems(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
 	var outCols []ColRef
 	var evals []boundExpr
-	b := &binder{rel: rel, sub: e.subRunner()}
+	b := &binder{cols: rel.Cols, sub: e.subRunner()}
 	for _, item := range items {
 		switch {
 		case item.Star && item.Table == "":
@@ -446,24 +477,24 @@ func (e *Executor) projectItems(rel *Relation, items []sqlparse.SelectItem) (*Re
 			evals = append(evals, ev)
 		}
 	}
-	out := &Relation{Cols: outCols}
-	for _, row := range rel.Rows {
-		nr := make(types.Row, len(evals))
+	in := rel.Rows()
+	rows := types.MakeRows(len(in), len(evals))
+	for j, row := range in {
 		for i, ev := range evals {
 			v, err := ev(row)
 			if err != nil {
 				return nil, err
 			}
-			nr[i] = v
+			rows[j][i] = v
 		}
-		out.Rows = append(out.Rows, nr)
 	}
-	return out, nil
+	return FromRows(outCols, rows), nil
 }
 
-func (e *Executor) aggregate(f *sqlparse.FuncCall, rel *Relation, b *binder) (types.Value, types.Kind, error) {
+// aggregate evaluates one aggregate call over the rows of a group.
+func (e *Executor) aggregate(f *sqlparse.FuncCall, rows []types.Row, b *binder) (types.Value, types.Kind, error) {
 	if f.Name == "COUNT" && f.Star {
-		return types.NewInt(int64(len(rel.Rows))), types.KindInt, nil
+		return types.NewInt(int64(len(rows))), types.KindInt, nil
 	}
 	if len(f.Args) != 1 {
 		return types.Value{}, 0, fmt.Errorf("engine: %s expects one argument", f.Name)
@@ -475,7 +506,7 @@ func (e *Executor) aggregate(f *sqlparse.FuncCall, rel *Relation, b *binder) (ty
 	switch f.Name {
 	case "COUNT":
 		var n int64
-		for _, row := range rel.Rows {
+		for _, row := range rows {
 			v, err := ev(row)
 			if err != nil {
 				return types.Value{}, 0, err
@@ -489,7 +520,7 @@ func (e *Executor) aggregate(f *sqlparse.FuncCall, rel *Relation, b *binder) (ty
 		var sum float64
 		var n int64
 		allInt := true
-		for _, row := range rel.Rows {
+		for _, row := range rows {
 			v, err := ev(row)
 			if err != nil {
 				return types.Value{}, 0, err
@@ -516,7 +547,7 @@ func (e *Executor) aggregate(f *sqlparse.FuncCall, rel *Relation, b *binder) (ty
 	case "MIN", "MAX":
 		var best types.Value
 		first := true
-		for _, row := range rel.Rows {
+		for _, row := range rows {
 			v, err := ev(row)
 			if err != nil {
 				return types.Value{}, 0, err
@@ -560,15 +591,4 @@ func hasOuterJoin(sel *sqlparse.Select) bool {
 		}
 	}
 	return false
-}
-
-// TableToRelation converts a storage table into an alias-qualified relation
-// (used by internal/core and internal/db when bridging layers).
-func TableToRelation(alias string, t *storage.Table) *Relation {
-	rel := &Relation{Cols: make([]ColRef, len(t.Def.Columns))}
-	for i, c := range t.Def.Columns {
-		rel.Cols[i] = ColRef{Rel: alias, Name: c.Name, Kind: c.Type}
-	}
-	rel.Rows = t.Rows
-	return rel
 }

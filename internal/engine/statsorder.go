@@ -49,8 +49,8 @@ func joinAllStats(spec *SPJSpec, rels map[string]*Relation, statsOf func(table s
 	var curAlias string
 	for alias, rel := range remaining {
 		if curAlias == "" ||
-			len(rel.Rows) < len(remaining[curAlias].Rows) ||
-			len(rel.Rows) == len(remaining[curAlias].Rows) && alias < curAlias {
+			rel.Len() < remaining[curAlias].Len() ||
+			rel.Len() == remaining[curAlias].Len() && alias < curAlias {
 			curAlias = alias
 		}
 	}
@@ -62,7 +62,7 @@ func joinAllStats(spec *SPJSpec, rels map[string]*Relation, statsOf func(table s
 	// predicate connects it (candidates with no predicate are cross
 	// products, estimated at |cur|·|rel|).
 	estJoin := func(alias string, rel *Relation) (float64, bool) {
-		est := float64(len(cur.Rows)) * float64(len(rel.Rows))
+		est := float64(cur.Len()) * float64(rel.Len())
 		connected := false
 		for _, j := range preds {
 			l, r := strings.ToLower(j.LeftRel), strings.ToLower(j.RightRel)
@@ -84,8 +84,8 @@ func joinAllStats(spec *SPJSpec, rels map[string]*Relation, statsOf func(table s
 				continue
 			}
 			connected = true
-			ndvL := ndvOf(cur, li, len(cur.Rows))
-			ndvR := ndvOf(rel, ri, len(rel.Rows))
+			ndvL := ndvOf(cur, li, cur.Len())
+			ndvR := ndvOf(rel, ri, rel.Len())
 			d := ndvL
 			if ndvR > d {
 				d = ndvR

@@ -2,14 +2,13 @@ package engine
 
 // Columnar execution: the engine side of internal/colstore.
 //
-// Every operator runs on colstore keys, and which key form it uses is read
-// from the data: a base-table scan attaches the table's columnar image (a
-// colstore.View aligned with the materialized rows) to the Relation it
-// produces, operators address a relation that carries a view through
-// colstore.ViewKey and one that does not (join outputs, decoded result sets)
-// through colstore.RowsKey. The two forms compose freely — a columnar base
-// table semi-joins against a folded (row-major) intermediate without
-// conversion, because both sides hash with the same inlined FNV-1a
+// Every operator reads a relation through one colstore key form, ViewKey over
+// its frame and selection. A base-table scan is the table's columnar image
+// under the selection its filter kept; a semi-join narrows that selection; a
+// hash join emits (left position, right position) pairs and gathers each
+// side's columns once, sharing TEXT dictionaries with its inputs — so a fold
+// node semi-joins a base relation by dictionary code, and hashes are the same
+// inlined FNV-1a whatever the column representation
 // (types.Value.HashFNV == colstore.Column.HashFNV).
 //
 // Results are the same rows in the same order, with the same trace
@@ -37,43 +36,21 @@ import (
 	"resultdb/internal/types"
 )
 
-// KeyFor returns the colstore key addressing rel's key columns: columnar via
-// the attached view when present, row-major otherwise. Both forms hash
-// identically, so mixed-side joins and Bloom filters are safe.
-func KeyFor(rel *Relation, cols []int) colstore.Key {
-	if rel.Vec != nil {
-		return colstore.ViewKey(rel.Vec, cols)
-	}
-	return colstore.RowsKey(rel.Rows, cols)
-}
-
-// gatherRows materializes the rows a view selects, as pointer copies from the
-// backing row slice (late materialization: no value is touched).
-func gatherRows(src []types.Row, v *colstore.View) []types.Row {
-	if v.Sel == nil {
-		return src
-	}
-	out := make([]types.Row, len(v.Sel))
-	for i, j := range v.Sel {
-		out[i] = src[j]
-	}
-	return out
-}
-
 // baseRelation scans one base table into an alias-qualified relation,
 // applying the pushed-down filter conjuncts during the scan: compiled kernels
-// filter the table's columnar image, the bound expression evaluates whatever
-// conjuncts have no kernel over the survivors, and the surviving rows are
-// gathered. The relation carries the view the filter produced.
+// filter the table's columnar image and the bound expression evaluates
+// whatever conjuncts have no kernel over the survivors. The relation is the
+// view the filter produced; no row is touched unless a residual conjunct
+// needs it.
 func (e *Executor) baseRelation(r RelRef, filters []sqlparse.Expr) (*Relation, error) {
 	t, err := e.Src.Table(r.Table)
 	if err != nil {
 		return nil, err
 	}
 	f := t.Columns()
-	rel := &Relation{Cols: make([]ColRef, len(t.Def.Columns))}
+	cols := make([]ColRef, len(t.Def.Columns))
 	for i, c := range t.Def.Columns {
-		rel.Cols[i] = ColRef{Rel: r.Alias, Name: c.Name, Kind: c.Type}
+		cols[i] = ColRef{Rel: r.Alias, Name: c.Name, Kind: c.Type}
 	}
 	var sp *trace.Span
 	var t0 time.Time
@@ -90,28 +67,28 @@ func (e *Executor) baseRelation(r RelRef, filters []sqlparse.Expr) (*Relation, e
 		sp.Dict = f.DictEntries()
 		t0 = time.Now()
 	}
-	kernels, residual := compileScanKernels(f, rel, filters)
-	rel.Vec, err = e.filterView(t, rel, kernels, residual)
+	kernels, residual := compileScanKernels(f, cols, filters)
+	view, err := e.filterView(t, cols, kernels, residual)
 	if err != nil {
 		return nil, err
 	}
-	rel.Rows = gatherRows(t.Rows, rel.Vec)
+	rel := &Relation{Cols: cols, Vec: view}
 	if sp != nil {
-		sp.RowsOut = len(rel.Rows)
+		sp.RowsOut = rel.Len()
 		sp.DurNS = time.Since(t0).Nanoseconds()
-		e.Tracer.AddRowsScanned(len(rel.Rows))
-		e.Tracer.AddRowsDropped(len(t.Rows) - len(rel.Rows))
+		e.Tracer.AddRowsScanned(rel.Len())
+		e.Tracer.AddRowsDropped(len(t.Rows) - rel.Len())
 	}
 	return rel, nil
 }
 
 // filterView selects the rows of t that pass every kernel and then every
-// residual conjunct. The residual conjuncts are bound against rel's schema
+// residual conjunct. The residual conjuncts are bound against the schema cols
 // one by one and evaluated row-at-a-time over the kernels' survivors, in
 // order, stopping at the first that is not TRUE — the same drop-at-first-
 // failure rule the kernel prefix follows, so which conjuncts happen to have a
 // kernel never decides whether a later conjunct's runtime error surfaces.
-func (e *Executor) filterView(t *storage.Table, rel *Relation, kernels []colstore.Kernel, residual []sqlparse.Expr) (*colstore.View, error) {
+func (e *Executor) filterView(t *storage.Table, cols []ColRef, kernels []colstore.Kernel, residual []sqlparse.Expr) (*colstore.View, error) {
 	f := t.Columns()
 	view := &colstore.View{Frame: f}
 	if len(kernels) > 0 {
@@ -120,7 +97,7 @@ func (e *Executor) filterView(t *storage.Table, rel *Relation, kernels []colstor
 	if len(residual) == 0 {
 		return view, nil
 	}
-	b := &binder{rel: rel, sub: e.subRunner()}
+	b := &binder{cols: cols, sub: e.subRunner()}
 	checks := make([]boundExpr, len(residual))
 	for i, cond := range residual {
 		var err error
@@ -155,10 +132,10 @@ func (e *Executor) filterView(t *storage.Table, rel *Relation, kernels []colstor
 // compileScanKernels maps the longest kernelizable prefix of the pushed-down
 // conjuncts onto colstore kernels; the rest is returned as the row-wise
 // residual, in original order (see the prefix rule in this file's header).
-func compileScanKernels(f *colstore.Frame, rel *Relation, filters []sqlparse.Expr) ([]colstore.Kernel, []sqlparse.Expr) {
+func compileScanKernels(f *colstore.Frame, cols []ColRef, filters []sqlparse.Expr) ([]colstore.Kernel, []sqlparse.Expr) {
 	var kernels []colstore.Kernel
 	for i, cond := range filters {
-		k, ok := compileKernel(f, rel, cond)
+		k, ok := compileKernel(f, cols, cond)
 		if !ok {
 			return kernels, filters[i:]
 		}
@@ -175,13 +152,13 @@ func litOf(e sqlparse.Expr) (types.Value, bool) {
 	return types.Value{}, false
 }
 
-// colOf resolves a column reference against rel, returning its position.
-func colOf(e sqlparse.Expr, rel *Relation) (int, bool) {
+// colOf resolves a column reference against cols, returning its position.
+func colOf(e sqlparse.Expr, cols []ColRef) (int, bool) {
 	cr, ok := e.(*sqlparse.ColumnRef)
 	if !ok {
 		return 0, false
 	}
-	idx, err := rel.ColIndex(cr.Table, cr.Column)
+	idx, err := colIndex(cols, cr.Table, cr.Column)
 	if err != nil {
 		return 0, false
 	}
@@ -258,7 +235,7 @@ func numeric(v types.Value) bool {
 // literal list, LIKE on a dictionary-encoded text column, IS [NOT] NULL.
 // Every produced kernel reproduces the bound expression's three-valued
 // semantics exactly (NULL never passes) and cannot raise a runtime error.
-func compileKernel(f *colstore.Frame, rel *Relation, e sqlparse.Expr) (colstore.Kernel, bool) {
+func compileKernel(f *colstore.Frame, cols []ColRef, e sqlparse.Expr) (colstore.Kernel, bool) {
 	switch x := e.(type) {
 	case *sqlparse.Binary:
 		op, ok := cmpOpOf(x.Op)
@@ -266,13 +243,13 @@ func compileKernel(f *colstore.Frame, rel *Relation, e sqlparse.Expr) (colstore.
 			return nil, false
 		}
 		idx, lit := 0, types.Value{}
-		if ci, cok := colOf(x.L, rel); cok {
+		if ci, cok := colOf(x.L, cols); cok {
 			lv, lok := litOf(x.R)
 			if !lok {
 				return nil, false
 			}
 			idx, lit = ci, lv
-		} else if ci, cok := colOf(x.R, rel); cok {
+		} else if ci, cok := colOf(x.R, cols); cok {
 			lv, lok := litOf(x.L)
 			if !lok {
 				return nil, false
@@ -310,7 +287,7 @@ func compileKernel(f *colstore.Frame, rel *Relation, e sqlparse.Expr) (colstore.
 		return nil, false // AnyColumn: mixed kinds, stay row-wise
 
 	case *sqlparse.Between:
-		idx, ok := colOf(x.E, rel)
+		idx, ok := colOf(x.E, cols)
 		if !ok {
 			return nil, false
 		}
@@ -346,7 +323,7 @@ func compileKernel(f *colstore.Frame, rel *Relation, e sqlparse.Expr) (colstore.
 		return nil, false
 
 	case *sqlparse.InList:
-		idx, ok := colOf(x.E, rel)
+		idx, ok := colOf(x.E, cols)
 		if !ok {
 			return nil, false
 		}
@@ -404,7 +381,7 @@ func compileKernel(f *colstore.Frame, rel *Relation, e sqlparse.Expr) (colstore.
 		return nil, false
 
 	case *sqlparse.Like:
-		idx, ok := colOf(x.E, rel)
+		idx, ok := colOf(x.E, cols)
 		if !ok {
 			return nil, false
 		}
@@ -420,7 +397,7 @@ func compileKernel(f *colstore.Frame, rel *Relation, e sqlparse.Expr) (colstore.
 		})), true
 
 	case *sqlparse.IsNull:
-		idx, ok := colOf(x.E, rel)
+		idx, ok := colOf(x.E, cols)
 		if !ok {
 			return nil, false
 		}
@@ -434,29 +411,28 @@ func compileKernel(f *colstore.Frame, rel *Relation, e sqlparse.Expr) (colstore.
 // distinct keys go into a position-based key set (no per-row key projection,
 // dictionary-hash text keys), the probe over l's rows runs in parallel chunks
 // at degree par (0 = auto, 1 = serial) emitting a selection vector merged in
-// input order, and only the surviving rows are gathered — when every row
-// survives, l itself is returned. Either side may be columnar or row-major;
-// the result carries l's view narrowed to the survivors when l was columnar.
-// A non-nil sp records the build/probe wall-time split, degree, and morsel
-// count; nil skips all clock reads.
+// input order, and l's selection is narrowed to it — no row or value is
+// copied, and when every row survives, l itself is returned. A non-nil sp
+// records the build/probe wall-time split, degree, and morsel count; nil
+// skips all clock reads.
 func SemiJoin(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *trace.Span) *Relation {
 	var t0 time.Time
 	if sp != nil {
 		sp.Par = parallel.Degree(par)
-		sp.Morsels = parallel.Chunks(len(l.Rows), par)
+		sp.Morsels = parallel.Chunks(l.Len(), par)
 		t0 = time.Now()
 	}
-	keys := colstore.BuildKeySet(KeyFor(r, rCols))
+	keys := colstore.BuildKeySet(r.Key(rCols))
 	if sp != nil {
 		sp.BuildNS = time.Since(t0).Nanoseconds()
 		t0 = time.Now()
 	}
-	probe := KeyFor(l, lCols)
-	kept := parallel.Map(len(l.Rows), par, func(lo, hi int) []int32 {
+	probe := l.Key(lCols)
+	kept := parallel.Map(l.Len(), par, func(lo, hi int) []int32 {
 		return keys.Select(probe, lo, hi, nil)
 	})
 	out := l
-	if len(kept) < len(l.Rows) {
+	if len(kept) < l.Len() {
 		out = l.Narrow(kept)
 	}
 	if sp != nil {
@@ -467,8 +443,7 @@ func SemiJoin(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *t
 
 // HashJoin is the inner equi-join of l and r on lCols (positions in l) and
 // rCols (positions in r); with empty column lists it is the Cartesian
-// product. Output schema is l's columns followed by r's, and the output is
-// row-major (Vec nil): its schema matches neither input's frame.
+// product. Output schema is l's columns followed by r's.
 //
 // The smaller input is indexed in a colstore.HashTable (hash-partitioned so
 // the build runs in parallel), the larger is probed in contiguous row chunks
@@ -480,91 +455,80 @@ func HashJoin(l, r *Relation, lCols, rCols []int, par int, sp *trace.Span) *Rela
 	if len(lCols) == 0 {
 		return crossJoin(l, r, par, sp)
 	}
-	out := &Relation{Cols: concatCols(l.Cols, r.Cols)}
+	return equiJoin(l, r, lCols, rCols, r.Len() > l.Len(), par, sp)
+}
+
+// joinPair is one match of a hash probe: a row position on each side.
+type joinPair struct{ build, probe int32 }
+
+// equiJoin is HashJoin with the build side chosen by the caller (the probe
+// side's order is the output's): the probe emits position pairs, and the
+// output frame is gathered from them once per column.
+func equiJoin(l, r *Relation, lCols, rCols []int, buildLeft bool, par int, sp *trace.Span) *Relation {
 	build, probe := r, l
 	buildCols, probeCols := rCols, lCols
-	probeIsLeft := true
-	if len(r.Rows) > len(l.Rows) {
+	if buildLeft {
 		build, probe = l, r
 		buildCols, probeCols = lCols, rCols
-		probeIsLeft = false
 	}
 	var t0 time.Time
 	if sp != nil {
 		sp.Par = parallel.Degree(par)
-		sp.Morsels = parallel.Chunks(len(probe.Rows), par)
+		sp.Morsels = parallel.Chunks(probe.Len(), par)
 		t0 = time.Now()
 	}
-	ht := colstore.BuildHashTable(KeyFor(build, buildCols), par)
+	ht := colstore.BuildHashTable(build.Key(buildCols), par)
 	if sp != nil {
 		sp.BuildNS = time.Since(t0).Nanoseconds()
 		t0 = time.Now()
 	}
-	pk := KeyFor(probe, probeCols)
-	out.Rows = parallel.Map(len(probe.Rows), par, func(lo, hi int) []types.Row {
-		rows := make([]types.Row, 0, hi-lo)
-		var pr types.Row
-		emit := func(pos int32) {
-			if probeIsLeft {
-				rows = append(rows, concatRows(pr, build.Rows[pos]))
-			} else {
-				rows = append(rows, concatRows(build.Rows[pos], pr))
-			}
-		}
+	pk := probe.Key(probeCols)
+	pairs := parallel.Map(probe.Len(), par, func(lo, hi int) []joinPair {
+		out := make([]joinPair, 0, hi-lo)
+		var j int
+		emit := func(pos int32) { out = append(out, joinPair{build: pos, probe: int32(j)}) }
 		prober := ht.Prober(pk)
-		for j := lo; j < hi; j++ {
-			pr = probe.Rows[j]
+		for j = lo; j < hi; j++ {
 			prober.Each(j, emit)
 		}
-		return rows
+		return out
 	})
+	lpos, rpos := make([]int32, len(pairs)), make([]int32, len(pairs))
+	for i, p := range pairs {
+		lpos[i], rpos[i] = p.probe, p.build
+	}
+	if buildLeft {
+		lpos, rpos = rpos, lpos
+	}
+	out := gatherPairs(l, r, lpos, rpos, par)
 	if sp != nil {
 		sp.ProbeNS = time.Since(t0).Nanoseconds()
 	}
 	return out
 }
 
-// Columnarize returns rel with a freshly built columnar image attached (a
-// shallow copy; rows are shared). Columns whose values do not match their
-// declared kind degrade to exact-value fallback vectors, so this is safe on
-// any relation, including post-join intermediates. Used before repeated
-// columnar consumption (Decompose's per-alias project+dedup).
-func Columnarize(rel *Relation, par int) *Relation {
-	kinds := make([]types.Kind, len(rel.Cols))
-	for i, c := range rel.Cols {
-		kinds[i] = c.Kind
-	}
-	f := colstore.NewFrameDegree(kinds, rel.Rows, par)
-	return &Relation{Cols: rel.Cols, Rows: rel.Rows, Vec: &colstore.View{Frame: f}}
+// gatherPairs materializes a join output: row i is l's row lpos[i] followed
+// by r's row rpos[i], each column gathered once (TEXT dictionaries are shared
+// with the inputs).
+func gatherPairs(l, r *Relation, lpos, rpos []int32, par int) *Relation {
+	f := colstore.Zip(
+		colstore.GatherView(l.Vec, allCols(len(l.Cols)), lpos, par),
+		colstore.GatherView(r.Vec, allCols(len(r.Cols)), rpos, par))
+	return &Relation{Cols: concatCols(l.Cols, r.Cols), Vec: &colstore.View{Frame: f}}
 }
 
 // ProjectDistinctPar projects r onto cols and removes duplicate rows. The
-// dedup runs on the key columns in place (dictionary-hash keys when r carries
-// a columnar view): survivors are found first, then only they are projected.
-// First occurrence wins, output in input order, identical at any degree. When
-// r is columnar the output is too.
+// dedup runs on the key columns in place (dictionary-hash text keys), then
+// only the survivors' columns are gathered. First occurrence wins, output in
+// input order, identical at any degree. Text columns share the source
+// dictionary (code copies only), which is what lets the columnar wire encoder
+// ship scan-time dictionaries without re-encoding.
 func (r *Relation) ProjectDistinctPar(cols []int, par int) *Relation {
 	out := &Relation{Cols: make([]ColRef, len(cols))}
 	for i, c := range cols {
 		out.Cols[i] = r.Cols[c]
 	}
-	order := colstore.DistinctPositions(KeyFor(r, cols), par)
-	out.Rows = make([]types.Row, len(order))
-	parallel.For(len(order), par, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Rows[i] = r.Rows[order[i]].Project(cols)
-		}
-	})
-	if r.Vec != nil {
-		// Gather the surviving positions into a frame aligned with out.Rows.
-		// Text columns share the source dictionary (code copies only), which
-		// is what lets the columnar wire encoder ship scan-time dictionaries
-		// without re-encoding.
-		kinds := make([]types.Kind, len(out.Cols))
-		for i, c := range out.Cols {
-			kinds[i] = c.Kind
-		}
-		out.Vec = &colstore.View{Frame: colstore.GatherView(r.Vec, cols, kinds, order, par)}
-	}
+	order := colstore.DistinctPositions(r.Key(cols), par)
+	out.Vec = &colstore.View{Frame: colstore.GatherView(r.Vec, cols, order, par)}
 	return out
 }

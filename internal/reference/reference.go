@@ -3,10 +3,11 @@
 // base table row by row, join the survivors pairwise into the denormalized
 // single-table result, and derive each output relation by projection and
 // duplicate elimination. There are no semi-joins, no folding, no columnar
-// images, no parallelism and no tracing, so it shares no operator with the
-// engine; the only things it takes from internal/engine are query analysis
-// (which conjunct is a filter, which a join predicate) and the bound
-// expression that defines predicate semantics.
+// images, no parallelism and no tracing, so it shares no operator and no
+// representation with the engine: it computes on its own rows-only relation,
+// and the only things it takes from internal/engine are schema-level — query
+// analysis (which conjunct is a filter, which a join predicate), the column
+// descriptor, and the bound expression that defines predicate semantics.
 //
 // It is the reference the differential tests compare the engine against and
 // must be imported from _test.go files only (verify.sh enforces that).
@@ -35,6 +36,23 @@ type Set struct {
 	Rows    []types.Row
 }
 
+// relation is the reference's own intermediate result: a schema and boxed
+// tuples, nothing else.
+type relation struct {
+	cols []engine.ColRef
+	rows []types.Row
+}
+
+// colIndex resolves alias.name against the schema (case-insensitively).
+func (r *relation) colIndex(alias, name string) (int, error) {
+	for i, c := range r.cols {
+		if strings.EqualFold(c.Rel, alias) && strings.EqualFold(c.Name, name) {
+			return i, nil
+		}
+	}
+	return 0, fmt.Errorf("reference: unknown column %s.%s", alias, name)
+}
+
 // Subdatabase evaluates sel with subdatabase semantics: one set per output
 // relation holding its projected attributes (Definition 2.2), or, when
 // preserving, one set per relation that contributes projected or join
@@ -57,11 +75,11 @@ func Subdatabase(src engine.Source, sel *sqlparse.Select, preserving bool) ([]Se
 		}
 		cols := make([]int, len(attrs))
 		for i, a := range attrs {
-			if cols[i], err = joined.ColIndex(r.Alias, a); err != nil {
+			if cols[i], err = joined.colIndex(r.Alias, a); err != nil {
 				return nil, err
 			}
 		}
-		sets = append(sets, Set{Name: r.Alias, Columns: attrs, Rows: projectDistinct(joined.Rows, cols, true)})
+		sets = append(sets, Set{Name: r.Alias, Columns: attrs, Rows: projectDistinct(joined.rows, cols, true)})
 	}
 	return sets, nil
 }
@@ -79,26 +97,26 @@ func SingleTable(src engine.Source, sel *sqlparse.Select) (Set, error) {
 	set := Set{Name: "result"}
 	cols := make([]int, len(spec.Projection))
 	for i, a := range spec.Projection {
-		if cols[i], err = joined.ColIndex(a.Rel, a.Col); err != nil {
+		if cols[i], err = joined.colIndex(a.Rel, a.Col); err != nil {
 			return Set{}, err
 		}
 		set.Columns = append(set.Columns, a.String())
 	}
-	set.Rows = projectDistinct(joined.Rows, cols, sel.Distinct)
+	set.Rows = projectDistinct(joined.rows, cols, sel.Distinct)
 	return set, nil
 }
 
 // join computes the denormalized result of sel: every column of every
 // relation, alias-qualified, for every combination of rows that satisfies
 // the filters, the join predicates and the residual predicates.
-func join(src engine.Source, sel *sqlparse.Select) (*engine.SPJSpec, *engine.Relation, error) {
+func join(src engine.Source, sel *sqlparse.Select) (*engine.SPJSpec, *relation, error) {
 	plain := *sel
 	plain.ResultDB, plain.Preserving = false, false
 	spec, err := engine.AnalyzeSPJ(&plain, src)
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrUnsupported, err)
 	}
-	var cur *engine.Relation
+	var cur *relation
 	joinedAliases := map[string]bool{}
 	remaining := append([]engine.RelRef(nil), spec.Rels...)
 	for len(remaining) > 0 {
@@ -128,7 +146,7 @@ func join(src engine.Source, sel *sqlparse.Select) (*engine.SPJSpec, *engine.Rel
 		return nil, nil, fmt.Errorf("reference: query has no FROM clause")
 	}
 	if len(spec.Residual) > 0 {
-		if cur.Rows, err = filter(cur, spec.Residual); err != nil {
+		if cur.rows, err = filter(cur, spec.Residual); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -137,14 +155,17 @@ func join(src engine.Source, sel *sqlparse.Select) (*engine.SPJSpec, *engine.Rel
 
 // scan reads one base table under its alias and keeps the rows that satisfy
 // every pushed-down filter conjunct.
-func scan(src engine.Source, r engine.RelRef, filters []sqlparse.Expr) (*engine.Relation, error) {
+func scan(src engine.Source, r engine.RelRef, filters []sqlparse.Expr) (*relation, error) {
 	t, err := src.Table(r.Table)
 	if err != nil {
 		return nil, err
 	}
-	rel := engine.TableToRelation(r.Alias, t)
+	rel := &relation{cols: make([]engine.ColRef, len(t.Def.Columns)), rows: t.Rows}
+	for i, c := range t.Def.Columns {
+		rel.cols[i] = engine.ColRef{Rel: r.Alias, Name: c.Name, Kind: c.Type}
+	}
 	if len(filters) > 0 {
-		if rel.Rows, err = filter(rel, filters); err != nil {
+		if rel.rows, err = filter(rel, filters); err != nil {
 			return nil, err
 		}
 	}
@@ -154,17 +175,17 @@ func scan(src engine.Source, r engine.RelRef, filters []sqlparse.Expr) (*engine.
 // filter keeps the rows for which every conjunct is TRUE. Conjuncts are
 // evaluated in order and a row is dropped at the first that is not TRUE
 // (NULL or FALSE), so later conjuncts never see it.
-func filter(rel *engine.Relation, conds []sqlparse.Expr) ([]types.Row, error) {
+func filter(rel *relation, conds []sqlparse.Expr) ([]types.Row, error) {
 	preds := make([]func(types.Row) (bool, error), len(conds))
 	for i, c := range conds {
 		var err error
-		if preds[i], err = engine.BindPredicate(rel, c); err != nil {
+		if preds[i], err = engine.BindPredicate(rel.cols, c); err != nil {
 			return nil, err
 		}
 	}
 	var out []types.Row
 rows:
-	for _, row := range rel.Rows {
+	for _, row := range rel.rows {
 		for _, keep := range preds {
 			ok, err := keep(row)
 			if err != nil {
@@ -198,32 +219,32 @@ func predsBetween(preds []engine.JoinPred, joined map[string]bool, alias string)
 // side in r); without predicates it is the cross product. r's rows are
 // bucketed by key hash and every candidate pair is confirmed value by value.
 // NULL keys never match.
-func joinPair(l, r *engine.Relation, preds []engine.JoinPred) (*engine.Relation, error) {
+func joinPair(l, r *relation, preds []engine.JoinPred) (*relation, error) {
 	lCols, rCols := make([]int, len(preds)), make([]int, len(preds))
 	for i, p := range preds {
 		var err error
-		if lCols[i], err = l.ColIndex(p.LeftRel, p.LeftCol); err != nil {
+		if lCols[i], err = l.colIndex(p.LeftRel, p.LeftCol); err != nil {
 			return nil, err
 		}
-		if rCols[i], err = r.ColIndex(p.RightRel, p.RightCol); err != nil {
+		if rCols[i], err = r.colIndex(p.RightRel, p.RightCol); err != nil {
 			return nil, err
 		}
 	}
-	out := &engine.Relation{Cols: append(append([]engine.ColRef(nil), l.Cols...), r.Cols...)}
+	out := &relation{cols: append(append([]engine.ColRef(nil), l.cols...), r.cols...)}
 	buckets := map[uint64][]types.Row{}
-	for _, rr := range r.Rows {
+	for _, rr := range r.rows {
 		if !hasNull(rr, rCols) {
 			h := rr.HashKey(rCols)
 			buckets[h] = append(buckets[h], rr)
 		}
 	}
-	for _, lr := range l.Rows {
+	for _, lr := range l.rows {
 		if hasNull(lr, lCols) {
 			continue
 		}
 		for _, rr := range buckets[lr.HashKey(lCols)] {
 			if lr.Project(lCols).Equal(rr.Project(rCols)) {
-				out.Rows = append(out.Rows, append(append(types.Row(nil), lr...), rr...))
+				out.rows = append(out.rows, append(append(types.Row(nil), lr...), rr...))
 			}
 		}
 	}

@@ -1,12 +1,14 @@
 // Package storage provides in-memory, row-major physical tables. A Table
-// pairs a catalog.TableDef with its rows and is the unit the executor scans;
-// joins, semi-join reductions and dedup hash the scanned rows themselves
-// (internal/colstore's position table), so a table carries no hash index.
+// pairs a catalog.TableDef with its rows and is the unit the executor scans.
+// Rows are the write format — inserts, the WAL and snapshots append them; the
+// executor reads a table through its lazily built columnar image (Columns),
+// and a scanned relation is a selection over that frame. Joins, semi-join
+// reductions and dedup hash the frame's key columns (internal/colstore's
+// position table), so a table carries no hash index.
 package storage
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"resultdb/internal/catalog"
@@ -123,14 +125,6 @@ func (t *Table) InsertAll(rows []types.Row) error {
 // Len returns the number of rows.
 func (t *Table) Len() int { return len(t.Rows) }
 
-// Clone returns a copy sharing row values but not the row slice, so the copy
-// can be filtered/reduced without disturbing the original.
-func (t *Table) Clone() *Table {
-	rows := make([]types.Row, len(t.Rows))
-	copy(rows, t.Rows)
-	return &Table{Def: t.Def, Rows: rows}
-}
-
 // WireSize returns the total result-set size in bytes under the paper's
 // Section 6.1 accounting.
 func (t *Table) WireSize() int {
@@ -139,13 +133,6 @@ func (t *Table) WireSize() int {
 		n += r.WireSize()
 	}
 	return n
-}
-
-// SortRows orders rows lexicographically in place, for deterministic output.
-func (t *Table) SortRows() {
-	sort.Slice(t.Rows, func(i, j int) bool {
-		return types.CompareRows(t.Rows[i], t.Rows[j]) < 0
-	})
 }
 
 // Columns returns the table's columnar image (typed vectors, dictionary-

@@ -48,32 +48,13 @@ func TestInsertValidation(t *testing.T) {
 	}
 }
 
-func TestCloneIsolation(t *testing.T) {
-	tab := newTable(t)
-	if err := tab.InsertAll([]types.Row{
-		{types.NewInt(1), types.NewText("a"), types.NewFloat(0)},
-		{types.NewInt(2), types.NewText("b"), types.NewFloat(0)},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	c := tab.Clone()
-	c.Rows = c.Rows[:1]
-	if tab.Len() != 2 {
-		t.Error("Clone's truncation affected the original")
-	}
-}
-
-func TestSortRowsAndWireSize(t *testing.T) {
+func TestWireSize(t *testing.T) {
 	tab := newTable(t)
 	if err := tab.InsertAll([]types.Row{
 		{types.NewInt(2), types.NewText("bb"), types.NewFloat(0)},
 		{types.NewInt(1), types.NewText("a"), types.NewFloat(0)},
 	}); err != nil {
 		t.Fatal(err)
-	}
-	tab.SortRows()
-	if tab.Rows[0][0].Int() != 1 {
-		t.Error("SortRows did not order by first column")
 	}
 	// id(8) + name(2) + score(8) + id(8) + name(1) + score(8)
 	if got := tab.WireSize(); got != 35 {

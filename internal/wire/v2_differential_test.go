@@ -65,7 +65,9 @@ func wireFleet(t *testing.T, load func(d *db.Database) error) (*db.Database, []w
 }
 
 // checkWire runs sql on the oracle and across every served candidate,
-// requiring value-identical results and v2 payloads no larger than v1.
+// requiring value-identical results, v2 payloads no larger than v1, and v2
+// bytes that do not depend on whether the encoder read a set's columnar view
+// or its rows.
 func checkWire(t *testing.T, oracle *db.Database, cands []wireCandidate, name, sql string) {
 	t.Helper()
 	res, err := oracle.Exec(sql)
@@ -73,8 +75,19 @@ func checkWire(t *testing.T, oracle *db.Database, cands []wireCandidate, name, s
 		t.Fatalf("%s: oracle: %v", name, err)
 	}
 	want := EncodeResult(res)
-	if v2 := EncodeResultV2(res); len(v2) > len(want) {
+	v2 := EncodeResultV2(res)
+	if len(v2) > len(want) {
 		t.Errorf("%s: v2 payload %d bytes > v1 payload %d bytes", name, len(v2), len(want))
+	}
+	rowsOnly := &db.Result{PostJoinPlan: res.PostJoinPlan, Stats: res.Stats}
+	for _, set := range res.Sets {
+		if set.Vec == nil {
+			t.Errorf("%s: set %q left the engine without its columnar view", name, set.Name)
+		}
+		rowsOnly.Sets = append(rowsOnly.Sets, &db.ResultSet{Name: set.Name, Columns: set.Columns, Rows: set.Rows})
+	}
+	if !bytes.Equal(EncodeResultV2(rowsOnly), v2) {
+		t.Errorf("%s: v2 payload encoded from the views differs from the one encoded from the rows", name)
 	}
 	for _, cand := range cands {
 		got, err := cand.client.Exec(sql)

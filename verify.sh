@@ -1,15 +1,18 @@
 #!/bin/sh
 # verify.sh — repo verification gate.
 #
-# Stages, in order: go vet; go build; the complete test suite (uncached);
+# Stages, in order: gofmt; go vet (the module, then the frozen benchmark
+# module against it); go build; the complete test suite (uncached);
 # the host-independence stage (db, core and engine once more under GOMAXPROCS
 # 1, 2 and 4 — EXPLAIN goldens and trace fingerprints must not depend on the
 # host's core count); the race detector over the concurrency-sensitive
 # packages; the MVCC concurrency gate; the grep lints (writer lock confined to
 # db.go; no identifier of the deleted row-at-a-time path, of the deleted A/B
-# knobs or of the deleted storage hash index; no map-of-position-slices bucket
-# structure in colstore/engine/storage; internal/reference imported from tests
-# only); then the differential gates under -race — cache
+# knobs or of the deleted storage hash index; no identifier of the deleted
+# second relation image, and no row slices in core or the colstore kernels; no
+# map-of-position-slices bucket structure in colstore/engine/storage;
+# internal/reference imported from tests only); then the differential gates
+# under -race — cache
 # (cold/warm/invalidate vs uncached oracle; on the socket, filling response == response from kept payloads == cache-off
 # response over every transport; the payload-memo guards; and
 # BenchmarkServeCachedHit once as a smoke),
@@ -26,8 +29,19 @@ set -eu
 
 cd "$(dirname "$0")"
 
+echo "== gofmt -l"
+unformatted=$(gofmt -l cmd examples internal benchmark ./*.go)
+if [ -n "$unformatted" ]; then
+	echo "FAIL: gofmt would change:"
+	echo "$unformatted"
+	exit 1
+fi
+
 echo "== go vet ./..."
 go vet ./...
+
+echo "== go vet benchmark/ (its own module; reads db.ResultSet.Rows, db.ExecutePostJoinPlan, wire.EncodeResult*/DecodeResult*)"
+(cd benchmark && go vet ./...)
 
 echo "== go build ./..."
 go build ./...
@@ -72,6 +86,25 @@ dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | gr
 if [ -n "$dead_refs" ]; then
 	echo "FAIL: identifiers of the deleted row path / A-B knobs are back:"
 	echo "$dead_refs"
+	exit 1
+fi
+
+echo "== lint: one relation representation (frame + selection)"
+# engine.Relation is a colstore view and nothing else; tuples are boxed by
+# Relation.Rows for the sequential pipeline and the db boundary, and re-enter
+# through FromRows. The helpers of the deleted row image reappearing, or a row
+# slice in the reduction code or the hash/range/filter kernels, means the
+# second representation is growing back.
+row_image=$(grep -rnwE 'RowsKey|Columnarize|gatherRows|KeyFor|concatRows' --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
+if [ -n "$row_image" ]; then
+	echo "FAIL: identifiers of the deleted Rows/Vec double image are back:"
+	echo "$row_image"
+	exit 1
+fi
+row_slices=$(grep -n '\[\]types\.Row' internal/core/*.go internal/colstore/hash.go internal/colstore/range.go internal/colstore/filter.go | grep -v '_test\.go:' || true)
+if [ -n "$row_slices" ]; then
+	echo "FAIL: []types.Row in internal/core or the colstore kernels (operators pass positions):"
+	echo "$row_slices"
 	exit 1
 fi
 
@@ -134,7 +167,9 @@ echo "== tracer overhead guard"
 # Here we additionally bound the cost of *enabled* tracing on the heaviest
 # acyclic query's plan; the 1.20 gate is deliberately looser than the
 # nominal <2% so scheduler noise on shared CI boxes cannot flake the build.
-bench_out=$(go test -run '^$' -bench BenchmarkTracerOverhead16b -benchtime 5x .)
+# (25 iterations: the columnar join made one iteration ~80 ms, a sixth of what
+# it was, so 5 no longer average out a GC cycle landing on one side.)
+bench_out=$(go test -run '^$' -bench BenchmarkTracerOverhead16b -benchtime 25x .)
 echo "$bench_out"
 echo "$bench_out" | awk '
 	$1 ~ /\/off/ { off = $3 }
