@@ -507,3 +507,67 @@ func BenchmarkCacheHitJOB(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkStarClient measures the client half of the star_transfer workload
+// (benchmark/): v2-decode each of its three RESULTDB PRESERVING payloads and
+// run the shipped post-join plan on the decoded result.
+func BenchmarkStarClient(b *testing.B) {
+	d := db.New()
+	if err := star.Load(d, star.DefaultConfig()); err != nil {
+		b.Fatal(err)
+	}
+	var payloads [][]byte
+	for _, s := range []float64{0.6, 0.8, 1.0} {
+		sql := "SELECT RESULTDB PRESERVING" + strings.TrimPrefix(star.Query(star.DefaultConfig(), s), "SELECT")
+		res, err := d.Exec(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads = append(payloads, wire.EncodeResultV2(res))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	rows := 0
+	for i := 0; i < b.N; i++ {
+		rows = 0
+		for _, p := range payloads {
+			res, err := wire.DecodeResultExpect(p, wire.FormatV2)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pj, err := db.ExecutePostJoinPlan(res)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows += len(pj.Rows)
+		}
+	}
+	b.ReportMetric(float64(rows), "postjoin-rows")
+}
+
+// BenchmarkDecodeJOB measures v2 decoding of the 33 JOB RESULTDB payloads the
+// job_cold/job_warm workloads ship (small, mostly deflated columns).
+func BenchmarkDecodeJOB(b *testing.B) {
+	e := jobEnv(b)
+	var payloads [][]byte
+	for _, q := range job.Queries() {
+		sel, err := e.Select(q.Name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := e.DB.QueryResultDB(sel, db.ModeRDB)
+		if err != nil {
+			b.Fatal(err)
+		}
+		payloads = append(payloads, wire.EncodeResultV2(res))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range payloads {
+			if _, err := wire.DecodeResultExpect(p, wire.FormatV2); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}

@@ -40,6 +40,7 @@ package colstore
 
 import (
 	"math"
+	"math/bits"
 
 	"resultdb/internal/parallel"
 	"resultdb/internal/types"
@@ -54,6 +55,20 @@ type Bitmap struct {
 
 func newBitmap(rows int) *Bitmap {
 	return &Bitmap{words: make([]uint64, (rows+63)/64)}
+}
+
+// BitmapFromBytes returns the bitmap whose bit i is bit i&7 of lsb[i>>3] —
+// the wire format's LSB-first byte order — or nil when no bit is set.
+func BitmapFromBytes(lsb []byte) *Bitmap {
+	b := &Bitmap{words: make([]uint64, (len(lsb)+7)/8)}
+	for i, x := range lsb {
+		b.words[i>>3] |= uint64(x) << (8 * (i & 7))
+		b.n += bits.OnesCount8(x)
+	}
+	if b.n == 0 {
+		return nil
+	}
+	return b
 }
 
 func (b *Bitmap) set(i int) {
@@ -182,6 +197,16 @@ type TextColumn struct {
 	Nulls    *Bitmap
 }
 
+// NewTextColumn wraps per-row codes into dict (whose entries must be
+// distinct) and computes the per-entry hashes.
+func NewTextColumn(codes []uint32, dict []string, nulls *Bitmap) *TextColumn {
+	hashes := make([]uint64, len(dict))
+	for k, s := range dict {
+		hashes[k] = types.NewText(s).HashFNV(types.FNVOffset64)
+	}
+	return &TextColumn{Codes: codes, Dict: dict, DictHash: hashes, Nulls: nulls}
+}
+
 func (c *TextColumn) Len() int        { return len(c.Codes) }
 func (c *TextColumn) Null(i int) bool { return c.Nulls.Get(i) }
 
@@ -224,6 +249,18 @@ type AnyColumn struct {
 	Vals []types.Value
 }
 
+// Typed returns the vector NewFrame builds for c's values under kind: typed
+// when every value is of that kind or NULL, an exact-value column otherwise.
+// It is how a column that arrived as values (a decoded inline-text or `any`
+// block) gets codes and a dictionary before it is joined on or gathered.
+func (c *AnyColumn) Typed(kind types.Kind) Column {
+	rows := make([]types.Row, len(c.Vals))
+	for i := range rows {
+		rows[i] = c.Vals[i : i+1]
+	}
+	return buildColumn(kind, rows, 0)
+}
+
 func (c *AnyColumn) Len() int                       { return len(c.Vals) }
 func (c *AnyColumn) Null(i int) bool                { return c.Vals[i].IsNull() }
 func (c *AnyColumn) Value(i int) types.Value        { return c.Vals[i] }
@@ -258,6 +295,13 @@ func (f *Frame) DictEntries() int {
 		}
 	}
 	return n
+}
+
+// FrameOf wraps already-built columns, each of length n, in a frame: how a
+// producer that has typed vectors in hand (the wire decoder) makes one without
+// going through rows.
+func FrameOf(n int, cols []Column) *Frame {
+	return &Frame{cols: cols, n: n}
 }
 
 // NewFrame builds the columnar image of rows under the declared column
@@ -358,11 +402,7 @@ func buildColumn(kind types.Kind, rows []types.Row, j int) Column {
 				return anyColumn(rows, j)
 			}
 		}
-		hashes := make([]uint64, len(dict))
-		for k, s := range dict {
-			hashes[k] = types.NewText(s).HashFNV(types.FNVOffset64)
-		}
-		return &TextColumn{Codes: codes, Dict: dict, DictHash: hashes, Nulls: nulls}
+		return NewTextColumn(codes, dict, nulls)
 	default:
 		return anyColumn(rows, j)
 	}
@@ -505,10 +545,17 @@ func (v *View) Narrow(keep []int32) *View {
 	return &View{Frame: v.Frame, Sel: sel}
 }
 
+// boxTile is how many rows View.Rows boxes at a time: a tile of cells
+// (boxTile rows x every column, 32 bytes a cell) stays cache-resident while
+// the columns are written into it one after the other, so the column-major
+// source is read sequentially and the row-major block is written once.
+const boxTile = 128
+
 // Rows boxes the selected rows into tuples, in order: the rows the frame was
 // built from when it has them (pointer copies; the result may alias the
 // builder's slice and must not be modified), otherwise fresh rows over one
-// value block, filled column by column.
+// value block. This is the system's one boxing loop — the engine's output,
+// the post-join's and a decoded payload's rows all come from here.
 func (v *View) Rows() []types.Row {
 	f := v.Frame
 	if f.src != nil {
@@ -521,11 +568,88 @@ func (v *View) Rows() []types.Row {
 		}
 		return out
 	}
-	out := types.MakeRows(v.Len(), len(f.cols))
-	for c, col := range f.cols {
-		for i, row := range out {
-			row[c] = col.Value(v.Index(i))
+	n := v.Len()
+	out := types.MakeRows(n, len(f.cols))
+	for lo := 0; lo < n; lo += boxTile {
+		hi := min(lo+boxTile, n)
+		var sel []int32
+		if v.Sel != nil {
+			sel = v.Sel[lo:hi]
+		}
+		for c, col := range f.cols {
+			boxColumn(out[lo:hi], c, col, lo, sel)
 		}
 	}
 	return out
+}
+
+// boxColumn writes column c of one tile: rows[i][c] becomes col's value at
+// frame row sel[i] (lo+i when sel is nil). One type switch per call; an
+// unselected column without NULLs is a straight copy loop. NULL cells are
+// left alone — rows come zeroed from MakeRows and the zero Value is NULL.
+func boxColumn(rows []types.Row, c int, col Column, lo int, sel []int32) {
+	at := func(i int) int {
+		if sel != nil {
+			return int(sel[i])
+		}
+		return lo + i
+	}
+	switch col := col.(type) {
+	case *Int64Column:
+		if sel == nil && col.Nulls == nil {
+			for i, x := range col.Vals[lo : lo+len(rows)] {
+				rows[i][c] = types.NewInt(x)
+			}
+			return
+		}
+		for i := range rows {
+			if f := at(i); !col.Nulls.Get(f) {
+				rows[i][c] = types.NewInt(col.Vals[f])
+			}
+		}
+	case *Float64Column:
+		if sel == nil && col.Nulls == nil {
+			for i, x := range col.Vals[lo : lo+len(rows)] {
+				rows[i][c] = types.NewFloat(x)
+			}
+			return
+		}
+		for i := range rows {
+			if f := at(i); !col.Nulls.Get(f) {
+				rows[i][c] = types.NewFloat(col.Vals[f])
+			}
+		}
+	case *BoolColumn:
+		if sel == nil && col.Nulls == nil {
+			for i, x := range col.Vals[lo : lo+len(rows)] {
+				rows[i][c] = types.NewBool(x)
+			}
+			return
+		}
+		for i := range rows {
+			if f := at(i); !col.Nulls.Get(f) {
+				rows[i][c] = types.NewBool(col.Vals[f])
+			}
+		}
+	case *TextColumn:
+		if sel == nil && col.Nulls == nil {
+			for i, code := range col.Codes[lo : lo+len(rows)] {
+				rows[i][c] = types.NewText(col.Dict[code])
+			}
+			return
+		}
+		for i := range rows {
+			if f := at(i); !col.Nulls.Get(f) {
+				rows[i][c] = types.NewText(col.Dict[col.Codes[f]])
+			}
+		}
+	case *AnyColumn:
+		for i := range rows {
+			rows[i][c] = col.Vals[at(i)]
+		}
+	default:
+		for i := range rows {
+			rows[i][c] = col.Value(at(i))
+		}
+	}
 }

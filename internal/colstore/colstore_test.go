@@ -2,6 +2,7 @@ package colstore
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"resultdb/internal/types"
@@ -375,5 +376,107 @@ func TestViewRows(t *testing.T) {
 	same("zipped", (&View{Frame: Zip(proj, f), Sel: sel}).Rows(), doubled)
 	if empty := (&View{Frame: GatherView(&View{Frame: f}, all, nil, 1)}).Rows(); len(empty) != 0 {
 		t.Errorf("empty gather boxed %d rows", len(empty))
+	}
+
+	// The boxing kernel against Column.Value, cell by cell: every column type
+	// x {no NULLs, some, all NULL} x {dense, selected among decoys} at lengths
+	// on both sides of a tile boundary. FrameOf drops the builder's rows, so
+	// Rows() has to box.
+	mixedKinds := append(append([]types.Kind(nil), kinds...), types.KindInt)
+	for _, n := range []int{0, 1, boxTile - 1, boxTile, boxTile + 1, 1000} {
+		for _, nullP := range []float64{0, 0.3, 1} {
+			src := randomTypedRows(rng, mixedKinds, 2*n+1, nullP, 9)
+			for i := range src {
+				if i%3 == 0 && nullP < 1 {
+					src[i][4] = types.NewText("not an int") // column 4 degrades to AnyColumn
+				}
+			}
+			built := NewFrame(mixedKinds, src)
+			cols := make([]Column, built.NumCols())
+			for c := range cols {
+				cols[c] = built.Col(c)
+			}
+			if _, ok := cols[4].(*AnyColumn); !ok && nullP < 1 {
+				t.Fatalf("column 4 is %T, want *AnyColumn", cols[4])
+			}
+			odd := make([]int32, n)
+			for i := range odd {
+				odd[i] = int32(2*i + 1)
+			}
+			for what, v := range map[string]*View{
+				"dense":    {Frame: GatherView(&View{Frame: built}, []int{0, 1, 2, 3, 4}, odd, 1)},
+				"selected": {Frame: FrameOf(len(src), cols), Sel: odd},
+			} {
+				got := v.Rows()
+				if len(got) != n {
+					t.Fatalf("n=%d nullP=%v %s: boxed %d rows", n, nullP, what, len(got))
+				}
+				for i, row := range got {
+					if len(row) != v.Frame.NumCols() {
+						t.Fatalf("n=%d nullP=%v %s row %d: width %d", n, nullP, what, i, len(row))
+					}
+					for c := range row {
+						if want := v.Frame.Col(c).Value(v.Index(i)); row[c] != want {
+							t.Fatalf("n=%d nullP=%v %s cell (%d,%d) = %v (%s), want %v (%s)",
+								n, nullP, what, i, c, row[c], row[c].Kind(), want, want.Kind())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestColumnConstructors: the three ways a producer other than NewFrame makes
+// columns give what NewFrame would.
+func TestColumnConstructors(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	lsb := make([]byte, 37)
+	for i := range lsb {
+		lsb[i] = byte(rng.Intn(256))
+	}
+	lsb[5], lsb[6] = 0, 0xff
+	bm, set := BitmapFromBytes(lsb), 0
+	for i := 0; i < 8*len(lsb); i++ {
+		want := lsb[i>>3]&(1<<(i&7)) != 0
+		if want {
+			set++
+		}
+		if bm.Get(i) != want {
+			t.Fatalf("bit %d = %v, want %v", i, bm.Get(i), want)
+		}
+	}
+	if bm.Count() != set {
+		t.Errorf("Count() = %d, want %d", bm.Count(), set)
+	}
+	if BitmapFromBytes(nil) != nil || BitmapFromBytes(make([]byte, 9)) != nil {
+		t.Error("a bitmap with no bit set must be nil (the no-NULLs form)")
+	}
+
+	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindText, types.KindBool, types.KindText}
+	rows := randomTypedRows(rng, kinds, 300, 0.2, 6)
+	rows[4][4] = types.NewInt(1) // a stray INTEGER: stays exact
+	f := NewFrame(kinds, rows)
+	for c, kind := range kinds {
+		vals := make([]types.Value, len(rows))
+		for i, r := range rows {
+			vals[i] = r[c]
+		}
+		got, want := (&AnyColumn{Vals: vals}).Typed(kind), f.Col(c)
+		if reflect.TypeOf(got) != reflect.TypeOf(want) {
+			t.Fatalf("column %d: Typed gave %T, NewFrame %T", c, got, want)
+		}
+		for i := range rows {
+			if got.Value(i) != want.Value(i) || got.HashFNV(i, types.FNVOffset64) != want.HashFNV(i, types.FNVOffset64) {
+				t.Fatalf("column %d row %d: %v, want %v", c, i, got.Value(i), want.Value(i))
+			}
+		}
+	}
+	tc := f.Col(2).(*TextColumn)
+	again := NewTextColumn(tc.Codes, tc.Dict, tc.Nulls)
+	for k := range tc.Dict {
+		if again.DictHash[k] != tc.DictHash[k] {
+			t.Fatalf("NewTextColumn hashed entry %d to %#x, NewFrame to %#x", k, again.DictHash[k], tc.DictHash[k])
+		}
 	}
 }

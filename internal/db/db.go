@@ -250,9 +250,10 @@ type ResultSet struct {
 	Rows    []types.Row
 	// Vec, when non-nil, is the columnar view Rows was boxed from (same
 	// values, same order, one frame column per Columns entry). Every set the
-	// engine produces carries it; hand-built and decoded sets do not. The
+	// system produces carries it — the engine's and, on the other side of the
+	// wire, the v2 decoder's; hand-built and v1-decoded sets do not. The
 	// columnar wire encoder reads it and reuses its TEXT dictionaries instead
-	// of re-deduplicating strings.
+	// of re-deduplicating strings, and the post-join runs on it directly.
 	// Purely an accelerator: Rows alone fully determine the result.
 	Vec *colstore.View
 
@@ -673,18 +674,11 @@ func relationToDef(name string, rel *engine.Relation) (*catalog.TableDef, error)
 func resultSetToDef(name string, set *ResultSet) (*catalog.TableDef, error) {
 	cols := make([]catalog.Column, len(set.Columns))
 	for i, cn := range set.Columns {
-		kind := types.KindText
-		for _, r := range set.Rows {
-			if !r[i].IsNull() {
-				kind = r[i].Kind()
-				break
-			}
-		}
 		// Strip any "alias." qualifier for storable column names.
 		if dot := strings.LastIndexByte(cn, '.'); dot >= 0 {
 			cn = cn[dot+1:]
 		}
-		cols[i] = catalog.Column{Name: cn, Type: kind}
+		cols[i] = catalog.Column{Name: cn, Type: rowsKind(set.Rows, i)}
 	}
 	return catalog.NewTableDef(name, cols)
 }

@@ -79,11 +79,16 @@ func ExecutePostJoinPlan(res *Result) (*ResultSet, error) {
 	if res.PostJoinPlan == nil {
 		return nil, fmt.Errorf("db: result carries no post-join plan (not an RDBRP result?)")
 	}
-	rels := make(map[string]*engine.Relation, len(res.Sets))
-	for _, set := range res.Sets {
+	return executePostJoin(res.PostJoinPlan, res.Sets)
+}
+
+// executePostJoin joins sets on plan's predicates and projects its attributes.
+func executePostJoin(plan *PostJoinPlan, sets []*ResultSet) (*ResultSet, error) {
+	rels := make(map[string]*engine.Relation, len(sets))
+	for _, set := range sets {
 		rels[strings.ToLower(set.Name)] = setToRelation(set)
 	}
-	rel, err := core.PostJoin(res.PostJoinPlan.Preds, rels, res.PostJoinPlan.Projection)
+	rel, err := core.PostJoin(plan.Preds, rels, plan.Projection)
 	if err != nil {
 		return nil, err
 	}

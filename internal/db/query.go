@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"resultdb/internal/colstore"
 	"resultdb/internal/core"
 	"resultdb/internal/engine"
 	"resultdb/internal/parallel"
@@ -285,38 +286,19 @@ func (d *Database) aliasStats(ec execCtx, spec *engine.SPJSpec) map[string]*stat
 
 // PostJoin reconstructs the single-table result from a previously computed
 // relationship-preserving subdatabase result (Definition 2.3). sets must
-// come from QueryResultDB(sel, ModeRDBRP) of the same query.
+// come from QueryResultDB(sel, ModeRDBRP) of the same query. It derives the
+// plan a shipped result would carry from sel and runs it like
+// ExecutePostJoinPlan does.
 func (d *Database) PostJoin(sel *sqlparse.Select, res *Result) (*ResultSet, error) {
 	spec, err := engine.AnalyzeSPJ(stripResultDB(sel), d.Snapshot())
 	if err != nil {
 		return nil, err
 	}
-	rels := make(map[string]*engine.Relation)
-	var preds []engine.JoinPred
-	inResult := map[string]bool{}
-	for _, set := range res.Sets {
-		inResult[strings.ToLower(set.Name)] = true
-		rels[strings.ToLower(set.Name)] = setToRelation(set)
+	returned := make([]string, len(res.Sets))
+	for i, set := range res.Sets {
+		returned[i] = set.Name
 	}
-	// Only join predicates whose both sides are present can (and need to)
-	// be replayed; predicates through non-output relations were already
-	// enforced by the reduction.
-	for _, p := range spec.JoinPreds {
-		if inResult[strings.ToLower(p.LeftRel)] && inResult[strings.ToLower(p.RightRel)] {
-			preds = append(preds, p)
-		}
-	}
-	var projection []engine.Attr
-	for _, a := range spec.Projection {
-		if inResult[strings.ToLower(a.Rel)] {
-			projection = append(projection, a)
-		}
-	}
-	rel, err := core.PostJoin(preds, rels, projection)
-	if err != nil {
-		return nil, err
-	}
-	return relToSet("postjoin", rel, rel.ColumnNames()), nil
+	return executePostJoin(buildPostJoinPlan(spec, returned), res.Sets)
 }
 
 // stripResultDB returns sel with the ResultDB flag cleared (shallow copy),
@@ -366,18 +348,57 @@ func relToSet(name string, rel *engine.Relation, columns []string) *ResultSet {
 }
 
 // setToRelation rebuilds an alias-qualified relation from a result set so it
-// can participate in a post-join.
+// can participate in a post-join: the set's own view under a schema whose
+// kinds are read off the frame — only a column that arrived as exact values
+// (AnyColumn: a decoded inline-text block, say) is typed here, so the join
+// gathers its codes, not its strings — or, for a set without a view
+// (hand-built, v1-decoded), a frame built from its rows under kinds sniffed
+// from them. Either way the relation is the one FromRows would give.
 func setToRelation(set *ResultSet) *engine.Relation {
 	cols := make([]engine.ColRef, len(set.Columns))
 	for i, c := range set.Columns {
-		kind := types.KindText
-		for _, r := range set.Rows {
-			if !r[i].IsNull() {
-				kind = r[i].Kind()
-				break
-			}
-		}
-		cols[i] = engine.ColRef{Rel: set.Name, Name: c, Kind: kind}
+		cols[i] = engine.ColRef{Rel: set.Name, Name: c, Kind: columnKind(set, i)}
 	}
-	return engine.FromRows(cols, set.Rows)
+	if set.Vec == nil {
+		return engine.FromRows(cols, set.Rows)
+	}
+	frame := set.Vec.Frame
+	typed := make([]colstore.Column, len(cols))
+	for i := range typed {
+		typed[i] = frame.Col(i)
+		if exact, ok := typed[i].(*colstore.AnyColumn); ok {
+			typed[i] = exact.Typed(cols[i].Kind)
+		}
+	}
+	return &engine.Relation{Cols: cols, Vec: &colstore.View{Frame: colstore.FrameOf(frame.Rows(), typed), Sel: set.Vec.Sel}}
+}
+
+// columnKind is the kind of column i's non-NULL values: what its typed vector
+// holds when the set carries a view, otherwise (rows only, or an exact-value
+// column) the kind of the first non-NULL value; TEXT when there is none.
+func columnKind(set *ResultSet, i int) types.Kind {
+	if set.Vec != nil {
+		switch set.Vec.Frame.Col(i).(type) {
+		case *colstore.Int64Column:
+			return types.KindInt
+		case *colstore.Float64Column:
+			return types.KindFloat
+		case *colstore.BoolColumn:
+			return types.KindBool
+		case *colstore.TextColumn:
+			return types.KindText
+		}
+	}
+	return rowsKind(set.Rows, i)
+}
+
+// rowsKind is the kind of the first non-NULL value in column i of rows; TEXT
+// when there is none.
+func rowsKind(rows []types.Row, i int) types.Kind {
+	for _, r := range rows {
+		if !r[i].IsNull() {
+			return r[i].Kind()
+		}
+	}
+	return types.KindText
 }

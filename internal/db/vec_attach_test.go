@@ -1,14 +1,25 @@
-package db
+package db_test
 
-import "testing"
+import (
+	"strings"
+	"testing"
 
-// TestResultSetsCarryViews: every set the engine produces carries the
+	"resultdb/internal/db"
+	"resultdb/internal/sqlparse"
+	"resultdb/internal/types"
+	"resultdb/internal/wire"
+	"resultdb/internal/workload/star"
+)
+
+// TestResultSetsCarryViews: every set the system produces carries the
 // columnar view its rows were boxed from, one frame column per output column
-// — the v2 encoder's fast-path precondition — whichever operators built it: a
-// reduced scan, a join output projected for a single-table SELECT, the
-// Decompose strategy, a folded (cyclic) reduction, the sequential pipeline.
+// — the v2 encoder's fast-path precondition and what a post-join runs on —
+// whichever operators built it: a reduced scan, a join output projected for a
+// single-table SELECT, the Decompose strategy, a folded (cyclic) reduction,
+// the sequential pipeline; and so does the same result after a trip over the
+// v2 wire, where the decoder is the producer.
 func TestResultSetsCarryViews(t *testing.T) {
-	d := New()
+	d := db.New()
 	if _, err := d.ExecScript(`
 CREATE TABLE a (id INT PRIMARY KEY, name TEXT);
 CREATE TABLE b (id INT PRIMARY KEY, a_id INT, v FLOAT);
@@ -30,14 +41,126 @@ INSERT INTO c VALUES (20, 1, 10), (21, 3, 12), (22, 2, 11);`); err != nil {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, set := range res.Sets {
-			if len(set.Rows) == 0 {
-				t.Errorf("%s: set %q is empty; the shape is not exercised", name, set.Name)
+		decoded, err := wire.DecodeResult(wire.EncodeResultV2(res))
+		if err != nil {
+			t.Fatalf("%s: v2 round trip: %v", name, err)
+		}
+		for where, r := range map[string]*db.Result{"engine": res, "decoded": decoded} {
+			for _, set := range r.Sets {
+				if len(set.Rows) == 0 {
+					t.Errorf("%s (%s): set %q is empty; the shape is not exercised", name, where, set.Name)
+				}
+				if set.Vec == nil {
+					t.Errorf("%s (%s): set %q has no colstore view attached", name, where, set.Name)
+				} else if set.Vec.Frame.NumCols() != len(set.Columns) {
+					t.Errorf("%s (%s): set %q: view has %d columns, set has %d", name, where, set.Name, set.Vec.Frame.NumCols(), len(set.Columns))
+				}
 			}
-			if set.Vec == nil {
-				t.Errorf("%s: set %q has no colstore view attached", name, set.Name)
-			} else if set.Vec.Frame.NumCols() != len(set.Columns) {
-				t.Errorf("%s: set %q: view has %d columns, set has %d", name, set.Name, set.Vec.Frame.NumCols(), len(set.Columns))
+		}
+	}
+	empty, err := d.Exec("SELECT RESULTDB a.name, b.v FROM a AS a, b AS b WHERE a.id = b.a_id AND a.id > 99")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := wire.DecodeResult(wire.EncodeResultV2(empty))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, set := range decoded.Sets {
+		if set.Vec == nil || set.Vec.Len() != 0 || set.Vec.Frame.NumCols() != len(set.Columns) {
+			t.Errorf("decoded empty set %q: view %+v", set.Name, set.Vec)
+		}
+	}
+}
+
+// TestPostJoinSameOnEveryResultForm: the post-join gives the same rows, in
+// the same order and of the same kinds, whether it runs on the engine's own
+// result, on a v2-decoded one (frames from the decoder; inline text arrives
+// as exact values and is typed on entry), on a v1-decoded one or on a
+// hand-built one (rows only, so a frame is built from them) — with NULLs in
+// and next to the join columns.
+func TestPostJoinSameOnEveryResultForm(t *testing.T) {
+	stars := db.New()
+	cfg := star.Config{Dims: 3, DimRows: 9, PayloadLen: 12, Seed: 3}
+	if err := star.Load(stars, cfg); err != nil {
+		t.Fatal(err)
+	}
+	nulls := db.New()
+	if _, err := nulls.ExecScript(`
+CREATE TABLE p (id INT PRIMARY KEY, tag TEXT, w FLOAT, ok BOOL);
+CREATE TABLE q (id INT PRIMARY KEY, p_id INT, tag TEXT);
+INSERT INTO p VALUES (1, 'red', 0.5, TRUE), (2, NULL, NULL, FALSE), (3, 'red', 2.5, NULL), (4, 'blue', NULL, TRUE);
+INSERT INTO q VALUES (10, 1, 'red'), (11, 2, NULL), (12, NULL, 'blue'), (13, 3, 'red'), (14, 3, NULL), (15, 4, 'green');`); err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		d    *db.Database
+		sql  string
+	}{
+		{"star 0.6", stars, star.Query(cfg, 0.6)},
+		{"star 1.0", stars, star.Query(cfg, 1.0)},
+		{"nulls", nulls, "SELECT p.tag, p.w, p.ok, q.tag FROM p AS p, q AS q WHERE p.id = q.p_id"},
+		{"text key with nulls", nulls, "SELECT p.id, p.w, q.id FROM p AS p, q AS q WHERE p.tag = q.tag"},
+	}
+	for _, tc := range cases {
+		sel, err := sqlparse.ParseSelect(tc.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		res, err := tc.d.QueryResultDB(sel, db.ModeRDBRP)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		viaV2, err := wire.DecodeResult(wire.EncodeResultV2(res))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		viaV1, err := wire.DecodeResult(wire.EncodeResult(res))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		handBuilt := &db.Result{PostJoinPlan: res.PostJoinPlan}
+		for _, set := range res.Sets {
+			rows := make([]types.Row, len(set.Rows))
+			for i, r := range set.Rows {
+				rows[i] = r.Clone()
+			}
+			handBuilt.Sets = append(handBuilt.Sets, &db.ResultSet{Name: set.Name, Columns: set.Columns, Rows: rows})
+		}
+		for _, set := range viaV1.Sets {
+			if set.Vec != nil {
+				t.Fatalf("%s: v1-decoded set %q carries a view; the rows-only form is not exercised", tc.name, set.Name)
+			}
+		}
+		want, err := db.ExecutePostJoinPlan(res)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(want.Rows) == 0 {
+			t.Fatalf("%s: empty post-join; the shape is not exercised", tc.name)
+		}
+		fromSelect, err := tc.d.PostJoin(sel, res)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		forms := map[string]*db.ResultSet{"Database.PostJoin": fromSelect}
+		for form, r := range map[string]*db.Result{"decoded v2": viaV2, "decoded v1": viaV1, "hand-built": handBuilt} {
+			if forms[form], err = db.ExecutePostJoinPlan(r); err != nil {
+				t.Fatalf("%s on %s: %v", tc.name, form, err)
+			}
+		}
+		for form, got := range forms {
+			if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") || len(got.Rows) != len(want.Rows) {
+				t.Fatalf("%s on %s: %v x %d rows, want %v x %d", tc.name, form, got.Columns, len(got.Rows), want.Columns, len(want.Rows))
+			}
+			for i, row := range want.Rows {
+				for c := range row {
+					if got.Rows[i][c] != row[c] {
+						t.Fatalf("%s on %s: cell (%d,%d) = %v (%s), want %v (%s)", tc.name, form, i, c,
+							got.Rows[i][c], got.Rows[i][c].Kind(), row[c], row[c].Kind())
+					}
+				}
 			}
 		}
 	}

@@ -39,9 +39,9 @@ type Relation struct {
 
 // FromRows wraps rows in a relation: the frame colstore.NewFrame builds under
 // the schema's kinds (a column holding a value of another kind degrades to an
-// exact-value AnyColumn). It is how tuples computed row-at-a-time — the
-// sequential pipeline's output, a decoded result set — re-enter the engine.
-// rows must not be modified afterwards.
+// exact-value AnyColumn). It is how tuples that exist only as rows — the
+// sequential pipeline's output, a hand-built or v1-decoded result set —
+// re-enter the engine. rows must not be modified afterwards.
 func FromRows(cols []ColRef, rows []types.Row) *Relation {
 	kinds := make([]types.Kind, len(cols))
 	for i, c := range cols {

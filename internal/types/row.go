@@ -51,7 +51,7 @@ func (r Row) HashKey(cols []int) uint64 {
 
 // MakeRows allocates n rows of the given width backed by one contiguous
 // value block (one allocation for all cells instead of one per row), for
-// bulk materializers like the columnar wire decoder. Each returned row is
+// bulk materializers like colstore.View.Rows. Each returned row is
 // full-length (capacity clipped), so appends never alias a neighbor.
 func MakeRows(n, width int) []Row {
 	rows := make([]Row, n)

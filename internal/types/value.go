@@ -49,29 +49,36 @@ func (k Kind) String() string {
 //
 // Value is a small tagged union kept as a value type (no pointers except the
 // string header) so rows can be stored contiguously without per-cell
-// allocation.
+// allocation. It is 32 bytes: the TEXT payload, one word shared by the other
+// three payloads (the int64, the float64 bits, or 0/1 for a bool), and the
+// tag. A boxed cell is what row blocks, storage rows and decoded results are
+// made of, so its size is paid per cell everywhere; 24 bytes would need the
+// tag folded into the string header with unsafe, which this package avoids.
 type Value struct {
-	kind Kind
-	i    int64
-	f    float64
 	s    string
-	b    bool
+	n    uint64
+	kind Kind
 }
 
 // Null returns the NULL value.
 func Null() Value { return Value{} }
 
 // NewInt returns an INTEGER value.
-func NewInt(v int64) Value { return Value{kind: KindInt, i: v} }
+func NewInt(v int64) Value { return Value{kind: KindInt, n: uint64(v)} }
 
 // NewFloat returns a DOUBLE value.
-func NewFloat(v float64) Value { return Value{kind: KindFloat, f: v} }
+func NewFloat(v float64) Value { return Value{kind: KindFloat, n: math.Float64bits(v)} }
 
 // NewText returns a TEXT value.
 func NewText(v string) Value { return Value{kind: KindText, s: v} }
 
 // NewBool returns a BOOLEAN value.
-func NewBool(v bool) Value { return Value{kind: KindBool, b: v} }
+func NewBool(v bool) Value {
+	if v {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Kind reports the runtime type of v.
 func (v Value) Kind() Kind { return v.kind }
@@ -84,7 +91,7 @@ func (v Value) Int() int64 {
 	if v.kind != KindInt {
 		panic("types: Int() on " + v.kind.String())
 	}
-	return v.i
+	return int64(v.n)
 }
 
 // Float returns the float payload, converting from INTEGER if necessary.
@@ -92,9 +99,9 @@ func (v Value) Int() int64 {
 func (v Value) Float() float64 {
 	switch v.kind {
 	case KindFloat:
-		return v.f
+		return math.Float64frombits(v.n)
 	case KindInt:
-		return float64(v.i)
+		return float64(int64(v.n))
 	}
 	panic("types: Float() on " + v.kind.String())
 }
@@ -112,7 +119,7 @@ func (v Value) Bool() bool {
 	if v.kind != KindBool {
 		panic("types: Bool() on " + v.kind.String())
 	}
-	return v.b
+	return v.n != 0
 }
 
 // String renders v the way a SQL shell would print it.
@@ -121,13 +128,13 @@ func (v Value) String() string {
 	case KindNull:
 		return "NULL"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(int64(v.n), 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(math.Float64frombits(v.n), 'g', -1, 64)
 	case KindText:
 		return v.s
 	case KindBool:
-		if v.b {
+		if v.n != 0 {
 			return "true"
 		}
 		return "false"
@@ -185,9 +192,9 @@ func Compare(a, b Value) int {
 		}
 	case KindBool:
 		switch {
-		case a.b == b.b:
+		case a.n == b.n:
 			return 0
-		case !a.b:
+		case a.n == 0:
 			return -1
 		default:
 			return 1
@@ -255,11 +262,7 @@ func (v Value) HashFNV(h uint64) uint64 {
 		h = FNVString(h, v.s)
 		return FNVByte(h, 0xff)
 	case KindBool:
-		h = FNVByte(h, 3)
-		if v.b {
-			return FNVByte(h, 1)
-		}
-		return FNVByte(h, 0)
+		return FNVByte(FNVByte(h, 3), byte(v.n))
 	default:
 		return h
 	}
@@ -303,9 +306,7 @@ func (v Value) HashInto(h hashWriter) {
 		h.Write(buf[:1])
 	case KindBool:
 		buf[0] = 3
-		if v.b {
-			buf[1] = 1
-		}
+		buf[1] = byte(v.n)
 		h.Write(buf[:2])
 	}
 }
@@ -351,11 +352,13 @@ func Coerce(v Value, to Kind) (Value, error) {
 	switch to {
 	case KindFloat:
 		if v.kind == KindInt {
-			return NewFloat(float64(v.i)), nil
+			return NewFloat(v.Float()), nil
 		}
 	case KindInt:
-		if v.kind == KindFloat && v.f == math.Trunc(v.f) {
-			return NewInt(int64(v.f)), nil
+		if v.kind == KindFloat {
+			if f := v.Float(); f == math.Trunc(f) {
+				return NewInt(int64(f)), nil
+			}
 		}
 	case KindText:
 		return NewText(v.String()), nil

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -530,8 +531,11 @@ func gatherColVec(set *db.ResultSet, j int, c *colData) bool {
 
 // --- Decoding ----------------------------------------------------------------
 
-// decodeSetV2 parses one columnar set. Row materialization is bounded by
-// the payload-wide cell budget before any allocation sized by the claimed
+// decodeSetV2 parses one columnar set into a colstore frame — one column
+// vector per block — attaches it as the set's view and boxes Rows from it
+// with the same kernel the engine's own results use (colstore.View.Rows), so
+// a decoded set is what a locally computed one is. Materialization is bounded
+// by the payload-wide cell budget before any allocation sized by the claimed
 // row count happens.
 func (d *Decoder) decodeSetV2(budget *cellBudget) (*db.ResultSet, error) {
 	name, err := d.str()
@@ -557,7 +561,12 @@ func (d *Decoder) decodeSetV2(budget *cellBudget) (*db.ResultSet, error) {
 	if nCols == 0 && nRows > 0 {
 		return nil, fmt.Errorf("wire: %d rows in a zero-column set", nRows)
 	}
+	cols := make([]colstore.Column, nCols)
 	if nRows == 0 || nCols == 0 {
+		for j := range cols {
+			cols[j] = &colstore.AnyColumn{}
+		}
+		set.Vec = &colstore.View{Frame: colstore.FrameOf(0, cols)}
 		return set, nil
 	}
 	// Unlike v1, a v2 row can cost arbitrarily few bytes (that is the
@@ -567,21 +576,29 @@ func (d *Decoder) decodeSetV2(budget *cellBudget) (*db.ResultSet, error) {
 		return nil, err
 	}
 	n := int(nRows)
-	rows := types.MakeRows(n, nCols)
-	for j := 0; j < nCols; j++ {
-		if err := d.decodeColV2(rows, j, n); err != nil {
+	for j := range cols {
+		if cols[j], err = d.decodeColV2(n); err != nil {
 			return nil, err
 		}
 	}
-	set.Rows = rows
+	set.Vec = &colstore.View{Frame: colstore.FrameOf(n, cols)}
+	set.Rows = set.Vec.Rows()
 	return set, nil
 }
 
-// decodeColV2 parses one column block, filling column j of rows. Cells it
-// does not touch keep the zero types.Value, which is NULL.
-func (d *Decoder) decodeColV2(rows []types.Row, j, n int) error {
+// nullBits is a column block's null bitmap as shipped (LSB-first, set bit =
+// NULL); nil when the column has none.
+type nullBits []byte
+
+func (b nullBits) get(i int) bool { return b != nil && b[i>>3]&(1<<(i&7)) != 0 }
+
+// decodeColV2 parses one column block of n rows into a colstore column: typed
+// vectors for int, float, bool and dictionary text (the wire dictionary and
+// codes are the column's, no string is hashed), exact values for inline text,
+// `any` and all-NULL blocks.
+func (d *Decoder) decodeColV2(n int) (colstore.Column, error) {
 	if d.off >= len(d.buf) {
-		return fmt.Errorf("wire: truncated column descriptor at offset %d", d.off)
+		return nil, fmt.Errorf("wire: truncated column descriptor at offset %d", d.off)
 	}
 	desc := d.buf[d.off]
 	d.off++
@@ -590,19 +607,19 @@ func (d *Decoder) decodeColV2(rows []types.Row, j, n int) error {
 	kind := int(desc >> colKindShift & 0x07)
 	flated := desc&colFlateBit != 0
 	if desc&colReservedBit != 0 {
-		return fmt.Errorf("wire: column descriptor %#x has reserved bit set", desc)
+		return nil, fmt.Errorf("wire: column descriptor %#x has reserved bit set", desc)
 	}
 	if kind > colAny {
-		return fmt.Errorf("wire: unknown column kind %d", kind)
+		return nil, fmt.Errorf("wire: unknown column kind %d", kind)
 	}
 	if variant != 0 && kind != colInt && kind != colText {
-		return fmt.Errorf("wire: column kind %d has no variant %d", kind, variant)
+		return nil, fmt.Errorf("wire: column kind %d has no variant %d", kind, variant)
 	}
 	if variant > 1 {
-		return fmt.Errorf("wire: unknown payload variant %d", variant)
+		return nil, fmt.Errorf("wire: unknown payload variant %d", variant)
 	}
 	if hasNulls && (kind == colAllNull || kind == colAny) {
-		return fmt.Errorf("wire: column kind %d cannot carry a null bitmap", kind)
+		return nil, fmt.Errorf("wire: column kind %d cannot carry a null bitmap", kind)
 	}
 
 	// Establish the body reader, bounding the claimed row count by the
@@ -611,17 +628,17 @@ func (d *Decoder) decodeColV2(rows []types.Row, j, n int) error {
 	if flated {
 		clen, err := d.uvarint()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if clen > uint64(d.Remaining()) {
-			return fmt.Errorf("wire: truncated compressed column (%d > %d bytes)", clen, d.Remaining())
+			return nil, fmt.Errorf("wire: truncated compressed column (%d > %d bytes)", clen, d.Remaining())
 		}
 		if uint64(n) > v2MaxRatio*clen+v2AllNullMax {
-			return fmt.Errorf("wire: %d rows implausible for a %d-byte compressed column", n, clen)
+			return nil, fmt.Errorf("wire: %d rows implausible for a %d-byte compressed column", n, clen)
 		}
 		raw, err := inflateColumn(d.buf[d.off:d.off+int(clen)], 1032*int(clen)+64)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		d.off += int(clen)
 		src = NewDecoder(raw)
@@ -629,57 +646,56 @@ func (d *Decoder) decodeColV2(rows []types.Row, j, n int) error {
 		switch kind {
 		case colAllNull:
 			if n > v2AllNullMax {
-				return fmt.Errorf("wire: %d rows implausible for an implicit all-NULL column", n)
+				return nil, fmt.Errorf("wire: %d rows implausible for an implicit all-NULL column", n)
 			}
 		case colAny:
 			if n > d.Remaining() {
-				return fmt.Errorf("wire: %d rows implausible for a %d-byte column", n, d.Remaining())
+				return nil, fmt.Errorf("wire: %d rows implausible for a %d-byte column", n, d.Remaining())
 			}
 		default:
 			if (n+7)/8 > d.Remaining() {
-				return fmt.Errorf("wire: %d rows implausible for a %d-byte column", n, d.Remaining())
+				return nil, fmt.Errorf("wire: %d rows implausible for a %d-byte column", n, d.Remaining())
 			}
 		}
 	}
 
-	var nulls []byte
+	var nulls nullBits
 	nn := n
 	if hasNulls {
 		nb := (n + 7) / 8
 		if src.Remaining() < nb {
-			return fmt.Errorf("wire: truncated null bitmap at offset %d", src.off)
+			return nil, fmt.Errorf("wire: truncated null bitmap at offset %d", src.off)
 		}
 		nulls = src.buf[src.off : src.off+nb]
 		src.off += nb
 		if n%8 != 0 && nulls[nb-1]>>(n%8) != 0 {
-			return fmt.Errorf("wire: null bitmap has bits beyond row %d", n)
+			return nil, fmt.Errorf("wire: null bitmap has bits beyond row %d", n)
 		}
 		set := 0
 		for _, b := range nulls {
 			set += bits.OnesCount8(b)
 		}
 		if set == 0 || set == n {
-			return fmt.Errorf("wire: non-canonical null bitmap (%d of %d set)", set, n)
+			return nil, fmt.Errorf("wire: non-canonical null bitmap (%d of %d set)", set, n)
 		}
 		nn = n - set
 	}
-	isNull := func(i int) bool {
-		return nulls != nil && nulls[i>>3]&(1<<(i&7)) != 0
-	}
 
+	var col colstore.Column
 	switch kind {
 	case colAllNull:
-		// Rows were zero-initialized; zero types.Value is NULL.
+		col = &colstore.AnyColumn{Vals: make([]types.Value, n)} // zero Value is NULL
 	case colInt:
+		vals := make([]int64, n)
 		var prev int64
 		first := true
-		for i := 0; i < n; i++ {
-			if isNull(i) {
+		for i := range vals {
+			if nulls.get(i) {
 				continue
 			}
 			v, err := src.varint()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if variant == intDelta && !first {
 				prev += v // wrapping, mirrors the encoder exactly
@@ -687,106 +703,152 @@ func (d *Decoder) decodeColV2(rows []types.Row, j, n int) error {
 				prev = v
 			}
 			first = false
-			rows[i][j] = types.NewInt(prev)
+			vals[i] = prev
 		}
+		col = &colstore.Int64Column{Vals: vals, Nulls: colstore.BitmapFromBytes(nulls)}
 	case colFloat:
-		for i := 0; i < n; i++ {
-			if isNull(i) {
+		if src.Remaining() < 8*nn {
+			return nil, fmt.Errorf("wire: truncated float column at offset %d", src.off)
+		}
+		vals := make([]float64, n)
+		for i := range vals {
+			if nulls.get(i) {
 				continue
 			}
-			if src.Remaining() < 8 {
-				return fmt.Errorf("wire: truncated float column at offset %d", src.off)
-			}
-			b := src.buf[src.off:]
-			bits64 := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-				uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(src.buf[src.off:]))
 			src.off += 8
-			rows[i][j] = types.NewFloat(math.Float64frombits(bits64))
 		}
+		col = &colstore.Float64Column{Vals: vals, Nulls: colstore.BitmapFromBytes(nulls)}
 	case colBool:
 		nb := (nn + 7) / 8
 		if src.Remaining() < nb {
-			return fmt.Errorf("wire: truncated bool column at offset %d", src.off)
+			return nil, fmt.Errorf("wire: truncated bool column at offset %d", src.off)
 		}
-		packed := src.buf[src.off : src.off+nb]
+		packed := nullBits(src.buf[src.off : src.off+nb])
 		src.off += nb
 		if nn%8 != 0 && nb > 0 && packed[nb-1]>>(nn%8) != 0 {
-			return fmt.Errorf("wire: bool column has bits beyond value %d", nn)
+			return nil, fmt.Errorf("wire: bool column has bits beyond value %d", nn)
 		}
+		vals := make([]bool, n)
 		k := 0
-		for i := 0; i < n; i++ {
-			if isNull(i) {
+		for i := range vals {
+			if nulls.get(i) {
 				continue
 			}
-			rows[i][j] = types.NewBool(packed[k>>3]&(1<<(k&7)) != 0)
+			vals[i] = packed.get(k)
 			k++
 		}
+		col = &colstore.BoolColumn{Vals: vals, Nulls: colstore.BitmapFromBytes(nulls)}
 	case colText:
 		if variant == textDict {
 			nDict, err := src.count(1, "dictionary entry")
 			if err != nil {
-				return err
+				return nil, err
 			}
-			dict := make([]types.Value, nDict)
-			for k := 0; k < nDict; k++ {
-				s, err := src.str()
-				if err != nil {
-					return err
+			if nDict > math.MaxUint32 {
+				return nil, fmt.Errorf("wire: %d dictionary entries exceed the 32-bit code space", nDict)
+			}
+			// The encoder ships distinct entries; a payload that repeats one
+			// only makes its own equal strings differ by code.
+			dict := make([]string, nDict)
+			for k := range dict {
+				if dict[k], err = src.str(); err != nil {
+					return nil, err
 				}
-				dict[k] = types.NewText(s)
 			}
-			for i := 0; i < n; i++ {
-				if isNull(i) {
+			codes := make([]uint32, n)
+			for i := range codes {
+				if nulls.get(i) {
 					continue
 				}
 				code, err := src.uvarint()
 				if err != nil {
-					return err
+					return nil, err
 				}
 				if code >= uint64(nDict) {
-					return fmt.Errorf("wire: dictionary code %d out of range (%d entries)", code, nDict)
+					return nil, fmt.Errorf("wire: dictionary code %d out of range (%d entries)", code, nDict)
 				}
-				rows[i][j] = dict[code]
+				codes[i] = uint32(code)
 			}
+			col = colstore.NewTextColumn(codes, dict, colstore.BitmapFromBytes(nulls))
 		} else {
-			for i := 0; i < n; i++ {
-				if isNull(i) {
+			vals := make([]types.Value, n)
+			for i := range vals {
+				if nulls.get(i) {
 					continue
 				}
 				s, err := src.str()
 				if err != nil {
-					return err
+					return nil, err
 				}
-				rows[i][j] = types.NewText(s)
+				vals[i] = types.NewText(s)
 			}
+			col = &colstore.AnyColumn{Vals: vals}
 		}
 	case colAny:
-		for i := 0; i < n; i++ {
+		vals := make([]types.Value, n)
+		for i := range vals {
 			v, err := src.value()
 			if err != nil {
-				return err
+				return nil, err
 			}
-			rows[i][j] = v
+			vals[i] = v
 		}
+		col = &colstore.AnyColumn{Vals: vals}
 	}
 	if flated && src.off != len(src.buf) {
-		return fmt.Errorf("wire: %d trailing bytes in compressed column", len(src.buf)-src.off)
+		return nil, fmt.Errorf("wire: %d trailing bytes in compressed column", len(src.buf)-src.off)
 	}
-	return nil
+	return col, nil
+}
+
+// inflater is a pooled deflate decompressor (its window and Huffman tables
+// are ~40 KB, more than most columns inflate to) with the reader it is reset
+// over.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser
+}
+
+var inflaters = sync.Pool{
+	New: func() any {
+		in := new(inflater)
+		in.fr = flate.NewReader(&in.src)
+		return in
+	},
 }
 
 // inflateColumn decompresses a deflate stream with a hard output cap (1032
 // is deflate's maximum compression ratio, so anything past 1032x the input
-// is hostile by construction).
+// is hostile by construction). The output buffer starts at a few times the
+// compressed length and doubles up to the cap, which is checked as bytes
+// arrive: a stream that would inflate past it is rejected without being
+// inflated further.
 func inflateColumn(comp []byte, limit int) ([]byte, error) {
-	fr := flate.NewReader(bytes.NewReader(comp))
-	defer fr.Close()
-	out, err := io.ReadAll(io.LimitReader(fr, int64(limit)+1))
-	if err != nil {
+	in := inflaters.Get().(*inflater)
+	defer func() {
+		in.src.Reset(nil) // a pooled inflater must not pin the payload
+		inflaters.Put(in)
+	}()
+	in.src.Reset(comp)
+	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
 		return nil, fmt.Errorf("wire: corrupt compressed column: %w", err)
 	}
-	if len(out) > limit {
-		return nil, fmt.Errorf("wire: compressed column inflates past the deflate ratio bound")
+	out := make([]byte, 0, min(4*len(comp)+64, limit+1))
+	for {
+		if len(out) == cap(out) {
+			out = append(make([]byte, 0, min(2*cap(out), limit+1)), out...)
+		}
+		n, err := in.fr.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
+		if len(out) > limit {
+			return nil, fmt.Errorf("wire: compressed column inflates past the deflate ratio bound")
+		}
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("wire: corrupt compressed column: %w", err)
+		}
 	}
-	return out, nil
 }

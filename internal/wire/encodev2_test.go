@@ -5,12 +5,15 @@ import (
 	"compress/flate"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"resultdb/internal/colstore"
 	"resultdb/internal/db"
 	"resultdb/internal/types"
+	"resultdb/internal/workload/job"
+	"resultdb/internal/workload/star"
 )
 
 // oneSet wraps a single result set in a Result.
@@ -422,6 +425,122 @@ func TestEncodeResultAllocations(t *testing.T) {
 	// the payload and appends are regrowing (and copying) it.
 	if allocs > 2 {
 		t.Errorf("EncodeResult allocated %.0f times per run, want <= 2", allocs)
+	}
+}
+
+// allocatedBy returns the bytes fn allocates, process-wide (so the work its
+// parallel helpers do counts).
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// rowBlockBytes is what boxing set's rows costs: one row header per row and
+// one 32-byte cell per value.
+func rowBlockBytes(set *db.ResultSet) uint64 {
+	return uint64(len(set.Rows)) * uint64(24+32*len(set.Columns))
+}
+
+// TestDecodeAllocatesWhatItReturns guards the decoder's transient memory:
+// decoding a JOB payload (every column deflated) a second time allocates less
+// than twice the bytes the decoded result holds — its row block, its frame
+// vectors and its strings; the rest is inflated column bodies, headers and
+// size-class rounding. A fresh 40 KB inflater per column, or an io.ReadAll
+// doubling ladder from 512 bytes per column, breaks that several times over
+// (10-17x on the two small payloads here).
+func TestDecodeAllocatesWhatItReturns(t *testing.T) {
+	d := db.New()
+	if err := job.Load(d, job.Config{Scale: 0.1, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"3c", "9c", "16b"} {
+		q, err := job.QueryByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := d.Exec("SELECT RESULTDB" + strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := EncodeResultV2(res)
+		decoded, err := DecodeResult(payload) // also warms the inflater pool
+		if err != nil {
+			t.Fatal(err)
+		}
+		var held uint64
+		for _, set := range decoded.Sets {
+			held += rowBlockBytes(set)
+			n := uint64(len(set.Rows))
+			for c := range set.Columns {
+				switch col := set.Vec.Frame.Col(c).(type) {
+				case *colstore.Int64Column, *colstore.Float64Column:
+					held += 8 * n
+				case *colstore.BoolColumn:
+					held += n
+				case *colstore.TextColumn:
+					held += 4*n + 24*uint64(len(col.Dict))
+					for _, s := range col.Dict {
+						held += uint64(len(s))
+					}
+				case *colstore.AnyColumn:
+					held += 32 * n
+					for _, v := range col.Vals {
+						if v.Kind() == types.KindText {
+							held += uint64(len(v.Text()))
+						}
+					}
+				}
+			}
+		}
+		// The steady state is what is guarded: sync.Pool may hand out a fresh
+		// inflater after a GC or a goroutine migration (and drops a quarter of
+		// its Puts under -race), so take the cheapest of several decodes.
+		got := uint64(math.MaxUint64)
+		for attempt := 0; attempt < 200 && got > 2*held; attempt++ {
+			got = min(got, allocatedBy(func() {
+				if _, err := DecodeResult(payload); err != nil {
+					t.Fatal(err)
+				}
+			}))
+		}
+		if got > 2*held {
+			t.Errorf("%s: decoding the %d-byte payload again allocated %d bytes, the result holds %d (%.2fx, want < 2x)",
+				name, len(payload), got, held, float64(got)/float64(held))
+		}
+	}
+}
+
+// TestPostJoinOnDecodedResultBuildsNoFrame guards the client half of "a
+// relation is a frame and a selection": the post-join of a v2-decoded star
+// result runs on the decoder's frames, so what it allocates is its output's
+// row block plus the join's own gathers — under 2x the block. Rebuilding the
+// inputs' frames from their rows first (what a set without a view costs)
+// does not fit.
+func TestPostJoinOnDecodedResultBuildsNoFrame(t *testing.T) {
+	d := db.New()
+	cfg := star.DefaultConfig()
+	if err := star.Load(d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Exec("SELECT RESULTDB PRESERVING" + strings.TrimPrefix(star.Query(cfg, 0.8), "SELECT"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := DecodeResult(EncodeResultV2(res))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out *db.ResultSet
+	got := allocatedBy(func() {
+		if out, err = db.ExecutePostJoinPlan(decoded); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if block := rowBlockBytes(out); got > 2*block {
+		t.Errorf("post-join allocated %d bytes for a %d-byte output block (%.2fx, want <= 2x)", got, block, float64(got)/float64(block))
 	}
 }
 

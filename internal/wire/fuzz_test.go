@@ -118,6 +118,9 @@ func FuzzEncodeDecode(f *testing.F) {
 		if enc3 := EncodeResult(res3); !bytes.Equal(enc, enc3) {
 			t.Fatalf("v2 round trip altered the result:\nv1 form:  %x\nvia v2:   %x", enc, enc3)
 		}
+		// encV2 is canonical, so its decode must be frame-backed and encode
+		// back to it exactly.
+		checkDecodedV2(t, "fuzz", encV2, res3)
 	})
 }
 

@@ -16,10 +16,12 @@ import (
 // streamed transfer path: for every workload query, the result decoded from
 // a v2 connection — buffered and streamed, at server parallelism 1 and 4 —
 // must be value-identical to what a local serial oracle computes (compared
-// through the canonical v1 encoding, which is injective on results), and the
-// v2 payload must never exceed the v1 payload of the same result. Any codec
-// bug — a bitmap off by one, a dictionary code remapped wrong, a delta
-// overflow, a chunk stitched out of order — shows up as a byte diff.
+// through the canonical v1 encoding, which is injective on results), the
+// v2 payload must never exceed the v1 payload of the same result, and what
+// the decoder hands back must be a frame-backed result that re-encodes to the
+// very same bytes. Any codec bug — a bitmap off by one, a dictionary code
+// remapped wrong, a delta overflow, a chunk stitched out of order — shows up
+// as a byte diff.
 
 // wireCandidate is one served configuration under test.
 type wireCandidate struct {
@@ -89,6 +91,11 @@ func checkWire(t *testing.T, oracle *db.Database, cands []wireCandidate, name, s
 	if !bytes.Equal(EncodeResultV2(rowsOnly), v2) {
 		t.Errorf("%s: v2 payload encoded from the views differs from the one encoded from the rows", name)
 	}
+	decoded, err := DecodeResult(v2)
+	if err != nil {
+		t.Fatalf("%s: v2 payload does not decode: %v", name, err)
+	}
+	checkDecodedV2(t, name, v2, decoded)
 	for _, cand := range cands {
 		got, err := cand.client.Exec(sql)
 		if err != nil {
@@ -98,6 +105,38 @@ func checkWire(t *testing.T, oracle *db.Database, cands []wireCandidate, name, s
 			t.Fatalf("%s [%s]: result received over the wire differs from the local oracle\nsql: %s",
 				name, cand.name, sql)
 		}
+		checkDecodedV2(t, name+" ["+cand.name+"]", v2, got)
+	}
+}
+
+// checkDecodedV2 asserts what holds for every result decoded from the v2
+// payload: each set carries its columnar view, the view boxes to exactly the
+// set's rows, and re-encoding the decoded result — which now reads the views
+// — reproduces the payload byte for byte.
+func checkDecodedV2(t testing.TB, what string, payload []byte, res *db.Result) {
+	t.Helper()
+	for _, set := range res.Sets {
+		if set.Vec == nil {
+			t.Fatalf("%s: decoded set %q carries no columnar view", what, set.Name)
+		}
+		if set.Vec.Frame.NumCols() != len(set.Columns) {
+			t.Fatalf("%s: set %q: view has %d columns, set has %d", what, set.Name, set.Vec.Frame.NumCols(), len(set.Columns))
+		}
+		boxed := set.Vec.Rows()
+		if len(boxed) != len(set.Rows) {
+			t.Fatalf("%s: set %q: view boxes %d rows, set has %d", what, set.Name, len(boxed), len(set.Rows))
+		}
+		for i, row := range set.Rows {
+			for c := range row {
+				if boxed[i][c] != row[c] {
+					t.Fatalf("%s: set %q cell (%d,%d): view has %v (%s), rows have %v (%s)", what, set.Name, i, c,
+						boxed[i][c], boxed[i][c].Kind(), row[c], row[c].Kind())
+				}
+			}
+		}
+	}
+	if again := EncodeResultV2(res); !bytes.Equal(again, payload) {
+		t.Fatalf("%s: re-encoding the decoded result gives %d bytes that differ from the %d-byte payload", what, len(again), len(payload))
 	}
 }
 

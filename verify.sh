@@ -10,9 +10,10 @@
 # db.go; no identifier of the deleted row-at-a-time path, of the deleted A/B
 # knobs or of the deleted storage hash index; no identifier of the deleted
 # second relation image, and no row slices in core or the colstore kernels; no
-# map-of-position-slices bucket structure in colstore/engine/storage;
-# internal/reference imported from tests only); then the differential gates
-# under -race — cache
+# map-of-position-slices bucket structure in colstore/engine/storage; row
+# blocks filled by colstore.View.Rows only, one pooled flate reader, no unsafe
+# in internal/types; internal/reference imported from tests only); then the
+# differential gates under -race — cache
 # (cold/warm/invalidate vs uncached oracle; on the socket, filling response == response from kept payloads == cache-off
 # response over every transport; the payload-memo guards; and
 # BenchmarkServeCachedHit once as a smoke),
@@ -108,6 +109,31 @@ if [ -n "$row_slices" ]; then
 	exit 1
 fi
 
+echo "== lint: one boxing loop, one inflater, a 32-byte cell without unsafe"
+# Typed columns are boxed into a row block by colstore.View.Rows and nowhere
+# else: the wire decoder builds column vectors and calls it, so a MakeRows in
+# internal/wire or internal/db is the hand-rolled copy growing back. The v2
+# decoder takes its deflate reader from a pool; a second flate.NewReader( is a
+# per-column 40 KB allocation. types.Value is 32 bytes by field layout
+# (TestValueSize), not by pointer tricks.
+box_loops=$(grep -rn 'MakeRows(' --include='*.go' internal/wire internal/db | grep -v '_test\.go:' || true)
+if [ -n "$box_loops" ]; then
+	echo "FAIL: a row block is filled outside colstore.View.Rows:"
+	echo "$box_loops"
+	exit 1
+fi
+inflaters=$(grep -rn 'flate\.NewReader(' --include='*.go' --exclude-dir=.bench_build cmd examples internal ./*.go | grep -v '_test\.go:' | wc -l)
+if [ "$inflaters" -ne 1 ]; then
+	echo "FAIL: flate.NewReader( occurs $inflaters times in non-test code, want 1 (the pooled inflater in internal/wire/encodev2.go)"
+	exit 1
+fi
+unsafe_types=$(grep -ln '"unsafe"' internal/types/*.go | grep -v '_test\.go$' || true)
+if [ -n "$unsafe_types" ]; then
+	echo "FAIL: internal/types imports unsafe:"
+	echo "$unsafe_types"
+	exit 1
+fi
+
 echo "== lint: one hash structure (colstore's position table), no bucket maps"
 # Key sets, join hash tables and dedup all probe the open-addressing table in
 # internal/colstore/hash.go; a map from key hash to a slice of positions in
@@ -138,8 +164,8 @@ go test -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
 echo "== stats differential gate (cost-based planner vs heuristic oracle, par x eager/lazy stats, under -race)"
 go test -race -run 'TestStatsDifferential|TestCostBased' -count=1 ./internal/wire ./internal/core
 
-echo "== wire v2 differential gate (v2 buffered/streamed x par vs v1 oracle, v2 <= v1 bytes, under -race)"
-go test -race -run 'TestWireV2Differential|TestStreamedMatchesBuffered|TestExecStream' -count=1 \
+echo "== wire v2 differential gate (v2 buffered/streamed x par vs v1 oracle, v2 <= v1 bytes, decoded results frame-backed and re-encoding to the same bytes, post-join equal on every result form, under -race)"
+go test -race -run 'TestWireV2Differential|TestStreamedMatchesBuffered|TestExecStream|TestResultSetsCarryViews|TestPostJoinSameOnEveryResultForm' -count=1 \
 	./internal/wire ./internal/db
 
 echo "== chaos differential gate (fault plans x v1/v2 x buffered/streamed x par, under -race)"
