@@ -1,6 +1,7 @@
 // Package cache is the semantic query-result cache of the reproduction: a
 // zero-dependency (stdlib-only), generic, byte-budgeted LRU keyed by a
-// normalized statement fingerprint and guarded by per-table version counters.
+// normalized statement fingerprint and guarded by the version vector of the
+// tables the statement reads.
 //
 // The design mirrors the paper's own argument one level up: SELECT RESULTDB
 // avoids recomputing and re-shipping redundant denormalized data *within* a
@@ -14,12 +15,15 @@
 //   - Keys are semantic fingerprints produced by the caller (internal/db uses
 //     the canonicalized AST rendering from internal/sqlparse), so whitespace,
 //     literal formatting, and identifier case do not fragment the cache.
-//   - Every entry records the set of base tables the statement reads and the
-//     version counter of each table at fill time. Any DML/DDL that touches a
-//     table bumps its counter (O(1)); a lookup compares the recorded versions
-//     against the current ones (O(#tables), a handful of integers), so a
-//     stale entry is never served — invalidation is lazy and constant-time,
-//     with no per-entry bookkeeping on the write path.
+//   - The cache knows no table names and keeps no counters. Every entry
+//     records the version vector it was computed at — one number per base
+//     table the statement reads, taken by the caller from the database state
+//     it pinned (internal/db: storage.Table.Version). A lookup carries the
+//     caller's own pinned vector and is served only on an exact match
+//     (O(#tables), a handful of integers), so a reader never sees a result
+//     newer or older than its snapshot. Writers do nothing here: an entry
+//     whose vector is no longer the live one is discarded lazily, by the
+//     lookup that finds it.
 //   - Admission and eviction are cost-aware: each entry carries its measured
 //     wire-encoded byte size, the cache holds a configurable byte budget, and
 //     the least-recently-used entries are evicted until the new entry fits.
@@ -34,7 +38,7 @@ package cache
 
 import (
 	"container/list"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -48,8 +52,9 @@ type Stats struct {
 	// a computation (single-flight followers count as hits-by-collapse, not
 	// misses).
 	Misses uint64
-	// Invalidations counts lookups that found an entry whose table versions
-	// had moved on; the entry is discarded at that moment (lazy eviction).
+	// Invalidations counts lookups that found an entry whose version vector
+	// is no longer the live one; the entry is discarded at that moment (lazy
+	// eviction).
 	Invalidations uint64
 	// Evictions counts entries evicted to make room under the byte budget.
 	Evictions uint64
@@ -66,14 +71,13 @@ type Stats struct {
 	Budget int64
 }
 
-// entry is one cached value with its invalidation guard.
+// entry is one cached value with the version vector it was computed at.
 type entry struct {
-	key    string
-	value  any
-	bytes  int64
-	tables []string // lowercased, sorted, deduplicated
-	vers   []uint64 // table versions at fill time, parallel to tables
-	elem   *list.Element
+	key   string
+	value any
+	bytes int64
+	at    []uint64
+	elem  *list.Element
 }
 
 // flight is one in-progress computation other callers can wait on.
@@ -85,13 +89,18 @@ type flight[V any] struct {
 
 // Cache is a versioned, byte-budgeted, single-flight LRU. All methods are
 // safe for concurrent use. The zero value is not usable; construct with New.
+//
+// Every lookup and fill names a version vector: at is the vector the caller's
+// snapshot pins, in an order the key determines (internal/db lists the
+// statement's tables in first-appearance order), and live reports the same
+// vector read from the newest committed state. live is called with the cache
+// locked and must not block.
 type Cache[V any] struct {
 	mu      sync.Mutex
 	budget  int64
 	bytes   int64
 	entries map[string]*entry
 	lru     *list.List // front = most recently used
-	vers    map[string]uint64
 	flights map[string]*flight[V]
 
 	hits          uint64
@@ -107,7 +116,6 @@ func New[V any](budget int64) *Cache[V] {
 		budget:  budget,
 		entries: make(map[string]*entry),
 		lru:     list.New(),
-		vers:    make(map[string]uint64),
 		flights: make(map[string]*flight[V]),
 	}
 }
@@ -128,54 +136,13 @@ func (c *Cache[V]) Budget() int64 {
 	return c.budget
 }
 
-// normTables lowercases, sorts and deduplicates a table list so version
-// checks are order-insensitive and case-insensitive (matching the engine's
-// case-insensitive name resolution).
-func normTables(tables []string) []string {
-	out := make([]string, 0, len(tables))
-	for _, t := range tables {
-		out = append(out, strings.ToLower(t))
-	}
-	sort.Strings(out)
-	j := 0
-	for i, t := range out {
-		if i == 0 || out[j-1] != t {
-			out[j] = t
-			j++
-		}
-	}
-	return out[:j]
-}
-
-// Bump advances the version counter of each named table (case-insensitive),
-// making every cache entry that reads one of them stale. O(1) per table; the
-// entries themselves are discarded lazily on their next lookup or eviction.
-func (c *Cache[V]) Bump(tables ...string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, t := range tables {
-		c.vers[strings.ToLower(t)]++
-	}
-}
-
-// Clear drops every entry (not the version counters, which must keep
-// monotonically increasing so pre-clear fills can never be revived).
+// Clear drops every entry.
 func (c *Cache[V]) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.entries = make(map[string]*entry)
 	c.lru.Init()
 	c.bytes = 0
-}
-
-// freshLocked reports whether e's recorded table versions still match.
-func (c *Cache[V]) freshLocked(e *entry) bool {
-	for i, t := range e.tables {
-		if c.vers[t] != e.vers[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // removeLocked drops e from the map, the LRU list, and the byte accounting.
@@ -185,59 +152,10 @@ func (c *Cache[V]) removeLocked(e *entry) {
 	c.bytes -= e.bytes
 }
 
-// lookupLocked returns the live entry for key, discarding it (and counting an
-// invalidation) if stale. Does not touch hit/miss counters or LRU order.
-func (c *Cache[V]) lookupLocked(key string) *entry {
-	e, ok := c.entries[key]
-	if !ok {
-		return nil
-	}
-	if !c.freshLocked(e) {
-		c.invalidations++
-		c.removeLocked(e)
-		return nil
-	}
-	return e
-}
-
-// Get returns the cached value for key if present and fresh, updating LRU
-// order and the hit/miss counters.
-func (c *Cache[V]) Get(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e := c.lookupLocked(key); e != nil {
-		c.hits++
-		c.lru.MoveToFront(e.elem)
-		return e.value.(V), true
-	}
-	c.misses++
-	var zero V
-	return zero, false
-}
-
-// Peek reports whether key is present and fresh without counting a hit or a
-// miss and without touching LRU order (used by EXPLAIN ANALYZE to annotate
-// the plan without perturbing the cache).
-func (c *Cache[V]) Peek(key string) (V, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok && c.freshLocked(e) {
-		return e.value.(V), true
-	}
-	var zero V
-	return zero, false
-}
-
-// Put admits a value computed against the *current* table versions. Oversized
-// values (bytes > budget) are not admitted; otherwise LRU entries are evicted
-// until the value fits. A racing entry under the same key is replaced.
-func (c *Cache[V]) Put(key string, v V, bytes int64, tables []string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.putLocked(key, v, bytes, tables)
-}
-
-func (c *Cache[V]) putLocked(key string, v V, bytes int64, tables []string) {
+// putLocked admits v under key at vector at. Oversized values (bytes >
+// budget) are not admitted; otherwise LRU entries are evicted until the value
+// fits. An entry already under the key is replaced.
+func (c *Cache[V]) putLocked(key string, v V, bytes int64, at []uint64) {
 	if bytes > c.budget {
 		return
 	}
@@ -245,11 +163,7 @@ func (c *Cache[V]) putLocked(key string, v V, bytes int64, tables []string) {
 		c.removeLocked(old)
 	}
 	c.evictToFitLocked(bytes)
-	norm := normTables(tables)
-	e := &entry{key: key, value: v, bytes: bytes, tables: norm, vers: make([]uint64, len(norm))}
-	for i, t := range norm {
-		e.vers[i] = c.vers[t]
-	}
+	e := &entry{key: key, value: v, bytes: bytes, at: at}
 	e.elem = c.lru.PushFront(e)
 	c.entries[key] = e
 	c.bytes += bytes
@@ -298,157 +212,74 @@ func (c *Cache[V]) Retain(key string, v V, delta int64) bool {
 	return true
 }
 
-// Do is the single-flight read-through: it returns the cached value for key
-// if fresh (hit=true); otherwise it either joins an identical in-flight
-// computation (hit=true, counted as Collapsed) or runs compute itself,
-// admits the result with its reported byte cost, and returns it (hit=false).
-// Errors are returned to every waiter and never cached.
-//
-// compute runs without any cache lock held. The caller must guarantee that
-// the tables read by the computation cannot change between the version
-// capture at miss time and the completed computation (internal/db holds its
-// statement-level read lock across Do, which excludes all DML).
-func (c *Cache[V]) Do(key string, tables []string, compute func() (V, int64, error)) (V, bool, error) {
-	c.mu.Lock()
-	if e := c.lookupLocked(key); e != nil {
-		c.hits++
-		c.lru.MoveToFront(e.elem)
-		v := e.value.(V)
-		c.mu.Unlock()
-		return v, true, nil
-	}
-	if f, ok := c.flights[key]; ok {
-		c.collapsed++
-		c.mu.Unlock()
-		<-f.done
-		return f.val, true, f.err
-	}
-	c.misses++
-	f := &flight[V]{done: make(chan struct{})}
-	c.flights[key] = f
-	c.mu.Unlock()
-
-	v, bytes, err := compute()
-	f.val, f.err = v, err
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if err == nil {
-		c.putLocked(key, v, bytes, tables)
-	}
-	c.mu.Unlock()
-	close(f.done)
-	return v, false, err
-}
-
-// The *At variants below are the MVCC-aware surface used by internal/db's
-// lock-free read path. Plain Do/Put/Get assume the caller excludes writers
-// for the whole lookup-compute-fill window (the pre-MVCC discipline); the
-// *At variants instead key every step on an explicitly captured version
-// vector — the versions the caller's snapshot pins — so they stay correct
-// with writers bumping versions concurrently at any point.
-
-// versionsAt captures verOf over the normalized table list.
-func versionsAt(norm []string, verOf func(string) uint64) []uint64 {
-	vers := make([]uint64, len(norm))
-	for i, t := range norm {
-		vers[i] = verOf(t)
-	}
-	return vers
-}
-
-// flightKeyAt builds the single-flight key for a computation pinned at a
+// flightKey builds the single-flight key for a computation pinned at a
 // version vector: two identical statements on different snapshots must NOT
 // collapse into one execution (they could legitimately need different
-// results), so the fingerprint is part of the key.
-func flightKeyAt(key string, vers []uint64) string {
+// results), so the vector is part of the key.
+func flightKey(key string, at []uint64) string {
 	var b strings.Builder
-	b.Grow(len(key) + 12*len(vers))
+	b.Grow(len(key) + 12*len(at))
 	b.WriteString(key)
-	for _, v := range vers {
+	for _, v := range at {
 		b.WriteByte('|')
 		b.WriteString(strconv.FormatUint(v, 36))
 	}
 	return b.String()
 }
 
-// matchesAt reports whether entry e was filled at exactly the given
-// normalized tables and versions.
-func matchesAt(e *entry, norm []string, vers []uint64) bool {
-	if len(e.tables) != len(norm) {
-		return false
-	}
-	for i, t := range e.tables {
-		if t != norm[i] || e.vers[i] != vers[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// currentLocked reports whether the captured versions are still the cache's
-// current ones — i.e. no writer bumped any of the tables since the capture.
-func (c *Cache[V]) currentLocked(norm []string, vers []uint64) bool {
-	for i, t := range norm {
-		if c.vers[t] != vers[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// PeekAt reports whether key holds a value filled at exactly the versions
-// verOf captures (the caller's snapshot), without counting a hit or a miss
-// and without touching LRU order.
-func (c *Cache[V]) PeekAt(key string, tables []string, verOf func(string) uint64) (V, bool) {
-	norm := normTables(tables)
-	vers := versionsAt(norm, verOf)
+// PeekAt reports whether key holds a value computed at exactly the vector at,
+// without counting a hit or a miss and without touching LRU order (used by
+// EXPLAIN ANALYZE to annotate the plan without perturbing the cache).
+func (c *Cache[V]) PeekAt(key string, at []uint64) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok && matchesAt(e, norm, vers) {
+	if e, ok := c.entries[key]; ok && slices.Equal(e.at, at) {
 		return e.value.(V), true
 	}
 	var zero V
 	return zero, false
 }
 
-// PutAt admits a value computed against the versions verOf captures — but
-// only if those versions are still current, i.e. no writer published past
-// the caller's snapshot while the value was computed. A stale fill is
-// silently dropped: it is correct for its snapshot but must not shadow (or
-// be revived as) the newer state.
-func (c *Cache[V]) PutAt(key string, v V, bytes int64, tables []string, verOf func(string) uint64) {
-	norm := normTables(tables)
-	vers := versionsAt(norm, verOf)
+// PutAt admits a value computed at the vector at — but only if that is still
+// the live vector, i.e. no writer published past the caller's snapshot while
+// the value was computed. A stale fill is silently dropped: it is correct for
+// its snapshot but must not shadow (or evict) an entry of the newer state.
+func (c *Cache[V]) PutAt(key string, v V, bytes int64, at []uint64, live func() []uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.currentLocked(norm, vers) {
-		return
+	if slices.Equal(at, live()) {
+		c.putLocked(key, v, bytes, at)
 	}
-	c.putLocked(key, v, bytes, tables)
 }
 
-// DoAt is the snapshot-pinned single-flight read-through: the MVCC analogue
-// of Do. The caller's computation runs against a pinned snapshot whose
-// per-table versions verOf reports; DoAt serves a cached value only when it
-// was filled at exactly those versions, collapses concurrent identical
-// misses only when they pinned the same versions, and admits the computed
-// fill only when the versions are still current at fill time (a fill that
-// raced a writer is returned to its caller but not cached). compute runs
-// without any cache lock held and needs no external synchronization — the
-// snapshot it reads is immutable.
-func (c *Cache[V]) DoAt(key string, tables []string, verOf func(string) uint64, compute func() (V, int64, error)) (V, bool, error) {
-	norm := normTables(tables)
-	vers := versionsAt(norm, verOf)
-	fkey := flightKeyAt(key, vers)
+// DoAt is the snapshot-pinned single-flight read-through. It serves a cached
+// value only when it was computed at exactly the caller's vector (hit=true);
+// otherwise it either joins an in-flight identical computation pinned at the
+// same vector (hit=true, counted as Collapsed) or runs compute itself and
+// returns its value (hit=false), admitting it with its reported byte cost
+// only when the vector is still live at fill time — a fill that raced a
+// writer is returned to its caller but not cached. An entry found under the
+// key at another vector is discarded if that vector is no longer live
+// (counted as an invalidation) and left alone if it is: a reader pinned to an
+// older snapshot is not served it and does not evict it. Errors are returned
+// to every waiter and never cached. compute runs without any cache lock held
+// and needs no external synchronization — the snapshot it reads is immutable.
+func (c *Cache[V]) DoAt(key string, at []uint64, live func() []uint64, compute func() (V, int64, error)) (V, bool, error) {
 	c.mu.Lock()
-	if e := c.lookupLocked(key); e != nil && matchesAt(e, norm, vers) {
-		c.hits++
-		c.lru.MoveToFront(e.elem)
-		v := e.value.(V)
-		c.mu.Unlock()
-		return v, true, nil
+	if e, ok := c.entries[key]; ok {
+		if slices.Equal(e.at, at) {
+			c.hits++
+			c.lru.MoveToFront(e.elem)
+			v := e.value.(V)
+			c.mu.Unlock()
+			return v, true, nil
+		}
+		if !slices.Equal(e.at, live()) {
+			c.invalidations++
+			c.removeLocked(e)
+		}
 	}
+	fkey := flightKey(key, at)
 	if f, ok := c.flights[fkey]; ok {
 		c.collapsed++
 		c.mu.Unlock()
@@ -465,8 +296,8 @@ func (c *Cache[V]) DoAt(key string, tables []string, verOf func(string) uint64, 
 
 	c.mu.Lock()
 	delete(c.flights, fkey)
-	if err == nil && c.currentLocked(norm, vers) {
-		c.putLocked(key, v, bytes, tables)
+	if err == nil && slices.Equal(at, live()) {
+		c.putLocked(key, v, bytes, at)
 	}
 	c.mu.Unlock()
 	close(f.done)

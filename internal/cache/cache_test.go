@@ -9,13 +9,42 @@ import (
 	"testing"
 )
 
+// world stands in for the database's newest committed state: the live version
+// of the one table every test statement reads. A writer's commit is bump.
+type world struct{ v atomic.Uint64 }
+
+func (w *world) live() []uint64 { return []uint64{w.v.Load()} }
+func (w *world) bump()          { w.v.Add(1) }
+
+// put fills key at the live vector, as a reader that raced no writer would.
+func put[V any](c *Cache[V], w *world, key string, v V, bytes int64) {
+	c.PutAt(key, v, bytes, w.live(), w.live)
+}
+
+// get is a counted lookup at the live vector that never fills.
+func get[V any](c *Cache[V], w *world, key string) (V, bool) {
+	v, hit, _ := c.DoAt(key, w.live(), w.live, func() (V, int64, error) {
+		var zero V
+		return zero, 0, errNoFill
+	})
+	return v, hit
+}
+
+var errNoFill = errors.New("lookup only")
+
+// peek is an uncounted lookup at the live vector.
+func peek[V any](c *Cache[V], w *world, key string) bool {
+	_, ok := c.PeekAt(key, w.live())
+	return ok
+}
+
 func TestGetPutHitMiss(t *testing.T) {
-	c := New[string](1 << 20)
-	if _, ok := c.Get("k"); ok {
+	c, w := New[string](1<<20), new(world)
+	if _, ok := get(c, w, "k"); ok {
 		t.Fatal("empty cache should miss")
 	}
-	c.Put("k", "v", 10, []string{"T1", "t2"})
-	v, ok := c.Get("k")
+	put(c, w, "k", "v", 10)
+	v, ok := get(c, w, "k")
 	if !ok || v != "v" {
 		t.Fatalf("want hit with v, got %q ok=%v", v, ok)
 	}
@@ -27,18 +56,23 @@ func TestGetPutHitMiss(t *testing.T) {
 
 func TestVersionInvalidation(t *testing.T) {
 	c := New[int](1 << 20)
-	c.Put("q", 7, 1, []string{"movies", "cast"})
-
-	// Bumping an unrelated table must not invalidate.
-	c.Bump("other")
-	if _, ok := c.Get("q"); !ok {
-		t.Fatal("bump of unrelated table invalidated entry")
+	// Two tables; the cache sees only their versions, in the statement's order.
+	cur := []uint64{4, 9}
+	live := func() []uint64 { return cur }
+	lookup := func() bool {
+		_, hit, _ := c.DoAt("q", live(), live, func() (int, int64, error) { return 0, 0, errNoFill })
+		return hit
+	}
+	c.PutAt("q", 7, 1, cur, live)
+	if !lookup() {
+		t.Fatal("entry not served at the vector it was filled at")
 	}
 
-	// Case-insensitive bump of a referenced table invalidates.
-	c.Bump("MOVIES")
-	if _, ok := c.Get("q"); ok {
-		t.Fatal("stale entry served after bump")
+	// A new version of either table makes the entry stale: the lookup that
+	// finds it discards it.
+	cur = []uint64{4, 10}
+	if lookup() {
+		t.Fatal("stale entry served after a table moved on")
 	}
 	st := c.Stats()
 	if st.Invalidations != 1 {
@@ -50,32 +84,54 @@ func TestVersionInvalidation(t *testing.T) {
 }
 
 func TestBumpBetweenPutAndGet(t *testing.T) {
-	// A Put that races behind a Bump must come back fresh: Put records the
-	// *current* versions.
-	c := New[int](1 << 20)
-	c.Bump("t")
-	c.Put("q", 1, 1, []string{"t"})
-	if _, ok := c.Get("q"); !ok {
+	// A fill computed after a commit carries the new vector and is fresh.
+	c, w := New[int](1<<20), new(world)
+	w.bump()
+	put(c, w, "q", 1, 1)
+	if _, ok := get(c, w, "q"); !ok {
 		t.Fatal("entry filled after bump should be fresh")
 	}
 }
 
+// A reader pinned to an older snapshot is not served the newer entry, does
+// not evict it, and its own fill is not admitted over it.
+func TestDoAtOlderPinLeavesNewerEntry(t *testing.T) {
+	c, w := New[string](1<<20), new(world)
+	pinned := w.live()
+	w.bump()
+	put(c, w, "q", "new", 8)
+
+	v, hit, err := c.DoAt("q", pinned, w.live, func() (string, int64, error) { return "old", 8, nil })
+	if err != nil || hit || v != "old" {
+		t.Fatalf("pinned reader got (%q, hit=%v, err=%v), want its own computation", v, hit, err)
+	}
+	if got, ok := c.PeekAt("q", w.live()); !ok || got != "new" {
+		t.Fatal("older pin evicted or replaced the newer entry")
+	}
+	if _, ok := c.PeekAt("q", pinned); ok {
+		t.Fatal("older pin's fill was admitted")
+	}
+	if st := c.Stats(); st.Invalidations != 0 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want the one newer entry and no invalidation", st)
+	}
+}
+
 func TestCostAwareLRUEviction(t *testing.T) {
-	c := New[int](100)
-	c.Put("a", 1, 40, []string{"t"})
-	c.Put("b", 2, 40, []string{"t"})
+	c, w := New[int](100), new(world)
+	put(c, w, "a", 1, 40)
+	put(c, w, "b", 2, 40)
 	// Touch "a" so "b" is the LRU victim.
-	if _, ok := c.Get("a"); !ok {
+	if _, ok := get(c, w, "a"); !ok {
 		t.Fatal("a should be present")
 	}
-	c.Put("c", 3, 40, []string{"t"})
-	if _, ok := c.Peek("b"); ok {
+	put(c, w, "c", 3, 40)
+	if peek(c, w, "b") {
 		t.Fatal("LRU entry b should have been evicted")
 	}
-	if _, ok := c.Peek("a"); !ok {
+	if !peek(c, w, "a") {
 		t.Fatal("recently used entry a should survive")
 	}
-	if _, ok := c.Peek("c"); !ok {
+	if !peek(c, w, "c") {
 		t.Fatal("new entry c should be admitted")
 	}
 	st := c.Stats()
@@ -85,13 +141,13 @@ func TestCostAwareLRUEviction(t *testing.T) {
 }
 
 func TestOversizedNotAdmitted(t *testing.T) {
-	c := New[int](100)
-	c.Put("small", 1, 10, []string{"t"})
-	c.Put("huge", 2, 101, []string{"t"})
-	if _, ok := c.Peek("huge"); ok {
+	c, w := New[int](100), new(world)
+	put(c, w, "small", 1, 10)
+	put(c, w, "huge", 2, 101)
+	if peek(c, w, "huge") {
 		t.Fatal("oversized entry admitted")
 	}
-	if _, ok := c.Peek("small"); !ok {
+	if !peek(c, w, "small") {
 		t.Fatal("oversized put evicted unrelated entries")
 	}
 	if st := c.Stats(); st.Evictions != 0 {
@@ -100,10 +156,10 @@ func TestOversizedNotAdmitted(t *testing.T) {
 }
 
 func TestRetainRecostsWithinBudget(t *testing.T) {
-	c := New[*int](100)
+	c, w := New[*int](100), new(world)
 	a, b, other := new(int), new(int), new(int)
-	c.Put("a", a, 40, []string{"t"})
-	c.Put("b", b, 40, []string{"t"})
+	put(c, w, "a", a, 40)
+	put(c, w, "b", b, 40)
 
 	// Only the value the entry holds may re-cost it.
 	if c.Retain("a", other, 10) || c.Retain("missing", a, 10) {
@@ -129,7 +185,7 @@ func TestRetainRecostsWithinBudget(t *testing.T) {
 	if !c.Retain("a", a, 30) {
 		t.Fatal("Retain refused growth that fits after evicting b")
 	}
-	if _, ok := c.Peek("b"); ok {
+	if peek(c, w, "b") {
 		t.Fatal("b should have been evicted to make room for a's growth")
 	}
 	if st := c.Stats(); st.Bytes != 70 || st.Entries != 1 || st.Evictions != 1 {
@@ -146,9 +202,9 @@ func TestRetainRecostsWithinBudget(t *testing.T) {
 }
 
 func TestSetBudgetShrinkEvicts(t *testing.T) {
-	c := New[int](100)
-	c.Put("a", 1, 40, []string{"t"})
-	c.Put("b", 2, 40, []string{"t"})
+	c, w := New[int](100), new(world)
+	put(c, w, "a", 1, 40)
+	put(c, w, "b", 2, 40)
 	c.SetBudget(50)
 	st := c.Stats()
 	if st.Bytes > 50 || st.Entries != 1 {
@@ -157,34 +213,35 @@ func TestSetBudgetShrinkEvicts(t *testing.T) {
 }
 
 func TestClear(t *testing.T) {
-	c := New[int](100)
-	c.Put("a", 1, 10, []string{"t"})
+	c, w := New[int](100), new(world)
+	put(c, w, "a", 1, 10)
 	c.Clear()
 	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("clear left entries: %+v", st)
 	}
-	// Version counters survive a clear.
-	c.Bump("t")
-	c.Put("a", 1, 10, []string{"t"})
-	if _, ok := c.Get("a"); !ok {
+	if peek(c, w, "a") {
+		t.Fatal("cleared entry still visible")
+	}
+	put(c, w, "a", 1, 10)
+	if _, ok := get(c, w, "a"); !ok {
 		t.Fatal("post-clear put should be fresh")
 	}
 }
 
 func TestDoComputesOnceAndCaches(t *testing.T) {
-	c := New[string](1 << 20)
+	c, w := New[string](1<<20), new(world)
 	calls := 0
 	compute := func() (string, int64, error) {
 		calls++
 		return "r", 5, nil
 	}
-	v, hit, err := c.Do("k", []string{"t"}, compute)
+	v, hit, err := c.DoAt("k", w.live(), w.live, compute)
 	if err != nil || hit || v != "r" {
-		t.Fatalf("first Do: v=%q hit=%v err=%v", v, hit, err)
+		t.Fatalf("first DoAt: v=%q hit=%v err=%v", v, hit, err)
 	}
-	v, hit, err = c.Do("k", []string{"t"}, compute)
+	v, hit, err = c.DoAt("k", w.live(), w.live, compute)
 	if err != nil || !hit || v != "r" {
-		t.Fatalf("second Do: v=%q hit=%v err=%v", v, hit, err)
+		t.Fatalf("second DoAt: v=%q hit=%v err=%v", v, hit, err)
 	}
 	if calls != 1 {
 		t.Fatalf("compute ran %d times, want 1", calls)
@@ -192,24 +249,24 @@ func TestDoComputesOnceAndCaches(t *testing.T) {
 }
 
 func TestDoErrorNotCached(t *testing.T) {
-	c := New[string](1 << 20)
+	c, w := New[string](1<<20), new(world)
 	boom := errors.New("boom")
-	_, _, err := c.Do("k", []string{"t"}, func() (string, int64, error) { return "", 0, boom })
+	_, _, err := c.DoAt("k", w.live(), w.live, func() (string, int64, error) { return "", 0, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("error result cached: %+v", st)
 	}
-	// Next Do recomputes.
-	v, hit, err := c.Do("k", []string{"t"}, func() (string, int64, error) { return "ok", 1, nil })
+	// The next lookup recomputes.
+	v, hit, err := c.DoAt("k", w.live(), w.live, func() (string, int64, error) { return "ok", 1, nil })
 	if err != nil || hit || v != "ok" {
 		t.Fatalf("recompute after error: v=%q hit=%v err=%v", v, hit, err)
 	}
 }
 
 func TestSingleFlightCollapsesThunderingHerd(t *testing.T) {
-	c := New[int](1 << 20)
+	c, w := New[int](1<<20), new(world)
 	const n = 32
 	var calls atomic.Int64
 	var wg sync.WaitGroup
@@ -218,7 +275,7 @@ func TestSingleFlightCollapsesThunderingHerd(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do("k", []string{"t"}, func() (int, int64, error) {
+			v, _, err := c.DoAt("k", w.live(), w.live, func() (int, int64, error) {
 				calls.Add(1)
 				// Hold the flight open until all other callers have joined
 				// it, so every one of them is provably collapsed (followers
@@ -250,10 +307,10 @@ func TestSingleFlightCollapsesThunderingHerd(t *testing.T) {
 }
 
 func TestConcurrentMixedUse(t *testing.T) {
-	// Hammer the cache from many goroutines mixing Do, Get, Bump, Stats and
-	// SetBudget; the race detector (verify.sh runs this package under -race)
-	// is the assertion.
-	c := New[int](1 << 12)
+	// Hammer the cache from many goroutines mixing DoAt, PeekAt, PutAt,
+	// commits, Stats and SetBudget; the race detector (verify.sh runs this
+	// package under -race) is the assertion.
+	c, w := New[int](1<<12), new(world)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -261,15 +318,19 @@ func TestConcurrentMixedUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("q%d", i%7)
-				switch i % 5 {
+				switch i % 6 {
 				case 0:
-					c.Bump(fmt.Sprintf("t%d", i%3))
+					w.bump()
 				case 1:
-					c.Get(key)
+					c.PeekAt(key, w.live())
 				case 2:
 					c.Stats()
+				case 3:
+					c.SetBudget(int64(1<<12 - i))
+				case 4:
+					put(c, w, key, i, 64)
 				default:
-					c.Do(key, []string{"t0", "t1"}, func() (int, int64, error) {
+					c.DoAt(key, w.live(), w.live, func() (int, int64, error) {
 						return g*1000 + i, 64, nil
 					})
 				}
@@ -277,17 +338,4 @@ func TestConcurrentMixedUse(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestNormTables(t *testing.T) {
-	got := normTables([]string{"B", "a", "b", "A", "c"})
-	want := []string{"a", "b", "c"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
-	}
 }

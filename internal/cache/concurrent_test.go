@@ -8,13 +8,13 @@ import (
 )
 
 // The MVCC regression the *At surface exists for: a reader pins a snapshot,
-// misses, and starts computing; a writer publishes (bumping the table
-// version) before the fill lands. The fill is correct for the reader and must
+// misses, and starts computing; a writer publishes (a new table version)
+// before the fill lands. The fill is correct for the reader and must
 // be returned to it — but it must NOT be admitted, or a later reader on the
 // new version would be served the stale result.
 func TestDoAtStaleFillReturnedNotAdmitted(t *testing.T) {
-	c := New[string](1 << 20)
-	snapVer := func(string) uint64 { return 0 } // the reader's pinned versions
+	c, w := New[string](1<<20), new(world)
+	pinned := w.live() // the reader's pinned versions
 
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -25,7 +25,7 @@ func TestDoAtStaleFillReturnedNotAdmitted(t *testing.T) {
 	}
 	done := make(chan out, 1)
 	go func() {
-		v, hit, err := c.DoAt("q", []string{"t"}, snapVer, func() (string, int64, error) {
+		v, hit, err := c.DoAt("q", pinned, w.live, func() (string, int64, error) {
 			close(started)
 			<-release
 			return "old", 8, nil
@@ -34,7 +34,7 @@ func TestDoAtStaleFillReturnedNotAdmitted(t *testing.T) {
 	}()
 
 	<-started
-	c.Bump("t") // the writer publishes mid-compute
+	w.bump() // the writer publishes mid-compute
 	close(release)
 
 	got := <-done
@@ -42,27 +42,26 @@ func TestDoAtStaleFillReturnedNotAdmitted(t *testing.T) {
 		t.Fatalf("racing reader got (%q, hit=%v, err=%v), want its own fill", got.v, got.hit, got.err)
 	}
 	// The stale fill must not be visible to any version of the world.
-	if _, ok := c.Get("q"); ok {
+	if _, ok := get(c, w, "q"); ok {
 		t.Fatal("stale fill was admitted")
 	}
-	if _, ok := c.PeekAt("q", []string{"t"}, snapVer); ok {
+	if _, ok := c.PeekAt("q", pinned); ok {
 		t.Fatal("stale fill visible at the old snapshot")
 	}
-	liveVer := func(string) uint64 { return 1 }
-	if _, ok := c.PeekAt("q", []string{"t"}, liveVer); ok {
+	if peek(c, w, "q") {
 		t.Fatal("stale fill visible at the new version")
 	}
 	// A reader on the new version recomputes — and that fill IS admitted.
-	v, hit, err := c.DoAt("q", []string{"t"}, liveVer, func() (string, int64, error) {
+	v, hit, err := c.DoAt("q", w.live(), w.live, func() (string, int64, error) {
 		return "new", 8, nil
 	})
 	if err != nil || hit || v != "new" {
 		t.Fatalf("post-bump DoAt = (%q, %v, %v)", v, hit, err)
 	}
-	if v, ok := c.PeekAt("q", []string{"t"}, liveVer); !ok || v != "new" {
+	if v, ok := c.PeekAt("q", w.live()); !ok || v != "new" {
 		t.Fatal("current-version fill not admitted")
 	}
-	// Two real computations (the stale one and the recompute) plus the Get
+	// Two real computations (the stale one and the recompute) plus the get
 	// probe above; exactly one entry survives.
 	st := c.Stats()
 	if st.Entries != 1 || st.Misses != 3 {
@@ -73,8 +72,7 @@ func TestDoAtStaleFillReturnedNotAdmitted(t *testing.T) {
 // Identical statements pinned at the same snapshot single-flight: one
 // computation, everyone shares it.
 func TestDoAtCollapsesSameSnapshot(t *testing.T) {
-	c := New[string](1 << 20)
-	verOf := func(string) uint64 { return 3 }
+	c, w := New[string](1<<20), new(world)
 	var computes atomic.Int64
 	gate := make(chan struct{})
 
@@ -85,7 +83,7 @@ func TestDoAtCollapsesSameSnapshot(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.DoAt("q", []string{"t"}, verOf, func() (string, int64, error) {
+			v, _, err := c.DoAt("q", w.live(), w.live, func() (string, int64, error) {
 				computes.Add(1)
 				<-gate
 				return "shared", 8, nil
@@ -116,9 +114,8 @@ func TestDoAtCollapsesSameSnapshot(t *testing.T) {
 // Identical statements pinned at DIFFERENT snapshots must not collapse: they
 // can legitimately require different results.
 func TestDoAtDistinctSnapshotsDoNotCollapse(t *testing.T) {
-	c := New[string](1 << 20)
-	oldVer := func(string) uint64 { return 0 }
-	newVer := func(string) uint64 { return 1 }
+	c, w := New[string](1<<20), new(world)
+	pinned := w.live()
 
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -126,7 +123,7 @@ func TestDoAtDistinctSnapshotsDoNotCollapse(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, _, err := c.DoAt("q", []string{"t"}, oldVer, func() (string, int64, error) {
+		v, _, err := c.DoAt("q", pinned, w.live, func() (string, int64, error) {
 			close(started)
 			<-release
 			return "old-world", 8, nil
@@ -137,9 +134,10 @@ func TestDoAtDistinctSnapshotsDoNotCollapse(t *testing.T) {
 	}()
 
 	<-started
+	w.bump()
 	// With the old-snapshot flight still in progress, a new-snapshot caller
 	// must run its own computation rather than wait and share stale bytes.
-	v, hit, err := c.DoAt("q", []string{"t"}, newVer, func() (string, int64, error) {
+	v, hit, err := c.DoAt("q", w.live(), w.live, func() (string, int64, error) {
 		return "new-world", 8, nil
 	})
 	if err != nil || hit || v != "new-world" {

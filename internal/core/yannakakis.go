@@ -423,8 +423,8 @@ type Options struct {
 	// ResultCache enables the semantic query-result cache at the database
 	// layer (internal/cache wired through internal/db): SELECT results —
 	// classic, RESULTDB, and RESULTDB PRESERVING — are cached under their
-	// canonical statement fingerprint and invalidated by per-table version
-	// counters on every DML/DDL. core itself ignores the field; it lives
+	// canonical statement fingerprint and valid only at the table versions
+	// they were computed at, so any DML/DDL invalidates them. core itself ignores the field; it lives
 	// here so the whole execution configuration travels in one options bag
 	// (db.Database.CoreOptions), alongside Parallelism. Defaults to off; the
 	// RESULTDB_CACHE environment variable ("on", "off", or a byte budget
@@ -443,7 +443,7 @@ type Options struct {
 	// variable ("on"/"off") overrides it at db.New time.
 	CostBased bool
 	// TableStats maps lower-cased relation aliases to their base tables'
-	// statistics (built lazily by internal/db's generation-tagged cache).
+	// statistics (built lazily, once per table version: stats.Of).
 	// Consulted only when CostBased is set.
 	TableStats map[string]*stats.Table
 	// AlphaReduce drops join-graph edges whose predicates are implied by
@@ -486,7 +486,7 @@ type Stats struct {
 	// bottom-up pass, a range pre-filter that dropped rows, or an adaptive
 	// Bloom pass that dropped rows. When false, the run was operationally
 	// identical to the heuristic plan, so re-running the same query at the
-	// same table generations can skip the statistics machinery entirely
+	// same table versions can skip the statistics machinery entirely
 	// (the database layer caches this verdict per query).
 	PlanDiverged bool
 	// Parallelism records the effective degree of parallelism used

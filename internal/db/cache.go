@@ -48,8 +48,7 @@ func (d *Database) CacheStats() cache.Stats {
 	return d.resultCache.Stats()
 }
 
-// ClearCache drops every cached result (version counters are preserved, so
-// pre-clear computations can never be revived stale).
+// ClearCache drops every cached result.
 func (d *Database) ClearCache() {
 	d.resultCache.Clear()
 }
@@ -106,19 +105,26 @@ func cacheKey(ec execCtx, sel *sqlparse.Select) string {
 	return fmt.Sprintf("s%d|dp%t|%s", ec.strategy, ec.dpJoinOrder, sqlparse.Canonical(sel))
 }
 
+// cacheAt returns what the result cache needs to place sel in version space:
+// at, the version vector the statement's tables have in the pinned snapshot,
+// and live, the same vector read from the newest committed state.
+func (d *Database) cacheAt(snap *Snapshot, sel *sqlparse.Select) (at []uint64, live func() []uint64) {
+	tables := sqlparse.Tables(sel)
+	return snap.st.versions(tables), func() []uint64 { return d.state.Load().versions(tables) }
+}
+
 // queryCached serves sel through the result cache, keyed on the pinned
-// snapshot's table versions. Without the old statement-wide read lock, a
-// writer can publish a new version at any point of the lookup-execute-fill
-// window; the snapshot-versioned cache API (cache.DoAt) keeps every outcome
-// correct:
+// snapshot's table versions. A writer can publish a new version at any point
+// of the lookup-execute-fill window; the snapshot-versioned cache API
+// (cache.DoAt) keeps every outcome correct:
 //
 //   - A cached entry is served only if it was filled at exactly the
 //     versions this snapshot pins — a reader can never see a result newer
 //     (or older) than its snapshot.
 //   - Concurrent identical misses collapse into one execution only when
 //     they pinned the same versions (the single-flight key includes the
-//     version fingerprint), so a reader before and a reader after a commit
-//     never share a computation.
+//     version vector), so a reader before and a reader after a commit never
+//     share a computation.
 //   - A computed fill is admitted only if the tables' versions are still
 //     current at fill time; a fill that raced a writer is returned to its
 //     caller (correct for its snapshot) but not cached.
@@ -131,8 +137,8 @@ func cacheKey(ec execCtx, sel *sqlparse.Select) string {
 // resident entry or from a concurrent identical execution.
 func (d *Database) queryCached(ec execCtx, sel *sqlparse.Select) (res *Result, hit bool, err error) {
 	key := cacheKey(ec, sel)
-	tables := sqlparse.Tables(sel)
-	return d.resultCache.DoAt(key, tables, ec.snap.versionOf, func() (*Result, int64, error) {
+	at, live := d.cacheAt(ec.snap, sel)
+	return d.resultCache.DoAt(key, at, live, func() (*Result, int64, error) {
 		r, err := d.queryUncached(ec, sel, nil)
 		if err != nil {
 			return nil, 0, err

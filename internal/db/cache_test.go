@@ -117,6 +117,8 @@ func TestCacheUnrelatedDMLDoesNotInvalidate(t *testing.T) {
 func TestCacheDropCreateInvalidates(t *testing.T) {
 	d := cacheTestDB(t)
 	q := "SELECT m.title FROM movies m"
+	pinned := d.NewSession()
+	pinned.Pin()
 	r1, _ := d.Exec(q)
 	if _, err := d.ExecScript(`
 DROP TABLE movies;
@@ -133,6 +135,29 @@ INSERT INTO movies VALUES (9, 'Sorcerer', 1977);`); err != nil {
 	}
 	if got := len(r2.First().Rows); got != 1 {
 		t.Fatalf("want 1 row from recreated table, got %d", got)
+	}
+
+	// A session pinned before the DROP still reads the old incarnation: it is
+	// not served the newer entry, and its miss neither evicts nor replaces it.
+	before := d.CacheStats()
+	rp, err := pinned.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultFingerprint(rp) != resultFingerprint(r1) {
+		t.Fatal("pinned session was served a result of the re-created table")
+	}
+	r3, err := d.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resultFingerprint(r3) != resultFingerprint(r2) {
+		t.Fatal("newest state served the pinned session's fill")
+	}
+	after := d.CacheStats()
+	if after.Misses != before.Misses+1 || after.Hits != before.Hits+1 ||
+		after.Invalidations != before.Invalidations || after.Entries != before.Entries {
+		t.Fatalf("older pin disturbed the newer entry: before %+v, after %+v", before, after)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"resultdb/internal/catalog"
 	"resultdb/internal/core"
 	"resultdb/internal/parallel"
-	"resultdb/internal/stats"
 )
 
 // Config collects every construction-time knob of a Database in one value.
@@ -142,7 +141,6 @@ func Open(cfg Config) *Database {
 		Strategy:    cfg.Strategy,
 		CoreOptions: core.DefaultOptions(),
 		resultCache: cache.New[*Result](DefaultCacheBudget),
-		statsCache:  stats.NewCache(),
 		DPJoinOrder: cfg.DPJoinOrder,
 		commitLog:   cfg.CommitLog,
 	}

@@ -83,17 +83,10 @@ type Database struct {
 	cat *catalog.Catalog
 
 	// resultCache is the semantic query-result cache (internal/cache): a
-	// byte-budgeted LRU keyed by the canonical statement fingerprint and
-	// guarded by per-table version counters bumped on every DML/DDL. Always
-	// allocated (its version counters must track DML even while serving is
-	// off) but consulted only when CoreOptions.ResultCache is set.
+	// byte-budgeted LRU keyed by the canonical statement fingerprint, each
+	// entry valid at the table-version vector it was computed at. Always
+	// allocated, consulted only when CoreOptions.ResultCache is set.
 	resultCache *cache.Cache[*Result]
-
-	// statsCache lazily builds and caches per-table optimizer statistics
-	// (internal/stats), keyed by table-version pointer. It backs ANALYZE and
-	// the cost-based planner (CoreOptions.CostBased). Writers Forget
-	// superseded versions at publish time.
-	statsCache *stats.Cache
 
 	// planVerdicts memoizes, per query, whether cost-based planning
 	// diverged from the heuristic plan (see plancache.go). Guarded by its
@@ -146,7 +139,7 @@ func (d *Database) SetRecoveredLSN(lsn uint64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := d.state.Load()
-	d.state.Store(&dbState{tables: st.tables, vers: st.vers, seq: st.seq, lsn: lsn})
+	d.state.Store(&dbState{tables: st.tables, seq: st.seq, lsn: lsn})
 }
 
 // withWriter runs fn under the writer lock. It exists so sibling files can
@@ -169,8 +162,8 @@ type execCtx struct {
 	// VIEW ... AS SELECT runs inside the writer's transaction).
 	src engine.Source
 	// snap is the pinned snapshot; non-nil exactly on read paths. The
-	// result cache keys fills on its versions, and traces annotate with its
-	// commit position.
+	// result cache keys lookups and fills on its table versions, and traces
+	// annotate with its commit position.
 	snap        *Snapshot
 	opts        core.Options
 	strategy    Strategy
@@ -203,7 +196,7 @@ func (d *Database) txnCtx(tx *writeTxn) execCtx {
 	}
 }
 
-// TableStats returns the (cached, version-checked) statistics for a table,
+// TableStats returns the statistics of a table's newest committed version,
 // or nil if the table does not exist. Exported for the shell's \stats
 // command.
 func (d *Database) TableStats(name string) *stats.Table {
@@ -211,14 +204,14 @@ func (d *Database) TableStats(name string) *stats.Table {
 	if err != nil {
 		return nil
 	}
-	return d.statsCache.Of(t)
+	return stats.Of(t)
 }
 
-// execAnalyze implements ANALYZE [table]: eagerly (re)build statistics for
-// one table or all tables. It is a read-only statement — statistics are a
-// cache over committed data, so it runs against a snapshot and is neither
-// logged to the WAL nor a cache-invalidating mutation. Affected reports the
-// number of tables analyzed.
+// execAnalyze implements ANALYZE [table]: eagerly build the statistics of one
+// table or all tables. It is a read-only statement — statistics are derived
+// from a committed table version and kept in it, so it runs against a
+// snapshot and is neither logged to the WAL nor a cache-invalidating
+// mutation. Affected reports the number of tables analyzed.
 func (d *Database) execAnalyze(s *sqlparse.Analyze) (*Result, error) {
 	snap := d.Snapshot()
 	if s.Table != "" {
@@ -226,13 +219,13 @@ func (d *Database) execAnalyze(s *sqlparse.Analyze) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		d.statsCache.Of(t)
+		stats.Of(t)
 		return &Result{Affected: 1}, nil
 	}
 	n := 0
 	for _, name := range snap.TableNames() {
 		if t, err := snap.Table(name); err == nil {
-			d.statsCache.Of(t)
+			stats.Of(t)
 			n++
 		}
 	}
@@ -330,7 +323,7 @@ func (d *Database) executorWith(src engine.Source, ec execCtx, tr *trace.Tracer)
 			if err != nil {
 				return nil
 			}
-			return d.statsCache.Of(t)
+			return stats.Of(t)
 		},
 	}
 }

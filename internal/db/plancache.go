@@ -3,10 +3,9 @@ package db
 import (
 	"resultdb/internal/engine"
 	"resultdb/internal/sqlparse"
-	"resultdb/internal/storage"
 )
 
-// The plan-verdict cache memoizes one bit per (query, table generations):
+// The plan-verdict cache memoizes one bit per (query, table versions):
 // did cost-based reduction planning produce a plan operationally different
 // from the heuristic's? Statistics make big queries faster by switching
 // roots, reordering passes, and injecting pre-filters — but on tiny queries
@@ -15,27 +14,26 @@ import (
 // full cost-based run reports core.Stats.PlanDiverged == false, re-running
 // the same statement against unchanged tables skips the statistics
 // machinery and takes the (provably identical) heuristic path directly.
-// Any DML/DDL on an involved table bumps its generation and invalidates
-// the verdict, so the next execution re-plans with fresh statistics.
+// Any DML/DDL on an involved table publishes a new version of it, which no
+// recorded verdict matches, so the next execution re-plans with fresh
+// statistics.
 //
 // Traced runs (EXPLAIN ANALYZE and friends) bypass the cache in both
 // directions: they always plan with statistics so the trace shows the
 // cost-based decisions, and they record nothing.
 
-// planVerdictCap bounds the verdict map. Verdicts are one bool plus a few
-// slices, so the bound exists only to stop unbounded growth under
+// planVerdictCap bounds the verdict map. Verdicts are one bool plus one
+// slice, so the bound exists only to stop unbounded growth under
 // generated-query workloads; overflow simply resets the map (verdicts are
 // re-derived in one execution each).
 const planVerdictCap = 512
 
-// planVerdict fingerprints the tables a verdict was recorded against.
-// Identity is by table pointer plus generation plus row count, mirroring
-// the statistics cache's invalidation rule: any of the three changing
-// means the statistics (and hence possibly the plan) changed.
+// planVerdict fingerprints the table versions a verdict was recorded
+// against: storage.Table.Version of each of the statement's relations, in
+// order. Numbers, not pointers — a verdict must not keep a superseded version
+// (and its frame) reachable until its statement happens to run again.
 type planVerdict struct {
-	tables   []*storage.Table
-	gens     []uint64
-	rows     []int
+	vers     []uint64
 	diverged bool
 }
 
@@ -102,19 +100,18 @@ func modeKeySuffix(mode Mode) string {
 
 // planConfirmedHeuristic reports whether a previous cost-based execution of
 // key recorded a non-diverged plan that is still valid for the table
-// versions src resolves (the reader's snapshot, or a write transaction).
-// Under MVCC the pointer comparison does the heavy lifting: a published
-// version is immutable, so matching pointers means matching statistics.
+// versions src resolves (the reader's snapshot, or a write transaction): a
+// version is immutable, so matching versions means matching statistics.
 func (d *Database) planConfirmedHeuristic(src engine.Source, key string, spec *engine.SPJSpec) bool {
 	d.planMu.Lock()
 	v, ok := d.planVerdicts[key]
 	d.planMu.Unlock()
-	if !ok || v.diverged || len(v.tables) != len(spec.Rels) {
+	if !ok || v.diverged || len(v.vers) != len(spec.Rels) {
 		return false
 	}
 	for i, r := range spec.Rels {
 		t, err := src.Table(r.Table)
-		if err != nil || t != v.tables[i] || t.Generation() != v.gens[i] || t.Len() != v.rows[i] {
+		if err != nil || t.Version() != v.vers[i] {
 			return false
 		}
 	}
@@ -125,22 +122,15 @@ func (d *Database) planConfirmedHeuristic(src engine.Source, key string, spec *e
 // execution, fingerprinted by the involved table versions it planned
 // against.
 func (d *Database) recordPlanVerdict(src engine.Source, key string, spec *engine.SPJSpec, diverged bool) {
-	v := planVerdict{
-		tables:   make([]*storage.Table, 0, len(spec.Rels)),
-		gens:     make([]uint64, 0, len(spec.Rels)),
-		rows:     make([]int, 0, len(spec.Rels)),
-		diverged: diverged,
-	}
-	for _, r := range spec.Rels {
+	v := planVerdict{vers: make([]uint64, len(spec.Rels)), diverged: diverged}
+	for i, r := range spec.Rels {
 		t, err := src.Table(r.Table)
 		if err != nil {
 			// A table vanished mid-flight; the verdict cannot be
 			// fingerprinted, so don't cache it.
 			return
 		}
-		v.tables = append(v.tables, t)
-		v.gens = append(v.gens, t.Generation())
-		v.rows = append(v.rows, t.Len())
+		v.vers[i] = t.Version()
 	}
 	d.planMu.Lock()
 	if d.planVerdicts == nil || len(d.planVerdicts) >= planVerdictCap {

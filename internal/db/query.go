@@ -60,7 +60,8 @@ func (d *Database) query(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer) (*R
 			return res, err
 		}
 		key := cacheKey(ec, sel)
-		if _, ok := d.resultCache.PeekAt(key, sqlparse.Tables(sel), ec.snap.versionOf); ok {
+		at, live := d.cacheAt(ec.snap, sel)
+		if _, ok := d.resultCache.PeekAt(key, at); ok {
 			tr.SetCacheStatus("hit")
 		} else {
 			tr.SetCacheStatus("miss")
@@ -68,7 +69,7 @@ func (d *Database) query(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer) (*R
 		res, err := d.queryUncached(ec, sel, tr)
 		if err == nil {
 			d.seal(key, res)
-			d.resultCache.PutAt(key, res, cachedResultBytes(res), sqlparse.Tables(sel), ec.snap.versionOf)
+			d.resultCache.PutAt(key, res, cachedResultBytes(res), at, live)
 		}
 		return res, err
 	}
@@ -269,7 +270,7 @@ func (d *Database) reduceSpec(ec execCtx, sel *sqlparse.Select, spec *engine.SPJ
 }
 
 // aliasStats maps each of the query's aliases (lower-cased) to its base
-// table's cached statistics, for the cost-based reduction planner. Aliases
+// table version's statistics, for the cost-based reduction planner. Aliases
 // over missing tables (materialized views dropped mid-flight, etc.) are
 // simply absent; the estimator treats absent stats conservatively.
 func (d *Database) aliasStats(ec execCtx, spec *engine.SPJSpec) map[string]*stats.Table {
@@ -279,7 +280,7 @@ func (d *Database) aliasStats(ec execCtx, spec *engine.SPJSpec) map[string]*stat
 		if err != nil {
 			continue
 		}
-		out[strings.ToLower(r.Alias)] = d.statsCache.Of(t)
+		out[strings.ToLower(r.Alias)] = stats.Of(t)
 	}
 	return out
 }

@@ -1,0 +1,137 @@
+package db
+
+import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
+	"testing"
+
+	"resultdb/internal/storage"
+)
+
+// Version retention (part of the MVCC gate): a superseded table version — and
+// with it its rows header, colstore frame and statistics — must be reachable
+// from pinned snapshots only. The result cache, the plan verdicts and the
+// statistics all remember a statement executed once against version 1 of a
+// table; none of them may keep that *storage.Table alive after K later
+// commits, while a Session.Pin() taken at version 1 must, until Unpin.
+//
+// (A stale result-cache entry may keep its own result's column vectors until
+// it is looked up or evicted; that is the entry's budgeted cost, not a pinned
+// table version.)
+
+const retentionCommits = 8
+
+// retentionDB builds a two-table database with the cache on and every piece
+// of per-version derived state in use.
+func retentionDB(t *testing.T, costBased bool) *Database {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.CacheEnabled = true
+	cfg.CostBased = costBased
+	cfg.Parallelism = 1
+	d := Open(cfg)
+	if _, err := d.ExecScript(`
+CREATE TABLE item (id INT PRIMARY KEY, val INT);
+CREATE TABLE tag (id INT PRIMARY KEY, item_id INT, label TEXT);
+INSERT INTO item VALUES (1, 10), (2, 20), (3, 30), (4, 40);
+INSERT INTO tag VALUES (1, 1, 'a'), (2, 1, 'b'), (3, 3, 'c'), (4, 4, 'd');`); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// trackVersion arms a finalizer on the newest committed version of a table
+// and returns the flag it sets. It does not hand the pointer back, so the
+// caller's frame cannot be what keeps the version alive.
+//
+//go:noinline
+func trackVersion(t *testing.T, d *Database, name string) *atomic.Bool {
+	t.Helper()
+	tab, err := d.Table(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collected := new(atomic.Bool)
+	runtime.SetFinalizer(tab, func(*storage.Table) { collected.Store(true) })
+	return collected
+}
+
+// runOnceAtCurrentVersion executes a statement that is never executed again,
+// leaving behind everything a statement leaves: a result-cache entry, a plan
+// verdict (cost-based), and the version's frame and statistics.
+func runOnceAtCurrentVersion(t *testing.T, d *Database, costBased bool, tag string) {
+	t.Helper()
+	verdicts := len(d.planVerdicts)
+	entries := d.CacheStats().Entries
+	q := fmt.Sprintf("SELECT RESULTDB i.val, g.label FROM item i, tag g WHERE i.id = g.item_id AND i.val > %s", tag)
+	if _, err := d.Exec(q); err != nil {
+		t.Fatal(err)
+	}
+	if got := d.CacheStats().Entries; got != entries+1 {
+		t.Fatalf("statement left %d cache entries, want %d", got, entries+1)
+	}
+	if costBased && len(d.planVerdicts) != verdicts+1 {
+		t.Fatalf("cost-based statement recorded no plan verdict (%d)", len(d.planVerdicts))
+	}
+	if d.TableStats("item") == nil {
+		t.Fatal("no statistics for item")
+	}
+}
+
+// commitItems publishes K successor versions of item.
+func commitItems(t *testing.T, d *Database, from int) {
+	t.Helper()
+	for k := 0; k < retentionCommits; k++ {
+		if _, err := d.Exec(fmt.Sprintf("INSERT INTO item VALUES (%d, %d)", from+k, from+k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// collectedAfterGC runs up to tries collections, yielding to the finalizer
+// goroutine after each, and reports whether the tracked version was freed.
+func collectedAfterGC(collected *atomic.Bool, tries int) bool {
+	for i := 0; i < tries && !collected.Load(); i++ {
+		runtime.GC()
+		runtime.Gosched()
+	}
+	return collected.Load()
+}
+
+func TestMVCCVersionRetention(t *testing.T) {
+	for _, costBased := range []bool{false, true} {
+		t.Run(fmt.Sprintf("costbased=%v", costBased), func(t *testing.T) {
+			d := retentionDB(t, costBased)
+
+			// No pin: K commits later nothing may still reach version 1.
+			runOnceAtCurrentVersion(t, d, costBased, "5")
+			v1 := trackVersion(t, d, "item")
+			commitItems(t, d, 100)
+			if !collectedAfterGC(v1, 200) {
+				t.Fatal("superseded table version still reachable with no session pinning it")
+			}
+
+			// Pinned: the session's snapshot is the one legitimate holder.
+			pinned := d.NewSession()
+			pinned.Pin()
+			runOnceAtCurrentVersion(t, d, costBased, "6")
+			held := trackVersion(t, d, "item")
+			commitItems(t, d, 200)
+			if collectedAfterGC(held, 10) {
+				t.Fatal("table version collected while a pinned session holds it")
+			}
+			res, err := pinned.Exec("SELECT i.id FROM item i")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := res.First().NumRows(); got != 4+retentionCommits {
+				t.Fatalf("pinned session sees %d rows, want %d", got, 4+retentionCommits)
+			}
+			pinned.Unpin()
+			if !collectedAfterGC(held, 200) {
+				t.Fatal("table version still reachable after Unpin")
+			}
+		})
+	}
+}

@@ -10,19 +10,20 @@ import (
 )
 
 // dbState is one immutable published version of the whole database: the
-// table set (each *storage.Table itself an immutable published version), the
-// per-table-name cache version counters, and the commit position. Readers
-// pin a state with one atomic load and then execute entirely lock-free;
-// writers derive the next state under the writer lock and publish it with
-// one atomic store. A state, once published, is never mutated.
+// table set (each *storage.Table itself an immutable published version) and
+// the commit position. Readers pin a state with one atomic load and then
+// execute entirely lock-free; writers derive the next state under the writer
+// lock and publish it with one atomic store. A state, once published, is
+// never mutated.
+//
+// "Which state?" has one answer: the vector of the tables' versions
+// (storage.Table.Version, process-unique — a table re-created after a DROP is
+// a new version, so nothing computed against the old incarnation can match
+// it). The result cache and the plan verdicts fingerprint on it; seq and lsn
+// say only where in the commit order the state sits.
 type dbState struct {
 	// tables maps lower-cased names to published table versions.
 	tables map[string]*storage.Table
-	// vers holds the per-table-name version counters the semantic result
-	// cache keys on. Unlike storage.Table.Generation, these survive
-	// DROP+CREATE (a re-created table must not revive results cached against
-	// a previous incarnation), mirroring cache.Cache's own counters.
-	vers map[string]uint64
 	// seq is the commit sequence number: +1 per published mutation batch.
 	seq uint64
 	// lsn is the WAL LSN of the last commit included in this state (0 when
@@ -78,47 +79,44 @@ func (s *Snapshot) Seq() uint64 { return s.st.seq }
 // exact log position it reflects.
 func (s *Snapshot) LSN() uint64 { return s.st.lsn }
 
-// versionOf returns the cache version counter of a table name as of this
-// snapshot. Results computed against the snapshot are admitted to the
-// result cache keyed on these — not on the possibly newer live counters —
-// so a fill racing a writer can never be served stale.
-func (s *Snapshot) versionOf(name string) uint64 {
-	return s.st.vers[strings.ToLower(name)]
+// versions returns the state's version vector over the named tables, in
+// their order; a name the state does not hold reads 0, which no version is.
+func (st *dbState) versions(tables []string) []uint64 {
+	out := make([]uint64, len(tables))
+	for i, name := range tables {
+		if t, ok := st.tables[strings.ToLower(name)]; ok {
+			out[i] = t.Version()
+		}
+	}
+	return out
 }
 
 // writeTxn accumulates one mutation batch on top of a base state. The table
-// map and version map are copied once (O(tables)); mutated tables are
-// replaced by copy-on-write drafts (storage.Table.BeginVersion). commit
-// publishes the batch atomically; a txn abandoned on error leaves the
-// published state — and every concurrent reader — untouched.
+// map is copied once (O(tables)); mutated tables are replaced by
+// copy-on-write drafts (storage.Table.BeginVersion). commit publishes the
+// batch atomically; a txn abandoned on error leaves the published state —
+// and every concurrent reader — untouched.
 type writeTxn struct {
 	d      *Database
 	base   *dbState
 	tables map[string]*storage.Table
-	vers   map[string]uint64
 
-	drafts   map[string]*storage.Table // draft versions begun this txn
-	touched  []string                  // names whose cache versions bump
-	replaced []*storage.Table          // superseded versions (stats cache cleanup)
-	creates  []*catalog.TableDef       // catalog registrations, applied at commit
-	drops    []string                  // catalog removals, applied at commit
+	drafts  map[string]*storage.Table // draft versions begun this txn
+	creates []*catalog.TableDef       // catalog registrations, applied at commit
+	drops   []string                  // catalog removals, applied at commit
 }
 
-// newWriteTxn copies the base state's maps. Called with d.mu held.
+// newWriteTxn copies the base state's table map. Called with d.mu held.
 func (d *Database) newWriteTxn() *writeTxn {
 	base := d.state.Load()
 	tx := &writeTxn{
 		d:      d,
 		base:   base,
 		tables: make(map[string]*storage.Table, len(base.tables)+1),
-		vers:   make(map[string]uint64, len(base.vers)+1),
 		drafts: make(map[string]*storage.Table),
 	}
 	for k, v := range base.tables {
 		tx.tables[k] = v
-	}
-	for k, v := range base.vers {
-		tx.vers[k] = v
 	}
 	return tx
 }
@@ -147,8 +145,6 @@ func (tx *writeTxn) draft(name string) (*storage.Table, error) {
 	t := cur.BeginVersion()
 	tx.drafts[key] = t
 	tx.tables[key] = t
-	tx.replaced = append(tx.replaced, cur)
-	tx.touch(name)
 	return t, nil
 }
 
@@ -162,37 +158,22 @@ func (tx *writeTxn) create(def *catalog.TableDef) (*storage.Table, error) {
 	tx.tables[key] = t
 	tx.drafts[key] = t
 	tx.creates = append(tx.creates, def)
-	// A re-created table is a different table: any cached result computed
-	// against a previous incarnation (e.g. before a DROP) must not survive.
-	tx.touch(def.Name)
 	return t, nil
 }
 
 // drop removes a table from the transaction.
 func (tx *writeTxn) drop(name string) {
-	key := strings.ToLower(name)
-	if old, ok := tx.tables[key]; ok {
-		tx.replaced = append(tx.replaced, old)
-	}
-	delete(tx.tables, key)
+	delete(tx.tables, strings.ToLower(name))
 	tx.drops = append(tx.drops, name)
-	tx.touch(name)
-}
-
-// touch marks a table name's cached results as invalidated by this batch.
-func (tx *writeTxn) touch(name string) {
-	key := strings.ToLower(name)
-	tx.vers[key]++
-	tx.touched = append(tx.touched, key)
 }
 
 // commit publishes the transaction as the next database state, stamped with
 // the WAL position of its commit record. Called with d.mu held, after the
 // batch applied cleanly and (when a commit log is installed) after its log
 // append succeeded — so log order is publish order, and a state no reader
-// has seen is never ahead of the log. The result-cache version bumps happen
-// before the store: once a reader can see the new state, every stale cached
-// entry is already invalidated.
+// has seen is never ahead of the log. The store is the whole publication:
+// the new table versions are what invalidates cached results, statistics and
+// plan verdicts of the old ones, so there is nothing else to notify.
 func (tx *writeTxn) commit(lsn uint64) {
 	d := tx.d
 	for _, def := range tx.creates {
@@ -203,18 +184,11 @@ func (tx *writeTxn) commit(lsn uint64) {
 	for _, name := range tx.drops {
 		d.cat.Drop(name)
 	}
-	for _, old := range tx.replaced {
-		d.statsCache.Forget(old)
-	}
-	if len(tx.touched) > 0 {
-		d.resultCache.Bump(tx.touched...)
-	}
 	if lsn == 0 {
 		lsn = tx.base.lsn
 	}
 	d.state.Store(&dbState{
 		tables: tx.tables,
-		vers:   tx.vers,
 		seq:    tx.base.seq + 1,
 		lsn:    lsn,
 	})
@@ -222,8 +196,5 @@ func (tx *writeTxn) commit(lsn uint64) {
 
 // emptyState returns the state of a freshly created database.
 func emptyState() *dbState {
-	return &dbState{
-		tables: make(map[string]*storage.Table),
-		vers:   make(map[string]uint64),
-	}
+	return &dbState{tables: make(map[string]*storage.Table)}
 }

@@ -9,10 +9,10 @@
 // Recovery is byte-exact-deterministic: the checkpoint decodes to the same
 // tables every time, WAL records are replayed in dense LSN order, and each
 // record is the canonical SQL of a batch the engine executes
-// deterministically. Recovery builds a *fresh* db.Database, so semantic-cache
-// entries and colstore frame generations from the pre-crash process are
-// unreachable by construction — nothing stale can be trusted, because
-// nothing survives.
+// deterministically. Recovery builds a *fresh* db.Database of fresh table
+// versions, so semantic-cache entries, colstore frames and statistics from
+// the pre-crash process are unreachable by construction — nothing stale can
+// be trusted, because nothing survives.
 //
 // Crash safety contract (the crash gate enforces it at every byte offset):
 // an acknowledged batch is never lost, an unacknowledged tail may be dropped

@@ -315,8 +315,8 @@ func TestRecoveryColdCache(t *testing.T) {
 	}
 }
 
-// TestRecoveryRebuildsColumnarFrames: colstore frames are keyed by table
-// generation counters; recovery builds fresh tables, so execution after
+// TestRecoveryRebuildsColumnarFrames: colstore frames live in the table
+// version they image; recovery builds fresh tables, so execution after
 // recovery must rebuild its frames from the recovered rows. The pre-crash
 // process warms frames and then commits more rows; the recovered database
 // must answer byte-for-byte like a database that never crashed and received

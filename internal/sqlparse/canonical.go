@@ -25,7 +25,7 @@ func Canonical(sel *Select) string {
 // anywhere in the select list, WHERE, or HAVING. Names are reported in first
 // appearance order with original case; callers needing set semantics fold
 // case themselves. The result cache uses this to bind an entry to the
-// version counters of everything the statement read.
+// versions of everything the statement read.
 func Tables(sel *Select) []string {
 	seen := map[string]bool{}
 	var out []string

@@ -3,10 +3,10 @@
 // for the cost-based planning mode (core.Options.CostBased, RESULTDB_STATS).
 //
 // Statistics are built in one pass over the row-major storage (never from the
-// columnar frames, so they need no frame to exist), are fully deterministic (the NDV sketch hashes with the same
-// seeded FNV-1a stream as the join hash tables), and are cached against the
-// table's generation counter by Cache — the same invalidation pattern as the
-// colstore frame cache in storage.Table.Columns.
+// columnar frames, so they need no frame to exist), are fully deterministic
+// (the NDV sketch hashes with the same seeded FNV-1a stream as the join hash
+// tables), and live in the table version they describe (Of), next to its
+// colstore frame: built once per version, collected with it.
 //
 // The numbers feed estimates only: plan choice may change, query results may
 // not. The planner layers that consume them (root selection, reducer
@@ -67,7 +67,7 @@ func (c *Column) NullFrac() float64 {
 	return float64(c.Nulls) / float64(c.Rows)
 }
 
-// Table holds the statistics of one table at one generation.
+// Table holds the statistics of one table version.
 type Table struct {
 	// Name is the table name.
 	Name string
@@ -125,6 +125,15 @@ type colAcc struct {
 	minF, maxF float64
 	vals       []float64 // histogram sample (numeric, non-NaN)
 }
+
+// Of returns the statistics of table version t, built on first use and kept in
+// the version (storage.Table.Stats): concurrent callers share one build, and
+// callers for different tables or versions never wait on each other.
+func Of(t *storage.Table) *Table { return t.Stats(build).(*Table) }
+
+// build is FromTable in the shape of the version's slot (a named function, so
+// Of allocates no closure).
+func build(t *storage.Table) any { return FromTable(t) }
 
 // FromTable builds fresh statistics for t in a single pass over its rows.
 // The build is deterministic: same rows in the same order produce identical

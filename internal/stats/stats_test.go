@@ -193,31 +193,39 @@ func TestHistogramFracInRange(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidation is the stale-generation invalidation check: stats are
-// reused while the table is unchanged and rebuilt after DML.
+// TestCacheInvalidation: statistics live in the table version — shared while
+// it stands, rebuilt after a direct Insert, and not inherited by a
+// BeginVersion draft (whose build leaves the parent's alone).
 func TestCacheInvalidation(t *testing.T) {
 	tab := intTable(t, "c", []int64{1, 2, 3})
-	cache := NewCache()
-	s1 := cache.Of(tab)
+	s1 := Of(tab)
 	if s1.Rows != 3 || s1.Col("v").NDV != 3 {
 		t.Fatalf("initial stats wrong: %+v", s1)
 	}
-	if s2 := cache.Of(tab); s2 != s1 {
-		t.Fatal("unchanged table must hit the cache (same pointer)")
+	if s2 := Of(tab); s2 != s1 {
+		t.Fatal("unchanged version must share its statistics (same pointer)")
 	}
+
+	draft := tab.BeginVersion()
+	if err := draft.Insert(types.Row{types.NewInt(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if sd := Of(draft); sd == s1 || sd.Rows != 4 {
+		t.Fatalf("draft statistics inherited or wrong: %+v", sd)
+	}
+	if Of(tab) != s1 {
+		t.Fatal("a draft's build replaced its parent's statistics")
+	}
+
 	if err := tab.Insert(types.Row{types.NewInt(4)}); err != nil {
 		t.Fatal(err)
 	}
-	s3 := cache.Of(tab)
+	s3 := Of(tab)
 	if s3 == s1 {
 		t.Fatal("stats not rebuilt after insert")
 	}
 	if s3.Rows != 4 || s3.Col("v").NDV != 4 {
 		t.Fatalf("post-DML stats wrong: %+v", s3)
-	}
-	cache.Forget(tab)
-	if cache.Len() != 0 {
-		t.Fatalf("Forget left %d entries", cache.Len())
 	}
 }
 

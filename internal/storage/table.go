@@ -10,6 +10,7 @@ package storage
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"resultdb/internal/catalog"
 	"resultdb/internal/colstore"
@@ -26,55 +27,76 @@ import (
 // prefix is shared between versions (append-only storage), so deriving a
 // version is O(1) and appending amortizes exactly like a plain slice.
 //
+// Version is the version's identity and the only one the system has: a
+// database snapshot is the vector of its tables' versions, and result-cache
+// entries and plan verdicts are fingerprinted on that vector. Everything
+// derived from the rows — the columnar image (Columns) and the column
+// statistics (Stats) — lives in the version, is built at most once under the
+// version's own lock, and is garbage-collected with it.
+//
 // Direct mutation (Insert/InsertAll on a published table) remains supported
 // for the single-threaded bulk-load paths (workload generators, CSV import,
 // snapshot restore) that run before any concurrent traffic; it must never be
-// used on a table reachable by a concurrent reader. The lazily built columnar
-// image (Columns) is internally locked because concurrent readers of the
-// *same version* may race to build it.
+// used on a table reachable by a concurrent reader. It turns the table into a
+// new version in place: a fresh Version, no derived state.
 type Table struct {
 	Def  *catalog.TableDef
 	Rows []types.Row
 
-	// gen counts invalidations; the column-vector cache is tagged with the
-	// generation it was built from and discarded when the table moves on.
-	gen uint64
+	version uint64
 
-	colMu   sync.Mutex
+	// mu guards the derived state: concurrent readers of one version may race
+	// to build it. builtAt is len(Rows) it was built from (see dropStaleLocked).
+	mu      sync.Mutex
+	builtAt int
 	cols    *colstore.Frame
-	colsGen uint64
+	stats   any
 }
+
+// lastVersion is the process-wide version clock; 0 is never assigned, so it
+// can stand for "no such table" in a version vector.
+var lastVersion atomic.Uint64
 
 // NewTable returns an empty table for def.
 func NewTable(def *catalog.TableDef) *Table {
-	return &Table{Def: def}
+	return &Table{Def: def, version: lastVersion.Add(1)}
 }
 
 // BeginVersion derives a mutable successor of a published version: it shares
 // t's row prefix (copy-on-write — the parent's header caps what readers can
 // see, so appends to the draft never become visible through old snapshots),
-// starts one generation later, and carries none of the parent's derived
-// caches. The caller applies one mutation batch to the draft and publishes
-// it; a draft discarded on error simply never becomes visible.
+// has its own Version, and starts with no derived state. The caller applies
+// one mutation batch to the draft and publishes it; a draft discarded on
+// error simply never becomes visible.
 //
 // Only one draft may be derived from the newest version at a time (the
 // database's writer lock enforces this): successive versions share one
 // growing backing array, and two concurrent drafts of the same parent would
 // race on its append region.
 func (t *Table) BeginVersion() *Table {
-	return &Table{Def: t.Def, Rows: t.Rows, gen: t.gen + 1}
+	return &Table{Def: t.Def, Rows: t.Rows, version: lastVersion.Add(1)}
 }
 
-// invalidate marks the derived column vectors stale after the row set
-// changed. One call per logical mutation batch.
-func (t *Table) invalidate() { t.gen++ }
+// Version identifies this version of the relation: process-unique, assigned
+// in increasing order, never 0. It changes exactly when the row set does — a
+// published version keeps its number for life; a direct Insert re-stamps.
+func (t *Table) Version() uint64 { return t.version }
 
-// Generation returns the table's invalidation counter. It changes whenever
-// the row set changes, so derived caches can detect staleness in O(1).
-func (t *Table) Generation() uint64 { return t.gen }
+// restamp makes t a new version after a direct mutation. One call per logical
+// mutation batch.
+func (t *Table) restamp() { t.version = lastVersion.Add(1) }
 
-// insertRow validates and appends a row without invalidating caches; callers
-// invalidate once per batch.
+// dropStaleLocked drops derived state built from another row set. Rows only
+// grow, so the row count tells: a direct Insert — or a loader appending
+// through the Rows field — leaves nothing stale behind.
+func (t *Table) dropStaleLocked() {
+	if t.builtAt != len(t.Rows) {
+		t.cols, t.stats, t.builtAt = nil, nil, len(t.Rows)
+	}
+}
+
+// insertRow validates and appends a row without re-stamping; callers re-stamp
+// once per batch.
 func (t *Table) insertRow(row types.Row) error {
 	if len(row) != len(t.Def.Columns) {
 		return fmt.Errorf("storage: table %q expects %d values, got %d",
@@ -102,18 +124,17 @@ func (t *Table) Insert(row types.Row) error {
 	if err := t.insertRow(row); err != nil {
 		return err
 	}
-	t.invalidate()
+	t.restamp()
 	return nil
 }
 
-// InsertAll appends rows, stopping at the first error. Derived caches are
-// invalidated once per batch, not once per row, so bulk loads do not
-// repeatedly discard (and any interleaved reader rebuild) the column vectors.
+// InsertAll appends rows, stopping at the first error. The table is
+// re-stamped once per batch, not once per row.
 func (t *Table) InsertAll(rows []types.Row) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	defer t.invalidate()
+	defer t.restamp()
 	for _, r := range rows {
 		if err := t.insertRow(r); err != nil {
 			return err
@@ -135,21 +156,34 @@ func (t *Table) WireSize() int {
 	return n
 }
 
-// Columns returns the table's columnar image (typed vectors, dictionary-
-// encoded TEXT, null bitmaps), building it lazily on first use and caching
-// it until the next mutation. Safe for concurrent readers: the build is
-// guarded by a mutex and tagged with the generation it was built from.
+// Columns returns the version's columnar image (typed vectors, dictionary-
+// encoded TEXT, null bitmaps), built on first use and kept for the version's
+// life. Safe for concurrent readers.
 func (t *Table) Columns() *colstore.Frame {
-	t.colMu.Lock()
-	defer t.colMu.Unlock()
-	if t.cols != nil && t.colsGen == t.gen && t.cols.Rows() == len(t.Rows) {
-		return t.cols
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.dropStaleLocked()
+	if t.cols == nil {
+		kinds := make([]types.Kind, len(t.Def.Columns))
+		for i, c := range t.Def.Columns {
+			kinds[i] = c.Type
+		}
+		t.cols = colstore.NewFrame(kinds, t.Rows)
 	}
-	kinds := make([]types.Kind, len(t.Def.Columns))
-	for i, c := range t.Def.Columns {
-		kinds[i] = c.Type
-	}
-	t.cols = colstore.NewFrame(kinds, t.Rows)
-	t.colsGen = t.gen
 	return t.cols
+}
+
+// Stats returns the version's column statistics, calling build on first use
+// and keeping its value for the version's life. The slot is typed any because
+// internal/stats, which owns the type and the builder, imports this package;
+// use stats.Of. Safe for concurrent readers: one of them builds, the others
+// wait for that build and share it.
+func (t *Table) Stats(build func(*Table) any) any {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.dropStaleLocked()
+	if t.stats == nil {
+		t.stats = build(t)
+	}
+	return t.stats
 }

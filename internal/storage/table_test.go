@@ -62,9 +62,11 @@ func TestWireSize(t *testing.T) {
 	}
 }
 
-// TestColumnsCacheAndGeneration: the columnar frame is built lazily, cached
-// until the table changes, and invalidated by the generation counter. A batch
-// InsertAll bumps the generation exactly once.
+// TestColumnsCacheAndGeneration: a table version carries one Version and the
+// state derived from its rows. The frame and the statistics slot are built
+// once and shared while the version stands, rebuilt after a direct Insert
+// (which re-stamps the version, once per batch), and a BeginVersion draft
+// starts with its own Version and neither.
 func TestColumnsCacheAndGeneration(t *testing.T) {
 	tab := newTable(t)
 	rows := []types.Row{
@@ -72,14 +74,20 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 		{types.NewInt(2), types.NewText("b"), types.Null()},
 		{types.NewInt(3), types.Null(), types.NewFloat(3.5)},
 	}
-	g0 := tab.Generation()
+	v0 := tab.Version()
+	if v0 == 0 {
+		t.Fatal("a new table has Version 0, which stands for \"no table\"")
+	}
 	if err := tab.InsertAll(rows); err != nil {
 		t.Fatal(err)
 	}
-	if got := tab.Generation(); got != g0+1 {
-		t.Fatalf("InsertAll of %d rows bumped generation %d times, want once", len(rows), got-g0)
+	v1 := tab.Version()
+	if v1 <= v0 {
+		t.Fatalf("InsertAll did not re-stamp: Version %d after %d", v1, v0)
 	}
 
+	builds := 0
+	stat := func(tb *Table) any { builds++; return len(tb.Rows) }
 	f := tab.Columns()
 	if f.Rows() != 3 {
 		t.Fatalf("frame rows = %d, want 3", f.Rows())
@@ -87,10 +95,38 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 	if tab.Columns() != f {
 		t.Fatal("Columns() rebuilt the frame without any table change")
 	}
+	if tab.Stats(stat) != 3 || tab.Stats(stat) != 3 || builds != 1 {
+		t.Fatalf("statistics built %d times for one version, want once", builds)
+	}
+	if tab.Version() != v1 {
+		t.Fatal("reading derived state changed the Version")
+	}
 
-	// A single insert invalidates; the next Columns() sees the new row.
+	// A draft is a new version with no derived state of its own; deriving and
+	// filling it leaves the parent's untouched.
+	draft := tab.BeginVersion()
+	if draft.Version() <= v1 {
+		t.Fatalf("draft Version %d not after parent's %d", draft.Version(), v1)
+	}
+	if err := draft.Insert(types.Row{types.NewInt(9), types.NewText("z"), types.Null()}); err != nil {
+		t.Fatal(err)
+	}
+	if df := draft.Columns(); df == f || df.Rows() != 4 {
+		t.Fatalf("draft frame shared with parent or wrong size (%d rows)", df.Rows())
+	}
+	if draft.Stats(stat) != 4 || builds != 2 {
+		t.Fatalf("draft statistics not built for the draft (builds = %d)", builds)
+	}
+	if tab.Columns() != f || tab.Stats(stat) != 3 || tab.Len() != 3 || tab.Version() != v1 {
+		t.Fatal("a draft disturbed its parent version")
+	}
+
+	// A single insert makes a new version; the next Columns() sees the new row.
 	if err := tab.Insert(types.Row{types.NewInt(4), types.NewText("a"), types.Null()}); err != nil {
 		t.Fatal(err)
+	}
+	if tab.Version() <= draft.Version() {
+		t.Fatal("Insert did not re-stamp the Version")
 	}
 	f2 := tab.Columns()
 	if f2 == f {
@@ -98,6 +134,9 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 	}
 	if f2.Rows() != 4 {
 		t.Fatalf("frame rows after insert = %d, want 4", f2.Rows())
+	}
+	if tab.Stats(stat) != 4 || builds != 3 {
+		t.Fatalf("statistics not rebuilt after Insert (builds = %d)", builds)
 	}
 	// Frame values reconstruct the stored rows exactly.
 	for j, row := range tab.Rows {

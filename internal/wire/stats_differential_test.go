@@ -128,8 +128,8 @@ func TestStatsDifferentialStar(t *testing.T) {
 		}
 	}
 	queries("")
-	// DML after ANALYZE: the generation-checked stats cache must rebuild (or
-	// lazily serve fresh stats) and, stale or fresh, results must not change.
+	// DML after ANALYZE: the new table version has no statistics yet, so they
+	// are built afresh on demand — and results must not change either way.
 	ins := "INSERT INTO fact VALUES (999983, 1, 2, 0, 3.5)"
 	if _, err := oracle.Exec(ins); err != nil {
 		t.Fatal(err)

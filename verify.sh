@@ -12,7 +12,9 @@
 # second relation image, and no row slices in core or the colstore kernels; no
 # map-of-position-slices bucket structure in colstore/engine/storage; row
 # blocks filled by colstore.View.Rows only, one pooled flate reader, no unsafe
-# in internal/types; internal/reference imported from tests only); then the
+# in internal/types; internal/reference imported from tests only; one version
+# identity — no generation counter, name counter or statistics cache outside
+# internal/storage, and internal/cache has only its *At surface); then the
 # differential gates under -race — cache
 # (cold/warm/invalidate vs uncached oracle; on the socket, filling response == response from kept payloads == cache-off
 # response over every transport; the payload-memo guards; and
@@ -26,9 +28,28 @@
 # short fuzzing pass over the byte-hostile surfaces (SQL text in, wire bytes
 # in, fault plans in, WAL segments in, snapshots in, histogram input); and
 # the tracer overhead guard.
+#
+# The named gates (MVCC and the differential ones) select tests by -run
+# pattern over several packages, and go test exits 0 when a pattern matches
+# nothing; they run through gate(), which fails when any listed package
+# reports "no tests to run" — a rename cannot silently empty a gate.
 set -eu
 
 cd "$(dirname "$0")"
+
+# gate runs one named gate: go test with the given arguments, failing also
+# when a listed package had no test matching the pattern.
+gate() {
+	if ! out=$(go test "$@" 2>&1); then
+		echo "$out"
+		exit 1
+	fi
+	echo "$out"
+	if echo "$out" | grep -q 'no tests to run'; then
+		echo "FAIL: a package of this gate matched no test (renamed or deleted?)"
+		exit 1
+	fi
+}
 
 echo "== gofmt -l"
 unformatted=$(gofmt -l cmd examples internal benchmark ./*.go)
@@ -61,8 +82,8 @@ go test -race -timeout 300s ./internal/parallel ./internal/colstore ./internal/e
 	./internal/cache ./internal/wire ./internal/faultnet ./internal/client \
 	./internal/wal ./internal/snapshot ./internal/durable
 
-echo "== MVCC concurrency gate (N readers x M writers vs per-prefix wire-byte oracles, session contract, snapshot-keyed cache races, checkpoints under load, under -race)"
-go test -race -timeout 300s -count=1 \
+echo "== MVCC concurrency gate (N readers x M writers vs per-prefix wire-byte oracles, session contract, version retention under pins, snapshot-keyed cache races, checkpoints under load, under -race)"
+gate -race -timeout 300s -count=1 \
 	-run 'TestMVCC|TestSession|TestSnapshotSeesCommittedState|TestDoAt|TestCheckpointDuringWrites' \
 	./internal/db ./internal/cache ./internal/durable
 
@@ -153,28 +174,47 @@ if [ -n "$ref_imports" ]; then
 	exit 1
 fi
 
+echo "== lint: one version identity (storage.Table.Version)"
+# A snapshot is the vector of its tables' versions. The generation counters,
+# the per-name counters in db and in the cache, and the statistics cache were
+# deleted in PR 18; any of them reappearing outside internal/storage, or the
+# cache growing back a surface that takes no version vector, is a second
+# identity.
+version_ids=$(grep -rnE 'Generation\(|colsGen|versionOf|statsCache|stats\.NewCache' --include='*.go' cmd examples internal ./*.go | grep -v '_test\.go:' | grep -v '^internal/storage/' || true)
+if [ -n "$version_ids" ]; then
+	echo "FAIL: a version counter or statistics cache outside internal/storage:"
+	echo "$version_ids"
+	exit 1
+fi
+cache_surface=$(grep -nE '\.Bump\(|func \(c \*Cache\[V\]\) (Do|Put|Get|Peek)\(' internal/cache/*.go | grep -v '_test\.go:' || true)
+if [ -n "$cache_surface" ]; then
+	echo "FAIL: internal/cache has a name counter or a lookup that takes no version vector:"
+	echo "$cache_surface"
+	exit 1
+fi
+
 echo "== cache differential + stress gate (cold/warm/invalidate vs uncached oracle; hit bytes == miss bytes == cache-off bytes on the socket; payload-memo guards; warm-hit benchmark smoke, under -race)"
-go test -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit' \
+gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit' \
 	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire
 
 echo "== execution differential gate (vs naive reference as sorted sets; par x cache x planner x transport byte-identical, under -race)"
-go test -race -timeout 600s -run 'TestExecutionDifferential' -count=1 ./internal/wire
-go test -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
+gate -race -timeout 600s -run 'TestExecutionDifferential' -count=1 ./internal/wire
+gate -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
 
 echo "== stats differential gate (cost-based planner vs heuristic oracle, par x eager/lazy stats, under -race)"
-go test -race -run 'TestStatsDifferential|TestCostBased' -count=1 ./internal/wire ./internal/core
+gate -race -run 'TestStatsDifferential|TestCostBased' -count=1 ./internal/wire ./internal/core
 
 echo "== wire v2 differential gate (v2 buffered/streamed x par vs v1 oracle, v2 <= v1 bytes, decoded results frame-backed and re-encoding to the same bytes, post-join equal on every result form, under -race)"
-go test -race -run 'TestWireV2Differential|TestStreamedMatchesBuffered|TestExecStream|TestResultSetsCarryViews|TestPostJoinSameOnEveryResultForm' -count=1 \
+gate -race -run 'TestWireV2Differential|TestStreamedMatchesBuffered|TestExecStream|TestResultSetsCarryViews|TestPostJoinSameOnEveryResultForm' -count=1 \
 	./internal/wire ./internal/db
 
 echo "== chaos differential gate (fault plans x v1/v2 x buffered/streamed x par, under -race)"
-go test -race -timeout 300s -count=1 \
+gate -race -timeout 300s -count=1 \
 	-run 'TestChaos|TestIntegrityNegotiated|TestShutdown|TestServerStats' \
 	./internal/wire
 
 echo "== crash-recovery differential gate (kill at every WAL byte offset vs uncrashed oracle, under -race)"
-go test -race -timeout 300s -count=1 \
+gate -race -timeout 300s -count=1 \
 	-run 'TestCrashRecoveryDifferential|TestCrashDuringCheckpoint|TestRecoveryLiveness|TestRecoveryColdCache|TestRecoveryRebuildsColumnarFrames' \
 	./internal/durable
 
