@@ -470,8 +470,7 @@ func BenchmarkSSBFlights(b *testing.B) {
 // BenchmarkCacheHitJOB measures the semantic result cache on JOB RESULTDB
 // queries: "cold" clears the cache every iteration (full execution + fill),
 // "warm" serves every iteration from the cache. The cold/warm ratio is the
-// cache's payoff; the acceptance bar is >= 10x on at least one query
-// (results/cache-bench.txt records a sweep).
+// cache's payoff; the acceptance bar is >= 10x on at least one query.
 func BenchmarkCacheHitJOB(b *testing.B) {
 	d := db.New()
 	if err := job.Load(d, job.Config{Scale: benchScale, Seed: 42}); err != nil {

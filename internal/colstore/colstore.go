@@ -24,18 +24,20 @@
 //     are plain slices; the dictionary is a first-occurrence-ordered string
 //     table with per-entry precomputed hashes.
 //
-// Frames are built lazily from storage.Table rows and cached on the table
-// version they image (see storage.Table.Columns). Hash structures are not
-// cached: every join, semi-join and dedup builds its own position table
-// (hash.go) over the rows that survived the scan.
+// A base table is a frame (storage.Table holds one and nothing else): inserts
+// append each value to its column's vector through Column.Append, the method
+// NewFrame drives too, so one place knows how a value lands in a vector.
+// Hash structures are not cached: every join, semi-join and dedup builds its
+// own position table (hash.go) over the rows that survived the scan.
 //
-// Under the MVCC regime a frame belongs to exactly one published table
-// version: versions are immutable once visible, so a frame, once built, is
-// itself immutable and may be shared freely by every snapshot that pins its
-// version — concurrent readers of the same version race only on the build
-// (serialized inside storage.Table.Columns), never on the contents. A
-// writer's draft starts with no frame; the frame for the successor version
-// is built lazily by whichever reader first needs it.
+// Under the MVCC regime a published version's frame is immutable and shared by
+// every snapshot that pins it. A writer's draft extends its parent's frame
+// (Frame.Extend): headers of its own over the same backing arrays, so what it
+// appends lies past the length the parent's headers carry and no reader of the
+// parent sees it. Two things need more than that slice rule — a null bitmap's
+// last, partial word (Bitmap) and a TEXT column's string-to-code index
+// (TextColumn). Dictionaries grow in first-occurrence order, so codes are
+// those of a frame built from row 0.
 package colstore
 
 import (
@@ -47,37 +49,60 @@ import (
 )
 
 // Bitmap is a null bitmap: bit i set means row i is NULL. The nil *Bitmap is
-// the common no-nulls case; Get on it is false.
+// the common no-nulls case; Get on it is false. Bits are set in ascending row
+// order and rows past the last set bit read as not NULL. A successor version
+// appending a NULL must not write a word its parent's readers read, so only
+// the complete words are shared (words, append-only); the word still filling,
+// word len(words), is held by value in the header (tail), private to it.
 type Bitmap struct {
 	words []uint64
+	tail  uint64
 	n     int // number of set bits
-}
-
-func newBitmap(rows int) *Bitmap {
-	return &Bitmap{words: make([]uint64, (rows+63)/64)}
 }
 
 // BitmapFromBytes returns the bitmap whose bit i is bit i&7 of lsb[i>>3] —
 // the wire format's LSB-first byte order — or nil when no bit is set.
 func BitmapFromBytes(lsb []byte) *Bitmap {
-	b := &Bitmap{words: make([]uint64, (len(lsb)+7)/8)}
+	words := make([]uint64, (len(lsb)+7)/8)
+	n := 0
 	for i, x := range lsb {
-		b.words[i>>3] |= uint64(x) << (8 * (i & 7))
-		b.n += bits.OnesCount8(x)
+		words[i>>3] |= uint64(x) << (8 * (i & 7))
+		n += bits.OnesCount8(x)
 	}
-	if b.n == 0 {
+	if n == 0 {
 		return nil
+	}
+	last := len(words) - 1
+	for words[last] == 0 {
+		last--
+	}
+	return &Bitmap{words: words[:last], tail: words[last], n: n}
+}
+
+// with returns b — a fresh bitmap when b is nil — with bit i set; i must not
+// precede a bit already set.
+func (b *Bitmap) with(i int) *Bitmap {
+	if b == nil {
+		b = &Bitmap{}
+	}
+	for w := i >> 6; len(b.words) < w; {
+		b.words = append(b.words, b.tail)
+		b.tail = 0
+	}
+	if mask := uint64(1) << (i & 63); b.tail&mask == 0 {
+		b.tail |= mask
+		b.n++
 	}
 	return b
 }
 
-func (b *Bitmap) set(i int) {
-	w := &b.words[i>>6]
-	mask := uint64(1) << (i & 63)
-	if *w&mask == 0 {
-		*w |= mask
-		b.n++
+// fork returns a header of its own over the same complete words.
+func (b *Bitmap) fork() *Bitmap {
+	if b == nil {
+		return nil
 	}
+	c := *b
+	return &c
 }
 
 // Get reports whether row i is NULL. Safe on a nil receiver (no nulls).
@@ -85,7 +110,11 @@ func (b *Bitmap) Get(i int) bool {
 	if b == nil {
 		return false
 	}
-	return b.words[i>>6]&(1<<(i&63)) != 0
+	w := i >> 6
+	if w < len(b.words) {
+		return b.words[w]&(1<<(i&63)) != 0
+	}
+	return w == len(b.words) && b.tail&(1<<(i&63)) != 0
 }
 
 // Count returns the number of NULL rows. Safe on a nil receiver.
@@ -100,11 +129,66 @@ func (b *Bitmap) Count() int {
 // exact stored value (Value), test NULL without materializing (Null), and
 // advance a running FNV-1a hash state by the value's canonical hash encoding
 // (HashFNV) — byte-identical to types.Value.HashFNV on the stored value.
+//
+// Append adds v as row Len(), or refuses (false, nothing appended) a value
+// neither NULL nor of the column's kind. It is how every builder — a table's
+// inserts, NewFrame — fills a vector no reader has been handed yet.
 type Column interface {
 	Len() int
 	Null(i int) bool
 	Value(i int) types.Value
 	HashFNV(i int, h uint64) uint64
+	Append(v types.Value) bool
+}
+
+// newColumn returns an empty vector for kind with room for n rows; kinds
+// without a typed vector get the exact-value column.
+func newColumn(kind types.Kind, n int) Column {
+	switch kind {
+	case types.KindInt:
+		return &Int64Column{Vals: make([]int64, 0, n)}
+	case types.KindFloat:
+		return &Float64Column{Vals: make([]float64, 0, n)}
+	case types.KindBool:
+		return &BoolColumn{Vals: make([]bool, 0, n)}
+	case types.KindText:
+		return &TextColumn{Codes: make([]uint32, 0, n)}
+	default:
+		return &AnyColumn{Vals: make([]types.Value, 0, n)}
+	}
+}
+
+// appendCell appends v to vals — its payload when it is of kind, a zero with
+// its null bit set when it is NULL — or reports false.
+func appendCell[T any](vals []T, nulls *Bitmap, v types.Value, kind types.Kind, payload func(types.Value) T) ([]T, *Bitmap, bool) {
+	var cell T
+	switch v.Kind() {
+	case kind:
+		cell = payload(v)
+	case types.KindNull:
+		nulls = nulls.with(len(vals))
+	default:
+		return vals, nulls, false
+	}
+	return append(vals, cell), nulls, true
+}
+
+// fork returns a header of its own over c's vectors (see Frame.Extend).
+func fork(c Column) Column {
+	switch c := c.(type) {
+	case *Int64Column:
+		return &Int64Column{Vals: c.Vals, Nulls: c.Nulls.fork()}
+	case *Float64Column:
+		return &Float64Column{Vals: c.Vals, Nulls: c.Nulls.fork()}
+	case *BoolColumn:
+		return &BoolColumn{Vals: c.Vals, Nulls: c.Nulls.fork()}
+	case *TextColumn:
+		d := *c
+		d.Nulls = c.Nulls.fork()
+		return &d
+	default:
+		return &AnyColumn{Vals: c.(*AnyColumn).Vals}
+	}
 }
 
 // Int64Column stores an INTEGER column as raw int64s plus a null bitmap.
@@ -115,6 +199,11 @@ type Int64Column struct {
 
 func (c *Int64Column) Len() int        { return len(c.Vals) }
 func (c *Int64Column) Null(i int) bool { return c.Nulls.Get(i) }
+
+func (c *Int64Column) Append(v types.Value) (ok bool) {
+	c.Vals, c.Nulls, ok = appendCell(c.Vals, c.Nulls, v, types.KindInt, types.Value.Int)
+	return ok
+}
 
 func (c *Int64Column) Value(i int) types.Value {
 	if c.Nulls.Get(i) {
@@ -141,6 +230,11 @@ type Float64Column struct {
 func (c *Float64Column) Len() int        { return len(c.Vals) }
 func (c *Float64Column) Null(i int) bool { return c.Nulls.Get(i) }
 
+func (c *Float64Column) Append(v types.Value) (ok bool) {
+	c.Vals, c.Nulls, ok = appendCell(c.Vals, c.Nulls, v, types.KindFloat, types.Value.Float)
+	return ok
+}
+
 func (c *Float64Column) Value(i int) types.Value {
 	if c.Nulls.Get(i) {
 		return types.Null()
@@ -164,6 +258,11 @@ type BoolColumn struct {
 func (c *BoolColumn) Len() int        { return len(c.Vals) }
 func (c *BoolColumn) Null(i int) bool { return c.Nulls.Get(i) }
 
+func (c *BoolColumn) Append(v types.Value) (ok bool) {
+	c.Vals, c.Nulls, ok = appendCell(c.Vals, c.Nulls, v, types.KindBool, types.Value.Bool)
+	return ok
+}
+
 func (c *BoolColumn) Value(i int) types.Value {
 	if c.Nulls.Get(i) {
 		return types.Null()
@@ -186,7 +285,9 @@ func (c *BoolColumn) HashFNV(i int, h uint64) uint64 {
 // into a first-occurrence-ordered string dictionary. Equal codes ⇔ equal
 // strings, so predicate evaluation and dedup compare codes; hashing of a
 // fresh key (FNV state at the offset basis) is a precomputed per-entry
-// lookup instead of a per-byte string walk.
+// lookup instead of a per-byte string walk. The dictionary is append-only — a
+// string keeps its code for good — so table versions share Dict and DictHash
+// like any other vector and differ only in length.
 type TextColumn struct {
 	Codes []uint32
 	Dict  []string
@@ -195,6 +296,10 @@ type TextColumn struct {
 	// composite hash; chained states fall back to the byte walk.
 	DictHash []uint64
 	Nulls    *Bitmap
+	// index maps string to code for Append: the writer's alone, built on first
+	// use, handed from version to successor. A discarded draft's entries stay
+	// behind, so one counts only if Dict[code] reads back the same string.
+	index map[string]uint32
 }
 
 // NewTextColumn wraps per-row codes into dict (whose entries must be
@@ -205,6 +310,31 @@ func NewTextColumn(codes []uint32, dict []string, nulls *Bitmap) *TextColumn {
 		hashes[k] = types.NewText(s).HashFNV(types.FNVOffset64)
 	}
 	return &TextColumn{Codes: codes, Dict: dict, DictHash: hashes, Nulls: nulls}
+}
+
+func (c *TextColumn) Append(v types.Value) (ok bool) {
+	c.Codes, c.Nulls, ok = appendCell(c.Codes, c.Nulls, v, types.KindText, c.code)
+	return ok
+}
+
+// code returns the dictionary code of TEXT value v, the next one if its string
+// is new.
+func (c *TextColumn) code(v types.Value) uint32 {
+	s := v.Text()
+	if c.index == nil {
+		c.index = make(map[string]uint32, len(c.Dict))
+		for k, d := range c.Dict {
+			c.index[d] = uint32(k)
+		}
+	}
+	code, ok := c.index[s]
+	if !ok || int(code) >= len(c.Dict) || c.Dict[code] != s {
+		code = uint32(len(c.Dict))
+		c.index[s] = code
+		c.Dict = append(c.Dict, s)
+		c.DictHash = append(c.DictHash, v.HashFNV(types.FNVOffset64))
+	}
+	return code
 }
 
 func (c *TextColumn) Len() int        { return len(c.Codes) }
@@ -254,11 +384,18 @@ type AnyColumn struct {
 // It is how a column that arrived as values (a decoded inline-text or `any`
 // block) gets codes and a dictionary before it is joined on or gathered.
 func (c *AnyColumn) Typed(kind types.Kind) Column {
-	rows := make([]types.Row, len(c.Vals))
-	for i := range rows {
-		rows[i] = c.Vals[i : i+1]
+	col := newColumn(kind, len(c.Vals))
+	for _, v := range c.Vals {
+		if !col.Append(v) {
+			return c
+		}
 	}
-	return buildColumn(kind, rows, 0)
+	return col
+}
+
+func (c *AnyColumn) Append(v types.Value) bool {
+	c.Vals = append(c.Vals, v)
+	return true
 }
 
 func (c *AnyColumn) Len() int                       { return len(c.Vals) }
@@ -266,13 +403,15 @@ func (c *AnyColumn) Null(i int) bool                { return c.Vals[i].IsNull() 
 func (c *AnyColumn) Value(i int) types.Value        { return c.Vals[i] }
 func (c *AnyColumn) HashFNV(i int, h uint64) uint64 { return c.Vals[i].HashFNV(h) }
 
-// Frame is the columnar image of a relation: one typed Column per schema
-// column, all of equal length. Frames are immutable once built.
+// Frame is a relation in columns: one typed Column per schema column, all of
+// equal length. A frame that has been handed out is immutable; the one frame
+// that grows is a base table's while it is the writer's draft (Empty, Extend,
+// AppendRow), every other is built whole.
 type Frame struct {
 	cols []Column
 	n    int
-	// src is the row slice the frame was built from (NewFrame), nil for a
-	// gathered frame; View.Rows hands these rows back instead of boxing.
+	// src is the row slice the frame was built from (NewFrame), nil for any
+	// other frame; View.Rows hands these rows back instead of boxing.
 	src []types.Row
 }
 
@@ -304,6 +443,33 @@ func FrameOf(n int, cols []Column) *Frame {
 	return &Frame{cols: cols, n: n}
 }
 
+// Empty returns a frame of no rows over vectors of kinds: a new base table.
+func Empty(kinds []types.Kind) *Frame { return NewFrame(kinds, nil) }
+
+// Extend returns a frame with headers of its own over f's vectors and
+// dictionaries, in O(columns): the draft of f's successor version. Appends to
+// it land in the shared backing arrays past what f's headers can see, so f
+// never changes. Only one extension of the newest frame may grow at a time.
+func (f *Frame) Extend() *Frame {
+	out := &Frame{cols: make([]Column, len(f.cols)), n: f.n}
+	for j, c := range f.cols {
+		out.cols[j] = fork(c)
+	}
+	return out
+}
+
+// AppendRow appends one row, already coerced to the columns' kinds
+// (storage.Table does that): a refused value is a bug and panics rather than
+// leave the columns at unequal length.
+func (f *Frame) AppendRow(vals []types.Value) {
+	for j, v := range vals {
+		if !f.cols[j].Append(v) {
+			panic("colstore: " + v.Kind().String() + " value appended to a column of another kind")
+		}
+	}
+	f.n++
+}
+
 // NewFrame builds the columnar image of rows under the declared column
 // kinds. Columns whose values all match their declared kind (or are NULL)
 // get a typed vector; mismatching columns fall back to AnyColumn so value
@@ -317,103 +483,16 @@ func NewFrame(kinds []types.Kind, rows []types.Row) *Frame {
 	return f
 }
 
-// buildColumn builds one typed column, falling back to AnyColumn on the
-// first value whose kind does not match the declaration.
+// buildColumn builds column j of rows as a vector of kind, falling back to
+// the exact-value column on the first value the typed vector refuses.
 func buildColumn(kind types.Kind, rows []types.Row, j int) Column {
-	n := len(rows)
-	switch kind {
-	case types.KindInt:
-		vals := make([]int64, n)
-		var nulls *Bitmap
-		for i, r := range rows {
-			v := r[j]
-			switch {
-			case v.IsNull():
-				if nulls == nil {
-					nulls = newBitmap(n)
-				}
-				nulls.set(i)
-			case v.Kind() == types.KindInt:
-				vals[i] = v.Int()
-			default:
-				return anyColumn(rows, j)
-			}
+	col := newColumn(kind, len(rows))
+	for _, r := range rows {
+		if !col.Append(r[j]) {
+			return buildColumn(types.KindNull, rows, j)
 		}
-		return &Int64Column{Vals: vals, Nulls: nulls}
-	case types.KindFloat:
-		vals := make([]float64, n)
-		var nulls *Bitmap
-		for i, r := range rows {
-			v := r[j]
-			switch {
-			case v.IsNull():
-				if nulls == nil {
-					nulls = newBitmap(n)
-				}
-				nulls.set(i)
-			case v.Kind() == types.KindFloat:
-				vals[i] = v.Float()
-			default:
-				return anyColumn(rows, j)
-			}
-		}
-		return &Float64Column{Vals: vals, Nulls: nulls}
-	case types.KindBool:
-		vals := make([]bool, n)
-		var nulls *Bitmap
-		for i, r := range rows {
-			v := r[j]
-			switch {
-			case v.IsNull():
-				if nulls == nil {
-					nulls = newBitmap(n)
-				}
-				nulls.set(i)
-			case v.Kind() == types.KindBool:
-				vals[i] = v.Bool()
-			default:
-				return anyColumn(rows, j)
-			}
-		}
-		return &BoolColumn{Vals: vals, Nulls: nulls}
-	case types.KindText:
-		codes := make([]uint32, n)
-		var nulls *Bitmap
-		var dict []string
-		index := make(map[string]uint32)
-		for i, r := range rows {
-			v := r[j]
-			switch {
-			case v.IsNull():
-				if nulls == nil {
-					nulls = newBitmap(n)
-				}
-				nulls.set(i)
-			case v.Kind() == types.KindText:
-				s := v.Text()
-				code, ok := index[s]
-				if !ok {
-					code = uint32(len(dict))
-					index[s] = code
-					dict = append(dict, s)
-				}
-				codes[i] = code
-			default:
-				return anyColumn(rows, j)
-			}
-		}
-		return NewTextColumn(codes, dict, nulls)
-	default:
-		return anyColumn(rows, j)
 	}
-}
-
-func anyColumn(rows []types.Row, j int) Column {
-	vals := make([]types.Value, len(rows))
-	for i, r := range rows {
-		vals[i] = r[j]
-	}
-	return &AnyColumn{Vals: vals}
+	return col
 }
 
 // GatherView materializes a new Frame from a subset of v's columns and
@@ -462,10 +541,7 @@ func gatherNulls(src *Bitmap, idx []int) *Bitmap {
 	var out *Bitmap
 	for i, j := range idx {
 		if src.Get(j) {
-			if out == nil {
-				out = newBitmap(len(idx))
-			}
-			out.set(i)
+			out = out.with(i)
 		}
 	}
 	return out
@@ -554,8 +630,8 @@ const boxTile = 128
 // Rows boxes the selected rows into tuples, in order: the rows the frame was
 // built from when it has them (pointer copies; the result may alias the
 // builder's slice and must not be modified), otherwise fresh rows over one
-// value block. This is the system's one boxing loop — the engine's output,
-// the post-join's and a decoded payload's rows all come from here.
+// value block. This is the system's one boxing loop — a table's rows, the
+// engine's output, the post-join's and a decoded payload's all come from here.
 func (v *View) Rows() []types.Row {
 	f := v.Frame
 	if f.src != nil {

@@ -146,9 +146,9 @@ func TestBitmap(t *testing.T) {
 	if nilB.Get(5) || nilB.Count() != 0 {
 		t.Fatal("nil bitmap must be all-clear")
 	}
-	b := newBitmap(130)
-	for _, i := range []int{0, 63, 64, 129, 64} { // 64 set twice
-		b.set(i)
+	var b *Bitmap
+	for _, i := range []int{0, 63, 64, 64, 129} { // 64 set twice
+		b = b.with(i)
 	}
 	if b.Count() != 4 {
 		t.Fatalf("Count = %d, want 4", b.Count())

@@ -34,7 +34,7 @@ func Dump(t *storage.Table, w io.Writer) error {
 		return err
 	}
 	record := make([]string, len(header))
-	for _, row := range t.Rows {
+	for _, row := range t.Rows() {
 		for i, v := range row {
 			record[i] = renderCell(v)
 		}

@@ -42,16 +42,17 @@ func TestDumpLoadRoundTrip(t *testing.T) {
 	if len(got.Def.PrimaryKey) != 1 || got.Def.PrimaryKey[0] != "id" {
 		t.Errorf("pk = %v", got.Def.PrimaryKey)
 	}
-	for i, row := range tab.Rows {
-		if !row.Equal(got.Rows[i]) {
-			t.Errorf("row %d: %v != %v", i, got.Rows[i], row)
+	loaded := got.Rows()
+	for i, row := range tab.Rows() {
+		if !row.Equal(loaded[i]) {
+			t.Errorf("row %d: %v != %v", i, loaded[i], row)
 		}
 	}
 	// NULL vs empty string must be preserved distinctly.
-	if !got.Rows[2][1].IsNull() {
+	if !loaded[2][1].IsNull() {
 		t.Error("NULL text lost")
 	}
-	if got.Rows[3][1].IsNull() || got.Rows[3][1].Text() != "" {
+	if loaded[3][1].IsNull() || loaded[3][1].Text() != "" {
 		t.Error("empty string turned into NULL")
 	}
 }

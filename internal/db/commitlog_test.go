@@ -156,18 +156,18 @@ func TestSnapshotSeesCommittedState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 2 {
-		t.Errorf("rows = %d", len(tbl.Rows))
+	if tbl.Len() != 2 {
+		t.Errorf("rows = %d", tbl.Len())
 	}
 	// The snapshot is frozen: a later commit is invisible to it, and its LSN
 	// tracks the published commit position.
 	if _, err := d.Exec("INSERT INTO t VALUES (3)"); err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 2 || snap.Seq() == d.Snapshot().Seq() {
-		t.Fatalf("snapshot moved: rows=%d seq=%d newest=%d", len(tbl.Rows), snap.Seq(), d.Snapshot().Seq())
+	if tbl.Len() != 2 || snap.Seq() == d.Snapshot().Seq() {
+		t.Fatalf("snapshot moved: rows=%d seq=%d newest=%d", tbl.Len(), snap.Seq(), d.Snapshot().Seq())
 	}
-	if got, err := snap.Table("t"); err != nil || len(got.Rows) != 2 {
-		t.Fatalf("pinned read = %d rows, err %v; want 2", len(got.Rows), err)
+	if got, err := snap.Table("t"); err != nil || got.Len() != 2 {
+		t.Fatalf("pinned read = %d rows, err %v; want 2", got.Len(), err)
 	}
 }

@@ -323,7 +323,7 @@ func (d *Database) executorWith(src engine.Source, ec execCtx, tr *trace.Tracer)
 			if err != nil {
 				return nil
 			}
-			return stats.Of(t)
+			return statsOf(t, tr)
 		},
 	}
 }
@@ -545,14 +545,12 @@ func execInsert(tx *writeTxn, s *sqlparse.Insert) (*Result, error) {
 		}
 	}
 	n := 0
+	row := make(types.Row, len(t.Def.Columns)) // Insert copies it into the vectors
 	for _, exprRow := range s.Rows {
 		if len(exprRow) != len(targets) {
 			return nil, fmt.Errorf("db: INSERT expects %d values, got %d", len(targets), len(exprRow))
 		}
-		row := make(types.Row, len(t.Def.Columns))
-		for i := range row {
-			row[i] = types.Null()
-		}
+		clear(row) // the zero Value is NULL
 		for i, e := range exprRow {
 			v, err := evalConst(e)
 			if err != nil {
@@ -611,16 +609,13 @@ func (d *Database) execCreateMatView(tx *writeTxn, s *sqlparse.CreateMaterialize
 			}
 		}
 	}
-	def, err := relationToDef(s.Name, rel)
-	if err != nil {
+	names := make([]string, len(rel.Cols))
+	for i, c := range rel.Cols {
+		names[i] = c.Name
+	}
+	if err := createView(tx, s.Name, names, rel.Vec); err != nil {
 		return nil, err
 	}
-	def.IsView = true
-	t, err := tx.create(def)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = append(t.Rows, rel.Rows()...)
 	return &Result{Affected: rel.Len()}, nil
 }
 
@@ -635,45 +630,70 @@ func (d *Database) createResultDBView(tx *writeTxn, s *sqlparse.CreateMaterializ
 	}
 	total := 0
 	for _, set := range res.Sets {
-		def, err := resultSetToDef(s.Name+"_"+set.Name, set)
-		if err != nil {
+		names := make([]string, len(set.Columns))
+		for i, cn := range set.Columns {
+			// Strip any "alias." qualifier for storable column names.
+			names[i] = cn[strings.LastIndexByte(cn, '.')+1:]
+		}
+		if err := createView(tx, s.Name+"_"+set.Name, names, setToRelation(set).Vec); err != nil {
 			return nil, err
 		}
-		def.IsView = true
-		t, err := tx.create(def)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, set.Rows...)
 		total += len(set.Rows)
 	}
 	return &Result{Affected: total, Sets: res.Sets, Stats: res.Stats}, nil
 }
 
-// relationToDef derives a table definition from a relation's schema. Output
-// column names must be unique; qualify ambiguous select lists with aliases.
-func relationToDef(name string, rel *engine.Relation) (*catalog.TableDef, error) {
-	cols := make([]catalog.Column, len(rel.Cols))
-	for i, c := range rel.Cols {
-		kind := c.Kind
-		if kind == types.KindNull {
-			kind = inferKind(rel, i)
+// createView creates the materialized view name in tx from the relation v
+// under the column names and fills it as any table is filled, through
+// InsertAll: what a view stores is coerced to its definition. Column names
+// must be unique; qualify ambiguous select lists with aliases.
+func createView(tx *writeTxn, name string, names []string, v *colstore.View) error {
+	cols := make([]catalog.Column, len(names))
+	for i, cn := range names {
+		kind, err := viewColumnType(v, i)
+		if err != nil {
+			return fmt.Errorf("db: materialized view %s column %s: %w", name, cn, err)
 		}
-		cols[i] = catalog.Column{Name: c.Name, Type: kind}
+		cols[i] = catalog.Column{Name: cn, Type: kind}
 	}
-	return catalog.NewTableDef(name, cols)
+	def, err := catalog.NewTableDef(name, cols)
+	if err != nil {
+		return err
+	}
+	def.IsView = true
+	t, err := tx.create(def)
+	if err != nil {
+		return err
+	}
+	return t.InsertAll(v.Rows())
 }
 
-func resultSetToDef(name string, set *ResultSet) (*catalog.TableDef, error) {
-	cols := make([]catalog.Column, len(set.Columns))
-	for i, cn := range set.Columns {
-		// Strip any "alias." qualifier for storable column names.
-		if dot := strings.LastIndexByte(cn, '.'); dot >= 0 {
-			cn = cn[dot+1:]
-		}
-		cols[i] = catalog.Column{Name: cn, Type: rowsKind(set.Rows, i)}
+// viewColumnType is the declared type of a view column filled from column i
+// of v: its vector's kind or, for exact values (an aggregate's results), the
+// one kind of all the non-NULL ones — INTEGER beside DOUBLE widens to DOUBLE,
+// any other mix is an error; TEXT when there is no value to go by.
+func viewColumnType(v *colstore.View, i int) (types.Kind, error) {
+	col := v.Frame.Col(i)
+	kind := vectorKind(col)
+	if kind != types.KindNull {
+		return kind, nil
 	}
-	return catalog.NewTableDef(name, cols)
+	numeric := func(k types.Kind) bool { return k == types.KindInt || k == types.KindFloat }
+	for j := 0; j < v.Len(); j++ {
+		switch k := col.Value(v.Index(j)).Kind(); {
+		case k == types.KindNull || k == kind:
+		case kind == types.KindNull:
+			kind = k
+		case numeric(k) && numeric(kind):
+			kind = types.KindFloat
+		default:
+			return 0, fmt.Errorf("holds both %s and %s values", kind, k)
+		}
+	}
+	if kind == types.KindNull {
+		kind = types.KindText
+	}
+	return kind, nil
 }
 
 func anyStar(items []sqlparse.SelectItem) bool {
@@ -683,14 +703,4 @@ func anyStar(items []sqlparse.SelectItem) bool {
 		}
 	}
 	return false
-}
-
-func inferKind(rel *engine.Relation, col int) types.Kind {
-	c := rel.Vec.Frame.Col(col)
-	for j := 0; j < rel.Len(); j++ {
-		if v := c.Value(rel.Vec.Index(j)); !v.IsNull() {
-			return v.Kind()
-		}
-	}
-	return types.KindText
 }

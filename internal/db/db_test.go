@@ -14,7 +14,13 @@ import (
 func paperExample(t *testing.T) *Database {
 	t.Helper()
 	d := New()
-	script := `
+	if _, err := d.ExecScript(paperExampleSQL); err != nil {
+		t.Fatalf("load paper example: %v", err)
+	}
+	return d
+}
+
+const paperExampleSQL = `
 CREATE TABLE customers (id INTEGER PRIMARY KEY, name TEXT, state TEXT);
 CREATE TABLE orders (cid INTEGER, pid INTEGER);
 CREATE TABLE products (id INTEGER PRIMARY KEY, name TEXT, category TEXT);
@@ -23,11 +29,6 @@ INSERT INTO orders VALUES (0, 1), (1, 1), (1, 2), (2, 1), (0, 2), (1, 3);
 INSERT INTO products VALUES (0, 'smartphone', 'electronics'), (1, 'laptop', 'electronics'),
                             (2, 'shirt', 'clothing'), (3, 'pants', 'clothing');
 `
-	if _, err := d.ExecScript(script); err != nil {
-		t.Fatalf("load paper example: %v", err)
-	}
-	return d
-}
 
 // Listing 1 of the paper, adapted to the sample data ("order" is a keyword
 // in many dialects, so the table is named orders).

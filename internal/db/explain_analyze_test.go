@@ -153,3 +153,56 @@ func TestExplainAnalyzeSQLRoundTrip(t *testing.T) {
 		t.Error("ANALYZE flag lost in round trip")
 	}
 }
+
+// TestExplainAnalyzeShowsStatisticsBuilds: with cost-based planning on, the
+// first statement behind a commit builds the statistics of the versions it
+// reads, and EXPLAIN ANALYZE says so — how many builds and how long, inside
+// the strippable bracket next to the cache outcome. The next execution finds
+// them built and shows nothing; the annotation is run-varying, so what is left
+// after stripping, and the counts fingerprint, are the same both times.
+func TestExplainAnalyzeShowsStatisticsBuilds(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CostBased = true
+	d := Open(cfg)
+	if _, err := d.ExecScript(paperExampleSQL); err != nil {
+		t.Fatal(err)
+	}
+	sql := "SELECT RESULTDB" + listing1[len("\nSELECT"):]
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := regexp.MustCompile(`\[[^\]]*stats: 3 built in \d+ µs[^\]]*\]`)
+
+	_, first, err := d.QueryWithTrace(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.StatsBuilds != 3 || first.StatsTimeNS <= 0 || !built.MatchString(first.TreeLines()[0]) {
+		t.Fatalf("first execution: %d builds in %d ns, head line %q; want the 3 tables' builds in the bracket",
+			first.StatsBuilds, first.StatsTimeNS, first.TreeLines()[0])
+	}
+	_, second, err := d.QueryWithTrace(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.StatsBuilds != 0 || strings.Contains(second.TreeLines()[0], "stats:") {
+		t.Fatalf("second execution built statistics again: %q", second.TreeLines()[0])
+	}
+	if a, b := stripAnnotations(first.TreeLines()), stripAnnotations(second.TreeLines()); a != b {
+		t.Errorf("the statistics annotation leaks outside the bracket:\n%s\nvs\n%s", a, b)
+	}
+	if first.CountsFingerprint() != second.CountsFingerprint() {
+		t.Error("statistics builds changed the counts fingerprint")
+	}
+
+	// A commit makes new versions of the tables it touched — and only those
+	// are built again.
+	if _, err := d.Exec("INSERT INTO orders VALUES (2, 3)"); err != nil {
+		t.Fatal(err)
+	}
+	lines := explainLines(t, d, "EXPLAIN ANALYZE "+sql)
+	if !strings.Contains(lines[0], "stats: 1 built in ") {
+		t.Fatalf("EXPLAIN ANALYZE behind a commit to one table: head line %q, want one build", lines[0])
+	}
+}

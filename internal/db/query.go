@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"time"
 
 	"resultdb/internal/colstore"
 	"resultdb/internal/core"
@@ -11,6 +12,7 @@ import (
 	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/stats"
+	"resultdb/internal/storage"
 	"resultdb/internal/trace"
 	"resultdb/internal/types"
 )
@@ -232,14 +234,14 @@ func (d *Database) reduceSpec(ec execCtx, sel *sqlparse.Select, spec *engine.SPJ
 				// Traced runs always plan with statistics so the trace
 				// shows the cost-based decisions; they bypass the verdict
 				// cache in both directions.
-				opts.TableStats = d.aliasStats(ec, spec)
+				opts.TableStats = aliasStats(ec, spec, tr)
 			case d.planConfirmedHeuristic(ec.src, d.planKey(sel)+modeKeySuffix(mode), spec):
 				// A prior cost-based run of this statement at these table
 				// versions produced exactly the heuristic plan; skip the
 				// statistics machinery and take that plan directly.
 			default:
 				verdictKey = d.planKey(sel) + modeKeySuffix(mode)
-				opts.TableStats = d.aliasStats(ec, spec)
+				opts.TableStats = aliasStats(ec, spec, tr)
 			}
 		}
 		reduced, stats, err := core.SemiJoinReduce(spec, rels, outputs, opts)
@@ -273,16 +275,29 @@ func (d *Database) reduceSpec(ec execCtx, sel *sqlparse.Select, spec *engine.SPJ
 // table version's statistics, for the cost-based reduction planner. Aliases
 // over missing tables (materialized views dropped mid-flight, etc.) are
 // simply absent; the estimator treats absent stats conservatively.
-func (d *Database) aliasStats(ec execCtx, spec *engine.SPJSpec) map[string]*stats.Table {
+func aliasStats(ec execCtx, spec *engine.SPJSpec, tr *trace.Tracer) map[string]*stats.Table {
 	out := make(map[string]*stats.Table, len(spec.Rels))
 	for _, r := range spec.Rels {
 		t, err := ec.src.Table(r.Table)
 		if err != nil {
 			continue
 		}
-		out[strings.ToLower(r.Alias)] = stats.Of(t)
+		out[strings.ToLower(r.Alias)] = statsOf(t, tr)
 	}
 	return out
+}
+
+// statsOf is stats.Of for a statement that may be traced: if this call is the
+// one that builds the version's statistics, the build is timed and charged to
+// the statement's trace (EXPLAIN ANALYZE shows it next to the cache outcome).
+func statsOf(t *storage.Table, tr *trace.Tracer) *stats.Table {
+	if !tr.Enabled() {
+		return stats.Of(t)
+	}
+	return t.Stats(func(t *storage.Table) any {
+		defer tr.AddStatsBuild(time.Now())
+		return stats.FromTable(t)
+	}).(*stats.Table)
 }
 
 // PostJoin reconstructs the single-table result from a previously computed
@@ -379,18 +394,27 @@ func setToRelation(set *ResultSet) *engine.Relation {
 // column) the kind of the first non-NULL value; TEXT when there is none.
 func columnKind(set *ResultSet, i int) types.Kind {
 	if set.Vec != nil {
-		switch set.Vec.Frame.Col(i).(type) {
-		case *colstore.Int64Column:
-			return types.KindInt
-		case *colstore.Float64Column:
-			return types.KindFloat
-		case *colstore.BoolColumn:
-			return types.KindBool
-		case *colstore.TextColumn:
-			return types.KindText
+		if kind := vectorKind(set.Vec.Frame.Col(i)); kind != types.KindNull {
+			return kind
 		}
 	}
 	return rowsKind(set.Rows, i)
+}
+
+// vectorKind is the kind a typed vector holds; KindNull for an exact-value
+// column, which holds whatever it was given.
+func vectorKind(col colstore.Column) types.Kind {
+	switch col.(type) {
+	case *colstore.Int64Column:
+		return types.KindInt
+	case *colstore.Float64Column:
+		return types.KindFloat
+	case *colstore.BoolColumn:
+		return types.KindBool
+	case *colstore.TextColumn:
+		return types.KindText
+	}
+	return types.KindNull
 }
 
 // rowsKind is the kind of the first non-NULL value in column i of rows; TEXT

@@ -1,11 +1,15 @@
 package db
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"resultdb/internal/colstore"
+	"resultdb/internal/engine"
 	"resultdb/internal/reference"
 	"resultdb/internal/sqlparse"
+	"resultdb/internal/types"
 )
 
 func TestDDLAndInsertErrors(t *testing.T) {
@@ -389,5 +393,75 @@ INSERT INTO s VALUES (1, 1.0, 'plain'), (2, -1.0, 'plain'), (3, 3.0, 'plain'),
 				t.Errorf("%s: rows %v, reference on the literal list %v", sub, g, w)
 			}
 		}
+	}
+}
+
+// TestMaterializedViewIsTypedByItsDefinition: a view is filled like any table
+// — through InsertAll, so what it stores is coerced to its declared types —
+// and a column that reaches it as exact values (an aggregate's results) is
+// typed over all of them, not by the first: INTEGER beside DOUBLE widens to
+// DOUBLE, any other mix is an error naming the column.
+func TestMaterializedViewIsTypedByItsDefinition(t *testing.T) {
+	d := New()
+	if _, err := d.ExecScript(`
+CREATE TABLE sales (region TEXT, qty INTEGER, amount DOUBLE);
+INSERT INTO sales VALUES ('east', 2, 1.5), ('east', 3, 2.5), ('west', 4, 8), ('north', NULL, NULL);
+CREATE MATERIALIZED VIEW per_region AS
+	SELECT s.region, SUM(s.qty) AS units, SUM(s.amount) AS total, COUNT(*) AS n FROM sales AS s GROUP BY s.region;`); err != nil {
+		t.Fatal(err)
+	}
+	view, err := d.Table("per_region")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTypes := []types.Kind{types.KindText, types.KindInt, types.KindFloat, types.KindInt}
+	for i, c := range view.Def.Columns {
+		if c.Type != wantTypes[i] {
+			t.Errorf("per_region.%s is declared %s, want %s", c.Name, c.Type, wantTypes[i])
+		}
+		if kind := vectorKind(view.Columns().Col(i)); kind != c.Type {
+			t.Errorf("per_region.%s is stored as %T, not a %s vector", c.Name, view.Columns().Col(i), c.Type)
+		}
+	}
+
+	// The mixed SUM: one group's sum came out INTEGER, another's DOUBLE.
+	mixed := func(second types.Value) *engine.Relation {
+		return engine.FromRows(
+			[]engine.ColRef{{Name: "g", Kind: types.KindText}, {Name: "s", Kind: types.KindInt}},
+			[]types.Row{
+				{types.NewText("a"), types.NewInt(3)},
+				{types.NewText("b"), second},
+				{types.NewText("c"), types.Null()},
+			})
+	}
+	create := func(name string, rel *engine.Relation) (err error) {
+		d.withWriter(func() {
+			tx := d.newWriteTxn()
+			if err = createView(tx, name, []string{"g", "s"}, rel.Vec); err == nil {
+				tx.commit(0)
+			}
+		})
+		return err
+	}
+	if err := create("widened", mixed(types.NewFloat(2.5))); err != nil {
+		t.Fatal(err)
+	}
+	widened, err := d.Table("widened")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := widened.Def.Columns[1].Type; got != types.KindFloat {
+		t.Fatalf("INTEGER beside DOUBLE is declared %s, want DOUBLE", got)
+	}
+	col, ok := widened.Columns().Col(1).(*colstore.Float64Column)
+	if !ok || !slices.Equal(col.Vals, []float64{3, 2.5, 0}) || !col.Null(2) {
+		t.Fatalf("widened.s is stored as %#v, want the float vector [3 2.5 NULL]", widened.Columns().Col(1))
+	}
+	err = create("refused", mixed(types.NewText("many")))
+	if err == nil || !strings.Contains(err.Error(), "refused column s") {
+		t.Fatalf("INTEGER beside TEXT: err = %v, want an error naming the column", err)
+	}
+	if _, err := d.Table("refused"); err == nil {
+		t.Fatal("a view whose creation failed exists")
 	}
 }

@@ -10,8 +10,11 @@ import (
 )
 
 // Version retention (part of the MVCC gate): a superseded table version — and
-// with it its rows header, colstore frame and statistics — must be reachable
-// from pinned snapshots only. The result cache, the plan verdicts and the
+// with it its frame's column headers and its statistics — must be reachable
+// from pinned snapshots only. A version shares its vectors' and dictionaries'
+// backing arrays with its successors, and the TEXT leg (tag.label) checks that
+// sharing them pins nothing: the live version references the arrays, never the
+// older version or its headers. The result cache, the plan verdicts and the
 // statistics all remember a statement executed once against version 1 of a
 // table; none of them may keep that *storage.Table alive after K later
 // commits, while a Session.Pin() taken at version 1 must, until Unpin.
@@ -79,11 +82,19 @@ func runOnceAtCurrentVersion(t *testing.T, d *Database, costBased bool, tag stri
 	}
 }
 
-// commitItems publishes K successor versions of item.
+// commitItems publishes K successor versions of item and of tag; the tag rows
+// alternate between a label the dictionary already holds and a fresh one.
 func commitItems(t *testing.T, d *Database, from int) {
 	t.Helper()
 	for k := 0; k < retentionCommits; k++ {
 		if _, err := d.Exec(fmt.Sprintf("INSERT INTO item VALUES (%d, %d)", from+k, from+k)); err != nil {
+			t.Fatal(err)
+		}
+		label := "a"
+		if k%2 == 1 {
+			label = fmt.Sprintf("l%d", from+k)
+		}
+		if _, err := d.Exec(fmt.Sprintf("INSERT INTO tag VALUES (%d, 1, '%s')", from+k, label)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -106,19 +117,22 @@ func TestMVCCVersionRetention(t *testing.T) {
 
 			// No pin: K commits later nothing may still reach version 1.
 			runOnceAtCurrentVersion(t, d, costBased, "5")
-			v1 := trackVersion(t, d, "item")
+			v1, text1 := trackVersion(t, d, "item"), trackVersion(t, d, "tag")
 			commitItems(t, d, 100)
 			if !collectedAfterGC(v1, 200) {
 				t.Fatal("superseded table version still reachable with no session pinning it")
+			}
+			if !collectedAfterGC(text1, 200) {
+				t.Fatal("superseded version of a table with a TEXT column still reachable: the shared dictionary pins it")
 			}
 
 			// Pinned: the session's snapshot is the one legitimate holder.
 			pinned := d.NewSession()
 			pinned.Pin()
 			runOnceAtCurrentVersion(t, d, costBased, "6")
-			held := trackVersion(t, d, "item")
+			held, heldText := trackVersion(t, d, "item"), trackVersion(t, d, "tag")
 			commitItems(t, d, 200)
-			if collectedAfterGC(held, 10) {
+			if collectedAfterGC(held, 10) || heldText.Load() {
 				t.Fatal("table version collected while a pinned session holds it")
 			}
 			res, err := pinned.Exec("SELECT i.id FROM item i")
@@ -128,8 +142,15 @@ func TestMVCCVersionRetention(t *testing.T) {
 			if got := res.First().NumRows(); got != 4+retentionCommits {
 				t.Fatalf("pinned session sees %d rows, want %d", got, 4+retentionCommits)
 			}
+			labels, err := pinned.Exec("SELECT g.label FROM tag g")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := labels.First().NumRows(); got != 4+retentionCommits {
+				t.Fatalf("pinned session sees %d tag rows, want %d", got, 4+retentionCommits)
+			}
 			pinned.Unpin()
-			if !collectedAfterGC(held, 200) {
+			if !collectedAfterGC(held, 200) || !collectedAfterGC(heldText, 200) {
 				t.Fatal("table version still reachable after Unpin")
 			}
 		})

@@ -315,12 +315,14 @@ func TestRecoveryColdCache(t *testing.T) {
 	}
 }
 
-// TestRecoveryRebuildsColumnarFrames: colstore frames live in the table
-// version they image; recovery builds fresh tables, so execution after
-// recovery must rebuild its frames from the recovered rows. The pre-crash
-// process warms frames and then commits more rows; the recovered database
-// must answer byte-for-byte like a database that never crashed and received
-// the same statements.
+// TestRecoveryRebuildsColumnarFrames: a table is its frame, and a frame's
+// vectors and dictionaries are built by the inserts that filled it — in a
+// recovered process those are the checkpoint's rows in order followed by the
+// replayed statements, not the original inserts. The pre-crash process scans
+// the tables and then commits more rows (versions extending the scanned
+// frames); the recovered database, whose frames were built afresh, must
+// answer byte-for-byte like a database that never crashed and received the
+// same statements.
 func TestRecoveryRebuildsColumnarFrames(t *testing.T) {
 	bootstrap := func(d *db.Database) error {
 		return hierarchy.Load(d, hierarchy.DefaultConfig())

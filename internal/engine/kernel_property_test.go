@@ -150,7 +150,7 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 		v := v
 		t.Run(v.name, func(t *testing.T) {
 			tab := kernelTable(t, rand.New(rand.NewSource(31+int64(v.textMode))), v)
-			f := tab.Columns()
+			f, tabRows := tab.Columns(), tab.Rows()
 			rel := make([]ColRef, len(tab.Def.Columns))
 			for i, c := range tab.Def.Columns {
 				rel[i] = ColRef{Rel: "r", Name: c.Name, Kind: c.Type}
@@ -164,7 +164,7 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 					t.Fatalf("%s has no kernel", rest[0].SQL())
 				}
 				e := &Executor{Src: memSource{"r": tab}, Parallelism: par}
-				view, err := e.filterView(tab, rel, kernels, residualPart)
+				view, err := e.filterView(f, rel, kernels, residualPart)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -179,7 +179,7 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 			// be left to the residual.
 			for _, p := range kernelPreds {
 				filters := parseConjuncts(t, "r", []string{p})
-				want := boundSelection(t, rel, tab.Rows, filters)
+				want := boundSelection(t, rel, tabRows, filters)
 				for _, par := range []int{1, 4} {
 					if got := selection(par, filters, nil); !slices.Equal(got, want) {
 						t.Errorf("%s par=%d: kernel selects %d rows, bound expression %d", p, par, len(got), len(want))
@@ -202,7 +202,7 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 					preds = append(preds, kernelPreds[rng.Intn(len(kernelPreds))])
 				}
 				filters := parseConjuncts(t, "r", preds)
-				want := boundSelection(t, rel, tab.Rows, filters)
+				want := boundSelection(t, rel, tabRows, filters)
 				for split := 0; split <= len(filters); split++ {
 					for _, par := range []int{1, 4} {
 						if got := selection(par, filters[:split], filters[split:]); !slices.Equal(got, want) {
@@ -225,7 +225,7 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 					}
 				}
 				filters := parseConjuncts(t, "r", preds)
-				want := boundSelection(t, rel, tab.Rows, filters)
+				want := boundSelection(t, rel, tabRows, filters)
 				for _, par := range []int{1, 4} {
 					e := &Executor{Src: memSource{"r": tab}, Parallelism: par}
 					got, err := e.baseRelation(RelRef{Alias: "r", Table: "r"}, filters)
@@ -238,7 +238,7 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 							preds, par, len(rows), got.Len(), len(want))
 					}
 					for j, pos := range want {
-						if got.Vec.Index(j) != int(pos) || !rows[j].Equal(tab.Rows[pos]) {
+						if got.Vec.Index(j) != int(pos) || !rows[j].Equal(tabRows[pos]) {
 							t.Fatalf("%v par=%d: row %d is table row %d, want %d", preds, par, j, got.Vec.Index(j), pos)
 						}
 					}

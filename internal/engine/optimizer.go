@@ -307,23 +307,3 @@ func (o *optimizer) maskLabel(mask uint32) string {
 	}
 	return strings.Join(parts, ",")
 }
-
-// PlanString renders the chosen DP plan for diagnostics; used by tests.
-func PlanString(preds []JoinPred, rels map[string]*Relation) (string, error) {
-	opt, err := newOptimizer(preds, rels)
-	if err != nil {
-		return "", err
-	}
-	root, err := opt.plan()
-	if err != nil {
-		return "", err
-	}
-	var render func(n *planNode) string
-	render = func(n *planNode) string {
-		if n.left == nil {
-			return opt.aliases[n.leaf]
-		}
-		return "(" + render(n.left) + " ⋈ " + render(n.right) + ")"
-	}
-	return render(root), nil
-}

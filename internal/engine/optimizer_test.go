@@ -199,3 +199,23 @@ func TestDPFallsBackBeyondLimit(t *testing.T) {
 		t.Errorf("rows = %d, want 2", rel.Len())
 	}
 }
+
+// PlanString renders the chosen DP plan.
+func PlanString(preds []JoinPred, rels map[string]*Relation) (string, error) {
+	opt, err := newOptimizer(preds, rels)
+	if err != nil {
+		return "", err
+	}
+	root, err := opt.plan()
+	if err != nil {
+		return "", err
+	}
+	var render func(n *planNode) string
+	render = func(n *planNode) string {
+		if n.left == nil {
+			return opt.aliases[n.leaf]
+		}
+		return "(" + render(n.left) + " ⋈ " + render(n.right) + ")"
+	}
+	return render(root), nil
+}

@@ -31,7 +31,6 @@ import (
 	"resultdb/internal/colstore"
 	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
-	"resultdb/internal/storage"
 	"resultdb/internal/trace"
 	"resultdb/internal/types"
 )
@@ -61,14 +60,14 @@ func (e *Executor) baseRelation(r RelRef, filters []sqlparse.Expr) (*Relation, e
 		if len(filters) > 0 {
 			sp.Detail = sqlparse.AndAll(filters).SQL()
 		}
-		sp.RowsIn = len(t.Rows)
+		sp.RowsIn = f.Rows()
 		sp.Par = parallel.Degree(e.Parallelism)
-		sp.Morsels = parallel.Chunks(len(t.Rows), e.Parallelism)
+		sp.Morsels = parallel.Chunks(f.Rows(), e.Parallelism)
 		sp.Dict = f.DictEntries()
 		t0 = time.Now()
 	}
 	kernels, residual := compileScanKernels(f, cols, filters)
-	view, err := e.filterView(t, cols, kernels, residual)
+	view, err := e.filterView(f, cols, kernels, residual)
 	if err != nil {
 		return nil, err
 	}
@@ -77,19 +76,19 @@ func (e *Executor) baseRelation(r RelRef, filters []sqlparse.Expr) (*Relation, e
 		sp.RowsOut = rel.Len()
 		sp.DurNS = time.Since(t0).Nanoseconds()
 		e.Tracer.AddRowsScanned(rel.Len())
-		e.Tracer.AddRowsDropped(len(t.Rows) - rel.Len())
+		e.Tracer.AddRowsDropped(f.Rows() - rel.Len())
 	}
 	return rel, nil
 }
 
-// filterView selects the rows of t that pass every kernel and then every
+// filterView selects the rows of f that pass every kernel and then every
 // residual conjunct. The residual conjuncts are bound against the schema cols
-// one by one and evaluated row-at-a-time over the kernels' survivors, in
-// order, stopping at the first that is not TRUE — the same drop-at-first-
-// failure rule the kernel prefix follows, so which conjuncts happen to have a
-// kernel never decides whether a later conjunct's runtime error surfaces.
-func (e *Executor) filterView(t *storage.Table, cols []ColRef, kernels []colstore.Kernel, residual []sqlparse.Expr) (*colstore.View, error) {
-	f := t.Columns()
+// one by one and evaluated row-at-a-time over the kernels' survivors — each
+// boxed into one reused row, cell by cell — in order, stopping at the first
+// that is not TRUE: the same drop-at-first-failure rule the kernel prefix
+// follows, so which conjuncts happen to have a kernel never decides whether a
+// later conjunct's runtime error surfaces.
+func (e *Executor) filterView(f *colstore.Frame, cols []ColRef, kernels []colstore.Kernel, residual []sqlparse.Expr) (*colstore.View, error) {
 	view := &colstore.View{Frame: f}
 	if len(kernels) > 0 {
 		view.Sel = colstore.RunKernels(f.Rows(), kernels, e.Parallelism)
@@ -107,9 +106,13 @@ func (e *Executor) filterView(t *storage.Table, cols []ColRef, kernels []colstor
 	}
 	keep, err := parallel.MapErr(view.Len(), e.Parallelism, func(lo, hi int) ([]int32, error) {
 		out := make([]int32, 0, hi-lo)
+		row := make(types.Row, f.NumCols())
 	rows:
 		for j := lo; j < hi; j++ {
-			row := t.Rows[view.Index(j)]
+			i := view.Index(j)
+			for c := range row {
+				row[c] = f.Col(c).Value(i)
+			}
 			for _, check := range checks {
 				v, err := check(row)
 				if err != nil {

@@ -2,12 +2,14 @@
 // Definitions 2.2 and 2.3 of the paper read, and nothing more: filter every
 // base table row by row, join the survivors pairwise into the denormalized
 // single-table result, and derive each output relation by projection and
-// duplicate elimination. There are no semi-joins, no folding, no columnar
-// images, no parallelism and no tracing, so it shares no operator and no
-// representation with the engine: it computes on its own rows-only relation,
-// and the only things it takes from internal/engine are schema-level — query
-// analysis (which conjunct is a filter, which a join predicate), the column
-// descriptor, and the bound expression that defines predicate semantics.
+// duplicate elimination. There are no semi-joins, no folding, no selections,
+// no parallelism and no tracing, so it shares no operator and no
+// representation with the engine: a base table is read cell by cell
+// (colstore.Column.Value, not the boxing kernel the engine's results come
+// from) into the reference's own rows-only relation, and the only things it
+// takes from internal/engine are schema-level — query analysis (which
+// conjunct is a filter, which a join predicate), the column descriptor, and
+// the bound expression that defines predicate semantics.
 //
 // It is the reference the differential tests compare the engine against and
 // must be imported from _test.go files only (verify.sh enforces that).
@@ -160,9 +162,16 @@ func scan(src engine.Source, r engine.RelRef, filters []sqlparse.Expr) (*relatio
 	if err != nil {
 		return nil, err
 	}
-	rel := &relation{cols: make([]engine.ColRef, len(t.Def.Columns)), rows: t.Rows}
+	f := t.Columns()
+	rel := &relation{cols: make([]engine.ColRef, f.NumCols()), rows: make([]types.Row, f.Rows())}
 	for i, c := range t.Def.Columns {
 		rel.cols[i] = engine.ColRef{Rel: r.Alias, Name: c.Name, Kind: c.Type}
+	}
+	for i := range rel.rows {
+		rel.rows[i] = make(types.Row, f.NumCols())
+		for c := range rel.rows[i] {
+			rel.rows[i][c] = f.Col(c).Value(i)
+		}
 	}
 	if len(filters) > 0 {
 		if rel.rows, err = filter(rel, filters); err != nil {

@@ -195,6 +195,32 @@ func TestHostileCounts(t *testing.T) {
 			e.Uvarint(99) // invalid kind
 			e.Uvarint(0)
 		}),
+		// A table without columns costs no bytes per row, so nothing but the
+		// input's length bounds how long a claimed row count keeps Load busy.
+		"rows of no columns": hostile(func(e *wire.Encoder) {
+			e.Uvarint(1)
+			e.Str("t")
+			e.Uvarint(0)
+			e.Uvarint(0) // no columns
+			e.Uvarint(0) // pk
+			e.Uvarint(0) // fk
+			e.Uvarint(1 << 40)
+		}),
+		// The values contradict the column's declared type: loading goes
+		// through Insert, which refuses them.
+		"mistyped value": hostile(func(e *wire.Encoder) {
+			e.Uvarint(1)
+			e.Str("t")
+			e.Uvarint(0)
+			e.Uvarint(1)
+			e.Str("flag")
+			e.Uvarint(uint64(types.KindBool))
+			e.Uvarint(0)
+			e.Uvarint(0) // pk
+			e.Uvarint(0) // fk
+			e.Uvarint(1)
+			e.Value(types.NewInt(7))
+		}),
 	}
 	for name, data := range cases {
 		if _, err := Load(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {

@@ -89,8 +89,8 @@ func SaveLSN(src Source, lastLSN uint64, w io.Writer) error {
 			return err
 		}
 		encodeDef(e, t.Def)
-		e.Uvarint(uint64(len(t.Rows)))
-		for _, row := range t.Rows {
+		e.Uvarint(uint64(t.Len()))
+		for _, row := range t.Rows() {
 			for _, v := range row {
 				e.Value(v)
 			}
@@ -219,20 +219,22 @@ func decodeBody(dec *wire.Decoder) (*db.Database, error) {
 			return nil, fmt.Errorf("%w: table %s row count: %v", ErrCorrupt, def.Name, err)
 		}
 		width := len(def.Columns)
-		// A row encodes to at least one byte per value.
-		if width > 0 && nRows > uint64(dec.Remaining())/uint64(width) {
+		// A row encodes to at least one byte per value; no columns count as one.
+		if nRows > uint64(dec.Remaining())/uint64(max(width, 1)) {
 			return nil, fmt.Errorf("%w: table %s row count %d exceeds remaining %d bytes", ErrCorrupt, def.Name, nRows, dec.Remaining())
 		}
-		t.Rows = make([]types.Row, 0, nRows)
+		row := make(types.Row, width)
 		for r := uint64(0); r < nRows; r++ {
-			row := make(types.Row, width)
 			for c := 0; c < width; c++ {
 				row[c], err = dec.Value()
 				if err != nil {
 					return nil, fmt.Errorf("%w: table %s row %d: %v", ErrCorrupt, def.Name, r, err)
 				}
 			}
-			t.Rows = append(t.Rows, row)
+			// Insert copies the values out of row and checks them against def.
+			if err := t.Insert(row); err != nil {
+				return nil, fmt.Errorf("%w: table %s row %d: %v", ErrCorrupt, def.Name, r, err)
+			}
 		}
 	}
 	if dec.Remaining() != 0 {

@@ -2,11 +2,11 @@
 // null counts, min/max, a distinct-count sketch, and equi-depth histograms —
 // for the cost-based planning mode (core.Options.CostBased, RESULTDB_STATS).
 //
-// Statistics are built in one pass over the row-major storage (never from the
-// columnar frames, so they need no frame to exist), are fully deterministic
-// (the NDV sketch hashes with the same seeded FNV-1a stream as the join hash
-// tables), and live in the table version they describe (Of), next to its
-// colstore frame: built once per version, collected with it.
+// Statistics are built in one pass over each column of the table's frame (no
+// row is boxed), are fully deterministic (the NDV sketch hashes with the same
+// seeded FNV-1a stream as the join hash tables), and live in the table version
+// they describe (Of), next to its frame: built once per version, collected
+// with it.
 //
 // The numbers feed estimates only: plan choice may change, query results may
 // not. The planner layers that consume them (root selection, reducer
@@ -54,17 +54,6 @@ type Column struct {
 	// Hist is the equi-depth histogram over the (possibly sampled) numeric
 	// values, nil for non-numeric or empty columns.
 	Hist *Histogram
-}
-
-// NonNull returns the number of non-null values.
-func (c *Column) NonNull() int { return c.Rows - c.Nulls }
-
-// NullFrac returns the fraction of NULL values in [0,1].
-func (c *Column) NullFrac() float64 {
-	if c.Rows == 0 {
-		return 0
-	}
-	return float64(c.Nulls) / float64(c.Rows)
 }
 
 // Table holds the statistics of one table version.
@@ -135,36 +124,36 @@ func Of(t *storage.Table) *Table { return t.Stats(build).(*Table) }
 // Of allocates no closure).
 func build(t *storage.Table) any { return FromTable(t) }
 
-// FromTable builds fresh statistics for t in a single pass over its rows.
-// The build is deterministic: same rows in the same order produce identical
-// statistics.
+// FromTable builds fresh statistics for t in one pass over each column of its
+// frame — no row is boxed, and a TEXT value's sketch input is its dictionary
+// entry's precomputed hash. The build is deterministic: same rows in the same
+// order produce identical statistics.
 func FromTable(t *storage.Table) *Table {
-	nCols := len(t.Def.Columns)
+	frame := t.Columns()
+	nRows, nCols := frame.Rows(), frame.NumCols()
 	out := &Table{
 		Name:   t.Def.Name,
-		Rows:   len(t.Rows),
+		Rows:   nRows,
 		Cols:   make([]Column, nCols),
 		byName: make(map[string]int, nCols),
 	}
-	accs := make([]colAcc, nCols)
-	for i := range accs {
-		accs[i].numeric = true
-	}
 	// Deterministic stride sample for histograms: every stride-th row.
 	stride := 1
-	if len(t.Rows) > histSampleCap {
-		stride = (len(t.Rows) + histSampleCap - 1) / histSampleCap
+	if nRows > histSampleCap {
+		stride = (nRows + histSampleCap - 1) / histSampleCap
 	}
-	for ri, row := range t.Rows {
-		sample := ri%stride == 0
-		for ci := 0; ci < nCols && ci < len(row); ci++ {
-			v := row[ci]
-			a := &accs[ci]
+	accs := make([]colAcc, nCols)
+	for ci := range accs {
+		a := &accs[ci]
+		a.numeric = true
+		col := frame.Col(ci)
+		for ri := 0; ri < nRows; ri++ {
+			v := col.Value(ri)
 			if v.IsNull() {
 				a.nulls++
 				continue
 			}
-			a.sk.add(v.HashFNV(types.FNVOffset64))
+			a.sk.add(col.HashFNV(ri, types.FNVOffset64))
 			switch v.Kind() {
 			case types.KindInt, types.KindFloat:
 				f := v.Float()
@@ -178,7 +167,7 @@ func FromTable(t *storage.Table) *Table {
 				} else if f > a.maxF {
 					a.maxF = f
 				}
-				if sample && a.numeric {
+				if ri%stride == 0 && a.numeric {
 					a.vals = append(a.vals, f)
 				}
 			default:
@@ -194,7 +183,7 @@ func FromTable(t *storage.Table) *Table {
 		c := &out.Cols[ci]
 		c.Name = def.Name
 		c.Kind = def.Type
-		c.Rows = len(t.Rows)
+		c.Rows = nRows
 		c.Nulls = a.nulls
 		nonNull := c.Rows - c.Nulls
 		ndv := a.sk.estimate()

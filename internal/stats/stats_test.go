@@ -72,7 +72,7 @@ func TestFromTableBasics(t *testing.T) {
 	if score.Nulls != 10 || score.NDV > 90 {
 		t.Fatalf("score stats wrong: %+v", score)
 	}
-	if got := score.NullFrac(); math.Abs(got-0.1) > 1e-12 {
+	if got := float64(score.Nulls) / float64(score.Rows); math.Abs(got-0.1) > 1e-12 {
 		t.Fatalf("score null frac = %g, want 0.1", got)
 	}
 }
@@ -102,8 +102,8 @@ func TestPropertySweep(t *testing.T) {
 		}
 		st := FromTable(intTable(t, "p", vals))
 		c := st.Col("v")
-		if c.NDV > c.NonNull() {
-			t.Fatalf("trial %d: NDV %d > non-null %d", trial, c.NDV, c.NonNull())
+		if c.NDV > c.Rows-c.Nulls {
+			t.Fatalf("trial %d: NDV %d > non-null %d", trial, c.NDV, c.Rows-c.Nulls)
 		}
 		if n > 0 {
 			if c.NDV != len(truth) {

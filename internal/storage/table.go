@@ -1,9 +1,11 @@
-// Package storage provides in-memory, row-major physical tables. A Table
-// pairs a catalog.TableDef with its rows and is the unit the executor scans.
-// Rows are the write format — inserts, the WAL and snapshots append them; the
-// executor reads a table through its lazily built columnar image (Columns),
-// and a scanned relation is a selection over that frame. Joins, semi-join
-// reductions and dedup hash the frame's key columns (internal/colstore's
+// Package storage provides in-memory physical tables. A Table pairs a
+// catalog.TableDef with the table's contents, and those are columns: a
+// colstore.Frame of one typed vector per column (int64/float64/bool slices,
+// dictionary-coded TEXT, null bitmaps) and nothing else. An insert coerces a
+// row and appends each value to its vector; the executor scans the frame
+// (Columns), a scanned relation being a selection over it; whoever needs
+// tuples — a snapshot file, a CSV dump — boxes them on demand (Rows). Joins,
+// semi-join reductions and dedup hash the frame's key columns (colstore's
 // position table), so a table carries no hash index.
 package storage
 
@@ -17,40 +19,40 @@ import (
 	"resultdb/internal/types"
 )
 
-// Table is an in-memory relation: a definition plus rows.
+// Table is an in-memory relation: a definition plus a frame of typed columns.
 //
 // Under the MVCC regime (internal/db), a *Table is one published version of
 // a relation: once a version is visible to readers it is never mutated again.
 // Writers derive a successor with BeginVersion, apply their batch to the
 // draft, and publish the draft as the next version — readers holding the old
-// pointer keep a stable, fully consistent row set with zero locking. The row
-// prefix is shared between versions (append-only storage), so deriving a
-// version is O(1) and appending amortizes exactly like a plain slice.
+// pointer keep a stable, fully consistent row set with zero locking. Storage
+// is append-only and a version shares every vector's prefix with its
+// successor, so deriving a version is O(columns) and appending amortizes
+// exactly like a plain slice.
 //
 // Version is the version's identity and the only one the system has: a
 // database snapshot is the vector of its tables' versions, and result-cache
-// entries and plan verdicts are fingerprinted on that vector. Everything
-// derived from the rows — the columnar image (Columns) and the column
-// statistics (Stats) — lives in the version, is built at most once under the
-// version's own lock, and is garbage-collected with it.
+// entries and plan verdicts are fingerprinted on that vector. The one thing
+// derived from the contents — the column statistics (Stats) — lives in the
+// version, is built at most once under the version's own lock, and is
+// garbage-collected with it.
 //
 // Direct mutation (Insert/InsertAll on a published table) remains supported
 // for the single-threaded bulk-load paths (workload generators, CSV import,
 // snapshot restore) that run before any concurrent traffic; it must never be
 // used on a table reachable by a concurrent reader. It turns the table into a
-// new version in place: a fresh Version, no derived state.
+// new version in place: a fresh Version, the same frame grown by the new
+// rows, no statistics.
 type Table struct {
-	Def  *catalog.TableDef
-	Rows []types.Row
+	Def *catalog.TableDef
 
 	version uint64
-
-	// mu guards the derived state: concurrent readers of one version may race
-	// to build it. builtAt is len(Rows) it was built from (see dropStaleLocked).
-	mu      sync.Mutex
-	builtAt int
 	cols    *colstore.Frame
-	stats   any
+	scratch types.Row // the writer's coerced row on its way into cols
+
+	// mu guards stats: concurrent readers of one version may race to build.
+	mu    sync.Mutex
+	stats any
 }
 
 // lastVersion is the process-wide version clock; 0 is never assigned, so it
@@ -59,22 +61,27 @@ var lastVersion atomic.Uint64
 
 // NewTable returns an empty table for def.
 func NewTable(def *catalog.TableDef) *Table {
-	return &Table{Def: def, version: lastVersion.Add(1)}
+	kinds := make([]types.Kind, len(def.Columns))
+	for i, c := range def.Columns {
+		kinds[i] = c.Type
+	}
+	return &Table{Def: def, version: lastVersion.Add(1), cols: colstore.Empty(kinds)}
 }
 
-// BeginVersion derives a mutable successor of a published version: it shares
-// t's row prefix (copy-on-write — the parent's header caps what readers can
-// see, so appends to the draft never become visible through old snapshots),
-// has its own Version, and starts with no derived state. The caller applies
-// one mutation batch to the draft and publishes it; a draft discarded on
-// error simply never becomes visible.
+// BeginVersion derives a mutable successor of a published version: its frame
+// extends t's (colstore.Frame.Extend — headers of its own over the same
+// vectors and dictionaries, so appends to the draft land past what t's
+// headers, and therefore old snapshots, can see), it has its own Version and
+// no statistics. The caller applies one mutation batch to the draft and
+// publishes it; a draft discarded on error never becomes visible, and the
+// next draft overwrites what it appended.
 //
 // Only one draft may be derived from the newest version at a time (the
-// database's writer lock enforces this): successive versions share one
-// growing backing array, and two concurrent drafts of the same parent would
-// race on its append region.
+// database's writer lock enforces this): successive versions share growing
+// backing arrays, and two concurrent drafts of the same parent would race on
+// their append region.
 func (t *Table) BeginVersion() *Table {
-	return &Table{Def: t.Def, Rows: t.Rows, version: lastVersion.Add(1)}
+	return &Table{Def: t.Def, version: lastVersion.Add(1), cols: t.cols.Extend()}
 }
 
 // Version identifies this version of the relation: process-unique, assigned
@@ -84,25 +91,22 @@ func (t *Table) Version() uint64 { return t.version }
 
 // restamp makes t a new version after a direct mutation. One call per logical
 // mutation batch.
-func (t *Table) restamp() { t.version = lastVersion.Add(1) }
-
-// dropStaleLocked drops derived state built from another row set. Rows only
-// grow, so the row count tells: a direct Insert — or a loader appending
-// through the Rows field — leaves nothing stale behind.
-func (t *Table) dropStaleLocked() {
-	if t.builtAt != len(t.Rows) {
-		t.cols, t.stats, t.builtAt = nil, nil, len(t.Rows)
-	}
+func (t *Table) restamp() {
+	t.version = lastVersion.Add(1)
+	t.stats = nil
 }
 
-// insertRow validates and appends a row without re-stamping; callers re-stamp
-// once per batch.
+// insertRow validates, coerces and appends a row without re-stamping; callers
+// re-stamp once per batch. The whole row is coerced before any of it is
+// appended, so a refused row leaves no trace; row itself is not kept.
 func (t *Table) insertRow(row types.Row) error {
 	if len(row) != len(t.Def.Columns) {
 		return fmt.Errorf("storage: table %q expects %d values, got %d",
 			t.Def.Name, len(t.Def.Columns), len(row))
 	}
-	out := make(types.Row, len(row))
+	if t.scratch == nil {
+		t.scratch = make(types.Row, len(row))
+	}
 	for i, v := range row {
 		col := t.Def.Columns[i]
 		if v.IsNull() && col.NotNull {
@@ -112,9 +116,9 @@ func (t *Table) insertRow(row types.Row) error {
 		if err != nil {
 			return fmt.Errorf("storage: column %s.%s: %w", t.Def.Name, col.Name, err)
 		}
-		out[i] = cv
+		t.scratch[i] = cv
 	}
-	t.Rows = append(t.Rows, out)
+	t.cols.AppendRow(t.scratch)
 	return nil
 }
 
@@ -144,33 +148,25 @@ func (t *Table) InsertAll(rows []types.Row) error {
 }
 
 // Len returns the number of rows.
-func (t *Table) Len() int { return len(t.Rows) }
+func (t *Table) Len() int { return t.cols.Rows() }
+
+// Columns returns the table's contents: the frame the executor scans. On a
+// published version it is immutable and this is a plain field read — no lock,
+// no allocation, the same pointer every time.
+func (t *Table) Columns() *colstore.Frame { return t.cols }
+
+// Rows boxes the whole table into tuples (colstore.View.Rows), freshly on
+// every call: for snapshot files, CSV dumps and tests, not the query path.
+func (t *Table) Rows() []types.Row { return (&colstore.View{Frame: t.cols}).Rows() }
 
 // WireSize returns the total result-set size in bytes under the paper's
 // Section 6.1 accounting.
 func (t *Table) WireSize() int {
 	n := 0
-	for _, r := range t.Rows {
+	for _, r := range t.Rows() {
 		n += r.WireSize()
 	}
 	return n
-}
-
-// Columns returns the version's columnar image (typed vectors, dictionary-
-// encoded TEXT, null bitmaps), built on first use and kept for the version's
-// life. Safe for concurrent readers.
-func (t *Table) Columns() *colstore.Frame {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.dropStaleLocked()
-	if t.cols == nil {
-		kinds := make([]types.Kind, len(t.Def.Columns))
-		for i, c := range t.Def.Columns {
-			kinds[i] = c.Type
-		}
-		t.cols = colstore.NewFrame(kinds, t.Rows)
-	}
-	return t.cols
 }
 
 // Stats returns the version's column statistics, calling build on first use
@@ -181,7 +177,6 @@ func (t *Table) Columns() *colstore.Frame {
 func (t *Table) Stats(build func(*Table) any) any {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.dropStaleLocked()
 	if t.stats == nil {
 		t.stats = build(t)
 	}

@@ -1,9 +1,14 @@
 package storage
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"resultdb/internal/catalog"
+	"resultdb/internal/colstore"
 	"resultdb/internal/types"
 )
 
@@ -36,7 +41,7 @@ func TestInsertValidation(t *testing.T) {
 	if err := tab.Insert(types.Row{types.NewInt(2), types.Null(), types.NewInt(3)}); err != nil {
 		t.Errorf("int->float coercion failed: %v", err)
 	}
-	if got := tab.Rows[1][2]; got.Kind() != types.KindFloat || got.Float() != 3 {
+	if got := tab.Rows()[1][2]; got.Kind() != types.KindFloat || got.Float() != 3 {
 		t.Errorf("coerced value = %v", got)
 	}
 	// Type error: text into int column.
@@ -62,11 +67,13 @@ func TestWireSize(t *testing.T) {
 	}
 }
 
-// TestColumnsCacheAndGeneration: a table version carries one Version and the
-// state derived from its rows. The frame and the statistics slot are built
-// once and shared while the version stands, rebuilt after a direct Insert
-// (which re-stamps the version, once per batch), and a BeginVersion draft
-// starts with its own Version and neither.
+// TestColumnsCacheAndGeneration: a table version carries one Version, its
+// frame and a statistics slot. The frame is the table — the same pointer on
+// every read while the version stands; the statistics are built once per
+// version. A BeginVersion draft has its own Version, a frame of its own that
+// extends the parent's (the parent's never changes) and no statistics; a
+// direct Insert re-stamps the version once per batch, grows the frame by the
+// new row and drops the statistics.
 func TestColumnsCacheAndGeneration(t *testing.T) {
 	tab := newTable(t)
 	rows := []types.Row{
@@ -87,13 +94,13 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 	}
 
 	builds := 0
-	stat := func(tb *Table) any { builds++; return len(tb.Rows) }
+	stat := func(tb *Table) any { builds++; return tb.Len() }
 	f := tab.Columns()
 	if f.Rows() != 3 {
 		t.Fatalf("frame rows = %d, want 3", f.Rows())
 	}
 	if tab.Columns() != f {
-		t.Fatal("Columns() rebuilt the frame without any table change")
+		t.Fatal("Columns() returned another frame without any table change")
 	}
 	if tab.Stats(stat) != 3 || tab.Stats(stat) != 3 || builds != 1 {
 		t.Fatalf("statistics built %d times for one version, want once", builds)
@@ -102,8 +109,8 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 		t.Fatal("reading derived state changed the Version")
 	}
 
-	// A draft is a new version with no derived state of its own; deriving and
-	// filling it leaves the parent's untouched.
+	// A draft is a new version whose frame extends the parent's; deriving and
+	// filling it leaves the parent's frame and statistics untouched.
 	draft := tab.BeginVersion()
 	if draft.Version() <= v1 {
 		t.Fatalf("draft Version %d not after parent's %d", draft.Version(), v1)
@@ -117,11 +124,14 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 	if draft.Stats(stat) != 4 || builds != 2 {
 		t.Fatalf("draft statistics not built for the draft (builds = %d)", builds)
 	}
-	if tab.Columns() != f || tab.Stats(stat) != 3 || tab.Len() != 3 || tab.Version() != v1 {
+	if tab.Columns() != f || f.Rows() != 3 || tab.Stats(stat) != 3 || tab.Len() != 3 || tab.Version() != v1 {
 		t.Fatal("a draft disturbed its parent version")
 	}
+	if got := f.Col(1).(*colstore.TextColumn); len(got.Dict) != 2 {
+		t.Fatalf("the parent's dictionary shows %d entries after the draft added one, want 2", len(got.Dict))
+	}
 
-	// A single insert makes a new version; the next Columns() sees the new row.
+	// A single insert makes a new version; Columns() shows the new row.
 	if err := tab.Insert(types.Row{types.NewInt(4), types.NewText("a"), types.Null()}); err != nil {
 		t.Fatal(err)
 	}
@@ -129,21 +139,218 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 		t.Fatal("Insert did not re-stamp the Version")
 	}
 	f2 := tab.Columns()
-	if f2 == f {
-		t.Fatal("Columns() returned a stale frame after Insert")
-	}
 	if f2.Rows() != 4 {
-		t.Fatalf("frame rows after insert = %d, want 4", f2.Rows())
+		t.Fatalf("Columns() is stale after Insert: %d rows, want 4", f2.Rows())
 	}
 	if tab.Stats(stat) != 4 || builds != 3 {
 		t.Fatalf("statistics not rebuilt after Insert (builds = %d)", builds)
 	}
-	// Frame values reconstruct the stored rows exactly.
-	for j, row := range tab.Rows {
+	// Frame values reconstruct the inserted rows exactly (the draft's row 9
+	// was never published and the direct insert overwrote it).
+	want := append(append([]types.Row{}, rows...), types.Row{types.NewInt(4), types.NewText("a"), types.Null()})
+	for j, row := range want {
 		for c := range row {
-			if !types.Equal(f2.Col(c).Value(j), row[c]) {
-				t.Fatalf("frame[%d][%d] = %v, want %v", c, j, f2.Col(c).Value(j), row[c])
+			if got := f2.Col(c).Value(j); got != row[c] {
+				t.Fatalf("frame[%d][%d] = %v, want %v", c, j, got, row[c])
 			}
 		}
+	}
+	if !slices.EqualFunc(tab.Rows(), want, types.Row.Equal) {
+		t.Fatalf("Rows() = %v, want %v", tab.Rows(), want)
+	}
+}
+
+// chainDef is the schema of the version-chain tests: every kind, two TEXT
+// columns (one low-cardinality, one mostly fresh strings), all but id nullable.
+func chainDef() *catalog.TableDef {
+	return catalog.MustTableDef("chain", []catalog.Column{
+		{Name: "id", Type: types.KindInt, NotNull: true},
+		{Name: "n", Type: types.KindInt},
+		{Name: "x", Type: types.KindFloat},
+		{Name: "b", Type: types.KindBool},
+		{Name: "s", Type: types.KindText},
+		{Name: "u", Type: types.KindText},
+	})
+}
+
+// chainRow draws one insertable row for chainDef — values in the kinds an
+// INSERT may offer (an integer for the DOUBLE column, a number for a TEXT one)
+// — and the row the table must hold for it, coerced here, by the types
+// package alone, so the expectation owes nothing to storage or colstore.
+func chainRow(rng *rand.Rand, def *catalog.TableDef, id int) (in, want types.Row) {
+	maybe := func(v types.Value) types.Value {
+		if rng.Intn(4) == 0 {
+			return types.Null()
+		}
+		return v
+	}
+	in = types.Row{
+		types.NewInt(int64(id)),
+		maybe(types.NewFloat(float64(rng.Intn(50)))),
+		maybe(types.NewInt(int64(rng.Intn(1000)))),
+		maybe(types.NewBool(rng.Intn(2) == 0)),
+		maybe(types.NewText(fmt.Sprintf("k%d", rng.Intn(7)))),
+		maybe(types.NewText(fmt.Sprintf("u%d", rng.Intn(1<<20)))),
+	}
+	if rng.Intn(3) == 0 {
+		in[4] = types.NewInt(int64(rng.Intn(7))) // a number into TEXT
+	}
+	want = make(types.Row, len(in))
+	for c, v := range in {
+		cv, err := types.Coerce(v, def.Columns[c].Type)
+		if err != nil {
+			panic(err)
+		}
+		want[c] = cv
+	}
+	return in, want
+}
+
+// checkVersion compares version tab with the first tab.Len() rows of want,
+// cell by cell through the frame (value, kind and NULL flag) and once more
+// through the boxing kernel.
+func checkVersion(tab *Table, want []types.Row) error {
+	f := tab.Columns()
+	if f.Rows() != tab.Len() || tab.Len() > len(want) {
+		return fmt.Errorf("version %d: frame has %d rows, table %d, input %d", tab.Version(), f.Rows(), tab.Len(), len(want))
+	}
+	boxed := tab.Rows()
+	for i := 0; i < tab.Len(); i++ {
+		for c, w := range want[i] {
+			col := f.Col(c)
+			if got := col.Value(i); got != w || col.Null(i) != w.IsNull() || boxed[i][c] != w {
+				return fmt.Errorf("version %d row %d col %d: frame %v (null %v), boxed %v, want %v",
+					tab.Version(), i, c, got, col.Null(i), boxed[i][c], w)
+			}
+		}
+	}
+	return nil
+}
+
+// TestVersionChainSharesPrefixes is the copy-on-write contract of a table that
+// is nothing but vectors. Random rows go in through a chain of BeginVersion
+// drafts, a few at a time so that versions end in the middle of a bitmap word
+// and the next one sets bits in it; some drafts are thrown away after they
+// appended rows, fresh strings and NULLs. Every published version must box to
+// exactly its prefix of the input — when it is published and again after every
+// later version has appended — while reader goroutines scan the older versions
+// the whole time (run under -race: a draft writing a word or an array slot a
+// reader of its parent can see is a data race).
+func TestVersionChainSharesPrefixes(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	def := chainDef()
+	var want []types.Row
+
+	var mu sync.Mutex
+	published := []*Table{NewTable(def)}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	failed := make(chan error, 4)
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rr := rand.New(rand.NewSource(seed))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				mu.Lock()
+				tab := published[rr.Intn(len(published))]
+				exp := want[:tab.Len():tab.Len()]
+				mu.Unlock()
+				if err := checkVersion(tab, exp); err != nil {
+					select {
+					case failed <- err:
+					default:
+					}
+					return
+				}
+			}
+		}(int64(r))
+	}
+
+	cur := published[0]
+	for v := 0; v < 150; v++ {
+		draft := cur.BeginVersion()
+		discard := rng.Intn(4) == 0
+		var added []types.Row
+		for k := 1 + rng.Intn(6); k > 0; k-- {
+			in, w := chainRow(rng, def, len(want)+len(added))
+			if err := draft.Insert(in); err != nil {
+				t.Fatal(err)
+			}
+			added = append(added, w)
+		}
+		// A refused row (NULL id, after its earlier columns coerced) leaves
+		// nothing behind, in a draft that is kept or not.
+		bad, _ := chainRow(rng, def, 0)
+		bad[0] = types.Null()
+		if err := draft.Insert(bad); err == nil {
+			t.Fatal("NULL id accepted")
+		}
+		if discard {
+			continue
+		}
+		mu.Lock()
+		want = append(want, added...)
+		published = append(published, draft)
+		mu.Unlock()
+		cur = draft
+		if err := checkVersion(draft, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-failed:
+		t.Fatal(err)
+	default:
+	}
+	// Every version, oldest first, after all the later ones appended.
+	for _, tab := range published {
+		if err := checkVersion(tab, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The dictionary is in first-occurrence order — what a frame built from
+	// row 0 has — with no trace of the discarded drafts' strings.
+	for _, c := range []int{4, 5} {
+		var dict []string
+		seen := map[string]bool{}
+		for _, row := range want {
+			if v := row[c]; !v.IsNull() && !seen[v.Text()] {
+				seen[v.Text()] = true
+				dict = append(dict, v.Text())
+			}
+		}
+		if got := cur.Columns().Col(c).(*colstore.TextColumn).Dict; !slices.Equal(got, dict) {
+			t.Fatalf("column %d dictionary has %d entries, first-occurrence order has %d (or they differ in order)", c, len(got), len(dict))
+		}
+	}
+}
+
+// TestColumnsIsAFieldRead: Columns() on a published version allocates nothing
+// and hands out the same frame every time.
+func TestColumnsIsAFieldRead(t *testing.T) {
+	tab := NewTable(chainDef())
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 100; i++ {
+		in, _ := chainRow(rng, tab.Def, i)
+		if err := tab.Insert(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pub := tab.BeginVersion()
+	f := pub.Columns()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if pub.Columns() != f {
+			t.Fatal("Columns() handed out another frame")
+		}
+	}); allocs != 0 {
+		t.Fatalf("Columns() allocates %.0f times per call, want 0", allocs)
 	}
 }

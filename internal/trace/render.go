@@ -96,6 +96,9 @@ func (tr *Trace) TreeLines() []string {
 	if tr.HasSnapshot {
 		headAnn = append(headAnn, fmt.Sprintf("snapshot: seq %d, lsn %d", tr.SnapshotSeq, tr.SnapshotLSN))
 	}
+	if tr.StatsBuilds > 0 {
+		headAnn = append(headAnn, fmt.Sprintf("stats: %d built in %d µs", tr.StatsBuilds, tr.StatsTimeNS/1e3))
+	}
 	if len(headAnn) > 0 {
 		head += "  [" + strings.Join(headAnn, ", ") + "]"
 	}

@@ -122,6 +122,8 @@ type Tracer struct {
 	rowsDropped atomic.Int64
 	rowsOut     atomic.Int64
 	bytesOut    atomic.Int64
+	statsBuilds atomic.Int64
+	statsTimeNS atomic.Int64
 }
 
 // New returns an enabled tracer for one query execution.
@@ -238,6 +240,19 @@ func (t *Tracer) SetSnapshot(seq, lsn uint64) {
 	t.mu.Unlock()
 }
 
+// AddStatsBuild records that the traced statement itself built a table
+// version's column statistics (it was the first to ask for them), in a build
+// that began at start and ends now. Run-varying — the next statement finds
+// them built — so it is rendered only inside the strippable bracket section of
+// EXPLAIN ANALYZE and excluded from CountsFingerprint.
+func (t *Tracer) AddStatsBuild(start time.Time) {
+	if t == nil {
+		return
+	}
+	t.statsBuilds.Add(1)
+	t.statsTimeNS.Add(time.Since(start).Nanoseconds())
+}
+
 // SetStats records the core algorithm's one-line stats summary.
 func (t *Tracer) SetStats(s string) {
 	if t == nil {
@@ -304,10 +319,14 @@ type Trace struct {
 	// HasSnapshot/SnapshotSeq/SnapshotLSN identify the MVCC snapshot the
 	// statement executed against (publish sequence and durable LSN).
 	// Run-varying: excluded from CountsFingerprint and rendered only inside
-	// the strippable bracket section of EXPLAIN ANALYZE.
+	// the strippable bracket section of EXPLAIN ANALYZE. So are StatsBuilds
+	// and StatsTimeNS: the column-statistics builds this statement paid for
+	// (it was the first to need them) and their total time.
 	HasSnapshot bool     `json:"has_snapshot,omitempty"`
 	SnapshotSeq uint64   `json:"snapshot_seq,omitempty"`
 	SnapshotLSN uint64   `json:"snapshot_lsn,omitempty"`
+	StatsBuilds int64    `json:"stats_builds,omitempty"`
+	StatsTimeNS int64    `json:"stats_time_ns,omitempty"`
 	WallNS      int64    `json:"wall_ns"`
 	Counters    Counters `json:"counters"`
 	Spans       []Span   `json:"spans"`
@@ -332,6 +351,8 @@ func (t *Tracer) Finish() *Trace {
 		HasSnapshot: t.hasSnap,
 		SnapshotSeq: t.snapSeq,
 		SnapshotLSN: t.snapLSN,
+		StatsBuilds: t.statsBuilds.Load(),
+		StatsTimeNS: t.statsTimeNS.Load(),
 		WallNS:      time.Since(t.start).Nanoseconds(),
 		Counters: Counters{
 			RowsScanned: t.rowsScanned.Load(),

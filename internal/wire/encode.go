@@ -183,13 +183,6 @@ func EncodeResultV2(r *db.Result) []byte {
 	return EncodeResultOptions(r, EncodeOptions{Version: FormatV2})
 }
 
-// EncodeResultTraced is EncodeResult recording one "encode" span per result
-// set (rows in, exact wire bytes contributed by the set) plus the trace's
-// bytes-out counter; tr may be nil (disabled, zero extra cost).
-func EncodeResultTraced(r *db.Result, tr *trace.Tracer) []byte {
-	return EncodeResultOptions(r, EncodeOptions{Tracer: tr})
-}
-
 // EncodeResultOptions serializes a result in the requested format version.
 // Panics on an unknown version (programmer error, like encodeSet's arity
 // check). The streamed server produces exactly these bytes chunk by chunk

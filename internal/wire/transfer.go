@@ -32,17 +32,3 @@ func (m TransferModel) Duration(n int) time.Duration {
 func (m TransferModel) ResultDuration(r *db.Result) time.Duration {
 	return m.Duration(r.WireSize())
 }
-
-// EncodedDuration returns the transfer time of the actual encoded payload,
-// for experiments that ship real bytes. It uses the original v1 encoding;
-// use EncodedDurationVersion to model the negotiated wire version.
-func (m TransferModel) EncodedDuration(r *db.Result) time.Duration {
-	return m.Duration(len(EncodeResult(r)))
-}
-
-// EncodedDurationVersion returns the transfer time of the payload encoded at
-// the given wire format version (FormatV1 or FormatV2), so benchmark reports
-// can model what a client on either protocol would actually wait for.
-func (m TransferModel) EncodedDurationVersion(r *db.Result, version int) time.Duration {
-	return m.Duration(len(EncodeResultOptions(r, EncodeOptions{Version: version})))
-}

@@ -92,8 +92,9 @@ func TestDeterministicGeneration(t *testing.T) {
 	}
 	t1, _ := d1.Table("products")
 	t2, _ := d2.Table("products")
-	for i := range t1.Rows {
-		if !t1.Rows[i].Equal(t2.Rows[i]) {
+	r2 := t2.Rows()
+	for i, row := range t1.Rows() {
+		if !row.Equal(r2[i]) {
 			t.Fatalf("row %d differs across identical seeds", i)
 		}
 	}

@@ -74,8 +74,9 @@ func TestDeterministicGeneration(t *testing.T) {
 		if t1.Len() != t2.Len() {
 			t.Fatalf("%s lengths differ", name)
 		}
-		for i := range t1.Rows {
-			if !t1.Rows[i].Equal(t2.Rows[i]) {
+		r2 := t2.Rows()
+		for i, row := range t1.Rows() {
+			if !row.Equal(r2[i]) {
 				t.Fatalf("%s row %d differs across identical seeds", name, i)
 			}
 		}

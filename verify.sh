@@ -14,7 +14,9 @@
 # blocks filled by colstore.View.Rows only, one pooled flate reader, no unsafe
 # in internal/types; internal/reference imported from tests only; one version
 # identity — no generation counter, name counter or statistics cache outside
-# internal/storage, and internal/cache has only its *At surface); then the
+# internal/storage, and internal/cache has only its *At surface; one base-table
+# representation — no row-slice field and no frame build in internal/storage,
+# nothing assigning or appending to a table's rows); then the
 # differential gates under -race — cache
 # (cold/warm/invalidate vs uncached oracle; on the socket, filling response == response from kept payloads == cache-off
 # response over every transport; the payload-memo guards; and
@@ -76,16 +78,16 @@ for procs in 1 2 4; do
 	GOMAXPROCS=$procs go test -count=1 ./internal/db ./internal/core ./internal/engine
 done
 
-echo "== go test -race (parallel, colstore, engine, core, bloom, stats, trace, db, cache, wire, faultnet, client, wal, snapshot, durable)"
-go test -race -timeout 300s ./internal/parallel ./internal/colstore ./internal/engine \
+echo "== go test -race (parallel, colstore, storage, engine, core, bloom, stats, trace, db, cache, wire, faultnet, client, wal, snapshot, durable)"
+go test -race -timeout 300s ./internal/parallel ./internal/colstore ./internal/storage ./internal/engine \
 	./internal/core ./internal/bloom ./internal/stats ./internal/trace ./internal/db \
 	./internal/cache ./internal/wire ./internal/faultnet ./internal/client \
 	./internal/wal ./internal/snapshot ./internal/durable
 
-echo "== MVCC concurrency gate (N readers x M writers vs per-prefix wire-byte oracles, session contract, version retention under pins, snapshot-keyed cache races, checkpoints under load, under -race)"
+echo "== MVCC concurrency gate (N readers x M writers vs per-prefix wire-byte oracles, session contract, version retention under pins, version chains sharing column prefixes under concurrent scans, failed inserts leaving no trace, commits costing their own rows, snapshot-keyed cache races, checkpoints under load, under -race)"
 gate -race -timeout 300s -count=1 \
-	-run 'TestMVCC|TestSession|TestSnapshotSeesCommittedState|TestDoAt|TestCheckpointDuringWrites' \
-	./internal/db ./internal/cache ./internal/durable
+	-run 'TestMVCC|TestSession|TestSnapshotSeesCommittedState|TestDoAt|TestCheckpointDuringWrites|TestVersionChain|TestColumnsIsAFieldRead' \
+	./internal/db ./internal/cache ./internal/durable ./internal/storage
 
 echo "== lint: writer lock confined to internal/db/db.go"
 # The MVCC invariant: readers are lock-free, and every d.mu acquisition lives
@@ -190,6 +192,25 @@ cache_surface=$(grep -nE '\.Bump\(|func \(c \*Cache\[V\]\) (Do|Put|Get|Peek)\(' 
 if [ -n "$cache_surface" ]; then
 	echo "FAIL: internal/cache has a name counter or a lookup that takes no version vector:"
 	echo "$cache_surface"
+	exit 1
+fi
+
+echo "== lint: one base-table representation (a table is a frame)"
+# storage.Table holds typed vectors and nothing else: inserts append to them,
+# versions share their prefixes, and rows are boxed on demand by Table.Rows().
+# A row-slice field or a colstore.NewFrame( in internal/storage is the second
+# copy of every table (and the rebuild behind every commit) growing back; so
+# is anything that assigns or appends to a table's rows instead of inserting.
+row_store=$(grep -nE '^[[:space:]]+[A-Za-z_]+[[:space:]]+\[\]types\.Row([[:space:]]|$)|colstore\.NewFrame\(' internal/storage/*.go | grep -v '_test\.go:' || true)
+if [ -n "$row_store" ]; then
+	echo "FAIL: a row-slice field or a frame build in internal/storage:"
+	echo "$row_store"
+	exit 1
+fi
+row_writes=$(grep -rnE '\b(t|tab|tbl|table|view)\.Rows = |append\((t|tab|tbl|table|view)\.Rows' --include='*.go' cmd examples internal ./*.go | grep -v '_test\.go:' || true)
+if [ -n "$row_writes" ]; then
+	echo "FAIL: a table's rows are written directly (use Insert/InsertAll):"
+	echo "$row_writes"
 	exit 1
 fi
 
