@@ -2,8 +2,8 @@
 // per-table typed column vectors with null bitmaps and a dictionary-encoded
 // TEXT representation, plus the selection-vector kernels (typed predicate
 // evaluation, allocation-free FNV key hashing, and the one open-addressing
-// position table behind key sets, join hash tables and dedup) the engine's
-// operators run on.
+// position table behind key sets, join hash tables, dedup and grouping) the
+// engine's operators run on.
 //
 // Design rules:
 //
@@ -18,8 +18,9 @@
 //   - Late materialization. A relation is a View — an immutable frame plus
 //     an ascending selection vector — and operators pass positions: filters
 //     and semi-joins narrow the selection, joins gather a new frame from
-//     position pairs (dictionaries shared). Tuples are boxed into types.Row
-//     by View.Rows only, for the consumers that need them.
+//     position pairs (dictionaries shared; a negative position gathers
+//     NULL). Tuples are boxed into types.Row by View.Rows only, for the
+//     consumers outside the engine that need them.
 //   - Zero dependencies beyond internal/types and internal/parallel. Columns
 //     are plain slices; the dictionary is a first-occurrence-ordered string
 //     table with per-entry precomputed hashes.
@@ -410,9 +411,6 @@ func (c *AnyColumn) HashFNV(i int, h uint64) uint64 { return c.Vals[i].HashFNV(h
 type Frame struct {
 	cols []Column
 	n    int
-	// src is the row slice the frame was built from (NewFrame), nil for any
-	// other frame; View.Rows hands these rows back instead of boxing.
-	src []types.Row
 }
 
 // Rows returns the row count.
@@ -473,10 +471,9 @@ func (f *Frame) AppendRow(vals []types.Value) {
 // NewFrame builds the columnar image of rows under the declared column
 // kinds. Columns whose values all match their declared kind (or are NULL)
 // get a typed vector; mismatching columns fall back to AnyColumn so value
-// reconstruction stays exact. The frame keeps rows (which must not change
-// afterwards) so View.Rows can return them.
+// reconstruction stays exact. The frame keeps nothing of rows.
 func NewFrame(kinds []types.Kind, rows []types.Row) *Frame {
-	f := &Frame{cols: make([]Column, len(kinds)), n: len(rows), src: rows[:len(rows):len(rows)]}
+	f := &Frame{cols: make([]Column, len(kinds)), n: len(rows)}
 	for j, kind := range kinds {
 		f.cols[j] = buildColumn(kind, rows, j)
 	}
@@ -498,20 +495,26 @@ func buildColumn(kind types.Kind, rows []types.Row, j int) Column {
 // GatherView materializes a new Frame from a subset of v's columns and
 // logical positions: column j of the result is v's frame column cols[j]
 // restricted to the rows order[i] (logical view positions, in output order,
-// repeats allowed). Dictionaries and their precomputed hashes are shared with
-// the source — gathering a TEXT column copies uint32 codes, never strings —
-// which is what lets a join output semi-join a base relation by dictionary
-// code and the columnar wire encoder reuse scan-time dictionaries with zero
-// string re-encoding. Column gathers run at degree par; the result is
-// identical at any degree.
+// repeats allowed). A negative position gathers NULL in every column — the
+// unmatched side of an outer join. Dictionaries and their precomputed hashes
+// are shared with the source — gathering a TEXT column copies uint32 codes,
+// never strings — which is what lets a join output semi-join a base relation
+// by dictionary code and the columnar wire encoder reuse scan-time
+// dictionaries with zero string re-encoding. Column gathers run at degree par;
+// the result is identical at any degree.
 func GatherView(v *View, cols []int, order []int32, par int) *Frame {
 	f := &Frame{cols: make([]Column, len(cols)), n: len(order)}
 	idx := make([]int, len(order))
+	pad := false
 	for i, j := range order {
+		if j < 0 {
+			idx[i], pad = -1, true
+			continue
+		}
 		idx[i] = v.Index(int(j))
 	}
 	parallel.Each(len(cols), par, func(j int) {
-		f.cols[j] = gatherColumn(v.Frame.cols[cols[j]], idx)
+		f.cols[j] = gatherColumn(v.Frame.cols[cols[j]], idx, pad)
 	})
 	return f
 }
@@ -533,53 +536,53 @@ func Zip(a, b *Frame) *Frame {
 }
 
 // gatherNulls rebuilds the null bitmap of a gathered column (nil when the
-// gathered rows contain no NULL).
-func gatherNulls(src *Bitmap, idx []int) *Bitmap {
-	if src == nil {
+// gathered rows contain no NULL); pad says idx has negative entries, each a
+// NULL of its own.
+func gatherNulls(src *Bitmap, idx []int, pad bool) *Bitmap {
+	if src == nil && !pad {
 		return nil
 	}
 	var out *Bitmap
 	for i, j := range idx {
-		if src.Get(j) {
+		if j < 0 || src.Get(j) {
 			out = out.with(i)
 		}
 	}
 	return out
 }
 
+// gather copies vals at the indices idx; when pad says some are negative,
+// those leave the zero cell (which a set null bit, or the zero Value, makes
+// NULL).
+func gather[T any](vals []T, idx []int, pad bool) []T {
+	out := make([]T, len(idx))
+	if !pad {
+		for i, j := range idx {
+			out[i] = vals[j]
+		}
+		return out
+	}
+	for i, j := range idx {
+		if j >= 0 {
+			out[i] = vals[j]
+		}
+	}
+	return out
+}
+
 // gatherColumn restricts one column to the frame row indices in idx.
-func gatherColumn(c Column, idx []int) Column {
+func gatherColumn(c Column, idx []int, pad bool) Column {
 	switch c := c.(type) {
 	case *Int64Column:
-		vals := make([]int64, len(idx))
-		for i, j := range idx {
-			vals[i] = c.Vals[j]
-		}
-		return &Int64Column{Vals: vals, Nulls: gatherNulls(c.Nulls, idx)}
+		return &Int64Column{Vals: gather(c.Vals, idx, pad), Nulls: gatherNulls(c.Nulls, idx, pad)}
 	case *Float64Column:
-		vals := make([]float64, len(idx))
-		for i, j := range idx {
-			vals[i] = c.Vals[j]
-		}
-		return &Float64Column{Vals: vals, Nulls: gatherNulls(c.Nulls, idx)}
+		return &Float64Column{Vals: gather(c.Vals, idx, pad), Nulls: gatherNulls(c.Nulls, idx, pad)}
 	case *BoolColumn:
-		vals := make([]bool, len(idx))
-		for i, j := range idx {
-			vals[i] = c.Vals[j]
-		}
-		return &BoolColumn{Vals: vals, Nulls: gatherNulls(c.Nulls, idx)}
+		return &BoolColumn{Vals: gather(c.Vals, idx, pad), Nulls: gatherNulls(c.Nulls, idx, pad)}
 	case *TextColumn:
-		codes := make([]uint32, len(idx))
-		for i, j := range idx {
-			codes[i] = c.Codes[j]
-		}
-		return &TextColumn{Codes: codes, Dict: c.Dict, DictHash: c.DictHash, Nulls: gatherNulls(c.Nulls, idx)}
+		return &TextColumn{Codes: gather(c.Codes, idx, pad), Dict: c.Dict, DictHash: c.DictHash, Nulls: gatherNulls(c.Nulls, idx, pad)}
 	default:
-		vals := make([]types.Value, len(idx))
-		for i, j := range idx {
-			vals[i] = c.Value(j)
-		}
-		return &AnyColumn{Vals: vals}
+		return &AnyColumn{Vals: gather(c.(*AnyColumn).Vals, idx, pad)}
 	}
 }
 
@@ -627,23 +630,11 @@ func (v *View) Narrow(keep []int32) *View {
 // source is read sequentially and the row-major block is written once.
 const boxTile = 128
 
-// Rows boxes the selected rows into tuples, in order: the rows the frame was
-// built from when it has them (pointer copies; the result may alias the
-// builder's slice and must not be modified), otherwise fresh rows over one
+// Rows boxes the selected rows into tuples, in order: fresh rows over one
 // value block. This is the system's one boxing loop — a table's rows, the
 // engine's output, the post-join's and a decoded payload's all come from here.
 func (v *View) Rows() []types.Row {
 	f := v.Frame
-	if f.src != nil {
-		if v.Sel == nil {
-			return f.src
-		}
-		out := make([]types.Row, len(v.Sel))
-		for i, j := range v.Sel {
-			out[i] = f.src[j]
-		}
-		return out
-	}
 	n := v.Len()
 	out := types.MakeRows(n, len(f.cols))
 	for lo := 0; lo < n; lo += boxTile {

@@ -1,6 +1,8 @@
 package colstore
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"resultdb/internal/types"
@@ -80,5 +82,69 @@ func TestGatherView(t *testing.T) {
 	}
 	if fc.Null(0) || !fc.Null(1) {
 		t.Errorf("rebuilt bitmap wrong: Null(0)=%v Null(1)=%v, want false/true", fc.Null(0), fc.Null(1))
+	}
+}
+
+// TestGatherViewNullExtends: a gather whose positions include -1 — the
+// unmatched side of an outer join — equals the row-wise NULL-padded
+// expectation for every column kind (an exact-value column among them), with
+// and without a selection, with and without NULLs already in the data, at par
+// 1 and 4; the null bitmap is there exactly when the result has a NULL, and
+// TEXT columns still share the source dictionary.
+func TestGatherViewNullExtends(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindBool, types.KindText, types.KindInt}
+	cols := []int{0, 1, 2, 3, 4}
+	for _, nullP := range []float64{0, 0.3} {
+		rows := randomTypedRows(rng, kinds, 400, nullP, 7)
+		rows[3][4] = types.NewText("stray") // column 4 degrades to AnyColumn
+		frame := NewFrame(kinds, rows)
+		var odd []int32
+		for i := 1; i < len(rows); i += 2 {
+			odd = append(odd, int32(i))
+		}
+		for what, view := range map[string]*View{"dense": {Frame: frame}, "selected": {Frame: frame, Sel: odd}} {
+			for _, padP := range []float64{0, 0.4, 1} {
+				order := make([]int32, 300)
+				pads := 0
+				for i := range order {
+					if order[i] = int32(rng.Intn(view.Len())); rng.Float64() < padP {
+						order[i], pads = -1, pads+1
+					}
+				}
+				for _, par := range []int{1, 4} {
+					got := GatherView(view, cols, order, par)
+					name := fmt.Sprintf("nullP=%v %s padP=%v par=%d", nullP, what, padP, par)
+					for c := range cols {
+						nulls := 0
+						for i, j := range order {
+							want := types.Null()
+							if j >= 0 {
+								want = rows[view.Index(int(j))][c]
+							}
+							if have := got.Col(c).Value(i); have != want || got.Col(c).Null(i) != want.IsNull() {
+								t.Fatalf("%s: cell (%d,%d) = %v, want %v", name, i, c, have, want)
+							}
+							if want.IsNull() {
+								nulls++
+							}
+						}
+						switch col := got.Col(c).(type) {
+						case *Int64Column:
+							if (col.Nulls != nil) != (nulls > 0) || col.Nulls.Count() != nulls {
+								t.Fatalf("%s: column %d has a bitmap of %d for %d NULLs", name, c, col.Nulls.Count(), nulls)
+							}
+						case *TextColumn:
+							if src := frame.Col(c).(*TextColumn); &col.Dict[0] != &src.Dict[0] || col.Nulls.Count() != nulls {
+								t.Fatalf("%s: TEXT column %d copied its dictionary or miscounts NULLs", name, c)
+							}
+						}
+					}
+					if pads == len(order) && got.Rows() != len(order) {
+						t.Fatalf("%s: an all-padded gather has %d rows", name, got.Rows())
+					}
+				}
+			}
+		}
 	}
 }

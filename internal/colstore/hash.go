@@ -387,13 +387,15 @@ func (pr *Prober) Each(j int, yield func(pos int32)) {
 	}
 }
 
-// DistinctPositions returns, ascending, the position of the first occurrence
-// of every distinct key (grouping semantics: NULLs compare equal). Keys are
-// hashed once, in parallel chunks; equal keys share a hash, hence a
-// partition, so each worker deduplicates one partition in input order into a
-// table of its own and marks the survivors — exactly the positions a serial
-// first-occurrence-wins loop keeps, at any degree.
-func DistinctPositions(key Key, par int) []int32 {
+// GroupPositions returns, ascending, the position of the first occurrence of
+// every distinct key (grouping semantics: NULLs compare equal) and, when gid
+// is not nil (it must have key.Len() entries), sets gid[j] to the index in
+// that result of row j's key: groups numbered in first-occurrence order. Keys
+// are hashed once, in parallel chunks; equal keys share a hash, hence a
+// partition, so each worker resolves one partition in input order against a
+// table of its own and marks the first occurrences — exactly the positions a
+// serial first-occurrence-wins loop keeps, at any degree.
+func GroupPositions(key Key, par int, gid []int32) []int32 {
 	n := key.Len()
 	P := max(parallel.Chunks(n, par), 1)
 	hs, _ := hashAll(key, par)
@@ -412,10 +414,14 @@ func DistinctPositions(key Key, par int) []int32 {
 			if h%uint64(P) != uint64(p) {
 				continue
 			}
-			if sl := tab.lookup(h, &m, j); sl.ref == 0 {
+			sl := tab.lookup(h, &m, j)
+			if sl.ref == 0 {
 				sl.tag, sl.ref = uint32(h), int32(j)+1
 				first[j] = true
 				kept[p]++
+			}
+			if gid != nil {
+				gid[j] = sl.ref - 1 // the first position with this key, numbered below
 			}
 		}
 	})
@@ -429,5 +435,19 @@ func DistinctPositions(key Key, par int) []int32 {
 			order = append(order, int32(j))
 		}
 	}
+	if gid != nil {
+		groups := int32(0)
+		for j, f := range first {
+			if f {
+				gid[j] = groups
+				groups++
+			} else {
+				gid[j] = gid[gid[j]] // an earlier row's: already a group number
+			}
+		}
+	}
 	return order
 }
+
+// DistinctPositions is GroupPositions without the group numbers.
+func DistinctPositions(key Key, par int) []int32 { return GroupPositions(key, par, nil) }

@@ -347,7 +347,9 @@ func TestPosTableCollisions(t *testing.T) {
 }
 
 // TestDistinctPositionsKeepsFirst: grouping semantics (NULL equals NULL,
-// 1 equals 1.0), first occurrence wins, ascending output, at par 1 and 4.
+// 1 equals 1.0), first occurrence wins, ascending output, at par 1 and 4 —
+// and the group numbers the same pass hands out: row j's is the rank of the
+// first position with j's key.
 func TestDistinctPositionsKeepsFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	kinds := []types.Kind{types.KindInt, types.KindText, types.KindFloat}
@@ -363,15 +365,16 @@ func TestDistinctPositionsKeepsFirst(t *testing.T) {
 	}
 	for _, cols := range [][]int{{0}, {1}, {2, 0}, {0, 1, 2}} {
 		var want []int32
+		wantGid := make([]int32, len(rows))
 		for j, r := range rows {
-			first := true
-			for _, p := range want {
+			wantGid[j] = int32(len(want))
+			for g, p := range want {
 				if keysEq(rows[p], cols, r, cols) {
-					first = false
+					wantGid[j] = int32(g)
 					break
 				}
 			}
-			if first {
+			if int(wantGid[j]) == len(want) {
 				want = append(want, int32(j))
 			}
 		}
@@ -381,6 +384,11 @@ func TestDistinctPositionsKeepsFirst(t *testing.T) {
 				if got := DistinctPositions(k, par); !sameSel(got, want) {
 					t.Fatalf("%s cols %v par=%d: %d positions %v..., want %d %v...", f.name, cols, par,
 						len(got), got[:min(len(got), 8)], len(want), want[:min(len(want), 8)])
+				}
+				gid := make([]int32, k.Len())
+				if got := GroupPositions(k, par, gid); !sameSel(got, want) || !sameSel(gid, wantGid) {
+					t.Fatalf("%s cols %v par=%d: GroupPositions numbers the groups %v..., want %v...", f.name, cols, par,
+						gid[:min(len(gid), 12)], wantGid[:min(len(wantGid), 12)])
 				}
 			}
 		}

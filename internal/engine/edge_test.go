@@ -87,6 +87,12 @@ func TestExprTypeErrors(t *testing.T) {
 		"SELECT t.id FROM t AS t WHERE t.id LIKE 'x'", // LIKE on int
 		"SELECT -t.s FROM t AS t",                     // unary minus on text
 		"SELECT t.id + t.s FROM t AS t",               // arithmetic on text
+		// AND/OR over non-boolean operands: a typed error, not a panic. (A
+		// top-level AND in WHERE is split into conjuncts, each merely not TRUE.)
+		"SELECT t.id FROM t AS t WHERE NOT (t.id AND t.id)",
+		"SELECT t.id FROM t AS t WHERE t.id OR t.id",
+		"SELECT t.id FROM t AS t GROUP BY t.id HAVING t.id AND t.id",
+		"SELECT t.id FROM t AS t GROUP BY t.id HAVING t.id OR t.id",
 	}
 	for _, sql := range bad {
 		sel, err := sqlparse.ParseSelect(sql)
@@ -97,6 +103,10 @@ func TestExprTypeErrors(t *testing.T) {
 		if _, err := ex.Select(sel); err == nil {
 			t.Errorf("%s should fail at evaluation", sql)
 		}
+	}
+	sel, _ := sqlparse.ParseSelect("SELECT t.id FROM t AS t WHERE t.id OR t.id")
+	if _, err := (&Executor{Src: src}).Select(sel); err == nil || !strings.Contains(err.Error(), "engine: OR on non-boolean INTEGER") {
+		t.Errorf("OR over integers: error %v, want the typed one NOT gives", err)
 	}
 }
 
@@ -164,7 +174,7 @@ func TestInSubqueryProbeAllocatesNothing(t *testing.T) {
 	floatCol := catalog.Column{Name: "v", Type: types.KindFloat}
 	src := memSource{"s": mkTable(t, "s", []catalog.Column{floatCol}, nil, ir(3.0), ir(4.5), ir(nil))}
 	ex := &Executor{Src: src, Parallelism: 1}
-	b := &binder{cols: []ColRef{{Rel: "t", Name: "id", Kind: types.KindInt}}, sub: ex.subRunner()}
+	b := ex.binder([]ColRef{{Rel: "t", Name: "id", Kind: types.KindInt}})
 	in, err := b.bind(parseConjuncts(t, "t", []string{"t.id IN (SELECT s.v FROM s AS s)"})[0])
 	if err != nil {
 		t.Fatal(err)

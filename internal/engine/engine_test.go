@@ -673,8 +673,8 @@ func TestRelationHelpers(t *testing.T) {
 }
 
 // TestFromRowsRoundTrip: boxing gives back exactly the tuples a relation was
-// built from — kinds included — whether it still holds them (FromRows), lost
-// them to a gather, or never saw the values' kinds declared.
+// built from — kinds included — whether it is the frame FromRows built, a
+// gather of it, or never saw the values' kinds declared.
 func TestFromRowsRoundTrip(t *testing.T) {
 	cols := []ColRef{
 		{Rel: "t", Name: "i", Kind: types.KindInt},

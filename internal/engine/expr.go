@@ -17,25 +17,70 @@ type boundExpr func(types.Row) (types.Value, error)
 // materialized result. The binder uses it for IN (SELECT ...) predicates.
 type SubqueryRunner func(*sqlparse.Select) (*Relation, error)
 
-// binder compiles AST expressions against a relation schema.
+// binder compiles AST expressions against a relation schema. It notes which
+// columns the expressions it has bound read (reads), so a cursor boxes those
+// cells and no others. bySQL, set for a grouped schema only, maps the SQL text
+// of an aggregate call or grouping expression to the column that holds it.
 type binder struct {
-	cols []ColRef
-	sub  SubqueryRunner
+	cols  []ColRef
+	sub   SubqueryRunner
+	reads []bool
+	bySQL map[string]int
+}
+
+// column resolves e to a position in the schema when it is a column of it: a
+// column reference, or an expression a grouped schema holds by its SQL text.
+func (b *binder) column(e sqlparse.Expr) (idx int, ok bool, err error) {
+	if b.bySQL != nil {
+		if idx, ok = b.bySQL[e.SQL()]; ok {
+			return idx, true, nil
+		}
+	}
+	cr, ok := e.(*sqlparse.ColumnRef)
+	if !ok {
+		return 0, false, nil
+	}
+	idx, err = colIndex(b.cols, cr.Table, cr.Column)
+	if err != nil && b.bySQL != nil {
+		err = fmt.Errorf("engine: column %s must appear in GROUP BY or inside an aggregate", cr.SQL())
+	}
+	return idx, true, err
+}
+
+// cursor is the one way an operator evaluates bound expressions over columns:
+// it fills the part of a reused scratch row that f's columns occupy (schema
+// positions off and up) with the cells of frame row i that b's expressions
+// read. Call it after binding; take one per worker.
+func (b *binder) cursor(row types.Row, f *colstore.Frame, off int) func(i int) {
+	var at []int
+	for c := 0; c < f.NumCols() && off+c < len(b.reads); c++ {
+		if b.reads[off+c] {
+			at = append(at, c)
+		}
+	}
+	return func(i int) {
+		for _, c := range at {
+			row[off+c] = f.Col(c).Value(i)
+		}
+	}
 }
 
 // bind compiles e for evaluation against rows under the schema b.cols.
 func (b *binder) bind(e sqlparse.Expr) (boundExpr, error) {
+	if idx, ok, err := b.column(e); ok {
+		if err != nil {
+			return nil, err
+		}
+		if b.reads == nil {
+			b.reads = make([]bool, len(b.cols))
+		}
+		b.reads[idx] = true
+		return func(r types.Row) (types.Value, error) { return r[idx], nil }, nil
+	}
 	switch x := e.(type) {
 	case *sqlparse.Literal:
 		v := x.Value
 		return func(types.Row) (types.Value, error) { return v, nil }, nil
-
-	case *sqlparse.ColumnRef:
-		idx, err := colIndex(b.cols, x.Table, x.Column)
-		if err != nil {
-			return nil, err
-		}
-		return func(r types.Row) (types.Value, error) { return r[idx], nil }, nil
 
 	case *sqlparse.Binary:
 		return b.bindBinary(x)
@@ -211,50 +256,39 @@ func (b *binder) bindBinary(x *sqlparse.Binary) (boundExpr, error) {
 	}
 	op := x.Op
 	switch op {
-	case sqlparse.OpAnd:
+	case sqlparse.OpAnd, sqlparse.OpOr:
+		// Three-valued logic around the absorbing value (FALSE for AND, TRUE
+		// for OR): either operand being it decides the result, even beside a
+		// NULL — and the left one short-circuits, so the right is not evaluated.
+		absorbing := op == sqlparse.OpOr
+		decides := func(v types.Value) bool { return v.Kind() == types.KindBool && v.Bool() == absorbing }
 		return func(row types.Row) (types.Value, error) {
 			lv, err := l(row)
 			if err != nil {
 				return types.Value{}, err
 			}
-			// Short-circuit: FALSE AND x = FALSE even if x is NULL.
-			if !lv.IsNull() && lv.Kind() == types.KindBool && !lv.Bool() {
-				return types.NewBool(false), nil
+			if decides(lv) {
+				return lv, nil
 			}
 			rv, err := r(row)
 			if err != nil {
 				return types.Value{}, err
 			}
-			if !rv.IsNull() && rv.Kind() == types.KindBool && !rv.Bool() {
-				return types.NewBool(false), nil
+			if decides(rv) {
+				return rv, nil
+			}
+			for _, v := range [2]types.Value{lv, rv} {
+				if !v.IsNull() && v.Kind() != types.KindBool {
+					return types.Value{}, fmt.Errorf("engine: %s on non-boolean %s", op, v.Kind())
+				}
 			}
 			if lv.IsNull() || rv.IsNull() {
 				return types.Null(), nil
 			}
-			return types.NewBool(lv.Bool() && rv.Bool()), nil
-		}, nil
-	case sqlparse.OpOr:
-		return func(row types.Row) (types.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if !lv.IsNull() && lv.Kind() == types.KindBool && lv.Bool() {
-				return types.NewBool(true), nil
-			}
-			rv, err := r(row)
-			if err != nil {
-				return types.Value{}, err
-			}
-			if !rv.IsNull() && rv.Kind() == types.KindBool && rv.Bool() {
-				return types.NewBool(true), nil
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return types.Null(), nil
-			}
-			return types.NewBool(lv.Bool() || rv.Bool()), nil
+			return types.NewBool(!absorbing), nil
 		}, nil
 	case sqlparse.OpEq, sqlparse.OpNe, sqlparse.OpLt, sqlparse.OpLe, sqlparse.OpGt, sqlparse.OpGe:
+		cmp, _ := cmpOpOf(op)
 		return func(row types.Row) (types.Value, error) {
 			lv, err := l(row)
 			if err != nil {
@@ -267,23 +301,7 @@ func (b *binder) bindBinary(x *sqlparse.Binary) (boundExpr, error) {
 			if lv.IsNull() || rv.IsNull() {
 				return types.Null(), nil
 			}
-			c := types.Compare(lv, rv)
-			var ok bool
-			switch op {
-			case sqlparse.OpEq:
-				ok = c == 0
-			case sqlparse.OpNe:
-				ok = c != 0
-			case sqlparse.OpLt:
-				ok = c < 0
-			case sqlparse.OpLe:
-				ok = c <= 0
-			case sqlparse.OpGt:
-				ok = c > 0
-			case sqlparse.OpGe:
-				ok = c >= 0
-			}
-			return types.NewBool(ok), nil
+			return types.NewBool(colstore.EvalCmp(cmp, types.Compare(lv, rv))), nil
 		}, nil
 	case sqlparse.OpAdd, sqlparse.OpSub, sqlparse.OpMul, sqlparse.OpDiv:
 		return func(row types.Row) (types.Value, error) {
@@ -383,14 +401,20 @@ func (b *binder) bindInSubquery(x *sqlparse.InSubquery) (boundExpr, error) {
 	}, nil
 }
 
-// BindPredicate compiles cond against the schema cols and returns the
-// row-at-a-time evaluator that defines filter semantics: whether cond is TRUE
-// for a row (NULL and FALSE both reject). It is the same binder the
-// executor's scans and filters evaluate through, exported for the reference
-// implementation the differential tests compare against
-// (internal/reference). Subqueries are rejected at bind time.
+// BindExpr compiles e against the schema cols and returns the row-at-a-time
+// evaluator that defines expression semantics — the same binder the executor
+// evaluates through, exported for the reference implementation the
+// differential tests compare against (internal/reference). A sub-expression
+// whose SQL text is a key of bySQL (nil for an ungrouped schema) reads that
+// column instead of being evaluated. Subqueries are rejected at bind time.
+func BindExpr(cols []ColRef, bySQL map[string]int, e sqlparse.Expr) (func(types.Row) (types.Value, error), error) {
+	return (&binder{cols: cols, bySQL: bySQL}).bind(e)
+}
+
+// BindPredicate is BindExpr under filter semantics: whether cond is TRUE for
+// a row (NULL and FALSE both reject).
 func BindPredicate(cols []ColRef, cond sqlparse.Expr) (func(types.Row) (bool, error), error) {
-	check, err := (&binder{cols: cols}).bind(cond)
+	check, err := BindExpr(cols, nil, cond)
 	if err != nil {
 		return nil, err
 	}

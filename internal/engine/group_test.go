@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"resultdb/internal/catalog"
+	"resultdb/internal/colstore"
 	"resultdb/internal/sqlparse"
 )
 
@@ -120,4 +121,88 @@ func TestGroupByRendersAndReparses(t *testing.T) {
 	if again.SQL() != sel.SQL() {
 		t.Errorf("render not stable: %s vs %s", sel.SQL(), again.SQL())
 	}
+}
+
+// TestGroupedExpressions: a grouped select list and HAVING are bound by the
+// ordinary binder against the frame of keys and aggregates, so grouped context
+// takes every expression form and follows three-valued logic. (north's only
+// amount is NULL: its SUM is NULL.)
+func TestGroupedExpressions(t *testing.T) {
+	for _, c := range []struct {
+		name, sql string
+		want      []string
+	}{
+		{"TRUE OR NULL keeps the group",
+			"SELECT s.region FROM sales AS s GROUP BY s.region HAVING COUNT(*) >= 1 OR SUM(s.amount) > 100",
+			[]string{"east", "north", "west"}},
+		{"NULL OR TRUE keeps the group",
+			"SELECT s.region FROM sales AS s GROUP BY s.region HAVING SUM(s.amount) > 100 OR COUNT(*) >= 1",
+			[]string{"east", "north", "west"}},
+		{"FALSE AND NULL is FALSE, so its negation is TRUE",
+			"SELECT s.region FROM sales AS s GROUP BY s.region HAVING NOT (COUNT(*) > 5 AND SUM(s.amount) > 0)",
+			[]string{"east", "north", "west"}},
+		{"TRUE AND NULL drops the group",
+			"SELECT s.region FROM sales AS s GROUP BY s.region HAVING COUNT(*) >= 1 AND SUM(s.amount) > 0",
+			[]string{"east", "west"}},
+		{"BETWEEN over an aggregate",
+			"SELECT s.region FROM sales AS s GROUP BY s.region HAVING SUM(s.amount) BETWEEN 1 AND 20",
+			[]string{"west"}},
+		{"IS NULL over an aggregate",
+			"SELECT s.region FROM sales AS s GROUP BY s.region HAVING SUM(s.amount) IS NULL",
+			[]string{"north"}},
+		{"IS NOT NULL over an aggregate",
+			"SELECT s.region FROM sales AS s GROUP BY s.region HAVING SUM(s.amount) IS NOT NULL",
+			[]string{"east", "west"}},
+		{"IN list over a grouping key",
+			"SELECT s.region, COUNT(*) FROM sales AS s GROUP BY s.region HAVING s.region IN ('east', 'north')",
+			[]string{"east | 2", "north | 1"}},
+		{"IN list over an aggregate",
+			"SELECT s.region FROM sales AS s GROUP BY s.region HAVING COUNT(*) IN (1, 3)",
+			[]string{"north", "west"}},
+		{"LIKE over a grouping key",
+			"SELECT s.region FROM sales AS s GROUP BY s.region HAVING s.region LIKE '%st'",
+			[]string{"east", "west"}},
+		{"LIKE over an aggregate",
+			"SELECT s.region FROM sales AS s GROUP BY s.region HAVING MIN(s.item) LIKE 'p%'",
+			[]string{"north"}},
+		{"a predicate as a select item",
+			"SELECT s.region, SUM(s.amount) IS NULL FROM sales AS s GROUP BY s.region",
+			[]string{"east | false", "north | true", "west | false"}},
+		{"GROUP BY an expression resolves by SQL text",
+			"SELECT s.id + s.amount, COUNT(*) FROM sales AS s WHERE s.amount IS NOT NULL GROUP BY s.id + s.amount HAVING s.id + s.amount > 8",
+			[]string{"11 | 2", "22 | 1"}},
+		{"a grouped expression inside a larger one",
+			"SELECT (s.id + s.amount) * 2 FROM sales AS s WHERE s.id < 3 GROUP BY s.id + s.amount",
+			[]string{"22", "44"}},
+		{"a key column under another spelling",
+			"SELECT region, COUNT(*) FROM sales AS s GROUP BY s.region HAVING S.REGION <> 'west'",
+			[]string{"east | 2", "north | 1"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			expectRows(t, runSelect(t, salesSource(t), c.sql), c.want...)
+		})
+	}
+}
+
+// TestAggregateComputedOnce: an aggregate call that appears twice in the
+// select list and again in HAVING is one column of the grouped frame — every
+// mention resolves to it by SQL text — so the output shows the same vector
+// twice, under HAVING's selection of the grouped frame's three groups.
+func TestAggregateComputedOnce(t *testing.T) {
+	rel := runSelect(t, salesSource(t), `
+		SELECT s.region, SUM(s.amount), SUM(s.amount) AS again FROM sales AS s
+		GROUP BY s.region HAVING SUM(s.amount) > 10`)
+	expectRows(t, rel, "east | 30 | 30", "west | 15 | 15")
+	f := rel.Vec.Frame
+	if f.Col(1) != f.Col(2) {
+		t.Error("the two SUM(s.amount) items are different vectors: the aggregate was computed twice")
+	}
+	if _, ok := f.Col(1).(*colstore.Int64Column); !ok || f.Col(1).Len() != 3 {
+		t.Errorf("SUM column is %T of %d entries, want the grouped frame's INTEGER vector of 3", f.Col(1), f.Col(1).Len())
+	}
+	// A computed item over the same call reads that column too.
+	rel = runSelect(t, salesSource(t), `
+		SELECT s.region, SUM(s.amount) * 2 + COUNT(*) FROM sales AS s
+		GROUP BY s.region HAVING SUM(s.amount) * 2 + COUNT(*) > 40`)
+	expectRows(t, rel, "east | 62")
 }

@@ -40,16 +40,18 @@ func crossJoin(l, r *Relation, par int, sp *trace.Span) *Relation {
 // joinOn joins l and r with an arbitrary ON expression, inner or left outer.
 // Equi conjuncts of the ON tree probe the same colstore hash table HashJoin
 // builds, with r as the build side; an inner join on equi conjuncts alone is
-// exactly that hash join. Otherwise this is the sequential pipeline: both
-// inputs are boxed once, remaining conjuncts are evaluated per candidate
-// pair, and for a left outer join unmatched left rows are padded with NULLs.
+// exactly that hash join. Otherwise the remaining conjuncts are evaluated per
+// candidate pair through the cursor — the cells they read of the l row boxed
+// once, of each candidate r row as it comes up — and what is emitted is, like
+// every join, position pairs: (l position, r position) for a pair that
+// passes, (l position, -1) for a left outer row nothing matched, which the
+// gather extends with NULLs.
 //
 // The probe over l's rows runs in parallel chunks (bound expressions are
 // pure after binding, so concurrent evaluation is safe); per-chunk buffers
 // keep the output order identical to the serial loop.
-func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, par int) (*Relation, error) {
-	cols := concatCols(l.Cols, r.Cols)
-
+func (e *Executor) joinOn(l, r *Relation, on sqlparse.Expr, outer bool) (*Relation, error) {
+	par := e.Parallelism
 	// Split ON into hashable equi pairs and a residual.
 	var lCols, rCols []int
 	var residual []sqlparse.Expr
@@ -65,9 +67,9 @@ func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, pa
 	if len(lCols) > 0 && len(residual) == 0 && !outer {
 		return equiJoin(l, r, lCols, rCols, false, par, nil), nil
 	}
+	b := e.binder(concatCols(l.Cols, r.Cols))
 	var check boundExpr
 	if len(residual) > 0 {
-		b := &binder{cols: cols, sub: sub}
 		var err error
 		check, err = b.bind(sqlparse.AndAll(residual))
 		if err != nil {
@@ -83,37 +85,39 @@ func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, pa
 		ht = colstore.BuildHashTable(r.Key(rCols), par)
 		pk = l.Key(lCols)
 	}
-	lRows, rRows := l.Rows(), r.Rows()
-	nullPad := make(types.Row, len(r.Cols))
-	rows, err := parallel.MapErr(len(lRows), par, func(lo, hi int) ([]types.Row, error) {
-		chunk := make([]types.Row, 0, hi-lo)
+	pairs, err := parallel.MapErr(l.Len(), par, func(lo, hi int) ([]joinPair, error) {
+		out := make([]joinPair, 0, hi-lo)
+		row := make(types.Row, len(b.cols))
+		loadL, loadR := b.cursor(row, l.Vec.Frame, 0), b.cursor(row, r.Vec.Frame, len(l.Cols))
 		var prober colstore.Prober
 		if ht != nil {
 			prober = ht.Prober(pk)
 		}
-		for j := lo; j < hi; j++ {
-			lr := lRows[j]
-			matched := false
-			var pairErr error
-			try := func(pos int32) {
-				if pairErr != nil {
+		var j int
+		var matched bool
+		var pairErr error
+		try := func(pos int32) {
+			if pairErr != nil {
+				return
+			}
+			if check != nil {
+				loadR(r.Vec.Index(int(pos)))
+				v, err := check(row)
+				if err != nil || !truthy(v) {
+					pairErr = err
 					return
 				}
-				row := joinedRow(lr, rRows[pos])
-				if check != nil {
-					v, err := check(row)
-					if err != nil || !truthy(v) {
-						pairErr = err
-						return
-					}
-				}
-				matched = true
-				chunk = append(chunk, row)
 			}
+			matched = true
+			out = append(out, joinPair{probe: int32(j), build: pos})
+		}
+		for j = lo; j < hi; j++ {
+			loadL(l.Vec.Index(j))
+			matched = false
 			if ht != nil {
 				prober.Each(j, try)
 			} else {
-				for pos := 0; pos < len(rRows) && pairErr == nil; pos++ {
+				for pos := 0; pos < r.Len() && pairErr == nil; pos++ {
 					try(int32(pos))
 				}
 			}
@@ -121,15 +125,16 @@ func joinOn(l, r *Relation, on sqlparse.Expr, outer bool, sub SubqueryRunner, pa
 				return nil, pairErr
 			}
 			if outer && !matched {
-				chunk = append(chunk, joinedRow(lr, nullPad))
+				out = append(out, joinPair{probe: int32(j), build: -1})
 			}
 		}
-		return chunk, nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return FromRows(cols, rows), nil
+	lpos, rpos := splitPairs(pairs)
+	return gatherPairs(l, r, lpos, rpos, par), nil
 }
 
 // equiPair recognizes an ON conjunct "x = y" where one side resolves in l
@@ -161,13 +166,6 @@ func concatCols(a, b []ColRef) []ColRef {
 	out := make([]ColRef, 0, len(a)+len(b))
 	out = append(out, a...)
 	return append(out, b...)
-}
-
-// joinedRow is the tuple joinOn evaluates a residual conjunct on and emits.
-func joinedRow(l, r types.Row) types.Row {
-	out := make(types.Row, 0, len(l)+len(r))
-	out = append(out, l...)
-	return append(out, r...)
 }
 
 // crossCheck asserts both column lists have equal length; join construction

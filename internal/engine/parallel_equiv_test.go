@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"resultdb/internal/parallel"
+	"resultdb/internal/sqlparse"
 	"resultdb/internal/types"
 )
 
@@ -243,5 +244,43 @@ func TestJoinAllParallelMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		identicalRows(t, fmt.Sprintf("JoinAll par=%d", par), got, want)
+	}
+}
+
+// TestSequentialParallelMatchesSerial: outer joins (hashed with a residual,
+// and nested-loop), grouping and computed projections return the same rows in
+// the same order at par 1, 2 and 4, on inputs large enough to be chunked.
+func TestSequentialParallelMatchesSerial(t *testing.T) {
+	src := factSource(t, 6000)
+	for _, sql := range []string{
+		"SELECT f.id, f.label, d.* FROM f AS f LEFT OUTER JOIN d AS d ON f.k = d.id AND d.region <> 'r1' AND f.m5 > 2",
+		"SELECT d.id, f.id FROM d AS d LEFT OUTER JOIN f AS f ON d.id > f.id + 40 AND f.m2 = 1",
+		"SELECT f.id FROM f AS f LEFT OUTER JOIN d AS d ON f.k = d.id AND 100 / (f.id - 4999) < 1000",
+		"SELECT f.label, d.region, COUNT(*), SUM(f.m5), AVG(f.m3), MIN(d.name) FROM f AS f JOIN d AS d ON f.k = d.id GROUP BY f.label, d.region HAVING COUNT(f.m5) > 10",
+		"SELECT f.m1 / 7, MAX(f.m6) FROM f AS f GROUP BY f.m1 / 7",
+		"SELECT f.id * 2, f.label, f.m5 IS NULL, f.m3 - f.m6 FROM f AS f WHERE f.m4 + 0 > 1",
+		"SELECT DISTINCT f.m2 + f.m4, f.label FROM f AS f ORDER BY f.label",
+	} {
+		sel, err := sqlparse.ParseSelect(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		want, wantErr := (&Executor{Src: src, Parallelism: 1}).Select(sel)
+		for _, par := range []int{2, 4} {
+			got, err := (&Executor{Src: src, Parallelism: par}).Select(sel)
+			if wantErr != nil {
+				if err == nil || err.Error() != wantErr.Error() {
+					t.Fatalf("par=%d: error %v, want %v\nsql: %s", par, err, wantErr, sql)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("par=%d: %v\nsql: %s", par, err, sql)
+			}
+			if want.Len() == 0 {
+				t.Fatalf("test setup: no rows\nsql: %s", sql)
+			}
+			identicalRows(t, fmt.Sprintf("par=%d %s", par, sql), got, want)
+		}
 	}
 }

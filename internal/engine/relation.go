@@ -2,13 +2,14 @@
 // main-memory DBMS: SPJ analysis (join-graph extraction and predicate
 // pushdown), a greedy cardinality-based join planner, hash joins and left
 // outer joins, expression evaluation with SQL three-valued logic, DISTINCT,
-// aggregation (COUNT), ORDER BY, and LIMIT.
+// GROUP BY with COUNT/SUM/AVG/MIN/MAX and HAVING, ORDER BY, and LIMIT.
 //
-// A relation is a columnar frame plus a selection (Relation); operators pass
-// positions and cardinalities stay exact — the paper injects true
+// A relation is a columnar frame plus a selection (Relation); every operator
+// passes positions and cardinalities stay exact — the paper injects true
 // cardinalities into mutable's optimizer for the same effect (Section 6.3).
-// Tuples are boxed for the row-at-a-time sequential pipeline and at the db
-// boundary only (Relation.Rows).
+// Expressions are evaluated row-at-a-time, but over a cursor that boxes only
+// the cells they read (binder.cursor); tuples are boxed at the db boundary
+// only (Relation.Rows).
 package engine
 
 import (
@@ -29,9 +30,11 @@ type ColRef struct {
 // Relation is an intermediate result: a schema over a colstore view — an
 // immutable frame (one column per Cols entry) and an ascending selection of
 // its rows. Vec is never nil. Every operator consumes and produces exactly
-// this: filters and semi-joins narrow the selection, joins gather a new frame
-// from position pairs, projection is a column subset. Tuples exist on demand
-// only (Rows), and FromRows is the way back.
+// this: filters and semi-joins narrow the selection, joins — outer ones
+// included — gather a new frame from position pairs, projection is a column
+// subset plus one new column per computed item, grouping is a frame of first
+// rows' keys and aggregate columns. Tuples exist on demand only (Rows), for
+// whoever takes the result out of the engine.
 type Relation struct {
 	Cols []ColRef
 	Vec  *colstore.View
@@ -39,9 +42,9 @@ type Relation struct {
 
 // FromRows wraps rows in a relation: the frame colstore.NewFrame builds under
 // the schema's kinds (a column holding a value of another kind degrades to an
-// exact-value AnyColumn). It is how tuples that exist only as rows — the
-// sequential pipeline's output, a hand-built or v1-decoded result set —
-// re-enter the engine. rows must not be modified afterwards.
+// exact-value AnyColumn). It is how tuples that exist only as rows — a
+// hand-built or v1-decoded result set on its way into a post-join — enter the
+// engine; no operator calls it. The frame keeps nothing of rows.
 func FromRows(cols []ColRef, rows []types.Row) *Relation {
 	kinds := make([]types.Kind, len(cols))
 	for i, c := range cols {
@@ -53,9 +56,9 @@ func FromRows(cols []ColRef, rows []types.Row) *Relation {
 // Len returns the number of rows.
 func (r *Relation) Len() int { return r.Vec.Len() }
 
-// Rows boxes the relation into tuples, for a consumer that needs them (see
-// colstore.View.Rows). One-shot: nothing caches the result, and it must not
-// be modified.
+// Rows boxes the relation into tuples, for a consumer outside the engine (see
+// colstore.View.Rows); no operator calls it. One-shot: nothing caches the
+// result.
 func (r *Relation) Rows() []types.Row { return r.Vec.Rows() }
 
 // Key addresses cols of r's rows for the hash kernel.

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"resultdb/internal/colstore"
-	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/stats"
 	"resultdb/internal/trace"
@@ -86,8 +85,8 @@ func (e *Executor) Select(sel *sqlparse.Select) (*Relation, error) {
 }
 
 // finish applies ORDER BY and LIMIT to the projected relation: the sort
-// compares boxed rows and gathers the relation in the sorted order, LIMIT
-// keeps a prefix of the selection.
+// compares the key columns' values and gathers the relation in the sorted
+// order, LIMIT keeps a prefix of the selection.
 func (e *Executor) finish(rel *Relation, sel *sqlparse.Select) (*Relation, error) {
 	if len(sel.OrderBy) > 0 {
 		keys := make([]int, len(sel.OrderBy))
@@ -113,14 +112,20 @@ func (e *Executor) finish(rel *Relation, sel *sqlparse.Select) (*Relation, error
 }
 
 // sortBy returns r stably ordered by the given key columns (ascending unless
-// desc).
+// desc): the key columns' values are boxed once, a permutation is sorted over
+// them, and every column is gathered in that order.
 func (r *Relation) sortBy(keys []int, desc []bool) *Relation {
-	rows := r.Rows()
-	order := allPositions(len(rows))
+	vals := make([][]types.Value, len(keys))
+	for k, col := range keys {
+		vals[k] = make([]types.Value, r.Len())
+		for j := range vals[k] {
+			vals[k][j] = r.Vec.Frame.Col(col).Value(r.Vec.Index(j))
+		}
+	}
+	order := allPositions(r.Len())
 	sort.SliceStable(order, func(i, j int) bool {
-		a, b := rows[order[i]], rows[order[j]]
-		for k, col := range keys {
-			c := types.Compare(a[col], b[col])
+		for k := range keys {
+			c := types.Compare(vals[k][order[i]], vals[k][order[j]])
 			if c == 0 {
 				continue
 			}
@@ -331,46 +336,27 @@ func (e *Executor) BaseRelations(spec *SPJSpec) (map[string]*Relation, error) {
 	return rels, nil
 }
 
-// filter returns rel narrowed to the rows satisfying cond. The compiled
-// predicate is evaluated over the boxed rows in parallel chunks (bound
-// expressions are pure after binding); the passing positions are merged in
-// input order.
+// filter returns rel narrowed to the rows satisfying cond (see keep).
 func (e *Executor) filter(rel *Relation, cond sqlparse.Expr) (*Relation, error) {
 	if cond == nil {
 		return rel, nil
 	}
-	b := &binder{cols: rel.Cols, sub: e.subRunner()}
-	check, err := b.bind(cond)
-	if err != nil {
-		return nil, err
-	}
-	rows := rel.Rows()
-	kept, err := parallel.MapErr(len(rows), e.Parallelism, func(lo, hi int) ([]int32, error) {
-		kept := make([]int32, 0, hi-lo)
-		for j := lo; j < hi; j++ {
-			v, err := check(rows[j])
-			if err != nil {
-				return nil, err
-			}
-			if truthy(v) {
-				kept = append(kept, int32(j))
-			}
-		}
-		return kept, nil
-	})
+	kept, err := e.keep(rel.Vec, e.binder(rel.Cols), []sqlparse.Expr{cond})
 	if err != nil {
 		return nil, err
 	}
 	return rel.Narrow(kept), nil
 }
 
-func (e *Executor) subRunner() SubqueryRunner {
-	return func(sub *sqlparse.Select) (*Relation, error) {
+// binder returns a binder over the schema cols whose IN (SELECT ...)
+// predicates run their subquery on e.
+func (e *Executor) binder(cols []ColRef) *binder {
+	return &binder{cols: cols, sub: func(sub *sqlparse.Select) (*Relation, error) {
 		if sub.ResultDB {
 			return nil, fmt.Errorf("engine: RESULTDB is not allowed in subqueries")
 		}
 		return e.Select(sub)
-	}
+	}}
 }
 
 // selectSequential executes FROM items left to right (required for outer
@@ -397,7 +383,7 @@ func (e *Executor) selectSequential(sel *sqlparse.Select) (*Relation, error) {
 			if err != nil {
 				return nil, err
 			}
-			cur, err = joinOn(cur, right, j.On, j.Type == sqlparse.JoinLeftOuter, e.subRunner(), e.Parallelism)
+			cur, err = e.joinOn(cur, right, j.On, j.Type == sqlparse.JoinLeftOuter)
 			if err != nil {
 				return nil, err
 			}
@@ -411,7 +397,7 @@ func (e *Executor) selectSequential(sel *sqlparse.Select) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := e.projectItems(cur, sel.Items)
+	out, err := e.projectItems(cur, sel.Items, e.binder(cur.Cols))
 	if err != nil {
 		return nil, err
 	}
@@ -434,35 +420,46 @@ func projectAttrs(rel *Relation, attrs []Attr) (*Relation, error) {
 	return rel.Project(cols), nil
 }
 
+// projItem is one output column of project: column src of the input, or,
+// when ev is set, an expression computed per row.
+type projItem struct {
+	col ColRef
+	src int
+	ev  boundExpr
+}
+
+// item binds e as the output column col: the input column it resolves to
+// (whose kind col takes), or else a computed expression.
+func (b *binder) item(col ColRef, e sqlparse.Expr) (projItem, error) {
+	idx, ok, err := b.column(e)
+	if err != nil {
+		return projItem{}, err
+	}
+	if ok {
+		col.Kind = b.cols[idx].Kind
+		return projItem{col: col, src: idx}, nil
+	}
+	ev, err := b.bind(e)
+	return projItem{col: col, ev: ev}, err
+}
+
 // projectItems evaluates a general select list (stars, columns, computed
-// expressions) against rel.
-func (e *Executor) projectItems(rel *Relation, items []sqlparse.SelectItem) (*Relation, error) {
-	var outCols []ColRef
-	var evals []boundExpr
-	b := &binder{cols: rel.Cols, sub: e.subRunner()}
+// expressions) against rel, whose schema b binds.
+func (e *Executor) projectItems(rel *Relation, items []sqlparse.SelectItem, b *binder) (*Relation, error) {
+	var out []projItem
 	for _, item := range items {
 		switch {
-		case item.Star && item.Table == "":
-			for i, c := range rel.Cols {
-				idx := i
-				outCols = append(outCols, c)
-				evals = append(evals, func(r types.Row) (types.Value, error) { return r[idx], nil })
-			}
 		case item.Star:
-			positions := rel.ColumnsOf(item.Table)
-			if len(positions) == 0 {
-				return nil, fmt.Errorf("engine: unknown relation %q in %s.*", item.Table, item.Table)
+			positions := allCols(len(rel.Cols))
+			if item.Table != "" {
+				if positions = rel.ColumnsOf(item.Table); len(positions) == 0 {
+					return nil, fmt.Errorf("engine: unknown relation %q in %s.*", item.Table, item.Table)
+				}
 			}
 			for _, pos := range positions {
-				idx := pos
-				outCols = append(outCols, rel.Cols[pos])
-				evals = append(evals, func(r types.Row) (types.Value, error) { return r[idx], nil })
+				out = append(out, projItem{col: rel.Cols[pos], src: pos})
 			}
 		default:
-			ev, err := b.bind(item.Expr)
-			if err != nil {
-				return nil, err
-			}
 			col := ColRef{Name: item.Alias}
 			if cr, ok := item.Expr.(*sqlparse.ColumnRef); ok {
 				col.Rel = cr.Table
@@ -473,104 +470,171 @@ func (e *Executor) projectItems(rel *Relation, items []sqlparse.SelectItem) (*Re
 			if col.Name == "" {
 				col.Name = item.Expr.SQL()
 			}
-			outCols = append(outCols, col)
-			evals = append(evals, ev)
-		}
-	}
-	in := rel.Rows()
-	rows := types.MakeRows(len(in), len(evals))
-	for j, row := range in {
-		for i, ev := range evals {
-			v, err := ev(row)
+			it, err := b.item(col, item.Expr)
 			if err != nil {
 				return nil, err
 			}
-			rows[j][i] = v
+			out = append(out, it)
 		}
 	}
-	return FromRows(outCols, rows), nil
+	return e.project(rel, out, b)
 }
 
-// aggregate evaluates one aggregate call over the rows of a group.
-func (e *Executor) aggregate(f *sqlparse.FuncCall, rows []types.Row, b *binder) (types.Value, types.Kind, error) {
-	if f.Name == "COUNT" && f.Star {
-		return types.NewInt(int64(len(rows))), types.KindInt, nil
+// project returns rel's rows under the columns items describe, bound by b.
+// Input columns are the same vectors (and dictionaries) under the same
+// selection — Relation.Project — unless an item is computed: then its values,
+// evaluated through the cursor row by row, become one new column
+// (typedColumn) and the input columns are gathered dense beside it.
+func (e *Executor) project(rel *Relation, items []projItem, b *binder) (*Relation, error) {
+	n := rel.Len()
+	out := &Relation{Cols: make([]ColRef, len(items))}
+	var srcs []int
+	vals := make([][]types.Value, len(items)) // of the computed items
+	for i, it := range items {
+		out.Cols[i] = it.col
+		if it.ev == nil {
+			srcs = append(srcs, it.src)
+		} else {
+			vals[i] = make([]types.Value, n)
+		}
 	}
-	if len(f.Args) != 1 {
-		return types.Value{}, 0, fmt.Errorf("engine: %s expects one argument", f.Name)
+	if len(srcs) == len(items) {
+		out.Vec = rel.Project(srcs).Vec
+		return out, nil
 	}
-	ev, err := b.bind(f.Args[0])
-	if err != nil {
-		return types.Value{}, 0, err
-	}
-	switch f.Name {
-	case "COUNT":
-		var n int64
-		for _, row := range rows {
-			v, err := ev(row)
-			if err != nil {
-				return types.Value{}, 0, err
+	row := make(types.Row, len(rel.Cols))
+	load := b.cursor(row, rel.Vec.Frame, 0)
+	for j := 0; j < n; j++ {
+		load(rel.Vec.Index(j))
+		for i, it := range items {
+			if it.ev == nil {
+				continue
 			}
-			if !v.IsNull() {
-				n++
+			var err error
+			if vals[i][j], err = it.ev(row); err != nil {
+				return nil, err
 			}
 		}
-		return types.NewInt(n), types.KindInt, nil
-	case "SUM", "AVG":
-		var sum float64
-		var n int64
-		allInt := true
-		for _, row := range rows {
-			v, err := ev(row)
+	}
+	shared := rel.Vec.Frame.Project(srcs)
+	if rel.Vec.Sel != nil {
+		shared = colstore.GatherView(rel.Vec, srcs, allPositions(n), e.Parallelism)
+	}
+	cols := make([]colstore.Column, len(items))
+	next := 0
+	for i, it := range items {
+		if it.ev == nil {
+			cols[i] = shared.Col(next)
+			next++
+			continue
+		}
+		cols[i], out.Cols[i].Kind = typedColumn(vals[i])
+	}
+	out.Vec = &colstore.View{Frame: colstore.FrameOf(n, cols)}
+	return out, nil
+}
+
+// typedColumn wraps computed values in the vector of their kind — the first
+// non-NULL value's; an exact-value column when a later value is of another.
+func typedColumn(vals []types.Value) (colstore.Column, types.Kind) {
+	kind := types.KindNull
+	for _, v := range vals {
+		if !v.IsNull() {
+			kind = v.Kind()
+			break
+		}
+	}
+	return (&colstore.AnyColumn{Vals: vals}).Typed(kind), kind
+}
+
+// accum is the running state of one aggregate call in one group.
+type accum struct {
+	n     int64 // rows counted: every one for COUNT(*), else the non-NULL arguments
+	sum   float64
+	float bool        // SUM saw an argument that is not an INTEGER
+	best  types.Value // MIN, MAX
+}
+
+// aggregate evaluates the aggregate calls aggs over rel's rows, row j in group
+// gid[j] of groups, in one loop: each argument is read through the cursor and
+// folded into its call's accumulator for that group. NULL arguments are
+// skipped; COUNT counts, SUM of INTEGERs stays INTEGER, AVG is DOUBLE, MIN and
+// MAX order by types.Compare, and all but COUNT are NULL over no values.
+// results[i][g] is aggs[i] in group g.
+func (e *Executor) aggregate(rel *Relation, aggs []*sqlparse.FuncCall, gid []int32, groups int) ([][]types.Value, error) {
+	b := e.binder(rel.Cols)
+	args := make([]boundExpr, len(aggs)) // nil: COUNT(*)
+	for i, f := range aggs {
+		switch f.Name {
+		case "COUNT", "SUM", "AVG", "MIN", "MAX":
+		default:
+			return nil, fmt.Errorf("engine: unsupported function %s", f.Name)
+		}
+		if f.Name == "COUNT" && f.Star {
+			continue
+		}
+		if len(f.Args) != 1 {
+			return nil, fmt.Errorf("engine: %s expects one argument", f.Name)
+		}
+		var err error
+		if args[i], err = b.bind(f.Args[0]); err != nil {
+			return nil, err
+		}
+	}
+	acc := make([]accum, len(aggs)*groups)
+	row := make(types.Row, len(rel.Cols))
+	load := b.cursor(row, rel.Vec.Frame, 0)
+	for j, g := range gid {
+		load(rel.Vec.Index(j))
+		for i, f := range aggs {
+			a := &acc[i*groups+int(g)]
+			if args[i] == nil {
+				a.n++
+				continue
+			}
+			v, err := args[i](row)
 			if err != nil {
-				return types.Value{}, 0, err
+				return nil, err
 			}
 			if v.IsNull() {
 				continue
 			}
-			if v.Kind() != types.KindInt {
-				allInt = false
-			}
-			sum += v.Float()
-			n++
-		}
-		if n == 0 {
-			return types.Null(), types.KindNull, nil
-		}
-		if f.Name == "AVG" {
-			return types.NewFloat(sum / float64(n)), types.KindFloat, nil
-		}
-		if allInt {
-			return types.NewInt(int64(sum)), types.KindInt, nil
-		}
-		return types.NewFloat(sum), types.KindFloat, nil
-	case "MIN", "MAX":
-		var best types.Value
-		first := true
-		for _, row := range rows {
-			v, err := ev(row)
-			if err != nil {
-				return types.Value{}, 0, err
-			}
-			if v.IsNull() {
-				continue
-			}
-			if first {
-				best = v
-				first = false
-				continue
-			}
-			c := types.Compare(v, best)
-			if f.Name == "MIN" && c < 0 || f.Name == "MAX" && c > 0 {
-				best = v
+			a.n++
+			switch f.Name {
+			case "SUM", "AVG":
+				if !numeric(v) {
+					return nil, fmt.Errorf("engine: %s on non-numeric %s", f.Name, v.Kind())
+				}
+				a.float = a.float || v.Kind() != types.KindInt
+				a.sum += v.Float()
+			case "MIN", "MAX":
+				if c := types.Compare(v, a.best); a.n == 1 || f.Name == "MIN" && c < 0 || f.Name == "MAX" && c > 0 {
+					a.best = v
+				}
 			}
 		}
-		if first {
-			return types.Null(), types.KindNull, nil
-		}
-		return best, best.Kind(), nil
 	}
-	return types.Value{}, 0, fmt.Errorf("engine: unsupported function %s", f.Name)
+	results := make([][]types.Value, len(aggs))
+	for i, f := range aggs {
+		results[i] = make([]types.Value, groups)
+		for g := range results[i] {
+			a := &acc[i*groups+g]
+			switch {
+			case f.Name == "COUNT":
+				results[i][g] = types.NewInt(a.n)
+			case a.n == 0: // stays NULL
+			case f.Name == "AVG":
+				results[i][g] = types.NewFloat(a.sum / float64(a.n))
+			case f.Name == "SUM" && a.float:
+				results[i][g] = types.NewFloat(a.sum)
+			case f.Name == "SUM":
+				results[i][g] = types.NewInt(int64(a.sum))
+			default:
+				results[i][g] = a.best
+			}
+		}
+	}
+	return results, nil
 }
 
 func hasAggregates(items []sqlparse.SelectItem) bool {

@@ -82,12 +82,7 @@ func (e *Executor) baseRelation(r RelRef, filters []sqlparse.Expr) (*Relation, e
 }
 
 // filterView selects the rows of f that pass every kernel and then every
-// residual conjunct. The residual conjuncts are bound against the schema cols
-// one by one and evaluated row-at-a-time over the kernels' survivors — each
-// boxed into one reused row, cell by cell — in order, stopping at the first
-// that is not TRUE: the same drop-at-first-failure rule the kernel prefix
-// follows, so which conjuncts happen to have a kernel never decides whether a
-// later conjunct's runtime error surfaces.
+// residual conjunct (keep, over the kernels' survivors).
 func (e *Executor) filterView(f *colstore.Frame, cols []ColRef, kernels []colstore.Kernel, residual []sqlparse.Expr) (*colstore.View, error) {
 	view := &colstore.View{Frame: f}
 	if len(kernels) > 0 {
@@ -96,23 +91,36 @@ func (e *Executor) filterView(f *colstore.Frame, cols []ColRef, kernels []colsto
 	if len(residual) == 0 {
 		return view, nil
 	}
-	b := &binder{cols: cols, sub: e.subRunner()}
-	checks := make([]boundExpr, len(residual))
-	for i, cond := range residual {
+	kept, err := e.keep(view, e.binder(cols), residual)
+	if err != nil {
+		return nil, err
+	}
+	return view.Narrow(kept), nil
+}
+
+// keep returns the positions of view's rows for which every conjunct is TRUE.
+// The conjuncts are bound by b, against view's schema, one by one and
+// evaluated row-at-a-time through the cursor — the cells they read boxed into
+// one reused row per worker — in order, stopping at the first that is not
+// TRUE: the same drop-at-first-failure rule the kernel prefix follows, so
+// which conjuncts happen to have a kernel never decides whether a later
+// conjunct's runtime error surfaces. Chunks run in parallel (bound
+// expressions are pure after binding) and merge in input order.
+func (e *Executor) keep(view *colstore.View, b *binder, conds []sqlparse.Expr) ([]int32, error) {
+	checks := make([]boundExpr, len(conds))
+	for i, cond := range conds {
 		var err error
 		if checks[i], err = b.bind(cond); err != nil {
 			return nil, err
 		}
 	}
-	keep, err := parallel.MapErr(view.Len(), e.Parallelism, func(lo, hi int) ([]int32, error) {
+	return parallel.MapErr(view.Len(), e.Parallelism, func(lo, hi int) ([]int32, error) {
 		out := make([]int32, 0, hi-lo)
-		row := make(types.Row, f.NumCols())
+		row := make(types.Row, len(b.cols))
+		load := b.cursor(row, view.Frame, 0)
 	rows:
 		for j := lo; j < hi; j++ {
-			i := view.Index(j)
-			for c := range row {
-				row[c] = f.Col(c).Value(i)
-			}
+			load(view.Index(j))
 			for _, check := range checks {
 				v, err := check(row)
 				if err != nil {
@@ -126,10 +134,6 @@ func (e *Executor) filterView(f *colstore.Frame, cols []ColRef, kernels []colsto
 		}
 		return out, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return view.Narrow(keep), nil
 }
 
 // compileScanKernels maps the longest kernelizable prefix of the pushed-down
@@ -496,10 +500,7 @@ func equiJoin(l, r *Relation, lCols, rCols []int, buildLeft bool, par int, sp *t
 		}
 		return out
 	})
-	lpos, rpos := make([]int32, len(pairs)), make([]int32, len(pairs))
-	for i, p := range pairs {
-		lpos[i], rpos[i] = p.probe, p.build
-	}
+	lpos, rpos := splitPairs(pairs)
 	if buildLeft {
 		lpos, rpos = rpos, lpos
 	}
@@ -510,9 +511,18 @@ func equiJoin(l, r *Relation, lCols, rCols []int, buildLeft bool, par int, sp *t
 	return out
 }
 
+// splitPairs lists the probe and the build positions of pairs.
+func splitPairs(pairs []joinPair) (probe, build []int32) {
+	probe, build = make([]int32, len(pairs)), make([]int32, len(pairs))
+	for i, p := range pairs {
+		probe[i], build[i] = p.probe, p.build
+	}
+	return probe, build
+}
+
 // gatherPairs materializes a join output: row i is l's row lpos[i] followed
-// by r's row rpos[i], each column gathered once (TEXT dictionaries are shared
-// with the inputs).
+// by r's row rpos[i] — NULLs where rpos[i] is negative — each column gathered
+// once (TEXT dictionaries are shared with the inputs).
 func gatherPairs(l, r *Relation, lpos, rpos []int32, par int) *Relation {
 	f := colstore.Zip(
 		colstore.GatherView(l.Vec, allCols(len(l.Cols)), lpos, par),

@@ -9,10 +9,13 @@
 # packages; the MVCC concurrency gate; the grep lints (writer lock confined to
 # db.go; no identifier of the deleted row-at-a-time path, of the deleted A/B
 # knobs or of the deleted storage hash index; no identifier of the deleted
-# second relation image, and no row slices in core or the colstore kernels; no
-# map-of-position-slices bucket structure in colstore/engine/storage; row
-# blocks filled by colstore.View.Rows only, one pooled flate reader, no unsafe
-# in internal/types; internal/reference imported from tests only; one version
+# second relation image, no row slices in core or the colstore kernels, no
+# tuple boxed or taken back between the engine's operators (FromRows(,
+# .Rows() on a relation or view, []types.Row outside Relation.Rows/FromRows)
+# and no src rows kept by a colstore frame; no map-of-slices bucket structure
+# in colstore/engine/storage; row blocks filled by colstore.View.Rows only,
+# one pooled flate reader, no unsafe in internal/types; internal/reference
+# imported from tests only; one version
 # identity — no generation counter, name counter or statistics cache outside
 # internal/storage, and internal/cache has only its *At surface; one base-table
 # representation — no row-slice field and no frame build in internal/storage,
@@ -21,9 +24,10 @@
 # (cold/warm/invalidate vs uncached oracle; on the socket, filling response == response from kept payloads == cache-off
 # response over every transport; the payload-memo guards; and
 # BenchmarkServeCachedHit once as a smoke),
-# execution (every answer vs the naive reference as sorted sets, byte for
-# byte across parallelism x cache x planner x transport, and the six-way
-# rewrite oracle), stats (cost-based
+# execution (every answer — SPJ, subdatabase, and the sequential list of outer
+# joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs the naive
+# reference as sorted sets, byte for byte across parallelism x cache x planner
+# x transport, and the six-way rewrite oracle), stats (cost-based
 # vs heuristic planner), wire v2 (buffered/streamed vs v1), chaos (fault-
 # injected connections converge to the exact oracle or fail typed) and
 # crash-recovery (kill at every WAL byte offset vs an uncrashed oracle); a
@@ -115,9 +119,11 @@ fi
 
 echo "== lint: one relation representation (frame + selection)"
 # engine.Relation is a colstore view and nothing else; tuples are boxed by
-# Relation.Rows for the sequential pipeline and the db boundary, and re-enter
-# through FromRows. The helpers of the deleted row image reappearing, or a row
-# slice in the reduction code or the hash/range/filter kernels, means the
+# Relation.Rows at the db boundary only, and a set that exists only as rows
+# (hand-built, v1-decoded) enters through FromRows in db/query.go. The helpers
+# of the deleted row image reappearing, a row slice in the reduction code or
+# the hash/range/filter kernels, an engine operator boxing its input or
+# handing rows back, or a frame keeping the rows it was built from, means the
 # second representation is growing back.
 row_image=$(grep -rnwE 'RowsKey|Columnarize|gatherRows|KeyFor|concatRows' --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$row_image" ]; then
@@ -129,6 +135,26 @@ row_slices=$(grep -n '\[\]types\.Row' internal/core/*.go internal/colstore/hash.
 if [ -n "$row_slices" ]; then
 	echo "FAIL: []types.Row in internal/core or the colstore kernels (operators pass positions):"
 	echo "$row_slices"
+	exit 1
+fi
+# (f.Rows() / frame.Rows() is a frame's row count, not a boxing call.)
+engine_rows=$(grep -nE 'FromRows\(|\.Rows\(\)|\[\]types\.Row' internal/engine/*.go | grep -v '_test\.go:' |
+	grep -vE '^internal/engine/relation\.go:[0-9]+:func (FromRows\(|\(r \*Relation\) Rows\(\))' |
+	grep -vE '\b(f|frame)\.Rows\(\)' || true)
+if [ -n "$engine_rows" ]; then
+	echo "FAIL: an engine operator boxes a relation, takes rows back, or passes []types.Row (every operator passes positions):"
+	echo "$engine_rows"
+	exit 1
+fi
+from_rows=$(grep -rn 'FromRows(' --include='*.go' internal cmd examples ./*.go | grep -v '_test\.go:' |
+	grep -vE '^internal/(engine/relation|db/query)\.go:' || true)
+if [ -n "$from_rows" ]; then
+	echo "FAIL: engine.FromRows( outside its definition and db.setToRelation:"
+	echo "$from_rows"
+	exit 1
+fi
+if awk '/^type Frame struct/,/^}/' internal/colstore/colstore.go | grep -qw 'src'; then
+	echo "FAIL: colstore.Frame keeps the rows it was built from (src) again"
 	exit 1
 fi
 
@@ -158,12 +184,13 @@ if [ -n "$unsafe_types" ]; then
 fi
 
 echo "== lint: one hash structure (colstore's position table), no bucket maps"
-# Key sets, join hash tables and dedup all probe the open-addressing table in
-# internal/colstore/hash.go; a map from key hash to a slice of positions in
-# the execution packages is a second hash structure growing back.
-bucket_maps=$(grep -rnE 'map\[uint64\]\[\]int' --include='*.go' internal/colstore internal/engine internal/storage | grep -v '_test\.go:' || true)
+# Key sets, join hash tables, dedup and grouping all probe the open-addressing
+# table in internal/colstore/hash.go; a map from key hash to a slice of
+# anything (positions, rows, groups) in the execution packages is a second
+# hash structure growing back.
+bucket_maps=$(grep -rnE 'map\[uint64\]\[\]' --include='*.go' internal/colstore internal/engine internal/storage | grep -v '_test\.go:' || true)
 if [ -n "$bucket_maps" ]; then
-	echo "FAIL: map[uint64][]int... bucket structure in the execution path:"
+	echo "FAIL: map[uint64][]... bucket structure in the execution path:"
 	echo "$bucket_maps"
 	exit 1
 fi
@@ -218,7 +245,7 @@ echo "== cache differential + stress gate (cold/warm/invalidate vs uncached orac
 gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit' \
 	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire
 
-echo "== execution differential gate (vs naive reference as sorted sets; par x cache x planner x transport byte-identical, under -race)"
+echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x planner x transport byte-identical, under -race)"
 gate -race -timeout 600s -run 'TestExecutionDifferential' -count=1 ./internal/wire
 gate -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
 
