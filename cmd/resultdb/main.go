@@ -12,8 +12,8 @@
 //
 // Shell meta-commands: \d (list tables), \d NAME (describe), \timing
 // (toggle timings), \trace (toggle per-query JSON execution traces),
-// \strategy semijoin|decompose, \stats [on|off|TABLE] (cost-based planning /
-// show a table's optimizer statistics), \cache [on|off|clear|SIZE] (semantic result
+// \strategy semijoin|decompose, \stats TABLE (show the planner's statistics
+// of a table's newest version), \cache [on|off|clear|SIZE] (semantic result
 // cache), \wire [v1|v2|off] (show each result's encoded wire size at a
 // payload version), \save FILE and \open FILE (binary database snapshots),
 // \retry [off|ATTEMPTS [BACKOFF]] (remote retry policy, -connect only),
@@ -197,7 +197,7 @@ func preload(d *db.Database, workload string, scale float64) error {
 type shell struct {
 	// sess is the shell's database session: every statement sees one
 	// consistent snapshot, the shell's own writes are visible immediately,
-	// and \strategy / \stats toggle session-local options.
+	// and \strategy toggles a session-local option.
 	sess *db.Session
 	// mgr, when set, makes the session durable (-data-dir) and enables the
 	// \checkpoint and \wal meta commands.
@@ -339,28 +339,17 @@ func (s *shell) meta(cmd string) bool {
 			fmt.Fprintf(s.out, "wire size display %s\n", s.wireVer)
 		}
 	case "\\stats":
-		if len(fields) == 2 {
-			switch fields[1] {
-			case "on":
-				s.sess.CoreOptions.CostBased = true
-			case "off":
-				s.sess.CoreOptions.CostBased = false
-			default:
-				// \stats TABLE — print the table's optimizer statistics.
-				st := s.sess.DB().TableStats(fields[1])
-				if st == nil {
-					fmt.Fprintf(s.out, "error: table %q does not exist\n", fields[1])
-					return false
-				}
-				fmt.Fprint(s.out, st.String())
-				return false
-			}
+		// \stats TABLE — the planner's statistics of the newest version.
+		if len(fields) != 2 {
+			fmt.Fprintln(s.out, "usage: \\stats TABLE")
+			return false
 		}
-		if s.sess.CoreOptions.CostBased {
-			fmt.Fprintln(s.out, "cost-based planning on (statistics-driven root, semi-join order, bloom, range prefilter)")
-		} else {
-			fmt.Fprintln(s.out, "cost-based planning off (paper heuristics)")
+		st := s.sess.DB().TableStats(fields[1])
+		if st == nil {
+			fmt.Fprintf(s.out, "error: table %q does not exist\n", fields[1])
+			return false
 		}
+		fmt.Fprint(s.out, st.String())
 	case "\\strategy":
 		if len(fields) == 2 {
 			switch fields[1] {

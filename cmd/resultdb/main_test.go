@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"resultdb/internal/catalog"
 	"resultdb/internal/db"
+	"resultdb/internal/types"
 )
 
 func testShell(t *testing.T) (*shell, *os.File, func() string) {
@@ -84,6 +86,40 @@ func TestShellMetaCommands(t *testing.T) {
 	for _, want := range []string{"t ", "t(id INTEGER, name TEXT)", "timing true", "unknown command"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("meta output missing %q in %q", want, got)
+		}
+	}
+}
+
+// TestShellStats: \stats TABLE prints the planner's statistics of the table's
+// newest version — any table, including one named like the old on/off
+// toggle — and \stats alone prints its usage.
+func TestShellStats(t *testing.T) {
+	s, _, output := testShell(t)
+	off, err := s.sess.DB().CreateTable(catalog.MustTableDef("off", []catalog.Column{{Name: "v", Type: types.KindInt}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := off.Insert(types.Row{types.NewInt(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if s.meta(`\stats t`) {
+		t.Fatal("\\stats should not quit")
+	}
+	if err := s.execute("INSERT INTO t VALUES (3, 'c');"); err != nil {
+		t.Fatal(err)
+	}
+	s.meta(`\stats t`)
+	s.meta(`\stats off`)
+	s.meta(`\stats`)
+	s.meta(`\stats nosuch`)
+	got := output()
+	for _, want := range []string{
+		"t: 2 rows", "ndv=2", "t: 3 rows", "ndv=3", "range=[1, 3]",
+		"off: 1 rows", "range=[7, 7]",
+		"usage: \\stats TABLE", `error: table "nosuch" does not exist`,
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("\\stats output missing %q in %q", want, got)
 		}
 	}
 }

@@ -8,23 +8,15 @@ import (
 	"resultdb/internal/stats"
 )
 
-// This file is the cost model behind Options.CostBased: a thin estimator
-// over per-table statistics (internal/stats) that drives four planning
+// This file is the cost model behind Options.TableStats: a thin estimator
+// over per-table statistics (internal/stats) that drives three planning
 // decisions — root selection (the paper's open Root Node Enumeration
-// Problem, Section 4.2), the order of the bottom-up semi-join pass, the
-// per-edge adaptive Bloom prefilter decision, and the sideways-information-
-// passing range gate. Every decision changes only the plan; the executed
-// operators are exact, so results stay byte-identical to the heuristic path.
+// Problem, Section 4.2), the order of the bottom-up semi-join pass, and the
+// per-edge adaptive Bloom prefilter decision. Every decision changes only the
+// plan; the executed operators are exact, so results stay byte-identical to
+// the heuristic path.
 
 const (
-	// sipMinTargetRows gates sideways information passing: below this probe
-	// cardinality the range pre-scan cannot pay for itself.
-	sipMinTargetRows = 1024
-	// sipMaxKeepFrac applies the range filter only when the histogram
-	// predicts it removes at least ~40% of the probe rows. The pre-scan is a
-	// cheap typed compare but the surviving rows are gathered into a new
-	// relation, so weak cuts cost more than they save.
-	sipMaxKeepFrac = 0.6
 	// bloomMinTargetRows and bloomMaxSel gate the adaptive Bloom prefilter.
 	// A Bloom probe costs about as much as the exact KeySet probe it fronts,
 	// so the pass only pays when it empties most of a probe side too large
@@ -33,7 +25,7 @@ const (
 	// a 6.5k-row drop via Bloom still losing to the exact pass alone.)
 	bloomMinTargetRows = 32768
 	bloomMaxSel        = 0.15
-	// rootSwitchFrac and orderSwitchFrac are hysteresis: the cost-based plan
+	// rootSwitchFrac and orderSwitchFrac are hysteresis: the cost model
 	// replaces the heuristic root / reverse-BFS order only when the model
 	// predicts a clear win. Estimates on small inputs are noisy, and a
 	// misprediction there costs more than the marginal gain it chases.
@@ -172,16 +164,6 @@ func (est *estimator) liveSel(target, source *Node, e *Edge) float64 {
 	return est.sel(est.rows, target, source, e)
 }
 
-// rangeFrac estimates the fraction of target's col values inside [lo, hi]
-// from the base column's histogram; 1 (no benefit) when no histogram exists.
-func (est *estimator) rangeFrac(n *Node, col int, lo, hi float64) float64 {
-	cs := est.colStats(n, col)
-	if cs == nil || cs.Hist == nil {
-		return 1
-	}
-	return cs.Hist.FracInRange(lo, hi)
-}
-
 // bloomWorth decides whether an adaptive Bloom prefilter pays for the edge:
 // the probe side must be large enough to amortize the build, and the
 // estimated drop substantial enough that the (approximate) pass saves the
@@ -225,8 +207,8 @@ type simStep struct {
 // adjacency, per-edge key-column base NDVs, projection marks — and owns
 // reusable scratch buffers, so simulating one candidate root is an
 // allocation-free BFS plus O(edges) float math. Planning overhead must stay
-// well under the runtime of the smallest real query, or cost-based mode
-// loses on exactly the queries it cannot improve.
+// well under the runtime of the smallest real query, or planning with
+// statistics loses on exactly the queries it cannot improve.
 type rootSim struct {
 	est       *estimator
 	nodes     []*Node
@@ -452,21 +434,15 @@ func (s *rootSim) candidates(heur int) []int {
 	return s.cands
 }
 
-// chooseRootCostBased picks the root minimizing the simulated total
-// semi-join work, but only deposes the heuristic's choice when the predicted
+// chooseRootByCost picks the root minimizing the simulated total semi-join
+// work, but only deposes heur, the heuristic's choice, when the predicted
 // saving clears rootSwitchFrac (estimates mispredict on small inputs, and the
 // heuristic is already good). Candidates are tried in ordinal (g.Nodes)
-// order and ties keep the earliest, so the choice is deterministic. Falls
-// back to the paper's heuristic when no statistics are available. The
-// second return reports whether the heuristic's choice was deposed.
-func chooseRootCostBased(g *Graph, opts *Options, est *estimator) (*Node, bool) {
-	heur := chooseRoot(g, RootHeuristic)
-	if est == nil || heur == nil {
-		return heur, false
-	}
+// order and ties keep the earliest, so the choice is deterministic.
+func chooseRootByCost(g *Graph, heur *Node, opts *Options, est *estimator) *Node {
 	sim, ok := newRootSim(g, est)
 	if !ok {
-		return heur, false
+		return heur
 	}
 	heurIdx := -1
 	for i, n := range g.Nodes {
@@ -477,7 +453,7 @@ func chooseRootCostBased(g *Graph, opts *Options, est *estimator) (*Node, bool) 
 	}
 	heurCost, ok := sim.simulate(heurIdx, opts)
 	if !ok {
-		return heur, false
+		return heur
 	}
 	bestIdx, bestCost := heurIdx, heurCost
 	for _, ci := range sim.candidates(heurIdx) {
@@ -490,29 +466,27 @@ func chooseRootCostBased(g *Graph, opts *Options, est *estimator) (*Node, bool) 
 		}
 	}
 	if bestCost >= heurCost*rootSwitchFrac {
-		return heur, false
+		return heur
 	}
-	return g.Nodes[bestIdx], bestIdx != heurIdx
+	return g.Nodes[bestIdx]
 }
 
-// costOrderBottomUp reorders the bottom-up pass: it returns the edges of
-// order in execution order (the heuristic executes them in reverse BFS
-// order), scheduling at each step the most selective ready edge. An edge
-// (parent ⋉ child) is ready once every edge below the child has executed, so
-// the child is fully reduced by its subtree — the classic Yannakakis
-// invariant. Any such children-first linearization yields the identical
-// fully-reduced relations (each node's final content depends only on its
-// subtree, and semi-joins preserve target row order), so this is a pure
-// cost decision with byte-identical output. The second return reports
-// whether the returned schedule differs from the heuristic's reverse-BFS
-// order.
-func costOrderBottomUp(order []bfsEdge, est *estimator) ([]bfsEdge, bool) {
+// costOrderBottomUp orders the bottom-up pass: it returns the edges of order
+// in execution order — reverse BFS order, the heuristic's, unless statistics
+// (est non-nil) predict a clearly cheaper schedule that runs at each step the
+// most selective ready edge. An edge (parent ⋉ child) is ready once every
+// edge below the child has executed, so the child is fully reduced by its
+// subtree — the classic Yannakakis invariant. Any such children-first
+// linearization yields the identical fully-reduced relations (each node's
+// final content depends only on its subtree, and semi-joins preserve target
+// row order), so this is a pure cost decision with byte-identical output.
+func costOrderBottomUp(order []bfsEdge, est *estimator) []bfsEdge {
+	reverse := make([]bfsEdge, 0, len(order))
+	for i := len(order) - 1; i >= 0; i-- {
+		reverse = append(reverse, order[i])
+	}
 	if est == nil || len(order) <= 1 {
-		out := make([]bfsEdge, 0, len(order))
-		for i := len(order) - 1; i >= 0; i-- {
-			out = append(out, order[i])
-		}
-		return out, false
+		return reverse
 	}
 	pending := make(map[*Node]int, len(order))
 	for _, be := range order {
@@ -532,12 +506,10 @@ func costOrderBottomUp(order []bfsEdge, est *estimator) ([]bfsEdge, bool) {
 			tCols[i], sCols[i] = tc, sc
 		}
 	}
-	// Baseline: the reverse-BFS schedule and its simulated probe+build cost.
-	reverse := make([]bfsEdge, 0, len(order))
+	// Baseline: the reverse-BFS schedule's simulated probe+build cost.
 	baseCost := 0.0
 	for i := len(order) - 1; i >= 0; i-- {
 		be := order[i]
-		reverse = append(reverse, be)
 		baseCost += rows[be.parent] + rows[be.child]
 		if tCols[i] != nil {
 			rows[be.parent] *= est.selCols(rows, be.parent, be.child, tCols[i], sCols[i])
@@ -574,7 +546,7 @@ func costOrderBottomUp(order []bfsEdge, est *estimator) ([]bfsEdge, bool) {
 					schedule = append(schedule, order[i])
 				}
 			}
-			return schedule, true
+			return schedule
 		}
 		be := order[bestIdx]
 		used[bestIdx] = true
@@ -586,12 +558,7 @@ func costOrderBottomUp(order []bfsEdge, est *estimator) ([]bfsEdge, bool) {
 	// Hysteresis: keep the heuristic's reverse-BFS order unless the
 	// most-selective-first schedule predicts a clearly cheaper pass.
 	if greedyCost >= baseCost*orderSwitchFrac {
-		return reverse, false
+		return reverse
 	}
-	for i := range schedule {
-		if schedule[i] != reverse[i] {
-			return schedule, true
-		}
-	}
-	return schedule, false
+	return schedule
 }

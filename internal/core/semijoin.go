@@ -149,7 +149,7 @@ func Decompose(joined *engine.Relation, aliases []string, par int, tr *trace.Tra
 // original join predicates and project to the original attributes. Filters
 // are not re-applied — the reduced relations already satisfy them.
 func PostJoin(preds []engine.JoinPred, rels map[string]*engine.Relation, projection []engine.Attr) (*engine.Relation, error) {
-	joined, err := engine.JoinAll(preds, rels, 0, nil)
+	joined, err := engine.JoinAll(preds, rels, nil, 0, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -25,18 +25,14 @@ type RootStrategy uint8
 
 const (
 	// RootHeuristic is the paper's default: prefer relations included in
-	// the projections, prioritizing higher degree among those.
+	// the projections, prioritizing higher degree among those. With table
+	// statistics (Options.TableStats) the heuristic's choice is a candidate
+	// the cost model may depose (chooseRootByCost).
 	RootHeuristic RootStrategy = iota
 	// RootFirst picks the first node (a naive baseline for ablations).
 	RootFirst
 	// RootMaxDegree picks the highest-degree node regardless of projection.
 	RootMaxDegree
-	// RootCostBased simulates both reduction passes per candidate root and
-	// picks the one minimizing estimated total semi-join work (Σ build +
-	// probe cardinalities over the BFS edge order). Requires table
-	// statistics (Options.TableStats); falls back to RootHeuristic without
-	// them. Selected implicitly when Options.CostBased upgrades the default.
-	RootCostBased
 )
 
 // bfsEdge is one tree edge directed away from the root.
@@ -54,11 +50,6 @@ func chooseRoot(g *Graph, strategy RootStrategy) *Node {
 	switch strategy {
 	case RootFirst:
 		return g.Nodes[0]
-	case RootCostBased:
-		// Without an estimator (no statistics) the cost-based strategy
-		// degenerates to the paper heuristic; ReduceRelations routes the
-		// stats-backed case to chooseRootCostBased before reaching here.
-		return chooseRoot(g, RootHeuristic)
 	case RootMaxDegree:
 		sortNodesDeterministic(candidates, func(a, b *Node) bool {
 			return g.Degree(a) > g.Degree(b)
@@ -102,17 +93,11 @@ func bfsEdges(g *Graph, root *Node) ([]bfsEdge, error) {
 	return order, nil
 }
 
-// semiJoinNodes reduces target by source along edge e (target ⋉ source),
-// returning whether target shrank. The probe over target's rows runs at
-// degree par (0 = auto, 1 = serial) with deterministic ordered merge. phase
-// labels the pass ("bottom-up" or "top-down") in the recorded span.
-//
-// In cost-based mode (est non-nil) the span gains the estimated output
-// cardinality, and sideways information passing may pre-drop probe rows
-// outside the build side's numeric key range before they are hashed. The
-// range filter only removes rows the exact semi-join would drop anyway
-// (NULL, non-numeric against an all-numeric build, or numerically outside
-// every build key), so the result is byte-identical.
+// semiJoinNodes reduces target by source along edge e (target ⋉ source).
+// The probe over target's rows runs at degree par (0 = auto, 1 = serial)
+// with deterministic ordered merge. phase labels the pass ("bottom-up" or
+// "top-down") in the recorded span, which, when planning has statistics (est
+// non-nil), also gets the estimated output cardinality.
 func semiJoinNodes(target, source *Node, e *Edge, st *Stats, opts *Options, phase string, est *estimator) error {
 	tCols, sCols, err := edgeColsFor(target, e)
 	if err != nil {
@@ -127,28 +112,6 @@ func semiJoinNodes(target, source *Node, e *Edge, st *Stats, opts *Options, phas
 		sp.RowsBuild = source.Rel.Len()
 		if est != nil {
 			sp.EstOut = int(est.liveSel(target, source, e)*float64(before) + 0.5)
-		}
-	}
-	// Sideways information passing: bound the probe side by the build side's
-	// numeric key range before hashing. Gated by the histogram estimate so
-	// the pre-scan only runs when it is predicted to pay off, and by the
-	// build side being much smaller than the probe side — finding the build
-	// range is itself a full scan of the build keys, which only amortizes
-	// against a substantially larger probe.
-	if est != nil && len(tCols) == 1 && before >= sipMinTargetRows &&
-		source.Rel.Len() > 0 && source.Rel.Len()*4 <= before {
-		if lo, hi, ok := engine.NumKeyRange(source.Rel, sCols[0]); ok {
-			if est.rangeFrac(target, tCols[0], lo, hi) <= sipMaxKeepFrac {
-				filtered, skipped := engine.RangeSemiFilter(target.Rel, tCols[0], lo, hi, opts.Parallelism)
-				if skipped > 0 {
-					target.Rel = filtered
-					st.RangeSkipped += skipped
-					st.PlanDiverged = true
-					if sp != nil {
-						sp.RangeSkipped = skipped
-					}
-				}
-			}
 		}
 	}
 	target.Rel = engine.SemiJoin(target.Rel, tCols, source.Rel, sCols, opts.Parallelism, sp)
@@ -166,8 +129,8 @@ func semiJoinNodes(target, source *Node, e *Edge, st *Stats, opts *Options, phas
 // source's join keys. It may retain false positives but never drops a
 // matching tuple. Both the filter build (atomic bit sets) and the probe
 // (chunked with ordered merge) run at degree par. nEst sizes the filter
-// (the cost-based mode passes the estimated distinct build-key count, which
-// governs fill; 0 falls back to the build side's row count).
+// (planning with statistics passes the estimated distinct build-key count,
+// which governs fill; 0 falls back to the build side's row count).
 func bloomSemiJoinNodes(target, source *Node, e *Edge, nEst int, fpRate float64, st *Stats, opts *Options) error {
 	par := opts.Parallelism
 	if nEst <= 0 {
@@ -231,6 +194,12 @@ func bloomSemiJoinNodes(target, source *Node, e *Edge, nEst int, fpRate float64,
 // ReduceRelations is Algorithm 2: fully reduce every relation of an acyclic
 // join graph with one bottom-up and one top-down pass of semi-joins.
 //
+// With opts.TableStats the passes are planned by the cost model (cost.go):
+// the heuristic root may be deposed, the bottom-up pass runs
+// most-selective-first, and each edge decides for itself whether a Bloom
+// prefilter pays. Without statistics every decision is the paper's
+// heuristic. Either way the reduced relations are the same, row for row.
+//
 // With opts.EarlyStop (the Section 6.3 optimization) the top-down pass skips
 // subtrees that contain no projected relation, and stops entirely once every
 // projected node has been reduced.
@@ -243,23 +212,10 @@ func ReduceRelations(g *Graph, opts Options, st *Stats) error {
 	}
 	par := parallel.Degree(opts.Parallelism)
 	st.Parallelism = par
-	var est *estimator
-	if opts.CostBased {
-		est = newEstimator(g, opts.TableStats)
-	}
-	rootStrategy := opts.Root
-	if est != nil && rootStrategy == RootHeuristic {
-		rootStrategy = RootCostBased
-	}
-	var root *Node
-	if rootStrategy == RootCostBased && est != nil {
-		var switched bool
-		root, switched = chooseRootCostBased(g, &opts, est)
-		if switched {
-			st.PlanDiverged = true
-		}
-	} else {
-		root = chooseRoot(g, rootStrategy)
+	est := newEstimator(g, opts.TableStats)
+	root := chooseRoot(g, opts.Root)
+	if est != nil && opts.Root == RootHeuristic {
+		root = chooseRootByCost(g, root, &opts, est)
 	}
 	st.Root = root.Name()
 	if sp := opts.Tracer.Span("root", root.Name()); sp != nil {
@@ -273,19 +229,14 @@ func ReduceRelations(g *Graph, opts Options, st *Stats) error {
 	}
 
 	// (0) Bloom prefilter: the same two passes with approximate membership
-	// tests; shrinks inputs before the exact passes. The heuristic mode runs
-	// every edge when opts.BloomPrefilter is set; the cost-based mode
-	// decides per edge (and sizes each filter from the estimated distinct
-	// build-key count) whether the approximate pass pays for itself.
+	// tests; shrinks inputs before the exact passes. Without statistics it
+	// runs every edge when opts.BloomPrefilter is set; with them each edge
+	// decides (and sizes its filter from the estimated distinct build-key
+	// count) whether the approximate pass pays for itself.
 	if opts.BloomPrefilter || est != nil {
 		fp := opts.BloomFPRate
 		if fp <= 0 {
 			fp = 0.01
-		}
-		if opts.BloomPrefilter && est != nil {
-			// The cost-based mode gates edges the always-on prefilter would
-			// run, so the two executions differ regardless of drops.
-			st.PlanDiverged = true
 		}
 		runBloom := func(target, source *Node, e *Edge) error {
 			nEst := 0
@@ -295,12 +246,8 @@ func ReduceRelations(g *Graph, opts Options, st *Stats) error {
 				}
 				nEst = est.bloomSize(source, e)
 			}
-			droppedBefore := st.BloomDropped
 			if err := bloomSemiJoinNodes(target, source, e, nEst, fp, st, &opts); err != nil {
 				return err
-			}
-			if est != nil && st.BloomDropped > droppedBefore {
-				st.PlanDiverged = true
 			}
 			est.observe(target)
 			return nil
@@ -318,26 +265,13 @@ func ReduceRelations(g *Graph, opts Options, st *Stats) error {
 		}
 	}
 
-	// (1) Bottom-up: reduce parents by children, leaves towards root. The
-	// cost-based mode executes the same edge set in most-selective-first
-	// order (a valid children-first linearization, see costOrderBottomUp);
-	// the heuristic keeps reverse BFS order.
-	if est != nil {
-		sched, reordered := costOrderBottomUp(order, est)
-		if reordered {
-			st.PlanDiverged = true
-		}
-		for _, be := range sched {
-			if err := semiJoinNodes(be.parent, be.child, be.edge, st, &opts, "bottom-up", est); err != nil {
-				return err
-			}
-		}
-	} else {
-		for i := len(order) - 1; i >= 0; i-- {
-			be := order[i]
-			if err := semiJoinNodes(be.parent, be.child, be.edge, st, &opts, "bottom-up", nil); err != nil {
-				return err
-			}
+	// (1) Bottom-up: reduce parents by children, leaves towards root: in
+	// reverse BFS order, or, with statistics, the same edge set
+	// most-selective-first (a valid children-first linearization, see
+	// costOrderBottomUp).
+	for _, be := range costOrderBottomUp(order, est) {
+		if err := semiJoinNodes(be.parent, be.child, be.edge, st, &opts, "bottom-up", est); err != nil {
+			return err
 		}
 	}
 
@@ -432,19 +366,15 @@ type Options struct {
 	ResultCache bool
 	// ResultCacheBudget is the cache's byte budget (0 = the 64 MiB default).
 	ResultCacheBudget int64
-	// CostBased switches planning to the statistics-driven cost model: root
-	// selection simulates both passes per candidate (RootCostBased), the
-	// bottom-up pass runs most-selective-first, Bloom prefilters become
-	// per-edge adaptive decisions sized from estimated distinct key counts,
-	// and sideways information passing pre-drops out-of-range probe rows.
-	// Results are byte-identical to the heuristic path — only the plan (and
-	// speed) changes. Requires TableStats; without them every decision falls
-	// back to the heuristic. Defaults to off; the RESULTDB_STATS environment
-	// variable ("on"/"off") overrides it at db.New time.
-	CostBased bool
 	// TableStats maps lower-cased relation aliases to their base tables'
-	// statistics (built lazily, once per table version: stats.Of).
-	// Consulted only when CostBased is set.
+	// statistics (derived lazily, once per table version: stats.Of). When
+	// present, reduction is planned by the cost model: the heuristic root
+	// may be deposed by a simulated cheaper one, the bottom-up pass runs
+	// most-selective-first, and Bloom prefilters become per-edge decisions
+	// sized from estimated distinct key counts. The reduced relations are
+	// identical to the heuristic plan's — only the plan (and speed) changes.
+	// The database always provides them; direct callers that leave them nil
+	// get the paper's heuristics.
 	TableStats map[string]*stats.Table
 	// AlphaReduce drops join-graph edges whose predicates are implied by
 	// transitivity before checking for cycles, so α-acyclic-but-JG-cyclic
@@ -476,19 +406,8 @@ type Stats struct {
 	// BloomSemiJoins and BloomDropped count the prefilter pass's work.
 	BloomSemiJoins int
 	BloomDropped   int
-	// RangeSkipped counts probe rows pre-dropped by sideways information
-	// passing (the cost-based min/max range filter) before hashing.
-	RangeSkipped int
 	// ImpliedEdgesDropped counts join-graph edges removed by α-reduction.
 	ImpliedEdgesDropped int
-	// PlanDiverged reports whether cost-based planning executed anything
-	// the heuristic plan would not have: a different root, a reordered
-	// bottom-up pass, a range pre-filter that dropped rows, or an adaptive
-	// Bloom pass that dropped rows. When false, the run was operationally
-	// identical to the heuristic plan, so re-running the same query at the
-	// same table versions can skip the statistics machinery entirely
-	// (the database layer caches this verdict per query).
-	PlanDiverged bool
 	// Parallelism records the effective degree of parallelism used
 	// (after resolving 0 = auto against the environment and GOMAXPROCS).
 	// String leaves it out: the one-line summary is part of EXPLAIN's

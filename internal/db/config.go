@@ -17,9 +17,11 @@ import (
 //	d := db.Open(db.DefaultConfig().FromEnv())
 //
 // db.New() is exactly that one-liner. The zero Config is usable and means
-// the same as DefaultConfig: semi-join strategy, auto parallelism, heuristic
-// planning, greedy join order, no cache. Per-connection overrides go through
-// Session.CoreOptions.
+// the same as DefaultConfig: semi-join strategy, auto parallelism, greedy join
+// order, no cache. There is one planner: reduction and join order are planned
+// from each table version's statistics, derived lazily (ANALYZE derives them
+// eagerly) and extended, not rebuilt, as the table grows. Per-connection
+// overrides go through Session.CoreOptions.
 type Config struct {
 	// Strategy selects the SELECT RESULTDB execution strategy
 	// (StrategySemiJoin, the paper's Algorithm 4, is the default).
@@ -28,11 +30,8 @@ type Config struct {
 	// (RESULTDB_PARALLELISM, else GOMAXPROCS), 1 = serial, n > 1 = n
 	// workers. Results are identical at any degree.
 	Parallelism int
-	// CostBased switches planning to the statistics-driven cost model.
-	// Results are byte-identical to the heuristic plan; only speed differs.
-	CostBased bool
 	// DPJoinOrder enables the DPsize join-order optimizer for single-table
-	// plans (default: greedy live-cardinality ordering).
+	// plans (default: the greedy order by estimated join output).
 	DPJoinOrder bool
 	// CacheEnabled turns the semantic result cache on.
 	CacheEnabled bool
@@ -57,33 +56,23 @@ const (
 	//	RESULTDB_CACHE=off         disable (the default when unset)
 	CacheEnvVar = "RESULTDB_CACHE"
 
-	// StatsEnvVar toggles cost-based planning: "on"/"1"/"true"/"yes"
-	// enables the statistics-driven planner (root choice, semi-join order,
-	// adaptive Bloom prefilters, sideways information passing, and join
-	// order), "off" and friends force the paper's heuristics. Results are
-	// byte-identical either way; only the plan — and therefore speed —
-	// differs.
-	StatsEnvVar = "RESULTDB_STATS"
-
 	// ParallelismEnvVar overrides the auto parallelism degree; it is also
 	// honored lazily by internal/parallel when Parallelism is left at 0.
 	ParallelismEnvVar = parallel.EnvVar
 )
 
 // DefaultConfig returns the paper-default configuration: semi-join strategy,
-// auto parallelism, heuristic planning, cache off.
+// auto parallelism, cache off.
 func DefaultConfig() Config {
-	opts := core.DefaultOptions()
 	return Config{
 		Strategy:    StrategySemiJoin,
-		Parallelism: opts.Parallelism,
-		CostBased:   opts.CostBased,
+		Parallelism: core.DefaultOptions().Parallelism,
 		CacheBudget: DefaultCacheBudget,
 	}
 }
 
 // FromEnv returns a copy of c with the RESULTDB_* environment variables
-// applied on top: RESULTDB_CACHE, RESULTDB_STATS, and RESULTDB_PARALLELISM.
+// applied on top: RESULTDB_CACHE and RESULTDB_PARALLELISM.
 // Unset or unparsable variables leave the receiver's values untouched.
 func (c Config) FromEnv() Config {
 	switch envToggle(CacheEnvVar) {
@@ -97,12 +86,6 @@ func (c Config) FromEnv() Config {
 			c.CacheEnabled = true
 			c.CacheBudget = budget
 		}
-	}
-	switch envToggle(StatsEnvVar) {
-	case envOn:
-		c.CostBased = true
-	case envOff:
-		c.CostBased = false
 	}
 	if p := parallel.EnvDegree(); p > 0 && c.Parallelism == 0 {
 		c.Parallelism = p
@@ -146,7 +129,6 @@ func Open(cfg Config) *Database {
 	}
 	d.state.Store(emptyState())
 	d.CoreOptions.Parallelism = cfg.Parallelism
-	d.CoreOptions.CostBased = cfg.CostBased
 	if cfg.CacheEnabled {
 		budget := cfg.CacheBudget
 		if budget <= 0 {

@@ -12,7 +12,7 @@ func TestDefaultConfigMatchesCoreDefaults(t *testing.T) {
 	if cfg.Strategy != StrategySemiJoin {
 		t.Errorf("Strategy = %v, want semi-join", cfg.Strategy)
 	}
-	if cfg.Parallelism != opts.Parallelism || cfg.CostBased != opts.CostBased {
+	if cfg.Parallelism != opts.Parallelism {
 		t.Errorf("engine knobs diverge from core defaults: %+v vs %+v", cfg, opts)
 	}
 	if cfg.CacheEnabled {
@@ -42,12 +42,6 @@ func TestConfigFromEnv(t *testing.T) {
 			t.Error("unparsable RESULTDB_CACHE enabled the cache")
 		}
 	})
-	t.Run("stats toggle", func(t *testing.T) {
-		t.Setenv(StatsEnvVar, "on")
-		if cfg := DefaultConfig().FromEnv(); !cfg.CostBased {
-			t.Error("RESULTDB_STATS=on ignored")
-		}
-	})
 	t.Run("parallelism fills only the auto value", func(t *testing.T) {
 		t.Setenv(ParallelismEnvVar, "3")
 		if cfg := DefaultConfig().FromEnv(); cfg.Parallelism != 3 {
@@ -61,7 +55,6 @@ func TestConfigFromEnv(t *testing.T) {
 	})
 	t.Run("unset env is a no-op", func(t *testing.T) {
 		t.Setenv(CacheEnvVar, "")
-		t.Setenv(StatsEnvVar, "")
 		t.Setenv(ParallelismEnvVar, "")
 		if got, want := DefaultConfig().FromEnv(), DefaultConfig(); got != want {
 			t.Errorf("FromEnv with empty env changed the config: %+v vs %+v", got, want)
@@ -73,7 +66,6 @@ func TestOpenWiresConfig(t *testing.T) {
 	cfg := Config{
 		Strategy:     StrategyDecompose,
 		Parallelism:  5,
-		CostBased:    true,
 		DPJoinOrder:  true,
 		CacheEnabled: true,
 		CacheBudget:  123456,
@@ -82,7 +74,7 @@ func TestOpenWiresConfig(t *testing.T) {
 	if d.Strategy != StrategyDecompose || !d.DPJoinOrder {
 		t.Error("strategy knobs not wired")
 	}
-	if d.CoreOptions.Parallelism != 5 || !d.CoreOptions.CostBased {
+	if d.CoreOptions.Parallelism != 5 {
 		t.Errorf("core options not wired: %+v", d.CoreOptions)
 	}
 	if !d.CacheEnabled() {
@@ -98,7 +90,7 @@ func TestOpenWiresConfig(t *testing.T) {
 	}
 	// The zero config is usable: everything off, statements still execute.
 	d3 := Open(Config{})
-	if d3.CacheEnabled() || d3.CoreOptions.CostBased {
+	if d3.CacheEnabled() || d3.DPJoinOrder {
 		t.Error("zero config did not turn everything off")
 	}
 	if _, err := d3.Exec("CREATE TABLE z (id INTEGER)"); err != nil {

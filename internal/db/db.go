@@ -88,13 +88,6 @@ type Database struct {
 	// allocated, consulted only when CoreOptions.ResultCache is set.
 	resultCache *cache.Cache[*Result]
 
-	// planVerdicts memoizes, per query, whether cost-based planning
-	// diverged from the heuristic plan (see plancache.go). Guarded by its
-	// own mutex because concurrent lock-free readers share it.
-	planMu       sync.Mutex
-	planVerdicts map[string]planVerdict
-	planKeys     map[*sqlparse.Select]planKeyMemo
-
 	// commitLog, when set, records every successful mutation statement
 	// before it is published or acknowledged (see CommitLog). Nil when
 	// durability is off — the write path then pays one nil check and nothing
@@ -105,7 +98,7 @@ type Database struct {
 	Strategy    Strategy
 	CoreOptions core.Options
 	// DPJoinOrder enables the DPsize join-order optimizer for single-table
-	// plans (the greedy live-cardinality order is the default).
+	// plans (the greedy order by estimated join output is the default).
 	DPJoinOrder bool
 }
 
@@ -196,9 +189,9 @@ func (d *Database) txnCtx(tx *writeTxn) execCtx {
 	}
 }
 
-// TableStats returns the statistics of a table's newest committed version,
-// or nil if the table does not exist. Exported for the shell's \stats
-// command.
+// TableStats returns the statistics of a table's newest committed version
+// (deriving them if no statement has yet), or nil if the table does not
+// exist. Exported for the shell's \stats command.
 func (d *Database) TableStats(name string) *stats.Table {
 	t, err := d.Snapshot().Table(name)
 	if err != nil {
@@ -207,8 +200,8 @@ func (d *Database) TableStats(name string) *stats.Table {
 	return stats.Of(t)
 }
 
-// execAnalyze implements ANALYZE [table]: eagerly build the statistics of one
-// table or all tables. It is a read-only statement — statistics are derived
+// execAnalyze implements ANALYZE [table]: eagerly derive the statistics of
+// one table or all tables. It is a read-only statement — statistics are derived
 // from a committed table version and kept in it, so it runs against a
 // snapshot and is neither logged to the WAL nor a cache-invalidating
 // mutation. Affected reports the number of tables analyzed.
@@ -316,7 +309,6 @@ func (d *Database) executorWith(src engine.Source, ec execCtx, tr *trace.Tracer)
 		Src:         src,
 		DPJoinOrder: ec.dpJoinOrder,
 		Parallelism: ec.opts.Parallelism,
-		CostBased:   ec.opts.CostBased,
 		Tracer:      tr,
 		StatsOf: func(table string) *stats.Table {
 			t, err := src.Table(table)

@@ -149,7 +149,7 @@ func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode, 
 		outputs = relationshipRels(spec)
 	}
 	tr.SetOutputs(outputs)
-	reduced, stats, err := d.reduceSpec(ec, sel, spec, outputs, tr, mode)
+	reduced, stats, err := d.reduceSpec(ec, spec, outputs, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +211,7 @@ func relationshipRels(spec *engine.SPJSpec) []string {
 // algorithm cannot handle (cross-relation residual predicates, disconnected
 // join graphs) automatically use the Decompose strategy, which is always
 // applicable.
-func (d *Database) reduceSpec(ec execCtx, sel *sqlparse.Select, spec *engine.SPJSpec, outputs []string, tr *trace.Tracer, mode Mode) (map[string]*engine.Relation, *core.Stats, error) {
+func (d *Database) reduceSpec(ec execCtx, spec *engine.SPJSpec, outputs []string, tr *trace.Tracer) (map[string]*engine.Relation, *core.Stats, error) {
 	ex := d.executor(ec, tr)
 	strategy := ec.strategy
 	if len(spec.Residual) > 0 {
@@ -227,28 +227,9 @@ func (d *Database) reduceSpec(ec execCtx, sel *sqlparse.Select, spec *engine.SPJ
 		}
 		opts := ec.opts
 		opts.Tracer = tr
-		verdictKey := ""
-		if opts.CostBased {
-			switch {
-			case tr.Enabled():
-				// Traced runs always plan with statistics so the trace
-				// shows the cost-based decisions; they bypass the verdict
-				// cache in both directions.
-				opts.TableStats = aliasStats(ec, spec, tr)
-			case d.planConfirmedHeuristic(ec.src, d.planKey(sel)+modeKeySuffix(mode), spec):
-				// A prior cost-based run of this statement at these table
-				// versions produced exactly the heuristic plan; skip the
-				// statistics machinery and take that plan directly.
-			default:
-				verdictKey = d.planKey(sel) + modeKeySuffix(mode)
-				opts.TableStats = aliasStats(ec, spec, tr)
-			}
-		}
+		opts.TableStats = aliasStats(ec, spec, tr)
 		reduced, stats, err := core.SemiJoinReduce(spec, rels, outputs, opts)
 		if err == nil {
-			if verdictKey != "" && stats != nil {
-				d.recordPlanVerdict(ec.src, verdictKey, spec, stats.PlanDiverged)
-			}
 			return reduced, stats, nil
 		}
 		if !errors.Is(err, core.ErrDisconnected) {
@@ -272,9 +253,9 @@ func (d *Database) reduceSpec(ec execCtx, sel *sqlparse.Select, spec *engine.SPJ
 }
 
 // aliasStats maps each of the query's aliases (lower-cased) to its base
-// table version's statistics, for the cost-based reduction planner. Aliases
-// over missing tables (materialized views dropped mid-flight, etc.) are
-// simply absent; the estimator treats absent stats conservatively.
+// table version's statistics, for the reduction planner. Aliases over missing
+// tables (materialized views dropped mid-flight, etc.) are simply absent; the
+// estimator treats absent stats conservatively.
 func aliasStats(ec execCtx, spec *engine.SPJSpec, tr *trace.Tracer) map[string]*stats.Table {
 	out := make(map[string]*stats.Table, len(spec.Rels))
 	for _, r := range spec.Rels {
@@ -288,15 +269,24 @@ func aliasStats(ec execCtx, spec *engine.SPJSpec, tr *trace.Tracer) map[string]*
 }
 
 // statsOf is stats.Of for a statement that may be traced: if this call is the
-// one that builds the version's statistics, the build is timed and charged to
-// the statement's trace (EXPLAIN ANALYZE shows it next to the cache outcome).
+// one that derives the version's statistics, the fold is timed and charged to
+// the statement's trace as a build (from row 0) or an extension (of an
+// ancestor's statistics by the rows added since) — EXPLAIN ANALYZE shows it
+// next to the cache outcome.
 func statsOf(t *storage.Table, tr *trace.Tracer) *stats.Table {
 	if !tr.Enabled() {
 		return stats.Of(t)
 	}
-	return t.Stats(func(t *storage.Table) any {
-		defer tr.AddStatsBuild(time.Now())
-		return stats.FromTable(t)
+	return t.Stats(func(t *storage.Table, base any) any {
+		start := time.Now()
+		b, _ := base.(*stats.Table)
+		s := stats.Fold(t, b)
+		if b == nil {
+			tr.AddStatsBuild(start)
+		} else {
+			tr.AddStatsExtension(start, s.Rows-b.Rows)
+		}
+		return s
 	}).(*stats.Table)
 }
 

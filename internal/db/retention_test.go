@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"resultdb/internal/stats"
 	"resultdb/internal/storage"
 )
 
@@ -14,9 +15,10 @@ import (
 // from pinned snapshots only. A version shares its vectors' and dictionaries'
 // backing arrays with its successors, and the TEXT leg (tag.label) checks that
 // sharing them pins nothing: the live version references the arrays, never the
-// older version or its headers. The result cache, the plan verdicts and the
-// statistics all remember a statement executed once against version 1 of a
-// table; none of them may keep that *storage.Table alive after K later
+// older version or its headers. The result cache and the statistics both
+// remember a statement executed once against version 1 of a table — the
+// statistics are carried from version to version as the base each successor
+// extends — and neither may keep that *storage.Table alive after K later
 // commits, while a Session.Pin() taken at version 1 must, until Unpin.
 //
 // (A stale result-cache entry may keep its own result's column vectors until
@@ -27,11 +29,10 @@ const retentionCommits = 8
 
 // retentionDB builds a two-table database with the cache on and every piece
 // of per-version derived state in use.
-func retentionDB(t *testing.T, costBased bool) *Database {
+func retentionDB(t *testing.T) *Database {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.CacheEnabled = true
-	cfg.CostBased = costBased
 	cfg.Parallelism = 1
 	d := Open(cfg)
 	if _, err := d.ExecScript(`
@@ -61,11 +62,10 @@ func trackVersion(t *testing.T, d *Database, name string) *atomic.Bool {
 }
 
 // runOnceAtCurrentVersion executes a statement that is never executed again,
-// leaving behind everything a statement leaves: a result-cache entry, a plan
-// verdict (cost-based), and the version's frame and statistics.
-func runOnceAtCurrentVersion(t *testing.T, d *Database, costBased bool, tag string) {
+// leaving behind everything a statement leaves: a result-cache entry, and the
+// version's frame and statistics.
+func runOnceAtCurrentVersion(t *testing.T, d *Database, tag string) {
 	t.Helper()
-	verdicts := len(d.planVerdicts)
 	entries := d.CacheStats().Entries
 	q := fmt.Sprintf("SELECT RESULTDB i.val, g.label FROM item i, tag g WHERE i.id = g.item_id AND i.val > %s", tag)
 	if _, err := d.Exec(q); err != nil {
@@ -74,12 +74,26 @@ func runOnceAtCurrentVersion(t *testing.T, d *Database, costBased bool, tag stri
 	if got := d.CacheStats().Entries; got != entries+1 {
 		t.Fatalf("statement left %d cache entries, want %d", got, entries+1)
 	}
-	if costBased && len(d.planVerdicts) != verdicts+1 {
-		t.Fatalf("cost-based statement recorded no plan verdict (%d)", len(d.planVerdicts))
-	}
 	if d.TableStats("item") == nil {
 		t.Fatal("no statistics for item")
 	}
+}
+
+// carriesStats reports whether the newest version of name was handed an
+// ancestor's statistics to extend: it derives the version's own from them.
+func carriesStats(t *testing.T, d *Database, name string) bool {
+	t.Helper()
+	tab, err := d.Table(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	carried := false
+	tab.Stats(func(tab *storage.Table, base any) any {
+		b, _ := base.(*stats.Table)
+		carried = b != nil
+		return stats.Fold(tab, b)
+	})
+	return carried
 }
 
 // commitItems publishes K successor versions of item and of tag; the tag rows
@@ -111,48 +125,48 @@ func collectedAfterGC(collected *atomic.Bool, tries int) bool {
 }
 
 func TestMVCCVersionRetention(t *testing.T) {
-	for _, costBased := range []bool{false, true} {
-		t.Run(fmt.Sprintf("costbased=%v", costBased), func(t *testing.T) {
-			d := retentionDB(t, costBased)
+	d := retentionDB(t)
 
-			// No pin: K commits later nothing may still reach version 1.
-			runOnceAtCurrentVersion(t, d, costBased, "5")
-			v1, text1 := trackVersion(t, d, "item"), trackVersion(t, d, "tag")
-			commitItems(t, d, 100)
-			if !collectedAfterGC(v1, 200) {
-				t.Fatal("superseded table version still reachable with no session pinning it")
-			}
-			if !collectedAfterGC(text1, 200) {
-				t.Fatal("superseded version of a table with a TEXT column still reachable: the shared dictionary pins it")
-			}
+	// No pin: K commits later nothing may still reach version 1 — not even
+	// its statistics, which every successor carried as its base.
+	runOnceAtCurrentVersion(t, d, "5")
+	v1, text1 := trackVersion(t, d, "item"), trackVersion(t, d, "tag")
+	commitItems(t, d, 100)
+	if !collectedAfterGC(v1, 200) {
+		t.Fatal("superseded table version still reachable with no session pinning it")
+	}
+	if !collectedAfterGC(text1, 200) {
+		t.Fatal("superseded version of a table with a TEXT column still reachable: the shared dictionary pins it")
+	}
+	if !carriesStats(t, d, "item") || !carriesStats(t, d, "tag") {
+		t.Fatal("the newest versions were not handed the statistics built at version 1")
+	}
 
-			// Pinned: the session's snapshot is the one legitimate holder.
-			pinned := d.NewSession()
-			pinned.Pin()
-			runOnceAtCurrentVersion(t, d, costBased, "6")
-			held, heldText := trackVersion(t, d, "item"), trackVersion(t, d, "tag")
-			commitItems(t, d, 200)
-			if collectedAfterGC(held, 10) || heldText.Load() {
-				t.Fatal("table version collected while a pinned session holds it")
-			}
-			res, err := pinned.Exec("SELECT i.id FROM item i")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := res.First().NumRows(); got != 4+retentionCommits {
-				t.Fatalf("pinned session sees %d rows, want %d", got, 4+retentionCommits)
-			}
-			labels, err := pinned.Exec("SELECT g.label FROM tag g")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := labels.First().NumRows(); got != 4+retentionCommits {
-				t.Fatalf("pinned session sees %d tag rows, want %d", got, 4+retentionCommits)
-			}
-			pinned.Unpin()
-			if !collectedAfterGC(held, 200) || !collectedAfterGC(heldText, 200) {
-				t.Fatal("table version still reachable after Unpin")
-			}
-		})
+	// Pinned: the session's snapshot is the one legitimate holder.
+	pinned := d.NewSession()
+	pinned.Pin()
+	runOnceAtCurrentVersion(t, d, "6")
+	held, heldText := trackVersion(t, d, "item"), trackVersion(t, d, "tag")
+	commitItems(t, d, 200)
+	if collectedAfterGC(held, 10) || heldText.Load() {
+		t.Fatal("table version collected while a pinned session holds it")
+	}
+	res, err := pinned.Exec("SELECT i.id FROM item i")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.First().NumRows(); got != 4+retentionCommits {
+		t.Fatalf("pinned session sees %d rows, want %d", got, 4+retentionCommits)
+	}
+	labels, err := pinned.Exec("SELECT g.label FROM tag g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := labels.First().NumRows(); got != 4+retentionCommits {
+		t.Fatalf("pinned session sees %d tag rows, want %d", got, 4+retentionCommits)
+	}
+	pinned.Unpin()
+	if !collectedAfterGC(held, 200) || !collectedAfterGC(heldText, 200) {
+		t.Fatal("table version still reachable after Unpin")
 	}
 }

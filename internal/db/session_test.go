@@ -100,7 +100,7 @@ func TestSessionOptionsAreIndependent(t *testing.T) {
 	d := sessionFixture(t)
 	a, b := d.NewSession(), d.NewSession()
 	if a.Strategy != d.Strategy || a.CoreOptions.Parallelism != d.CoreOptions.Parallelism ||
-		a.CoreOptions.CostBased != d.CoreOptions.CostBased {
+		a.CoreOptions.EarlyStop != d.CoreOptions.EarlyStop {
 		t.Fatal("session options not seeded from database")
 	}
 	a.Strategy = StrategyDecompose

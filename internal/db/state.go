@@ -19,8 +19,8 @@ import (
 // "Which state?" has one answer: the vector of the tables' versions
 // (storage.Table.Version, process-unique — a table re-created after a DROP is
 // a new version, so nothing computed against the old incarnation can match
-// it). The result cache and the plan verdicts fingerprint on it; seq and lsn
-// say only where in the commit order the state sits.
+// it). The result cache fingerprints on it; seq and lsn say only where in
+// the commit order the state sits.
 type dbState struct {
 	// tables maps lower-cased names to published table versions.
 	tables map[string]*storage.Table
@@ -172,8 +172,9 @@ func (tx *writeTxn) drop(name string) {
 // batch applied cleanly and (when a commit log is installed) after its log
 // append succeeded — so log order is publish order, and a state no reader
 // has seen is never ahead of the log. The store is the whole publication:
-// the new table versions are what invalidates cached results, statistics and
-// plan verdicts of the old ones, so there is nothing else to notify.
+// the new table versions are what invalidates cached results of the old
+// ones (and derive statistics of their own, extending the old ones), so there
+// is nothing else to notify.
 func (tx *writeTxn) commit(lsn uint64) {
 	d := tx.d
 	for _, def := range tx.creates {

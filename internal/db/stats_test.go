@@ -7,13 +7,14 @@ import (
 	"resultdb/internal/stats"
 )
 
-// TestStatsOneBuildPerVersion: a table version's statistics are built once,
-// under the version's own lock — N concurrent askers (the cost-based planner's
-// path, under -race in verify.sh) get the same *stats.Table — and ANALYZE,
+// TestStatsOneBuildPerVersion: a table version's statistics are derived once,
+// under the version's own lock — N concurrent askers (the planner's path,
+// under -race in verify.sh) get the same *stats.Table — and ANALYZE,
 // TableStats (the shell's \stats) and the planner all read that one build. A
-// commit makes a new version with its own.
+// commit makes a new version with its own, extended from the old ones by the
+// rows it added: one tail fold per version.
 func TestStatsOneBuildPerVersion(t *testing.T) {
-	d := retentionDB(t, true)
+	d := retentionDB(t)
 	const n = 16
 	got := make([]*stats.Table, n)
 	var wg sync.WaitGroup
@@ -55,6 +56,9 @@ func TestStatsOneBuildPerVersion(t *testing.T) {
 
 	if _, err := d.Exec("INSERT INTO item VALUES (5, 50)"); err != nil {
 		t.Fatal(err)
+	}
+	if !carriesStats(t, d, "item") {
+		t.Fatal("the new version derived its statistics from row 0, not from the old version's")
 	}
 	if res, err := d.Exec("ANALYZE"); err != nil || res.Affected != 2 {
 		t.Fatalf("ANALYZE = (%+v, %v)", res, err)

@@ -29,7 +29,7 @@ const maxDPRelations = 14
 // (0 = auto, 1 = serial), one span per join on tr (nil = tracing disabled).
 func JoinAllDP(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tracer) (*Relation, error) {
 	if len(rels) < 2 || len(rels) > maxDPRelations {
-		return JoinAll(preds, rels, par, tr)
+		return JoinAll(preds, rels, nil, par, tr)
 	}
 	opt, err := newOptimizer(preds, rels)
 	if err != nil {

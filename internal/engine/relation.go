@@ -1,6 +1,7 @@
 // Package engine implements query execution for the reproduction's
 // main-memory DBMS: SPJ analysis (join-graph extraction and predicate
-// pushdown), a greedy cardinality-based join planner, hash joins and left
+// pushdown), a greedy join planner (estimated output sizes from table
+// statistics, or live cardinalities without them), hash joins and left
 // outer joins, expression evaluation with SQL three-valued logic, DISTINCT,
 // GROUP BY with COUNT/SUM/AVG/MIN/MAX and HAVING, ORDER BY, and LIMIT.
 //

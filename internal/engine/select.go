@@ -23,13 +23,11 @@ type Executor struct {
 	// GOMAXPROCS, 1 forces serial execution. Results are identical at any
 	// degree (deterministic morsel merge).
 	Parallelism int
-	// CostBased switches the greedy SPJ join ordering from raw cardinality
-	// to the statistics-driven estimate (joinAllStats), when StatsOf is also
-	// set. DPJoinOrder takes precedence. The joined row multiset is
-	// identical either way; row order may differ with the join order.
-	CostBased bool
-	// StatsOf resolves table statistics by table name (nil results are
-	// tolerated: columns without stats fall back to worst-case NDVs).
+	// StatsOf resolves table statistics by table name. When set, the greedy
+	// SPJ join order scores candidates by estimated join output instead of
+	// raw cardinality (see JoinAll; DPJoinOrder takes precedence). Nil
+	// results are tolerated: columns without stats fall back to worst-case
+	// NDVs.
 	StatsOf func(table string) *stats.Table
 	// Tracer, when non-nil, records per-operator spans (scan, join,
 	// filter, project cardinalities and timings). Nil (the default) is the
@@ -150,8 +148,8 @@ func allPositions(n int) []int32 {
 }
 
 // RunSPJ executes the join part of an analyzed SPJ query: scan with pushed
-// filters, greedy hash-join order by live cardinality, then residual
-// predicates. The output schema contains every column of every relation,
+// filters, greedy hash-join order (JoinAll, by estimated output with the
+// executor's statistics), then residual predicates. The output schema contains every column of every relation,
 // alias-qualified.
 func (e *Executor) RunSPJ(spec *SPJSpec) (*Relation, error) {
 	rels, err := e.BaseRelations(spec)
@@ -159,13 +157,10 @@ func (e *Executor) RunSPJ(spec *SPJSpec) (*Relation, error) {
 		return nil, err
 	}
 	var joined *Relation
-	switch {
-	case e.DPJoinOrder:
+	if e.DPJoinOrder {
 		joined, err = JoinAllDP(spec.JoinPreds, rels, e.Parallelism, e.Tracer)
-	case e.CostBased && e.StatsOf != nil:
-		joined, err = joinAllStats(spec, rels, e.StatsOf, e.Parallelism, e.Tracer)
-	default:
-		joined, err = JoinAll(spec.JoinPreds, rels, e.Parallelism, e.Tracer)
+	} else {
+		joined, err = JoinAll(spec.JoinPreds, rels, e.aliasStats(spec), e.Parallelism, e.Tracer)
 	}
 	if err != nil {
 		return nil, err
@@ -195,25 +190,45 @@ func projectionLabel(spec *SPJSpec) string {
 	return strings.Join(proj, ", ")
 }
 
-// JoinAll joins all relations: start from the smallest, repeatedly add
-// the connected relation with the smallest cardinality (falling back to a
-// Cartesian product when the residual graph is disconnected). Cycle edges
-// whose endpoints are already joined are applied inside the same step via
-// composite keys, so every equi predicate is enforced exactly once.
+// aliasStats maps each of spec's aliases (lower-cased) to its table's
+// statistics, or is nil when the executor has no StatsOf.
+func (e *Executor) aliasStats(spec *SPJSpec) map[string]*stats.Table {
+	if e.StatsOf == nil {
+		return nil
+	}
+	out := make(map[string]*stats.Table, len(spec.Rels))
+	for _, r := range spec.Rels {
+		out[strings.ToLower(r.Alias)] = e.StatsOf(r.Table)
+	}
+	return out
+}
+
+// JoinAll joins all relations greedily: start from the smallest, repeatedly
+// add the best-scoring relation connected to the joined set (falling back to
+// a Cartesian product when the residual graph is disconnected, as late as
+// possible). A candidate's score is its estimated join output when
+// statistics are given — the NDV containment model |A ⋈ B| ≈ |A|·|B| /
+// Π_p max(ndv_A(p), ndv_B(p)), base-table NDVs capped by the actual
+// cardinalities, see estJoin — and its cardinality without them (the client
+// post-join, the DP fallback). Ties break towards the lexicographically
+// smaller alias, so the join order (and therefore every traced cardinality)
+// is deterministic across runs. Cycle edges whose endpoints are already
+// joined are applied inside the same step via composite keys, so every equi
+// predicate is enforced exactly once.
 //
-// rels is keyed by lower-cased alias. It is also the post-join operator of
-// the paper (Section 6.4): internal/core hands it the reduced relations.
-// Each hash join runs at degree par (0 = auto, 1 = serial) and records one
-// span on tr (nil = tracing disabled).
-func JoinAll(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tracer) (*Relation, error) {
+// rels and st are keyed by lower-cased alias. JoinAll is also the post-join
+// operator of the paper (Section 6.4): internal/core hands it the reduced
+// relations. The join order never changes the joined row multiset, only its
+// row order. Each hash join runs at degree par (0 = auto, 1 = serial) and
+// records one span on tr (nil = tracing disabled), with the estimate when
+// there is one.
+func JoinAll(preds []JoinPred, rels map[string]*Relation, st map[string]*stats.Table, par int, tr *trace.Tracer) (*Relation, error) {
 	remaining := make(map[string]*Relation, len(rels))
 	for k, v := range rels {
 		remaining[k] = v
 	}
 
-	// Pick the smallest relation as the seed; cardinality ties break towards
-	// the lexicographically smaller alias so the join order (and therefore
-	// every traced cardinality) is deterministic across runs.
+	// Pick the smallest relation as the seed, ties towards the smaller alias.
 	var curAlias string
 	for alias, rel := range remaining {
 		if curAlias == "" ||
@@ -237,34 +252,80 @@ func JoinAll(preds []JoinPred, rels map[string]*Relation, par int, tr *trace.Tra
 	}
 
 	for len(remaining) > 0 {
-		// Choose the next relation: smallest among connected ones, else
-		// smallest overall; ties break towards the smaller alias (see the
-		// seed choice above).
+		// Choose the next relation: the best score among connected ones,
+		// else among all.
 		next := ""
 		nextConnected := false
+		nextScore := 0.0
 		for alias, rel := range remaining {
-			c := connected(alias)
+			c, score := connected(alias), float64(rel.Len())
+			if st != nil {
+				score = estJoin(cur, inSet, alias, rel, preds, st)
+			}
 			switch {
 			case next == "":
-				next, nextConnected = alias, c
 			case c && !nextConnected:
-				next, nextConnected = alias, c
-			case c == nextConnected && rel.Len() < remaining[next].Len():
-				next = alias
-			case c == nextConnected && rel.Len() == remaining[next].Len() && alias < next:
-				next = alias
+			case c != nextConnected:
+				continue
+			case score < nextScore:
+			case score == nextScore && alias < next:
+			default:
+				continue
 			}
+			next, nextConnected, nextScore = alias, c, score
+		}
+		estOut := 0
+		if st != nil {
+			estOut = int(nextScore + 0.5)
 		}
 		nrel := remaining[next]
 		delete(remaining, next)
 		var err error
-		cur, err = joinStep(cur, inSet, next, nrel, preds, par, tr, 0)
+		cur, err = joinStep(cur, inSet, next, nrel, preds, par, tr, estOut)
 		if err != nil {
 			return nil, err
 		}
 		inSet[next] = true
 	}
 	return cur, nil
+}
+
+// estJoin estimates |cur ⋈ rel| for the candidate alias: |cur|·|rel| divided,
+// per predicate linking it to the joined set, by the larger of the two key
+// columns' NDVs — each a base-table NDV from st capped by its relation's
+// actual cardinality (a candidate no predicate links is a cross product).
+func estJoin(cur *Relation, inSet map[string]bool, alias string, rel *Relation, preds []JoinPred, st map[string]*stats.Table) float64 {
+	ndvOf := func(rel *Relation, col int) float64 {
+		c := rel.Cols[col]
+		d := float64(rel.Len())
+		if cs := st[strings.ToLower(c.Rel)].Col(c.Name); cs != nil && cs.NDV > 0 && float64(cs.NDV) < d {
+			d = float64(cs.NDV)
+		}
+		return max(d, 1)
+	}
+	est := float64(cur.Len()) * float64(rel.Len())
+	for _, j := range preds {
+		l, r := strings.ToLower(j.LeftRel), strings.ToLower(j.RightRel)
+		var side JoinPred
+		switch {
+		case inSet[l] && r == alias:
+			side = j
+		case inSet[r] && l == alias:
+			side = j.Reverse()
+		default:
+			continue
+		}
+		li, err := cur.ColIndex(side.LeftRel, side.LeftCol)
+		if err != nil {
+			continue
+		}
+		ri, err := rel.ColIndex(side.RightRel, side.RightCol)
+		if err != nil {
+			continue
+		}
+		est /= max(ndvOf(cur, li), ndvOf(rel, ri))
+	}
+	return est
 }
 
 // joinStep joins `next` into the current intermediate result, applying every

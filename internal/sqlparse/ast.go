@@ -87,10 +87,11 @@ type Explain struct {
 	Query   *Select
 }
 
-// Analyze is ANALYZE [table]: (re)build optimizer statistics — per-column
-// min/max, null fraction, distinct-count sketch, and equi-depth histogram —
-// for one table, or for every table when no name is given. Statistics feed
-// the cost-based reduction planner (Options.CostBased / RESULTDB_STATS).
+// Analyze is ANALYZE [table]: derive, now rather than at the first query that
+// needs them, the planner's statistics — per-column row and null counts,
+// min/max and a distinct-count sketch — of one table's newest version, or of
+// every table's when no name is given. Statistics feed the one planner
+// (reduction root and order, Bloom prefilters, join order).
 type Analyze struct {
 	// Table is the table to analyze; empty means all tables.
 	Table string

@@ -10,8 +10,9 @@ import (
 
 // RowwiseFromTable is the statistics build as it was before tables became
 // frames: one pass over boxed rows, row-major, every value looked at as a
-// types.Value. It is kept here, in the tests, as the definition FromTable's
-// column-wise pass must agree with field by field (frame_test.go).
+// types.Value. It is kept here, in the tests, as the definition Fold's
+// column-wise pass — from row 0 or extending an ancestor's statistics — must
+// agree with field by field (frame_test.go).
 func RowwiseFromTable(t *storage.Table) *Table {
 	rows := t.Rows()
 	nCols := len(t.Def.Columns)
@@ -21,72 +22,71 @@ func RowwiseFromTable(t *storage.Table) *Table {
 		Cols:   make([]Column, nCols),
 		byName: make(map[string]int, nCols),
 	}
-	accs := make([]colAcc, nCols)
-	for i := range accs {
-		accs[i].numeric = true
-	}
-	stride := 1
-	if len(rows) > histSampleCap {
-		stride = (len(rows) + histSampleCap - 1) / histSampleCap
-	}
-	for ri, row := range rows {
-		sample := ri%stride == 0
+	for _, row := range rows {
 		for ci, v := range row {
-			a := &accs[ci]
+			c := &out.Cols[ci]
 			if v.IsNull() {
-				a.nulls++
+				c.Nulls++
 				continue
 			}
-			a.sk.add(v.HashFNV(types.FNVOffset64))
+			c.sk.add(v.HashFNV(types.FNVOffset64))
 			switch v.Kind() {
 			case types.KindInt, types.KindFloat:
 				f := v.Float()
 				if math.IsNaN(f) {
 					continue
 				}
-				if !a.hasRange {
-					a.minF, a.maxF, a.hasRange = f, f, true
-				} else if f < a.minF {
-					a.minF = f
-				} else if f > a.maxF {
-					a.maxF = f
-				}
-				if sample && a.numeric {
-					a.vals = append(a.vals, f)
+				if !c.HasRange {
+					c.MinF, c.MaxF, c.HasRange = f, f, true
+				} else if f < c.MinF {
+					c.MinF = f
+				} else if f > c.MaxF {
+					c.MaxF = f
 				}
 			default:
-				a.numeric = false
-				a.hasRange = false
-				a.vals = nil
+				c.nonNumeric = true
 			}
 		}
 	}
 	for ci := range out.Cols {
 		def := t.Def.Columns[ci]
-		a := &accs[ci]
 		c := &out.Cols[ci]
 		c.Name = def.Name
 		c.Kind = def.Type
 		c.Rows = len(rows)
-		c.Nulls = a.nulls
 		nonNull := c.Rows - c.Nulls
-		ndv := a.sk.estimate()
-		if ndv > nonNull {
-			ndv = nonNull
+		c.NDV = min(c.sk.estimate(), nonNull)
+		if c.NDV < 1 && nonNull > 0 {
+			c.NDV = 1
 		}
-		if ndv < 1 && nonNull > 0 {
-			ndv = 1
-		}
-		c.NDV = ndv
-		c.Numeric = a.numeric && nonNull > 0
-		c.HasRange = a.hasRange
-		if a.hasRange {
-			c.MinF, c.MaxF = a.minF, a.maxF
-		}
-		if c.Numeric && len(a.vals) > 0 {
-			c.Hist = BuildHistogram(a.vals, defaultHistBuckets)
+		c.Numeric = !c.nonNumeric && nonNull > 0
+		if c.nonNumeric {
+			c.HasRange, c.MinF, c.MaxF = false, 0, 0
 		}
 		out.byName[strings.ToLower(def.Name)] = ci
 	}
 	return out
+}
+
+// SameSketch reports whether two columns' distinct-count sketches hold the
+// same state: the same set of hashes in the exact phase (whatever the probe
+// table's layout, which depends on insertion order), the same registers
+// after it. Exported for frame_test.go.
+func SameSketch(a, b *Column) bool {
+	x, y := &a.sk, &b.sk
+	if (x.regs == nil) != (y.regs == nil) || x.n != y.n || x.zero != y.zero || string(x.regs) != string(y.regs) {
+		return false
+	}
+	held := make(map[uint64]bool, x.n)
+	for _, h := range x.slots {
+		if h != 0 {
+			held[h] = true
+		}
+	}
+	for _, h := range y.slots {
+		if h != 0 && !held[h] {
+			return false
+		}
+	}
+	return true
 }

@@ -3,18 +3,28 @@ package stats
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // sketch estimates the number of distinct 64-bit hashes fed to it.
 //
-// It is exact up to sketchExactMax distinct hashes (a plain hash set), then
-// degrades to a HyperLogLog register array with 2^sketchP registers. Both
-// phases are fully deterministic: the inputs are already seeded FNV-1a hashes
-// (types.Value.HashFNV from types.FNVOffset64), and no randomization is
-// applied here, so repeated builds over the same rows agree bit-for-bit.
+// It is exact up to sketchExactMax distinct hashes (an open-addressing hash
+// set), then degrades to a HyperLogLog register array with 2^sketchP
+// registers. Both phases are fully deterministic: the inputs are already
+// seeded FNV-1a hashes (types.Value.HashFNV from types.FNVOffset64), and no
+// randomization is applied here, so repeated builds over the same rows agree
+// bit-for-bit. Both are also mergeable by construction — the set of hashes
+// seen, or the register-wise maximum — so feeding a clone the rows a version
+// added gives exactly what feeding all of its rows from scratch gives.
 type sketch struct {
-	exact map[uint64]struct{}
-	regs  []uint8
+	// slots is the exact phase's set: linear probing over a power-of-two
+	// table at most 3/4 full, 0 marking an empty slot — the hash 0 itself is
+	// recorded in zero. n counts the distinct hashes held.
+	slots []uint64
+	zero  bool
+	n     int
+	// regs, once non-nil, are the HyperLogLog registers; the set is gone.
+	regs []uint8
 }
 
 const (
@@ -33,23 +43,69 @@ func (s *sketch) add(h uint64) {
 		s.addHLL(h)
 		return
 	}
-	if s.exact == nil {
-		s.exact = make(map[uint64]struct{}, 64)
-	}
-	if _, ok := s.exact[h]; ok {
-		return
-	}
-	if len(s.exact) >= sketchExactMax {
+	if s.insert(h) && s.n > sketchExactMax {
 		// Overflow: fold the exact set into HLL registers and continue there.
 		s.regs = make([]uint8, 1<<sketchP)
-		for eh := range s.exact {
-			s.addHLL(eh)
+		if s.zero {
+			s.addHLL(0)
 		}
-		s.exact = nil
-		s.addHLL(h)
-		return
+		for _, eh := range s.slots {
+			if eh != 0 {
+				s.addHLL(eh)
+			}
+		}
+		s.slots, s.zero, s.n = nil, false, 0
 	}
-	s.exact[h] = struct{}{}
+}
+
+// insert adds h to the exact set and reports whether it was new.
+func (s *sketch) insert(h uint64) bool {
+	if h == 0 {
+		if s.zero {
+			return false
+		}
+		s.zero = true
+		s.n++
+		return true
+	}
+	if 4*(s.n+1) > 3*len(s.slots) {
+		s.grow()
+	}
+	mask := uint64(len(s.slots) - 1)
+	for i := mix64(h) & mask; ; i = (i + 1) & mask {
+		switch s.slots[i] {
+		case h:
+			return false
+		case 0:
+			s.slots[i] = h
+			s.n++
+			return true
+		}
+	}
+}
+
+// grow doubles the exact set's table (64 slots to start) and re-inserts.
+func (s *sketch) grow() {
+	old := s.slots
+	s.slots = make([]uint64, max(64, 2*len(old)))
+	mask := uint64(len(s.slots) - 1)
+	for _, h := range old {
+		if h == 0 {
+			continue
+		}
+		i := mix64(h) & mask
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = h
+	}
+}
+
+// clone returns an independent copy: what a successor version extends, so the
+// statistics of the version it was copied from never change.
+func (s sketch) clone() sketch {
+	s.slots, s.regs = slices.Clone(s.slots), slices.Clone(s.regs)
+	return s
 }
 
 func (s *sketch) addHLL(h uint64) {
@@ -67,7 +123,8 @@ func (s *sketch) addHLL(h uint64) {
 }
 
 // mix64 is the splitmix64 finalizer: a fixed bijection on uint64 with full
-// avalanche, turning the FNV stream hash into HLL-grade uniform bits.
+// avalanche, turning the FNV stream hash into HLL-grade uniform bits (and
+// into the exact set's probe position).
 func mix64(h uint64) uint64 {
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
@@ -82,7 +139,7 @@ func mix64(h uint64) uint64 {
 // correction after overflow.
 func (s *sketch) estimate() int {
 	if s.regs == nil {
-		return len(s.exact)
+		return s.n
 	}
 	m := float64(len(s.regs))
 	sum := 0.0

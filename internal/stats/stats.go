@@ -1,17 +1,19 @@
 // Package stats collects lightweight per-column table statistics — row and
-// null counts, min/max, a distinct-count sketch, and equi-depth histograms —
-// for the cost-based planning mode (core.Options.CostBased, RESULTDB_STATS).
+// null counts, min/max and a distinct-count sketch — for the reduction and
+// join-order planner (core.Options.TableStats, engine.Executor.StatsOf).
 //
 // Statistics are built in one pass over each column of the table's frame (no
 // row is boxed), are fully deterministic (the NDV sketch hashes with the same
 // seeded FNV-1a stream as the join hash tables), and live in the table version
-// they describe (Of), next to its frame: built once per version, collected
-// with it.
+// they describe (Of), next to its frame: derived once per version, collected
+// with it. Every statistic is mergeable, so a version does not start over: it
+// extends the newest statistics built for an ancestor version by the rows
+// added since (Fold). A fresh build is the same fold from row 0.
 //
 // The numbers feed estimates only: plan choice may change, query results may
 // not. The planner layers that consume them (root selection, reducer
-// scheduling, adaptive Bloom sizing, sideways range passing) all preserve
-// byte-identical output by construction.
+// scheduling, adaptive Bloom sizing, join order) all preserve the output by
+// construction.
 package stats
 
 import (
@@ -23,12 +25,8 @@ import (
 	"resultdb/internal/types"
 )
 
-// histSampleCap bounds the number of values fed into a histogram build. Above
-// the cap a deterministic stride sample is taken, so builds stay O(rows) scan
-// + O(cap log cap) sort regardless of table size.
-const histSampleCap = 1 << 16
-
-// Column holds the statistics of one table column.
+// Column holds the statistics of one table column: the numbers the planner
+// reads, and the accumulator they are derived from.
 type Column struct {
 	// Name is the column name as declared (original case).
 	Name string
@@ -43,17 +41,20 @@ type Column struct {
 	// distinct values (the sketch stays in its exact phase).
 	NDV int
 	// Numeric reports that every non-null value is INTEGER or DOUBLE. Only
-	// then are MinF/MaxF and Hist populated. NaN values do not clear the
-	// flag but are excluded from the range and the histogram.
+	// then are MinF/MaxF populated. NaN values do not clear the flag but are
+	// excluded from the range.
 	Numeric bool
 	// HasRange reports MinF/MaxF are valid (Numeric, and at least one
 	// non-null non-NaN value was seen).
 	HasRange bool
 	// MinF and MaxF bound the non-null numeric values (NaN excluded).
 	MinF, MaxF float64
-	// Hist is the equi-depth histogram over the (possibly sampled) numeric
-	// values, nil for non-numeric or empty columns.
-	Hist *Histogram
+
+	// The accumulator: the distinct-count sketch of the non-null values, and
+	// whether any of them was not numeric. With Rows, Nulls and the range it
+	// is everything a fold needs to extend the column.
+	sk         sketch
+	nonNumeric bool
 }
 
 // Table holds the statistics of one table version.
@@ -90,9 +91,6 @@ func (t *Table) String() string {
 		if c.HasRange {
 			fmt.Fprintf(&b, " range=[%v, %v]", trimFloat(c.MinF), trimFloat(c.MaxF))
 		}
-		if c.Hist != nil {
-			fmt.Fprintf(&b, " hist=%d buckets", len(c.Hist.Counts))
-		}
 		b.WriteByte('\n')
 	}
 	return b.String()
@@ -105,104 +103,80 @@ func trimFloat(f float64) string {
 	return fmt.Sprintf("%g", f)
 }
 
-// colAcc accumulates one column's statistics during the single build pass.
-type colAcc struct {
-	nulls      int
-	sk         sketch
-	numeric    bool
-	hasRange   bool
-	minF, maxF float64
-	vals       []float64 // histogram sample (numeric, non-NaN)
+// Of returns the statistics of table version t, derived on first use and kept
+// in the version (storage.Table.Stats): concurrent callers share one fold, and
+// callers for different tables or versions never wait on each other.
+func Of(t *storage.Table) *Table { return t.Stats(fold).(*Table) }
+
+// fold is Fold in the shape of the version's slot (a named function, so Of
+// allocates no closure).
+func fold(t *storage.Table, base any) any {
+	b, _ := base.(*Table)
+	return Fold(t, b)
 }
 
-// Of returns the statistics of table version t, built on first use and kept in
-// the version (storage.Table.Stats): concurrent callers share one build, and
-// callers for different tables or versions never wait on each other.
-func Of(t *storage.Table) *Table { return t.Stats(build).(*Table) }
-
-// build is FromTable in the shape of the version's slot (a named function, so
-// Of allocates no closure).
-func build(t *storage.Table) any { return FromTable(t) }
-
-// FromTable builds fresh statistics for t in one pass over each column of its
-// frame — no row is boxed, and a TEXT value's sketch input is its dictionary
-// entry's precomputed hash. The build is deterministic: same rows in the same
-// order produce identical statistics.
-func FromTable(t *storage.Table) *Table {
+// Fold returns the statistics of table version t: base — the statistics of an
+// ancestor version, or nil — extended by the rows base has not seen, [base.Rows,
+// t.Len()), read column by column off the frame (no row is boxed; a TEXT
+// value's sketch input is its dictionary entry's precomputed hash). base is
+// not modified: the result extends a copy of its accumulators, so a version's
+// statistics never change once built, whoever extends them later. With no
+// base the fold runs from row 0, and either way the result equals a fresh
+// build over the same rows.
+func Fold(t *storage.Table, base *Table) *Table {
 	frame := t.Columns()
 	nRows, nCols := frame.Rows(), frame.NumCols()
-	out := &Table{
-		Name:   t.Def.Name,
-		Rows:   nRows,
-		Cols:   make([]Column, nCols),
-		byName: make(map[string]int, nCols),
+	out := &Table{Name: t.Def.Name, Rows: nRows, Cols: make([]Column, nCols)}
+	from := 0
+	if base != nil {
+		from = base.Rows
+		copy(out.Cols, base.Cols)
+		out.byName = base.byName // never written after the first build
+	} else {
+		out.byName = make(map[string]int, nCols)
+		for ci, def := range t.Def.Columns {
+			out.Cols[ci].Name, out.Cols[ci].Kind = def.Name, def.Type
+			out.byName[strings.ToLower(def.Name)] = ci
+		}
 	}
-	// Deterministic stride sample for histograms: every stride-th row.
-	stride := 1
-	if nRows > histSampleCap {
-		stride = (nRows + histSampleCap - 1) / histSampleCap
-	}
-	accs := make([]colAcc, nCols)
-	for ci := range accs {
-		a := &accs[ci]
-		a.numeric = true
+	for ci := range out.Cols {
+		c := &out.Cols[ci]
+		c.sk = c.sk.clone()
 		col := frame.Col(ci)
-		for ri := 0; ri < nRows; ri++ {
+		for ri := from; ri < nRows; ri++ {
 			v := col.Value(ri)
 			if v.IsNull() {
-				a.nulls++
+				c.Nulls++
 				continue
 			}
-			a.sk.add(col.HashFNV(ri, types.FNVOffset64))
+			c.sk.add(col.HashFNV(ri, types.FNVOffset64))
 			switch v.Kind() {
 			case types.KindInt, types.KindFloat:
 				f := v.Float()
 				if math.IsNaN(f) {
 					continue
 				}
-				if !a.hasRange {
-					a.minF, a.maxF, a.hasRange = f, f, true
-				} else if f < a.minF {
-					a.minF = f
-				} else if f > a.maxF {
-					a.maxF = f
-				}
-				if ri%stride == 0 && a.numeric {
-					a.vals = append(a.vals, f)
+				if !c.HasRange {
+					c.MinF, c.MaxF, c.HasRange = f, f, true
+				} else if f < c.MinF {
+					c.MinF = f
+				} else if f > c.MaxF {
+					c.MaxF = f
 				}
 			default:
-				a.numeric = false
-				a.hasRange = false
-				a.vals = nil
+				c.nonNumeric = true
 			}
 		}
-	}
-	for ci := range out.Cols {
-		def := t.Def.Columns[ci]
-		a := &accs[ci]
-		c := &out.Cols[ci]
-		c.Name = def.Name
-		c.Kind = def.Type
 		c.Rows = nRows
-		c.Nulls = a.nulls
 		nonNull := c.Rows - c.Nulls
-		ndv := a.sk.estimate()
-		if ndv > nonNull {
-			ndv = nonNull
+		c.NDV = min(c.sk.estimate(), nonNull)
+		if c.NDV < 1 && nonNull > 0 {
+			c.NDV = 1
 		}
-		if ndv < 1 && nonNull > 0 {
-			ndv = 1
+		c.Numeric = !c.nonNumeric && nonNull > 0
+		if c.nonNumeric {
+			c.HasRange, c.MinF, c.MaxF = false, 0, 0
 		}
-		c.NDV = ndv
-		c.Numeric = a.numeric && nonNull > 0
-		c.HasRange = a.hasRange
-		if a.hasRange {
-			c.MinF, c.MaxF = a.minF, a.maxF
-		}
-		if c.Numeric && len(a.vals) > 0 {
-			c.Hist = BuildHistogram(a.vals, defaultHistBuckets)
-		}
-		out.byName[strings.ToLower(def.Name)] = ci
 	}
 	return out
 }

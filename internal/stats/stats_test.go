@@ -49,7 +49,7 @@ func TestFromTableBasics(t *testing.T) {
 	if err := tab.InsertAll(rows); err != nil {
 		t.Fatal(err)
 	}
-	st := FromTable(tab)
+	st := Fold(tab, nil)
 	if st.Rows != 100 {
 		t.Fatalf("rows = %d, want 100", st.Rows)
 	}
@@ -57,15 +57,12 @@ func TestFromTableBasics(t *testing.T) {
 	if id == nil || id.NDV != 100 || id.Nulls != 0 || !id.HasRange || id.MinF != 0 || id.MaxF != 99 {
 		t.Fatalf("id stats wrong: %+v", id)
 	}
-	if id.Hist == nil || id.Hist.Mass != 100 {
-		t.Fatalf("id histogram wrong: %+v", id.Hist)
-	}
 	grp := st.Col("grp")
 	if grp.NDV != 7 {
 		t.Fatalf("grp ndv = %d, want 7", grp.NDV)
 	}
 	name := st.Col("name")
-	if name.NDV != 5 || name.Numeric || name.Hist != nil {
+	if name.NDV != 5 || name.Numeric || name.HasRange {
 		t.Fatalf("name stats wrong: %+v", name)
 	}
 	score := st.Col("score")
@@ -77,10 +74,9 @@ func TestFromTableBasics(t *testing.T) {
 	}
 }
 
-// TestPropertySweep is the seeded property sweep from the issue: across many
-// random tables, NDV never exceeds the non-null row count, histogram mass
-// equals the (unsampled) row count, min/max match a brute-force scan, and
-// FracInRange stays within [0,1] and covers the full range.
+// TestPropertySweep is the seeded property sweep: across many random tables,
+// NDV never exceeds the non-null row count, is exact in the exact phase, and
+// min/max match a brute-force scan.
 func TestPropertySweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
@@ -100,7 +96,7 @@ func TestPropertySweep(t *testing.T) {
 			}
 			truth[v] = true
 		}
-		st := FromTable(intTable(t, "p", vals))
+		st := Fold(intTable(t, "p", vals), nil)
 		c := st.Col("v")
 		if c.NDV > c.Rows-c.Nulls {
 			t.Fatalf("trial %d: NDV %d > non-null %d", trial, c.NDV, c.Rows-c.Nulls)
@@ -112,26 +108,6 @@ func TestPropertySweep(t *testing.T) {
 			}
 			if !c.HasRange || c.MinF != float64(min) || c.MaxF != float64(max) {
 				t.Fatalf("trial %d: range [%g,%g], want [%d,%d]", trial, c.MinF, c.MaxF, min, max)
-			}
-			if c.Hist == nil || c.Hist.Mass != n {
-				t.Fatalf("trial %d: histogram mass %v, want %d", trial, c.Hist, n)
-			}
-			full := c.Hist.FracInRange(math.Inf(-1), math.Inf(1))
-			if math.Abs(full-1) > 1e-9 {
-				t.Fatalf("trial %d: full-range frac = %g, want 1", trial, full)
-			}
-			sum := 0
-			for _, cnt := range c.Hist.Counts {
-				sum += cnt
-			}
-			if sum != c.Hist.Mass {
-				t.Fatalf("trial %d: counts sum %d != mass %d", trial, sum, c.Hist.Mass)
-			}
-			lo := float64(min) + rng.Float64()*float64(max-min+1)
-			hi := lo + rng.Float64()*float64(max-min+1)
-			frac := c.Hist.FracInRange(lo, hi)
-			if frac < 0 || frac > 1 || math.IsNaN(frac) {
-				t.Fatalf("trial %d: frac(%g,%g) = %g out of [0,1]", trial, lo, hi, frac)
 			}
 		}
 	}
@@ -168,34 +144,9 @@ func TestSketchSequentialKeys(t *testing.T) {
 	}
 }
 
-func TestHistogramFracInRange(t *testing.T) {
-	vals := make([]float64, 1000)
-	for i := range vals {
-		vals[i] = float64(i) // uniform 0..999
-	}
-	h := BuildHistogram(vals, 64)
-	if h.Mass != 1000 {
-		t.Fatalf("mass = %d", h.Mass)
-	}
-	cases := []struct{ lo, hi, want, tol float64 }{
-		{0, 999, 1, 1e-9},
-		{-100, -1, 0, 0},
-		{1000, 2000, 0, 0},
-		{0, 499, 0.5, 0.05},
-		{250, 749, 0.5, 0.05},
-		{900, 999, 0.1, 0.05},
-	}
-	for _, c := range cases {
-		got := h.FracInRange(c.lo, c.hi)
-		if math.Abs(got-c.want) > c.tol {
-			t.Fatalf("FracInRange(%g,%g) = %g, want %g ± %g", c.lo, c.hi, got, c.want, c.tol)
-		}
-	}
-}
-
 // TestCacheInvalidation: statistics live in the table version — shared while
-// it stands, rebuilt after a direct Insert, and not inherited by a
-// BeginVersion draft (whose build leaves the parent's alone).
+// it stands, derived anew after a direct Insert, and derived anew by a
+// BeginVersion draft (whose extension leaves the parent's alone).
 func TestCacheInvalidation(t *testing.T) {
 	tab := intTable(t, "c", []int64{1, 2, 3})
 	s1 := Of(tab)
@@ -236,21 +187,16 @@ func TestDeterministicBuild(t *testing.T) {
 	for i := range vals {
 		vals[i] = rng.Int63n(400)
 	}
-	a := FromTable(intTable(t, "d", vals))
-	b := FromTable(intTable(t, "d", vals))
+	a := Fold(intTable(t, "d", vals), nil)
+	b := Fold(intTable(t, "d", vals), nil)
 	ca, cb := a.Col("v"), b.Col("v")
-	if ca.NDV != cb.NDV || ca.MinF != cb.MinF || ca.MaxF != cb.MaxF || ca.Nulls != cb.Nulls {
+	if ca.NDV != cb.NDV || ca.MinF != cb.MinF || ca.MaxF != cb.MaxF || ca.Nulls != cb.Nulls || !SameSketch(ca, cb) {
 		t.Fatalf("non-deterministic build: %+v vs %+v", ca, cb)
-	}
-	for i := range ca.Hist.Bounds {
-		if ca.Hist.Bounds[i] != cb.Hist.Bounds[i] || ca.Hist.Counts[i] != cb.Hist.Counts[i] {
-			t.Fatalf("non-deterministic histogram at bucket %d", i)
-		}
 	}
 }
 
 // TestMixedKindColumn: a column whose non-null values are not all numeric
-// must not claim a numeric range or histogram, but still counts NDV.
+// must not claim a numeric range, but still counts NDV.
 func TestMixedKindColumn(t *testing.T) {
 	def := catalog.MustTableDef("m", []catalog.Column{{Name: "v", Type: types.KindText}})
 	tab := storage.NewTable(def)
@@ -263,8 +209,8 @@ func TestMixedKindColumn(t *testing.T) {
 	if err := tab.InsertAll(rows); err != nil {
 		t.Fatal(err)
 	}
-	c := FromTable(tab).Col("v")
-	if c.Numeric || c.HasRange || c.Hist != nil {
+	c := Fold(tab, nil).Col("v")
+	if c.Numeric || c.HasRange {
 		t.Fatalf("text column claims numeric stats: %+v", c)
 	}
 	if c.NDV != 2 || c.Nulls != 1 {

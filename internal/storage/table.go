@@ -32,17 +32,20 @@ import (
 //
 // Version is the version's identity and the only one the system has: a
 // database snapshot is the vector of its tables' versions, and result-cache
-// entries and plan verdicts are fingerprinted on that vector. The one thing
-// derived from the contents — the column statistics (Stats) — lives in the
-// version, is built at most once under the version's own lock, and is
-// garbage-collected with it.
+// entries are fingerprinted on that vector. The one thing derived from the
+// contents — the column statistics (Stats) — lives in the version, is derived
+// at most once under the version's own lock, and is garbage-collected with
+// it. Like the frame, statistics extend: a successor is handed the newest
+// statistics built along its lineage (base) and derives its own by folding in
+// only the rows it added. base is a value of the statistics package's own,
+// holding no frame or table, so it keeps no superseded version alive.
 //
 // Direct mutation (Insert/InsertAll on a published table) remains supported
 // for the single-threaded bulk-load paths (workload generators, CSV import,
 // snapshot restore) that run before any concurrent traffic; it must never be
 // used on a table reachable by a concurrent reader. It turns the table into a
 // new version in place: a fresh Version, the same frame grown by the new
-// rows, no statistics.
+// rows, its former statistics demoted to base.
 type Table struct {
 	Def *catalog.TableDef
 
@@ -50,9 +53,11 @@ type Table struct {
 	cols    *colstore.Frame
 	scratch types.Row // the writer's coerced row on its way into cols
 
-	// mu guards stats: concurrent readers of one version may race to build.
+	// mu guards stats and base: concurrent readers of one version may race to
+	// build, and a writer deriving a successor reads what was built.
 	mu    sync.Mutex
-	stats any
+	stats any // this version's statistics, once derived
+	base  any // the newest statistics of an ancestor, until stats is derived
 }
 
 // lastVersion is the process-wide version clock; 0 is never assigned, so it
@@ -71,8 +76,9 @@ func NewTable(def *catalog.TableDef) *Table {
 // BeginVersion derives a mutable successor of a published version: its frame
 // extends t's (colstore.Frame.Extend — headers of its own over the same
 // vectors and dictionaries, so appends to the draft land past what t's
-// headers, and therefore old snapshots, can see), it has its own Version and
-// no statistics. The caller applies one mutation batch to the draft and
+// headers, and therefore old snapshots, can see), it has its own Version, and
+// no statistics of its own yet — only t's newest built ones as its base. The
+// caller applies one mutation batch to the draft and
 // publishes it; a draft discarded on error never becomes visible, and the
 // next draft overwrites what it appended.
 //
@@ -81,7 +87,13 @@ func NewTable(def *catalog.TableDef) *Table {
 // backing arrays, and two concurrent drafts of the same parent would race on
 // their append region.
 func (t *Table) BeginVersion() *Table {
-	return &Table{Def: t.Def, version: lastVersion.Add(1), cols: t.cols.Extend()}
+	t.mu.Lock()
+	base := t.stats // the newest statistics built along t's lineage
+	if base == nil {
+		base = t.base
+	}
+	t.mu.Unlock()
+	return &Table{Def: t.Def, version: lastVersion.Add(1), cols: t.cols.Extend(), base: base}
 }
 
 // Version identifies this version of the relation: process-unique, assigned
@@ -93,7 +105,11 @@ func (t *Table) Version() uint64 { return t.version }
 // mutation batch.
 func (t *Table) restamp() {
 	t.version = lastVersion.Add(1)
-	t.stats = nil
+	t.mu.Lock()
+	if t.stats != nil {
+		t.base, t.stats = t.stats, nil
+	}
+	t.mu.Unlock()
 }
 
 // insertRow validates, coerces and appends a row without re-stamping; callers
@@ -169,16 +185,18 @@ func (t *Table) WireSize() int {
 	return n
 }
 
-// Stats returns the version's column statistics, calling build on first use
-// and keeping its value for the version's life. The slot is typed any because
-// internal/stats, which owns the type and the builder, imports this package;
-// use stats.Of. Safe for concurrent readers: one of them builds, the others
-// wait for that build and share it.
-func (t *Table) Stats(build func(*Table) any) any {
+// Stats returns the version's column statistics, calling build with the base
+// it was handed (nil if none) on first use and keeping its value for the
+// version's life; the base is then dropped. The slots are typed any because
+// internal/stats, which owns the type and the fold, imports this package; use
+// stats.Of. Safe for concurrent readers: one of them builds, the others wait
+// for that build and share it.
+func (t *Table) Stats(build func(t *Table, base any) any) any {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.stats == nil {
-		t.stats = build(t)
+		t.stats = build(t, t.base)
+		t.base = nil
 	}
 	return t.stats
 }

@@ -71,9 +71,10 @@ func TestWireSize(t *testing.T) {
 // frame and a statistics slot. The frame is the table — the same pointer on
 // every read while the version stands; the statistics are built once per
 // version. A BeginVersion draft has its own Version, a frame of its own that
-// extends the parent's (the parent's never changes) and no statistics; a
-// direct Insert re-stamps the version once per batch, grows the frame by the
-// new row and drops the statistics.
+// extends the parent's (the parent's never changes) and no statistics, only
+// the parent's as the base its build is handed; a direct Insert re-stamps the
+// version once per batch, grows the frame by the new row and demotes the
+// statistics to the base of the next build.
 func TestColumnsCacheAndGeneration(t *testing.T) {
 	tab := newTable(t)
 	rows := []types.Row{
@@ -94,7 +95,8 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 	}
 
 	builds := 0
-	stat := func(tb *Table) any { builds++; return tb.Len() }
+	var handed any
+	stat := func(tb *Table, base any) any { builds++; handed = base; return tb.Len() }
 	f := tab.Columns()
 	if f.Rows() != 3 {
 		t.Fatalf("frame rows = %d, want 3", f.Rows())
@@ -102,8 +104,8 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 	if tab.Columns() != f {
 		t.Fatal("Columns() returned another frame without any table change")
 	}
-	if tab.Stats(stat) != 3 || tab.Stats(stat) != 3 || builds != 1 {
-		t.Fatalf("statistics built %d times for one version, want once", builds)
+	if tab.Stats(stat) != 3 || tab.Stats(stat) != 3 || builds != 1 || handed != nil {
+		t.Fatalf("statistics built %d times for one version (base %v), want once from nothing", builds, handed)
 	}
 	if tab.Version() != v1 {
 		t.Fatal("reading derived state changed the Version")
@@ -121,8 +123,8 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 	if df := draft.Columns(); df == f || df.Rows() != 4 {
 		t.Fatalf("draft frame shared with parent or wrong size (%d rows)", df.Rows())
 	}
-	if draft.Stats(stat) != 4 || builds != 2 {
-		t.Fatalf("draft statistics not built for the draft (builds = %d)", builds)
+	if draft.Stats(stat) != 4 || builds != 2 || handed != 3 {
+		t.Fatalf("draft statistics not built for the draft from the parent's (builds = %d, base %v)", builds, handed)
 	}
 	if tab.Columns() != f || f.Rows() != 3 || tab.Stats(stat) != 3 || tab.Len() != 3 || tab.Version() != v1 {
 		t.Fatal("a draft disturbed its parent version")
@@ -142,8 +144,8 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 	if f2.Rows() != 4 {
 		t.Fatalf("Columns() is stale after Insert: %d rows, want 4", f2.Rows())
 	}
-	if tab.Stats(stat) != 4 || builds != 3 {
-		t.Fatalf("statistics not rebuilt after Insert (builds = %d)", builds)
+	if tab.Stats(stat) != 4 || builds != 3 || handed != 3 {
+		t.Fatalf("statistics not derived anew from the old ones after Insert (builds = %d, base %v)", builds, handed)
 	}
 	// Frame values reconstruct the inserted rows exactly (the draft's row 9
 	// was never published and the direct insert overwrote it).

@@ -96,8 +96,15 @@ func (tr *Trace) TreeLines() []string {
 	if tr.HasSnapshot {
 		headAnn = append(headAnn, fmt.Sprintf("snapshot: seq %d, lsn %d", tr.SnapshotSeq, tr.SnapshotLSN))
 	}
+	var derived []string
 	if tr.StatsBuilds > 0 {
-		headAnn = append(headAnn, fmt.Sprintf("stats: %d built in %d µs", tr.StatsBuilds, tr.StatsTimeNS/1e3))
+		derived = append(derived, fmt.Sprintf("%d built in %d µs", tr.StatsBuilds, tr.StatsTimeNS/1e3))
+	}
+	if tr.StatsExtended > 0 {
+		derived = append(derived, fmt.Sprintf("%d extended (+%d rows) in %d µs", tr.StatsExtended, tr.StatsExtendedRows, tr.StatsExtendNS/1e3))
+	}
+	if len(derived) > 0 {
+		headAnn = append(headAnn, "stats: "+strings.Join(derived, ", "))
 	}
 	if len(headAnn) > 0 {
 		head += "  [" + strings.Join(headAnn, ", ") + "]"
@@ -200,9 +207,6 @@ func spanLine(sp *Span) string {
 	var ann []string
 	if sp.EstOut > 0 {
 		ann = append(ann, fmt.Sprintf("est %d, actual %d", sp.EstOut, sp.RowsOut))
-	}
-	if sp.RangeSkipped > 0 {
-		ann = append(ann, fmt.Sprintf("range-skip %d", sp.RangeSkipped))
 	}
 	if sp.Dict > 0 {
 		ann = append(ann, fmt.Sprintf("dict %d", sp.Dict))

@@ -76,16 +76,12 @@ type Span struct {
 	// does not apply.
 	DurNS int64 `json:"dur_ns,omitempty"`
 
-	// EstOut is the cost-based planner's estimated output cardinality for
-	// this operator, 0 when planning ran without statistics. Rendered only
-	// inside the strippable [...] bracket (estimated-vs-actual) and excluded
-	// from CountsFingerprint so cost-based and heuristic executions of the
-	// same plan shape fingerprint identically.
+	// EstOut is the planner's estimated output cardinality for this
+	// operator, 0 when planning ran without statistics. Rendered only inside
+	// the strippable [...] bracket (estimated-vs-actual) and excluded from
+	// CountsFingerprint so executions of the same plan shape with and
+	// without statistics fingerprint identically.
 	EstOut int `json:"est_out,omitempty"`
-	// RangeSkipped counts probe rows dropped by the sideways-information-
-	// passing min/max range prefilter before hashing. Excluded from
-	// CountsFingerprint (like EstOut); rendered in the [...] bracket.
-	RangeSkipped int `json:"range_skipped,omitempty"`
 }
 
 // Counters are whole-query totals, bumped atomically so operators may update
@@ -117,13 +113,16 @@ type Tracer struct {
 	snapSeq     uint64
 	snapLSN     uint64
 
-	rowsScanned atomic.Int64
-	rowsJoined  atomic.Int64
-	rowsDropped atomic.Int64
-	rowsOut     atomic.Int64
-	bytesOut    atomic.Int64
-	statsBuilds atomic.Int64
-	statsTimeNS atomic.Int64
+	rowsScanned   atomic.Int64
+	rowsJoined    atomic.Int64
+	rowsDropped   atomic.Int64
+	rowsOut       atomic.Int64
+	bytesOut      atomic.Int64
+	statsBuilds   atomic.Int64
+	statsTimeNS   atomic.Int64
+	statsExtended atomic.Int64
+	statsExtRows  atomic.Int64
+	statsExtNS    atomic.Int64
 }
 
 // New returns an enabled tracer for one query execution.
@@ -241,16 +240,28 @@ func (t *Tracer) SetSnapshot(seq, lsn uint64) {
 }
 
 // AddStatsBuild records that the traced statement itself built a table
-// version's column statistics (it was the first to ask for them), in a build
-// that began at start and ends now. Run-varying — the next statement finds
-// them built — so it is rendered only inside the strippable bracket section of
-// EXPLAIN ANALYZE and excluded from CountsFingerprint.
+// version's column statistics from row 0 (it was the first to ask for them,
+// and no ancestor version had any), in a build that began at start and ends
+// now. Run-varying — the next statement finds them built — so it is rendered
+// only inside the strippable bracket section of EXPLAIN ANALYZE and excluded
+// from CountsFingerprint.
 func (t *Tracer) AddStatsBuild(start time.Time) {
 	if t == nil {
 		return
 	}
 	t.statsBuilds.Add(1)
 	t.statsTimeNS.Add(time.Since(start).Nanoseconds())
+}
+
+// AddStatsExtension is AddStatsBuild for statistics derived by extending an
+// ancestor version's with the rows added since (rows of them).
+func (t *Tracer) AddStatsExtension(start time.Time, rows int) {
+	if t == nil {
+		return
+	}
+	t.statsExtended.Add(1)
+	t.statsExtRows.Add(int64(rows))
+	t.statsExtNS.Add(time.Since(start).Nanoseconds())
 }
 
 // SetStats records the core algorithm's one-line stats summary.
@@ -319,17 +330,22 @@ type Trace struct {
 	// HasSnapshot/SnapshotSeq/SnapshotLSN identify the MVCC snapshot the
 	// statement executed against (publish sequence and durable LSN).
 	// Run-varying: excluded from CountsFingerprint and rendered only inside
-	// the strippable bracket section of EXPLAIN ANALYZE. So are StatsBuilds
-	// and StatsTimeNS: the column-statistics builds this statement paid for
-	// (it was the first to need them) and their total time.
-	HasSnapshot bool     `json:"has_snapshot,omitempty"`
-	SnapshotSeq uint64   `json:"snapshot_seq,omitempty"`
-	SnapshotLSN uint64   `json:"snapshot_lsn,omitempty"`
-	StatsBuilds int64    `json:"stats_builds,omitempty"`
-	StatsTimeNS int64    `json:"stats_time_ns,omitempty"`
-	WallNS      int64    `json:"wall_ns"`
-	Counters    Counters `json:"counters"`
-	Spans       []Span   `json:"spans"`
+	// the strippable bracket section of EXPLAIN ANALYZE. So are the
+	// column-statistics derivations this statement paid for (it was the
+	// first to need them): StatsBuilds from row 0 in StatsTimeNS in total,
+	// and StatsExtended extensions of an ancestor version's statistics by
+	// StatsExtendedRows rows in StatsExtendNS.
+	HasSnapshot       bool     `json:"has_snapshot,omitempty"`
+	SnapshotSeq       uint64   `json:"snapshot_seq,omitempty"`
+	SnapshotLSN       uint64   `json:"snapshot_lsn,omitempty"`
+	StatsBuilds       int64    `json:"stats_builds,omitempty"`
+	StatsTimeNS       int64    `json:"stats_time_ns,omitempty"`
+	StatsExtended     int64    `json:"stats_extended,omitempty"`
+	StatsExtendedRows int64    `json:"stats_extended_rows,omitempty"`
+	StatsExtendNS     int64    `json:"stats_extend_ns,omitempty"`
+	WallNS            int64    `json:"wall_ns"`
+	Counters          Counters `json:"counters"`
+	Spans             []Span   `json:"spans"`
 }
 
 // Finish snapshots the tracer into a Trace. Returns nil on a disabled
@@ -341,19 +357,22 @@ func (t *Tracer) Finish() *Trace {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	tr := &Trace{
-		Query:       t.query,
-		Mode:        t.mode,
-		Strategy:    t.strategy,
-		Parallelism: t.parallelism,
-		Outputs:     append([]string(nil), t.outputs...),
-		Stats:       t.stats,
-		Cache:       t.cache,
-		HasSnapshot: t.hasSnap,
-		SnapshotSeq: t.snapSeq,
-		SnapshotLSN: t.snapLSN,
-		StatsBuilds: t.statsBuilds.Load(),
-		StatsTimeNS: t.statsTimeNS.Load(),
-		WallNS:      time.Since(t.start).Nanoseconds(),
+		Query:             t.query,
+		Mode:              t.mode,
+		Strategy:          t.strategy,
+		Parallelism:       t.parallelism,
+		Outputs:           append([]string(nil), t.outputs...),
+		Stats:             t.stats,
+		Cache:             t.cache,
+		HasSnapshot:       t.hasSnap,
+		SnapshotSeq:       t.snapSeq,
+		SnapshotLSN:       t.snapLSN,
+		StatsBuilds:       t.statsBuilds.Load(),
+		StatsTimeNS:       t.statsTimeNS.Load(),
+		StatsExtended:     t.statsExtended.Load(),
+		StatsExtendedRows: t.statsExtRows.Load(),
+		StatsExtendNS:     t.statsExtNS.Load(),
+		WallNS:            time.Since(t.start).Nanoseconds(),
 		Counters: Counters{
 			RowsScanned: t.rowsScanned.Load(),
 			RowsJoined:  t.rowsJoined.Load(),

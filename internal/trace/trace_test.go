@@ -157,6 +157,22 @@ func TestTreeLinesBracketsAreStrippable(t *testing.T) {
 	}
 }
 
+// TestStatisticsAnnotation: the statistics a statement derived show in the
+// head line's bracket, builds from row 0 apart from extensions of an
+// ancestor version's — and only there.
+func TestStatisticsAnnotation(t *testing.T) {
+	tr := &Trace{Mode: "resultdb", Strategy: "semijoin",
+		StatsBuilds: 1, StatsTimeNS: 12_000, StatsExtended: 2, StatsExtendedRows: 8, StatsExtendNS: 3_000}
+	head := tr.TreeLines()[0]
+	if want := "[stats: 1 built in 12 µs, 2 extended (+8 rows) in 3 µs]"; !strings.HasSuffix(head, want) {
+		t.Errorf("head line %q, want it to end in %q", head, want)
+	}
+	tr.StatsBuilds = 0
+	if head := tr.TreeLines()[0]; !strings.HasSuffix(head, "[stats: 2 extended (+8 rows) in 3 µs]") {
+		t.Errorf("head line %q shows a build that did not happen", head)
+	}
+}
+
 // TestTraceJSONRoundTrip: the JSON form carries the full structure back.
 func TestTraceJSONRoundTrip(t *testing.T) {
 	tr := New("SELECT x")

@@ -29,10 +29,11 @@ import (
 //     checked on top: sorted on the keys, a prefix of the reference's set
 //     sorted the same way), and
 //   - against itself across the configuration lattice: parallelism {1, 4} ×
-//     result cache {off, on} × planner {heuristic, cost-based} × transport
-//     {local, v1 over TCP, v2 over TCP, v2 streamed over TCP}, each compared
-//     byte for byte to the v1 encoding of the serial, uncached, heuristic
-//     execution.
+//     result cache {off, on} × planner statistics {derived lazily, ANALYZEd
+//     first} × transport {local, v1 over TCP, v2 over TCP, v2 streamed over
+//     TCP}, each compared byte for byte to the v1 encoding of the serial,
+//     uncached, lazily planned execution. (Whether planning has statistics
+//     at all is core's byte-identity test, TestCostBasedMatchesHeuristic.)
 //
 // The wire encoding covers set names, column lists, row data (values AND
 // their order) and the shipped post-join plan, so any divergence — a kernel
@@ -45,9 +46,9 @@ import (
 
 // execConfig is one point of the configuration lattice.
 type execConfig struct {
-	par   int
-	cache bool
-	cost  bool
+	par     int
+	cache   bool
+	analyze bool // statistics derived eagerly by ANALYZE, not by the first statement
 }
 
 func (c execConfig) String() string {
@@ -55,8 +56,8 @@ func (c execConfig) String() string {
 	if c.cache {
 		name += "-cache"
 	}
-	if c.cost {
-		name += "-cost"
+	if c.analyze {
+		name += "-analyze"
 	}
 	return name
 }
@@ -73,8 +74,8 @@ type execFleet struct {
 	cands    []execCandidate
 }
 
-// newExecFleet loads the same workload into the serial, uncached, heuristic
-// baseline and into one served database per lattice point.
+// newExecFleet loads the same workload into the serial, uncached, lazily
+// planned baseline and into one served database per lattice point.
 func newExecFleet(t *testing.T, load func(d *db.Database) error) *execFleet {
 	t.Helper()
 	f := &execFleet{baseline: db.Open(db.Config{Parallelism: 1})}
@@ -83,11 +84,16 @@ func newExecFleet(t *testing.T, load func(d *db.Database) error) *execFleet {
 	}
 	for _, par := range []int{1, 4} {
 		for _, cache := range []bool{false, true} {
-			for _, cost := range []bool{false, true} {
-				cand := execCandidate{cfg: execConfig{par, cache, cost}}
-				cand.d = db.Open(db.Config{Parallelism: par, CacheEnabled: cache, CacheBudget: 256 << 20, CostBased: cost})
+			for _, analyze := range []bool{false, true} {
+				cand := execCandidate{cfg: execConfig{par, cache, analyze}}
+				cand.d = db.Open(db.Config{Parallelism: par, CacheEnabled: cache, CacheBudget: 256 << 20})
 				if err := load(cand.d); err != nil {
 					t.Fatal(err)
+				}
+				if analyze {
+					if _, err := cand.d.Exec("ANALYZE"); err != nil {
+						t.Fatal(err)
+					}
 				}
 				srv := NewServer(cand.d)
 				addr, err := srv.Listen("127.0.0.1:0")
@@ -115,28 +121,6 @@ func newExecFleet(t *testing.T, load func(d *db.Database) error) *execFleet {
 		}
 	}
 	return f
-}
-
-// sortedEncoding is the v1 encoding of res with every set's rows sorted into
-// a canonical order (detaching the columnar view, which is row-order
-// aligned). Used where row order is not part of the contract: single-table
-// results under cost-based planning, whose join order may differ.
-func sortedEncoding(res *db.Result) []byte {
-	sorted := &db.Result{PostJoinPlan: res.PostJoinPlan}
-	for _, set := range res.Sets {
-		rows := append([]types.Row(nil), set.Rows...)
-		keys := renderRows(rows)
-		order := make([]int, len(rows))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(i, j int) bool { return keys[order[i]] < keys[order[j]] })
-		for i, j := range order {
-			rows[i] = set.Rows[j]
-		}
-		sorted.Sets = append(sorted.Sets, &db.ResultSet{Name: set.Name, Columns: set.Columns, Rows: rows})
-	}
-	return EncodeResult(sorted)
 }
 
 // renderRows renders each row as a string that distinguishes distinct rows.
@@ -303,13 +287,7 @@ func (f *execFleet) check(t *testing.T, name, sql string) {
 
 	var decoded *db.Result
 	for _, cand := range f.cands {
-		// A cost-based plan may join in a different order, which permutes a
-		// single-table result's rows; subdatabase relations keep scan order
-		// under every plan.
-		encode, want := EncodeResult, EncodeResult(base)
-		if cand.cfg.cost && !sel.ResultDB {
-			encode, want = sortedEncoding, sortedEncoding(base)
-		}
+		want := EncodeResult(base)
 		// Cached candidates run twice locally, so both the cold fill and the
 		// warm hit are compared; their clients then read warm entries.
 		runs := 1
@@ -321,8 +299,8 @@ func (f *execFleet) check(t *testing.T, name, sql string) {
 			if err != nil {
 				t.Fatalf("%s [%s]: %v", name, cand.cfg, err)
 			}
-			if !bytes.Equal(encode(res), want) {
-				t.Fatalf("%s [%s, local run %d]: execution differs from the serial uncached heuristic baseline\nsql: %s",
+			if !bytes.Equal(EncodeResult(res), want) {
+				t.Fatalf("%s [%s, local run %d]: execution differs from the serial uncached baseline\nsql: %s",
 					name, cand.cfg, run, sql)
 			}
 		}
@@ -331,7 +309,7 @@ func (f *execFleet) check(t *testing.T, name, sql string) {
 			if err != nil {
 				t.Fatalf("%s [%s %s]: %v", name, cand.cfg, c.name, err)
 			}
-			if !bytes.Equal(encode(got), want) {
+			if !bytes.Equal(EncodeResult(got), want) {
 				t.Fatalf("%s [%s %s]: result received over the wire differs from the baseline\nsql: %s",
 					name, cand.cfg, c.name, sql)
 			}
