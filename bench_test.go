@@ -21,6 +21,7 @@ import (
 	"resultdb/internal/engine"
 	"resultdb/internal/rewrite"
 	"resultdb/internal/sqlparse"
+	"resultdb/internal/stats"
 	"resultdb/internal/trace"
 	"resultdb/internal/wire"
 	"resultdb/internal/workload/job"
@@ -568,5 +569,147 @@ func BenchmarkDecodeJOB(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	}
+}
+
+// BenchmarkCacheExtend is the probe behind the result cache's empty-delta
+// check, on the statements the mixed_rw workload's writer invalidated: the 14
+// JOB RESULTDB statements that read movie_keyword, at JOB scale 0.5. Before
+// each timed read it commits (untimed) one 8-row INSERT into movie_keyword,
+// and reports per statement:
+//
+//   - hit: no commit; an exact hit.
+//   - extend: dangling rows (no title has their movie_id); the entry is
+//     extended.
+//   - recompute: dangling rows, cache cleared; what every read after a commit
+//     cost before entries could extend.
+//   - check-fails: a joining row (a participating row copied under a fresh
+//     id) and seven dangling ones; the check runs until the joining row
+//     survives, then the statement is recomputed.
+//   - delta-term: the ordinary reduction with each movie_keyword alias's
+//     relation replaced by a dangling 8-row tail, every other relation at the
+//     new version: the least a union-merge of a non-empty delta would run.
+//
+// Run with -benchtime 20x; ns/op of extend over recompute is the check's
+// share, check-fails over recompute its cost when it fails.
+func BenchmarkCacheExtend(b *testing.B) {
+	d := db.Open(db.Config{Parallelism: 1, CacheEnabled: true, CacheBudget: db.DefaultCacheBudget})
+	if err := job.Load(d, job.Config{Scale: 0.5, Seed: 42}); err != nil {
+		b.Fatal(err)
+	}
+	next := 10_000_000
+	commit := func(joining string) { // joining: "movie_id, keyword_id" of a participating row, or ""
+		var rows []string
+		if joining != "" {
+			rows = append(rows, fmt.Sprintf("(%d, %s)", next, joining))
+			next++
+		}
+		for len(rows) < 8 {
+			rows = append(rows, fmt.Sprintf("(%d, %d, %d)", next, next, 1+next%1000))
+			next++
+		}
+		if _, err := d.Exec("INSERT INTO movie_keyword VALUES " + strings.Join(rows, ", ")); err != nil {
+			b.Fatal(err)
+		}
+	}
+	exec := func(sql string) {
+		if _, err := d.Exec(sql); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, q := range job.Queries() {
+		sql := "SELECT RESULTDB" + strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT")
+		sel, err := sqlparse.ParseSelect(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var mk []string
+		for _, r := range sel.From {
+			if r.Ref.Table == "movie_keyword" {
+				mk = append(mk, r.Ref.Name())
+			}
+		}
+		if len(mk) == 0 {
+			continue
+		}
+		// A participating movie_keyword row: its movie_id and keyword_id.
+		probe := *sel
+		probe.ResultDB = false
+		probe.Items = []sqlparse.SelectItem{{Star: true, Table: mk[0]}}
+		res, err := d.Query(&probe)
+		if err != nil {
+			b.Fatal(err)
+		}
+		joining := ""
+		if res.First().NumRows() > 0 {
+			row := res.First().Rows[0]
+			joining = row[1].String() + ", " + row[2].String()
+		}
+		timed := func(name string, before func()) {
+			b.Run(q.Name+"/"+name, func(b *testing.B) {
+				exec(sql)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					before()
+					b.StartTimer()
+					exec(sql)
+				}
+			})
+		}
+		timed("hit", func() {})
+		timed("extend", func() { commit("") })
+		timed("recompute", func() { commit(""); d.ClearCache() })
+		if joining != "" {
+			timed("check-fails", func() { commit(joining) })
+		}
+		b.Run(q.Name+"/delta-term", func(b *testing.B) {
+			commit("")
+			snap := d.Snapshot()
+			plain := *sel
+			plain.ResultDB = false
+			spec, err := engine.AnalyzeSPJ(&plain, snap)
+			if err != nil {
+				b.Fatal(err)
+			}
+			mkTable, err := snap.Table("movie_keyword")
+			if err != nil {
+				b.Fatal(err)
+			}
+			tail := []int32{}
+			for i := mkTable.Len() - 8; i < mkTable.Len(); i++ {
+				tail = append(tail, int32(i))
+			}
+			ex := &engine.Executor{Src: snap, Parallelism: 1}
+			opts := d.CoreOptions
+			opts.TableStats = map[string]*stats.Table{}
+			for _, r := range spec.Rels {
+				t, err := snap.Table(r.Table)
+				if err != nil {
+					b.Fatal(err)
+				}
+				opts.TableStats[strings.ToLower(r.Alias)] = stats.Of(t)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rels := map[string]*engine.Relation{}
+				for _, r := range spec.Rels {
+					var sel []int32
+					if r.Table == "movie_keyword" {
+						sel = tail
+					}
+					rel, err := ex.ScanRows(r, spec.Filters[r.Alias], sel)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rels[strings.ToLower(r.Alias)] = rel
+				}
+				if _, _, err := core.SemiJoinReduce(spec, rels, spec.OutputRels(), opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -316,8 +316,8 @@ func (s *shell) meta(cmd string) bool {
 		}
 		if d.CacheEnabled() {
 			st := d.CacheStats()
-			fmt.Fprintf(s.out, "cache on: %d entries, %d/%d bytes, %d hits, %d misses, %d invalidations, %d evictions, %d collapsed\n",
-				st.Entries, st.Bytes, st.Budget, st.Hits, st.Misses, st.Invalidations, st.Evictions, st.Collapsed)
+			fmt.Fprintf(s.out, "cache on: %d entries, %d/%d bytes, %d hits (%d extended), %d misses, %d invalidations, %d evictions, %d collapsed\n",
+				st.Entries, st.Bytes, st.Budget, st.Hits, st.Extended, st.Misses, st.Invalidations, st.Evictions, st.Collapsed)
 		} else {
 			fmt.Fprintln(s.out, "cache off")
 		}

@@ -1,7 +1,7 @@
 // Package cache is the semantic query-result cache of the reproduction: a
-// zero-dependency (stdlib-only), generic, byte-budgeted LRU keyed by a
-// normalized statement fingerprint and guarded by the version vector of the
-// tables the statement reads.
+// generic, byte-budgeted LRU keyed by a normalized statement fingerprint and
+// guarded by the version marks (internal/storage.Mark, its one dependency) of
+// the tables the statement reads.
 //
 // The design mirrors the paper's own argument one level up: SELECT RESULTDB
 // avoids recomputing and re-shipping redundant denormalized data *within* a
@@ -16,21 +16,28 @@
 //     the canonicalized AST rendering from internal/sqlparse), so whitespace,
 //     literal formatting, and identifier case do not fragment the cache.
 //   - The cache knows no table names and keeps no counters. Every entry
-//     records the version vector it was computed at — one number per base
-//     table the statement reads, taken by the caller from the database state
-//     it pinned (internal/db: storage.Table.Version). A lookup carries the
-//     caller's own pinned vector and is served only on an exact match
+//     records the vector of table-version marks it was computed at — one
+//     storage.Mark (lineage, row count) per base table the statement reads,
+//     taken by the caller from the database state it pinned. A lookup carries
+//     the caller's own pinned vector and is served on an exact match
 //     (O(#tables), a handful of integers), so a reader never sees a result
-//     newer or older than its snapshot. Writers do nothing here: an entry
-//     whose vector is no longer the live one is discarded lazily, by the
-//     lookup that finds it.
+//     older or newer than its snapshot.
+//   - Writers do nothing here. A lookup that finds its entry at an earlier
+//     version of the same tables — every mark of the entry a prefix of the
+//     reader's: only rows were appended since — asks the caller whether the
+//     appended rows change the value (DoAt's extend). If they do not, the
+//     entry is re-stamped with the reader's vector, kept bytes and all; if
+//     they might, or the tables were re-created, an entry whose vector is no
+//     longer the live one is discarded by the lookup that finds it.
 //   - Admission and eviction are cost-aware: each entry carries its measured
 //     wire-encoded byte size, the cache holds a configurable byte budget, and
 //     the least-recently-used entries are evicted until the new entry fits.
 //     Entries larger than the whole budget are simply not admitted.
 //   - Concurrent identical misses are collapsed by single-flight: the first
-//     caller computes, everyone else waits for that one execution and shares
-//     the value. A thundering herd of N identical queries costs one execution.
+//     caller computes (or extends), everyone else pinned at the same vector
+//     waits for that one execution and shares the value. A thundering herd of
+//     N identical queries costs one execution. A computation that panics
+//     releases its waiters with an error and re-panics to its own caller.
 //
 // The cache stores opaque values (instantiate Cache[V] with the result type);
 // callers must treat returned values as immutable shared snapshots.
@@ -38,24 +45,32 @@ package cache
 
 import (
 	"container/list"
+	"fmt"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
+
+	"resultdb/internal/storage"
 )
 
 // Stats is a point-in-time snapshot of the cache's counters and occupancy.
 type Stats struct {
-	// Hits counts lookups served from a live entry.
+	// Hits counts lookups served from a resident entry, extended ones
+	// included.
 	Hits uint64
-	// Misses counts lookups that found no entry (or a stale one) and led to
-	// a computation (single-flight followers count as hits-by-collapse, not
-	// misses).
+	// Misses counts lookups that found no entry (or one they could not
+	// extend) and led to a computation (single-flight followers count as
+	// hits-by-collapse, not misses).
 	Misses uint64
-	// Invalidations counts lookups that found an entry whose version vector
-	// is no longer the live one; the entry is discarded at that moment (lazy
-	// eviction).
+	// Invalidations counts entries discarded by the lookup that found them:
+	// computed at a vector that is no longer the live one, and not extended to
+	// the lookup's (lazy eviction).
 	Invalidations uint64
+	// Extended counts lookups served by an entry computed at an earlier
+	// version of the same tables, after extend showed that the rows appended
+	// since change nothing; each is counted as a hit too.
+	Extended uint64
 	// Evictions counts entries evicted to make room under the byte budget.
 	Evictions uint64
 	// Collapsed counts callers that joined an in-flight identical
@@ -71,12 +86,12 @@ type Stats struct {
 	Budget int64
 }
 
-// entry is one cached value with the version vector it was computed at.
+// entry is one cached value with the vector of marks it is valid at.
 type entry struct {
 	key   string
 	value any
 	bytes int64
-	at    []uint64
+	at    []storage.Mark
 	elem  *list.Element
 }
 
@@ -90,11 +105,11 @@ type flight[V any] struct {
 // Cache is a versioned, byte-budgeted, single-flight LRU. All methods are
 // safe for concurrent use. The zero value is not usable; construct with New.
 //
-// Every lookup and fill names a version vector: at is the vector the caller's
-// snapshot pins, in an order the key determines (internal/db lists the
-// statement's tables in first-appearance order), and live reports the same
-// vector read from the newest committed state. live is called with the cache
-// locked and must not block.
+// Every lookup and fill names a vector of marks: at is the vector the
+// caller's snapshot pins, in an order the key determines (internal/db lists
+// the statement's tables in first-appearance order), and live reports the
+// same vector read from the newest committed state. live is called with the
+// cache locked and must not block.
 type Cache[V any] struct {
 	mu      sync.Mutex
 	budget  int64
@@ -106,6 +121,7 @@ type Cache[V any] struct {
 	hits          uint64
 	misses        uint64
 	invalidations uint64
+	extended      uint64
 	evictions     uint64
 	collapsed     uint64
 }
@@ -155,7 +171,7 @@ func (c *Cache[V]) removeLocked(e *entry) {
 // putLocked admits v under key at vector at. Oversized values (bytes >
 // budget) are not admitted; otherwise LRU entries are evicted until the value
 // fits. An entry already under the key is replaced.
-func (c *Cache[V]) putLocked(key string, v V, bytes int64, at []uint64) {
+func (c *Cache[V]) putLocked(key string, v V, bytes int64, at []storage.Mark) {
 	if bytes > c.budget {
 		return
 	}
@@ -213,38 +229,67 @@ func (c *Cache[V]) Retain(key string, v V, delta int64) bool {
 }
 
 // flightKey builds the single-flight key for a computation pinned at a
-// version vector: two identical statements on different snapshots must NOT
-// collapse into one execution (they could legitimately need different
-// results), so the vector is part of the key.
-func flightKey(key string, at []uint64) string {
+// vector: two identical statements on different snapshots must NOT collapse
+// into one execution (they could legitimately need different results), so
+// the vector is part of the key.
+func flightKey(key string, at []storage.Mark) string {
 	var b strings.Builder
-	b.Grow(len(key) + 12*len(at))
+	b.Grow(len(key) + 16*len(at))
 	b.WriteString(key)
-	for _, v := range at {
+	for _, m := range at {
 		b.WriteByte('|')
-		b.WriteString(strconv.FormatUint(v, 36))
+		b.WriteString(strconv.FormatUint(m.Origin, 36))
+		b.WriteByte('.')
+		b.WriteString(strconv.FormatInt(int64(m.Rows), 36))
 	}
 	return b.String()
 }
 
-// PeekAt reports whether key holds a value computed at exactly the vector at,
-// without counting a hit or a miss and without touching LRU order (used by
-// EXPLAIN ANALYZE to annotate the plan without perturbing the cache).
-func (c *Cache[V]) PeekAt(key string, at []uint64) (V, bool) {
+// prefixOf reports whether every mark of from is a prefix of the mark at
+// the same place in at: the tables are the same incarnations, with at most
+// rows appended since.
+func prefixOf(from, at []storage.Mark) bool {
+	if len(from) != len(at) {
+		return false
+	}
+	for i, m := range from {
+		if !m.PrefixOf(at[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// behind is how many rows the tables at have that the prefix vector from
+// lacks.
+func behind(from, at []storage.Mark) int {
+	n := 0
+	for i, m := range from {
+		n += at[i].Rows - m.Rows
+	}
+	return n
+}
+
+// PeekAt reports whether key holds a value that a lookup at the vector at
+// would find: one computed at exactly at (behind = 0), or at an earlier
+// version of the same tables that DoAt would offer to extend (behind = the
+// rows appended since). It counts neither a hit nor a miss and does not
+// touch LRU order (EXPLAIN ANALYZE uses it to annotate the plan without
+// perturbing the cache).
+func (c *Cache[V]) PeekAt(key string, at []storage.Mark) (v V, behindRows int, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries[key]; ok && slices.Equal(e.at, at) {
-		return e.value.(V), true
+	if e, ok := c.entries[key]; ok && prefixOf(e.at, at) {
+		return e.value.(V), behind(e.at, at), true
 	}
-	var zero V
-	return zero, false
+	return v, 0, false
 }
 
 // PutAt admits a value computed at the vector at — but only if that is still
 // the live vector, i.e. no writer published past the caller's snapshot while
 // the value was computed. A stale fill is silently dropped: it is correct for
 // its snapshot but must not shadow (or evict) an entry of the newer state.
-func (c *Cache[V]) PutAt(key string, v V, bytes int64, at []uint64, live func() []uint64) {
+func (c *Cache[V]) PutAt(key string, v V, bytes int64, at []storage.Mark, live func() []storage.Mark) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if slices.Equal(at, live()) {
@@ -252,31 +297,55 @@ func (c *Cache[V]) PutAt(key string, v V, bytes int64, at []uint64, live func() 
 	}
 }
 
+// invalidateLocked discards e if its vector is no longer the live one.
+func (c *Cache[V]) invalidateLocked(e *entry, live func() []storage.Mark) {
+	if !slices.Equal(e.at, live()) {
+		c.invalidations++
+		c.removeLocked(e)
+	}
+}
+
 // DoAt is the snapshot-pinned single-flight read-through. It serves a cached
-// value only when it was computed at exactly the caller's vector (hit=true);
-// otherwise it either joins an in-flight identical computation pinned at the
-// same vector (hit=true, counted as Collapsed) or runs compute itself and
-// returns its value (hit=false), admitting it with its reported byte cost
-// only when the vector is still live at fill time — a fill that raced a
-// writer is returned to its caller but not cached. An entry found under the
-// key at another vector is discarded if that vector is no longer live
-// (counted as an invalidation) and left alone if it is: a reader pinned to an
-// older snapshot is not served it and does not evict it. Errors are returned
-// to every waiter and never cached. compute runs without any cache lock held
-// and needs no external synchronization — the snapshot it reads is immutable.
-func (c *Cache[V]) DoAt(key string, at []uint64, live func() []uint64, compute func() (V, int64, error)) (V, bool, error) {
+// value computed at exactly the caller's vector (hit=true). Otherwise it
+// either joins an in-flight identical lookup pinned at the same vector
+// (hit=true, counted as Collapsed) or does the work itself:
+//
+//   - An entry computed at an earlier version of the same tables (every mark
+//     a prefix of the caller's) is offered to extend, with the vector it was
+//     computed at. If extend reports that the rows appended since leave the
+//     value unchanged, the value is served (hit=true, counted as Extended),
+//     and the entry, if it is still the one under the key and at's vector is
+//     live, is re-stamped in place: it keeps its value, its charged bytes and
+//     its LRU element (moved to the front, as any hit moves it).
+//   - Failing that, compute runs and its value is returned (hit=false),
+//     admitted with its reported byte cost only when the vector is still live
+//     at fill time — a fill that raced a writer is returned to its caller but
+//     not cached.
+//
+// An entry found under the key and not extended is discarded if its vector
+// is no longer live (counted as an invalidation) and left alone if it is: a
+// reader pinned to an older snapshot is not served it and does not evict it.
+// Errors are returned to every waiter and never cached. A panic in extend or
+// compute reaches the caller unchanged, after the flight is released: its
+// waiters get an error, and the next identical lookup runs afresh. Both run
+// without any cache lock held and need no external synchronization — the
+// snapshot they read is immutable.
+func (c *Cache[V]) DoAt(key string, at []storage.Mark, live func() []storage.Mark,
+	compute func() (V, int64, error), extend func(v V, from []storage.Mark) bool) (V, bool, error) {
 	c.mu.Lock()
+	var base *entry // a resident entry at a prefix of at, offered to extend
 	if e, ok := c.entries[key]; ok {
-		if slices.Equal(e.at, at) {
+		switch {
+		case slices.Equal(e.at, at):
 			c.hits++
 			c.lru.MoveToFront(e.elem)
 			v := e.value.(V)
 			c.mu.Unlock()
 			return v, true, nil
-		}
-		if !slices.Equal(e.at, live()) {
-			c.invalidations++
-			c.removeLocked(e)
+		case prefixOf(e.at, at):
+			base = e
+		default:
+			c.invalidateLocked(e, live)
 		}
 	}
 	fkey := flightKey(key, at)
@@ -286,10 +355,41 @@ func (c *Cache[V]) DoAt(key string, at []uint64, live func() []uint64, compute f
 		<-f.done
 		return f.val, true, f.err
 	}
-	c.misses++
 	f := &flight[V]{done: make(chan struct{})}
 	c.flights[fkey] = f
+	var from []storage.Mark
+	var old V
+	if base != nil {
+		from, old = base.at, base.value.(V)
+	} else {
+		c.misses++
+	}
 	c.mu.Unlock()
+	defer c.releaseOnPanic(fkey, f)
+
+	if base != nil {
+		extended := extend(old, from)
+		c.mu.Lock()
+		resident := c.entries[key] == base && slices.Equal(base.at, from)
+		switch {
+		case extended:
+			c.hits++
+			c.extended++
+			if resident && slices.Equal(at, live()) {
+				base.at = at
+				c.lru.MoveToFront(base.elem)
+			}
+			delete(c.flights, fkey)
+			c.mu.Unlock()
+			f.val = old
+			close(f.done)
+			return old, true, nil
+		case resident:
+			c.invalidateLocked(base, live)
+		}
+		c.misses++
+		c.mu.Unlock()
+	}
 
 	v, bytes, err := compute()
 	f.val, f.err = v, err
@@ -304,6 +404,25 @@ func (c *Cache[V]) DoAt(key string, at []uint64, live func() []uint64, compute f
 	return v, false, err
 }
 
+// releaseOnPanic, deferred by the flight's owner, lets a panic in extend or
+// compute go on to the owner's caller only after the flight is deleted and
+// its waiters are released with an error. Without it the flight stays
+// registered with done open, and every later identical lookup at the same
+// vector blocks for good.
+func (c *Cache[V]) releaseOnPanic(fkey string, f *flight[V]) {
+	p := recover()
+	if p == nil {
+		return
+	}
+	c.mu.Lock()
+	delete(c.flights, fkey)
+	c.mu.Unlock()
+	var zero V
+	f.val, f.err = zero, fmt.Errorf("cache: the shared computation panicked: %v", p)
+	close(f.done)
+	panic(p)
+}
+
 // Stats snapshots the counters and occupancy.
 func (c *Cache[V]) Stats() Stats {
 	c.mu.Lock()
@@ -312,6 +431,7 @@ func (c *Cache[V]) Stats() Stats {
 		Hits:          c.hits,
 		Misses:        c.misses,
 		Invalidations: c.invalidations,
+		Extended:      c.extended,
 		Evictions:     c.evictions,
 		Collapsed:     c.collapsed,
 		Entries:       len(c.entries),

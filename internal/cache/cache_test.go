@@ -7,14 +7,17 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"resultdb/internal/storage"
 )
 
-// world stands in for the database's newest committed state: the live version
-// of the one table every test statement reads. A writer's commit is bump.
-type world struct{ v atomic.Uint64 }
+// world stands in for the database's newest committed state: the live mark
+// of the one table every test statement reads. A writer's commit is bump: one
+// more row in the same lineage.
+type world struct{ v atomic.Int64 }
 
-func (w *world) live() []uint64 { return []uint64{w.v.Load()} }
-func (w *world) bump()          { w.v.Add(1) }
+func (w *world) live() []storage.Mark { return []storage.Mark{{Origin: 1, Rows: int(w.v.Load())}} }
+func (w *world) bump()                { w.v.Add(1) }
 
 // put fills key at the live vector, as a reader that raced no writer would.
 func put[V any](c *Cache[V], w *world, key string, v V, bytes int64) {
@@ -26,16 +29,20 @@ func get[V any](c *Cache[V], w *world, key string) (V, bool) {
 	v, hit, _ := c.DoAt(key, w.live(), w.live, func() (V, int64, error) {
 		var zero V
 		return zero, 0, errNoFill
-	})
+	}, never)
 	return v, hit
 }
 
 var errNoFill = errors.New("lookup only")
 
+// never is an extend that finds every appended tail relevant: an entry not
+// at the lookup's exact vector is never served.
+func never[V any](V, []storage.Mark) bool { return false }
+
 // peek is an uncounted lookup at the live vector.
 func peek[V any](c *Cache[V], w *world, key string) bool {
-	_, ok := c.PeekAt(key, w.live())
-	return ok
+	_, behind, ok := c.PeekAt(key, w.live())
+	return ok && behind == 0
 }
 
 func TestGetPutHitMiss(t *testing.T) {
@@ -56,11 +63,11 @@ func TestGetPutHitMiss(t *testing.T) {
 
 func TestVersionInvalidation(t *testing.T) {
 	c := New[int](1 << 20)
-	// Two tables; the cache sees only their versions, in the statement's order.
-	cur := []uint64{4, 9}
-	live := func() []uint64 { return cur }
+	// Two tables; the cache sees only their marks, in the statement's order.
+	cur := []storage.Mark{{Origin: 4, Rows: 2}, {Origin: 9, Rows: 5}}
+	live := func() []storage.Mark { return cur }
 	lookup := func() bool {
-		_, hit, _ := c.DoAt("q", live(), live, func() (int, int64, error) { return 0, 0, errNoFill })
+		_, hit, _ := c.DoAt("q", live(), live, func() (int, int64, error) { return 0, 0, errNoFill }, never)
 		return hit
 	}
 	c.PutAt("q", 7, 1, cur, live)
@@ -69,8 +76,8 @@ func TestVersionInvalidation(t *testing.T) {
 	}
 
 	// A new version of either table makes the entry stale: the lookup that
-	// finds it discards it.
-	cur = []uint64{4, 10}
+	// finds it discards it (this lookup offers nothing to extend it with).
+	cur = []storage.Mark{{Origin: 4, Rows: 2}, {Origin: 9, Rows: 6}}
 	if lookup() {
 		t.Fatal("stale entry served after a table moved on")
 	}
@@ -101,14 +108,14 @@ func TestDoAtOlderPinLeavesNewerEntry(t *testing.T) {
 	w.bump()
 	put(c, w, "q", "new", 8)
 
-	v, hit, err := c.DoAt("q", pinned, w.live, func() (string, int64, error) { return "old", 8, nil })
+	v, hit, err := c.DoAt("q", pinned, w.live, func() (string, int64, error) { return "old", 8, nil }, extendAll)
 	if err != nil || hit || v != "old" {
 		t.Fatalf("pinned reader got (%q, hit=%v, err=%v), want its own computation", v, hit, err)
 	}
-	if got, ok := c.PeekAt("q", w.live()); !ok || got != "new" {
+	if got, behind, ok := c.PeekAt("q", w.live()); !ok || behind != 0 || got != "new" {
 		t.Fatal("older pin evicted or replaced the newer entry")
 	}
-	if _, ok := c.PeekAt("q", pinned); ok {
+	if _, _, ok := c.PeekAt("q", pinned); ok {
 		t.Fatal("older pin's fill was admitted")
 	}
 	if st := c.Stats(); st.Invalidations != 0 || st.Entries != 1 {
@@ -235,11 +242,11 @@ func TestDoComputesOnceAndCaches(t *testing.T) {
 		calls++
 		return "r", 5, nil
 	}
-	v, hit, err := c.DoAt("k", w.live(), w.live, compute)
+	v, hit, err := c.DoAt("k", w.live(), w.live, compute, never)
 	if err != nil || hit || v != "r" {
 		t.Fatalf("first DoAt: v=%q hit=%v err=%v", v, hit, err)
 	}
-	v, hit, err = c.DoAt("k", w.live(), w.live, compute)
+	v, hit, err = c.DoAt("k", w.live(), w.live, compute, never)
 	if err != nil || !hit || v != "r" {
 		t.Fatalf("second DoAt: v=%q hit=%v err=%v", v, hit, err)
 	}
@@ -251,7 +258,7 @@ func TestDoComputesOnceAndCaches(t *testing.T) {
 func TestDoErrorNotCached(t *testing.T) {
 	c, w := New[string](1<<20), new(world)
 	boom := errors.New("boom")
-	_, _, err := c.DoAt("k", w.live(), w.live, func() (string, int64, error) { return "", 0, boom })
+	_, _, err := c.DoAt("k", w.live(), w.live, func() (string, int64, error) { return "", 0, boom }, never)
 	if !errors.Is(err, boom) {
 		t.Fatalf("want boom, got %v", err)
 	}
@@ -259,7 +266,7 @@ func TestDoErrorNotCached(t *testing.T) {
 		t.Fatalf("error result cached: %+v", st)
 	}
 	// The next lookup recomputes.
-	v, hit, err := c.DoAt("k", w.live(), w.live, func() (string, int64, error) { return "ok", 1, nil })
+	v, hit, err := c.DoAt("k", w.live(), w.live, func() (string, int64, error) { return "ok", 1, nil }, never)
 	if err != nil || hit || v != "ok" {
 		t.Fatalf("recompute after error: v=%q hit=%v err=%v", v, hit, err)
 	}
@@ -284,7 +291,7 @@ func TestSingleFlightCollapsesThunderingHerd(t *testing.T) {
 					runtime.Gosched()
 				}
 				return 42, 1, nil
-			})
+			}, never)
 			if err != nil {
 				t.Error(err)
 			}
@@ -307,9 +314,9 @@ func TestSingleFlightCollapsesThunderingHerd(t *testing.T) {
 }
 
 func TestConcurrentMixedUse(t *testing.T) {
-	// Hammer the cache from many goroutines mixing DoAt, PeekAt, PutAt,
-	// commits, Stats and SetBudget; the race detector (verify.sh runs this
-	// package under -race) is the assertion.
+	// Hammer the cache from many goroutines mixing DoAt (extending or not),
+	// PeekAt, PutAt, commits, Stats and SetBudget; the race detector
+	// (verify.sh runs this package under -race) is the assertion.
 	c, w := New[int](1<<12), new(world)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -332,7 +339,7 @@ func TestConcurrentMixedUse(t *testing.T) {
 				default:
 					c.DoAt(key, w.live(), w.live, func() (int, int64, error) {
 						return g*1000 + i, 64, nil
-					})
+					}, func(int, []storage.Mark) bool { return i%4 == 1 })
 				}
 			}
 		}(g)

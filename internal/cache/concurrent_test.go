@@ -29,7 +29,7 @@ func TestDoAtStaleFillReturnedNotAdmitted(t *testing.T) {
 			close(started)
 			<-release
 			return "old", 8, nil
-		})
+		}, never)
 		done <- out{v, hit, err}
 	}()
 
@@ -45,7 +45,7 @@ func TestDoAtStaleFillReturnedNotAdmitted(t *testing.T) {
 	if _, ok := get(c, w, "q"); ok {
 		t.Fatal("stale fill was admitted")
 	}
-	if _, ok := c.PeekAt("q", pinned); ok {
+	if _, _, ok := c.PeekAt("q", pinned); ok {
 		t.Fatal("stale fill visible at the old snapshot")
 	}
 	if peek(c, w, "q") {
@@ -54,11 +54,11 @@ func TestDoAtStaleFillReturnedNotAdmitted(t *testing.T) {
 	// A reader on the new version recomputes — and that fill IS admitted.
 	v, hit, err := c.DoAt("q", w.live(), w.live, func() (string, int64, error) {
 		return "new", 8, nil
-	})
+	}, never)
 	if err != nil || hit || v != "new" {
 		t.Fatalf("post-bump DoAt = (%q, %v, %v)", v, hit, err)
 	}
-	if v, ok := c.PeekAt("q", w.live()); !ok || v != "new" {
+	if v, _, ok := c.PeekAt("q", w.live()); !ok || v != "new" {
 		t.Fatal("current-version fill not admitted")
 	}
 	// Two real computations (the stale one and the recompute) plus the get
@@ -87,7 +87,7 @@ func TestDoAtCollapsesSameSnapshot(t *testing.T) {
 				computes.Add(1)
 				<-gate
 				return "shared", 8, nil
-			})
+			}, never)
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 			}
@@ -127,7 +127,7 @@ func TestDoAtDistinctSnapshotsDoNotCollapse(t *testing.T) {
 			close(started)
 			<-release
 			return "old-world", 8, nil
-		})
+		}, never)
 		if err != nil || v != "old-world" {
 			t.Errorf("old-snapshot caller: (%q, %v)", v, err)
 		}
@@ -139,7 +139,7 @@ func TestDoAtDistinctSnapshotsDoNotCollapse(t *testing.T) {
 	// must run its own computation rather than wait and share stale bytes.
 	v, hit, err := c.DoAt("q", w.live(), w.live, func() (string, int64, error) {
 		return "new-world", 8, nil
-	})
+	}, never)
 	if err != nil || hit || v != "new-world" {
 		t.Fatalf("new-snapshot caller joined the old flight: (%q, hit=%v, err=%v)", v, hit, err)
 	}

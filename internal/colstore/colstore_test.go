@@ -3,6 +3,7 @@ package colstore
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"resultdb/internal/types"
@@ -270,7 +271,7 @@ func TestKernelsMatchRowwise(t *testing.T) {
 		}
 		want := rowwiseSelect(len(rows), func(i int) bool { return c.pass(rows[i]) })
 		for _, par := range []int{1, 4} {
-			got := RunKernels(len(rows), []Kernel{c.kernel}, par)
+			got := RunKernels(len(rows), nil, []Kernel{c.kernel}, par)
 			if !sameSel(got, want) {
 				t.Fatalf("%s par=%d: %d rows selected, want %d", c.name, par, len(got), len(want))
 			}
@@ -284,9 +285,27 @@ func TestKernelsMatchRowwise(t *testing.T) {
 		return cases[2].pass(r) && cases[8].pass(r) && !r[1].IsNull()
 	})
 	for _, par := range []int{1, 2, 8} {
-		got := RunKernels(len(rows), chain, par)
+		got := RunKernels(len(rows), nil, chain, par)
 		if !sameSel(got, want) {
 			t.Fatalf("chain par=%d: %d rows, want %d", par, len(got), len(want))
+		}
+	}
+
+	// Over a selection (every third row, from row 5): the same rows of the
+	// chain's answer, and the selection itself left as it was.
+	var sel, wantSel []int32
+	for i := 5; i < len(rows); i += 3 {
+		sel = append(sel, int32(i))
+		if slices.Contains(want, int32(i)) {
+			wantSel = append(wantSel, int32(i))
+		}
+	}
+	orig := slices.Clone(sel)
+	for _, par := range []int{1, 2, 8} {
+		got := RunKernels(len(rows), sel, chain, par)
+		if !sameSel(got, wantSel) || !slices.Equal(sel, orig) {
+			t.Fatalf("chain over a selection par=%d: %d rows, want %d (selection modified: %v)",
+				par, len(got), len(wantSel), !slices.Equal(sel, orig))
 		}
 	}
 

@@ -432,15 +432,24 @@ func (k *isNullKernel) FilterSel(sel, dst []int32) []int32 {
 }
 
 // RunKernels evaluates a conjunction of kernels over the dense row domain
-// [0, n), chunked across the worker pool at degree par with the usual
-// deterministic ordered merge: the first kernel runs dense over each chunk,
-// later kernels compact the chunk's selection vector in place. The result is
-// the ascending selection of rows passing every kernel (never nil, so an
-// empty result is distinguishable from a nil "all rows" selection). kernels
-// must be non-empty.
-func RunKernels(n int, kernels []Kernel, par int) []int32 {
+// [0, n) or, when sel is non-nil, over the ascending rows it lists, chunked
+// across the worker pool at degree par with the usual deterministic ordered
+// merge: the first kernel runs over each chunk into a fresh selection vector
+// (sel itself is never written), later kernels compact the chunk's selection
+// vector in place. The result is the ascending selection of rows passing
+// every kernel (never nil, so an empty result is distinguishable from a nil
+// "all rows" selection). kernels must be non-empty.
+func RunKernels(n int, sel []int32, kernels []Kernel, par int) []int32 {
+	if sel != nil {
+		n = len(sel)
+	}
 	out := parallel.Map(n, par, func(lo, hi int) []int32 {
-		dst := kernels[0].FilterDense(lo, hi, make([]int32, 0, hi-lo))
+		var dst []int32
+		if sel == nil {
+			dst = kernels[0].FilterDense(lo, hi, make([]int32, 0, hi-lo))
+		} else {
+			dst = kernels[0].FilterSel(sel[lo:hi], make([]int32, 0, hi-lo))
+		}
 		for _, k := range kernels[1:] {
 			if len(dst) == 0 {
 				break

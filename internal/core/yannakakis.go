@@ -357,8 +357,10 @@ type Options struct {
 	// ResultCache enables the semantic query-result cache at the database
 	// layer (internal/cache wired through internal/db): SELECT results —
 	// classic, RESULTDB, and RESULTDB PRESERVING — are cached under their
-	// canonical statement fingerprint and valid only at the table versions
-	// they were computed at, so any DML/DDL invalidates them. core itself ignores the field; it lives
+	// canonical statement fingerprint and valid at the table versions they
+	// were computed at. After an INSERT a RESULTDB entry whose appended rows
+	// join nothing is extended to the new versions; any other DML, and all
+	// DDL, invalidates it. core itself ignores the field; it lives
 	// here so the whole execution configuration travels in one options bag
 	// (db.Database.CoreOptions), alongside Parallelism. Defaults to off; the
 	// RESULTDB_CACHE environment variable ("on", "off", or a byte budget

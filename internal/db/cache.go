@@ -7,6 +7,7 @@ import (
 
 	"resultdb/internal/cache"
 	"resultdb/internal/sqlparse"
+	"resultdb/internal/storage"
 )
 
 // DefaultCacheBudget is the result cache's byte budget when enabled without
@@ -106,26 +107,29 @@ func cacheKey(ec execCtx, sel *sqlparse.Select) string {
 }
 
 // cacheAt returns what the result cache needs to place sel in version space:
-// at, the version vector the statement's tables have in the pinned snapshot,
-// and live, the same vector read from the newest committed state.
-func (d *Database) cacheAt(snap *Snapshot, sel *sqlparse.Select) (at []uint64, live func() []uint64) {
-	tables := sqlparse.Tables(sel)
-	return snap.st.versions(tables), func() []uint64 { return d.state.Load().versions(tables) }
+// tables, the statement's tables in first-appearance order; at, the vector
+// of their marks in the pinned snapshot; and live, the same vector read from
+// the newest committed state.
+func (d *Database) cacheAt(snap *Snapshot, sel *sqlparse.Select) (tables []string, at []storage.Mark, live func() []storage.Mark) {
+	tables = sqlparse.Tables(sel)
+	return tables, snap.st.marks(tables), func() []storage.Mark { return d.state.Load().marks(tables) }
 }
 
 // queryCached serves sel through the result cache, keyed on the pinned
-// snapshot's table versions. A writer can publish a new version at any point
+// snapshot's table marks. A writer can publish a new version at any point
 // of the lookup-execute-fill window; the snapshot-versioned cache API
 // (cache.DoAt) keeps every outcome correct:
 //
-//   - A cached entry is served only if it was filled at exactly the
-//     versions this snapshot pins — a reader can never see a result newer
-//     (or older) than its snapshot.
+//   - A cached entry is served only if it was filled at exactly the marks
+//     this snapshot pins — a reader can never see a result newer (or older)
+//     than its snapshot — or if it was filled at an earlier version of the
+//     same tables and unchanged shows that the rows appended since add no
+//     join tuple (the entry is then re-stamped for the snapshot).
 //   - Concurrent identical misses collapse into one execution only when
-//     they pinned the same versions (the single-flight key includes the
-//     version vector), so a reader before and a reader after a commit never
-//     share a computation.
-//   - A computed fill is admitted only if the tables' versions are still
+//     they pinned the same marks (the single-flight key includes the
+//     vector), so a reader before and a reader after a commit never share a
+//     computation.
+//   - A computed fill is admitted only if the tables' marks are still
 //     current at fill time; a fill that raced a writer is returned to its
 //     caller (correct for its snapshot) but not cached.
 //
@@ -137,7 +141,7 @@ func (d *Database) cacheAt(snap *Snapshot, sel *sqlparse.Select) (at []uint64, l
 // resident entry or from a concurrent identical execution.
 func (d *Database) queryCached(ec execCtx, sel *sqlparse.Select) (res *Result, hit bool, err error) {
 	key := cacheKey(ec, sel)
-	at, live := d.cacheAt(ec.snap, sel)
+	tables, at, live := d.cacheAt(ec.snap, sel)
 	return d.resultCache.DoAt(key, at, live, func() (*Result, int64, error) {
 		r, err := d.queryUncached(ec, sel, nil)
 		if err != nil {
@@ -145,6 +149,8 @@ func (d *Database) queryCached(ec execCtx, sel *sqlparse.Select) (res *Result, h
 		}
 		d.seal(key, r)
 		return r, cachedResultBytes(r), nil
+	}, func(r *Result, from []storage.Mark) bool {
+		return d.unchanged(ec, sel, r, tables, from, at)
 	})
 }
 

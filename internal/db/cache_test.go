@@ -100,6 +100,133 @@ func TestCacheInsertInvalidates(t *testing.T) {
 	}
 }
 
+// TestCacheExtendsOverDanglingAppend: a subdatabase's entry survives an
+// append whose rows join nothing — the same shared result is served, counted
+// as extended, and EXPLAIN ANALYZE announces the extendable entry — and is
+// recomputed after an append whose row joins.
+func TestCacheExtendsOverDanglingAppend(t *testing.T) {
+	d := cacheTestDB(t)
+	q := "SELECT RESULTDB m.title, r.actor FROM movies m, roles r WHERE m.id = r.movie_id"
+	cold, err := d.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A role in a movie that does not exist, and a movie nobody plays in.
+	if _, err := d.ExecScript("INSERT INTO roles VALUES (13, 99, 'Keitel'); INSERT INTO movies VALUES (4, 'Thief', 1981)"); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := d.Exec("EXPLAIN ANALYZE " + q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := plan.First().Rows[0][0].Text(); !strings.Contains(text, "cache: extendable (+2 rows)") {
+		t.Fatalf("EXPLAIN ANALYZE after two dangling rows does not announce the extendable entry:\n%s", text)
+	}
+	d.ClearCache() // EXPLAIN refilled the entry; start again from the fill at the old version
+	if cold, err = d.Exec(q); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Exec("INSERT INTO roles VALUES (14, 98, 'Caan')"); err != nil {
+		t.Fatal(err)
+	}
+	before := d.CacheStats()
+	warm, err := d.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm != cold {
+		t.Fatal("a dangling append was not served from the entry it extended")
+	}
+	if st := d.CacheStats(); st.Extended != before.Extended+1 || st.Hits != before.Hits+1 || st.Misses != before.Misses || st.Invalidations != before.Invalidations {
+		t.Fatalf("want one extended hit, got %+v -> %+v", before, st)
+	}
+
+	if _, err := d.Exec("INSERT INTO roles VALUES (15, 3, 'Lithgow')"); err != nil {
+		t.Fatal(err)
+	}
+	joined, err := d.Exec(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := d.CacheStats(); st.Invalidations != before.Invalidations+1 || st.Extended != before.Extended+1 {
+		t.Fatalf("a joining append must recompute, got %+v", st)
+	}
+	if got := len(joined.Set("r").Rows); got != len(cold.Set("r").Rows)+1 {
+		t.Fatalf("recomputed result has %d actors, want one more than %d", got, len(cold.Set("r").Rows))
+	}
+}
+
+// TestCacheExtendFallbacks: the statements the empty-delta check does not
+// cover are recomputed after any append, dangling or not, and still match an
+// uncached execution: an IN-subquery over the appended table (an appended row
+// removes result rows), a reduction that folds a cycle, the Decompose
+// strategy, and a cross product (which runs as Decompose).
+func TestCacheExtendFallbacks(t *testing.T) {
+	script := `
+CREATE TABLE movies (id INT PRIMARY KEY, title TEXT, year INT);
+CREATE TABLE roles (id INT PRIMARY KEY, movie_id INT, actor TEXT);
+CREATE TABLE banned (movie_id INT);
+CREATE TABLE x (a INT, b INT);
+CREATE TABLE y (b INT, c INT);
+CREATE TABLE z (c INT, a INT);
+INSERT INTO movies VALUES (1, 'Heat', 1995), (2, 'Ronin', 1998), (3, 'Blow Out', 1981);
+INSERT INTO roles VALUES (10, 1, 'De Niro'), (11, 2, 'De Niro'), (12, 1, 'Pacino');
+INSERT INTO banned VALUES (3);
+INSERT INTO x VALUES (1, 2), (5, 6);
+INSERT INTO y VALUES (2, 3), (6, 9);
+INSERT INTO z VALUES (3, 1), (9, 4);`
+	cases := []struct {
+		name, sql, insert string
+		decompose         bool
+	}{
+		{"in-subquery", "SELECT RESULTDB m.title, r.actor FROM movies m, roles r WHERE m.id = r.movie_id AND m.id NOT IN (SELECT b.movie_id FROM banned b)",
+			"INSERT INTO banned VALUES (1)", false},
+		{"folded cycle", "SELECT RESULTDB x.a, y.c, z.a FROM x, y, z WHERE x.b = y.b AND y.c = z.c AND z.a = x.a",
+			"INSERT INTO y VALUES (700, 701)", false},
+		{"decompose", "SELECT RESULTDB m.title, r.actor FROM movies m, roles r WHERE m.id = r.movie_id",
+			"INSERT INTO roles VALUES (20, 99, 'Keitel')", true},
+		{"cross product", "SELECT RESULTDB m.title, r.actor FROM movies m, roles r WHERE m.year > 1990",
+			"INSERT INTO roles VALUES (21, 98, 'Caan')", false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cached, oracle := New(), New()
+			for _, d := range []*Database{cached, oracle} {
+				if _, err := d.ExecScript(script); err != nil {
+					t.Fatal(err)
+				}
+				if c.decompose {
+					d.Strategy = StrategyDecompose
+				}
+			}
+			cached.EnableCache(1 << 20)
+			if _, err := cached.Exec(c.sql); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range []*Database{cached, oracle} {
+				if _, err := d.Exec(c.insert); err != nil {
+					t.Fatal(err)
+				}
+			}
+			before := cached.CacheStats()
+			got, err := cached.Exec(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := oracle.Exec(c.sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resultFingerprint(got) != resultFingerprint(want) {
+				t.Fatalf("after %q: cached %s, uncached %s", c.insert, resultFingerprint(got), resultFingerprint(want))
+			}
+			if st := cached.CacheStats(); st.Extended != before.Extended || st.Invalidations != before.Invalidations+1 {
+				t.Fatalf("want a recomputation, got %+v -> %+v", before, st)
+			}
+		})
+	}
+}
+
 func TestCacheUnrelatedDMLDoesNotInvalidate(t *testing.T) {
 	d := cacheTestDB(t)
 	q := "SELECT m.title FROM movies m"

@@ -12,6 +12,7 @@ package db_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -246,5 +247,172 @@ func TestMVCCPinnedSnapshotFrozenBytes(t *testing.T) {
 	}
 	if res.First().NumRows() != 4*mvccRowsPerBatch {
 		t.Fatalf("unpinned session sees %d rows, want %d", res.First().NumRows(), 4*mvccRowsPerBatch)
+	}
+}
+
+// extendSchema is the extension tests' pair of tables; extendSQL joins them.
+// The writer's dangling rows point at a parent that does not exist; every
+// fifth batch's rows point at parent 1 and carry values no earlier row has.
+const (
+	extendSchema = `
+CREATE TABLE par (id INTEGER PRIMARY KEY, grp INTEGER);
+CREATE TABLE child (id INTEGER PRIMARY KEY, par_id INTEGER, v INTEGER);
+INSERT INTO par VALUES (1, 10), (2, 20), (3, 30);
+INSERT INTO child VALUES (1, 1, 100), (2, 2, 200), (3, 3, 300);`
+	extendSQL     = "SELECT RESULTDB p.grp, c.v FROM par AS p, child AS c WHERE p.id = c.par_id"
+	extendBatches = 40
+)
+
+func extendBatch(k int) string {
+	var b strings.Builder
+	b.WriteString("INSERT INTO child VALUES ")
+	for r := 0; r < 4; r++ {
+		if r > 0 {
+			b.WriteString(", ")
+		}
+		id, par := 1000+k*4+r, 1_000_000+k
+		if k%5 == 4 {
+			par = 1
+		}
+		fmt.Fprintf(&b, "(%d, %d, %d)", id, par, id)
+	}
+	return b.String()
+}
+
+func extendDB(t *testing.T, cache bool) *db.Database {
+	t.Helper()
+	cfg := db.DefaultConfig()
+	cfg.CacheEnabled = cache
+	cfg.Parallelism = 1
+	d := db.Open(cfg)
+	if _, err := d.ExecScript(extendSchema); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestMVCCPinnedSessionWhileOthersExtend: a session pinned before a run of
+// commits keeps reading its own snapshot's bytes while unpinned readers have
+// the cache extend the statement's entry over the dangling commits and
+// recompute it over the joining one — and those readers match an uncached
+// oracle at every step.
+func TestMVCCPinnedSessionWhileOthersExtend(t *testing.T) {
+	d, oracle := extendDB(t, true), extendDB(t, false)
+	pinned, live := d.NewSession(), d.NewSession()
+	pinned.Pin()
+	read := func(s *db.Session) string {
+		t.Helper()
+		res, err := s.Exec(extendSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mvccEncode(res)
+	}
+	own := read(pinned)
+	for k := 0; k < 5; k++ {
+		for _, x := range []*db.Database{d, oracle} {
+			if _, err := x.Exec(extendBatch(k)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := oracle.Exec(extendSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if read(live) != mvccEncode(want) {
+			t.Fatalf("batch %d: unpinned reader differs from the uncached oracle", k)
+		}
+		if read(pinned) != own {
+			t.Fatalf("batch %d: the pinned session lost its snapshot's bytes", k)
+		}
+	}
+	st := d.CacheStats()
+	if st.Extended != 4 {
+		t.Fatalf("four dangling batches extended %d times: %+v", st.Extended, st)
+	}
+	if own == read(live) {
+		t.Fatal("test is vacuous: the joining batch did not change the answer")
+	}
+}
+
+// TestMVCCStressExtension is the race gate of the extension path: readers
+// extend one statement's entry while a writer commits, mostly dangling rows,
+// every fifth batch joining ones — each commit after at least one more read,
+// so the entry is there to extend. Every read must match the uncached answer
+// of some committed prefix, and never an older one than the reader saw last.
+func TestMVCCStressExtension(t *testing.T) {
+	oracle := extendDB(t, false)
+	epoch := map[string]int{} // answer bytes -> the first prefix with them
+	record := func(prefix int) {
+		res, err := oracle.Exec(extendSQL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := epoch[mvccEncode(res)]; !ok {
+			epoch[mvccEncode(res)] = prefix
+		}
+	}
+	record(0)
+	for k := 0; k < extendBatches; k++ {
+		if _, err := oracle.Exec(extendBatch(k)); err != nil {
+			t.Fatal(err)
+		}
+		record(k + 1)
+	}
+
+	d := extendDB(t, true)
+	var (
+		done     atomic.Bool
+		failures atomic.Int64
+		reads    atomic.Int64
+		wg       sync.WaitGroup
+	)
+	for r := 0; r < mvccReaders; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			sess := d.NewSession()
+			last := 0
+			for !done.Load() && failures.Load() == 0 {
+				res, err := sess.Exec(extendSQL)
+				if err != nil {
+					t.Errorf("reader %d: %v", r, err)
+					failures.Add(1)
+					return
+				}
+				at, ok := epoch[mvccEncode(res)]
+				if !ok || at < last {
+					t.Errorf("reader %d: answer matches no committed prefix (%v) or went back from %d to %d", r, ok, last, at)
+					failures.Add(1)
+					return
+				}
+				last = at
+				reads.Add(1)
+			}
+		}(r)
+	}
+	writer := d.NewSession()
+	for k := 0; k < extendBatches && failures.Load() == 0; k++ {
+		for seen := reads.Load(); reads.Load() == seen && failures.Load() == 0; {
+			runtime.Gosched()
+		}
+		if _, err := writer.Exec(extendBatch(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	if failures.Load() > 0 {
+		t.FailNow()
+	}
+	res, err := writer.Exec(extendSQL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if at := epoch[mvccEncode(res)]; at != extendBatches {
+		t.Fatalf("final answer is the one of prefix %d, want the last batch's (%d)", at, extendBatches)
+	}
+	if st := d.CacheStats(); st.Extended == 0 {
+		t.Fatalf("no read extended the entry: %+v", st)
 	}
 }

@@ -47,14 +47,16 @@ func (d *Database) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, 
 //     collapse of identical concurrent misses, fill) in queryCached.
 //   - Traced queries (EXPLAIN, EXPLAIN ANALYZE, QueryWithTrace) always
 //     execute — a trace without operator spans would be useless — but probe
-//     the cache to annotate the plan with the would-be outcome ("cache: hit"
-//     or "cache: miss" in the strippable bracket section) and fill it, so
-//     EXPLAIN warms the cache for the statement it explains.
+//     the cache to annotate the plan with the would-be outcome ("cache: hit",
+//     "cache: extendable (+N rows)" for an entry filled before N rows were
+//     appended to the statement's tables, or "cache: miss", in the
+//     strippable bracket section) and fill it, so EXPLAIN warms the cache
+//     for the statement it explains.
 //
-// All cache traffic is keyed on the snapshot's table versions: an entry is
-// served only when it embeds exactly the state this reader pinned, and a
-// fill is admitted only when no writer published past the snapshot while
-// the query ran (see queryCached).
+// All cache traffic is keyed on the snapshot's table marks: an entry is
+// served only when it embeds exactly the state this reader pinned, or is
+// shown to hold the same result there, and a fill is admitted only when no
+// writer published past the snapshot while the query ran (see queryCached).
 func (d *Database) query(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer) (*Result, error) {
 	if ec.opts.ResultCache && ec.snap != nil {
 		if !tr.Enabled() {
@@ -62,11 +64,14 @@ func (d *Database) query(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer) (*R
 			return res, err
 		}
 		key := cacheKey(ec, sel)
-		at, live := d.cacheAt(ec.snap, sel)
-		if _, ok := d.resultCache.PeekAt(key, at); ok {
-			tr.SetCacheStatus("hit")
-		} else {
+		_, at, live := d.cacheAt(ec.snap, sel)
+		switch _, behind, ok := d.resultCache.PeekAt(key, at); {
+		case !ok:
 			tr.SetCacheStatus("miss")
+		case behind == 0:
+			tr.SetCacheStatus("hit")
+		default:
+			tr.SetCacheStatus(fmt.Sprintf("extendable (+%d rows)", behind))
 		}
 		res, err := d.queryUncached(ec, sel, tr)
 		if err == nil {

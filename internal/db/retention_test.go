@@ -23,7 +23,9 @@ import (
 //
 // (A stale result-cache entry may keep its own result's column vectors until
 // it is looked up or evicted; that is the entry's budgeted cost, not a pinned
-// table version.)
+// table version.) An entry that the cache extends across later versions,
+// because the rows they append join nothing, is re-stamped with marks —
+// values, not versions — so it keeps none of the versions it passed either.
 
 const retentionCommits = 8
 
@@ -168,5 +170,38 @@ func TestMVCCVersionRetention(t *testing.T) {
 	pinned.Unpin()
 	if !collectedAfterGC(held, 200) || !collectedAfterGC(heldText, 200) {
 		t.Fatal("table version still reachable after Unpin")
+	}
+
+	// Extended: one statement read after each of ten dangling commits (tags of
+	// an item that does not exist) is served by extending its one entry every
+	// time, and that entry pins no version it was filled or extended at.
+	const extended = "SELECT RESULTDB i.val, g.label FROM item i, tag g WHERE i.id = g.item_id AND i.val > 7"
+	if _, err := d.Exec(extended); err != nil {
+		t.Fatal(err)
+	}
+	filled := trackVersion(t, d, "tag")
+	before := d.CacheStats()
+	var passed []*atomic.Bool
+	for k := 0; k < 10; k++ {
+		if _, err := d.Exec(fmt.Sprintf("INSERT INTO tag VALUES (%d, 999999, 'dangling%d')", 5000+k, k)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Exec(extended); err != nil {
+			t.Fatal(err)
+		}
+		if k < 9 {
+			passed = append(passed, trackVersion(t, d, "tag"))
+		}
+	}
+	if st := d.CacheStats(); st.Extended != before.Extended+10 || st.Misses != before.Misses {
+		t.Fatalf("ten dangling commits: want ten extensions and no recomputation, got %+v -> %+v", before, st)
+	}
+	if !collectedAfterGC(filled, 200) {
+		t.Fatal("the version an extended entry was filled at is still reachable")
+	}
+	for k, v := range passed {
+		if !collectedAfterGC(v, 200) {
+			t.Fatalf("version %d an entry was extended across is still reachable", k+1)
+		}
 	}
 }

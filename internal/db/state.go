@@ -16,11 +16,11 @@ import (
 // lock and publish it with one atomic store. A state, once published, is
 // never mutated.
 //
-// "Which state?" has one answer: the vector of the tables' versions
-// (storage.Table.Version, process-unique — a table re-created after a DROP is
-// a new version, so nothing computed against the old incarnation can match
-// it). The result cache fingerprints on it; seq and lsn say only where in
-// the commit order the state sits.
+// "Which state?" has one answer: the vector of the tables' version marks
+// (storage.Mark: lineage and length — a table re-created after a DROP is a
+// new lineage, so nothing computed against the old incarnation can match or
+// extend it). The result cache fingerprints on it; seq and lsn say only where
+// in the commit order the state sits.
 type dbState struct {
 	// tables maps lower-cased names to published table versions.
 	tables map[string]*storage.Table
@@ -79,13 +79,14 @@ func (s *Snapshot) Seq() uint64 { return s.st.seq }
 // exact log position it reflects.
 func (s *Snapshot) LSN() uint64 { return s.st.lsn }
 
-// versions returns the state's version vector over the named tables, in
-// their order; a name the state does not hold reads 0, which no version is.
-func (st *dbState) versions(tables []string) []uint64 {
-	out := make([]uint64, len(tables))
+// marks returns the state's vector of version marks over the named tables,
+// in their order; a name the state does not hold reads the zero Mark, which
+// no version is.
+func (st *dbState) marks(tables []string) []storage.Mark {
+	out := make([]storage.Mark, len(tables))
 	for i, name := range tables {
 		if t, ok := st.tables[strings.ToLower(name)]; ok {
-			out[i] = t.Version()
+			out[i] = t.Mark()
 		}
 	}
 	return out
@@ -172,9 +173,9 @@ func (tx *writeTxn) drop(name string) {
 // batch applied cleanly and (when a commit log is installed) after its log
 // append succeeded — so log order is publish order, and a state no reader
 // has seen is never ahead of the log. The store is the whole publication:
-// the new table versions are what invalidates cached results of the old
-// ones (and derive statistics of their own, extending the old ones), so there
-// is nothing else to notify.
+// the new table versions are what cached results of the old ones are
+// extended to or invalidated by (and derive statistics of their own,
+// extending the old ones), so there is nothing else to notify.
 func (tx *writeTxn) commit(lsn uint64) {
 	d := tx.d
 	for _, def := range tx.creates {

@@ -164,7 +164,7 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 					t.Fatalf("%s has no kernel", rest[0].SQL())
 				}
 				e := &Executor{Src: memSource{"r": tab}, Parallelism: par}
-				view, err := e.filterView(f, rel, kernels, residualPart)
+				view, err := e.filterView(f, nil, rel, kernels, residualPart)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -240,6 +240,25 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 					for j, pos := range want {
 						if got.Vec.Index(j) != int(pos) || !rows[j].Equal(tabRows[pos]) {
 							t.Fatalf("%v par=%d: row %d is table row %d, want %d", preds, par, j, got.Vec.Index(j), pos)
+						}
+					}
+
+					// Restricted to some rows (every third from row 7), the
+					// scan selects the same rows among those.
+					var some, wantSome []int32
+					for i := 7; i < len(tabRows); i += 3 {
+						some = append(some, int32(i))
+						if slices.Contains(want, int32(i)) {
+							wantSome = append(wantSome, int32(i))
+						}
+					}
+					part, err := e.ScanRows(RelRef{Alias: "r", Table: "r"}, filters, some)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for j := 0; j < part.Len() || j < len(wantSome); j++ {
+						if j >= part.Len() || j >= len(wantSome) || part.Vec.Index(j) != int(wantSome[j]) {
+							t.Fatalf("%v par=%d: the scan of some rows selects %d of them, want %d", preds, par, part.Len(), len(wantSome))
 						}
 					}
 				}

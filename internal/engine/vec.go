@@ -42,6 +42,15 @@ import (
 // view the filter produced; no row is touched unless a residual conjunct
 // needs it.
 func (e *Executor) baseRelation(r RelRef, filters []sqlparse.Expr) (*Relation, error) {
+	return e.ScanRows(r, filters, nil)
+}
+
+// ScanRows is the scan of baseRelation restricted to the table rows at the
+// ascending frame positions sel (nil: every row): the filter runs over those
+// rows only, and the relation selects the ones that pass. The result
+// cache's empty-delta check scans a version's appended tail, and a join
+// neighbour's candidate rows, with it.
+func (e *Executor) ScanRows(r RelRef, filters []sqlparse.Expr, sel []int32) (*Relation, error) {
 	t, err := e.Src.Table(r.Table)
 	if err != nil {
 		return nil, err
@@ -67,7 +76,7 @@ func (e *Executor) baseRelation(r RelRef, filters []sqlparse.Expr) (*Relation, e
 		t0 = time.Now()
 	}
 	kernels, residual := compileScanKernels(f, cols, filters)
-	view, err := e.filterView(f, cols, kernels, residual)
+	view, err := e.filterView(f, sel, cols, kernels, residual)
 	if err != nil {
 		return nil, err
 	}
@@ -81,12 +90,13 @@ func (e *Executor) baseRelation(r RelRef, filters []sqlparse.Expr) (*Relation, e
 	return rel, nil
 }
 
-// filterView selects the rows of f that pass every kernel and then every
-// residual conjunct (keep, over the kernels' survivors).
-func (e *Executor) filterView(f *colstore.Frame, cols []ColRef, kernels []colstore.Kernel, residual []sqlparse.Expr) (*colstore.View, error) {
-	view := &colstore.View{Frame: f}
+// filterView selects the rows of f at the positions sel (nil: every row)
+// that pass every kernel and then every residual conjunct (keep, over the
+// kernels' survivors).
+func (e *Executor) filterView(f *colstore.Frame, sel []int32, cols []ColRef, kernels []colstore.Kernel, residual []sqlparse.Expr) (*colstore.View, error) {
+	view := &colstore.View{Frame: f, Sel: sel}
 	if len(kernels) > 0 {
-		view.Sel = colstore.RunKernels(f.Rows(), kernels, e.Parallelism)
+		view.Sel = colstore.RunKernels(f.Rows(), sel, kernels, e.Parallelism)
 	}
 	if len(residual) == 0 {
 		return view, nil

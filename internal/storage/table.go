@@ -30,9 +30,10 @@ import (
 // successor, so deriving a version is O(columns) and appending amortizes
 // exactly like a plain slice.
 //
-// Version is the version's identity and the only one the system has: a
-// database snapshot is the vector of its tables' versions, and result-cache
-// entries are fingerprinted on that vector. The one thing derived from the
+// Mark is the version's identity and the only one the system has: its
+// lineage (Origin) and its length (Rows). A database snapshot is the vector of
+// its tables' marks, and result-cache entries are fingerprinted on that
+// vector. The one thing derived from the
 // contents — the column statistics (Stats) — lives in the version, is derived
 // at most once under the version's own lock, and is garbage-collected with
 // it. Like the frame, statistics extend: a successor is handed the newest
@@ -44,12 +45,12 @@ import (
 // for the single-threaded bulk-load paths (workload generators, CSV import,
 // snapshot restore) that run before any concurrent traffic; it must never be
 // used on a table reachable by a concurrent reader. It turns the table into a
-// new version in place: a fresh Version, the same frame grown by the new
-// rows, its former statistics demoted to base.
+// new version in place: the same lineage, the same frame grown by the new
+// rows (so a longer Mark), its former statistics demoted to base.
 type Table struct {
 	Def *catalog.TableDef
 
-	version uint64
+	origin  uint64 // the lineage: stamped by NewTable, inherited by successors
 	cols    *colstore.Frame
 	scratch types.Row // the writer's coerced row on its way into cols
 
@@ -60,27 +61,47 @@ type Table struct {
 	base  any // the newest statistics of an ancestor, until stats is derived
 }
 
-// lastVersion is the process-wide version clock; 0 is never assigned, so it
-// can stand for "no such table" in a version vector.
-var lastVersion atomic.Uint64
+// Mark identifies a table version: the lineage it belongs to and its row
+// count. The dialect only appends (INSERT is its one mutation), and the
+// published versions of one lineage form one chain, each its predecessor plus
+// a tail. So two versions with equal marks hold equal rows, and a version is a
+// prefix of another exactly when both share the origin and it is no longer.
+// The zero Mark is no version: it stands for "no such table" in a vector.
+type Mark struct {
+	Origin uint64
+	Rows   int
+}
 
-// NewTable returns an empty table for def.
+// PrefixOf reports whether the version m marks is a prefix of (or equal to)
+// the one n marks: the rows of m are the first m.Rows rows of n.
+func (m Mark) PrefixOf(n Mark) bool { return m.Origin == n.Origin && m.Rows <= n.Rows }
+
+// lastOrigin is the process-wide lineage clock; 0 is never assigned.
+var lastOrigin atomic.Uint64
+
+// NewTable returns an empty table for def, the first version of a new
+// lineage. Everything that makes a table other than by appending to one —
+// CREATE after a DROP of the same name, a materialized view, a snapshot
+// restore — comes through here, so nothing computed against another
+// incarnation can match or extend it.
 func NewTable(def *catalog.TableDef) *Table {
 	kinds := make([]types.Kind, len(def.Columns))
 	for i, c := range def.Columns {
 		kinds[i] = c.Type
 	}
-	return &Table{Def: def, version: lastVersion.Add(1), cols: colstore.Empty(kinds)}
+	return &Table{Def: def, origin: lastOrigin.Add(1), cols: colstore.Empty(kinds)}
 }
 
 // BeginVersion derives a mutable successor of a published version: its frame
 // extends t's (colstore.Frame.Extend — headers of its own over the same
 // vectors and dictionaries, so appends to the draft land past what t's
-// headers, and therefore old snapshots, can see), it has its own Version, and
-// no statistics of its own yet — only t's newest built ones as its base. The
-// caller applies one mutation batch to the draft and
-// publishes it; a draft discarded on error never becomes visible, and the
-// next draft overwrites what it appended.
+// headers, and therefore old snapshots, can see), it inherits t's lineage, so
+// its Mark grows past t's with every row it takes, and it has no statistics
+// of its own yet — only t's newest built ones as its base. The caller applies
+// one mutation batch to the draft and publishes it; a draft discarded on
+// error never becomes visible, and the next draft overwrites what it
+// appended (which is why only published versions are ever marked in a
+// vector: the chain is the published one).
 //
 // Only one draft may be derived from the newest version at a time (the
 // database's writer lock enforces this): successive versions share growing
@@ -93,18 +114,17 @@ func (t *Table) BeginVersion() *Table {
 		base = t.base
 	}
 	t.mu.Unlock()
-	return &Table{Def: t.Def, version: lastVersion.Add(1), cols: t.cols.Extend(), base: base}
+	return &Table{Def: t.Def, origin: t.origin, cols: t.cols.Extend(), base: base}
 }
 
-// Version identifies this version of the relation: process-unique, assigned
-// in increasing order, never 0. It changes exactly when the row set does — a
-// published version keeps its number for life; a direct Insert re-stamps.
-func (t *Table) Version() uint64 { return t.version }
+// Mark identifies this version of the relation (see Mark). A published
+// version keeps its mark for life; a direct Insert lengthens it.
+func (t *Table) Mark() Mark { return Mark{Origin: t.origin, Rows: t.Len()} }
 
-// restamp makes t a new version after a direct mutation. One call per logical
-// mutation batch.
+// restamp makes t a new version after a direct mutation — its Mark already
+// grew with its rows — by demoting its statistics to the base of the next
+// build. One call per logical mutation batch.
 func (t *Table) restamp() {
-	t.version = lastVersion.Add(1)
 	t.mu.Lock()
 	if t.stats != nil {
 		t.base, t.stats = t.stats, nil

@@ -67,14 +67,14 @@ func TestWireSize(t *testing.T) {
 	}
 }
 
-// TestColumnsCacheAndGeneration: a table version carries one Version, its
-// frame and a statistics slot. The frame is the table — the same pointer on
-// every read while the version stands; the statistics are built once per
-// version. A BeginVersion draft has its own Version, a frame of its own that
+// TestColumnsCacheAndGeneration: a table version carries one Mark, its frame
+// and a statistics slot. The frame is the table — the same pointer on every
+// read while the version stands; the statistics are built once per version. A
+// BeginVersion draft has a Mark of its own lineage, a frame of its own that
 // extends the parent's (the parent's never changes) and no statistics, only
-// the parent's as the base its build is handed; a direct Insert re-stamps the
-// version once per batch, grows the frame by the new row and demotes the
-// statistics to the base of the next build.
+// the parent's as the base its build is handed; a direct Insert lengthens the
+// Mark, grows the frame by the new row and demotes the statistics to the base
+// of the next build.
 func TestColumnsCacheAndGeneration(t *testing.T) {
 	tab := newTable(t)
 	rows := []types.Row{
@@ -82,16 +82,16 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 		{types.NewInt(2), types.NewText("b"), types.Null()},
 		{types.NewInt(3), types.Null(), types.NewFloat(3.5)},
 	}
-	v0 := tab.Version()
-	if v0 == 0 {
-		t.Fatal("a new table has Version 0, which stands for \"no table\"")
+	v0 := tab.Mark()
+	if v0 == (Mark{}) {
+		t.Fatal("a new table has the zero Mark, which stands for \"no table\"")
 	}
 	if err := tab.InsertAll(rows); err != nil {
 		t.Fatal(err)
 	}
-	v1 := tab.Version()
-	if v1 <= v0 {
-		t.Fatalf("InsertAll did not re-stamp: Version %d after %d", v1, v0)
+	v1 := tab.Mark()
+	if v1 == v0 || !v0.PrefixOf(v1) || v1.Rows != 3 {
+		t.Fatalf("InsertAll: Mark %+v after %+v, want the same lineage 3 rows long", v1, v0)
 	}
 
 	builds := 0
@@ -107,15 +107,15 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 	if tab.Stats(stat) != 3 || tab.Stats(stat) != 3 || builds != 1 || handed != nil {
 		t.Fatalf("statistics built %d times for one version (base %v), want once from nothing", builds, handed)
 	}
-	if tab.Version() != v1 {
-		t.Fatal("reading derived state changed the Version")
+	if tab.Mark() != v1 {
+		t.Fatal("reading derived state changed the Mark")
 	}
 
 	// A draft is a new version whose frame extends the parent's; deriving and
 	// filling it leaves the parent's frame and statistics untouched.
 	draft := tab.BeginVersion()
-	if draft.Version() <= v1 {
-		t.Fatalf("draft Version %d not after parent's %d", draft.Version(), v1)
+	if draft.Mark() != v1 {
+		t.Fatalf("an empty draft is marked %+v, want its parent's %+v", draft.Mark(), v1)
 	}
 	if err := draft.Insert(types.Row{types.NewInt(9), types.NewText("z"), types.Null()}); err != nil {
 		t.Fatal(err)
@@ -126,7 +126,7 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 	if draft.Stats(stat) != 4 || builds != 2 || handed != 3 {
 		t.Fatalf("draft statistics not built for the draft from the parent's (builds = %d, base %v)", builds, handed)
 	}
-	if tab.Columns() != f || f.Rows() != 3 || tab.Stats(stat) != 3 || tab.Len() != 3 || tab.Version() != v1 {
+	if tab.Columns() != f || f.Rows() != 3 || tab.Stats(stat) != 3 || tab.Len() != 3 || tab.Mark() != v1 {
 		t.Fatal("a draft disturbed its parent version")
 	}
 	if got := f.Col(1).(*colstore.TextColumn); len(got.Dict) != 2 {
@@ -137,8 +137,8 @@ func TestColumnsCacheAndGeneration(t *testing.T) {
 	if err := tab.Insert(types.Row{types.NewInt(4), types.NewText("a"), types.Null()}); err != nil {
 		t.Fatal(err)
 	}
-	if tab.Version() <= draft.Version() {
-		t.Fatal("Insert did not re-stamp the Version")
+	if m := tab.Mark(); m.Rows != 4 || !v1.PrefixOf(m) {
+		t.Fatalf("Insert left the Mark at %+v, want %+v one row longer", m, v1)
 	}
 	f2 := tab.Columns()
 	if f2.Rows() != 4 {
@@ -214,15 +214,15 @@ func chainRow(rng *rand.Rand, def *catalog.TableDef, id int) (in, want types.Row
 func checkVersion(tab *Table, want []types.Row) error {
 	f := tab.Columns()
 	if f.Rows() != tab.Len() || tab.Len() > len(want) {
-		return fmt.Errorf("version %d: frame has %d rows, table %d, input %d", tab.Version(), f.Rows(), tab.Len(), len(want))
+		return fmt.Errorf("version %+v: frame has %d rows, table %d, input %d", tab.Mark(), f.Rows(), tab.Len(), len(want))
 	}
 	boxed := tab.Rows()
 	for i := 0; i < tab.Len(); i++ {
 		for c, w := range want[i] {
 			col := f.Col(c)
 			if got := col.Value(i); got != w || col.Null(i) != w.IsNull() || boxed[i][c] != w {
-				return fmt.Errorf("version %d row %d col %d: frame %v (null %v), boxed %v, want %v",
-					tab.Version(), i, c, got, col.Null(i), boxed[i][c], w)
+				return fmt.Errorf("version %+v row %d col %d: frame %v (null %v), boxed %v, want %v",
+					tab.Mark(), i, c, got, col.Null(i), boxed[i][c], w)
 			}
 		}
 	}
@@ -354,5 +354,74 @@ func TestColumnsIsAFieldRead(t *testing.T) {
 		}
 	}); allocs != 0 {
 		t.Fatalf("Columns() allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+// TestMarkIdentifiesContents is the contract the result cache extends entries
+// by: equal marks mean equal rows, and a mark is a prefix of another exactly
+// when its rows are the other's first rows. Drafts of one lineage grow one
+// chain — a discarded draft leaves no published mark behind, and the next
+// draft's rows replace its rows under the same lineage — while a table made
+// anew (CREATE after a DROP of the same name, a view, a restore) is a lineage
+// of its own, whatever its rows.
+func TestMarkIdentifiesContents(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	def := chainDef()
+	base := NewTable(def)
+	var want []types.Row
+	for i := 0; i < 10; i++ {
+		in, w := chainRow(rng, def, i)
+		if err := base.Insert(in); err != nil { // the direct-insert path
+			t.Fatal(err)
+		}
+		want = append(want, w)
+	}
+	published := base.Mark()
+	if published.Rows != 10 {
+		t.Fatalf("10 direct inserts marked %+v", published)
+	}
+
+	// A discarded draft, then a new draft of the same parent: the new one is
+	// an extension of the parent, and its rows are its own.
+	discarded := base.BeginVersion()
+	for i := 0; i < 3; i++ {
+		in, _ := chainRow(rng, def, 100+i)
+		if err := discarded.Insert(in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := base.BeginVersion()
+	for i := 0; i < 2; i++ {
+		in, w := chainRow(rng, def, 10+i)
+		if err := next.Insert(in); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, w)
+	}
+	if m := next.Mark(); !published.PrefixOf(m) || m.Rows != 12 || m.PrefixOf(published) {
+		t.Fatalf("the draft after a discarded one is marked %+v, want an extension of %+v by 2 rows", m, published)
+	}
+	if base.Mark() != published {
+		t.Fatalf("drafts moved their parent's mark to %+v", base.Mark())
+	}
+	for _, v := range []*Table{base, next} {
+		if err := checkVersion(v, want); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Re-created under the same definition with the same rows: neither
+	// incarnation is a prefix of the other.
+	again := NewTable(def)
+	if err := again.InsertAll(want[:10]); err != nil {
+		t.Fatal(err)
+	}
+	if again.Mark().Rows != published.Rows {
+		t.Fatalf("re-created table holds %d rows, want %d", again.Mark().Rows, published.Rows)
+	}
+	for _, pair := range [][2]Mark{{published, again.Mark()}, {again.Mark(), published}, {Mark{}, again.Mark()}} {
+		if pair[0].PrefixOf(pair[1]) {
+			t.Fatalf("%+v taken for a prefix of %+v across lineages", pair[0], pair[1])
+		}
 	}
 }

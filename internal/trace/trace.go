@@ -209,7 +209,9 @@ func (t *Tracer) SetOutputs(aliases []string) {
 }
 
 // SetCacheStatus records the result-cache outcome for the traced statement:
-// "hit" (a fresh cached entry exists for its fingerprint) or "miss". Empty
+// "hit" (a fresh cached entry exists for its fingerprint), "extendable (+N
+// rows)" (an entry filled before N rows were appended to its tables) or
+// "miss". Empty
 // means the cache was disabled. Rendered by EXPLAIN ANALYZE inside the
 // strippable bracket section (run-varying, like wall times), and excluded
 // from CountsFingerprint.
@@ -323,8 +325,9 @@ type Trace struct {
 	Parallelism int      `json:"parallelism,omitempty"`
 	Outputs     []string `json:"outputs,omitempty"`
 	Stats       string   `json:"stats,omitempty"`
-	// Cache is the result-cache outcome ("hit", "miss", or "" when the cache
-	// is off). Run-varying: excluded from CountsFingerprint and rendered only
+	// Cache is the result-cache outcome ("hit", "extendable (+N rows)",
+	// "miss", or "" when the cache is off). Run-varying: excluded from
+	// CountsFingerprint and rendered only
 	// inside the strippable bracket section of EXPLAIN ANALYZE.
 	Cache string `json:"cache,omitempty"`
 	// HasSnapshot/SnapshotSeq/SnapshotLSN identify the MVCC snapshot the

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"resultdb/internal/cache"
 	"resultdb/internal/db"
+	"resultdb/internal/engine"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/types"
 	"resultdb/internal/workload/hierarchy"
@@ -22,22 +24,29 @@ import (
 // This file is the correctness gate of the semantic result cache: for every
 // workload query it executes the statement
 //
-//	(1) cold     — first execution on the cached database (a miss),
-//	(2) warm     — second execution (must be a cache hit), and
-//	(3) reheated — after an invalidating INSERT into a referenced table
-//	               (the entry must be discarded and recomputed),
+//	(1) cold      — first execution on the cached database (a miss),
+//	(2) warm      — second execution (must be a cache hit), and
+//	(3) appended  — after each of two INSERTs into a table the statement
+//	                reads: a dangling one (fresh values in every column), which
+//	                an eligible subdatabase must survive by extension and any
+//	                other statement by invalidation, and a joining one (a row
+//	                that takes part in the result, copied under a fresh value
+//	                in a column nothing joins or filters on), which must be
+//	                recomputed,
 //
-// and requires each of the three to be byte-identical, after wire encoding,
-// to an uncached oracle database that received exactly the same statements.
-// The wire encoding covers set names, column lists, row data, and the
-// shipped post-join plan, so any divergence — stale rows, wrong dedup, a
-// mixed-up entry, a surviving pre-DML result — shows up as a byte diff.
+// and requires each to be byte-identical, after wire encoding, to an uncached
+// oracle database that received exactly the same statements. The wire
+// encoding covers set names, column lists, row data, and the shipped
+// post-join plan, so any divergence — stale rows, wrong dedup, a mixed-up
+// entry, a surviving pre-DML result, an extension that missed a join — shows
+// up as a byte diff.
 //
 // The second half of the file repeats the exercise on the socket, where a
 // cached result's encoded payloads are kept from the first response on
 // (db.PayloadMemo): over every way a connection can ask for its responses,
 // the filling response, the response served from the kept bytes and a
-// cache-off server's response must be the same bytes.
+// cache-off server's response must be the same bytes — an extended entry's
+// kept bytes included.
 
 // literalFor produces a deterministic, distinctive literal for a column.
 func literalFor(kind types.Kind, seq int) string {
@@ -85,14 +94,161 @@ func execBytes(t *testing.T, d *db.Database, sql string) []byte {
 	return EncodeResult(res)
 }
 
-// checkColdWarmInvalidate runs the three-phase differential for one query.
+// appendCase is one commit after which a cached statement is read again: an
+// INSERT, and whether the cache must serve the statement by extending its
+// entry (the appended rows take part in no join) rather than discarding it.
+type appendCase struct {
+	what    string
+	insert  string
+	extends bool
+}
+
+// appendsFor returns the two commits every differential statement goes
+// through: invalidatingInsert's dangling row, and — where the statement has a
+// participating row to copy — joiningInsert's.
+func appendsFor(t *testing.T, oracle *db.Database, sel *sqlparse.Select) []appendCase {
+	t.Helper()
+	cases := []appendCase{{"dangling append", invalidatingInsert(t, oracle, sel), danglingExtends(t, oracle, sel)}}
+	if ins, ok := joiningInsert(t, oracle, sel); ok {
+		cases = append(cases, appendCase{"joining append", ins, false})
+	}
+	return cases
+}
+
+// plainSPJ analyzes sel as the single-table SPJ query it is built on; nil
+// when it is not one.
+func plainSPJ(d *db.Database, sel *sqlparse.Select) (*sqlparse.Select, *engine.SPJSpec) {
+	plain := *sel
+	plain.ResultDB, plain.Preserving = false, false
+	spec, err := engine.AnalyzeSPJ(&plain, d.Snapshot())
+	if err != nil {
+		return nil, nil
+	}
+	return &plain, spec
+}
+
+// danglingExtends is this gate's own statement of when invalidatingInsert's
+// row must be served by extension: sel is a subdatabase the semi-join
+// reduction computed without folding (the strategy reports its Stats), the
+// table the row goes to is read in FROM and by no IN-subquery, and every
+// alias over it is joined with a relation over another table — one that
+// holds none of the row's fresh values, so the row has no partner there.
+func danglingExtends(t *testing.T, oracle *db.Database, sel *sqlparse.Select) bool {
+	t.Helper()
+	table := sqlparse.Tables(sel)[0]
+	if !sel.ResultDB {
+		return false
+	}
+	res, err := oracle.Query(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, spec := plainSPJ(oracle, sel)
+	if spec == nil || res.Stats == nil || res.Stats.Folds > 0 {
+		return false
+	}
+	inSub := false
+	sqlparse.WalkExpr(sel.Where, func(x sqlparse.Expr) {
+		if sub, ok := x.(*sqlparse.InSubquery); ok {
+			for _, name := range sqlparse.Tables(sub.Query) {
+				inSub = inSub || strings.EqualFold(name, table)
+			}
+		}
+	})
+	if inSub {
+		return false
+	}
+	for _, r := range spec.Rels {
+		if !strings.EqualFold(r.Table, table) {
+			continue
+		}
+		foreign := false
+		for _, jp := range spec.JoinPreds {
+			for _, side := range [][2]string{{jp.LeftRel, jp.RightRel}, {jp.RightRel, jp.LeftRel}} {
+				if nb, ok := spec.RelByAlias(side[1]); ok && strings.EqualFold(side[0], r.Alias) && !strings.EqualFold(nb.Table, table) {
+					foreign = true
+				}
+			}
+		}
+		if !foreign {
+			return false
+		}
+	}
+	return true
+}
+
+// joiningInsert builds an INSERT that must change what the cache may serve:
+// a row that takes part in sel's join at some alias, copied with a fresh
+// value in one column that no join predicate and no filter of that alias
+// reads (the primary key when it qualifies). The copy passes the alias's
+// filters and has the original's partners. ok is false when sel is not an
+// SPJ query or has no such row and column.
+func joiningInsert(t *testing.T, d *db.Database, sel *sqlparse.Select) (string, bool) {
+	t.Helper()
+	plain, spec := plainSPJ(d, sel)
+	if spec == nil {
+		return "", false
+	}
+	for _, r := range spec.Rels {
+		def, err := d.Catalog().Lookup(r.Table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read := map[string]bool{}
+		for _, c := range spec.JoinAttrsOf(r.Alias) {
+			read[strings.ToLower(c)] = true
+		}
+		for _, f := range spec.Filters[r.Alias] {
+			for _, c := range sqlparse.ColumnRefs(f) {
+				read[strings.ToLower(c.Column)] = true
+			}
+		}
+		free := -1
+		for i, c := range def.Columns {
+			if !read[strings.ToLower(c.Name)] && (free < 0 || len(def.PrimaryKey) > 0 && strings.EqualFold(c.Name, def.PrimaryKey[0])) {
+				free = i
+			}
+		}
+		if free < 0 {
+			continue
+		}
+		probe := *plain
+		probe.Items = []sqlparse.SelectItem{{Star: true, Table: r.Alias}}
+		probe.Distinct, probe.OrderBy, probe.Limit = false, nil, nil
+		res, err := d.Query(&probe)
+		if err != nil {
+			t.Fatalf("participating rows of %s: %v", r.Alias, err)
+		}
+		if res.First().NumRows() == 0 {
+			continue
+		}
+		insertSeq++
+		vals := make([]string, len(def.Columns))
+		for i, v := range res.First().Rows[0] {
+			vals[i] = (&sqlparse.Literal{Value: v}).SQL()
+		}
+		vals[free] = literalFor(def.Columns[free].Type, insertSeq)
+		return fmt.Sprintf("INSERT INTO %s VALUES (%s)", def.Name, strings.Join(vals, ", ")), true
+	}
+	return "", false
+}
+
+// checkColdWarmInvalidate runs the differential for one query: cold, warm,
+// then every append of appendsFor.
 func checkColdWarmInvalidate(t *testing.T, cached, oracle *db.Database, name, sql string) {
 	t.Helper()
 	sel, err := sqlparse.ParseSelect(sql)
 	if err != nil {
 		t.Fatalf("%s: parse: %v", name, err)
 	}
+	checkColdWarm(t, cached, oracle, name, sql)
+	checkAppends(t, cached, oracle, name, sql, appendsFor(t, oracle, sel))
+}
 
+// checkColdWarm fills the cache with sql and hits it, both byte-identical
+// to the oracle.
+func checkColdWarm(t *testing.T, cached, oracle *db.Database, name, sql string) {
+	t.Helper()
 	st0 := cached.CacheStats()
 	cold := execBytes(t, cached, sql)
 	want := execBytes(t, oracle, sql)
@@ -108,24 +264,41 @@ func checkColdWarmInvalidate(t *testing.T, cached, oracle *db.Database, name, sq
 	if st1.Hits != st0.Hits+1 {
 		t.Fatalf("%s: warm execution was not a cache hit (%+v -> %+v)", name, st0, st1)
 	}
+}
 
-	// Invalidate: the same INSERT goes to both databases.
-	ins := invalidatingInsert(t, cached, sel)
-	if _, err := cached.Exec(ins); err != nil {
-		t.Fatalf("%s: %q on cached db: %v", name, ins, err)
+// checkAppends applies each case's INSERT to both databases and reads sql
+// again: the bytes must equal the oracle's, and the cache must have extended
+// its entry or discarded and recomputed it, as the case says.
+func checkAppends(t *testing.T, cached, oracle *db.Database, name, sql string, cases []appendCase) {
+	t.Helper()
+	for _, a := range cases {
+		for _, d := range []*db.Database{cached, oracle} {
+			if _, err := d.Exec(a.insert); err != nil {
+				t.Fatalf("%s: %q: %v", name, a.insert, err)
+			}
+		}
+		st0 := cached.CacheStats()
+		got := execBytes(t, cached, sql)
+		if !bytes.Equal(got, execBytes(t, oracle, sql)) {
+			t.Fatalf("%s: after the %s, execution differs from uncached oracle (stale cache?)", name, a.what)
+		}
+		if st := cached.CacheStats(); !appendOutcome(st0, st, a.extends, 1) {
+			t.Fatalf("%s: after the %s, want extended=%v, got %+v -> %+v", name, a.what, a.extends, st0, st)
+		}
 	}
-	if _, err := oracle.Exec(ins); err != nil {
-		t.Fatalf("%s: %q on oracle db: %v", name, ins, err)
+}
+
+// appendOutcome reports whether the counters moved from st0 to st as reads
+// lookups of one statement after one commit must move them: the first either
+// extends the entry (a hit) or invalidates it and recomputes (a miss), and
+// the rest hit.
+func appendOutcome(st0, st cache.Stats, extends bool, reads int) bool {
+	if extends {
+		return st.Extended == st0.Extended+1 && st.Invalidations == st0.Invalidations &&
+			st.Misses == st0.Misses && st.Hits == st0.Hits+uint64(reads)
 	}
-	reheated := execBytes(t, cached, sql)
-	wantAfter := execBytes(t, oracle, sql)
-	if !bytes.Equal(reheated, wantAfter) {
-		t.Fatalf("%s: post-INSERT execution differs from uncached oracle (stale cache?)", name)
-	}
-	st2 := cached.CacheStats()
-	if st2.Invalidations <= st1.Invalidations {
-		t.Fatalf("%s: INSERT did not invalidate the cached entry (%+v -> %+v)", name, st1, st2)
-	}
+	return st.Extended == st0.Extended && st.Invalidations == st0.Invalidations+1 &&
+		st.Misses == st0.Misses+1 && st.Hits == st0.Hits+uint64(reads)-1
 }
 
 // cachedAndOracle loads the same workload into a cached db and an uncached
@@ -188,6 +361,49 @@ func TestCacheDifferentialHierarchy(t *testing.T) {
 	checkColdWarmInvalidate(t, cached, oracle, "hier/outer", strings.TrimSpace(hierarchy.OuterJoinQuery))
 	checkColdWarmInvalidate(t, cached, oracle, "hier/rdb-electronics", strings.TrimSpace(hierarchy.ResultDBElectronics))
 	checkColdWarmInvalidate(t, cached, oracle, "hier/rdb-clothing", strings.TrimSpace(hierarchy.ResultDBClothing))
+}
+
+// selfJoinLoad is a reporting chain for the self-join statement: emp e
+// reports to emp b. Employee 6 reports to a boss (50) who is not there yet.
+func selfJoinLoad(d *db.Database) error {
+	_, err := d.ExecScript(`
+CREATE TABLE emp (id INT PRIMARY KEY, boss INT, dept TEXT);
+INSERT INTO emp VALUES (1, 0, 'ops'), (2, 1, 'ops'), (3, 1, 'dev'), (4, 2, 'ops'), (5, 3, 'dev'), (6, 50, 'dev');`)
+	return err
+}
+
+// selfJoinSQL reads emp twice, e and b, over the edge e.boss = b.id: every
+// appended row is a tail of both sides of it. %s is the RESULTDB flavour.
+const selfJoinSQL = "SELECT RESULTDB%s e.id, b.id, b.dept FROM emp AS e, emp AS b WHERE e.boss = b.id AND b.dept = 'ops'"
+
+// selfJoinAppends are the self-join's commits, in order, each appending to
+// both sides of the edge at once.
+var selfJoinAppends = []appendCase{
+	// 10 reports to nobody there, and nobody reports to it; 11 is not in
+	// 'ops', so it cannot be a b either.
+	{"dangling rows on both sides", "INSERT INTO emp VALUES (10, 77, 'ops'), (11, 78, 'dev')", true},
+	// 20 reports to 21, an 'ops' boss arriving in the same commit: the new
+	// pair joins tail to tail, and neither row joins an old one.
+	{"rows joining each other", "INSERT INTO emp VALUES (20, 21, 'dev'), (21, 99, 'ops')", false},
+	// 50 is the boss employee 6 has been waiting for: a tail row on the b
+	// side with an old partner on the e side.
+	{"boss of an old row", "INSERT INTO emp VALUES (50, 0, 'ops')", false},
+	// Another dangling commit, now over the recomputed entry.
+	{"dangling row again", "INSERT INTO emp VALUES (60, 61, 'dev')", true},
+}
+
+// TestCacheDifferentialSelfJoin: a statement reading one table under two
+// aliases, RDB and RDBRP, through commits that append to both sides of its
+// edge at once — extended when no appended row joins, recomputed when one
+// joins another appended row or an old one, byte-identical to the oracle
+// either way.
+func TestCacheDifferentialSelfJoin(t *testing.T) {
+	for _, mode := range []string{"", " PRESERVING"} {
+		cached, oracle := cachedAndOracle(t, selfJoinLoad)
+		sql := fmt.Sprintf(selfJoinSQL, mode)
+		checkColdWarm(t, cached, oracle, "selfjoin"+mode, sql)
+		checkAppends(t, cached, oracle, "selfjoin"+mode, sql, selfJoinAppends)
+	}
 }
 
 // --- On the socket: hit bytes == miss bytes == cache-off bytes ---------------
@@ -320,12 +536,24 @@ func newSocketFleet(t *testing.T, par int, load func(d *db.Database) error) *soc
 
 // check runs one statement through every transport: from a cleared cache the
 // filling response, the response served from the kept payload and the
-// cache-off response must be the same bytes. Then, after an INSERT into a
-// table the statement reads, all four transports are served from one new
-// entry — the first recomputes it, the others hit it, the v1 and v2
-// connections each in their own version — and still match the cache-off
-// server, which saw the same INSERT.
+// cache-off response must be the same bytes. Then, after each commit of
+// appendsFor (applied to both servers), all four transports are served from
+// one entry — the first extends it or recomputes it, the others hit it, the
+// v1 and v2 connections each in their own version — and still match the
+// cache-off server.
 func (f *socketFleet) check(t *testing.T, name, sql string) {
+	t.Helper()
+	sel, err := sqlparse.ParseSelect(sql)
+	if err != nil {
+		t.Fatalf("%s: parse: %v", name, err)
+	}
+	f.checkColdWarm(t, name, sql)
+	f.checkAppends(t, name, sql, appendsFor(t, f.oracle, sel))
+}
+
+// checkColdWarm is the first half of check: fill, kept payload and cache-off
+// bytes alike, over every transport.
+func (f *socketFleet) checkColdWarm(t *testing.T, name, sql string) {
 	t.Helper()
 	for i, tr := range cacheTransports {
 		what := fmt.Sprintf("%s [%s par%d]", name, tr.name, f.par)
@@ -344,30 +572,30 @@ func (f *socketFleet) check(t *testing.T, name, sql string) {
 			t.Fatalf("%s: response served from the kept payload differs from the cache-off server's", what)
 		}
 	}
+}
 
-	sel, err := sqlparse.ParseSelect(sql)
-	if err != nil {
-		t.Fatalf("%s: parse: %v", name, err)
-	}
-	ins := invalidatingInsert(t, f.cached, sel)
-	for _, d := range []*db.Database{f.cached, f.oracle} {
-		if _, err := d.Exec(ins); err != nil {
-			t.Fatalf("%s: %q: %v", name, ins, err)
+// checkAppends is checkAppends on the socket, over every transport.
+func (f *socketFleet) checkAppends(t *testing.T, name, sql string, cases []appendCase) {
+	t.Helper()
+	for _, a := range cases {
+		for _, d := range []*db.Database{f.cached, f.oracle} {
+			if _, err := d.Exec(a.insert); err != nil {
+				t.Fatalf("%s: %q: %v", name, a.insert, err)
+			}
 		}
-	}
-	st0 := f.cached.CacheStats()
-	for i, tr := range cacheTransports {
-		what := fmt.Sprintf("%s after INSERT [%s par%d]", name, tr.name, f.par)
-		got := f.toCached[i].mustExec(t, what, sql)
-		want := f.toOracle[i].mustExec(t, what, sql)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: response differs from the cache-off server's (stale payload?)", what)
+		st0 := f.cached.CacheStats()
+		for i, tr := range cacheTransports {
+			what := fmt.Sprintf("%s after the %s [%s par%d]", name, a.what, tr.name, f.par)
+			got := f.toCached[i].mustExec(t, what, sql)
+			want := f.toOracle[i].mustExec(t, what, sql)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s: response differs from the cache-off server's (stale payload?)", what)
+			}
 		}
-	}
-	st := f.cached.CacheStats()
-	if st.Invalidations != st0.Invalidations+1 || st.Misses != st0.Misses+1 || st.Hits != st0.Hits+uint64(len(cacheTransports))-1 {
-		t.Fatalf("%s: want one invalidation, one miss and %d hits after the INSERT, got %+v -> %+v",
-			name, len(cacheTransports)-1, st0, st)
+		if st := f.cached.CacheStats(); !appendOutcome(st0, st, a.extends, len(cacheTransports)) {
+			t.Fatalf("%s: after the %s, want extended=%v over %d reads, got %+v -> %+v",
+				name, a.what, a.extends, len(cacheTransports), st0, st)
+		}
 	}
 }
 
@@ -413,6 +641,17 @@ func TestCacheDifferentialSocketHierarchy(t *testing.T) {
 		f.check(t, "hier/outer", strings.TrimSpace(hierarchy.OuterJoinQuery))
 		f.check(t, "hier/rdb-electronics", strings.TrimSpace(hierarchy.ResultDBElectronics))
 		f.check(t, "hier/rdb-clothing", strings.TrimSpace(hierarchy.ResultDBClothing))
+	}
+}
+
+func TestCacheDifferentialSocketSelfJoin(t *testing.T) {
+	for _, par := range []int{1, 4} {
+		for _, mode := range []string{"", " PRESERVING"} {
+			f := newSocketFleet(t, par, selfJoinLoad)
+			sql := fmt.Sprintf(selfJoinSQL, mode)
+			f.checkColdWarm(t, "selfjoin"+mode, sql)
+			f.checkAppends(t, "selfjoin"+mode, sql, selfJoinAppends)
+		}
 	}
 }
 

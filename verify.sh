@@ -19,12 +19,18 @@
 # one pooled flate reader, no unsafe in internal/types; internal/reference
 # imported from tests only; one version
 # identity — no generation counter, name counter or statistics cache outside
-# internal/storage, and internal/cache has only its *At surface; one base-table
+# internal/storage, no per-version clock (storage.Table.Version and its
+# clock are gone: a version is its Mark), and internal/cache has only its *At
+# surface; one base-table
 # representation — no row-slice field and no frame build in internal/storage,
 # nothing assigning or appending to a table's rows); then the
 # differential gates under -race — cache
-# (cold/warm/invalidate vs uncached oracle; on the socket, filling response == response from kept payloads == cache-off
-# response over every transport; the payload-memo guards; and
+# (cold/warm, then a dangling append served by extending the entry or by
+# invalidating it and a joining append recomputed, vs uncached oracle, a
+# self-join appended on both sides of its edge included; on the socket,
+# filling response == response from kept payloads == cache-off response over
+# every transport; the extension's fallbacks, a panicking computation
+# releasing its single-flight key; the payload-memo guards; and
 # BenchmarkServeCachedHit once as a smoke),
 # execution (every answer — SPJ, subdatabase, and the sequential list of outer
 # joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs the naive
@@ -91,9 +97,9 @@ go test -race -timeout 300s ./internal/parallel ./internal/colstore ./internal/s
 	./internal/cache ./internal/wire ./internal/faultnet ./internal/client \
 	./internal/wal ./internal/snapshot ./internal/durable
 
-echo "== MVCC concurrency gate (N readers x M writers vs per-prefix wire-byte oracles, session contract, version retention under pins, version chains sharing column prefixes under concurrent scans, failed inserts leaving no trace, commits costing their own rows, statistics extended per version equal to fresh builds, snapshot-keyed cache races, checkpoints under load, under -race)"
+echo "== MVCC concurrency gate (N readers x M writers vs per-prefix wire-byte oracles, session contract, version retention under pins and across cache extensions, version chains sharing column prefixes under concurrent scans, marks identifying contents, failed inserts leaving no trace, commits costing their own rows, statistics extended per version equal to fresh builds, snapshot-keyed cache races, readers extending entries while a writer commits, checkpoints under load, under -race)"
 gate -race -timeout 300s -count=1 \
-	-run 'TestMVCC|TestSession|TestSnapshotSeesCommittedState|TestDoAt|TestCheckpointDuringWrites|TestVersionChain|TestColumnsIsAFieldRead|TestStatsExtend' \
+	-run 'TestMVCC|TestSession|TestSnapshotSeesCommittedState|TestDoAt|TestCheckpointDuringWrites|TestVersionChain|TestMark|TestColumnsIsAFieldRead|TestStatsExtend' \
 	./internal/db ./internal/cache ./internal/durable ./internal/storage ./internal/stats
 
 echo "== lint: writer lock confined to internal/db/db.go"
@@ -117,6 +123,10 @@ echo "== lint: one execution path, one planner, no A/B knobs"
 # benchmark/ is its own module with its own rules and is not scanned.
 dead='Vectorized|RESULTDB_VECTORIZED|NoGroupCommit|HashJoinDegree|HashJoinSpan|HashJoinVecSpan|SemiJoinDegree|SemiJoinSpan|SemiJoinVec|DecomposePar|DecomposeTraced|DecomposeVecTraced|JoinAllDegree|JoinAllDPDegree|HashIndex'
 dead="$dead"'|\bCostBased\b|RESULTDB_STATS|StatsEnvVar|planVerdict|planKey|PlanDiverged|RangeSkipped|joinAllStats|RangeSemiFilter|NumKeyRange|BuildHistogram|FracInRange'
+# A table version is its Mark (lineage and length): the per-version clock,
+# the accessor of the number it stamped and the vector built from those
+# numbers are gone.
+dead="$dead"'|lastVersion|func \(t \*Table\) Version\(|\.versions\('
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
 	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs are back:"
@@ -210,8 +220,8 @@ if [ -n "$ref_imports" ]; then
 	exit 1
 fi
 
-echo "== lint: one version identity (storage.Table.Version)"
-# A snapshot is the vector of its tables' versions. The generation counters,
+echo "== lint: one version identity (storage.Table.Mark)"
+# A snapshot is the vector of its tables' marks. The generation counters,
 # the per-name counters in db and in the cache, and the statistics cache were
 # deleted in PR 18; any of them reappearing outside internal/storage, or the
 # cache growing back a surface that takes no version vector, is a second
@@ -248,9 +258,9 @@ if [ -n "$row_writes" ]; then
 	exit 1
 fi
 
-echo "== cache differential + stress gate (cold/warm/invalidate vs uncached oracle; hit bytes == miss bytes == cache-off bytes on the socket; payload-memo guards; warm-hit benchmark smoke, under -race)"
-gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit' \
-	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire
+echo "== cache differential + stress gate (cold/warm, dangling and joining appends extended or recomputed vs uncached oracle; hit bytes == miss bytes == cache-off bytes on the socket; extension fallbacks; single-flight released by a panic; payload-memo guards; warm-hit benchmark smoke, under -race)"
+gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit|TestCacheExtend|TestDoAt' \
+	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire ./internal/db ./internal/cache
 
 echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x transport byte-identical; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; under -race)"
 gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased' -count=1 ./internal/wire ./internal/core
