@@ -545,6 +545,66 @@ func BenchmarkStarClient(b *testing.B) {
 	b.ReportMetric(float64(rows), "postjoin-rows")
 }
 
+// starServerResults executes the three RESULTDB PRESERVING statements of the
+// star_transfer workload (benchmark/) the way the wire server does, through
+// ExecStream, and returns their statements and results.
+func starServerResults(b *testing.B) (*db.Database, []string, []*db.Result) {
+	b.Helper()
+	d := db.New()
+	if err := star.Load(d, star.DefaultConfig()); err != nil {
+		b.Fatal(err)
+	}
+	var stmts []string
+	var results []*db.Result
+	for _, s := range []float64{0.6, 0.8, 1.0} {
+		sql := "SELECT RESULTDB PRESERVING" + strings.TrimPrefix(star.Query(star.DefaultConfig(), s), "SELECT")
+		res, err := serverExec(d, sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stmts, results = append(stmts, sql), append(results, res)
+	}
+	return d, stmts, results
+}
+
+// serverExec runs sql through the entry point both wire server paths use,
+// ignoring the stream.
+func serverExec(d *db.Database, sql string) (*db.Result, error) {
+	return d.ExecStream(sql, func(db.StreamMeta) error { return nil }, func(*db.ResultSet) error { return nil })
+}
+
+// BenchmarkStarExec measures the server's execution of the star_transfer
+// statements (one op = all three, cache off): what a result costs before it
+// is encoded. Compare B/op across changes to the result representation.
+func BenchmarkStarExec(b *testing.B) {
+	d, stmts, _ := starServerResults(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, sql := range stmts {
+			if _, err := serverExec(d, sql); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// BenchmarkStarEncode measures the server's v2 encode of the three
+// star_transfer results (one op = all three, fresh encodes: no cache memo).
+func BenchmarkStarEncode(b *testing.B) {
+	_, _, results := starServerResults(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n = 0
+		for _, res := range results {
+			n += len(wire.EncodeResultV2(res))
+		}
+	}
+	b.ReportMetric(float64(n), "bytes")
+}
+
 // BenchmarkDecodeJOB measures v2 decoding of the 33 JOB RESULTDB payloads the
 // job_cold/job_warm workloads ship (small, mostly deflated columns).
 func BenchmarkDecodeJOB(b *testing.B) {

@@ -547,7 +547,7 @@ func (s *shell) printResult(res *db.Result) {
 		fmt.Fprintln(s.out, strings.Repeat("-", len(strings.Join(set.Columns, " | "))))
 		for i, row := range set.Rows {
 			if i >= maxDisplayRows {
-				fmt.Fprintf(s.out, "... (%d more rows)\n", len(set.Rows)-maxDisplayRows)
+				fmt.Fprintf(s.out, "... (%d more rows)\n", set.NumRows()-maxDisplayRows)
 				break
 			}
 			fmt.Fprintln(s.out, row.String())

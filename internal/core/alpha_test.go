@@ -97,8 +97,8 @@ func TestAlphaReduceSkipsFolding(t *testing.T) {
 	}
 	// Both k=1 and k=2 survive (present in all three relations)?
 	// a{1,2}, b{1,2}, c{1}: only k=1 joins all three.
-	if outWith["a"].Len() != 1 || outWith["a"].Rows()[0][0].Int() != 1 {
-		t.Errorf("a reduced to %v", outWith["a"].Rows())
+	if outWith["a"].Len() != 1 || outWith["a"].Vec.Rows()[0][0].Int() != 1 {
+		t.Errorf("a reduced to %v", outWith["a"].Vec.Rows())
 	}
 }
 

@@ -99,9 +99,9 @@ func mixForms(rels map[string]*engine.Relation, form int) map[string]*engine.Rel
 			for c := range cols {
 				cols[c].Kind = types.KindNull
 			}
-			rel = engine.FromRows(cols, rel.Rows())
+			rel = engine.FromRows(cols, rel.Vec.Rows())
 		case form == 1 && i%2 == 1:
-			rel = engine.FromRows(rel.Cols, rel.Rows())
+			rel = engine.FromRows(rel.Cols, rel.Vec.Rows())
 		}
 		out[a] = rel
 	}
@@ -231,7 +231,7 @@ func sameRelation(a, b *engine.Relation) bool {
 
 func renderSorted(r *engine.Relation) []string {
 	out := make([]string, r.Len())
-	for i, row := range r.Rows() {
+	for i, row := range r.Vec.Rows() {
 		out[i] = row.String()
 	}
 	sort.Strings(out)

@@ -96,7 +96,7 @@ func TestReductionParallelMatchesSerial(t *testing.T) {
 				got := run(4, form)
 				for _, alias := range spec.OutputRels() {
 					key := strings.ToLower(alias)
-					w, g := want[key].Rows(), got[key].Rows()
+					w, g := want[key].Vec.Rows(), got[key].Vec.Rows()
 					if len(g) != len(w) {
 						t.Fatalf("query %d variant %d form %d relation %s: %d rows parallel vs %d serial",
 							qi, vi, form, alias, len(g), len(w))
@@ -144,7 +144,7 @@ func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 	for i := 0; i < len(rows); i += 2 {
 		every = append(every, int32(i))
 	}
-	wantHalf, err := Decompose(engine.FromRows(cols, engine.FromRows(cols, rows).Narrow(every).Rows()), aliases, 1, nil)
+	wantHalf, err := Decompose(engine.FromRows(cols, engine.FromRows(cols, rows).Narrow(every).Vec.Rows()), aliases, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, alias := range aliases {
-				w, g := wants[form][alias].Rows(), got[alias].Rows()
+				w, g := wants[form][alias].Vec.Rows(), got[alias].Vec.Rows()
 				if len(g) != len(w) {
 					t.Fatalf("%s par=%d alias %s: %d rows, want %d", form, par, alias, len(g), len(w))
 				}

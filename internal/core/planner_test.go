@@ -159,7 +159,7 @@ func reduce(t *testing.T, snap *db.Snapshot, spec *engine.SPJSpec, outputs []str
 // render spells out every row of rel, in order, with each value's kind.
 func render(rel *engine.Relation) string {
 	var b strings.Builder
-	for _, row := range rel.Rows() {
+	for _, row := range rel.Vec.Rows() {
 		for _, v := range row {
 			fmt.Fprintf(&b, "%d:%s|", v.Kind(), v.String())
 		}

@@ -25,6 +25,20 @@ INSERT INTO roles VALUES (10, 1, 'De Niro'), (11, 2, 'De Niro'), (12, 1, 'Pacino
 	return d
 }
 
+// sameEntry reports whether two in-process results are boxed copies of one
+// cached result: their sets share the entry's payload memos.
+func sameEntry(a, b *Result) bool {
+	if len(a.Sets) != len(b.Sets) {
+		return false
+	}
+	for i, set := range a.Sets {
+		if set.memo == nil || set.memo != b.Sets[i].memo {
+			return false
+		}
+	}
+	return true
+}
+
 func resultFingerprint(r *Result) string {
 	var b strings.Builder
 	for _, set := range r.Sets {
@@ -59,7 +73,7 @@ func TestCacheHitServesIdenticalResult(t *testing.T) {
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("want 1 hit / 1 miss, got %+v", st)
 	}
-	if warm != cold {
+	if !sameEntry(warm, cold) {
 		t.Fatal("warm hit should return the shared cached snapshot")
 	}
 }
@@ -134,7 +148,7 @@ func TestCacheExtendsOverDanglingAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm != cold {
+	if !sameEntry(warm, cold) {
 		t.Fatal("a dangling append was not served from the entry it extended")
 	}
 	if st := d.CacheStats(); st.Extended != before.Extended+1 || st.Hits != before.Hits+1 || st.Misses != before.Misses || st.Invalidations != before.Invalidations {

@@ -225,83 +225,6 @@ func (d *Database) execAnalyze(s *sqlparse.Analyze) (*Result, error) {
 	return &Result{Affected: n}, nil
 }
 
-// ResultSet is one cursor of a result: the minimally invasive API extension
-// the paper proposes (Section 7, "API Integration") — a query returns a set
-// of cursors instead of exactly one.
-type ResultSet struct {
-	// Name labels the set; for subdatabase results it is the relation
-	// alias, for single-table results "result".
-	Name    string
-	Columns []string
-	Rows    []types.Row
-	// Vec, when non-nil, is the columnar view Rows was boxed from (same
-	// values, same order, one frame column per Columns entry). Every set the
-	// system produces carries it — the engine's and, on the other side of the
-	// wire, the v2 decoder's; hand-built and v1-decoded sets do not. The
-	// columnar wire encoder reads it and reuses its TEXT dictionaries instead
-	// of re-deduplicating strings, and the post-join runs on it directly.
-	// Purely an accelerator: Rows alone fully determine the result.
-	Vec *colstore.View
-
-	// memo keeps the set's wire payloads once the result cache owns the
-	// result (see PayloadMemo); nil otherwise.
-	memo *PayloadMemo
-}
-
-// WireSize returns the Section 6.1 result-set size in bytes.
-func (rs *ResultSet) WireSize() int {
-	n := 0
-	for _, r := range rs.Rows {
-		n += r.WireSize()
-	}
-	return n
-}
-
-// NumRows returns the number of rows.
-func (rs *ResultSet) NumRows() int { return len(rs.Rows) }
-
-// Result is the outcome of one statement.
-type Result struct {
-	// Sets holds one set for single-table queries, one per output relation
-	// for RESULTDB queries, and none for DDL/DML.
-	Sets []*ResultSet
-	// Affected counts inserted rows for INSERT.
-	Affected int
-	// Stats reports what the native RESULTDB algorithm did, when it ran.
-	Stats *core.Stats
-	// PostJoinPlan is attached to relationship-preserving (RDBRP) results:
-	// the shipped recipe for reconstructing the single-table result
-	// client-side (the Section 7 "subdatabase snapshot" extension).
-	PostJoinPlan *PostJoinPlan
-}
-
-// First returns the first result set (the single-table result), or nil.
-func (r *Result) First() *ResultSet {
-	if len(r.Sets) == 0 {
-		return nil
-	}
-	return r.Sets[0]
-}
-
-// Set returns the result set named name (case-insensitive), or nil.
-func (r *Result) Set(name string) *ResultSet {
-	for _, s := range r.Sets {
-		if strings.EqualFold(s.Name, name) {
-			return s
-		}
-	}
-	return nil
-}
-
-// WireSize sums the sizes of all result sets.
-func (r *Result) WireSize() int {
-	n := 0
-	for _, s := range r.Sets {
-		n += s.WireSize()
-	}
-	return n
-}
-
 // executorWith builds an engine executor resolving tables through src and
 // honoring the context's options, with an optional tracer (nil = disabled).
 func (d *Database) executorWith(src engine.Source, ec execCtx, tr *trace.Tracer) *engine.Executor {
@@ -397,14 +320,26 @@ func (d *Database) ExecStatement(st sqlparse.Statement) (res *Result, err error)
 			res, err = nil, fmt.Errorf("db: internal error: %v", p)
 		}
 	}()
+	return boxed(d.execAt(d.readCtx(), st, nil))
+}
+
+// execAt executes a parsed statement: reads against ec's snapshot with ec's
+// options, mutations through the serialized write path, after which
+// onMutated (when non-nil) runs. Sessions and the database, buffered and
+// streamed, all dispatch here. The result is unboxed.
+func (d *Database) execAt(ec execCtx, st sqlparse.Statement, onMutated func()) (*Result, error) {
 	switch s := st.(type) {
 	case *sqlparse.Select:
-		return d.Query(s)
+		return d.query(ec, s, nil)
 	case *sqlparse.CreateTable, *sqlparse.DropTable, *sqlparse.CreateMaterializedView,
 		*sqlparse.DropMaterializedView, *sqlparse.Insert:
-		return d.execMutation(st)
+		res, err := d.execMutation(st)
+		if err == nil && onMutated != nil {
+			onMutated()
+		}
+		return res, err
 	case *sqlparse.Explain:
-		return d.execExplain(s)
+		return d.execExplainAt(ec, s)
 	case *sqlparse.Analyze:
 		return d.execAnalyze(s)
 	case *sqlparse.Begin, *sqlparse.Commit, *sqlparse.Rollback:
@@ -630,7 +565,7 @@ func (d *Database) createResultDBView(tx *writeTxn, s *sqlparse.CreateMaterializ
 		if err := createView(tx, s.Name+"_"+set.Name, names, setToRelation(set).Vec); err != nil {
 			return nil, err
 		}
-		total += len(set.Rows)
+		total += set.NumRows()
 	}
 	return &Result{Affected: total, Sets: res.Sets, Stats: res.Stats}, nil
 }

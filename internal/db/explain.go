@@ -7,7 +7,8 @@ import (
 	"resultdb/internal/types"
 )
 
-// execExplain implements EXPLAIN [ANALYZE] <select>. The engine is
+// execExplainAt implements EXPLAIN [ANALYZE] <select> against an execution
+// context (the database's or a session's view and options). The engine is
 // main-memory and materializing, so EXPLAIN executes the plan and reports
 // actual cardinalities per step. Both forms render from the same structured
 // trace that db.QueryWithTrace returns — there is exactly one plan-rendering
@@ -22,12 +23,6 @@ import (
 //
 // For RESULTDB queries the plan reports the join-graph analysis, folds, root
 // choice, and the semi-join schedule of Algorithm 4.
-func (d *Database) execExplain(ex *sqlparse.Explain) (*Result, error) {
-	return d.execExplainAt(d.readCtx(), ex)
-}
-
-// execExplainAt is execExplain against an explicit execution context
-// (sessions pass their pinned view and private options).
 func (d *Database) execExplainAt(ec execCtx, ex *sqlparse.Explain) (*Result, error) {
 	tr := trace.New(ex.Query.SQL())
 	tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))

@@ -79,7 +79,7 @@ func ExecutePostJoinPlan(res *Result) (*ResultSet, error) {
 	if res.PostJoinPlan == nil {
 		return nil, fmt.Errorf("db: result carries no post-join plan (not an RDBRP result?)")
 	}
-	return executePostJoin(res.PostJoinPlan, res.Sets)
+	return boxedSet(executePostJoin(res.PostJoinPlan, res.Sets))
 }
 
 // executePostJoin joins sets on plan's predicates and projects its attributes.

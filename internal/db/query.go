@@ -21,7 +21,7 @@ import (
 // relation (Definition 2.2); everything else returns a single-table result.
 // The statement runs lock-free against a snapshot pinned at entry.
 func (d *Database) Query(sel *sqlparse.Select) (*Result, error) {
-	return d.query(d.readCtx(), sel, nil)
+	return boxed(d.query(d.readCtx(), sel, nil))
 }
 
 // QueryWithTrace executes a SELECT with execution tracing enabled and returns
@@ -33,7 +33,7 @@ func (d *Database) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, 
 	tr := trace.New(sel.SQL())
 	tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
 	tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
-	res, err := d.query(ec, sel, tr)
+	res, err := boxed(d.query(ec, sel, tr))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -108,7 +108,7 @@ func (d *Database) QuerySQL(sql string) (*Result, error) {
 // RESULTDB keyword, in the requested mode (RDB per Definition 2.2, RDBRP per
 // Definition 2.3). This is the programmatic entry the benchmarks use.
 func (d *Database) QueryResultDB(sel *sqlparse.Select, mode Mode) (*Result, error) {
-	return d.queryResultDBAt(d.readCtx(), sel, mode, nil, nil)
+	return boxed(d.queryResultDBAt(d.readCtx(), sel, mode, nil, nil))
 }
 
 func (d *Database) querySingleTableAt(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer, sink *streamSink) (*Result, error) {
@@ -125,9 +125,9 @@ func (d *Database) querySingleTableAt(ec execCtx, sel *sqlparse.Select, tr *trac
 	if sp := tr.Span("output", "result"); sp != nil {
 		sp.Phase = "output"
 		sp.RowsIn = rel.Len()
-		sp.RowsOut = len(set.Rows)
+		sp.RowsOut = set.NumRows()
 		sp.Bytes = set.WireSize()
-		tr.AddRowsOut(len(set.Rows))
+		tr.AddRowsOut(sp.RowsOut)
 		tr.AddBytes(sp.Bytes)
 	}
 	if err := sink.emit(set); err != nil {
@@ -186,9 +186,9 @@ func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode, 
 		if sp := tr.Span("output", alias); sp != nil {
 			sp.Phase = "output"
 			sp.RowsIn = rel.Len()
-			sp.RowsOut = len(set.Rows)
+			sp.RowsOut = set.NumRows()
 			sp.Bytes = set.WireSize()
-			tr.AddRowsOut(len(set.Rows))
+			tr.AddRowsOut(sp.RowsOut)
 			tr.AddBytes(sp.Bytes)
 		}
 		if err := sink.emit(set); err != nil {
@@ -309,7 +309,7 @@ func (d *Database) PostJoin(sel *sqlparse.Select, res *Result) (*ResultSet, erro
 	for i, set := range res.Sets {
 		returned[i] = set.Name
 	}
-	return executePostJoin(buildPostJoinPlan(spec, returned), res.Sets)
+	return boxedSet(executePostJoin(buildPostJoinPlan(spec, returned), res.Sets))
 }
 
 // stripResultDB returns sel with the ResultDB flag cleared (shallow copy),
@@ -349,13 +349,6 @@ func projectSet(alias string, rel *engine.Relation, attrs []string, par int) (*R
 		cols[i] = idx
 	}
 	return relToSet(alias, rel.ProjectDistinctPar(cols, par), attrs), nil
-}
-
-// relToSet is where a relation leaves the engine: its tuples are boxed once,
-// here, for the consumers that read ResultSet.Rows, and its view rides along
-// for the columnar wire encoder.
-func relToSet(name string, rel *engine.Relation, columns []string) *ResultSet {
-	return &ResultSet{Name: name, Columns: columns, Rows: rel.Rows(), Vec: rel.Vec}
 }
 
 // setToRelation rebuilds an alias-qualified relation from a result set so it

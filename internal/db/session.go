@@ -133,37 +133,19 @@ func (s *Session) ExecStatement(st sqlparse.Statement) (res *Result, err error) 
 			res, err = nil, fmt.Errorf("db: internal error: %v", p)
 		}
 	}()
-	switch t := st.(type) {
-	case *sqlparse.Select:
-		return s.db.query(s.ctx(), t, nil)
-	case *sqlparse.Explain:
-		return s.db.execExplainAt(s.ctx(), t)
-	case *sqlparse.Analyze:
-		return s.db.execAnalyze(t)
-	case *sqlparse.CreateTable, *sqlparse.DropTable, *sqlparse.CreateMaterializedView,
-		*sqlparse.DropMaterializedView, *sqlparse.Insert:
-		res, err := s.db.execMutation(st)
-		if err == nil {
-			s.afterWrite()
-		}
-		return res, err
-	case *sqlparse.Begin, *sqlparse.Commit, *sqlparse.Rollback:
-		return &Result{}, nil
-	default:
-		return nil, fmt.Errorf("db: unsupported statement %T", st)
-	}
+	return boxed(s.db.execAt(s.ctx(), st, s.afterWrite))
 }
 
 // Query executes a SELECT against the session's view.
 func (s *Session) Query(sel *sqlparse.Select) (*Result, error) {
-	return s.db.query(s.ctx(), sel, nil)
+	return boxed(s.db.query(s.ctx(), sel, nil))
 }
 
 // QueryResultDB executes sel with subdatabase semantics in the requested
 // mode against the session's view (the session-scoped analogue of
 // Database.QueryResultDB).
 func (s *Session) QueryResultDB(sel *sqlparse.Select, mode Mode) (*Result, error) {
-	return s.db.queryResultDBAt(s.ctx(), sel, mode, nil, nil)
+	return boxed(s.db.queryResultDBAt(s.ctx(), sel, mode, nil, nil))
 }
 
 // QueryWithTrace executes a SELECT against the session's view with execution
@@ -173,7 +155,7 @@ func (s *Session) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, e
 	tr := trace.New(sel.SQL())
 	tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
 	tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
-	res, err := s.db.query(ec, sel, tr)
+	res, err := boxed(s.db.query(ec, sel, tr))
 	if err != nil {
 		return nil, nil, err
 	}

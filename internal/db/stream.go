@@ -66,7 +66,9 @@ func (s *streamSink) emit(set *ResultSet) error {
 // sets are immutable views of one committed state even while writers
 // publish concurrently.
 //
-// The returned Result is the same value a plain Exec would have produced.
+// The returned Result holds the values a plain Exec would have produced,
+// unboxed: a SELECT's emitted and returned sets carry their views and no
+// Rows (the wire server encodes from the views; see ResultSet).
 // An error from begin or emit aborts execution and is returned verbatim; an
 // execution error after begin was already called is returned too — streaming
 // consumers must be prepared to abandon a stream mid-flight.
@@ -75,8 +77,8 @@ func (d *Database) ExecStream(sql string, begin func(StreamMeta) error, emit fun
 }
 
 // execStreamAt is ExecStream against an explicit execution context.
-// onMutated, when non-nil, runs after a successful non-SELECT statement
-// (sessions refresh their pinned view through it).
+// onMutated, when non-nil, runs after a successful mutation (sessions
+// refresh their pinned view through it).
 func (d *Database) execStreamAt(ec execCtx, onMutated func(), sql string, begin func(StreamMeta) error, emit func(*ResultSet) error) (res *Result, err error) {
 	// Same panic confinement as ExecStatement: a poisoned query surfaces as
 	// a statement error (the stream is abandoned mid-flight), not a crash.
@@ -91,12 +93,9 @@ func (d *Database) execStreamAt(ec execCtx, onMutated func(), sql string, begin 
 	}
 	sel, ok := st.(*sqlparse.Select)
 	if !ok {
-		res, err := d.ExecStatement(st)
+		res, err := d.execAt(ec, st, onMutated)
 		if err != nil {
 			return nil, err
-		}
-		if onMutated != nil {
-			onMutated()
 		}
 		return res, replayStream(res, true, begin, emit)
 	}

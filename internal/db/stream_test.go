@@ -58,7 +58,7 @@ func sameSets(t *testing.T, sets []*ResultSet, res *Result) {
 	}
 	for i, set := range sets {
 		want := res.Sets[i]
-		if set.Name != want.Name || !reflect.DeepEqual(set.Columns, want.Columns) || !reflect.DeepEqual(set.Rows, want.Rows) {
+		if set.Name != want.Name || !reflect.DeepEqual(set.Columns, want.Columns) || !reflect.DeepEqual(set.boxed().Rows, want.boxed().Rows) {
 			t.Fatalf("emitted set %d differs from the result's set", i)
 		}
 	}

@@ -1,6 +1,7 @@
 package db_test
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -11,13 +12,15 @@ import (
 	"resultdb/internal/workload/star"
 )
 
-// TestResultSetsCarryViews: every set the system produces carries the
-// columnar view its rows were boxed from, one frame column per output column
-// — the v2 encoder's fast-path precondition and what a post-join runs on —
-// whichever operators built it: a reduced scan, a join output projected for a
-// single-table SELECT, the Decompose strategy, a folded (cyclic) reduction,
-// the sequential pipeline; and so does the same result after a trip over the
-// v2 wire, where the decoder is the producer.
+// TestResultSetsCarryViews: every set the system produces carries its
+// columnar view, one frame column per output column — the v2 encoder's
+// fast-path precondition and what a post-join runs on — whichever operators
+// built it: a reduced scan, a join output projected for a single-table
+// SELECT, the Decompose strategy, a folded (cyclic) reduction, the sequential
+// pipeline; and so does the same result after a trip over the v2 wire, where
+// the decoder is the producer. The server's form (ExecStream) is the view
+// alone, Rows nil, and encodes in v1 and v2 to the bytes of the boxed form
+// in-process callers get.
 func TestResultSetsCarryViews(t *testing.T) {
 	d := db.New()
 	if _, err := d.ExecScript(`
@@ -45,10 +48,23 @@ INSERT INTO c VALUES (20, 1, 10), (21, 3, 12), (22, 2, 11);`); err != nil {
 		if err != nil {
 			t.Fatalf("%s: v2 round trip: %v", name, err)
 		}
-		for where, r := range map[string]*db.Result{"engine": res, "decoded": decoded} {
+		server, err := d.ExecStream(sql, func(db.StreamMeta) error { return nil }, func(*db.ResultSet) error { return nil })
+		if err != nil {
+			t.Fatalf("%s: server path: %v", name, err)
+		}
+		for _, version := range []int{wire.FormatV1, wire.FormatV2} {
+			opts := wire.EncodeOptions{Version: version}
+			if !bytes.Equal(wire.EncodeResultOptions(server, opts), wire.EncodeResultOptions(res, opts)) {
+				t.Errorf("%s: the server's unboxed result and the boxed one encode differently in version %d", name, version)
+			}
+		}
+		for where, r := range map[string]*db.Result{"engine": res, "decoded": decoded, "server": server} {
 			for _, set := range r.Sets {
-				if len(set.Rows) == 0 {
+				if set.NumRows() == 0 {
 					t.Errorf("%s (%s): set %q is empty; the shape is not exercised", name, where, set.Name)
+				}
+				if boxed := set.Rows != nil; boxed == (where == "server") {
+					t.Errorf("%s (%s): set %q has Rows %v", name, where, set.Name, boxed)
 				}
 				if set.Vec == nil {
 					t.Errorf("%s (%s): set %q has no colstore view attached", name, where, set.Name)

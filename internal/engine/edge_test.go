@@ -43,7 +43,7 @@ func TestAggregatesOverEmptyInput(t *testing.T) {
 		"t": mkTable(t, "t", []catalog.Column{intCol("id"), intCol("x")}, nil),
 	}
 	rel := runSelect(t, src, `SELECT COUNT(*), COUNT(t.x), SUM(t.x), MIN(t.x), MAX(t.x), AVG(t.x) FROM t AS t`)
-	r := rel.Rows()[0]
+	r := rel.Vec.Rows()[0]
 	if r[0].Int() != 0 || r[1].Int() != 0 {
 		t.Errorf("counts = %v", r)
 	}
@@ -60,7 +60,7 @@ func TestAggregatesIgnoreNulls(t *testing.T) {
 			ir(1, 10), ir(2, nil), ir(3, 20)),
 	}
 	rel := runSelect(t, src, `SELECT COUNT(*), COUNT(t.x), SUM(t.x), AVG(t.x) FROM t AS t`)
-	r := rel.Rows()[0]
+	r := rel.Vec.Rows()[0]
 	if r[0].Int() != 3 || r[1].Int() != 2 || r[2].Int() != 30 || r[3].Float() != 15 {
 		t.Errorf("aggregates = %v", r)
 	}
@@ -72,7 +72,7 @@ func TestMinMaxOverText(t *testing.T) {
 			ir(1, "pear"), ir(2, "apple"), ir(3, "zebra")),
 	}
 	rel := runSelect(t, src, `SELECT MIN(t.s), MAX(t.s) FROM t AS t`)
-	r := rel.Rows()[0]
+	r := rel.Vec.Rows()[0]
 	if r[0].Text() != "apple" || r[1].Text() != "zebra" {
 		t.Errorf("min/max = %v", r)
 	}

@@ -93,7 +93,7 @@ func runSelect(t *testing.T, src Source, sql string) *Relation {
 
 func sortedStrings(rel *Relation) []string {
 	out := make([]string, rel.Len())
-	for i, r := range rel.Rows() {
+	for i, r := range rel.Vec.Rows() {
 		out[i] = r.String()
 	}
 	sort.Strings(out)
@@ -137,8 +137,8 @@ func TestSelectExplicitJoinSyntax(t *testing.T) {
 func TestSelectDistinctAndOrderLimit(t *testing.T) {
 	rel := runSelect(t, shopSource(t), `
 		SELECT DISTINCT p.category FROM products AS p ORDER BY p.category`)
-	if rel.Len() != 2 || rel.Rows()[0].String() != "clothing" {
-		t.Fatalf("rows = %v", rel.Rows())
+	if rel.Len() != 2 || rel.Vec.Rows()[0].String() != "clothing" {
+		t.Fatalf("rows = %v", rel.Vec.Rows())
 	}
 	rel2 := runSelect(t, shopSource(t), `
 		SELECT p.name FROM products AS p ORDER BY p.name DESC LIMIT 2`)
@@ -161,13 +161,13 @@ func TestSelectLeftOuterJoin(t *testing.T) {
 func TestSelectAggregates(t *testing.T) {
 	src := shopSource(t)
 	rel := runSelect(t, src, `SELECT COUNT(*) FROM orders AS o`)
-	if rel.Rows()[0][0].Int() != 6 {
-		t.Fatalf("count = %v", rel.Rows()[0])
+	if rel.Vec.Rows()[0][0].Int() != 6 {
+		t.Fatalf("count = %v", rel.Vec.Rows()[0])
 	}
 	rel = runSelect(t, src, `
 		SELECT COUNT(*), MIN(o.pid), MAX(o.pid), SUM(o.pid), AVG(o.pid)
 		FROM orders AS o WHERE o.cid = 1`)
-	r := rel.Rows()[0]
+	r := rel.Vec.Rows()[0]
 	if r[0].Int() != 3 || r[1].Int() != 1 || r[2].Int() != 3 || r[3].Int() != 6 || r[4].Float() != 2 {
 		t.Fatalf("aggregates = %v", r)
 	}
@@ -175,8 +175,8 @@ func TestSelectAggregates(t *testing.T) {
 	rel = runSelect(t, src, `
 		SELECT COUNT(*) FROM customers AS c, orders AS o
 		WHERE c.id = o.cid AND c.state = 'NY'`)
-	if rel.Rows()[0][0].Int() != 3 {
-		t.Fatalf("join count = %v", rel.Rows()[0])
+	if rel.Vec.Rows()[0][0].Int() != 3 {
+		t.Fatalf("join count = %v", rel.Vec.Rows()[0])
 	}
 }
 
@@ -194,8 +194,8 @@ func TestSelectInSubquery(t *testing.T) {
 func TestSelectComputedItems(t *testing.T) {
 	rel := runSelect(t, shopSource(t), `
 		SELECT o.pid * 10 + o.cid AS code FROM orders AS o WHERE o.oid = 2`)
-	if rel.Rows()[0][0].Int() != 21 {
-		t.Fatalf("computed = %v", rel.Rows()[0])
+	if rel.Vec.Rows()[0][0].Int() != 21 {
+		t.Fatalf("computed = %v", rel.Vec.Rows()[0])
 	}
 	if rel.Cols[0].Name != "code" {
 		t.Errorf("alias = %s", rel.Cols[0].Name)
@@ -293,7 +293,7 @@ func TestArith(t *testing.T) {
 		"t": mkTable(t, "t", []catalog.Column{intCol("id"), intCol("x")}, []string{"id"}, ir(1, 7)),
 	}
 	rel := runSelect(t, src, "SELECT t.x + 1, t.x - 2, t.x * 3, t.x / 2, -t.x FROM t AS t")
-	r := rel.Rows()[0]
+	r := rel.Vec.Rows()[0]
 	want := []int64{8, 5, 21, 3, -7}
 	for i, w := range want {
 		if r[i].Int() != w {
@@ -397,7 +397,7 @@ func TestJoinAllCycleEdgesApplied(t *testing.T) {
 // a dense frame (nil selection) and a selection over a frame that interleaves
 // every row with a decoy.
 func keyForms(rel *Relation) map[string]*Relation {
-	rows := rel.Rows()
+	rows := rel.Vec.Rows()
 	padded := make([]types.Row, 0, 2*len(rows))
 	sel := make([]int32, 0, len(rows))
 	for i, r := range rows {
@@ -529,11 +529,11 @@ func TestJoinOutputSharesDictionaries(t *testing.T) {
 		}
 		// fold ⋉ l and l ⋉ fold over the TEXT column: same rows as the scan.
 		keep := map[string]bool{}
-		for _, row := range fold.Rows() {
+		for _, row := range fold.Vec.Rows() {
 			keep[row[1].Text()] = true
 		}
 		var want []types.Row
-		for _, row := range l.Rows() {
+		for _, row := range l.Vec.Rows() {
 			if keep[row[1].Text()] {
 				want = append(want, row)
 			}
@@ -667,7 +667,7 @@ func TestRelationHelpers(t *testing.T) {
 		t.Errorf("ColumnNames = %v", names)
 	}
 	p := rel.Project([]int{2, 0})
-	if p.Rows()[0][0].Int() != 3 || p.Cols[0].Rel != "b" {
+	if p.Vec.Rows()[0][0].Int() != 3 || p.Cols[0].Rel != "b" {
 		t.Errorf("Project = %+v", p)
 	}
 }
@@ -699,17 +699,17 @@ func TestFromRowsRoundTrip(t *testing.T) {
 	gathered := &Relation{Cols: cols, Vec: &colstore.View{
 		Frame: colstore.GatherView(rel.Vec, allCols(len(cols)), []int32{0, 1, 2, 3}, 1)}}
 	for name, r := range map[string]*Relation{"FromRows": rel, "gathered": gathered} {
-		if got := r.Rows(); !reflect.DeepEqual(got, rows) {
+		if got := r.Vec.Rows(); !reflect.DeepEqual(got, rows) {
 			t.Errorf("%s: Rows() = %v, want %v", name, got, rows)
 		}
 	}
 	want := []types.Row{rows[1], rows[3]}
 	for name, r := range map[string]*Relation{"FromRows": rel, "gathered": gathered} {
-		if got := r.Narrow([]int32{1, 3}).Rows(); !reflect.DeepEqual(got, want) {
+		if got := r.Narrow([]int32{1, 3}).Vec.Rows(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s narrowed: Rows() = %v, want %v", name, got, want)
 		}
 	}
-	if empty := FromRows(cols, nil); empty.Len() != 0 || len(empty.Rows()) != 0 {
+	if empty := FromRows(cols, nil); empty.Len() != 0 || len(empty.Vec.Rows()) != 0 {
 		t.Errorf("empty relation has %d rows", empty.Len())
 	}
 }

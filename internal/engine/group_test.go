@@ -103,8 +103,8 @@ func TestGroupByEmptyInput(t *testing.T) {
 	// Without GROUP BY, aggregates over empty input yield one row.
 	rel = runSelect(t, salesSource(t), `
 		SELECT COUNT(*) FROM sales AS s WHERE s.amount > 999`)
-	if rel.Len() != 1 || rel.Rows()[0][0].Int() != 0 {
-		t.Errorf("global aggregate over empty input = %v", rel.Rows())
+	if rel.Len() != 1 || rel.Vec.Rows()[0][0].Int() != 0 {
+		t.Errorf("global aggregate over empty input = %v", rel.Vec.Rows())
 	}
 }
 

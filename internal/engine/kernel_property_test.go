@@ -232,7 +232,7 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					rows := got.Rows()
+					rows := got.Vec.Rows()
 					if len(rows) != len(want) || got.Len() != len(want) {
 						t.Fatalf("%v par=%d: scan returns %d rows (view %d), bound expression %d",
 							preds, par, len(rows), got.Len(), len(want))

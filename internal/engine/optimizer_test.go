@@ -42,7 +42,7 @@ func TestDPMatchesGreedyOnPaperExample(t *testing.T) {
 // sumCells builds an order-insensitive fingerprint over cell values.
 func sumCells(r *Relation) int {
 	seen := map[string]int{}
-	for _, row := range r.Rows() {
+	for _, row := range r.Vec.Rows() {
 		for i, v := range row {
 			seen[r.Cols[i].Rel+"."+r.Cols[i].Name+"="+v.String()]++
 		}

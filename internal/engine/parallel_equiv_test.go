@@ -44,7 +44,7 @@ func identicalRows(t *testing.T, what string, got, want *Relation) {
 	if len(got.Cols) != len(want.Cols) {
 		t.Fatalf("%s: schema width %d != %d", what, len(got.Cols), len(want.Cols))
 	}
-	g, w := got.Rows(), want.Rows()
+	g, w := got.Vec.Rows(), want.Vec.Rows()
 	if len(g) != len(w) || got.Len() != len(w) {
 		t.Fatalf("%s: row count %d (Len %d) != %d", what, len(g), got.Len(), len(w))
 	}
@@ -84,8 +84,8 @@ func TestHashJoinParallelCrossProduct(t *testing.T) {
 		t.Fatalf("cross product has %d rows, want %d", want.Len(), l.Len()*r.Len())
 	}
 	var scan []types.Row
-	for _, lr := range l.Rows() {
-		for _, rr := range r.Rows() {
+	for _, lr := range l.Vec.Rows() {
+		for _, rr := range r.Vec.Rows() {
 			scan = append(scan, append(append(types.Row(nil), lr...), rr...))
 		}
 	}
@@ -124,7 +124,7 @@ func TestDistinctParMatchesSerial(t *testing.T) {
 	// The expected rows come from a plain first-occurrence-wins loop.
 	var first []types.Row
 	seen := types.NewRowSet()
-	for _, row := range rel.Rows() {
+	for _, row := range rel.Vec.Rows() {
 		if seen.Add(row) {
 			first = append(first, row)
 		}
@@ -156,7 +156,7 @@ func TestProjectIsColumnSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	for form, rel := range keyForms(bigRelation(rng, "p", 4000, 50)) {
 		var want []types.Row
-		for _, row := range rel.Rows() {
+		for _, row := range rel.Vec.Rows() {
 			want = append(want, row.Project([]int{2, 0}))
 		}
 		got := rel.Project([]int{2, 0})
@@ -172,7 +172,7 @@ func TestFilterParallelMatchesSerial(t *testing.T) {
 	rel := bigRelation(rng, "f", 7000, 113)
 	cond := parseConjuncts(t, "f", []string{"f.id + 0 < 2000"})[0]
 	var keep []types.Row
-	for _, row := range rel.Rows() {
+	for _, row := range rel.Vec.Rows() {
 		if row[0].Int() < 2000 {
 			keep = append(keep, row)
 		}

@@ -9,8 +9,9 @@
 // passes positions and cardinalities stay exact — the paper injects true
 // cardinalities into mutable's optimizer for the same effect (Section 6.3).
 // Expressions are evaluated row-at-a-time, but over a cursor that boxes only
-// the cells they read (binder.cursor); tuples are boxed at the db boundary
-// only (Relation.Rows).
+// the cells they read (binder.cursor). A relation leaves the engine as its
+// view: the db package boxes tuples only for in-process callers that read
+// them.
 package engine
 
 import (
@@ -56,11 +57,6 @@ func FromRows(cols []ColRef, rows []types.Row) *Relation {
 
 // Len returns the number of rows.
 func (r *Relation) Len() int { return r.Vec.Len() }
-
-// Rows boxes the relation into tuples, for a consumer outside the engine (see
-// colstore.View.Rows); no operator calls it. One-shot: nothing caches the
-// result.
-func (r *Relation) Rows() []types.Row { return r.Vec.Rows() }
 
 // Key addresses cols of r's rows for the hash kernel.
 func (r *Relation) Key(cols []int) colstore.Key { return colstore.ViewKey(r.Vec, cols) }

@@ -63,17 +63,18 @@ func NewEncoderSized(capacity int) *Encoder {
 	return &Encoder{buf: make([]byte, 0, capacity)}
 }
 
-// setCapacityHint estimates the encoded size of set from its row and column
-// counts alone (no value scan): per-cell costs average a few bytes for
-// varint integers and bools and tens for JOB-style text, so 12 bytes per
+// setCapacityHint estimates the v1 encoded size of set from its row and
+// column counts alone (no value scan): per-cell costs average a few bytes
+// for varint integers and bools and tens for JOB-style text, so 12 bytes per
 // cell lands within one append-doubling of the real size on the benchmark
 // workloads — close enough that encoding does O(1) allocations either way.
+// A v2 set sizes itself exactly (encodeSetV2).
 func setCapacityHint(set *db.ResultSet) int {
 	h := 24 + len(set.Name)
 	for _, c := range set.Columns {
 		h += 8 + len(c)
 	}
-	return h + len(set.Rows)*len(set.Columns)*12
+	return h + set.NumRows()*len(set.Columns)*12
 }
 
 // reserve makes room for n more bytes in one step (at least doubling, so a
@@ -184,8 +185,8 @@ func EncodeResultV2(r *db.Result) []byte {
 }
 
 // EncodeResultOptions serializes a result in the requested format version.
-// Panics on an unknown version (programmer error, like encodeSet's arity
-// check). The streamed server produces exactly these bytes chunk by chunk
+// Panics on an unknown version (programmer error, like a hand-built row
+// whose arity differs from its set's columns, db.Cells.At). The streamed server produces exactly these bytes chunk by chunk
 // (encodeHeader + per-set encodeSetVersion + encodePlan), so buffered and
 // streamed transfers are byte-identical.
 func EncodeResultOptions(r *db.Result, opts EncodeOptions) []byte {
@@ -206,8 +207,8 @@ func EncodeResultOptions(r *db.Result, opts EncodeOptions) []byte {
 			if v == FormatV2 {
 				sp.Detail = "v2 columnar"
 			}
-			sp.RowsIn = len(set.Rows)
-			sp.RowsOut = len(set.Rows)
+			sp.RowsIn = set.NumRows()
+			sp.RowsOut = sp.RowsIn
 			sp.Bytes = e.Len() - before
 			tr.AddBytes(e.Len() - before)
 		}
@@ -273,10 +274,10 @@ func (e *Encoder) encodeSetVersion(set *db.ResultSet, version, par int) {
 		return
 	}
 	start := len(e.buf)
-	e.reserve(setCapacityHint(set))
 	if version == FormatV2 {
 		e.encodeSetV2(set, par)
 	} else {
+		e.reserve(setCapacityHint(set))
 		e.encodeSet(set)
 	}
 	memo.Keep(slot, e.buf[start:])
@@ -311,13 +312,16 @@ func (e *Encoder) encodeSet(set *db.ResultSet) {
 	for _, c := range set.Columns {
 		e.str(c)
 	}
-	e.uvarint(uint64(len(set.Rows)))
-	for _, row := range set.Rows {
-		if len(row) != len(set.Columns) {
-			panic(fmt.Sprintf("wire: row arity %d != %d columns", len(row), len(set.Columns)))
-		}
-		for _, v := range row {
-			e.value(v)
+	n := set.NumRows()
+	e.uvarint(uint64(n))
+	var small [16]db.Cells // the readers of a set of up to 16 columns stay on the stack
+	cols := small[:0]
+	for j := range set.Columns {
+		cols = append(cols, set.Column(j))
+	}
+	for i := 0; i < n; i++ {
+		for _, col := range cols {
+			e.value(col.At(i))
 		}
 	}
 }

@@ -157,40 +157,66 @@ func (c *colData) setNull(i int) {
 
 // encodeSetV2 writes one result set column-at-a-time, parallelizing the
 // per-column encoders at degree par and stitching the blocks in column
-// order (identical bytes at any degree).
+// order (identical bytes at any degree). The set's bytes are reserved
+// exactly, once the blocks are known.
 func (e *Encoder) encodeSetV2(set *db.ResultSet, par int) {
+	nCols, n := len(set.Columns), set.NumRows()
+	size := strLen(set.Name) + uvarintLen(uint64(nCols)) + uvarintLen(uint64(n))
+	for _, c := range set.Columns {
+		size += strLen(c)
+	}
+	var blocks [][]byte
+	if n > 0 && nCols > 0 {
+		blocks = make([][]byte, nCols)
+		parallel.Each(nCols, par, func(j int) {
+			blocks[j] = encodeColV2(set, j, n)
+		})
+		for _, b := range blocks {
+			size += len(b)
+		}
+	}
+	e.reserve(size)
 	e.str(set.Name)
-	nCols := len(set.Columns)
 	e.uvarint(uint64(nCols))
 	for _, c := range set.Columns {
 		e.str(c)
 	}
-	e.uvarint(uint64(len(set.Rows)))
-	if len(set.Rows) == 0 || nCols == 0 {
-		return
-	}
-	for _, row := range set.Rows {
-		if len(row) != nCols {
-			panic(fmt.Sprintf("wire: row arity %d != %d columns", len(row), nCols))
-		}
-	}
-	blocks := make([][]byte, nCols)
-	parallel.Each(nCols, par, func(j int) {
-		blocks[j] = encodeColV2(set, j)
-	})
+	e.uvarint(uint64(n))
 	for _, b := range blocks {
 		e.buf = append(e.buf, b...)
 	}
 }
 
-// encodeColV2 gathers, sizes, and emits one column block (desc + body).
-func encodeColV2(set *db.ResultSet, j int) []byte {
-	c := gatherCol(set, j)
-	e := NewEncoder()
-	var variant int
+// strLen is the encoded size of a length-prefixed string.
+func strLen(s string) int { return uvarintLen(uint64(len(s))) + len(s) }
+
+// valueLen is the encoded size of one v1 tagged value (Encoder.value).
+func valueLen(v types.Value) int {
+	switch v.Kind() {
+	case types.KindInt:
+		return 1 + varintLen(v.Int())
+	case types.KindFloat:
+		return 9
+	case types.KindText:
+		return 1 + strLen(v.Text())
+	case types.KindBool:
+		return 2
+	}
+	return 1
+}
+
+// encodeColV2 gathers, sizes, and emits one column block (desc + body) of n
+// rows. Every variant is sized before anything is written, so the block is
+// one allocation of exactly the bytes it ships; a deflated body is written
+// over the plain one, which it is strictly smaller than.
+func encodeColV2(set *db.ResultSet, j, n int) []byte {
+	c := gatherCol(set, j, n)
+	var nulls []byte
+	if c.kind != colAny && c.kind != colAllNull {
+		nulls = c.nulls
+	}
+	var variant, size int
 	switch c.kind {
-	case colAllNull:
-		// Nothing: the desc byte alone says every row is NULL.
 	case colInt:
 		plain := 0
 		for _, v := range c.ints {
@@ -200,8 +226,48 @@ func encodeColV2(set *db.ResultSet, j int) []byte {
 		for k := 1; k < len(c.ints); k++ {
 			delta += varintLen(c.ints[k] - c.ints[k-1]) // wrapping, exact
 		}
+		size = plain
 		if delta < plain {
-			variant = intDelta
+			variant, size = intDelta, delta
+		}
+	case colFloat:
+		size = 8 * len(c.floats)
+	case colBool:
+		size = (len(c.bools) + 7) / 8
+	case colText:
+		inline := 0
+		for _, code := range c.codes {
+			inline += strLen(c.dict[code])
+		}
+		dictSz := uvarintLen(uint64(len(c.dict)))
+		for _, s := range c.dict {
+			dictSz += strLen(s)
+		}
+		for _, code := range c.codes {
+			dictSz += uvarintLen(uint64(code))
+		}
+		size = inline
+		if dictSz < inline {
+			variant, size = textDict, dictSz
+		}
+	case colAny:
+		at := set.Column(j)
+		for i := 0; i < n; i++ {
+			size += valueLen(at.At(i))
+		}
+	}
+	desc := byte(variant) | byte(c.kind)<<colKindShift
+	if nulls != nil {
+		desc |= colNullsBit
+	}
+	e := Encoder{buf: make([]byte, 1, 1+len(nulls)+size)}
+	e.buf[0] = desc
+	e.buf = append(e.buf, nulls...)
+	switch c.kind {
+	case colAllNull:
+		// Nothing: the desc byte alone says every row is NULL.
+	case colInt:
+		if variant == intDelta {
 			e.varint(c.ints[0])
 			for k := 1; k < len(c.ints); k++ {
 				e.varint(c.ints[k] - c.ints[k-1])
@@ -216,28 +282,15 @@ func encodeColV2(set *db.ResultSet, j int) []byte {
 			e.buf = binary64(e.buf, v)
 		}
 	case colBool:
-		packed := make([]byte, (len(c.bools)+7)/8)
+		e.buf = e.buf[:len(e.buf)+size] // zeroed by make
+		packed := e.buf[len(e.buf)-size:]
 		for k, v := range c.bools {
 			if v {
 				packed[k>>3] |= 1 << (k & 7)
 			}
 		}
-		e.buf = append(e.buf, packed...)
 	case colText:
-		inline := 0
-		for _, code := range c.codes {
-			s := c.dict[code]
-			inline += uvarintLen(uint64(len(s))) + len(s)
-		}
-		dictSz := uvarintLen(uint64(len(c.dict)))
-		for _, s := range c.dict {
-			dictSz += uvarintLen(uint64(len(s))) + len(s)
-		}
-		for _, code := range c.codes {
-			dictSz += uvarintLen(uint64(code))
-		}
-		if dictSz < inline {
-			variant = textDict
+		if variant == textDict {
 			e.uvarint(uint64(len(c.dict)))
 			for _, s := range c.dict {
 				e.str(s)
@@ -251,31 +304,20 @@ func encodeColV2(set *db.ResultSet, j int) []byte {
 			}
 		}
 	case colAny:
-		for _, row := range set.Rows {
-			e.value(row[j])
+		at := set.Column(j)
+		for i := 0; i < n; i++ {
+			e.value(at.At(i))
 		}
 	}
-	// Assemble bitmap + payload, then let deflate take a strictly-smaller
-	// shot at the whole body.
-	body := e.buf
-	if c.nulls != nil && c.kind != colAny && c.kind != colAllNull {
-		body = append(append(make([]byte, 0, len(c.nulls)+len(body)), c.nulls...), body...)
+	// Let deflate take a strictly-smaller shot at the body (bitmap +
+	// payload).
+	if comp, ok := tryFlate(e.buf[1:]); ok {
+		out := e.buf[:1]
+		out[0] |= colFlateBit
+		out = binary.AppendUvarint(out, uint64(len(comp)))
+		return append(out, comp...)
 	}
-	desc := byte(variant) | byte(c.kind)<<colKindShift
-	if c.nulls != nil && c.kind != colAny && c.kind != colAllNull {
-		desc |= colNullsBit
-	}
-	if comp, ok := tryFlate(body); ok {
-		out := make([]byte, 0, 1+uvarintLen(uint64(len(comp)))+len(comp))
-		out = append(out, desc|colFlateBit)
-		oe := &Encoder{buf: out}
-		oe.uvarint(uint64(len(comp)))
-		oe.buf = append(oe.buf, comp...)
-		return oe.buf
-	}
-	out := make([]byte, 0, 1+len(body))
-	out = append(out, desc)
-	return append(out, body...)
+	return e.buf
 }
 
 func binary64(buf []byte, v float64) []byte {
@@ -303,9 +345,10 @@ func tryFlate(body []byte) ([]byte, bool) {
 	if len(body) < 16 {
 		return nil, false // can't beat the length prefix + deflate framing
 	}
-	var buf bytes.Buffer
+	// Sized to the body: a result worth shipping compressed fits.
+	buf := bytes.NewBuffer(make([]byte, 0, len(body)))
 	w := flateWriters.Get().(*flate.Writer)
-	w.Reset(&buf)
+	w.Reset(buf)
 	if _, err := w.Write(body); err != nil {
 		flateWriters.Put(w)
 		return nil, false
@@ -322,30 +365,30 @@ func tryFlate(body []byte) ([]byte, bool) {
 	return comp, true
 }
 
-// gatherCol extracts column j of the set into typed vectors. When the set
-// carries an aligned colstore view the gather is vector copies (and, for
-// TEXT, a dictionary remap with zero string hashing); otherwise it scans
-// the rows. Both paths produce identical colData, so the wire bytes do not
-// depend on which executed.
-func gatherCol(set *db.ResultSet, j int) *colData {
-	c := &colData{n: len(set.Rows)}
+// gatherCol extracts column j of the set's n rows into typed vectors. When
+// the set carries a view the gather is vector copies (and, for TEXT, a
+// dictionary remap with zero string hashing); otherwise, and for a view
+// column of exact values, it reads cell by cell. Both paths produce
+// identical colData, so the wire bytes do not depend on which executed.
+func gatherCol(set *db.ResultSet, j, n int) *colData {
+	c := &colData{n: n}
 	if set.Vec != nil {
 		if ok := gatherColVec(set, j, c); ok {
 			return c
 		}
-		*c = colData{n: len(set.Rows)}
+		*c = colData{n: n}
 	}
-	gatherColRows(set, j, c)
+	gatherColCells(set.Column(j), c)
 	return c
 }
 
-// gatherColRows is the row-scan gather: classify the column's kind, then
-// collect non-NULL values (two cheap passes).
-func gatherColRows(set *db.ResultSet, j int, c *colData) {
+// gatherColCells is the cell-by-cell gather: classify the column's kind,
+// then collect non-NULL values (two cheap passes).
+func gatherColCells(at db.Cells, c *colData) {
 	kind := types.KindNull
 	mixed := false
-	for _, row := range set.Rows {
-		v := row[j]
+	for i := 0; i < c.n; i++ {
+		v := at.At(i)
 		if v.IsNull() {
 			continue
 		}
@@ -370,8 +413,8 @@ func gatherColRows(set *db.ResultSet, j int, c *colData) {
 	case types.KindInt:
 		c.kind = colInt
 		c.ints = make([]int64, 0, c.nn)
-		for i, row := range set.Rows {
-			if v := row[j]; v.IsNull() {
+		for i := 0; i < c.n; i++ {
+			if v := at.At(i); v.IsNull() {
 				c.setNull(i)
 			} else {
 				c.ints = append(c.ints, v.Int())
@@ -380,8 +423,8 @@ func gatherColRows(set *db.ResultSet, j int, c *colData) {
 	case types.KindFloat:
 		c.kind = colFloat
 		c.floats = make([]float64, 0, c.nn)
-		for i, row := range set.Rows {
-			if v := row[j]; v.IsNull() {
+		for i := 0; i < c.n; i++ {
+			if v := at.At(i); v.IsNull() {
 				c.setNull(i)
 			} else {
 				c.floats = append(c.floats, v.Float())
@@ -390,8 +433,8 @@ func gatherColRows(set *db.ResultSet, j int, c *colData) {
 	case types.KindBool:
 		c.kind = colBool
 		c.bools = make([]bool, 0, c.nn)
-		for i, row := range set.Rows {
-			if v := row[j]; v.IsNull() {
+		for i := 0; i < c.n; i++ {
+			if v := at.At(i); v.IsNull() {
 				c.setNull(i)
 			} else {
 				c.bools = append(c.bools, v.Bool())
@@ -401,8 +444,8 @@ func gatherColRows(set *db.ResultSet, j int, c *colData) {
 		c.kind = colText
 		c.codes = make([]uint32, 0, c.nn)
 		idx := make(map[string]uint32, 16)
-		for i, row := range set.Rows {
-			v := row[j]
+		for i := 0; i < c.n; i++ {
+			v := at.At(i)
 			if v.IsNull() {
 				c.setNull(i)
 				continue
@@ -433,7 +476,7 @@ func (c *colData) finishAllNull() {
 
 // gatherColVec gathers from the set's colstore view; reports false for
 // column representations it does not accelerate (AnyColumn), which then
-// take the row-scan path.
+// take the cell-by-cell path.
 func gatherColVec(set *db.ResultSet, j int, c *colData) bool {
 	col := set.Vec.Frame.Col(j)
 	v := set.Vec
@@ -495,7 +538,7 @@ func gatherColVec(set *db.ResultSet, j int, c *colData) bool {
 		c.kind = colBool
 	case *colstore.TextColumn:
 		// Remap scan-time dictionary codes to wire codes in first-occurrence
-		// order over the result rows — byte-identical to the row-scan path,
+		// order over the result rows — byte-identical to the cell-by-cell path,
 		// without hashing any string.
 		remap := make([]int32, len(col.Dict))
 		for k := range remap {

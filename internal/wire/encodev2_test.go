@@ -12,6 +12,7 @@ import (
 	"resultdb/internal/colstore"
 	"resultdb/internal/db"
 	"resultdb/internal/types"
+	"resultdb/internal/workload/hierarchy"
 	"resultdb/internal/workload/job"
 	"resultdb/internal/workload/star"
 )
@@ -541,6 +542,124 @@ func TestPostJoinOnDecodedResultBuildsNoFrame(t *testing.T) {
 	})
 	if block := rowBlockBytes(out); got > 2*block {
 		t.Errorf("post-join allocated %d bytes for a %d-byte output block (%.2fx, want <= 2x)", got, block, float64(got)/float64(block))
+	}
+}
+
+// raceBuild reports a race-detector build (race_test.go).
+var raceBuild bool
+
+// rowBlockAllocs counts the allocations made so far whose stack passes
+// through types.MakeRows — every row block the system boxes — as the heap
+// profile sees them after two collections (the profile lags by up to two
+// cycles). Only allocations sampled at MemProfileRate 1 are counted exactly.
+func rowBlockAllocs() int64 {
+	runtime.GC()
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for n, _ := runtime.MemProfile(nil, true); ; {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			recs = recs[:n]
+			break
+		}
+	}
+	var blocks int64
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if f.Function == "resultdb/internal/types.MakeRows" {
+				blocks += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return blocks
+}
+
+// TestServerPathBoxesNoRows guards the server half of "results box on
+// demand": JOB, star and hierarchy RDB/RDBRP statements run through
+// ExecStream — what both server paths call — and are v2-encoded, buffered
+// and chunk by chunk, without boxing a single row block (every allocation is
+// sampled while they run). The star_transfer statements' execute-and-encode
+// bytes are bounded too: the in-process probes (BenchmarkStarExec +
+// BenchmarkStarEncode, 2 vCPUs) measured 14.7 MB a pass when results were
+// boxed on the server and 7.3 MB after.
+func TestServerPathBoxesNoRows(t *testing.T) {
+	jobDB, starDB, hierDB := db.New(), db.New(), db.New()
+	if err := job.Load(jobDB, job.Config{Scale: 0.05, Seed: 42}); err != nil {
+		t.Fatal(err)
+	}
+	if err := star.Load(starDB, star.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	if err := hierarchy.Load(hierDB, hierarchy.DefaultConfig()); err != nil {
+		t.Fatal(err)
+	}
+	type stmt struct {
+		d   *db.Database
+		sql string
+	}
+	var stmts, starStmts []stmt
+	for _, q := range job.Queries() {
+		body := strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT")
+		stmts = append(stmts, stmt{jobDB, "SELECT RESULTDB" + body}, stmt{jobDB, "SELECT RESULTDB PRESERVING" + body})
+	}
+	for _, s := range []float64{0.6, 0.8, 1.0} {
+		body := strings.TrimPrefix(star.Query(star.DefaultConfig(), s), "SELECT")
+		starStmts = append(starStmts, stmt{starDB, "SELECT RESULTDB PRESERVING" + body})
+		stmts = append(stmts, stmt{starDB, "SELECT RESULTDB" + body})
+	}
+	stmts = append(stmts, starStmts...)
+	for _, q := range []string{hierarchy.ResultDBElectronics, hierarchy.ResultDBClothing} {
+		q = strings.TrimSpace(q)
+		stmts = append(stmts, stmt{hierDB, q}, stmt{hierDB, strings.Replace(q, "RESULTDB", "RESULTDB PRESERVING", 1)})
+	}
+	serve := func(s stmt) {
+		res, err := serverResult(s.d, s.sql)
+		if err != nil {
+			t.Fatalf("%s: %v", s.sql, err)
+		}
+		EncodeResultOptions(res, EncodeOptions{Version: FormatV2})
+		streamedPayload(res, FormatV2)
+	}
+	for _, s := range stmts { // warm: statistics, frames, pools
+		serve(s)
+	}
+
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	before := rowBlockAllocs()
+	for _, s := range stmts {
+		serve(s)
+	}
+	if boxed := rowBlockAllocs() - before; boxed != 0 {
+		t.Errorf("the server path boxed %d row blocks over %d statements, want 0", boxed, len(stmts))
+	}
+	runtime.MemProfileRate = 512 * 1024
+	if raceBuild {
+		return
+	}
+
+	const bound = 10 << 20
+	got := uint64(math.MaxUint64)
+	for attempt := 0; attempt < 5 && got > bound; attempt++ { // sync.Pool may hand out fresh deflaters
+		got = min(got, allocatedBy(func() {
+			for _, s := range starStmts {
+				res, err := serverResult(s.d, s.sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				EncodeResultV2(res)
+			}
+		}))
+	}
+	if got > bound {
+		t.Errorf("executing and encoding the star_transfer statements allocated %d bytes, want <= %d", got, bound)
 	}
 }
 

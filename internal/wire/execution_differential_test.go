@@ -284,6 +284,7 @@ func (f *execFleet) check(t *testing.T, name, sql string) {
 		t.Fatalf("%s: baseline: %v", name, err)
 	}
 	checkAgainstReference(t, f, name, sel, base)
+	checkServerForm(t, f.baseline, name, sql, base)
 
 	var decoded *db.Result
 	for _, cand := range f.cands {

@@ -392,7 +392,9 @@ func (s *Server) maxVersion() int {
 // execBuffered runs one statement on the connection's session with panics
 // confined to the connection: an executor panic becomes a statement error
 // (terminal for the client — a deterministic panic would just repeat)
-// instead of a dead server.
+// instead of a dead server. It takes the streamed entry point and ignores
+// the stream: what it returns is the whole result, unboxed, as the streamed
+// path ships it.
 func (s *Server) execBuffered(sess *db.Session, sql string) (res *db.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -400,7 +402,7 @@ func (s *Server) execBuffered(sess *db.Session, sql string) (res *db.Result, err
 			err = fmt.Errorf("internal error: %v", p)
 		}
 	}()
-	return sess.Exec(sql)
+	return sess.ExecStream(sql, func(db.StreamMeta) error { return nil }, func(*db.ResultSet) error { return nil })
 }
 
 // isTimeout reports whether err is a deadline miss.

@@ -67,15 +67,16 @@ func wireFleet(t *testing.T, load func(d *db.Database) error) (*db.Database, []w
 }
 
 // checkWire runs sql on the oracle and across every served candidate,
-// requiring value-identical results, v2 payloads no larger than v1, and v2
+// requiring value-identical results, v2 payloads no larger than v1, v2
 // bytes that do not depend on whether the encoder read a set's columnar view
-// or its rows.
+// or its rows, and the server's unboxed form encoding like the boxed one.
 func checkWire(t *testing.T, oracle *db.Database, cands []wireCandidate, name, sql string) {
 	t.Helper()
 	res, err := oracle.Exec(sql)
 	if err != nil {
 		t.Fatalf("%s: oracle: %v", name, err)
 	}
+	checkServerForm(t, oracle, name, sql, res)
 	want := EncodeResult(res)
 	v2 := EncodeResultV2(res)
 	if len(v2) > len(want) {
@@ -106,6 +107,68 @@ func checkWire(t *testing.T, oracle *db.Database, cands []wireCandidate, name, s
 				name, cand.name, sql)
 		}
 		checkDecodedV2(t, name+" ["+cand.name+"]", v2, got)
+	}
+}
+
+// serverResult runs sql the way both server paths do (ExecStream, the
+// stream ignored): the result as it leaves the engine.
+func serverResult(d *db.Database, sql string) (*db.Result, error) {
+	return d.ExecStream(sql, func(db.StreamMeta) error { return nil }, func(*db.ResultSet) error { return nil })
+}
+
+// streamedPayload is the concatenation of the chunks serveStreamed sends for
+// res: the header, one chunk per set, the plan.
+func streamedPayload(res *db.Result, version int) []byte {
+	var out []byte
+	chunk := func(encode func(*Encoder)) {
+		var e Encoder
+		encode(&e)
+		out = append(out, e.buf...)
+	}
+	chunk(func(e *Encoder) { e.encodeHeader(version, len(res.Sets), res.PostJoinPlan != nil) })
+	for _, set := range res.Sets {
+		chunk(func(e *Encoder) { e.encodeSetVersion(set, version, 0) })
+	}
+	if res.PostJoinPlan != nil {
+		chunk(func(e *Encoder) { e.encodePlan(res.PostJoinPlan) })
+	}
+	return out
+}
+
+// checkServerForm: the result the server ships (unboxed: every set is its
+// view, Rows nil) and the one an in-process caller gets (boxed) are one
+// representation — {boxed, unboxed} x {v1, v2} x {buffered, streamed} encode
+// to the same bytes, and each unboxed set's Section 6.1 size, summed from its
+// columns, equals the size of its boxed rows.
+func checkServerForm(t *testing.T, d *db.Database, name, sql string, boxed *db.Result) {
+	t.Helper()
+	unboxed, err := serverResult(d, sql)
+	if err != nil {
+		t.Fatalf("%s: server path: %v", name, err)
+	}
+	if len(unboxed.Sets) != len(boxed.Sets) {
+		t.Fatalf("%s: server path gives %d sets, in-process %d", name, len(unboxed.Sets), len(boxed.Sets))
+	}
+	for i, set := range unboxed.Sets {
+		if set.Rows != nil || set.Vec == nil {
+			t.Fatalf("%s: server set %q left the engine boxed (rows %v, view %v)", name, set.Name, set.Rows != nil, set.Vec != nil)
+		}
+		rows := &db.ResultSet{Name: set.Name, Columns: set.Columns, Rows: boxed.Sets[i].Rows}
+		if set.NumRows() != rows.NumRows() || set.WireSize() != rows.WireSize() {
+			t.Fatalf("%s: set %q: view counts %d rows / %d bytes, its rows %d / %d",
+				name, set.Name, set.NumRows(), set.WireSize(), rows.NumRows(), rows.WireSize())
+		}
+	}
+	for _, version := range []int{FormatV1, FormatV2} {
+		want := EncodeResultOptions(boxed, EncodeOptions{Version: version})
+		for form, r := range map[string]*db.Result{"boxed": boxed, "unboxed": unboxed} {
+			if got := EncodeResultOptions(r, EncodeOptions{Version: version}); !bytes.Equal(got, want) {
+				t.Fatalf("%s: %s result, version %d, buffered: %d bytes differ from the boxed buffered %d", name, form, version, len(got), len(want))
+			}
+			if got := streamedPayload(r, version); !bytes.Equal(got, want) {
+				t.Fatalf("%s: %s result, version %d, streamed: %d bytes differ from the boxed buffered %d", name, form, version, len(got), len(want))
+			}
+		}
 	}
 }
 

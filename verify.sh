@@ -13,8 +13,10 @@
 # cache, range pre-filter and histogram; no identifier of the deleted
 # second relation image, no row slices in core or the colstore kernels, no
 # tuple boxed or taken back between the engine's operators (FromRows(,
-# .Rows() on a relation or view, []types.Row outside Relation.Rows/FromRows)
-# and no src rows kept by a colstore frame; no map-of-slices bucket structure
+# .Rows() on a relation or view, []types.Row outside FromRows) and no src
+# rows kept by a colstore frame; results leave the engine unboxed (no
+# len(set.Rows) or range set.Rows in internal/wire or internal/db outside
+# db/result.go); no map-of-slices bucket structure
 # in colstore/engine/storage; row blocks filled by colstore.View.Rows only,
 # one pooled flate reader, no unsafe in internal/types; internal/reference
 # imported from tests only; one version
@@ -37,7 +39,8 @@
 # reference as sorted sets, byte for byte across parallelism x cache x
 # statistics (lazy/ANALYZEd) x transport, reductions planned with statistics
 # byte-identical to the heuristic plan's, and the six-way rewrite oracle),
-# wire v2 (buffered/streamed vs v1), chaos (fault-injected connections
+# wire v2 (buffered/streamed vs v1; boxed in-process and unboxed server
+# results byte-identical, no row block boxed on the server path), chaos (fault-injected connections
 # converge to the exact oracle or fail typed) and crash-recovery (kill at
 # every WAL byte offset vs an uncrashed oracle); a short fuzzing pass over the
 # byte-hostile surfaces (SQL text in, wire bytes in, fault plans in, WAL
@@ -135,8 +138,9 @@ if [ -n "$dead_refs" ]; then
 fi
 
 echo "== lint: one relation representation (frame + selection)"
-# engine.Relation is a colstore view and nothing else; tuples are boxed by
-# Relation.Rows at the db boundary only, and a set that exists only as rows
+# engine.Relation is a colstore view and nothing else; no engine code boxes
+# it (the db package boxes results for in-process callers), and a set that
+# exists only as rows
 # (hand-built, v1-decoded) enters through FromRows in db/query.go. The helpers
 # of the deleted row image reappearing, a row slice in the reduction code or
 # the hash/filter kernels, an engine operator boxing its input or
@@ -156,7 +160,7 @@ if [ -n "$row_slices" ]; then
 fi
 # (f.Rows() / frame.Rows() is a frame's row count, not a boxing call.)
 engine_rows=$(grep -nE 'FromRows\(|\.Rows\(\)|\[\]types\.Row' internal/engine/*.go | grep -v '_test\.go:' |
-	grep -vE '^internal/engine/relation\.go:[0-9]+:func (FromRows\(|\(r \*Relation\) Rows\(\))' |
+	grep -vE '^internal/engine/relation\.go:[0-9]+:func FromRows\(' |
 	grep -vE '\b(f|frame)\.Rows\(\)' || true)
 if [ -n "$engine_rows" ]; then
 	echo "FAIL: an engine operator boxes a relation, takes rows back, or passes []types.Row (every operator passes positions):"
@@ -172,6 +176,20 @@ if [ -n "$from_rows" ]; then
 fi
 if awk '/^type Frame struct/,/^}/' internal/colstore/colstore.go | grep -qw 'src'; then
 	echo "FAIL: colstore.Frame keeps the rows it was built from (src) again"
+	exit 1
+fi
+
+echo "== lint: results leave the engine unboxed"
+# A result set is its view; Rows is its boxed mirror, filled for in-process
+# callers by the helpers in internal/db/result.go (which also hold NumRows,
+# WireSize and the cell reader the encoders use). Counting or walking
+# set.Rows anywhere else on the server path reads a field the wire server's
+# sets do not have.
+row_reads=$(grep -nE 'len\((set|rs)\.Rows\)|range (set|rs)\.Rows\b' internal/wire/*.go internal/db/*.go | grep -v '_test\.go:' |
+	grep -v '^internal/db/result\.go:' || true)
+if [ -n "$row_reads" ]; then
+	echo "FAIL: a result set's Rows counted or walked outside the boxing helpers (use NumRows, WireSize, Column):"
+	echo "$row_reads"
 	exit 1
 fi
 
@@ -262,12 +280,12 @@ echo "== cache differential + stress gate (cold/warm, dangling and joining appen
 gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit|TestCacheExtend|TestDoAt' \
 	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire ./internal/db ./internal/cache
 
-echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x transport byte-identical; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; under -race)"
-gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased' -count=1 ./internal/wire ./internal/core
+echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x transport byte-identical; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; under -race)"
+gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestServerPathBoxesNoRows' -count=1 ./internal/wire ./internal/core
 gate -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
 
-echo "== wire v2 differential gate (v2 buffered/streamed x par vs v1 oracle, v2 <= v1 bytes, decoded results frame-backed and re-encoding to the same bytes, post-join equal on every result form, under -race)"
-gate -race -run 'TestWireV2Differential|TestStreamedMatchesBuffered|TestExecStream|TestResultSetsCarryViews|TestPostJoinSameOnEveryResultForm' -count=1 \
+echo "== wire v2 differential gate (v2 buffered/streamed x par vs v1 oracle, v2 <= v1 bytes, decoded results frame-backed and re-encoding to the same bytes, post-join equal on every result form; boxed in-process and unboxed server results x v1/v2 x buffered/streamed byte-identical, sizes from columns equal sizes from rows, in-process calls boxing into copies of cached sets the server reads unboxed, the server path boxing no row block; under -race)"
+gate -race -run 'TestWireV2Differential|TestStreamedMatchesBuffered|TestExecStream|TestResultSetsCarryViews|TestPostJoinSameOnEveryResultForm|TestServerPathBoxesNoRows|TestWireSizeFromColumns|TestInProcessCallsBox|TestCacheHitBoxesIntoACopy' -count=1 \
 	./internal/wire ./internal/db
 
 echo "== chaos differential gate (fault plans x v1/v2 x buffered/streamed x par, under -race)"
