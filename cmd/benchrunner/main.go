@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,9 +25,12 @@ import (
 	"resultdb/internal/workload/star"
 )
 
+// experiments are the -exp values besides "all".
+var experiments = []string{"table1", "fig7", "fig8", "table2", "fig9", "table3", "ssb", "ablation-root", "ablation-fold", "ablation-bloom"}
+
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "experiment: table1|fig7|fig8|table2|fig9|table3|ssb|ablation-root|ablation-fold|ablation-bloom|ablation-joinorder|all")
+		exp     = flag.String("exp", "all", "experiment: "+strings.Join(experiments, "|")+"|all")
 		scale   = flag.Float64("scale", 0.25, "JOB workload scale factor (1.0 = 10k titles / 80k cast rows)")
 		reps    = flag.Int("reps", 5, "repetitions per measurement (median reported)")
 		mbps    = flag.Float64("mbps", 100, "modeled data transfer rate in Mbps (Table 3)")
@@ -41,6 +45,9 @@ func main() {
 }
 
 func run(exp string, scale float64, reps int, mbps float64, queryList string, par int) error {
+	if exp != "all" && !slices.Contains(experiments, exp) {
+		return fmt.Errorf("unknown experiment %q (want %s|all)", exp, strings.Join(experiments, "|"))
+	}
 	var names []string
 	if queryList != "" {
 		names = strings.Split(queryList, ",")
@@ -131,13 +138,6 @@ func run(exp string, scale float64, reps int, mbps float64, queryList string, pa
 			return err
 		}
 		fmt.Println(bench.FormatAblation("Ablation: fold strategy (cyclic queries)", rows, variants))
-	}
-	if want("ablation-joinorder") {
-		rows, err := env.AblationJoinOrder(names)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatJoinOrder(rows))
 	}
 	if want("ablation-bloom") {
 		rows, variants, err := env.AblationBloom(names)

@@ -10,7 +10,7 @@ func TestRunEachExperiment(t *testing.T) {
 	}
 	for _, exp := range []string{
 		"table1", "fig7", "fig8", "table2", "fig9", "table3", "ssb",
-		"ablation-root", "ablation-fold", "ablation-bloom", "ablation-joinorder",
+		"ablation-root", "ablation-fold", "ablation-bloom",
 	} {
 		exp := exp
 		t.Run(exp, func(t *testing.T) {
@@ -28,5 +28,15 @@ func TestRunEachExperiment(t *testing.T) {
 func TestRunRejectsUnknownQueries(t *testing.T) {
 	if err := run("table1", 0.02, 1, 100, "zz", 0); err == nil {
 		t.Fatal("unknown query should error")
+	}
+}
+
+// TestRunRejectsUnknownExperiment: an -exp value that names no experiment
+// fails instead of loading the workload and printing nothing.
+func TestRunRejectsUnknownExperiment(t *testing.T) {
+	for _, exp := range []string{"ablation-order", "tabel1", ""} {
+		if err := run(exp, 0.02, 1, 100, "", 0); err == nil {
+			t.Errorf("run(%q) should error", exp)
+		}
 	}
 }

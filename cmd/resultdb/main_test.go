@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"resultdb/internal/cache"
 	"resultdb/internal/catalog"
 	"resultdb/internal/db"
 	"resultdb/internal/types"
@@ -121,6 +122,58 @@ func TestShellStats(t *testing.T) {
 		if !strings.Contains(got, want) {
 			t.Errorf("\\stats output missing %q in %q", want, got)
 		}
+	}
+}
+
+const cachedStmt = "SELECT RESULTDB t.name FROM t AS t WHERE t.id = 1;"
+
+// runTwice executes cachedStmt twice through the shell and returns the
+// database's cache counters afterwards.
+func runTwice(t *testing.T, s *shell) cache.Stats {
+	t.Helper()
+	for i := 0; i < 2; i++ {
+		if err := s.execute(cachedStmt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s.sess.DB().CacheStats()
+}
+
+// TestShellCacheOnReachesSession: \cache on turns the cache on for the
+// shell's own session too, not only for the database it copied its options
+// from — the same statement twice is one miss, then one hit.
+func TestShellCacheOnReachesSession(t *testing.T) {
+	s, _, output := testShell(t)
+	if s.meta(`\cache on`) {
+		t.Fatal("\\cache should not quit")
+	}
+	if st := runTwice(t, s); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+		t.Errorf("after \\cache on and one statement twice: %d misses, %d hits, %d entries; want 1, 1, 1",
+			st.Misses, st.Hits, st.Entries)
+	}
+	s.meta(`\cache`)
+	if got := output(); !strings.Contains(got, "1 hits (0 extended), 1 misses") {
+		t.Errorf("\\cache output = %q", got)
+	}
+}
+
+// TestShellCacheOffBypassesCache: after \cache off the session's statements
+// bypass the cache again, and \cache SIZE turns it back on with that budget.
+func TestShellCacheOffBypassesCache(t *testing.T) {
+	s, _, _ := testShell(t)
+	s.meta(`\cache on`)
+	before := runTwice(t, s)
+	s.meta(`\cache off`)
+	if st := runTwice(t, s); st.Misses != before.Misses || st.Hits != before.Hits || st.Entries != 0 {
+		t.Errorf("after \\cache off: %d misses, %d hits, %d entries; want %d, %d, 0 (cache bypassed)",
+			st.Misses, st.Hits, st.Entries, before.Misses, before.Hits)
+	}
+	s.meta(`\cache 1MB`)
+	if s.sess.CoreOptions.ResultCacheBudget != 1_000_000 {
+		t.Errorf("session budget = %d after \\cache 1MB", s.sess.CoreOptions.ResultCacheBudget)
+	}
+	if st := runTwice(t, s); st.Hits != before.Hits+1 {
+		t.Errorf("after \\cache 1MB: %d hits, want %d", st.Hits, before.Hits+1)
 	}
 }
 

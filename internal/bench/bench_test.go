@@ -187,29 +187,6 @@ func TestAblations(t *testing.T) {
 	}
 }
 
-func TestAblationJoinOrder(t *testing.T) {
-	env := smallEnv(t)
-	rows, err := env.AblationJoinOrder([]string{"3c", "9c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Greedy <= 0 || r.DP <= 0 {
-			t.Errorf("%s: non-positive timings %+v", r.Query, r)
-		}
-	}
-	if env.DB.DPJoinOrder {
-		t.Error("ablation must restore the default join order")
-	}
-	out := FormatJoinOrder(rows)
-	if !strings.Contains(out, "DPsize") || !strings.Contains(out, "speedup") {
-		t.Errorf("format incomplete:\n%s", out)
-	}
-}
-
 func TestAblationBloomSmoke(t *testing.T) {
 	env := smallEnv(t)
 	rows, variants, err := env.AblationBloom([]string{"9c"})

@@ -63,15 +63,6 @@ func (e *Env) Select(name string) (*sqlparse.Select, error) {
 	return sel, nil
 }
 
-// allQueryNames lists every JOB template name.
-func allQueryNames() []string {
-	var out []string
-	for _, q := range job.Queries() {
-		out = append(out, q.Name)
-	}
-	return out
-}
-
 // median runs fn reps times and returns the median duration. fn's result
 // error aborts.
 func median(reps int, fn func() error) (time.Duration, error) {

@@ -9,7 +9,8 @@ import (
 )
 
 // This file is the cost model behind Options.TableStats: a thin estimator
-// over per-table statistics (internal/stats) that drives three planning
+// over per-table statistics and their containment model (internal/stats:
+// KeyNDV, SemiJoinSel) that drives three planning
 // decisions — root selection (the paper's open Root Node Enumeration
 // Problem, Section 4.2), the order of the bottom-up semi-join pass, and the
 // per-edge adaptive Bloom prefilter decision. Every decision changes only the
@@ -81,8 +82,11 @@ func (est *estimator) baseNDV(n *Node, c int) float64 {
 	ndvs := est.colNDV[n]
 	if ndvs[c] == 0 {
 		ndvs[c] = math.NaN()
-		if cs := est.colStats(n, c); cs != nil && cs.NDV > 0 {
-			ndvs[c] = float64(cs.NDV)
+		// The alias-qualified ColRef resolves across folds, whose relations
+		// keep per-alias column provenance.
+		cr := n.Rel.Cols[c]
+		if d := est.stats[strings.ToLower(cr.Rel)].NDV(cr.Name); d > 0 {
+			ndvs[c] = d
 		}
 	}
 	return ndvs[c]
@@ -96,44 +100,19 @@ func (est *estimator) observe(n *Node) {
 	}
 }
 
-// colStats resolves base-table column statistics for one column of a node's
-// relation via its alias-qualified ColRef (works across folds, whose
-// relations keep per-alias column provenance).
-func (est *estimator) colStats(n *Node, col int) *stats.Column {
-	cr := n.Rel.Cols[col]
-	return est.stats[strings.ToLower(cr.Rel)].Col(cr.Name)
-}
-
 // ndv estimates the number of distinct keys of n over the key columns cols,
-// given per-node row counts rows: the product of per-column base NDVs,
-// capped by the node's current cardinality (a filtered or reduced relation
-// cannot have more distinct keys than rows). Columns without statistics
-// count as all-distinct (the conservative worst case).
+// given per-node row counts rows: stats.KeyNDV over the columns' base NDVs.
 func (est *estimator) ndv(rows map[*Node]float64, n *Node, cols []int) float64 {
-	r := rows[n]
-	if r <= 1 {
-		return r
-	}
-	prod := 1.0
+	var buf [4]float64
+	base := buf[:0]
 	for _, c := range cols {
-		d := r
-		if base := est.baseNDV(n, c); base > 0 && base < d {
-			d = base
-		}
-		prod *= d
-		if prod >= r {
-			return r
-		}
+		base = append(base, est.baseNDV(n, c))
 	}
-	if prod < 1 {
-		prod = 1
-	}
-	return prod
+	return stats.KeyNDV(rows[n], base...)
 }
 
 // sel estimates the retained fraction of target under target ⋉ source along
-// e, using the containment model: sel ≈ ndv(source keys) / ndv(target keys),
-// clamped to [0, 1]. An empty source empties the target (sel 0).
+// e (stats.SemiJoinSel). An empty source empties the target (sel 0).
 func (est *estimator) sel(rows map[*Node]float64, target, source *Node, e *Edge) float64 {
 	tCols, sCols, err := edgeColsFor(target, e)
 	if err != nil {
@@ -145,18 +124,7 @@ func (est *estimator) sel(rows map[*Node]float64, target, source *Node, e *Edge)
 // selCols is sel with the edge's columns already resolved (the planning
 // loops resolve each edge once and reuse the slices; resolution allocates).
 func (est *estimator) selCols(rows map[*Node]float64, target, source *Node, tCols, sCols []int) float64 {
-	ndvS := est.ndv(rows, source, sCols)
-	if ndvS <= 0 {
-		return 0
-	}
-	ndvT := est.ndv(rows, target, tCols)
-	if ndvT <= 0 {
-		return 0
-	}
-	if s := ndvS / ndvT; s < 1 {
-		return s
-	}
-	return 1
+	return stats.SemiJoinSel(est.ndv(rows, target, tCols), est.ndv(rows, source, sCols))
 }
 
 // liveSel is sel against the estimator's live (actual) row counts.
@@ -287,7 +255,7 @@ func newRootSim(g *Graph, est *estimator) (*rootSim, bool) {
 	return s, true
 }
 
-// ndvsOf prefetches the base NDVs (0 = unknown) of a node's key columns.
+// ndvsOf prefetches the base NDVs (NaN = unknown) of a node's key columns.
 func ndvsOf(est *estimator, n *Node, cols []int) []float64 {
 	out := make([]float64, len(cols))
 	for i, c := range cols {
@@ -296,31 +264,9 @@ func ndvsOf(est *estimator, n *Node, cols []int) []float64 {
 	return out
 }
 
-// ndvIdx mirrors estimator.ndv over prefetched base NDVs: the product of
-// per-column NDVs capped by the node's simulated cardinality.
-func ndvIdx(r float64, ndvs []float64) float64 {
-	if r <= 1 {
-		return r
-	}
-	prod := 1.0
-	for _, base := range ndvs {
-		d := r
-		if base > 0 && base < d {
-			d = base
-		}
-		prod *= d
-		if prod >= r {
-			return r
-		}
-	}
-	if prod < 1 {
-		prod = 1
-	}
-	return prod
-}
-
 // stepSel is the containment selectivity of target ⋉ source for one
-// simulated step (parentTarget selects which endpoint is the target).
+// simulated step (parentTarget selects which endpoint is the target), over
+// the prefetched base NDVs and the simulated cardinalities.
 func (s *rootSim) stepSel(st simStep, parentTarget bool) float64 {
 	if s.selErr[st.edge] {
 		return 1
@@ -333,18 +279,7 @@ func (s *rootSim) stepSel(st simStep, parentTarget bool) float64 {
 	if (st.parentIsA && !parentTarget) || (!st.parentIsA && parentTarget) {
 		tNDV, sNDV = sNDV, tNDV
 	}
-	ndvS := ndvIdx(s.rows[sIdx], sNDV)
-	if ndvS <= 0 {
-		return 0
-	}
-	ndvT := ndvIdx(s.rows[tIdx], tNDV)
-	if ndvT <= 0 {
-		return 0
-	}
-	if v := ndvS / ndvT; v < 1 {
-		return v
-	}
-	return 1
+	return stats.SemiJoinSel(stats.KeyNDV(s.rows[tIdx], tNDV...), stats.KeyNDV(s.rows[sIdx], sNDV...))
 }
 
 // simulate runs both reduction passes (including the early-stop schedule)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"resultdb/internal/catalog"
+	"resultdb/internal/stats"
 )
 
 // TestChooseRootTieBreakOrdinal pins the tie-breaking rule: when candidates
@@ -50,5 +51,39 @@ func TestChooseRootTieBreakOrdinal(t *testing.T) {
 	}
 	if st.Root != "r2" {
 		t.Errorf("RootMaxDegree root = %s, want r2 (first of the degree-2 tie)", st.Root)
+	}
+}
+
+// TestRootSimAllocatesNothing holds rootSim to its doc: once built, simulating
+// a candidate root — the BFS, both passes and the containment estimate of
+// every step — allocates nothing, with and without early stop.
+func TestRootSimAllocatesNothing(t *testing.T) {
+	src := chainSource(t)
+	spec, rels := analyze(t, src, chainQuery)
+	g, err := BuildGraph(spec, rels, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tableStats := map[string]*stats.Table{}
+	for _, r := range spec.Rels {
+		tableStats[r.Alias] = stats.Of(src[r.Table])
+	}
+	sim, ok := newRootSim(g, newEstimator(g, tableStats))
+	if !ok {
+		t.Fatal("no simulator for a 4-chain")
+	}
+	for _, earlyStop := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.EarlyStop = earlyStop
+		allocs := testing.AllocsPerRun(50, func() {
+			for root := range sim.nodes {
+				if _, ok := sim.simulate(root, &opts); !ok {
+					t.Fatalf("root %d: chain reported disconnected", root)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("early stop %v: simulating every root allocates %.1f times, want 0", earlyStop, allocs)
+		}
 	}
 }

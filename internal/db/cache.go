@@ -97,13 +97,13 @@ func ParseByteSize(s string) (int64, error) {
 // cacheKey builds the semantic cache key of a SELECT executed through the
 // SQL surface: the canonical statement fingerprint (whitespace-, identifier-
 // case- and literal-formatting-insensitive; RESULTDB / PRESERVING flags are
-// part of the canonical text) prefixed with the execution knobs that can
-// change the *observable* result beyond the row data — the strategy (Stats
-// attachment differs between semi-join and Decompose) and the join-order
-// optimizer flag. Parallelism is deliberately excluded: results are
-// bit-identical at any degree.
+// part of the canonical text) prefixed with the one execution knob that can
+// change the *observable* result beyond the row data: the strategy (Stats
+// attachment differs between semi-join and Decompose). Parallelism is
+// deliberately excluded: results are bit-identical at any degree. So is the
+// plan: there is one join orderer, deterministic for a given snapshot.
 func cacheKey(ec execCtx, sel *sqlparse.Select) string {
-	return fmt.Sprintf("s%d|dp%t|%s", ec.strategy, ec.dpJoinOrder, sqlparse.Canonical(sel))
+	return fmt.Sprintf("s%d|%s", ec.strategy, sqlparse.Canonical(sel))
 }
 
 // cacheAt returns what the result cache needs to place sel in version space:

@@ -17,11 +17,12 @@ import (
 //	d := db.Open(db.DefaultConfig().FromEnv())
 //
 // db.New() is exactly that one-liner. The zero Config is usable and means
-// the same as DefaultConfig: semi-join strategy, auto parallelism, greedy join
-// order, no cache. There is one planner: reduction and join order are planned
-// from each table version's statistics, derived lazily (ANALYZE derives them
-// eagerly) and extended, not rebuilt, as the table grows. Per-connection
-// overrides go through Session.CoreOptions.
+// the same as DefaultConfig: semi-join strategy, auto parallelism, no cache.
+// There is one planner and no knob for it: reduction and the greedy join order
+// are planned with one cardinality model (stats.KeyNDV and its containment
+// steps) from each table version's statistics, derived lazily (ANALYZE derives
+// them eagerly) and extended, not rebuilt, as the table grows. Per-connection
+// overrides go through Session.Strategy and Session.CoreOptions.
 type Config struct {
 	// Strategy selects the SELECT RESULTDB execution strategy
 	// (StrategySemiJoin, the paper's Algorithm 4, is the default).
@@ -30,9 +31,6 @@ type Config struct {
 	// (RESULTDB_PARALLELISM, else GOMAXPROCS), 1 = serial, n > 1 = n
 	// workers. Results are identical at any degree.
 	Parallelism int
-	// DPJoinOrder enables the DPsize join-order optimizer for single-table
-	// plans (default: the greedy order by estimated join output).
-	DPJoinOrder bool
 	// CacheEnabled turns the semantic result cache on.
 	CacheEnabled bool
 	// CacheBudget is the result cache's byte budget (0 = DefaultCacheBudget).
@@ -124,7 +122,6 @@ func Open(cfg Config) *Database {
 		Strategy:    cfg.Strategy,
 		CoreOptions: core.DefaultOptions(),
 		resultCache: cache.New[*Result](DefaultCacheBudget),
-		DPJoinOrder: cfg.DPJoinOrder,
 		commitLog:   cfg.CommitLog,
 	}
 	d.state.Store(emptyState())

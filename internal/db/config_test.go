@@ -66,13 +66,12 @@ func TestOpenWiresConfig(t *testing.T) {
 	cfg := Config{
 		Strategy:     StrategyDecompose,
 		Parallelism:  5,
-		DPJoinOrder:  true,
 		CacheEnabled: true,
 		CacheBudget:  123456,
 	}
 	d := Open(cfg)
-	if d.Strategy != StrategyDecompose || !d.DPJoinOrder {
-		t.Error("strategy knobs not wired")
+	if d.Strategy != StrategyDecompose {
+		t.Error("strategy not wired")
 	}
 	if d.CoreOptions.Parallelism != 5 {
 		t.Errorf("core options not wired: %+v", d.CoreOptions)
@@ -90,7 +89,7 @@ func TestOpenWiresConfig(t *testing.T) {
 	}
 	// The zero config is usable: everything off, statements still execute.
 	d3 := Open(Config{})
-	if d3.CacheEnabled() || d3.DPJoinOrder {
+	if d3.CacheEnabled() {
 		t.Error("zero config did not turn everything off")
 	}
 	if _, err := d3.Exec("CREATE TABLE z (id INTEGER)"); err != nil {

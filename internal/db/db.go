@@ -65,7 +65,7 @@ const (
 // BEGIN/COMMIT group statements syntactically (the engine is single-writer;
 // each mutation statement is its own atomic commit).
 //
-// The exported configuration fields (Strategy, CoreOptions, DPJoinOrder) and
+// The exported configuration fields (Strategy, CoreOptions) and
 // the setters over them are read at statement start without synchronization:
 // configure at Open time or between statements. Per-connection settings
 // belong on a Session, which carries its own copies.
@@ -97,9 +97,6 @@ type Database struct {
 	// Strategy and CoreOptions configure RESULTDB execution.
 	Strategy    Strategy
 	CoreOptions core.Options
-	// DPJoinOrder enables the DPsize join-order optimizer for single-table
-	// plans (the greedy order by estimated join output is the default).
-	DPJoinOrder bool
 }
 
 // CommitLog is the durability hook on the write path (implemented by
@@ -157,10 +154,9 @@ type execCtx struct {
 	// snap is the pinned snapshot; non-nil exactly on read paths. The
 	// result cache keys lookups and fills on its table versions, and traces
 	// annotate with its commit position.
-	snap        *Snapshot
-	opts        core.Options
-	strategy    Strategy
-	dpJoinOrder bool
+	snap     *Snapshot
+	opts     core.Options
+	strategy Strategy
 }
 
 // readCtx pins the newest committed state and captures the database-level
@@ -168,11 +164,10 @@ type execCtx struct {
 func (d *Database) readCtx() execCtx {
 	snap := d.Snapshot()
 	return execCtx{
-		src:         snap,
-		snap:        snap,
-		opts:        d.CoreOptions,
-		strategy:    d.Strategy,
-		dpJoinOrder: d.DPJoinOrder,
+		src:      snap,
+		snap:     snap,
+		opts:     d.CoreOptions,
+		strategy: d.Strategy,
 	}
 }
 
@@ -182,10 +177,9 @@ func (d *Database) readCtx() execCtx {
 // bypassed — its entries must only ever hold committed states).
 func (d *Database) txnCtx(tx *writeTxn) execCtx {
 	return execCtx{
-		src:         tx,
-		opts:        d.CoreOptions,
-		strategy:    d.Strategy,
-		dpJoinOrder: d.DPJoinOrder,
+		src:      tx,
+		opts:     d.CoreOptions,
+		strategy: d.Strategy,
 	}
 }
 
@@ -230,7 +224,6 @@ func (d *Database) execAnalyze(s *sqlparse.Analyze) (*Result, error) {
 func (d *Database) executorWith(src engine.Source, ec execCtx, tr *trace.Tracer) *engine.Executor {
 	return &engine.Executor{
 		Src:         src,
-		DPJoinOrder: ec.dpJoinOrder,
 		Parallelism: ec.opts.Parallelism,
 		Tracer:      tr,
 		StatsOf: func(table string) *stats.Table {

@@ -56,20 +56,3 @@ func TestPostJoinPlanNilHelpers(t *testing.T) {
 		t.Errorf("nil plan String = %q", p.String())
 	}
 }
-
-func TestDPJoinOrderProducesSameResults(t *testing.T) {
-	d := paperExample(t)
-	a, err := d.QuerySQL(listing1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.DPJoinOrder = true
-	b, err := d.QuerySQL(listing1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ga, gb := rowsToStrings(a.First().Rows), rowsToStrings(b.First().Rows)
-	if strings.Join(ga, "\n") != strings.Join(gb, "\n") {
-		t.Errorf("DP order changed results:\n%v\n%v", ga, gb)
-	}
-}

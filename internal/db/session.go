@@ -26,10 +26,13 @@ import (
 //     statement (each statement pins the then-newest state), or, between
 //     Pin and Unpin, not at all (repeatable reads against one frozen state).
 //
-// Per-session execution options (Strategy, CoreOptions, DPJoinOrder) start
-// as copies of the database's and may be changed freely between the
-// session's own statements without racing other connections — this is what
-// the wire server's per-connection settings ride on. A Session is not safe
+// Per-session execution options (Strategy, CoreOptions) start as copies of
+// the database's and may be changed freely between the session's own
+// statements without racing other connections — this is what the wire
+// server's per-connection settings ride on. Being copies, they do not follow
+// later changes to the database's: a caller that toggles the result cache
+// (Database.EnableCache) and wants an existing session to use it sets that
+// session's CoreOptions.ResultCache too. A Session is not safe
 // for concurrent use by multiple goroutines; open one per client. Sessions
 // hold no server-side resources and need no close.
 type Session struct {
@@ -38,11 +41,10 @@ type Session struct {
 	// nil, each statement pins the newest committed state.
 	pinned *Snapshot
 
-	// Strategy, CoreOptions, and DPJoinOrder are this session's private
-	// execution options, seeded from the database's at NewSession.
+	// Strategy and CoreOptions are this session's private execution options,
+	// seeded from the database's at NewSession.
 	Strategy    Strategy
 	CoreOptions core.Options
-	DPJoinOrder bool
 }
 
 // NewSession opens a session whose options start as copies of the
@@ -52,7 +54,6 @@ func (d *Database) NewSession() *Session {
 		db:          d,
 		Strategy:    d.Strategy,
 		CoreOptions: d.CoreOptions,
-		DPJoinOrder: d.DPJoinOrder,
 	}
 }
 
@@ -91,11 +92,10 @@ func (s *Session) Pinned() bool { return s.pinned != nil }
 func (s *Session) ctx() execCtx {
 	snap := s.Snapshot()
 	return execCtx{
-		src:         snap,
-		snap:        snap,
-		opts:        s.CoreOptions,
-		strategy:    s.Strategy,
-		dpJoinOrder: s.DPJoinOrder,
+		src:      snap,
+		snap:     snap,
+		opts:     s.CoreOptions,
+		strategy: s.Strategy,
 	}
 }
 

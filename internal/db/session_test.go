@@ -105,11 +105,10 @@ func TestSessionOptionsAreIndependent(t *testing.T) {
 	}
 	a.Strategy = StrategyDecompose
 	a.CoreOptions.Parallelism = 7
-	a.DPJoinOrder = true
-	if b.Strategy == StrategyDecompose || b.CoreOptions.Parallelism == 7 || b.DPJoinOrder {
+	if b.Strategy == StrategyDecompose || b.CoreOptions.Parallelism == 7 {
 		t.Fatal("session option change leaked into sibling session")
 	}
-	if d.Strategy == StrategyDecompose || d.CoreOptions.Parallelism == 7 || d.DPJoinOrder {
+	if d.Strategy == StrategyDecompose || d.CoreOptions.Parallelism == 7 {
 		t.Fatal("session option change leaked into database")
 	}
 	// The session still executes with its private options.

@@ -15,9 +15,6 @@ import (
 // Executor evaluates SELECT statements against a Source.
 type Executor struct {
 	Src Source
-	// DPJoinOrder switches the SPJ join ordering from the greedy heuristic
-	// to the DPsize optimal search (see JoinAllDP). Greedy is the default.
-	DPJoinOrder bool
 	// Parallelism is the degree of intra-query parallelism for joins,
 	// filters, and semi-joins: 0 resolves via RESULTDB_PARALLELISM or
 	// GOMAXPROCS, 1 forces serial execution. Results are identical at any
@@ -25,9 +22,8 @@ type Executor struct {
 	Parallelism int
 	// StatsOf resolves table statistics by table name. When set, the greedy
 	// SPJ join order scores candidates by estimated join output instead of
-	// raw cardinality (see JoinAll; DPJoinOrder takes precedence). Nil
-	// results are tolerated: columns without stats fall back to worst-case
-	// NDVs.
+	// raw cardinality (see JoinAll). Nil results are tolerated: columns
+	// without stats fall back to worst-case NDVs.
 	StatsOf func(table string) *stats.Table
 	// Tracer, when non-nil, records per-operator spans (scan, join,
 	// filter, project cardinalities and timings). Nil (the default) is the
@@ -149,19 +145,14 @@ func allPositions(n int) []int32 {
 
 // RunSPJ executes the join part of an analyzed SPJ query: scan with pushed
 // filters, greedy hash-join order (JoinAll, by estimated output with the
-// executor's statistics), then residual predicates. The output schema contains every column of every relation,
-// alias-qualified.
+// executor's statistics), then residual predicates. The output schema
+// contains every column of every relation, alias-qualified.
 func (e *Executor) RunSPJ(spec *SPJSpec) (*Relation, error) {
 	rels, err := e.BaseRelations(spec)
 	if err != nil {
 		return nil, err
 	}
-	var joined *Relation
-	if e.DPJoinOrder {
-		joined, err = JoinAllDP(spec.JoinPreds, rels, e.Parallelism, e.Tracer)
-	} else {
-		joined, err = JoinAll(spec.JoinPreds, rels, e.aliasStats(spec), e.Parallelism, e.Tracer)
-	}
+	joined, err := JoinAll(spec.JoinPreds, rels, e.aliasStats(spec), e.Parallelism, e.Tracer)
 	if err != nil {
 		return nil, err
 	}
@@ -207,14 +198,14 @@ func (e *Executor) aliasStats(spec *SPJSpec) map[string]*stats.Table {
 // add the best-scoring relation connected to the joined set (falling back to
 // a Cartesian product when the residual graph is disconnected, as late as
 // possible). A candidate's score is its estimated join output when
-// statistics are given — the NDV containment model |A ⋈ B| ≈ |A|·|B| /
+// statistics are given — the containment model |A ⋈ B| ≈ |A|·|B| /
 // Π_p max(ndv_A(p), ndv_B(p)), base-table NDVs capped by the actual
 // cardinalities, see estJoin — and its cardinality without them (the client
-// post-join, the DP fallback). Ties break towards the lexicographically
-// smaller alias, so the join order (and therefore every traced cardinality)
-// is deterministic across runs. Cycle edges whose endpoints are already
-// joined are applied inside the same step via composite keys, so every equi
-// predicate is enforced exactly once.
+// post-join). Ties break towards the lexicographically smaller alias, so the
+// join order (and therefore every traced cardinality) is deterministic across
+// runs. Cycle edges whose endpoints are already joined are applied inside the
+// same step via composite keys, so every equi predicate is enforced exactly
+// once.
 //
 // rels and st are keyed by lower-cased alias. JoinAll is also the post-join
 // operator of the paper (Section 6.4): internal/core hands it the reduced
@@ -290,18 +281,15 @@ func JoinAll(preds []JoinPred, rels map[string]*Relation, st map[string]*stats.T
 	return cur, nil
 }
 
-// estJoin estimates |cur ⋈ rel| for the candidate alias: |cur|·|rel| divided,
-// per predicate linking it to the joined set, by the larger of the two key
-// columns' NDVs — each a base-table NDV from st capped by its relation's
-// actual cardinality (a candidate no predicate links is a cross product).
+// estJoin estimates |cur ⋈ rel| for the candidate alias: |cur|·|rel| through
+// stats.JoinRows once per predicate linking it to the joined set, each key
+// column's NDV its base-table NDV from st capped by its relation's actual
+// cardinality (stats.KeyNDV; a candidate no predicate links is a cross
+// product).
 func estJoin(cur *Relation, inSet map[string]bool, alias string, rel *Relation, preds []JoinPred, st map[string]*stats.Table) float64 {
 	ndvOf := func(rel *Relation, col int) float64 {
 		c := rel.Cols[col]
-		d := float64(rel.Len())
-		if cs := st[strings.ToLower(c.Rel)].Col(c.Name); cs != nil && cs.NDV > 0 && float64(cs.NDV) < d {
-			d = float64(cs.NDV)
-		}
-		return max(d, 1)
+		return stats.KeyNDV(float64(rel.Len()), st[strings.ToLower(c.Rel)].NDV(c.Name))
 	}
 	est := float64(cur.Len()) * float64(rel.Len())
 	for _, j := range preds {
@@ -323,7 +311,7 @@ func estJoin(cur *Relation, inSet map[string]bool, alias string, rel *Relation, 
 		if err != nil {
 			continue
 		}
-		est /= max(ndvOf(cur, li), ndvOf(rel, ri))
+		est = stats.JoinRows(est, ndvOf(cur, li), ndvOf(rel, ri))
 	}
 	return est
 }

@@ -10,10 +10,10 @@
 // extends the newest statistics built for an ancestor version by the rows
 // added since (Fold). A fresh build is the same fold from row 0.
 //
-// The numbers feed estimates only: plan choice may change, query results may
-// not. The planner layers that consume them (root selection, reducer
-// scheduling, adaptive Bloom sizing, join order) all preserve the output by
-// construction.
+// The numbers feed estimates only, through the one containment model beside
+// them (estimate.go): plan choice may change, query results may not. The
+// planner layers that consume them (root selection, reducer scheduling,
+// adaptive Bloom sizing, join order) all preserve the output by construction.
 package stats
 
 import (
@@ -78,6 +78,15 @@ func (t *Table) Col(name string) *Column {
 		return &t.Cols[i]
 	}
 	return nil
+}
+
+// NDV returns the named column's NDV as the containment model reads it
+// (KeyNDV's base), or 0 when there are no statistics for it.
+func (t *Table) NDV(name string) float64 {
+	if c := t.Col(name); c != nil {
+		return float64(c.NDV)
+	}
+	return 0
 }
 
 // String renders a compact human-readable summary (used by the shell's

@@ -10,7 +10,8 @@
 # included); the grep lints (writer lock confined to db.go; no identifier of
 # the deleted row-at-a-time path, of the deleted A/B knobs, of the deleted
 # storage hash index or of the deleted second planner — its knobs, verdict
-# cache, range pre-filter and histogram; no identifier of the deleted
+# cache, range pre-filter and histogram, or of the deleted DPsize join
+# orderer — its knob, NDV key-set builds and ablation; no identifier of the deleted
 # second relation image, no row slices in core or the colstore kernels, no
 # tuple boxed or taken back between the engine's operators (FromRows(,
 # .Rows() on a relation or view, []types.Row outside FromRows) and no src
@@ -38,7 +39,8 @@
 # joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs the naive
 # reference as sorted sets, byte for byte across parallelism x cache x
 # statistics (lazy/ANALYZEd) x transport, reductions planned with statistics
-# byte-identical to the heuristic plan's, and the six-way rewrite oracle),
+# byte-identical to the heuristic plan's, the one containment model and the
+# greedy join order's invariance, and the six-way rewrite oracle),
 # wire v2 (buffered/streamed vs v1; boxed in-process and unboxed server
 # results byte-identical, no row block boxed on the server path), chaos (fault-injected connections
 # converge to the exact oracle or fail typed) and crash-recovery (kill at
@@ -130,6 +132,11 @@ dead="$dead"'|\bCostBased\b|RESULTDB_STATS|StatsEnvVar|planVerdict|planKey|PlanD
 # the accessor of the number it stamped and the vector built from those
 # numbers are gone.
 dead="$dead"'|lastVersion|func \(t \*Table\) Version\(|\.versions\('
+# One cardinality model (stats.KeyNDV and its containment steps) and one
+# join orderer (greedy JoinAll): the DPsize orderer, its execution-time NDV
+# key-set builds, its private copies of the model, its knob and its ablation
+# are gone.
+dead="$dead"'|JoinAllDP|DPJoinOrder|dpJoinOrder|measureNDV|subsetNDV|ndvIdx|AblationJoinOrder|ablation-joinorder'
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
 	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs are back:"
@@ -280,8 +287,9 @@ echo "== cache differential + stress gate (cold/warm, dangling and joining appen
 gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit|TestCacheExtend|TestDoAt' \
 	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire ./internal/db ./internal/cache
 
-echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x transport byte-identical; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; under -race)"
-gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestServerPathBoxesNoRows' -count=1 ./internal/wire ./internal/core
+echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x transport byte-identical; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; the one containment model's edge cases, the root simulator allocating nothing per candidate, greedy join orders with and without statistics joining the same rows; under -race)"
+gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestServerPathBoxesNoRows|TestRootSim|TestContainmentModel|TestGreedyJoinOrder' -count=1 \
+	./internal/wire ./internal/core ./internal/stats ./internal/engine
 gate -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
 
 echo "== wire v2 differential gate (v2 buffered/streamed x par vs v1 oracle, v2 <= v1 bytes, decoded results frame-backed and re-encoding to the same bytes, post-join equal on every result form; boxed in-process and unboxed server results x v1/v2 x buffered/streamed byte-identical, sizes from columns equal sizes from rows, in-process calls boxing into copies of cached sets the server reads unboxed, the server path boxing no row block; under -race)"
