@@ -315,7 +315,6 @@ func (s *shell) meta(cmd string) bool {
 			}
 			// The session copied the database's options when it opened.
 			s.sess.CoreOptions.ResultCache = d.CoreOptions.ResultCache
-			s.sess.CoreOptions.ResultCacheBudget = d.CoreOptions.ResultCacheBudget
 		}
 		if d.CacheEnabled() {
 			st := d.CacheStats()

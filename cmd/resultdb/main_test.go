@@ -169,8 +169,8 @@ func TestShellCacheOffBypassesCache(t *testing.T) {
 			st.Misses, st.Hits, st.Entries, before.Misses, before.Hits)
 	}
 	s.meta(`\cache 1MB`)
-	if s.sess.CoreOptions.ResultCacheBudget != 1_000_000 {
-		t.Errorf("session budget = %d after \\cache 1MB", s.sess.CoreOptions.ResultCacheBudget)
+	if b := s.sess.DB().CacheStats().Budget; b != 1_000_000 {
+		t.Errorf("cache budget = %d after \\cache 1MB", b)
 	}
 	if st := runTwice(t, s); st.Hits != before.Hits+1 {
 		t.Errorf("after \\cache 1MB: %d hits, want %d", st.Hits, before.Hits+1)

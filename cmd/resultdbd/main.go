@@ -2,6 +2,7 @@
 // protocol, for the distributed-database use case (Section 1.2, use case 3):
 // a client can run SELECT RESULTDB remotely and receive the subdatabase
 // instead of a denormalized single-table result, cutting transfer size.
+// Every response ships as a v2 chunk stream in CRC-checked frames.
 //
 // Usage:
 //
@@ -33,29 +34,60 @@ import (
 	"resultdb/internal/workload/star"
 )
 
-func main() {
-	var (
-		addr         = flag.String("addr", ":7483", "listen address")
-		workload     = flag.String("workload", "job", "preload a workload: job | star | hierarchy | none")
-		scale        = flag.Float64("scale", 0.25, "JOB workload scale factor")
-		cacheOn      = flag.Bool("cache", false, "enable the semantic result cache (hits are served from the encoded payloads each entry keeps)")
-		cacheBudget  = flag.String("cache-budget", "64MiB", "result cache byte budget, covering rows and kept wire payloads (e.g. 256MB, 1GiB)")
-		maxConns     = flag.Int("max-conns", 0, "max concurrently served connections (0 = unlimited)")
-		readTimeout  = flag.Duration("read-timeout", 0, "idle-connection read deadline (0 = none)")
-		writeTimeout = flag.Duration("write-timeout", 0, "per-response write deadline (0 = none)")
-		wireVersion  = flag.String("wire-version", "v2", "highest wire payload version to negotiate: v1 | v2")
-		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown bound: in-flight queries get this long to finish before their connections are force-closed (0 = wait indefinitely)")
-		dataDir      = flag.String("data-dir", "", "durable data directory: WAL + checkpoints (empty = in-memory only)")
-		fsyncPolicy  = flag.String("fsync", "always", "WAL fsync policy: always | interval | off")
-		walSegment   = flag.String("wal-segment", "4MiB", "WAL segment rotation budget (e.g. 1MB, 16MiB)")
-		ckptEvery    = flag.Int64("checkpoint-every", 1024, "checkpoint after this many committed batches (0 = only on drain)")
-	)
-	flag.Parse()
+// options is resultdbd's command line.
+type options struct {
+	addr         string
+	workload     string
+	scale        float64
+	cacheOn      bool
+	cacheBudget  string
+	maxConns     int
+	readTimeout  time.Duration
+	writeTimeout time.Duration
+	drainTimeout time.Duration
+	dataDir      string
+	fsync        string
+	walSegment   string
+	ckptEvery    int64
+}
 
+// parseFlags parses args (the command line without the program name),
+// exiting on a malformed flag.
+func parseFlags(args []string) options {
+	var o options
+	fs := flag.NewFlagSet("resultdbd", flag.ExitOnError)
+	fs.StringVar(&o.addr, "addr", ":7483", "listen address")
+	fs.StringVar(&o.workload, "workload", "job", "preload a workload: job | star | hierarchy | none")
+	fs.Float64Var(&o.scale, "scale", 0.25, "JOB workload scale factor")
+	fs.BoolVar(&o.cacheOn, "cache", false, "enable the semantic result cache (hits are served from the encoded payloads each entry keeps)")
+	fs.StringVar(&o.cacheBudget, "cache-budget", "64MiB", "result cache byte budget, covering rows and kept wire payloads (e.g. 256MB, 1GiB)")
+	fs.IntVar(&o.maxConns, "max-conns", 0, "max concurrently served connections (0 = unlimited)")
+	fs.DurationVar(&o.readTimeout, "read-timeout", 0, "idle-connection read deadline (0 = none)")
+	fs.DurationVar(&o.writeTimeout, "write-timeout", 0, "per-response write deadline (0 = none)")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 10*time.Second, "graceful-shutdown bound: in-flight queries get this long to finish before their connections are force-closed (0 = wait indefinitely)")
+	fs.StringVar(&o.dataDir, "data-dir", "", "durable data directory: WAL + checkpoints (empty = in-memory only)")
+	fs.StringVar(&o.fsync, "fsync", "always", "WAL fsync policy: always | interval | off")
+	fs.StringVar(&o.walSegment, "wal-segment", "4MiB", "WAL segment rotation budget (e.g. 1MB, 16MiB)")
+	fs.Int64Var(&o.ckptEvery, "checkpoint-every", 1024, "checkpoint after this many committed batches (0 = only on drain)")
+	fs.Parse(args)
+	return o
+}
+
+// openDatabase builds the database o describes: recovered from (or seeded
+// into) -data-dir when one is given, loaded in memory otherwise. Either way
+// the database starts from the RESULTDB_* environment, and -cache and
+// -cache-budget then apply on top of it. mgr is nil in memory.
+func openDatabase(o options) (d *db.Database, mgr *durable.Manager, err error) {
+	var budget int64
+	if o.cacheOn {
+		if budget, err = db.ParseByteSize(o.cacheBudget); err != nil {
+			return nil, nil, fmt.Errorf("-cache-budget: %w", err)
+		}
+	}
 	bootstrap := func(d *db.Database) error {
-		switch *workload {
+		switch o.workload {
 		case "job":
-			return job.Load(d, job.Config{Scale: *scale, Seed: 42})
+			return job.Load(d, job.Config{Scale: o.scale, Seed: 42})
 		case "star":
 			return star.Load(d, star.DefaultConfig())
 		case "hierarchy":
@@ -63,85 +95,62 @@ func main() {
 		case "none", "":
 			return nil
 		default:
-			return fmt.Errorf("unknown workload %q", *workload)
+			return fmt.Errorf("unknown workload %q", o.workload)
 		}
 	}
-
-	var d *db.Database
-	var mgr *durable.Manager
-	if *dataDir != "" {
-		policy, err := wal.ParseSyncPolicy(*fsyncPolicy)
+	if o.dataDir != "" {
+		policy, err := wal.ParseSyncPolicy(o.fsync)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "resultdbd: -fsync:", err)
-			os.Exit(1)
+			return nil, nil, fmt.Errorf("-fsync: %w", err)
 		}
-		segBytes, err := db.ParseByteSize(*walSegment)
+		segBytes, err := db.ParseByteSize(o.walSegment)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "resultdbd: -wal-segment:", err)
-			os.Exit(1)
+			return nil, nil, fmt.Errorf("-wal-segment: %w", err)
 		}
 		mgr, d, err = durable.Open(durable.Options{
-			Dir:             *dataDir,
+			Dir:             o.dataDir,
 			Fsync:           policy,
 			SegmentBytes:    segBytes,
-			CheckpointEvery: *ckptEvery,
+			CheckpointEvery: o.ckptEvery,
 		}, bootstrap)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "resultdbd:", err)
-			os.Exit(1)
+			return nil, nil, err
 		}
-		st := mgr.Stats()
-		fmt.Printf("recovered %s to lsn %d (checkpoint lsn %d, %d wal records replayed, torn tail dropped: %v)\n",
-			*dataDir, st.RecoveredLSN, st.CheckpointLSN, st.Replayed, st.TornTail)
 	} else {
-		// One config object carries every engine knob: defaults, then
-		// environment overrides (RESULTDB_*), then flags.
-		cfg := db.DefaultConfig().FromEnv()
-		if *cacheOn {
-			budget, perr := db.ParseByteSize(*cacheBudget)
-			if perr != nil {
-				fmt.Fprintln(os.Stderr, "resultdbd: -cache-budget:", perr)
-				os.Exit(1)
-			}
-			cfg.CacheEnabled = true
-			cfg.CacheBudget = budget
-		}
-		d = db.Open(cfg)
+		d = db.New()
 		if err := bootstrap(d); err != nil {
-			fmt.Fprintln(os.Stderr, "resultdbd:", err)
-			os.Exit(1)
+			return nil, nil, err
 		}
 	}
-	if *cacheOn && !d.CacheEnabled() {
-		// Durable path: the database came from recovery, not db.Open; apply
-		// the cache flags directly.
-		budget, perr := db.ParseByteSize(*cacheBudget)
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "resultdbd: -cache-budget:", perr)
-			os.Exit(1)
-		}
+	if o.cacheOn {
 		d.EnableCache(budget)
 	}
+	return d, mgr, nil
+}
 
-	srv := wire.NewServer(d)
-	srv.MaxConns = *maxConns
-	srv.ReadTimeout = *readTimeout
-	srv.WriteTimeout = *writeTimeout
-	switch *wireVersion {
-	case "v1":
-		srv.MaxVersion = wire.FormatV1
-	case "v2", "":
-		srv.MaxVersion = wire.FormatV2
-	default:
-		fmt.Fprintf(os.Stderr, "resultdbd: -wire-version: unknown version %q (want v1 or v2)\n", *wireVersion)
-		os.Exit(1)
-	}
-	bound, err := srv.Listen(*addr)
+func main() {
+	o := parseFlags(os.Args[1:])
+	d, mgr, err := openDatabase(o)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "resultdbd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("resultdbd listening on %s (workload=%s cache=%v wire=%s)\n", bound, *workload, d.CacheEnabled(), *wireVersion)
+	if mgr != nil {
+		st := mgr.Stats()
+		fmt.Printf("recovered %s to lsn %d (checkpoint lsn %d, %d wal records replayed, torn tail dropped: %v)\n",
+			o.dataDir, st.RecoveredLSN, st.CheckpointLSN, st.Replayed, st.TornTail)
+	}
+
+	srv := wire.NewServer(d)
+	srv.MaxConns = o.maxConns
+	srv.ReadTimeout = o.readTimeout
+	srv.WriteTimeout = o.writeTimeout
+	bound, err := srv.Listen(o.addr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "resultdbd:", err)
+		os.Exit(1)
+	}
+	fmt.Printf("resultdbd listening on %s (workload=%s cache=%v)\n", bound, o.workload, d.CacheEnabled())
 
 	// SIGINT/SIGTERM trigger a graceful drain: the listener closes (new
 	// dials are refused), idle connections are kicked, and in-flight
@@ -149,8 +158,8 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	fmt.Printf("shutting down (draining %d active connections, timeout %v)\n", srv.ActiveConns(), *drainTimeout)
-	srv.Shutdown(*drainTimeout)
+	fmt.Printf("shutting down (draining %d active connections, timeout %v)\n", srv.ActiveConns(), o.drainTimeout)
+	srv.Shutdown(o.drainTimeout)
 	if mgr != nil {
 		// Checkpoint on drain so the next start replays an empty (or tiny)
 		// WAL, then release the log cleanly.

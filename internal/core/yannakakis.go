@@ -364,10 +364,9 @@ type Options struct {
 	// here so the whole execution configuration travels in one options bag
 	// (db.Database.CoreOptions), alongside Parallelism. Defaults to off; the
 	// RESULTDB_CACHE environment variable ("on", "off", or a byte budget
-	// like "256MB") overrides it at db.New time.
+	// like "256MB") overrides it at db.New time. The budget lives with the
+	// cache itself (db.Database.EnableCache, CacheStats().Budget).
 	ResultCache bool
-	// ResultCacheBudget is the cache's byte budget (0 = the 64 MiB default).
-	ResultCacheBudget int64
 	// TableStats maps lower-cased relation aliases to their base tables'
 	// statistics (derived lazily, once per table version: stats.Of). When
 	// present, reduction is planned by the cost model: the heuristic root

@@ -17,16 +17,15 @@ const DefaultCacheBudget = 64 << 20
 // EnableCache switches the semantic result cache on with the given byte
 // budget (0 = DefaultCacheBudget). Entries survive re-enabling but respect
 // the new budget immediately. This is the runtime switch behind the shell's
-// \cache and resultdbd's -cache on a recovered database; a database that
-// never toggles sets Config.CacheEnabled/Config.CacheBudget at Open time.
-// EnableCache serializes against writers but not against in-flight reads.
+// \cache and resultdbd's -cache; a database that never toggles sets
+// Config.CacheEnabled/Config.CacheBudget at Open time. EnableCache
+// serializes against writers but not against in-flight reads.
 func (d *Database) EnableCache(budget int64) {
 	if budget <= 0 {
 		budget = DefaultCacheBudget
 	}
 	d.withWriter(func() {
 		d.CoreOptions.ResultCache = true
-		d.CoreOptions.ResultCacheBudget = budget
 		d.resultCache.SetBudget(budget)
 	})
 }

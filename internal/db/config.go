@@ -132,7 +132,6 @@ func Open(cfg Config) *Database {
 			budget = DefaultCacheBudget
 		}
 		d.CoreOptions.ResultCache = true
-		d.CoreOptions.ResultCacheBudget = budget
 		d.resultCache.SetBudget(budget)
 	}
 	return d

@@ -45,13 +45,3 @@ func (d *Database) execExplainAt(ec execCtx, ex *sqlparse.Explain) (*Result, err
 	}
 	return &Result{Sets: []*ResultSet{set}}, nil
 }
-
-func lower(s string) string {
-	b := []byte(s)
-	for i, c := range b {
-		if 'A' <= c && c <= 'Z' {
-			b[i] = c + 'a' - 'A'
-		}
-	}
-	return string(b)
-}

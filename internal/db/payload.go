@@ -3,8 +3,10 @@ package db
 import "sync/atomic"
 
 // PayloadMemo is the encode-once slot of one part of a cached result — a
-// ResultSet or the PostJoinPlan: the wire payload of that part, per payload
-// version, kept from the first response that encoded it for every later one.
+// ResultSet or the PostJoinPlan: the wire payload of that part, kept from the
+// first response that encoded it for every later one. internal/wire keeps
+// the v2 payload here, the one format the server ships; v1 encodes neither
+// read nor fill it.
 //
 // Lifetime rule: a memo exists only on results that went through the cache's
 // miss path (seal), and it keeps bytes only while the result's cache entry is
@@ -15,36 +17,32 @@ import "sync/atomic"
 // budget, fill raced a writer) carry one that never keeps anything. Either
 // way they are encoded afresh on every use.
 //
-// Slot indices are the caller's: internal/wire uses one per payload version.
 // A nil *PayloadMemo is valid and remembers nothing.
 type PayloadMemo struct {
 	// retain charges delta bytes to the owning cache entry and reports
 	// whether the entry is resident with the charge applied.
-	retain func(delta int64) bool
-	slots  [PayloadSlots]atomic.Pointer[[]byte]
+	retain  func(delta int64) bool
+	payload atomic.Pointer[[]byte]
 }
 
-// PayloadSlots is the number of payload versions a memo can hold.
-const PayloadSlots = 2
-
-// Load returns the payload kept in slot, or nil. The bytes are shared by
-// every reader and must not be modified; their capacity equals their length,
-// so appending to them copies.
-func (m *PayloadMemo) Load(slot int) []byte {
+// Load returns the kept payload, or nil. The bytes are shared by every
+// reader and must not be modified; their capacity equals their length, so
+// appending to them copies.
+func (m *PayloadMemo) Load() []byte {
 	if m == nil {
 		return nil
 	}
-	if p := m.slots[slot].Load(); p != nil {
+	if p := m.payload.Load(); p != nil {
 		return *p
 	}
 	return nil
 }
 
-// Keep offers payload (copied, never aliased) for slot. Concurrent first
+// Keep offers payload (copied, never aliased) to be kept. Concurrent first
 // encoders may all call Keep with their identical bytes: one copy is
 // published, the others are refunded and dropped.
-func (m *PayloadMemo) Keep(slot int, payload []byte) {
-	if m == nil || m.slots[slot].Load() != nil {
+func (m *PayloadMemo) Keep(payload []byte) {
+	if m == nil || m.payload.Load() != nil {
 		return
 	}
 	n := int64(len(payload))
@@ -53,7 +51,7 @@ func (m *PayloadMemo) Keep(slot int, payload []byte) {
 	}
 	kept := make([]byte, len(payload))
 	copy(kept, payload)
-	if !m.slots[slot].CompareAndSwap(nil, &kept) {
+	if !m.payload.CompareAndSwap(nil, &kept) {
 		m.retain(-n)
 	}
 }

@@ -68,7 +68,6 @@ func ParseScript(src string) ([]Statement, error) {
 
 func (p *parser) peek() token { return p.toks[p.i] }
 func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
-func (p *parser) backup()     { p.i-- }
 func (p *parser) at(kw string) bool {
 	t := p.peek()
 	return t.kind == tokKeyword && t.text == kw

@@ -42,10 +42,10 @@ import (
 // up as a byte diff.
 //
 // The second half of the file repeats the exercise on the socket, where a
-// cached result's encoded payloads are kept from the first response on
-// (db.PayloadMemo): over every way a connection can ask for its responses,
-// the filling response, the response served from the kept bytes and a
-// cache-off server's response must be the same bytes — an extended entry's
+// cached result's v2 payloads are kept from the first response on
+// (db.PayloadMemo): the filling response, the response served from the kept
+// bytes, a cache-off server's response and the in-process v2 encoding of the
+// oracle's result must be the same bytes — an extended or recomputed entry's
 // kept bytes included.
 
 // literalFor produces a deterministic, distinctive literal for a column.
@@ -408,72 +408,38 @@ func TestCacheDifferentialSelfJoin(t *testing.T) {
 
 // --- On the socket: hit bytes == miss bytes == cache-off bytes ---------------
 
-// cacheTransport is one way a connection can ask for its responses.
-type cacheTransport struct {
-	name    string
-	hello   bool
-	version int
-	flags   uint64
-}
-
-var cacheTransports = []cacheTransport{
-	{name: "v1-legacy"},
-	{name: "v1-hello", hello: true, version: FormatV1, flags: helloIntegrity},
-	{name: "v2-buffered", hello: true, version: FormatV2, flags: helloIntegrity},
-	{name: "v2-streamed", hello: true, version: FormatV2, flags: helloStreaming | helloIntegrity},
-}
-
 // rawClient speaks the protocol frame by frame and hands back a response's
 // payload bytes exactly as they crossed the socket (chunk payloads
 // concatenated), undecoded.
 type rawClient struct {
 	conn net.Conn
 	r    *bufio.Reader
-	crc  bool
 }
 
-func dialRaw(t testing.TB, addr string, tr cacheTransport) *rawClient {
+func dialRaw(t testing.TB, addr string) *rawClient {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	c := &rawClient{conn: conn, r: bufio.NewReader(conn)}
-	if !tr.hello {
-		return c
-	}
-	if err := writeFrame(conn, frameHello, encodeHello(tr.version, tr.flags), false); err != nil {
-		t.Fatal(err)
-	}
-	typ, payload, err := readFrame(c.r, false)
-	if err != nil || typ != frameHello {
-		t.Fatalf("%s: hello reply: type %d, %v", tr.name, typ, err)
-	}
-	v, flags, err := decodeHello(payload)
-	if err != nil || v != tr.version || flags != tr.flags {
-		t.Fatalf("%s: negotiated version %d flags %#x (%v), want %d %#x", tr.name, v, flags, err, tr.version, tr.flags)
-	}
-	c.crc = flags&helloIntegrity != 0
-	return c
+	return &rawClient{conn: conn, r: bufio.NewReader(conn)}
 }
 
 // exec returns errors instead of failing the test so that goroutines other
 // than the test's own may call it.
 func (c *rawClient) exec(sql string) ([]byte, error) {
 	c.conn.SetDeadline(time.Now().Add(60 * time.Second))
-	if err := writeFrame(c.conn, frameQuery, []byte(sql), c.crc); err != nil {
+	if err := writeFrame(c.conn, frameQuery, []byte(sql)); err != nil {
 		return nil, err
 	}
 	var body []byte
 	for {
-		typ, payload, err := readFrame(c.r, c.crc)
+		typ, payload, err := readFrame(c.r)
 		if err != nil {
 			return nil, err
 		}
 		switch typ {
-		case frameOK:
-			return payload, nil
 		case frameChunk:
 			body = append(body, payload...)
 		case frameEnd:
@@ -496,12 +462,11 @@ func (c *rawClient) mustExec(t *testing.T, what, sql string) []byte {
 }
 
 // socketFleet is a cache-on and a cache-off server over the same data at one
-// parallelism degree, with one raw connection per transport to each.
+// parallelism degree, with one raw connection to each.
 type socketFleet struct {
-	par            int
-	cached, oracle *db.Database
-	toCached       []*rawClient // parallel to cacheTransports
-	toOracle       []*rawClient
+	par                int
+	cached, oracle     *db.Database
+	toCached, toOracle *rawClient
 }
 
 func newSocketFleet(t *testing.T, par int, load func(d *db.Database) error) *socketFleet {
@@ -518,8 +483,8 @@ func newSocketFleet(t *testing.T, par int, load func(d *db.Database) error) *soc
 	}
 	f.cached.EnableCache(256 << 20)
 	for _, side := range []struct {
-		d     *db.Database
-		conns *[]*rawClient
+		d    *db.Database
+		conn **rawClient
 	}{{f.cached, &f.toCached}, {f.oracle, &f.toOracle}} {
 		srv := NewServer(side.d)
 		addr, err := srv.Listen("127.0.0.1:0")
@@ -527,19 +492,31 @@ func newSocketFleet(t *testing.T, par int, load func(d *db.Database) error) *soc
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		for _, tr := range cacheTransports {
-			*side.conns = append(*side.conns, dialRaw(t, addr, tr))
-		}
+		*side.conn = dialRaw(t, addr)
 	}
 	return f
 }
 
-// check runs one statement through every transport: from a cleared cache the
-// filling response, the response served from the kept payload and the
-// cache-off response must be the same bytes. Then, after each commit of
-// appendsFor (applied to both servers), all four transports are served from
-// one entry — the first extends it or recomputes it, the others hit it, the
-// v1 and v2 connections each in their own version — and still match the
+// want returns the cache-off server's response to sql, having checked that
+// it is the in-process v2 encoding of the oracle's result.
+func (f *socketFleet) want(t *testing.T, what, sql string) []byte {
+	t.Helper()
+	got := f.toOracle.mustExec(t, what, sql)
+	res, err := f.oracle.Exec(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	if !bytes.Equal(got, EncodeResultV2(res)) {
+		t.Fatalf("%s: the cache-off server's response differs from the in-process v2 encoding", what)
+	}
+	return got
+}
+
+// check runs one statement: from a cleared cache the filling response, the
+// response served from the kept payload and the cache-off response must be
+// the same bytes. Then, after each commit of appendsFor (applied to both
+// servers), the statement is read twice — the first read extends or
+// recomputes the entry, the second hits it — and both still match the
 // cache-off server.
 func (f *socketFleet) check(t *testing.T, name, sql string) {
 	t.Helper()
@@ -552,49 +529,46 @@ func (f *socketFleet) check(t *testing.T, name, sql string) {
 }
 
 // checkColdWarm is the first half of check: fill, kept payload and cache-off
-// bytes alike, over every transport.
+// bytes alike.
 func (f *socketFleet) checkColdWarm(t *testing.T, name, sql string) {
 	t.Helper()
-	for i, tr := range cacheTransports {
-		what := fmt.Sprintf("%s [%s par%d]", name, tr.name, f.par)
-		f.cached.ClearCache()
-		st0 := f.cached.CacheStats()
-		first := f.toCached[i].mustExec(t, what, sql)
-		second := f.toCached[i].mustExec(t, what, sql)
-		want := f.toOracle[i].mustExec(t, what, sql)
-		if st := f.cached.CacheStats(); st.Misses != st0.Misses+1 || st.Hits != st0.Hits+1 {
-			t.Fatalf("%s: want one miss then one hit, got %+v -> %+v", what, st0, st)
-		}
-		if !bytes.Equal(first, want) {
-			t.Fatalf("%s: filling response differs from the cache-off server's", what)
-		}
-		if !bytes.Equal(second, want) {
-			t.Fatalf("%s: response served from the kept payload differs from the cache-off server's", what)
-		}
+	what := fmt.Sprintf("%s [par%d]", name, f.par)
+	f.cached.ClearCache()
+	st0 := f.cached.CacheStats()
+	first := f.toCached.mustExec(t, what, sql)
+	second := f.toCached.mustExec(t, what, sql)
+	want := f.want(t, what, sql)
+	if st := f.cached.CacheStats(); st.Misses != st0.Misses+1 || st.Hits != st0.Hits+1 {
+		t.Fatalf("%s: want one miss then one hit, got %+v -> %+v", what, st0, st)
+	}
+	if !bytes.Equal(first, want) {
+		t.Fatalf("%s: filling response differs from the cache-off server's", what)
+	}
+	if !bytes.Equal(second, want) {
+		t.Fatalf("%s: response served from the kept payload differs from the cache-off server's", what)
 	}
 }
 
-// checkAppends is checkAppends on the socket, over every transport.
+// checkAppends is checkAppends on the socket: two reads after each commit.
 func (f *socketFleet) checkAppends(t *testing.T, name, sql string, cases []appendCase) {
 	t.Helper()
+	const reads = 2
 	for _, a := range cases {
 		for _, d := range []*db.Database{f.cached, f.oracle} {
 			if _, err := d.Exec(a.insert); err != nil {
 				t.Fatalf("%s: %q: %v", name, a.insert, err)
 			}
 		}
+		what := fmt.Sprintf("%s after the %s [par%d]", name, a.what, f.par)
+		want := f.want(t, what, sql)
 		st0 := f.cached.CacheStats()
-		for i, tr := range cacheTransports {
-			what := fmt.Sprintf("%s after the %s [%s par%d]", name, a.what, tr.name, f.par)
-			got := f.toCached[i].mustExec(t, what, sql)
-			want := f.toOracle[i].mustExec(t, what, sql)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("%s: response differs from the cache-off server's (stale payload?)", what)
+		for read := 0; read < reads; read++ {
+			if got := f.toCached.mustExec(t, what, sql); !bytes.Equal(got, want) {
+				t.Fatalf("%s, read %d: response differs from the cache-off server's (stale payload?)", what, read)
 			}
 		}
-		if st := f.cached.CacheStats(); !appendOutcome(st0, st, a.extends, len(cacheTransports)) {
-			t.Fatalf("%s: after the %s, want extended=%v over %d reads, got %+v -> %+v",
-				name, a.what, a.extends, len(cacheTransports), st0, st)
+		if st := f.cached.CacheStats(); !appendOutcome(st0, st, a.extends, reads) {
+			t.Fatalf("%s: want extended=%v over %d reads, got %+v -> %+v", what, a.extends, reads, st0, st)
 		}
 	}
 }
@@ -710,9 +684,9 @@ func TestCacheDifferentialWriteAndPinnedSession(t *testing.T) {
 // TestCacheDifferentialConcurrentFirstEncode releases 16 connections together
 // onto one cold statement: the fill is single-flight, the first encode of the
 // shared result is not, and every connection must still receive the
-// cache-off bytes. Then 16 goroutines race the first v1 encode of one cached
-// result directly: identical bytes, and exactly one copy charged to the
-// entry. Run under -race (verify.sh does).
+// cache-off bytes. Then 16 goroutines race the first v2 encode of a freshly
+// cached result directly: identical bytes, and exactly one copy charged to
+// the entry. Run under -race (verify.sh does).
 func TestCacheDifferentialConcurrentFirstEncode(t *testing.T) {
 	served, oracle := chaosDBPar(t, 2), chaosDBPar(t, 1)
 	served.EnableCache(64 << 20)
@@ -726,13 +700,12 @@ func TestCacheDifferentialConcurrentFirstEncode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := bothVersions(ref)
+	want := EncodeResultV2(ref)
 
 	const n = 16
-	streamed := cacheTransports[len(cacheTransports)-1]
 	conns := make([]*rawClient, n)
 	for i := range conns {
-		conns[i] = dialRaw(t, addr, streamed)
+		conns[i] = dialRaw(t, addr)
 	}
 	got := make([][]byte, n)
 	errs := make([]error, n)
@@ -752,7 +725,7 @@ func TestCacheDifferentialConcurrentFirstEncode(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("connection %d: %v", i, errs[i])
 		}
-		if !bytes.Equal(got[i], want[1]) {
+		if !bytes.Equal(got[i], want) {
 			t.Fatalf("connection %d: response differs from the cache-off bytes", i)
 		}
 	}
@@ -760,32 +733,37 @@ func TestCacheDifferentialConcurrentFirstEncode(t *testing.T) {
 		t.Fatalf("want one execution shared by %d connections, got %+v", n, st)
 	}
 
-	res, err := served.Exec(chaosQuery) // a hit: the v2 payloads are kept, v1 not yet
+	// In process, on a fresh entry: the fill, then a hit with nothing kept.
+	served.ClearCache()
+	if _, err := served.Exec(chaosQuery); err != nil {
+		t.Fatal(err)
+	}
+	res, err := served.Exec(chaosQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resident := served.CacheStats().Bytes
-	v1 := make([][]byte, n)
+	encoded := make([][]byte, n)
 	start = make(chan struct{})
-	for i := range v1 {
+	for i := range encoded {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			v1[i] = EncodeResult(res)
+			encoded[i] = EncodeResultV2(res)
 		}(i)
 	}
 	close(start)
 	wg.Wait()
-	for i := range v1 {
-		if !bytes.Equal(v1[i], want[0]) {
-			t.Fatalf("racing encoder %d produced different v1 bytes", i)
+	for i := range encoded {
+		if !bytes.Equal(encoded[i], want) {
+			t.Fatalf("racing encoder %d produced different v2 bytes", i)
 		}
 	}
 	var hdr Encoder
-	hdr.encodeHeader(FormatV1, len(res.Sets), res.PostJoinPlan != nil)
-	if grew := served.CacheStats().Bytes - resident; grew != int64(len(want[0])-hdr.Len()) {
+	hdr.encodeHeader(FormatV2, len(res.Sets), res.PostJoinPlan != nil)
+	if grew := served.CacheStats().Bytes - resident; grew != int64(len(want)-hdr.Len()) {
 		t.Fatalf("racing first encoders charged the entry %d bytes, want exactly one copy (%d)",
-			grew, len(want[0])-hdr.Len())
+			grew, len(want)-hdr.Len())
 	}
 }

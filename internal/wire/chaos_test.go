@@ -15,10 +15,9 @@ import (
 )
 
 // The chaos differential gate: a retrying client driven through every
-// faultnet failure mode, across both payload versions, buffered and streamed
-// responses, and two degrees of parallelism, must return either the
-// byte-exact oracle result or a typed *ExchangeError — never a silent
-// partial or corrupt result, and never a hang.
+// faultnet failure mode, against servers at two degrees of parallelism, must
+// return either the byte-exact oracle result or a typed *ExchangeError —
+// never a silent partial or corrupt result, and never a hang.
 
 func chaosDB(t testing.TB) *db.Database { return chaosDBPar(t, 0) }
 
@@ -59,8 +58,9 @@ INSERT INTO cust VALUES (1, 'Ann', 'gold'), (2, 'Bob', 'gold'), (3, 'Cay', 'base
 // inside the transfer instead of beyond it.
 const chaosQuery = "SELECT RESULTDB c.name, c.tier, o.id, o.total FROM cust AS c, ord AS o WHERE c.id = o.cust_id AND o.total > 10"
 
-// canonical encodes a result at a fixed version and parallelism, giving the
-// byte-exact comparison key the gate checks client results against.
+// canonical encodes a result in the in-process v1 codec at a fixed
+// parallelism, giving the byte-exact comparison key the gate checks client
+// results against.
 func canonical(res *db.Result) []byte {
 	return EncodeResultOptions(res, EncodeOptions{Version: FormatV1, Parallelism: 1})
 }
@@ -81,8 +81,8 @@ func chaosRetry(attempts int) RetryPolicy {
 	}
 }
 
-// chaosFaults is the fault matrix: every action at offsets hitting the
-// hello, the query frame, and the response body.
+// chaosFaults is the fault matrix: every action at offsets hitting the query
+// frame's header, its payload, and the response body.
 var chaosFaults = []faultnet.Fault{
 	{Action: faultnet.Refuse},
 	{Action: faultnet.Drop, Offset: 0},
@@ -114,81 +114,74 @@ func TestChaosDifferentialGate(t *testing.T) {
 	}
 
 	for _, par := range []int{1, 4} {
-		for _, opts := range []Options{
-			{Version: FormatV1},
-			{Version: FormatV2},
-			{Version: FormatV1, Streaming: true},
-			{Version: FormatV2, Streaming: true},
-		} {
-			par, opts := par, opts
-			name := fmt.Sprintf("v%d_stream=%v_par%d", opts.Version-1, opts.Streaming, par)
-			t.Run(name, func(t *testing.T) {
-				t.Parallel()
-				served := chaosDBPar(t, par)
-				srv := NewServer(served)
-				addr, err := srv.Listen("127.0.0.1:0")
+		par := par
+		t.Run(fmt.Sprintf("v2_stream=true_par%d", par), func(t *testing.T) {
+			t.Parallel()
+			served := chaosDBPar(t, par)
+			srv := NewServer(served)
+			addr, err := srv.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+
+			// One faulted connection, then clean: the retrying client must
+			// always converge on the exact oracle bytes.
+			for _, f := range chaosFaults {
+				c, err := DialOptions(addr, Options{
+					Retry: chaosRetry(4),
+					Dial:  faultnet.NewDialer(faultnet.Plan{Conns: []faultnet.Fault{f}}).Dial,
+				})
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("fault %v: dial: %v", f, err)
 				}
-				defer srv.Close()
+				res, err := c.Exec(chaosQuery)
+				if err != nil {
+					t.Fatalf("fault %v: retrying client failed: %v", f, err)
+				}
+				if got := canonical(res); !bytes.Equal(got, oracle) {
+					t.Fatalf("fault %v: result diverged from oracle (%d vs %d bytes)", f, len(got), len(oracle))
+				}
+				c.Close()
+			}
 
-				// One faulted connection, then clean: the retrying client
-				// must always converge on the exact oracle bytes.
-				for _, f := range chaosFaults {
-					o := opts
-					o.Retry = chaosRetry(4)
-					o.Dial = faultnet.NewDialer(faultnet.Plan{Conns: []faultnet.Fault{f}}).Dial
-					c, err := DialOptions(addr, o)
-					if err != nil {
-						t.Fatalf("fault %v: dial: %v", f, err)
-					}
-					res, err := c.Exec(chaosQuery)
-					if err != nil {
-						t.Fatalf("fault %v: retrying client failed: %v", f, err)
-					}
+			// Every connection faulted with a hard failure: the client must
+			// exhaust its attempts and surface a typed error — a nil error
+			// with wrong bytes is the one forbidden outcome.
+			for _, f := range []faultnet.Fault{
+				{Action: faultnet.Refuse},
+				{Action: faultnet.Drop, Offset: 0},
+				{Action: faultnet.Truncate, Offset: 7},
+				{Action: faultnet.Corrupt, Offset: 40},
+				{Action: faultnet.Reset, Offset: 0},
+			} {
+				c, err := DialOptions(addr, Options{
+					Retry: chaosRetry(3),
+					Dial:  faultnet.NewDialer(faultnet.Repeat(f, 32)).Dial,
+				})
+				if err != nil {
+					continue
+				}
+				res, err := c.Exec(chaosQuery)
+				if err == nil {
 					if got := canonical(res); !bytes.Equal(got, oracle) {
-						t.Fatalf("fault %v: result diverged from oracle (%d vs %d bytes)", f, len(got), len(oracle))
+						t.Fatalf("all-faults %v: SILENT CORRUPTION: nil error with diverging result", f)
 					}
-					c.Close()
+					t.Fatalf("all-faults %v: expected failure, got clean result", f)
 				}
-
-				// Every connection faulted with a hard failure: the client
-				// must exhaust its attempts and surface a typed error — a
-				// nil error with wrong bytes is the one forbidden outcome.
-				for _, f := range []faultnet.Fault{
-					{Action: faultnet.Refuse},
-					{Action: faultnet.Drop, Offset: 0},
-					{Action: faultnet.Truncate, Offset: 7},
-					{Action: faultnet.Corrupt, Offset: 40},
-					{Action: faultnet.Reset, Offset: 0},
-				} {
-					o := opts
-					o.Retry = chaosRetry(3)
-					o.Dial = faultnet.NewDialer(faultnet.Repeat(f, 32)).Dial
-					c, err := DialOptions(addr, o)
-					if err == nil {
-						res, err := c.Exec(chaosQuery)
-						if err == nil {
-							if got := canonical(res); !bytes.Equal(got, oracle) {
-								t.Fatalf("all-faults %v: SILENT CORRUPTION: nil error with diverging result", f)
-							}
-							t.Fatalf("all-faults %v: expected failure, got clean result", f)
-						}
-						var xe *ExchangeError
-						if !errors.As(err, &xe) {
-							t.Fatalf("all-faults %v: untyped error %T: %v", f, err, err)
-						}
-						if xe.Kind == KindTerminal {
-							t.Fatalf("all-faults %v: transport fault classified terminal: %v", f, err)
-						}
-						if xe.Attempts != 3 {
-							t.Fatalf("all-faults %v: %d attempts, want 3", f, xe.Attempts)
-						}
-						c.Close()
-					}
+				var xe *ExchangeError
+				if !errors.As(err, &xe) {
+					t.Fatalf("all-faults %v: untyped error %T: %v", f, err, err)
 				}
-			})
-		}
+				if xe.Kind == KindTerminal {
+					t.Fatalf("all-faults %v: transport fault classified terminal: %v", f, err)
+				}
+				if xe.Attempts != 3 {
+					t.Fatalf("all-faults %v: %d attempts, want 3", f, xe.Attempts)
+				}
+				c.Close()
+			}
+		})
 	}
 }
 
@@ -212,10 +205,7 @@ func TestChaosSeededSweep(t *testing.T) {
 
 	for seed := int64(1); seed <= 10; seed++ {
 		plan := faultnet.RandomPlan(seed, 6)
-		o := Options{Version: FormatV2, Streaming: true}
-		o.Retry = chaosRetry(8)
-		o.Dial = faultnet.NewDialer(plan).Dial
-		c, err := DialOptions(addr, o)
+		c, err := DialOptions(addr, Options{Retry: chaosRetry(8), Dial: faultnet.NewDialer(plan).Dial})
 		if err != nil {
 			continue // refused initial dial with retries disabled mid-plan is fine
 		}
@@ -246,12 +236,12 @@ func TestChaosNonIdempotentNeverRetried(t *testing.T) {
 	}
 	defer srv.Close()
 
-	o := Options{Version: FormatV2}
-	o.Retry = chaosRetry(5)
 	// Fault every connection so a retry, if wrongly attempted, would also
 	// fail — the assertion is on the attempt count.
-	o.Dial = faultnet.NewDialer(faultnet.Repeat(faultnet.Fault{Action: faultnet.Drop, Offset: 40}, 16)).Dial
-	c, err := DialOptions(addr, o)
+	c, err := DialOptions(addr, Options{
+		Retry: chaosRetry(5),
+		Dial:  faultnet.NewDialer(faultnet.Repeat(faultnet.Fault{Action: faultnet.Drop, Offset: 40}, 16)).Dial,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,26 +259,25 @@ func TestChaosNonIdempotentNeverRetried(t *testing.T) {
 	}
 }
 
-// TestChaosErrorContext checks the satellite fix: a mid-result connection
-// drop surfaces with query context (hash, frame index, bytes read) instead
-// of a raw io.EOF.
+// TestChaosErrorContext: a connection that dies mid-result surfaces with
+// query context (hash, frame index, bytes read) instead of a raw io.EOF.
 func TestChaosErrorContext(t *testing.T) {
 	srv := NewServer(chaosDB(t))
+	// The server's connections die 1000 bytes into the ~1.9 KB response, so
+	// the client has consumed whole response frames when the stream ends,
+	// however its reads are segmented.
+	srv.ListenFunc = func(network, addr string) (net.Listener, error) {
+		return faultnet.Listen(network, addr, faultnet.Repeat(faultnet.Fault{Action: faultnet.Truncate, Offset: 1000}, 4))
+	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	// v1 payloads: the response is ~14KB uncompressed, so an offset-600 drop
-	// is guaranteed to strike mid-transfer on any read segmentation.
-	o := Options{Version: FormatV1, Streaming: true}
 	// Single attempt (explicit, so ambient RESULTDB_RETRIES can't leak in):
-	// observe the raw classified failure. Drop deep into the response so the
-	// client has already consumed response frames.
-	o.Retry = RetryPolicy{MaxAttempts: 1, Seed: 1}
-	o.Dial = faultnet.NewDialer(faultnet.Repeat(faultnet.Fault{Action: faultnet.Drop, Offset: 600}, 4)).Dial
-	c, err := DialOptions(addr, o)
+	// observe the raw classified failure.
+	c, err := DialOptions(addr, Options{Retry: RetryPolicy{MaxAttempts: 1, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,8 +320,9 @@ func TestChaosServerSideFaults(t *testing.T) {
 	}
 	oracle := canonical(oracleRes)
 
+	// Offsets land inside the ~1.9 KB response.
 	for _, f := range []faultnet.Fault{
-		{Action: faultnet.Corrupt, Offset: 2000}, // inside the encoded response
+		{Action: faultnet.Corrupt, Offset: 1000}, // inside the encoded response
 		{Action: faultnet.Truncate, Offset: 900}, // cut mid-response-frame
 		{Action: faultnet.Drop, Offset: 1500},
 		{Action: faultnet.Refuse},
@@ -345,11 +335,7 @@ func TestChaosServerSideFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// v1 payloads: the ~14KB response guarantees every offset above
-		// lands inside the server's transmission.
-		o := Options{Version: FormatV1, Streaming: true}
-		o.Retry = chaosRetry(4)
-		c, err := DialOptions(addr, o)
+		c, err := DialOptions(addr, Options{Retry: chaosRetry(4)})
 		if err != nil {
 			t.Fatalf("fault %v: dial: %v", f, err)
 		}
@@ -371,10 +357,44 @@ func TestChaosServerSideFaults(t *testing.T) {
 	}
 }
 
-// TestIntegrityNegotiatedByDefault locks the CRC32 handshake in: modern
-// connections get trailers, opt-outs and legacy connections do not, and all
-// of them execute identically.
-func TestIntegrityNegotiated(t *testing.T) {
+// recordingConn keeps a copy of every byte written to and read from it.
+type recordingConn struct {
+	net.Conn
+	out, in *bytes.Buffer
+}
+
+func (c recordingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.in.Write(p[:n])
+	return n, err
+}
+
+func (c recordingConn) Write(p []byte) (int, error) {
+	c.out.Write(p)
+	return c.Conn.Write(p)
+}
+
+// frameTypes splits a recorded byte stream into frames, verifying every
+// frame's trailer, and returns their types. Bytes a frame without a trailer
+// left over, or a trailer that does not match, fail the test.
+func frameTypes(t *testing.T, what string, stream []byte) []byte {
+	t.Helper()
+	var types []byte
+	for r := bytes.NewReader(stream); r.Len() > 0; {
+		typ, _, err := readFrame(r)
+		if err != nil {
+			t.Fatalf("%s: frame %d: %v", what, len(types), err)
+		}
+		types = append(types, typ)
+	}
+	return types
+}
+
+// TestIntegrityOnEveryFrame: every frame in both directions carries a CRC32
+// trailer, and a byte flipped in a query frame or in a response frame
+// surfaces as a checksum failure instead of a different statement or
+// result.
+func TestIntegrityOnEveryFrame(t *testing.T) {
 	srv := NewServer(chaosDB(t))
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -382,31 +402,77 @@ func TestIntegrityNegotiated(t *testing.T) {
 	}
 	defer srv.Close()
 
-	cases := []struct {
-		name string
-		opts Options
-		want bool
-	}{
-		{"default", Options{Version: FormatV2, Streaming: true}, true},
-		{"buffered", Options{Version: FormatV1}, true},
-		{"opt-out", Options{Version: FormatV2, NoIntegrity: true}, false},
-		{"legacy", Options{Legacy: true}, false},
+	var out, in bytes.Buffer
+	c, err := DialOptions(addr, Options{Dial: func(addr string) (net.Conn, error) {
+		conn, err := net.Dial("tcp", addr)
+		return recordingConn{Conn: conn, out: &out, in: &in}, err
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		c, err := DialOptions(addr, tc.opts)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	if _, err := c.Exec(chaosQuery); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Exec("SELECT nope FROM nowhere"); !IsTerminal(err) {
+		t.Fatalf("bad statement: %v, want a terminal error", err)
+	}
+	c.Close()
+	if got := frameTypes(t, "client -> server", out.Bytes()); !bytes.Equal(got, []byte{frameQuery, frameQuery}) {
+		t.Errorf("client sent frame types %v, want two queries", got)
+	}
+	got := frameTypes(t, "server -> client", in.Bytes())
+	if n := len(got); n < 4 || got[n-2] != frameEnd || got[n-1] != frameErr {
+		t.Errorf("server sent frame types %v, want chunks, an end, then an error", got)
+	}
+	for _, typ := range got[:len(got)-2] {
+		if typ != frameChunk {
+			t.Errorf("server sent frame types %v, want chunks before the end", got)
 		}
-		if got := c.Integrity(); got != tc.want {
-			t.Errorf("%s: integrity = %v, want %v", tc.name, got, tc.want)
-		}
-		if _, err := c.Exec(chaosQuery); err != nil {
-			t.Errorf("%s: exec: %v", tc.name, err)
-		}
-		c.Close()
 	}
 	if n := srv.Stats().ChecksumFailures; n != 0 {
 		t.Errorf("clean traffic produced %d checksum failures", n)
+	}
+
+	// A query frame with one payload byte flipped after its trailer was
+	// computed: the server reports the mismatch and sheds the connection.
+	var query bytes.Buffer
+	writeFrame(&query, frameQuery, []byte(chaosQuery))
+	query.Bytes()[5+len("SELECT ")] ^= 0x20
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Write(query.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(conn)
+	if err != nil || typ != frameErr || !strings.Contains(string(payload), "checksum mismatch") {
+		t.Fatalf("corrupt query drew type %d %q (%v), want a checksum frameErr", typ, payload, err)
+	}
+	if n := srv.Stats().ChecksumFailures; n != 1 {
+		t.Errorf("server counted %d checksum failures, want 1", n)
+	}
+
+	// A response chunk with one payload byte flipped: the client reports a
+	// corrupt exchange wrapping the checksum failure.
+	res, err := srv.db.Exec(chaosQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp bytes.Buffer
+	writeFrame(&resp, frameChunk, EncodeResultV2(res))
+	resp.Bytes()[5+100] ^= 0x01
+	writeFrame(&resp, frameEnd, nil)
+	fake := fakeServer(t, func(conn net.Conn) { conn.Write(resp.Bytes()) })
+	fc, err := DialOptions(fake, Options{Retry: RetryPolicy{MaxAttempts: 1, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fc.Close()
+	if _, err := fc.Exec(chaosQuery); !IsCorrupt(err) || !errors.Is(err, errChecksum) {
+		t.Fatalf("corrupt response: %v, want a corrupt exchange error wrapping the checksum mismatch", err)
 	}
 }
 
@@ -441,9 +507,7 @@ func TestShutdownKicksIdleConnections(t *testing.T) {
 	}
 	// The listener is gone: new dials must fail (the client with retries
 	// must still surface a typed error, not hang).
-	o := Options{Version: FormatV2}
-	o.Retry = chaosRetry(2)
-	if c2, err := DialOptions(addr, o); err == nil {
+	if c2, err := DialOptions(addr, Options{Retry: chaosRetry(2)}); err == nil {
 		if _, err := c2.Exec(chaosQuery); err == nil {
 			t.Fatal("Exec succeeded against a shut-down server")
 		}
@@ -577,8 +641,7 @@ func FuzzFaultPlan(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plan := faultnet.DecodePlan(data)
-		o := Options{Version: FormatV2, Streaming: true}
-		o.Retry = RetryPolicy{
+		o := Options{Retry: RetryPolicy{
 			MaxAttempts:    2,
 			BaseBackoff:    time.Millisecond,
 			MaxBackoff:     2 * time.Millisecond,
@@ -587,8 +650,7 @@ func FuzzFaultPlan(f *testing.F) {
 			AttemptTimeout: 5 * time.Second,
 			QueryTimeout:   20 * time.Second,
 			Seed:           1,
-		}
-		o.Dial = faultnet.NewDialer(plan).Dial
+		}, Dial: faultnet.NewDialer(plan).Dial}
 		c, err := DialOptions(addr, o)
 		if err != nil {
 			return

@@ -15,12 +15,11 @@ import (
 	"resultdb/internal/sqlparse"
 )
 
-// Client speaks the protocol to a Server, production-robustly: transport
+// Client speaks the protocol to a Server — query frames out, v2 chunk
+// streams back, every frame CRC-checked — production-robustly: transport
 // failures are wrapped with query context (ExchangeError), idempotent
 // statements are retried with capped exponential backoff and jitter under a
-// RetryPolicy, and a broken connection is transparently redialed with the
-// hello negotiation re-run (the renegotiated connection may cleanly
-// downgrade, e.g. against a restarted server clamped to v1).
+// RetryPolicy, and a broken connection is transparently redialed.
 //
 // Concurrency contract: Exec is safe for concurrent use — a mutex serializes
 // whole request/response exchanges (including any retries) on the single
@@ -34,41 +33,19 @@ type Client struct {
 	r    *bufio.Reader
 	w    *bufio.Writer
 
-	addr  string
-	opts  Options
-	retry RetryPolicy
-	dial  func(addr string) (net.Conn, error)
-	clock clock
-	rng   *rand.Rand
-
-	helloPending bool // hello sent, reply not yet consumed
-	version      int  // negotiated payload version (FormatV1 without a hello)
-	streaming    bool // negotiated streamed responses
-	integrity    bool // negotiated CRC32 frame trailers
-	broken       bool // transport failed; the next attempt redials
+	addr   string
+	retry  RetryPolicy
+	dial   func(addr string) (net.Conn, error)
+	clock  clock
+	rng    *rand.Rand
+	broken bool // transport failed; the next attempt redials
 
 	bytesRead  atomic.Int64
 	reconnects atomic.Int64
 }
 
-// Options configures a client connection.
+// Options configures a client's retries and transport.
 type Options struct {
-	// Version is the payload version to request (FormatV1 or FormatV2;
-	// 0 = FormatV2). The server may clamp it down; Version() reports the
-	// negotiated outcome.
-	Version int
-	// Streaming requests chunked responses (server-side pipelining of
-	// execution, encoding, and transmission).
-	Streaming bool
-	// Legacy skips the hello exchange entirely, reproducing the original
-	// protocol byte for byte: v1 payloads, buffered responses, no frame
-	// checksums. Version, Streaming, and NoIntegrity are ignored.
-	Legacy bool
-	// NoIntegrity skips requesting CRC32 frame trailers during the hello
-	// exchange. By default every negotiated connection requests them, so a
-	// flipped bit anywhere in a frame surfaces as a typed corrupt-payload
-	// error instead of silently wrong data.
-	NoIntegrity bool
 	// Retry configures reconnect/retry behavior. The zero value falls back
 	// to RetryFromEnv() (RESULTDB_RETRIES / RESULTDB_RETRY_BACKOFF), which
 	// is itself zero — single attempt — when the variables are unset.
@@ -79,29 +56,23 @@ type Options struct {
 	Dial func(addr string) (net.Conn, error)
 }
 
-// Dial connects to a server, negotiating the newest payload version,
-// streamed responses, and frame integrity. Use DialOptions to pin a version
-// or disable any of them.
+// Dial connects to a server with the default options.
 func Dial(addr string) (*Client, error) {
-	return DialOptions(addr, Options{Version: FormatV2, Streaming: true})
+	return DialOptions(addr, Options{})
 }
 
-// DialOptions connects to a server with explicit protocol options. The hello
-// is written at dial time but the server's reply is consumed lazily, at the
-// start of the first Exec (or Version/Streaming call) — so dialing an
-// overloaded server queues instead of blocking, exactly like the legacy
-// protocol: clients see latency, not errors, and negotiation failures
-// surface on first use.
+// DialOptions connects to a server with explicit retry and dial options.
+// Nothing is written until the first Exec, so dialing an overloaded server
+// queues in its accept backlog instead of failing: clients see latency, not
+// errors.
 func DialOptions(addr string, opts Options) (*Client, error) {
 	if isZeroRetry(opts.Retry) {
 		opts.Retry = RetryFromEnv()
 	}
 	c := &Client{
-		addr:    addr,
-		opts:    opts,
-		retry:   opts.Retry,
-		clock:   realClock{},
-		version: FormatV1,
+		addr:  addr,
+		retry: opts.Retry,
+		clock: realClock{},
 	}
 	seed := opts.Retry.Seed
 	if seed == 0 {
@@ -121,7 +92,7 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 		if c.retry.maxAttempts() > 1 {
 			// With retries configured the dial-time failure is just attempt
 			// zero: hand the broken client back and let the first Exec's
-			// retry loop redial (and re-negotiate) with backoff.
+			// retry loop redial with backoff.
 			c.broken = true
 			return c, nil
 		}
@@ -134,8 +105,8 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 // comparable; spelled out so adding fields keeps this honest).
 func isZeroRetry(p RetryPolicy) bool { return p == RetryPolicy{} }
 
-// connect dials and performs the write half of the hello exchange. Callers
-// hold c.mu (or are inside DialOptions, before the client escapes).
+// connect dials. Callers hold c.mu (or are inside DialOptions, before the
+// client escapes).
 func (c *Client) connect() error {
 	conn, err := c.dial(c.addr)
 	if err != nil {
@@ -144,38 +115,7 @@ func (c *Client) connect() error {
 	c.conn = conn
 	c.r = bufio.NewReader(conn)
 	c.w = bufio.NewWriter(conn)
-	c.version = FormatV1
-	c.streaming = false
-	c.integrity = false
-	c.helloPending = false
 	c.broken = false
-	if c.opts.Legacy {
-		return nil
-	}
-	want := c.opts.Version
-	if want == 0 {
-		want = FormatV2
-	}
-	var flags uint64
-	if c.opts.Streaming {
-		flags |= helloStreaming
-	}
-	if !c.opts.NoIntegrity {
-		flags |= helloIntegrity
-	}
-	// The hello itself always travels checksum-free: the trailer discipline
-	// starts with the first post-hello frame, once both sides know it.
-	if err := writeFrame(c.w, frameHello, encodeHello(want, flags), false); err != nil {
-		conn.Close()
-		c.broken = true
-		return err
-	}
-	if err := c.w.Flush(); err != nil {
-		conn.Close()
-		c.broken = true
-		return err
-	}
-	c.helloPending = true
 	return nil
 }
 
@@ -186,74 +126,6 @@ func (c *Client) breakConn() {
 		c.conn.Close()
 	}
 	c.broken = true
-}
-
-// finishHello consumes the server's hello reply if one is still in flight.
-// Callers must hold c.mu. On failure the connection is marked broken, so a
-// retrying Exec redials rather than reporting the same stale failure
-// forever.
-func (c *Client) finishHello() error {
-	if !c.helloPending {
-		return nil
-	}
-	typ, payload, err := readFrame(c.r, false)
-	if err != nil {
-		c.broken = true
-		return err
-	}
-	switch typ {
-	case frameHello:
-		v, flags, err := decodeHello(payload)
-		if err != nil {
-			c.broken = true
-			return err
-		}
-		if v != FormatV1 && v != FormatV2 {
-			c.broken = true
-			return fmt.Errorf("wire: server negotiated unsupported version %d", v)
-		}
-		c.version = v
-		c.streaming = flags&helloStreaming != 0
-		// Honor the integrity grant only if we requested it: a server
-		// volunteering trailers we did not ask for would desynchronize us.
-		c.integrity = !c.opts.NoIntegrity && flags&helloIntegrity != 0
-		c.helloPending = false
-		return nil
-	case frameErr:
-		c.broken = true
-		return errors.New(string(payload))
-	default:
-		c.broken = true
-		return fmt.Errorf("wire: unexpected frame type %d in hello exchange", typ)
-	}
-}
-
-// Version reports the negotiated payload version (FormatV1 or FormatV2),
-// completing the hello exchange if its reply is still in flight. Reports
-// FormatV1 if negotiation failed (the next Exec returns the actual error).
-func (c *Client) Version() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.finishHello()
-	return c.version
-}
-
-// Streaming reports whether responses arrive as chunk streams, completing
-// the hello exchange if its reply is still in flight.
-func (c *Client) Streaming() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.finishHello()
-	return c.streaming
-}
-
-// Integrity reports whether frames carry CRC32 trailers on this connection,
-// completing the hello exchange if its reply is still in flight.
-func (c *Client) Integrity() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.finishHello()
-	return c.integrity
 }
 
 // BytesRead returns the accumulated payload bytes received, for transfer
@@ -347,8 +219,8 @@ func (c *Client) Exec(sql string) (*db.Result, error) {
 	}
 }
 
-// exchange performs one attempt: reconnect if needed, settle the hello,
-// send the query, read and decode the response. Callers hold c.mu.
+// exchange performs one attempt: reconnect if needed, send the query, read
+// and decode the response. Callers hold c.mu.
 func (c *Client) exchange(sql string, overall time.Time) (*db.Result, *ExchangeError) {
 	fail := func(kind ErrorKind, frames int, bytes int64, err error) (*db.Result, *ExchangeError) {
 		return nil, &ExchangeError{
@@ -379,12 +251,7 @@ func (c *Client) exchange(sql string, overall time.Time) (*db.Result, *ExchangeE
 		c.conn.SetDeadline(deadline)
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	// Settle the negotiation reply first: whether the query frame (and the
-	// response) carries a CRC trailer is decided by the hello outcome.
-	if err := c.finishHello(); err != nil {
-		return fail(classifyTransport(err), 0, 0, fmt.Errorf("hello exchange: %w", err))
-	}
-	if err := writeFrame(c.w, frameQuery, []byte(sql), c.integrity); err != nil {
+	if err := writeFrame(c.w, frameQuery, []byte(sql)); err != nil {
 		return fail(KindRetryable, 0, 0, err)
 	}
 	if err := c.w.Flush(); err != nil {
@@ -392,55 +259,30 @@ func (c *Client) exchange(sql string, overall time.Time) (*db.Result, *ExchangeE
 	}
 	frames := 0
 	var bytes int64
-	readNext := func() (byte, []byte, error) {
-		typ, payload, err := readFrame(c.r, c.integrity)
+	var buf []byte
+	for {
+		typ, payload, err := readFrame(c.r)
 		if err != nil {
-			return 0, nil, err
+			return fail(classifyTransport(err), frames, bytes, err)
 		}
 		frames++
 		bytes += int64(len(payload))
 		c.bytesRead.Add(int64(len(payload)))
-		return typ, payload, nil
-	}
-	if c.streaming {
-		var buf []byte
-		for {
-			typ, payload, err := readNext()
+		switch typ {
+		case frameChunk:
+			buf = append(buf, payload...)
+		case frameEnd:
+			res, err := DecodeResultExpect(buf, FormatV2)
 			if err != nil {
-				return fail(classifyTransport(err), frames, bytes, err)
+				return fail(KindCorrupt, frames, bytes, err)
 			}
-			switch typ {
-			case frameChunk:
-				buf = append(buf, payload...)
-			case frameEnd:
-				res, err := DecodeResultExpect(buf, c.version)
-				if err != nil {
-					return fail(KindCorrupt, frames, bytes, err)
-				}
-				return res, nil
-			case frameErr:
-				return fail(classifyServerErr(payload), frames, bytes, errors.New(string(payload)))
-			default:
-				return fail(KindCorrupt, frames, bytes,
-					fmt.Errorf("wire: unexpected frame type %d in chunked response", typ))
-			}
+			return res, nil
+		case frameErr:
+			return fail(classifyServerErr(payload), frames, bytes, errors.New(string(payload)))
+		default:
+			return fail(KindCorrupt, frames, bytes,
+				fmt.Errorf("wire: unexpected frame type %d in a response", typ))
 		}
-	}
-	typ, payload, err := readNext()
-	if err != nil {
-		return fail(classifyTransport(err), frames, bytes, err)
-	}
-	switch typ {
-	case frameOK:
-		res, err := DecodeResultExpect(payload, c.version)
-		if err != nil {
-			return fail(KindCorrupt, frames, bytes, err)
-		}
-		return res, nil
-	case frameErr:
-		return fail(classifyServerErr(payload), frames, bytes, errors.New(string(payload)))
-	default:
-		return fail(KindCorrupt, frames, bytes, fmt.Errorf("wire: unexpected frame type %d", typ))
 	}
 }
 

@@ -52,17 +52,6 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
-// NewEncoderSized returns an empty encoder whose buffer has the given
-// capacity, so encoding a result of a known shape performs one allocation
-// instead of O(log size) append regrowths (each of which copies the whole
-// buffer built so far).
-func NewEncoderSized(capacity int) *Encoder {
-	if capacity < 0 {
-		capacity = 0
-	}
-	return &Encoder{buf: make([]byte, 0, capacity)}
-}
-
 // setCapacityHint estimates the v1 encoded size of set from its row and
 // column counts alone (no value scan): per-cell costs average a few bytes
 // for varint integers and bools and tens for JOB-style text, so 12 bytes per
@@ -186,9 +175,9 @@ func EncodeResultV2(r *db.Result) []byte {
 
 // EncodeResultOptions serializes a result in the requested format version.
 // Panics on an unknown version (programmer error, like a hand-built row
-// whose arity differs from its set's columns, db.Cells.At). The streamed server produces exactly these bytes chunk by chunk
-// (encodeHeader + per-set encodeSetVersion + encodePlan), so buffered and
-// streamed transfers are byte-identical.
+// whose arity differs from its set's columns, db.Cells.At). The server
+// ships exactly the v2 bytes, chunk by chunk (encodeHeader + per-set
+// encodeSetVersion + encodePlan).
 func EncodeResultOptions(r *db.Result, opts EncodeOptions) []byte {
 	v := opts.version()
 	if v != FormatV1 && v != FormatV2 {
@@ -215,7 +204,7 @@ func EncodeResultOptions(r *db.Result, opts EncodeOptions) []byte {
 	}
 	if r.PostJoinPlan != nil {
 		before := e.Len()
-		e.encodePlan(r.PostJoinPlan)
+		e.encodePlan(r.PostJoinPlan, v)
 		if sp := tr.Span("encode", "post-join plan"); sp != nil {
 			sp.Phase = "wire"
 			sp.Bytes = e.Len() - before
@@ -240,20 +229,29 @@ func (e *Encoder) encodeHeader(version, nSets int, hasPlan bool) {
 	e.uvarint(uint64(nSets))
 }
 
-// appendKept appends the payload a result part — a set in one format
-// version, or the post-join plan — keeps in its memo, and reports whether
-// there was one. encodeSetVersion and encodePlan are the only readers and
-// writers of db.PayloadMemo: buffered and streamed responses,
-// EncodeResultOptions and the shell all reach the memo through them. A part
-// of a result the cache does not own has a nil memo and is encoded afresh
-// every time.
+// memoFor returns the memo a result part's encoding in version reads and
+// fills: the part's own for v2, the format every response ships, and none
+// for v1, which only in-process callers encode.
+func memoFor(memo *db.PayloadMemo, version int) *db.PayloadMemo {
+	if version != FormatV2 {
+		return nil
+	}
+	return memo
+}
+
+// appendKept appends the payload a result part — a set, or the post-join
+// plan — keeps in its memo, and reports whether there was one.
+// encodeSetVersion and encodePlan are the only readers and writers of
+// db.PayloadMemo: the server, EncodeResultOptions and the shell all reach the
+// memo through them. A part of a result the cache does not own has a nil
+// memo and is encoded afresh every time.
 //
 // An encoder that owns no buffer yet adopts the shared bytes instead of
 // copying them (their capacity is clamped, so a later append moves to a
 // fresh buffer); that is how the streaming server hands kept chunks to the
 // socket without touching them.
-func (e *Encoder) appendKept(memo *db.PayloadMemo, slot int) bool {
-	b := memo.Load(slot)
+func (e *Encoder) appendKept(memo *db.PayloadMemo) bool {
+	b := memo.Load()
 	if b == nil {
 		return false
 	}
@@ -265,12 +263,12 @@ func (e *Encoder) appendKept(memo *db.PayloadMemo, slot int) bool {
 	return true
 }
 
-// encodeSetVersion writes one result set in the given format version: the
-// payload the set keeps for that version, or a fresh encoding, which the set
-// is then offered to keep.
+// encodeSetVersion writes one result set in the given format version: for
+// v2, the payload the set keeps, or a fresh encoding, which the set is then
+// offered to keep; for v1, always a fresh encoding.
 func (e *Encoder) encodeSetVersion(set *db.ResultSet, version, par int) {
-	memo, slot := set.Memo(), version-FormatV1
-	if e.appendKept(memo, slot) {
+	memo := memoFor(set.Memo(), version)
+	if e.appendKept(memo) {
 		return
 	}
 	start := len(e.buf)
@@ -280,14 +278,14 @@ func (e *Encoder) encodeSetVersion(set *db.ResultSet, version, par int) {
 		e.reserve(setCapacityHint(set))
 		e.encodeSet(set)
 	}
-	memo.Keep(slot, e.buf[start:])
+	memo.Keep(e.buf[start:])
 }
 
 // encodePlan writes the shipped post-join plan (the same bytes in every
-// format version, so it uses one memo slot).
-func (e *Encoder) encodePlan(p *db.PostJoinPlan) {
-	memo := p.Memo()
-	if e.appendKept(memo, 0) {
+// format version; only a v2 encoding reads and fills the plan's memo).
+func (e *Encoder) encodePlan(p *db.PostJoinPlan, version int) {
+	memo := memoFor(p.Memo(), version)
+	if e.appendKept(memo) {
 		return
 	}
 	start := len(e.buf)
@@ -303,7 +301,7 @@ func (e *Encoder) encodePlan(p *db.PostJoinPlan) {
 		e.str(a.Rel)
 		e.str(a.Col)
 	}
-	memo.Keep(0, e.buf[start:])
+	memo.Keep(e.buf[start:])
 }
 
 func (e *Encoder) encodeSet(set *db.ResultSet) {
@@ -453,8 +451,8 @@ func DecodeResult(buf []byte) (*db.Result, error) {
 
 // DecodeResultExpect is DecodeResult restricted to one format version: a
 // payload in any other version is rejected before its sets are touched.
-// Clients use it to enforce the version they negotiated, so a server (or a
-// middlebox) cannot downgrade or upgrade the stream silently.
+// The client uses it to accept only v2 responses, so a server (or a
+// middlebox) cannot change the payload format silently.
 func DecodeResultExpect(buf []byte, version int) (*db.Result, error) {
 	if version != FormatV1 && version != FormatV2 {
 		return nil, fmt.Errorf("wire: unknown expected version %d", version)
@@ -480,7 +478,7 @@ func decodeResult(buf []byte, expect int) (*db.Result, error) {
 		return nil, fmt.Errorf("wire: unsupported version %d", v)
 	}
 	if expect != 0 && int(v) != expect {
-		return nil, fmt.Errorf("wire: version %d payload where version %d was negotiated", v, expect)
+		return nil, fmt.Errorf("wire: version %d payload where version %d was expected", v, expect)
 	}
 	flags, err := d.uvarint()
 	if err != nil {

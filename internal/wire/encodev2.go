@@ -50,8 +50,8 @@ import (
 //
 // Every choice is pick-the-smaller with a deterministic tie-break, so the
 // encoding is a pure function of the result: parallel and serial encodes,
-// vec-backed and row-backed gathers, streamed and buffered transfers all
-// produce identical bytes. For typed columns the desc byte replaces n tag
+// vec-backed and row-backed gathers, the server's chunk stream and an
+// in-process encode all produce identical bytes. For typed columns the desc byte replaces n tag
 // bytes and the bitmap costs ceil(n/8) <= n-1 of them, so a v2 set never
 // exceeds its v1 size (mixed-kind columns, which none of the workloads
 // produce, cost at most one extra byte each).

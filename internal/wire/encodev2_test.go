@@ -265,10 +265,10 @@ func TestDecodeResultExpectRejectsCrossVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := DecodeResultExpect(v1, FormatV2); err == nil {
-		t.Fatal("v1 payload accepted where v2 was negotiated")
+		t.Fatal("v1 payload accepted where v2 was expected")
 	}
 	if _, err := DecodeResultExpect(v2, FormatV1); err == nil {
-		t.Fatal("v2 payload accepted where v1 was negotiated")
+		t.Fatal("v2 payload accepted where v1 was expected")
 	}
 	if _, err := DecodeResultExpect(v1, 99); err == nil {
 		t.Fatal("unknown expected version accepted")
@@ -583,7 +583,7 @@ func rowBlockAllocs() int64 {
 
 // TestServerPathBoxesNoRows guards the server half of "results box on
 // demand": JOB, star and hierarchy RDB/RDBRP statements run through
-// ExecStream — what both server paths call — and are v2-encoded, buffered
+// ExecStream — what the server calls — and are v2-encoded, in one buffer
 // and chunk by chunk, without boxing a single row block (every allocation is
 // sampled while they run). The star_transfer statements' execute-and-encode
 // bytes are bounded too: the in-process probes (BenchmarkStarExec +
@@ -625,7 +625,7 @@ func TestServerPathBoxesNoRows(t *testing.T) {
 			t.Fatalf("%s: %v", s.sql, err)
 		}
 		EncodeResultOptions(res, EncodeOptions{Version: FormatV2})
-		streamedPayload(res, FormatV2)
+		streamedPayload(res)
 	}
 	for _, s := range stmts { // warm: statistics, frames, pools
 		serve(s)

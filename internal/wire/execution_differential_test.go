@@ -30,10 +30,11 @@ import (
 //     sorted the same way), and
 //   - against itself across the configuration lattice: parallelism {1, 4} ×
 //     result cache {off, on} × planner statistics {derived lazily, ANALYZEd
-//     first} × transport {local, v1 over TCP, v2 over TCP, v2 streamed over
-//     TCP}, each compared byte for byte to the v1 encoding of the serial,
-//     uncached, lazily planned execution. (Whether planning has statistics
-//     at all is core's byte-identity test, TestCostBasedMatchesHeuristic.)
+//     first} × transport {local, TCP}, each compared byte for byte to the v1
+//     encoding of the serial, uncached, lazily planned execution — and the
+//     payload that crossed the socket to that execution's in-process v2
+//     encoding. (Whether planning has statistics at all is core's
+//     byte-identity test, TestCostBasedMatchesHeuristic.)
 //
 // The wire encoding covers set names, column lists, row data (values AND
 // their order) and the shipped post-join plan, so any divergence — a kernel
@@ -64,9 +65,9 @@ func (c execConfig) String() string {
 
 // execCandidate is one configured database, served over TCP.
 type execCandidate struct {
-	cfg     execConfig
-	d       *db.Database
-	clients []wireCandidate
+	cfg  execConfig
+	d    *db.Database
+	conn *rawClient
 }
 
 type execFleet struct {
@@ -101,21 +102,7 @@ func newExecFleet(t *testing.T, load func(d *db.Database) error) *execFleet {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { srv.Close() })
-				for _, opt := range []struct {
-					name string
-					opts Options
-				}{
-					{"v1", Options{Version: FormatV1}},
-					{"v2", Options{Version: FormatV2}},
-					{"v2-stream", Options{Version: FormatV2, Streaming: true}},
-				} {
-					c, err := DialOptions(addr, opt.opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(func() { c.Close() })
-					cand.clients = append(cand.clients, wireCandidate{name: opt.name, client: c})
-				}
+				cand.conn = dialRaw(t, addr)
 				f.cands = append(f.cands, cand)
 			}
 		}
@@ -287,8 +274,8 @@ func (f *execFleet) check(t *testing.T, name, sql string) {
 	checkServerForm(t, f.baseline, name, sql, base)
 
 	var decoded *db.Result
+	want, wantV2 := EncodeResult(base), EncodeResultV2(base)
 	for _, cand := range f.cands {
-		want := EncodeResult(base)
 		// Cached candidates run twice locally, so both the cold fill and the
 		// warm hit are compared; their clients then read warm entries.
 		runs := 1
@@ -305,17 +292,19 @@ func (f *execFleet) check(t *testing.T, name, sql string) {
 					name, cand.cfg, run, sql)
 			}
 		}
-		for _, c := range cand.clients {
-			got, err := c.client.Exec(sql)
-			if err != nil {
-				t.Fatalf("%s [%s %s]: %v", name, cand.cfg, c.name, err)
-			}
-			if !bytes.Equal(EncodeResult(got), want) {
-				t.Fatalf("%s [%s %s]: result received over the wire differs from the baseline\nsql: %s",
-					name, cand.cfg, c.name, sql)
-			}
-			decoded = got
+		what := fmt.Sprintf("%s [%s over TCP]", name, cand.cfg)
+		payload := cand.conn.mustExec(t, what, sql)
+		if !bytes.Equal(payload, wantV2) {
+			t.Fatalf("%s: payload received over the wire differs from the baseline's v2 encoding\nsql: %s", what, sql)
 		}
+		got, err := DecodeResultExpect(payload, FormatV2)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !bytes.Equal(EncodeResult(got), want) {
+			t.Fatalf("%s: result decoded from the wire differs from the baseline\nsql: %s", what, sql)
+		}
+		decoded = got
 	}
 	if sel.ResultDB && sel.Preserving {
 		plain := *sel

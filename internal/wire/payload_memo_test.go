@@ -41,14 +41,14 @@ func TestPayloadMemoUncachedResultsEncodeAfresh(t *testing.T) {
 		after := bothVersions(r)
 		for v := range after {
 			if bytes.Equal(after[v], before[v]) {
-				t.Fatalf("%s: version slot %d served stale bytes after a mutation", name, v)
+				t.Fatalf("%s: encoding %d served stale bytes after a mutation", name, v)
 			}
 			dec, err := DecodeResult(after[v])
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := dec.Sets[0].Rows[0][0]; got.Int() != 424242 {
-				t.Fatalf("%s: version slot %d decoded %v, want the mutated value", name, v, got)
+				t.Fatalf("%s: encoding %d decoded %v, want the mutated value", name, v, got)
 			}
 		}
 	}
@@ -57,21 +57,19 @@ func TestPayloadMemoUncachedResultsEncodeAfresh(t *testing.T) {
 // keptBytes sums the payload bytes r's memos hold.
 func keptBytes(r *db.Result) int {
 	n := 0
-	for slot := 0; slot < db.PayloadSlots; slot++ {
-		for _, set := range r.Sets {
-			n += len(set.Memo().Load(slot))
-		}
-		if r.PostJoinPlan != nil {
-			n += len(r.PostJoinPlan.Memo().Load(slot))
-		}
+	for _, set := range r.Sets {
+		n += len(set.Memo().Load())
+	}
+	if r.PostJoinPlan != nil {
+		n += len(r.PostJoinPlan.Memo().Load())
 	}
 	return n
 }
 
-// TestPayloadMemoStaysInsideCacheBudget runs with a budget a few KB above
-// one result: kept payloads are charged to the entry, cannot push resident
-// bytes past the budget, and do not outlive the entry's eviction or
-// invalidation.
+// TestPayloadMemoStaysInsideCacheBudget: kept payloads are charged to the
+// entry, cannot push resident bytes past the budget, and do not outlive the
+// entry's eviction or invalidation; v1 encodes neither keep nor charge
+// anything.
 func TestPayloadMemoStaysInsideCacheBudget(t *testing.T) {
 	d := chaosDBPar(t, 1)
 	d.EnableCache(64 << 20)
@@ -94,48 +92,49 @@ func TestPayloadMemoStaysInsideCacheBudget(t *testing.T) {
 		t.Fatal("result was not admitted")
 	}
 	rows = d.CacheStats().Bytes - rows // the result's cost before any payload is kept
-	v2Len, v1Len := len(EncodeResultV2(exec())), len(EncodeResult(exec()))
-	const slack = 4 << 10
-	if v2Len >= slack || v1Len <= slack {
-		t.Fatalf("test wants v2 (%d B) to fit the slack and v1 (%d B) to overflow it", v2Len, v1Len)
-	}
+	v2Len := len(EncodeResultV2(exec()))
 
+	// Room for half the payloads: keeping them evicts the entry rather than
+	// overrun the budget, and nothing more is kept on the evicted result.
 	d.ClearCache()
-	d.EnableCache(rows + slack)
+	d.EnableCache(rows + int64(v2Len)/2)
 	res := exec()
 	if st := d.CacheStats(); st.Entries != 1 || st.Bytes != rows {
 		t.Fatalf("after the fill: %+v, want one entry of %d bytes", st, rows)
 	}
+	v2 := EncodeResultV2(res)
+	within("after the payloads overflowed")
+	if st := d.CacheStats(); st.Entries != 0 || st.Bytes != 0 || st.Evictions == 0 {
+		t.Fatalf("overflowing entry still resident: %+v", st)
+	}
+	if n := keptBytes(res); n > v2Len/2 {
+		t.Fatalf("evicted result kept %d payload bytes, more than the budget had room for (%d)", n, v2Len/2)
+	}
+	if !bytes.Equal(EncodeResultV2(res), v2) {
+		t.Fatal("evicted result no longer encodes to the same bytes")
+	}
 
-	// The v2 payloads fit: kept, and charged byte for byte.
+	// Room for the payloads: kept, and charged byte for byte.
+	d.ClearCache()
+	d.EnableCache(rows + 2*int64(v2Len))
+	res = exec()
 	EncodeResultV2(res)
-	if st := d.CacheStats(); st.Entries != 1 || st.Bytes != rows+int64(keptBytes(res)) || keptBytes(res) == 0 {
-		t.Fatalf("after keeping v2: %+v, kept %d, rows %d", st, keptBytes(res), rows)
+	kept := keptBytes(res)
+	if st := d.CacheStats(); st.Entries != 1 || st.Bytes != rows+int64(kept) || kept == 0 {
+		t.Fatalf("after keeping v2: %+v, kept %d, rows %d", st, kept, rows)
 	}
 	within("after keeping v2")
 	if exec().First().Memo() != res.First().Memo() {
 		t.Fatal("second execution was not served from the entry")
 	}
-
-	// The v1 payloads do not: the entry goes rather than the budget, and
-	// nothing more is kept on the evicted result.
-	kept := keptBytes(res)
-	v1 := EncodeResult(res)
-	within("after v1 overflowed")
-	if st := d.CacheStats(); st.Entries != 0 || st.Bytes != 0 || st.Evictions == 0 {
-		t.Fatalf("overflowing entry still resident: %+v", st)
-	}
-	if keptBytes(res) >= kept+len(v1)/2 {
-		t.Fatalf("evicted result kept its v1 payloads (%d -> %d bytes)", kept, keptBytes(res))
-	}
-	if !bytes.Equal(EncodeResult(res), v1) {
-		t.Fatal("evicted result no longer encodes to the same bytes")
+	if EncodeResult(res); keptBytes(res) != kept || d.CacheStats().Bytes != rows+int64(kept) {
+		t.Fatal("a v1 encode kept or charged a payload")
 	}
 
 	// Invalidation: the recomputed entry starts with nothing kept, and the
-	// invalidated result cannot keep anything new.
+	// invalidated result cannot keep anything.
+	d.ClearCache()
 	stale := exec()
-	EncodeResultV2(stale)
 	if _, err := d.Exec("INSERT INTO ord VALUES (999998, 2, 99.5)"); err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +142,7 @@ func TestPayloadMemoStaysInsideCacheBudget(t *testing.T) {
 	if fresh == stale || keptBytes(fresh) != 0 {
 		t.Fatalf("entry after the INSERT reuses the old result or its payloads (kept %d)", keptBytes(fresh))
 	}
-	kept = keptBytes(stale)
-	if EncodeResult(stale); keptBytes(stale) != kept {
+	if EncodeResultV2(stale); keptBytes(stale) != 0 {
 		t.Fatal("invalidated result kept a payload after its entry was gone")
 	}
 	within("after invalidation")
@@ -164,22 +162,20 @@ func TestPayloadMemoHitEncodesNoColumn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []EncodeOptions{{Version: FormatV1}, {Version: FormatV2}} {
-		want := EncodeResultOptions(res, opts) // fills the memo
-		uncached, err := DecodeResult(want)    // an equal result the cache does not own
-		if err != nil {
-			t.Fatal(err)
+	want := EncodeResultV2(res)         // fills the memo
+	uncached, err := DecodeResult(want) // an equal result the cache does not own
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := testing.AllocsPerRun(10, func() { EncodeResultV2(uncached) })
+	hit := testing.AllocsPerRun(10, func() {
+		if got := EncodeResultV2(res); len(got) != len(want) {
+			t.Fatal("hit encoded to a different length")
 		}
-		fresh := testing.AllocsPerRun(10, func() { EncodeResultOptions(uncached, opts) })
-		hit := testing.AllocsPerRun(10, func() {
-			if got := EncodeResultOptions(res, opts); len(got) != len(want) {
-				t.Fatal("hit encoded to a different length")
-			}
-		})
-		if ceiling := float64(1 + len(res.Sets)); hit > ceiling {
-			t.Errorf("version %d: encoding a cached result again allocated %.0f times, want <= %.0f (a fresh encode: %.0f)",
-				opts.Version, hit, ceiling, fresh)
-		}
+	})
+	if ceiling := float64(1 + len(res.Sets)); hit > ceiling {
+		t.Errorf("encoding a cached result again allocated %.0f times, want <= %.0f (a fresh encode: %.0f)",
+			hit, ceiling, fresh)
 	}
 }
 
@@ -224,14 +220,14 @@ func TestServeCachedHitLeavesInOneWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := Dial(addr) // v2, streamed, CRC trailers
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
 	const sql = "SELECT RESULTDB c.name, o.id, o.total FROM cust AS c, ord AS o WHERE c.id = o.cust_id AND o.total > 1000"
-	first, err := c.Exec(sql) // hello reply + the filling response
+	first, err := c.Exec(sql) // the filling response
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +256,7 @@ func TestServeCachedHitLeavesInOneWrite(t *testing.T) {
 }
 
 // BenchmarkServeCachedHit is the warm path end to end in one process: a
-// client over loopback (v2, streamed, CRC trailers) asks a cache-on server
+// client over loopback asks a cache-on server
 // for a statement whose result is resident — JOB 16b, the largest result,
 // and 3c, a small one. What is left per hit: parse, canonical key, lookup,
 // one flush of the kept payloads, and the client's decode.

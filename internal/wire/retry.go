@@ -26,7 +26,7 @@ const (
 // non-idempotent statement that fails mid-exchange may or may not have been
 // applied, so the client surfaces the typed error and lets the application
 // decide. Every failure still marks the connection broken, and the next Exec
-// transparently reconnects and re-negotiates the protocol.
+// transparently reconnects.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries for an idempotent statement,
 	// the first included. 0 and 1 both mean a single attempt.

@@ -38,7 +38,7 @@ func (d *dialCounter) dial(addr string) (net.Conn, error) {
 func newBrokenClient(t *testing.T, p RetryPolicy) (*Client, *dialCounter, *fakeClock) {
 	t.Helper()
 	dc := &dialCounter{}
-	c, err := DialOptions("synthetic:0", Options{Version: FormatV2, Retry: p, Dial: dc.dial})
+	c, err := DialOptions("synthetic:0", Options{Retry: p, Dial: dc.dial})
 	if p.maxAttempts() > 1 {
 		if err != nil {
 			t.Fatalf("retrying DialOptions surfaced the dial error eagerly: %v", err)

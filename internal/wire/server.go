@@ -16,72 +16,28 @@ import (
 	"resultdb/internal/trace"
 )
 
-// Frame types of the protocol. Every frame is a 1-byte type, a 4-byte
-// big-endian length, and the payload.
+// Frame types of the protocol. A connection is a sequence of frames in both
+// directions, and every frame is a 1-byte type, a 4-byte big-endian payload
+// length, the payload, and a 4-byte big-endian CRC32-IEEE trailer over the
+// header and payload, so a flipped bit anywhere surfaces as a typed checksum
+// error instead of silently wrong data.
 //
-// A connection that never sends frameHello speaks the original protocol:
-// v1 payloads, one frameOK per query. After a hello exchange (uvarint
-// version + uvarint flags in both directions; flag bit 0 requests
-// streaming, bit 1 requests CRC32 frame trailers), responses use the
-// negotiated payload version, and — when streaming was granted — arrive as
-// frameChunk frames terminated by a frameEnd. The concatenated chunk
-// payloads are byte-identical to the frameOK payload the same query would
-// have produced unstreamed, and that concatenation is the whole contract:
-// where chunks begin and end, and how many of them share a TCP segment, is
-// the server's choice (clients append until frameEnd). Chunking exists so
-// the server can flush relation-by-relation while the executor is still
-// projecting later relations. A frameErr may replace frameOK or interrupt a
-// chunk stream at any point (the client discards the partial buffer).
-//
-// When the integrity flag is granted, every frame after the hello exchange
-// — both directions — carries a 4-byte big-endian CRC32-IEEE trailer over
-// the header and payload, so a flipped bit anywhere surfaces as a typed
-// checksum error instead of silently wrong data. The hello frames
-// themselves always travel trailer-free (the grant is not known yet), and
-// hello-less legacy connections are byte-for-byte unchanged.
+// The client sends frameQuery; the server answers with the result's v2
+// payload as frameChunk frames terminated by a frameEnd. The concatenated
+// chunk payloads are byte-identical to EncodeResultOptions' v2 encoding of
+// the result, and that concatenation is the whole contract: where chunks
+// begin and end, and how many of them share a TCP segment, is the server's
+// choice (clients append until frameEnd). Chunking exists so the server can
+// flush relation-by-relation while the executor is still projecting later
+// relations. A frameErr may replace the response or interrupt a chunk stream
+// at any point (the client discards the partial buffer). Type values 2 and 4
+// belonged to retired frames and stay unused.
 const (
 	frameQuery byte = 1 // client -> server: SQL text
-	frameOK    byte = 2 // server -> client: encoded Result
 	frameErr   byte = 3 // server -> client: error text
-	frameHello byte = 4 // both directions: uvarint version, uvarint flags
 	frameChunk byte = 5 // server -> client: partial encoded Result
-	frameEnd   byte = 6 // server -> client: end of chunked response
+	frameEnd   byte = 6 // server -> client: end of a response
 )
-
-// Hello flag bits: each is requested by the client and echoed by the server
-// iff granted.
-const (
-	// helloStreaming requests/grants streamed (chunked) responses.
-	helloStreaming = 1 << 0
-	// helloIntegrity requests/grants CRC32 frame trailers on every
-	// post-hello frame in both directions.
-	helloIntegrity = 1 << 1
-)
-
-// encodeHello builds a hello payload.
-func encodeHello(version int, flags uint64) []byte {
-	e := NewEncoderSized(4)
-	e.uvarint(uint64(version))
-	e.uvarint(flags)
-	return e.Bytes()
-}
-
-// decodeHello parses a hello payload.
-func decodeHello(payload []byte) (version int, flags uint64, err error) {
-	d := NewDecoder(payload)
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, 0, err
-	}
-	flags, err = d.uvarint()
-	if err != nil {
-		return 0, 0, err
-	}
-	if d.Remaining() != 0 {
-		return 0, 0, fmt.Errorf("wire: %d trailing bytes in hello", d.Remaining())
-	}
-	return int(v), flags, nil
-}
 
 const maxFrame = 1 << 30
 
@@ -96,9 +52,16 @@ var errFrameTooLarge = errors.New("wire: frame exceeds size limit")
 // cannot be trusted.
 var errChecksum = errors.New("wire: frame checksum mismatch")
 
-// writeFrame writes one frame, appending the CRC32-IEEE trailer (over header
-// and payload, folded in as the pieces are written) when crc is set.
-func writeFrame(w io.Writer, typ byte, payload []byte, crc bool) error {
+// errUnexpectedFrame marks an inbound frame of a type the server does not
+// accept. It is detected from the header alone, before the payload is read:
+// a peer speaking another protocol — one that opens with a handshake frame
+// and sends no trailer, say — gets its answer instead of waiting for a reply
+// while the server waits for a trailer.
+var errUnexpectedFrame = errors.New("unexpected frame type")
+
+// writeFrame writes one frame and its CRC32-IEEE trailer (over header and
+// payload, folded in as the pieces are written).
+func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [5]byte
 	hdr[0] = typ
 	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
@@ -108,9 +71,6 @@ func writeFrame(w io.Writer, typ byte, payload []byte, crc bool) error {
 	if _, err := w.Write(payload); err != nil {
 		return err
 	}
-	if !crc {
-		return nil
-	}
 	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
 	var trailer [4]byte
 	binary.BigEndian.PutUint32(trailer[:], sum)
@@ -118,35 +78,66 @@ func writeFrame(w io.Writer, typ byte, payload []byte, crc bool) error {
 	return err
 }
 
-// readFrame reads one frame, consuming and verifying the CRC32 trailer when
-// crc is set. A mismatch returns errChecksum (wrapped) with the frame fully
-// consumed, so the stream stays synchronized.
-func readFrame(r io.Reader, crc bool) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	if n > maxFrame {
-		return 0, nil, fmt.Errorf("%w (%d bytes > %d)", errFrameTooLarge, n, maxFrame)
-	}
-	payload, err := readPayload(r, int(n))
+// readFrame reads one frame and verifies its CRC32 trailer. A mismatch
+// returns errChecksum (wrapped) with the frame fully consumed, so the stream
+// stays synchronized.
+func readFrame(r io.Reader) (byte, []byte, error) {
+	hdr, err := readFrameHeader(r)
 	if err != nil {
 		return 0, nil, err
 	}
-	if !crc {
-		return hdr[0], payload, nil
+	payload, err := readFrameBody(r, hdr)
+	if err != nil {
+		return 0, nil, err
+	}
+	return hdr[0], payload, nil
+}
+
+// readFrameHeader reads a frame's type and length. A length over the limit
+// returns errFrameTooLarge (wrapped) with the payload unread.
+func readFrameHeader(r io.Reader) ([5]byte, error) {
+	var hdr [5]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return hdr, err
+	}
+	if n := binary.BigEndian.Uint32(hdr[1:]); n > maxFrame {
+		return hdr, fmt.Errorf("%w (%d bytes > %d)", errFrameTooLarge, n, maxFrame)
+	}
+	return hdr, nil
+}
+
+// readFrameBody reads the payload and trailer of the frame whose header is
+// hdr and verifies the checksum.
+func readFrameBody(r io.Reader, hdr [5]byte) ([]byte, error) {
+	n := binary.BigEndian.Uint32(hdr[1:])
+	payload, err := readPayload(r, int(n))
+	if err != nil {
+		return nil, err
 	}
 	var trailer [4]byte
 	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
 	if got := binary.BigEndian.Uint32(trailer[:]); got != sum {
-		return 0, nil, fmt.Errorf("%w (frame type %d, %d bytes, got %08x want %08x)",
+		return nil, fmt.Errorf("%w (frame type %d, %d bytes, got %08x want %08x)",
 			errChecksum, hdr[0], n, got, sum)
 	}
-	return hdr[0], payload, nil
+	return payload, nil
+}
+
+// readQuery reads the next query frame, checking its type from the header
+// before any of its payload is read.
+func readQuery(r io.Reader) (string, error) {
+	hdr, err := readFrameHeader(r)
+	if err != nil {
+		return "", err
+	}
+	if hdr[0] != frameQuery {
+		return "", fmt.Errorf("%w %d", errUnexpectedFrame, hdr[0])
+	}
+	payload, err := readFrameBody(r, hdr)
+	return string(payload), err
 }
 
 // payloadReadStep is the first allocation readPayload makes for a frame that
@@ -247,8 +238,10 @@ func (st ServerStats) Trace() *trace.Trace {
 	return tr
 }
 
-// Server exposes a Database over TCP. Configure the hardening knobs before
-// Listen; they are not safe to change while serving.
+// Server exposes a Database over TCP: every connection reads query frames
+// and answers each with the result's v2 payload as a chunk stream, in
+// CRC-checked frames (see the frame types above). Configure the hardening
+// knobs before Listen; they are not safe to change while serving.
 type Server struct {
 	db *db.Database
 
@@ -267,10 +260,6 @@ type Server struct {
 	// the kernel backlog until a slot frees — clients see latency, not
 	// errors, under overload. Waits are counted in Stats.
 	MaxConns int
-	// MaxVersion clamps version negotiation (0 = FormatV2, the highest
-	// supported). Set to FormatV1 to force every connection onto the
-	// original row-major payloads regardless of what clients request.
-	MaxVersion int
 	// ListenFunc overrides how Listen binds the socket — the fault-injection
 	// hook (wrap the listener with faultnet) and test seam. nil means
 	// net.Listen.
@@ -381,30 +370,6 @@ func (s *Server) acceptLoop(ln net.Listener, sem chan struct{}) {
 	}
 }
 
-// maxVersion returns the highest payload version this server will speak.
-func (s *Server) maxVersion() int {
-	if s.MaxVersion == 0 {
-		return FormatV2
-	}
-	return s.MaxVersion
-}
-
-// execBuffered runs one statement on the connection's session with panics
-// confined to the connection: an executor panic becomes a statement error
-// (terminal for the client — a deterministic panic would just repeat)
-// instead of a dead server. It takes the streamed entry point and ignores
-// the stream: what it returns is the whole result, unboxed, as the streamed
-// path ships it.
-func (s *Server) execBuffered(sess *db.Session, sql string) (res *db.Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			s.stats.panics.Add(1)
-			err = fmt.Errorf("internal error: %v", p)
-		}
-	}()
-	return sess.ExecStream(sql, func(db.StreamMeta) error { return nil }, func(*db.ResultSet) error { return nil })
-}
-
 // isTimeout reports whether err is a deadline miss.
 func isTimeout(err error) bool {
 	var ne net.Error
@@ -427,35 +392,27 @@ func (s *Server) serveConn(conn net.Conn) {
 	// mutation) and execute against one consistent MVCC snapshot each, never
 	// blocking on — or observing half of — another connection's writes.
 	sess := s.db.NewSession()
-	// Connection state: hello-less clients get the original protocol (v1
-	// payloads, buffered frameOK responses, no trailers) byte for byte.
-	version := FormatV1
-	streaming := false
-	integrity := false
-	// reply writes one response frame under the write deadline and flushes.
-	reply := func(typ byte, payload []byte) error {
+	// send writes one frame under the write deadline without flushing:
+	// serveStreamed decides when a flush is due (per chunk while a statement
+	// still executes, once per response when the result is materialised).
+	send := func(typ byte, payload []byte) error {
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 		}
-		err := writeFrame(w, typ, payload, integrity)
-		if err == nil {
-			err = w.Flush()
-		}
+		err := writeFrame(w, typ, payload)
 		if isTimeout(err) {
 			s.stats.writeStalls.Add(1)
 		}
 		return err
 	}
-	// send writes one frame without flushing: the streamed paths decide when
-	// a flush is due (per chunk while a statement still executes, once per
-	// response when the result is materialised).
-	send := func(typ byte, payload []byte) error {
-		if s.WriteTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
-		}
-		err := writeFrame(w, typ, payload, integrity)
-		if isTimeout(err) {
-			s.stats.writeStalls.Add(1)
+	// reply sends one frame and flushes.
+	reply := func(typ byte, payload []byte) error {
+		err := send(typ, payload)
+		if err == nil {
+			err = w.Flush()
+			if isTimeout(err) {
+				s.stats.writeStalls.Add(1)
+			}
 		}
 		return err
 	}
@@ -467,21 +424,25 @@ func (s *Server) serveConn(conn net.Conn) {
 		if s.ReadTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.ReadTimeout))
 		}
-		typ, payload, err := readFrame(r, integrity)
+		sql, err := readQuery(r)
 		if err != nil {
-			if errors.Is(err, errFrameTooLarge) {
+			switch {
+			case errors.Is(err, errFrameTooLarge):
 				// Answer before dropping: the stream cannot be resynced past
 				// an unread oversized payload, but the client deserves to
 				// know why the connection is going away.
 				s.stats.oversizedFrames.Add(1)
 				reply(frameErr, []byte(err.Error()))
-			}
-			if errors.Is(err, errChecksum) {
+			case errors.Is(err, errChecksum):
 				// The frame arrived whole but its bytes cannot be trusted —
 				// possibly a corrupted query that would execute as a
 				// different statement. Report and shed the connection; the
 				// link is unreliable.
 				s.stats.checksumFailures.Add(1)
+				reply(frameErr, []byte(err.Error()))
+			case errors.Is(err, errUnexpectedFrame):
+				// Answered from the header: the payload and whatever
+				// follows it are never read.
 				reply(frameErr, []byte(err.Error()))
 			}
 			if s.draining.Load() {
@@ -489,56 +450,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			return // client gone, idle timeout, or poisoned stream
 		}
-		switch typ {
-		case frameHello:
-			v, flags, err := decodeHello(payload)
-			if err != nil {
-				reply(frameErr, []byte(err.Error()))
-				return
-			}
-			if v < FormatV1 {
-				reply(frameErr, []byte(fmt.Sprintf("wire: unsupported version %d", v)))
-				return
-			}
-			version = min(v, s.maxVersion())
-			streaming = flags&helloStreaming != 0
-			wantIntegrity := flags&helloIntegrity != 0
-			var grant uint64
-			if streaming {
-				grant |= helloStreaming
-			}
-			if wantIntegrity {
-				grant |= helloIntegrity
-			}
-			// The grant reply itself travels trailer-free; the trailer
-			// discipline starts with the next frame in either direction.
-			if err := reply(frameHello, encodeHello(version, grant)); err != nil {
-				return
-			}
-			integrity = wantIntegrity
-			continue
-		case frameQuery:
-		default:
-			reply(frameErr, []byte(fmt.Sprintf("unexpected frame type %d", typ)))
-			return
-		}
 		s.stats.queries.Add(1)
-		if streaming {
-			if !s.serveStreamed(sess, string(payload), version, reply, send, w) {
-				return
-			}
-			continue
-		}
-		res, err := s.execBuffered(sess, string(payload))
-		if err != nil {
-			s.stats.queryErrors.Add(1)
-			if werr := reply(frameErr, []byte(err.Error())); werr != nil {
-				return
-			}
-			continue
-		}
-		opts := EncodeOptions{Version: version, Parallelism: sess.CoreOptions.Parallelism}
-		if werr := reply(frameOK, EncodeResultOptions(res, opts)); werr != nil {
+		if !s.serveStreamed(sess, sql, reply, send, w) {
 			return
 		}
 	}
@@ -634,8 +547,12 @@ func (p *chunkPipeline) finish() error {
 // cached result keeps, as they are — go into the connection's buffered
 // writer back to back on this goroutine and leave in one flush with
 // frameEnd.
+//
+// The statement runs with panics confined to the connection: an executor
+// panic becomes a statement error (terminal for the client — a
+// deterministic panic would just repeat) instead of a dead server.
 // Returns false when the connection is no longer usable.
-func (s *Server) serveStreamed(sess *db.Session, sql string, version int, reply, send func(byte, []byte) error, w *bufio.Writer) bool {
+func (s *Server) serveStreamed(sess *db.Session, sql string, reply, send func(byte, []byte) error, w *bufio.Writer) bool {
 	par := sess.CoreOptions.Parallelism
 	var pipe *chunkPipeline // nil: the result is materialised
 	var werr error          // first write error of the direct path
@@ -665,14 +582,14 @@ func (s *Server) serveStreamed(sess *db.Session, sql string, version int, reply,
 				if !meta.Materialised {
 					pipe = s.startPipeline(send, w)
 				}
-				return chunk(func(e *Encoder) { e.encodeHeader(version, meta.NumSets, meta.Plan != nil) })
+				return chunk(func(e *Encoder) { e.encodeHeader(FormatV2, meta.NumSets, meta.Plan != nil) })
 			},
 			func(set *db.ResultSet) error {
-				return chunk(func(e *Encoder) { e.encodeSetVersion(set, version, par) })
+				return chunk(func(e *Encoder) { e.encodeSetVersion(set, FormatV2, par) })
 			})
 	}()
 	if execErr == nil && res.PostJoinPlan != nil {
-		execErr = chunk(func(e *Encoder) { e.encodePlan(res.PostJoinPlan) })
+		execErr = chunk(func(e *Encoder) { e.encodePlan(res.PostJoinPlan, FormatV2) })
 	}
 	if pipe != nil {
 		werr = pipe.finish()

@@ -26,7 +26,8 @@ INSERT INTO t VALUES (1, 'a'), (2, 'b');`); err != nil {
 	return d
 }
 
-// rawFrame writes a hand-rolled frame header (and optionally payload).
+// rawFrame writes a hand-rolled frame header (and optionally payload bytes)
+// with no trailer: the start of a frame the server must refuse or wait out.
 func rawFrame(t *testing.T, conn net.Conn, typ byte, length uint32, payload []byte) {
 	t.Helper()
 	var hdr [5]byte
@@ -42,19 +43,14 @@ func rawFrame(t *testing.T, conn net.Conn, typ byte, length uint32, payload []by
 	}
 }
 
-// readRawFrame reads one frame off a raw connection.
+// readRawFrame reads one frame off a raw connection, trailer checked.
 func readRawFrame(t *testing.T, conn net.Conn) (byte, []byte) {
 	t.Helper()
-	var hdr [5]byte
-	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
+	typ, payload, err := readFrame(conn)
+	if err != nil {
 		t.Fatal(err)
 	}
-	n := binary.BigEndian.Uint32(hdr[1:])
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(conn, payload); err != nil {
-		t.Fatal(err)
-	}
-	return hdr[0], payload
+	return typ, payload
 }
 
 func TestServerOversizedFrameAnswersErrAndDrops(t *testing.T) {
@@ -131,11 +127,11 @@ func TestClaimedFrameLengthDoesNotDriveAllocation(t *testing.T) {
 	// Client side: readFrame is what wire.Client reads a hostile server's
 	// response with. 100 KiB arrive, then the stream ends.
 	var hdr [5]byte
-	hdr[0] = frameOK
+	hdr[0] = frameChunk
 	binary.BigEndian.PutUint32(hdr[1:], claimed)
 	stream := io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(make([]byte, 100<<10)))
 	grew = allocatedDuring(func() {
-		if _, _, err := readFrame(stream, true); !errors.Is(err, io.ErrUnexpectedEOF) {
+		if _, _, err := readFrame(stream); !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("truncated frame: got %v, want io.ErrUnexpectedEOF", err)
 		}
 	})
@@ -147,11 +143,11 @@ func TestClaimedFrameLengthDoesNotDriveAllocation(t *testing.T) {
 	// growth steps and with its checksum intact.
 	payload := bytes.Repeat([]byte("0123456789abcdef"), (5*payloadReadStep+4096)/16)
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameOK, payload, true); err != nil {
+	if err := writeFrame(&buf, frameChunk, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := readFrame(&buf, true)
-	if err != nil || typ != frameOK || !bytes.Equal(got, payload) {
+	typ, got, err := readFrame(&buf)
+	if err != nil || typ != frameChunk || !bytes.Equal(got, payload) {
 		t.Fatalf("large frame round trip: type %d, %d bytes, %v", typ, len(got), err)
 	}
 }
@@ -169,11 +165,42 @@ func TestServerUnexpectedFrameTypeAnswersErr(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	rawFrame(t, conn, frameOK, 0, nil)
+	rawFrame(t, conn, frameChunk, 0, nil)
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 	typ, payload := readRawFrame(t, conn)
 	if typ != frameErr || !strings.Contains(string(payload), "unexpected frame type") {
 		t.Fatalf("want unexpected-frame error, got type %d %q", typ, payload)
+	}
+}
+
+// TestServerRejectsStaleHello: a client of the older protocol opens with a
+// handshake frame (type 4: a uvarint version and flags) and no trailer, then
+// waits for the answer. It gets a typed frameErr and a closed connection —
+// with no read deadline to end a wait for a trailer that never comes.
+func TestServerRejectsStaleHello(t *testing.T) {
+	srv := NewServer(hardenedTestDB(t)) // ReadTimeout 0
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello := []byte{FormatV2, 3} // version, streaming|integrity
+	rawFrame(t, conn, 4, uint32(len(hello)), hello)
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	typ, payload := readRawFrame(t, conn)
+	if typ != frameErr || !strings.Contains(string(payload), "unexpected frame type 4") {
+		t.Fatalf("stale hello drew type %d %q, want frameErr naming the frame type", typ, payload)
+	}
+	// Closed, not timed out: EOF, or a reset if the hello's payload was
+	// still unread when the server hung up.
+	if _, err := io.ReadFull(conn, make([]byte, 1)); err == nil || isTimeout(err) {
+		t.Fatalf("connection not closed after the stale hello: %v", err)
 	}
 }
 

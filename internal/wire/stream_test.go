@@ -24,6 +24,10 @@ INSERT INTO ord VALUES (10, 1, 9.5), (11, 1, 20.25), (12, 2, 3.0);`); err != nil
 
 const streamTestQuery = "SELECT RESULTDB c.name, o.total FROM cust AS c, ord AS o WHERE c.id = o.cust_id"
 
+// TestHelloNegotiationDefaults: with nothing to negotiate, a connection's
+// first frame is its query, the answer is a v2 chunk stream, and a default
+// Dial decodes it — a post-join plan included, which travels as its own
+// chunk.
 func TestHelloNegotiationDefaults(t *testing.T) {
 	srv := NewServer(streamTestDB(t))
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -32,17 +36,16 @@ func TestHelloNegotiationDefaults(t *testing.T) {
 	}
 	defer srv.Close()
 
+	raw := dialRaw(t, addr)
+	if v, err := PayloadVersion(raw.mustExec(t, "raw", streamTestQuery)); err != nil || v != FormatV2 {
+		t.Errorf("first query on a bare connection drew payload version %d (%v), want %d", v, err, FormatV2)
+	}
+
 	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if v := c.Version(); v != FormatV2 {
-		t.Errorf("default Dial negotiated version %d, want %d", v, FormatV2)
-	}
-	if !c.Streaming() {
-		t.Error("default Dial did not negotiate streaming")
-	}
 	res, err := c.Exec(streamTestQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +53,7 @@ func TestHelloNegotiationDefaults(t *testing.T) {
 	if len(res.Sets) != 2 {
 		t.Fatalf("want 2 result sets, got %d", len(res.Sets))
 	}
-	// PRESERVING results ship a post-join plan; it must survive the
-	// streamed v2 path (the plan travels as its own chunk).
-	rp, err := c.Exec("SELECT RESULTDB PRESERVING c.name, o.total FROM cust AS c, ord AS o WHERE c.id = o.cust_id")
+	rp, err := c.Exec(strings.Replace(streamTestQuery, "RESULTDB", "RESULTDB PRESERVING", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,90 +62,49 @@ func TestHelloNegotiationDefaults(t *testing.T) {
 	}
 }
 
-func TestHelloNegotiationPinnedV1(t *testing.T) {
-	srv := NewServer(streamTestDB(t))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c, err := DialOptions(addr, Options{Version: FormatV1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if v := c.Version(); v != FormatV1 {
-		t.Errorf("pinned v1 negotiation yielded %d", v)
-	}
-	if c.Streaming() {
-		t.Error("streaming granted without being requested")
-	}
-	if _, err := c.Exec(streamTestQuery); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestServerMaxVersionClampsNegotiation(t *testing.T) {
-	srv := NewServer(streamTestDB(t))
-	srv.MaxVersion = FormatV1
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c, err := Dial(addr) // requests v2+streaming
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if v := c.Version(); v != FormatV1 {
-		t.Errorf("MaxVersion=v1 server negotiated %d", v)
-	}
-	if !c.Streaming() {
-		t.Error("streaming should be independent of the payload version clamp")
-	}
-	if _, err := c.Exec(streamTestQuery); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStreamedMatchesBuffered locks the core transfer invariant: the same
-// query over a legacy connection, a buffered v2 connection, and a streamed
-// v2 connection produces value-identical results.
+// TestStreamedMatchesBuffered locks the core transfer invariant: the chunk
+// stream a connection receives concatenates to exactly the v2 payload an
+// in-process encode of the same result buffers whole — a post-join plan
+// included, which travels as its own chunk — and the client decodes it to
+// the result the database computes.
 func TestStreamedMatchesBuffered(t *testing.T) {
-	srv := NewServer(streamTestDB(t))
+	d := streamTestDB(t)
+	srv := NewServer(d)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	var canon [][]byte
-	for _, opts := range []Options{
-		{Legacy: true},
-		{Version: FormatV2},
-		{Version: FormatV2, Streaming: true},
-		{Version: FormatV1, Streaming: true},
-	} {
-		c, err := DialOptions(addr, opts)
+	raw := dialRaw(t, addr)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	preserving := strings.Replace(streamTestQuery, "RESULTDB", "RESULTDB PRESERVING", 1)
+	for _, sql := range []string{streamTestQuery, preserving} {
+		res, err := d.Exec(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := c.Exec(streamTestQuery)
+		if len(res.Sets) != 2 || (sql == preserving) != (res.PostJoinPlan != nil) {
+			t.Fatalf("%s: %d sets, plan %v", sql, len(res.Sets), res.PostJoinPlan != nil)
+		}
+		want := EncodeResultOptions(res, EncodeOptions{Version: FormatV2})
+		if got := raw.mustExec(t, "raw", sql); !bytes.Equal(got, want) {
+			t.Errorf("%s: streamed payload (%d bytes) differs from the in-process v2 encoding (%d bytes)", sql, len(got), len(want))
+		}
+		before := c.BytesRead()
+		got, err := c.Exec(sql)
 		if err != nil {
-			t.Fatalf("opts %+v: %v", opts, err)
+			t.Fatal(err)
 		}
-		if c.BytesRead() == 0 {
-			t.Errorf("opts %+v: BytesRead not accounted", opts)
+		if n := c.BytesRead() - before; n != len(want) {
+			t.Errorf("%s: client read %d payload bytes, the encoding has %d", sql, n, len(want))
 		}
-		canon = append(canon, EncodeResult(res))
-		c.Close()
-	}
-	for i := 1; i < len(canon); i++ {
-		if !bytes.Equal(canon[0], canon[i]) {
-			t.Errorf("connection flavor %d decoded a different result than legacy", i)
+		if !bytes.Equal(EncodeResult(got), EncodeResult(res)) {
+			t.Errorf("%s: client decoded a different result than the database computed", sql)
 		}
 	}
 }
@@ -201,42 +161,40 @@ func TestDMLOverStreamedConnection(t *testing.T) {
 	}
 }
 
-// TestClientAbandonsStreamOnMidStreamError drives the client against a
-// hand-rolled server that sends a chunk and then aborts with frameErr — the
-// partial buffer must be discarded and the error surfaced.
-func TestClientAbandonsStreamOnMidStreamError(t *testing.T) {
+// fakeServer accepts one connection, reads its query frame and hands the
+// connection to answer, which writes whatever frames the test needs.
+func fakeServer(t *testing.T, answer func(conn net.Conn)) string {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
+	t.Cleanup(func() { ln.Close() })
 	go func() {
 		conn, err := ln.Accept()
 		if err != nil {
 			return
 		}
 		defer conn.Close()
-		// Hello exchange.
-		typ, payload, err := readFrame(conn, false)
-		if err != nil || typ != frameHello {
+		if typ, _, err := readFrame(conn); err != nil || typ != frameQuery {
 			return
 		}
-		v, _, err := decodeHello(payload)
-		if err != nil {
-			return
-		}
-		writeFrame(conn, frameHello, encodeHello(v, helloStreaming), false)
-		// Query: answer with one chunk, then die mid-stream.
-		if typ, _, err = readFrame(conn, false); err != nil || typ != frameQuery {
-			return
-		}
+		answer(conn)
+	}()
+	return ln.Addr().String()
+}
+
+// TestClientAbandonsStreamOnMidStreamError drives the client against a
+// hand-rolled server that sends a chunk and then aborts with frameErr — the
+// partial buffer must be discarded and the error surfaced.
+func TestClientAbandonsStreamOnMidStreamError(t *testing.T) {
+	addr := fakeServer(t, func(conn net.Conn) {
 		e := NewEncoder()
 		e.encodeHeader(FormatV2, 1, false)
-		writeFrame(conn, frameChunk, e.Bytes(), false)
-		writeFrame(conn, frameErr, []byte("executor died mid-stream"), false)
-	}()
-
-	c, err := Dial(ln.Addr().String())
+		writeFrame(conn, frameChunk, e.Bytes())
+		writeFrame(conn, frameErr, []byte("executor died mid-stream"))
+	})
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,70 +205,20 @@ func TestClientAbandonsStreamOnMidStreamError(t *testing.T) {
 	}
 }
 
-// TestClientRejectsDowngradedPayload: a server that negotiates v2 but ships
-// a v1 payload is caught by DecodeResultExpect.
+// TestClientRejectsDowngradedPayload: a server that ships a v1 payload where
+// every response is v2 is caught by DecodeResultExpect.
 func TestClientRejectsDowngradedPayload(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		typ, payload, err := readFrame(conn, false)
-		if err != nil || typ != frameHello {
-			return
-		}
-		v, _, err := decodeHello(payload)
-		if err != nil {
-			return
-		}
-		writeFrame(conn, frameHello, encodeHello(v, 0), false)
-		if typ, _, err = readFrame(conn, false); err != nil || typ != frameQuery {
-			return
-		}
-		// Negotiated v2, but ship v1 bytes.
-		writeFrame(conn, frameOK, EncodeResult(&db.Result{}), false)
-	}()
-
-	c, err := DialOptions(ln.Addr().String(), Options{Version: FormatV2})
+	addr := fakeServer(t, func(conn net.Conn) {
+		writeFrame(conn, frameChunk, EncodeResult(&db.Result{}))
+		writeFrame(conn, frameEnd, nil)
+	})
+	c, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 	_, err = c.Exec("SELECT whatever")
-	if err == nil || !strings.Contains(err.Error(), "negotiated") {
-		t.Fatalf("want a version-mismatch error, got %v", err)
-	}
-}
-
-// TestServerRejectsMalformedHello: a broken hello draws frameErr and a
-// dropped connection.
-func TestServerRejectsMalformedHello(t *testing.T) {
-	srv := NewServer(streamTestDB(t))
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := writeFrame(conn, frameHello, []byte{0x80}, false); err != nil { // truncated uvarint
-		t.Fatal(err)
-	}
-	typ, _, err := readFrame(conn, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if typ != frameErr {
-		t.Fatalf("malformed hello drew frame type %d, want frameErr", typ)
+	if !IsCorrupt(err) || !strings.Contains(err.Error(), "where version 3 was expected") {
+		t.Fatalf("want a corrupt-payload version-mismatch error, got %v", err)
 	}
 }

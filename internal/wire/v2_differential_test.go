@@ -13,25 +13,24 @@ import (
 )
 
 // This file is the correctness gate of the columnar v2 wire format and the
-// streamed transfer path: for every workload query, the result decoded from
-// a v2 connection — buffered and streamed, at server parallelism 1 and 4 —
-// must be value-identical to what a local serial oracle computes (compared
-// through the canonical v1 encoding, which is injective on results), the
-// v2 payload must never exceed the v1 payload of the same result, and what
-// the decoder hands back must be a frame-backed result that re-encodes to the
-// very same bytes. Any codec bug — a bitmap off by one, a dictionary code
-// remapped wrong, a delta overflow, a chunk stitched out of order — shows up
-// as a byte diff.
+// streamed transfer path: for every workload query, the payload a connection
+// receives — at server parallelism 1 and 4 — must be the in-process v2
+// encoding of what a local serial oracle computes, its decoding must be
+// value-identical to that result (compared through the canonical v1
+// encoding, which is injective on results), the v2 payload must never exceed
+// the v1 payload of the same result, and what the decoder hands back must be
+// a frame-backed result that re-encodes to the very same bytes. Any codec
+// bug — a bitmap off by one, a dictionary code remapped wrong, a delta
+// overflow, a chunk stitched out of order — shows up as a byte diff.
 
 // wireCandidate is one served configuration under test.
 type wireCandidate struct {
-	name   string
-	client *Client
+	name string
+	conn *rawClient
 }
 
 // wireFleet loads the workload into a local oracle and into two served
-// databases (parallelism 1 and 4), then connects a buffered and a streamed v2
-// client to each.
+// databases (parallelism 1 and 4), then connects to each.
 func wireFleet(t *testing.T, load func(d *db.Database) error) (*db.Database, []wireCandidate) {
 	t.Helper()
 	oracle := db.Open(db.Config{Parallelism: 1})
@@ -50,18 +49,7 @@ func wireFleet(t *testing.T, load func(d *db.Database) error) (*db.Database, []w
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { srv.Close() })
-		for _, streaming := range []bool{false, true} {
-			c, err := DialOptions(addr, Options{Version: FormatV2, Streaming: streaming})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { c.Close() })
-			name := fmt.Sprintf("v2-par%d", par)
-			if streaming {
-				name += "-stream"
-			}
-			cands = append(cands, wireCandidate{name: name, client: c})
-		}
+		cands = append(cands, wireCandidate{name: fmt.Sprintf("par%d", par), conn: dialRaw(t, addr)})
 	}
 	return oracle, cands
 }
@@ -98,48 +86,53 @@ func checkWire(t *testing.T, oracle *db.Database, cands []wireCandidate, name, s
 	}
 	checkDecodedV2(t, name, v2, decoded)
 	for _, cand := range cands {
-		got, err := cand.client.Exec(sql)
+		what := name + " [" + cand.name + "]"
+		payload := cand.conn.mustExec(t, what, sql)
+		if !bytes.Equal(payload, v2) {
+			t.Fatalf("%s: payload received over the wire differs from the in-process v2 encoding\nsql: %s", what, sql)
+		}
+		got, err := DecodeResultExpect(payload, FormatV2)
 		if err != nil {
-			t.Fatalf("%s [%s]: %v", name, cand.name, err)
+			t.Fatalf("%s: %v", what, err)
 		}
 		if !bytes.Equal(EncodeResult(got), want) {
-			t.Fatalf("%s [%s]: result received over the wire differs from the local oracle\nsql: %s",
-				name, cand.name, sql)
+			t.Fatalf("%s: result decoded from the wire differs from the local oracle\nsql: %s", what, sql)
 		}
-		checkDecodedV2(t, name+" ["+cand.name+"]", v2, got)
+		checkDecodedV2(t, what, v2, got)
 	}
 }
 
-// serverResult runs sql the way both server paths do (ExecStream, the
-// stream ignored): the result as it leaves the engine.
+// serverResult runs sql the way the server does (ExecStream, the stream
+// ignored): the result as it leaves the engine.
 func serverResult(d *db.Database, sql string) (*db.Result, error) {
 	return d.ExecStream(sql, func(db.StreamMeta) error { return nil }, func(*db.ResultSet) error { return nil })
 }
 
 // streamedPayload is the concatenation of the chunks serveStreamed sends for
 // res: the header, one chunk per set, the plan.
-func streamedPayload(res *db.Result, version int) []byte {
+func streamedPayload(res *db.Result) []byte {
 	var out []byte
 	chunk := func(encode func(*Encoder)) {
 		var e Encoder
 		encode(&e)
 		out = append(out, e.buf...)
 	}
-	chunk(func(e *Encoder) { e.encodeHeader(version, len(res.Sets), res.PostJoinPlan != nil) })
+	chunk(func(e *Encoder) { e.encodeHeader(FormatV2, len(res.Sets), res.PostJoinPlan != nil) })
 	for _, set := range res.Sets {
-		chunk(func(e *Encoder) { e.encodeSetVersion(set, version, 0) })
+		chunk(func(e *Encoder) { e.encodeSetVersion(set, FormatV2, 0) })
 	}
 	if res.PostJoinPlan != nil {
-		chunk(func(e *Encoder) { e.encodePlan(res.PostJoinPlan) })
+		chunk(func(e *Encoder) { e.encodePlan(res.PostJoinPlan, FormatV2) })
 	}
 	return out
 }
 
 // checkServerForm: the result the server ships (unboxed: every set is its
 // view, Rows nil) and the one an in-process caller gets (boxed) are one
-// representation — {boxed, unboxed} x {v1, v2} x {buffered, streamed} encode
-// to the same bytes, and each unboxed set's Section 6.1 size, summed from its
-// columns, equals the size of its boxed rows.
+// representation — {boxed, unboxed} x {v1, v2} encode to the same bytes, in
+// one buffer and, for v2, chunk by chunk as the server streams them — and
+// each unboxed set's Section 6.1 size, summed from its columns, equals the
+// size of its boxed rows.
 func checkServerForm(t *testing.T, d *db.Database, name, sql string, boxed *db.Result) {
 	t.Helper()
 	unboxed, err := serverResult(d, sql)
@@ -163,10 +156,13 @@ func checkServerForm(t *testing.T, d *db.Database, name, sql string, boxed *db.R
 		want := EncodeResultOptions(boxed, EncodeOptions{Version: version})
 		for form, r := range map[string]*db.Result{"boxed": boxed, "unboxed": unboxed} {
 			if got := EncodeResultOptions(r, EncodeOptions{Version: version}); !bytes.Equal(got, want) {
-				t.Fatalf("%s: %s result, version %d, buffered: %d bytes differ from the boxed buffered %d", name, form, version, len(got), len(want))
+				t.Fatalf("%s: %s result, version %d: %d bytes differ from the boxed result's %d", name, form, version, len(got), len(want))
 			}
-			if got := streamedPayload(r, version); !bytes.Equal(got, want) {
-				t.Fatalf("%s: %s result, version %d, streamed: %d bytes differ from the boxed buffered %d", name, form, version, len(got), len(want))
+			if version != FormatV2 {
+				continue
+			}
+			if got := streamedPayload(r); !bytes.Equal(got, want) {
+				t.Fatalf("%s: %s result, streamed: %d bytes differ from the boxed result's %d", name, form, len(got), len(want))
 			}
 		}
 	}

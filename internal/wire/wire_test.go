@@ -252,10 +252,13 @@ func TestServerConcurrentClients(t *testing.T) {
 
 func TestWriteReadFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameQuery, []byte("SELECT 1"), false); err != nil {
+	if err := writeFrame(&buf, frameQuery, []byte("SELECT 1")); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(&buf, false)
+	if buf.Len() != 5+len("SELECT 1")+4 {
+		t.Errorf("frame is %d bytes, want header + payload + 4-byte trailer", buf.Len())
+	}
+	typ, payload, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,11 +266,11 @@ func TestWriteReadFrameRoundTrip(t *testing.T) {
 		t.Errorf("frame = %d %q", typ, payload)
 	}
 	// Empty payloads round-trip too.
-	if err := writeFrame(&buf, frameOK, nil, false); err != nil {
+	if err := writeFrame(&buf, frameEnd, nil); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err = readFrame(&buf, false)
-	if err != nil || typ != frameOK || len(payload) != 0 {
+	typ, payload, err = readFrame(&buf)
+	if err != nil || typ != frameEnd || len(payload) != 0 {
 		t.Errorf("empty frame = %d %q %v", typ, payload, err)
 	}
 }
@@ -277,17 +280,19 @@ func TestReadFrameRejectsOversizeAndTruncation(t *testing.T) {
 	var hdr [5]byte
 	hdr[0] = frameQuery
 	binary.BigEndian.PutUint32(hdr[1:], maxFrame+1)
-	if _, _, err := readFrame(bytes.NewReader(hdr[:]), false); err == nil {
+	if _, _, err := readFrame(bytes.NewReader(hdr[:])); err == nil {
 		t.Error("oversize frame accepted")
 	}
-	// Truncated payload.
+	// Truncated payload, and a frame cut inside its trailer.
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameQuery, []byte("abcdef"), false); err != nil {
+	if err := writeFrame(&buf, frameQuery, []byte("abcdef")); err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-3]
-	if _, _, err := readFrame(bytes.NewReader(trunc), false); err == nil {
-		t.Error("truncated frame accepted")
+	for _, cut := range []int{7, 2} {
+		trunc := buf.Bytes()[:buf.Len()-cut]
+		if _, _, err := readFrame(bytes.NewReader(trunc)); err == nil {
+			t.Errorf("frame missing its last %d bytes accepted", cut)
+		}
 	}
 }
 
@@ -304,10 +309,17 @@ func TestServerRejectsUnknownFrameType(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	if err := writeFrame(conn, 0x7F, []byte("junk"), false); err != nil {
+	// The server answers from the header and hangs up without reading the
+	// payload, so the frame goes out in one write: a frame written piecewise
+	// could see its later pieces refused by the closed connection.
+	var frame bytes.Buffer
+	if err := writeFrame(&frame, 0x7F, []byte("junk")); err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := readFrame(conn, false)
+	if _, err := conn.Write(frame.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, err := readFrame(conn)
 	if err != nil {
 		t.Fatal(err)
 	}

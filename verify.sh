@@ -11,8 +11,9 @@
 # the deleted row-at-a-time path, of the deleted A/B knobs, of the deleted
 # storage hash index or of the deleted second planner — its knobs, verdict
 # cache, range pre-filter and histogram, or of the deleted DPsize join
-# orderer — its knob, NDV key-set builds and ablation; no identifier of the deleted
-# second relation image, no row slices in core or the colstore kernels, no
+# orderer — its knob, NDV key-set builds and ablation, or of the deleted
+# negotiated wire protocol — its hello, buffered server path and version
+# knobs; no identifier of the deleted second relation image, no row slices in core or the colstore kernels, no
 # tuple boxed or taken back between the engine's operators (FromRows(,
 # .Rows() on a relation or view, []types.Row outside FromRows) and no src
 # rows kept by a colstore frame; results leave the engine unboxed (no
@@ -31,18 +32,20 @@
 # (cold/warm, then a dangling append served by extending the entry or by
 # invalidating it and a joining append recomputed, vs uncached oracle, a
 # self-join appended on both sides of its edge included; on the socket,
-# filling response == response from kept payloads == cache-off response over
-# every transport; the extension's fallbacks, a panicking computation
+# filling response == response from kept payloads == cache-off response ==
+# in-process v2 encoding; the extension's fallbacks, a panicking computation
 # releasing its single-flight key; the payload-memo guards; and
 # BenchmarkServeCachedHit once as a smoke),
 # execution (every answer — SPJ, subdatabase, and the sequential list of outer
 # joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs the naive
 # reference as sorted sets, byte for byte across parallelism x cache x
-# statistics (lazy/ANALYZEd) x transport, reductions planned with statistics
+# statistics (lazy/ANALYZEd) x transport (local/TCP, the socket payload equal
+# to the in-process v2 encoding), reductions planned with statistics
 # byte-identical to the heuristic plan's, the one containment model and the
 # greedy join order's invariance, and the six-way rewrite oracle),
-# wire v2 (buffered/streamed vs v1; boxed in-process and unboxed server
-# results byte-identical, no row block boxed on the server path), chaos (fault-injected connections
+# wire v2 (socket payload == in-process v2 encoding, decoded vs v1; boxed
+# in-process and unboxed server results byte-identical, no row block boxed on
+# the server path), chaos (fault-injected connections
 # converge to the exact oracle or fail typed) and crash-recovery (kill at
 # every WAL byte offset vs an uncrashed oracle); a short fuzzing pass over the
 # byte-hostile surfaces (SQL text in, wire bytes in, fault plans in, WAL
@@ -118,7 +121,7 @@ if [ -n "$mu_refs" ]; then
 	exit 1
 fi
 
-echo "== lint: one execution path, one planner, no A/B knobs"
+echo "== lint: one execution path, one planner, one connection protocol, no A/B knobs"
 # The row-at-a-time operator family, the Vectorized switch and the bench-only
 # toggles were deleted in PR 12, the second planner's knobs (CostBased,
 # RESULTDB_STATS), its plan-verdict cache, the sideways range pre-filter and
@@ -137,9 +140,16 @@ dead="$dead"'|lastVersion|func \(t \*Table\) Version\(|\.versions\('
 # key-set builds, its private copies of the model, its knob and its ablation
 # are gone.
 dead="$dead"'|JoinAllDP|DPJoinOrder|dpJoinOrder|measureNDV|subsetNDV|ndvIdx|AblationJoinOrder|ablation-joinorder'
+# One connection protocol: every connection streams v2 in CRC-checked frames.
+# The hello, its flags and the client state it set, the buffered server
+# path, the knobs that selected a payload version or form (client options,
+# Server.MaxVersion, resultdbd -wire-version), the memo's per-version slots
+# and the dead cache-budget copy in core.Options are gone. (Legacy is matched
+# as a word: the snapshot package's versionLegacy stays.)
+dead="$dead"'|frameHello|helloStreaming|helloIntegrity|finishHello|execBuffered|MaxVersion|NoIntegrity|PayloadSlots|ResultCacheBudget|wire-version|\bLegacy\b'
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
-	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs are back:"
+	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol are back:"
 	echo "$dead_refs"
 	exit 1
 fi
@@ -283,22 +293,22 @@ if [ -n "$row_writes" ]; then
 	exit 1
 fi
 
-echo "== cache differential + stress gate (cold/warm, dangling and joining appends extended or recomputed vs uncached oracle; hit bytes == miss bytes == cache-off bytes on the socket; extension fallbacks; single-flight released by a panic; payload-memo guards; warm-hit benchmark smoke, under -race)"
+echo "== cache differential + stress gate (cold/warm, dangling and joining appends extended or recomputed vs uncached oracle; hit bytes == miss bytes == cache-off bytes == in-process v2 bytes on the socket; extension fallbacks; single-flight released by a panic; payload-memo guards; warm-hit benchmark smoke, under -race)"
 gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit|TestCacheExtend|TestDoAt' \
 	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire ./internal/db ./internal/cache
 
-echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x transport byte-identical; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; the one containment model's edge cases, the root simulator allocating nothing per candidate, greedy join orders with and without statistics joining the same rows; under -race)"
+echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x local/TCP byte-identical, socket payload == in-process v2 encoding; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; the one containment model's edge cases, the root simulator allocating nothing per candidate, greedy join orders with and without statistics joining the same rows; under -race)"
 gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestServerPathBoxesNoRows|TestRootSim|TestContainmentModel|TestGreedyJoinOrder' -count=1 \
 	./internal/wire ./internal/core ./internal/stats ./internal/engine
 gate -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
 
-echo "== wire v2 differential gate (v2 buffered/streamed x par vs v1 oracle, v2 <= v1 bytes, decoded results frame-backed and re-encoding to the same bytes, post-join equal on every result form; boxed in-process and unboxed server results x v1/v2 x buffered/streamed byte-identical, sizes from columns equal sizes from rows, in-process calls boxing into copies of cached sets the server reads unboxed, the server path boxing no row block; under -race)"
+echo "== wire v2 differential gate (socket payload == in-process v2 encoding x par, decoded vs v1 oracle, v2 <= v1 bytes, decoded results frame-backed and re-encoding to the same bytes, streamed == buffered in-process encode, post-join equal on every result form; boxed in-process and unboxed server results x v1/v2 byte-identical, v2 chunk by chunk too, sizes from columns equal sizes from rows, in-process calls boxing into copies of cached sets the server reads unboxed, the server path boxing no row block; under -race)"
 gate -race -run 'TestWireV2Differential|TestStreamedMatchesBuffered|TestExecStream|TestResultSetsCarryViews|TestPostJoinSameOnEveryResultForm|TestServerPathBoxesNoRows|TestWireSizeFromColumns|TestInProcessCallsBox|TestCacheHitBoxesIntoACopy' -count=1 \
 	./internal/wire ./internal/db
 
-echo "== chaos differential gate (fault plans x v1/v2 x buffered/streamed x par, under -race)"
+echo "== chaos differential gate (fault plans x par; a CRC trailer on every frame, flipped query and response bytes caught; under -race)"
 gate -race -timeout 300s -count=1 \
-	-run 'TestChaos|TestIntegrityNegotiated|TestShutdown|TestServerStats' \
+	-run 'TestChaos|TestIntegrityOnEveryFrame|TestShutdown|TestServerStats' \
 	./internal/wire
 
 echo "== crash-recovery differential gate (kill at every WAL byte offset vs uncrashed oracle, under -race)"
