@@ -34,3 +34,21 @@ func TestCacheFlagsOverrideEnvironment(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeSizeFlagsFail: a negative -cache-budget or -wal-segment is an
+// error, not a silent fall back to the default.
+func TestNegativeSizeFlagsFail(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cache", "-cache-budget", "-5MB"},
+		{"-data-dir", t.TempDir(), "-fsync", "off", "-wal-segment", "-1MB"},
+	} {
+		o := parseFlags(append([]string{"-workload", "none"}, args...))
+		d, mgr, err := openDatabase(o)
+		if mgr != nil {
+			mgr.Close()
+		}
+		if err == nil {
+			t.Errorf("%v: opened a database (cache budget %d), want an error", args, d.CacheStats().Budget)
+		}
+	}
+}

@@ -476,11 +476,8 @@ func TestBloomPrefilterKeySemantics(t *testing.T) {
 		for _, sk := range []types.Kind{types.KindFloat, types.KindNull} {
 			tr, sr := rel("t", tk, tKeys...), rel("s", sk, sKeys...)
 			tn, sn := &Node{Aliases: []string{"t"}, Rel: tr}, &Node{Aliases: []string{"s"}, Rel: sr}
-			e := &Edge{X: tn, Y: sn, Preds: []engine.JoinPred{{LeftRel: "t", LeftCol: "k", RightRel: "s", RightCol: "k"}}}
 			st := &Stats{}
-			if err := bloomSemiJoinNodes(tn, sn, e, 0, 1e-9, st, &Options{Parallelism: 1}); err != nil {
-				t.Fatal(err)
-			}
+			bloomSemiJoinNodes(tn, sn, []int{0}, []int{0}, sr.Len(), 1e-9, st, &Options{Parallelism: 1})
 			if got := renderSorted(tn.Rel); len(got) != 1 || got[0] != "3" {
 				t.Errorf("target kind %v source kind %v: kept %v, want only the key 3", tk, sk, got)
 			}

@@ -54,9 +54,12 @@ func TestChooseRootTieBreakOrdinal(t *testing.T) {
 	}
 }
 
-// TestRootSimAllocatesNothing holds rootSim to its doc: once built, simulating
-// a candidate root — the BFS, both passes and the containment estimate of
-// every step — allocates nothing, with and without early stop.
+// TestRootSimAllocatesNothing holds the schedule to its doc: once built,
+// simulating a candidate root — the BFS orientation, both passes and the
+// containment estimate of every step — and computing the greedy bottom-up
+// order from it allocate nothing, with and without early stop. Each edge's
+// key columns and base NDVs are resolved when the schedule is built, never
+// per step.
 func TestRootSimAllocatesNothing(t *testing.T) {
 	src := chainSource(t)
 	spec, rels := analyze(t, src, chainQuery)
@@ -68,22 +71,26 @@ func TestRootSimAllocatesNothing(t *testing.T) {
 	for _, r := range spec.Rels {
 		tableStats[r.Alias] = stats.Of(src[r.Table])
 	}
-	sim, ok := newRootSim(g, newEstimator(g, tableStats))
-	if !ok {
-		t.Fatal("no simulator for a 4-chain")
-	}
 	for _, earlyStop := range []bool{false, true} {
 		opts := DefaultOptions()
 		opts.EarlyStop = earlyStop
+		opts.TableStats = tableStats
+		s, err := newSchedule(g, &opts)
+		if err != nil {
+			t.Fatal(err)
+		}
 		allocs := testing.AllocsPerRun(50, func() {
-			for root := range sim.nodes {
-				if _, ok := sim.simulate(root, &opts); !ok {
+			for root := range s.nodes {
+				if _, ok := s.simulate(root); !ok {
 					t.Fatalf("root %d: chain reported disconnected", root)
+				}
+				if order := s.bottomUp(); len(order) != len(s.steps) {
+					t.Fatalf("root %d: bottom-up order has %d steps, want %d", root, len(order), len(s.steps))
 				}
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("early stop %v: simulating every root allocates %.1f times, want 0", earlyStop, allocs)
+			t.Errorf("early stop %v: simulating every root and ordering its bottom-up pass allocates %.1f times, want 0", earlyStop, allocs)
 		}
 	}
 }

@@ -251,21 +251,6 @@ func edgeCols(e *Edge) (xCols, yCols []int, err error) {
 	return xCols, yCols, nil
 }
 
-// edgeColsFor resolves an edge's predicate columns with target's side first:
-// (targetCols, otherCols) regardless of the edge's stored orientation. The
-// exact and Bloom semi-join passes both use this single orientation rule, so
-// a future orientation bug cannot diverge between them.
-func edgeColsFor(target *Node, e *Edge) (tCols, oCols []int, err error) {
-	xCols, yCols, err := edgeCols(e)
-	if err != nil {
-		return nil, nil, err
-	}
-	if e.X == target {
-		return xCols, yCols, nil
-	}
-	return yCols, xCols, nil
-}
-
 // sortNodesDeterministic orders candidate nodes by the criterion, breaking
 // ties by the nodes' ordinal position in the input slice (callers pass
 // g.Nodes copies, so ties resolve to FROM-clause order). The sort is stable

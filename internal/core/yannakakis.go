@@ -35,111 +35,147 @@ const (
 	RootMaxDegree
 )
 
-// bfsEdge is one tree edge directed away from the root.
-type bfsEdge struct {
-	parent, child *Node
-	edge          *Edge
-}
-
-// chooseRoot implements step (0) of Algorithm 2 under the given strategy.
-func chooseRoot(g *Graph, strategy RootStrategy) *Node {
-	if len(g.Nodes) == 0 {
+// ReduceRelations is Algorithm 2: fully reduce every relation of an acyclic
+// join graph with one bottom-up and one top-down pass of semi-joins.
+//
+// The passes run from the graph's schedule (schedule.go), built once after
+// folding: every edge's key columns are resolved there, and the steps the
+// passes execute are the ones the cost model simulates. With
+// opts.TableStats the cost model (cost.go) plans them: the heuristic root may
+// be deposed, the bottom-up pass runs most-selective-first, and each step
+// decides for itself whether a Bloom prefilter pays. Without statistics every
+// decision is the paper's heuristic. Either way the reduced relations are the
+// same, row for row.
+//
+// With opts.EarlyStop (the Section 6.3 optimization) the top-down pass skips
+// subtrees that contain no projected relation, and stops entirely once every
+// projected node has been reduced.
+func ReduceRelations(g *Graph, opts Options, st *Stats) error {
+	if g.IsCyclic() {
+		return fmt.Errorf("core: ReduceRelations requires an acyclic join graph")
+	}
+	if len(g.Nodes) <= 1 {
 		return nil
 	}
-	candidates := append([]*Node(nil), g.Nodes...)
-	switch strategy {
-	case RootFirst:
-		return g.Nodes[0]
-	case RootMaxDegree:
-		sortNodesDeterministic(candidates, func(a, b *Node) bool {
-			return g.Degree(a) > g.Degree(b)
-		})
-		return candidates[0]
-	default:
-		// Projected relations first, then higher degree (Section 4.2).
-		sortNodesDeterministic(candidates, func(a, b *Node) bool {
-			pa, pb := g.Projected(a), g.Projected(b)
-			if pa != pb {
-				return pa
-			}
-			return g.Degree(a) > g.Degree(b)
-		})
-		return candidates[0]
-	}
-}
-
-// bfsEdges orders the tree's edges in breadth-first order from root, each
-// directed parent -> child (step before (1) in Algorithm 2).
-func bfsEdges(g *Graph, root *Node) ([]bfsEdge, error) {
-	visited := map[*Node]bool{root: true}
-	queue := []*Node{root}
-	var order []bfsEdge
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, e := range g.EdgesOf(n) {
-			o := e.Other(n)
-			if visited[o] {
-				continue
-			}
-			visited[o] = true
-			order = append(order, bfsEdge{parent: n, child: o, edge: e})
-			queue = append(queue, o)
-		}
-	}
-	if len(visited) != len(g.Nodes) {
-		return nil, fmt.Errorf("%w (%d of %d nodes reachable)", ErrDisconnected, len(visited), len(g.Nodes))
-	}
-	return order, nil
-}
-
-// semiJoinNodes reduces target by source along edge e (target ⋉ source).
-// The probe over target's rows runs at degree par (0 = auto, 1 = serial)
-// with deterministic ordered merge. phase labels the pass ("bottom-up" or
-// "top-down") in the recorded span, which, when planning has statistics (est
-// non-nil), also gets the estimated output cardinality.
-func semiJoinNodes(target, source *Node, e *Edge, st *Stats, opts *Options, phase string, est *estimator) error {
-	tCols, sCols, err := edgeColsFor(target, e)
+	st.Parallelism = parallel.Degree(opts.Parallelism)
+	s, err := newSchedule(g, &opts)
 	if err != nil {
 		return err
 	}
-	before := target.Rel.Len()
-	var sp *trace.Span
-	if opts.Tracer.Enabled() {
-		sp = opts.Tracer.Span("semi-join", target.Name()+" ⋉ "+source.Name())
-		sp.Phase = phase
-		sp.RowsIn = before
-		sp.RowsBuild = source.Rel.Len()
-		if est != nil {
-			sp.EstOut = int(est.liveSel(target, source, e)*float64(before) + 0.5)
+	root := s.heuristicRoot(opts.Root)
+	if s.withStats && opts.Root == RootHeuristic {
+		root = s.chooseRootByCost(root)
+	}
+	rn := s.nodes[root]
+	st.Root = rn.Name()
+	if sp := opts.Tracer.Span("root", rn.Name()); sp != nil {
+		sp.Detail = fmt.Sprintf("(degree %d, projected %v)", len(s.adj[root]), s.projected[root])
+		sp.RowsIn = rn.Rel.Len()
+		sp.RowsOut = rn.Rel.Len()
+	}
+	if !s.orient(root) {
+		return fmt.Errorf("%w (%d of %d nodes reachable)", ErrDisconnected, len(s.queue), len(s.nodes))
+	}
+
+	// (0) Bloom prefilter: the same two passes with approximate membership
+	// tests; shrinks inputs before the exact passes. Without statistics it
+	// runs every step when opts.BloomPrefilter is set; with them each step
+	// decides (and sizes its filter from the estimated distinct build-key
+	// count) whether the approximate pass pays for itself.
+	if opts.BloomPrefilter || s.withStats {
+		fp := opts.BloomFPRate
+		if fp <= 0 {
+			fp = 0.01
+		}
+		for i := len(s.steps) - 1; i >= 0; i-- {
+			s.bloom(i, true, fp, st, &opts)
+		}
+		for i := range s.steps {
+			s.bloom(i, false, fp, st, &opts)
 		}
 	}
-	target.Rel = engine.SemiJoin(target.Rel, tCols, source.Rel, sCols, opts.Parallelism, sp)
-	st.SemiJoins++
-	st.TuplesDropped += before - target.Rel.Len()
-	est.observe(target)
-	if sp != nil {
-		sp.RowsOut = target.Rel.Len()
-		opts.Tracer.AddRowsDropped(before - target.Rel.Len())
+
+	// (1) Bottom-up: reduce parents by children, leaves towards root: in
+	// reverse BFS order, or, with statistics, the same steps
+	// most-selective-first (a valid children-first linearization, see
+	// bottomUp).
+	for _, i := range s.bottomUp() {
+		s.semiJoin(i, true, st, &opts)
+	}
+
+	// (2) Top-down: reduce children by parents, root towards leaves, up to
+	// the early-stop cut-off and skipping subtrees without a projected node.
+	for i := range s.steps[:s.cut] {
+		if child := s.steps[i].child; !s.needed[child] {
+			st.SkippedSemiJoins++
+			opts.Tracer.Note("skip top-down into " + s.nodes[child].Name() + " (no output relation in subtree)")
+			continue
+		}
+		s.semiJoin(i, false, st, &opts)
+	}
+	if s.cut < len(s.steps) {
+		st.EarlyStopped = true
+		opts.Tracer.Note("early stop: all output relations fully reduced")
 	}
 	return nil
 }
 
+// semiJoin executes step i's exact semi-join: parent ⋉ child bottom-up
+// (up), child ⋉ parent top-down. The probe over the target's rows runs at
+// degree opts.Parallelism (0 = auto, 1 = serial) with deterministic ordered
+// merge. Its span records the pass as its phase and, when planning has
+// statistics, the estimated output cardinality.
+func (s *schedule) semiJoin(i int, up bool, st *Stats, opts *Options) {
+	t, src, e, side := s.ends(i, up)
+	target, source := s.nodes[t], s.nodes[src]
+	before := target.Rel.Len()
+	var sp *trace.Span
+	if opts.Tracer.Enabled() {
+		sp = opts.Tracer.Span("semi-join", target.Name()+" ⋉ "+source.Name())
+		sp.Phase = "top-down"
+		if up {
+			sp.Phase = "bottom-up"
+		}
+		sp.RowsIn = before
+		sp.RowsBuild = source.Rel.Len()
+		if s.withStats {
+			sp.EstOut = int(s.sel(s.live, i, up)*float64(before) + 0.5)
+		}
+	}
+	target.Rel = engine.SemiJoin(target.Rel, e.cols[side], source.Rel, e.cols[1-side], opts.Parallelism, sp)
+	s.live[t] = float64(target.Rel.Len())
+	st.SemiJoins++
+	st.TuplesDropped += before - target.Rel.Len()
+	if sp != nil {
+		sp.RowsOut = target.Rel.Len()
+		opts.Tracer.AddRowsDropped(before - target.Rel.Len())
+	}
+}
+
+// bloom runs step i's Bloom prefilter, oriented as semiJoin orients the
+// step. With statistics it runs only where bloomWorth says it pays, with the
+// filter sized by bloomSize; without them it always runs, sized by the
+// source's rows.
+func (s *schedule) bloom(i int, up bool, fp float64, st *Stats, opts *Options) {
+	t, src, e, side := s.ends(i, up)
+	nEst := s.nodes[src].Rel.Len()
+	if s.withStats {
+		if !s.bloomWorth(i, up) {
+			return
+		}
+		nEst = s.bloomSize(i, up)
+	}
+	bloomSemiJoinNodes(s.nodes[t], s.nodes[src], e.cols[side], e.cols[1-side], nEst, fp, st, opts)
+	s.live[t] = float64(s.nodes[t].Rel.Len())
+}
+
 // bloomSemiJoinNodes reduces target by an approximate membership test on
-// source's join keys. It may retain false positives but never drops a
-// matching tuple. Both the filter build (atomic bit sets) and the probe
-// (chunked with ordered merge) run at degree par. nEst sizes the filter
-// (planning with statistics passes the estimated distinct build-key count,
-// which governs fill; 0 falls back to the build side's row count).
-func bloomSemiJoinNodes(target, source *Node, e *Edge, nEst int, fpRate float64, st *Stats, opts *Options) error {
+// source's join keys (tCols against sCols). It may retain false positives
+// but never drops a matching tuple. Both the filter build (atomic bit sets)
+// and the probe (chunked with ordered merge) run at degree
+// opts.Parallelism. nEst sizes the filter.
+func bloomSemiJoinNodes(target, source *Node, tCols, sCols []int, nEst int, fpRate float64, st *Stats, opts *Options) {
 	par := opts.Parallelism
-	if nEst <= 0 {
-		nEst = source.Rel.Len()
-	}
-	tCols, sCols, err := edgeColsFor(target, e)
-	if err != nil {
-		return err
-	}
 	var sp *trace.Span
 	var t0 time.Time
 	if opts.Tracer.Enabled() {
@@ -188,146 +224,6 @@ func bloomSemiJoinNodes(target, source *Node, e *Edge, nEst int, fpRate float64,
 		opts.Tracer.AddRowsDropped(target.Rel.Len() - out.Len())
 	}
 	target.Rel = out
-	return nil
-}
-
-// ReduceRelations is Algorithm 2: fully reduce every relation of an acyclic
-// join graph with one bottom-up and one top-down pass of semi-joins.
-//
-// With opts.TableStats the passes are planned by the cost model (cost.go):
-// the heuristic root may be deposed, the bottom-up pass runs
-// most-selective-first, and each edge decides for itself whether a Bloom
-// prefilter pays. Without statistics every decision is the paper's
-// heuristic. Either way the reduced relations are the same, row for row.
-//
-// With opts.EarlyStop (the Section 6.3 optimization) the top-down pass skips
-// subtrees that contain no projected relation, and stops entirely once every
-// projected node has been reduced.
-func ReduceRelations(g *Graph, opts Options, st *Stats) error {
-	if g.IsCyclic() {
-		return fmt.Errorf("core: ReduceRelations requires an acyclic join graph")
-	}
-	if len(g.Nodes) <= 1 {
-		return nil
-	}
-	par := parallel.Degree(opts.Parallelism)
-	st.Parallelism = par
-	est := newEstimator(g, opts.TableStats)
-	root := chooseRoot(g, opts.Root)
-	if est != nil && opts.Root == RootHeuristic {
-		root = chooseRootByCost(g, root, &opts, est)
-	}
-	st.Root = root.Name()
-	if sp := opts.Tracer.Span("root", root.Name()); sp != nil {
-		sp.Detail = fmt.Sprintf("(degree %d, projected %v)", g.Degree(root), g.Projected(root))
-		sp.RowsIn = root.Rel.Len()
-		sp.RowsOut = root.Rel.Len()
-	}
-	order, err := bfsEdges(g, root)
-	if err != nil {
-		return err
-	}
-
-	// (0) Bloom prefilter: the same two passes with approximate membership
-	// tests; shrinks inputs before the exact passes. Without statistics it
-	// runs every edge when opts.BloomPrefilter is set; with them each edge
-	// decides (and sizes its filter from the estimated distinct build-key
-	// count) whether the approximate pass pays for itself.
-	if opts.BloomPrefilter || est != nil {
-		fp := opts.BloomFPRate
-		if fp <= 0 {
-			fp = 0.01
-		}
-		runBloom := func(target, source *Node, e *Edge) error {
-			nEst := 0
-			if est != nil {
-				if !est.bloomWorth(target, source, e) {
-					return nil
-				}
-				nEst = est.bloomSize(source, e)
-			}
-			if err := bloomSemiJoinNodes(target, source, e, nEst, fp, st, &opts); err != nil {
-				return err
-			}
-			est.observe(target)
-			return nil
-		}
-		for i := len(order) - 1; i >= 0; i-- {
-			be := order[i]
-			if err := runBloom(be.parent, be.child, be.edge); err != nil {
-				return err
-			}
-		}
-		for _, be := range order {
-			if err := runBloom(be.child, be.parent, be.edge); err != nil {
-				return err
-			}
-		}
-	}
-
-	// (1) Bottom-up: reduce parents by children, leaves towards root: in
-	// reverse BFS order, or, with statistics, the same edge set
-	// most-selective-first (a valid children-first linearization, see
-	// costOrderBottomUp).
-	for _, be := range costOrderBottomUp(order, est) {
-		if err := semiJoinNodes(be.parent, be.child, be.edge, st, &opts, "bottom-up", est); err != nil {
-			return err
-		}
-	}
-
-	// (2) Top-down: reduce children by parents, root towards leaves.
-	var needed map[*Node]bool
-	if opts.EarlyStop {
-		needed = subtreesWithProjection(g, order)
-	}
-	remainingProjected := 0
-	if opts.EarlyStop {
-		for _, n := range g.Nodes {
-			if g.Projected(n) && n != root {
-				remainingProjected++
-			}
-		}
-	}
-	for _, be := range order {
-		if opts.EarlyStop {
-			if remainingProjected == 0 {
-				st.EarlyStopped = true
-				opts.Tracer.Note("early stop: all output relations fully reduced")
-				break
-			}
-			if !needed[be.child] {
-				st.SkippedSemiJoins++
-				opts.Tracer.Note("skip top-down into " + be.child.Name() + " (no output relation in subtree)")
-				continue
-			}
-		}
-		if err := semiJoinNodes(be.child, be.parent, be.edge, st, &opts, "top-down", est); err != nil {
-			return err
-		}
-		if opts.EarlyStop && g.Projected(be.child) {
-			remainingProjected--
-		}
-	}
-	return nil
-}
-
-// subtreesWithProjection marks, for every node, whether its subtree (under
-// the BFS orientation) contains a projected node. Children of unmarked
-// subtrees never influence the output and need no top-down reduction.
-func subtreesWithProjection(g *Graph, order []bfsEdge) map[*Node]bool {
-	marked := make(map[*Node]bool, len(g.Nodes))
-	for _, n := range g.Nodes {
-		marked[n] = g.Projected(n)
-	}
-	// Children appear after their parents in BFS order; walking the edges
-	// backwards propagates marks from leaves to the root.
-	for i := len(order) - 1; i >= 0; i-- {
-		be := order[i]
-		if marked[be.child] {
-			marked[be.parent] = true
-		}
-	}
-	return marked
 }
 
 // Options configures the RESULTDB-SEMIJOIN algorithm.

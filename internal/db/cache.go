@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -55,7 +56,8 @@ func (d *Database) ClearCache() {
 
 // ParseByteSize parses "1048576", "64KB", "256MB", "2GB", "16MiB" (decimal
 // suffixes are powers of 1000, binary suffixes powers of 1024; case
-// insensitive, optional space before the suffix).
+// insensitive, optional space before the suffix). A negative size, NaN, or
+// one beyond math.MaxInt64 bytes is an error.
 func ParseByteSize(s string) (int64, error) {
 	s = strings.TrimSpace(s)
 	i := len(s)
@@ -90,7 +92,13 @@ func ParseByteSize(s string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("db: bad byte size %q: %w", s, err)
 	}
-	return int64(f * float64(mult)), nil
+	// 1<<63 is the first float64 above math.MaxInt64; the comparisons are
+	// false for NaN too.
+	n := f * float64(mult)
+	if !(n >= 0 && n < 1<<63) {
+		return 0, fmt.Errorf("db: byte size %q out of range [0, %d]", s, int64(math.MaxInt64))
+	}
+	return int64(n), nil
 }
 
 // cacheKey builds the semantic cache key of a SELECT executed through the

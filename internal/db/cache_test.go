@@ -382,7 +382,7 @@ func TestParseByteSize(t *testing.T) {
 			t.Errorf("ParseByteSize(%q) = %d, %v; want %d", in, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "MB", "1XB", "x12"} {
+	for _, bad := range []string{"", "MB", "1XB", "x12", "-5MB", "-1", "-1MB", "1e19", "9e18GB", "9223372036854775808", "NaN", "nan"} {
 		if _, err := ParseByteSize(bad); err == nil {
 			t.Errorf("ParseByteSize(%q) should fail", bad)
 		}

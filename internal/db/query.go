@@ -260,7 +260,7 @@ func (d *Database) reduceSpec(ec execCtx, spec *engine.SPJSpec, outputs []string
 // aliasStats maps each of the query's aliases (lower-cased) to its base
 // table version's statistics, for the reduction planner. Aliases over missing
 // tables (materialized views dropped mid-flight, etc.) are simply absent; the
-// estimator treats absent stats conservatively.
+// cost model counts their key columns as all-distinct.
 func aliasStats(ec execCtx, spec *engine.SPJSpec, tr *trace.Tracer) map[string]*stats.Table {
 	out := make(map[string]*stats.Table, len(spec.Rels))
 	for _, r := range spec.Rels {

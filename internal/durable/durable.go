@@ -396,30 +396,17 @@ func (m *Manager) Stats() Stats {
 // observability format (mode "wal-stats", "counter" spans), extending the
 // WAL's own spans with checkpoint and recovery counts.
 func (s Stats) Trace() *trace.Trace {
-	tr := s.Wal.Trace()
 	torn := int64(0)
 	if s.TornTail {
 		torn = 1
 	}
-	extra := []struct {
-		name  string
-		value int64
-	}{
-		{"recovery_replayed", s.Replayed},
-		{"recovery_skipped", s.ReplaySkipped},
-		{"recovery_torn_tail", torn},
-		{"recovered_lsn", int64(s.RecoveredLSN)},
-		{"checkpoint_lsn", int64(s.CheckpointLSN)},
-		{"checkpoints", s.Checkpoints},
-		{"checkpoint_bytes", s.CheckpointBytes},
-	}
-	for _, c := range extra {
-		tr.Spans = append(tr.Spans, trace.Span{
-			Op:      "counter",
-			Label:   c.name,
-			Phase:   "wal",
-			RowsOut: int(c.value),
-		})
-	}
-	return tr
+	return s.Wal.Trace().AddCounts("wal",
+		trace.Count{Name: "recovery_replayed", Value: s.Replayed},
+		trace.Count{Name: "recovery_skipped", Value: s.ReplaySkipped},
+		trace.Count{Name: "recovery_torn_tail", Value: torn},
+		trace.Count{Name: "recovered_lsn", Value: int64(s.RecoveredLSN)},
+		trace.Count{Name: "checkpoint_lsn", Value: int64(s.CheckpointLSN)},
+		trace.Count{Name: "checkpoints", Value: s.Checkpoints},
+		trace.Count{Name: "checkpoint_bytes", Value: s.CheckpointBytes},
+	)
 }

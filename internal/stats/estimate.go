@@ -7,8 +7,8 @@ package stats
 //	|A ⋉ B| / |A| ≈ min(1, ndv_B / ndv_A)    |A ⋈ B| ≈ |A|·|B| / max(ndv_A, ndv_B)
 //
 // where a key's NDV is KeyNDV over the base-column NDVs these statistics hold.
-// Its callers: core's estimator (root choice, the bottom-up schedule, Bloom
-// gating and sizing) and its root simulator, and engine's greedy join order.
+// Its callers: core's reduction schedule (root choice, the bottom-up order,
+// Bloom gating and sizing, span estimates) and engine's greedy join order.
 
 // KeyNDV estimates the distinct keys of a relation of rows rows over key
 // columns whose base-table NDVs are base: their product, each column capped by

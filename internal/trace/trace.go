@@ -94,6 +94,23 @@ type Counters struct {
 	BytesOut    int64 `json:"bytes_out"`
 }
 
+// Count is one named operational counter (a server's, the WAL's, ...),
+// rendered by AddCounts as a "counter" span.
+type Count struct {
+	Name  string
+	Value int64
+}
+
+// AddCounts appends one "counter" span per count to tr, all in phase, and
+// returns tr: operational state reuses the EXPLAIN rendering path
+// (CompactLines, TreeLines), where each prints as a bare "name: value" line.
+func (tr *Trace) AddCounts(phase string, counts ...Count) *Trace {
+	for _, c := range counts {
+		tr.Spans = append(tr.Spans, Span{Op: "counter", Label: c.Name, Phase: phase, RowsOut: int(c.Value)})
+	}
+	return tr
+}
+
 // Tracer collects spans and counters for one query execution. The zero value
 // is not used directly; create one with New. A nil *Tracer is the disabled
 // tracer: every method is a cheap no-op.

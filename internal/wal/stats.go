@@ -30,27 +30,14 @@ type Stats struct {
 // Trace renders the counters as "counter" spans under Mode "wal-stats" so
 // durability state reuses the EXPLAIN ANALYZE rendering path.
 func (s Stats) Trace() *trace.Trace {
-	counters := []struct {
-		name  string
-		value int64
-	}{
-		{"wal_records", s.Records},
-		{"wal_bytes", s.Bytes},
-		{"wal_fsyncs", s.Fsyncs},
-		{"wal_sync_requests", s.SyncRequests},
-		{"wal_group_shared", s.GroupShared},
-		{"wal_rotations", s.Rotations},
-		{"wal_pruned_segments", s.Pruned},
-		{"wal_segments", s.Segments},
-	}
-	tr := &trace.Trace{Mode: "wal-stats"}
-	for _, c := range counters {
-		tr.Spans = append(tr.Spans, trace.Span{
-			Op:      "counter",
-			Label:   c.name,
-			Phase:   "wal",
-			RowsOut: int(c.value),
-		})
-	}
-	return tr
+	return (&trace.Trace{Mode: "wal-stats"}).AddCounts("wal",
+		trace.Count{Name: "wal_records", Value: s.Records},
+		trace.Count{Name: "wal_bytes", Value: s.Bytes},
+		trace.Count{Name: "wal_fsyncs", Value: s.Fsyncs},
+		trace.Count{Name: "wal_sync_requests", Value: s.SyncRequests},
+		trace.Count{Name: "wal_group_shared", Value: s.GroupShared},
+		trace.Count{Name: "wal_rotations", Value: s.Rotations},
+		trace.Count{Name: "wal_pruned_segments", Value: s.Pruned},
+		trace.Count{Name: "wal_segments", Value: s.Segments},
+	)
 }

@@ -212,30 +212,17 @@ type ServerStats struct {
 // server's operational state reuses the EXPLAIN ANALYZE rendering path
 // (trace.CompactLines / trace.TreeLines).
 func (st ServerStats) Trace() *trace.Trace {
-	counters := []struct {
-		name  string
-		value int64
-	}{
-		{"conns_accepted", st.Accepted},
-		{"queries", st.Queries},
-		{"query_errors", st.QueryErrors},
-		{"panics", st.Panics},
-		{"write_stalls", st.WriteStalls},
-		{"oversized_frames", st.OversizedFrames},
-		{"checksum_failures", st.ChecksumFailures},
-		{"conns_drained", st.Drained},
-		{"backpressure_waits", st.BackpressureWaits},
-	}
-	tr := &trace.Trace{Mode: "server-stats"}
-	for _, c := range counters {
-		tr.Spans = append(tr.Spans, trace.Span{
-			Op:      "counter",
-			Label:   c.name,
-			Phase:   "server",
-			RowsOut: int(c.value),
-		})
-	}
-	return tr
+	return (&trace.Trace{Mode: "server-stats"}).AddCounts("server",
+		trace.Count{Name: "conns_accepted", Value: st.Accepted},
+		trace.Count{Name: "queries", Value: st.Queries},
+		trace.Count{Name: "query_errors", Value: st.QueryErrors},
+		trace.Count{Name: "panics", Value: st.Panics},
+		trace.Count{Name: "write_stalls", Value: st.WriteStalls},
+		trace.Count{Name: "oversized_frames", Value: st.OversizedFrames},
+		trace.Count{Name: "checksum_failures", Value: st.ChecksumFailures},
+		trace.Count{Name: "conns_drained", Value: st.Drained},
+		trace.Count{Name: "backpressure_waits", Value: st.BackpressureWaits},
+	)
 }
 
 // Server exposes a Database over TCP: every connection reads query frames

@@ -13,7 +13,9 @@
 # cache, range pre-filter and histogram, or of the deleted DPsize join
 # orderer — its knob, NDV key-set builds and ablation, or of the deleted
 # negotiated wire protocol — its hello, buffered server path and version
-# knobs; no identifier of the deleted second relation image, no row slices in core or the colstore kernels, no
+# knobs, or of the reduction's deleted second walks — the pointer BFS, the
+# early-stop countdown, the map-based estimator and its per-step column
+# resolutions; no identifier of the deleted second relation image, no row slices in core or the colstore kernels, no
 # tuple boxed or taken back between the engine's operators (FromRows(,
 # .Rows() on a relation or view, []types.Row outside FromRows) and no src
 # rows kept by a colstore frame; results leave the engine unboxed (no
@@ -147,9 +149,14 @@ dead="$dead"'|JoinAllDP|DPJoinOrder|dpJoinOrder|measureNDV|subsetNDV|ndvIdx|Abla
 # and the dead cache-budget copy in core.Options are gone. (Legacy is matched
 # as a word: the snapshot package's versionLegacy stays.)
 dead="$dead"'|frameHello|helloStreaming|helloIntegrity|finishHello|execBuffered|MaxVersion|NoIntegrity|PayloadSlots|ResultCacheBudget|wire-version|\bLegacy\b'
+# One reduction schedule: the executor and the cost model walk the same
+# ordinal steps (core's schedule). The pointer BFS, the second early-stop walk
+# and its countdown, the map-based estimator with its per-step column
+# resolutions and the separate root simulator are gone.
+dead="$dead"'|bfsEdges|subtreesWithProjection|ndvsOf|remainingProjected|edgeColsFor|newEstimator|newRootSim|selCols|liveSel'
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
-	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol are back:"
+	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk are back:"
 	echo "$dead_refs"
 	exit 1
 fi
@@ -297,8 +304,8 @@ echo "== cache differential + stress gate (cold/warm, dangling and joining appen
 gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit|TestCacheExtend|TestDoAt' \
 	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire ./internal/db ./internal/cache
 
-echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x local/TCP byte-identical, socket payload == in-process v2 encoding; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; the one containment model's edge cases, the root simulator allocating nothing per candidate, greedy join orders with and without statistics joining the same rows; under -race)"
-gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestServerPathBoxesNoRows|TestRootSim|TestContainmentModel|TestGreedyJoinOrder' -count=1 \
+echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x local/TCP byte-identical, socket payload == in-process v2 encoding; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; every plan decision and estimate of those statements against testdata/plans.golden; the one containment model's edge cases, the reduction schedule allocating nothing per candidate root or bottom-up order, greedy join orders with and without statistics joining the same rows; under -race)"
+gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestPlanGolden|TestServerPathBoxesNoRows|TestRootSim|TestContainmentModel|TestGreedyJoinOrder' -count=1 \
 	./internal/wire ./internal/core ./internal/stats ./internal/engine
 gate -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
 
