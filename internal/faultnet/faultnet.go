@@ -34,7 +34,9 @@ const (
 	// None leaves the connection clean.
 	None Action = iota
 	// Drop closes the connection once Offset total bytes (reads plus
-	// writes) have passed through it; the next operation fails.
+	// writes) have passed through it; the next operation fails. A read
+	// stops at the offset, so where a drop lands in the incoming stream does
+	// not depend on how the peer's writes were segmented.
 	Drop
 	// Stall pauses the connection once, for Delay, at the first operation
 	// after Offset total bytes — latency injection / a mid-stream hiccup.
@@ -287,10 +289,16 @@ func (c *Conn) Read(b []byte) (int, error) {
 		return 0, fmt.Errorf("%w: read on killed connection", ErrInjected)
 	}
 	c.maybeStall()
-	if c.fault.Action == Drop && c.read+c.written >= c.fault.Offset {
-		err := c.kill("read")
-		c.mu.Unlock()
-		return 0, err
+	if c.fault.Action == Drop {
+		left := c.fault.Offset - c.read - c.written
+		if left <= 0 {
+			err := c.kill("read")
+			c.mu.Unlock()
+			return 0, err
+		}
+		if int64(len(b)) > left {
+			b = b[:left] // the read stops at the offset, so the drop cuts the stream there
+		}
 	}
 	c.mu.Unlock()
 	n, err := c.Conn.Read(b)

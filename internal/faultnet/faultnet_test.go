@@ -78,6 +78,21 @@ func TestDropKillsAfterOffset(t *testing.T) {
 	}
 }
 
+// TestDropCutsReadsAtOffset: however much the peer has sent, a read never
+// passes the drop offset, and the read after it fails.
+func TestDropCutsReadsAtOffset(t *testing.T) {
+	addr, stop := echoServer(t)
+	defer stop()
+	c := dialFaulty(t, addr, Fault{Action: Drop, Offset: 12})
+	if _, err := c.Write([]byte("0123456789")); err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(c)
+	if string(got) != "01" || !errors.Is(err, ErrInjected) {
+		t.Fatalf("read %q, %v; want %q then ErrInjected", got, err, "01")
+	}
+}
+
 func TestTruncateCutsMidBuffer(t *testing.T) {
 	addr, stop := echoServer(t)
 	defer stop()

@@ -81,25 +81,73 @@ func chaosRetry(attempts int) RetryPolicy {
 	}
 }
 
-// chaosFaults is the fault matrix: every action at offsets hitting the query
-// frame's header, its payload, and the response body.
-var chaosFaults = []faultnet.Fault{
-	{Action: faultnet.Refuse},
-	{Action: faultnet.Drop, Offset: 0},
-	{Action: faultnet.Drop, Offset: 3},
-	{Action: faultnet.Drop, Offset: 60},
-	{Action: faultnet.Drop, Offset: 700},
-	{Action: faultnet.Stall, Offset: 0, Delay: 5 * time.Millisecond},
-	{Action: faultnet.Stall, Offset: 200, Delay: 10 * time.Millisecond},
-	{Action: faultnet.Truncate, Offset: 2},
-	{Action: faultnet.Truncate, Offset: 9},
-	{Action: faultnet.Truncate, Offset: 120},
-	{Action: faultnet.Corrupt, Offset: 1},
-	{Action: faultnet.Corrupt, Offset: 8},
-	{Action: faultnet.Corrupt, Offset: 40},
-	{Action: faultnet.Corrupt, Offset: 900},
-	{Action: faultnet.Reset, Offset: 0},
-	{Action: faultnet.Reset, Offset: 30},
+// chaosExchange measures one clean exchange of chaosQuery with the server at
+// addr: the bytes the client sends (its query frame) and receives (the
+// response frames). Fault offsets are placed from these, so they land where
+// they are meant to whatever the response's encoding weighs.
+func chaosExchange(t *testing.T, addr string) (sent, received int64) {
+	t.Helper()
+	var out, in bytes.Buffer
+	c, err := DialOptions(addr, Options{
+		Retry: RetryPolicy{MaxAttempts: 1, Seed: 1},
+		Dial: func(addr string) (net.Conn, error) {
+			conn, err := net.Dial("tcp", addr)
+			return recordingConn{Conn: conn, out: &out, in: &in}, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Exec(chaosQuery); err != nil {
+		t.Fatal(err)
+	}
+	return int64(out.Len()), int64(in.Len())
+}
+
+// chaosFaults is the client-side fault matrix for an exchange that sends
+// `sent` bytes and receives `received`: every action at offsets hitting the
+// query frame's header, its payload and its trailer, and Drop and Stall at
+// the start and the middle of the response. (A client only writes its query
+// frame, in one write, so Truncate, Corrupt and Reset cannot reach the
+// response from this side: TestChaosServerSideFaults covers that direction.)
+func chaosFaults(sent, received int64) []faultnet.Fault {
+	mid := sent + received/2
+	return []faultnet.Fault{
+		{Action: faultnet.Refuse},
+		{Action: faultnet.Drop, Offset: 0},
+		{Action: faultnet.Drop, Offset: 3},
+		{Action: faultnet.Drop, Offset: sent / 2},
+		{Action: faultnet.Drop, Offset: sent},
+		{Action: faultnet.Drop, Offset: mid},
+		{Action: faultnet.Stall, Offset: 0, Delay: 5 * time.Millisecond},
+		{Action: faultnet.Stall, Offset: sent, Delay: 10 * time.Millisecond},
+		{Action: faultnet.Truncate, Offset: 2},
+		{Action: faultnet.Truncate, Offset: 9},
+		{Action: faultnet.Truncate, Offset: sent - 1},
+		{Action: faultnet.Corrupt, Offset: 1},
+		{Action: faultnet.Corrupt, Offset: 8},
+		{Action: faultnet.Corrupt, Offset: sent / 2},
+		{Action: faultnet.Corrupt, Offset: sent - 1},
+		{Action: faultnet.Reset, Offset: 0},
+	}
+}
+
+// checkFired fails the test when the single fault f left no trace on an
+// exchange that succeeded: a fault on the data path must have cost the client
+// a connection (reconnects), and a stall its delay (elapsed). A fault that
+// fires nowhere tests nothing.
+func checkFired(t *testing.T, f faultnet.Fault, reconnects int, elapsed time.Duration) {
+	t.Helper()
+	if f.Action == faultnet.Stall {
+		if elapsed < f.Delay {
+			t.Errorf("fault %v never fired: the exchange took %v", f, elapsed)
+		}
+		return
+	}
+	if reconnects < 1 {
+		t.Errorf("fault %v never fired: the exchange succeeded without a reconnect", f)
+	}
 }
 
 func TestChaosDifferentialGate(t *testing.T) {
@@ -126,8 +174,9 @@ func TestChaosDifferentialGate(t *testing.T) {
 			defer srv.Close()
 
 			// One faulted connection, then clean: the retrying client must
-			// always converge on the exact oracle bytes.
-			for _, f := range chaosFaults {
+			// always converge on the exact oracle bytes, and every fault must
+			// have fired on the way.
+			for _, f := range chaosFaults(chaosExchange(t, addr)) {
 				c, err := DialOptions(addr, Options{
 					Retry: chaosRetry(4),
 					Dial:  faultnet.NewDialer(faultnet.Plan{Conns: []faultnet.Fault{f}}).Dial,
@@ -135,6 +184,7 @@ func TestChaosDifferentialGate(t *testing.T) {
 				if err != nil {
 					t.Fatalf("fault %v: dial: %v", f, err)
 				}
+				start := time.Now()
 				res, err := c.Exec(chaosQuery)
 				if err != nil {
 					t.Fatalf("fault %v: retrying client failed: %v", f, err)
@@ -142,6 +192,7 @@ func TestChaosDifferentialGate(t *testing.T) {
 				if got := canonical(res); !bytes.Equal(got, oracle) {
 					t.Fatalf("fault %v: result diverged from oracle (%d vs %d bytes)", f, len(got), len(oracle))
 				}
+				checkFired(t, f, c.Reconnects(), time.Since(start))
 				c.Close()
 			}
 
@@ -262,12 +313,13 @@ func TestChaosNonIdempotentNeverRetried(t *testing.T) {
 // TestChaosErrorContext: a connection that dies mid-result surfaces with
 // query context (hash, frame index, bytes read) instead of a raw io.EOF.
 func TestChaosErrorContext(t *testing.T) {
+	_, received := chaosExchange(t, chaosServer(t))
 	srv := NewServer(chaosDB(t))
-	// The server's connections die 1000 bytes into the ~1.9 KB response, so
-	// the client has consumed whole response frames when the stream ends,
-	// however its reads are segmented.
+	// The server's connections die halfway through the response, so the
+	// client has consumed whole response frames (the header chunk at least)
+	// when the stream ends, however its reads are segmented.
 	srv.ListenFunc = func(network, addr string) (net.Listener, error) {
-		return faultnet.Listen(network, addr, faultnet.Repeat(faultnet.Fault{Action: faultnet.Truncate, Offset: 1000}, 4))
+		return faultnet.Listen(network, addr, faultnet.Repeat(faultnet.Fault{Action: faultnet.Truncate, Offset: received / 2}, 4))
 	}
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -308,6 +360,18 @@ func TestChaosErrorContext(t *testing.T) {
 	}
 }
 
+// chaosServer serves a fresh chaosDB without faults and returns its address.
+func chaosServer(t *testing.T) string {
+	t.Helper()
+	srv := NewServer(chaosDB(t))
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	return addr
+}
+
 // TestChaosServerSideFaults installs faultnet under the server's ListenFunc
 // hook, so the faults hit the response direction: a corrupted response byte
 // must be caught by the CRC trailer and healed by a retry on the next
@@ -320,11 +384,14 @@ func TestChaosServerSideFaults(t *testing.T) {
 	}
 	oracle := canonical(oracleRes)
 
-	// Offsets land inside the ~1.9 KB response.
+	// Offsets land inside the response: a server writes it (every chunk,
+	// then the end frame, each in its own flush) after reading the query.
+	sent, received := chaosExchange(t, chaosServer(t))
 	for _, f := range []faultnet.Fault{
-		{Action: faultnet.Corrupt, Offset: 1000}, // inside the encoded response
-		{Action: faultnet.Truncate, Offset: 900}, // cut mid-response-frame
-		{Action: faultnet.Drop, Offset: 1500},
+		{Action: faultnet.Corrupt, Offset: received / 2},     // inside the encoded response
+		{Action: faultnet.Truncate, Offset: received / 3},    // cut mid-response-frame
+		{Action: faultnet.Drop, Offset: sent + received*3/4}, // reads count too
+		{Action: faultnet.Reset, Offset: received / 2},
 		{Action: faultnet.Refuse},
 	} {
 		srv := NewServer(chaosDB(t))
@@ -347,12 +414,9 @@ func TestChaosServerSideFaults(t *testing.T) {
 			t.Fatalf("server-side fault %v: SILENT CORRUPTION", f)
 		}
 		c.Close()
-		if f.Action == faultnet.Corrupt {
-			// The corrupt response must have been detected, not absorbed.
-			if n := c.Reconnects(); n == 0 {
-				t.Errorf("corrupt response healed without a reconnect — CRC never tripped?")
-			}
-		}
+		// A corrupt response must have been detected, not absorbed; every
+		// other fault must have cut the connection it was scheduled on.
+		checkFired(t, f, c.Reconnects(), 0)
 		srv.Close()
 	}
 }

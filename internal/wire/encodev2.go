@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"runtime"
 	"sync"
 
 	"resultdb/internal/colstore"
@@ -37,21 +38,30 @@ import (
 //	          variant 1: varint of the first value, then varints of the
 //	          wrapping int64 deltas (exact for any values, tiny for runs of
 //	          ascending keys).
-//	float   — 8 bytes little-endian per non-NULL value.
-//	text    — variant 0: one length-prefixed string per non-NULL value.
-//	          variant 1: uvarint dictionary size, the dictionary strings in
-//	          first-occurrence order, then one uvarint code per non-NULL
-//	          value. When the result set carries a colstore view, codes are
-//	          remapped from the scan-time dictionary without hashing a
-//	          single string.
+//	float   — the nn non-NULL values' IEEE bits as 8 byte planes (Parquet's
+//	          BYTE_STREAM_SPLIT): byte 0 of every value, then byte 1 of
+//	          every value, ..., byte 7. Sign and exponent bytes of similar
+//	          values repeat, so their planes are runs deflate matches.
+//	text    — variant 0 (inline): the uvarint length of every non-NULL
+//	          value, then all their bytes back to back.
+//	          variant 1 (dictionary): uvarint dictionary size, every entry's
+//	          uvarint length, the entries' bytes (first-occurrence order),
+//	          then one uvarint code per non-NULL value. When the result set
+//	          carries a colstore view, codes are remapped from the scan-time
+//	          dictionary without hashing a single string.
+//	          Either way deflate sees the lengths and the bytes as two
+//	          homogeneous streams, and the decoder copies the bytes once
+//	          into one string every value or entry slices.
 //	bool    — non-NULL values bit-packed LSB-first, ceil(nn/8) bytes.
 //	any     — all n values (NULLs included) as v1 tagged values; the
 //	          mixed-kind escape hatch, never has a bitmap.
 //
-// Every choice is pick-the-smaller with a deterministic tie-break, so the
-// encoding is a pure function of the result: parallel and serial encodes,
-// vec-backed and row-backed gathers, the server's chunk stream and an
-// in-process encode all produce identical bytes. For typed columns the desc byte replaces n tag
+// Splitting a block into streams only reorders its bytes: a float costs 8 of
+// them and a string its length's uvarint plus its bytes, as in v1. Every
+// choice is pick-the-smaller with a deterministic tie-break, so the encoding
+// is a pure function of the result: parallel and serial encodes, vec-backed
+// and row-backed gathers, the server's chunk stream and an in-process encode
+// all produce identical bytes. For typed columns the desc byte replaces n tag
 // bytes and the bitmap costs ceil(n/8) <= n-1 of them, so a v2 set never
 // exceeds its v1 size (mixed-kind columns, which none of the workloads
 // produce, cost at most one extra byte each).
@@ -278,8 +288,14 @@ func encodeColV2(set *db.ResultSet, j, n int) []byte {
 			}
 		}
 	case colFloat:
-		for _, v := range c.floats {
-			e.buf = binary64(e.buf, v)
+		e.buf = e.buf[:len(e.buf)+size]
+		planes := e.buf[len(e.buf)-size:]
+		nn := len(c.floats)
+		for i, v := range c.floats {
+			b := math.Float64bits(v)
+			for k := 0; k < 8; k++ {
+				planes[k*nn+i] = byte(b >> (8 * k))
+			}
 		}
 	case colBool:
 		e.buf = e.buf[:len(e.buf)+size] // zeroed by make
@@ -293,14 +309,20 @@ func encodeColV2(set *db.ResultSet, j, n int) []byte {
 		if variant == textDict {
 			e.uvarint(uint64(len(c.dict)))
 			for _, s := range c.dict {
-				e.str(s)
+				e.uvarint(uint64(len(s)))
+			}
+			for _, s := range c.dict {
+				e.buf = append(e.buf, s...)
 			}
 			for _, code := range c.codes {
 				e.uvarint(uint64(code))
 			}
 		} else {
 			for _, code := range c.codes {
-				e.str(c.dict[code])
+				e.uvarint(uint64(len(c.dict[code])))
+			}
+			for _, code := range c.codes {
+				e.buf = append(e.buf, c.dict[code]...)
 			}
 		}
 	case colAny:
@@ -320,23 +342,31 @@ func encodeColV2(set *db.ResultSet, j, n int) []byte {
 	return e.buf
 }
 
-func binary64(buf []byte, v float64) []byte {
-	bits64 := math.Float64bits(v)
-	return append(buf,
-		byte(bits64), byte(bits64>>8), byte(bits64>>16), byte(bits64>>24),
-		byte(bits64>>32), byte(bits64>>40), byte(bits64>>48), byte(bits64>>56))
+// flateWriters is a free list of deflate compressors shared by columns and
+// goroutines. A BestCompression writer is ≈ 800 KB, so the list keeps them
+// across garbage collections (a sync.Pool frees what two of them find idle) but
+// never more than GOMAXPROCS of them: putFlateWriter drops a writer the full
+// list has no room for.
+var flateWriters = make(chan *flate.Writer, runtime.GOMAXPROCS(0))
+
+func getFlateWriter() *flate.Writer {
+	select {
+	case w := <-flateWriters:
+		return w
+	default:
+	}
+	w, err := flate.NewWriter(io.Discard, flate.BestCompression)
+	if err != nil {
+		panic(err) // only fails for an invalid level
+	}
+	return w
 }
 
-// flateWriters pools deflate compressors (their BestCompression state is
-// large) across columns and goroutines.
-var flateWriters = sync.Pool{
-	New: func() any {
-		w, err := flate.NewWriter(io.Discard, flate.BestCompression)
-		if err != nil {
-			panic(err) // only fails for an invalid level
-		}
-		return w
-	},
+func putFlateWriter(w *flate.Writer) {
+	select {
+	case flateWriters <- w:
+	default:
+	}
 }
 
 // tryFlate compresses body and reports whether shipping the compressed form
@@ -347,17 +377,15 @@ func tryFlate(body []byte) ([]byte, bool) {
 	}
 	// Sized to the body: a result worth shipping compressed fits.
 	buf := bytes.NewBuffer(make([]byte, 0, len(body)))
-	w := flateWriters.Get().(*flate.Writer)
+	w := getFlateWriter()
+	defer putFlateWriter(w)
 	w.Reset(buf)
 	if _, err := w.Write(body); err != nil {
-		flateWriters.Put(w)
 		return nil, false
 	}
 	if err := w.Close(); err != nil {
-		flateWriters.Put(w)
 		return nil, false
 	}
-	flateWriters.Put(w)
 	comp := buf.Bytes()
 	if uvarintLen(uint64(len(comp)))+len(comp) >= len(body) {
 		return nil, false
@@ -635,6 +663,46 @@ type nullBits []byte
 
 func (b nullBits) get(i int) bool { return b != nil && b[i>>3]&(1<<(i&7)) != 0 }
 
+// textRun is a validated run of k strings as a text block ships them: their
+// uvarint lengths, then all their bytes, copied into one backing string that
+// next slices in order.
+type textRun struct {
+	lens []byte
+	data string
+}
+
+// texts reads a run of k strings, checking every length against the bytes
+// that remain before the backing string is allocated.
+func (d *Decoder) texts(k int) (textRun, error) {
+	if k > d.Remaining() {
+		return textRun{}, fmt.Errorf("wire: %d strings claimed with %d bytes left at offset %d", k, d.Remaining(), d.off)
+	}
+	start := d.off
+	var total uint64 // at most the bytes left after the lengths read so far
+	for i := 0; i < k; i++ {
+		l, err := d.uvarint()
+		if err != nil {
+			return textRun{}, err
+		}
+		if rem := uint64(d.Remaining()); l > rem || total+l > rem {
+			return textRun{}, fmt.Errorf("wire: string lengths sum past the payload at offset %d", d.off)
+		}
+		total += l
+	}
+	run := textRun{lens: d.buf[start:d.off], data: string(d.buf[d.off : d.off+int(total)])}
+	d.off += int(total)
+	return run, nil
+}
+
+// next returns the run's next string, a slice of its backing string.
+func (r *textRun) next() string {
+	l, n := binary.Uvarint(r.lens)
+	r.lens = r.lens[n:]
+	s := r.data[:l]
+	r.data = r.data[l:]
+	return s
+}
+
 // decodeColV2 parses one column block of n rows into a colstore column: typed
 // vectors for int, float, bool and dictionary text (the wire dictionary and
 // codes are the column's, no string is hashed), exact values for inline text,
@@ -753,13 +821,20 @@ func (d *Decoder) decodeColV2(n int) (colstore.Column, error) {
 		if src.Remaining() < 8*nn {
 			return nil, fmt.Errorf("wire: truncated float column at offset %d", src.off)
 		}
+		planes := src.buf[src.off : src.off+8*nn]
+		src.off += 8 * nn
 		vals := make([]float64, n)
+		k := 0
 		for i := range vals {
 			if nulls.get(i) {
 				continue
 			}
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(src.buf[src.off:]))
-			src.off += 8
+			var b uint64
+			for p := 7; p >= 0; p-- {
+				b = b<<8 | uint64(planes[p*nn+k])
+			}
+			vals[i] = math.Float64frombits(b)
+			k++
 		}
 		col = &colstore.Float64Column{Vals: vals, Nulls: colstore.BitmapFromBytes(nulls)}
 	case colBool:
@@ -793,11 +868,13 @@ func (d *Decoder) decodeColV2(n int) (colstore.Column, error) {
 			}
 			// The encoder ships distinct entries; a payload that repeats one
 			// only makes its own equal strings differ by code.
+			run, err := src.texts(nDict)
+			if err != nil {
+				return nil, err
+			}
 			dict := make([]string, nDict)
 			for k := range dict {
-				if dict[k], err = src.str(); err != nil {
-					return nil, err
-				}
+				dict[k] = run.next()
 			}
 			codes := make([]uint32, n)
 			for i := range codes {
@@ -815,16 +892,15 @@ func (d *Decoder) decodeColV2(n int) (colstore.Column, error) {
 			}
 			col = colstore.NewTextColumn(codes, dict, colstore.BitmapFromBytes(nulls))
 		} else {
+			run, err := src.texts(nn)
+			if err != nil {
+				return nil, err
+			}
 			vals := make([]types.Value, n)
 			for i := range vals {
-				if nulls.get(i) {
-					continue
+				if !nulls.get(i) {
+					vals[i] = types.NewText(run.next())
 				}
-				s, err := src.str()
-				if err != nil {
-					return nil, err
-				}
-				vals[i] = types.NewText(s)
 			}
 			col = &colstore.AnyColumn{Vals: vals}
 		}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
+	"io"
 	"math"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -63,6 +65,127 @@ func TestV2RoundTripValueExtremes(t *testing.T) {
 	}
 	if f := rows[1][1].Float(); f != 0 || !math.Signbit(f) {
 		t.Errorf("-0.0 became %v", f)
+	}
+}
+
+// firstColDesc returns the desc byte of the first column block of a one-set
+// v2 payload.
+func firstColDesc(t *testing.T, payload []byte) byte {
+	t.Helper()
+	d := NewDecoder(payload)
+	for range 4 { // magic, version, flags, set count
+		d.uvarint()
+	}
+	d.str()
+	nCols, _ := d.uvarint()
+	for range nCols {
+		d.str()
+	}
+	if _, err := d.uvarint(); err != nil || d.Remaining() == 0 {
+		t.Fatal("payload has no column block")
+	}
+	return d.buf[d.off]
+}
+
+// nullsAmong lays vals out as one column's rows, with a NULL before every
+// third value when nulls is set (a lone NULL when vals is empty).
+func nullsAmong(vals []types.Value, nulls bool) []types.Row {
+	var rows []types.Row
+	for k, v := range vals {
+		if nulls && k%3 == 0 {
+			rows = append(rows, types.Row{types.Null()})
+		}
+		rows = append(rows, types.Row{v})
+	}
+	if nulls && len(vals) == 0 {
+		rows = append(rows, types.Row{types.Null()})
+	}
+	return rows
+}
+
+// TestV2RoundTripProperty: float columns come back bit for bit (NaN
+// payloads, -0, ±Inf, subnormals) and text columns value for value (empty
+// strings, inline and dictionary), with and without NULLs interleaved, at
+// non-NULL counts around the byte planes' edges — encoded from rows and from
+// a columnar view to the same bytes.
+func TestV2RoundTripProperty(t *testing.T) {
+	specials := []uint64{
+		0x7ff8000000000000, // quiet NaN
+		0x7ff8000000000001, // quiet NaN with a payload
+		0x7ff0000000000001, // signalling NaN
+		0xfff8dead0000beef, // negative NaN with a payload
+		0x8000000000000000, // -0
+		0x0000000000000000, // +0
+		0x7ff0000000000000, // +Inf
+		0xfff0000000000000, // -Inf
+		0x0000000000000001, // smallest subnormal
+		0x000fffffffffffff, // largest subnormal
+		0x800fffffffffffff, // negative subnormal
+		0x7fefffffffffffff, // largest finite
+	}
+	rng := rand.New(rand.NewSource(31))
+	repeated := []string{"", "a", "bb", "ccc"}
+	for _, nn := range []int{0, 1, 2, 7, 8, 9, 4096} {
+		floats, distinct, few := make([]types.Value, nn), make([]types.Value, nn), make([]types.Value, nn)
+		for k := range nn {
+			bits := rng.Uint64()
+			if k < len(specials) {
+				bits = specials[k]
+			}
+			floats[k] = types.NewFloat(math.Float64frombits(bits))
+			s := fmt.Sprintf("s%d-%x", k, rng.Uint32())
+			if k%5 == 0 {
+				s = ""
+			}
+			distinct[k] = types.NewText(s)
+			few[k] = types.NewText(repeated[k%len(repeated)])
+		}
+		for _, nulls := range []bool{false, true} {
+			for _, col := range []struct {
+				name    string
+				kind    types.Kind
+				vals    []types.Value
+				variant int // at nn = 4096
+			}{
+				{"float", types.KindFloat, floats, 0},
+				{"distinct-text", types.KindText, distinct, textInline},
+				{"repeated-text", types.KindText, few, textDict},
+			} {
+				what := fmt.Sprintf("%s nn=%d nulls=%v", col.name, nn, nulls)
+				rows := nullsAmong(col.vals, nulls)
+				payload := EncodeResultV2(oneSet("p", []string{"c"}, rows))
+				view := &colstore.View{Frame: colstore.NewFrame([]types.Kind{col.kind}, rows)}
+				fromView := &db.Result{Sets: []*db.ResultSet{{Name: "p", Columns: []string{"c"}, Rows: rows, Vec: view}}}
+				if !bytes.Equal(EncodeResultV2(fromView), payload) {
+					t.Fatalf("%s: encoded from a view, the payload differs from the one encoded from rows", what)
+				}
+				if nn == 4096 {
+					if v := int(firstColDesc(t, payload) & colVariantMask); v != col.variant {
+						t.Errorf("%s: shipped as variant %d, want %d", what, v, col.variant)
+					}
+				}
+				dec, err := DecodeResult(payload)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				got := dec.Sets[0].Rows
+				if len(got) != len(rows) {
+					t.Fatalf("%s: %d rows decoded, %d encoded", what, len(got), len(rows))
+				}
+				for i, row := range rows {
+					want, have := row[0], got[i][0]
+					switch {
+					case have.Kind() != want.Kind():
+						t.Fatalf("%s: row %d decoded as %s, want %s", what, i, have.Kind(), want.Kind())
+					case want.Kind() == types.KindFloat && math.Float64bits(have.Float()) != math.Float64bits(want.Float()):
+						t.Fatalf("%s: row %d decoded as %#x, want %#x", what, i, math.Float64bits(have.Float()), math.Float64bits(want.Float()))
+					case want.Kind() == types.KindText && have.Text() != want.Text():
+						t.Fatalf("%s: row %d decoded as %q, want %q", what, i, have.Text(), want.Text())
+					}
+				}
+				checkDecodedV2(t, what, payload, dec)
+			}
+		}
 	}
 }
 
@@ -290,32 +413,49 @@ func v2Prologue(nRows int) *Encoder {
 	return e
 }
 
+// malformedV2Columns are one-column v2 payloads (v2Prologue, then the block)
+// the decoder must reject with the given error. FuzzEncodeDecode starts from
+// them too.
+var malformedV2Columns = []struct {
+	name string
+	rows int
+	col  []byte // desc + body
+	want string
+}{
+	{"reserved bit", 1, []byte{colReservedBit | colInt<<colKindShift, 2}, "reserved bit"},
+	{"unknown kind", 1, []byte{7 << colKindShift}, "unknown column kind"},
+	{"variant on float", 1, []byte{1 | colFloat<<colKindShift}, "no variant"},
+	{"variant 2 on int", 1, []byte{2 | colInt<<colKindShift, 2}, "unknown payload variant"},
+	{"bitmap on all-null", 2, []byte{colNullsBit | colAllNull<<colKindShift, 0x01}, "cannot carry a null bitmap"},
+	{"bitmap on any", 2, []byte{colNullsBit | colAny<<colKindShift, 0x01, tagNull, tagNull}, "cannot carry a null bitmap"},
+	{"bitmap all set", 2, []byte{colNullsBit | colInt<<colKindShift, 0x03}, "non-canonical null bitmap"},
+	{"bitmap none set", 2, []byte{colNullsBit | colInt<<colKindShift, 0x00, 2, 4}, "non-canonical null bitmap"},
+	{"bitmap spare bits", 2, []byte{colNullsBit | colInt<<colKindShift, 0x05, 2}, "bits beyond row"},
+	{"bool spare bits", 2, []byte{colBool << colKindShift, 0x04}, "bits beyond value"},
+	{"dict code out of range", 1, []byte{textDict | colText<<colKindShift, 1, 1, 'a', 5}, "out of range"},
+	{"truncated column", 3, []byte{colInt << colKindShift, 2}, "truncated"},
+	{"truncated descriptor", 1, nil, "truncated column descriptor"},
+	// The split layouts: lengths first, then bytes; floats as byte planes.
+	{"text lengths sum past the payload", 2, []byte{textInline | colText<<colKindShift, 3, 3, 'a', 'b', 'c', 'd'}, "sum past the payload"},
+	{"dict lengths sum past the payload", 1, []byte{textDict | colText<<colKindShift, 2, 2, 2, 'a', 'b', 0}, "sum past the payload"},
+	{"text length of 2^63", 1, append([]byte{textInline | colText<<colKindShift},
+		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'a'), "sum past the payload"},
+	{"more strings than bytes", 100, append([]byte{textInline | colText<<colKindShift}, make([]byte, 20)...), "strings claimed"},
+	{"float planes one byte short", 2, append([]byte{colFloat << colKindShift}, make([]byte, 15)...), "truncated float column"},
+}
+
+// TestV2DecoderRejectsMalformedColumns: every malformed block is refused
+// with its error, and refusing it allocates no more than a few kilobytes,
+// whatever its counts and lengths claim.
 func TestV2DecoderRejectsMalformedColumns(t *testing.T) {
-	cases := []struct {
-		name string
-		rows int
-		col  []byte // desc + body
-		want string
-	}{
-		{"reserved bit", 1, []byte{colReservedBit | colInt<<colKindShift, 2}, "reserved bit"},
-		{"unknown kind", 1, []byte{7 << colKindShift}, "unknown column kind"},
-		{"variant on float", 1, []byte{1 | colFloat<<colKindShift}, "no variant"},
-		{"variant 2 on int", 1, []byte{2 | colInt<<colKindShift, 2}, "unknown payload variant"},
-		{"bitmap on all-null", 2, []byte{colNullsBit | colAllNull<<colKindShift, 0x01}, "cannot carry a null bitmap"},
-		{"bitmap on any", 2, []byte{colNullsBit | colAny<<colKindShift, 0x01, tagNull, tagNull}, "cannot carry a null bitmap"},
-		{"bitmap all set", 2, []byte{colNullsBit | colInt<<colKindShift, 0x03}, "non-canonical null bitmap"},
-		{"bitmap none set", 2, []byte{colNullsBit | colInt<<colKindShift, 0x00, 2, 4}, "non-canonical null bitmap"},
-		{"bitmap spare bits", 2, []byte{colNullsBit | colInt<<colKindShift, 0x05, 2}, "bits beyond row"},
-		{"bool spare bits", 2, []byte{colBool << colKindShift, 0x04}, "bits beyond value"},
-		{"dict code out of range", 1, []byte{textDict | colText<<colKindShift, 1, 1, 'a', 5}, "out of range"},
-		{"truncated column", 3, []byte{colInt << colKindShift, 2}, "truncated"},
-		{"truncated descriptor", 1, nil, "truncated column descriptor"},
-	}
-	for _, tc := range cases {
+	for _, tc := range malformedV2Columns {
 		t.Run(tc.name, func(t *testing.T) {
 			e := v2Prologue(tc.rows)
 			e.buf = append(e.buf, tc.col...)
-			_, err := DecodeResult(e.Bytes())
+			var err error
+			if got := allocatedBy(func() { _, err = DecodeResult(e.Bytes()) }); got > 64<<10 {
+				t.Errorf("rejecting it allocated %d bytes", got)
+			}
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("want error containing %q, got %v", tc.want, err)
 			}
@@ -447,11 +587,13 @@ func rowBlockBytes(set *db.ResultSet) uint64 {
 
 // TestDecodeAllocatesWhatItReturns guards the decoder's transient memory:
 // decoding a JOB payload (every column deflated) a second time allocates less
-// than twice the bytes the decoded result holds — its row block, its frame
-// vectors and its strings; the rest is inflated column bodies, headers and
-// size-class rounding. A fresh 40 KB inflater per column, or an io.ReadAll
-// doubling ladder from 512 bytes per column, breaks that several times over
-// (10-17x on the two small payloads here).
+// than 1.8 times the bytes the decoded result holds — its row block, its
+// frame vectors and one backing string per text block; the rest is inflated
+// column bodies, headers and size-class rounding (1.40-1.73x measured on
+// these payloads, 1.44-1.75x while every string was its own allocation). A
+// fresh 40 KB inflater per column, or an io.ReadAll doubling ladder from 512
+// bytes per column, breaks that several times over (10-17x on the two small
+// payloads here).
 func TestDecodeAllocatesWhatItReturns(t *testing.T) {
 	d := db.New()
 	if err := job.Load(d, job.Config{Scale: 0.1, Seed: 42}); err != nil {
@@ -482,11 +624,13 @@ func TestDecodeAllocatesWhatItReturns(t *testing.T) {
 				case *colstore.BoolColumn:
 					held += n
 				case *colstore.TextColumn:
+					// The entries slice the block's one backing string.
 					held += 4*n + 24*uint64(len(col.Dict))
 					for _, s := range col.Dict {
 						held += uint64(len(s))
 					}
 				case *colstore.AnyColumn:
+					// An inline text block: its values slice one backing string.
 					held += 32 * n
 					for _, v := range col.Vals {
 						if v.Kind() == types.KindText {
@@ -496,21 +640,72 @@ func TestDecodeAllocatesWhatItReturns(t *testing.T) {
 				}
 			}
 		}
+		bound := held * 9 / 5
 		// The steady state is what is guarded: sync.Pool may hand out a fresh
 		// inflater after a GC or a goroutine migration (and drops a quarter of
 		// its Puts under -race), so take the cheapest of several decodes.
 		got := uint64(math.MaxUint64)
-		for attempt := 0; attempt < 200 && got > 2*held; attempt++ {
+		for attempt := 0; attempt < 200 && got > bound; attempt++ {
 			got = min(got, allocatedBy(func() {
 				if _, err := DecodeResult(payload); err != nil {
 					t.Fatal(err)
 				}
 			}))
 		}
-		if got > 2*held {
-			t.Errorf("%s: decoding the %d-byte payload again allocated %d bytes, the result holds %d (%.2fx, want < 2x)",
+		if got > bound {
+			t.Errorf("%s: decoding the %d-byte payload again allocated %d bytes, the result holds %d (%.2fx, want < 1.8x)",
 				name, len(payload), got, held, float64(got)/float64(held))
 		}
+	}
+}
+
+// TestDecodeInlineTextAllocsFlat: an inline text block decodes into one
+// backing string its values slice, so decoding it allocates as many times
+// at 4096 rows as at 16.
+func TestDecodeInlineTextAllocsFlat(t *testing.T) {
+	allocs := func(n int) float64 {
+		e := v2Prologue(n)
+		e.buf = append(e.buf, textInline|colText<<colKindShift)
+		for i := range n {
+			e.uvarint(uint64(len(fmt.Sprint(i))))
+		}
+		for i := range n {
+			e.buf = append(e.buf, fmt.Sprint(i)...)
+		}
+		payload := e.Bytes()
+		return testing.AllocsPerRun(20, func() {
+			if _, err := DecodeResult(payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(16), allocs(4096); large > small {
+		t.Errorf("decoding an inline text block allocates %.0f times at 4096 rows, %.0f at 16", large, small)
+	}
+}
+
+// TestFlateWritersSurviveCollection: the deflate writers a column encode
+// used are still there for the next encode after two garbage collections
+// (a sync.Pool would have freed them), so that encode allocates less than
+// one writer.
+func TestFlateWritersSurviveCollection(t *testing.T) {
+	writer := allocatedBy(func() {
+		if _, err := flate.NewWriter(io.Discard, flate.BestCompression); err != nil {
+			t.Fatal(err)
+		}
+	})
+	seq := make([]types.Row, 4096)
+	for i := range seq {
+		seq[i] = types.Row{types.NewInt(int64(i % 7))}
+	}
+	r := oneSet("seq", []string{"v"}, seq)
+	if desc := firstColDesc(t, EncodeResultV2(r)); desc&colFlateBit == 0 {
+		t.Fatal("the column does not deflate")
+	}
+	runtime.GC()
+	runtime.GC()
+	if got := allocatedBy(func() { EncodeResultV2(r) }); got >= writer {
+		t.Errorf("encoding after two collections allocated %d bytes, a writer is %d", got, writer)
 	}
 }
 

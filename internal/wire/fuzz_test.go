@@ -88,6 +88,14 @@ func FuzzEncodeDecode(f *testing.F) {
 	truncBitmap.uvarint(100)
 	truncBitmap.buf = append(truncBitmap.buf, colNullsBit|colInt<<colKindShift, 0x02) // 13-byte bitmap, 1 present
 	f.Add(truncBitmap.Bytes())
+	// Every malformed block the decoder is known to refuse: among them text
+	// lengths summing past the payload, a length of 2^63, more strings than
+	// bytes, and float planes one byte short.
+	for _, tc := range malformedV2Columns {
+		e := v2Prologue(tc.rows)
+		e.buf = append(e.buf, tc.col...)
+		f.Add(e.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		res, err := DecodeResult(data) // must never panic
 		if err != nil {

@@ -45,7 +45,8 @@
 # to the in-process v2 encoding), reductions planned with statistics
 # byte-identical to the heuristic plan's, the one containment model and the
 # greedy join order's invariance, and the six-way rewrite oracle),
-# wire v2 (socket payload == in-process v2 encoding, decoded vs v1; boxed
+# wire v2 (socket payload == in-process v2 encoding, decoded vs v1, float and
+# text blocks round-tripping bit for bit; boxed
 # in-process and unboxed server results byte-identical, no row block boxed on
 # the server path), chaos (fault-injected connections
 # converge to the exact oracle or fail typed) and crash-recovery (kill at
@@ -154,9 +155,12 @@ dead="$dead"'|frameHello|helloStreaming|helloIntegrity|finishHello|execBuffered|
 # and its countdown, the map-based estimator with its per-step column
 # resolutions and the separate root simulator are gone.
 dead="$dead"'|bfsEdges|subtreesWithProjection|ndvsOf|remainingProjected|edgeColsFor|newEstimator|newRootSim|selCols|liveSel'
+# One layout per v2 column kind: floats ship as byte planes and text as its
+# lengths, then its bytes. The interleaved float writer is gone.
+dead="$dead"'|\bbinary64\b'
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
-	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk are back:"
+	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout are back:"
 	echo "$dead_refs"
 	exit 1
 fi
@@ -309,8 +313,8 @@ gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestPlanG
 	./internal/wire ./internal/core ./internal/stats ./internal/engine
 gate -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
 
-echo "== wire v2 differential gate (socket payload == in-process v2 encoding x par, decoded vs v1 oracle, v2 <= v1 bytes, decoded results frame-backed and re-encoding to the same bytes, streamed == buffered in-process encode, post-join equal on every result form; boxed in-process and unboxed server results x v1/v2 byte-identical, v2 chunk by chunk too, sizes from columns equal sizes from rows, in-process calls boxing into copies of cached sets the server reads unboxed, the server path boxing no row block; under -race)"
-gate -race -run 'TestWireV2Differential|TestStreamedMatchesBuffered|TestExecStream|TestResultSetsCarryViews|TestPostJoinSameOnEveryResultForm|TestServerPathBoxesNoRows|TestWireSizeFromColumns|TestInProcessCallsBox|TestCacheHitBoxesIntoACopy' -count=1 \
+echo "== wire v2 differential gate (socket payload == in-process v2 encoding x par, decoded vs v1 oracle, v2 <= v1 bytes, decoded results frame-backed and re-encoding to the same bytes, float byte planes and split text blocks round-tripping bit for bit around the planes' edges, streamed == buffered in-process encode, post-join equal on every result form; boxed in-process and unboxed server results x v1/v2 byte-identical, v2 chunk by chunk too, sizes from columns equal sizes from rows, in-process calls boxing into copies of cached sets the server reads unboxed, the server path boxing no row block; under -race)"
+gate -race -run 'TestWireV2Differential|TestV2RoundTripProperty|TestStreamedMatchesBuffered|TestExecStream|TestResultSetsCarryViews|TestPostJoinSameOnEveryResultForm|TestServerPathBoxesNoRows|TestWireSizeFromColumns|TestInProcessCallsBox|TestCacheHitBoxesIntoACopy' -count=1 \
 	./internal/wire ./internal/db
 
 echo "== chaos differential gate (fault plans x par; a CRC trailer on every frame, flipped query and response bytes caught; under -race)"
