@@ -197,7 +197,9 @@ func (m *matcher) equal(i, j int) bool {
 // hash, as a tag that spares key compares: 8 bytes a slot, not 16, and table
 // bytes are the largest allocation of a cold query. A slot stands for one
 // distinct key; what its position means — the first row with that key, or
-// the head of a chain of them — is its owner's business.
+// the head of a chain of them — is its owner's business. (A KeySet over a
+// dense integer key is a bitmap instead, no larger than this table would be,
+// and hashes nothing.)
 type posTable struct {
 	slots []slot
 	shift uint // 64 - log2(len(slots))
@@ -210,9 +212,13 @@ type slot struct {
 
 // newPosTable returns an empty table with room for n insertions.
 func newPosTable(n int) posTable {
-	lg := bits.Len(uint(2*max(n, 1) - 1)) // 2n rounded up to a power of two
+	lg := tableLog(n)
 	return posTable{slots: make([]slot, 1<<lg), shift: uint(64 - lg)}
 }
+
+// tableLog is log2 of the slot count of a table with room for n insertions:
+// 2n rounded up to a power of two.
+func tableLog(n int) int { return bits.Len(uint(2*max(n, 1) - 1)) }
 
 // home is h's first slot: the top bits of a remix, because FNV's own high
 // bits see little of the last key bytes. (The hash itself stays FNV.)
@@ -232,17 +238,73 @@ func (t *posTable) lookup(h uint64, m *matcher, j int) *slot {
 }
 
 // KeySet is the semi-join build side: the set of the distinct non-NULL keys
-// of one input, probed by membership. It stores row positions, not projected
-// key rows, so neither build nor probe allocates per row.
+// of one input, probed by membership. BuildKeySet picks one of two forms from
+// the build side alone; both match exactly the probes the other would.
+//
+//   - Dense: a key that is one Int64Column whose non-NULL values lie strictly
+//     inside ±2^53 (so the key compare, float64 equality, is integer
+//     equality) and span no more 64-bit words than the hashed form's table
+//     would have slots is a bitmap over [base, base+64·len(bits)): bit v−base
+//     is set when v is a key. It hashes nothing, on either side, and is never
+//     larger than the table it replaces.
+//   - Hashed: every other key is a posTable of row positions, not projected
+//     key rows, so neither build nor probe allocates per row.
 type KeySet struct {
-	src Key
-	tab posTable
-	n   int
+	src  Key      // the build key, which the hashed form compares against
+	tab  posTable // the hashed form
+	bits []uint64 // the dense form; nil in the hashed form
+	base int64    // the dense form's smallest key
 }
 
+// maxExact bounds the dense form's keys: strictly inside ±2^53 no two
+// integers share a float64.
+const maxExact = 1 << 53
+
 // BuildKeySet returns the set of src's keys; NULL keys are skipped,
-// duplicates kept once (the first row with each key stands for it).
+// duplicates kept once.
 func BuildKeySet(src Key) *KeySet {
+	if s := buildDense(src); s != nil {
+		return s
+	}
+	return buildHashed(src)
+}
+
+// buildDense returns the dense form of src's keys, or nil when src does not
+// qualify for it (see KeySet). A build with no non-NULL key is one empty word.
+func buildDense(src Key) *KeySet {
+	if len(src.kc) != 1 {
+		return nil
+	}
+	c, ok := src.kc[0].(*Int64Column)
+	if !ok {
+		return nil
+	}
+	n := src.Len()
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	for j := 0; j < n; j++ {
+		if f := src.view.Index(j); !c.Nulls.Get(f) {
+			lo, hi = min(lo, c.Vals[f]), max(hi, c.Vals[f])
+		}
+	}
+	if lo > hi {
+		lo, hi = 0, 0
+	}
+	if lo <= -maxExact || hi >= maxExact || (hi-lo)>>6 >= 1<<tableLog(n) {
+		return nil
+	}
+	s := &KeySet{bits: make([]uint64, (hi-lo)>>6+1), base: lo}
+	for j := 0; j < n; j++ {
+		if f := src.view.Index(j); !c.Nulls.Get(f) {
+			d := uint64(c.Vals[f] - lo)
+			s.bits[d>>6] |= 1 << (d & 63)
+		}
+	}
+	return s
+}
+
+// buildHashed returns the hashed form of src's keys: the first row with each
+// key stands for it.
+func buildHashed(src Key) *KeySet {
 	n := src.Len()
 	s := &KeySet{src: src, tab: newPosTable(n)}
 	m := newMatcher(src, src)
@@ -257,7 +319,6 @@ func BuildKeySet(src Key) *KeySet {
 			}
 			if sl := s.tab.lookup(hs[i], &m, lo+i); sl.ref == 0 {
 				sl.tag, sl.ref = uint32(hs[i]), int32(lo+i)+1
-				s.n++
 			}
 		}
 	}
@@ -268,6 +329,9 @@ func BuildKeySet(src Key) *KeySet {
 // the set, ascending. NULL keys never match. out grows with the hit rate
 // observed, not with the rows probed.
 func (s *KeySet) Select(p Key, lo, hi int, out []int32) []int32 {
+	if s.bits != nil {
+		return s.selectDense(p, lo, hi, out)
+	}
 	m := newMatcher(s.src, p)
 	var hs [batch]uint64
 	var null [batch]bool
@@ -282,20 +346,88 @@ func (s *KeySet) Select(p Key, lo, hi int, out []int32) []int32 {
 				k++
 			}
 		}
-		if len(out)+k > cap(out) {
-			// Reserve as if the batches left hit like this one did.
-			out = slices.Grow(out, k*((hi-lo+batch-1)/batch))
-		}
-		out = append(out, hit[:k]...)
+		out = appendHits(out, hit[:k], hi-lo)
 	}
 	return out
 }
 
+// selectDense is Select over the dense form: an Int64Column probe row costs
+// one subtract, one compare and one bit test; any other probe column takes
+// ContainsValue's rule per value.
+func (s *KeySet) selectDense(p Key, lo, hi int, out []int32) []int32 {
+	var hit [batch]int32
+	sel := p.view.Sel
+	for ; lo < hi; lo += batch {
+		b := min(batch, hi-lo)
+		k := 0
+		switch c := p.kc[0].(type) {
+		case *Int64Column:
+			for j := lo; j < lo+b; j++ {
+				f := j
+				if sel != nil {
+					f = int(sel[j])
+				}
+				if !c.Nulls.Get(f) && s.hasInt(c.Vals[f]) {
+					hit[k] = int32(j)
+					k++
+				}
+			}
+		default:
+			for j := lo; j < lo+b; j++ {
+				if s.ContainsValue(c.Value(p.view.Index(j))) {
+					hit[k] = int32(j)
+					k++
+				}
+			}
+		}
+		out = appendHits(out, hit[:k], hi-lo)
+	}
+	return out
+}
+
+// appendHits appends one batch's hits to out, where left rows (that batch's
+// included) remain to be probed: when out is full it reserves as if the
+// batches left hit like this one did.
+func appendHits(out, hits []int32, left int) []int32 {
+	if len(out)+len(hits) > cap(out) {
+		out = slices.Grow(out, len(hits)*((left+batch-1)/batch))
+	}
+	return append(out, hits...)
+}
+
+// hasInt reports whether the dense form holds the integer v. One outside
+// ±2^53 lands on no set bit, as its float64 is no key's.
+func (s *KeySet) hasInt(v int64) bool {
+	d := uint64(v - s.base) // the wrapped difference: ≥ the width when v < base
+	return d < uint64(len(s.bits))<<6 && s.bits[d>>6]&(1<<(d&63)) != 0
+}
+
+// hasFloat reports whether the dense form holds a key whose float64 bits are
+// f's — what the hashed form, which hashes those bits, matches: an integral
+// f, but never −0.0, NaN, ±Inf or a fraction.
+func (s *KeySet) hasFloat(f float64) bool {
+	if !(f > -maxExact && f < maxExact) {
+		return false
+	}
+	i := int64(f)
+	return math.Float64bits(float64(i)) == math.Float64bits(f) && s.hasInt(i)
+}
+
 // ContainsValue reports whether v is a key of the set, which must be over a
-// single column: the probe of a scalar that belongs to no frame. It hashes
-// and compares as a one-column key holding v would (types.Equal against the
-// build column); NULL never matches. Allocation-free.
+// single column: the probe of a scalar that belongs to no frame. The hashed
+// form hashes and compares as a one-column key holding v would (types.Equal
+// against the build column); the dense form tests an INTEGER's or DOUBLE's
+// bit. NULL never matches. Allocation-free.
 func (s *KeySet) ContainsValue(v types.Value) bool {
+	if s.bits != nil {
+		switch v.Kind() {
+		case types.KindInt:
+			return s.hasInt(v.Int())
+		case types.KindFloat:
+			return s.hasFloat(v.Float())
+		}
+		return false
+	}
 	if v.IsNull() {
 		return false
 	}
@@ -311,9 +443,6 @@ func (s *KeySet) ContainsValue(v types.Value) bool {
 		}
 	}
 }
-
-// Len returns the number of distinct keys.
-func (s *KeySet) Len() int { return s.n }
 
 // HashTable is the join build side: every non-NULL key of one input, its
 // rows chained in ascending position order — the invariant that keeps

@@ -2,7 +2,9 @@ package colstore
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"resultdb/internal/types"
@@ -93,33 +95,30 @@ type side struct {
 }
 
 // checkJoinAgainstScan compares KeySet and HashTable with a linear scan of
-// the build rows, for every pairing of build and probe forms: NULL keys never
-// match, KeySet.Len counts distinct non-NULL build keys, Select and (over
-// single-column keys) ContainsValue agree with the scan, and HashTable
-// probes yield exactly the scan's positions, ascending, at par 1 and 4.
+// the build rows, for every pairing of build and probe forms. A build key
+// matches a probe key under the hash structures' rule: both non-NULL, equal
+// under types.Equal and hashing alike (so −0.0 and NaN, which Equal calls
+// equal to 0 and to every number but which hash by their own bits, match
+// only keys with those bits). Select and (over single-column keys) ContainsValue agree with
+// the scan, both for the form BuildKeySet picks and for the hashed form of
+// the same key, and HashTable probes yield exactly the scan's positions,
+// ascending, at par 1 and 4.
 func checkJoinAgainstScan(t *testing.T, build, probe side) {
 	t.Helper()
+	bh := make([]uint64, len(build.rows))
+	for i, br := range build.rows {
+		bh[i] = br.HashKey(build.cols)
+	}
 	want := make([][]int32, len(probe.rows))
 	for j, pr := range probe.rows {
 		if keyNull(pr, probe.cols) {
 			continue
 		}
+		h := pr.HashKey(probe.cols)
 		for i, br := range build.rows {
-			if !keyNull(br, build.cols) && keysEq(br, build.cols, pr, probe.cols) {
+			if !keyNull(br, build.cols) && bh[i] == h && keysEq(br, build.cols, pr, probe.cols) {
 				want[j] = append(want[j], int32(i))
 			}
-		}
-	}
-	distinct := 0
-	for i, br := range build.rows {
-		first := !keyNull(br, build.cols)
-		for _, prev := range build.rows[:i] {
-			if first && !keyNull(prev, build.cols) && keysEq(prev, build.cols, br, build.cols) {
-				first = false
-			}
-		}
-		if first {
-			distinct++
 		}
 	}
 	var wantSel []int32
@@ -130,36 +129,38 @@ func checkJoinAgainstScan(t *testing.T, build, probe side) {
 	}
 	for _, bf := range keyForms {
 		bk := bf.key(build.kinds, build.rows, build.cols)
-		set := BuildKeySet(bk)
-		if set.Len() != distinct {
-			t.Fatalf("%s build: KeySet.Len = %d, want %d", bf.name, set.Len(), distinct)
-		}
+		sets := []*KeySet{BuildKeySet(bk), buildHashed(bk)}
 		if len(build.cols) == 1 {
-			for j, pr := range probe.rows {
-				if v := pr[probe.cols[0]]; set.ContainsValue(v) != (len(want[j]) > 0) {
-					t.Fatalf("%s build: ContainsValue(%v) = %v", bf.name, v, set.ContainsValue(v))
+			for _, set := range sets {
+				for j, pr := range probe.rows {
+					if v := pr[probe.cols[0]]; set.ContainsValue(v) != (len(want[j]) > 0) {
+						t.Fatalf("%s build, %s: ContainsValue(%v) = %v", bf.name, keySetForm(set), v, set.ContainsValue(v))
+					}
 				}
 			}
 		}
 		tables := map[int]*HashTable{1: BuildHashTable(bk, 1), 4: BuildHashTable(bk, 4)}
 		for _, pf := range keyForms {
-			what := bf.name + " build, " + pf.name + " probe"
 			pk := pf.key(probe.kinds, probe.rows, probe.cols)
-			if got := set.Select(pk, 0, pk.Len(), nil); !sameSel(got, wantSel) {
-				t.Fatalf("%s: Select = %v, want %v", what, got, wantSel)
-			}
-			// An odd-sized sub-range crossing a batch boundary.
-			if lo, hi := pk.Len()/3, pk.Len()-1; lo < hi {
-				var sub []int32
-				for _, j := range wantSel {
-					if int(j) >= lo && int(j) < hi {
-						sub = append(sub, j)
+			for _, set := range sets {
+				what := bf.name + " build (" + keySetForm(set) + "), " + pf.name + " probe"
+				if got := set.Select(pk, 0, pk.Len(), nil); !sameSel(got, wantSel) {
+					t.Fatalf("%s: Select = %v, want %v", what, got, wantSel)
+				}
+				// An odd-sized sub-range crossing a batch boundary.
+				if lo, hi := pk.Len()/3, pk.Len()-1; lo < hi {
+					var sub []int32
+					for _, j := range wantSel {
+						if int(j) >= lo && int(j) < hi {
+							sub = append(sub, j)
+						}
+					}
+					if got := set.Select(pk, lo, hi, nil); !sameSel(got, sub) {
+						t.Fatalf("%s: Select[%d,%d) = %v, want %v", what, lo, hi, got, sub)
 					}
 				}
-				if got := set.Select(pk, lo, hi, nil); !sameSel(got, sub) {
-					t.Fatalf("%s: Select[%d,%d) = %v, want %v", what, lo, hi, got, sub)
-				}
 			}
+			what := bf.name + " build, " + pf.name + " probe"
 			for par, ht := range tables {
 				pr := ht.Prober(pk)
 				for j := range probe.rows {
@@ -172,6 +173,14 @@ func checkJoinAgainstScan(t *testing.T, build, probe side) {
 			}
 		}
 	}
+}
+
+// keySetForm names the form BuildKeySet picked for s.
+func keySetForm(s *KeySet) string {
+	if s.bits != nil {
+		return "dense"
+	}
+	return "hashed"
 }
 
 // TestKeySetMatchesNaive: composite keys with NULLs on both sides and heavy
@@ -291,6 +300,119 @@ func TestKeyMixedSides(t *testing.T) {
 	}
 }
 
+// TestKeySetDenseMatchesHash: a key of one INTEGER column whose values lie
+// strictly inside ±2^53 and span no more words than the table would have
+// slots is a bitmap, and it matches exactly what the hashed form of the same
+// key matches — INTEGER probes, DOUBLE probes (integral, fractional, −0.0,
+// NaN, ±Inf, ±2^53) and mixed TEXT/BOOL/number probes, over sub-ranges that
+// cross a batch and through ContainsValue. A range one word wider, or a key
+// at ±2^53, stays hashed.
+func TestKeySetDenseMatchesHash(t *testing.T) {
+	const big = int64(1) << 53
+	rng := rand.New(rand.NewSource(18))
+	ints := func(vs ...int64) []types.Row {
+		rows := make([]types.Row, len(vs))
+		for i, v := range vs {
+			rows[i] = types.Row{types.NewInt(v)}
+		}
+		return rows
+	}
+	random := func(n int, lo, span int64) []types.Row {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(lo + rng.Int63n(span))}
+			if rng.Intn(7) == 0 {
+				rows[i] = types.Row{types.Null()}
+			}
+		}
+		return rows
+	}
+	slots := int64(1) << tableLog(3) // a three-row build's table
+	cases := []struct {
+		name  string
+		build []types.Row
+		dense bool
+	}{
+		{"nulls and duplicates", random(300, -40, 101), true},
+		{"negative range", random(200, -5000, 900), true},
+		{"one value", ints(7), true},
+		{"all NULL", []types.Row{{types.Null()}, {types.Null()}, {types.Null()}}, true},
+		{"width at the word bound", ints(-3, -3+64*slots-1, 5), true},
+		{"width one word over", ints(-3, -3+64*slots, 5), false},
+		{"2^53-1", append(ints(big-1, big-70), types.Row{types.Null()}), true},
+		{"-(2^53-1)", ints(-(big - 1), -(big-1)+9), true},
+		{"2^53", ints(big, big-1), false},
+		{"-2^53", ints(-big, -big+1), false},
+	}
+	kinds := []types.Kind{types.KindInt}
+	for _, c := range cases {
+		build := side{kinds, c.build, []int{0}}
+		set := BuildKeySet(ViewKey(&View{Frame: NewFrame(kinds, c.build)}, []int{0}))
+		if got := keySetForm(set); (got == "dense") != c.dense {
+			t.Fatalf("%s: BuildKeySet chose the %s form", c.name, got)
+		}
+		// Probe every build key, its neighbours and the edges of every range
+		// involved, cycled past two batches with NULLs in between.
+		cand := []int64{0, -1, 1, math.MinInt64, math.MaxInt64, big, -big, big - 1, -(big - 1), big + 1, -(big + 1)}
+		for _, r := range c.build {
+			if !r[0].IsNull() {
+				v := r[0].Int()
+				cand = append(cand, v-64, v-1, v, v+1, v+64)
+			}
+		}
+		var ip, fp, mp []types.Row
+		for i := 0; len(ip) < 1100; i++ {
+			v := cand[i%len(cand)]
+			if i%11 == 5 {
+				ip, fp, mp = append(ip, types.Row{types.Null()}), append(fp, types.Row{types.Null()}), append(mp, types.Row{types.Null()})
+				continue
+			}
+			f := float64(v)
+			switch i % 5 {
+			case 1:
+				f += 0.5
+			case 2:
+				f = []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), float64(big), -float64(big)}[i%6]
+			}
+			ip = append(ip, types.Row{types.NewInt(v)})
+			fp = append(fp, types.Row{types.NewFloat(f)})
+			mp = append(mp, []types.Row{{types.NewInt(v)}, {types.NewFloat(f)}, {types.NewText(fmt.Sprint(v))}, {types.NewBool(v%2 == 0)}}[i%4])
+		}
+		checkJoinAgainstScan(t, build, side{kinds, ip, []int{0}})
+		checkJoinAgainstScan(t, build, side{[]types.Kind{types.KindFloat}, fp, []int{0}})
+		checkJoinAgainstScan(t, build, side{kinds, mp, []int{0}})
+	}
+}
+
+// TestDenseKeySetBytes: the bitmap is never larger than the table it
+// replaces — a dense build allocates no more bytes than the hashed build of
+// the same key, with the range as wide as the word bound allows.
+func TestDenseKeySetBytes(t *testing.T) {
+	allocBytes := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, n := range []int{1, 3, 100, 5000} {
+		width := int64(64) << tableLog(n) // as many words as the table has slots
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i) * (width - 1) / int64(max(n-1, 1)))}
+		}
+		k := ViewKey(&View{Frame: NewFrame([]types.Kind{types.KindInt}, rows)}, []int{0})
+		if form := keySetForm(BuildKeySet(k)); form != "dense" {
+			t.Fatalf("n=%d: %s form", n, form)
+		}
+		dense, hashed := allocBytes(func() { BuildKeySet(k) }), allocBytes(func() { buildHashed(k) })
+		if dense > hashed {
+			t.Errorf("n=%d: the dense build allocates %d bytes, the hashed one %d", n, dense, hashed)
+		}
+	}
+}
+
 // TestPosTableCollisions feeds the table a constant hash, so every key
 // collides on all 64 bits and only the probe sequence and the key compare
 // tell them apart, with as many distinct keys as the table was sized for.
@@ -335,7 +457,7 @@ func TestPosTableCollisions(t *testing.T) {
 	for _, f := range keyForms {
 		empty := f.key(kinds, nil, []int{0})
 		pk := keyForms[0].key(probe.kinds, probe.rows, probe.cols)
-		if s := BuildKeySet(empty); s.Len() != 0 || s.ContainsValue(probe.rows[0][0]) || len(s.Select(pk, 0, 3, nil)) != 0 {
+		if s := BuildKeySet(empty); s.ContainsValue(probe.rows[0][0]) || len(s.Select(pk, 0, 3, nil)) != 0 {
 			t.Fatalf("%s: empty KeySet matched", f.name)
 		}
 		pr := BuildHashTable(empty, 4).Prober(pk)
@@ -410,6 +532,7 @@ func TestHashKernelAllocations(t *testing.T) {
 	small, large := key(100), key(10000)
 	for name, run := range map[string]func(k Key){
 		"KeySet":            func(k Key) { BuildKeySet(k).Select(k, 0, k.Len(), make([]int32, 0, k.Len())) },
+		"KeySet hashed":     func(k Key) { buildHashed(k).Select(k, 0, k.Len(), make([]int32, 0, k.Len())) },
 		"HashTable":         func(k Key) { BuildHashTable(k, 1) },
 		"DistinctPositions": func(k Key) { DistinctPositions(k, 1) },
 	} {
