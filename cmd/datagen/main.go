@@ -58,7 +58,7 @@ func run(workload string, scale float64, seed int64, out string) error {
 	if err := os.MkdirAll(out, 0o755); err != nil {
 		return err
 	}
-	for _, name := range d.Catalog().Names() {
+	for _, name := range d.TableNames() {
 		t, err := d.Table(name)
 		if err != nil {
 			return err

@@ -1,14 +1,13 @@
 // Package catalog holds logical schema metadata: columns, table definitions,
-// primary and foreign keys, and the catalog that maps names to definitions.
+// and primary and foreign keys.
 //
-// The catalog is purely logical; physical storage lives in internal/storage.
+// It is purely logical: physical storage lives in internal/storage, and the
+// registry of a database's tables is its published table map (internal/db).
 package catalog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 
 	"resultdb/internal/types"
 )
@@ -127,114 +126,4 @@ func (d *TableDef) String() string {
 	}
 	b.WriteByte(')')
 	return b.String()
-}
-
-// Catalog maps table names (case-insensitive) to definitions. It is safe for
-// concurrent use.
-type Catalog struct {
-	mu     sync.RWMutex
-	tables map[string]*TableDef
-}
-
-// New returns an empty catalog.
-func New() *Catalog {
-	return &Catalog{tables: make(map[string]*TableDef)}
-}
-
-// Create registers a table definition. It fails if the name exists.
-func (c *Catalog) Create(d *TableDef) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := strings.ToLower(d.Name)
-	if _, ok := c.tables[key]; ok {
-		return fmt.Errorf("catalog: table %q already exists", d.Name)
-	}
-	c.tables[key] = d
-	return nil
-}
-
-// Drop removes a table definition. It fails if the name is unknown.
-func (c *Catalog) Drop(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, ok := c.tables[key]; !ok {
-		return fmt.Errorf("catalog: table %q does not exist", name)
-	}
-	delete(c.tables, key)
-	return nil
-}
-
-// Lookup returns the definition of name, or an error.
-func (c *Catalog) Lookup(name string) (*TableDef, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if d, ok := c.tables[strings.ToLower(name)]; ok {
-		return d, nil
-	}
-	return nil, fmt.Errorf("catalog: table %q does not exist", name)
-}
-
-// Has reports whether name is registered.
-func (c *Catalog) Has(name string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.tables[strings.ToLower(name)]
-	return ok
-}
-
-// Names returns all registered table names, sorted.
-func (c *Catalog) Names() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for _, d := range c.tables {
-		out = append(out, d.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Snapshot is an immutable point-in-time view of the catalog: a frozen
-// name→definition map taken in one O(tables) copy. Definitions themselves
-// are immutable after registration (ALTER does not exist), so the snapshot
-// shares them. Reads on a Snapshot take no lock and stay consistent with
-// each other no matter how the live catalog moves on.
-type Snapshot struct {
-	tables map[string]*TableDef
-}
-
-// Snapshot captures the current table set. O(tables).
-func (c *Catalog) Snapshot() *Snapshot {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	tables := make(map[string]*TableDef, len(c.tables))
-	for k, d := range c.tables {
-		tables[k] = d
-	}
-	return &Snapshot{tables: tables}
-}
-
-// Lookup returns the definition of name in this snapshot, or an error.
-func (s *Snapshot) Lookup(name string) (*TableDef, error) {
-	if d, ok := s.tables[strings.ToLower(name)]; ok {
-		return d, nil
-	}
-	return nil, fmt.Errorf("catalog: table %q does not exist", name)
-}
-
-// Has reports whether name exists in this snapshot.
-func (s *Snapshot) Has(name string) bool {
-	_, ok := s.tables[strings.ToLower(name)]
-	return ok
-}
-
-// Names returns the snapshot's table names, sorted.
-func (s *Snapshot) Names() []string {
-	out := make([]string, 0, len(s.tables))
-	for _, d := range s.tables {
-		out = append(out, d.Name)
-	}
-	sort.Strings(out)
-	return out
 }

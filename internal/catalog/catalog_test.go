@@ -71,49 +71,6 @@ func TestTableDefString(t *testing.T) {
 	}
 }
 
-func TestCatalogLifecycle(t *testing.T) {
-	c := New()
-	d := sampleDef(t)
-	if err := c.Create(d); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Create(d); err == nil {
-		t.Fatal("duplicate Create should fail")
-	}
-	if !c.Has("CUSTOMERS") {
-		t.Error("Has should be case-insensitive")
-	}
-	got, err := c.Lookup("Customers")
-	if err != nil || got != d {
-		t.Errorf("Lookup = %v, %v", got, err)
-	}
-	if _, err := c.Lookup("nope"); err == nil {
-		t.Error("Lookup of missing table should fail")
-	}
-	if err := c.Drop("customers"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Drop("customers"); err == nil {
-		t.Error("double Drop should fail")
-	}
-	if c.Has("customers") {
-		t.Error("dropped table still present")
-	}
-}
-
-func TestCatalogNamesSorted(t *testing.T) {
-	c := New()
-	for _, n := range []string{"zeta", "alpha", "mid"} {
-		if err := c.Create(MustTableDef(n, []Column{{Name: "id", Type: types.KindInt}})); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := strings.Join(c.Names(), ",")
-	if got != "alpha,mid,zeta" {
-		t.Errorf("Names = %s", got)
-	}
-}
-
 func TestMustTableDefPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

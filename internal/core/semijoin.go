@@ -35,10 +35,11 @@ func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outp
 	}
 	st.Cyclic = g.IsCyclic()
 	if st.Cyclic && opts.AlphaReduce {
-		// α-reduction: drop transitively implied predicates; a JG-cyclic
-		// but α-acyclic query becomes a tree and needs no folding.
-		DropImpliedEdges(g, st)
-		if st.ImpliedEdgesDropped > 0 {
+		// α-reduction: a JG-cyclic but α-acyclic query reduces over its GYO
+		// join tree and needs no folding.
+		if tree := alphaJoinTree(g); tree != nil {
+			st.ImpliedEdgesDropped = len(g.Edges) - len(tree)
+			g.Edges = tree
 			msg := fmt.Sprintf("alpha-reduction dropped %d implied edge(s)", st.ImpliedEdgesDropped)
 			opts.Tracer.Note(msg)
 		}

@@ -273,10 +273,11 @@ type Options struct {
 	// The database always provides them; direct callers that leave them nil
 	// get the paper's heuristics.
 	TableStats map[string]*stats.Table
-	// AlphaReduce drops join-graph edges whose predicates are implied by
-	// transitivity before checking for cycles, so α-acyclic-but-JG-cyclic
-	// queries (Section 4.1's gap between the two notions) skip folding
-	// entirely. Exact: only logically redundant predicates are removed.
+	// AlphaReduce replaces a JG-cyclic join graph's edges by the GYO join
+	// tree over its attribute classes when the query is α-acyclic (Section
+	// 4.1's gap between the two notions), so such queries skip folding
+	// entirely. Exact: the tree's predicates equate exactly the attributes
+	// the query's predicates equate. α-cyclic queries fold as without it.
 	AlphaReduce bool
 	// Tracer, when non-nil, records structured per-operator spans (per-edge
 	// semi-join reductions of the forward/backward passes, Bloom prefilter
@@ -303,7 +304,8 @@ type Stats struct {
 	// BloomSemiJoins and BloomDropped count the prefilter pass's work.
 	BloomSemiJoins int
 	BloomDropped   int
-	// ImpliedEdgesDropped counts join-graph edges removed by α-reduction.
+	// ImpliedEdgesDropped is how many fewer edges α-reduction's join tree
+	// has than the join graph it replaced (0 when it found none).
 	ImpliedEdgesDropped int
 	// Parallelism records the effective degree of parallelism used
 	// (after resolving 0 = auto against the environment and GOMAXPROCS).

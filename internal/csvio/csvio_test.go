@@ -92,7 +92,7 @@ func TestWorkloadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst := db.New()
-	for _, name := range src.Catalog().Names() {
+	for _, name := range src.TableNames() {
 		tab, _ := src.Table(name)
 		var buf bytes.Buffer
 		if err := Dump(tab, &buf); err != nil {

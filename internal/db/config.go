@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"resultdb/internal/cache"
-	"resultdb/internal/catalog"
 	"resultdb/internal/core"
 	"resultdb/internal/parallel"
 )
@@ -118,7 +117,6 @@ func envToggle(name string) envState {
 // path; New is Open over DefaultConfig().FromEnv().
 func Open(cfg Config) *Database {
 	d := &Database{
-		cat:         catalog.New(),
 		Strategy:    cfg.Strategy,
 		CoreOptions: core.DefaultOptions(),
 		resultCache: cache.New[*Result](DefaultCacheBudget),

@@ -80,8 +80,6 @@ type Database struct {
 	// under mu; read with one atomic load by everyone else.
 	state atomic.Pointer[dbState]
 
-	cat *catalog.Catalog
-
 	// resultCache is the semantic query-result cache (internal/cache): a
 	// byte-budgeted LRU keyed by the canonical statement fingerprint, each
 	// entry valid at the table-version vector it was computed at. Always
@@ -255,9 +253,6 @@ func (d *Database) TableNames() []string {
 	return d.Snapshot().TableNames()
 }
 
-// Catalog exposes the schema catalog (read-only use).
-func (d *Database) Catalog() *catalog.Catalog { return d.cat }
-
 // CreateTable registers a new table from a definition; used by workload
 // generators that bypass SQL for bulk loading. The returned table is the
 // published version: generators may fill it directly only before the
@@ -379,11 +374,11 @@ func (d *Database) applyAndLog(st sqlparse.Statement) (*Result, func() error, er
 	case *sqlparse.CreateTable:
 		res, err = execCreateTable(tx, s)
 	case *sqlparse.DropTable:
-		res, err = d.execDrop(tx, s.Name, s.IfExists, false)
+		res, err = execDrop(tx, s.Name, s.IfExists, false)
 	case *sqlparse.CreateMaterializedView:
 		res, err = d.execCreateMatView(tx, s)
 	case *sqlparse.DropMaterializedView:
-		res, err = d.execDrop(tx, s.Name, s.IfExists, true)
+		res, err = execDrop(tx, s.Name, s.IfExists, true)
 	case *sqlparse.Insert:
 		res, err = execInsert(tx, s)
 	default:
@@ -426,18 +421,18 @@ func execCreateTable(tx *writeTxn, s *sqlparse.CreateTable) (*Result, error) {
 	return &Result{}, nil
 }
 
-func (d *Database) execDrop(tx *writeTxn, name string, ifExists, mustBeView bool) (*Result, error) {
-	def, err := d.cat.Lookup(name)
+func execDrop(tx *writeTxn, name string, ifExists, mustBeView bool) (*Result, error) {
+	t, err := tx.Table(name)
 	if err != nil {
 		if ifExists {
 			return &Result{}, nil
 		}
 		return nil, err
 	}
-	if mustBeView && !def.IsView {
+	if mustBeView && !t.Def.IsView {
 		return nil, fmt.Errorf("db: %q is a table, not a materialized view", name)
 	}
-	if !mustBeView && def.IsView {
+	if !mustBeView && t.Def.IsView {
 		return nil, fmt.Errorf("db: %q is a materialized view; use DROP MATERIALIZED VIEW", name)
 	}
 	tx.drop(name)

@@ -102,9 +102,7 @@ type writeTxn struct {
 	base   *dbState
 	tables map[string]*storage.Table
 
-	drafts  map[string]*storage.Table // draft versions begun this txn
-	creates []*catalog.TableDef       // catalog registrations, applied at commit
-	drops   []string                  // catalog removals, applied at commit
+	drafts map[string]*storage.Table // draft versions begun this txn
 }
 
 // newWriteTxn copies the base state's table map. Called with d.mu held.
@@ -152,20 +150,18 @@ func (tx *writeTxn) draft(name string) (*storage.Table, error) {
 // create registers a new (empty, unpublished) table in the transaction.
 func (tx *writeTxn) create(def *catalog.TableDef) (*storage.Table, error) {
 	key := strings.ToLower(def.Name)
-	if _, ok := tx.tables[key]; ok || tx.d.cat.Has(def.Name) {
+	if _, ok := tx.tables[key]; ok {
 		return nil, fmt.Errorf("catalog: table %q already exists", def.Name)
 	}
 	t := storage.NewTable(def)
 	tx.tables[key] = t
 	tx.drafts[key] = t
-	tx.creates = append(tx.creates, def)
 	return t, nil
 }
 
 // drop removes a table from the transaction.
 func (tx *writeTxn) drop(name string) {
 	delete(tx.tables, strings.ToLower(name))
-	tx.drops = append(tx.drops, name)
 }
 
 // commit publishes the transaction as the next database state, stamped with
@@ -177,19 +173,10 @@ func (tx *writeTxn) drop(name string) {
 // extended to or invalidated by (and derive statistics of their own,
 // extending the old ones), so there is nothing else to notify.
 func (tx *writeTxn) commit(lsn uint64) {
-	d := tx.d
-	for _, def := range tx.creates {
-		// Validated in create; the registry and the published map move
-		// together under the writer lock.
-		d.cat.Create(def)
-	}
-	for _, name := range tx.drops {
-		d.cat.Drop(name)
-	}
 	if lsn == 0 {
 		lsn = tx.base.lsn
 	}
-	d.state.Store(&dbState{
+	tx.d.state.Store(&dbState{
 		tables: tx.tables,
 		seq:    tx.base.seq + 1,
 		lsn:    lsn,

@@ -99,10 +99,11 @@ func crashDML(t *testing.T, d *db.Database, suite []suiteQuery) []string {
 	seq := 0
 	stmts := []string{"CREATE TABLE crash_t (id INTEGER PRIMARY KEY, tag TEXT)"}
 	for i, tbl := range tables {
-		def, err := d.Catalog().Lookup(tbl)
+		tab, err := d.Table(tbl)
 		if err != nil {
 			t.Fatalf("lookup %s: %v", tbl, err)
 		}
+		def := tab.Def
 		row := func() string {
 			vals := make([]string, len(def.Columns))
 			for c, col := range def.Columns {

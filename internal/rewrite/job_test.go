@@ -114,7 +114,7 @@ func TestPlanStatementsAndTeardownOnError(t *testing.T) {
 	if _, err := Run(d, p); err == nil {
 		t.Fatal("sabotaged plan should fail")
 	}
-	for _, name := range d.Catalog().Names() {
+	for _, name := range d.TableNames() {
 		if strings.HasPrefix(name, "resultdb_rm2_mv") {
 			t.Errorf("view %q leaked after failed Run", name)
 		}

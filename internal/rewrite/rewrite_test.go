@@ -131,7 +131,7 @@ func TestRM2MaterializedViewCleanup(t *testing.T) {
 	if _, err := Run(d, p); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range d.Catalog().Names() {
+	for _, name := range d.TableNames() {
 		if strings.HasPrefix(name, "resultdb_rm2_mv") {
 			t.Errorf("materialized view %q leaked", name)
 		}

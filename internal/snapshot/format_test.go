@@ -130,10 +130,11 @@ func TestLegacyV1Load(t *testing.T) {
 	if lsn != 0 {
 		t.Fatalf("legacy lsn = %d, want 0", lsn)
 	}
-	def, err := got.Catalog().Lookup("t")
+	tab, err := got.Table("t")
 	if err != nil {
 		t.Fatal(err)
 	}
+	def := tab.Def
 	if len(def.PrimaryKey) != 1 || !def.Columns[0].NotNull {
 		t.Fatalf("legacy def = %+v", def)
 	}

@@ -33,13 +33,14 @@ func TestRoundTripSchemaAndData(t *testing.T) {
 	}
 
 	// Catalog round trip.
-	if strings.Join(got.Catalog().Names(), ",") != strings.Join(src.Catalog().Names(), ",") {
-		t.Errorf("tables = %v", got.Catalog().Names())
+	if strings.Join(got.TableNames(), ",") != strings.Join(src.TableNames(), ",") {
+		t.Errorf("tables = %v", got.TableNames())
 	}
-	def, err := got.Catalog().Lookup("t")
+	tab, err := got.Table("t")
 	if err != nil {
 		t.Fatal(err)
 	}
+	def := tab.Def
 	if len(def.PrimaryKey) != 1 || def.PrimaryKey[0] != "id" {
 		t.Errorf("pk = %v", def.PrimaryKey)
 	}
@@ -49,8 +50,8 @@ func TestRoundTripSchemaAndData(t *testing.T) {
 	if !def.Columns[1].NotNull {
 		t.Error("NOT NULL lost")
 	}
-	mv, _ := got.Catalog().Lookup("mv")
-	if !mv.IsView {
+	mv, _ := got.Table("mv")
+	if !mv.Def.IsView {
 		t.Error("IsView flag lost")
 	}
 

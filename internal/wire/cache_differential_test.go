@@ -72,10 +72,11 @@ func invalidatingInsert(t *testing.T, d *db.Database, sel *sqlparse.Select) stri
 	if len(tables) == 0 {
 		t.Fatal("query references no tables")
 	}
-	def, err := d.Catalog().Lookup(tables[0])
+	tab, err := d.Table(tables[0])
 	if err != nil {
 		t.Fatalf("lookup %s: %v", tables[0], err)
 	}
+	def := tab.Def
 	insertSeq++
 	vals := make([]string, len(def.Columns))
 	for i, c := range def.Columns {
@@ -190,10 +191,11 @@ func joiningInsert(t *testing.T, d *db.Database, sel *sqlparse.Select) (string, 
 		return "", false
 	}
 	for _, r := range spec.Rels {
-		def, err := d.Catalog().Lookup(r.Table)
+		tab, err := d.Table(r.Table)
 		if err != nil {
 			t.Fatal(err)
 		}
+		def := tab.Def
 		read := map[string]bool{}
 		for _, c := range spec.JoinAttrsOf(r.Alias) {
 			read[strings.ToLower(c)] = true
