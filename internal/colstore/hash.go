@@ -269,20 +269,40 @@ func BuildKeySet(src Key) *KeySet {
 	return buildHashed(src)
 }
 
-// buildDense returns the dense form of src's keys, or nil when src does not
-// qualify for it (see KeySet). A build with no non-NULL key is one empty word.
-func buildDense(src Key) *KeySet {
+// Dense reports whether BuildKeySet would build k's keys as a bitmap (see
+// KeySet): the one predicate of the dense form, for a planner that prices a
+// pass by the form its key set will take. It reads every key once.
+func (k Key) Dense() bool {
+	_, _, ok := denseRange(k)
+	return ok
+}
+
+// denseRange returns the smallest and largest of src's non-NULL keys when src
+// qualifies for the dense form (see KeySet); ok is false when it does not. A
+// key with no non-NULL value has the range [0, 0].
+func denseRange(src Key) (lo, hi int64, ok bool) {
 	if len(src.kc) != 1 {
-		return nil
+		return 0, 0, false
 	}
-	c, ok := src.kc[0].(*Int64Column)
-	if !ok {
-		return nil
+	c, isInt := src.kc[0].(*Int64Column)
+	if !isInt {
+		return 0, 0, false
 	}
-	n := src.Len()
-	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
-	for j := 0; j < n; j++ {
-		if f := src.view.Index(j); !c.Nulls.Get(f) {
+	n, sel := src.Len(), src.view.Sel
+	lo, hi = math.MaxInt64, math.MinInt64
+	switch {
+	case c.Nulls.Count() != 0:
+		for j := 0; j < n; j++ {
+			if f := src.view.Index(j); !c.Nulls.Get(f) {
+				lo, hi = min(lo, c.Vals[f]), max(hi, c.Vals[f])
+			}
+		}
+	case sel == nil:
+		for _, v := range c.Vals[:n] {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+	default:
+		for _, f := range sel {
 			lo, hi = min(lo, c.Vals[f]), max(hi, c.Vals[f])
 		}
 	}
@@ -290,13 +310,38 @@ func buildDense(src Key) *KeySet {
 		lo, hi = 0, 0
 	}
 	if lo <= -maxExact || hi >= maxExact || (hi-lo)>>6 >= 1<<tableLog(n) {
+		return 0, 0, false
+	}
+	return lo, hi, true
+}
+
+// buildDense returns the dense form of src's keys, or nil when src does not
+// qualify for it (see KeySet). A build with no non-NULL key is one empty word.
+func buildDense(src Key) *KeySet {
+	lo, hi, ok := denseRange(src)
+	if !ok {
 		return nil
 	}
+	c, n, sel := src.kc[0].(*Int64Column), src.Len(), src.view.Sel
 	s := &KeySet{bits: make([]uint64, (hi-lo)>>6+1), base: lo}
-	for j := 0; j < n; j++ {
-		if f := src.view.Index(j); !c.Nulls.Get(f) {
-			d := uint64(c.Vals[f] - lo)
-			s.bits[d>>6] |= 1 << (d & 63)
+	set := func(v int64) {
+		d := uint64(v - lo)
+		s.bits[d>>6] |= 1 << (d & 63)
+	}
+	switch {
+	case c.Nulls.Count() != 0:
+		for j := 0; j < n; j++ {
+			if f := src.view.Index(j); !c.Nulls.Get(f) {
+				set(c.Vals[f])
+			}
+		}
+	case sel == nil:
+		for _, v := range c.Vals[:n] {
+			set(v)
+		}
+	default:
+		for _, f := range sel {
+			set(c.Vals[f])
 		}
 	}
 	return s
@@ -351,10 +396,14 @@ func (s *KeySet) Select(p Key, lo, hi int, out []int32) []int32 {
 	return out
 }
 
-// selectDense is Select over the dense form: an Int64Column probe row costs
-// one subtract, one compare and one bit test; any other probe column takes
+// selectDense is Select over the dense form: a null-free Int64Column probe
+// takes the branch-free kernel, an Int64Column with NULLs one NULL test, one
+// subtract, one compare and one bit test per row, and any other probe column
 // ContainsValue's rule per value.
 func (s *KeySet) selectDense(p Key, lo, hi int, out []int32) []int32 {
+	if c, ok := p.kc[0].(*Int64Column); ok && c.Nulls.Count() == 0 {
+		return s.selectInts(c.Vals, p.view.Sel, lo, hi, out)
+	}
 	var hit [batch]int32
 	sel := p.view.Sel
 	for ; lo < hi; lo += batch {
@@ -378,6 +427,39 @@ func (s *KeySet) selectDense(p Key, lo, hi int, out []int32) []int32 {
 					hit[k] = int32(j)
 					k++
 				}
+			}
+		}
+		out = appendHits(out, hit[:k], hi-lo)
+	}
+	return out
+}
+
+// selectInts is selectDense's kernel over the values of a null-free
+// Int64Column, read through sel when it is not nil. It branches on no probe
+// value: every row is written to hit and its bit added to the hit count, and
+// the word index is guarded by a mask, not a compare and jump. An index past
+// the bitmap (a value below base wraps to one) reads word 0 and masks its bit
+// away. The dense form always has a word 0.
+func (s *KeySet) selectInts(vals []int64, sel []int32, lo, hi int, out []int32) []int32 {
+	var hit [batch]int32
+	words, base := s.bits, s.base
+	nw := uint64(len(words))
+	for ; lo < hi; lo += batch {
+		b := min(batch, hi-lo)
+		k := 0
+		if sel == nil {
+			for j, v := range vals[lo : lo+b] {
+				d := uint64(v - base)
+				in := (d>>6 - nw) >> 63 // 1 when d>>6 < nw: both lie far below 2^63
+				hit[k] = int32(lo + j)
+				k += int(words[d>>6&-in] >> (d & 63) & in)
+			}
+		} else {
+			for j, f := range sel[lo : lo+b] {
+				d := uint64(vals[f] - base)
+				in := (d>>6 - nw) >> 63
+				hit[k] = int32(lo + j)
+				k += int(words[d>>6&-in] >> (d & 63) & in)
 			}
 		}
 		out = appendHits(out, hit[:k], hi-lo)

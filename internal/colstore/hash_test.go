@@ -307,6 +307,15 @@ func TestKeyMixedSides(t *testing.T) {
 // NaN, ±Inf, ±2^53) and mixed TEXT/BOOL/number probes, over sub-ranges that
 // cross a batch and through ContainsValue. A range one word wider, or a key
 // at ±2^53, stays hashed.
+//
+// A null-free INTEGER probe takes the branch-free kernel (selectInts), once
+// read directly and once through a selection vector (the view and view-sel
+// forms), with probe values below the base and past the last word, at
+// ±(2^53−1) and over a negative base, and over a sub-range whose lo is not a
+// multiple of batch. Each of these mutations of either kernel loop fails the
+// test: dropping the word-index guard (indexing words[d>>6], or keeping the
+// index mask but not masking the bit), writing j for lo+j, testing another
+// bit of the word (d&62) and leaving out the subtract of base.
 func TestKeySetDenseMatchesHash(t *testing.T) {
 	const big = int64(1) << 53
 	rng := rand.New(rand.NewSource(18))
@@ -360,9 +369,10 @@ func TestKeySetDenseMatchesHash(t *testing.T) {
 				cand = append(cand, v-64, v-1, v, v+1, v+64)
 			}
 		}
-		var ip, fp, mp []types.Row
+		var ip, np, fp, mp []types.Row
 		for i := 0; len(ip) < 1100; i++ {
 			v := cand[i%len(cand)]
+			np = append(np, types.Row{types.NewInt(v)})
 			if i%11 == 5 {
 				ip, fp, mp = append(ip, types.Row{types.Null()}), append(fp, types.Row{types.Null()}), append(mp, types.Row{types.Null()})
 				continue
@@ -378,6 +388,10 @@ func TestKeySetDenseMatchesHash(t *testing.T) {
 			fp = append(fp, types.Row{types.NewFloat(f)})
 			mp = append(mp, []types.Row{{types.NewInt(v)}, {types.NewFloat(f)}, {types.NewText(fmt.Sprint(v))}, {types.NewBool(v%2 == 0)}}[i%4])
 		}
+		if c, ok := ViewKey(&View{Frame: NewFrame(kinds, np)}, []int{0}).kc[0].(*Int64Column); !ok || c.Nulls.Count() != 0 {
+			t.Fatal("the null-free probe is not a null-free Int64Column: the kernel goes untested")
+		}
+		checkJoinAgainstScan(t, build, side{kinds, np, []int{0}})
 		checkJoinAgainstScan(t, build, side{kinds, ip, []int{0}})
 		checkJoinAgainstScan(t, build, side{[]types.Kind{types.KindFloat}, fp, []int{0}})
 		checkJoinAgainstScan(t, build, side{kinds, mp, []int{0}})
@@ -540,6 +554,56 @@ func TestHashKernelAllocations(t *testing.T) {
 		many := testing.AllocsPerRun(10, func() { run(large) })
 		if many != few || many > 16 {
 			t.Errorf("%s: %v allocations over 100 keys, %v over 10000", name, few, many)
+		}
+	}
+}
+
+// BenchmarkKeySetSelectDense probes a bitmap key set (the even integers of
+// [0, 8192)) with 65 536 INTEGER rows drawn uniformly from [−512, 8704), so
+// about 44 % hit in no pattern a branch predictor can learn and 11 % lie
+// outside the bitmap. The probe column is read directly (sel=nil) or through
+// a selection vector picking every other row of a frame twice as long (sel),
+// without NULLs or with every 16th row NULL.
+func BenchmarkKeySetSelectDense(b *testing.B) {
+	const n = 1 << 16
+	kinds := []types.Kind{types.KindInt}
+	build := make([]types.Row, 4096)
+	for i := range build {
+		build[i] = types.Row{types.NewInt(int64(2 * i))}
+	}
+	set := BuildKeySet(ViewKey(&View{Frame: NewFrame(kinds, build)}, []int{0}))
+	if keySetForm(set) != "dense" {
+		b.Fatal("the build is not dense")
+	}
+	rng := rand.New(rand.NewSource(19))
+	for _, nulls := range []bool{false, true} {
+		rows := make([]types.Row, 2*n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(rng.Int63n(9216) - 512)}
+			if nulls && i%16 == 0 {
+				rows[i] = types.Row{types.Null()}
+			}
+		}
+		sel := make([]int32, n)
+		for i := range sel {
+			sel[i] = int32(2 * i)
+		}
+		views := []struct {
+			name string
+			view *View
+		}{
+			{"sel=nil", &View{Frame: NewFrame(kinds, rows[:n])}},
+			{"sel", &View{Frame: NewFrame(kinds, rows), Sel: sel}},
+		}
+		for _, v := range views {
+			b.Run(fmt.Sprintf("%s/nulls=%v", v.name, nulls), func(b *testing.B) {
+				k := ViewKey(v.view, []int{0})
+				out := make([]int32, 0, n)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					out = set.Select(k, 0, n, out[:0])
+				}
+			})
 		}
 	}
 }

@@ -490,3 +490,40 @@ func TestBloomPrefilterKeySemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestUntracedNotesAllocateNothing: with no tracer attached the reduction
+// formats no plan note. The two statements run the same semi-joins over the
+// same rows (every key matches, so nothing is narrowed). In the first the
+// top-down pass skips the step into x, whose subtree holds no output
+// relation, which a tracer would note with x's name. In the second that step
+// comes last and early stop ends the pass before it, with a constant note. So
+// they must allocate alike.
+func TestUntracedNotesAllocateNothing(t *testing.T) {
+	src := memSource{
+		"r": mkTable(t, "r", []catalog.Column{intCol("id"), intCol("a"), intCol("b")}, ir(1, 1, 1), ir(2, 2, 2)),
+		"x": mkTable(t, "x", []catalog.Column{intCol("a")}, ir(1), ir(2)),
+		"y": mkTable(t, "y", []catalog.Column{intCol("b")}, ir(1), ir(2)),
+	}
+	allocs := func(sql string, skipped int) float64 {
+		spec, rels := analyze(t, src, sql)
+		opts := DefaultOptions()
+		opts.Parallelism = 1
+		_, st, err := SemiJoinReduce(spec, rels, nil, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SkippedSemiJoins != skipped || st.SemiJoins != 3 || st.TuplesDropped != 0 {
+			t.Fatalf("%s: %s, want %d skipped of 3 semi-joins dropping nothing", sql, st, skipped)
+		}
+		return testing.AllocsPerRun(20, func() {
+			if _, _, err := SemiJoinReduce(spec, rels, nil, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	skip := allocs(`SELECT r.id, y.b FROM r AS r, x AS x, y AS y WHERE r.a = x.a AND r.b = y.b`, 1)
+	stop := allocs(`SELECT r.id, y.b FROM r AS r, x AS x, y AS y WHERE r.b = y.b AND r.a = x.a`, 0)
+	if skip != stop {
+		t.Errorf("an untraced reduction skipping a top-down step allocates %v times, one stopping early %v", skip, stop)
+	}
+}

@@ -16,11 +16,13 @@ import (
 
 const (
 	// bloomMinTargetRows and bloomMaxSel gate the adaptive Bloom prefilter.
-	// A Bloom probe costs about as much as the exact KeySet probe it fronts,
-	// so the pass only pays when it empties most of a probe side too large
-	// for the exact build to stay cache-resident — hence the aggressive
-	// cardinality and selectivity bars. (Benchmarks at JOB scale 0.1 showed
-	// a 6.5k-row drop via Bloom still losing to the exact pass alone.)
+	// A Bloom probe costs about as much as the exact probe of a hashed
+	// KeySet it fronts, so the pass only pays when it empties most of a probe
+	// side too large for the exact build to stay cache-resident — hence the
+	// aggressive cardinality and selectivity bars. (Benchmarks at JOB scale
+	// 0.1 showed a 6.5k-row drop via Bloom still losing to the exact pass
+	// alone.) A bitmap KeySet's probe costs less than a Bloom probe, so no
+	// bar makes the pass pay there (bloomWorth).
 	bloomMinTargetRows = 32768
 	bloomMaxSel        = 0.15
 	// rootSwitchFrac and orderSwitchFrac are hysteresis: the cost model
@@ -182,12 +184,23 @@ func (s *schedule) bottomUp() []int {
 }
 
 // bloomWorth decides whether an adaptive Bloom prefilter pays for step i:
-// the probe side must be large enough to amortize the build, and the
-// estimated drop substantial enough that the (approximate) pass saves the
-// exact pass real work.
-func (s *schedule) bloomWorth(i int, up bool) bool {
-	t, _, _, _ := s.ends(i, up)
-	return s.nodes[t].Rel.Len() >= bloomMinTargetRows && s.sel(s.live, i, up) <= bloomMaxSel
+// the probe side must be large enough to amortize the build, the estimated
+// drop substantial enough that the (approximate) pass saves the exact pass
+// real work, and the exact pass must hash. Where the build key would make a
+// bitmap key set now (colstore.Key.Dense), the exact probe is a bit test per
+// row, cheaper than the filter probe that would spare it rows, and bitmap
+// reports that reason. That test reads the live build key, so it runs only
+// after the cheap gates pass. (Statistics' min and max describe the base
+// table, not the filtered build side whose row count bounds the bitmap.)
+func (s *schedule) bloomWorth(i int, up bool) (worth, bitmap bool) {
+	t, src, e, side := s.ends(i, up)
+	if s.nodes[t].Rel.Len() < bloomMinTargetRows || s.sel(s.live, i, up) > bloomMaxSel {
+		return false, false
+	}
+	if s.nodes[src].Rel.Key(e.cols[1-side]).Dense() {
+		return false, true
+	}
+	return true, false
 }
 
 // bloomSize returns the filter size for step i's Bloom prefilter: the

@@ -24,7 +24,8 @@ var update = flag.Bool("update", false, "rewrite testdata/plans.golden from the 
 // TestPlanGolden pins every planning decision and estimate, not just the
 // reduced rows TestCostBasedMatchesHeuristic compares: for JOB×33 at scale
 // 0.05, the star payload statements, the hierarchy statements and the
-// fact-mid-dim statements (a chain, a Bloom-gated pair, a folded cycle), each
+// fact-mid-dim statements (a chain, a pair whose Bloom step gives way to a
+// bitmap key set, a folded cycle, a sparse pair whose Bloom step runs), each
 // reduced at degree 1 with statistics as RDB and as RDBRP and without them
 // (Bloom prefilter on) as RDB, it renders core's one-line stats and every
 // span — phase, op, label, detail, rows in and out, and the estimate — of
@@ -51,16 +52,7 @@ func TestPlanGolden(t *testing.T) {
 			{"electronics", hierarchy.ResultDBElectronics},
 			{"clothing", hierarchy.ResultDBClothing},
 		}},
-		{"fact-mid-dim", loadFactMidDim, [][2]string{
-			{"chain", `SELECT f.id, m.id FROM fact AS f, mid AS m, dim AS d
-			WHERE f.k = m.k AND m.k = d.k`},
-			// The fact side is large and the dim keys few: the adaptive Bloom
-			// prefilter fires, sized from the estimated distinct dim keys.
-			{"bloom", `SELECT f.id FROM fact AS f, dim AS d WHERE f.k = d.k`},
-			// A cycle no predicate implies: folded before the reduction.
-			{"cycle", `SELECT f.id, d.id FROM fact AS f, mid AS m, dim AS d
-			WHERE f.id = m.id AND m.k = d.k AND d.id = f.k`},
-		}},
+		{"fact-mid-dim", loadFactMidDim, factMidDimStatements},
 	} {
 		d := db.Open(db.Config{Parallelism: 1})
 		if err := w.load(d); err != nil {

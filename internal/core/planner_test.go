@@ -195,8 +195,28 @@ func reinsertHeads(t *testing.T, d *db.Database) {
 	}
 }
 
+// factMidDimStatements are the loadFactMidDim statements the plan golden and
+// the Bloom tests run, by name.
+var factMidDimStatements = [][2]string{
+	{"chain", `SELECT f.id, m.id FROM fact AS f, mid AS m, dim AS d
+			WHERE f.k = m.k AND m.k = d.k`},
+	// The fact side is large and the dim keys few, which passes the adaptive
+	// Bloom prefilter's gates; but the dim keys span one word, so the exact
+	// pass probes a bitmap key set and the prefilter steps aside.
+	{"bloom", `SELECT f.id FROM fact AS f, dim AS d WHERE f.k = d.k`},
+	// A cycle no predicate implies: folded before the reduction. The Bloom
+	// step fronts the fold's two-column key, which stays hashed.
+	{"cycle", `SELECT f.id, d.id FROM fact AS f, mid AS m, dim AS d
+			WHERE f.id = m.id AND m.k = d.k AND d.id = f.k`},
+	// As bloom, but the build keys span far more words than the bound, so
+	// the exact key set hashes and the prefilter runs, sized from the
+	// estimated distinct sparse keys.
+	{"sparse", `SELECT f.id FROM fact AS f, sparse AS s WHERE f.k = s.k`},
+}
+
 // loadFactMidDim is a chain fact - mid - dim whose fact side is large enough
-// for the adaptive Bloom prefilter and whose dim keys cover a narrow range.
+// for the adaptive Bloom prefilter and whose dim keys cover a narrow range,
+// plus a 50-row sparse whose keys, a fifth of them far apart, do not.
 func loadFactMidDim(d *db.Database) error {
 	rng := rand.New(rand.NewSource(7))
 	fill := func(name string, n int, key func(i int) int) error {
@@ -217,5 +237,66 @@ func loadFactMidDim(d *db.Database) error {
 	if err := fill("mid", 800, func(int) int { return rng.Intn(400) }); err != nil {
 		return err
 	}
-	return fill("dim", 50, func(int) int { return 100 + rng.Intn(50) })
+	if err := fill("dim", 50, func(int) int { return 100 + rng.Intn(50) }); err != nil {
+		return err
+	}
+	return fill("sparse", 50, func(i int) int {
+		if i%5 == 0 {
+			return (i + 1) << 32
+		}
+		return 500 + rng.Intn(100)
+	})
+}
+
+// TestBloomStepsAsideForBitmapKeys: planned with statistics, the adaptive
+// Bloom prefilter runs no step whose exact pass probes a bitmap key set (the
+// bloom statement, whose dim keys span one word) and still runs where that
+// key set hashes: a sparse single-column key, and a fold's two-column key
+// (cycle). Every reduced relation equals the one reduced under the
+// BloomPrefilter ablation (no statistics, a Bloom step on every edge) and the
+// one reduced with neither statistics nor prefilter.
+func TestBloomStepsAsideForBitmapKeys(t *testing.T) {
+	d := db.Open(db.Config{Parallelism: 1})
+	if err := loadFactMidDim(d); err != nil {
+		t.Fatal(err)
+	}
+	snap := d.Snapshot()
+	for _, s := range factMidDimStatements {
+		sel, err := sqlparse.ParseSelect(s[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := engine.AnalyzeSPJ(sel, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.DefaultOptions()
+		opts.Parallelism = 1
+		opts.TableStats = planStats(t, snap, spec, false)
+		got, st := reduce(t, snap, spec, nil, opts)
+		switch s[0] {
+		case "bloom":
+			if st.BloomSemiJoins != 0 {
+				t.Errorf("bloom: %d Bloom steps in front of a bitmap key set, want 0", st.BloomSemiJoins)
+			}
+		case "sparse", "cycle":
+			if st.BloomSemiJoins < 1 {
+				t.Errorf("%s: no Bloom step in front of a hashed key set", s[0])
+			}
+		}
+		opts.TableStats, opts.BloomPrefilter = nil, true
+		ablation, ast := reduce(t, snap, spec, nil, opts)
+		if ast.BloomSemiJoins == 0 {
+			t.Fatalf("%s: the BloomPrefilter ablation ran no Bloom step", s[0])
+		}
+		opts.BloomPrefilter = false
+		plain, _ := reduce(t, snap, spec, nil, opts)
+		for _, alias := range spec.OutputRels() {
+			key := strings.ToLower(alias)
+			if g, a, p := render(got[key]), render(ablation[key]), render(plain[key]); g != a || g != p {
+				t.Errorf("%s: relation %s differs: %d rows with statistics, %d under the ablation, %d with neither",
+					s[0], alias, got[key].Len(), ablation[key].Len(), plain[key].Len())
+			}
+		}
+	}
 }

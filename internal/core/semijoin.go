@@ -40,13 +40,15 @@ func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outp
 		if tree := alphaJoinTree(g); tree != nil {
 			st.ImpliedEdgesDropped = len(g.Edges) - len(tree)
 			g.Edges = tree
-			msg := fmt.Sprintf("alpha-reduction dropped %d implied edge(s)", st.ImpliedEdgesDropped)
-			opts.Tracer.Note(msg)
+			if opts.Tracer.Enabled() {
+				opts.Tracer.Note(fmt.Sprintf("alpha-reduction dropped %d implied edge(s)", st.ImpliedEdgesDropped))
+			}
 		}
 	}
 	if g.IsCyclic() {
-		msg := fmt.Sprintf("join graph cyclic (%d nodes, %d edges); folding", len(g.Nodes), len(g.Edges))
-		opts.Tracer.Note(msg)
+		if opts.Tracer.Enabled() {
+			opts.Tracer.Note(fmt.Sprintf("join graph cyclic (%d nodes, %d edges); folding", len(g.Nodes), len(g.Edges)))
+		}
 		if err := FoldJoinGraph(g, opts.Fold, st, opts.Parallelism, opts.Tracer); err != nil {
 			return nil, nil, err
 		}

@@ -108,7 +108,9 @@ func ReduceRelations(g *Graph, opts Options, st *Stats) error {
 	for i := range s.steps[:s.cut] {
 		if child := s.steps[i].child; !s.needed[child] {
 			st.SkippedSemiJoins++
-			opts.Tracer.Note("skip top-down into " + s.nodes[child].Name() + " (no output relation in subtree)")
+			if opts.Tracer.Enabled() {
+				opts.Tracer.Note("skip top-down into " + s.nodes[child].Name() + " (no output relation in subtree)")
+			}
 			continue
 		}
 		s.semiJoin(i, false, st, &opts)
@@ -154,13 +156,17 @@ func (s *schedule) semiJoin(i int, up bool, st *Stats, opts *Options) {
 
 // bloom runs step i's Bloom prefilter, oriented as semiJoin orients the
 // step. With statistics it runs only where bloomWorth says it pays, with the
-// filter sized by bloomSize; without them it always runs, sized by the
-// source's rows.
+// filter sized by bloomSize, and notes a step it leaves to a bitmap key set;
+// without them it always runs, sized by the source's rows.
 func (s *schedule) bloom(i int, up bool, fp float64, st *Stats, opts *Options) {
 	t, src, e, side := s.ends(i, up)
 	nEst := s.nodes[src].Rel.Len()
 	if s.withStats {
-		if !s.bloomWorth(i, up) {
+		worth, bitmap := s.bloomWorth(i, up)
+		if bitmap && opts.Tracer.Enabled() {
+			opts.Tracer.Note("bloom prefilter skipped on " + s.nodes[t].Name() + " ⋉ " + s.nodes[src].Name() + ": bitmap key set")
+		}
+		if !worth {
 			return
 		}
 		nEst = s.bloomSize(i, up)

@@ -253,7 +253,9 @@ func (d *Database) reduceSpec(ec execCtx, spec *engine.SPJSpec, outputs []string
 	if err != nil {
 		return nil, nil, err
 	}
-	tr.Note(fmt.Sprintf("decompose into %d relations + dedup", len(outputs)))
+	if tr.Enabled() {
+		tr.Note(fmt.Sprintf("decompose into %d relations + dedup", len(outputs)))
+	}
 	return reduced, nil, nil
 }
 
