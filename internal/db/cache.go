@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"resultdb/internal/cache"
-	"resultdb/internal/sqlparse"
 	"resultdb/internal/storage"
 )
 
@@ -109,16 +108,17 @@ func ParseByteSize(s string) (int64, error) {
 // attachment differs between semi-join and Decompose). Parallelism is
 // deliberately excluded: results are bit-identical at any degree. So is the
 // plan: there is one join orderer, deterministic for a given snapshot.
-func cacheKey(ec execCtx, sel *sqlparse.Select) string {
-	return fmt.Sprintf("s%d|%s", ec.strategy, sqlparse.Canonical(sel))
+func cacheKey(ec execCtx, sel *selectStmt) string {
+	canon, _ := sel.fingerprint()
+	return "s" + strconv.Itoa(int(ec.strategy)) + "|" + canon
 }
 
 // cacheAt returns what the result cache needs to place sel in version space:
 // tables, the statement's tables in first-appearance order; at, the vector
 // of their marks in the pinned snapshot; and live, the same vector read from
 // the newest committed state.
-func (d *Database) cacheAt(snap *Snapshot, sel *sqlparse.Select) (tables []string, at []storage.Mark, live func() []storage.Mark) {
-	tables = sqlparse.Tables(sel)
+func (d *Database) cacheAt(snap *Snapshot, sel *selectStmt) (tables []string, at []storage.Mark, live func() []storage.Mark) {
+	_, tables = sel.fingerprint()
 	return tables, snap.st.marks(tables), func() []storage.Mark { return d.state.Load().marks(tables) }
 }
 
@@ -146,18 +146,18 @@ func (d *Database) cacheAt(snap *Snapshot, sel *sqlparse.Select) (tables []strin
 //
 // hit reports that the result was not computed by this call: it came from a
 // resident entry or from a concurrent identical execution.
-func (d *Database) queryCached(ec execCtx, sel *sqlparse.Select) (res *Result, hit bool, err error) {
+func (d *Database) queryCached(ec execCtx, sel *selectStmt) (res *Result, hit bool, err error) {
 	key := cacheKey(ec, sel)
 	tables, at, live := d.cacheAt(ec.snap, sel)
 	return d.resultCache.DoAt(key, at, live, func() (*Result, int64, error) {
-		r, err := d.queryUncached(ec, sel, nil)
+		r, err := d.queryUncached(ec, sel.Select, nil)
 		if err != nil {
 			return nil, 0, err
 		}
 		d.seal(key, r)
 		return r, cachedResultBytes(r), nil
 	}, func(r *Result, from []storage.Mark) bool {
-		return d.unchanged(ec, sel, r, tables, from, at)
+		return d.unchanged(ec, sel.Select, r, tables, from, at)
 	})
 }
 

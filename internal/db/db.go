@@ -86,6 +86,10 @@ type Database struct {
 	// allocated, consulted only when CoreOptions.ResultCache is set.
 	resultCache *cache.Cache[*Result]
 
+	// memo maps the raw text of a SELECT to its parsed statement, so a
+	// repeated statement is parsed and canonicalised once (see parse).
+	memo stmtMemo
+
 	// commitLog, when set, records every successful mutation statement
 	// before it is published or acknowledged (see CommitLog). Nil when
 	// durability is off — the write path then pays one nil check and nothing
@@ -271,12 +275,9 @@ func (d *Database) CreateTable(def *catalog.TableDef) (*storage.Table, error) {
 
 // Exec parses and executes a single SQL statement.
 func (d *Database) Exec(sql string) (*Result, error) {
-	st, err := sqlparse.Parse(sql)
+	st, err := d.parse(sql)
 	if err != nil {
 		return nil, err
-	}
-	if sel, ok := st.(*sqlparse.Select); ok {
-		sel.Src = sql
 	}
 	return d.ExecStatement(st)
 }
@@ -317,8 +318,10 @@ func (d *Database) ExecStatement(st sqlparse.Statement) (res *Result, err error)
 // streamed, all dispatch here. The result is unboxed.
 func (d *Database) execAt(ec execCtx, st sqlparse.Statement, onMutated func()) (*Result, error) {
 	switch s := st.(type) {
-	case *sqlparse.Select:
+	case *selectStmt:
 		return d.query(ec, s, nil)
+	case *sqlparse.Select:
+		return d.query(ec, &selectStmt{Select: s}, nil)
 	case *sqlparse.CreateTable, *sqlparse.DropTable, *sqlparse.CreateMaterializedView,
 		*sqlparse.DropMaterializedView, *sqlparse.Insert:
 		res, err := d.execMutation(st)

@@ -29,7 +29,7 @@ func (d *Database) execExplainAt(ec execCtx, ex *sqlparse.Explain) (*Result, err
 	if ec.snap != nil {
 		tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
 	}
-	if _, err := d.query(ec, ex.Query, tr); err != nil {
+	if _, err := d.query(ec, &selectStmt{Select: ex.Query}, tr); err != nil {
 		return nil, err
 	}
 	snap := tr.Finish()

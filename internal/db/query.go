@@ -21,7 +21,7 @@ import (
 // relation (Definition 2.2); everything else returns a single-table result.
 // The statement runs lock-free against a snapshot pinned at entry.
 func (d *Database) Query(sel *sqlparse.Select) (*Result, error) {
-	return boxed(d.query(d.readCtx(), sel, nil))
+	return boxed(d.query(d.readCtx(), &selectStmt{Select: sel}, nil))
 }
 
 // QueryWithTrace executes a SELECT with execution tracing enabled and returns
@@ -33,7 +33,7 @@ func (d *Database) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, 
 	tr := trace.New(sel.SQL())
 	tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
 	tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
-	res, err := boxed(d.query(ec, sel, tr))
+	res, err := boxed(d.query(ec, &selectStmt{Select: sel}, tr))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -57,7 +57,7 @@ func (d *Database) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, 
 // served only when it embeds exactly the state this reader pinned, or is
 // shown to hold the same result there, and a fill is admitted only when no
 // writer published past the snapshot while the query ran (see queryCached).
-func (d *Database) query(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer) (*Result, error) {
+func (d *Database) query(ec execCtx, sel *selectStmt, tr *trace.Tracer) (*Result, error) {
 	if ec.opts.ResultCache && ec.snap != nil {
 		if !tr.Enabled() {
 			res, _, err := d.queryCached(ec, sel)
@@ -73,14 +73,14 @@ func (d *Database) query(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer) (*R
 		default:
 			tr.SetCacheStatus(fmt.Sprintf("extendable (+%d rows)", behind))
 		}
-		res, err := d.queryUncached(ec, sel, tr)
+		res, err := d.queryUncached(ec, sel.Select, tr)
 		if err == nil {
 			d.seal(key, res)
 			d.resultCache.PutAt(key, res, cachedResultBytes(res), at, live)
 		}
 		return res, err
 	}
-	return d.queryUncached(ec, sel, tr)
+	return d.queryUncached(ec, sel.Select, tr)
 }
 
 // queryUncached always executes, bypassing the result cache.
@@ -97,11 +97,15 @@ func (d *Database) queryUncached(ec execCtx, sel *sqlparse.Select, tr *trace.Tra
 
 // QuerySQL parses and executes a SELECT given as text.
 func (d *Database) QuerySQL(sql string) (*Result, error) {
-	sel, err := sqlparse.ParseSelect(sql)
+	st, err := d.parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return d.Query(sel)
+	sel, ok := st.(*selectStmt)
+	if !ok {
+		return nil, fmt.Errorf("db: QuerySQL expects a SELECT statement, got %T", st)
+	}
+	return boxed(d.query(d.readCtx(), sel, nil))
 }
 
 // QueryResultDB executes sel with subdatabase semantics regardless of the

@@ -112,12 +112,9 @@ func (s *Session) afterWrite() {
 
 // Exec parses and executes a single SQL statement through the session.
 func (s *Session) Exec(sql string) (*Result, error) {
-	st, err := sqlparse.Parse(sql)
+	st, err := s.db.parse(sql)
 	if err != nil {
 		return nil, err
-	}
-	if sel, ok := st.(*sqlparse.Select); ok {
-		sel.Src = sql
 	}
 	return s.ExecStatement(st)
 }
@@ -138,7 +135,7 @@ func (s *Session) ExecStatement(st sqlparse.Statement) (res *Result, err error) 
 
 // Query executes a SELECT against the session's view.
 func (s *Session) Query(sel *sqlparse.Select) (*Result, error) {
-	return boxed(s.db.query(s.ctx(), sel, nil))
+	return boxed(s.db.query(s.ctx(), &selectStmt{Select: sel}, nil))
 }
 
 // QueryResultDB executes sel with subdatabase semantics in the requested
@@ -155,7 +152,7 @@ func (s *Session) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, e
 	tr := trace.New(sel.SQL())
 	tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
 	tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
-	res, err := boxed(s.db.query(ec, sel, tr))
+	res, err := boxed(s.db.query(ec, &selectStmt{Select: sel}, tr))
 	if err != nil {
 		return nil, nil, err
 	}

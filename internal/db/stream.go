@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"resultdb/internal/core"
-	"resultdb/internal/sqlparse"
 )
 
 // StreamMeta is the response header of a streamed execution: everything a
@@ -87,11 +86,11 @@ func (d *Database) execStreamAt(ec execCtx, onMutated func(), sql string, begin 
 			res, err = nil, fmt.Errorf("db: internal error: %v", p)
 		}
 	}()
-	st, err := sqlparse.Parse(sql)
+	st, err := d.parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	sel, ok := st.(*sqlparse.Select)
+	sel, ok := st.(*selectStmt)
 	if !ok {
 		res, err := d.execAt(ec, st, onMutated)
 		if err != nil {
@@ -115,9 +114,9 @@ func (d *Database) execStreamAt(ec execCtx, onMutated func(), sql string, begin 
 		if sel.Preserving {
 			mode = ModeRDBRP
 		}
-		return d.queryResultDBAt(ec, sel, mode, nil, sink)
+		return d.queryResultDBAt(ec, sel.Select, mode, nil, sink)
 	}
-	return d.querySingleTableAt(ec, sel, nil, sink)
+	return d.querySingleTableAt(ec, sel.Select, nil, sink)
 }
 
 // replayStream feeds an already-computed result through the streaming

@@ -171,12 +171,11 @@ type Select struct {
 	Having  Expr
 	OrderBy []OrderItem
 	Limit   *int64
-	// Src is the raw statement text this Select was parsed from, when the
-	// parse entry point had it (ParseSelect, Database.Exec). It is not part
-	// of the statement's semantics and is never rendered; the database uses
-	// it as a cheap stable cache key to avoid re-rendering SQL() on every
-	// execution of a re-parsed statement. Empty when the Select was built
-	// programmatically or arrived via a multi-statement script.
+	// Src is unused: no parse entry point sets it and nothing in this module
+	// reads it. The database shares one parsed Select among every execution
+	// of its text, so nothing may write into a parsed statement; the field
+	// remains only because the separate benchmark module (benchmark/) still
+	// assigns it, and goes when that module next changes.
 	Src string
 }
 

@@ -37,7 +37,6 @@ func ParseSelect(src string) (*Select, error) {
 	if !ok {
 		return nil, fmt.Errorf("sqlparse: expected a SELECT statement")
 	}
-	sel.Src = src
 	return sel, nil
 }
 

@@ -17,14 +17,16 @@
 # early-stop countdown, the map-based estimator and its per-step column
 # resolutions, or of the key-set count (KeySet.Len), or of the second
 # acyclicity mechanism (implied-edge dropping and the unused query-level
-# hypergraph API) and the second table registry (catalog.Catalog); no identifier of the deleted second relation image, no row slices in core or the colstore kernels, no
+# hypergraph API) and the second table registry (catalog.Catalog), or a write
+# into a parsed statement (Select.Src); no identifier of the deleted second relation image, no row slices in core or the colstore kernels, no
 # tuple boxed or taken back between the engine's operators (FromRows(,
 # .Rows() on a relation or view, []types.Row outside FromRows) and no src
 # rows kept by a colstore frame; results leave the engine unboxed (no
 # len(set.Rows) or range set.Rows in internal/wire or internal/db outside
 # db/result.go); no map-of-slices bucket structure
 # in colstore/engine/storage; row blocks filled by colstore.View.Rows only,
-# one pooled flate reader, no unsafe in internal/types; internal/reference
+# one pooled flate reader, one statement parse in internal/db (the memo's), no
+# unsafe in internal/types; internal/reference
 # imported from tests only; one version
 # identity — no generation counter, name counter or statistics cache outside
 # internal/storage, no per-version clock (storage.Table.Version and its
@@ -38,7 +40,9 @@
 # self-join appended on both sides of its edge included; on the socket,
 # filling response == response from kept payloads == cache-off response ==
 # in-process v2 encoding; the extension's fallbacks, a panicking computation
-# releasing its single-flight key; the payload-memo guards; and
+# releasing its single-flight key; the payload-memo guards; the statement
+# memo's guards — no execution writing a memoised AST, no version carried, the
+# bound kept, text variants sharing one cache entry; and
 # BenchmarkServeCachedHit once as a smoke),
 # execution (every answer — SPJ, subdatabase, and the sequential list of outer
 # joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs the naive
@@ -170,9 +174,13 @@ dead="$dead"'|func \(s \*KeySet\) Len'
 # the lockstep catalog.Catalog is gone. (DropImpliedEdges and AlphaAcyclic are
 # matched as words: test names may still say what they check.)
 dead="$dead"'|\bDropImpliedEdges\b|edgeImplied|attrEqualityGraph|attrConnected|hypergraph\.(Build|Classify)\b|JoinTreeEdge|\bAlphaAcyclic\b|catalog\.New\(|\.Catalog\(\)'
+# A parsed statement is never written after its parse: the database shares
+# one parsed SELECT among every execution of its text, so the raw-text field
+# the entry points used to stamp into it (sqlparse.Select.Src) stays unset.
+dead="$dead"'|\.Src = '
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
-	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry are back:"
+	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write are back:"
 	echo "$dead_refs"
 	exit 1
 fi
@@ -258,6 +266,16 @@ if [ -n "$unsafe_types" ]; then
 	exit 1
 fi
 
+echo "== lint: one statement parse in internal/db (the memo's)"
+# Database.Exec, Session.Exec, ExecStream and QuerySQL parse through
+# Database.parse, which memoises SELECTs by raw text; a second single-statement
+# parse call in the package is a path that re-parses every execution.
+parses=$(grep -n 'sqlparse\.Parse\(Select\)\?(' internal/db/*.go | grep -v '_test\.go:' | wc -l)
+if [ "$parses" -ne 1 ]; then
+	echo "FAIL: sqlparse.Parse(/ParseSelect( occurs $parses times in internal/db non-test code, want 1 (Database.parse in internal/db/memo.go)"
+	exit 1
+fi
+
 echo "== lint: one hash structure (colstore's position table), no bucket maps"
 # Key sets, join hash tables, dedup and grouping all probe the open-addressing
 # table in internal/colstore/hash.go; a map from key hash to a slice of
@@ -316,8 +334,8 @@ if [ -n "$row_writes" ]; then
 	exit 1
 fi
 
-echo "== cache differential + stress gate (cold/warm, dangling and joining appends extended or recomputed vs uncached oracle; hit bytes == miss bytes == cache-off bytes == in-process v2 bytes on the socket; extension fallbacks; single-flight released by a panic; payload-memo guards; warm-hit benchmark smoke, under -race)"
-gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit|TestCacheExtend|TestDoAt' \
+echo "== cache differential + stress gate (cold/warm, dangling and joining appends extended or recomputed vs uncached oracle; hit bytes == miss bytes == cache-off bytes == in-process v2 bytes on the socket; extension fallbacks; single-flight released by a panic; payload-memo guards; the statement memo — no execution writing a memoised AST, sessions pinned across a commit getting their own bytes from one AST, the memo within its bound, text variants one cache entry; warm-hit benchmark smoke, under -race)"
+gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit|TestCacheExtend|TestDoAt|TestMemo' \
 	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire ./internal/db ./internal/cache
 
 echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x local/TCP byte-identical, socket payload == in-process v2 encoding; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; every plan decision and estimate of those statements against testdata/plans.golden; the one containment model's edge cases, the reduction schedule allocating nothing per candidate root or bottom-up order, greedy join orders with and without statistics joining the same rows; dense integer key sets matching exactly what the hashed form of the same key matches, the branch-free bitmap probe included; the adaptive Bloom prefilter stepping aside where the exact pass probes a bitmap and running where it hashes, reducing like the Bloom ablation and like no prefilter; Theorem 4.4 over random cyclic and α-acyclic queries, GYO join trees spanning every JG-acyclic query and enforcing two attributes of one class; under -race)"
