@@ -582,6 +582,50 @@ func BenchmarkStarClient(b *testing.B) {
 	b.ReportMetric(float64(rows), "postjoin-rows")
 }
 
+// BenchmarkStarPostJoin measures the client's post-join alone on the three
+// star_transfer results, v2-decoded once before the clock starts: "join" is
+// the join and projection of the decoded sets (db.SetRelations, then
+// core.PostJoin), "boxed" adds boxing the joined rows (db.ExecutePostJoinPlan,
+// what BenchmarkStarClient runs after decoding).
+func BenchmarkStarPostJoin(b *testing.B) {
+	d := db.New()
+	if err := star.Load(d, star.DefaultConfig()); err != nil {
+		b.Fatal(err)
+	}
+	var decoded []*db.Result
+	for _, s := range []float64{0.6, 0.8, 1.0} {
+		sql := "SELECT RESULTDB PRESERVING" + strings.TrimPrefix(star.Query(star.DefaultConfig(), s), "SELECT")
+		res, err := d.Exec(sql)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res, err = wire.DecodeResultExpect(wire.EncodeResultV2(res), wire.FormatV2); err != nil {
+			b.Fatal(err)
+		}
+		decoded = append(decoded, res)
+	}
+	b.Run("join", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, res := range decoded {
+				if _, err := core.PostJoin(res.PostJoinPlan.Preds, db.SetRelations(res.Sets), res.PostJoinPlan.Projection); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+	b.Run("boxed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, res := range decoded {
+				if _, err := db.ExecutePostJoinPlan(res); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}
+
 // starServerResults executes the three RESULTDB PRESERVING statements of the
 // star_transfer workload (benchmark/) the way the wire server does, through
 // ExecStream, and returns their statements and results.

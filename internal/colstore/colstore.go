@@ -44,6 +44,7 @@ package colstore
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"resultdb/internal/parallel"
 	"resultdb/internal/types"
@@ -504,15 +505,17 @@ func buildColumn(kind types.Kind, rows []types.Row, j int) Column {
 // the result is identical at any degree.
 func GatherView(v *View, cols []int, order []int32, par int) *Frame {
 	f := &Frame{cols: make([]Column, len(cols)), n: len(order)}
-	idx := make([]int, len(order))
-	pad := false
-	for i, j := range order {
-		if j < 0 {
-			idx[i], pad = -1, true
-			continue
+	idx := order // without a selection, logical positions are frame rows
+	if v.Sel != nil {
+		idx = make([]int32, len(order))
+		for i, j := range order {
+			if j >= 0 {
+				j = v.Sel[j]
+			}
+			idx[i] = j
 		}
-		idx[i] = v.Index(int(j))
 	}
+	pad := slices.ContainsFunc(order, func(j int32) bool { return j < 0 })
 	parallel.Each(len(cols), par, func(j int) {
 		f.cols[j] = gatherColumn(v.Frame.cols[cols[j]], idx, pad)
 	})
@@ -538,13 +541,13 @@ func Zip(a, b *Frame) *Frame {
 // gatherNulls rebuilds the null bitmap of a gathered column (nil when the
 // gathered rows contain no NULL); pad says idx has negative entries, each a
 // NULL of its own.
-func gatherNulls(src *Bitmap, idx []int, pad bool) *Bitmap {
+func gatherNulls(src *Bitmap, idx []int32, pad bool) *Bitmap {
 	if src == nil && !pad {
 		return nil
 	}
 	var out *Bitmap
 	for i, j := range idx {
-		if j < 0 || src.Get(j) {
+		if j < 0 || src.Get(int(j)) {
 			out = out.with(i)
 		}
 	}
@@ -554,7 +557,7 @@ func gatherNulls(src *Bitmap, idx []int, pad bool) *Bitmap {
 // gather copies vals at the indices idx; when pad says some are negative,
 // those leave the zero cell (which a set null bit, or the zero Value, makes
 // NULL).
-func gather[T any](vals []T, idx []int, pad bool) []T {
+func gather[T any](vals []T, idx []int32, pad bool) []T {
 	out := make([]T, len(idx))
 	if !pad {
 		for i, j := range idx {
@@ -571,7 +574,7 @@ func gather[T any](vals []T, idx []int, pad bool) []T {
 }
 
 // gatherColumn restricts one column to the frame row indices in idx.
-func gatherColumn(c Column, idx []int, pad bool) Column {
+func gatherColumn(c Column, idx []int32, pad bool) Column {
 	switch c := c.(type) {
 	case *Int64Column:
 		return &Int64Column{Vals: gather(c.Vals, idx, pad), Nulls: gatherNulls(c.Nulls, idx, pad)}

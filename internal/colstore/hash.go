@@ -197,9 +197,11 @@ func (m *matcher) equal(i, j int) bool {
 // hash, as a tag that spares key compares: 8 bytes a slot, not 16, and table
 // bytes are the largest allocation of a cold query. A slot stands for one
 // distinct key; what its position means — the first row with that key, or
-// the head of a chain of them — is its owner's business. (A KeySet over a
-// dense integer key is a bitmap instead, no larger than this table would be,
-// and hashes nothing.)
+// the head of a chain of them — is its owner's business. (Over a dense
+// integer key every owner addresses by value instead, no larger than this
+// table would be, and hashes nothing: a KeySet is a bitmap, a HashTable a
+// vector of chain heads, and GroupPositions proves a unique key distinct with
+// a bitmap.)
 type posTable struct {
 	slots []slot
 	shift uint // 64 - log2(len(slots))
@@ -273,28 +275,32 @@ func BuildKeySet(src Key) *KeySet {
 // KeySet): the one predicate of the dense form, for a planner that prices a
 // pass by the form its key set will take. It reads every key once.
 func (k Key) Dense() bool {
-	_, _, ok := denseRange(k)
-	return ok
+	lo, hi, _, ok := denseRange(k)
+	return ok && fits(lo, hi, 6, k.Len())
 }
 
-// denseRange returns the smallest and largest of src's non-NULL keys when src
-// qualifies for the dense form (see KeySet); ok is false when it does not. A
-// key with no non-NULL value has the range [0, 0].
-func denseRange(src Key) (lo, hi int64, ok bool) {
+// denseRange is the one range scan of every dense form (KeySet, HashTable,
+// GroupPositions): when src is one Int64Column whose non-NULL values lie
+// strictly inside ±2^53 — so the key compare, float64 equality, is integer
+// equality — it returns the smallest and the largest of those values and how
+// many there are; ok is false when src is not such a key. A key with no
+// non-NULL value has the range [0, 0].
+func denseRange(src Key) (lo, hi int64, keys int, ok bool) {
 	if len(src.kc) != 1 {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	c, isInt := src.kc[0].(*Int64Column)
 	if !isInt {
-		return 0, 0, false
+		return 0, 0, 0, false
 	}
 	n, sel := src.Len(), src.view.Sel
-	lo, hi = math.MaxInt64, math.MinInt64
+	lo, hi, keys = math.MaxInt64, math.MinInt64, n
 	switch {
 	case c.Nulls.Count() != 0:
+		keys = 0
 		for j := 0; j < n; j++ {
 			if f := src.view.Index(j); !c.Nulls.Get(f) {
-				lo, hi = min(lo, c.Vals[f]), max(hi, c.Vals[f])
+				lo, hi, keys = min(lo, c.Vals[f]), max(hi, c.Vals[f]), keys+1
 			}
 		}
 	case sel == nil:
@@ -309,17 +315,25 @@ func denseRange(src Key) (lo, hi int64, ok bool) {
 	if lo > hi {
 		lo, hi = 0, 0
 	}
-	if lo <= -maxExact || hi >= maxExact || (hi-lo)>>6 >= 1<<tableLog(n) {
-		return 0, 0, false
+	if lo <= -maxExact || hi >= maxExact {
+		return 0, 0, 0, false
 	}
-	return lo, hi, true
+	return lo, hi, keys, true
+}
+
+// fits is the byte bound of every dense form: a vector of 8-byte entries, one
+// for each 2^shift integers of [lo, hi] (a bitmap's words: shift 6; a pair
+// of 4-byte chain heads: shift 1), is no larger than the posTable it
+// replaces, the table for n insertions, whose slots are 8 bytes too.
+func fits(lo, hi int64, shift uint, n int) bool {
+	return (hi-lo)>>shift < 1<<tableLog(n)
 }
 
 // buildDense returns the dense form of src's keys, or nil when src does not
 // qualify for it (see KeySet). A build with no non-NULL key is one empty word.
 func buildDense(src Key) *KeySet {
-	lo, hi, ok := denseRange(src)
-	if !ok {
+	lo, hi, _, ok := denseRange(src)
+	if !ok || !fits(lo, hi, 6, src.Len()) {
 		return nil
 	}
 	c, n, sel := src.kc[0].(*Int64Column), src.Len(), src.view.Sel
@@ -485,14 +499,22 @@ func (s *KeySet) hasInt(v int64) bool {
 }
 
 // hasFloat reports whether the dense form holds a key whose float64 bits are
-// f's — what the hashed form, which hashes those bits, matches: an integral
-// f, but never −0.0, NaN, ±Inf or a fraction.
+// f's — what the hashed form, which hashes those bits, matches (see exactInt).
 func (s *KeySet) hasFloat(f float64) bool {
+	i, ok := exactInt(f)
+	return ok && s.hasInt(i)
+}
+
+// exactInt returns the integer whose float64 bits are f's, when there is one
+// strictly inside ±2^53: the only DOUBLEs a dense form's integer keys can
+// equal under the hashed form's rule, which hashes float64 bits — an
+// integral f, but never −0.0, NaN, ±Inf or a fraction.
+func exactInt(f float64) (int64, bool) {
 	if !(f > -maxExact && f < maxExact) {
-		return false
+		return 0, false
 	}
 	i := int64(f)
-	return math.Float64bits(float64(i)) == math.Float64bits(f) && s.hasInt(i)
+	return i, math.Float64bits(float64(i)) == math.Float64bits(f)
 }
 
 // ContainsValue reports whether v is a key of the set, which must be over a
@@ -528,23 +550,57 @@ func (s *KeySet) ContainsValue(v types.Value) bool {
 
 // HashTable is the join build side: every non-NULL key of one input, its
 // rows chained in ascending position order — the invariant that keeps
-// parallel probes bit-identical to serial. It is hash-partitioned so it can
-// be built in parallel: a key lives in the table of partition hash mod P,
-// and the chains of all partitions thread through one next vector.
+// parallel probes bit-identical to serial — through one next vector.
+// BuildHashTable picks one of two forms from the build side alone; both
+// yield exactly the build positions the other would, in the same order.
+//
+//   - Dense: a key that qualifies for KeySet's dense form (one Int64Column
+//     strictly inside ±2^53) and whose range [base, base+len(heads)) is no
+//     more 4-byte heads than twice the hashed form's slots — so heads is
+//     never more bytes than the table it replaces — is addressed by value:
+//     heads[v−base] is the first position with key v. A null-free INTEGER
+//     probe costs a subtract, a compare and a load; any other probe column
+//     matches by KeySet's per-value rule.
+//   - Hashed: every other key is hash-partitioned so it can be built in
+//     parallel: a key lives in the table of partition hash mod P.
 type HashTable struct {
 	src   Key
-	parts []posTable
+	parts []posTable // the hashed form
+	heads []int32    // the dense form: first position with key base+i, +1; nil in the hashed form
+	base  int64
 	next  []int32 // next[pos]: following build position with pos's key, +1; 0 ends the chain
 }
 
 // BuildHashTable indexes src's rows by key at degree par. NULL keys are
 // skipped (they can never match under SQL join semantics).
-//
-// The keys are hashed once, in parallel chunks; then each worker owns one
-// partition and inserts that partition's rows into a table of its own, last
-// row first, pushing each onto the front of its key's chain — so chains come
-// out ascending, and workers write disjoint tables and disjoint next entries.
 func BuildHashTable(src Key, par int) *HashTable {
+	if lo, hi, keys, ok := denseRange(src); ok && fits(lo, hi, 1, keys) {
+		return buildDenseTable(src, lo, hi)
+	}
+	return buildHashTable(src, par)
+}
+
+// buildDenseTable is the dense form of src's keys, whose non-NULL values lie
+// in [lo, hi]: one pass, last row first, pushing each row onto the front of
+// its value's chain.
+func buildDenseTable(src Key, lo, hi int64) *HashTable {
+	n, c := src.Len(), src.kc[0].(*Int64Column)
+	t := &HashTable{src: src, heads: make([]int32, hi-lo+1), base: lo, next: make([]int32, n)}
+	for j := n - 1; j >= 0; j-- {
+		if f := src.view.Index(j); !c.Nulls.Get(f) {
+			d := c.Vals[f] - lo
+			t.next[j], t.heads[d] = t.heads[d], int32(j)+1
+		}
+	}
+	return t
+}
+
+// buildHashTable is the hashed form of src's keys. The keys are hashed once,
+// in parallel chunks; then each worker owns one partition and inserts that
+// partition's rows into a table of its own, last row first, pushing each onto
+// the front of its key's chain — so chains come out ascending, and workers
+// write disjoint tables and disjoint next entries.
+func buildHashTable(src Key, par int) *HashTable {
 	n := src.Len()
 	P := max(parallel.Chunks(n, par), 1)
 	hs, null := hashAll(src, par)
@@ -571,42 +627,100 @@ func BuildHashTable(src Key, par int) *HashTable {
 	return t
 }
 
+// head returns the dense form's first build position with key v, or -1. A
+// v outside the range wraps to a difference past it.
+func (t *HashTable) head(v int64) int32 {
+	if d := uint64(v - t.base); d < uint64(len(t.heads)) {
+		return t.heads[d] - 1
+	}
+	return -1
+}
+
+// Next returns the build position that follows pos in its key's chain, or -1
+// at the chain's end.
+func (t *HashTable) Next(pos int32) int32 { return t.next[pos] - 1 }
+
 // Prober probes a HashTable with the rows of one key: the equality rule of
 // the two sides is resolved once and shared by every probe.
 type Prober struct {
-	t *HashTable
-	p Key
-	m matcher
+	t    *HashTable
+	p    Key
+	m    matcher // the hashed form's
+	ints []int64 // the dense form's probe values, when a null-free Int64Column holds them
 }
 
 // Prober returns a prober for p's rows. Probers are cheap; parallel probes
 // take one per chunk.
 func (t *HashTable) Prober(p Key) Prober {
-	return Prober{t: t, p: p, m: newMatcher(t.src, p)}
+	if t.heads == nil {
+		return Prober{t: t, p: p, m: newMatcher(t.src, p)}
+	}
+	pr := Prober{t: t, p: p}
+	if c, ok := p.kc[0].(*Int64Column); ok && c.Nulls.Count() == 0 {
+		pr.ints = c.Vals
+	}
+	return pr
+}
+
+// First returns the first build position whose key equals probe row j's key,
+// or -1; Next walks the rest of them, ascending. NULL probes match nothing.
+func (pr *Prober) First(j int) int32 {
+	t := pr.t
+	switch {
+	case pr.ints != nil:
+		return t.head(pr.ints[pr.p.view.Index(j)])
+	case t.heads != nil:
+		v := pr.p.kc[0].Value(pr.p.view.Index(j))
+		switch v.Kind() {
+		case types.KindInt:
+			return t.head(v.Int())
+		case types.KindFloat:
+			if i, ok := exactInt(v.Float()); ok {
+				return t.head(i)
+			}
+		}
+		return -1
+	}
+	h, null := pr.p.hash1(j)
+	if null {
+		return -1
+	}
+	return t.parts[h%uint64(len(t.parts))].lookup(h, &pr.m, j).ref - 1
 }
 
 // Each invokes yield for every build position whose key equals probe row j's
 // key, in ascending position order. NULL probes match nothing.
 func (pr *Prober) Each(j int, yield func(pos int32)) {
-	h, null := pr.p.hash1(j)
-	if null {
-		return
-	}
-	tab := &pr.t.parts[h%uint64(len(pr.t.parts))]
-	for ref := tab.lookup(h, &pr.m, j).ref; ref != 0; ref = pr.t.next[ref-1] {
-		yield(ref - 1)
+	for pos := pr.First(j); pos >= 0; pos = pr.t.Next(pos) {
+		yield(pos)
 	}
 }
 
 // GroupPositions returns, ascending, the position of the first occurrence of
 // every distinct key (grouping semantics: NULLs compare equal) and, when gid
 // is not nil (it must have key.Len() entries), sets gid[j] to the index in
-// that result of row j's key: groups numbered in first-occurrence order. Keys
-// are hashed once, in parallel chunks; equal keys share a hash, hence a
+// that result of row j's key: groups numbered in first-occurrence order.
+//
+// A key one of whose columns proves every row distinct (see unique) is every
+// position, each row its own group, and hashes nothing. Otherwise keys are
+// hashed once, in parallel chunks; equal keys share a hash, hence a
 // partition, so each worker resolves one partition in input order against a
 // table of its own and marks the first occurrences — exactly the positions a
 // serial first-occurrence-wins loop keeps, at any degree.
 func GroupPositions(key Key, par int, gid []int32) []int32 {
+	if !key.unique() {
+		return groupHashed(key, par, gid)
+	}
+	order := make([]int32, key.Len())
+	for j := range order {
+		order[j] = int32(j)
+	}
+	copy(gid, order)
+	return order
+}
+
+// groupHashed is GroupPositions by hashing every key.
+func groupHashed(key Key, par int, gid []int32) []int32 {
 	n := key.Len()
 	P := max(parallel.Chunks(n, par), 1)
 	hs, _ := hashAll(key, par)
@@ -658,6 +772,45 @@ func GroupPositions(key Key, par int, gid []int32) []int32 {
 		}
 	}
 	return order
+}
+
+// unique reports whether one of k's columns proves every row of k distinct:
+// a null-free Int64Column that qualifies for KeySet's dense form (range
+// scan and byte bound alike) and holds no value twice among k's rows. Each
+// candidate costs the range scan and one test-and-set pass over a bitmap of
+// its range, which stops at the first repeat.
+func (k Key) unique() bool {
+	for _, col := range k.kc {
+		c, ok := col.(*Int64Column)
+		if !ok || c.Nulls.Count() != 0 {
+			continue
+		}
+		one := Key{view: k.view, kc: []Column{c}}
+		lo, hi, _, ok := denseRange(one)
+		if ok && fits(lo, hi, 6, k.Len()) && distinctInts(c.Vals, k.view.Sel, k.Len(), lo, hi) {
+			return true
+		}
+	}
+	return false
+}
+
+// distinctInts reports whether no value repeats among the first n of vals,
+// read through sel when it is not nil, all of which lie in [lo, hi].
+func distinctInts(vals []int64, sel []int32, n int, lo, hi int64) bool {
+	seen := make([]uint64, (hi-lo)>>6+1)
+	for j := 0; j < n; j++ {
+		f := j
+		if sel != nil {
+			f = int(sel[j])
+		}
+		d := uint64(vals[f] - lo)
+		w, b := d>>6, uint64(1)<<(d&63)
+		if seen[w]&b != 0 {
+			return false
+		}
+		seen[w] |= b
+	}
+	return true
 }
 
 // DistinctPositions is GroupPositions without the group numbers.

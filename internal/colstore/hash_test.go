@@ -360,34 +360,7 @@ func TestKeySetDenseMatchesHash(t *testing.T) {
 		if got := keySetForm(set); (got == "dense") != c.dense {
 			t.Fatalf("%s: BuildKeySet chose the %s form", c.name, got)
 		}
-		// Probe every build key, its neighbours and the edges of every range
-		// involved, cycled past two batches with NULLs in between.
-		cand := []int64{0, -1, 1, math.MinInt64, math.MaxInt64, big, -big, big - 1, -(big - 1), big + 1, -(big + 1)}
-		for _, r := range c.build {
-			if !r[0].IsNull() {
-				v := r[0].Int()
-				cand = append(cand, v-64, v-1, v, v+1, v+64)
-			}
-		}
-		var ip, np, fp, mp []types.Row
-		for i := 0; len(ip) < 1100; i++ {
-			v := cand[i%len(cand)]
-			np = append(np, types.Row{types.NewInt(v)})
-			if i%11 == 5 {
-				ip, fp, mp = append(ip, types.Row{types.Null()}), append(fp, types.Row{types.Null()}), append(mp, types.Row{types.Null()})
-				continue
-			}
-			f := float64(v)
-			switch i % 5 {
-			case 1:
-				f += 0.5
-			case 2:
-				f = []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), float64(big), -float64(big)}[i%6]
-			}
-			ip = append(ip, types.Row{types.NewInt(v)})
-			fp = append(fp, types.Row{types.NewFloat(f)})
-			mp = append(mp, []types.Row{{types.NewInt(v)}, {types.NewFloat(f)}, {types.NewText(fmt.Sprint(v))}, {types.NewBool(v%2 == 0)}}[i%4])
-		}
+		np, ip, fp, mp := denseProbes(c.build)
 		if c, ok := ViewKey(&View{Frame: NewFrame(kinds, np)}, []int{0}).kc[0].(*Int64Column); !ok || c.Nulls.Count() != 0 {
 			t.Fatal("the null-free probe is not a null-free Int64Column: the kernel goes untested")
 		}
@@ -395,6 +368,211 @@ func TestKeySetDenseMatchesHash(t *testing.T) {
 		checkJoinAgainstScan(t, build, side{kinds, ip, []int{0}})
 		checkJoinAgainstScan(t, build, side{[]types.Kind{types.KindFloat}, fp, []int{0}})
 		checkJoinAgainstScan(t, build, side{kinds, mp, []int{0}})
+	}
+}
+
+// denseProbes returns probes of a one-column INTEGER build: every build key,
+// its neighbours and the edges of every range a dense form involves, cycled
+// past two batches — as a null-free INTEGER column (np), as INTEGERs with
+// NULLs in between (ip), as DOUBLEs with NULLs, fractions, −0.0, NaN, ±Inf
+// and ±2^53 (fp), and mixed INTEGER/DOUBLE/TEXT/BOOL values with NULLs (mp).
+func denseProbes(build []types.Row) (np, ip, fp, mp []types.Row) {
+	const big = int64(1) << 53
+	cand := []int64{0, -1, 1, math.MinInt64, math.MaxInt64, big, -big, big - 1, -(big - 1), big + 1, -(big + 1)}
+	for _, r := range build {
+		if !r[0].IsNull() {
+			v := r[0].Int()
+			cand = append(cand, v-64, v-1, v, v+1, v+64)
+		}
+	}
+	for i := 0; len(ip) < 1100; i++ {
+		v := cand[i%len(cand)]
+		np = append(np, types.Row{types.NewInt(v)})
+		if i%11 == 5 {
+			ip, fp, mp = append(ip, types.Row{types.Null()}), append(fp, types.Row{types.Null()}), append(mp, types.Row{types.Null()})
+			continue
+		}
+		f := float64(v)
+		switch i % 5 {
+		case 1:
+			f += 0.5
+		case 2:
+			f = []float64{math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), float64(big), -float64(big)}[i%6]
+		}
+		ip = append(ip, types.Row{types.NewInt(v)})
+		fp = append(fp, types.Row{types.NewFloat(f)})
+		mp = append(mp, []types.Row{{types.NewInt(v)}, {types.NewFloat(f)}, {types.NewText(fmt.Sprint(v))}, {types.NewBool(v%2 == 0)}}[i%4])
+	}
+	return np, ip, fp, mp
+}
+
+// tableForm names the form BuildHashTable picked for t.
+func tableForm(t *HashTable) string {
+	if t.heads != nil {
+		return "dense"
+	}
+	return "hashed"
+}
+
+// joinPairs lists every (probe row, build position) pair of t probed with
+// p's rows, in probe order: what a hash join emits.
+func joinPairs(t *HashTable, p Key) [][2]int32 {
+	var out [][2]int32
+	pr := t.Prober(p)
+	for j := 0; j < p.Len(); j++ {
+		pr.Each(j, func(pos int32) { out = append(out, [2]int32{int32(j), pos}) })
+	}
+	return out
+}
+
+// TestHashTableDenseMatchesHash: a join build key of one INTEGER column
+// whose values lie strictly inside ±2^53 and span no more than twice the
+// slots of the table it replaces is a vector of chain heads, and it yields
+// exactly the (probe, build) pairs the hashed form of the same key yields, in
+// the same order — for null-free INTEGER probes (read directly and through a
+// selection), INTEGERs with NULLs, DOUBLEs (−0.0, NaN, ±Inf, fractions) and
+// mixed TEXT/BOOL/number probes in every key form. A range one entry wider,
+// or a key at ±2^53, stays hashed.
+func TestHashTableDenseMatchesHash(t *testing.T) {
+	const big = int64(1) << 53
+	rng := rand.New(rand.NewSource(36))
+	ints := func(vs ...int64) []types.Row {
+		rows := make([]types.Row, len(vs))
+		for i, v := range vs {
+			rows[i] = types.Row{types.NewInt(v)}
+		}
+		return rows
+	}
+	random := func(n int, lo, span int64) []types.Row {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(lo + rng.Int63n(span))}
+			if rng.Intn(7) == 0 {
+				rows[i] = types.Row{types.Null()}
+			}
+		}
+		return rows
+	}
+	heads := int64(2) << tableLog(3) // two 4-byte heads a slot of a three-key table
+	cases := []struct {
+		name  string
+		build []types.Row
+		dense bool
+	}{
+		{"nulls and duplicates", random(300, -40, 101), true},
+		{"negative range", random(200, -5000, 300), true},
+		{"one value", ints(7), true},
+		{"all NULL", []types.Row{{types.Null()}, {types.Null()}, {types.Null()}}, true},
+		{"width at the bound", ints(-3, -3+heads-1, 5), true},
+		{"width one over", ints(-3, -3+heads, 5), false},
+		{"2^53-1", append(ints(big-1, big-5), types.Row{types.Null()}), true},
+		{"-(2^53-1)", ints(-(big - 1), -(big-1)+5), true},
+		{"2^53", ints(big, big-1), false},
+		{"-2^53", ints(-big, -big+1), false},
+	}
+	kinds := []types.Kind{types.KindInt}
+	typed := map[string]bool{"view": true, "view-sel": true, "view-reordered": true}
+	for _, c := range cases {
+		np, ip, fp, mp := denseProbes(c.build)
+		probes := []side{{kinds, np, []int{0}}, {kinds, ip, []int{0}}, {[]types.Kind{types.KindFloat}, fp, []int{0}}, {kinds, mp, []int{0}}}
+		for _, bf := range keyForms {
+			bk := bf.key(kinds, c.build, []int{0})
+			dense := BuildHashTable(bk, 4)
+			if got := tableForm(dense); (got == "dense") != (c.dense && typed[bf.name]) {
+				t.Fatalf("%s, %s build: BuildHashTable chose the %s form", c.name, bf.name, got)
+			}
+			for _, hashed := range []*HashTable{buildHashTable(bk, 1), buildHashTable(bk, 4)} {
+				for _, p := range probes {
+					for _, pf := range keyForms {
+						pk := pf.key(p.kinds, p.rows, p.cols)
+						if got, want := joinPairs(dense, pk), joinPairs(hashed, pk); fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("%s, %s build, %s %v probe: %d pairs, the hashed form %d", c.name, bf.name, pf.name, p.kinds, len(got), len(want))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGroupPositionsDenseUniqueMatchesHash: a key one of whose null-free
+// INTEGER columns lies within the bitmap bound and repeats no value among the
+// key's rows is every row distinct, each row its own group — exactly what
+// hashing the key finds — and any repeat, early or late, a NULL in that
+// column, a range too wide or at ±2^53 sends the key to hashing, which
+// groups it as before. Keys of one and of several columns, in every key form
+// (the selected rows of a frame whose decoys repeat every value included),
+// at par 1 and 4.
+func TestGroupPositionsDenseUniqueMatchesHash(t *testing.T) {
+	const big = int64(1) << 53
+	rng := rand.New(rand.NewSource(37))
+	const n = 1500
+	perm := func(base, step int64) []int64 {
+		vs := make([]int64, n)
+		for i, p := range rng.Perm(n) {
+			vs[i] = base + int64(p)*step
+		}
+		return vs
+	}
+	repeat := func(vs []int64, at int) []int64 {
+		out := append([]int64(nil), vs...)
+		out[at] = out[(at+n/2)%n]
+		return out
+	}
+	dups := perm(0, 1)
+	for i := range dups {
+		dups[i] %= 40
+	}
+	cases := []struct {
+		name    string
+		a, b    []int64 // the key's INTEGER columns; b nil: a alone
+		nullAt  int     // a row whose a is NULL, or -1
+		skipped bool
+	}{
+		{"unique", perm(-700, 1), nil, -1, true},
+		{"unique, gaps", perm(5, 7), nil, -1, true},
+		{"repeat early", repeat(perm(0, 1), 1), nil, -1, false},
+		{"repeat late", repeat(perm(0, 1), n-1), nil, -1, false},
+		{"a NULL", perm(0, 1), nil, 700, false},
+		{"too wide", perm(0, 1<<12), nil, -1, false},
+		{"at 2^53", append(perm(big-n, 1)[:n-1], big), nil, -1, false},
+		{"composite, second unique", dups, perm(100, 1), -1, true},
+		{"composite, first unique", perm(100, 1), dups, -1, true},
+		{"composite, unique beside a NULL", perm(100, 1), dups, 3, false},
+		{"composite, none unique", repeat(perm(0, 1), 9), repeat(perm(0, 1), 10), -1, false},
+	}
+	typed := map[string]bool{"view": true, "view-sel": true, "view-reordered": true}
+	for _, c := range cases {
+		kinds, cols := []types.Kind{types.KindInt, types.KindText}, []int{0}
+		if c.b != nil {
+			kinds, cols = []types.Kind{types.KindInt, types.KindInt}, []int{0, 1}
+		}
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(c.a[i]), types.NewText(fmt.Sprint(i % 3))}
+			if c.b != nil {
+				rows[i][1] = types.NewInt(c.b[i])
+			}
+			if i == c.nullAt {
+				rows[i][0] = types.Null()
+			}
+		}
+		for _, f := range keyForms {
+			k := f.key(kinds, rows, cols)
+			if got := k.unique(); got != (c.skipped && typed[f.name]) {
+				t.Fatalf("%s, %s: unique = %v", c.name, f.name, got)
+			}
+			for _, par := range []int{1, 4} {
+				gid, wantGid := make([]int32, n), make([]int32, n)
+				got, want := GroupPositions(k, par, gid), groupHashed(k, par, wantGid)
+				if !sameSel(got, want) || !sameSel(gid, wantGid) {
+					t.Fatalf("%s, %s, par=%d: %d groups, hashing finds %d", c.name, f.name, par, len(got), len(want))
+				}
+				if got := DistinctPositions(k, par); !sameSel(got, want) {
+					t.Fatalf("%s, %s, par=%d: DistinctPositions differs from hashing", c.name, f.name, par)
+				}
+			}
+		}
 	}
 }
 
@@ -421,6 +599,35 @@ func TestDenseKeySetBytes(t *testing.T) {
 			t.Fatalf("n=%d: %s form", n, form)
 		}
 		dense, hashed := allocBytes(func() { BuildKeySet(k) }), allocBytes(func() { buildHashed(k) })
+		if dense > hashed {
+			t.Errorf("n=%d: the dense build allocates %d bytes, the hashed one %d", n, dense, hashed)
+		}
+	}
+}
+
+// TestDenseHashTableBytes: the chain heads are never larger than the table
+// they replace — a dense join build allocates no more bytes than the serial
+// hashed build of the same key, with the range as wide as the bound allows.
+func TestDenseHashTableBytes(t *testing.T) {
+	allocBytes := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	for _, n := range []int{1, 3, 100, 5000} {
+		width := int64(2) << tableLog(n) // two heads a slot
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i) * (width - 1) / int64(max(n-1, 1)))}
+		}
+		k := ViewKey(&View{Frame: NewFrame([]types.Kind{types.KindInt}, rows)}, []int{0})
+		if form := tableForm(BuildHashTable(k, 1)); form != "dense" {
+			t.Fatalf("n=%d: %s form", n, form)
+		}
+		dense, hashed := allocBytes(func() { BuildHashTable(k, 1) }), allocBytes(func() { buildHashTable(k, 1) })
 		if dense > hashed {
 			t.Errorf("n=%d: the dense build allocates %d bytes, the hashed one %d", n, dense, hashed)
 		}
@@ -548,7 +755,9 @@ func TestHashKernelAllocations(t *testing.T) {
 		"KeySet":            func(k Key) { BuildKeySet(k).Select(k, 0, k.Len(), make([]int32, 0, k.Len())) },
 		"KeySet hashed":     func(k Key) { buildHashed(k).Select(k, 0, k.Len(), make([]int32, 0, k.Len())) },
 		"HashTable":         func(k Key) { BuildHashTable(k, 1) },
+		"HashTable hashed":  func(k Key) { buildHashTable(k, 1) },
 		"DistinctPositions": func(k Key) { DistinctPositions(k, 1) },
+		"groupHashed":       func(k Key) { groupHashed(k, 1, nil) },
 	} {
 		few := testing.AllocsPerRun(10, func() { run(small) })
 		many := testing.AllocsPerRun(10, func() { run(large) })

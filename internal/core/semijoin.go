@@ -150,24 +150,11 @@ func Decompose(joined *engine.Relation, aliases []string, par int, tr *trace.Tra
 // PostJoin reconstructs the single-table result from a relationship-
 // preserving subdatabase (Definition 2.3): join the reduced relations on the
 // original join predicates and project to the original attributes. Filters
-// are not re-applied — the reduced relations already satisfy them.
+// are not re-applied — the reduced relations already satisfy them. The join
+// gathers the projected attributes alone (a nil projection keeps every
+// column), each once.
 func PostJoin(preds []engine.JoinPred, rels map[string]*engine.Relation, projection []engine.Attr) (*engine.Relation, error) {
-	joined, err := engine.JoinAll(preds, rels, nil, 0, nil)
-	if err != nil {
-		return nil, err
-	}
-	if projection == nil {
-		return joined, nil
-	}
-	cols := make([]int, len(projection))
-	for i, a := range projection {
-		idx, err := joined.ColIndex(a.Rel, a.Col)
-		if err != nil {
-			return nil, err
-		}
-		cols[i] = idx
-	}
-	return joined.Project(cols), nil
+	return engine.JoinAll(preds, rels, nil, 0, nil, projection)
 }
 
 // RelationshipPreservingAttrs returns A_i* = A_i ∪ A_i^J of Definition 2.3

@@ -71,6 +71,16 @@ func buildPostJoinPlan(spec *engine.SPJSpec, outputs []string) *PostJoinPlan {
 	return plan
 }
 
+// SetRelations returns the relations a post-join joins: sets as engine
+// relations, keyed by lower-cased set name.
+func SetRelations(sets []*ResultSet) map[string]*engine.Relation {
+	rels := make(map[string]*engine.Relation, len(sets))
+	for _, set := range sets {
+		rels[strings.ToLower(set.Name)] = setToRelation(set)
+	}
+	return rels
+}
+
 // ExecutePostJoinPlan reconstructs the single-table result from a
 // relationship-preserving result that carries a shipped plan. It is a pure
 // client-side computation over the result sets (no database access), so it
@@ -84,11 +94,7 @@ func ExecutePostJoinPlan(res *Result) (*ResultSet, error) {
 
 // executePostJoin joins sets on plan's predicates and projects its attributes.
 func executePostJoin(plan *PostJoinPlan, sets []*ResultSet) (*ResultSet, error) {
-	rels := make(map[string]*engine.Relation, len(sets))
-	for _, set := range sets {
-		rels[strings.ToLower(set.Name)] = setToRelation(set)
-	}
-	rel, err := core.PostJoin(plan.Preds, rels, plan.Projection)
+	rel, err := core.PostJoin(plan.Preds, SetRelations(sets), plan.Projection)
 	if err != nil {
 		return nil, err
 	}

@@ -393,6 +393,66 @@ func TestJoinAllCycleEdgesApplied(t *testing.T) {
 	expectRows(t, rel, "1 | 1")
 }
 
+// TestJoinAllGathersEachColumnOnce: a star of one fact and three dimensions
+// is joined in positions and each output column gathered once, so JoinAll
+// allocates no more than the output frame plus, per join step, a gathered key
+// column, the step's (build, probe) pairs and their split, and one position
+// list per joined relation. Gathering every accumulated column at every step
+// allocates about twice that.
+func TestJoinAllGathersEachColumnOnce(t *testing.T) {
+	const n, dimRows, factCols, dimCols = 10240, 25, 20, 10 // 8n bytes: whole pages
+	rel := func(alias string, rows, width int, cell func(i, c int) int64) *Relation {
+		cols := make([]ColRef, width)
+		for c := range cols {
+			cols[c] = ColRef{Rel: alias, Name: fmt.Sprintf("c%d", c), Kind: types.KindInt}
+		}
+		data := make([]types.Row, rows)
+		for i := range data {
+			data[i] = make(types.Row, width)
+			for c := range data[i] {
+				data[i][c] = types.NewInt(cell(i, c))
+			}
+		}
+		return FromRows(cols, data)
+	}
+	// f.c1, f.c2 and f.c3 reference d1.c0, d2.c0 and d3.c0, the dimension ids.
+	rels := map[string]*Relation{"f": rel("f", n, factCols, func(i, c int) int64 {
+		if c >= 1 && c <= 3 {
+			return int64((i*7 + c) % dimRows)
+		}
+		return int64(i*factCols + c)
+	})}
+	var preds []JoinPred
+	for d := 1; d <= 3; d++ {
+		alias := fmt.Sprintf("d%d", d)
+		rels[alias] = rel(alias, dimRows, dimCols, func(i, c int) int64 {
+			if c == 0 {
+				return int64(i)
+			}
+			return int64(i*dimCols + c)
+		})
+		preds = append(preds, JoinPred{LeftRel: "f", LeftCol: fmt.Sprintf("c%d", d), RightRel: alias, RightCol: "c0"})
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	out, err := JoinAll(preds, rels, nil, 1, nil, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != n || len(out.Cols) != factCols+3*dimCols {
+		t.Fatalf("joined %d rows of %d columns, want %d of %d", out.Len(), len(out.Cols), n, factCols+3*dimCols)
+	}
+	budget := n * len(out.Cols) * 8 // the output frame
+	for joined := 2; joined <= 4; joined++ {
+		budget += n * (8 + 16 + 4*joined)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > uint64(budget) {
+		t.Errorf("JoinAll allocated %d bytes, more than the output frame and position lists (%d)", got, budget)
+	}
+}
+
 // keyForms returns rel in the two shapes an operator can meet a relation in:
 // a dense frame (nil selection) and a selection over a frame that interleaves
 // every row with a decoy.

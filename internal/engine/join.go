@@ -19,22 +19,36 @@ import (
 func crossJoin(l, r *Relation, par int, sp *trace.Span) *Relation {
 	var t0 time.Time
 	if sp != nil {
-		sp.Par = parallel.Degree(par)
-		sp.Morsels = parallel.Chunks(l.Len(), par)
 		t0 = time.Now()
 	}
-	nl, nr := l.Len(), r.Len()
-	lpos, rpos := make([]int32, 0, nl*nr), make([]int32, 0, nl*nr)
-	for i := 0; i < nl; i++ {
-		for j := 0; j < nr; j++ {
-			lpos, rpos = append(lpos, int32(i)), append(rpos, int32(j))
-		}
-	}
+	lpos, rpos := crossPositions(l.Len(), r.Len(), par, sp)
 	out := gatherPairs(l, r, lpos, rpos, par)
 	if sp != nil {
 		sp.ProbeNS = time.Since(t0).Nanoseconds()
 	}
 	return out
+}
+
+// crossPositions lists the pairs of an nl × nr Cartesian product, l-major:
+// lpos[i] and rpos[i] are the two sides' positions in output row i. A non-nil
+// sp records the effective degree, the morsel count and the time taken.
+func crossPositions(nl, nr, par int, sp *trace.Span) (lpos, rpos []int32) {
+	var t0 time.Time
+	if sp != nil {
+		sp.Par = parallel.Degree(par)
+		sp.Morsels = parallel.Chunks(nl, par)
+		t0 = time.Now()
+	}
+	lpos, rpos = make([]int32, 0, nl*nr), make([]int32, 0, nl*nr)
+	for i := 0; i < nl; i++ {
+		for j := 0; j < nr; j++ {
+			lpos, rpos = append(lpos, int32(i)), append(rpos, int32(j))
+		}
+	}
+	if sp != nil {
+		sp.ProbeNS = time.Since(t0).Nanoseconds()
+	}
+	return lpos, rpos
 }
 
 // joinOn joins l and r with an arbitrary ON expression, inner or left outer.

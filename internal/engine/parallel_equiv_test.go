@@ -231,7 +231,7 @@ func TestJoinAllParallelMatchesSerial(t *testing.T) {
 		}
 		return m
 	}
-	want, err := JoinAll(preds, clone(), nil, 1, nil)
+	want, err := JoinAll(preds, clone(), nil, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestJoinAllParallelMatchesSerial(t *testing.T) {
 		t.Fatal("test setup: join produced no rows")
 	}
 	for _, par := range sweepDegrees {
-		got, err := JoinAll(preds, clone(), nil, par, nil)
+		got, err := JoinAll(preds, clone(), nil, par, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

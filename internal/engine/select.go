@@ -2,10 +2,12 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"resultdb/internal/colstore"
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/stats"
 	"resultdb/internal/trace"
@@ -152,7 +154,7 @@ func (e *Executor) RunSPJ(spec *SPJSpec) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	joined, err := JoinAll(spec.JoinPreds, rels, e.aliasStats(spec), e.Parallelism, e.Tracer)
+	joined, err := JoinAll(spec.JoinPreds, rels, e.aliasStats(spec), e.Parallelism, e.Tracer, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -207,13 +209,19 @@ func (e *Executor) aliasStats(spec *SPJSpec) map[string]*stats.Table {
 // same step via composite keys, so every equi predicate is enforced exactly
 // once.
 //
+// The joined rows are positions until the end (see joined): a step reads its
+// key columns through them, and the output gathers each of its columns once —
+// the attributes project lists, in that order, or every column of every
+// relation, in join order, when project is nil. A lone relation is returned
+// as it is, projected.
+//
 // rels and st are keyed by lower-cased alias. JoinAll is also the post-join
 // operator of the paper (Section 6.4): internal/core hands it the reduced
 // relations. The join order never changes the joined row multiset, only its
 // row order. Each hash join runs at degree par (0 = auto, 1 = serial) and
 // records one span on tr (nil = tracing disabled), with the estimate when
 // there is one.
-func JoinAll(preds []JoinPred, rels map[string]*Relation, st map[string]*stats.Table, par int, tr *trace.Tracer) (*Relation, error) {
+func JoinAll(preds []JoinPred, rels map[string]*Relation, st map[string]*stats.Table, par int, tr *trace.Tracer, project []Attr) (*Relation, error) {
 	remaining := make(map[string]*Relation, len(rels))
 	for k, v := range rels {
 		remaining[k] = v
@@ -228,7 +236,8 @@ func JoinAll(preds []JoinPred, rels map[string]*Relation, st map[string]*stats.T
 			curAlias = alias
 		}
 	}
-	cur := remaining[curAlias]
+	seed := remaining[curAlias]
+	cur := &joined{rels: []*Relation{seed}, cols: seed.Cols, n: seed.Len()}
 	delete(remaining, curAlias)
 	inSet := map[string]bool{curAlias: true}
 
@@ -271,14 +280,23 @@ func JoinAll(preds []JoinPred, rels map[string]*Relation, st map[string]*stats.T
 		}
 		nrel := remaining[next]
 		delete(remaining, next)
-		var err error
-		cur, err = joinStep(cur, inSet, next, nrel, preds, par, tr, estOut)
-		if err != nil {
+		if err := cur.join(inSet, next, nrel, preds, par, tr, estOut); err != nil {
 			return nil, err
 		}
 		inSet[next] = true
 	}
-	return cur, nil
+	var cols []int // nil: every column
+	if project != nil {
+		cols = make([]int, len(project))
+	}
+	for i, a := range project {
+		idx, err := colIndex(cur.cols, a.Rel, a.Col)
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = idx
+	}
+	return cur.relation(cols, par), nil
 }
 
 // estJoin estimates |cur ⋈ rel| for the candidate alias: |cur|·|rel| through
@@ -286,12 +304,12 @@ func JoinAll(preds []JoinPred, rels map[string]*Relation, st map[string]*stats.T
 // column's NDV its base-table NDV from st capped by its relation's actual
 // cardinality (stats.KeyNDV; a candidate no predicate links is a cross
 // product).
-func estJoin(cur *Relation, inSet map[string]bool, alias string, rel *Relation, preds []JoinPred, st map[string]*stats.Table) float64 {
-	ndvOf := func(rel *Relation, col int) float64 {
-		c := rel.Cols[col]
-		return stats.KeyNDV(float64(rel.Len()), st[strings.ToLower(c.Rel)].NDV(c.Name))
+func estJoin(cur *joined, inSet map[string]bool, alias string, rel *Relation, preds []JoinPred, st map[string]*stats.Table) float64 {
+	ndvOf := func(cols []ColRef, n, col int) float64 {
+		c := cols[col]
+		return stats.KeyNDV(float64(n), st[strings.ToLower(c.Rel)].NDV(c.Name))
 	}
-	est := float64(cur.Len()) * float64(rel.Len())
+	est := float64(cur.n) * float64(rel.Len())
 	for _, j := range preds {
 		l, r := strings.ToLower(j.LeftRel), strings.ToLower(j.RightRel)
 		var side JoinPred
@@ -303,7 +321,7 @@ func estJoin(cur *Relation, inSet map[string]bool, alias string, rel *Relation, 
 		default:
 			continue
 		}
-		li, err := cur.ColIndex(side.LeftRel, side.LeftCol)
+		li, err := colIndex(cur.cols, side.LeftRel, side.LeftCol)
 		if err != nil {
 			continue
 		}
@@ -311,44 +329,83 @@ func estJoin(cur *Relation, inSet map[string]bool, alias string, rel *Relation, 
 		if err != nil {
 			continue
 		}
-		est = stats.JoinRows(est, ndvOf(cur, li), ndvOf(rel, ri))
+		est = stats.JoinRows(est, ndvOf(cur.cols, cur.n, li), ndvOf(rel.Cols, rel.Len(), ri))
 	}
 	return est
 }
 
-// joinStep joins `next` into the current intermediate result, applying every
+// joined is JoinAll's intermediate result, kept as positions: the base
+// relations joined so far, in join order, and for each the logical positions
+// of its rows in the n joined rows. Before the first join pos is nil and the
+// seed is the joined rows, every row in order. No column is gathered until a
+// step needs it as a key, or the output does.
+type joined struct {
+	rels []*Relation
+	pos  [][]int32
+	cols []ColRef // the schema: every relation's columns, in join order
+	n    int
+}
+
+// at returns the relation k and its column col that schema column c is.
+func (j *joined) at(c int) (k, col int) {
+	for k, r := range j.rels {
+		if c < len(r.Cols) {
+			return k, c
+		}
+		c -= len(r.Cols)
+	}
+	panic("engine: joined column out of range")
+}
+
+// key addresses the schema columns cols of the joined rows: the seed's own
+// view while it is alone, else those columns alone gathered through their
+// relations' positions.
+func (j *joined) key(cols []int, par int) colstore.Key {
+	if j.pos == nil {
+		return j.rels[0].Key(cols)
+	}
+	kc := make([]colstore.Column, len(cols))
+	for i, c := range cols {
+		k, col := j.at(c)
+		kc[i] = colstore.GatherView(j.rels[k].Vec, []int{col}, j.pos[k], par).Col(0)
+	}
+	return colstore.ViewKey(&colstore.View{Frame: colstore.FrameOf(j.n, kc)}, allCols(len(cols)))
+}
+
+// join joins nrel, under alias next, into the joined rows, applying every
 // predicate between next and the joined set in one hash join (cycle edges
-// included, via composite keys). estOut, when non-zero, is the planner's
-// estimated output cardinality, recorded in the span's strippable bracket.
-func joinStep(cur *Relation, inSet map[string]bool, next string, nrel *Relation, preds []JoinPred, par int, tr *trace.Tracer, estOut int) (*Relation, error) {
+// included, via composite keys) built on the smaller side, as HashJoin
+// builds — or as a Cartesian product when none links them. estOut, when
+// non-zero, is the planner's estimated output cardinality, recorded in the
+// span's strippable bracket.
+func (j *joined) join(inSet map[string]bool, next string, nrel *Relation, preds []JoinPred, par int, tr *trace.Tracer, estOut int) error {
 	// Gather every join predicate between `next` and the joined set.
 	var lCols, rCols []int
-	for _, j := range preds {
-		l, r := strings.ToLower(j.LeftRel), strings.ToLower(j.RightRel)
+	for _, p := range preds {
+		l, r := strings.ToLower(p.LeftRel), strings.ToLower(p.RightRel)
 		var side JoinPred
 		switch {
 		case inSet[l] && r == next:
-			side = j
+			side = p
 		case inSet[r] && l == next:
-			side = j.Reverse()
+			side = p.Reverse()
 		default:
 			continue
 		}
-		li, err := cur.ColIndex(side.LeftRel, side.LeftCol)
+		li, err := colIndex(j.cols, side.LeftRel, side.LeftCol)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		ri, err := nrel.ColIndex(side.RightRel, side.RightCol)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		lCols = append(lCols, li)
 		rCols = append(rCols, ri)
 	}
 	if err := crossCheck(lCols, rCols); err != nil {
-		return nil, err
+		return err
 	}
-	before := cur.Len()
 	var sp *trace.Span
 	if tr.Enabled() {
 		op := "hash-join"
@@ -358,16 +415,83 @@ func joinStep(cur *Relation, inSet map[string]bool, next string, nrel *Relation,
 		sp = tr.Span(op, next)
 		sp.Phase = "join"
 		sp.Keys = len(lCols)
-		sp.RowsIn = before
+		sp.RowsIn = j.n
 		sp.RowsBuild = nrel.Len()
 		sp.EstOut = estOut
 	}
-	cur = HashJoin(cur, nrel, lCols, rCols, par, sp)
-	if sp != nil {
-		sp.RowsOut = cur.Len()
-		tr.AddRowsJoined(cur.Len())
+	var lpos, rpos []int32
+	if len(lCols) == 0 {
+		lpos, rpos = crossPositions(j.n, nrel.Len(), par, sp)
+	} else {
+		lpos, rpos = equiPositions(j.key(lCols, par), nrel.Key(rCols), nrel.Len() > j.n, par, sp)
 	}
-	return cur, nil
+	j.extend(nrel, lpos, rpos, par)
+	if sp != nil {
+		sp.RowsOut = j.n
+		tr.AddRowsJoined(j.n)
+	}
+	return nil
+}
+
+// extend makes the joined rows those of the join with nrel whose row i is
+// joined row lpos[i] and nrel's row rpos[i]: every relation's positions are
+// read through lpos, and rpos are nrel's.
+func (j *joined) extend(nrel *Relation, lpos, rpos []int32, par int) {
+	if j.pos == nil {
+		j.pos = [][]int32{lpos}
+	} else {
+		pos := make([][]int32, len(j.pos))
+		parallel.Each(len(pos), par, func(k int) {
+			pos[k] = make([]int32, len(lpos))
+			for i, p := range lpos {
+				pos[k][i] = j.pos[k][p]
+			}
+		})
+		j.pos = pos
+	}
+	j.pos = append(j.pos, rpos)
+	j.rels = append(j.rels, nrel)
+	j.cols = concatCols(j.cols, nrel.Cols)
+	j.n = len(lpos)
+}
+
+// relation materializes the joined rows' schema columns cols, in that order
+// (nil: every column in schema order), gathering each distinct column once:
+// one gather per relation, of its columns among cols, through its positions.
+// Before the first join it is the seed itself, projected.
+func (j *joined) relation(cols []int, par int) *Relation {
+	if j.pos == nil {
+		if cols == nil {
+			return j.rels[0]
+		}
+		return j.rels[0].Project(cols)
+	}
+	if cols == nil {
+		cols = allCols(len(j.cols))
+	}
+	out := make([]colstore.Column, len(cols))
+	for k, rel := range j.rels {
+		var mine []int // rel's columns among cols, each once
+		for _, c := range cols {
+			if kc, col := j.at(c); kc == k && !slices.Contains(mine, col) {
+				mine = append(mine, col)
+			}
+		}
+		if len(mine) == 0 {
+			continue
+		}
+		f := colstore.GatherView(rel.Vec, mine, j.pos[k], par)
+		for i, c := range cols {
+			if kc, col := j.at(c); kc == k {
+				out[i] = f.Col(slices.Index(mine, col))
+			}
+		}
+	}
+	schema := make([]ColRef, len(cols))
+	for i, c := range cols {
+		schema[i] = j.cols[c]
+	}
+	return &Relation{Cols: schema, Vec: &colstore.View{Frame: colstore.FrameOf(j.n, out)}}
 }
 
 // BaseRelations scans every relation of an analyzed query with its

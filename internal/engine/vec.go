@@ -482,11 +482,30 @@ type joinPair struct{ build, probe int32 }
 // side's order is the output's): the probe emits position pairs, and the
 // output frame is gathered from them once per column.
 func equiJoin(l, r *Relation, lCols, rCols []int, buildLeft bool, par int, sp *trace.Span) *Relation {
-	build, probe := r, l
-	buildCols, probeCols := rCols, lCols
+	lpos, rpos := equiPositions(l.Key(lCols), r.Key(rCols), buildLeft, par, sp)
+	var t0 time.Time
+	if sp != nil {
+		t0 = time.Now()
+	}
+	out := gatherPairs(l, r, lpos, rpos, par)
+	if sp != nil {
+		sp.ProbeNS += time.Since(t0).Nanoseconds()
+	}
+	return out
+}
+
+// equiPositions is the hash join of the keys lk and rk, built on lk when
+// buildLeft and on rk otherwise: the position lpos[i] of lk's and rpos[i] of
+// rk's row in output row i, in the probe side's order and, for one probe row,
+// the build side's ascending. The probe runs in contiguous row chunks at
+// degree par with per-chunk output buffers merged in input order, so the
+// positions are identical at any degree. A non-nil sp records the effective
+// degree, the morsel count and the build/probe wall-time split; nil skips all
+// clock reads.
+func equiPositions(lk, rk colstore.Key, buildLeft bool, par int, sp *trace.Span) (lpos, rpos []int32) {
+	build, probe := rk, lk
 	if buildLeft {
-		build, probe = l, r
-		buildCols, probeCols = lCols, rCols
+		build, probe = lk, rk
 	}
 	var t0 time.Time
 	if sp != nil {
@@ -494,31 +513,29 @@ func equiJoin(l, r *Relation, lCols, rCols []int, buildLeft bool, par int, sp *t
 		sp.Morsels = parallel.Chunks(probe.Len(), par)
 		t0 = time.Now()
 	}
-	ht := colstore.BuildHashTable(build.Key(buildCols), par)
+	ht := colstore.BuildHashTable(build, par)
 	if sp != nil {
 		sp.BuildNS = time.Since(t0).Nanoseconds()
 		t0 = time.Now()
 	}
-	pk := probe.Key(probeCols)
 	pairs := parallel.Map(probe.Len(), par, func(lo, hi int) []joinPair {
 		out := make([]joinPair, 0, hi-lo)
-		var j int
-		emit := func(pos int32) { out = append(out, joinPair{build: pos, probe: int32(j)}) }
-		prober := ht.Prober(pk)
-		for j = lo; j < hi; j++ {
-			prober.Each(j, emit)
+		pr := ht.Prober(probe)
+		for j := lo; j < hi; j++ {
+			for pos := pr.First(j); pos >= 0; pos = ht.Next(pos) {
+				out = append(out, joinPair{build: pos, probe: int32(j)})
+			}
 		}
 		return out
 	})
-	lpos, rpos := splitPairs(pairs)
+	lpos, rpos = splitPairs(pairs)
 	if buildLeft {
 		lpos, rpos = rpos, lpos
 	}
-	out := gatherPairs(l, r, lpos, rpos, par)
 	if sp != nil {
 		sp.ProbeNS = time.Since(t0).Nanoseconds()
 	}
-	return out
+	return lpos, rpos
 }
 
 // splitPairs lists the probe and the build positions of pairs.

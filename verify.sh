@@ -178,9 +178,12 @@ dead="$dead"'|\bDropImpliedEdges\b|edgeImplied|attrEqualityGraph|attrConnected|h
 # one parsed SELECT among every execution of its text, so the raw-text field
 # the entry points used to stamp into it (sqlparse.Select.Src) stays unset.
 dead="$dead"'|\.Src = '
+# JoinAll stays positional across its greedy sequence: the step that joined
+# into a gathered intermediate relation is gone.
+dead="$dead"'|\bjoinStep\b'
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
-	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write are back:"
+	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather are back:"
 	echo "$dead_refs"
 	exit 1
 fi
@@ -338,8 +341,8 @@ echo "== cache differential + stress gate (cold/warm, dangling and joining appen
 gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit|TestCacheExtend|TestDoAt|TestMemo' \
 	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire ./internal/db ./internal/cache
 
-echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x local/TCP byte-identical, socket payload == in-process v2 encoding; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; every plan decision and estimate of those statements against testdata/plans.golden; the one containment model's edge cases, the reduction schedule allocating nothing per candidate root or bottom-up order, greedy join orders with and without statistics joining the same rows; dense integer key sets matching exactly what the hashed form of the same key matches, the branch-free bitmap probe included; the adaptive Bloom prefilter stepping aside where the exact pass probes a bitmap and running where it hashes, reducing like the Bloom ablation and like no prefilter; Theorem 4.4 over random cyclic and α-acyclic queries, GYO join trees spanning every JG-acyclic query and enforcing two attributes of one class; under -race)"
-gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestPlanGolden|TestServerPathBoxesNoRows|TestRootSim|TestContainmentModel|TestGreedyJoinOrder|TestKeySetDenseMatchesHash|TestBloomStepsAsideForBitmapKeys|TestTheorem44|TestJoinTree|TestJGAcyclic|TestGYOJoinTree' -count=1 \
+echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x local/TCP byte-identical, socket payload == in-process v2 encoding; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; every plan decision and estimate of those statements against testdata/plans.golden; the one containment model's edge cases, the reduction schedule allocating nothing per candidate root or bottom-up order, greedy join orders with and without statistics joining the same rows; dense integer key sets matching exactly what the hashed form of the same key matches, the branch-free bitmap probe included; dense join hash tables yielding the hashed form's pairs in its order; GROUP BY and DISTINCT over a unique dense integer column numbering every row as the hashing path does; the adaptive Bloom prefilter stepping aside where the exact pass probes a bitmap and running where it hashes, reducing like the Bloom ablation and like no prefilter; Theorem 4.4 over random cyclic and α-acyclic queries, GYO join trees spanning every JG-acyclic query and enforcing two attributes of one class; under -race)"
+gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestPlanGolden|TestServerPathBoxesNoRows|TestRootSim|TestContainmentModel|TestGreedyJoinOrder|TestKeySetDenseMatchesHash|TestHashTableDenseMatchesHash|TestGroupPositionsDenseUniqueMatchesHash|TestBloomStepsAsideForBitmapKeys|TestTheorem44|TestJoinTree|TestJGAcyclic|TestGYOJoinTree' -count=1 \
 	./internal/wire ./internal/core ./internal/stats ./internal/engine ./internal/colstore
 gate -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
 
