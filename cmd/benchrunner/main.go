@@ -35,7 +35,7 @@ func main() {
 		reps    = flag.Int("reps", 5, "repetitions per measurement (median reported)")
 		mbps    = flag.Float64("mbps", 100, "modeled data transfer rate in Mbps (Table 3)")
 		queries = flag.String("queries", "", "comma-separated JOB query names (default: experiment's own set)")
-		par     = flag.Int("par", 0, "degree of intra-query parallelism (0 = auto via RESULTDB_PARALLELISM or GOMAXPROCS, 1 = serial)")
+		par     = flag.Int("par", 0, "degree of intra-query parallelism (0 = GOMAXPROCS, 1 = serial)")
 	)
 	flag.Parse()
 	if err := run(*exp, *scale, *reps, *mbps, *queries, *par); err != nil {

@@ -54,7 +54,7 @@ func main() {
 		file      = flag.String("f", "", "execute a SQL script file before starting the shell")
 		csvDir    = flag.String("csv", "", "load every *.csv in the directory as a table before starting")
 		traceExec = flag.Bool("trace", false, "emit a JSON execution trace after every SELECT")
-		connect   = flag.String("connect", "", "execute against a resultdbd server at host:port instead of the embedded database (RESULTDB_RETRIES / RESULTDB_RETRY_BACKOFF configure reconnect-and-retry; \\retry adjusts it live)")
+		connect   = flag.String("connect", "", "execute against a resultdbd server at host:port instead of the embedded database (one attempt per statement; \\retry sets reconnect-and-retry)")
 		dataDir   = flag.String("data-dir", "", "durable data directory: WAL + checkpoints (empty = in-memory only)")
 		fsyncMode = flag.String("fsync", "always", "WAL fsync policy with -data-dir: always | interval | off")
 	)
@@ -137,7 +137,7 @@ func main() {
 			}
 		}()
 	} else {
-		d = db.Open(db.DefaultConfig().FromEnv())
+		d = db.Open(db.DefaultConfig())
 		if err := seed(d); err != nil {
 			fmt.Fprintln(os.Stderr, "resultdb:", err)
 			os.Exit(1)

@@ -75,8 +75,8 @@ func parseFlags(args []string) options {
 
 // openDatabase builds the database o describes: recovered from (or seeded
 // into) -data-dir when one is given, loaded in memory otherwise. Either way
-// the database starts from the RESULTDB_* environment, and -cache and
-// -cache-budget then apply on top of it. mgr is nil in memory.
+// the database starts from db.DefaultConfig, and -cache and -cache-budget
+// then apply on top of it. mgr is nil in memory.
 func openDatabase(o options) (d *db.Database, mgr *durable.Manager, err error) {
 	var budget int64
 	if o.cacheOn {

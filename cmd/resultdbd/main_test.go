@@ -1,16 +1,11 @@
 package main
 
-import (
-	"testing"
+import "testing"
 
-	"resultdb/internal/db"
-)
-
-// TestCacheFlagsOverrideEnvironment: -cache -cache-budget set the cache's
-// budget over whatever RESULTDB_CACHE configured, in memory and on a durable
-// data directory alike.
+// TestCacheFlagsOverrideEnvironment: -cache -cache-budget turn the cache on
+// with that budget, in place of the default 64 MiB, in memory and on a
+// durable data directory alike.
 func TestCacheFlagsOverrideEnvironment(t *testing.T) {
-	t.Setenv(db.CacheEnvVar, "on") // the default 64 MiB budget
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -30,7 +25,7 @@ func TestCacheFlagsOverrideEnvironment(t *testing.T) {
 			t.Errorf("%s: cache off after -cache", tc.name)
 		}
 		if b := d.CacheStats().Budget; b != 1<<20 {
-			t.Errorf("%s: cache budget %d after -cache-budget 1MiB under %s=on, want %d", tc.name, b, db.CacheEnvVar, 1<<20)
+			t.Errorf("%s: cache budget %d after -cache-budget 1MiB, want %d", tc.name, b, 1<<20)
 		}
 	}
 }

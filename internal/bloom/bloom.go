@@ -143,11 +143,3 @@ func (f *Filter) Len() int { return int(f.numAdd) }
 
 // Bits returns the filter size in bits (for size accounting in benches).
 func (f *Filter) Bits() int { return int(f.nBits) }
-
-// EstimatedFPRate reports the expected false-positive probability given the
-// current fill.
-func (f *Filter) EstimatedFPRate() float64 {
-	// p = (1 - e^{-kn/m})^k
-	exp := -float64(f.k) * float64(f.numAdd) / float64(f.nBits)
-	return math.Pow(1-math.Exp(exp), float64(f.k))
-}

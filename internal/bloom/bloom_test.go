@@ -48,9 +48,6 @@ func TestFalsePositiveRateReasonable(t *testing.T) {
 	if rate > 0.05 {
 		t.Errorf("false positive rate %.3f far above target 0.01", rate)
 	}
-	if est := f.EstimatedFPRate(); est <= 0 || est > 0.2 {
-		t.Errorf("estimated fp rate %.4f implausible", est)
-	}
 }
 
 func TestSizingEdgeCases(t *testing.T) {

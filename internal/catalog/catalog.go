@@ -82,17 +82,6 @@ func (d *TableDef) ColumnNames() []string {
 	return out
 }
 
-// PrimaryKeyIndexes resolves the primary-key column names to positions.
-func (d *TableDef) PrimaryKeyIndexes() []int {
-	out := make([]int, 0, len(d.PrimaryKey))
-	for _, name := range d.PrimaryKey {
-		if i := d.ColumnIndex(name); i >= 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Clone returns a deep copy of the definition (so ALTER-like operations and
 // view creation never alias the original).
 func (d *TableDef) Clone() *TableDef {

@@ -46,10 +46,6 @@ func TestColumnNamesAndPKIndexes(t *testing.T) {
 	if got := strings.Join(d.ColumnNames(), ","); got != "id,name,state" {
 		t.Errorf("ColumnNames = %s", got)
 	}
-	pk := d.PrimaryKeyIndexes()
-	if len(pk) != 1 || pk[0] != 0 {
-		t.Errorf("PrimaryKeyIndexes = %v", pk)
-	}
 }
 
 func TestCloneIsDeep(t *testing.T) {

@@ -170,7 +170,7 @@ func TestJoinTreeEnforcesTwoAttributesOfOneClass(t *testing.T) {
 		if !st.Cyclic || st.Folds != 0 || st.ImpliedEdgesDropped != 1 {
 			t.Errorf("%s: %s, want cyclic, no folds, one edge dropped", from, st)
 		}
-		if got := renderSorted(out["a"].Distinct()); len(got) != 2 {
+		if got := renderSorted(out["a"].Distinct(0)); len(got) != 2 {
 			t.Errorf("%s: a reduced to %v, want rows 1 and 3", from, got)
 		}
 		assertReduceMatchesDecompose(t, src, sql)
@@ -204,7 +204,7 @@ func TestAlphaReduceSkipsFolding(t *testing.T) {
 		t.Error("non-alpha path should have folded")
 	}
 	for _, alias := range []string{"a", "b", "c"} {
-		if !sameRelation(outWith[alias].Distinct(), outWithout[alias].Distinct()) {
+		if !sameRelation(outWith[alias].Distinct(0), outWithout[alias].Distinct(0)) {
 			t.Errorf("relation %s differs between alpha and fold paths", alias)
 		}
 	}

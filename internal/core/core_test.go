@@ -342,7 +342,7 @@ func assertReduceMatchesDecompose(t *testing.T, src engine.Source, sql string) {
 		}
 		for _, alias := range spec.OutputRels() {
 			key := strings.ToLower(alias)
-			got := reduced[key].Distinct()
+			got := reduced[key].Distinct(0)
 			want := oracle[key]
 			if !sameRelation(got, want) {
 				t.Errorf("%s (form %d): relation %s mismatch:\nreduced: %v\ndecompose: %v",
@@ -416,7 +416,7 @@ func TestPostJoinReconstruction(t *testing.T) {
 			}
 			cols[i] = idx
 		}
-		rpRels[alias] = reduced[alias].Project(cols).Distinct()
+		rpRels[alias] = reduced[alias].Project(cols).Distinct(0)
 	}
 	post, err := PostJoin(spec.JoinPreds, rpRels, spec.Projection)
 	if err != nil {

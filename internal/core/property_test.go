@@ -175,7 +175,7 @@ func TestTheorem44RandomQueries(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			dec := full.Project(cols).Distinct()
+			dec := full.Project(cols).Distinct(0)
 			if ref := engine.FromRows(dec.Cols, set.Rows); !sameRelation(ref, dec) {
 				t.Fatalf("trial %d: %q relation %s: Decompose disagrees with the reference:\ndecompose: %v\nreference: %v",
 					trial, sql, set.Name, renderSorted(dec), renderSorted(ref))
@@ -200,7 +200,7 @@ func TestTheorem44RandomQueries(t *testing.T) {
 			}
 			for _, alias := range spec.OutputRels() {
 				key := strings.ToLower(alias)
-				got := reduced[key].Distinct()
+				got := reduced[key].Distinct(0)
 				want := oracle[key]
 				if !sameRelation(got, want) {
 					t.Fatalf("trial %d opts %+v: %q relation %s:\nreduced:   %v\ndecompose: %v",
@@ -340,7 +340,7 @@ func TestPostJoinReconstructionRandom(t *testing.T) {
 				}
 				cols[i] = idx
 			}
-			rp[strings.ToLower(alias)] = reduced[strings.ToLower(alias)].Project(cols).Distinct()
+			rp[strings.ToLower(alias)] = reduced[strings.ToLower(alias)].Project(cols).Distinct(0)
 		}
 		post, err := PostJoin(spec.JoinPreds, rp, spec.Projection)
 		if err != nil {
@@ -353,13 +353,13 @@ func TestPostJoinReconstructionRandom(t *testing.T) {
 		// relation may participate via j1/j2 only. Compare as sets.
 		if !sameRelationSet(post, orig) {
 			t.Fatalf("trial %d: %q:\npost: %v\norig: %v",
-				trial, sql, renderSorted(post.Distinct()), renderSorted(orig.Distinct()))
+				trial, sql, renderSorted(post.Distinct(0)), renderSorted(orig.Distinct(0)))
 		}
 	}
 }
 
 func sameRelationSet(a, b *engine.Relation) bool {
-	return sameRelation(a.Distinct(), b.Distinct())
+	return sameRelation(a.Distinct(0), b.Distinct(0))
 }
 
 // TestBigIntegerKeysMatchReference pins what join keys beyond 2^53 do today:
@@ -414,7 +414,7 @@ func TestBigIntegerKeysMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := full.Project([]int{idCol}).Distinct()
+			got := full.Project([]int{idCol}).Distinct(0)
 			if ref := engine.FromRows(got.Cols, set.Rows); !sameRelation(ref, got) {
 				t.Fatalf("form %d relation %s: engine %v, reference %v", form, set.Name, renderSorted(got), renderSorted(ref))
 			}

@@ -252,9 +252,8 @@ type Options struct {
 	BloomFPRate float64
 	// Parallelism is the degree of intra-query parallelism used by the
 	// semi-join probes, the Bloom prefilter build/probe, folding joins, and
-	// Decompose: 0 = auto (the RESULTDB_PARALLELISM environment variable,
-	// else GOMAXPROCS), 1 = serial, n > 1 = n workers. Results are
-	// bit-identical at any degree (ordered morsel merge).
+	// Decompose: 0 = auto (GOMAXPROCS), 1 = serial, n > 1 = n workers.
+	// Results are bit-identical at any degree (ordered morsel merge).
 	Parallelism int
 	// ResultCache enables the semantic query-result cache at the database
 	// layer (internal/cache wired through internal/db): SELECT results —
@@ -264,10 +263,9 @@ type Options struct {
 	// join nothing is extended to the new versions; any other DML, and all
 	// DDL, invalidates it. core itself ignores the field; it lives
 	// here so the whole execution configuration travels in one options bag
-	// (db.Database.CoreOptions), alongside Parallelism. Defaults to off; the
-	// RESULTDB_CACHE environment variable ("on", "off", or a byte budget
-	// like "256MB") overrides it at db.New time. The budget lives with the
-	// cache itself (db.Database.EnableCache, CacheStats().Budget).
+	// (db.Database.CoreOptions), alongside Parallelism. Defaults to off
+	// (db.Config.CacheEnabled turns it on). The budget lives with the cache
+	// itself (db.Database.EnableCache, CacheStats().Budget).
 	ResultCache bool
 	// TableStats maps lower-cased relation aliases to their base tables'
 	// statistics (derived lazily, once per table version: stats.Of). When
@@ -314,7 +312,7 @@ type Stats struct {
 	// has than the join graph it replaced (0 when it found none).
 	ImpliedEdgesDropped int
 	// Parallelism records the effective degree of parallelism used
-	// (after resolving 0 = auto against the environment and GOMAXPROCS).
+	// (after resolving 0 = auto to GOMAXPROCS).
 	// String leaves it out: the one-line summary is part of EXPLAIN's
 	// deterministic text, and the degree varies with the host.
 	Parallelism int

@@ -339,32 +339,6 @@ func TestCacheDisabledByDefaultAndToggles(t *testing.T) {
 	}
 }
 
-func TestCacheEnvVar(t *testing.T) {
-	cases := []struct {
-		val     string
-		enabled bool
-		budget  int64
-	}{
-		{"", false, 0},
-		{"off", false, 0},
-		{"on", true, DefaultCacheBudget},
-		{"256MB", true, 256 * 1000 * 1000},
-		{"16MiB", true, 16 << 20},
-		{"1048576", true, 1 << 20},
-		{"garbage", false, 0},
-	}
-	for _, c := range cases {
-		t.Setenv(CacheEnvVar, c.val)
-		d := New()
-		if d.CacheEnabled() != c.enabled {
-			t.Errorf("RESULTDB_CACHE=%q: enabled=%v want %v", c.val, d.CacheEnabled(), c.enabled)
-		}
-		if c.enabled && d.CacheStats().Budget != c.budget {
-			t.Errorf("RESULTDB_CACHE=%q: budget=%d want %d", c.val, d.CacheStats().Budget, c.budget)
-		}
-	}
-}
-
 func TestParseByteSize(t *testing.T) {
 	cases := map[string]int64{
 		"0":      0,

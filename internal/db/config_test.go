@@ -23,45 +23,6 @@ func TestDefaultConfigMatchesCoreDefaults(t *testing.T) {
 	}
 }
 
-func TestConfigFromEnv(t *testing.T) {
-	t.Run("cache toggle and budget", func(t *testing.T) {
-		t.Setenv(CacheEnvVar, "on")
-		if cfg := DefaultConfig().FromEnv(); !cfg.CacheEnabled || cfg.CacheBudget != DefaultCacheBudget {
-			t.Errorf("RESULTDB_CACHE=on: %+v", cfg)
-		}
-		t.Setenv(CacheEnvVar, "32MiB")
-		if cfg := DefaultConfig().FromEnv(); !cfg.CacheEnabled || cfg.CacheBudget != 32<<20 {
-			t.Errorf("RESULTDB_CACHE=32MiB: enabled=%v budget=%d", cfg.CacheEnabled, cfg.CacheBudget)
-		}
-		t.Setenv(CacheEnvVar, "off")
-		if cfg := DefaultConfig().FromEnv(); cfg.CacheEnabled {
-			t.Error("RESULTDB_CACHE=off left the cache on")
-		}
-		t.Setenv(CacheEnvVar, "certainly not a size")
-		if cfg := DefaultConfig().FromEnv(); cfg.CacheEnabled {
-			t.Error("unparsable RESULTDB_CACHE enabled the cache")
-		}
-	})
-	t.Run("parallelism fills only the auto value", func(t *testing.T) {
-		t.Setenv(ParallelismEnvVar, "3")
-		if cfg := DefaultConfig().FromEnv(); cfg.Parallelism != 3 {
-			t.Errorf("Parallelism = %d, want 3 from env", cfg.Parallelism)
-		}
-		base := DefaultConfig()
-		base.Parallelism = 2
-		if cfg := base.FromEnv(); cfg.Parallelism != 2 {
-			t.Errorf("explicit Parallelism overridden by env: %d", cfg.Parallelism)
-		}
-	})
-	t.Run("unset env is a no-op", func(t *testing.T) {
-		t.Setenv(CacheEnvVar, "")
-		t.Setenv(ParallelismEnvVar, "")
-		if got, want := DefaultConfig().FromEnv(), DefaultConfig(); got != want {
-			t.Errorf("FromEnv with empty env changed the config: %+v vs %+v", got, want)
-		}
-	})
-}
-
 func TestOpenWiresConfig(t *testing.T) {
 	cfg := Config{
 		Strategy:     StrategyDecompose,

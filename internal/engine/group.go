@@ -36,7 +36,7 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 		return nil, err
 	}
 	if sel.Distinct && len(sel.GroupBy) == 0 {
-		joined = joined.Distinct()
+		joined = joined.Distinct(e.Parallelism)
 	}
 
 	bySQL := map[string]int{}
@@ -106,7 +106,7 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 		return nil, err
 	}
 	if sel.Distinct && len(sel.GroupBy) > 0 {
-		out = out.Distinct()
+		out = out.Distinct(e.Parallelism)
 	}
 	return e.finish(out, sel)
 }

@@ -3,10 +3,8 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 	"testing"
 
-	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/types"
 )
@@ -133,11 +131,9 @@ func TestDistinctParMatchesSerial(t *testing.T) {
 		t.Fatal("test setup: no duplicates to remove")
 	}
 	want := FromRows(rel.Cols, first)
-	// Distinct runs at the default degree, which the environment sets.
 	for form, frel := range keyForms(rel) {
 		for _, par := range append([]int{1}, sweepDegrees...) {
-			t.Setenv(parallel.EnvVar, strconv.Itoa(par))
-			identicalRows(t, fmt.Sprintf("Distinct on %s, par=%d", form, par), frel.Distinct(), want)
+			identicalRows(t, fmt.Sprintf("Distinct on %s, par=%d", form, par), frel.Distinct(par), want)
 		}
 	}
 	// Project+dedup in one step finds the same rows from the unprojected

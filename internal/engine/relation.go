@@ -120,11 +120,11 @@ func (r *Relation) Project(cols []int) *Relation {
 }
 
 // Distinct returns r with duplicate rows removed (first occurrence wins), at
-// the default degree of parallelism: the rows at colstore.DistinctPositions
-// over every column, so the result is the same rows in the same order at any
+// degree of parallelism par: the rows at colstore.DistinctPositions over
+// every column, so the result is the same rows in the same order at any
 // degree.
-func (r *Relation) Distinct() *Relation {
-	return r.Narrow(colstore.DistinctPositions(r.Key(allCols(len(r.Cols))), 0))
+func (r *Relation) Distinct(par int) *Relation {
+	return r.Narrow(colstore.DistinctPositions(r.Key(allCols(len(r.Cols))), par))
 }
 
 // allCols lists the column positions 0..n-1.

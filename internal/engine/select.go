@@ -18,9 +18,9 @@ import (
 type Executor struct {
 	Src Source
 	// Parallelism is the degree of intra-query parallelism for joins,
-	// filters, and semi-joins: 0 resolves via RESULTDB_PARALLELISM or
-	// GOMAXPROCS, 1 forces serial execution. Results are identical at any
-	// degree (deterministic morsel merge).
+	// filters, semi-joins and DISTINCT: 0 resolves to GOMAXPROCS, 1 forces
+	// serial execution. Results are identical at any degree (deterministic
+	// morsel merge).
 	Parallelism int
 	// StatsOf resolves table statistics by table name. When set, the greedy
 	// SPJ join order scores candidates by estimated join output instead of
@@ -62,7 +62,7 @@ func (e *Executor) Select(sel *sqlparse.Select) (*Relation, error) {
 				return nil, err
 			}
 			if sel.Distinct {
-				out = out.Distinct()
+				out = out.Distinct(e.Parallelism)
 			}
 			if sp := e.Tracer.Span("project", projectionLabel(spec)); sp != nil {
 				sp.RowsIn = joined.Len()
@@ -575,7 +575,7 @@ func (e *Executor) selectSequential(sel *sqlparse.Select) (*Relation, error) {
 		return nil, err
 	}
 	if sel.Distinct {
-		out = out.Distinct()
+		out = out.Distinct(e.Parallelism)
 	}
 	return e.finish(out, sel)
 }

@@ -18,15 +18,12 @@
 //     Decompose → Distinct) can never wait on a task that no one runs.
 //
 // The pool is shared process-wide and sized from runtime.GOMAXPROCS. The
-// effective degree of parallelism for a call resolves as: explicit positive
-// degree > RESULTDB_PARALLELISM environment override > GOMAXPROCS; degree 1
-// forces the serial path.
+// effective degree of parallelism for a call is the explicit positive degree,
+// or GOMAXPROCS when it is 0; degree 1 forces the serial path.
 package parallel
 
 import (
-	"os"
 	"runtime"
-	"strconv"
 	"sync"
 )
 
@@ -36,41 +33,19 @@ import (
 // (~1µs) stays well under 1% of per-chunk work for typical row operations.
 const Threshold = 512
 
-// EnvVar is the environment variable overriding the default degree of
-// parallelism (0 or unset means runtime.GOMAXPROCS).
-const EnvVar = "RESULTDB_PARALLELISM"
-
-// EnvDegree returns the RESULTDB_PARALLELISM override, or 0 when unset or
-// unparsable. It is re-read on every call so tests can use t.Setenv.
-func EnvDegree() int {
-	s := os.Getenv(EnvVar)
-	if s == "" {
-		return 0
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0
-	}
-	return n
-}
-
 // Degree resolves a requested degree of parallelism: a positive request wins,
-// then the RESULTDB_PARALLELISM environment override, then GOMAXPROCS.
-// The result is always >= 1.
+// 0 means GOMAXPROCS. The result is always >= 1.
 func Degree(requested int) int {
 	if requested > 0 {
 		return requested
 	}
-	if e := EnvDegree(); e > 0 {
-		return e
-	}
 	return runtime.GOMAXPROCS(0)
 }
 
-// Chunks reports how many chunks For/ForChunks/Map would use for n items at
-// the given requested degree: 1 when the input is below the serial-fallback
-// threshold or the degree resolves to 1, otherwise at most Degree(degree)
-// chunks of at least Threshold items each.
+// Chunks reports how many chunks For/Map would use for n items at the given
+// requested degree: 1 when the input is below the serial-fallback threshold
+// or the degree resolves to 1, otherwise at most Degree(degree) chunks of at
+// least Threshold items each.
 func Chunks(n, degree int) int {
 	d := Degree(degree)
 	if d <= 1 || n < 2*Threshold {
@@ -176,24 +151,6 @@ func For(n, degree int, body func(lo, hi int)) {
 	runChunks(nc, func(c int) {
 		lo, hi := bounds(n, nc, c)
 		body(lo, hi)
-	})
-}
-
-// ForChunks is For with the chunk index exposed, for operators that keep
-// per-chunk local state (e.g. partitioned hash-join builds). The chunk count
-// equals Chunks(n, degree); chunk indices are dense in [0, Chunks).
-func ForChunks(n, degree int, body func(chunk, lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	nc := Chunks(n, degree)
-	if nc <= 1 {
-		body(0, 0, n)
-		return
-	}
-	runChunks(nc, func(c int) {
-		lo, hi := bounds(n, nc, c)
-		body(c, lo, hi)
 	})
 }
 

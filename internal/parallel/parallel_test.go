@@ -12,20 +12,8 @@ func TestDegreeResolution(t *testing.T) {
 	if got := Degree(3); got != 3 {
 		t.Fatalf("explicit degree: got %d, want 3", got)
 	}
-	t.Setenv(EnvVar, "5")
-	if got := Degree(0); got != 5 {
-		t.Fatalf("env degree: got %d, want 5", got)
-	}
-	if got := Degree(2); got != 2 {
-		t.Fatalf("explicit beats env: got %d, want 2", got)
-	}
-	t.Setenv(EnvVar, "junk")
 	if got := Degree(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("bad env falls back to GOMAXPROCS: got %d", got)
-	}
-	t.Setenv(EnvVar, "-4")
-	if got := EnvDegree(); got != 0 {
-		t.Fatalf("negative env degree: got %d, want 0", got)
+		t.Fatalf("auto degree: got %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -60,29 +48,6 @@ func TestForCoversAllIndicesOnce(t *testing.T) {
 	for i, h := range hits {
 		if h != 1 {
 			t.Fatalf("index %d visited %d times", i, h)
-		}
-	}
-}
-
-func TestForChunksDenseAndContiguous(t *testing.T) {
-	const n = 8 * Threshold
-	nc := Chunks(n, 4)
-	seen := make([]struct{ lo, hi int32 }, nc)
-	var calls int32
-	ForChunks(n, 4, func(chunk, lo, hi int) {
-		atomic.AddInt32(&calls, 1)
-		atomic.StoreInt32(&seen[chunk].lo, int32(lo))
-		atomic.StoreInt32(&seen[chunk].hi, int32(hi))
-	})
-	if int(calls) != nc {
-		t.Fatalf("got %d chunk calls, want %d", calls, nc)
-	}
-	if seen[0].lo != 0 || int(seen[nc-1].hi) != n {
-		t.Fatalf("chunks do not cover [0,%d): first=%d last=%d", n, seen[0].lo, seen[nc-1].hi)
-	}
-	for c := 1; c < nc; c++ {
-		if seen[c].lo != seen[c-1].hi {
-			t.Fatalf("chunk %d not contiguous: lo=%d prev hi=%d", c, seen[c].lo, seen[c-1].hi)
 		}
 	}
 }

@@ -173,16 +173,6 @@ func (t *Tracer) Note(text string) {
 	sp.Detail = text
 }
 
-// SetQuery overrides the traced query text.
-func (t *Tracer) SetQuery(q string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.query = q
-	t.mu.Unlock()
-}
-
 // SetMode records the query mode: single-table, resultdb,
 // resultdb-preserving.
 func (t *Tracer) SetMode(m string) {

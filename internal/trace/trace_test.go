@@ -19,7 +19,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Error("nil tracer returned a span")
 	}
 	tr.Note("ignored")
-	tr.SetQuery("q")
 	tr.SetMode("m")
 	tr.SetStrategy("s")
 	tr.SetParallelism(4)

@@ -327,8 +327,7 @@ func TestChaosErrorContext(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// Single attempt (explicit, so ambient RESULTDB_RETRIES can't leak in):
-	// observe the raw classified failure.
+	// Single attempt: observe the raw classified failure.
 	c, err := DialOptions(addr, Options{Retry: RetryPolicy{MaxAttempts: 1, Seed: 1}})
 	if err != nil {
 		t.Fatal(err)

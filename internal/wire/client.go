@@ -46,9 +46,8 @@ type Client struct {
 
 // Options configures a client's retries and transport.
 type Options struct {
-	// Retry configures reconnect/retry behavior. The zero value falls back
-	// to RetryFromEnv() (RESULTDB_RETRIES / RESULTDB_RETRY_BACKOFF), which
-	// is itself zero — single attempt — when the variables are unset.
+	// Retry configures reconnect/retry behavior. The zero value is a
+	// single attempt.
 	Retry RetryPolicy
 	// Dial overrides the transport dialer — the client's fault-injection
 	// hook (install faultnet.Dialer.Dial) and test seam. nil means TCP
@@ -66,9 +65,6 @@ func Dial(addr string) (*Client, error) {
 // queues in its accept backlog instead of failing: clients see latency, not
 // errors.
 func DialOptions(addr string, opts Options) (*Client, error) {
-	if isZeroRetry(opts.Retry) {
-		opts.Retry = RetryFromEnv()
-	}
 	c := &Client{
 		addr:  addr,
 		retry: opts.Retry,
@@ -100,10 +96,6 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	}
 	return c, nil
 }
-
-// isZeroRetry reports whether p is the zero policy (RetryPolicy is
-// comparable; spelled out so adding fields keeps this honest).
-func isZeroRetry(p RetryPolicy) bool { return p == RetryPolicy{} }
 
 // connect dials. Callers hold c.mu (or are inside DialOptions, before the
 // client escapes).

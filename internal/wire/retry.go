@@ -2,20 +2,7 @@ package wire
 
 import (
 	"math/rand"
-	"os"
-	"strconv"
 	"time"
-)
-
-// Environment knobs picked up by DialOptions when Options.Retry is zero, so
-// any tool built on the client (the shell, benchrunner, tests) gains retry
-// behavior without new flags.
-const (
-	// RetriesEnvVar (RESULTDB_RETRIES) sets RetryPolicy.MaxAttempts.
-	RetriesEnvVar = "RESULTDB_RETRIES"
-	// RetryBackoffEnvVar (RESULTDB_RETRY_BACKOFF) sets
-	// RetryPolicy.BaseBackoff; any time.ParseDuration string ("100ms").
-	RetryBackoffEnvVar = "RESULTDB_RETRY_BACKOFF"
 )
 
 // RetryPolicy configures idempotent-statement retry on the wire client.
@@ -65,25 +52,6 @@ func DefaultRetryPolicy() RetryPolicy {
 		AttemptTimeout: 5 * time.Second,
 		QueryTimeout:   30 * time.Second,
 	}
-}
-
-// RetryFromEnv builds a policy from the RESULTDB_RETRIES and
-// RESULTDB_RETRY_BACKOFF environment variables; unset or unparsable
-// variables leave the zero (no-retry) policy.
-func RetryFromEnv() RetryPolicy {
-	var p RetryPolicy
-	if v := os.Getenv(RetriesEnvVar); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 1 {
-			p = DefaultRetryPolicy()
-			p.MaxAttempts = n
-		}
-	}
-	if v := os.Getenv(RetryBackoffEnvVar); v != "" && p.MaxAttempts > 1 {
-		if d, err := time.ParseDuration(v); err == nil && d > 0 {
-			p.BaseBackoff = d
-		}
-	}
-	return p
 }
 
 // maxAttempts normalizes MaxAttempts (minimum one attempt).

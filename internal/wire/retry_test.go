@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"net"
-	"os"
 	"testing"
 	"time"
 )
@@ -184,31 +183,6 @@ func TestRetryDisabledByDefault(t *testing.T) {
 	}
 	if dc.n != 1 {
 		t.Fatalf("dials = %d, want exactly 1 with retry disabled", dc.n)
-	}
-}
-
-func TestRetryFromEnv(t *testing.T) {
-	t.Setenv(RetriesEnvVar, "6")
-	t.Setenv(RetryBackoffEnvVar, "75ms")
-	p := RetryFromEnv()
-	if p.MaxAttempts != 6 {
-		t.Fatalf("MaxAttempts = %d, want 6", p.MaxAttempts)
-	}
-	if p.BaseBackoff != 75*time.Millisecond {
-		t.Fatalf("BaseBackoff = %v, want 75ms", p.BaseBackoff)
-	}
-	if p.AttemptTimeout == 0 || p.QueryTimeout == 0 {
-		t.Fatal("env-enabled policy should inherit the default deadlines")
-	}
-
-	t.Setenv(RetriesEnvVar, "not-a-number")
-	if p := RetryFromEnv(); p.MaxAttempts != 0 {
-		t.Fatalf("unparsable %s yielded policy %+v, want zero", RetriesEnvVar, p)
-	}
-	os.Unsetenv(RetriesEnvVar)
-	os.Unsetenv(RetryBackoffEnvVar)
-	if p := RetryFromEnv(); p != (RetryPolicy{}) {
-		t.Fatalf("unset env yielded %+v, want the zero policy", p)
 	}
 }
 

@@ -18,7 +18,9 @@
 # resolutions, or of the key-set count (KeySet.Len), or of the second
 # acyclicity mechanism (implied-edge dropping and the unused query-level
 # hypergraph API) and the second table registry (catalog.Catalog), or a write
-# into a parsed statement (Select.Src); no identifier of the deleted second relation image, no row slices in core or the colstore kernels, no
+# into a parsed statement (Select.Src), or of the deleted RESULTDB_*
+# environment layer; no environment read in non-test code under internal/ or
+# cmd/ (hermetic configuration); no identifier of the deleted second relation image, no row slices in core or the colstore kernels, no
 # tuple boxed or taken back between the engine's operators (FromRows(,
 # .Rows() on a relation or view, []types.Row outside FromRows) and no src
 # rows kept by a colstore frame; results leave the engine unboxed (no
@@ -181,10 +183,27 @@ dead="$dead"'|\.Src = '
 # JoinAll stays positional across its greedy sequence: the step that joined
 # into a gathered intermediate relation is gone.
 dead="$dead"'|\bjoinStep\b'
+# No ambient configuration: a database, server and client run exactly as
+# their constructors and flags set them. The RESULTDB_* environment layer
+# (Config.FromEnv and its variables, parallel.EnvDegree, the wire client's
+# environment retry policy) is gone, and so are the exported helpers only
+# their own tests called (parallel.ForChunks, Tracer.SetQuery).
+dead="$dead"'|FromEnv|EnvDegree|RetryFromEnv|isZeroRetry|CacheEnvVar|ParallelismEnvVar|RetriesEnvVar|RetryBackoffEnvVar|RESULTDB_CACHE|RESULTDB_PARALLELISM|RESULTDB_RETRIES|RESULTDB_RETRY_BACKOFF|ForChunks|SetQuery'
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
-	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather are back:"
+	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer are back:"
 	echo "$dead_refs"
+	exit 1
+fi
+
+echo "== lint: hermetic configuration (no environment reads in internal/ or cmd/)"
+# Configuration arrives through constructors, Config values and flags only;
+# an environment read would let the host silently rewrite what a test or a
+# measurement states it runs with.
+env_reads=$(grep -rnE 'os\.(Getenv|LookupEnv|Environ)\b' --include='*.go' internal cmd | grep -v '_test\.go:' || true)
+if [ -n "$env_reads" ]; then
+	echo "FAIL: non-test code reads the process environment:"
+	echo "$env_reads"
 	exit 1
 fi
 
