@@ -328,6 +328,9 @@ func (e *Encoder) encodeSet(set *db.ResultSet) {
 type Decoder struct {
 	buf []byte
 	off int
+	// inflated is the storage the v2 decoder inflates compressed column
+	// blocks into, reused from one column to the next of this payload.
+	inflated []byte
 }
 
 // NewDecoder wraps a payload.

@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sync"
 
 	"resultdb/internal/colstore"
 	"resultdb/internal/db"
@@ -732,6 +731,9 @@ func (d *Decoder) decodeColV2(n int) (colstore.Column, error) {
 	if hasNulls && (kind == colAllNull || kind == colAny) {
 		return nil, fmt.Errorf("wire: column kind %d cannot carry a null bitmap", kind)
 	}
+	if flated && kind == colAllNull {
+		return nil, fmt.Errorf("wire: an all-NULL column block has no body to compress")
+	}
 
 	// Establish the body reader, bounding the claimed row count by the
 	// bytes that will actually back it before anything is allocated.
@@ -747,12 +749,17 @@ func (d *Decoder) decodeColV2(n int) (colstore.Column, error) {
 		if uint64(n) > v2MaxRatio*clen+v2AllNullMax {
 			return nil, fmt.Errorf("wire: %d rows implausible for a %d-byte compressed column", n, clen)
 		}
-		raw, err := inflateColumn(d.buf[d.off:d.off+int(clen)], 1032*int(clen)+64)
+		// 1032 is deflate's maximum compression ratio: a stream inflating to
+		// more than 1032x its length is hostile by construction. Every
+		// column of the payload inflates into the same buffer, which is safe
+		// because nothing a column decodes keeps a slice of its body.
+		raw, err := inflate(d.inflated, d.buf[d.off:d.off+int(clen)], 1032*int(clen)+64)
 		if err != nil {
 			return nil, err
 		}
+		d.inflated = raw
 		d.off += int(clen)
-		src = NewDecoder(raw)
+		src = &Decoder{buf: raw}
 	} else {
 		switch kind {
 		case colAllNull:
@@ -919,55 +926,4 @@ func (d *Decoder) decodeColV2(n int) (colstore.Column, error) {
 		return nil, fmt.Errorf("wire: %d trailing bytes in compressed column", len(src.buf)-src.off)
 	}
 	return col, nil
-}
-
-// inflater is a pooled deflate decompressor (its window and Huffman tables
-// are ~40 KB, more than most columns inflate to) with the reader it is reset
-// over.
-type inflater struct {
-	src bytes.Reader
-	fr  io.ReadCloser
-}
-
-var inflaters = sync.Pool{
-	New: func() any {
-		in := new(inflater)
-		in.fr = flate.NewReader(&in.src)
-		return in
-	},
-}
-
-// inflateColumn decompresses a deflate stream with a hard output cap (1032
-// is deflate's maximum compression ratio, so anything past 1032x the input
-// is hostile by construction). The output buffer starts at a few times the
-// compressed length and doubles up to the cap, which is checked as bytes
-// arrive: a stream that would inflate past it is rejected without being
-// inflated further.
-func inflateColumn(comp []byte, limit int) ([]byte, error) {
-	in := inflaters.Get().(*inflater)
-	defer func() {
-		in.src.Reset(nil) // a pooled inflater must not pin the payload
-		inflaters.Put(in)
-	}()
-	in.src.Reset(comp)
-	if err := in.fr.(flate.Resetter).Reset(&in.src, nil); err != nil {
-		return nil, fmt.Errorf("wire: corrupt compressed column: %w", err)
-	}
-	out := make([]byte, 0, min(4*len(comp)+64, limit+1))
-	for {
-		if len(out) == cap(out) {
-			out = append(make([]byte, 0, min(2*cap(out), limit+1)), out...)
-		}
-		n, err := in.fr.Read(out[len(out):cap(out)])
-		out = out[:len(out)+n]
-		if len(out) > limit {
-			return nil, fmt.Errorf("wire: compressed column inflates past the deflate ratio bound")
-		}
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("wire: corrupt compressed column: %w", err)
-		}
-	}
 }

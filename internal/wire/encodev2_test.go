@@ -427,6 +427,10 @@ var malformedV2Columns = []struct {
 	{"variant on float", 1, []byte{1 | colFloat<<colKindShift}, "no variant"},
 	{"variant 2 on int", 1, []byte{2 | colInt<<colKindShift, 2}, "unknown payload variant"},
 	{"bitmap on all-null", 2, []byte{colNullsBit | colAllNull<<colKindShift, 0x01}, "cannot carry a null bitmap"},
+	// An all-NULL block has no body, so the encoder never deflates one; a
+	// deflated one would escape the all-NULL row cap (5000 rows from an empty
+	// stream here).
+	{"deflated all-null", 5000, []byte{colFlateBit | colAllNull<<colKindShift, 2, 0x03, 0x00}, "all-NULL column block"},
 	{"bitmap on any", 2, []byte{colNullsBit | colAny<<colKindShift, 0x01, tagNull, tagNull}, "cannot carry a null bitmap"},
 	{"bitmap all set", 2, []byte{colNullsBit | colInt<<colKindShift, 0x03}, "non-canonical null bitmap"},
 	{"bitmap none set", 2, []byte{colNullsBit | colInt<<colKindShift, 0x00, 2, 4}, "non-canonical null bitmap"},
@@ -586,14 +590,15 @@ func rowBlockBytes(set *db.ResultSet) uint64 {
 }
 
 // TestDecodeAllocatesWhatItReturns guards the decoder's transient memory:
-// decoding a JOB payload (every column deflated) a second time allocates less
-// than 1.8 times the bytes the decoded result holds — its row block, its
-// frame vectors and one backing string per text block; the rest is inflated
-// column bodies, headers and size-class rounding (1.40-1.73x measured on
-// these payloads, 1.44-1.75x while every string was its own allocation). A
-// fresh 40 KB inflater per column, or an io.ReadAll doubling ladder from 512
-// bytes per column, breaks that several times over (10-17x on the two small
-// payloads here).
+// decoding a JOB payload (every column deflated) allocates less than 1.75
+// times the bytes the decoded result holds — its row block, its frame vectors
+// and one backing string per text block; the rest is the one buffer the
+// payload's columns inflate into, headers and size-class rounding. Measured:
+// 1.73x on 3c (one 23-row set, where the fixed costs weigh most), 1.38x on 9c
+// and 1.32x on 16b; the bound is the largest plus 0.02. An inflate buffer per
+// column measured 1.40-1.73x, a fresh 40 KB flate reader per column or an
+// io.ReadAll doubling ladder from 512 bytes per column 10-17x on the two
+// small payloads here.
 func TestDecodeAllocatesWhatItReturns(t *testing.T) {
 	d := db.New()
 	if err := job.Load(d, job.Config{Scale: 0.1, Seed: 42}); err != nil {
@@ -609,7 +614,7 @@ func TestDecodeAllocatesWhatItReturns(t *testing.T) {
 			t.Fatal(err)
 		}
 		payload := EncodeResultV2(res)
-		decoded, err := DecodeResult(payload) // also warms the inflater pool
+		decoded, err := DecodeResult(payload)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -640,10 +645,9 @@ func TestDecodeAllocatesWhatItReturns(t *testing.T) {
 				}
 			}
 		}
-		bound := held * 9 / 5
-		// The steady state is what is guarded: sync.Pool may hand out a fresh
-		// inflater after a GC or a goroutine migration (and drops a quarter of
-		// its Puts under -race), so take the cheapest of several decodes.
+		bound := held * 7 / 4
+		// The count is process-wide, so take the cheapest of several decodes
+		// in case another goroutine allocates during one.
 		got := uint64(math.MaxUint64)
 		for attempt := 0; attempt < 200 && got > bound; attempt++ {
 			got = min(got, allocatedBy(func() {
@@ -653,7 +657,7 @@ func TestDecodeAllocatesWhatItReturns(t *testing.T) {
 			}))
 		}
 		if got > bound {
-			t.Errorf("%s: decoding the %d-byte payload again allocated %d bytes, the result holds %d (%.2fx, want < 1.8x)",
+			t.Errorf("%s: decoding the %d-byte payload allocated %d bytes, the result holds %d (%.2fx, want < 1.75x)",
 				name, len(payload), got, held, float64(got)/float64(held))
 		}
 	}

@@ -27,7 +27,8 @@
 # len(set.Rows) or range set.Rows in internal/wire or internal/db outside
 # db/result.go); no map-of-slices bucket structure
 # in colstore/engine/storage; row blocks filled by colstore.View.Rows only,
-# one pooled flate reader, one statement parse in internal/db (the memo's), no
+# one inflate (the v2 column decoder's one-pass decoder, compress/flate's
+# reader in tests only), one statement parse in internal/db (the memo's), no
 # unsafe in internal/types; internal/reference
 # imported from tests only; one version
 # identity — no generation counter, name counter or statistics cache outside
@@ -59,9 +60,11 @@
 # the server path), chaos (fault-injected connections
 # converge to the exact oracle or fail typed) and crash-recovery (kill at
 # every WAL byte offset vs an uncrashed oracle); a short fuzzing pass over the
-# byte-hostile surfaces (SQL text in, wire bytes in, fault plans in, WAL
-# segments in, snapshots in, statistics extension splits); and the tracer
-# overhead guard.
+# byte-hostile surfaces (SQL text in, wire bytes in, deflate streams in
+# against compress/flate, fault plans in, WAL segments in, snapshots in,
+# statistics extension splits); the tracer overhead guard; and the ledger
+# comparison of the two newest committed BENCH_<n>.json files (it reads them
+# and runs no benchmark).
 #
 # The named gates (MVCC and the differential ones) select tests by -run
 # pattern over several packages, and go test exits 0 when a pattern matches
@@ -263,22 +266,32 @@ if [ -n "$row_reads" ]; then
 	exit 1
 fi
 
-echo "== lint: one boxing loop, one inflater, a 32-byte cell without unsafe"
+echo "== lint: one boxing loop, one inflate, a 32-byte cell without unsafe"
 # Typed columns are boxed into a row block by colstore.View.Rows and nowhere
 # else: the wire decoder builds column vectors and calls it, so a MakeRows in
 # internal/wire or internal/db is the hand-rolled copy growing back. The v2
-# decoder takes its deflate reader from a pool; a second flate.NewReader( is a
-# per-column 40 KB allocation. types.Value is 32 bytes by field layout
-# (TestValueSize), not by pointer tricks.
+# column decoder inflates a compressed block in one pass over the whole
+# buffer (internal/wire/inflate.go) and is the one caller of that decoder;
+# compress/flate's streaming reader stays in the tests as its oracle, so a
+# flate.NewReader( in non-test code is the second, slower inflate growing
+# back. types.Value is 32 bytes by field layout (TestValueSize), not by
+# pointer tricks.
 box_loops=$(grep -rn 'MakeRows(' --include='*.go' internal/wire internal/db | grep -v '_test\.go:' || true)
 if [ -n "$box_loops" ]; then
 	echo "FAIL: a row block is filled outside colstore.View.Rows:"
 	echo "$box_loops"
 	exit 1
 fi
-inflaters=$(grep -rn 'flate\.NewReader(' --include='*.go' --exclude-dir=.bench_build cmd examples internal ./*.go | grep -v '_test\.go:' | wc -l)
-if [ "$inflaters" -ne 1 ]; then
-	echo "FAIL: flate.NewReader( occurs $inflaters times in non-test code, want 1 (the pooled inflater in internal/wire/encodev2.go)"
+flate_readers=$(grep -rn 'flate\.NewReader(' --include='*.go' --exclude-dir=.bench_build cmd examples internal ./*.go | grep -v '_test\.go:' || true)
+if [ -n "$flate_readers" ]; then
+	echo "FAIL: compress/flate's reader in non-test code (inflate through internal/wire/inflate.go):"
+	echo "$flate_readers"
+	exit 1
+fi
+inflate_calls=$(grep -rnE '(^|[^A-Za-z0-9_.])inflate\(' --include='*.go' --exclude-dir=.bench_build cmd examples internal ./*.go | grep -v '_test\.go:' | grep -v 'func inflate(' || true)
+if [ "$(echo "$inflate_calls" | grep -c .)" -ne 1 ] || ! echo "$inflate_calls" | grep -q '^internal/wire/encodev2\.go:'; then
+	echo "FAIL: inflate( must be called exactly once in non-test code, by the v2 column decoder in internal/wire/encodev2.go; found:"
+	echo "$inflate_calls"
 	exit 1
 fi
 unsafe_types=$(grep -ln '"unsafe"' internal/types/*.go | grep -v '_test\.go$' || true)
@@ -382,6 +395,7 @@ gate -race -timeout 300s -count=1 \
 echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse
 go test -run '^$' -fuzz FuzzEncodeDecode -fuzztime 10s ./internal/wire
+go test -run '^$' -fuzz FuzzInflate -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/snapshot
@@ -406,5 +420,17 @@ echo "$bench_out" | awk '
 		printf "tracer on/off time ratio: %.3f\n", on / off
 		if (on / off > 1.20) { print "FAIL: tracing overhead exceeds budget"; exit 1 }
 	}'
+
+echo "== ledger: the two newest committed BENCH_<n>.json files"
+# Reads two committed benchmark documents and runs no benchmark. Single runs
+# leave every end-to-end metric "unresolved" (no spread to judge by); the step
+# fails when a verdict is "regressed", and failed operations or lost writes
+# may never rise.
+ledger=$(ls BENCH_[0-9]*.json 2>/dev/null | sed 's/^BENCH_\([0-9]*\)\.json$/\1/' | sort -n | tail -2)
+if [ "$(echo "$ledger" | grep -c .)" -eq 2 ]; then
+	bash benchmark/run.sh -compare "BENCH_$(echo "$ledger" | head -1).json" "BENCH_$(echo "$ledger" | tail -1).json"
+else
+	echo "fewer than two BENCH_<n>.json files: nothing to compare"
+fi
 
 echo "verify.sh: all checks passed"
