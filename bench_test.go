@@ -687,29 +687,40 @@ func BenchmarkStarEncode(b *testing.B) {
 }
 
 // BenchmarkDecodeJOB measures v2 decoding of the 33 JOB RESULTDB payloads the
-// job_cold/job_warm workloads ship (small, mostly deflated columns).
+// job_cold/job_warm workloads ship (small, mostly deflated columns), at the
+// workloads' scale 0.5 and at the suite's benchScale, which earlier
+// measurements of this benchmark used.
 func BenchmarkDecodeJOB(b *testing.B) {
-	e := jobEnv(b)
-	var payloads [][]byte
-	for _, q := range job.Queries() {
-		sel, err := e.Select(q.Name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := e.DB.QueryResultDB(sel, db.ModeRDB)
-		if err != nil {
-			b.Fatal(err)
-		}
-		payloads = append(payloads, wire.EncodeResultV2(res))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, p := range payloads {
-			if _, err := wire.DecodeResultExpect(p, wire.FormatV2); err != nil {
+	for _, scale := range []float64{benchScale, 0.5} {
+		e := jobEnv(b)
+		if scale != benchScale {
+			var err error
+			if e, err = bench.NewJOBEnv(scale); err != nil {
 				b.Fatal(err)
 			}
 		}
+		var payloads [][]byte
+		for _, q := range job.Queries() {
+			sel, err := e.Select(q.Name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := e.DB.QueryResultDB(sel, db.ModeRDB)
+			if err != nil {
+				b.Fatal(err)
+			}
+			payloads = append(payloads, wire.EncodeResultV2(res))
+		}
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, p := range payloads {
+					if _, err := wire.DecodeResultExpect(p, wire.FormatV2); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

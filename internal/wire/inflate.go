@@ -22,11 +22,13 @@ import (
 // a bit it needs lies past the end; Huffman codes must be complete, except
 // that a code of one symbol of length one is allowed and an unused code may
 // be empty; a distance must not reach before the start of the output.
-// Besides, no output byte is written past limit: a stream that would inflate
-// to more is rejected as soon as the write that would cross it is decoded.
+// Besides, no output byte passes limit: a stream that would inflate to more
+// is rejected as soon as the write that would cross it is decoded.
 //
 // The output is appended to dst[:0], so a caller decoding several streams in
-// turn can hand the previous result back as dst and reuse its storage.
+// turn can hand the previous result back as dst and reuse its storage. The
+// bytes of the result's capacity past its length are scratch: a match's
+// word copy may have written them.
 func inflate(dst, in []byte, limit int) ([]byte, error) {
 	var (
 		lit  [litTableSize]uint32
@@ -51,7 +53,8 @@ func inflate(dst, in []byte, limit int) ([]byte, error) {
 		typ := b >> 1 & 3
 		b >>= 3
 		nb -= 3
-		var lt, dt []uint32
+		var lt *[litTableSize]uint32
+		var dt *[distTableSize]uint32
 		switch typ {
 		case 0: // stored: byte-aligned LEN, NLEN, then LEN raw bytes
 			b >>= nb & 7
@@ -78,7 +81,7 @@ func inflate(dst, in []byte, limit int) ([]byte, error) {
 			b, nb, pos = 0, 0, p+n
 			continue
 		case 1:
-			lt, dt = fixedLit[:], fixedDist[:]
+			lt, dt = &fixedLit, &fixedDist
 		case 2:
 			if b, nb, pos, ok = fill(in, b, nb, pos); !ok {
 				return nil, errTruncated
@@ -154,15 +157,19 @@ func inflate(dst, in []byte, limit int) ([]byte, error) {
 				!buildHuffman(dist[:], lens[nlit:nlit+ndist], distSyms[:], distRootBits) {
 				return nil, errCorrupt
 			}
-			lt, dt = lit[:], dist[:]
+			lt, dt = &lit, &dist
 		default:
 			return nil, errCorrupt
 		}
 
-		// One symbol per refill: a literal/length code with its extra bits
-		// and a distance code with its extra bits take at most 15+5+15+13 =
-		// 48 bits, and a refill leaves at least 56.
+		// The bulk phase decodes what it can; this loop, checking every
+		// symbol, decodes the rest: the symbols it hands back, and those
+		// of a block's last input bytes or where the output lacks room.
 		for {
+			out, b, nb, pos = inflateBulk(out, in, b, nb, pos, lt, dt, limit)
+			// One symbol per refill: a literal/length code with its extra
+			// bits and a distance code with its extra bits take at most
+			// 15+5+15+13 = 48 bits, and a refill leaves at least 56.
 			if pos+8 <= len(in) { // fill's fast path, written out: fill does not inline
 				b |= binary.LittleEndian.Uint64(in[pos:]) << nb
 				pos += int(63-nb) >> 3
@@ -234,6 +241,114 @@ func inflate(dst, in []byte, limit int) ([]byte, error) {
 		return nil, errTruncated
 	}
 	return out, nil
+}
+
+// The bulk phase's room: a match writes at most maxMatch bytes of output,
+// and its word copy up to 7 scratch bytes past them, so bulkSlack leaves
+// the match and a word below the capacity.
+const (
+	maxMatch  = 258
+	bulkSlack = maxMatch + 8
+)
+
+// period is, for a match distance d below 8, the smallest multiple of d
+// that is at least 8.
+var period = [8]int{1: 8, 2: 8, 3: 9, 4: 8, 5: 10, 6: 12, 7: 14}
+
+// inflateBulk decodes the symbols of a Huffman block while the stream has 8
+// unread bytes and the output room for a longest match below limit and for
+// its word copy below its capacity, so no symbol checks for truncation, the
+// ratio cap or capacity. One refill feeds up to three literals: it leaves at
+// least 56 bits and a code takes at most 15. It returns in front of a symbol
+// it does not decode (end of block, an invalid code, a distance before the
+// output), with the bits of that symbol unread, for inflate's checked loop
+// to decode, and once the room runs out. Bytes of out's capacity past its
+// length may be overwritten.
+func inflateBulk(out, in []byte, b uint64, nb uint, pos int, lt *[litTableSize]uint32, dt *[distTableSize]uint32, limit int) ([]byte, uint64, uint, int) {
+	o := len(out)
+	end := min(limit-maxMatch, cap(out)-bulkSlack)
+	buf := out[:cap(out)]
+	for pos+8 <= len(in) && o <= end {
+		b |= binary.LittleEndian.Uint64(in[pos:]) << nb
+		pos += int(63-nb) >> 3
+		nb |= 56
+		e := lt[b&(1<<litRootBits-1)]
+		if e&hKind == hLit {
+			b >>= e & 15
+			nb -= uint(e & 15)
+			buf[o] = byte(e >> 16)
+			o++
+			if e = lt[b&(1<<litRootBits-1)]; e&hKind == hLit {
+				b >>= e & 15
+				nb -= uint(e & 15)
+				buf[o] = byte(e >> 16)
+				o++
+				if e = lt[b&(1<<litRootBits-1)]; e&hKind == hLit {
+					b >>= e & 15
+					nb -= uint(e & 15)
+					buf[o] = byte(e >> 16)
+					o++
+				}
+			}
+			continue
+		}
+		sb, snb := b, nb // the symbol's bits, to hand back unread
+		if e&hKind == hLink {
+			e = lt[e>>16+uint32(b>>litRootBits)&(1<<(e>>4&15)-1)]
+		}
+		b >>= e & 15
+		nb -= uint(e & 15)
+		if kind := e & hKind; kind == hLit {
+			buf[o] = byte(e >> 16)
+			o++
+			continue
+		} else if kind != hBase {
+			return buf[:o], sb, snb, pos
+		}
+		x := e >> 4 & 15
+		length := int(e>>16) + int(b&(1<<x-1))
+		b >>= x
+		nb -= uint(x)
+
+		e = dt[b&(1<<distRootBits-1)]
+		if e&hKind == hLink {
+			e = dt[e>>16+uint32(b>>distRootBits)&(1<<(e>>4&15)-1)]
+		}
+		b >>= e & 15
+		nb -= uint(e & 15)
+		x = e >> 4 & 15
+		d := int(e>>16) + int(b&(1<<x-1))
+		if e&hKind != hBase || d > o {
+			return buf[:o], sb, snb, pos
+		}
+		b >>= x
+		nb -= uint(x)
+
+		// Copy in 8-byte words, up to 7 bytes past the match. A word read
+		// d >= 8 bytes back is output already. A shorter distance widens
+		// to its smallest multiple p >= 8: the match's first p bytes are
+		// its last d bytes repeated, built in a register by doubling, and
+		// every later byte equals the one p bytes back.
+		src := o - d
+		if d < 8 {
+			w := binary.LittleEndian.Uint64(buf[src:])
+			for s := 8 * uint(d); s < 64; s *= 2 {
+				w = w&(1<<s-1) | w<<s
+			}
+			binary.LittleEndian.PutUint64(buf[o:], w)
+			// Bytes 8 to p-1 (fewer than d) are bytes 8-d onwards again.
+			binary.LittleEndian.PutUint64(buf[o+8:], w>>(64-8*uint(d)))
+			src = o
+			o += period[d]
+			length -= period[d]
+		}
+		last := o + length
+		for ; o < last; o, src = o+8, src+8 {
+			binary.LittleEndian.PutUint64(buf[o:], binary.LittleEndian.Uint64(buf[src:]))
+		}
+		o = last
+	}
+	return buf[:o], b, nb, pos
 }
 
 // grow makes room for n more bytes in out, at least doubling its capacity
@@ -311,8 +426,8 @@ var (
 	distSyms [32]uint32
 	clenSyms [numClenSyms]uint32
 
-	fixedLit  [1 << litRootBits]uint32
-	fixedDist [1 << distRootBits]uint32
+	fixedLit  [litTableSize]uint32
+	fixedDist [distTableSize]uint32
 )
 
 func init() {

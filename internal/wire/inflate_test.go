@@ -5,7 +5,9 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
+	"math/bits"
 	"strings"
 	"sync"
 	"testing"
@@ -147,6 +149,107 @@ func levelStreams(t testing.TB, raw []byte) [][]byte {
 // Huffman codes, 2 dynamic ones.
 func firstBlockType(comp []byte) int { return int(comp[0] >> 1 & 3) }
 
+// fixedWriter writes one final block of fixed Huffman codes (RFC 1951
+// §3.2.6) token by token, so a test can place a match exactly.
+type fixedWriter struct {
+	out []byte
+	acc uint64
+	n   uint
+}
+
+func newFixedWriter() *fixedWriter {
+	w := &fixedWriter{}
+	w.bits(1|1<<1, 3) // BFINAL, BTYPE 01
+	return w
+}
+
+func (w *fixedWriter) bits(v uint64, n uint) {
+	w.acc |= v << w.n
+	for w.n += n; w.n >= 8; w.n -= 8 {
+		w.out = append(w.out, byte(w.acc))
+		w.acc >>= 8
+	}
+}
+
+// code writes a Huffman code, which goes into the stream most significant
+// bit first.
+func (w *fixedWriter) code(c, n uint) { w.bits(uint64(bits.Reverse16(uint16(c))>>(16-n)), n) }
+
+func (w *fixedWriter) sym(s int) {
+	switch {
+	case s < 144:
+		w.code(uint(0x30+s), 8)
+	case s < 256:
+		w.code(uint(0x190+s-144), 9)
+	case s < 280:
+		w.code(uint(s-256), 7)
+	default:
+		w.code(uint(0xc0+s-280), 8)
+	}
+}
+
+func (w *fixedWriter) lit(b ...byte) {
+	for _, c := range b {
+		w.sym(int(c))
+	}
+}
+
+var (
+	lengthBase  = []int{3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258}
+	lengthExtra = []uint{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0}
+	distBase    = []int{1, 2, 3, 4, 5, 7, 9, 13, 17, 25, 33, 49, 65, 97, 129, 193, 257, 385, 513, 769, 1025, 1537, 2049, 3073, 4097, 6145, 8193, 12289, 16385, 24577}
+)
+
+// lastAtMost is the index of the last of the ascending bases at most v.
+func lastAtMost(bases []int, v int) int {
+	i := len(bases) - 1
+	for bases[i] > v {
+		i--
+	}
+	return i
+}
+
+func (w *fixedWriter) match(length, dist int) {
+	i := lastAtMost(lengthBase, length)
+	w.sym(257 + i)
+	w.bits(uint64(length-lengthBase[i]), lengthExtra[i])
+	j := lastAtMost(distBase, dist)
+	w.code(uint(j), 5)
+	w.bits(uint64(dist-distBase[j]), uint(max(j/2-1, 0)))
+}
+
+// finish writes end-of-block and returns the stream.
+func (w *fixedWriter) finish() []byte {
+	w.sym(256)
+	w.bits(0, 7)
+	return w.out
+}
+
+// matchStreams returns a stream for every distance 1 to 9 and each of the
+// lengths 3, 8, 9, 16 and 258: a run of d+2 literals, a match repeating its
+// last d bytes, end of block, and 16 bytes past the final block, so the
+// match is still in the bulk phase, which refills only while 8 input bytes
+// are unread and holds up to 8 more in its bit buffer.
+func matchStreams() [][]byte {
+	var streams [][]byte
+	for d := 1; d <= 9; d++ {
+		for _, length := range []int{3, 8, 9, 16, 258} {
+			w := newFixedWriter()
+			for i := range d + 2 {
+				w.lit(byte('a' + (i*7+d+length)%26))
+			}
+			w.match(length, d)
+			streams = append(streams, append(w.finish(), "16 bytes ignored"...))
+		}
+	}
+	return streams
+}
+
+// garbageDst is an empty buffer of capacity c whose storage holds bytes no
+// stream of the tests writes there, so a scratch byte returned as output
+// shows.
+func garbageDst(c int) []byte { return bytes.Repeat([]byte{0xa5}, c)[:0] }
+
 // TestInflateMatchesFlate: on every compressed block the benchmark's
 // payloads carry, on compress/flate's streams of every level class, on
 // truncations of those streams, and with the limit at a stream's output
@@ -210,6 +313,34 @@ func TestInflateMatchesFlate(t *testing.T) {
 			}
 		}
 	}
+	// The bulk phase's edges: decoded into a buffer whose capacity ends
+	// anywhere from 274 bytes before the output's end to as far past it,
+	// or under a limit that does, inflate leaves the bulk phase in front
+	// of and inside every match of the fixed-code streams, and at every
+	// point of a level stream's tail. A buffer with more room than the
+	// limit gives back the output and not a byte of scratch.
+	for _, comp := range append(matchStreams(), levelStreams(t, largest)[4]) {
+		check("fixed-code match", comp)
+		want, _ := flateOracle(comp, 1032*len(comp)+64)
+		for c := max(len(want)-bulkSlack-8, 0); c <= len(want)+bulkSlack+8; c++ {
+			checkInflate(t, "capacity near the output's end", comp, 1032*len(comp)+64, garbageDst(c))
+		}
+		for limit := max(len(want)-bulkSlack-8, 0); limit <= len(want)+bulkSlack+8; limit++ {
+			checkInflate(t, "limit near the output's end", comp, limit, garbageDst(limit+bulkSlack+64))
+		}
+		if got, err := inflate(garbageDst(2*len(want)+bulkSlack), comp, len(want)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("capacity past the limit: %d bytes, %v; want the stream's %d", len(got), err, len(want))
+		}
+	}
+	// A distance back to the first byte, and one a byte before it, with
+	// room for the bulk phase.
+	for _, d := range []int{16, 17} {
+		w := newFixedWriter()
+		w.lit([]byte("subdatabase, sub")...)
+		w.match(3, d)
+		w.lit([]byte("database, subdatabase")...)
+		checkInflate(t, fmt.Sprintf("distance %d after 16 bytes", d), w.finish(), 1<<16, garbageDst(4096))
+	}
 	for typ, what := range []string{"stored", "fixed", "dynamic"} {
 		if seen[typ] == 0 {
 			t.Errorf("no %s block opened any stream of the corpus", what)
@@ -243,9 +374,11 @@ func TestInflateHandBuiltStreams(t *testing.T) {
 
 // FuzzInflate: on arbitrary bytes and limits, inflate accepts exactly what
 // compress/flate accepts within the limit, with the same bytes. Seeds are the
-// benchmark's compressed blocks of up to 1 KB and level streams, so the
-// fuzzer minimises short inputs; the limit is the decoder's, or less, and at
-// most 1 MiB, so an execution stays short.
+// benchmark's compressed blocks of up to 1 KB, level streams and the
+// fixed-code match streams, so the fuzzer minimises short inputs; the limit
+// is the decoder's, or less, and at most 1 MiB, so an execution stays short.
+// Each input decodes into a fresh buffer and into a garbage-filled one with
+// capacity past the limit (for limits up to 64 KiB), as a reused one can be.
 func FuzzInflate(f *testing.F) {
 	seed := func(comp []byte) {
 		f.Add(comp, uint32(1032*len(comp)+64))
@@ -261,8 +394,13 @@ func FuzzInflate(f *testing.F) {
 	for _, comp := range levelStreams(f, bytes.Repeat([]byte("subdatabase, "), 40)) {
 		seed(comp)
 	}
+	for _, comp := range matchStreams() {
+		seed(comp)
+	}
 	f.Fuzz(func(t *testing.T, comp []byte, limit uint32) {
-		checkInflate(t, "fuzz", comp, min(int(limit), 1032*len(comp)+64, 1<<20), nil)
+		n := min(int(limit), 1032*len(comp)+64, 1<<20)
+		checkInflate(t, "fuzz", comp, n, nil)
+		checkInflate(t, "fuzz, a reused buffer", comp, n, garbageDst(min(n, 1<<16)+bulkSlack))
 	})
 }
 

@@ -62,7 +62,9 @@
 # every WAL byte offset vs an uncrashed oracle); a short fuzzing pass over the
 # byte-hostile surfaces (SQL text in, wire bytes in, deflate streams in
 # against compress/flate, fault plans in, WAL segments in, snapshots in,
-# statistics extension splits); the tracer overhead guard; and the ledger
+# statistics extension splits); the decode benchmarks once each
+# (BenchmarkInflate, BenchmarkDecodeJOB at both scales), so one failing at
+# run time fails here; the tracer overhead guard; and the ledger
 # comparison of the two newest committed BENCH_<n>.json files (it reads them
 # and runs no benchmark).
 #
@@ -400,6 +402,20 @@ go test -run '^$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz FuzzStatsExtend -fuzztime 10s ./internal/stats
+
+echo "== decode benchmarks, once each (a benchmark failing at run time fails here)"
+if ! bench_smoke=$(go test -run '^$' -bench 'BenchmarkInflate$' -benchtime 1x ./internal/wire 2>&1 &&
+	go test -run '^$' -bench 'BenchmarkDecodeJOB$' -benchtime 1x . 2>&1); then
+	echo "$bench_smoke"
+	exit 1
+fi
+echo "$bench_smoke"
+for b in BenchmarkInflate/compress-flate BenchmarkInflate/inflate 'BenchmarkDecodeJOB/scale=0.1' 'BenchmarkDecodeJOB/scale=0.5'; do
+	if ! echo "$bench_smoke" | grep -q "^$b"; then
+		echo "FAIL: $b did not run (renamed or deleted?)"
+		exit 1
+	fi
+done
 
 echo "== tracer overhead guard"
 # The disabled (nil) tracer path is guarded structurally — it must not
