@@ -1,14 +1,11 @@
 package wire
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/bits"
-	"runtime"
 
 	"resultdb/internal/colstore"
 	"resultdb/internal/db"
@@ -219,6 +216,27 @@ func valueLen(v types.Value) int {
 // one allocation of exactly the bytes it ships; a deflated body is written
 // over the plain one, which it is strictly smaller than.
 func encodeColV2(set *db.ResultSet, j, n int) []byte {
+	block, br := plainColV2(set, j, n)
+	return tryFlate(block, br.at[:br.n])
+}
+
+// streamBreaks are the offsets into a column block's body where its streams
+// meet, deflate's block breaks: after the null bitmap, and between a kind's
+// own streams (text lengths and bytes, a dictionary's bytes and codes, the
+// byte planes of floats).
+type streamBreaks struct {
+	at [9]int
+	n  int
+}
+
+func (b *streamBreaks) add(off int) {
+	b.at[b.n] = off
+	b.n++
+}
+
+// plainColV2 is encodeColV2 before deflate: the block with its plain body,
+// and the body's stream breaks.
+func plainColV2(set *db.ResultSet, j, n int) ([]byte, streamBreaks) {
 	c := gatherCol(set, j, n)
 	var nulls []byte
 	if c.kind != colAny && c.kind != colAllNull {
@@ -272,6 +290,8 @@ func encodeColV2(set *db.ResultSet, j, n int) []byte {
 	e := Encoder{buf: make([]byte, 1, 1+len(nulls)+size)}
 	e.buf[0] = desc
 	e.buf = append(e.buf, nulls...)
+	var br streamBreaks
+	br.add(len(nulls))
 	switch c.kind {
 	case colAllNull:
 		// Nothing: the desc byte alone says every row is NULL.
@@ -296,6 +316,9 @@ func encodeColV2(set *db.ResultSet, j, n int) []byte {
 				planes[k*nn+i] = byte(b >> (8 * k))
 			}
 		}
+		for k := 1; k < 8; k++ {
+			br.add(len(nulls) + k*nn)
+		}
 	case colBool:
 		e.buf = e.buf[:len(e.buf)+size] // zeroed by make
 		packed := e.buf[len(e.buf)-size:]
@@ -310,9 +333,11 @@ func encodeColV2(set *db.ResultSet, j, n int) []byte {
 			for _, s := range c.dict {
 				e.uvarint(uint64(len(s)))
 			}
+			br.add(len(e.buf) - 1)
 			for _, s := range c.dict {
 				e.buf = append(e.buf, s...)
 			}
+			br.add(len(e.buf) - 1)
 			for _, code := range c.codes {
 				e.uvarint(uint64(code))
 			}
@@ -320,6 +345,7 @@ func encodeColV2(set *db.ResultSet, j, n int) []byte {
 			for _, code := range c.codes {
 				e.uvarint(uint64(len(c.dict[code])))
 			}
+			br.add(len(e.buf) - 1)
 			for _, code := range c.codes {
 				e.buf = append(e.buf, c.dict[code]...)
 			}
@@ -330,66 +356,29 @@ func encodeColV2(set *db.ResultSet, j, n int) []byte {
 			e.value(at.At(i))
 		}
 	}
-	// Let deflate take a strictly-smaller shot at the body (bitmap +
-	// payload).
-	if comp, ok := tryFlate(e.buf[1:]); ok {
-		out := e.buf[:1]
-		out[0] |= colFlateBit
-		out = binary.AppendUvarint(out, uint64(len(comp)))
-		return append(out, comp...)
-	}
-	return e.buf
+	return e.buf, br
 }
 
-// flateWriters is a free list of deflate compressors shared by columns and
-// goroutines. A BestCompression writer is ≈ 800 KB, so the list keeps them
-// across garbage collections (a sync.Pool frees what two of them find idle) but
-// never more than GOMAXPROCS of them: putFlateWriter drops a writer the full
-// list has no room for.
-var flateWriters = make(chan *flate.Writer, runtime.GOMAXPROCS(0))
-
-func getFlateWriter() *flate.Writer {
-	select {
-	case w := <-flateWriters:
-		return w
-	default:
-	}
-	w, err := flate.NewWriter(io.Discard, flate.BestCompression)
-	if err != nil {
-		panic(err) // only fails for an invalid level
-	}
-	return w
-}
-
-func putFlateWriter(w *flate.Writer) {
-	select {
-	case flateWriters <- w:
-	default:
-	}
-}
-
-// tryFlate compresses body and reports whether shipping the compressed form
-// (including its length prefix) is strictly smaller.
-func tryFlate(body []byte) ([]byte, bool) {
+// tryFlate deflates a column block's body (past its desc byte, breaking
+// deflate blocks at the given body offsets) and, when shipping the
+// compressed form with its length prefix is strictly smaller, writes it over
+// the body in block's own storage and sets the desc byte's flate bit. It
+// returns the block to ship.
+func tryFlate(block []byte, breaks []int) []byte {
+	body := block[1:]
 	if len(body) < 16 {
-		return nil, false // can't beat the length prefix + deflate framing
+		return block // can't beat the length prefix + deflate framing
 	}
-	// Sized to the body: a result worth shipping compressed fits.
-	buf := bytes.NewBuffer(make([]byte, 0, len(body)))
-	w := getFlateWriter()
-	defer putFlateWriter(w)
-	w.Reset(buf)
-	if _, err := w.Write(body); err != nil {
-		return nil, false
+	z := getDeflater()
+	defer putDeflater(z)
+	z.out = deflate(z, z.out[:0], body, breaks)
+	if uvarintLen(uint64(len(z.out)))+len(z.out) >= len(body) {
+		return block
 	}
-	if err := w.Close(); err != nil {
-		return nil, false
-	}
-	comp := buf.Bytes()
-	if uvarintLen(uint64(len(comp)))+len(comp) >= len(body) {
-		return nil, false
-	}
-	return comp, true
+	out := block[:1]
+	out[0] |= colFlateBit
+	out = binary.AppendUvarint(out, uint64(len(z.out)))
+	return append(out, z.out...)
 }
 
 // gatherCol extracts column j of the set's n rows into typed vectors. When
@@ -656,6 +645,23 @@ func (d *Decoder) decodeSetV2(budget *cellBudget) (*db.ResultSet, error) {
 	return set, nil
 }
 
+// maxBodyLen is the most bytes a column block body of the kind can hold for
+// n rows: the null bitmap and at most a 10-byte varint an INT value, 8 bytes
+// a FLOAT value or a bit a BOOL value. It is -1 for the kinds a row does not
+// bound (TEXT, any).
+func maxBodyLen(kind, n int) int {
+	bitmap := (n + 7) / 8
+	switch kind {
+	case colInt:
+		return bitmap + 10*n
+	case colFloat:
+		return bitmap + 8*n
+	case colBool:
+		return 2 * bitmap
+	}
+	return -1
+}
+
 // nullBits is a column block's null bitmap as shipped (LSB-first, set bit =
 // NULL); nil when the column has none.
 type nullBits []byte
@@ -750,10 +756,20 @@ func (d *Decoder) decodeColV2(n int) (colstore.Column, error) {
 			return nil, fmt.Errorf("wire: %d rows implausible for a %d-byte compressed column", n, clen)
 		}
 		// 1032 is deflate's maximum compression ratio: a stream inflating to
-		// more than 1032x its length is hostile by construction. Every
+		// more than 1032x its length is hostile by construction. A fixed-width
+		// kind's body is bounded tighter by its n rows, so a stream inflating
+		// past what they can hold is refused once it crosses that. Every
 		// column of the payload inflates into the same buffer, which is safe
 		// because nothing a column decodes keeps a slice of its body.
-		raw, err := inflate(d.inflated, d.buf[d.off:d.off+int(clen)], 1032*int(clen)+64)
+		limit := 1032*int(clen) + 64
+		rowsMax := maxBodyLen(kind, n)
+		if rowsMax >= 0 && rowsMax < limit {
+			limit = rowsMax
+		}
+		raw, err := inflate(d.inflated, d.buf[d.off:d.off+int(clen)], limit)
+		if errors.Is(err, errRatio) && limit == rowsMax {
+			return nil, fmt.Errorf("wire: compressed column inflates past the %d bytes %d rows of its kind can hold", rowsMax, n)
+		}
 		if err != nil {
 			return nil, err
 		}

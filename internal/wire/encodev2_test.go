@@ -3,8 +3,8 @@ package wire
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -446,6 +446,17 @@ var malformedV2Columns = []struct {
 		0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 'a'), "sum past the payload"},
 	{"more strings than bytes", 100, append([]byte{textInline | colText<<colKindShift}, make([]byte, 20)...), "strings claimed"},
 	{"float planes one byte short", 2, append([]byte{colFloat << colKindShift}, make([]byte, 15)...), "truncated float column"},
+	// A fixed-width kind's stream may inflate to no more than its rows can
+	// hold: a 1-row FLOAT body is at most 9 bytes, and this one inflates to
+	// 64 KiB (well within deflate's ratio bound of its length).
+	{"one float inflating to 64 KiB", 1, append([]byte{colFlateBit | colFloat<<colKindShift}, flatedBody(make([]byte, 64<<10))...), "rows of its kind can hold"},
+}
+
+// flatedBody is raw deflated as a column block ships it: the stream's
+// uvarint length, then the stream.
+func flatedBody(raw []byte) []byte {
+	comp := deflate(new(deflater), nil, raw, nil)
+	return append(binary.AppendUvarint(nil, uint64(len(comp))), comp...)
 }
 
 // TestV2DecoderRejectsMalformedColumns: every malformed block is refused
@@ -688,31 +699,6 @@ func TestDecodeInlineTextAllocsFlat(t *testing.T) {
 	}
 }
 
-// TestFlateWritersSurviveCollection: the deflate writers a column encode
-// used are still there for the next encode after two garbage collections
-// (a sync.Pool would have freed them), so that encode allocates less than
-// one writer.
-func TestFlateWritersSurviveCollection(t *testing.T) {
-	writer := allocatedBy(func() {
-		if _, err := flate.NewWriter(io.Discard, flate.BestCompression); err != nil {
-			t.Fatal(err)
-		}
-	})
-	seq := make([]types.Row, 4096)
-	for i := range seq {
-		seq[i] = types.Row{types.NewInt(int64(i % 7))}
-	}
-	r := oneSet("seq", []string{"v"}, seq)
-	if desc := firstColDesc(t, EncodeResultV2(r)); desc&colFlateBit == 0 {
-		t.Fatal("the column does not deflate")
-	}
-	runtime.GC()
-	runtime.GC()
-	if got := allocatedBy(func() { EncodeResultV2(r) }); got >= writer {
-		t.Errorf("encoding after two collections allocated %d bytes, a writer is %d", got, writer)
-	}
-}
-
 // TestPostJoinOnDecodedResultBuildsNoFrame guards the client half of "a
 // relation is a frame and a selection": the post-join of a v2-decoded star
 // result runs on the decoder's frames, so what it allocates is its output's
@@ -846,7 +832,7 @@ func TestServerPathBoxesNoRows(t *testing.T) {
 
 	const bound = 10 << 20
 	got := uint64(math.MaxUint64)
-	for attempt := 0; attempt < 5 && got > bound; attempt++ { // sync.Pool may hand out fresh deflaters
+	for attempt := 0; attempt < 5 && got > bound; attempt++ { // the free list may hand out fresh compression states
 		got = min(got, allocatedBy(func() {
 			for _, s := range starStmts {
 				res, err := serverResult(s.d, s.sql)

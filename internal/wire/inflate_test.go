@@ -72,47 +72,64 @@ func compressedBlocks(res *db.Result) [][]byte {
 	return blocks
 }
 
+// workloadResult is one result the benchmark's workloads ship, by workload
+// ("job" or "star") and statement.
+type workloadResult struct {
+	workload, name string
+	res            *db.Result
+}
+
 var (
-	workloadBlocksOnce sync.Once
-	workloadBlocks     [][]byte
-	workloadBlocksErr  error
+	workloadOnce sync.Once
+	workloadRes  []workloadResult
+	workloadErr  error
 )
 
-// benchmarkBlocks returns every compressed column block of the payloads the
-// benchmark's workloads ship: the 33 JOB statements at scale 0.5 as RESULTDB
-// and the three star_transfer statements as RESULTDB PRESERVING.
-func benchmarkBlocks(t testing.TB) [][]byte {
-	workloadBlocksOnce.Do(func() {
+// workloadResults returns the results of the payloads the benchmark's
+// workloads ship: the 33 JOB statements at scale 0.5 as RESULTDB and the
+// three star_transfer statements as RESULTDB PRESERVING.
+func workloadResults(t testing.TB) []workloadResult {
+	workloadOnce.Do(func() {
 		d := db.New()
-		if workloadBlocksErr = job.Load(d, job.Config{Scale: 0.5, Seed: 42}); workloadBlocksErr != nil {
+		if workloadErr = job.Load(d, job.Config{Scale: 0.5, Seed: 42}); workloadErr != nil {
 			return
 		}
 		for _, q := range job.Queries() {
 			res, err := d.Exec("SELECT RESULTDB" + strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT"))
 			if err != nil {
-				workloadBlocksErr = err
+				workloadErr = err
 				return
 			}
-			workloadBlocks = append(workloadBlocks, compressedBlocks(res)...)
+			workloadRes = append(workloadRes, workloadResult{"job", q.Name, res})
 		}
 		d = db.New()
 		cfg := star.DefaultConfig()
-		if workloadBlocksErr = star.Load(d, cfg); workloadBlocksErr != nil {
+		if workloadErr = star.Load(d, cfg); workloadErr != nil {
 			return
 		}
 		for _, s := range []float64{0.6, 0.8, 1.0} {
 			res, err := d.Exec("SELECT RESULTDB PRESERVING" + strings.TrimPrefix(star.Query(cfg, s), "SELECT"))
 			if err != nil {
-				workloadBlocksErr = err
+				workloadErr = err
 				return
 			}
-			workloadBlocks = append(workloadBlocks, compressedBlocks(res)...)
+			workloadRes = append(workloadRes, workloadResult{"star", fmt.Sprintf("s=%g", s), res})
 		}
 	})
-	if workloadBlocksErr != nil {
-		t.Fatal(workloadBlocksErr)
+	if workloadErr != nil {
+		t.Fatal(workloadErr)
 	}
-	return workloadBlocks
+	return workloadRes
+}
+
+// benchmarkBlocks returns every compressed column block of the payloads the
+// benchmark's workloads ship (workloadResults).
+func benchmarkBlocks(t testing.TB) [][]byte {
+	var blocks [][]byte
+	for _, w := range workloadResults(t) {
+		blocks = append(blocks, compressedBlocks(w.res)...)
+	}
+	return blocks
 }
 
 // levelStreams compresses raw with compress/flate at every level class:

@@ -2,6 +2,7 @@
 
 package wire
 
-// The race runtime drops a quarter of sync.Pool puts, so allocation bounds
-// that rely on pooled deflaters do not hold in race builds.
+// The race runtime changes what allocates (it drops a quarter of sync.Pool
+// puts, for one), so byte bounds measured in ordinary builds are not
+// asserted in race builds.
 func init() { raceBuild = true }

@@ -28,7 +28,9 @@
 # db/result.go); no map-of-slices bucket structure
 # in colstore/engine/storage; row blocks filled by colstore.View.Rows only,
 # one inflate (the v2 column decoder's one-pass decoder, compress/flate's
-# reader in tests only), one statement parse in internal/db (the memo's), no
+# reader in tests only), one deflate (the whole-buffer compressor, called
+# once, by tryFlate; no compress/flate import outside tests), one statement
+# parse in internal/db (the memo's), no
 # unsafe in internal/types; internal/reference
 # imported from tests only; one version
 # identity — no generation counter, name counter or statistics cache outside
@@ -61,10 +63,11 @@
 # converge to the exact oracle or fail typed) and crash-recovery (kill at
 # every WAL byte offset vs an uncrashed oracle); a short fuzzing pass over the
 # byte-hostile surfaces (SQL text in, wire bytes in, deflate streams in
-# against compress/flate, fault plans in, WAL segments in, snapshots in,
-# statistics extension splits); the decode benchmarks once each
-# (BenchmarkInflate, BenchmarkDecodeJOB at both scales), so one failing at
-# run time fails here; the tracer overhead guard; and the ledger
+# against compress/flate, bodies and stream breaks deflated and inflated
+# back by both decoders, fault plans in, WAL segments in, snapshots in,
+# statistics extension splits); the codec benchmarks once each
+# (BenchmarkInflate, BenchmarkDeflate, BenchmarkDecodeJOB at both scales),
+# so one failing at run time fails here; the tracer overhead guard; and the ledger
 # comparison of the two newest committed BENCH_<n>.json files (it reads them
 # and runs no benchmark).
 #
@@ -268,7 +271,7 @@ if [ -n "$row_reads" ]; then
 	exit 1
 fi
 
-echo "== lint: one boxing loop, one inflate, a 32-byte cell without unsafe"
+echo "== lint: one boxing loop, one inflate, one deflate, a 32-byte cell without unsafe"
 # Typed columns are boxed into a row block by colstore.View.Rows and nowhere
 # else: the wire decoder builds column vectors and calls it, so a MakeRows in
 # internal/wire or internal/db is the hand-rolled copy growing back. The v2
@@ -276,8 +279,12 @@ echo "== lint: one boxing loop, one inflate, a 32-byte cell without unsafe"
 # buffer (internal/wire/inflate.go) and is the one caller of that decoder;
 # compress/flate's streaming reader stays in the tests as its oracle, so a
 # flate.NewReader( in non-test code is the second, slower inflate growing
-# back. types.Value is 32 bytes by field layout (TestValueSize), not by
-# pointer tricks.
+# back. Symmetrically, a column block's body deflates in one pass
+# (internal/wire/deflate.go), called once, by tryFlate: compress/flate stays
+# in the tests as the level-9 baseline and the reader oracle, so importing it
+# in non-test code is the second, slower compressor growing back.
+# types.Value is 32 bytes by field layout (TestValueSize), not by pointer
+# tricks.
 box_loops=$(grep -rn 'MakeRows(' --include='*.go' internal/wire internal/db | grep -v '_test\.go:' || true)
 if [ -n "$box_loops" ]; then
 	echo "FAIL: a row block is filled outside colstore.View.Rows:"
@@ -294,6 +301,20 @@ inflate_calls=$(grep -rnE '(^|[^A-Za-z0-9_.])inflate\(' --include='*.go' --exclu
 if [ "$(echo "$inflate_calls" | grep -c .)" -ne 1 ] || ! echo "$inflate_calls" | grep -q '^internal/wire/encodev2\.go:'; then
 	echo "FAIL: inflate( must be called exactly once in non-test code, by the v2 column decoder in internal/wire/encodev2.go; found:"
 	echo "$inflate_calls"
+	exit 1
+fi
+flate_imports=$(grep -rn '"compress/flate"' --include='*.go' --exclude-dir=.bench_build cmd examples internal ./*.go | grep -v '_test\.go:' || true)
+if [ -n "$flate_imports" ]; then
+	echo "FAIL: compress/flate imported in non-test code (deflate through internal/wire/deflate.go):"
+	echo "$flate_imports"
+	exit 1
+fi
+deflate_calls=$(grep -rnE '(^|[^A-Za-z0-9_.])deflate\(' --include='*.go' --exclude-dir=.bench_build cmd examples internal ./*.go | grep -v '_test\.go:' | grep -v 'func deflate(' || true)
+deflate_caller=$(awk '/^func /{fn=$0} /(^|[^A-Za-z0-9_.])deflate\(/ && !/^func deflate\(/{print fn}' internal/wire/encodev2.go)
+if [ "$(echo "$deflate_calls" | grep -c .)" -ne 1 ] || ! echo "$deflate_calls" | grep -q '^internal/wire/encodev2\.go:' ||
+	! echo "$deflate_caller" | grep -q '^func tryFlate('; then
+	echo "FAIL: deflate( must be called exactly once in non-test code, by tryFlate in internal/wire/encodev2.go; found:"
+	echo "$deflate_calls"
 	exit 1
 fi
 unsafe_types=$(grep -ln '"unsafe"' internal/types/*.go | grep -v '_test\.go$' || true)
@@ -398,19 +419,22 @@ echo "== fuzz smoke (10s per target)"
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/sqlparse
 go test -run '^$' -fuzz FuzzEncodeDecode -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz FuzzInflate -fuzztime 10s ./internal/wire
+go test -run '^$' -fuzz FuzzDeflate -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz FuzzFaultPlan -fuzztime 10s ./internal/wire
 go test -run '^$' -fuzz FuzzWALReplay -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz FuzzSnapshotLoad -fuzztime 10s ./internal/snapshot
 go test -run '^$' -fuzz FuzzStatsExtend -fuzztime 10s ./internal/stats
 
-echo "== decode benchmarks, once each (a benchmark failing at run time fails here)"
-if ! bench_smoke=$(go test -run '^$' -bench 'BenchmarkInflate$' -benchtime 1x ./internal/wire 2>&1 &&
+echo "== codec benchmarks, once each (a benchmark failing at run time fails here)"
+if ! bench_smoke=$(go test -run '^$' -bench 'BenchmarkInflate$|BenchmarkDeflate$' -benchtime 1x ./internal/wire 2>&1 &&
 	go test -run '^$' -bench 'BenchmarkDecodeJOB$' -benchtime 1x . 2>&1); then
 	echo "$bench_smoke"
 	exit 1
 fi
 echo "$bench_smoke"
-for b in BenchmarkInflate/compress-flate BenchmarkInflate/inflate 'BenchmarkDecodeJOB/scale=0.1' 'BenchmarkDecodeJOB/scale=0.5'; do
+for b in BenchmarkInflate/compress-flate BenchmarkInflate/inflate \
+	BenchmarkDeflate/job/compress-flate BenchmarkDeflate/job/deflate BenchmarkDeflate/star/compress-flate BenchmarkDeflate/star/deflate \
+	'BenchmarkDecodeJOB/scale=0.1' 'BenchmarkDecodeJOB/scale=0.5'; do
 	if ! echo "$bench_smoke" | grep -q "^$b"; then
 		echo "FAIL: $b did not run (renamed or deleted?)"
 		exit 1
