@@ -360,7 +360,7 @@ func BenchmarkTracerOverhead16b(b *testing.B) {
 }
 
 // BenchmarkParallelReduce16b sweeps the degree of parallelism over the
-// RESULTDB-SEMIJOIN reduction (semi-join probes, Bloom prefilter, Decompose).
+// RESULTDB-SEMIJOIN reduction (semi-join probes, Decompose).
 func BenchmarkParallelReduce16b(b *testing.B) {
 	e := jobEnvLarge(b)
 	sel, err := e.Select("16b")

@@ -26,7 +26,7 @@ import (
 )
 
 // experiments are the -exp values besides "all".
-var experiments = []string{"table1", "fig7", "fig8", "table2", "fig9", "table3", "ssb", "ablation-root", "ablation-fold", "ablation-bloom"}
+var experiments = []string{"table1", "fig7", "fig8", "table2", "fig9", "table3", "ssb", "ablation-root", "ablation-fold"}
 
 func main() {
 	var (
@@ -138,13 +138,6 @@ func run(exp string, scale float64, reps int, mbps float64, queryList string, pa
 			return err
 		}
 		fmt.Println(bench.FormatAblation("Ablation: fold strategy (cyclic queries)", rows, variants))
-	}
-	if want("ablation-bloom") {
-		rows, variants, err := env.AblationBloom(names)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.FormatAblation("Ablation: Bloom prefilter", rows, variants))
 	}
 	return nil
 }

@@ -8,11 +8,7 @@ func TestRunEachExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test is not -short")
 	}
-	for _, exp := range []string{
-		"table1", "fig7", "fig8", "table2", "fig9", "table3", "ssb",
-		"ablation-root", "ablation-fold", "ablation-bloom",
-	} {
-		exp := exp
+	for _, exp := range experiments {
 		t.Run(exp, func(t *testing.T) {
 			queries := "3c,9c"
 			if exp == "ablation-fold" {
@@ -34,7 +30,7 @@ func TestRunRejectsUnknownQueries(t *testing.T) {
 // TestRunRejectsUnknownExperiment: an -exp value that names no experiment
 // fails instead of loading the workload and printing nothing.
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	for _, exp := range []string{"ablation-order", "tabel1", ""} {
+	for _, exp := range []string{"ablation-order", "ablation-bloom", "tabel1", ""} {
 		if err := run(exp, 0.02, 1, 100, "", 0); err == nil {
 			t.Errorf("run(%q) should error", exp)
 		}

@@ -32,31 +32,6 @@ var rootVariants = []struct {
 	{"no-early-stop", core.Options{Root: core.RootHeuristic, Fold: core.FoldMaxDegree, EarlyStop: false}},
 }
 
-// bloomVariants compare the exact algorithm with the Bloom-prefilter
-// variant (the Section 5 predicate-transfer adaptation) at two target
-// false-positive rates.
-var bloomVariants = []struct {
-	Name string
-	Opts core.Options
-}{
-	{"exact", core.Options{Root: core.RootHeuristic, Fold: core.FoldMaxDegree, EarlyStop: true}},
-	{"bloom-1pct", core.Options{Root: core.RootHeuristic, Fold: core.FoldMaxDegree, EarlyStop: true, BloomPrefilter: true, BloomFPRate: 0.01}},
-	{"bloom-10pct", core.Options{Root: core.RootHeuristic, Fold: core.FoldMaxDegree, EarlyStop: true, BloomPrefilter: true, BloomFPRate: 0.10}},
-}
-
-// AblationBloom measures the Bloom-prefilter variants on the given queries
-// (nil = all 33).
-func (e *Env) AblationBloom(names []string) ([]AblationRow, []string, error) {
-	variantNames := make([]string, len(bloomVariants))
-	for i, v := range bloomVariants {
-		variantNames[i] = v.Name
-	}
-	rows, err := e.ablate(names, func(run func(core.Options) error) (map[string]time.Duration, map[string]int, error) {
-		return timeVariants(e.Reps, bloomVariants, run)
-	})
-	return rows, variantNames, err
-}
-
 // foldVariants are the Tree Folding Enumeration ablation points (they only
 // differ on cyclic queries).
 var foldVariants = []struct {

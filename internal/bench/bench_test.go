@@ -186,21 +186,3 @@ func TestAblations(t *testing.T) {
 		t.Error("ablation format incomplete")
 	}
 }
-
-func TestAblationBloomSmoke(t *testing.T) {
-	env := smallEnv(t)
-	rows, variants, err := env.AblationBloom([]string{"9c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(variants) != 3 || len(rows) != 1 {
-		t.Fatalf("bloom ablation shape: %d variants, %d rows", len(variants), len(rows))
-	}
-	// Every variant runs the same number of exact semi-joins (the bloom
-	// pass is extra work on top, not a replacement).
-	for _, r := range rows {
-		if r.SemiJoins["exact"] != r.SemiJoins["bloom-1pct"] {
-			t.Errorf("semi-join counts differ: %v", r.SemiJoins)
-		}
-	}
-}

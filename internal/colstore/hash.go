@@ -12,8 +12,7 @@ import (
 // Key addresses the join-key columns of one input: some columns of a view's
 // selected rows. Hashing is the allocation-free inlined FNV-1a of
 // internal/types — the hash types.Row.HashKey gives the boxed row — so any
-// two keys meet with identical hashes, and identical Bloom filter bits,
-// whatever their column representations.
+// two keys meet with identical hashes whatever their column representations.
 type Key struct {
 	view *View
 	kc   []Column // the key columns, resolved at construction
@@ -87,22 +86,6 @@ func (k Key) hashes(lo int, hs []uint64, null []bool) {
 				if col.Null(f) {
 					null[i] = true
 				}
-			}
-		}
-	}
-}
-
-// EachHash calls fn with the position and key hash of every row in [lo, hi)
-// whose key contains no NULL, in order.
-func (k Key) EachHash(lo, hi int, fn func(j int, h uint64)) {
-	var hs [batch]uint64
-	var null [batch]bool
-	for ; lo < hi; lo += batch {
-		n := min(batch, hi-lo)
-		k.hashes(lo, hs[:n], null[:n])
-		for i := 0; i < n; i++ {
-			if !null[i] {
-				fn(lo+i, hs[i])
 			}
 		}
 	}
@@ -269,14 +252,6 @@ func BuildKeySet(src Key) *KeySet {
 		return s
 	}
 	return buildHashed(src)
-}
-
-// Dense reports whether BuildKeySet would build k's keys as a bitmap (see
-// KeySet): the one predicate of the dense form, for a planner that prices a
-// pass by the form its key set will take. It reads every key once.
-func (k Key) Dense() bool {
-	lo, hi, _, ok := denseRange(k)
-	return ok && fits(lo, hi, 6, k.Len())
 }
 
 // denseRange is the one range scan of every dense form (KeySet, HashTable,

@@ -456,41 +456,6 @@ func TestStatsString(t *testing.T) {
 	}
 }
 
-// TestBloomPrefilterKeySemantics pins what the Bloom pass hashes: join keys
-// through colstore.Key, whatever column representation each side has (typed
-// vectors under the declared kind, or the AnyColumn fallback under an
-// undeclared one). A NULL key is never inserted and never passes, an INT 3
-// probes a FLOAT 3.0 build key successfully (numeric equality carries through
-// hashing), and the target comes out as a selection over its own frame.
-func TestBloomPrefilterKeySemantics(t *testing.T) {
-	rel := func(alias string, kind types.Kind, keys ...types.Value) *engine.Relation {
-		rows := make([]types.Row, len(keys))
-		for i, k := range keys {
-			rows[i] = types.Row{k}
-		}
-		return engine.FromRows([]engine.ColRef{{Rel: alias, Name: "k", Kind: kind}}, rows)
-	}
-	tKeys := []types.Value{types.NewInt(3), types.Null(), types.NewInt(7)}
-	sKeys := []types.Value{types.NewFloat(3), types.Null()}
-	for _, tk := range []types.Kind{types.KindInt, types.KindNull} {
-		for _, sk := range []types.Kind{types.KindFloat, types.KindNull} {
-			tr, sr := rel("t", tk, tKeys...), rel("s", sk, sKeys...)
-			tn, sn := &Node{Aliases: []string{"t"}, Rel: tr}, &Node{Aliases: []string{"s"}, Rel: sr}
-			st := &Stats{}
-			bloomSemiJoinNodes(tn, sn, []int{0}, []int{0}, sr.Len(), 1e-9, st, &Options{Parallelism: 1})
-			if got := renderSorted(tn.Rel); len(got) != 1 || got[0] != "3" {
-				t.Errorf("target kind %v source kind %v: kept %v, want only the key 3", tk, sk, got)
-			}
-			if tn.Rel.Vec.Frame != tr.Vec.Frame {
-				t.Errorf("target kind %v: output is not a selection over the target's frame", tk)
-			}
-			if st.BloomSemiJoins != 1 || st.BloomDropped != 2 {
-				t.Errorf("stats = %+v, want 1 Bloom semi-join dropping 2 rows", st)
-			}
-		}
-	}
-}
-
 // TestUntracedNotesAllocateNothing: with no tracer attached the reduction
 // formats no plan note. The two statements run the same semi-joins over the
 // same rows (every key matches, so nothing is narrowed). In the first the

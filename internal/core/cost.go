@@ -8,23 +8,13 @@ import (
 
 // This file is the cost model behind Options.TableStats: the containment
 // model (internal/stats: KeyNDV, SemiJoinSel) charged along the reduction
-// schedule, driving three planning decisions — root selection (the paper's
-// open Root Node Enumeration Problem, Section 4.2), the order of the
-// bottom-up semi-join pass, and the per-edge adaptive Bloom prefilter
-// decision. Every decision changes only the plan; the executed operators are
-// exact, so results stay byte-identical to the heuristic path.
+// schedule, driving two planning decisions — root selection (the paper's
+// open Root Node Enumeration Problem, Section 4.2) and the order of the
+// bottom-up semi-join pass. Every decision changes only the plan; the
+// executed operators are exact, so results stay byte-identical to the
+// heuristic path.
 
 const (
-	// bloomMinTargetRows and bloomMaxSel gate the adaptive Bloom prefilter.
-	// A Bloom probe costs about as much as the exact probe of a hashed
-	// KeySet it fronts, so the pass only pays when it empties most of a probe
-	// side too large for the exact build to stay cache-resident — hence the
-	// aggressive cardinality and selectivity bars. (Benchmarks at JOB scale
-	// 0.1 showed a 6.5k-row drop via Bloom still losing to the exact pass
-	// alone.) A bitmap KeySet's probe costs less than a Bloom probe, so no
-	// bar makes the pass pay there (bloomWorth).
-	bloomMinTargetRows = 32768
-	bloomMaxSel        = 0.15
 	// rootSwitchFrac and orderSwitchFrac are hysteresis: the cost model
 	// replaces the heuristic root / reverse-BFS order only when the model
 	// predicts a clear win. Estimates on small inputs are noisy, and a
@@ -181,32 +171,4 @@ func (s *schedule) bottomUp() []int {
 		return reverse
 	}
 	return s.greedy
-}
-
-// bloomWorth decides whether an adaptive Bloom prefilter pays for step i:
-// the probe side must be large enough to amortize the build, the estimated
-// drop substantial enough that the (approximate) pass saves the exact pass
-// real work, and the exact pass must hash. Where the build key would make a
-// bitmap key set now (colstore.Key.Dense), the exact probe is a bit test per
-// row, cheaper than the filter probe that would spare it rows, and bitmap
-// reports that reason. That test reads the live build key, so it runs only
-// after the cheap gates pass. (Statistics' min and max describe the base
-// table, not the filtered build side whose row count bounds the bitmap.)
-func (s *schedule) bloomWorth(i int, up bool) (worth, bitmap bool) {
-	t, src, e, side := s.ends(i, up)
-	if s.nodes[t].Rel.Len() < bloomMinTargetRows || s.sel(s.live, i, up) > bloomMaxSel {
-		return false, false
-	}
-	if s.nodes[src].Rel.Key(e.cols[1-side]).Dense() {
-		return false, true
-	}
-	return true, false
-}
-
-// bloomSize returns the filter size for step i's Bloom prefilter: the
-// source's estimated distinct keys (the fill factor depends on distinct
-// insertions, not rows).
-func (s *schedule) bloomSize(i int, up bool) int {
-	_, src, e, side := s.ends(i, up)
-	return max(int(stats.KeyNDV(s.live[src], e.ndv[1-side]...)), 1)
 }

@@ -45,7 +45,7 @@ func bigChainSource(rng *rand.Rand, n int) memSource {
 // to engage the parallel morsel paths, and asserts that every reduced output
 // relation is byte-identical — same rows in the same order — between serial
 // (Parallelism=1) and parallel (Parallelism=4) execution, with and without
-// the Bloom prefilter, whether the inputs carry columnar views or not.
+// early stop and α-reduction, whether the inputs carry columnar views or not.
 func TestReductionParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	src := bigChainSource(rng, 4000)
@@ -60,7 +60,7 @@ func TestReductionParallelMatchesSerial(t *testing.T) {
 	}
 	variants := []Options{
 		{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, AlphaReduce: true},
-		{Root: RootHeuristic, Fold: FoldMaxDegree, BloomPrefilter: true, BloomFPRate: 0.05},
+		{Root: RootHeuristic, Fold: FoldMaxDegree},
 	}
 	for qi, sql := range queries {
 		sel, err := sqlparse.ParseSelect(sql)
@@ -178,8 +178,8 @@ func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 // TestTraceFingerprintIndependentOfKeyForm: the deterministic portion of the
 // reduction's trace (ops, labels, phases, cardinalities — CountsFingerprint)
 // does not depend on which column representations the operators met their
-// inputs in (see mixForms), on acyclic and cyclic (folding) queries, with the Bloom
-// prefilter on, at parallelism 1 and 4.
+// inputs in (see mixForms), on acyclic and cyclic (folding) queries, at
+// parallelism 1 and 4.
 func TestTraceFingerprintIndependentOfKeyForm(t *testing.T) {
 	src := bigChainSource(rand.New(rand.NewSource(9)), 1200)
 	queries := []string{
@@ -194,7 +194,7 @@ func TestTraceFingerprintIndependentOfKeyForm(t *testing.T) {
 		for form := 0; form < 3; form++ {
 			for _, par := range []int{1, 4} {
 				tr := trace.New(sql)
-				opts := Options{EarlyStop: true, BloomPrefilter: true, BloomFPRate: 0.05, Parallelism: par, Tracer: tr}
+				opts := Options{EarlyStop: true, Parallelism: par, Tracer: tr}
 				if _, _, err := SemiJoinReduce(spec, mixForms(rels, form), nil, opts); err != nil {
 					t.Fatal(err)
 				}

@@ -24,13 +24,13 @@ var update = flag.Bool("update", false, "rewrite testdata/plans.golden from the 
 // TestPlanGolden pins every planning decision and estimate, not just the
 // reduced rows TestCostBasedMatchesHeuristic compares: for JOB×33 at scale
 // 0.05, the star payload statements, the hierarchy statements and the
-// fact-mid-dim statements (a chain, a pair whose Bloom step gives way to a
-// bitmap key set, a folded cycle, a sparse pair whose Bloom step runs), each
-// reduced at degree 1 with statistics as RDB and as RDBRP and without them
-// (Bloom prefilter on) as RDB, it renders core's one-line stats and every
-// span — phase, op, label, detail, rows in and out, and the estimate — of
-// the reduction (folds, root, Bloom prefilters, the bottom-up order, top-down
-// steps, skips and early stop), plus the single-table plan's greedy join
+// fact-mid-dim statements (a chain, a pair whose exact pass probes a bitmap
+// key set, a folded cycle, a sparse pair whose key set hashes), each reduced
+// at degree 1 with statistics as RDB and as RDBRP and without them (the paper
+// heuristic) as RDB, it renders core's one-line stats and every span —
+// phase, op, label, detail, rows in and out, and the estimate — of the
+// reduction (folds, root, the bottom-up order, top-down steps, skips and
+// early stop), plus the single-table plan's greedy join
 // order with its estimates. Each statement runs on a fresh load and again
 // after reinsertHeads. Run with -update to rewrite testdata/plans.golden
 // after an intended plan change.
@@ -106,8 +106,7 @@ func jobStatements() [][2]string {
 
 // renderPlans appends one statement's plans to b: its reduction with
 // statistics as RDB and as RDBRP, its RDB reduction by the paper heuristic
-// with the Bloom prefilter on every edge (no statistics), then its
-// single-table join order.
+// (no statistics), then its single-table join order.
 func renderPlans(t *testing.T, b *strings.Builder, d *db.Database, name, sql string) {
 	t.Helper()
 	snap := d.Snapshot()
@@ -121,7 +120,7 @@ func renderPlans(t *testing.T, b *strings.Builder, d *db.Database, name, sql str
 		t.Fatal(err)
 	}
 	tableStats := planStats(t, snap, spec, false)
-	for _, mode := range []string{"rdb", "rdbrp", "rdb heuristic+bloom"} {
+	for _, mode := range []string{"rdb", "rdbrp", "rdb heuristic"} {
 		outputs := spec.OutputRels()
 		if mode == "rdbrp" {
 			outputs = nil
@@ -134,8 +133,8 @@ func renderPlans(t *testing.T, b *strings.Builder, d *db.Database, name, sql str
 		opts := core.DefaultOptions()
 		opts.Parallelism = 1
 		opts.TableStats = tableStats
-		if mode == "rdb heuristic+bloom" {
-			opts.TableStats, opts.BloomPrefilter = nil, true
+		if mode == "rdb heuristic" {
+			opts.TableStats = nil
 		}
 		opts.Tracer = trace.New(sql)
 		_, st := reduce(t, snap, spec, outputs, opts)

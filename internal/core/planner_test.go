@@ -21,19 +21,22 @@ import (
 
 // TestCostBasedMatchesHeuristic is the byte-identity check of the one
 // planner: with statistics (Options.TableStats, which the database always
-// provides) the cost model may pick another root, another bottom-up order and
-// its own Bloom prefilters, but every reduced relation — and so every
-// RESULTDB and PRESERVING response, which projects them — comes out identical
-// to the paper heuristic's plan (no statistics), row for row, in the same
-// order. Over JOB×33, star, hierarchy and a fact table large enough for the
-// adaptive Bloom gate; RDB and RDBRP output sets; parallelism 1 and 4; and
-// once more after an INSERT batch into every table, so statistics extended
-// from the previous versions' plan too.
+// provides) the cost model may pick another root and another bottom-up order,
+// but every reduced relation — and so every RESULTDB and PRESERVING response,
+// which projects them — comes out identical to the paper heuristic's plan (no
+// statistics), row for row, in the same order. Over JOB×33, star, hierarchy
+// and the fact-mid-dim statements (bitmap and hashed key sets, a fold); RDB
+// and RDBRP output sets; parallelism 1 and 4; and once more after an INSERT
+// batch into every table, so statistics extended from the previous versions'
+// plan too.
 func TestCostBasedMatchesHeuristic(t *testing.T) {
 	starCfg := star.Config{Dims: 3, DimRows: 12, PayloadLen: 16, Seed: 7}
-	var jobSQL, starSQL []string
+	var jobSQL, starSQL, factSQL []string
 	for _, q := range job.Queries() {
 		jobSQL = append(jobSQL, q.SQL)
+	}
+	for _, s := range factMidDimStatements {
+		factSQL = append(factSQL, s[1])
 	}
 	for _, sel := range []float64{0.2, 0.6, 1.0} {
 		starSQL = append(starSQL, star.PayloadQuery(starCfg, sel))
@@ -48,8 +51,7 @@ func TestCostBasedMatchesHeuristic(t *testing.T) {
 		{"star", func(d *db.Database) error { return star.Load(d, starCfg) }, starSQL},
 		{"hierarchy", func(d *db.Database) error { return hierarchy.Load(d, hierarchy.DefaultConfig()) },
 			[]string{hierarchy.ResultDBElectronics, hierarchy.ResultDBClothing}},
-		{"fact-mid-dim", loadFactMidDim, []string{`SELECT f.id, m.id FROM fact AS f, mid AS m, dim AS d
-			WHERE f.k = m.k AND m.k = d.k`}},
+		{"fact-mid-dim", loadFactMidDim, factSQL},
 	} {
 		t.Run(w.name, func(t *testing.T) {
 			d := db.Open(db.Config{Parallelism: 1})
@@ -69,8 +71,8 @@ func TestCostBasedMatchesHeuristic(t *testing.T) {
 
 // comparePlanners reduces every statement with and without statistics under
 // each output-set mode and degree, requires identical reduced relations, and
-// returns how many of the runs planned differently (another root, or Bloom
-// passes). extended requires every table's statistics to be derived by
+// returns how many of the runs planned differently (another root). extended
+// requires every table's statistics to be derived by
 // extending an ancestor version's.
 func comparePlanners(t *testing.T, d *db.Database, stmts []string, extended bool) int {
 	t.Helper()
@@ -111,7 +113,7 @@ func comparePlanners(t *testing.T, d *db.Database, stmts []string, extended bool
 							name, alias, got[key].Len(), want[key].Len())
 					}
 				}
-				if gotSt.Root != wantSt.Root || gotSt.BloomSemiJoins > 0 {
+				if gotSt.Root != wantSt.Root {
 					diverged++
 				}
 			}
@@ -196,27 +198,25 @@ func reinsertHeads(t *testing.T, d *db.Database) {
 }
 
 // factMidDimStatements are the loadFactMidDim statements the plan golden and
-// the Bloom tests run, by name.
+// the planner comparison run, by name.
 var factMidDimStatements = [][2]string{
 	{"chain", `SELECT f.id, m.id FROM fact AS f, mid AS m, dim AS d
 			WHERE f.k = m.k AND m.k = d.k`},
-	// The fact side is large and the dim keys few, which passes the adaptive
-	// Bloom prefilter's gates; but the dim keys span one word, so the exact
-	// pass probes a bitmap key set and the prefilter steps aside.
-	{"bloom", `SELECT f.id FROM fact AS f, dim AS d WHERE f.k = d.k`},
-	// A cycle no predicate implies: folded before the reduction. The Bloom
-	// step fronts the fold's two-column key, which stays hashed.
+	// The fact side is large and the dim keys few and within one word, so
+	// the exact pass into fact probes a bitmap key set.
+	{"bitmap", `SELECT f.id FROM fact AS f, dim AS d WHERE f.k = d.k`},
+	// A cycle no predicate implies: folded before the reduction, over the
+	// fold's two-column key, which stays hashed.
 	{"cycle", `SELECT f.id, d.id FROM fact AS f, mid AS m, dim AS d
 			WHERE f.id = m.id AND m.k = d.k AND d.id = f.k`},
-	// As bloom, but the build keys span far more words than the bound, so
-	// the exact key set hashes and the prefilter runs, sized from the
-	// estimated distinct sparse keys.
+	// As bitmap, but the build keys span far more words than the bound, so
+	// the exact key set hashes.
 	{"sparse", `SELECT f.id FROM fact AS f, sparse AS s WHERE f.k = s.k`},
 }
 
-// loadFactMidDim is a chain fact - mid - dim whose fact side is large enough
-// for the adaptive Bloom prefilter and whose dim keys cover a narrow range,
-// plus a 50-row sparse whose keys, a fifth of them far apart, do not.
+// loadFactMidDim is a chain fact - mid - dim whose fact side is large and
+// whose dim keys cover a narrow range, plus a 50-row sparse whose keys, a
+// fifth of them far apart, do not.
 func loadFactMidDim(d *db.Database) error {
 	rng := rand.New(rand.NewSource(7))
 	fill := func(name string, n int, key func(i int) int) error {
@@ -246,57 +246,4 @@ func loadFactMidDim(d *db.Database) error {
 		}
 		return 500 + rng.Intn(100)
 	})
-}
-
-// TestBloomStepsAsideForBitmapKeys: planned with statistics, the adaptive
-// Bloom prefilter runs no step whose exact pass probes a bitmap key set (the
-// bloom statement, whose dim keys span one word) and still runs where that
-// key set hashes: a sparse single-column key, and a fold's two-column key
-// (cycle). Every reduced relation equals the one reduced under the
-// BloomPrefilter ablation (no statistics, a Bloom step on every edge) and the
-// one reduced with neither statistics nor prefilter.
-func TestBloomStepsAsideForBitmapKeys(t *testing.T) {
-	d := db.Open(db.Config{Parallelism: 1})
-	if err := loadFactMidDim(d); err != nil {
-		t.Fatal(err)
-	}
-	snap := d.Snapshot()
-	for _, s := range factMidDimStatements {
-		sel, err := sqlparse.ParseSelect(s[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		spec, err := engine.AnalyzeSPJ(sel, snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := core.DefaultOptions()
-		opts.Parallelism = 1
-		opts.TableStats = planStats(t, snap, spec, false)
-		got, st := reduce(t, snap, spec, nil, opts)
-		switch s[0] {
-		case "bloom":
-			if st.BloomSemiJoins != 0 {
-				t.Errorf("bloom: %d Bloom steps in front of a bitmap key set, want 0", st.BloomSemiJoins)
-			}
-		case "sparse", "cycle":
-			if st.BloomSemiJoins < 1 {
-				t.Errorf("%s: no Bloom step in front of a hashed key set", s[0])
-			}
-		}
-		opts.TableStats, opts.BloomPrefilter = nil, true
-		ablation, ast := reduce(t, snap, spec, nil, opts)
-		if ast.BloomSemiJoins == 0 {
-			t.Fatalf("%s: the BloomPrefilter ablation ran no Bloom step", s[0])
-		}
-		opts.BloomPrefilter = false
-		plain, _ := reduce(t, snap, spec, nil, opts)
-		for _, alias := range spec.OutputRels() {
-			key := strings.ToLower(alias)
-			if g, a, p := render(got[key]), render(ablation[key]), render(plain[key]); g != a || g != p {
-				t.Errorf("%s: relation %s differs: %d rows with statistics, %d under the ablation, %d with neither",
-					s[0], alias, got[key].Len(), ablation[key].Len(), plain[key].Len())
-			}
-		}
-	}
 }

@@ -130,12 +130,11 @@ func TestTheorem44RandomQueries(t *testing.T) {
 		{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: false},
 		{Root: RootFirst, Fold: FoldFirst, EarlyStop: true},
 		{Root: RootMaxDegree, Fold: FoldMinCard, EarlyStop: true},
-		// Bloom prefiltering must stay exact despite false positives; a
-		// very sloppy rate stresses the exactness of the follow-up passes.
-		{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, BloomPrefilter: true, BloomFPRate: 0.3},
+		// Cyclic queries fold without α-reduction.
+		{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true},
 		// Parallel execution must be indistinguishable from serial.
 		{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, AlphaReduce: true, Parallelism: 4},
-		{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, BloomPrefilter: true, BloomFPRate: 0.3, Parallelism: 4},
+		{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, Parallelism: 4},
 	}
 	const trials = 300
 	checked, treed, folded := 0, 0, 0

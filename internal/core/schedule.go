@@ -10,8 +10,8 @@ import "strings"
 // steps, the early-stop marks and the cut-off. The cost model costs a
 // candidate root by orienting to it and charging the steps to an estimated
 // row array (simulate); ReduceRelations orients to the chosen root and runs
-// the Bloom, bottom-up and top-down passes from the same steps, so the plan
-// the model costs is the plan that runs.
+// the bottom-up and top-down passes from the same steps, so the plan the
+// model costs is the plan that runs.
 type schedule struct {
 	nodes     []*Node
 	edges     []schedEdge

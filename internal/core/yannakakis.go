@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
-	"resultdb/internal/bloom"
 	"resultdb/internal/engine"
 	"resultdb/internal/parallel"
 	"resultdb/internal/stats"
@@ -42,10 +40,9 @@ const (
 // folding: every edge's key columns are resolved there, and the steps the
 // passes execute are the ones the cost model simulates. With
 // opts.TableStats the cost model (cost.go) plans them: the heuristic root may
-// be deposed, the bottom-up pass runs most-selective-first, and each step
-// decides for itself whether a Bloom prefilter pays. Without statistics every
-// decision is the paper's heuristic. Either way the reduced relations are the
-// same, row for row.
+// be deposed and the bottom-up pass runs most-selective-first. Without
+// statistics every decision is the paper's heuristic. Either way the reduced
+// relations are the same, row for row.
 //
 // With opts.EarlyStop (the Section 6.3 optimization) the top-down pass skips
 // subtrees that contain no projected relation, and stops entirely once every
@@ -75,24 +72,6 @@ func ReduceRelations(g *Graph, opts Options, st *Stats) error {
 	}
 	if !s.orient(root) {
 		return fmt.Errorf("%w (%d of %d nodes reachable)", ErrDisconnected, len(s.queue), len(s.nodes))
-	}
-
-	// (0) Bloom prefilter: the same two passes with approximate membership
-	// tests; shrinks inputs before the exact passes. Without statistics it
-	// runs every step when opts.BloomPrefilter is set; with them each step
-	// decides (and sizes its filter from the estimated distinct build-key
-	// count) whether the approximate pass pays for itself.
-	if opts.BloomPrefilter || s.withStats {
-		fp := opts.BloomFPRate
-		if fp <= 0 {
-			fp = 0.01
-		}
-		for i := len(s.steps) - 1; i >= 0; i-- {
-			s.bloom(i, true, fp, st, &opts)
-		}
-		for i := range s.steps {
-			s.bloom(i, false, fp, st, &opts)
-		}
 	}
 
 	// (1) Bottom-up: reduce parents by children, leaves towards root: in
@@ -154,84 +133,6 @@ func (s *schedule) semiJoin(i int, up bool, st *Stats, opts *Options) {
 	}
 }
 
-// bloom runs step i's Bloom prefilter, oriented as semiJoin orients the
-// step. With statistics it runs only where bloomWorth says it pays, with the
-// filter sized by bloomSize, and notes a step it leaves to a bitmap key set;
-// without them it always runs, sized by the source's rows.
-func (s *schedule) bloom(i int, up bool, fp float64, st *Stats, opts *Options) {
-	t, src, e, side := s.ends(i, up)
-	nEst := s.nodes[src].Rel.Len()
-	if s.withStats {
-		worth, bitmap := s.bloomWorth(i, up)
-		if bitmap && opts.Tracer.Enabled() {
-			opts.Tracer.Note("bloom prefilter skipped on " + s.nodes[t].Name() + " ⋉ " + s.nodes[src].Name() + ": bitmap key set")
-		}
-		if !worth {
-			return
-		}
-		nEst = s.bloomSize(i, up)
-	}
-	bloomSemiJoinNodes(s.nodes[t], s.nodes[src], e.cols[side], e.cols[1-side], nEst, fp, st, opts)
-	s.live[t] = float64(s.nodes[t].Rel.Len())
-}
-
-// bloomSemiJoinNodes reduces target by an approximate membership test on
-// source's join keys (tCols against sCols). It may retain false positives
-// but never drops a matching tuple. Both the filter build (atomic bit sets)
-// and the probe (chunked with ordered merge) run at degree
-// opts.Parallelism. nEst sizes the filter.
-func bloomSemiJoinNodes(target, source *Node, tCols, sCols []int, nEst int, fpRate float64, st *Stats, opts *Options) {
-	par := opts.Parallelism
-	var sp *trace.Span
-	var t0 time.Time
-	if opts.Tracer.Enabled() {
-		sp = opts.Tracer.Span("bloom-semi-join", target.Name()+" ⋉ "+source.Name())
-		sp.Phase = "bloom-prefilter"
-		sp.RowsIn = target.Rel.Len()
-		sp.RowsBuild = source.Rel.Len()
-		sp.Par = parallel.Degree(par)
-		sp.Morsels = parallel.Chunks(target.Rel.Len(), par)
-		t0 = time.Now()
-	}
-	f := bloom.New(nEst, fpRate)
-	// Build and probe hash straight from the key columns, skipping NULL keys,
-	// and narrow the target's selection to the probable matches.
-	sk := source.Rel.Key(sCols)
-	add := f.AddHash
-	if parallel.Chunks(sk.Len(), par) > 1 {
-		add = f.AddHashAtomic
-	}
-	parallel.For(sk.Len(), par, func(lo, hi int) {
-		sk.EachHash(lo, hi, func(_ int, h uint64) { add(h) })
-	})
-	if sp != nil {
-		sp.BuildNS = time.Since(t0).Nanoseconds()
-		t0 = time.Now()
-	}
-	tk := target.Rel.Key(tCols)
-	kept := parallel.Map(tk.Len(), par, func(lo, hi int) []int32 {
-		var idx []int32
-		tk.EachHash(lo, hi, func(j int, h uint64) {
-			if f.ContainsHash(h) {
-				idx = append(idx, int32(j))
-			}
-		})
-		return idx
-	})
-	out := target.Rel
-	if len(kept) < out.Len() {
-		out = out.Narrow(kept)
-	}
-	st.BloomSemiJoins++
-	st.BloomDropped += target.Rel.Len() - out.Len()
-	if sp != nil {
-		sp.ProbeNS = time.Since(t0).Nanoseconds()
-		sp.RowsOut = out.Len()
-		opts.Tracer.AddRowsDropped(target.Rel.Len() - out.Len())
-	}
-	target.Rel = out
-}
-
 // Options configures the RESULTDB-SEMIJOIN algorithm.
 type Options struct {
 	// Root selects the root-node strategy (default: the paper heuristic).
@@ -241,19 +142,10 @@ type Options struct {
 	// EarlyStop enables the Section 6.3 optimization: stop the top-down
 	// pass once all projected relations are fully reduced.
 	EarlyStop bool
-	// BloomPrefilter runs a cheap Bloom-filter pass over the same semi-join
-	// schedule before the exact passes (a correctness-preserving adaptation
-	// of predicate transfer, Section 5 related work): the Bloom pass may
-	// keep false positives but never drops a contributing tuple, and the
-	// subsequent exact passes remove the strays.
-	BloomPrefilter bool
-	// BloomFPRate is the target false-positive rate of the prefilter
-	// (default 0.01 when zero).
-	BloomFPRate float64
 	// Parallelism is the degree of intra-query parallelism used by the
-	// semi-join probes, the Bloom prefilter build/probe, folding joins, and
-	// Decompose: 0 = auto (GOMAXPROCS), 1 = serial, n > 1 = n workers.
-	// Results are bit-identical at any degree (ordered morsel merge).
+	// semi-join probes, folding joins and Decompose: 0 = auto (GOMAXPROCS),
+	// 1 = serial, n > 1 = n workers. Results are bit-identical at any degree
+	// (ordered morsel merge).
 	Parallelism int
 	// ResultCache enables the semantic query-result cache at the database
 	// layer (internal/cache wired through internal/db): SELECT results —
@@ -270,9 +162,8 @@ type Options struct {
 	// TableStats maps lower-cased relation aliases to their base tables'
 	// statistics (derived lazily, once per table version: stats.Of). When
 	// present, reduction is planned by the cost model: the heuristic root
-	// may be deposed by a simulated cheaper one, the bottom-up pass runs
-	// most-selective-first, and Bloom prefilters become per-edge decisions
-	// sized from estimated distinct key counts. The reduced relations are
+	// may be deposed by a simulated cheaper one, and the bottom-up pass runs
+	// most-selective-first. The reduced relations are
 	// identical to the heuristic plan's — only the plan (and speed) changes.
 	// The database always provides them; direct callers that leave them nil
 	// get the paper's heuristics.
@@ -284,8 +175,8 @@ type Options struct {
 	// the query's predicates equate. α-cyclic queries fold as without it.
 	AlphaReduce bool
 	// Tracer, when non-nil, records structured per-operator spans (per-edge
-	// semi-join reductions of the forward/backward passes, Bloom prefilter
-	// work, folds, root choice). Nil is the disabled fast path.
+	// semi-join reductions of the forward/backward passes, folds, root
+	// choice). Nil is the disabled fast path.
 	Tracer *trace.Tracer
 }
 
@@ -305,9 +196,6 @@ type Stats struct {
 	TuplesDropped    int
 	EarlyStopped     bool
 	Root             string
-	// BloomSemiJoins and BloomDropped count the prefilter pass's work.
-	BloomSemiJoins int
-	BloomDropped   int
 	// ImpliedEdgesDropped is how many fewer edges α-reduction's join tree
 	// has than the join graph it replaced (0 when it found none).
 	ImpliedEdgesDropped int

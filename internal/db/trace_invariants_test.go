@@ -48,15 +48,15 @@ func tracedQuery(t *testing.T, d tracer, sql string, resultDB bool) (*db.Result,
 	return res, tr
 }
 
-// TestTraceReducingOperatorsNeverGrow: scans (with pushed-down filters),
-// semi-joins, and Bloom prefilters only ever remove rows.
+// TestTraceReducingOperatorsNeverGrow: scans (with pushed-down filters) and
+// semi-joins only ever remove rows.
 func TestTraceReducingOperatorsNeverGrow(t *testing.T) {
 	d := loadJOBTrace(t)
 	for _, q := range job.Queries() {
 		_, tr := tracedQuery(t, d, q.SQL, true)
 		for _, sp := range tr.Spans {
 			switch sp.Op {
-			case "scan", "semi-join", "bloom-semi-join":
+			case "scan", "semi-join":
 				if sp.RowsOut > sp.RowsIn {
 					t.Errorf("%s: %s %s grew its input: %d -> %d",
 						q.Name, sp.Op, sp.Label, sp.RowsIn, sp.RowsOut)

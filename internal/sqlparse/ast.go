@@ -91,7 +91,7 @@ type Explain struct {
 // needs them, the planner's statistics — per-column row and null counts,
 // min/max and a distinct-count sketch — of one table's newest version, or of
 // every table's when no name is given. Statistics feed the one planner
-// (reduction root and order, Bloom prefilters, join order).
+// (reduction root and order, join order).
 type Analyze struct {
 	// Table is the table to analyze; empty means all tables.
 	Table string

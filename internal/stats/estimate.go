@@ -8,7 +8,7 @@ package stats
 //
 // where a key's NDV is KeyNDV over the base-column NDVs these statistics hold.
 // Its callers: core's reduction schedule (root choice, the bottom-up order,
-// Bloom gating and sizing, span estimates) and engine's greedy join order.
+// span estimates) and engine's greedy join order.
 
 // KeyNDV estimates the distinct keys of a relation of rows rows over key
 // columns whose base-table NDVs are base: their product, each column capped by

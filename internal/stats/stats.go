@@ -12,8 +12,8 @@
 //
 // The numbers feed estimates only, through the one containment model beside
 // them (estimate.go): plan choice may change, query results may not. The
-// planner layers that consume them (root selection, reducer scheduling,
-// adaptive Bloom sizing, join order) all preserve the output by construction.
+// planner layers that consume them (root selection, reducer scheduling, join
+// order) all preserve the output by construction.
 package stats
 
 import (

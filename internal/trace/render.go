@@ -50,9 +50,6 @@ func (tr *Trace) CompactLines() []string {
 		case "semi-join":
 			lines = append(lines, fmt.Sprintf("semi-join %s  rows: %d -> %d",
 				sp.Label, sp.RowsIn, sp.RowsOut))
-		case "bloom-semi-join":
-			lines = append(lines, fmt.Sprintf("bloom semi-join %s  rows: %d -> %d",
-				sp.Label, sp.RowsIn, sp.RowsOut))
 		case "counter":
 			lines = append(lines, fmt.Sprintf("%s: %d", sp.Label, sp.RowsOut))
 		case "output":
@@ -176,8 +173,6 @@ func spanLine(sp *Span) string {
 		fmt.Fprintf(&b, "%s + %s  keys: %d  rows: %d x %d -> %d", kind, sp.Label, sp.Keys, sp.RowsIn, sp.RowsBuild, sp.RowsOut)
 	case "semi-join":
 		fmt.Fprintf(&b, "semi-join %s  rows: %d -> %d  (source %d rows)", sp.Label, sp.RowsIn, sp.RowsOut, sp.RowsBuild)
-	case "bloom-semi-join":
-		fmt.Fprintf(&b, "bloom semi-join %s  rows: %d -> %d  (source %d rows)", sp.Label, sp.RowsIn, sp.RowsOut, sp.RowsBuild)
 	case "fold":
 		fmt.Fprintf(&b, "fold %s  rows: %d x %d -> %d", sp.Label, sp.RowsIn, sp.RowsBuild, sp.RowsOut)
 	case "residual-filter":

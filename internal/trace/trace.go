@@ -34,13 +34,12 @@ import (
 // custom encoders.
 type Span struct {
 	// Op identifies the operator: scan, hash-join, cross-join, semi-join,
-	// bloom-semi-join, fold, root, residual-filter, project, decompose,
-	// output, encode, note.
+	// fold, root, residual-filter, project, decompose, output, encode, note.
 	Op string `json:"op"`
 	// Label names the operator's target (relation alias, "a ⋉ b", ...).
 	Label string `json:"label,omitempty"`
-	// Phase groups spans into plan stages: scan, join, fold,
-	// bloom-prefilter, bottom-up, top-down, decompose, output, wire.
+	// Phase groups spans into plan stages: scan, join, fold, bottom-up,
+	// top-down, decompose, output, wire.
 	Phase string `json:"phase,omitempty"`
 	// Detail carries operator-specific text (filter SQL, projection list,
 	// note text).

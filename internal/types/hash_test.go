@@ -9,8 +9,8 @@ import (
 
 // legacyValueHash is the pre-optimization implementation: feed HashInto into
 // a heap-allocated fnv.New64a. The inlined HashFNV must reproduce its output
-// bit-for-bit, because Bloom filter contents, hash-table partitioning, and
-// the columnar hasher in internal/colstore all assume one hash function.
+// bit-for-bit, because hash-table partitioning and the columnar hasher in
+// internal/colstore both assume one hash function.
 func legacyValueHash(vs ...Value) uint64 {
 	h := fnv.New64a()
 	for _, v := range vs {

@@ -118,9 +118,9 @@ for procs in 1 2 4; do
 	GOMAXPROCS=$procs go test -count=1 ./internal/db ./internal/core ./internal/engine
 done
 
-echo "== go test -race (parallel, colstore, storage, engine, core, bloom, stats, trace, db, cache, wire, faultnet, client, wal, snapshot, durable)"
+echo "== go test -race (parallel, colstore, storage, engine, core, stats, trace, db, cache, wire, faultnet, client, wal, snapshot, durable)"
 go test -race -timeout 300s ./internal/parallel ./internal/colstore ./internal/storage ./internal/engine \
-	./internal/core ./internal/bloom ./internal/stats ./internal/trace ./internal/db \
+	./internal/core ./internal/stats ./internal/trace ./internal/db \
 	./internal/cache ./internal/wire ./internal/faultnet ./internal/client \
 	./internal/wal ./internal/snapshot ./internal/durable
 
@@ -396,8 +396,8 @@ echo "== cache differential + stress gate (cold/warm, dangling and joining appen
 gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit|TestCacheExtend|TestDoAt|TestMemo' \
 	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire ./internal/db ./internal/cache
 
-echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x local/TCP byte-identical, socket payload == in-process v2 encoding; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy x RDB/RDBRP x par, before and after an INSERT batch; every plan decision and estimate of those statements against testdata/plans.golden; the one containment model's edge cases, the reduction schedule allocating nothing per candidate root or bottom-up order, greedy join orders with and without statistics joining the same rows; dense integer key sets matching exactly what the hashed form of the same key matches, the branch-free bitmap probe included; dense join hash tables yielding the hashed form's pairs in its order; GROUP BY and DISTINCT over a unique dense integer column numbering every row as the hashing path does; the adaptive Bloom prefilter stepping aside where the exact pass probes a bitmap and running where it hashes, reducing like the Bloom ablation and like no prefilter; Theorem 4.4 over random cyclic and α-acyclic queries, GYO join trees spanning every JG-acyclic query and enforcing two attributes of one class; under -race)"
-gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestPlanGolden|TestServerPathBoxesNoRows|TestRootSim|TestContainmentModel|TestGreedyJoinOrder|TestKeySetDenseMatchesHash|TestHashTableDenseMatchesHash|TestGroupPositionsDenseUniqueMatchesHash|TestBloomStepsAsideForBitmapKeys|TestTheorem44|TestJoinTree|TestJGAcyclic|TestGYOJoinTree' -count=1 \
+echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x local/TCP byte-identical, socket payload == in-process v2 encoding; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy/fact-mid-dim x RDB/RDBRP x par, before and after an INSERT batch; every plan decision and estimate of those statements against testdata/plans.golden; the one containment model's edge cases, the reduction schedule allocating nothing per candidate root or bottom-up order, greedy join orders with and without statistics joining the same rows; dense integer key sets matching exactly what the hashed form of the same key matches, the branch-free bitmap probe included; dense join hash tables yielding the hashed form's pairs in its order; GROUP BY and DISTINCT over a unique dense integer column numbering every row as the hashing path does; Theorem 4.4 over random cyclic and α-acyclic queries, GYO join trees spanning every JG-acyclic query and enforcing two attributes of one class; under -race)"
+gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestPlanGolden|TestServerPathBoxesNoRows|TestRootSim|TestContainmentModel|TestGreedyJoinOrder|TestKeySetDenseMatchesHash|TestHashTableDenseMatchesHash|TestGroupPositionsDenseUniqueMatchesHash|TestTheorem44|TestJoinTree|TestJGAcyclic|TestGYOJoinTree' -count=1 \
 	./internal/wire ./internal/core ./internal/stats ./internal/engine ./internal/colstore
 gate -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
 
