@@ -2,9 +2,11 @@ package wire
 
 import (
 	"encoding/binary"
+	"math"
 	"math/bits"
 	"runtime"
 	"slices"
+	"unsafe"
 )
 
 // deflate appends to dst a deflate stream (RFC 1951) of src, which it holds
@@ -15,8 +17,11 @@ import (
 // then codes them in blocks.
 //
 // The parse is LZ77 over hash chains. A 4-byte hash heads the chains, and
-// its table is sized to the body; positions chain through a window-sized
-// array, so a small body clears a small table. At each position the chain
+// its table is sized to the body, so a small body clears a small table;
+// positions chain through a window-sized array of links back. Every table
+// has a fixed capacity and is indexed through a mask, and the body is read
+// through two bounds-free loads (load32, load64), so the search pays no
+// bounds check per candidate or position. At each position the chain
 // is searched chainDepth candidates deep for the longest match (niceLen
 // ends the search early), and a 3-byte match is taken from a second table
 // of the last position of each 3-byte hash when it lies within near3 bytes,
@@ -29,17 +34,19 @@ import (
 //
 // breaks are offsets into src, ascending, where the body's streams meet
 // (the null bitmap and the payload; text lengths and text bytes; the
-// eight byte planes of a float block). A block may end only at the first
-// token at or after a break, and does when coding the two sides apart
-// saves more than breakBits: each stream gets Huffman codes fit to its own
-// statistics. Each block is the cheapest of a stored, a fixed-code and a
-// dynamic-code block, counted exactly in bits.
+// eight byte planes of a float block). The parse cuts its tokens into
+// segments there: a segment starts at the first token at or after a break,
+// and a literal run ends at a break. It counts each segment's symbols as it
+// emits them. A block may end only where a segment does, and does when
+// coding the two sides apart saves more than breakBits: each stream gets
+// Huffman codes fit to its own statistics. Each block is the cheapest of a
+// stored, a fixed-code and a dynamic-code block, counted exactly in bits,
+// and is written with the code lengths its costing built.
 //
 // The output is a pure function of src and breaks. z carries only reused
 // storage; a zero deflater is ready to use.
 func deflate(z *deflater, dst, src []byte, breaks []int) []byte {
-	z.parse(src)
-	z.split(breaks, len(src))
+	z.parse(src, breaks)
 	z.w = bitWriter{out: dst}
 	z.code(src)
 	return z.w.flush()
@@ -74,31 +81,36 @@ const (
 const matchFlag = 1 << 31
 
 // deflater is the storage a compression reuses: hash tables, the chain
-// array, the token list and the per-block scratch.
+// array, the token list, the segments and the per-block scratch.
 type deflater struct {
-	head  []int32 // last position+1 of each 4-byte hash, 0 for none
-	head3 []int32 // last position+1 of each 3-byte hash
-	prev  []int32 // position+1 of the previous position of a chain, by position mod the window
+	// The tables at their largest, allocated on first use and indexed
+	// through masks. A body clears and uses the prefix of each hash table
+	// its size gives (tableBits), and writes the chain array at its own
+	// positions before the chain walk reads them, so that needs no
+	// clearing.
+	head  *[1 << maxHashBits]int32 // last position+1 of each 4-byte hash, 0 for none
+	head3 *[1 << hash3Bits]int32   // last position+1 of each 3-byte hash
+	prev  *[windowSize]uint16      // by position mod the window: how far back the previous position of its chain is (link)
 	toks  []uint32
-	segs  []segment // the blocks' candidates: runs of tokens between breaks
+	segs  []segment // the runs of tokens between breaks, a sentinel at the body's end last
 	out   []byte    // the stream, for tryFlate to copy from
 	w     bitWriter
 
-	// The block being planned and its candidate extension.
-	cur, next, both histogram
+	// The open block, the next segment and the two as one block.
+	blocks [3]blockCode
 	// Huffman scratch.
-	litLens   [maxLitSyms]uint8
-	distLens  [maxDistSyms]uint8
 	litCodes  [maxLitSyms]uint16
 	distCodes [maxDistSyms]uint16
 	rle       []uint16 // code-length symbols, extra bits above bit 5
-	sorted    [maxLitSyms]uint64
-	weights   [maxLitSyms]uint32
+	huff      huffScratch
 }
 
 // segment is a run of tokens, toks[tok:] up to the next segment's, coding
-// src[pos:] up to the next segment's pos.
-type segment struct{ tok, pos int }
+// src[pos:] up to the next segment's pos, and their symbols.
+type segment struct {
+	tok, pos int
+	h        histogram
+}
 
 // histogram counts a run of tokens' literal/length and distance symbols.
 type histogram struct {
@@ -106,22 +118,22 @@ type histogram struct {
 	dist [maxDistSyms]uint32
 }
 
-func (h *histogram) add(o *histogram) {
-	for i := range h.lit {
-		h.lit[i] += o.lit[i]
-	}
-	for i := range h.dist {
-		h.dist[i] += o.dist[i]
-	}
+// blockCode is a candidate block: its symbols, the dynamic code fit to
+// them (fit) and its sizes, which writeBlock codes it with.
+type blockCode struct {
+	h        histogram
+	litLens  [maxLitSyms]uint8
+	distLens [maxDistSyms]uint8
+	cost     huffCost
 }
 
 // deflaters is a free list of compression states shared by columns and
-// goroutines. A state holds storage sized to the largest body it
-// compressed, so the list keeps them across garbage collections (a
-// sync.Pool frees what two of them find idle) but never more than
-// GOMAXPROCS of them, and none whose token list and output passed
-// maxKeptBytes: those grow with a body, while its tables stop at 64 Ki
-// entries.
+// goroutines. A state holds its tables (336 KiB, of which a body touches
+// the prefix its size gives) and a token list and output sized to the
+// largest body it compressed, so the list keeps them across garbage
+// collections (a sync.Pool frees what two of them find idle) but never more
+// than GOMAXPROCS of them, and none whose token list and output passed
+// maxKeptBytes: those grow with a body, while the tables do not.
 var deflaters = make(chan *deflater, runtime.GOMAXPROCS(0))
 
 const maxKeptBytes = 4 << 20
@@ -150,37 +162,39 @@ func tableBits(n, hi int) int {
 	return min(max(bits.Len(uint(n)), 8), hi)
 }
 
-// resize returns s with length n, reusing its storage when it can.
-func resize[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
+// load32 is the little-endian word of src[i:i+4], read without a bounds
+// check. Every caller keeps 0 <= i && i+4 <= len(src):
+//   - parse reads at a position i only while i+4 <= len(src), at a 3-byte
+//     match's candidate c only when 0 <= c, and c < i as every position in
+//     a table is, and chains positions j only while j < len(src)-3;
+//   - longest reads at i+best-3 and cand+best-3 with 3 <= best < maxLen <=
+//     len(src)-i and 0 <= cand < i, so both words end by i+best+1 <=
+//     len(src).
+func load32(src []byte, i int) uint32 {
+	return binary.LittleEndian.Uint32((*[4]byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(src)), i))[:])
 }
 
-// parse fills z.toks with the lazy LZ77 parse of src.
-func (z *deflater) parse(src []byte) {
+// load64 is the little-endian word of src[i:i+8], read without a bounds
+// check. Its one caller, matchLen, keeps 0 <= i && i+8 <= len(src): it reads
+// at a+l and b+l with 0 <= a < b and l+8 <= limit <= len(src)-b.
+func load64(src []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64((*[8]byte)(unsafe.Add(unsafe.Pointer(unsafe.SliceData(src)), i))[:])
+}
+
+// parse fills z.toks with the lazy LZ77 parse of src and z.segs with its
+// segments between breaks.
+func (z *deflater) parse(src []byte, breaks []int) {
 	n := len(src)
-	hb := tableBits(n, maxHashBits)
-	z.head = resize(z.head, 1<<hb)
-	clear(z.head)
-	h3b := tableBits(n, hash3Bits)
-	z.head3 = resize(z.head3, 1<<h3b)
-	clear(z.head3)
-	z.prev = resize(z.prev, min(1<<tableBits(n, 15), windowSize))
-	head, head3, prev := z.head, z.head3, z.prev
-	mask := len(prev) - 1
-	hs, h3s := 32-hb, 32-h3b
-	toks := slices.Grow(z.toks[:0], n/8)
-	// lit codes k more literal bytes: it lengthens the last token when that
-	// is a run.
-	lit := func(k int) {
-		if last := len(toks) - 1; last >= 0 && toks[last] < matchFlag {
-			toks[last] += uint32(k)
-		} else {
-			toks = append(toks, uint32(k))
-		}
+	if z.head == nil {
+		z.head, z.head3, z.prev = new([1 << maxHashBits]int32), new([1 << hash3Bits]int32), new([windowSize]uint16)
 	}
+	hb, h3b := tableBits(n, maxHashBits), tableBits(n, hash3Bits)
+	head, head3, prev := z.head, z.head3, z.prev
+	clear(head[:1<<hb])
+	clear(head3[:1<<h3b])
+	hs, h3s := 32-hb, 32-h3b
+	e := emitter{toks: slices.Grow(z.toks[:0], n/8), segs: z.segs[:0], breaks: breaks}
+	e.open(0)
 
 	// pending: the byte at i-1 is not coded yet, and pLen/pDist is the
 	// longest match found there (pLen < 3: none).
@@ -191,17 +205,16 @@ func (z *deflater) parse(src []byte) {
 	for i < n {
 		cLen, cDist := 0, 0
 		if i+4 <= n {
-			u := binary.LittleEndian.Uint32(src[i:])
-			h := u * hashMul >> hs
+			u := load32(src, i)
+			h := u * hashMul >> hs & (1<<maxHashBits - 1)
 			cand := int(head[h]) - 1
-			if pLen < niceLen {
+			if pLen < niceLen && cand >= max(i-windowSize, 0) {
 				cLen, cDist = z.longest(src, i, cand, max(pLen, 3))
 			}
-			prev[i&mask] = head[h]
+			prev[i&(windowSize-1)] = link(i, head[h])
 			head[h] = int32(i + 1)
-			h3 := u << 8 * hashMul >> h3s
-			if c := int(head3[h3]) - 1; cLen == 0 && pLen < 3 && c >= 0 && i-c <= near3 &&
-				src[c] == src[i] && src[c+1] == src[i+1] && src[c+2] == src[i+2] {
+			h3 := u << 8 * hashMul >> h3s & (1<<hash3Bits - 1)
+			if c := int(head3[h3]) - 1; cLen == 0 && pLen < 3 && c >= 0 && i-c <= near3 && (load32(src, c)^u)<<8 == 0 {
 				cLen, cDist = 3, i-c
 			}
 			head3[h3] = int32(i + 1)
@@ -209,11 +222,11 @@ func (z *deflater) parse(src []byte) {
 		if pending && pLen >= 3 && cLen <= pLen {
 			// The match at i-1 is at least as long as the one at i: take
 			// it, and chain the positions it covers.
-			toks = append(toks, matchFlag|uint32(pLen-3)<<15|uint32(pDist-1))
+			e.match(i-1, pLen, pDist)
 			end := i - 1 + pLen
 			for j := i + 1; j < min(end, n-3); j++ {
-				h := binary.LittleEndian.Uint32(src[j:]) * hashMul >> hs
-				prev[j&mask] = head[h]
+				h := load32(src, j) * hashMul >> hs & (1<<maxHashBits - 1)
+				prev[j&(windowSize-1)] = link(j, head[h])
 				head[h] = int32(j + 1)
 			}
 			i = end
@@ -222,7 +235,7 @@ func (z *deflater) parse(src []byte) {
 			continue
 		}
 		if pending {
-			lit(1)
+			e.lit(src, i-1)
 		}
 		pending, pLen, pDist = true, cLen, cDist
 		i++
@@ -234,44 +247,114 @@ func (z *deflater) parse(src []byte) {
 			// Step over positions: code the pending byte and the next
 			// ones as literals without searching or chaining them.
 			step := min((misses-skipAfter)>>skipShift, n-i)
-			lit(1 + step)
+			e.lits(src, i-1, 1+step)
 			i += step
 			pending = false
 		}
 	}
 	if pending {
-		lit(1)
+		e.lit(src, n-1)
 	}
-	z.toks = toks
+	z.toks = e.toks
+	z.segs = append(e.segs, segment{tok: len(e.toks), pos: n})
 }
 
 // hashMul is the multiplier of the multiplicative hashes of 4 and 3 bytes.
 const hashMul = 0x9E3779B1
 
-// split fills z.segs with the runs of tokens between breaks: a run
-// starts at the first token at or after a break, and a sentinel at n, the
-// body's length, closes the last. A literal run that crosses a break is cut
-// there, so a segment starts at its break unless a match spans it.
-func (z *deflater) split(breaks []int, n int) {
-	z.segs = append(z.segs[:0], segment{})
-	pos, bi := 0, 0
-	for k := 0; k < len(z.toks); k++ {
-		for ; bi < len(breaks) && breaks[bi] <= pos; bi++ {
-			if breaks[bi] > 0 && z.segs[len(z.segs)-1].tok < k {
-				z.segs = append(z.segs, segment{tok: k, pos: pos})
+// emitter appends the parse's tokens, in order, to toks and cuts them into
+// segments: a break opens a segment at the first token that starts at or
+// after it (unless the open segment has no token yet), and ends the literal
+// run it falls inside. Each token's symbols are counted into its segment's
+// histogram as it is appended.
+type emitter struct {
+	toks   []uint32
+	segs   []segment
+	h      *histogram // the open segment's
+	first  int        // the open segment's first token
+	breaks []int      // the breaks not reached yet
+	brk    int        // breaks[0], or past any position when there is none
+}
+
+// open opens a segment at token len(e.toks) and byte pos, with the
+// end-of-block its block ends with.
+func (e *emitter) open(pos int) {
+	e.first = len(e.toks)
+	e.segs = append(e.segs, segment{tok: e.first, pos: pos})
+	e.h = &e.segs[len(e.segs)-1].h
+	e.h.lit[256] = 1
+	e.reach(pos)
+}
+
+// reach drops the breaks at or before pos, where a token starts.
+func (e *emitter) reach(pos int) {
+	for len(e.breaks) > 0 && e.breaks[0] <= pos {
+		e.breaks = e.breaks[1:]
+	}
+	e.brk = math.MaxInt
+	if len(e.breaks) > 0 {
+		e.brk = e.breaks[0]
+	}
+}
+
+// cut is called before a token starting at pos when pos >= e.brk: it opens
+// a segment there, unless the breaks it passes are at 0 or the open segment
+// has no token yet.
+func (e *emitter) cut(pos int) {
+	if e.first < len(e.toks) {
+		for _, b := range e.breaks {
+			if b > pos {
+				break
+			}
+			if b > 0 {
+				e.open(pos)
+				return
 			}
 		}
-		if bi == len(breaks) {
-			break
-		}
-		t := z.toks[k]
-		if cut := breaks[bi] - pos; t < matchFlag && cut < int(t) {
-			z.toks[k] = uint32(cut)
-			z.toks = slices.Insert(z.toks, k+1, t-uint32(cut))
-		}
-		pos += tokenLen(z.toks[k])
 	}
-	z.segs = append(z.segs, segment{tok: len(z.toks), pos: n})
+	e.reach(pos)
+}
+
+// match appends a match of length l at distance d that starts at pos.
+func (e *emitter) match(pos, l, d int) {
+	if pos >= e.brk {
+		e.cut(pos)
+	}
+	e.toks = append(e.toks, matchFlag|uint32(l-3)<<15|uint32(d-1))
+	e.h.lit[257+int(lenSym[uint8(l-3)])]++
+	e.h.dist[distSym(uint32(d-1))]++
+}
+
+// lit appends the literal byte src[pos], extending the open run.
+func (e *emitter) lit(src []byte, pos int) {
+	if pos >= e.brk {
+		e.cut(pos)
+	}
+	e.h.lit[src[pos]]++
+	if last := len(e.toks) - 1; last >= e.first && e.toks[last] < matchFlag {
+		e.toks[last]++
+	} else {
+		e.toks = append(e.toks, 1)
+	}
+}
+
+// lits appends the k literal bytes of src from pos, extending the open run.
+func (e *emitter) lits(src []byte, pos, k int) {
+	for end := pos + k; pos < end; {
+		if pos >= e.brk {
+			e.cut(pos)
+		}
+		m := min(end, e.brk) - pos
+		for _, b := range src[pos : pos+m] {
+			e.h.lit[b]++
+		}
+		if last := len(e.toks) - 1; last >= e.first && e.toks[last] < matchFlag {
+			e.toks[last] += uint32(m)
+		} else {
+			e.toks = append(e.toks, uint32(m))
+		}
+		pos += m
+	}
 }
 
 // longest searches the chain from cand for a match at i longer than best,
@@ -286,33 +369,44 @@ func (z *deflater) longest(src []byte, i, cand, best int) (int, int) {
 		chain >>= 2
 	}
 	nice := min(niceLen, maxLen)
-	lim := i - windowSize
-	mask := len(z.prev) - 1
+	lim := max(i-windowSize, 0) // the chain also ends at a candidate of -1
+	prev := z.prev
 	bestLen, bestDist := 0, 0
 	// A candidate can beat best only if its 4 bytes ending at offset best
 	// match: one compare rejects most of a chain.
-	end := binary.LittleEndian.Uint32(src[i+best-3:])
-	for ; cand >= 0 && cand >= lim && chain > 0; chain-- {
-		if binary.LittleEndian.Uint32(src[cand+best-3:]) == end {
+	end := load32(src, i+best-3)
+	for ; cand >= lim && chain > 0; chain-- {
+		if load32(src, cand+best-3) == end {
 			if l := matchLen(src, cand, i, maxLen); l > best {
 				best, bestLen, bestDist = l, l, i-cand
 				if l >= nice {
 					break
 				}
-				end = binary.LittleEndian.Uint32(src[i+best-3:])
+				end = load32(src, i+best-3)
 			}
 		}
-		cand = int(z.prev[cand&mask]) - 1
+		cand -= int(prev[cand&(windowSize-1)])
 	}
 	return bestLen, bestDist
 }
 
-// matchLen is the length of the common prefix of src[a:] and src[b:], a <
-// b, up to limit <= len(src)-b.
+// link is what the chain array holds for position i whose chain's
+// previous position is last-1 (last is a head table's entry, 0 for none):
+// how far back that position is, at most 65 535. The chain walk subtracts
+// it from a candidate, and reaches that position exactly when it is within
+// the window: a search at i' > i stops at a candidate before i'-windowSize,
+// and a link of windowSize or more lands before it as surely as the
+// position itself does (the link to no position, i+1, lands at -1).
+func link(i int, last int32) uint16 {
+	return uint16(min(i+1-int(last), 1<<16-1))
+}
+
+// matchLen is the length of the common prefix of src[a:] and src[b:], 0 <=
+// a < b, up to limit <= len(src)-b.
 func matchLen(src []byte, a, b, limit int) int {
 	l := 0
 	for l+8 <= limit {
-		if x := binary.LittleEndian.Uint64(src[a+l:]) ^ binary.LittleEndian.Uint64(src[b+l:]); x != 0 {
+		if x := load64(src, a+l) ^ load64(src, b+l); x != 0 {
 			return l + bits.TrailingZeros64(x)>>3
 		}
 		l += 8
@@ -331,26 +425,6 @@ func tokenLen(t uint32) int {
 	return int(t>>15&0xff) + 3
 }
 
-// tally fills h with the symbols of toks, which code src from pos, and one
-// end-of-block.
-func tally(h *histogram, toks []uint32, src []byte, pos int) {
-	clear(h.lit[:])
-	clear(h.dist[:])
-	for _, t := range toks {
-		if t < matchFlag {
-			for _, b := range src[pos : pos+int(t)] {
-				h.lit[b]++
-			}
-			pos += int(t)
-			continue
-		}
-		pos += int(t>>15&0xff) + 3
-		h.lit[257+int(lenSym[t>>15&0xff])]++
-		h.dist[distSym(t&0x7fff)]++
-	}
-	h.lit[256]++
-}
-
 // breakBits is what a block break must save, in bits, to be taken. Every
 // block costs its decoder a build of Huffman tables, ≈ 3 µs on the client,
 // so a break that saves a few bytes makes the payload slower to decode.
@@ -360,31 +434,38 @@ const breakBits = 1024
 
 // code writes z.toks as blocks: it walks the segments, extending the open
 // block by the next one unless coding them apart saves more than breakBits,
-// and writes the open block when it does not.
+// and writes the open block when it does not. The candidates' histograms
+// add up the segments' (each with its end-of-block, so a block of k
+// segments counts k).
 func (z *deflater) code(src []byte) {
 	segs := z.segs
 	last := len(segs) - 1
+	cur, next, both := &z.blocks[0], &z.blocks[1], &z.blocks[2]
 	start := 0 // the open block's first segment
-	tally(&z.cur, z.toks[segs[0].tok:segs[1].tok], src, segs[0].pos)
-	curHuff := z.huffmanCost(&z.cur)
+	cur.h = segs[0].h
+	z.fit(cur)
 	for s := 1; s < last; s++ {
-		tally(&z.next, z.toks[segs[s].tok:segs[s+1].tok], src, segs[s].pos)
-		z.both = z.cur
-		z.both.add(&z.next)
-		bothHuff := z.huffmanCost(&z.both)
-		nextHuff := z.huffmanCost(&z.next)
+		next.h = segs[s].h
+		z.fit(next)
+		for i := range both.h.lit {
+			both.h.lit[i] = cur.h.lit[i] + next.h.lit[i]
+		}
+		for i := range both.h.dist {
+			both.h.dist[i] = cur.h.dist[i] + next.h.dist[i]
+		}
+		z.fit(both)
 		at := z.w.bits()
-		apart := blockCost(curHuff, segs[s].pos-segs[start].pos, at)
-		apart += blockCost(nextHuff, segs[s+1].pos-segs[s].pos, at+apart)
-		if blockCost(bothHuff, segs[s+1].pos-segs[start].pos, at) <= apart+breakBits {
-			z.cur, curHuff = z.both, bothHuff
+		apart := blockCost(cur.cost, segs[s].pos-segs[start].pos, at)
+		apart += blockCost(next.cost, segs[s+1].pos-segs[s].pos, at+apart)
+		if blockCost(both.cost, segs[s+1].pos-segs[start].pos, at) <= apart+breakBits {
+			cur, both = both, cur
 			continue
 		}
-		z.writeBlock(src, segs[start], segs[s], &z.cur, curHuff, false)
+		z.writeBlock(src, start, s, cur, false)
 		start = s
-		z.cur, curHuff = z.next, nextHuff
+		cur, next = next, cur
 	}
-	z.writeBlock(src, segs[start], segs[last], &z.cur, curHuff, true)
+	z.writeBlock(src, start, last, cur, true)
 }
 
 // huffCost is a run of tokens' size in bits as a dynamic and as a fixed
@@ -405,8 +486,12 @@ func storedCost(n, at int) int {
 	return first + (pieces-1)*(8+32) + 8*n
 }
 
-// huffmanCost sizes h as a dynamic and as a fixed block.
-func (z *deflater) huffmanCost(h *histogram) huffCost {
+// fit builds the dynamic codes of b's histogram into its code lengths and
+// sizes it as a dynamic and as a fixed block.
+func (z *deflater) fit(b *blockCode) {
+	h := &b.h
+	huffLengths(b.litLens[:], h.lit[:], 15, &z.huff)
+	huffLengths(b.distLens[:], h.dist[:], 15, &z.huff)
 	extra := 0
 	for s := 257; s < maxLitSyms; s++ {
 		extra += int(h.lit[s]) * int(lenSymExtra[s-257])
@@ -421,14 +506,14 @@ func (z *deflater) huffmanCost(h *histogram) huffCost {
 	for _, f := range h.dist {
 		fixed += int(f) * 5
 	}
-	dyn := 3 + extra + z.dynamicHeader(h, nil)
+	dyn := 3 + extra + z.dynamicHeader(b, nil)
 	for s, f := range h.lit {
-		dyn += int(f) * int(z.litLens[s])
+		dyn += int(f) * int(b.litLens[s])
 	}
 	for s, f := range h.dist {
-		dyn += int(f) * int(z.distLens[s])
+		dyn += int(f) * int(b.distLens[s])
 	}
-	return huffCost{dynamic: dyn, fixed: fixed}
+	b.cost = huffCost{dynamic: dyn, fixed: fixed}
 }
 
 func fixedLitLen(s int) uint8 {
@@ -443,38 +528,33 @@ func fixedLitLen(s int) uint8 {
 	return 8
 }
 
-// dynamicHeader builds the dynamic codes of h into z.litLens and
-// z.distLens and returns the size in bits of the block header that
-// describes them (past the 3 block-type bits). With w non-nil, it writes
-// the header.
-func (z *deflater) dynamicHeader(h *histogram, w *bitWriter) int {
-	huffLengths(z.litLens[:], h.lit[:], 15, &z.sorted, &z.weights)
-	huffLengths(z.distLens[:], h.dist[:], 15, &z.sorted, &z.weights)
+// dynamicHeader returns the size in bits of the header of a dynamic block
+// with b's code lengths (past the 3 block-type bits). With w non-nil, it
+// writes the header.
+func (z *deflater) dynamicHeader(b *blockCode, w *bitWriter) int {
 	nlit := maxLitSyms
-	for nlit > 257 && z.litLens[nlit-1] == 0 {
+	for nlit > 257 && b.litLens[nlit-1] == 0 {
 		nlit--
 	}
 	ndist := maxDistSyms
-	for ndist > 1 && z.distLens[ndist-1] == 0 {
+	for ndist > 1 && b.distLens[ndist-1] == 0 {
 		ndist--
 	}
 	// Run-length code the two length lists as one sequence.
+	var seq [maxLitSyms + maxDistSyms]uint8
+	copy(seq[nlit:], b.distLens[:ndist])
+	copy(seq[:nlit], b.litLens[:nlit])
+	all := seq[:nlit+ndist]
 	z.rle = z.rle[:0]
 	var clenFreq [numClenSyms]uint32
-	all := func(i int) uint8 {
-		if i < nlit {
-			return z.litLens[i]
-		}
-		return z.distLens[i-nlit]
-	}
 	emit := func(sym, extra int) {
 		z.rle = append(z.rle, uint16(sym|extra<<5))
 		clenFreq[sym]++
 	}
-	for i, total := 0, nlit+ndist; i < total; {
-		v := all(i)
+	for i := 0; i < len(all); {
+		v := all[i]
 		run := 1
-		for i+run < total && all(i+run) == v {
+		for i+run < len(all) && all[i+run] == v {
 			run++
 		}
 		i += run
@@ -498,7 +578,7 @@ func (z *deflater) dynamicHeader(h *histogram, w *bitWriter) int {
 		}
 	}
 	var clens [numClenSyms]uint8
-	huffLengths(clens[:], clenFreq[:], 7, &z.sorted, &z.weights)
+	huffLengths(clens[:], clenFreq[:], 7, &z.huff)
 	nclen := numClenSyms
 	for nclen > 4 && clens[clenOrder[nclen-1]] == 0 {
 		nclen--
@@ -529,17 +609,18 @@ func (z *deflater) dynamicHeader(h *histogram, w *bitWriter) int {
 var clenExtra = [numClenSyms]uint8{16: 2, 17: 3, 18: 7}
 
 // writeBlock writes the tokens from segment a up to segment b as the
-// cheapest kind of block.
-func (z *deflater) writeBlock(src []byte, a, b segment, h *histogram, c huffCost, final bool) {
+// cheapest kind of block, a dynamic one with blk's code lengths.
+func (z *deflater) writeBlock(src []byte, a, b int, blk *blockCode, final bool) {
 	w := &z.w
 	fin := uint64(0)
 	if final {
 		fin = 1
 	}
-	stored := storedCost(b.pos-a.pos, w.bits())
-	switch min(c.dynamic, c.fixed, stored) {
+	from, to := &z.segs[a], &z.segs[b]
+	stored := storedCost(to.pos-from.pos, w.bits())
+	switch min(blk.cost.dynamic, blk.cost.fixed, stored) {
 	case stored:
-		raw := src[a.pos:b.pos]
+		raw := src[from.pos:to.pos]
 		for {
 			k := min(len(raw), maxStoredLen)
 			f := uint64(0)
@@ -555,39 +636,75 @@ func (z *deflater) writeBlock(src []byte, a, b segment, h *histogram, c huffCost
 				return
 			}
 		}
-	case c.fixed:
+	case blk.cost.fixed:
 		w.write(fin|1<<1, 3)
-		z.writeTokens(z.toks[a.tok:b.tok], src[a.pos:], &fixedLitCodes, &fixedLitLens, &fixedDistCodes, &fixedDistLens)
+		z.writeTokens(z.toks[from.tok:to.tok], src[from.pos:to.pos], &fixedLitCodes, &fixedLitLens, &fixedDistCodes, &fixedDistLens, blk.cost.fixed)
 	default:
 		w.write(fin|2<<1, 3)
-		z.dynamicHeader(h, w)
-		canonicalCodes(z.litCodes[:], z.litLens[:])
-		canonicalCodes(z.distCodes[:], z.distLens[:])
-		z.writeTokens(z.toks[a.tok:b.tok], src[a.pos:], &z.litCodes, &z.litLens, &z.distCodes, &z.distLens)
+		z.dynamicHeader(blk, w)
+		canonicalCodes(z.litCodes[:], blk.litLens[:])
+		canonicalCodes(z.distCodes[:], blk.distLens[:])
+		z.writeTokens(z.toks[from.tok:to.tok], src[from.pos:to.pos], &z.litCodes, &blk.litLens, &z.distCodes, &blk.distLens, blk.cost.dynamic)
 	}
 }
 
-// writeTokens codes toks, which code src from its start, and an
-// end-of-block with the given codes.
-func (z *deflater) writeTokens(toks []uint32, src []byte, lc *[maxLitSyms]uint16, ll *[maxLitSyms]uint8, dc *[maxDistSyms]uint16, dl *[maxDistSyms]uint8) {
+// writeTokens codes toks, which code all of src, and an end-of-block with
+// the given codes, the rest of a block of size bits. It reserves the
+// block's bytes and stores the bit buffer 8 bytes at a time without a
+// branch: a store advances the stream by the whole bytes it holds and keeps
+// the rest, fewer than 8 bits, so three literals (15 bits each at most) or
+// one match (48) fit before the next.
+func (z *deflater) writeTokens(toks []uint32, src []byte, lc *[maxLitSyms]uint16, ll *[maxLitSyms]uint8, dc *[maxDistSyms]uint16, dl *[maxDistSyms]uint8, size int) {
 	w := &z.w
+	for ; w.n >= 8; w.n -= 8 {
+		w.out = append(w.out, byte(w.acc))
+		w.acc >>= 8
+	}
+	buf := slices.Grow(w.out, size/8+16)
+	o, acc, n := len(buf), w.acc, w.n
+	buf = buf[:cap(buf)]
 	for _, t := range toks {
 		if t < matchFlag {
-			for _, b := range src[:t] {
-				w.write(uint64(lc[b]), uint(ll[b]))
-			}
+			lits := src[:t]
 			src = src[t:]
+			for ; len(lits) >= 3; lits = lits[3:] {
+				acc |= uint64(lc[lits[0]]) << n
+				n += uint(ll[lits[0]])
+				acc |= uint64(lc[lits[1]]) << n
+				n += uint(ll[lits[1]])
+				acc |= uint64(lc[lits[2]]) << n
+				n += uint(ll[lits[2]])
+				binary.LittleEndian.PutUint64(buf[o:], acc)
+				o += int(n >> 3)
+				acc >>= n &^ 7
+				n &= 7
+			}
+			for _, b := range lits {
+				acc |= uint64(lc[b]) << n
+				n += uint(ll[b])
+				binary.LittleEndian.PutUint64(buf[o:], acc)
+				o += int(n >> 3)
+				acc >>= n &^ 7
+				n &= 7
+			}
 			continue
 		}
-		src = src[t>>15&0xff+3:]
 		l := t >> 15 & 0xff
+		src = src[l+3:]
 		lcode := lenSym[l]
 		s := 257 + int(lcode)
-		w.write(uint64(lc[s])|uint64(l-uint32(lenSymBase[lcode]))<<ll[s], uint(ll[s])+uint(lenSymExtra[lcode]))
+		acc |= (uint64(lc[s]) | uint64(l-uint32(lenSymBase[lcode]))<<ll[s]) << n
+		n += uint(ll[s]) + uint(lenSymExtra[lcode])
 		d := t & 0x7fff
 		dcode := distSym(d)
-		w.write(uint64(dc[dcode])|uint64(d-uint32(distSymBase[dcode]))<<dl[dcode], uint(dl[dcode])+uint(distSymExtra[dcode]))
+		acc |= (uint64(dc[dcode]) | uint64(d-uint32(distSymBase[dcode]))<<dl[dcode]) << n
+		n += uint(dl[dcode]) + uint(distSymExtra[dcode])
+		binary.LittleEndian.PutUint64(buf[o:], acc)
+		o += int(n >> 3)
+		acc >>= n &^ 7
+		n &= 7
 	}
+	w.out, w.acc, w.n = buf[:o], acc, n
 	w.write(uint64(lc[256]), uint(ll[256]))
 }
 
@@ -595,9 +712,9 @@ func (z *deflater) writeTokens(toks []uint32, src []byte, lc *[maxLitSyms]uint16
 // code for freq: 0 for an unused symbol. A code gets at least two symbols
 // (the lowest unused ones are added), so every decoder takes it as
 // complete.
-func huffLengths(lens []uint8, freq []uint32, maxBits int, sorted *[maxLitSyms]uint64, weights *[maxLitSyms]uint32) {
+func huffLengths(lens []uint8, freq []uint32, maxBits int, scratch *huffScratch) {
 	clear(lens)
-	syms := sorted[:0]
+	syms := scratch.keys[:0]
 	for s, f := range freq {
 		if f != 0 {
 			syms = append(syms, uint64(f)<<16|uint64(s))
@@ -608,9 +725,9 @@ func huffLengths(lens []uint8, freq []uint32, maxBits int, sorted *[maxLitSyms]u
 			syms = append(syms, uint64(s)) // weight 0 sorts first
 		}
 	}
-	slices.Sort(syms)
+	sortKeys(syms, scratch.tmp[:len(syms)])
 	n := len(syms)
-	w := weights[:n]
+	w := scratch.weights[:n]
 	for i, k := range syms {
 		w[i] = uint32(k >> 16)
 	}
@@ -647,6 +764,41 @@ func huffLengths(lens []uint8, freq []uint32, maxBits int, sorted *[maxLitSyms]u
 			lens[syms[i]&0xffff] = uint8(l)
 			i++
 		}
+	}
+}
+
+// huffScratch is the storage huffLengths works in.
+type huffScratch struct {
+	keys, tmp [maxLitSyms]uint64 // f<<16|s: a symbol and its frequency
+	weights   [maxLitSyms]uint32
+}
+
+// sortKeys sorts keys f<<16|s ascending, given keys of equal f in ascending
+// s, as huffLengths makes them: a stable radix sort of f a byte at a time,
+// over the bytes some f has, through tmp (as long as keys). Frequencies rarely
+// pass 16 bits, so this is two counting passes where a comparison sort
+// mispredicts a branch for every other comparison.
+func sortKeys(keys, tmp []uint64) {
+	var or uint64
+	for _, k := range keys {
+		or |= k
+	}
+	for shift := uint(16); or>>shift != 0; shift += 8 {
+		var count [256]uint16
+		for _, k := range keys {
+			count[byte(k>>shift)]++
+		}
+		sum := uint16(0)
+		for i, c := range count {
+			count[i] = sum
+			sum += c
+		}
+		for _, k := range keys {
+			d := byte(k >> shift)
+			tmp[count[d]] = k
+			count[d]++
+		}
+		copy(keys, tmp)
 	}
 }
 
@@ -774,11 +926,15 @@ var (
 	fixedLitLens, fixedLitCodes, fixedDistLens, fixedDistCodes = fixedCodes()
 )
 
+// distSym is the symbol of distance d+1, d < 32 768. It reads both tables
+// and picks one without a branch: distances come in no order a branch
+// predictor learns.
 func distSym(d uint32) uint8 {
-	if d < 256 {
-		return distCodeLo[d]
+	c := distCodeHi[uint8(d>>7)]
+	if lo := distCodeLo[uint8(d)]; d < 256 {
+		c = lo
 	}
-	return distCodeHi[d>>7]
+	return c
 }
 
 func lengthSymbols() (sym [256]uint8, base [29]uint16, extra [29]uint8) {
