@@ -214,7 +214,7 @@ func BenchmarkSemiJoinReduce16b(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := core.SemiJoinReduce(spec, rels, nil, core.DefaultOptions()); err != nil {
+		if _, _, err := core.SemiJoinReduce(ex, spec, rels, nil, core.DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -256,7 +256,7 @@ func BenchmarkDecompose16b(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Decompose(joined, spec.OutputRels(), 0, nil); err != nil {
+		if _, err := core.Decompose(ex, joined, spec.OutputRels()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -375,7 +375,6 @@ func BenchmarkParallelReduce16b(b *testing.B) {
 		b.Run(fmt.Sprintf("par=%d", p), func(b *testing.B) {
 			ex := &engine.Executor{Src: e.DB, Parallelism: p}
 			opts := core.DefaultOptions()
-			opts.Parallelism = p
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -383,7 +382,7 @@ func BenchmarkParallelReduce16b(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, _, err := core.SemiJoinReduce(spec, rels, nil, opts); err != nil {
+				if _, _, err := core.SemiJoinReduce(ex, spec, rels, nil, opts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -833,16 +832,16 @@ func BenchmarkCacheExtend(b *testing.B) {
 			for i := mkTable.Len() - 8; i < mkTable.Len(); i++ {
 				tail = append(tail, int32(i))
 			}
-			ex := &engine.Executor{Src: snap, Parallelism: 1}
-			opts := d.CoreOptions
-			opts.TableStats = map[string]*stats.Table{}
+			tableStats := map[string]*stats.Table{}
 			for _, r := range spec.Rels {
 				t, err := snap.Table(r.Table)
 				if err != nil {
 					b.Fatal(err)
 				}
-				opts.TableStats[strings.ToLower(r.Alias)] = stats.Of(t)
+				tableStats[r.Table] = stats.Of(t)
 			}
+			ex := &engine.Executor{Src: snap, Parallelism: 1,
+				StatsOf: func(table string) *stats.Table { return tableStats[table] }}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -858,7 +857,7 @@ func BenchmarkCacheExtend(b *testing.B) {
 					}
 					rels[strings.ToLower(r.Alias)] = rel
 				}
-				if _, _, err := core.SemiJoinReduce(spec, rels, spec.OutputRels(), opts); err != nil {
+				if _, _, err := core.SemiJoinReduce(ex, spec, rels, spec.OutputRels(), core.DefaultOptions()); err != nil {
 					b.Fatal(err)
 				}
 			}

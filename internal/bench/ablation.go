@@ -87,7 +87,7 @@ func (e *Env) ablate(names []string,
 			names = append(names, q.Name)
 		}
 	}
-	ex := &engine.Executor{Src: e.DB}
+	ex := &engine.Executor{Src: e.DB, Parallelism: e.DB.CoreOptions.Parallelism}
 	var out []AblationRow
 	for _, name := range names {
 		sel, err := e.Select(name)
@@ -103,7 +103,7 @@ func (e *Env) ablate(names []string,
 			if err != nil {
 				return err
 			}
-			_, st, err := core.SemiJoinReduce(spec, rels, nil, opts)
+			_, st, err := core.SemiJoinReduce(ex, spec, rels, nil, opts)
 			if err != nil {
 				return err
 			}

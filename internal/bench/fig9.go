@@ -33,7 +33,7 @@ func (e *Env) Fig9(names []string) ([]Fig9Row, error) {
 			names = append(names, q.Name)
 		}
 	}
-	ex := &engine.Executor{Src: e.DB}
+	ex := &engine.Executor{Src: e.DB, Parallelism: e.DB.CoreOptions.Parallelism}
 	out := make([]Fig9Row, 0, len(names))
 	for _, name := range names {
 		sel, err := e.Select(name)
@@ -62,7 +62,7 @@ func (e *Env) Fig9(names []string) ([]Fig9Row, error) {
 			if err != nil {
 				return err
 			}
-			_, err = core.Decompose(joined, spec.OutputRels(), ex.Parallelism, nil)
+			_, err = core.Decompose(ex, joined, spec.OutputRels())
 			return err
 		})
 		if err != nil {
@@ -78,7 +78,7 @@ func (e *Env) Fig9(names []string) ([]Fig9Row, error) {
 			if err != nil {
 				return err
 			}
-			reduced, stats, err := core.SemiJoinReduce(spec, rels, nil, e.DB.CoreOptions)
+			reduced, stats, err := core.SemiJoinReduce(ex, spec, rels, nil, core.DefaultOptions())
 			if err != nil {
 				return err
 			}

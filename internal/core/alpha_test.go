@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,7 +75,7 @@ func TestDropImpliedEdgesKeepsGenuineCycles(t *testing.T) {
 		t.Fatalf("distinct-attribute triangle got a join tree: %d edges", len(tree))
 	}
 	spec, rels := analyze(t, abcdSource(t), sql)
-	_, st, err := SemiJoinReduce(spec, rels, nil, DefaultOptions())
+	_, st, err := SemiJoinReduce(bare, spec, rels, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestJoinTreeEnforcesTwoAttributesOfOneClass(t *testing.T) {
 	for _, from := range []string{"a AS a, b AS b, c AS c", "b AS b, c AS c, a AS a"} {
 		sql := "SELECT a.id, b.id, c.id FROM " + from + " WHERE a.k = b.k AND b.k = c.k AND c.k = a.l"
 		spec, rels := analyze(t, src, sql)
-		out, st, err := SemiJoinReduce(spec, rels, nil, DefaultOptions())
+		out, st, err := SemiJoinReduce(bare, spec, rels, nil, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,41 +178,73 @@ func TestJoinTreeEnforcesTwoAttributesOfOneClass(t *testing.T) {
 	}
 }
 
-// TestAlphaReduceSkipsFolding: with AlphaReduce, the same-class triangle
-// runs without folds and still matches the Decompose oracle; without it,
-// folding happens and the results agree anyway.
+// paperSelfJoinSrc: the paper example's customers (id, state; NY = 0,
+// CA = 1) and orders (cid, pid).
+func paperSelfJoinSrc(t *testing.T) memSource {
+	t.Helper()
+	return memSource{
+		"customers": mkTable(t, "customers", []catalog.Column{intCol("id"), intCol("state")},
+			ir(0, 0), ir(1, 1), ir(2, 0)),
+		"orders": mkTable(t, "orders", []catalog.Column{intCol("cid"), intCol("pid")},
+			ir(0, 1), ir(1, 1), ir(1, 2), ir(2, 1), ir(0, 2), ir(1, 3)),
+	}
+}
+
+// paperSelfJoin is JG-cyclic but α-acyclic: a.id, b.id, oa.cid and ob.cid
+// are one class.
+const paperSelfJoin = `
+SELECT a.id, b.id FROM customers AS a, customers AS b, orders AS oa, orders AS ob
+WHERE a.id = oa.cid AND b.id = ob.cid AND oa.pid = ob.pid AND a.id = b.id`
+
+// TestAlphaReduceSkipsFolding: with AlphaReduce, the same-class triangle and
+// the paper example's self-join run without folds and still match the
+// Decompose oracle; without it, folding happens and the results agree
+// anyway.
 func TestAlphaReduceSkipsFolding(t *testing.T) {
-	src := sameClassTriangleSrc(t)
-	spec, rels := analyze(t, src, sameClassTriangle)
-
-	with := DefaultOptions()
-	outWith, stWith, err := SemiJoinReduce(spec, rels, nil, with)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stWith.Folds != 0 || stWith.ImpliedEdgesDropped != 1 {
-		t.Errorf("alpha path: folds=%d dropped=%d", stWith.Folds, stWith.ImpliedEdgesDropped)
-	}
-
-	spec2, rels2 := analyze(t, src, sameClassTriangle)
-	without := DefaultOptions()
-	without.AlphaReduce = false
-	outWithout, stWithout, err := SemiJoinReduce(spec2, rels2, nil, without)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stWithout.Folds == 0 {
-		t.Error("non-alpha path should have folded")
-	}
-	for _, alias := range []string{"a", "b", "c"} {
-		if !sameRelation(outWith[alias].Distinct(0), outWithout[alias].Distinct(0)) {
-			t.Errorf("relation %s differs between alpha and fold paths", alias)
+	for _, c := range []struct {
+		name    string
+		src     memSource
+		sql     string
+		outputs []string
+		aIDs    []int64 // the ids a reduces to
+	}{
+		// a{1,2}, b{1,2}, c{1}: only k=1 joins all three.
+		{"same-class triangle", sameClassTriangleSrc(t), sameClassTriangle, []string{"a", "b", "c"}, []int64{1}},
+		// Every customer has an order.
+		{"paper self-join", paperSelfJoinSrc(t), paperSelfJoin, []string{"a", "b"}, []int64{0, 1, 2}},
+	} {
+		spec, rels := analyze(t, c.src, c.sql)
+		outWith, stWith, err := SemiJoinReduce(bare, spec, rels, nil, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Both k=1 and k=2 survive (present in all three relations)?
-	// a{1,2}, b{1,2}, c{1}: only k=1 joins all three.
-	if outWith["a"].Len() != 1 || outWith["a"].Vec.Rows()[0][0].Int() != 1 {
-		t.Errorf("a reduced to %v", outWith["a"].Vec.Rows())
+		if !stWith.Cyclic || stWith.Folds != 0 || stWith.ImpliedEdgesDropped != 1 {
+			t.Errorf("%s: alpha path: %s, want cyclic, no folds, one edge dropped", c.name, stWith)
+		}
+
+		spec2, rels2 := analyze(t, c.src, c.sql)
+		without := DefaultOptions()
+		without.AlphaReduce = false
+		outWithout, stWithout, err := SemiJoinReduce(bare, spec2, rels2, nil, without)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stWithout.Folds == 0 {
+			t.Errorf("%s: non-alpha path should have folded", c.name)
+		}
+		for _, alias := range c.outputs {
+			if !sameRelation(outWith[alias].Distinct(0), outWithout[alias].Distinct(0)) {
+				t.Errorf("%s: relation %s differs between alpha and fold paths", c.name, alias)
+			}
+		}
+		assertReduceMatchesDecompose(t, c.src, c.sql)
+		var ids []int64
+		for _, row := range outWith["a"].Vec.Rows() {
+			ids = append(ids, row[0].Int())
+		}
+		if !slices.Equal(ids, c.aIDs) {
+			t.Errorf("%s: a reduced to %v, want ids %v", c.name, outWith["a"].Vec.Rows(), c.aIDs)
+		}
 	}
 }
 
@@ -222,7 +255,7 @@ func TestAlphaReduceTransitiveChainWithShortcut(t *testing.T) {
 	const sql = `SELECT a.id, d.id FROM a AS a, b AS b, c AS c, d AS d
 		WHERE a.k = b.k AND b.k = c.k AND c.k = d.k AND a.k = d.k`
 	spec, rels := analyze(t, abcdSource(t), sql)
-	_, st, err := SemiJoinReduce(spec, rels, nil, DefaultOptions())
+	_, st, err := SemiJoinReduce(bare, spec, rels, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,6 +59,14 @@ const chainQuery = `
 SELECT r1.id, r4.id FROM r1 AS r1, r2 AS r2, r3 AS r3, r4 AS r4
 WHERE r1.k = r2.k AND r2.k = r3.k AND r3.k = r4.k`
 
+// bare and serial execute with no tracer and no statistics, so reduction
+// makes the paper's heuristic choices: bare at the automatic degree, serial
+// at degree 1.
+var (
+	bare   = &engine.Executor{}
+	serial = &engine.Executor{Parallelism: 1}
+)
+
 func analyze(t *testing.T, src engine.Source, sql string) (*engine.SPJSpec, map[string]*engine.Relation) {
 	t.Helper()
 	sel, err := sqlparse.ParseSelect(sql)
@@ -164,7 +172,7 @@ func TestReduceRelationsChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ReduceRelations(g, DefaultOptions(), st); err != nil {
+	if err := ReduceRelations(bare, g, DefaultOptions(), st); err != nil {
 		t.Fatal(err)
 	}
 	// Only k=10 survives the full chain: r1{1}, r2{1}, r3{1}, r4{1,2}.
@@ -190,7 +198,7 @@ func TestReduceRelationsRejectsCyclicAndDisconnected(t *testing.T) {
 	}
 	spec, rels := analyze(t, src, "SELECT a.id, b.id FROM a AS a, b AS b WHERE a.id = 1 AND b.id = 1")
 	g, _ := BuildGraph(spec, rels, nil)
-	err := ReduceRelations(g, DefaultOptions(), &Stats{})
+	err := ReduceRelations(bare, g, DefaultOptions(), &Stats{})
 	if err == nil || !strings.Contains(err.Error(), "disconnected") {
 		t.Errorf("disconnected graph error = %v", err)
 	}
@@ -207,12 +215,12 @@ WHERE r2.k = r1.k AND r2.k = r3.k AND r2.k = r4.k`
 	withStop := Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true}
 	without := Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: false}
 
-	out1, st1, err := SemiJoinReduce(spec, rels, nil, withStop)
+	out1, st1, err := SemiJoinReduce(bare, spec, rels, nil, withStop)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec2, rels2 := analyze(t, src, sql)
-	out2, st2, err := SemiJoinReduce(spec2, rels2, nil, without)
+	out2, st2, err := SemiJoinReduce(bare, spec2, rels2, nil, without)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +260,7 @@ func TestFoldJoinGraphTriangle(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := &Stats{}
-	if err := FoldJoinGraph(g, FoldMaxDegree, st, 1, nil); err != nil {
+	if err := FoldJoinGraph(serial, g, FoldMaxDegree, st); err != nil {
 		t.Fatal(err)
 	}
 	if g.IsCyclic() {
@@ -297,7 +305,7 @@ func TestFoldStrategiesAllTerminate(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := &Stats{}
-		if err := FoldJoinGraph(g, strat, st, 1, nil); err != nil {
+		if err := FoldJoinGraph(serial, g, strat, st); err != nil {
 			t.Fatalf("strategy %d: %v", strat, err)
 		}
 		if g.IsCyclic() {
@@ -331,12 +339,12 @@ func assertReduceMatchesDecompose(t *testing.T, src engine.Source, sql string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := Decompose(joined, spec.OutputRels(), 1, nil)
+	oracle, err := Decompose(serial, joined, spec.OutputRels())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for form := 0; form < 3; form++ {
-		reduced, _, err := SemiJoinReduce(spec, mixForms(rels, form), nil, DefaultOptions())
+		reduced, _, err := SemiJoinReduce(bare, spec, mixForms(rels, form), nil, DefaultOptions())
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
@@ -357,7 +365,7 @@ func TestRootStrategies(t *testing.T) {
 	for _, strat := range []RootStrategy{RootHeuristic, RootFirst, RootMaxDegree} {
 		spec2, rels2 := spec, rels
 		_ = spec2
-		reduced, st, err := SemiJoinReduce(spec, rels2, nil, Options{Root: strat, EarlyStop: false})
+		reduced, st, err := SemiJoinReduce(bare, spec, rels2, nil, Options{Root: strat, EarlyStop: false})
 		if err != nil {
 			t.Fatalf("strategy %d: %v", strat, err)
 		}
@@ -374,7 +382,7 @@ func TestRootStrategies(t *testing.T) {
 		}
 	}
 	// The heuristic must pick a projected relation as root.
-	_, st, err := SemiJoinReduce(spec, rels, nil, DefaultOptions())
+	_, st, err := SemiJoinReduce(bare, spec, rels, nil, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +408,7 @@ func TestPostJoinReconstruction(t *testing.T) {
 	// non-empty A_i* (all four here, since all have join attributes).
 	rels, _ := ex.BaseRelations(spec)
 	outputs := []string{"r1", "r2", "r3", "r4"}
-	reduced, _, err := SemiJoinReduce(spec, rels, outputs, DefaultOptions())
+	reduced, _, err := SemiJoinReduce(bare, spec, rels, outputs, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +449,7 @@ func TestRelationshipPreservingAttrs(t *testing.T) {
 
 func TestDecomposeErrors(t *testing.T) {
 	rel := engine.FromRows([]engine.ColRef{{Rel: "a", Name: "x"}}, nil)
-	if _, err := Decompose(rel, []string{"missing"}, 1, nil); err == nil {
+	if _, err := Decompose(serial, rel, []string{"missing"}); err == nil {
 		t.Error("Decompose with unknown alias should fail")
 	}
 }
@@ -472,8 +480,7 @@ func TestUntracedNotesAllocateNothing(t *testing.T) {
 	allocs := func(sql string, skipped int) float64 {
 		spec, rels := analyze(t, src, sql)
 		opts := DefaultOptions()
-		opts.Parallelism = 1
-		_, st, err := SemiJoinReduce(spec, rels, nil, opts)
+		_, st, err := SemiJoinReduce(serial, spec, rels, nil, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,7 +488,7 @@ func TestUntracedNotesAllocateNothing(t *testing.T) {
 			t.Fatalf("%s: %s, want %d skipped of 3 semi-joins dropping nothing", sql, st, skipped)
 		}
 		return testing.AllocsPerRun(20, func() {
-			if _, _, err := SemiJoinReduce(spec, rels, nil, opts); err != nil {
+			if _, _, err := SemiJoinReduce(serial, spec, rels, nil, opts); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -6,13 +6,13 @@ import (
 	"resultdb/internal/stats"
 )
 
-// This file is the cost model behind Options.TableStats: the containment
-// model (internal/stats: KeyNDV, SemiJoinSel) charged along the reduction
-// schedule, driving two planning decisions — root selection (the paper's
-// open Root Node Enumeration Problem, Section 4.2) and the order of the
-// bottom-up semi-join pass. Every decision changes only the plan; the
-// executed operators are exact, so results stay byte-identical to the
-// heuristic path.
+// This file is the cost model behind a graph with statistics (Graph.stats,
+// the executor's AliasStats): the containment model (internal/stats: KeyNDV,
+// SemiJoinSel) charged along the reduction schedule, driving two planning
+// decisions — root selection (the paper's open Root Node Enumeration
+// Problem, Section 4.2) and the order of the bottom-up semi-join pass. Every
+// decision changes only the plan; the executed operators are exact, so
+// results stay byte-identical to the heuristic path.
 
 const (
 	// rootSwitchFrac and orderSwitchFrac are hysteresis: the cost model

@@ -33,7 +33,7 @@ func TestChooseRootTieBreakOrdinal(t *testing.T) {
 	}
 	for _, c := range cases {
 		spec, rels := analyze(t, src, query(c.from))
-		_, st, err := SemiJoinReduce(spec, rels, nil, Options{Root: RootHeuristic})
+		_, st, err := SemiJoinReduce(bare, spec, rels, nil, Options{Root: RootHeuristic})
 		if err != nil {
 			t.Fatalf("FROM %s: %v", c.from, err)
 		}
@@ -45,7 +45,7 @@ func TestChooseRootTieBreakOrdinal(t *testing.T) {
 	// the earlier one in FROM order must win.
 	src4 := chainSource(t)
 	spec, rels := analyze(t, src4, chainQuery)
-	_, st, err := SemiJoinReduce(spec, rels, nil, Options{Root: RootMaxDegree})
+	_, st, err := SemiJoinReduce(bare, spec, rels, nil, Options{Root: RootMaxDegree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,15 +67,12 @@ func TestRootSimAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tableStats := map[string]*stats.Table{}
+	g.stats = map[string]*stats.Table{}
 	for _, r := range spec.Rels {
-		tableStats[r.Alias] = stats.Of(src[r.Table])
+		g.stats[r.Alias] = stats.Of(src[r.Table])
 	}
 	for _, earlyStop := range []bool{false, true} {
-		opts := DefaultOptions()
-		opts.EarlyStop = earlyStop
-		opts.TableStats = tableStats
-		s, err := newSchedule(g, &opts)
+		s, err := newSchedule(g, earlyStop)
 		if err != nil {
 			t.Fatal(err)
 		}

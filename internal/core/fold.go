@@ -32,9 +32,9 @@ const (
 // removes one node and at least one edge, and joining adjacent relations
 // never changes the overall join result (associativity).
 //
-// Each fold join runs at degree par (0 = auto, 1 = serial) and records one
-// span on tr (nil = tracing disabled).
-func FoldJoinGraph(g *Graph, strategy FoldStrategy, st *Stats, par int, tr *trace.Tracer) error {
+// Each fold join runs at ex's degree and records one span on ex's tracer.
+func FoldJoinGraph(ex *engine.Executor, g *Graph, strategy FoldStrategy, st *Stats) error {
+	tr := ex.Tracer
 	for g.IsCyclic() {
 		x, y, err := chooseFoldPair(g, strategy)
 		if err != nil {
@@ -49,7 +49,7 @@ func FoldJoinGraph(g *Graph, strategy FoldStrategy, st *Stats, par int, tr *trac
 			sp.RowsIn = xr
 			sp.RowsBuild = yr
 		}
-		if err := foldPair(g, x, y, par, sp); err != nil {
+		if err := foldPair(g, x, y, ex.Parallelism, sp); err != nil {
 			return err
 		}
 		st.Folds++

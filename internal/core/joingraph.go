@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"resultdb/internal/engine"
+	"resultdb/internal/stats"
 )
 
 // Node is one vertex of a join graph. Initially it wraps a single filtered
@@ -70,6 +71,10 @@ type Graph struct {
 	// projected marks output aliases (those with projection attributes),
 	// consulted by the root heuristic and the early-stop optimization.
 	projected map[string]bool
+	// stats maps lower-cased aliases to their base tables' statistics
+	// (SemiJoinReduce takes them from its executor). With them reduction is
+	// planned by the cost model; nil plans by the paper's heuristics.
+	stats map[string]*stats.Table
 }
 
 // BuildGraph constructs the join graph of an analyzed SPJ query from the

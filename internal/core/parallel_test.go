@@ -78,14 +78,9 @@ func TestReductionParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts := base
-				opts.Parallelism = par
-				reduced, st, err := SemiJoinReduce(spec, mixForms(rels, form), nil, opts)
+				reduced, _, err := SemiJoinReduce(&engine.Executor{Parallelism: par}, spec, mixForms(rels, form), nil, base)
 				if err != nil {
 					t.Fatalf("query %d variant %d par %d: %v", qi, vi, par, err)
-				}
-				if st.Parallelism < 1 {
-					t.Fatalf("query %d: Stats.Parallelism = %d, want >= 1", qi, st.Parallelism)
 				}
 				return reduced
 			}
@@ -134,7 +129,7 @@ func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 	}
 	joined := engine.FromRows(cols, rows)
 	aliases := []string{"x", "y", "z"}
-	want, err := Decompose(joined, aliases, 1, nil)
+	want, err := Decompose(serial, joined, aliases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +139,7 @@ func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 	for i := 0; i < len(rows); i += 2 {
 		every = append(every, int32(i))
 	}
-	wantHalf, err := Decompose(engine.FromRows(cols, engine.FromRows(cols, rows).Narrow(every).Vec.Rows()), aliases, 1, nil)
+	wantHalf, err := Decompose(serial, engine.FromRows(cols, engine.FromRows(cols, rows).Narrow(every).Vec.Rows()), aliases)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +147,7 @@ func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 	wants := map[string]map[string]*engine.Relation{"dense": want, "selected": wantHalf}
 	for form, in := range inputs {
 		for _, par := range []int{1, 2, 4, 7} {
-			got, err := Decompose(in, aliases, par, nil)
+			got, err := Decompose(&engine.Executor{Parallelism: par}, in, aliases)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +165,7 @@ func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 		}
 	}
 	// Unknown alias must surface the same error at any degree.
-	if _, err := Decompose(joined, []string{"nope"}, 4, nil); err == nil {
+	if _, err := Decompose(&engine.Executor{Parallelism: 4}, joined, []string{"nope"}); err == nil {
 		t.Fatal("expected error for unknown alias")
 	}
 }
@@ -194,8 +189,8 @@ func TestTraceFingerprintIndependentOfKeyForm(t *testing.T) {
 		for form := 0; form < 3; form++ {
 			for _, par := range []int{1, 4} {
 				tr := trace.New(sql)
-				opts := Options{EarlyStop: true, Parallelism: par, Tracer: tr}
-				if _, _, err := SemiJoinReduce(spec, mixForms(rels, form), nil, opts); err != nil {
+				ex := &engine.Executor{Parallelism: par, Tracer: tr}
+				if _, _, err := SemiJoinReduce(ex, spec, mixForms(rels, form), nil, Options{EarlyStop: true}); err != nil {
 					t.Fatal(err)
 				}
 				got := tr.Finish().CountsFingerprint()

@@ -8,11 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"resultdb/internal/core"
 	"resultdb/internal/db"
 	"resultdb/internal/engine"
 	"resultdb/internal/sqlparse"
-	"resultdb/internal/stats"
 	"resultdb/internal/trace"
 	"resultdb/internal/workload/hierarchy"
 	"resultdb/internal/workload/job"
@@ -130,32 +128,20 @@ func renderPlans(t *testing.T, b *strings.Builder, d *db.Database, name, sql str
 				}
 			}
 		}
-		opts := core.DefaultOptions()
-		opts.Parallelism = 1
-		opts.TableStats = tableStats
-		if mode == "rdb heuristic" {
-			opts.TableStats = nil
+		ex := &engine.Executor{Src: snap, Parallelism: 1, Tracer: trace.New(sql)}
+		if mode != "rdb heuristic" {
+			ex.StatsOf = statsOf(spec, tableStats)
 		}
-		opts.Tracer = trace.New(sql)
-		_, st := reduce(t, snap, spec, outputs, opts)
+		_, st := reduce(t, ex, spec, outputs)
 		fmt.Fprintf(b, "== %s %s\n%s\n", name, mode, st)
-		renderSpans(b, opts.Tracer.Finish())
+		renderSpans(b, ex.Tracer.Finish())
 	}
-	tr := trace.New(sql)
-	ex := &engine.Executor{Src: snap, Parallelism: 1, Tracer: tr,
-		StatsOf: func(table string) *stats.Table {
-			for _, r := range spec.Rels {
-				if strings.EqualFold(r.Table, table) {
-					return tableStats[strings.ToLower(r.Alias)]
-				}
-			}
-			return nil
-		}}
+	ex := &engine.Executor{Src: snap, Parallelism: 1, Tracer: trace.New(sql), StatsOf: statsOf(spec, tableStats)}
 	if _, err := ex.RunSPJ(spec); err != nil {
 		t.Fatal(err)
 	}
 	fmt.Fprintf(b, "== %s single-table\n", name)
-	renderSpans(b, tr.Finish())
+	renderSpans(b, ex.Tracer.Finish())
 }
 
 // renderSpans writes one line per span with its deterministic fields and

@@ -101,11 +101,10 @@ func comparePlanners(t *testing.T, d *db.Database, stmts []string, extended bool
 			}
 			for _, par := range []int{1, 4} {
 				name := fmt.Sprintf("%.40q preserving=%v par=%d extended=%v", strings.Join(strings.Fields(sql), " "), preserving, par, extended)
-				opts := core.DefaultOptions()
-				opts.Parallelism = par
-				want, wantSt := reduce(t, snap, spec, outputs, opts)
-				opts.TableStats = tableStats
-				got, gotSt := reduce(t, snap, spec, outputs, opts)
+				ex := &engine.Executor{Src: snap, Parallelism: par}
+				want, wantSt := reduce(t, ex, spec, outputs)
+				ex.StatsOf = statsOf(spec, tableStats)
+				got, gotSt := reduce(t, ex, spec, outputs)
 				for _, alias := range outputs {
 					key := strings.ToLower(alias)
 					if g, w := render(got[key]), render(want[key]); g != w {
@@ -144,14 +143,29 @@ func planStats(t *testing.T, snap *db.Snapshot, spec *engine.SPJSpec, extended b
 	return out
 }
 
-// reduce runs the semi-join reduction over freshly scanned base relations.
-func reduce(t *testing.T, snap *db.Snapshot, spec *engine.SPJSpec, outputs []string, opts core.Options) (map[string]*engine.Relation, *core.Stats) {
+// statsOf resolves a table of the statement to the statistics planStats gave
+// its aliases, as an executor's StatsOf.
+func statsOf(spec *engine.SPJSpec, tableStats map[string]*stats.Table) func(string) *stats.Table {
+	return func(table string) *stats.Table {
+		for _, r := range spec.Rels {
+			if strings.EqualFold(r.Table, table) {
+				return tableStats[strings.ToLower(r.Alias)]
+			}
+		}
+		return nil
+	}
+}
+
+// reduce runs the semi-join reduction with the paper's plan choices on ex
+// over freshly scanned base relations (scanned untraced, so ex's trace
+// holds the reduction alone).
+func reduce(t *testing.T, ex *engine.Executor, spec *engine.SPJSpec, outputs []string) (map[string]*engine.Relation, *core.Stats) {
 	t.Helper()
-	rels, err := (&engine.Executor{Src: snap, Parallelism: opts.Parallelism}).BaseRelations(spec)
+	rels, err := (&engine.Executor{Src: ex.Src, Parallelism: ex.Parallelism}).BaseRelations(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduced, st, err := core.SemiJoinReduce(spec, rels, outputs, opts)
+	reduced, st, err := core.SemiJoinReduce(ex, spec, rels, outputs, core.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,16 +125,19 @@ func randomQuery(rng *rand.Rand, nTables int) string {
 // often: over a join tree (no folds) and by folding.
 func TestTheorem44RandomQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(2025))
-	optsList := []Options{
-		{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, AlphaReduce: true},
-		{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: false},
-		{Root: RootFirst, Fold: FoldFirst, EarlyStop: true},
-		{Root: RootMaxDegree, Fold: FoldMinCard, EarlyStop: true},
+	runs := []struct {
+		opts Options
+		ex   *engine.Executor
+	}{
+		{Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, AlphaReduce: true}, bare},
+		{Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: false}, bare},
+		{Options{Root: RootFirst, Fold: FoldFirst, EarlyStop: true}, bare},
+		{Options{Root: RootMaxDegree, Fold: FoldMinCard, EarlyStop: true}, bare},
 		// Cyclic queries fold without α-reduction.
-		{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true},
+		{Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true}, bare},
 		// Parallel execution must be indistinguishable from serial.
-		{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, AlphaReduce: true, Parallelism: 4},
-		{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, Parallelism: 4},
+		{Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, AlphaReduce: true}, &engine.Executor{Parallelism: 4}},
+		{Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true}, &engine.Executor{Parallelism: 4}},
 	}
 	const trials = 300
 	checked, treed, folded := 0, 0, 0
@@ -156,7 +159,7 @@ func TestTheorem44RandomQueries(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: ST %q: %v", trial, sql, err)
 		}
-		oracle, err := Decompose(joined, spec.OutputRels(), 1, nil)
+		oracle, err := Decompose(serial, joined, spec.OutputRels())
 		if err != nil {
 			t.Fatalf("trial %d: decompose: %v", trial, err)
 		}
@@ -180,15 +183,15 @@ func TestTheorem44RandomQueries(t *testing.T) {
 					trial, sql, set.Name, renderSorted(dec), renderSorted(ref))
 			}
 		}
-		for oi, opts := range optsList {
+		for oi, run := range runs {
 			rels, err := ex.BaseRelations(spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Rotate through the input forms (see mixForms).
-			reduced, st, err := SemiJoinReduce(spec, mixForms(rels, (trial+oi)%3), nil, opts)
+			reduced, st, err := SemiJoinReduce(run.ex, spec, mixForms(rels, (trial+oi)%3), nil, run.opts)
 			if err != nil {
-				t.Fatalf("trial %d opts %+v: %q: %v", trial, opts, sql, err)
+				t.Fatalf("trial %d opts %+v par %d: %q: %v", trial, run.opts, run.ex.Parallelism, sql, err)
 			}
 			if oi == 0 && st.Cyclic {
 				if st.Folds == 0 {
@@ -202,8 +205,8 @@ func TestTheorem44RandomQueries(t *testing.T) {
 				got := reduced[key].Distinct(0)
 				want := oracle[key]
 				if !sameRelation(got, want) {
-					t.Fatalf("trial %d opts %+v: %q relation %s:\nreduced:   %v\ndecompose: %v",
-						trial, opts, sql, alias, renderSorted(got), renderSorted(want))
+					t.Fatalf("trial %d opts %+v par %d: %q relation %s:\nreduced:   %v\ndecompose: %v",
+						trial, run.opts, run.ex.Parallelism, sql, alias, renderSorted(got), renderSorted(want))
 				}
 			}
 			checked++
@@ -324,7 +327,7 @@ func TestPostJoinReconstructionRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reduced, _, err := SemiJoinReduce(spec, rels, outputs, DefaultOptions())
+		reduced, _, err := SemiJoinReduce(bare, spec, rels, outputs, DefaultOptions())
 		if err != nil {
 			t.Fatalf("trial %d: %q: %v", trial, sql, err)
 		}
@@ -403,7 +406,7 @@ func TestBigIntegerKeysMatchReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reduced, _, err := SemiJoinReduce(spec, mixForms(rels, form), nil, DefaultOptions())
+		reduced, _, err := SemiJoinReduce(bare, spec, mixForms(rels, form), nil, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

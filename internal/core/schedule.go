@@ -62,15 +62,15 @@ type step struct{ parent, child, edge int }
 
 // newSchedule builds the schedule of g's tree (the graph is acyclic, so its
 // edges are the tree; a disconnected graph fails in orient).
-func newSchedule(g *Graph, opts *Options) (*schedule, error) {
+func newSchedule(g *Graph, earlyStop bool) (*schedule, error) {
 	n, ne := len(g.Nodes), len(g.Edges)
 	s := &schedule{
 		nodes:     g.Nodes,
 		edges:     make([]schedEdge, ne),
 		adj:       make([][]arc, n),
 		projected: make([]bool, n),
-		earlyStop: opts.EarlyStop,
-		withStats: len(opts.TableStats) > 0,
+		earlyStop: earlyStop,
+		withStats: len(g.stats) > 0,
 		live:      make([]float64, n),
 		steps:     make([]step, 0, ne),
 		needed:    make([]bool, n),
@@ -110,7 +110,7 @@ func newSchedule(g *Graph, opts *Options) (*schedule, error) {
 				// The alias-qualified ColRef resolves across folds, whose
 				// relations keep per-alias column provenance.
 				cr := nd.Rel.Cols[c]
-				se.ndv[side][j] = opts.TableStats[strings.ToLower(cr.Rel)].NDV(cr.Name)
+				se.ndv[side][j] = g.stats[strings.ToLower(cr.Rel)].NDV(cr.Name)
 			}
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"resultdb/internal/engine"
 	"resultdb/internal/parallel"
-	"resultdb/internal/trace"
 )
 
 // SemiJoinReduce is the paper's RESULTDB-SEMIJOIN algorithm (Algorithm 4):
@@ -24,12 +23,18 @@ import (
 // Definition 2.3). Output: for every requested alias, the fully reduced
 // base relation at full width; the caller projects to A_i or A_i* and
 // deduplicates after projection.
-func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outputs []string, opts Options) (map[string]*engine.Relation, *Stats, error) {
+//
+// ex is the statement's executor: every join and semi-join runs at its
+// degree and records its spans on its tracer, and with its statistics
+// (AliasStats) the cost model plans the reduction.
+func SemiJoinReduce(ex *engine.Executor, spec *engine.SPJSpec, rels map[string]*engine.Relation, outputs []string, opts Options) (map[string]*engine.Relation, *Stats, error) {
 	st := &Stats{}
 	g, err := BuildGraph(spec, rels, outputs)
 	if err != nil {
 		return nil, nil, err
 	}
+	g.stats = ex.AliasStats(spec)
+	tr := ex.Tracer
 	if outputs == nil {
 		outputs = spec.OutputRels()
 	}
@@ -40,20 +45,20 @@ func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outp
 		if tree := alphaJoinTree(g); tree != nil {
 			st.ImpliedEdgesDropped = len(g.Edges) - len(tree)
 			g.Edges = tree
-			if opts.Tracer.Enabled() {
-				opts.Tracer.Note(fmt.Sprintf("alpha-reduction dropped %d implied edge(s)", st.ImpliedEdgesDropped))
+			if tr.Enabled() {
+				tr.Note(fmt.Sprintf("alpha-reduction dropped %d implied edge(s)", st.ImpliedEdgesDropped))
 			}
 		}
 	}
 	if g.IsCyclic() {
-		if opts.Tracer.Enabled() {
-			opts.Tracer.Note(fmt.Sprintf("join graph cyclic (%d nodes, %d edges); folding", len(g.Nodes), len(g.Edges)))
+		if tr.Enabled() {
+			tr.Note(fmt.Sprintf("join graph cyclic (%d nodes, %d edges); folding", len(g.Nodes), len(g.Edges)))
 		}
-		if err := FoldJoinGraph(g, opts.Fold, st, opts.Parallelism, opts.Tracer); err != nil {
+		if err := FoldJoinGraph(ex, g, opts.Fold, st); err != nil {
 			return nil, nil, err
 		}
 	}
-	if err := ReduceRelations(g, opts, st); err != nil {
+	if err := ReduceRelations(ex, g, opts, st); err != nil {
 		return nil, nil, err
 	}
 
@@ -68,8 +73,8 @@ func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outp
 				if !g.projected[strings.ToLower(alias)] {
 					continue
 				}
-				base := n.Rel.ProjectDistinctPar(n.Rel.ColumnsOf(alias), opts.Parallelism)
-				if sp := opts.Tracer.Span("decompose", alias); sp != nil {
+				base := n.Rel.ProjectDistinctPar(n.Rel.ColumnsOf(alias), ex.Parallelism)
+				if sp := tr.Span("decompose", alias); sp != nil {
 					sp.Phase = "decompose"
 					sp.Detail = "unfold " + n.Name()
 					sp.RowsIn = n.Rel.Len()
@@ -103,12 +108,13 @@ func SemiJoinReduce(spec *engine.SPJSpec, rels map[string]*engine.Relation, outp
 // joined must carry alias-qualified columns for every alias in aliases
 // (engine.Executor.RunSPJ produces exactly that). The per-relation
 // project+dedup steps are independent, so they run concurrently across
-// aliases at degree par (0 = auto, 1 = serial), each step's own work chunked
-// at the same degree. Results are identical at any degree. One span per
-// decomposed relation (rows before projection, rows after dedup) is
-// registered on tr after the fan-out completes, in alias order, so the trace
-// is deterministic too; tr may be nil.
-func Decompose(joined *engine.Relation, aliases []string, par int, tr *trace.Tracer) (map[string]*engine.Relation, error) {
+// aliases at ex's degree, each step's own work chunked at the same degree.
+// Results are identical at any degree. One span per decomposed relation
+// (rows before projection, rows after dedup) is registered on ex's tracer
+// after the fan-out completes, in alias order, so the trace is deterministic
+// too.
+func Decompose(ex *engine.Executor, joined *engine.Relation, aliases []string) (map[string]*engine.Relation, error) {
+	par, tr := ex.Parallelism, ex.Tracer
 	var t0 time.Time
 	if tr.Enabled() {
 		t0 = time.Now()
@@ -152,9 +158,10 @@ func Decompose(joined *engine.Relation, aliases []string, par int, tr *trace.Tra
 // original join predicates and project to the original attributes. Filters
 // are not re-applied — the reduced relations already satisfy them. The join
 // gathers the projected attributes alone (a nil projection keeps every
-// column), each once.
+// column), each once, at the automatic degree, ordered by cardinality: the
+// returned relations name no table, so there are no statistics.
 func PostJoin(preds []engine.JoinPred, rels map[string]*engine.Relation, projection []engine.Attr) (*engine.Relation, error) {
-	return engine.JoinAll(preds, rels, nil, 0, nil, projection)
+	return (&engine.Executor{}).JoinAll(&engine.SPJSpec{JoinPreds: preds}, rels, projection)
 }
 
 // RelationshipPreservingAttrs returns A_i* = A_i ∪ A_i^J of Definition 2.3

@@ -103,11 +103,14 @@ func ParseByteSize(s string) (int64, error) {
 // cacheKey builds the semantic cache key of a SELECT executed through the
 // SQL surface: the canonical statement fingerprint (whitespace-, identifier-
 // case- and literal-formatting-insensitive; RESULTDB / PRESERVING flags are
-// part of the canonical text) prefixed with the one execution knob that can
-// change the *observable* result beyond the row data: the strategy (Stats
-// attachment differs between semi-join and Decompose). Parallelism is
-// deliberately excluded: results are bit-identical at any degree. So is the
-// plan: there is one join orderer, deterministic for a given snapshot.
+// part of the canonical text) prefixed with the strategy: of the three
+// execution values a session sets, the one that changes the *observable*
+// result beyond the row data (Stats attachment differs between semi-join and
+// Decompose). The degree is deliberately excluded: results are bit-identical
+// at any degree. The cache switch decides whether there is a lookup at all.
+// The plan is no session's to choose: every statement reduces with the
+// paper's plan choices (core.DefaultOptions), and there is one join orderer,
+// deterministic for a given snapshot.
 func cacheKey(ec execCtx, sel *selectStmt) string {
 	canon, _ := sel.fingerprint()
 	return "s" + strconv.Itoa(int(ec.strategy)) + "|" + canon
@@ -150,7 +153,7 @@ func (d *Database) queryCached(ec execCtx, sel *selectStmt) (res *Result, hit bo
 	key := cacheKey(ec, sel)
 	tables, at, live := d.cacheAt(ec.snap, sel)
 	return d.resultCache.DoAt(key, at, live, func() (*Result, int64, error) {
-		r, err := d.queryUncached(ec, sel.Select, nil)
+		r, err := d.queryUncached(ec, sel.Select)
 		if err != nil {
 			return nil, 0, err
 		}

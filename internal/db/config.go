@@ -1,9 +1,6 @@
 package db
 
-import (
-	"resultdb/internal/cache"
-	"resultdb/internal/core"
-)
+import "resultdb/internal/cache"
 
 // Config collects every construction-time knob of a Database in one value.
 // Build one with DefaultConfig, adjust fields, and pass it to Open:
@@ -16,7 +13,8 @@ import (
 // There is one planner and no knob for it: reduction and the greedy join order
 // are planned with one cardinality model (stats.KeyNDV and its containment
 // steps) from each table version's statistics, derived lazily (ANALYZE derives
-// them eagerly) and extended, not rebuilt, as the table grows. Per-connection
+// them eagerly) and extended, not rebuilt, as the table grows. Reduction
+// always makes the paper's plan choices (core.DefaultOptions). Per-connection
 // overrides go through Session.Strategy and Session.CoreOptions.
 type Config struct {
 	// Strategy selects the SELECT RESULTDB execution strategy
@@ -38,9 +36,25 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Strategy:    StrategySemiJoin,
-		Parallelism: core.DefaultOptions().Parallelism,
 		CacheBudget: DefaultCacheBudget,
 	}
+}
+
+// ExecOptions are how a database or a session executes its statements,
+// beside its Strategy: a statement captures them at entry (execCtx).
+type ExecOptions struct {
+	// Parallelism is the degree of intra-query parallelism of every
+	// operator: 0 = auto (GOMAXPROCS), 1 = serial, n > 1 = n workers.
+	// Results are bit-identical at any degree (ordered morsel merge).
+	Parallelism int
+	// ResultCache enables the semantic query-result cache: SELECT results —
+	// classic, RESULTDB, and RESULTDB PRESERVING — are cached under their
+	// canonical statement fingerprint and valid at the table versions they
+	// were computed at. After an INSERT a RESULTDB entry whose appended rows
+	// join nothing is extended to the new versions; any other DML, and all
+	// DDL, invalidates it. The budget lives with the cache itself
+	// (Database.EnableCache, CacheStats().Budget).
+	ResultCache bool
 }
 
 // Open constructs a Database from a Config. This is the one construction
@@ -48,11 +62,10 @@ func DefaultConfig() Config {
 func Open(cfg Config) *Database {
 	d := &Database{
 		Strategy:    cfg.Strategy,
-		CoreOptions: core.DefaultOptions(),
+		CoreOptions: ExecOptions{Parallelism: cfg.Parallelism},
 		resultCache: cache.New[*Result](DefaultCacheBudget),
 	}
 	d.state.Store(emptyState())
-	d.CoreOptions.Parallelism = cfg.Parallelism
 	if cfg.CacheEnabled {
 		budget := cfg.CacheBudget
 		if budget <= 0 {

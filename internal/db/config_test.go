@@ -1,19 +1,14 @@
 package db
 
-import (
-	"testing"
-
-	"resultdb/internal/core"
-)
+import "testing"
 
 func TestDefaultConfigMatchesCoreDefaults(t *testing.T) {
 	cfg := DefaultConfig()
-	opts := core.DefaultOptions()
 	if cfg.Strategy != StrategySemiJoin {
 		t.Errorf("Strategy = %v, want semi-join", cfg.Strategy)
 	}
-	if cfg.Parallelism != opts.Parallelism {
-		t.Errorf("engine knobs diverge from core defaults: %+v vs %+v", cfg, opts)
+	if cfg.Parallelism != 0 {
+		t.Errorf("Parallelism = %d, want 0 (auto)", cfg.Parallelism)
 	}
 	if cfg.CacheEnabled {
 		t.Error("cache must default off")
@@ -34,8 +29,8 @@ func TestOpenWiresConfig(t *testing.T) {
 	if d.Strategy != StrategyDecompose {
 		t.Error("strategy not wired")
 	}
-	if d.CoreOptions.Parallelism != 5 {
-		t.Errorf("core options not wired: %+v", d.CoreOptions)
+	if d.CoreOptions != (ExecOptions{Parallelism: 5, ResultCache: true}) {
+		t.Errorf("execution options not wired: %+v", d.CoreOptions)
 	}
 	if !d.CacheEnabled() {
 		t.Error("cache not enabled")

@@ -14,8 +14,8 @@ import (
 	"resultdb/internal/cache"
 	"resultdb/internal/catalog"
 	"resultdb/internal/colstore"
-	"resultdb/internal/core"
 	"resultdb/internal/engine"
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/stats"
 	"resultdb/internal/storage"
@@ -65,10 +65,12 @@ const (
 // BEGIN/COMMIT group statements syntactically (the engine is single-writer;
 // each mutation statement is its own atomic commit).
 //
-// The exported configuration fields (Strategy, CoreOptions) and
-// the setters over them are read at statement start without synchronization:
-// configure at Open time or between statements. Per-connection settings
-// belong on a Session, which carries its own copies.
+// The exported configuration — Strategy and CoreOptions (degree and result
+// cache), the only execution values a statement reads — is read at statement
+// start without synchronization: configure at Open time or between
+// statements. Per-connection settings belong on a Session, which carries its
+// own copies. Reduction always makes the paper's plan choices
+// (core.DefaultOptions).
 type Database struct {
 	// mu is the writer lock: it serializes mutation batches (DML/DDL) and
 	// the commit-log appends that order them. Readers never take it. All
@@ -96,9 +98,9 @@ type Database struct {
 	// else, and SELECT-only traffic never touches it at all.
 	commitLog CommitLog
 
-	// Strategy and CoreOptions configure RESULTDB execution.
+	// Strategy and CoreOptions configure statement execution.
 	Strategy    Strategy
-	CoreOptions core.Options
+	CoreOptions ExecOptions
 }
 
 // CommitLog is the durability hook on the write path (implemented by
@@ -144,10 +146,10 @@ func (d *Database) withWriter(fn func()) {
 }
 
 // execCtx is everything one read statement needs, captured once at entry:
-// the pinned snapshot plus the execution options in effect when it started.
-// Capturing options alongside the snapshot keeps a statement internally
-// consistent and lets a Session substitute per-session options without
-// touching the database's.
+// the pinned snapshot, the strategy and execution options in effect when it
+// started, and its tracer. Capturing them together keeps a statement
+// internally consistent and lets a Session substitute its own options
+// without touching the database's.
 type execCtx struct {
 	// src resolves table names: the pinned Snapshot on read paths, the
 	// writeTxn for statements that read while mutating (CREATE MATERIALIZED
@@ -157,20 +159,17 @@ type execCtx struct {
 	// result cache keys lookups and fills on its table versions, and traces
 	// annotate with its commit position.
 	snap     *Snapshot
-	opts     core.Options
 	strategy Strategy
+	opts     ExecOptions
+	// tr records the statement's spans; nil (the default) is untraced.
+	tr *trace.Tracer
 }
 
 // readCtx pins the newest committed state and captures the database-level
 // options for one read statement.
 func (d *Database) readCtx() execCtx {
 	snap := d.Snapshot()
-	return execCtx{
-		src:      snap,
-		snap:     snap,
-		opts:     d.CoreOptions,
-		strategy: d.Strategy,
-	}
+	return execCtx{src: snap, snap: snap, strategy: d.Strategy, opts: d.CoreOptions}
 }
 
 // txnCtx builds the execution context for reads running inside a write
@@ -178,10 +177,35 @@ func (d *Database) readCtx() execCtx {
 // the statement sees its own batch, and no snapshot is pinned (the cache is
 // bypassed — its entries must only ever hold committed states).
 func (d *Database) txnCtx(tx *writeTxn) execCtx {
-	return execCtx{
-		src:      tx,
-		opts:     d.CoreOptions,
-		strategy: d.Strategy,
+	return execCtx{src: tx, strategy: d.Strategy, opts: d.CoreOptions}
+}
+
+// traced returns ec with a fresh tracer for the statement sql, stamped with
+// the statement's degree and, on read paths, its snapshot's commit position.
+func (ec execCtx) traced(sql string) execCtx {
+	ec.tr = trace.New(sql)
+	ec.tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
+	if ec.snap != nil {
+		ec.tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
+	}
+	return ec
+}
+
+// executor builds the statement's engine executor: tables resolve through
+// ec's source, every operator runs at ec's degree and records on ec's
+// tracer, and each table's statistics are its version's (statsOf).
+func (ec execCtx) executor() *engine.Executor {
+	return &engine.Executor{
+		Src:         ec.src,
+		Parallelism: ec.opts.Parallelism,
+		Tracer:      ec.tr,
+		StatsOf: func(table string) *stats.Table {
+			t, err := ec.src.Table(table)
+			if err != nil {
+				return nil
+			}
+			return statsOf(t, ec.tr)
+		},
 	}
 }
 
@@ -219,28 +243,6 @@ func (d *Database) execAnalyze(s *sqlparse.Analyze) (*Result, error) {
 		}
 	}
 	return &Result{Affected: n}, nil
-}
-
-// executorWith builds an engine executor resolving tables through src and
-// honoring the context's options, with an optional tracer (nil = disabled).
-func (d *Database) executorWith(src engine.Source, ec execCtx, tr *trace.Tracer) *engine.Executor {
-	return &engine.Executor{
-		Src:         src,
-		Parallelism: ec.opts.Parallelism,
-		Tracer:      tr,
-		StatsOf: func(table string) *stats.Table {
-			t, err := src.Table(table)
-			if err != nil {
-				return nil
-			}
-			return statsOf(t, tr)
-		},
-	}
-}
-
-// executor builds an engine executor for the context's own source.
-func (d *Database) executor(ec execCtx, tr *trace.Tracer) *engine.Executor {
-	return d.executorWith(ec.src, ec, tr)
 }
 
 // Table resolves a table in the newest committed state (engine.Source).
@@ -319,9 +321,9 @@ func (d *Database) ExecStatement(st sqlparse.Statement) (res *Result, err error)
 func (d *Database) execAt(ec execCtx, st sqlparse.Statement, onMutated func()) (*Result, error) {
 	switch s := st.(type) {
 	case *selectStmt:
-		return d.query(ec, s, nil)
+		return d.query(ec, s)
 	case *sqlparse.Select:
-		return d.query(ec, &selectStmt{Select: s}, nil)
+		return d.query(ec, &selectStmt{Select: s})
 	case *sqlparse.CreateTable, *sqlparse.DropTable, *sqlparse.CreateMaterializedView,
 		*sqlparse.DropMaterializedView, *sqlparse.Insert:
 		res, err := d.execMutation(st)
@@ -510,9 +512,7 @@ func (d *Database) execCreateMatView(tx *writeTxn, s *sqlparse.CreateMaterialize
 	if s.Query.ResultDB {
 		return d.createResultDBView(tx, s)
 	}
-	ec := d.txnCtx(tx)
-	ex := d.executor(ec, nil)
-	rel, err := ex.Select(s.Query)
+	rel, err := d.txnCtx(tx).executor().Select(s.Query)
 	if err != nil {
 		return nil, err
 	}
@@ -542,7 +542,7 @@ func (d *Database) execCreateMatView(tx *writeTxn, s *sqlparse.CreateMaterialize
 // The defining query runs inside the write transaction, so it sees the state
 // the view is created against.
 func (d *Database) createResultDBView(tx *writeTxn, s *sqlparse.CreateMaterializedView) (*Result, error) {
-	res, err := d.queryResultDBAt(d.txnCtx(tx), s.Query, ModeRDBRP, nil, nil)
+	res, err := d.queryResultDBAt(d.txnCtx(tx), s.Query, ModeRDBRP, nil)
 	if err != nil {
 		return nil, err
 	}

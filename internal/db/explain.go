@@ -1,9 +1,7 @@
 package db
 
 import (
-	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
-	"resultdb/internal/trace"
 	"resultdb/internal/types"
 )
 
@@ -24,15 +22,11 @@ import (
 // For RESULTDB queries the plan reports the join-graph analysis, folds, root
 // choice, and the semi-join schedule of Algorithm 4.
 func (d *Database) execExplainAt(ec execCtx, ex *sqlparse.Explain) (*Result, error) {
-	tr := trace.New(ex.Query.SQL())
-	tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
-	if ec.snap != nil {
-		tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
-	}
-	if _, err := d.query(ec, &selectStmt{Select: ex.Query}, tr); err != nil {
+	ec = ec.traced(ex.Query.SQL())
+	if _, err := d.query(ec, &selectStmt{Select: ex.Query}); err != nil {
 		return nil, err
 	}
-	snap := tr.Finish()
+	snap := ec.tr.Finish()
 	var lines []string
 	if ex.Analyze {
 		lines = snap.TreeLines()

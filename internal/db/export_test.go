@@ -34,3 +34,6 @@ func MemoTextBytes(d *Database) int {
 	}
 	return n
 }
+
+// PaperExampleSQL is paperExampleSQL, for the tests of package db_test.
+const PaperExampleSQL = paperExampleSQL

@@ -44,9 +44,9 @@ func (d *Database) unchanged(ec execCtx, sel *sqlparse.Select, res *Result, tabl
 	if err != nil || subqueryReads(spec, changed) {
 		return false
 	}
-	ex := d.executor(ec, nil)
+	ex := ec.executor()
 	for _, r := range spec.Rels {
-		if rows, ok := changed[strings.ToLower(r.Table)]; ok && !tailDangles(ex, spec, r, rows, ec.opts.Parallelism) {
+		if rows, ok := changed[strings.ToLower(r.Table)]; ok && !tailDangles(ex, spec, r, rows) {
 			return false
 		}
 	}
@@ -80,7 +80,7 @@ func subqueryReads(spec *engine.SPJSpec, tables map[string]int) bool {
 // those are filtered by its σ_F. An error anywhere (a filter failing at run
 // time, say) reports that the tail may join; the recomputation then meets the
 // error as any execution would.
-func tailDangles(ex *engine.Executor, spec *engine.SPJSpec, r engine.RelRef, from, par int) bool {
+func tailDangles(ex *engine.Executor, spec *engine.SPJSpec, r engine.RelRef, from int) bool {
 	t, err := ex.Src.Table(r.Table)
 	if err != nil {
 		return false
@@ -105,12 +105,12 @@ func tailDangles(ex *engine.Executor, spec *engine.SPJSpec, r engine.RelRef, fro
 		if !ok {
 			return false
 		}
-		cand := engine.SemiJoin(all, nbCols, tail, tailCols, par, nil)
+		cand := engine.SemiJoin(all, nbCols, tail, tailCols, ex.Parallelism, nil)
 		partners, err := ex.ScanRows(nb, spec.Filters[nb.Alias], cand.Vec.Sel)
 		if err != nil {
 			return false
 		}
-		tail = engine.SemiJoin(tail, tailCols, partners, nbCols, par, nil)
+		tail = engine.SemiJoin(tail, tailCols, partners, nbCols, ex.Parallelism, nil)
 	}
 	return tail.Len() == 0
 }

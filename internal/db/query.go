@@ -9,7 +9,6 @@ import (
 	"resultdb/internal/colstore"
 	"resultdb/internal/core"
 	"resultdb/internal/engine"
-	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/stats"
 	"resultdb/internal/storage"
@@ -21,7 +20,7 @@ import (
 // relation (Definition 2.2); everything else returns a single-table result.
 // The statement runs lock-free against a snapshot pinned at entry.
 func (d *Database) Query(sel *sqlparse.Select) (*Result, error) {
-	return boxed(d.query(d.readCtx(), &selectStmt{Select: sel}, nil))
+	return boxed(d.query(d.readCtx(), &selectStmt{Select: sel}))
 }
 
 // QueryWithTrace executes a SELECT with execution tracing enabled and returns
@@ -29,19 +28,21 @@ func (d *Database) Query(sel *sqlparse.Select) (*Result, error) {
 // actual cardinalities, wall times, and transfer bytes). The result is
 // bit-identical to Query's; tracing only observes.
 func (d *Database) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, error) {
-	ec := d.readCtx()
-	tr := trace.New(sel.SQL())
-	tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
-	tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
-	res, err := boxed(d.query(ec, &selectStmt{Select: sel}, tr))
+	return d.queryWithTrace(d.readCtx(), sel)
+}
+
+// queryWithTrace is QueryWithTrace against an execution context.
+func (d *Database) queryWithTrace(ec execCtx, sel *sqlparse.Select) (*Result, *trace.Trace, error) {
+	ec = ec.traced(sel.SQL())
+	res, err := boxed(d.query(ec, &selectStmt{Select: sel}))
 	if err != nil {
 		return nil, nil, err
 	}
-	return res, tr.Finish(), nil
+	return res, ec.tr.Finish(), nil
 }
 
-// query dispatches a SELECT with an optional tracer (nil = disabled),
-// consulting the semantic result cache when enabled:
+// query dispatches a SELECT, traced when ec is, consulting the semantic
+// result cache when enabled:
 //
 //   - Untraced queries go through the full cache path (lookup, single-flight
 //     collapse of identical concurrent misses, fill) in queryCached.
@@ -57,8 +58,9 @@ func (d *Database) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, 
 // served only when it embeds exactly the state this reader pinned, or is
 // shown to hold the same result there, and a fill is admitted only when no
 // writer published past the snapshot while the query ran (see queryCached).
-func (d *Database) query(ec execCtx, sel *selectStmt, tr *trace.Tracer) (*Result, error) {
+func (d *Database) query(ec execCtx, sel *selectStmt) (*Result, error) {
 	if ec.opts.ResultCache && ec.snap != nil {
+		tr := ec.tr
 		if !tr.Enabled() {
 			res, _, err := d.queryCached(ec, sel)
 			return res, err
@@ -73,26 +75,26 @@ func (d *Database) query(ec execCtx, sel *selectStmt, tr *trace.Tracer) (*Result
 		default:
 			tr.SetCacheStatus(fmt.Sprintf("extendable (+%d rows)", behind))
 		}
-		res, err := d.queryUncached(ec, sel.Select, tr)
+		res, err := d.queryUncached(ec, sel.Select)
 		if err == nil {
 			d.seal(key, res)
 			d.resultCache.PutAt(key, res, cachedResultBytes(res), at, live)
 		}
 		return res, err
 	}
-	return d.queryUncached(ec, sel.Select, tr)
+	return d.queryUncached(ec, sel.Select)
 }
 
 // queryUncached always executes, bypassing the result cache.
-func (d *Database) queryUncached(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer) (*Result, error) {
+func (d *Database) queryUncached(ec execCtx, sel *sqlparse.Select) (*Result, error) {
 	if sel.ResultDB {
 		mode := ModeRDB
 		if sel.Preserving {
 			mode = ModeRDBRP
 		}
-		return d.queryResultDBAt(ec, sel, mode, tr, nil)
+		return d.queryResultDBAt(ec, sel, mode, nil)
 	}
-	return d.querySingleTableAt(ec, sel, tr, nil)
+	return d.querySingleTableAt(ec, sel, nil)
 }
 
 // QuerySQL parses and executes a SELECT given as text.
@@ -105,20 +107,20 @@ func (d *Database) QuerySQL(sql string) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("db: QuerySQL expects a SELECT statement, got %T", st)
 	}
-	return boxed(d.query(d.readCtx(), sel, nil))
+	return boxed(d.query(d.readCtx(), sel))
 }
 
 // QueryResultDB executes sel with subdatabase semantics regardless of the
 // RESULTDB keyword, in the requested mode (RDB per Definition 2.2, RDBRP per
 // Definition 2.3). This is the programmatic entry the benchmarks use.
 func (d *Database) QueryResultDB(sel *sqlparse.Select, mode Mode) (*Result, error) {
-	return boxed(d.queryResultDBAt(d.readCtx(), sel, mode, nil, nil))
+	return boxed(d.queryResultDBAt(d.readCtx(), sel, mode, nil))
 }
 
-func (d *Database) querySingleTableAt(ec execCtx, sel *sqlparse.Select, tr *trace.Tracer, sink *streamSink) (*Result, error) {
+func (d *Database) querySingleTableAt(ec execCtx, sel *sqlparse.Select, sink *streamSink) (*Result, error) {
+	tr := ec.tr
 	tr.SetMode("single-table")
-	ex := d.executor(ec, tr)
-	rel, err := ex.Select(sel)
+	rel, err := ec.executor().Select(sel)
 	if err != nil {
 		return nil, err
 	}
@@ -140,10 +142,11 @@ func (d *Database) querySingleTableAt(ec execCtx, sel *sqlparse.Select, tr *trac
 	return &Result{Sets: []*ResultSet{set}}, nil
 }
 
-func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode, tr *trace.Tracer, sink *streamSink) (*Result, error) {
+func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode, sink *streamSink) (*Result, error) {
 	if len(sel.OrderBy) > 0 || sel.Limit != nil {
 		return nil, fmt.Errorf("db: RESULTDB does not support ORDER BY/LIMIT (which relation would they apply to?)")
 	}
+	tr := ec.tr
 	if mode == ModeRDBRP {
 		tr.SetMode("resultdb-preserving")
 	} else {
@@ -158,7 +161,7 @@ func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode, 
 		outputs = relationshipRels(spec)
 	}
 	tr.SetOutputs(outputs)
-	reduced, stats, err := d.reduceSpec(ec, spec, outputs, tr)
+	reduced, stats, err := d.reduceSpec(ec, spec, outputs)
 	if err != nil {
 		return nil, err
 	}
@@ -216,12 +219,12 @@ func relationshipRels(spec *engine.SPJSpec) []string {
 }
 
 // reduceSpec computes fully reduced base relations for the query's output
-// relations, honoring the context's strategy. Queries the semi-join
-// algorithm cannot handle (cross-relation residual predicates, disconnected
-// join graphs) automatically use the Decompose strategy, which is always
-// applicable.
-func (d *Database) reduceSpec(ec execCtx, spec *engine.SPJSpec, outputs []string, tr *trace.Tracer) (map[string]*engine.Relation, *core.Stats, error) {
-	ex := d.executor(ec, tr)
+// relations, honoring the context's strategy, with the paper's plan choices
+// (core.DefaultOptions). Queries the semi-join algorithm cannot handle
+// (cross-relation residual predicates, disconnected join graphs)
+// automatically use the Decompose strategy, which is always applicable.
+func (d *Database) reduceSpec(ec execCtx, spec *engine.SPJSpec, outputs []string) (map[string]*engine.Relation, *core.Stats, error) {
+	ex, tr := ec.executor(), ec.tr
 	strategy := ec.strategy
 	if len(spec.Residual) > 0 {
 		strategy = StrategyDecompose
@@ -234,10 +237,7 @@ func (d *Database) reduceSpec(ec execCtx, spec *engine.SPJSpec, outputs []string
 		if err != nil {
 			return nil, nil, err
 		}
-		opts := ec.opts
-		opts.Tracer = tr
-		opts.TableStats = aliasStats(ec, spec, tr)
-		reduced, stats, err := core.SemiJoinReduce(spec, rels, outputs, opts)
+		reduced, stats, err := core.SemiJoinReduce(ex, spec, rels, outputs, core.DefaultOptions())
 		if err == nil {
 			return reduced, stats, nil
 		}
@@ -253,7 +253,7 @@ func (d *Database) reduceSpec(ec execCtx, spec *engine.SPJSpec, outputs []string
 	if err != nil {
 		return nil, nil, err
 	}
-	reduced, err := core.Decompose(joined, outputs, ec.opts.Parallelism, tr)
+	reduced, err := core.Decompose(ex, joined, outputs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -261,22 +261,6 @@ func (d *Database) reduceSpec(ec execCtx, spec *engine.SPJSpec, outputs []string
 		tr.Note(fmt.Sprintf("decompose into %d relations + dedup", len(outputs)))
 	}
 	return reduced, nil, nil
-}
-
-// aliasStats maps each of the query's aliases (lower-cased) to its base
-// table version's statistics, for the reduction planner. Aliases over missing
-// tables (materialized views dropped mid-flight, etc.) are simply absent; the
-// cost model counts their key columns as all-distinct.
-func aliasStats(ec execCtx, spec *engine.SPJSpec, tr *trace.Tracer) map[string]*stats.Table {
-	out := make(map[string]*stats.Table, len(spec.Rels))
-	for _, r := range spec.Rels {
-		t, err := ec.src.Table(r.Table)
-		if err != nil {
-			continue
-		}
-		out[strings.ToLower(r.Alias)] = statsOf(t, tr)
-	}
-	return out
 }
 
 // statsOf is stats.Of for a statement that may be traced: if this call is the

@@ -3,8 +3,6 @@ package db
 import (
 	"fmt"
 
-	"resultdb/internal/core"
-	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/trace"
 )
@@ -44,7 +42,7 @@ type Session struct {
 	// Strategy and CoreOptions are this session's private execution options,
 	// seeded from the database's at NewSession.
 	Strategy    Strategy
-	CoreOptions core.Options
+	CoreOptions ExecOptions
 }
 
 // NewSession opens a session whose options start as copies of the
@@ -91,12 +89,7 @@ func (s *Session) Pinned() bool { return s.pinned != nil }
 // view plus its private options.
 func (s *Session) ctx() execCtx {
 	snap := s.Snapshot()
-	return execCtx{
-		src:      snap,
-		snap:     snap,
-		opts:     s.CoreOptions,
-		strategy: s.Strategy,
-	}
+	return execCtx{src: snap, snap: snap, strategy: s.Strategy, opts: s.CoreOptions}
 }
 
 // afterWrite re-pins a frozen session on the newest state so the session's
@@ -135,28 +128,20 @@ func (s *Session) ExecStatement(st sqlparse.Statement) (res *Result, err error) 
 
 // Query executes a SELECT against the session's view.
 func (s *Session) Query(sel *sqlparse.Select) (*Result, error) {
-	return boxed(s.db.query(s.ctx(), &selectStmt{Select: sel}, nil))
+	return boxed(s.db.query(s.ctx(), &selectStmt{Select: sel}))
 }
 
 // QueryResultDB executes sel with subdatabase semantics in the requested
 // mode against the session's view (the session-scoped analogue of
 // Database.QueryResultDB).
 func (s *Session) QueryResultDB(sel *sqlparse.Select, mode Mode) (*Result, error) {
-	return boxed(s.db.queryResultDBAt(s.ctx(), sel, mode, nil, nil))
+	return boxed(s.db.queryResultDBAt(s.ctx(), sel, mode, nil))
 }
 
 // QueryWithTrace executes a SELECT against the session's view with execution
 // tracing enabled (see Database.QueryWithTrace).
 func (s *Session) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, error) {
-	ec := s.ctx()
-	tr := trace.New(sel.SQL())
-	tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
-	tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
-	res, err := boxed(s.db.query(ec, &selectStmt{Select: sel}, tr))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, tr.Finish(), nil
+	return s.db.queryWithTrace(s.ctx(), sel)
 }
 
 // ExecStream executes one SQL statement through the session, delivering the

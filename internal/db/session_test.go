@@ -95,21 +95,22 @@ func TestSessionPinnedReadYourOwnWrites(t *testing.T) {
 }
 
 // Per-session options are private copies: changing them affects neither the
-// database defaults nor other sessions.
+// database defaults nor other sessions. A session sets three execution
+// values: its strategy, its degree and whether it uses the result cache.
 func TestSessionOptionsAreIndependent(t *testing.T) {
 	d := sessionFixture(t)
+	d.EnableCache(0)
 	a, b := d.NewSession(), d.NewSession()
-	if a.Strategy != d.Strategy || a.CoreOptions.Parallelism != d.CoreOptions.Parallelism ||
-		a.CoreOptions.EarlyStop != d.CoreOptions.EarlyStop {
+	if a.Strategy != d.Strategy || a.CoreOptions != d.CoreOptions {
 		t.Fatal("session options not seeded from database")
 	}
 	a.Strategy = StrategyDecompose
-	a.CoreOptions.Parallelism = 7
-	if b.Strategy == StrategyDecompose || b.CoreOptions.Parallelism == 7 {
-		t.Fatal("session option change leaked into sibling session")
+	a.CoreOptions = ExecOptions{Parallelism: 7, ResultCache: false}
+	if b.Strategy == StrategyDecompose || b.CoreOptions != (ExecOptions{ResultCache: true}) {
+		t.Fatalf("session option change leaked into sibling session: %v %+v", b.Strategy, b.CoreOptions)
 	}
-	if d.Strategy == StrategyDecompose || d.CoreOptions.Parallelism == 7 {
-		t.Fatal("session option change leaked into database")
+	if d.Strategy == StrategyDecompose || d.CoreOptions != (ExecOptions{ResultCache: true}) {
+		t.Fatalf("session option change leaked into database: %v %+v", d.Strategy, d.CoreOptions)
 	}
 	// The session still executes with its private options.
 	if res, err := a.Exec("SELECT RESULTDB t.name FROM t AS t WHERE t.id = 1"); err != nil || len(res.Sets) == 0 {

@@ -26,7 +26,8 @@ func TestStatsOneBuildPerVersion(t *testing.T) {
 				got[i] = d.TableStats("item")
 				return
 			}
-			// The planner's route: aliasStats over a pinned snapshot.
+			// The planner's route: the executor's AliasStats over a
+			// pinned snapshot.
 			if _, err := d.Exec("SELECT RESULTDB i.val, g.label FROM item i, tag g WHERE i.id = g.item_id"); err != nil {
 				t.Error(err)
 			}

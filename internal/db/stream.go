@@ -114,9 +114,9 @@ func (d *Database) execStreamAt(ec execCtx, onMutated func(), sql string, begin 
 		if sel.Preserving {
 			mode = ModeRDBRP
 		}
-		return d.queryResultDBAt(ec, sel.Select, mode, nil, sink)
+		return d.queryResultDBAt(ec, sel.Select, mode, sink)
 	}
-	return d.querySingleTableAt(ec, sel.Select, nil, sink)
+	return d.querySingleTableAt(ec, sel.Select, sink)
 }
 
 // replayStream feeds an already-computed result through the streaming

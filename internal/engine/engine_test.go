@@ -433,10 +433,11 @@ func TestJoinAllGathersEachColumnOnce(t *testing.T) {
 		})
 		preds = append(preds, JoinPred{LeftRel: "f", LeftCol: fmt.Sprintf("c%d", d), RightRel: alias, RightCol: "c0"})
 	}
+	ex, spec := &Executor{Parallelism: 1}, &SPJSpec{JoinPreds: preds}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	out, err := JoinAll(preds, rels, nil, 1, nil, nil)
+	out, err := ex.JoinAll(spec, rels, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)

@@ -227,7 +227,8 @@ func TestJoinAllParallelMatchesSerial(t *testing.T) {
 		}
 		return m
 	}
-	want, err := JoinAll(preds, clone(), nil, 1, nil, nil)
+	spec := &SPJSpec{JoinPreds: preds}
+	want, err := (&Executor{Parallelism: 1}).JoinAll(spec, clone(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +236,7 @@ func TestJoinAllParallelMatchesSerial(t *testing.T) {
 		t.Fatal("test setup: join produced no rows")
 	}
 	for _, par := range sweepDegrees {
-		got, err := JoinAll(preds, clone(), nil, par, nil, nil)
+		got, err := (&Executor{Parallelism: par}).JoinAll(spec, clone(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

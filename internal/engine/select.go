@@ -14,7 +14,10 @@ import (
 	"resultdb/internal/types"
 )
 
-// Executor evaluates SELECT statements against a Source.
+// Executor evaluates SELECT statements against a Source. It is also how one
+// statement executes everywhere else: internal/core's reduction, folds and
+// Decompose take the statement's executor for its degree, tracer and
+// statistics.
 type Executor struct {
 	Src Source
 	// Parallelism is the degree of intra-query parallelism for joins,
@@ -24,7 +27,8 @@ type Executor struct {
 	Parallelism int
 	// StatsOf resolves table statistics by table name. When set, the greedy
 	// SPJ join order scores candidates by estimated join output instead of
-	// raw cardinality (see JoinAll). Nil results are tolerated: columns
+	// raw cardinality (see JoinAll), and internal/core plans reduction with
+	// the cost model (see AliasStats). Nil results are tolerated: columns
 	// without stats fall back to worst-case NDVs.
 	StatsOf func(table string) *stats.Table
 	// Tracer, when non-nil, records per-operator spans (scan, join,
@@ -154,7 +158,7 @@ func (e *Executor) RunSPJ(spec *SPJSpec) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	joined, err := JoinAll(spec.JoinPreds, rels, e.aliasStats(spec), e.Parallelism, e.Tracer, nil)
+	joined, err := e.JoinAll(spec, rels, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -183,15 +187,19 @@ func projectionLabel(spec *SPJSpec) string {
 	return strings.Join(proj, ", ")
 }
 
-// aliasStats maps each of spec's aliases (lower-cased) to its table's
-// statistics, or is nil when the executor has no StatsOf.
-func (e *Executor) aliasStats(spec *SPJSpec) map[string]*stats.Table {
+// AliasStats maps each of spec's aliases (lower-cased) to its table's
+// statistics, or is nil when the executor has no StatsOf. An alias whose
+// table has none (a view dropped mid-flight, say) is absent; the cost model
+// counts its key columns as all-distinct.
+func (e *Executor) AliasStats(spec *SPJSpec) map[string]*stats.Table {
 	if e.StatsOf == nil {
 		return nil
 	}
 	out := make(map[string]*stats.Table, len(spec.Rels))
 	for _, r := range spec.Rels {
-		out[strings.ToLower(r.Alias)] = e.StatsOf(r.Table)
+		if st := e.StatsOf(r.Table); st != nil {
+			out[strings.ToLower(r.Alias)] = st
+		}
 	}
 	return out
 }
@@ -215,13 +223,15 @@ func (e *Executor) aliasStats(spec *SPJSpec) map[string]*stats.Table {
 // relation, in join order, when project is nil. A lone relation is returned
 // as it is, projected.
 //
-// rels and st are keyed by lower-cased alias. JoinAll is also the post-join
-// operator of the paper (Section 6.4): internal/core hands it the reduced
-// relations. The join order never changes the joined row multiset, only its
-// row order. Each hash join runs at degree par (0 = auto, 1 = serial) and
-// records one span on tr (nil = tracing disabled), with the estimate when
-// there is one.
-func JoinAll(preds []JoinPred, rels map[string]*Relation, st map[string]*stats.Table, par int, tr *trace.Tracer, project []Attr) (*Relation, error) {
+// JoinAll joins on spec's join predicates, with the statistics of spec's
+// relations (AliasStats); rels is keyed by lower-cased alias. JoinAll is also
+// the post-join operator of the paper (Section 6.4): internal/core hands it
+// the reduced relations under a spec of their predicates alone, which names
+// no table. The join order never changes the joined row multiset, only its
+// row order. Each hash join runs at the executor's degree and records one
+// span on its tracer, with the estimate when there is one.
+func (e *Executor) JoinAll(spec *SPJSpec, rels map[string]*Relation, project []Attr) (*Relation, error) {
+	preds, st, par, tr := spec.JoinPreds, e.AliasStats(spec), e.Parallelism, e.Tracer
 	remaining := make(map[string]*Relation, len(rels))
 	for k, v := range rels {
 		remaining[k] = v

@@ -1,6 +1,6 @@
 // Package stats collects lightweight per-column table statistics — row and
 // null counts, min/max and a distinct-count sketch — for the reduction and
-// join-order planner (core.Options.TableStats, engine.Executor.StatsOf).
+// join-order planner (engine.Executor.StatsOf and AliasStats).
 //
 // Statistics are built in one pass over each column of the table's frame (no
 // row is boxed), are fully deterministic (the NDV sketch hashes with the same

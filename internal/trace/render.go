@@ -62,7 +62,7 @@ func (tr *Trace) CompactLines() []string {
 			}
 			// Single-table SPJ output is already covered by the project line.
 		}
-		// decompose/encode spans carry no classic EXPLAIN line.
+		// decompose spans carry no classic EXPLAIN line.
 	}
 	if resultDB && tr.Stats != "" {
 		lines = append(lines, "stats: "+tr.Stats)
@@ -187,8 +187,6 @@ func spanLine(sp *Span) string {
 		fmt.Fprintf(&b, "decompose %s  rows: %d -> %d", sp.Label, sp.RowsIn, sp.RowsOut)
 	case "output":
 		fmt.Fprintf(&b, "return %s  rows: %d -> %d  bytes: %d", sp.Label, sp.RowsIn, sp.RowsOut, sp.Bytes)
-	case "encode":
-		fmt.Fprintf(&b, "encode %s  rows: %d  bytes: %d", sp.Label, sp.RowsIn, sp.Bytes)
 	case "counter":
 		// Operational counters (server stats rendered through the trace
 		// pipeline): a bare name/value, no row arrows.

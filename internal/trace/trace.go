@@ -34,12 +34,12 @@ import (
 // custom encoders.
 type Span struct {
 	// Op identifies the operator: scan, hash-join, cross-join, semi-join,
-	// fold, root, residual-filter, project, decompose, output, encode, note.
+	// fold, root, residual-filter, project, decompose, output, note.
 	Op string `json:"op"`
 	// Label names the operator's target (relation alias, "a ⋉ b", ...).
 	Label string `json:"label,omitempty"`
 	// Phase groups spans into plan stages: scan, join, fold, bottom-up,
-	// top-down, decompose, output, wire.
+	// top-down, decompose, output.
 	Phase string `json:"phase,omitempty"`
 	// Detail carries operator-specific text (filter SQL, projection list,
 	// note text).
@@ -54,8 +54,7 @@ type Span struct {
 	RowsOut int `json:"rows_out"`
 	// Keys is the number of equi-join key columns of a join.
 	Keys int `json:"keys,omitempty"`
-	// Bytes is the wire size attributed to this span (output and encode
-	// spans).
+	// Bytes is the wire size attributed to this span (output spans).
 	Bytes int `json:"bytes,omitempty"`
 
 	// Dict is the total number of distinct dictionary entries across the

@@ -13,7 +13,6 @@ import (
 
 	"resultdb/internal/db"
 	"resultdb/internal/engine"
-	"resultdb/internal/trace"
 	"resultdb/internal/types"
 )
 
@@ -149,9 +148,6 @@ type EncodeOptions struct {
 	// Parallelism is the degree used for per-column encoding in FormatV2
 	// (0 = auto, 1 = serial). Output bytes are identical at any degree.
 	Parallelism int
-	// Tracer, when enabled, records one "encode" span per result set with
-	// the exact wire bytes the set contributed.
-	Tracer *trace.Tracer
 }
 
 func (o EncodeOptions) version() int {
@@ -183,33 +179,15 @@ func EncodeResultOptions(r *db.Result, opts EncodeOptions) []byte {
 	if v != FormatV1 && v != FormatV2 {
 		panic(fmt.Sprintf("wire: unknown format version %d", v))
 	}
-	tr := opts.Tracer
 	// Sized for the header only: each part reserves its own room when it has
 	// to be encoded, and a kept payload needs exactly its length.
 	e := Encoder{buf: make([]byte, 0, 16)}
 	e.encodeHeader(v, len(r.Sets), r.PostJoinPlan != nil)
 	for _, set := range r.Sets {
-		before := e.Len()
 		e.encodeSetVersion(set, v, opts.Parallelism)
-		if sp := tr.Span("encode", set.Name); sp != nil {
-			sp.Phase = "wire"
-			if v == FormatV2 {
-				sp.Detail = "v2 columnar"
-			}
-			sp.RowsIn = set.NumRows()
-			sp.RowsOut = sp.RowsIn
-			sp.Bytes = e.Len() - before
-			tr.AddBytes(e.Len() - before)
-		}
 	}
 	if r.PostJoinPlan != nil {
-		before := e.Len()
 		e.encodePlan(r.PostJoinPlan, v)
-		if sp := tr.Span("encode", "post-join plan"); sp != nil {
-			sp.Phase = "wire"
-			sp.Bytes = e.Len() - before
-			tr.AddBytes(e.Len() - before)
-		}
 	}
 	return e.Bytes()
 }

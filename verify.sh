@@ -198,9 +198,19 @@ dead="$dead"'|\bjoinStep\b'
 # environment retry policy) is gone, and so are the exported helpers only
 # their own tests called (parallel.ForChunks, Tracer.SetQuery).
 dead="$dead"'|FromEnv|EnvDegree|RetryFromEnv|isZeroRetry|CacheEnvVar|ParallelismEnvVar|RetriesEnvVar|RetryBackoffEnvVar|RESULTDB_CACHE|RESULTDB_PARALLELISM|RESULTDB_RETRIES|RESULTDB_RETRY_BACKOFF|ForChunks|SetQuery'
+# One value per statement: db's execCtx carries the tracer and builds the
+# statement's engine executor, and core's reduction, folds and Decompose and
+# engine's JoinAll take that executor. core.Options is the paper's plan
+# choices alone: its degree, tracer, statistics and cache fields are gone, and
+# so are Stats.Parallelism, the tracer parameters of db's query path, db's
+# executor builders and its copy of the alias statistics, the separate
+# degree/tracer/statistics arguments of core and JoinAll, and wire's encode
+# spans.
+dead="$dead"'|opts\.(Tracer|TableStats)|\bOptions\{[^}]*\b(Parallelism|Tracer|TableStats|ResultCache):|st\.Parallelism|Stats\.Parallelism|core\.Options\.|CoreOptions\.(Root|Fold|EarlyStop|AlphaReduce|Tracer|TableStats)\b'
+dead="$dead"'|func \(d \*Database\) [a-zA-Z]+\([^)]*trace\.Tracer|\baliasStats\b|\bexecutorWith\b|d\.executor\(|func JoinAll\(|JoinAll\(preds|SemiJoinReduce\(spec|Decompose\(joined|FoldJoinGraph\(g\b|case "encode"'
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
-	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer are back:"
+	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer / per-statement state copies are back:"
 	echo "$dead_refs"
 	exit 1
 fi
