@@ -56,7 +56,6 @@ func FoldJoinGraph(ex *engine.Executor, g *Graph, strategy FoldStrategy, st *Sta
 		z := g.Nodes[len(g.Nodes)-1]
 		if sp != nil {
 			sp.RowsOut = z.Rel.Len()
-			tr.AddRowsJoined(z.Rel.Len())
 		}
 	}
 	return nil

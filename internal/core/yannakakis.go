@@ -129,7 +129,6 @@ func (s *schedule) semiJoin(ex *engine.Executor, i int, up bool, st *Stats) {
 	st.TuplesDropped += before - target.Rel.Len()
 	if sp != nil {
 		sp.RowsOut = target.Rel.Len()
-		tr.AddRowsDropped(before - target.Rel.Len())
 	}
 }
 

@@ -33,9 +33,9 @@ func (d *Database) execExplainAt(ec execCtx, ex *sqlparse.Explain) (*Result, err
 	} else {
 		lines = snap.CompactLines()
 	}
-	set := &ResultSet{Name: "plan", Columns: []string{"plan"}}
-	for _, l := range lines {
-		set.Rows = append(set.Rows, types.Row{types.NewText(l)})
+	rows := make([]types.Row, len(lines))
+	for i, l := range lines {
+		rows[i] = types.Row{types.NewText(l)}
 	}
-	return &Result{Sets: []*ResultSet{set}}, nil
+	return &Result{Sets: []*ResultSet{NewResultSet("plan", []string{"plan"}, rows)}}, nil
 }

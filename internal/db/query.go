@@ -133,8 +133,6 @@ func (d *Database) querySingleTableAt(ec execCtx, sel *sqlparse.Select, sink *st
 		sp.RowsIn = rel.Len()
 		sp.RowsOut = set.NumRows()
 		sp.Bytes = set.WireSize()
-		tr.AddRowsOut(sp.RowsOut)
-		tr.AddBytes(sp.Bytes)
 	}
 	if err := sink.emit(set); err != nil {
 		return nil, err
@@ -175,7 +173,7 @@ func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode, 
 	// The set count and the post-join plan are known before any output
 	// relation is projected — this is what lets a streaming consumer write
 	// the response header first and then ship each relation as it finishes.
-	if err := sink.begin(StreamMeta{NumSets: len(outputs), Plan: res.PostJoinPlan, Stats: stats}); err != nil {
+	if err := sink.begin(StreamMeta{NumSets: len(outputs), Plan: res.PostJoinPlan}); err != nil {
 		return nil, err
 	}
 	for _, alias := range outputs {
@@ -195,8 +193,6 @@ func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode, 
 			sp.RowsIn = rel.Len()
 			sp.RowsOut = set.NumRows()
 			sp.Bytes = set.WireSize()
-			tr.AddRowsOut(sp.RowsOut)
-			tr.AddBytes(sp.Bytes)
 		}
 		if err := sink.emit(set); err != nil {
 			return nil, err
@@ -343,18 +339,13 @@ func projectSet(alias string, rel *engine.Relation, attrs []string, par int) (*R
 
 // setToRelation rebuilds an alias-qualified relation from a result set so it
 // can participate in a post-join: the set's own view under a schema whose
-// kinds are read off the frame — only a column that arrived as exact values
-// (AnyColumn: a decoded inline-text block, say) is typed here, so the join
-// gathers its codes, not its strings — or, for a set without a view
-// (hand-built, v1-decoded), a frame built from its rows under kinds sniffed
-// from them. Either way the relation is the one FromRows would give.
+// kinds are read off the frame. Only a column that holds exact values (a
+// decoded inline-text block, or a set NewResultSet made from rows) is typed
+// here, so the join gathers its codes, not its strings.
 func setToRelation(set *ResultSet) *engine.Relation {
 	cols := make([]engine.ColRef, len(set.Columns))
 	for i, c := range set.Columns {
-		cols[i] = engine.ColRef{Rel: set.Name, Name: c, Kind: columnKind(set, i)}
-	}
-	if set.Vec == nil {
-		return engine.FromRows(cols, set.Rows)
+		cols[i] = engine.ColRef{Rel: set.Name, Name: c, Kind: columnKind(set.Vec, i)}
 	}
 	frame := set.Vec.Frame
 	typed := make([]colstore.Column, len(cols))
@@ -368,15 +359,19 @@ func setToRelation(set *ResultSet) *engine.Relation {
 }
 
 // columnKind is the kind of column i's non-NULL values: what its typed vector
-// holds when the set carries a view, otherwise (rows only, or an exact-value
-// column) the kind of the first non-NULL value; TEXT when there is none.
-func columnKind(set *ResultSet, i int) types.Kind {
-	if set.Vec != nil {
-		if kind := vectorKind(set.Vec.Frame.Col(i)); kind != types.KindNull {
-			return kind
+// holds, or, for an exact-value column, the kind of its first selected
+// non-NULL value; TEXT when there is none.
+func columnKind(v *colstore.View, i int) types.Kind {
+	col := v.Frame.Col(i)
+	if kind := vectorKind(col); kind != types.KindNull {
+		return kind
+	}
+	for j := 0; j < v.Len(); j++ {
+		if x := col.Value(v.Index(j)); !x.IsNull() {
+			return x.Kind()
 		}
 	}
-	return rowsKind(set.Rows, i)
+	return types.KindText
 }
 
 // vectorKind is the kind a typed vector holds; KindNull for an exact-value
@@ -393,15 +388,4 @@ func vectorKind(col colstore.Column) types.Kind {
 		return types.KindText
 	}
 	return types.KindNull
-}
-
-// rowsKind is the kind of the first non-NULL value in column i of rows; TEXT
-// when there is none.
-func rowsKind(rows []types.Row, i int) types.Kind {
-	for _, r := range rows {
-		if !r[i].IsNull() {
-			return r[i].Kind()
-		}
-	}
-	return types.KindText
 }

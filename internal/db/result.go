@@ -1,7 +1,6 @@
 package db
 
 import (
-	"fmt"
 	"strings"
 
 	"resultdb/internal/colstore"
@@ -14,13 +13,14 @@ import (
 // the paper proposes (Section 7, "API Integration") — a query returns a set
 // of cursors instead of exactly one.
 //
-// A set the system produces is its columnar view (Vec); Rows is the boxed
-// mirror of that view, filled only where a caller reads it. Results leave the
-// engine unboxed: the wire server and ExecStream see Vec alone, and the wire
-// encoders read it. The in-process calls — Exec, ExecStatement, Query,
-// QueryResultDB, QueryWithTrace, PostJoin and ExecutePostJoinPlan — and the
-// wire client's decoder return sets with Rows boxed, so their callers read
-// both. Hand-built sets, EXPLAIN's and v1-decoded ones have Rows and no view.
+// A set is its columnar view (Vec); Rows is the boxed mirror of that view,
+// filled only where a caller reads it. Results leave the engine unboxed: the
+// wire server and ExecStream see Vec alone, and the wire encoders read it.
+// The in-process calls — Exec, ExecStatement, Query, QueryResultDB,
+// QueryWithTrace, PostJoin and ExecutePostJoinPlan — and the wire client's
+// decoder return sets with Rows boxed, so their callers read both. A set
+// that starts from rows (EXPLAIN's, a v1-decoded one, a hand-built one) is
+// made by NewResultSet, which gives it a view of the rows' exact values.
 // This file holds the set's only readers of Rows that also know the view:
 // everything else goes through NumRows, WireSize and Column.
 type ResultSet struct {
@@ -31,12 +31,11 @@ type ResultSet struct {
 	// Rows holds the tuples boxed, in order; nil on a set that leaves the
 	// engine for the wire server or a stream.
 	Rows []types.Row
-	// Vec is the set's columnar view, one frame column per Columns entry.
-	// When present it is the result — Rows, when also present, holds the
-	// same values in the same order. Every set the system produces carries
-	// it: the engine's and, on the other side of the wire, the v2 decoder's.
-	// The columnar wire encoder reads it and reuses its TEXT dictionaries
-	// instead of re-deduplicating strings, and the post-join runs on it.
+	// Vec is the set's columnar view, one frame column per Columns entry:
+	// the result itself. Rows, when present, holds the same values in the
+	// same order. The columnar wire encoder reads it and reuses its TEXT
+	// dictionaries instead of re-deduplicating strings, and the post-join
+	// runs on it.
 	Vec *colstore.View
 
 	// memo keeps the set's wire payloads once the result cache owns the
@@ -44,26 +43,25 @@ type ResultSet struct {
 	memo *PayloadMemo
 }
 
-// NumRows returns the number of rows: the view's length when the set carries
-// one, the number of boxed rows otherwise.
-func (rs *ResultSet) NumRows() int {
-	if rs.Vec != nil {
-		return rs.Vec.Len()
-	}
-	return len(rs.Rows)
+// NewResultSet is where rows become a set: Rows keeps them as the boxed
+// mirror, and the view holds their exact values, one exact-value column per
+// entry of columns (every row has one value per column). A column's kind is
+// read off its values where a reader needs one (the post-join, the columnar
+// encoder).
+func NewResultSet(name string, columns []string, rows []types.Row) *ResultSet {
+	kinds := make([]types.Kind, len(columns)) // KindNull: exact values
+	return &ResultSet{Name: name, Columns: columns, Rows: rows,
+		Vec: &colstore.View{Frame: colstore.NewFrame(kinds, rows)}}
 }
 
-// WireSize returns the Section 6.1 result-set size in bytes. On a set with a
-// view it is summed column by column, without boxing, and equals what its
-// boxed rows give: the result cache charges entries by it.
+// NumRows returns the number of rows.
+func (rs *ResultSet) NumRows() int { return rs.Vec.Len() }
+
+// WireSize returns the Section 6.1 result-set size in bytes, summed column by
+// column without boxing; it equals what the boxed rows give. The result cache
+// charges entries by it.
 func (rs *ResultSet) WireSize() int {
 	n := 0
-	if rs.Vec == nil {
-		for _, r := range rs.Rows {
-			n += r.WireSize()
-		}
-		return n
-	}
 	for j := 0; j < rs.Vec.Frame.NumCols(); j++ {
 		n += columnWireSize(rs.Vec, rs.Vec.Frame.Col(j))
 	}
@@ -111,46 +109,32 @@ func columnWireSize(v *colstore.View, col colstore.Column) int {
 	return size
 }
 
-// Column returns a reader of column j over rows 0 … NumRows()-1: the view's
-// vector when the set carries one, the boxed rows otherwise. It is how an
-// encoder reads a set cell by cell without boxing it.
+// Column returns a reader of the view's column j over rows 0 …
+// NumRows()-1: how an encoder reads a set cell by cell without boxing it.
 func (rs *ResultSet) Column(j int) Cells {
-	if v := rs.Vec; v != nil {
-		return Cells{col: v.Frame.Col(j), sel: v.Sel}
-	}
-	return Cells{rows: rs.Rows, j: j, width: len(rs.Columns)}
+	return Cells{col: rs.Vec.Frame.Col(j), sel: rs.Vec.Sel}
 }
 
 // Cells reads one column of a result set (ResultSet.Column).
 type Cells struct {
-	col      colstore.Column // the view's vector; nil for a set without one
-	sel      []int32
-	rows     []types.Row
-	j, width int
+	col colstore.Column
+	sel []int32
 }
 
-// At returns the cell in row i. A set without a view whose row arity differs
-// from its column count cannot be shipped: reading such a row panics.
+// At returns the cell in row i.
 func (c Cells) At(i int) types.Value {
-	if c.col != nil {
-		if c.sel != nil {
-			i = int(c.sel[i])
-		}
-		return c.col.Value(i)
+	if c.sel != nil {
+		i = int(c.sel[i])
 	}
-	row := c.rows[i]
-	if len(row) != c.width {
-		panic(fmt.Sprintf("db: row arity %d != %d columns", len(row), c.width))
-	}
-	return row[c.j]
+	return c.col.Value(i)
 }
 
 // boxed returns the set as an in-process caller reads it: itself when Rows
-// is already there (or there is no view to box), otherwise a shallow copy
-// with Rows boxed from the view. The set itself — possibly a result cache
-// entry's, read concurrently by the wire server — is never written.
+// is already there, otherwise a shallow copy with Rows boxed from the view.
+// The set itself — possibly a result cache entry's, read concurrently by the
+// wire server — is never written.
 func (rs *ResultSet) boxed() *ResultSet {
-	if rs.Rows != nil || rs.Vec == nil {
+	if rs.Rows != nil {
 		return rs
 	}
 	cp := *rs

@@ -9,9 +9,10 @@ import (
 	"resultdb/internal/types"
 )
 
-// TestWireSizeFromColumns: a set's Section 6.1 size summed from its view
-// equals the size of its boxed rows, for every vector kind with and without
-// NULLs, an exact-value column of mixed kinds, and under a selection.
+// TestWireSizeFromColumns: a set's Section 6.1 size summed from its typed
+// view equals the size of the same rows made a set by NewResultSet (exact
+// values), for every vector kind with and without NULLs, an exact-value
+// column of mixed kinds, and under a selection.
 func TestWireSizeFromColumns(t *testing.T) {
 	var rows []types.Row
 	for i := 0; i < 300; i++ {
@@ -45,7 +46,7 @@ func TestWireSizeFromColumns(t *testing.T) {
 	cols := []string{"i", "f", "b", "s", "mixed"}
 	for _, v := range []*colstore.View{{Frame: frame}, {Frame: frame, Sel: sel}, {Frame: frame, Sel: []int32{}}} {
 		view := &ResultSet{Name: "x", Columns: cols, Vec: v}
-		boxed := &ResultSet{Name: "x", Columns: cols, Rows: v.Rows()}
+		boxed := NewResultSet("x", cols, v.Rows())
 		if view.NumRows() != boxed.NumRows() || view.WireSize() != boxed.WireSize() {
 			t.Errorf("selection of %d: view counts %d rows / %d bytes, rows %d / %d",
 				len(v.Sel), view.NumRows(), view.WireSize(), boxed.NumRows(), boxed.WireSize())

@@ -1,10 +1,6 @@
 package db
 
-import (
-	"fmt"
-
-	"resultdb/internal/core"
-)
+import "fmt"
 
 // StreamMeta is the response header of a streamed execution: everything a
 // consumer must know before the first result set arrives. For RESULTDB
@@ -17,8 +13,6 @@ type StreamMeta struct {
 	NumSets int
 	// Plan is the shipped post-join recipe (RDBRP results only).
 	Plan *PostJoinPlan
-	// Stats reports the native reduction's work, when that strategy ran.
-	Stats *core.Stats
 	// Materialised reports that the result existed before this statement
 	// asked for it — a SELECT served from the result cache — or is a
 	// non-SELECT's: the emit calls that follow are a replay with no work
@@ -52,14 +46,14 @@ func (s *streamSink) emit(set *ResultSet) error {
 }
 
 // ExecStream executes one SQL statement, delivering the result incrementally:
-// begin is called exactly once with the header (set count, post-join plan,
-// reduction stats), then emit once per result set, in result order. For
-// uncached SELECTs the calls interleave with execution — emit(set_i) runs
-// before relation i+1 is projected, which is what makes server-side
-// pipelining (execute ‖ encode ‖ transmit) possible. Cached SELECTs and
-// non-SELECT statements execute fully first and then replay their result
-// through the callbacks (StreamMeta.Materialised marks the replays that
-// involved no execution at all), so consumers see one protocol either way.
+// begin is called exactly once with the header (set count, post-join plan),
+// then emit once per result set, in result order. For uncached SELECTs the
+// calls interleave with execution — emit(set_i) runs before relation i+1 is
+// projected, which is what makes server-side pipelining (execute ‖ encode ‖
+// transmit) possible. Cached SELECTs and non-SELECT statements execute fully
+// first and then replay their result through the callbacks
+// (StreamMeta.Materialised marks the replays that involved no execution at
+// all), so consumers see one protocol either way.
 //
 // SELECTs stream from a snapshot pinned at entry, lock-free: the emitted
 // sets are immutable views of one committed state even while writers
@@ -122,7 +116,7 @@ func (d *Database) execStreamAt(ec execCtx, onMutated func(), sql string, begin 
 // replayStream feeds an already-computed result through the streaming
 // callbacks (used for cached results and non-SELECT statements).
 func replayStream(res *Result, materialised bool, begin func(StreamMeta) error, emit func(*ResultSet) error) error {
-	if err := begin(StreamMeta{NumSets: len(res.Sets), Plan: res.PostJoinPlan, Stats: res.Stats, Materialised: materialised}); err != nil {
+	if err := begin(StreamMeta{NumSets: len(res.Sets), Plan: res.PostJoinPlan, Materialised: materialised}); err != nil {
 		return err
 	}
 	for _, set := range res.Sets {

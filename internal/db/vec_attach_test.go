@@ -17,10 +17,11 @@ import (
 // fast-path precondition and what a post-join runs on — whichever operators
 // built it: a reduced scan, a join output projected for a single-table
 // SELECT, the Decompose strategy, a folded (cyclic) reduction, the sequential
-// pipeline; and so does the same result after a trip over the v2 wire, where
-// the decoder is the producer. The server's form (ExecStream) is the view
-// alone, Rows nil, and encodes in v1 and v2 to the bytes of the boxed form
-// in-process callers get.
+// pipeline; and so does the same result after a trip over the v2 or the v1
+// wire, where the decoder is the producer, and EXPLAIN's and EXPLAIN
+// ANALYZE's plan. A boxed set's Rows hold its view's values. The server's
+// form (ExecStream) is the view alone, Rows nil, and encodes in v1 and v2 to
+// the bytes of the boxed form in-process callers get.
 func TestResultSetsCarryViews(t *testing.T) {
 	d := db.New()
 	if _, err := d.ExecScript(`
@@ -31,6 +32,36 @@ INSERT INTO a VALUES (1, 'x'), (2, 'y'), (3, 'z');
 INSERT INTO b VALUES (10, 1, 0.5), (11, 1, 1.5), (12, 3, 2.5);
 INSERT INTO c VALUES (20, 1, 10), (21, 3, 12), (22, 2, 11);`); err != nil {
 		t.Fatal(err)
+	}
+	check := func(name, where string, r *db.Result, boxed bool) {
+		t.Helper()
+		for _, set := range r.Sets {
+			if set.NumRows() == 0 {
+				t.Errorf("%s (%s): set %q is empty; the shape is not exercised", name, where, set.Name)
+			}
+			if (set.Rows != nil) != boxed {
+				t.Errorf("%s (%s): set %q has Rows %v", name, where, set.Name, set.Rows != nil)
+			}
+			if set.Vec == nil {
+				t.Errorf("%s (%s): set %q has no colstore view attached", name, where, set.Name)
+				continue
+			}
+			if set.Vec.Frame.NumCols() != len(set.Columns) {
+				t.Errorf("%s (%s): set %q: view has %d columns, set has %d", name, where, set.Name, set.Vec.Frame.NumCols(), len(set.Columns))
+				continue
+			}
+			if boxed && len(set.Rows) != set.NumRows() {
+				t.Errorf("%s (%s): set %q: %d rows boxed, view has %d", name, where, set.Name, len(set.Rows), set.NumRows())
+				continue
+			}
+			for i, row := range set.Rows {
+				for j, v := range row {
+					if got := set.Column(j).At(i); got != v {
+						t.Errorf("%s (%s): set %q cell (%d,%d): view %v, row %v", name, where, set.Name, i, j, got, v)
+					}
+				}
+			}
+		}
 	}
 	for name, sql := range map[string]string{
 		"RDB":                    "SELECT RESULTDB a.name, b.v FROM a AS a, b AS b WHERE a.id = b.a_id",
@@ -48,6 +79,10 @@ INSERT INTO c VALUES (20, 1, 10), (21, 3, 12), (22, 2, 11);`); err != nil {
 		if err != nil {
 			t.Fatalf("%s: v2 round trip: %v", name, err)
 		}
+		decodedV1, err := wire.DecodeResult(wire.EncodeResult(res))
+		if err != nil {
+			t.Fatalf("%s: v1 round trip: %v", name, err)
+		}
 		server, err := d.ExecStream(sql, func(db.StreamMeta) error { return nil }, func(*db.ResultSet) error { return nil })
 		if err != nil {
 			t.Fatalf("%s: server path: %v", name, err)
@@ -58,21 +93,17 @@ INSERT INTO c VALUES (20, 1, 10), (21, 3, 12), (22, 2, 11);`); err != nil {
 				t.Errorf("%s: the server's unboxed result and the boxed one encode differently in version %d", name, version)
 			}
 		}
-		for where, r := range map[string]*db.Result{"engine": res, "decoded": decoded, "server": server} {
-			for _, set := range r.Sets {
-				if set.NumRows() == 0 {
-					t.Errorf("%s (%s): set %q is empty; the shape is not exercised", name, where, set.Name)
-				}
-				if boxed := set.Rows != nil; boxed == (where == "server") {
-					t.Errorf("%s (%s): set %q has Rows %v", name, where, set.Name, boxed)
-				}
-				if set.Vec == nil {
-					t.Errorf("%s (%s): set %q has no colstore view attached", name, where, set.Name)
-				} else if set.Vec.Frame.NumCols() != len(set.Columns) {
-					t.Errorf("%s (%s): set %q: view has %d columns, set has %d", name, where, set.Name, set.Vec.Frame.NumCols(), len(set.Columns))
-				}
-			}
+		check(name, "engine", res, true)
+		check(name, "decoded", decoded, true)
+		check(name, "decoded v1", decodedV1, true)
+		check(name, "server", server, false)
+	}
+	for _, explain := range []string{"EXPLAIN", "EXPLAIN ANALYZE"} {
+		res, err := d.Exec(explain + " SELECT RESULTDB a.name, b.v FROM a AS a, b AS b WHERE a.id = b.a_id")
+		if err != nil {
+			t.Fatalf("%s: %v", explain, err)
 		}
+		check(explain, "engine", res, true)
 	}
 	empty, err := d.Exec("SELECT RESULTDB a.name, b.v FROM a AS a, b AS b WHERE a.id = b.a_id AND a.id > 99")
 	if err != nil {
@@ -93,8 +124,9 @@ INSERT INTO c VALUES (20, 1, 10), (21, 3, 12), (22, 2, 11);`); err != nil {
 // the same order and of the same kinds, whether it runs on the engine's own
 // result, on a v2-decoded one (frames from the decoder; inline text arrives
 // as exact values and is typed on entry), on a v1-decoded one or on a
-// hand-built one (rows only, so a frame is built from them) — with NULLs in
-// and next to the join columns.
+// hand-built one (both made from rows by db.NewResultSet, so every column
+// holds exact values and is typed on entry) — with NULLs in and next to the
+// join columns.
 func TestPostJoinSameOnEveryResultForm(t *testing.T) {
 	stars := db.New()
 	cfg := star.Config{Dims: 3, DimRows: 9, PayloadLen: 12, Seed: 3}
@@ -142,12 +174,7 @@ INSERT INTO q VALUES (10, 1, 'red'), (11, 2, NULL), (12, NULL, 'blue'), (13, 3, 
 			for i, r := range set.Rows {
 				rows[i] = r.Clone()
 			}
-			handBuilt.Sets = append(handBuilt.Sets, &db.ResultSet{Name: set.Name, Columns: set.Columns, Rows: rows})
-		}
-		for _, set := range viaV1.Sets {
-			if set.Vec != nil {
-				t.Fatalf("%s: v1-decoded set %q carries a view; the rows-only form is not exercised", tc.name, set.Name)
-			}
+			handBuilt.Sets = append(handBuilt.Sets, db.NewResultSet(set.Name, set.Columns, rows))
 		}
 		want, err := db.ExecutePostJoinPlan(res)
 		if err != nil {

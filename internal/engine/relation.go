@@ -44,9 +44,9 @@ type Relation struct {
 
 // FromRows wraps rows in a relation: the frame colstore.NewFrame builds under
 // the schema's kinds (a column holding a value of another kind degrades to an
-// exact-value AnyColumn). It is how tuples that exist only as rows — a
-// hand-built or v1-decoded result set on its way into a post-join — enter the
-// engine; no operator calls it. The frame keeps nothing of rows.
+// exact-value AnyColumn). Only tests build relations from rows: no operator
+// calls it, and a result set that starts from rows enters a post-join through
+// its own view (db.NewResultSet). The frame keeps nothing of rows.
 func FromRows(cols []ColRef, rows []types.Row) *Relation {
 	kinds := make([]types.Kind, len(cols))
 	for i, c := range cols {

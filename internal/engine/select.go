@@ -438,7 +438,6 @@ func (j *joined) join(inSet map[string]bool, next string, nrel *Relation, preds 
 	j.extend(nrel, lpos, rpos, par)
 	if sp != nil {
 		sp.RowsOut = j.n
-		tr.AddRowsJoined(j.n)
 	}
 	return nil
 }

@@ -84,8 +84,6 @@ func (e *Executor) ScanRows(r RelRef, filters []sqlparse.Expr, sel []int32) (*Re
 	if sp != nil {
 		sp.RowsOut = rel.Len()
 		sp.DurNS = time.Since(t0).Nanoseconds()
-		e.Tracer.AddRowsScanned(rel.Len())
-		e.Tracer.AddRowsDropped(f.Rows() - rel.Len())
 	}
 	return rel, nil
 }

@@ -35,7 +35,7 @@ func bruteForceSubdatabase(d *db.Database, sel *sqlparse.Select, mode db.Mode) (
 	}
 	res := &db.Result{}
 	for _, s := range sets {
-		res.Sets = append(res.Sets, &db.ResultSet{Name: s.Name, Columns: s.Columns, Rows: s.Rows})
+		res.Sets = append(res.Sets, db.NewResultSet(s.Name, s.Columns, s.Rows))
 	}
 	return res, nil
 }

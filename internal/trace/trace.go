@@ -1,7 +1,7 @@
 // Package trace is the execution-observability layer of the reproduction:
 // a zero-dependency tracer recording per-operator spans (cardinalities,
-// build/probe wall time, parallel degree, morsel counts) and a handful of
-// atomic whole-query counters while a query runs.
+// build/probe wall time, parallel degree, morsel counts) while a query runs;
+// a finished trace's whole-query totals are summed from those spans.
 //
 // Design rules:
 //
@@ -9,10 +9,11 @@
 //     *Tracer is a no-op (single nil check), so operators thread an optional
 //     tracer without branching on a config struct, and per-row hot loops
 //     never touch the tracer at all — spans are recorded once per operator.
-//   - Race-safe: span registration takes a mutex, whole-query counters are
-//     atomics. Span field writes happen only on the coordinating goroutine
-//     (operators record a span after their parallel section completes), so
-//     the recorded counts are in deterministic program order.
+//   - Race-safe: span registration takes a mutex, the statistics-derivation
+//     counters are atomics. Span field writes happen only on the
+//     coordinating goroutine (operators record a span after their parallel
+//     section completes), so the recorded counts are in deterministic
+//     program order.
 //   - Deterministic counts: rows, keys and bytes in a trace are identical at
 //     any degree of parallelism. Wall times, the degree itself, and morsel
 //     counts may differ between runs; CountsFingerprint excludes them.
@@ -82,8 +83,8 @@ type Span struct {
 	EstOut int `json:"est_out,omitempty"`
 }
 
-// Counters are whole-query totals, bumped atomically so operators may update
-// them from any goroutine.
+// Counters are whole-query totals, summed from the spans when the tracer
+// finishes (Finish): operators record spans only, never a total.
 type Counters struct {
 	RowsScanned int64 `json:"rows_scanned"`
 	RowsJoined  int64 `json:"rows_joined"`
@@ -109,9 +110,9 @@ func (tr *Trace) AddCounts(phase string, counts ...Count) *Trace {
 	return tr
 }
 
-// Tracer collects spans and counters for one query execution. The zero value
-// is not used directly; create one with New. A nil *Tracer is the disabled
-// tracer: every method is a cheap no-op.
+// Tracer collects spans for one query execution. The zero value is not used
+// directly; create one with New. A nil *Tracer is the disabled tracer: every
+// method is a cheap no-op.
 type Tracer struct {
 	mu    sync.Mutex
 	spans []*Span
@@ -128,11 +129,6 @@ type Tracer struct {
 	snapSeq     uint64
 	snapLSN     uint64
 
-	rowsScanned   atomic.Int64
-	rowsJoined    atomic.Int64
-	rowsDropped   atomic.Int64
-	rowsOut       atomic.Int64
-	bytesOut      atomic.Int64
 	statsBuilds   atomic.Int64
 	statsTimeNS   atomic.Int64
 	statsExtended atomic.Int64
@@ -281,46 +277,6 @@ func (t *Tracer) SetStats(s string) {
 	t.mu.Unlock()
 }
 
-// AddRowsScanned bumps the scanned-rows counter.
-func (t *Tracer) AddRowsScanned(n int) {
-	if t == nil {
-		return
-	}
-	t.rowsScanned.Add(int64(n))
-}
-
-// AddRowsJoined bumps the join-output counter.
-func (t *Tracer) AddRowsJoined(n int) {
-	if t == nil {
-		return
-	}
-	t.rowsJoined.Add(int64(n))
-}
-
-// AddRowsDropped bumps the semi-join/filter drop counter.
-func (t *Tracer) AddRowsDropped(n int) {
-	if t == nil {
-		return
-	}
-	t.rowsDropped.Add(int64(n))
-}
-
-// AddRowsOut bumps the result-rows counter.
-func (t *Tracer) AddRowsOut(n int) {
-	if t == nil {
-		return
-	}
-	t.rowsOut.Add(int64(n))
-}
-
-// AddBytes bumps the result-bytes counter.
-func (t *Tracer) AddBytes(n int) {
-	if t == nil {
-		return
-	}
-	t.bytesOut.Add(int64(n))
-}
-
 // Trace is an immutable snapshot of a finished execution; the unit the JSON
 // emitters and the EXPLAIN renderers consume.
 type Trace struct {
@@ -381,19 +337,31 @@ func (t *Tracer) Finish() *Trace {
 		StatsExtendedRows: t.statsExtRows.Load(),
 		StatsExtendNS:     t.statsExtNS.Load(),
 		WallNS:            time.Since(t.start).Nanoseconds(),
-		Counters: Counters{
-			RowsScanned: t.rowsScanned.Load(),
-			RowsJoined:  t.rowsJoined.Load(),
-			RowsDropped: t.rowsDropped.Load(),
-			RowsOut:     t.rowsOut.Load(),
-			BytesOut:    t.bytesOut.Load(),
-		},
-		Spans: make([]Span, len(t.spans)),
+		Spans:             make([]Span, len(t.spans)),
 	}
 	for i, sp := range t.spans {
 		tr.Spans[i] = *sp
+		tr.Counters.add(sp)
 	}
 	return tr
+}
+
+// add counts sp into the whole-query totals: rows a scan keeps (and those
+// its filter drops), a join's or fold's output, the rows a semi-join drops,
+// and an output span's rows and bytes.
+func (c *Counters) add(sp *Span) {
+	switch sp.Op {
+	case "scan":
+		c.RowsScanned += int64(sp.RowsOut)
+		c.RowsDropped += int64(sp.RowsIn - sp.RowsOut)
+	case "hash-join", "cross-join", "fold":
+		c.RowsJoined += int64(sp.RowsOut)
+	case "semi-join":
+		c.RowsDropped += int64(sp.RowsIn - sp.RowsOut)
+	case "output":
+		c.RowsOut += int64(sp.RowsOut)
+		c.BytesOut += int64(sp.Bytes)
+	}
 }
 
 // JSON marshals the trace (indented, stable field order).

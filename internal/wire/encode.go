@@ -170,10 +170,9 @@ func EncodeResultV2(r *db.Result) []byte {
 }
 
 // EncodeResultOptions serializes a result in the requested format version.
-// Panics on an unknown version (programmer error, like a hand-built row
-// whose arity differs from its set's columns, db.Cells.At). The server
-// ships exactly the v2 bytes, chunk by chunk (encodeHeader + per-set
-// encodeSetVersion + encodePlan).
+// Panics on an unknown version (programmer error). The server ships exactly
+// the v2 bytes, chunk by chunk (encodeHeader + per-set encodeSetVersion +
+// encodePlan).
 func EncodeResultOptions(r *db.Result, opts EncodeOptions) []byte {
 	v := opts.version()
 	if v != FormatV1 && v != FormatV2 {
@@ -539,6 +538,8 @@ func (d *Decoder) decodePlan() (*db.PostJoinPlan, error) {
 	return plan, nil
 }
 
+// decodeSet parses one v1 set: rows, made a set by db.NewResultSet so that,
+// like every other set, it is its view.
 func (d *Decoder) decodeSet() (*db.ResultSet, error) {
 	name, err := d.str()
 	if err != nil {
@@ -548,13 +549,13 @@ func (d *Decoder) decodeSet() (*db.ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	set := &db.ResultSet{Name: name}
+	var columns []string
 	for i := 0; i < nCols; i++ {
 		c, err := d.str()
 		if err != nil {
 			return nil, err
 		}
-		set.Columns = append(set.Columns, c)
+		columns = append(columns, c)
 	}
 	nRows, err := d.count(nCols, "row") // a row costs >= 1 byte per value
 	if err != nil {
@@ -563,6 +564,7 @@ func (d *Decoder) decodeSet() (*db.ResultSet, error) {
 	if nCols == 0 && nRows > 0 {
 		return nil, fmt.Errorf("wire: %d rows in a zero-column set", nRows)
 	}
+	var rows []types.Row
 	for i := 0; i < nRows; i++ {
 		row := make(types.Row, nCols)
 		for j := range row {
@@ -571,7 +573,7 @@ func (d *Decoder) decodeSet() (*db.ResultSet, error) {
 				return nil, err
 			}
 		}
-		set.Rows = append(set.Rows, row)
+		rows = append(rows, row)
 	}
-	return set, nil
+	return db.NewResultSet(name, columns, rows), nil
 }

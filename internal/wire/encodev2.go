@@ -381,20 +381,16 @@ func tryFlate(block []byte, breaks []int) []byte {
 	return append(out, z.out...)
 }
 
-// gatherCol extracts column j of the set's n rows into typed vectors. When
-// the set carries a view the gather is vector copies (and, for TEXT, a
-// dictionary remap with zero string hashing); otherwise, and for a view
-// column of exact values, it reads cell by cell. Both paths produce
-// identical colData, so the wire bytes do not depend on which executed.
+// gatherCol extracts column j of the set's n rows into typed vectors. For a
+// typed view column the gather is vector copies (and, for TEXT, a dictionary
+// remap with zero string hashing); a column of exact values is read cell by
+// cell. Both paths produce identical colData, so the wire bytes do not depend
+// on which executed.
 func gatherCol(set *db.ResultSet, j, n int) *colData {
 	c := &colData{n: n}
-	if set.Vec != nil {
-		if ok := gatherColVec(set, j, c); ok {
-			return c
-		}
-		*c = colData{n: n}
+	if !gatherColVec(set, j, c) {
+		gatherColCells(set.Column(j), c)
 	}
-	gatherColCells(set.Column(j), c)
 	return c
 }
 
@@ -490,9 +486,9 @@ func (c *colData) finishAllNull() {
 	c.kind = colAllNull
 }
 
-// gatherColVec gathers from the set's colstore view; reports false for
-// column representations it does not accelerate (AnyColumn), which then
-// take the cell-by-cell path.
+// gatherColVec gathers from the set's colstore view; reports false, leaving c
+// untouched, for column representations it does not accelerate (AnyColumn),
+// which then take the cell-by-cell path.
 func gatherColVec(set *db.ResultSet, j int, c *colData) bool {
 	col := set.Vec.Frame.Col(j)
 	v := set.Vec

@@ -21,7 +21,7 @@ import (
 
 // oneSet wraps a single result set in a Result.
 func oneSet(name string, cols []string, rows []types.Row) *db.Result {
-	return &db.Result{Sets: []*db.ResultSet{{Name: name, Columns: cols, Rows: rows}}}
+	return &db.Result{Sets: []*db.ResultSet{db.NewResultSet(name, cols, rows)}}
 }
 
 // mustRoundTripV2 encodes r at v2, decodes, and checks value equality by
@@ -192,7 +192,7 @@ func TestV2RoundTripProperty(t *testing.T) {
 func TestV2EmptyShapes(t *testing.T) {
 	for _, r := range []*db.Result{
 		{},
-		{Sets: []*db.ResultSet{{Name: "empty"}}},
+		oneSet("empty", nil, nil),
 		oneSet("nocols", nil, nil),
 		oneSet("norows", []string{"a", "b"}, nil),
 	} {
@@ -309,8 +309,8 @@ func jobishResult(n int) *db.Result {
 		rows2[i] = types.Row{types.NewInt(int64(i * 3)), types.NewBool(i%3 == 0)}
 	}
 	return &db.Result{Sets: []*db.ResultSet{
-		{Name: "t", Columns: []string{"id", "note", "score"}, Rows: rows1},
-		{Name: "u", Columns: []string{"fk", "ok"}, Rows: rows2},
+		db.NewResultSet("t", []string{"id", "note", "score"}, rows1),
+		db.NewResultSet("u", []string{"fk", "ok"}, rows2),
 	}}
 }
 
@@ -341,9 +341,10 @@ func TestV2NeverLargerThanV1(t *testing.T) {
 }
 
 // TestV2VecGatherMatchesRowGather checks the dictionary-reuse fast path: a
-// set carrying a colstore view (with a scan-time dictionary larger than the
-// result needs, and a selection vector) must encode to exactly the bytes of
-// the plain row-scan gather.
+// set carrying a typed colstore view (with a scan-time dictionary larger than
+// the result needs, and a selection vector) must encode to exactly the bytes
+// of the cell-by-cell gather over the same rows made a set by
+// db.NewResultSet (exact-value columns).
 func TestV2VecGatherMatchesRowGather(t *testing.T) {
 	kinds := []types.Kind{types.KindInt, types.KindText, types.KindFloat}
 	frameRows := make([]types.Row, 40)
@@ -368,12 +369,10 @@ func TestV2VecGatherMatchesRowGather(t *testing.T) {
 	withVec := &db.Result{Sets: []*db.ResultSet{{
 		Name: "v", Columns: []string{"id", "w", "f"}, Rows: rows, Vec: view,
 	}}}
-	withoutVec := &db.Result{Sets: []*db.ResultSet{{
-		Name: "v", Columns: []string{"id", "w", "f"}, Rows: rows,
-	}}}
-	a, b := EncodeResultV2(withVec), EncodeResultV2(withoutVec)
+	fromRows := &db.Result{Sets: []*db.ResultSet{db.NewResultSet("v", []string{"id", "w", "f"}, rows)}}
+	a, b := EncodeResultV2(withVec), EncodeResultV2(fromRows)
 	if !bytes.Equal(a, b) {
-		t.Fatal("vec-backed and row-scan v2 encodes differ")
+		t.Fatal("typed-view and exact-value v2 encodes differ")
 	}
 	mustRoundTripV2(t, withVec)
 }
@@ -703,8 +702,8 @@ func TestDecodeInlineTextAllocsFlat(t *testing.T) {
 // relation is a frame and a selection": the post-join of a v2-decoded star
 // result runs on the decoder's frames, so what it allocates is its output's
 // row block plus the join's own gathers — under 2x the block. Rebuilding the
-// inputs' frames from their rows first (what a set without a view costs)
-// does not fit.
+// inputs' frames from their rows first (what db.NewResultSet does for a set
+// that starts from rows) does not fit.
 func TestPostJoinOnDecodedResultBuildsNoFrame(t *testing.T) {
 	d := db.New()
 	cfg := star.DefaultConfig()

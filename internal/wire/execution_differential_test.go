@@ -42,8 +42,8 @@ import (
 // vector out of order, a dedup keeping the wrong duplicate, a chunk stitched
 // out of order — shows up as a byte diff. A relationship-preserving result
 // is additionally post-joined on the client side from its wire-decoded sets
-// (row-major inputs, no columnar view) and compared with the reference's
-// single-table result.
+// (the decoder's frames) and compared with the reference's single-table
+// result.
 
 // execConfig is one point of the configuration lattice.
 type execConfig struct {

@@ -21,20 +21,12 @@ func fuzzSeedResult() *db.Result {
 	}
 	return &db.Result{
 		Sets: []*db.ResultSet{
-			{
-				Name:    "c",
-				Columns: []string{"id", "name", "score"},
-				Rows: []types.Row{
-					{types.NewInt(1), types.NewText("Ann"), types.NewFloat(1.5)},
-					{types.NewInt(-7), types.NewText("it's"), nan},
-					{types.Null(), types.NewText(""), types.NewFloat(0)},
-				},
-			},
-			{
-				Name:    "p",
-				Columns: []string{"ok"},
-				Rows:    []types.Row{{types.NewBool(true)}, {types.NewBool(false)}},
-			},
+			db.NewResultSet("c", []string{"id", "name", "score"}, []types.Row{
+				{types.NewInt(1), types.NewText("Ann"), types.NewFloat(1.5)},
+				{types.NewInt(-7), types.NewText("it's"), nan},
+				{types.Null(), types.NewText(""), types.NewFloat(0)},
+			}),
+			db.NewResultSet("p", []string{"ok"}, []types.Row{{types.NewBool(true)}, {types.NewBool(false)}}),
 		},
 		PostJoinPlan: &db.PostJoinPlan{
 			Preds:      []engine.JoinPred{{LeftRel: "c", LeftCol: "id", RightRel: "o", RightCol: "cust_id"}},
@@ -57,7 +49,7 @@ func fuzzSeedResult() *db.Result {
 func FuzzEncodeDecode(f *testing.F) {
 	f.Add(EncodeResult(fuzzSeedResult()))
 	f.Add(EncodeResult(&db.Result{}))
-	f.Add(EncodeResult(&db.Result{Sets: []*db.ResultSet{{Name: "empty"}}}))
+	f.Add(EncodeResult(&db.Result{Sets: []*db.ResultSet{db.NewResultSet("empty", nil, nil)}}))
 	f.Add(EncodeResultV2(fuzzSeedResult()))
 	f.Add(EncodeResultV2(&db.Result{}))
 	f.Add([]byte{})

@@ -36,8 +36,11 @@ func TestPayloadMemoUncachedResultsEncodeAfresh(t *testing.T) {
 			}
 		}
 		before := bothVersions(r)
-		r.Sets[0].Rows[0][0] = types.NewInt(424242)
-		r.Sets[0].Vec = nil // the columnar view mirrors the rows it was built from
+		set := r.Sets[0]
+		set.Rows[0][0] = types.NewInt(424242)
+		// The same set, its view rebuilt from the mutated rows: a view is
+		// the set, and the rows only mirror it.
+		set.Vec = db.NewResultSet(set.Name, set.Columns, set.Rows).Vec
 		after := bothVersions(r)
 		for v := range after {
 			if bytes.Equal(after[v], before[v]) {

@@ -56,8 +56,9 @@ func wireFleet(t *testing.T, load func(d *db.Database) error) (*db.Database, []w
 
 // checkWire runs sql on the oracle and across every served candidate,
 // requiring value-identical results, v2 payloads no larger than v1, v2
-// bytes that do not depend on whether the encoder read a set's columnar view
-// or its rows, and the server's unboxed form encoding like the boxed one.
+// bytes that do not depend on whether the encoder read a set's typed view or
+// its rows made a set by db.NewResultSet (exact values), and the server's
+// unboxed form encoding like the boxed one.
 func checkWire(t *testing.T, oracle *db.Database, cands []wireCandidate, name, sql string) {
 	t.Helper()
 	res, err := oracle.Exec(sql)
@@ -75,7 +76,7 @@ func checkWire(t *testing.T, oracle *db.Database, cands []wireCandidate, name, s
 		if set.Vec == nil {
 			t.Errorf("%s: set %q left the engine without its columnar view", name, set.Name)
 		}
-		rowsOnly.Sets = append(rowsOnly.Sets, &db.ResultSet{Name: set.Name, Columns: set.Columns, Rows: set.Rows})
+		rowsOnly.Sets = append(rowsOnly.Sets, db.NewResultSet(set.Name, set.Columns, set.Rows))
 	}
 	if !bytes.Equal(EncodeResultV2(rowsOnly), v2) {
 		t.Errorf("%s: v2 payload encoded from the views differs from the one encoded from the rows", name)
@@ -146,7 +147,7 @@ func checkServerForm(t *testing.T, d *db.Database, name, sql string, boxed *db.R
 		if set.Rows != nil || set.Vec == nil {
 			t.Fatalf("%s: server set %q left the engine boxed (rows %v, view %v)", name, set.Name, set.Rows != nil, set.Vec != nil)
 		}
-		rows := &db.ResultSet{Name: set.Name, Columns: set.Columns, Rows: boxed.Sets[i].Rows}
+		rows := db.NewResultSet(set.Name, set.Columns, boxed.Sets[i].Rows)
 		if set.NumRows() != rows.NumRows() || set.WireSize() != rows.WireSize() {
 			t.Fatalf("%s: set %q: view counts %d rows / %d bytes, its rows %d / %d",
 				name, set.Name, set.NumRows(), set.WireSize(), rows.NumRows(), rows.WireSize())

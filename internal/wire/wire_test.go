@@ -17,24 +17,16 @@ import (
 
 func sampleResult() *db.Result {
 	return &db.Result{Sets: []*db.ResultSet{
-		{
-			Name:    "c",
-			Columns: []string{"name", "id"},
-			Rows: []types.Row{
-				{types.NewText("custA"), types.NewInt(0)},
-				{types.NewText("it's"), types.NewInt(-7)},
-				{types.Null(), types.NewInt(math.MaxInt64)},
-			},
-		},
-		{
-			Name:    "p",
-			Columns: []string{"price", "ok"},
-			Rows: []types.Row{
-				{types.NewFloat(3.25), types.NewBool(true)},
-				{types.NewFloat(math.Inf(1)), types.NewBool(false)},
-			},
-		},
-		{Name: "empty", Columns: []string{"x"}},
+		db.NewResultSet("c", []string{"name", "id"}, []types.Row{
+			{types.NewText("custA"), types.NewInt(0)},
+			{types.NewText("it's"), types.NewInt(-7)},
+			{types.Null(), types.NewInt(math.MaxInt64)},
+		}),
+		db.NewResultSet("p", []string{"price", "ok"}, []types.Row{
+			{types.NewFloat(3.25), types.NewBool(true)},
+			{types.NewFloat(math.Inf(1)), types.NewBool(false)},
+		}),
+		db.NewResultSet("empty", []string{"x"}, nil),
 	}}
 }
 
@@ -87,17 +79,19 @@ func TestEncodeDecodeRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 100; trial++ {
 		nCols := 1 + rng.Intn(5)
-		set := &db.ResultSet{Name: "s", Columns: make([]string, nCols)}
-		for i := range set.Columns {
-			set.Columns[i] = string(rune('a' + i))
+		cols := make([]string, nCols)
+		for i := range cols {
+			cols[i] = string(rune('a' + i))
 		}
+		var rows []types.Row
 		for r := 0; r < rng.Intn(30); r++ {
 			row := make(types.Row, nCols)
 			for i := range row {
 				row[i] = randomValue(rng)
 			}
-			set.Rows = append(set.Rows, row)
+			rows = append(rows, row)
 		}
+		set := db.NewResultSet("s", cols, rows)
 		res := &db.Result{Sets: []*db.ResultSet{set}}
 		got, err := DecodeResult(EncodeResult(res))
 		if err != nil {
@@ -361,11 +355,11 @@ func TestEncoderLenTracksBytes(t *testing.T) {
 // wire round trip (testing/quick drives the values).
 func TestQuickEncodeDecodeInts(t *testing.T) {
 	f := func(vals []int64, name string) bool {
-		set := &db.ResultSet{Name: name, Columns: []string{"v"}}
+		var rows []types.Row
 		for _, v := range vals {
-			set.Rows = append(set.Rows, types.Row{types.NewInt(v)})
+			rows = append(rows, types.Row{types.NewInt(v)})
 		}
-		res := &db.Result{Sets: []*db.ResultSet{set}}
+		res := &db.Result{Sets: []*db.ResultSet{db.NewResultSet(name, []string{"v"}, rows)}}
 		got, err := DecodeResult(EncodeResult(res))
 		if err != nil {
 			return false

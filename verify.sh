@@ -19,13 +19,16 @@
 # acyclicity mechanism (implied-edge dropping and the unused query-level
 # hypergraph API) and the second table registry (catalog.Catalog), or a write
 # into a parsed statement (Select.Src), or of the deleted RESULTDB_*
-# environment layer; no environment read in non-test code under internal/ or
+# environment layer, or of the trace totals bumped beside the spans
+# (Tracer.AddRows*, AddBytes) and the rows-only set's rowsKind; no
+# engine.FromRows( outside tests; no environment read in non-test code under internal/ or
 # cmd/ (hermetic configuration); no identifier of the deleted second relation image, no row slices in core or the colstore kernels, no
 # tuple boxed or taken back between the engine's operators (FromRows(,
 # .Rows() on a relation or view, []types.Row outside FromRows) and no src
 # rows kept by a colstore frame; results leave the engine unboxed (no
 # len(set.Rows) or range set.Rows in internal/wire or internal/db outside
-# db/result.go); no map-of-slices bucket structure
+# db/result.go) and every result set has its view (no non-test Vec == nil or
+# Vec != nil in internal/db or internal/wire); no map-of-slices bucket structure
 # in colstore/engine/storage; row blocks filled by colstore.View.Rows only,
 # one inflate (the v2 column decoder's one-pass decoder, compress/flate's
 # reader in tests only), one deflate (the whole-buffer compressor, called
@@ -208,9 +211,14 @@ dead="$dead"'|FromEnv|EnvDegree|RetryFromEnv|isZeroRetry|CacheEnvVar|Parallelism
 # spans.
 dead="$dead"'|opts\.(Tracer|TableStats)|\bOptions\{[^}]*\b(Parallelism|Tracer|TableStats|ResultCache):|st\.Parallelism|Stats\.Parallelism|core\.Options\.|CoreOptions\.(Root|Fold|EarlyStop|AlphaReduce|Tracer|TableStats)\b'
 dead="$dead"'|func \(d \*Database\) [a-zA-Z]+\([^)]*trace\.Tracer|\baliasStats\b|\bexecutorWith\b|d\.executor\(|func JoinAll\(|JoinAll\(preds|SemiJoinReduce\(spec|Decompose\(joined|FoldJoinGraph\(g\b|case "encode"'
+# One record per fact: a trace's whole-query totals are summed from its spans
+# when the tracer finishes, so the hand-bumped counters and their methods are
+# gone; a result set is its view, so the kind sniffed from a set's rows is
+# gone with the rows-only form.
+dead="$dead"'|AddRowsScanned|AddRowsJoined|AddRowsDropped|AddRowsOut|AddBytes\(|rowsKind'
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
-	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer / per-statement state copies are back:"
+	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer / per-statement state copies / hand-bumped trace totals / rows-only result sets are back:"
 	echo "$dead_refs"
 	exit 1
 fi
@@ -228,13 +236,14 @@ fi
 
 echo "== lint: one relation representation (frame + selection)"
 # engine.Relation is a colstore view and nothing else; no engine code boxes
-# it (the db package boxes results for in-process callers), and a set that
-# exists only as rows
-# (hand-built, v1-decoded) enters through FromRows in db/query.go. The helpers
-# of the deleted row image reappearing, a row slice in the reduction code or
-# the hash/filter kernels, an engine operator boxing its input or
-# handing rows back, or a frame keeping the rows it was built from, means the
-# second representation is growing back.
+# it (the db package boxes results for in-process callers), and a result set
+# enters a post-join through its own view: a set that starts from rows
+# (EXPLAIN's, v1-decoded, hand-built) gets one from db.NewResultSet, so
+# engine.FromRows( has no non-test caller. The helpers of the deleted row
+# image reappearing, a row slice in the reduction code or the hash/filter
+# kernels, an engine operator boxing its input or handing rows back, a
+# non-test FromRows( call, or a frame keeping the rows it was built from,
+# means the second representation is growing back.
 row_image=$(grep -rnwE 'RowsKey|Columnarize|gatherRows|KeyFor|concatRows' --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$row_image" ]; then
 	echo "FAIL: identifiers of the deleted Rows/Vec double image are back:"
@@ -257,9 +266,9 @@ if [ -n "$engine_rows" ]; then
 	exit 1
 fi
 from_rows=$(grep -rn 'FromRows(' --include='*.go' internal cmd examples ./*.go | grep -v '_test\.go:' |
-	grep -vE '^internal/(engine/relation|db/query)\.go:' || true)
+	grep -vE '^internal/engine/relation\.go:' || true)
 if [ -n "$from_rows" ]; then
-	echo "FAIL: engine.FromRows( outside its definition and db.setToRelation:"
+	echo "FAIL: engine.FromRows( has a non-test caller (a result set enters a post-join through its view):"
 	echo "$from_rows"
 	exit 1
 fi
@@ -279,6 +288,16 @@ row_reads=$(grep -nE 'len\((set|rs)\.Rows\)|range (set|rs)\.Rows\b' internal/wir
 if [ -n "$row_reads" ]; then
 	echo "FAIL: a result set's Rows counted or walked outside the boxing helpers (use NumRows, WireSize, Column):"
 	echo "$row_reads"
+	exit 1
+fi
+# Every set has a view: the engine's and the v2 decoder's are built from
+# columns, and a set that starts from rows (EXPLAIN's, the v1 decoder's) gets
+# one from db.NewResultSet. A test of Vec against nil in db or wire code is a
+# reader of the rows-only form, which no longer exists.
+vec_nil=$(grep -rnE 'Vec (==|!=) nil' --include='*.go' internal/db internal/wire | grep -v '_test\.go:' || true)
+if [ -n "$vec_nil" ]; then
+	echo "FAIL: db or wire code branches on whether a result set has a view (every set has one; build sets from rows with db.NewResultSet):"
+	echo "$vec_nil"
 	exit 1
 fi
 
@@ -463,17 +482,33 @@ echo "== tracer overhead guard"
 # Here we additionally bound the cost of *enabled* tracing on the heaviest
 # acyclic query's plan; the 1.20 gate is deliberately looser than the
 # nominal <2% so scheduler noise on shared CI boxes cannot flake the build.
-# (25 iterations: the columnar join made one iteration ~80 ms, a sixth of what
-# it was, so 5 no longer average out a GC cycle landing on one side.)
-bench_out=$(go test -run '^$' -bench BenchmarkTracerOverhead16b -benchtime 25x .)
-echo "$bench_out"
-echo "$bench_out" | awk '
-	$1 ~ /\/off/ { off = $3 }
-	$1 ~ /\/on/  { on = $3 }
+# The benchmark runs as interleaved rounds — each a fresh process timing
+# "off" and then "on", 25 iterations apiece — and the gate is the ratio of the
+# two medians. A single round's halves run seconds apart, so one GC cycle or a
+# neighbour's burst landing on one side decided the verdict (on a 2-vCPU
+# host, single rounds of one unchanged tree read from 0.81 to 1.45); the
+# rounds spread such a burst over both sides, and the medians drop the round
+# it hits.
+rounds=5
+bench_out=
+for round in $(seq "$rounds"); do
+	bench_out="$bench_out
+$(go test -run '^$' -bench BenchmarkTracerOverhead16b -benchtime 25x .)"
+done
+echo "$bench_out" | grep '^BenchmarkTracerOverhead16b'
+echo "$bench_out" | awk -v rounds="$rounds" '
+	function median(a, n,   i, j, t) {
+		for (i = 2; i <= n; i++)
+			for (j = i; j > 1 && a[j-1] > a[j]; j--) { t = a[j]; a[j] = a[j-1]; a[j-1] = t }
+		return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+	}
+	$1 ~ /\/off/ { off[++noff] = $3 + 0 }
+	$1 ~ /\/on/  { on[++non] = $3 + 0 }
 	END {
-		if (off == 0 || on == 0) { print "FAIL: benchmark output missing"; exit 1 }
-		printf "tracer on/off time ratio: %.3f\n", on / off
-		if (on / off > 1.20) { print "FAIL: tracing overhead exceeds budget"; exit 1 }
+		if (noff != rounds || non != rounds) { printf "FAIL: benchmark output missing (%d off, %d on of %d rounds)\n", noff, non, rounds; exit 1 }
+		ratio = median(on, non) / median(off, noff)
+		printf "tracer on/off time ratio of the medians over %d rounds: %.3f\n", rounds, ratio
+		if (ratio > 1.20) { print "FAIL: tracing overhead exceeds budget"; exit 1 }
 	}'
 
 echo "== ledger: the two newest committed BENCH_<n>.json files"
