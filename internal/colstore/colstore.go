@@ -614,17 +614,21 @@ func (v *View) Index(j int) int {
 }
 
 // Narrow returns the view restricted to the logical positions in keep
-// (ascending): the composed selection vector over the same frame.
+// (ascending), and takes keep over as the new view's selection: where v has
+// a selection, each position is rewritten in place to its frame row index
+// (keep[i] only ever reads v.Sel, never another entry of keep). The caller
+// hands keep over and does not touch it afterwards. A nil keep selects no
+// rows.
 func (v *View) Narrow(keep []int32) *View {
-	sel := make([]int32, len(keep))
-	if v.Sel == nil {
-		copy(sel, keep)
-	} else {
+	if keep == nil {
+		keep = []int32{}
+	}
+	if v.Sel != nil {
 		for i, j := range keep {
-			sel[i] = v.Sel[j]
+			keep[i] = v.Sel[j]
 		}
 	}
-	return &View{Frame: v.Frame, Sel: sel}
+	return &View{Frame: v.Frame, Sel: keep}
 }
 
 // boxTile is how many rows View.Rows boxes at a time: a tile of cells

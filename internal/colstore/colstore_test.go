@@ -339,6 +339,38 @@ func TestViewNarrow(t *testing.T) {
 	}
 }
 
+// TestViewNarrowTakesItsArgument: Narrow makes the positions it is handed the
+// new view's selection — rewritten in place to frame rows when the view has a
+// selection, never copied — and a nil argument selects no rows, not all.
+func TestViewNarrowTakesItsArgument(t *testing.T) {
+	rows := make([]types.Row, 10)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i))}
+	}
+	f := NewFrame([]types.Kind{types.KindInt}, rows)
+	keep := []int32{1, 3, 5, 9}
+	v := (&View{Frame: f}).Narrow(keep)
+	if &v.Sel[0] != &keep[0] {
+		t.Fatal("narrowing a view without a selection copied the positions")
+	}
+	keep = []int32{0, 3}
+	w := v.Narrow(keep)
+	if &w.Sel[0] != &keep[0] || w.Sel[0] != 1 || w.Sel[1] != 9 {
+		t.Fatalf("narrowing a selection gave %v, want [1 9] in the positions handed over", w.Sel)
+	}
+	if v.Sel[0] != 1 || v.Sel[3] != 9 {
+		t.Fatal("narrowing a view rewrote the selection it narrowed")
+	}
+	for _, from := range []*View{{Frame: f}, v} {
+		if e := from.Narrow(nil); e.Sel == nil || e.Len() != 0 {
+			t.Fatalf("Narrow(nil) selects %d rows, want none", e.Len())
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { v.Narrow([]int32{0, 1}) }); a > 2 {
+		t.Errorf("Narrow allocates %v times, want the view alone (and the literal)", a)
+	}
+}
+
 // TestViewRows: boxing a view gives the selected tuples, in order, with their
 // kinds — fresh ones however the frame was made: built from rows (it keeps
 // nothing of them), gathered, projected or zipped.

@@ -433,22 +433,22 @@ func (k *isNullKernel) FilterSel(sel, dst []int32) []int32 {
 
 // RunKernels evaluates a conjunction of kernels over the dense row domain
 // [0, n) or, when sel is non-nil, over the ascending rows it lists, chunked
-// across the worker pool at degree par with the usual deterministic ordered
-// merge: the first kernel runs over each chunk into a fresh selection vector
-// (sel itself is never written), later kernels compact the chunk's selection
-// vector in place. The result is the ascending selection of rows passing
-// every kernel (never nil, so an empty result is distinguishable from a nil
-// "all rows" selection). kernels must be non-empty.
+// across the worker pool at degree par into one selection vector of n
+// entries (parallel.Filter): the first kernel writes each chunk's survivors
+// into the chunk's own window of it (sel itself is never written), later
+// kernels compact that window in place, and the windows close up in chunk
+// order. The result is the ascending selection of rows passing every kernel
+// (never nil, so an empty result is distinguishable from a nil "all rows"
+// selection), and it is the caller's. kernels must be non-empty.
 func RunKernels(n int, sel []int32, kernels []Kernel, par int) []int32 {
 	if sel != nil {
 		n = len(sel)
 	}
-	out := parallel.Map(n, par, func(lo, hi int) []int32 {
-		var dst []int32
+	return parallel.Filter(make([]int32, n), par, func(lo, hi int, dst []int32) []int32 {
 		if sel == nil {
-			dst = kernels[0].FilterDense(lo, hi, make([]int32, 0, hi-lo))
+			dst = kernels[0].FilterDense(lo, hi, dst)
 		} else {
-			dst = kernels[0].FilterSel(sel[lo:hi], make([]int32, 0, hi-lo))
+			dst = kernels[0].FilterSel(sel[lo:hi], dst)
 		}
 		for _, k := range kernels[1:] {
 			if len(dst) == 0 {
@@ -460,8 +460,4 @@ func RunKernels(n int, sel []int32, kernels []Kernel, par int) []int32 {
 		}
 		return dst
 	})
-	if out == nil {
-		out = []int32{}
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package colstore
 import (
 	"math"
 	"math/bits"
-	"slices"
 
 	"resultdb/internal/parallel"
 	"resultdb/internal/types"
@@ -359,111 +358,97 @@ func buildHashed(src Key) *KeySet {
 	return s
 }
 
-// Select appends to out the positions in [lo, hi) of p's rows whose key is in
-// the set, ascending. NULL keys never match. out grows with the hit rate
-// observed, not with the rows probed.
-func (s *KeySet) Select(p Key, lo, hi int, out []int32) []int32 {
+// Select marks the positions in [lo, hi) of p's rows whose key is in the
+// set: bit j-lo of mask (LSB-first within a word) for position j, in a mask
+// of (hi-lo+63)/64 zeroed words, and returns how many it marked. NULL keys
+// never match. It writes no position: the caller sizes the selection vector
+// to the count (parallel.Positions).
+func (s *KeySet) Select(p Key, lo, hi int, mask []uint64) int {
 	if s.bits != nil {
-		return s.selectDense(p, lo, hi, out)
+		return s.selectDense(p, lo, hi, mask)
 	}
 	m := newMatcher(s.src, p)
 	var hs [batch]uint64
 	var null [batch]bool
-	var hit [batch]int32
-	for ; lo < hi; lo += batch {
-		b := min(batch, hi-lo)
-		p.hashes(lo, hs[:b], null[:b])
-		k := 0
+	k := 0
+	for at := lo; at < hi; at += batch { // batch is a multiple of 64
+		b := min(batch, hi-at)
+		p.hashes(at, hs[:b], null[:b])
+		w := mask[(at-lo)>>6:]
 		for i := 0; i < b; i++ {
-			if !null[i] && s.tab.lookup(hs[i], &m, lo+i).ref != 0 {
-				hit[k] = int32(lo + i)
+			if !null[i] && s.tab.lookup(hs[i], &m, at+i).ref != 0 {
+				w[i>>6] |= 1 << (i & 63)
 				k++
 			}
 		}
-		out = appendHits(out, hit[:k], hi-lo)
 	}
-	return out
+	return k
 }
 
 // selectDense is Select over the dense form: a null-free Int64Column probe
 // takes the branch-free kernel, an Int64Column with NULLs one NULL test, one
 // subtract, one compare and one bit test per row, and any other probe column
 // ContainsValue's rule per value.
-func (s *KeySet) selectDense(p Key, lo, hi int, out []int32) []int32 {
+func (s *KeySet) selectDense(p Key, lo, hi int, mask []uint64) int {
 	if c, ok := p.kc[0].(*Int64Column); ok && c.Nulls.Count() == 0 {
-		return s.selectInts(c.Vals, p.view.Sel, lo, hi, out)
+		return s.selectInts(c.Vals, p.view.Sel, lo, hi, mask)
 	}
-	var hit [batch]int32
-	sel := p.view.Sel
-	for ; lo < hi; lo += batch {
-		b := min(batch, hi-lo)
-		k := 0
-		switch c := p.kc[0].(type) {
-		case *Int64Column:
-			for j := lo; j < lo+b; j++ {
-				f := j
-				if sel != nil {
-					f = int(sel[j])
-				}
-				if !c.Nulls.Get(f) && s.hasInt(c.Vals[f]) {
-					hit[k] = int32(j)
-					k++
-				}
+	k := 0
+	switch c := p.kc[0].(type) {
+	case *Int64Column:
+		sel := p.view.Sel
+		for j := lo; j < hi; j++ {
+			f := j
+			if sel != nil {
+				f = int(sel[j])
 			}
-		default:
-			for j := lo; j < lo+b; j++ {
-				if s.ContainsValue(c.Value(p.view.Index(j))) {
-					hit[k] = int32(j)
-					k++
-				}
+			if !c.Nulls.Get(f) && s.hasInt(c.Vals[f]) {
+				mask[(j-lo)>>6] |= 1 << ((j - lo) & 63)
+				k++
 			}
 		}
-		out = appendHits(out, hit[:k], hi-lo)
+	default:
+		for j := lo; j < hi; j++ {
+			if s.ContainsValue(c.Value(p.view.Index(j))) {
+				mask[(j-lo)>>6] |= 1 << ((j - lo) & 63)
+				k++
+			}
+		}
 	}
-	return out
+	return k
 }
 
 // selectInts is selectDense's kernel over the values of a null-free
 // Int64Column, read through sel when it is not nil. It branches on no probe
-// value: every row is written to hit and its bit added to the hit count, and
-// the word index is guarded by a mask, not a compare and jump. An index past
-// the bitmap (a value below base wraps to one) reads word 0 and masks its bit
-// away. The dense form always has a word 0.
-func (s *KeySet) selectInts(vals []int64, sel []int32, lo, hi int, out []int32) []int32 {
-	var hit [batch]int32
+// value: every row's bit is computed and or-ed into its mask word, which is
+// stored once, and the word index into the key bitmap is guarded by a mask,
+// not a compare and jump. An index past the key bitmap (a value below base
+// wraps to one) reads word 0 and masks its bit away. The dense form always
+// has a word 0.
+func (s *KeySet) selectInts(vals []int64, sel []int32, lo, hi int, mask []uint64) int {
 	words, base := s.bits, s.base
 	nw := uint64(len(words))
-	for ; lo < hi; lo += batch {
-		b := min(batch, hi-lo)
-		k := 0
+	k := 0
+	for w, at := 0, lo; at < hi; w, at = w+1, at+64 {
+		e := min(at+64, hi)
+		var acc uint64
 		if sel == nil {
-			for j, v := range vals[lo : lo+b] {
+			for i, v := range vals[at:e] {
 				d := uint64(v - base)
 				in := (d>>6 - nw) >> 63 // 1 when d>>6 < nw: both lie far below 2^63
-				hit[k] = int32(lo + j)
-				k += int(words[d>>6&-in] >> (d & 63) & in)
+				acc |= words[d>>6&-in] >> (d & 63) & in << i
 			}
 		} else {
-			for j, f := range sel[lo : lo+b] {
+			for i, f := range sel[at:e] {
 				d := uint64(vals[f] - base)
 				in := (d>>6 - nw) >> 63
-				hit[k] = int32(lo + j)
-				k += int(words[d>>6&-in] >> (d & 63) & in)
+				acc |= words[d>>6&-in] >> (d & 63) & in << i
 			}
 		}
-		out = appendHits(out, hit[:k], hi-lo)
+		mask[w] = acc
+		k += bits.OnesCount64(acc)
 	}
-	return out
-}
-
-// appendHits appends one batch's hits to out, where left rows (that batch's
-// included) remain to be probed: when out is full it reserves as if the
-// batches left hit like this one did.
-func appendHits(out, hits []int32, left int) []int32 {
-	if len(out)+len(hits) > cap(out) {
-		out = slices.Grow(out, len(hits)*((left+batch-1)/batch))
-	}
-	return append(out, hits...)
+	return k
 }
 
 // hasInt reports whether the dense form holds the integer v. One outside

@@ -144,7 +144,7 @@ func checkJoinAgainstScan(t *testing.T, build, probe side) {
 			pk := pf.key(probe.kinds, probe.rows, probe.cols)
 			for _, set := range sets {
 				what := bf.name + " build (" + keySetForm(set) + "), " + pf.name + " probe"
-				if got := set.Select(pk, 0, pk.Len(), nil); !sameSel(got, wantSel) {
+				if got := selected(t, set, pk, 0, pk.Len()); !sameSel(got, wantSel) {
 					t.Fatalf("%s: Select = %v, want %v", what, got, wantSel)
 				}
 				// An odd-sized sub-range crossing a batch boundary.
@@ -155,7 +155,7 @@ func checkJoinAgainstScan(t *testing.T, build, probe side) {
 							sub = append(sub, j)
 						}
 					}
-					if got := set.Select(pk, lo, hi, nil); !sameSel(got, sub) {
+					if got := selected(t, set, pk, lo, hi); !sameSel(got, sub) {
 						t.Fatalf("%s: Select[%d,%d) = %v, want %v", what, lo, hi, got, sub)
 					}
 				}
@@ -661,7 +661,7 @@ func TestPosTableCollisions(t *testing.T) {
 	for _, f := range keyForms {
 		empty := f.key(kinds, nil, []int{0})
 		pk := keyForms[0].key(probe.kinds, probe.rows, probe.cols)
-		if s := BuildKeySet(empty); s.ContainsValue(probe.rows[0][0]) || len(s.Select(pk, 0, 3, nil)) != 0 {
+		if s := BuildKeySet(empty); s.ContainsValue(probe.rows[0][0]) || len(selected(t, s, pk, 0, 3)) != 0 {
 			t.Fatalf("%s: empty KeySet matched", f.name)
 		}
 		pr := BuildHashTable(empty, 4).Prober(pk)
@@ -735,8 +735,8 @@ func TestHashKernelAllocations(t *testing.T) {
 	}
 	small, large := key(100), key(10000)
 	for name, run := range map[string]func(k Key){
-		"KeySet":            func(k Key) { BuildKeySet(k).Select(k, 0, k.Len(), make([]int32, 0, k.Len())) },
-		"KeySet hashed":     func(k Key) { buildHashed(k).Select(k, 0, k.Len(), make([]int32, 0, k.Len())) },
+		"KeySet":            func(k Key) { BuildKeySet(k).Select(k, 0, k.Len(), make([]uint64, (k.Len()+63)/64)) },
+		"KeySet hashed":     func(k Key) { buildHashed(k).Select(k, 0, k.Len(), make([]uint64, (k.Len()+63)/64)) },
 		"HashTable":         func(k Key) { BuildHashTable(k, 1) },
 		"HashTable hashed":  func(k Key) { buildHashTable(k, 1) },
 		"DistinctPositions": func(k Key) { DistinctPositions(k, 1) },
@@ -790,10 +790,11 @@ func BenchmarkKeySetSelectDense(b *testing.B) {
 		for _, v := range views {
 			b.Run(fmt.Sprintf("%s/nulls=%v", v.name, nulls), func(b *testing.B) {
 				k := ViewKey(v.view, []int{0})
-				out := make([]int32, 0, n)
+				mask := make([]uint64, n/64)
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					out = set.Select(k, 0, n, out[:0])
+					clear(mask)
+					set.Select(k, 0, n, mask)
 				}
 			})
 		}
@@ -807,6 +808,30 @@ func ExampleKeySet_Select() {
 	// The INTEGER 1 beside a DOUBLE makes the build column an AnyColumn.
 	build := key(types.KindFloat, types.Row{types.NewInt(1)}, types.Row{types.NewFloat(3)}, types.Row{types.Null()})
 	probe := key(types.KindInt, types.Row{types.NewInt(3)}, types.Row{types.Null()}, types.Row{types.NewInt(2)}, types.Row{types.NewInt(1)})
-	fmt.Println(BuildKeySet(build).Select(probe, 0, 4, nil))
-	// Output: [0 3]
+	mask := make([]uint64, 1)
+	hits := BuildKeySet(build).Select(probe, 0, 4, mask)
+	fmt.Printf("%d hits, mask %04b\n", hits, mask[0])
+	// Output: 2 hits, mask 1001
+}
+
+// selected is Select over [lo, hi) of pk as ascending positions, checking
+// that the count it returns is the bits it marked and that it marked none
+// past hi.
+func selected(t *testing.T, set *KeySet, pk Key, lo, hi int) []int32 {
+	t.Helper()
+	mask := make([]uint64, (hi-lo+63)/64)
+	n := set.Select(pk, lo, hi, mask)
+	var out []int32
+	for j := lo; j < lo+64*len(mask); j++ {
+		if mask[(j-lo)>>6]>>((j-lo)&63)&1 != 0 {
+			if j >= hi {
+				t.Fatalf("Select[%d,%d) marked position %d", lo, hi, j)
+			}
+			out = append(out, int32(j))
+		}
+	}
+	if n != len(out) {
+		t.Fatalf("Select[%d,%d) reports %d hits, marked %d", lo, hi, n, len(out))
+	}
+	return out
 }

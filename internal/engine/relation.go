@@ -61,7 +61,8 @@ func (r *Relation) Len() int { return r.Vec.Len() }
 // Key addresses cols of r's rows for the hash kernel.
 func (r *Relation) Key(cols []int) colstore.Key { return colstore.ViewKey(r.Vec, cols) }
 
-// Narrow returns r restricted to the ascending row positions kept.
+// Narrow returns r restricted to the ascending row positions kept, which it
+// takes over (colstore.View.Narrow): the caller does not touch kept again.
 func (r *Relation) Narrow(kept []int32) *Relation {
 	return &Relation{Cols: r.Cols, Vec: r.Vec.Narrow(kept)}
 }

@@ -425,9 +425,11 @@ func compileKernel(f *colstore.Frame, cols []ColRef, e sqlparse.Expr) (colstore.
 // primitive of the paper's reduction phase (Section 4.1). The build side's
 // distinct keys go into a position-based key set (no per-row key projection,
 // dictionary-hash text keys), the probe over l's rows runs in parallel chunks
-// at degree par (0 = auto, 1 = serial) emitting a selection vector merged in
-// input order, and l's selection is narrowed to it — no row or value is
-// copied, and when every row survives, l itself is returned. A non-nil sp
+// at degree par (0 = auto, 1 = serial) marking the rows it keeps in bit
+// masks, the kept positions are written once into a selection vector of
+// exactly their number (parallel.Positions), and l's selection is narrowed
+// to it, which the narrowed view takes over — no row or value is copied, no
+// position twice, and when every row survives, l itself is returned. A non-nil sp
 // records the build/probe wall-time split, degree, and morsel count; nil
 // skips all clock reads.
 func SemiJoin(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *trace.Span) *Relation {
@@ -443,8 +445,8 @@ func SemiJoin(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *t
 		t0 = time.Now()
 	}
 	probe := l.Key(lCols)
-	kept := parallel.Map(l.Len(), par, func(lo, hi int) []int32 {
-		return keys.Select(probe, lo, hi, nil)
+	kept := parallel.Positions(l.Len(), par, func(lo, hi int, mask []uint64) int {
+		return keys.Select(probe, lo, hi, mask)
 	})
 	out := l
 	if len(kept) < l.Len() {

@@ -23,6 +23,7 @@
 package parallel
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 )
@@ -183,7 +184,8 @@ func Each(k, degree int, body func(i int)) {
 // Map runs body over contiguous sub-ranges of [0, n), each chunk returning
 // its own output slice; the chunks are concatenated in input order, so the
 // result is identical to body(0, n). The per-chunk buffers are what makes
-// variable-output operators (probes, filters) deterministic without locks.
+// variable-output operators (probes) deterministic without locks; one whose
+// chunks keep at most their range's items writes one buffer with Filter.
 func Map[T any](n, degree int, body func(lo, hi int) []T) []T {
 	if n <= 0 {
 		return nil
@@ -223,6 +225,83 @@ func MapErr[T any](n, degree int, body func(lo, hi int) ([]T, error)) ([]T, erro
 		}
 	}
 	return mergeParts(parts), nil
+}
+
+// Filter runs body over contiguous sub-ranges of [0, len(buf)) in parallel,
+// each chunk appending what it keeps of its range — at most hi-lo items — to
+// dst, an empty slice of buf's own window [lo, hi). The chunks' outputs are
+// then moved down over the gaps between them, in chunk order, and Filter
+// returns buf[:total]: identical to body(0, len(buf), buf[:0]), written into
+// the one buffer the caller allocated, with no per-chunk buffer and no merge
+// copy. body must not return more than hi-lo items (it would need a buffer
+// of its own); Filter panics if one does.
+func Filter[T any](buf []T, degree int, body func(lo, hi int, dst []T) []T) []T {
+	n := len(buf)
+	nc := Chunks(n, degree)
+	if nc <= 1 {
+		return buf[:window(buf, 0, n, body(0, n, buf[:0:n]))]
+	}
+	lens := make([]int, nc)
+	runChunks(nc, func(c int) {
+		lo, hi := bounds(n, nc, c)
+		lens[c] = window(buf, lo, hi, body(lo, hi, buf[lo:lo:hi]))
+	})
+	w := lens[0]
+	for c := 1; c < nc; c++ {
+		lo, _ := bounds(n, nc, c)
+		w += copy(buf[w:], buf[lo:lo+lens[c]])
+	}
+	return buf[:w]
+}
+
+// Positions runs mark over contiguous sub-ranges of [0, n) in parallel, each
+// chunk marking the items of its range it keeps — bit j-lo, LSB-first within
+// a word, for item j — in a zeroed mask of its own of (hi-lo+63)/64 words,
+// and returning how many it marked. The kept positions are then written,
+// ascending, into one vector of exactly their number: the only allocation
+// the output sizes, beside masks of n/8 bytes. It suits a filter that keeps
+// few of many items, where Filter's buffer of n items would be mostly unused.
+// The result is identical at any degree, and never nil.
+func Positions(n, degree int, mark func(lo, hi int, mask []uint64) int) []int32 {
+	if n <= 0 {
+		return []int32{}
+	}
+	nc := Chunks(n, degree)
+	words := make([]int, nc+1) // chunk c's mask is masks[words[c]:words[c+1]]
+	for c := range nc {
+		lo, hi := bounds(n, nc, c)
+		words[c+1] = words[c] + (hi-lo+63)/64
+	}
+	masks := make([]uint64, words[nc])
+	at := make([]int, nc+1) // chunk c's positions start at out[at[c]]
+	runChunks(nc, func(c int) {
+		lo, hi := bounds(n, nc, c)
+		at[c+1] = mark(lo, hi, masks[words[c]:words[c+1]])
+	})
+	for c := range nc {
+		at[c+1] += at[c]
+	}
+	out := make([]int32, at[nc])
+	runChunks(nc, func(c int) {
+		lo, _ := bounds(n, nc, c)
+		k := at[c]
+		for w, x := range masks[words[c]:words[c+1]] {
+			for ; x != 0; x &= x - 1 {
+				out[k] = int32(lo + 64*w + bits.TrailingZeros64(x))
+				k++
+			}
+		}
+	})
+	return out
+}
+
+// window checks that a Filter chunk's output is a prefix of its window
+// buf[lo:hi] and returns its length.
+func window[T any](buf []T, lo, hi int, out []T) int {
+	if len(out) > hi-lo || len(out) > 0 && &out[0] != &buf[lo] {
+		panic("parallel: a Filter chunk wrote outside its window")
+	}
+	return len(out)
 }
 
 // mergeParts concatenates per-chunk outputs in chunk order. An all-empty

@@ -103,6 +103,21 @@ type deflater struct {
 	distCodes [maxDistSyms]uint16
 	rle       []uint16 // code-length symbols, extra bits above bit 5
 	huff      huffScratch
+
+	// The text gather's scratch (gatherColVec): wire code+1 by source
+	// dictionary code, all zero between columns, and the source codes of a
+	// column's wire entries.
+	remap  []int32
+	firsts []int32
+}
+
+// remapFor returns z's remap scratch for a source dictionary of n entries,
+// every slot zero.
+func (z *deflater) remapFor(n int) []int32 {
+	if len(z.remap) < n {
+		z.remap = make([]int32, n)
+	}
+	return z.remap[:n]
 }
 
 // segment is a run of tokens, toks[tok:] up to the next segment's, coding
@@ -127,34 +142,49 @@ type blockCode struct {
 	cost     huffCost
 }
 
-// deflaters is a free list of compression states shared by columns and
-// goroutines. A state holds its tables (336 KiB, of which a body touches
-// the prefix its size gives) and a token list and output sized to the
-// largest body it compressed, so the list keeps them across garbage
-// collections (a sync.Pool frees what two of them find idle) but never more
-// than GOMAXPROCS of them, and none whose token list and output passed
-// maxKeptBytes: those grow with a body, while the tables do not.
-var deflaters = make(chan *deflater, runtime.GOMAXPROCS(0))
+// deflaters is the free list of compression states, a column encode's one
+// state for its gather and its deflate (encodeColV2). It holds GOMAXPROCS
+// tokens, each a state or nil for one not made yet, and a column encode
+// takes one for its whole run: those encodes run on the goroutine that
+// encodes the set and on the parallel pool's workers, as many as there are
+// connections streaming sets plus GOMAXPROCS, but a column's encode does
+// nothing but compute, so at most GOMAXPROCS of them run at any instant and
+// one more waits for a token instead of making a state. A warmed server
+// therefore makes no state, however many connections and degrees it serves.
+// A state holds its tables (336 KiB, of which a body touches the prefix its
+// size gives), a token list and output sized to the largest body it
+// compressed, and gather scratch sized to the largest dictionary it remapped,
+// so the list keeps them across garbage collections (a sync.Pool frees what
+// two of them find idle), except one whose token list, output and scratch
+// passed maxKeptBytes, which goes back as nil: those grow with a body or a
+// dictionary, while the tables do not.
+var deflaters = newDeflaterList(runtime.GOMAXPROCS(0))
 
 const maxKeptBytes = 4 << 20
 
-func getDeflater() *deflater {
-	select {
-	case z := <-deflaters:
-		return z
-	default:
-		return new(deflater)
+func newDeflaterList(n int) chan *deflater {
+	list := make(chan *deflater, n)
+	for range n {
+		list <- nil
 	}
+	return list
 }
 
+// getDeflater takes a token, waiting while every one is out, and returns its
+// state, made now if the token was nil.
+func getDeflater() *deflater {
+	if z := <-deflaters; z != nil {
+		return z
+	}
+	return new(deflater)
+}
+
+// putDeflater returns the token getDeflater took: z, or nil to drop it.
 func putDeflater(z *deflater) {
-	if 4*cap(z.toks)+cap(z.out) > maxKeptBytes {
-		return
+	if z != nil && 4*cap(z.toks)+cap(z.out)+4*(cap(z.remap)+cap(z.firsts)) > maxKeptBytes {
+		z = nil
 	}
-	select {
-	case deflaters <- z:
-	default:
-	}
+	deflaters <- z
 }
 
 // tableBits is the log2 size of a table for n positions, within [8, hi].

@@ -38,7 +38,7 @@ func resultBodies(name string, res *db.Result) []body {
 			continue
 		}
 		for j, c := range set.Columns {
-			blk, br := plainColV2(set, j, n)
+			blk, br := plainColV2(new(deflater), set, j, n)
 			if len(blk)-1 >= 16 {
 				bodies = append(bodies, body{fmt.Sprintf("%s %s.%s", name, set.Name, c), blk[1:], br.at[:br.n:br.n]})
 			}
@@ -374,7 +374,7 @@ func TestDeflatersSurviveCollection(t *testing.T) {
 		rows[i] = types.Row{types.NewFloat(float64(i%1000) / 8)}
 	}
 	r := oneSet("seq", []string{"v"}, rows)
-	blk, br := plainColV2(r.Sets[0], 0, len(rows))
+	blk, br := plainColV2(new(deflater), r.Sets[0], 0, len(rows))
 	state := allocatedBy(func() { deflate(new(deflater), nil, blk[1:], br.at[:br.n]) })
 	if desc := firstColDesc(t, EncodeResultV2(r)); desc&colFlateBit == 0 {
 		t.Fatal("the column does not deflate")

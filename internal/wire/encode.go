@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 
+	"resultdb/internal/colstore"
 	"resultdb/internal/db"
 	"resultdb/internal/engine"
 	"resultdb/internal/types"
@@ -538,8 +539,14 @@ func (d *Decoder) decodePlan() (*db.PostJoinPlan, error) {
 	return plan, nil
 }
 
-// decodeSet parses one v1 set: rows, made a set by db.NewResultSet so that,
-// like every other set, it is its view.
+// decodeSet parses one v1 set — rows of tagged values — into a frame, one
+// vector per column, attaches it as the set's view and boxes Rows from it
+// (colstore.View.Rows), as decodeSetV2 does, so every value is held once in
+// a vector and once in the row block. A first pass over the rows learns each
+// column's kinds without allocating; the second fills vectors of exactly n
+// rows: typed ones for a column whose values are all INTEGER, all DOUBLE or
+// all BOOLEAN (or NULL), exact values for TEXT, mixed-kind and all-NULL
+// columns, as v2's inline text and any blocks decode.
 func (d *Decoder) decodeSet() (*db.ResultSet, error) {
 	name, err := d.str()
 	if err != nil {
@@ -564,16 +571,100 @@ func (d *Decoder) decodeSet() (*db.ResultSet, error) {
 	if nCols == 0 && nRows > 0 {
 		return nil, fmt.Errorf("wire: %d rows in a zero-column set", nRows)
 	}
-	var rows []types.Row
+	const mixed = types.Kind(255)
+	kinds := make([]types.Kind, nCols) // KindNull until a value shows
+	hasNulls := make([]bool, nCols)
+	start := d.off
 	for i := 0; i < nRows; i++ {
-		row := make(types.Row, nCols)
-		for j := range row {
-			row[j], err = d.value()
+		for j := range kinds {
+			k, err := d.valueKind()
 			if err != nil {
 				return nil, err
 			}
+			switch {
+			case k == types.KindNull:
+				hasNulls[j] = true
+			case kinds[j] == types.KindNull:
+				kinds[j] = k
+			case kinds[j] != k:
+				kinds[j] = mixed
+			}
 		}
-		rows = append(rows, row)
 	}
-	return db.NewResultSet(name, columns, rows), nil
+	d.off = start
+	cols := make([]colstore.Column, nCols)
+	nulls := make([][]byte, nCols)
+	for j, k := range kinds {
+		switch k {
+		case types.KindInt:
+			cols[j] = &colstore.Int64Column{Vals: make([]int64, nRows)}
+		case types.KindFloat:
+			cols[j] = &colstore.Float64Column{Vals: make([]float64, nRows)}
+		case types.KindBool:
+			cols[j] = &colstore.BoolColumn{Vals: make([]bool, nRows)}
+		default:
+			cols[j] = &colstore.AnyColumn{Vals: make([]types.Value, nRows)}
+			continue
+		}
+		if hasNulls[j] {
+			nulls[j] = make([]byte, (nRows+7)/8)
+		}
+	}
+	for i := 0; i < nRows; i++ {
+		for j, col := range cols {
+			v, err := d.value()
+			if err != nil {
+				return nil, err
+			}
+			if ac, ok := col.(*colstore.AnyColumn); ok {
+				ac.Vals[i] = v
+			} else if v.IsNull() {
+				nulls[j][i>>3] |= 1 << (i & 7)
+			} else {
+				switch col := col.(type) {
+				case *colstore.Int64Column:
+					col.Vals[i] = v.Int()
+				case *colstore.Float64Column:
+					col.Vals[i] = v.Float()
+				case *colstore.BoolColumn:
+					col.Vals[i] = v.Bool()
+				}
+			}
+		}
+	}
+	for j, col := range cols {
+		if nulls[j] == nil {
+			continue
+		}
+		switch col := col.(type) {
+		case *colstore.Int64Column:
+			col.Nulls = colstore.BitmapFromBytes(nulls[j])
+		case *colstore.Float64Column:
+			col.Nulls = colstore.BitmapFromBytes(nulls[j])
+		case *colstore.BoolColumn:
+			col.Nulls = colstore.BitmapFromBytes(nulls[j])
+		}
+	}
+	set := &db.ResultSet{Name: name, Columns: columns, Vec: &colstore.View{Frame: colstore.FrameOf(nRows, cols)}}
+	set.Rows = set.Vec.Rows()
+	return set, nil
+}
+
+// valueKind steps over one tagged value and returns its kind; unlike value,
+// it allocates nothing for a string.
+func (d *Decoder) valueKind() (types.Kind, error) {
+	if d.off < len(d.buf) && d.buf[d.off] == tagText {
+		d.off++
+		n, err := d.uvarint()
+		if err != nil {
+			return 0, err
+		}
+		if uint64(len(d.buf)-d.off) < n {
+			return 0, fmt.Errorf("wire: truncated string of length %d at offset %d", n, d.off)
+		}
+		d.off += int(n)
+		return types.KindText, nil
+	}
+	v, err := d.value()
+	return v.Kind(), err
 }

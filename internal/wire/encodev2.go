@@ -151,7 +151,24 @@ type colData struct {
 	floats []float64 // colFloat
 	bools  []bool    // colBool
 	codes  []uint32  // colText: wire code per non-NULL value, row order
-	dict   []string  // colText: first-occurrence dictionary
+	dict   []string  // colText: the dictionary the entries are read through
+	firsts []int32   // colText: dict index of each wire code's entry; nil when dict is in wire order (gatherColCells)
+}
+
+// entries returns the size of a text column's wire dictionary.
+func (c *colData) entries() int {
+	if c.firsts != nil {
+		return len(c.firsts)
+	}
+	return len(c.dict)
+}
+
+// entry returns the text of wire code k.
+func (c *colData) entry(k uint32) string {
+	if c.firsts != nil {
+		return c.dict[c.firsts[k]]
+	}
+	return c.dict[k]
 }
 
 func (c *colData) setNull(i int) {
@@ -214,10 +231,23 @@ func valueLen(v types.Value) int {
 // encodeColV2 gathers, sizes, and emits one column block (desc + body) of n
 // rows. Every variant is sized before anything is written, so the block is
 // one allocation of exactly the bytes it ships; a deflated body is written
-// over the plain one, which it is strictly smaller than.
+// over the plain one, which it is strictly smaller than. The column holds one
+// compression state from the free list throughout: its scratch serves the
+// gather, its tables the deflate. A panic returns the token without the
+// state, whose remap it may have left unclear.
 func encodeColV2(set *db.ResultSet, j, n int) []byte {
-	block, br := plainColV2(set, j, n)
-	return tryFlate(block, br.at[:br.n])
+	z := getDeflater()
+	done := false
+	defer func() {
+		if !done {
+			z = nil
+		}
+		putDeflater(z)
+	}()
+	block, br := plainColV2(z, set, j, n)
+	block = tryFlate(z, block, br.at[:br.n])
+	done = true
+	return block
 }
 
 // streamBreaks are the offsets into a column block's body where its streams
@@ -235,9 +265,9 @@ func (b *streamBreaks) add(off int) {
 }
 
 // plainColV2 is encodeColV2 before deflate: the block with its plain body,
-// and the body's stream breaks.
-func plainColV2(set *db.ResultSet, j, n int) ([]byte, streamBreaks) {
-	c := gatherCol(set, j, n)
+// and the body's stream breaks. z lends the gather its scratch.
+func plainColV2(z *deflater, set *db.ResultSet, j, n int) ([]byte, streamBreaks) {
+	c := gatherCol(z, set, j, n)
 	var nulls []byte
 	if c.kind != colAny && c.kind != colAllNull {
 		nulls = c.nulls
@@ -264,11 +294,12 @@ func plainColV2(set *db.ResultSet, j, n int) ([]byte, streamBreaks) {
 	case colText:
 		inline := 0
 		for _, code := range c.codes {
-			inline += strLen(c.dict[code])
+			inline += strLen(c.entry(code))
 		}
-		dictSz := uvarintLen(uint64(len(c.dict)))
-		for _, s := range c.dict {
-			dictSz += strLen(s)
+		entries := c.entries()
+		dictSz := uvarintLen(uint64(entries))
+		for k := range entries {
+			dictSz += strLen(c.entry(uint32(k)))
 		}
 		for _, code := range c.codes {
 			dictSz += uvarintLen(uint64(code))
@@ -329,13 +360,14 @@ func plainColV2(set *db.ResultSet, j, n int) ([]byte, streamBreaks) {
 		}
 	case colText:
 		if variant == textDict {
-			e.uvarint(uint64(len(c.dict)))
-			for _, s := range c.dict {
-				e.uvarint(uint64(len(s)))
+			entries := c.entries()
+			e.uvarint(uint64(entries))
+			for k := range entries {
+				e.uvarint(uint64(len(c.entry(uint32(k)))))
 			}
 			br.add(len(e.buf) - 1)
-			for _, s := range c.dict {
-				e.buf = append(e.buf, s...)
+			for k := range entries {
+				e.buf = append(e.buf, c.entry(uint32(k))...)
 			}
 			br.add(len(e.buf) - 1)
 			for _, code := range c.codes {
@@ -343,11 +375,11 @@ func plainColV2(set *db.ResultSet, j, n int) ([]byte, streamBreaks) {
 			}
 		} else {
 			for _, code := range c.codes {
-				e.uvarint(uint64(len(c.dict[code])))
+				e.uvarint(uint64(len(c.entry(code))))
 			}
 			br.add(len(e.buf) - 1)
 			for _, code := range c.codes {
-				e.buf = append(e.buf, c.dict[code]...)
+				e.buf = append(e.buf, c.entry(code)...)
 			}
 		}
 	case colAny:
@@ -360,17 +392,15 @@ func plainColV2(set *db.ResultSet, j, n int) ([]byte, streamBreaks) {
 }
 
 // tryFlate deflates a column block's body (past its desc byte, breaking
-// deflate blocks at the given body offsets) and, when shipping the
-// compressed form with its length prefix is strictly smaller, writes it over
-// the body in block's own storage and sets the desc byte's flate bit. It
-// returns the block to ship.
-func tryFlate(block []byte, breaks []int) []byte {
+// deflate blocks at the given body offsets) with the state z and, when
+// shipping the compressed form with its length prefix is strictly smaller,
+// writes it over the body in block's own storage and sets the desc byte's
+// flate bit. It returns the block to ship.
+func tryFlate(z *deflater, block []byte, breaks []int) []byte {
 	body := block[1:]
 	if len(body) < 16 {
 		return block // can't beat the length prefix + deflate framing
 	}
-	z := getDeflater()
-	defer putDeflater(z)
 	z.out = deflate(z, z.out[:0], body, breaks)
 	if uvarintLen(uint64(len(z.out)))+len(z.out) >= len(body) {
 		return block
@@ -383,12 +413,12 @@ func tryFlate(block []byte, breaks []int) []byte {
 
 // gatherCol extracts column j of the set's n rows into typed vectors. For a
 // typed view column the gather is vector copies (and, for TEXT, a dictionary
-// remap with zero string hashing); a column of exact values is read cell by
-// cell. Both paths produce identical colData, so the wire bytes do not depend
-// on which executed.
-func gatherCol(set *db.ResultSet, j, n int) *colData {
+// remap with zero string hashing, in z's scratch); a column of exact values
+// is read cell by cell. Both paths produce the same wire dictionary and codes,
+// so the wire bytes do not depend on which executed.
+func gatherCol(z *deflater, set *db.ResultSet, j, n int) *colData {
 	c := &colData{n: n}
-	if !gatherColVec(set, j, c) {
+	if !gatherColVec(z, set, j, c) {
 		gatherColCells(set.Column(j), c)
 	}
 	return c
@@ -489,7 +519,7 @@ func (c *colData) finishAllNull() {
 // gatherColVec gathers from the set's colstore view; reports false, leaving c
 // untouched, for column representations it does not accelerate (AnyColumn),
 // which then take the cell-by-cell path.
-func gatherColVec(set *db.ResultSet, j int, c *colData) bool {
+func gatherColVec(z *deflater, set *db.ResultSet, j int, c *colData) bool {
 	col := set.Vec.Frame.Col(j)
 	v := set.Vec
 	n := c.n
@@ -551,11 +581,13 @@ func gatherColVec(set *db.ResultSet, j int, c *colData) bool {
 	case *colstore.TextColumn:
 		// Remap scan-time dictionary codes to wire codes in first-occurrence
 		// order over the result rows — byte-identical to the cell-by-cell path,
-		// without hashing any string.
-		remap := make([]int32, len(col.Dict))
-		for k := range remap {
-			remap[k] = -1
-		}
+		// without hashing any string. The wire dictionary is the source codes
+		// of its entries, read through the column's own Dict; remap (wire
+		// code+1 by source code, 0 for none yet) is z's, so a request pays
+		// for the entries it ships, not for the scan's whole dictionary, and
+		// clears only the slots it set.
+		remap := z.remapFor(len(col.Dict))
+		c.dict, c.firsts = col.Dict, z.firsts[:0]
 		c.codes = make([]uint32, 0, n)
 		for i := 0; i < n; i++ {
 			fi := v.Index(i)
@@ -564,15 +596,19 @@ func gatherColVec(set *db.ResultSet, j int, c *colData) bool {
 				continue
 			}
 			src := col.Codes[fi]
-			if remap[src] < 0 {
-				remap[src] = int32(len(c.dict))
-				c.dict = append(c.dict, col.Dict[src])
+			if remap[src] == 0 {
+				c.firsts = append(c.firsts, int32(src))
+				remap[src] = int32(len(c.firsts))
 			}
-			c.codes = append(c.codes, uint32(remap[src]))
+			c.codes = append(c.codes, uint32(remap[src]-1))
 		}
+		for _, src := range c.firsts {
+			remap[src] = 0
+		}
+		z.firsts = c.firsts // the scratch keeps what it grew to
 		c.nn = len(c.codes)
 		if c.nn == 0 {
-			c.codes = nil
+			c.codes, c.dict, c.firsts = nil, nil, nil
 			c.nulls = nil
 			c.finishAllNull()
 			return true
