@@ -508,11 +508,10 @@ func BenchmarkCacheHitJOB(b *testing.B) {
 }
 
 // BenchmarkServerHitJOB measures the server's side of a job_warm request
-// (benchmark/): Session.ExecStream, the call the wire server makes, on the 33
-// JOB RESULTDB texts with the result cache on and filled, and callbacks that
-// discard what they are handed. One op is one statement, the 33 in turn, so
-// ns/op and allocs/op are those of an average cache hit before encoding:
-// statement lookup, cache key, marks and the replay.
+// (benchmark/): Session.ExecUnboxed, the call the wire server makes, on the
+// 33 JOB RESULTDB texts with the result cache on and filled. One op is one
+// statement, the 33 in turn, so ns/op and allocs/op are those of an average
+// cache hit before encoding: statement lookup, cache key and marks.
 func BenchmarkServerHitJOB(b *testing.B) {
 	d := db.Open(db.Config{Parallelism: 1, CacheEnabled: true, CacheBudget: db.DefaultCacheBudget})
 	if err := job.Load(d, job.Config{Scale: benchScale, Seed: 42}); err != nil {
@@ -523,10 +522,8 @@ func BenchmarkServerHitJOB(b *testing.B) {
 		stmts = append(stmts, "SELECT RESULTDB"+strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT"))
 	}
 	sess := d.NewSession()
-	begin := func(db.StreamMeta) error { return nil }
-	emit := func(*db.ResultSet) error { return nil }
 	for _, sql := range stmts { // fill
-		if _, err := sess.ExecStream(sql, begin, emit); err != nil {
+		if _, err := sess.ExecUnboxed(sql); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -534,7 +531,7 @@ func BenchmarkServerHitJOB(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sess.ExecStream(stmts[i%len(stmts)], begin, emit); err != nil {
+		if _, err := sess.ExecUnboxed(stmts[i%len(stmts)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -627,7 +624,7 @@ func BenchmarkStarPostJoin(b *testing.B) {
 
 // starServerResults executes the three RESULTDB PRESERVING statements of the
 // star_transfer workload (benchmark/) the way the wire server does, through
-// ExecStream, and returns their statements and results.
+// Session.ExecUnboxed, and returns their statements and results.
 func starServerResults(b *testing.B) (*db.Database, []string, []*db.Result) {
 	b.Helper()
 	d := db.New()
@@ -647,10 +644,9 @@ func starServerResults(b *testing.B) (*db.Database, []string, []*db.Result) {
 	return d, stmts, results
 }
 
-// serverExec runs sql through the entry point both wire server paths use,
-// ignoring the stream.
+// serverExec runs sql through the entry point the wire server uses.
 func serverExec(d *db.Database, sql string) (*db.Result, error) {
-	return d.ExecStream(sql, func(db.StreamMeta) error { return nil }, func(*db.ResultSet) error { return nil })
+	return d.NewSession().ExecUnboxed(sql)
 }
 
 // BenchmarkStarExec measures the server's execution of the star_transfer

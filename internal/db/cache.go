@@ -146,13 +146,10 @@ func (d *Database) cacheAt(snap *Snapshot, sel *selectStmt) (tables []string, at
 // Cached *Result values are shared snapshots: callers must not mutate them
 // (the repo's surfaces — shell printing, wire encoding, PostJoin — only
 // read).
-//
-// hit reports that the result was not computed by this call: it came from a
-// resident entry or from a concurrent identical execution.
-func (d *Database) queryCached(ec execCtx, sel *selectStmt) (res *Result, hit bool, err error) {
+func (d *Database) queryCached(ec execCtx, sel *selectStmt) (*Result, error) {
 	key := cacheKey(ec, sel)
 	tables, at, live := d.cacheAt(ec.snap, sel)
-	return d.resultCache.DoAt(key, at, live, func() (*Result, int64, error) {
+	res, _, err := d.resultCache.DoAt(key, at, live, func() (*Result, int64, error) {
 		r, err := d.queryUncached(ec, sel.Select)
 		if err != nil {
 			return nil, 0, err
@@ -162,6 +159,7 @@ func (d *Database) queryCached(ec execCtx, sel *selectStmt) (res *Result, hit bo
 	}, func(r *Result, from []storage.Mark) bool {
 		return d.unchanged(ec, sel.Select, r, tables, from, at)
 	})
+	return res, err
 }
 
 // cachedResultBytes measures a result's cache cost at admission: the Section

@@ -52,7 +52,7 @@ const (
 // (copy-on-write) storage. Reads and writes are safe for concurrent use and
 // never block each other:
 //
-//   - Every read entry point (Query, QueryWithTrace, ExecStream, EXPLAIN,
+//   - Every read entry point (Query, QueryWithTrace, ExecUnboxed, EXPLAIN,
 //     ANALYZE) pins an immutable published state with one atomic load
 //     (Snapshot) and then executes, fills caches, traces, and wire-encodes
 //     entirely lock-free. A reader always sees some committed state — never
@@ -542,7 +542,7 @@ func (d *Database) execCreateMatView(tx *writeTxn, s *sqlparse.CreateMaterialize
 // The defining query runs inside the write transaction, so it sees the state
 // the view is created against.
 func (d *Database) createResultDBView(tx *writeTxn, s *sqlparse.CreateMaterializedView) (*Result, error) {
-	res, err := d.queryResultDBAt(d.txnCtx(tx), s.Query, ModeRDBRP, nil)
+	res, err := d.queryResultDBAt(d.txnCtx(tx), s.Query, ModeRDBRP)
 	if err != nil {
 		return nil, err
 	}

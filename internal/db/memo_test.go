@@ -22,12 +22,6 @@ import (
 // writes a memoised AST, the memo carries no version, it stays within its
 // bound, and it does not define the result cache's key.
 
-// discardBegin and discardEmit are a streaming consumer that keeps nothing.
-var (
-	discardBegin = func(db.StreamMeta) error { return nil }
-	discardEmit  = func(*db.ResultSet) error { return nil }
-)
-
 // immutabilityCase is one database and the statements the guard runs on it,
 // in order; stmts may depend on the loaded database (the rewrites read its
 // keys).
@@ -76,7 +70,7 @@ func rewriteStatements(t *testing.T, d *db.Database, names ...string) []string {
 }
 
 // TestMemoASTImmutable parses every statement once, executes it through
-// every entry point that takes text — Database.Exec, and Session.ExecStream
+// every entry point that takes text — Database.Exec, and Session.ExecUnboxed
 // from another goroutine at the same time — with the cache on and off at
 // parallelism 1 and 4, and then requires the AST to equal a fresh parse of
 // the same text. A SELECT's AST is the memo's, shared by both executions (and
@@ -189,16 +183,16 @@ func runOnce(t *testing.T, d *db.Database, sess *db.Session, kept map[string]sql
 		return
 	}
 	var wg sync.WaitGroup
-	var streamErr error
+	var unboxedErr error
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, streamErr = sess.ExecStream(sql, discardBegin, discardEmit)
+		_, unboxedErr = sess.ExecUnboxed(sql)
 	}()
 	_, err := d.Exec(sql)
 	wg.Wait()
-	if err != nil || streamErr != nil {
-		t.Fatalf("%s: Exec: %v, ExecStream: %v\n%s", label, err, streamErr, sql)
+	if err != nil || unboxedErr != nil {
+		t.Fatalf("%s: Exec: %v, ExecUnboxed: %v\n%s", label, err, unboxedErr, sql)
 	}
 	if again, _, _ := db.MemoisedSelect(d, sql); again != sel {
 		t.Fatalf("%s: the memo no longer holds the AST the executions shared\n%s", label, sql)
@@ -273,7 +267,7 @@ func TestMemoCarriesNoVersion(t *testing.T) {
 				for i := 0; i < 100; i++ {
 					exec := s.Exec
 					if i%2 == 1 {
-						exec = func(sql string) (*db.Result, error) { return s.ExecStream(sql, discardBegin, discardEmit) }
+						exec = s.ExecUnboxed
 					}
 					res, err := exec(memoTestSQL)
 					if err != nil {
@@ -377,7 +371,7 @@ func TestMemoVariantsShareCacheEntry(t *testing.T) {
 		}
 		for _, exec := range []func(string) (*db.Result, error){
 			d.Exec,
-			func(sql string) (*db.Result, error) { return sess.ExecStream(sql, discardBegin, discardEmit) },
+			sess.ExecUnboxed,
 		} {
 			st := d.CacheStats()
 			res, err := exec(variant)

@@ -62,8 +62,7 @@ func (d *Database) query(ec execCtx, sel *selectStmt) (*Result, error) {
 	if ec.opts.ResultCache && ec.snap != nil {
 		tr := ec.tr
 		if !tr.Enabled() {
-			res, _, err := d.queryCached(ec, sel)
-			return res, err
+			return d.queryCached(ec, sel)
 		}
 		key := cacheKey(ec, sel)
 		_, at, live := d.cacheAt(ec.snap, sel)
@@ -92,9 +91,9 @@ func (d *Database) queryUncached(ec execCtx, sel *sqlparse.Select) (*Result, err
 		if sel.Preserving {
 			mode = ModeRDBRP
 		}
-		return d.queryResultDBAt(ec, sel, mode, nil)
+		return d.queryResultDBAt(ec, sel, mode)
 	}
-	return d.querySingleTableAt(ec, sel, nil)
+	return d.querySingleTableAt(ec, sel)
 }
 
 // QuerySQL parses and executes a SELECT given as text.
@@ -114,17 +113,14 @@ func (d *Database) QuerySQL(sql string) (*Result, error) {
 // RESULTDB keyword, in the requested mode (RDB per Definition 2.2, RDBRP per
 // Definition 2.3). This is the programmatic entry the benchmarks use.
 func (d *Database) QueryResultDB(sel *sqlparse.Select, mode Mode) (*Result, error) {
-	return boxed(d.queryResultDBAt(d.readCtx(), sel, mode, nil))
+	return boxed(d.queryResultDBAt(d.readCtx(), sel, mode))
 }
 
-func (d *Database) querySingleTableAt(ec execCtx, sel *sqlparse.Select, sink *streamSink) (*Result, error) {
+func (d *Database) querySingleTableAt(ec execCtx, sel *sqlparse.Select) (*Result, error) {
 	tr := ec.tr
 	tr.SetMode("single-table")
 	rel, err := ec.executor().Select(sel)
 	if err != nil {
-		return nil, err
-	}
-	if err := sink.begin(StreamMeta{NumSets: 1}); err != nil {
 		return nil, err
 	}
 	set := relToSet("result", rel, rel.ColumnNames())
@@ -134,13 +130,10 @@ func (d *Database) querySingleTableAt(ec execCtx, sel *sqlparse.Select, sink *st
 		sp.RowsOut = set.NumRows()
 		sp.Bytes = set.WireSize()
 	}
-	if err := sink.emit(set); err != nil {
-		return nil, err
-	}
 	return &Result{Sets: []*ResultSet{set}}, nil
 }
 
-func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode, sink *streamSink) (*Result, error) {
+func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode) (*Result, error) {
 	if len(sel.OrderBy) > 0 || sel.Limit != nil {
 		return nil, fmt.Errorf("db: RESULTDB does not support ORDER BY/LIMIT (which relation would they apply to?)")
 	}
@@ -170,12 +163,6 @@ func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode, 
 	if mode == ModeRDBRP {
 		res.PostJoinPlan = buildPostJoinPlan(spec, outputs)
 	}
-	// The set count and the post-join plan are known before any output
-	// relation is projected — this is what lets a streaming consumer write
-	// the response header first and then ship each relation as it finishes.
-	if err := sink.begin(StreamMeta{NumSets: len(outputs), Plan: res.PostJoinPlan}); err != nil {
-		return nil, err
-	}
 	for _, alias := range outputs {
 		var attrs []string
 		if mode == ModeRDBRP {
@@ -193,9 +180,6 @@ func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode, 
 			sp.RowsIn = rel.Len()
 			sp.RowsOut = set.NumRows()
 			sp.Bytes = set.WireSize()
-		}
-		if err := sink.emit(set); err != nil {
-			return nil, err
 		}
 		res.Sets = append(res.Sets, set)
 	}

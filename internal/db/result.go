@@ -15,7 +15,7 @@ import (
 //
 // A set is its columnar view (Vec); Rows is the boxed mirror of that view,
 // filled only where a caller reads it. Results leave the engine unboxed: the
-// wire server and ExecStream see Vec alone, and the wire encoders read it.
+// wire server and Session.ExecUnboxed see Vec alone, and the wire encoders read it.
 // The in-process calls — Exec, ExecStatement, Query, QueryResultDB,
 // QueryWithTrace, PostJoin and ExecutePostJoinPlan — and the wire client's
 // decoder return sets with Rows boxed, so their callers read both. A set

@@ -55,7 +55,7 @@ func TestWireSizeFromColumns(t *testing.T) {
 }
 
 // TestInProcessCallsBox: every in-process call returns sets with Rows boxed
-// from their views; ExecStream, what the wire server runs, returns and emits
+// from their views; Session.ExecUnboxed, what the wire server runs, returns
 // the views alone.
 func TestInProcessCallsBox(t *testing.T) {
 	d := cacheTestDB(t)
@@ -109,35 +109,26 @@ func TestInProcessCallsBox(t *testing.T) {
 			t.Errorf("%s: post-join set not boxed", name)
 		}
 	}
-	for name, exec := range map[string]func(string, func(StreamMeta) error, func(*ResultSet) error) (*Result, error){
-		"Database.ExecStream": d.ExecStream,
-		"Session.ExecStream":  sess.ExecStream,
-	} {
-		var emitted []*ResultSet
-		r, err := exec(sql, func(StreamMeta) error { return nil }, func(set *ResultSet) error {
-			emitted = append(emitted, set)
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for _, set := range append(emitted, r.Sets...) {
-			if set.Vec == nil || set.Rows != nil {
-				t.Errorf("%s: set %q boxed on the server path", name, set.Name)
-			}
+	r, err := sess.ExecUnboxed(sql)
+	if err != nil {
+		t.Fatalf("Session.ExecUnboxed: %v", err)
+	}
+	for _, set := range r.Sets {
+		if set.Vec == nil || set.Rows != nil {
+			t.Errorf("Session.ExecUnboxed: set %q boxed on the server path", set.Name)
 		}
 	}
 }
 
 // TestCacheHitBoxesIntoACopy (run under -race by verify.sh): in-process
-// callers and wire-server reads (ExecStream) of one cached entry race. Each
+// callers and wire-server reads (ExecUnboxed) of one cached entry race. Each
 // in-process caller gets a boxed copy sharing the entry's views; the entry's
 // own sets, which the server reads, stay unboxed — a caller boxing into them
 // would be a data race and would show Rows on the server side.
 func TestCacheHitBoxesIntoACopy(t *testing.T) {
 	d := cacheTestDB(t)
 	sql := "SELECT RESULTDB m.title, r.actor FROM movies m, roles r WHERE m.id = r.movie_id"
-	entry, err := d.ExecStream(sql, func(StreamMeta) error { return nil }, func(*ResultSet) error { return nil })
+	entry, err := d.NewSession().ExecUnboxed(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,16 +161,17 @@ func TestCacheHitBoxesIntoACopy(t *testing.T) {
 		}()
 		go func() {
 			defer wg.Done()
+			sess := d.NewSession()
 			for k := 0; k < 20; k++ {
-				_, err := d.ExecStream(sql, func(StreamMeta) error { return nil }, func(set *ResultSet) error {
-					if set.Rows != nil {
-						report("the server saw Rows on the cached set " + set.Name)
-					}
-					return nil
-				})
+				res, err := sess.ExecUnboxed(sql)
 				if err != nil {
 					report(err.Error())
 					return
+				}
+				for _, set := range res.Sets {
+					if set.Rows != nil {
+						report("the server saw Rows on the cached set " + set.Name)
+					}
 				}
 			}
 		}()

@@ -105,11 +105,25 @@ func (s *Session) afterWrite() {
 
 // Exec parses and executes a single SQL statement through the session.
 func (s *Session) Exec(sql string) (*Result, error) {
+	return boxed(s.ExecUnboxed(sql))
+}
+
+// ExecUnboxed is Exec without the boxing: a SELECT's sets carry their views
+// and no Rows (see ResultSet), which is what the wire server encodes from.
+// Reads run against the session's view; mutations go through the write path
+// and refresh it. Panics are confined to the statement, as in
+// ExecStatement.
+func (s *Session) ExecUnboxed(sql string) (res *Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("db: internal error: %v", p)
+		}
+	}()
 	st, err := s.db.parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecStatement(st)
+	return s.db.execAt(s.ctx(), st, s.afterWrite)
 }
 
 // ExecStatement executes a parsed statement through the session: reads run
@@ -135,20 +149,11 @@ func (s *Session) Query(sel *sqlparse.Select) (*Result, error) {
 // mode against the session's view (the session-scoped analogue of
 // Database.QueryResultDB).
 func (s *Session) QueryResultDB(sel *sqlparse.Select, mode Mode) (*Result, error) {
-	return boxed(s.db.queryResultDBAt(s.ctx(), sel, mode, nil))
+	return boxed(s.db.queryResultDBAt(s.ctx(), sel, mode))
 }
 
 // QueryWithTrace executes a SELECT against the session's view with execution
 // tracing enabled (see Database.QueryWithTrace).
 func (s *Session) QueryWithTrace(sel *sqlparse.Select) (*Result, *trace.Trace, error) {
 	return s.db.queryWithTrace(s.ctx(), sel)
-}
-
-// ExecStream executes one SQL statement through the session, delivering the
-// result incrementally (see Database.ExecStream for the begin/emit
-// contract). Reads stream from the session's view; mutations execute
-// through the write path, refresh the session's view, and replay their
-// result.
-func (s *Session) ExecStream(sql string, begin func(StreamMeta) error, emit func(*ResultSet) error) (*Result, error) {
-	return s.db.execStreamAt(s.ctx(), s.afterWrite, sql, begin, emit)
 }

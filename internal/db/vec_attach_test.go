@@ -20,8 +20,8 @@ import (
 // pipeline; and so does the same result after a trip over the v2 or the v1
 // wire, where the decoder is the producer, and EXPLAIN's and EXPLAIN
 // ANALYZE's plan. A boxed set's Rows hold its view's values. The server's
-// form (ExecStream) is the view alone, Rows nil, and encodes in v1 and v2 to
-// the bytes of the boxed form in-process callers get.
+// form (Session.ExecUnboxed) is the view alone, Rows nil, and encodes in v1
+// and v2 to the bytes of the boxed form in-process callers get.
 func TestResultSetsCarryViews(t *testing.T) {
 	d := db.New()
 	if _, err := d.ExecScript(`
@@ -83,7 +83,7 @@ INSERT INTO c VALUES (20, 1, 10), (21, 3, 12), (22, 2, 11);`); err != nil {
 		if err != nil {
 			t.Fatalf("%s: v1 round trip: %v", name, err)
 		}
-		server, err := d.ExecStream(sql, func(db.StreamMeta) error { return nil }, func(*db.ResultSet) error { return nil })
+		server, err := d.NewSession().ExecUnboxed(sql)
 		if err != nil {
 			t.Fatalf("%s: server path: %v", name, err)
 		}

@@ -34,9 +34,10 @@ const (
 	// None leaves the connection clean.
 	None Action = iota
 	// Drop closes the connection once Offset total bytes (reads plus
-	// writes) have passed through it; the next operation fails. A read
-	// stops at the offset, so where a drop lands in the incoming stream does
-	// not depend on how the peer's writes were segmented.
+	// writes) have passed through it. A read stops at the offset and the
+	// next operation fails; a write that crosses the offset delivers the
+	// bytes before it and fails. Either way the drop cuts the stream at the
+	// offset, however the bytes were segmented into operations.
 	Drop
 	// Stall pauses the connection once, for Delay, at the first operation
 	// after Offset total bytes — latency injection / a mid-stream hiccup.
@@ -47,8 +48,9 @@ const (
 	// Corrupt flips (XOR 0xFF) the single written byte at offset Offset,
 	// then behaves cleanly — the classic undetected-without-a-checksum bug.
 	Corrupt
-	// Reset closes the connection on the first write at or beyond write
-	// offset Offset, without transmitting any of it.
+	// Reset closes the connection at write offset Offset: a write that
+	// crosses it delivers the bytes before the offset and fails, and a
+	// write that starts at or beyond it transmits nothing.
 	Reset
 	// Refuse rejects the connection outright: a wrapped listener accepts
 	// and instantly closes it, a Dialer fails the dial.
@@ -321,17 +323,19 @@ func (c *Conn) Write(b []byte) (int, error) {
 	payload := b
 	truncated := false
 	switch c.fault.Action {
-	case Drop:
-		if c.read+c.written >= c.fault.Offset {
+	case Drop, Reset:
+		left := c.fault.Offset - c.written
+		if c.fault.Action == Drop {
+			left -= c.read
+		}
+		if left <= 0 {
 			err := c.kill("write")
 			c.mu.Unlock()
 			return 0, err
 		}
-	case Reset:
-		if c.written >= c.fault.Offset {
-			err := c.kill("write")
-			c.mu.Unlock()
-			return 0, err
+		if int64(len(b)) > left {
+			payload = b[:left] // the write stops at the offset, then the connection dies
+			truncated = true
 		}
 	case Truncate:
 		if remaining := c.fault.Offset - c.written; remaining <= int64(len(b)) {
@@ -354,8 +358,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 	c.mu.Lock()
 	c.written += int64(n)
 	if truncated {
-		c.kill("write")
-		err = fmt.Errorf("%w: write truncated at %d bytes", ErrInjected, c.fault.Offset)
+		err = c.kill("write")
 	}
 	c.mu.Unlock()
 	return n, err

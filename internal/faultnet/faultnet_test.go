@@ -93,6 +93,42 @@ func TestDropCutsReadsAtOffset(t *testing.T) {
 	}
 }
 
+// TestDropAndResetCutWritesAtOffset: a single write that crosses the offset
+// delivers exactly the bytes before it to the peer, fails, and leaves the
+// connection dead — as a read stops at a drop's offset.
+func TestDropAndResetCutWritesAtOffset(t *testing.T) {
+	for _, action := range []Action{Drop, Reset} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make(chan []byte, 1)
+		go func() {
+			c, err := ln.Accept()
+			if err != nil {
+				got <- nil
+				return
+			}
+			defer c.Close()
+			b, _ := io.ReadAll(c)
+			got <- b
+		}()
+		c := dialFaulty(t, ln.Addr().String(), Fault{Action: action, Offset: 10})
+		n, err := c.Write(bytes.Repeat([]byte{'x'}, 100))
+		if n != 10 || !errors.Is(err, ErrInjected) {
+			t.Errorf("%s@10: write of 100 bytes = (%d, %v), want (10, ErrInjected)", action, n, err)
+		}
+		if _, err := c.Write([]byte("x")); !errors.Is(err, ErrInjected) {
+			t.Errorf("%s@10: write after the cut: %v, want ErrInjected", action, err)
+		}
+		c.Close()
+		if b := <-got; len(b) != 10 {
+			t.Errorf("%s@10: the peer received %d bytes, want 10", action, len(b))
+		}
+		ln.Close()
+	}
+}
+
 func TestTruncateCutsMidBuffer(t *testing.T) {
 	addr, stop := echoServer(t)
 	defer stop()

@@ -24,7 +24,7 @@ const coldJOBBytesPerStatement = 250_000
 
 // TestColdJOBAllocatesForItsResult guards what a cold request allocates: the
 // 33 JOB templates as SELECT RESULTDB at scale 0.5, executed with the cache
-// off and every set v2-encoded as the server streams it (ExecStream, then
+// off and every set v2-encoded as the server sends it (ExecUnboxed, then
 // encodeSetVersion), at degree 2 — the benchmark's job_cold request without
 // the socket. The bytes are process-wide runtime.MemStats.TotalAlloc over a
 // pass of all 33, after a warm-up pass; the cheapest of a few passes counts,
@@ -45,13 +45,13 @@ func TestColdJOBAllocatesForItsResult(t *testing.T) {
 	}
 	pass := func() {
 		for _, sql := range stmts {
-			_, err := sess.ExecStream(sql, func(db.StreamMeta) error { return nil }, func(set *db.ResultSet) error {
-				var e Encoder
-				e.encodeSetVersion(set, FormatV2, 2)
-				return nil
-			})
+			res, err := sess.ExecUnboxed(sql)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, set := range res.Sets {
+				var e Encoder
+				e.encodeSetVersion(set, FormatV2, 2)
 			}
 		}
 	}

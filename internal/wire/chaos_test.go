@@ -384,7 +384,7 @@ func TestChaosServerSideFaults(t *testing.T) {
 	oracle := canonical(oracleRes)
 
 	// Offsets land inside the response: a server writes it (every chunk,
-	// then the end frame, each in its own flush) after reading the query.
+	// then the end frame, in one flush) after reading the query.
 	sent, received := chaosExchange(t, chaosServer(t))
 	for _, f := range []faultnet.Fault{
 		{Action: faultnet.Corrupt, Offset: received / 2},     // inside the encoded response

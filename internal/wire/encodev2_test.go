@@ -767,7 +767,7 @@ func rowBlockAllocs() int64 {
 
 // TestServerPathBoxesNoRows guards the server half of "results box on
 // demand": JOB, star and hierarchy RDB/RDBRP statements run through
-// ExecStream — what the server calls — and are v2-encoded, in one buffer
+// Session.ExecUnboxed — what the server calls — and are v2-encoded, in one buffer
 // and chunk by chunk, without boxing a single row block (every allocation is
 // sampled while they run). The star_transfer statements' execute-and-encode
 // bytes are bounded too: the in-process probes (BenchmarkStarExec +

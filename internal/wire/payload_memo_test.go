@@ -15,7 +15,7 @@ import (
 // Guards around the encode-once payload memo (db.PayloadMemo): it is armed
 // by cache admission only, it stays inside the cache's byte budget and dies
 // with its entry, and it is what a hit is served from — no column is encoded
-// again, and a small materialised response leaves in one write.
+// again. A small response, cached or not, leaves in one write.
 
 // TestPayloadMemoUncachedResultsEncodeAfresh: results the cache does not own
 // may be mutated between encodes and must encode to the new bytes.
@@ -206,55 +206,75 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestServeCachedHitLeavesInOneWrite: a cached multi-relation response
-// smaller than the connection's write buffer reaches the socket in exactly
-// one Write — header, relations and end-of-stream together.
+// TestServeCachedHitLeavesInOneWrite: a multi-relation response smaller
+// than the connection's write buffer reaches the socket in exactly one
+// Write — header, relations and end-of-stream together — whether the
+// statement fills the result cache, hits it, or runs with the cache off.
 func TestServeCachedHitLeavesInOneWrite(t *testing.T) {
+	const sql = "SELECT RESULTDB c.name, o.id, o.total FROM cust AS c, ord AS o WHERE c.id = o.cust_id AND o.total > 1000"
+	// serve serves d and returns a connected client and the count of socket
+	// writes the server makes.
+	serve := func(d *db.Database) (*Client, *atomic.Int64) {
+		var writes atomic.Int64
+		srv := NewServer(d)
+		srv.ListenFunc = func(network, addr string) (net.Listener, error) {
+			ln, err := net.Listen(network, addr)
+			return countingListener{Listener: ln, writes: &writes}, err
+		}
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { srv.Close() })
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c, &writes
+	}
+	// respond runs sql and checks the response's size and its count of
+	// socket writes.
+	respond := func(what string, c *Client, writes *atomic.Int64) *db.Result {
+		t.Helper()
+		before, bytesBefore := writes.Load(), c.BytesRead()
+		res, err := c.Exec(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if n := c.BytesRead() - bytesBefore; n <= 0 || n >= 4096 {
+			t.Fatalf("%s: response payload is %d bytes; the test needs one smaller than the write buffer", what, n)
+		}
+		// Exec returned, so the client has read the end-of-stream frame and
+		// the server's writes for this response are all counted.
+		if n := writes.Load() - before; n != 1 {
+			t.Fatalf("%s reached the socket in %d writes, want 1", what, n)
+		}
+		return res
+	}
+
 	d := chaosDBPar(t, 1)
 	d.EnableCache(64 << 20)
-	var writes atomic.Int64
-	srv := NewServer(d)
-	srv.ListenFunc = func(network, addr string) (net.Listener, error) {
-		ln, err := net.Listen(network, addr)
-		return countingListener{Listener: ln, writes: &writes}, err
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	const sql = "SELECT RESULTDB c.name, o.id, o.total FROM cust AS c, ord AS o WHERE c.id = o.cust_id AND o.total > 1000"
-	first, err := c.Exec(sql) // the filling response
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, writes := serve(d)
+	first := respond("the filling response", c, writes)
 	if len(first.Sets) < 2 {
 		t.Fatalf("want a multi-relation result, got %d sets", len(first.Sets))
 	}
-	hits, before, bytesBefore := d.CacheStats().Hits, writes.Load(), c.BytesRead()
-	second, err := c.Exec(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
+	hits := d.CacheStats().Hits
+	second := respond("the cached response", c, writes)
 	if d.CacheStats().Hits != hits+1 {
 		t.Fatal("second execution was not a cache hit")
 	}
-	if !bytes.Equal(EncodeResult(second), EncodeResult(first)) {
-		t.Fatal("hit decoded to a different result")
+	off := chaosDBPar(t, 1)
+	c, writes = serve(off)
+	third := respond("the cache-off response", c, writes)
+	if st := off.CacheStats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("the cache-off run used the cache: %+v", st)
 	}
-	if n := c.BytesRead() - bytesBefore; n <= 0 || n >= 4096 {
-		t.Fatalf("response payload is %d bytes; the test needs one smaller than the write buffer", n)
-	}
-	// Exec returned, so the client has read the end-of-stream frame and the
-	// server's writes for this response are all counted.
-	if n := writes.Load() - before; n != 1 {
-		t.Fatalf("cached response reached the socket in %d writes, want 1", n)
+	for what, res := range map[string]*db.Result{"hit": second, "cache-off run": third} {
+		if !bytes.Equal(EncodeResult(res), EncodeResult(first)) {
+			t.Fatalf("%s decoded to a different result", what)
+		}
 	}
 }
 

@@ -27,10 +27,12 @@ import (
 // chunk payloads are byte-identical to EncodeResultOptions' v2 encoding of
 // the result, and that concatenation is the whole contract: where chunks
 // begin and end, and how many of them share a TCP segment, is the server's
-// choice (clients append until frameEnd). Chunking exists so the server can
-// flush relation-by-relation while the executor is still projecting later
-// relations. A frameErr may replace the response or interrupt a chunk stream
-// at any point (the client discards the partial buffer). Type values 2 and 4
+// choice (clients append until frameEnd). This server executes the
+// statement first, then writes a header chunk, one chunk per relation and
+// one for the post-join plan, and flushes them with frameEnd at once; one
+// chunk per relation lets a cached relation go out as the bytes its result
+// keeps. A frameErr may replace the response or interrupt a chunk stream at
+// any point (the client discards the partial buffer). Type values 2 and 4
 // belonged to retired frames and stay unused.
 const (
 	frameQuery byte = 1 // client -> server: SQL text
@@ -379,9 +381,8 @@ func (s *Server) serveConn(conn net.Conn) {
 	// mutation) and execute against one consistent MVCC snapshot each, never
 	// blocking on — or observing half of — another connection's writes.
 	sess := s.db.NewSession()
-	// send writes one frame under the write deadline without flushing:
-	// serveStreamed decides when a flush is due (per chunk while a statement
-	// still executes, once per response when the result is materialised).
+	// send writes one frame under the write deadline without flushing: a
+	// response's frames leave together in the flush of its last frame.
 	send := func(typ byte, payload []byte) error {
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
@@ -438,160 +439,71 @@ func (s *Server) serveConn(conn net.Conn) {
 			return // client gone, idle timeout, or poisoned stream
 		}
 		s.stats.queries.Add(1)
-		if !s.serveStreamed(sess, sql, reply, send, w) {
+		if !s.serveStatement(sess, sql, send, reply) {
 			return
 		}
 	}
 }
 
-// chunkPipeline is the ordered delivery pipeline of a streamed response whose
-// statement is still executing: enqueue hands each chunk's encode to its own
-// goroutine and queues a promise for it; a writer goroutine resolves the
-// promises in order, sending and flushing each chunk as its encode finishes.
-type chunkPipeline struct {
-	s *Server
-	// queue bounds how far encoding may run ahead of the network. A nil
-	// resolved payload marks a panicked encode — the writer aborts the
-	// stream rather than send a gap.
-	queue    chan chan []byte
-	writeErr chan error
-	failed   chan struct{}
-}
-
-func (s *Server) startPipeline(send func(byte, []byte) error, w *bufio.Writer) *chunkPipeline {
-	p := &chunkPipeline{
-		s:        s,
-		queue:    make(chan chan []byte, 4),
-		writeErr: make(chan error, 1),
-		failed:   make(chan struct{}),
-	}
-	go func() {
-		var err error
-		for promise := range p.queue {
-			data := <-promise
-			if err != nil {
-				continue // drain remaining promises after a write error
-			}
-			if data == nil {
-				err = errors.New("wire: chunk encode panicked")
-			} else if werr := send(frameChunk, data); werr != nil {
-				err = werr
-			} else if werr := w.Flush(); werr != nil {
-				err = werr
-			}
-			if err != nil {
-				close(p.failed)
-			}
-		}
-		p.writeErr <- err
-	}()
-	return p
-}
-
-func (p *chunkPipeline) enqueue(encode func() []byte) error {
-	promise := make(chan []byte, 1)
-	go func() {
-		defer func() {
-			if pn := recover(); pn != nil {
-				p.s.stats.panics.Add(1)
-				promise <- nil // resolve the promise so the writer never hangs
-			}
-		}()
-		data := encode()
-		if data == nil {
-			data = []byte{}
-		}
-		promise <- data
-	}()
-	select {
-	case p.queue <- promise:
-		return nil
-	case <-p.failed:
-		return errors.New("wire: connection write failed")
-	}
-}
-
-// finish waits for every queued chunk to be written and returns the first
-// write error.
-func (p *chunkPipeline) finish() error {
-	close(p.queue)
-	return <-p.writeErr
-}
-
-// serveStreamed answers one query as a chunk stream: a header chunk, one
-// chunk per relation, a chunk for the post-join plan when one is shipped,
-// then frameEnd. Only the concatenation of the chunk payloads is protocol;
-// where the boundaries fall is the server's business.
+// serveStatement answers one query: it executes the statement, then writes
+// the result's v2 payload as chunks (writeResult) and frameEnd into the
+// connection's buffered writer, all on this goroutine, and flushes once.
+// Only the concatenation of the chunk payloads is protocol; where the
+// boundaries fall is the server's business.
 //
-// A statement that executes while it streams (an uncached SELECT) overlaps
-// execution, encoding, and transmission through a chunkPipeline: the header
-// chunk goes out before the first relation is projected, and each relation
-// is encoded on its own goroutine (columns in parallel inside it) while the
-// executor projects the next one; a SELECT that just filled the result cache
-// replays through the same pipeline, so its relations are still encoded side
-// by side. A materialised result (a SELECT served from the cache, a
-// non-SELECT) has nothing to overlap with, so its frames — the payloads the
-// cached result keeps, as they are — go into the connection's buffered
-// writer back to back on this goroutine and leave in one flush with
-// frameEnd.
-//
-// The statement runs with panics confined to the connection: an executor
+// Execution and encoding run with panics confined to the connection: a
 // panic becomes a statement error (terminal for the client — a
-// deterministic panic would just repeat) instead of a dead server.
-// Returns false when the connection is no longer usable.
-func (s *Server) serveStreamed(sess *db.Session, sql string, reply, send func(byte, []byte) error, w *bufio.Writer) bool {
-	par := sess.CoreOptions.Parallelism
-	var pipe *chunkPipeline // nil: the result is materialised
-	var werr error          // first write error of the direct path
-	chunk := func(encode func(*Encoder)) error {
-		if pipe != nil {
-			return pipe.enqueue(func() []byte {
-				var e Encoder
-				encode(&e)
-				return e.buf
-			})
-		}
-		var e Encoder
-		encode(&e)
-		werr = send(frameChunk, e.buf)
-		return werr
-	}
-
-	res, execErr := func() (res *db.Result, err error) {
+// deterministic panic would just repeat) instead of a dead server. A
+// failed statement is answered with frameErr, which may follow chunks
+// already written (the client discards the partial response). Returns
+// false when the connection is no longer usable.
+func (s *Server) serveStatement(sess *db.Session, sql string, send, reply func(byte, []byte) error) bool {
+	var werr error // the first write error: the connection is unusable
+	execErr := func() (err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				s.stats.panics.Add(1)
 				err = fmt.Errorf("internal error: %v", p)
 			}
 		}()
-		return sess.ExecStream(sql,
-			func(meta db.StreamMeta) error {
-				if !meta.Materialised {
-					pipe = s.startPipeline(send, w)
-				}
-				return chunk(func(e *Encoder) { e.encodeHeader(FormatV2, meta.NumSets, meta.Plan != nil) })
-			},
-			func(set *db.ResultSet) error {
-				return chunk(func(e *Encoder) { e.encodeSetVersion(set, FormatV2, par) })
-			})
+		res, err := sess.ExecUnboxed(sql)
+		if err == nil {
+			werr = writeResult(send, res, sess.CoreOptions.Parallelism)
+		}
+		return err
 	}()
-	if execErr == nil && res.PostJoinPlan != nil {
-		execErr = chunk(func(e *Encoder) { e.encodePlan(res.PostJoinPlan, FormatV2) })
-	}
-	if pipe != nil {
-		werr = pipe.finish()
-	}
 	if werr != nil {
 		return false
 	}
 	if execErr != nil {
 		s.stats.queryErrors.Add(1)
-		// Either the statement failed (possibly mid-stream — the client
-		// discards the partial response) or enqueue aborted on a write
-		// error already handled above.
 		return reply(frameErr, []byte(execErr.Error())) == nil
 	}
 	return reply(frameEnd, nil) == nil
+}
+
+// writeResult sends res's v2 payload as frameChunks: the header, one chunk
+// per set, and the post-join plan when one is shipped. Each chunk has its
+// own Encoder, so a set whose encoding a cached result keeps is sent from
+// the kept bytes without a copy.
+func writeResult(send func(byte, []byte) error, res *db.Result, par int) error {
+	chunk := func(encode func(*Encoder)) error {
+		var e Encoder
+		encode(&e)
+		return send(frameChunk, e.buf)
+	}
+	if err := chunk(func(e *Encoder) { e.encodeHeader(FormatV2, len(res.Sets), res.PostJoinPlan != nil) }); err != nil {
+		return err
+	}
+	for _, set := range res.Sets {
+		if err := chunk(func(e *Encoder) { e.encodeSetVersion(set, FormatV2, par) }); err != nil {
+			return err
+		}
+	}
+	if res.PostJoinPlan == nil {
+		return nil
+	}
+	return chunk(func(e *Encoder) { e.encodePlan(res.PostJoinPlan, FormatV2) })
 }
 
 // Shutdown drains the server gracefully: new accepts are refused, idle

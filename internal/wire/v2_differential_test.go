@@ -103,28 +103,20 @@ func checkWire(t *testing.T, oracle *db.Database, cands []wireCandidate, name, s
 	}
 }
 
-// serverResult runs sql the way the server does (ExecStream, the stream
-// ignored): the result as it leaves the engine.
+// serverResult runs sql the way the server does (Session.ExecUnboxed): the
+// result as it leaves the engine.
 func serverResult(d *db.Database, sql string) (*db.Result, error) {
-	return d.ExecStream(sql, func(db.StreamMeta) error { return nil }, func(*db.ResultSet) error { return nil })
+	return d.NewSession().ExecUnboxed(sql)
 }
 
-// streamedPayload is the concatenation of the chunks serveStreamed sends for
-// res: the header, one chunk per set, the plan.
+// streamedPayload is the concatenation of the chunks the server sends for
+// res (writeResult): the header, one chunk per set, the plan.
 func streamedPayload(res *db.Result) []byte {
 	var out []byte
-	chunk := func(encode func(*Encoder)) {
-		var e Encoder
-		encode(&e)
-		out = append(out, e.buf...)
-	}
-	chunk(func(e *Encoder) { e.encodeHeader(FormatV2, len(res.Sets), res.PostJoinPlan != nil) })
-	for _, set := range res.Sets {
-		chunk(func(e *Encoder) { e.encodeSetVersion(set, FormatV2, 0) })
-	}
-	if res.PostJoinPlan != nil {
-		chunk(func(e *Encoder) { e.encodePlan(res.PostJoinPlan, FormatV2) })
-	}
+	writeResult(func(typ byte, chunk []byte) error {
+		out = append(out, chunk...)
+		return nil
+	}, res, 0)
 	return out
 }
 

@@ -20,7 +20,9 @@
 # hypergraph API) and the second table registry (catalog.Catalog), or a write
 # into a parsed statement (Select.Src), or of the deleted RESULTDB_*
 # environment layer, or of the trace totals bumped beside the spans
-# (Tracer.AddRows*, AddBytes) and the rows-only set's rowsKind; no
+# (Tracer.AddRows*, AddBytes) and the rows-only set's rowsKind, or of the
+# second response path (the streamed execution's callbacks and the server's
+# chunk pipeline); no
 # engine.FromRows( outside tests; no environment read in non-test code under internal/ or
 # cmd/ (hermetic configuration); no identifier of the deleted second relation image, no row slices in core or the colstore kernels, no
 # tuple boxed or taken back between the engine's operators (FromRows(,
@@ -216,9 +218,15 @@ dead="$dead"'|func \(d \*Database\) [a-zA-Z]+\([^)]*trace\.Tracer|\baliasStats\b
 # gone; a result set is its view, so the kind sniffed from a set's rows is
 # gone with the rows-only form.
 dead="$dead"'|AddRowsScanned|AddRowsJoined|AddRowsDropped|AddRowsOut|AddBytes\(|rowsKind'
+# One response path: the server executes a statement (Session.ExecUnboxed)
+# and then writes its chunks on the connection's goroutine, in one flush. The
+# streamed execution — its begin/emit callbacks, header type and replay — and
+# the server's chunk pipeline are gone. (ExecStream and Materialised are
+# matched as words: the tests of the unboxed entry point keep their names.)
+dead="$dead"'|StreamMeta|streamSink|replayStream|execStreamAt|chunkPipeline|startPipeline|\bMaterialised\b|\bExecStream\b'
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
-	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer / per-statement state copies / hand-bumped trace totals / rows-only result sets are back:"
+	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer / per-statement state copies / hand-bumped trace totals / rows-only result sets / streamed execution and chunk pipeline are back:"
 	echo "$dead_refs"
 	exit 1
 fi
@@ -358,9 +366,10 @@ if [ -n "$unsafe_imports" ]; then
 fi
 
 echo "== lint: one statement parse in internal/db (the memo's)"
-# Database.Exec, Session.Exec, ExecStream and QuerySQL parse through
-# Database.parse, which memoises SELECTs by raw text; a second single-statement
-# parse call in the package is a path that re-parses every execution.
+# Database.Exec, Session.ExecUnboxed (and Session.Exec through it) and
+# QuerySQL parse through Database.parse, which memoises SELECTs by raw text;
+# a second single-statement parse call in the package is a path that
+# re-parses every execution.
 parses=$(grep -n 'sqlparse\.Parse\(Select\)\?(' internal/db/*.go | grep -v '_test\.go:' | wc -l)
 if [ "$parses" -ne 1 ]; then
 	echo "FAIL: sqlparse.Parse(/ParseSelect( occurs $parses times in internal/db non-test code, want 1 (Database.parse in internal/db/memo.go)"
