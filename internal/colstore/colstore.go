@@ -119,6 +119,27 @@ func (b *Bitmap) Get(i int) bool {
 	return w == len(b.words) && b.tail&(1<<(i&63)) != 0
 }
 
+// word returns the bits of rows at..at+63 as one word, row at+i in bit i;
+// rows past the bitmap read 0. Safe on a nil receiver (no nulls).
+func (b *Bitmap) word(at int) uint64 {
+	if b == nil {
+		return 0
+	}
+	w, s := at>>6, at&63
+	return b.wordAt(w)>>s | b.wordAt(w+1)<<(64-s) // a shift by 64 is 0
+}
+
+// wordAt returns word w of the bitmap: a complete word, the tail, or 0.
+func (b *Bitmap) wordAt(w int) uint64 {
+	switch {
+	case w < len(b.words):
+		return b.words[w]
+	case w == len(b.words):
+		return b.tail
+	}
+	return 0
+}
+
 // Count returns the number of NULL rows. Safe on a nil receiver.
 func (b *Bitmap) Count() int {
 	if b == nil {

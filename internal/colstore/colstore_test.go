@@ -1,8 +1,11 @@
 package colstore
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -186,29 +189,47 @@ func sameSel(a, b []int32) bool {
 	return true
 }
 
+// TestKernelsMatchRowwise: every kernel, alone and chained, over the whole
+// frame and over a selection, keeps exactly the rows a row-at-a-time oracle
+// keeps — at frame lengths around a mask word (0, 1, 63, 64, 65) and past
+// the parallel threshold (1 537, 2 000), at degrees 1-4, so chunk bounds fall
+// mid-word; with a chain whose first kernel drops every row; and over
+// selections that start after row 0 and cross chunk bounds.
 func TestKernelsMatchRowwise(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
+	for _, n := range []int{0, 1, 63, 64, 65, 1537, 2000} {
+		kernelsMatchRowwise(t, n)
+	}
+	// The constructors must reject columns of another kind.
+	f := NewFrame([]types.Kind{types.KindText, types.KindBool}, nil)
+	if _, ok := NewNumCmpKernel(f.Col(0), CmpEq, 0); ok {
+		t.Fatal("NumCmpKernel accepted a text column")
+	}
+	if _, ok := NewNumInKernel(f.Col(1), nil, false, false); ok {
+		t.Fatal("NumInKernel accepted a bool column")
+	}
+}
+
+func kernelsMatchRowwise(t *testing.T, n int) {
+	rng := rand.New(rand.NewSource(13 + int64(n)))
 	kinds := []types.Kind{types.KindInt, types.KindFloat, types.KindText, types.KindBool}
-	rows := randomTypedRows(rng, kinds, 2000, 0.25, 5)
+	rows := randomTypedRows(rng, kinds, n, 0.25, 5)
 	f := NewFrame(kinds, rows)
 	ic := f.Col(0).(*Int64Column)
 	fc := f.Col(1).(*Float64Column)
 	tc := f.Col(2).(*TextColumn)
 	bc := f.Col(3).(*BoolColumn)
 
-	cases := []struct {
-		name   string
-		kernel Kernel
-		ok     bool
-		pass   func(r types.Row) bool
-	}{}
+	type kernelCase struct {
+		name    string
+		kernels []Kernel
+		pass    func(r types.Row) bool
+	}
+	var cases []kernelCase
 	add := func(name string, k Kernel, ok bool, pass func(r types.Row) bool) {
-		cases = append(cases, struct {
-			name   string
-			kernel Kernel
-			ok     bool
-			pass   func(r types.Row) bool
-		}{name, k, ok, pass})
+		if !ok {
+			t.Fatalf("n=%d %s: constructor rejected typed column", n, name)
+		}
+		cases = append(cases, kernelCase{name, []Kernel{k}, pass})
 	}
 
 	k1, ok1 := NewNumCmpKernel(ic, CmpGt, 100)
@@ -247,14 +268,22 @@ func TestKernelsMatchRowwise(t *testing.T) {
 	add("int not in (with NULL item)", k7, ok7, func(r types.Row) bool {
 		return false // every non-match is UNKNOWN; matches fail NOT IN
 	})
-	add("text=", NewDictKernel(tc, tc.Keep(func(s string) bool { return s == tc.Dict[0] })), true, func(r types.Row) bool {
-		return !r[2].IsNull() && r[2].Text() == tc.Dict[0]
+	k8, ok8 := NewNumCmpKernel(fc, CmpNe, 0)
+	add("float<>0", k8, ok8, func(r types.Row) bool {
+		return !r[1].IsNull() && r[1].Float() != 0
 	})
-	add("text prefix", NewDictKernel(tc, tc.Keep(func(s string) bool { return len(s) > 0 && s[0] == 'w' })), true, func(r types.Row) bool {
+	add("text=", NewDictKernel(tc, tc.Keep(func(s string) bool { return s == "wa0" })), true, func(r types.Row) bool {
+		return !r[2].IsNull() && r[2].Text() == "wa0"
+	})
+	textPrefix := NewDictKernel(tc, tc.Keep(func(s string) bool { return len(s) > 0 && s[0] == 'w' }))
+	add("text prefix", textPrefix, true, func(r types.Row) bool {
 		return !r[2].IsNull() && len(r[2].Text()) > 0 && r[2].Text()[0] == 'w'
 	})
 	add("bool true", NewBoolKernel(bc, true, false), true, func(r types.Row) bool {
 		return !r[3].IsNull() && r[3].Bool()
+	})
+	add("bool false", NewBoolKernel(bc, false, true), true, func(r types.Row) bool {
+		return !r[3].IsNull() && !r[3].Bool()
 	})
 	add("is null", NewIsNullKernel(ic, false), true, func(r types.Row) bool {
 		return r[0].IsNull()
@@ -263,58 +292,95 @@ func TestKernelsMatchRowwise(t *testing.T) {
 		return !r[2].IsNull()
 	})
 	add("const false", NewConstKernel(false), true, func(types.Row) bool { return false })
+	add("const true", NewConstKernel(true), true, func(types.Row) bool { return true })
 	add("non-null", NewNonNullKernel(fc), true, func(r types.Row) bool { return !r[1].IsNull() })
 
+	// Chains, which must equal the rowwise AND of their kernels: one that
+	// keeps some rows, and one whose first kernel drops every row.
+	between, prefix := cases[2].pass, cases[9].pass
+	cases = append(cases,
+		kernelCase{"chain", []Kernel{k3, textPrefix, NewIsNullKernel(fc, true)}, func(r types.Row) bool {
+			return between(r) && prefix(r) && !r[1].IsNull()
+		}},
+		kernelCase{"chain after dropping everything", []Kernel{NewConstKernel(false), k1, textPrefix}, func(types.Row) bool {
+			return false
+		}},
+	)
+
+	// Selections, which the result must stay within and leave as they were:
+	// every third row from row 5, the rows from a third of the frame on
+	// every other, one row past the first, and none.
+	var third, tail []int32
+	for i := 5; i < n; i += 3 {
+		third = append(third, int32(i))
+	}
+	for i := n / 3; i < n; i += 2 {
+		tail = append(tail, int32(i))
+	}
+	sels := [][]int32{nil, third, tail, {}}
+	if n > 1 {
+		sels = append(sels, []int32{1})
+	}
+
 	for _, c := range cases {
-		if !c.ok {
-			t.Fatalf("%s: constructor rejected typed column", c.name)
-		}
-		want := rowwiseSelect(len(rows), func(i int) bool { return c.pass(rows[i]) })
-		for _, par := range []int{1, 4} {
-			got := RunKernels(len(rows), nil, []Kernel{c.kernel}, par)
-			if !sameSel(got, want) {
-				t.Fatalf("%s par=%d: %d rows selected, want %d", c.name, par, len(got), len(want))
+		for _, sel := range sels {
+			in := func(i int) bool { return sel == nil || slices.Contains(sel, int32(i)) }
+			want := rowwiseSelect(n, func(i int) bool { return in(i) && c.pass(rows[i]) })
+			orig := slices.Clone(sel)
+			for _, par := range []int{1, 2, 3, 4} {
+				got := RunKernels(n, sel, c.kernels, par)
+				if got == nil || !sameSel(got, want) || !slices.Equal(sel, orig) {
+					over := "every row"
+					if sel != nil {
+						over = fmt.Sprintf("%d selected rows", len(sel))
+					}
+					t.Fatalf("n=%d %s over %s, par=%d: %d rows, want %d (nil: %v, selection modified: %v)",
+						n, c.name, over, par, len(got), len(want), got == nil, !slices.Equal(sel, orig))
+				}
 			}
 		}
 	}
+}
 
-	// Conjunction chain, all pars, must equal rowwise AND in the same order.
-	chain := []Kernel{k3, cases[8].kernel, NewIsNullKernel(fc, true)}
-	want := rowwiseSelect(len(rows), func(i int) bool {
-		r := rows[i]
-		return cases[2].pass(r) && cases[8].pass(r) && !r[1].IsNull()
-	})
-	for _, par := range []int{1, 2, 8} {
-		got := RunKernels(len(rows), nil, chain, par)
-		if !sameSel(got, want) {
-			t.Fatalf("chain par=%d: %d rows, want %d", par, len(got), len(want))
+// TestScanAllocatesForItsSurvivors: a kernel chain keeping a few of n
+// candidate rows allocates for those few and for masks of a bit a row, not
+// for a vector of the candidates' 4n bytes — over every row and over a
+// selection of n rows, at every degree. The bytes are process-wide
+// runtime.MemStats.TotalAlloc; the cheapest of a few runs counts, in case
+// another goroutine allocates during one.
+func TestScanAllocatesForItsSurvivors(t *testing.T) {
+	const n = 100_000
+	vals := make([]int64, 2*n)
+	for i := range vals {
+		vals[i] = int64(i % 1000)
+	}
+	k, _ := NewNumCmpKernel(&Int64Column{Vals: vals}, CmpLt, 1) // one row in 1000
+	var even []int32
+	for i := 0; i < 2*n; i += 2 {
+		even = append(even, int32(i))
+	}
+	for _, c := range []struct {
+		name string
+		rows int
+		sel  []int32
+	}{
+		{"every row", n, nil},
+		{"a selection", 2 * n, even},
+	} {
+		for _, par := range []int{1, 2, 4} {
+			bytes, kept := uint64(math.MaxUint64), 0
+			for range 3 {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				kept = len(RunKernels(c.rows, c.sel, []Kernel{k}, par))
+				runtime.ReadMemStats(&after)
+				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+			}
+			if bytes >= n {
+				t.Errorf("%s, par=%d: a scan keeping %d of %d candidates allocates %d bytes, want < %d (the candidates' vector is %d)",
+					c.name, par, kept, n, bytes, n, 4*n)
+			}
 		}
-	}
-
-	// Over a selection (every third row, from row 5): the same rows of the
-	// chain's answer, and the selection itself left as it was.
-	var sel, wantSel []int32
-	for i := 5; i < len(rows); i += 3 {
-		sel = append(sel, int32(i))
-		if slices.Contains(want, int32(i)) {
-			wantSel = append(wantSel, int32(i))
-		}
-	}
-	orig := slices.Clone(sel)
-	for _, par := range []int{1, 2, 8} {
-		got := RunKernels(len(rows), sel, chain, par)
-		if !sameSel(got, wantSel) || !slices.Equal(sel, orig) {
-			t.Fatalf("chain over a selection par=%d: %d rows, want %d (selection modified: %v)",
-				par, len(got), len(wantSel), !slices.Equal(sel, orig))
-		}
-	}
-
-	// NewNumCmpKernel must reject non-numeric columns.
-	if _, ok := NewNumCmpKernel(tc, CmpEq, 0); ok {
-		t.Fatal("NumCmpKernel accepted a text column")
-	}
-	if _, ok := NewNumInKernel(bc, nil, false, false); ok {
-		t.Fatal("NumInKernel accepted a bool column")
 	}
 }
 

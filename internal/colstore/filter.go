@@ -1,6 +1,9 @@
 package colstore
 
 import (
+	"math/bits"
+	"slices"
+
 	"resultdb/internal/parallel"
 )
 
@@ -36,12 +39,36 @@ func EvalCmp(op CmpOp, c int) bool {
 
 // Kernel is one compiled predicate over a frame: it narrows a selection under
 // SQL predicate semantics (rows whose predicate result is FALSE or NULL are
-// dropped). FilterDense appends the passing indices of the dense range
-// [lo,hi) to dst; FilterSel does the same for an existing selection. Both
-// keep indices ascending, so kernels chain into conjunctions.
+// dropped). Mask clears, in mask, the bit of every frame row of [lo,hi) that
+// fails the predicate — bit j-lo, LSB-first within a word, for row j — and
+// leaves every other bit as it was, so kernels chain into conjunctions by
+// marking one mask in turn (RunKernels). Words already zero are skipped.
 type Kernel interface {
-	FilterDense(lo, hi int, dst []int32) []int32
-	FilterSel(sel, dst []int32) []int32
+	Mask(lo, hi int, mask []uint64)
+}
+
+// andWords is the loop every kernel's Mask shares: each word of mask still
+// holding a bit is ANDed with pass(at, e) — the pass bits of the frame rows
+// [at, e) the word covers, row at+i in bit i — less the rows nulls marks
+// NULL. pass evaluates its whole word without a branch per row; a row's bit
+// past e may be anything, as the mask's bits past hi are clear.
+func andWords(lo, hi int, mask []uint64, nulls *Bitmap, pass func(at, e int) uint64) {
+	for w, m := range mask {
+		if m == 0 {
+			continue
+		}
+		at := lo + w<<6
+		mask[w] = m & pass(at, min(at+64, hi)) &^ nulls.word(at)
+	}
+}
+
+// bit is 1 when b holds and 0 otherwise, without a branch.
+func bit(b bool) uint64 {
+	var x uint64
+	if b {
+		x = 1
+	}
+	return x
 }
 
 // ---- constant ----
@@ -52,63 +79,41 @@ type constKernel struct{ pass bool }
 // that fold to a constant, e.g. comparison against a NULL literal).
 func NewConstKernel(pass bool) Kernel { return &constKernel{pass: pass} }
 
-func (k *constKernel) FilterDense(lo, hi int, dst []int32) []int32 {
+func (k *constKernel) Mask(lo, hi int, mask []uint64) {
 	if !k.pass {
-		return dst
+		clear(mask)
 	}
-	for i := lo; i < hi; i++ {
-		dst = append(dst, int32(i))
-	}
-	return dst
-}
-
-func (k *constKernel) FilterSel(sel, dst []int32) []int32 {
-	if !k.pass {
-		return dst
-	}
-	return append(dst, sel...)
-}
-
-// ---- non-null constant ----
-
-type nonNullKernel struct{ col Column }
-
-// NewNonNullKernel returns a kernel keeping exactly the non-NULL rows of col
-// (predicates whose result is constant TRUE for every non-NULL value — e.g.
-// cross-kind comparisons, which order by kind tag).
-func NewNonNullKernel(col Column) Kernel { return &nonNullKernel{col: col} }
-
-func (k *nonNullKernel) FilterDense(lo, hi int, dst []int32) []int32 {
-	for i := lo; i < hi; i++ {
-		if !k.col.Null(i) {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
-}
-
-func (k *nonNullKernel) FilterSel(sel, dst []int32) []int32 {
-	for _, i := range sel {
-		if !k.col.Null(int(i)) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
 }
 
 // ---- numeric comparison ----
 
+// cmpBits is a comparison operator as the three outcomes of cmp3 it passes,
+// one bit each.
+type cmpBits struct{ lt, eq, gt uint64 }
+
+func cmpBitsOf(op CmpOp) cmpBits {
+	return cmpBits{bit(EvalCmp(op, -1)), bit(EvalCmp(op, 0)), bit(EvalCmp(op, 1))}
+}
+
+// pass is EvalCmp(op, cmp3(v, rhs)) as a bit. It follows types.Compare's (unusual)
+// NaN behavior, as cmp3 does: NaN is neither less nor greater, so it compares
+// equal.
+func (c cmpBits) pass(v, rhs float64) uint64 {
+	l, g := bit(v < rhs), bit(v > rhs)
+	return l&c.lt | g&c.gt | (1^l^g)&c.eq
+}
+
 type intCmpKernel struct {
 	vals  []int64
 	nulls *Bitmap
-	op    CmpOp
+	op    cmpBits
 	rhs   float64
 }
 
 type floatCmpKernel struct {
 	vals  []float64
 	nulls *Bitmap
-	op    CmpOp
+	op    cmpBits
 	rhs   float64
 }
 
@@ -118,9 +123,9 @@ type floatCmpKernel struct {
 func NewNumCmpKernel(col Column, op CmpOp, rhs float64) (Kernel, bool) {
 	switch c := col.(type) {
 	case *Int64Column:
-		return &intCmpKernel{vals: c.Vals, nulls: c.Nulls, op: op, rhs: rhs}, true
+		return &intCmpKernel{vals: c.Vals, nulls: c.Nulls, op: cmpBitsOf(op), rhs: rhs}, true
 	case *Float64Column:
-		return &floatCmpKernel{vals: c.Vals, nulls: c.Nulls, op: op, rhs: rhs}, true
+		return &floatCmpKernel{vals: c.Vals, nulls: c.Nulls, op: cmpBitsOf(op), rhs: rhs}, true
 	}
 	return nil, false
 }
@@ -139,44 +144,24 @@ func cmp3(v, rhs float64) int {
 	}
 }
 
-func cmpPass(op CmpOp, v, rhs float64) bool {
-	return EvalCmp(op, cmp3(v, rhs))
+func (k *intCmpKernel) Mask(lo, hi int, mask []uint64) {
+	vals, op, rhs := k.vals, k.op, k.rhs
+	andWords(lo, hi, mask, k.nulls, func(at, e int) (p uint64) {
+		for i, v := range vals[at:e] {
+			p |= op.pass(float64(v), rhs) << (i & 63)
+		}
+		return p
+	})
 }
 
-func (k *intCmpKernel) FilterDense(lo, hi int, dst []int32) []int32 {
-	for i := lo; i < hi; i++ {
-		if !k.nulls.Get(i) && cmpPass(k.op, float64(k.vals[i]), k.rhs) {
-			dst = append(dst, int32(i))
+func (k *floatCmpKernel) Mask(lo, hi int, mask []uint64) {
+	vals, op, rhs := k.vals, k.op, k.rhs
+	andWords(lo, hi, mask, k.nulls, func(at, e int) (p uint64) {
+		for i, v := range vals[at:e] {
+			p |= op.pass(v, rhs) << (i & 63)
 		}
-	}
-	return dst
-}
-
-func (k *intCmpKernel) FilterSel(sel, dst []int32) []int32 {
-	for _, i := range sel {
-		if !k.nulls.Get(int(i)) && cmpPass(k.op, float64(k.vals[i]), k.rhs) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-func (k *floatCmpKernel) FilterDense(lo, hi int, dst []int32) []int32 {
-	for i := lo; i < hi; i++ {
-		if !k.nulls.Get(i) && cmpPass(k.op, k.vals[i], k.rhs) {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
-}
-
-func (k *floatCmpKernel) FilterSel(sel, dst []int32) []int32 {
-	for _, i := range sel {
-		if !k.nulls.Get(int(i)) && cmpPass(k.op, k.vals[i], k.rhs) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
+		return p
+	})
 }
 
 // ---- numeric BETWEEN ----
@@ -207,62 +192,33 @@ func NewNumBetweenKernel(col Column, lo, hi float64, not bool) (Kernel, bool) {
 	return nil, false
 }
 
-func (k *intBetweenKernel) FilterDense(lo, hi int, dst []int32) []int32 {
-	for i := lo; i < hi; i++ {
-		if k.nulls.Get(i) {
-			continue
+// Mask passes the rows inside [lo, hi] under BETWEEN and those outside
+// under NOT BETWEEN. A value is outside when it is below lo or above hi:
+// cmp3's order, under which NaN lies inside any bounds.
+func (k *intBetweenKernel) Mask(lo, hi int, mask []uint64) {
+	vals, min, max, in := k.vals, k.lo, k.hi, bit(!k.not)
+	andWords(lo, hi, mask, k.nulls, func(at, e int) (p uint64) {
+		for i, v := range vals[at:e] {
+			f := float64(v)
+			p |= (bit(f < min) | bit(f > max) ^ in) << (i & 63)
 		}
-		v := float64(k.vals[i])
-		if (cmp3(v, k.lo) >= 0 && cmp3(v, k.hi) <= 0) != k.not {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
+		return p
+	})
 }
 
-func (k *intBetweenKernel) FilterSel(sel, dst []int32) []int32 {
-	for _, i := range sel {
-		if k.nulls.Get(int(i)) {
-			continue
+func (k *floatBetweenKernel) Mask(lo, hi int, mask []uint64) {
+	vals, min, max, in := k.vals, k.lo, k.hi, bit(!k.not)
+	andWords(lo, hi, mask, k.nulls, func(at, e int) (p uint64) {
+		for i, v := range vals[at:e] {
+			p |= (bit(v < min) | bit(v > max) ^ in) << (i & 63)
 		}
-		v := float64(k.vals[i])
-		if (cmp3(v, k.lo) >= 0 && cmp3(v, k.hi) <= 0) != k.not {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-func (k *floatBetweenKernel) FilterDense(lo, hi int, dst []int32) []int32 {
-	for i := lo; i < hi; i++ {
-		if k.nulls.Get(i) {
-			continue
-		}
-		v := k.vals[i]
-		if (cmp3(v, k.lo) >= 0 && cmp3(v, k.hi) <= 0) != k.not {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
-}
-
-func (k *floatBetweenKernel) FilterSel(sel, dst []int32) []int32 {
-	for _, i := range sel {
-		if k.nulls.Get(int(i)) {
-			continue
-		}
-		v := k.vals[i]
-		if (cmp3(v, k.lo) >= 0 && cmp3(v, k.hi) <= 0) != k.not {
-			dst = append(dst, i)
-		}
-	}
-	return dst
+		return p
+	})
 }
 
 // ---- numeric IN list ----
 
 type numInKernel struct {
-	col     Column // *Int64Column or *Float64Column, accessed via fast paths below
 	ivals   []int64
 	fvals   []float64
 	nulls   *Bitmap
@@ -290,10 +246,8 @@ func NewNumInKernel(col Column, items []float64, not, sawNull bool) (Kernel, boo
 	return k, true
 }
 
+// pass reports whether the non-NULL row i passes.
 func (k *numInKernel) pass(i int) bool {
-	if k.nulls.Get(i) {
-		return false
-	}
 	var v float64
 	if k.ivals != nil {
 		v = float64(k.ivals[i])
@@ -311,22 +265,13 @@ func (k *numInKernel) pass(i int) bool {
 	return k.not
 }
 
-func (k *numInKernel) FilterDense(lo, hi int, dst []int32) []int32 {
-	for i := lo; i < hi; i++ {
-		if k.pass(i) {
-			dst = append(dst, int32(i))
+func (k *numInKernel) Mask(lo, hi int, mask []uint64) {
+	andWords(lo, hi, mask, k.nulls, func(at, e int) (p uint64) {
+		for j := at; j < e; j++ {
+			p |= bit(k.pass(j)) << (j - at)
 		}
-	}
-	return dst
-}
-
-func (k *numInKernel) FilterSel(sel, dst []int32) []int32 {
-	for _, i := range sel {
-		if k.pass(int(i)) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
+		return p
+	})
 }
 
 // ---- bool comparison ----
@@ -343,28 +288,15 @@ func NewBoolKernel(col *BoolColumn, passTrue, passFalse bool) Kernel {
 	return &boolKernel{vals: col.Vals, nulls: col.Nulls, passTrue: passTrue, passFalse: passFalse}
 }
 
-func (k *boolKernel) FilterDense(lo, hi int, dst []int32) []int32 {
-	for i := lo; i < hi; i++ {
-		if k.nulls.Get(i) {
-			continue
+func (k *boolKernel) Mask(lo, hi int, mask []uint64) {
+	vals, t, f := k.vals, bit(k.passTrue), bit(k.passFalse)
+	andWords(lo, hi, mask, k.nulls, func(at, e int) (p uint64) {
+		for i, v := range vals[at:e] {
+			b := bit(v)
+			p |= (b&t | (b^1)&f) << (i & 63)
 		}
-		if (k.vals[i] && k.passTrue) || (!k.vals[i] && k.passFalse) {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
-}
-
-func (k *boolKernel) FilterSel(sel, dst []int32) []int32 {
-	for _, i := range sel {
-		if k.nulls.Get(int(i)) {
-			continue
-		}
-		if (k.vals[i] && k.passTrue) || (!k.vals[i] && k.passFalse) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
+		return p
+	})
 }
 
 // ---- dictionary text predicate ----
@@ -383,22 +315,16 @@ func NewDictKernel(col *TextColumn, keep []bool) Kernel {
 	return &dictKernel{codes: col.Codes, nulls: col.Nulls, keep: keep}
 }
 
-func (k *dictKernel) FilterDense(lo, hi int, dst []int32) []int32 {
-	for i := lo; i < hi; i++ {
-		if !k.nulls.Get(i) && k.keep[k.codes[i]] {
-			dst = append(dst, int32(i))
+// Mask reads every row's code, a NULL row's too: that code may index no
+// dictionary entry (an all-NULL column has none), so it reads as a miss.
+func (k *dictKernel) Mask(lo, hi int, mask []uint64) {
+	codes, keep := k.codes, k.keep
+	andWords(lo, hi, mask, k.nulls, func(at, e int) (p uint64) {
+		for i, c := range codes[at:e] {
+			p |= bit(int(c) < len(keep) && keep[c]) << (i & 63)
 		}
-	}
-	return dst
-}
-
-func (k *dictKernel) FilterSel(sel, dst []int32) []int32 {
-	for _, i := range sel {
-		if !k.nulls.Get(int(i)) && k.keep[k.codes[i]] {
-			dst = append(dst, i)
-		}
-	}
-	return dst
+		return p
+	})
 }
 
 // ---- IS [NOT] NULL ----
@@ -413,51 +339,70 @@ func NewIsNullKernel(col Column, not bool) Kernel {
 	return &isNullKernel{col: col, not: not}
 }
 
-func (k *isNullKernel) FilterDense(lo, hi int, dst []int32) []int32 {
-	for i := lo; i < hi; i++ {
-		if k.col.Null(i) != k.not {
-			dst = append(dst, int32(i))
-		}
-	}
-	return dst
-}
+// NewNonNullKernel returns a kernel keeping exactly the non-NULL rows of col
+// (predicates whose result is constant TRUE for every non-NULL value — e.g.
+// cross-kind comparisons, which order by kind tag): `col IS NOT NULL`.
+func NewNonNullKernel(col Column) Kernel { return NewIsNullKernel(col, true) }
 
-func (k *isNullKernel) FilterSel(sel, dst []int32) []int32 {
-	for _, i := range sel {
-		if k.col.Null(int(i)) != k.not {
-			dst = append(dst, i)
+func (k *isNullKernel) Mask(lo, hi int, mask []uint64) {
+	not := bit(k.not)
+	andWords(lo, hi, mask, nil, func(at, e int) (p uint64) {
+		for j := at; j < e; j++ {
+			p |= (bit(k.col.Null(j)) ^ not) << (j - at)
 		}
-	}
-	return dst
+		return p
+	})
 }
 
 // RunKernels evaluates a conjunction of kernels over the dense row domain
-// [0, n) or, when sel is non-nil, over the ascending rows it lists, chunked
-// across the worker pool at degree par into one selection vector of n
-// entries (parallel.Filter): the first kernel writes each chunk's survivors
-// into the chunk's own window of it (sel itself is never written), later
-// kernels compact that window in place, and the windows close up in chunk
-// order. The result is the ascending selection of rows passing every kernel
-// (never nil, so an empty result is distinguishable from a nil "all rows"
-// selection), and it is the caller's. kernels must be non-empty.
+// [0, n) or, when sel is non-nil, over the ascending frame rows it lists
+// (sel itself is never written). The domain is chunked across the worker
+// pool at degree par (parallel.Positions): a chunk sets the bits of its
+// candidate rows in its mask — every row of its range, or the entries of sel
+// inside it — and each kernel in turn clears the bits of the rows it fails;
+// the surviving bits are written once into a vector of exactly their number.
+// Over sel the domain is the frame rows from sel's first entry to its last,
+// so a scan of a short tail marks only the tail's words. The result is the
+// ascending selection of frame rows passing every kernel (never nil, so an
+// empty result is distinguishable from a nil "all rows" selection), and it
+// is the caller's.
 func RunKernels(n int, sel []int32, kernels []Kernel, par int) []int32 {
+	base := 0
 	if sel != nil {
-		n = len(sel)
+		n = 0
+		if len(sel) > 0 {
+			base, n = int(sel[0]), int(sel[len(sel)-1])+1-int(sel[0])
+		}
 	}
-	return parallel.Filter(make([]int32, n), par, func(lo, hi int, dst []int32) []int32 {
+	out := parallel.Positions(n, par, func(lo, hi int, mask []uint64) int {
+		lo, hi = lo+base, hi+base
 		if sel == nil {
-			dst = kernels[0].FilterDense(lo, hi, dst)
-		} else {
-			dst = kernels[0].FilterSel(sel[lo:hi], dst)
-		}
-		for _, k := range kernels[1:] {
-			if len(dst) == 0 {
-				break
+			for w := range mask {
+				mask[w] = ^uint64(0)
 			}
-			// In-place compaction: the write cursor never passes the read
-			// cursor, so filtering dst into dst[:0] is safe.
-			dst = k.FilterSel(dst, dst[:0])
+			mask[len(mask)-1] >>= -(hi - lo) & 63 // clear the bits past hi
+		} else {
+			i, _ := slices.BinarySearch(sel, int32(lo))
+			for _, j := range sel[i:] {
+				if int(j) >= hi {
+					break
+				}
+				mask[(int(j)-lo)>>6] |= 1 << ((int(j) - lo) & 63)
+			}
 		}
-		return dst
+		for _, k := range kernels {
+			k.Mask(lo, hi, mask)
+		}
+		kept := 0
+		for _, x := range mask {
+			kept += bits.OnesCount64(x)
+		}
+		return kept
 	})
+	if base > 0 {
+		for i := range out {
+			out[i] += int32(base)
+		}
+	}
+	return out
 }

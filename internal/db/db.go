@@ -306,12 +306,16 @@ func (d *Database) ExecScript(sql string) ([]*Result, error) {
 // is confined to the statement and surfaces as an error, so one poisoned
 // query cannot take down an embedding process or server.
 func (d *Database) ExecStatement(st sqlparse.Statement) (res *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("db: internal error: %v", p)
-		}
-	}()
+	defer confine(&res, &err)
 	return boxed(d.execAt(d.readCtx(), st, nil))
+}
+
+// confine, deferred by an entry point, turns a panic in the statement it
+// runs into the statement's error.
+func confine(res **Result, err *error) {
+	if p := recover(); p != nil {
+		*res, *err = nil, fmt.Errorf("db: internal error: %v", p)
+	}
 }
 
 // execAt executes a parsed statement: reads against ec's snapshot with ec's

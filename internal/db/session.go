@@ -1,8 +1,6 @@
 package db
 
 import (
-	"fmt"
-
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/trace"
 )
@@ -104,21 +102,18 @@ func (s *Session) afterWrite() {
 }
 
 // Exec parses and executes a single SQL statement through the session.
-func (s *Session) Exec(sql string) (*Result, error) {
+// Panics are confined to the statement, as in ExecStatement.
+func (s *Session) Exec(sql string) (res *Result, err error) {
+	defer confine(&res, &err)
 	return boxed(s.ExecUnboxed(sql))
 }
 
 // ExecUnboxed is Exec without the boxing: a SELECT's sets carry their views
 // and no Rows (see ResultSet), which is what the wire server encodes from.
 // Reads run against the session's view; mutations go through the write path
-// and refresh it. Panics are confined to the statement, as in
-// ExecStatement.
-func (s *Session) ExecUnboxed(sql string) (res *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("db: internal error: %v", p)
-		}
-	}()
+// and refresh it. A panic is not confined here but reaches the caller: the
+// wire server's recover confines it to the connection and counts it.
+func (s *Session) ExecUnboxed(sql string) (*Result, error) {
 	st, err := s.db.parse(sql)
 	if err != nil {
 		return nil, err
@@ -132,11 +127,7 @@ func (s *Session) ExecUnboxed(sql string) (res *Result, err error) {
 // session's view. Panics are confined to the statement, as in
 // Database.ExecStatement.
 func (s *Session) ExecStatement(st sqlparse.Statement) (res *Result, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			res, err = nil, fmt.Errorf("db: internal error: %v", p)
-		}
-	}()
+	defer confine(&res, &err)
 	return boxed(s.db.execAt(s.ctx(), st, s.afterWrite))
 }
 

@@ -17,8 +17,10 @@ package engine
 // Scan filters are compiled into colstore kernels under a prefix rule: the
 // longest prefix of the pushed-down conjuncts that maps onto typed kernels
 // runs columnar (dictionary-mask text predicates, typed numeric comparisons,
-// IS NULL tests); the remaining conjuncts are bound and evaluated
-// row-at-a-time over the survivors, in order. All kernels are error-free, and
+// IS NULL tests), each kernel clearing the bits of the rows it fails in a
+// mask of the candidates, and parallel.Positions writes the survivors once,
+// as it writes a semi-join's; the remaining conjuncts are bound and
+// evaluated row-at-a-time over the survivors, in order. All kernels are error-free, and
 // either way a row is dropped at the first conjunct that is not TRUE. That
 // defines the error semantics of a pushed-down conjunctive filter: when an
 // earlier conjunct evaluates to NULL (or FALSE) for a row, later conjuncts

@@ -1,7 +1,8 @@
 // Package parallel is the morsel-style execution layer of the engine: a
 // small, stdlib-only worker pool plus chunked For/Map primitives that the
-// join, semi-join, filter, and Decompose operators use to spread row ranges
-// across cores.
+// join, residual-filter and Decompose operators use to spread row ranges
+// across cores, and Positions, which writes the selection of every scan
+// kernel chain and every semi-join.
 //
 // Design rules, in order of priority:
 //
@@ -184,8 +185,9 @@ func Each(k, degree int, body func(i int)) {
 // Map runs body over contiguous sub-ranges of [0, n), each chunk returning
 // its own output slice; the chunks are concatenated in input order, so the
 // result is identical to body(0, n). The per-chunk buffers are what makes
-// variable-output operators (probes) deterministic without locks; one whose
-// chunks keep at most their range's items writes one buffer with Filter.
+// variable-output operators (probes) deterministic without locks; an
+// error-free filter, whose chunks keep a subset of their range, writes one
+// exact vector with Positions instead.
 func Map[T any](n, degree int, body func(lo, hi int) []T) []T {
 	if n <= 0 {
 		return nil
@@ -227,40 +229,14 @@ func MapErr[T any](n, degree int, body func(lo, hi int) ([]T, error)) ([]T, erro
 	return mergeParts(parts), nil
 }
 
-// Filter runs body over contiguous sub-ranges of [0, len(buf)) in parallel,
-// each chunk appending what it keeps of its range — at most hi-lo items — to
-// dst, an empty slice of buf's own window [lo, hi). The chunks' outputs are
-// then moved down over the gaps between them, in chunk order, and Filter
-// returns buf[:total]: identical to body(0, len(buf), buf[:0]), written into
-// the one buffer the caller allocated, with no per-chunk buffer and no merge
-// copy. body must not return more than hi-lo items (it would need a buffer
-// of its own); Filter panics if one does.
-func Filter[T any](buf []T, degree int, body func(lo, hi int, dst []T) []T) []T {
-	n := len(buf)
-	nc := Chunks(n, degree)
-	if nc <= 1 {
-		return buf[:window(buf, 0, n, body(0, n, buf[:0:n]))]
-	}
-	lens := make([]int, nc)
-	runChunks(nc, func(c int) {
-		lo, hi := bounds(n, nc, c)
-		lens[c] = window(buf, lo, hi, body(lo, hi, buf[lo:lo:hi]))
-	})
-	w := lens[0]
-	for c := 1; c < nc; c++ {
-		lo, _ := bounds(n, nc, c)
-		w += copy(buf[w:], buf[lo:lo+lens[c]])
-	}
-	return buf[:w]
-}
-
 // Positions runs mark over contiguous sub-ranges of [0, n) in parallel, each
 // chunk marking the items of its range it keeps — bit j-lo, LSB-first within
 // a word, for item j — in a zeroed mask of its own of (hi-lo+63)/64 words,
 // and returning how many it marked. The kept positions are then written,
 // ascending, into one vector of exactly their number: the only allocation
-// the output sizes, beside masks of n/8 bytes. It suits a filter that keeps
-// few of many items, where Filter's buffer of n items would be mostly unused.
+// the output sizes, beside masks of n/8 bytes, so a filter that keeps few of
+// many items allocates for those few. Every scan kernel chain
+// (colstore.RunKernels) and every semi-join probe writes its selection here.
 // The result is identical at any degree, and never nil.
 func Positions(n, degree int, mark func(lo, hi int, mask []uint64) int) []int32 {
 	if n <= 0 {
@@ -293,15 +269,6 @@ func Positions(n, degree int, mark func(lo, hi int, mask []uint64) int) []int32 
 		}
 	})
 	return out
-}
-
-// window checks that a Filter chunk's output is a prefix of its window
-// buf[lo:hi] and returns its length.
-func window[T any](buf []T, lo, hi int, out []T) int {
-	if len(out) > hi-lo || len(out) > 0 && &out[0] != &buf[lo] {
-		panic("parallel: a Filter chunk wrote outside its window")
-	}
-	return len(out)
 }
 
 // mergeParts concatenates per-chunk outputs in chunk order. An all-empty

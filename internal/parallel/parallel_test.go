@@ -193,46 +193,6 @@ func TestEachRunsEveryItem(t *testing.T) {
 	}
 }
 
-// TestFilterWritesOneBuffer: Filter returns what one serial pass keeps, at
-// every degree, in the buffer it was handed — each chunk filtering into its
-// own window and the windows closing up in chunk order — and refuses a chunk
-// that keeps more than its range.
-func TestFilterWritesOneBuffer(t *testing.T) {
-	const n = 16*Threshold + 11
-	body := func(lo, hi int, dst []int32) []int32 {
-		for i := lo; i < hi; i++ {
-			if i%3 != 0 && i%1000 < 700 { // variable output per chunk, empty stretches
-				dst = append(dst, int32(i))
-			}
-		}
-		return dst
-	}
-	want := body(0, n, nil)
-	for _, degree := range []int{1, 2, 4, 7, runtime.GOMAXPROCS(0)} {
-		buf := make([]int32, n)
-		got := Filter(buf, degree, body)
-		if len(got) != len(want) || len(got) > 0 && &got[0] != &buf[0] {
-			t.Fatalf("degree %d: %d items, want %d, in the buffer handed over", degree, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("degree %d: item %d = %d, want %d", degree, i, got[i], want[i])
-			}
-		}
-	}
-	if got := Filter(make([]int32, 0), 4, body); got == nil || len(got) != 0 {
-		t.Fatalf("an empty domain filters to %v, want an empty non-nil slice", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a chunk keeping more than its range was not refused")
-		}
-	}()
-	Filter(make([]int32, n), 4, func(lo, hi int, dst []int32) []int32 {
-		return append(dst, make([]int32, hi-lo+1)...)
-	})
-}
-
 // TestPositionsMatchesSerialMarks: Positions returns, at every degree, the
 // ascending positions a serial pass marks, in a vector of exactly their
 // number — chunks whose ranges start mid-word and empty chunks included.

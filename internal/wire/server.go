@@ -192,7 +192,8 @@ type ServerStats struct {
 	Queries int64 `json:"queries"`
 	// QueryErrors counts statements that returned an error.
 	QueryErrors int64 `json:"query_errors"`
-	// Panics counts executor panics confined to their connection.
+	// Panics counts the panics of statement execution or encoding, each
+	// confined to its connection.
 	Panics int64 `json:"panics"`
 	// WriteStalls counts connections shed because a response write missed
 	// the WriteTimeout — a slow or stuck client reader.

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"resultdb/internal/db"
+	"resultdb/internal/storage"
 )
 
 func hardenedTestDB(t *testing.T) *db.Database {
@@ -331,5 +332,60 @@ func TestClientConcurrentExec(t *testing.T) {
 	wg.Wait()
 	if c.BytesRead() == 0 {
 		t.Error("BytesRead not accounted")
+	}
+}
+
+// TestServerCountsExecutorPanics: a statement whose execution panics is
+// answered with a frameErr, counted in Stats().Panics, and leaves its
+// connection serving the next statement. The panic is made by a table whose
+// statistics slot holds a value of the wrong type, so that stats.Of's type
+// assertion fails while the join is planned.
+func TestServerCountsExecutorPanics(t *testing.T) {
+	d := hardenedTestDB(t)
+	if _, err := d.ExecScript(`
+CREATE TABLE u (id INT PRIMARY KEY, tid INT);
+INSERT INTO u VALUES (10, 1), (20, 2);`); err != nil {
+		t.Fatal(err)
+	}
+	tab, err := d.Table("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.Stats(func(*storage.Table, any) any { return "not statistics" })
+	srv := NewServer(d)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	// exec sends sql and returns the type and payload of the frame that
+	// ends the response, skipping the chunks before it.
+	exec := func(sql string) (byte, []byte) {
+		if err := writeFrame(conn, frameQuery, []byte(sql)); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			typ, payload := readRawFrame(t, conn)
+			if typ != frameChunk {
+				return typ, payload
+			}
+		}
+	}
+	typ, payload := exec("SELECT t.name, u.id FROM t AS t, u AS u WHERE t.id = u.tid")
+	if typ != frameErr || !strings.Contains(string(payload), "internal error") {
+		t.Fatalf("a panicking statement was answered with frame type %d %q, want a frameErr naming an internal error", typ, payload)
+	}
+	if got := srv.Stats().Panics; got != 1 {
+		t.Fatalf("Stats().Panics = %d after one executor panic, want 1", got)
+	}
+	if typ, payload := exec("SELECT u.id FROM u AS u WHERE u.tid = 2"); typ != frameEnd {
+		t.Fatalf("the next statement on the connection was answered with frame type %d %q, want frameEnd", typ, payload)
 	}
 }

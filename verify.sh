@@ -224,9 +224,13 @@ dead="$dead"'|AddRowsScanned|AddRowsJoined|AddRowsDropped|AddRowsOut|AddBytes\(|
 # the server's chunk pipeline are gone. (ExecStream and Materialised are
 # matched as words: the tests of the unboxed entry point keep their names.)
 dead="$dead"'|StreamMeta|streamSink|replayStream|execStreamAt|chunkPipeline|startPipeline|\bMaterialised\b|\bExecStream\b'
+# One selection writer: a scan's kernels mark survivors in bit masks and
+# parallel.Positions writes the selection, as it does a semi-join's. The
+# kernels' append pair and the window-filling primitive are gone.
+dead="$dead"'|FilterDense|FilterSel|parallel\.Filter\b|func Filter\['
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
-	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer / per-statement state copies / hand-bumped trace totals / rows-only result sets / streamed execution and chunk pipeline are back:"
+	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer / per-statement state copies / hand-bumped trace totals / rows-only result sets / streamed execution and chunk pipeline / second selection writer are back:"
 	echo "$dead_refs"
 	exit 1
 fi
@@ -438,8 +442,8 @@ echo "== cache differential + stress gate (cold/warm, dangling and joining appen
 gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit|TestCacheExtend|TestDoAt|TestMemo' \
 	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire ./internal/db ./internal/cache
 
-echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x local/TCP byte-identical, socket payload == in-process v2 encoding; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy/fact-mid-dim x RDB/RDBRP x par, before and after an INSERT batch; every plan decision and estimate of those statements against testdata/plans.golden; the one containment model's edge cases, the reduction schedule allocating nothing per candidate root or bottom-up order, greedy join orders with and without statistics joining the same rows; dense integer key sets matching exactly what the hashed form of the same key matches, the branch-free bitmap probe included; dense join hash tables yielding the hashed form's pairs in its order; GROUP BY and DISTINCT over a unique dense integer column numbering every row as the hashing path does; a cold JOB statement executed and v2-encoded within its byte budget, parallel.Filter's one buffer and parallel.Positions' exact vector holding what a serial filter keeps; Theorem 4.4 over random cyclic and α-acyclic queries, GYO join trees spanning every JG-acyclic query and enforcing two attributes of one class; under -race)"
-gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestPlanGolden|TestServerPathBoxesNoRows|TestRootSim|TestContainmentModel|TestGreedyJoinOrder|TestKeySetDenseMatchesHash|TestHashTableDenseMatchesHash|TestGroupPositionsDenseUniqueMatchesHash|TestTheorem44|TestJoinTree|TestJGAcyclic|TestGYOJoinTree|TestColdJOBAllocatesForItsResult|TestFilterWritesOneBuffer|TestPositionsMatchesSerialMarks' -count=1 \
+echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x local/TCP byte-identical, socket payload == in-process v2 encoding; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy/fact-mid-dim x RDB/RDBRP x par, before and after an INSERT batch; every plan decision and estimate of those statements against testdata/plans.golden; the one containment model's edge cases, the reduction schedule allocating nothing per candidate root or bottom-up order, greedy join orders with and without statistics joining the same rows; dense integer key sets matching exactly what the hashed form of the same key matches, the branch-free bitmap probe included; dense join hash tables yielding the hashed form's pairs in its order; GROUP BY and DISTINCT over a unique dense integer column numbering every row as the hashing path does; a cold JOB statement executed and v2-encoded within its byte budget, a scan keeping few of many rows allocating for its survivors and not its candidates, parallel.Positions' exact vector holding what a serial filter keeps; Theorem 4.4 over random cyclic and α-acyclic queries, GYO join trees spanning every JG-acyclic query and enforcing two attributes of one class; under -race)"
+gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestPlanGolden|TestServerPathBoxesNoRows|TestRootSim|TestContainmentModel|TestGreedyJoinOrder|TestKeySetDenseMatchesHash|TestHashTableDenseMatchesHash|TestGroupPositionsDenseUniqueMatchesHash|TestTheorem44|TestJoinTree|TestJGAcyclic|TestGYOJoinTree|TestColdJOBAllocatesForItsResult|TestScanAllocatesForItsSurvivors|TestPositionsMatchesSerialMarks' -count=1 \
 	./internal/wire ./internal/core ./internal/stats ./internal/engine ./internal/colstore ./internal/parallel
 gate -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
 
