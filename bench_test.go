@@ -541,6 +541,51 @@ func BenchmarkServerHitJOB(b *testing.B) {
 	}
 }
 
+// BenchmarkClientExchangeJOB is a job_warm round trip in one process: one
+// client over loopback sends the 33 JOB RESULTDB statements (scale 0.5, the
+// workloads') to a server whose result cache holds them all. One op is the
+// 33 exchanges, so B/op and allocs/op are what both ends allocate for a
+// pass: the server's cache hits and writes, the client's reads and decodes.
+func BenchmarkClientExchangeJOB(b *testing.B) {
+	d := db.Open(db.Config{Parallelism: 1, CacheEnabled: true, CacheBudget: db.DefaultCacheBudget})
+	if err := job.Load(d, job.Config{Scale: 0.5, Seed: 42}); err != nil {
+		b.Fatal(err)
+	}
+	srv := wire.NewServer(d)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := wire.Dial(addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	var stmts []string
+	for _, q := range job.Queries() {
+		stmts = append(stmts, "SELECT RESULTDB"+strings.TrimPrefix(strings.TrimSpace(q.SQL), "SELECT"))
+	}
+	pass := func() {
+		for _, sql := range stmts {
+			if _, err := c.Exec(sql); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	pass() // fill
+	hits := d.CacheStats().Hits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.StopTimer()
+	if got := d.CacheStats().Hits - hits; got != uint64(b.N*len(stmts)) {
+		b.Fatalf("%d cache hits in %d statements, want every one a hit", got, b.N*len(stmts))
+	}
+}
+
 // BenchmarkStarClient measures the client half of the star_transfer workload
 // (benchmark/): v2-decode each of its three RESULTDB PRESERVING payloads and
 // run the shipped post-join plan on the decoded result.

@@ -294,6 +294,35 @@ func kernelsMatchRowwise(t *testing.T, n int) {
 	add("const false", NewConstKernel(false), true, func(types.Row) bool { return false })
 	add("const true", NewConstKernel(true), true, func(types.Row) bool { return true })
 	add("non-null", NewNonNullKernel(fc), true, func(r types.Row) bool { return !r[1].IsNull() })
+	add("bool is null", NewIsNullKernel(bc, false), true, func(r types.Row) bool { return r[3].IsNull() })
+
+	// IS [NOT] NULL over a typed column whose NULLs sit at word edges — the
+	// first and last row of every 64 and the last row — and over the
+	// exact-value column, which keeps no bitmap: rows gain them as r[4] and
+	// r[5].
+	edgeRows := make([]types.Row, n)
+	anyVals := make([]types.Value, n)
+	for i := range rows {
+		v := types.NewInt(int64(i))
+		if i%64 == 0 || i%64 == 63 || i == n-1 {
+			v = types.Null()
+		}
+		edgeRows[i] = types.Row{v}
+		anyVals[i] = rows[i][i%2*2] // an int or a text value, or NULL
+		rows[i] = append(rows[i], v, anyVals[i])
+	}
+	ec := NewFrame([]types.Kind{types.KindInt}, edgeRows).Col(0)
+	ac := &AnyColumn{Vals: anyVals}
+	for _, c := range []struct {
+		name string
+		col  Column
+		at   int
+	}{{"edge", ec, 4}, {"any", ac, 5}} {
+		at := c.at
+		add(c.name+" is null", NewIsNullKernel(c.col, false), true, func(r types.Row) bool { return r[at].IsNull() })
+		add(c.name+" is not null", NewIsNullKernel(c.col, true), true, func(r types.Row) bool { return !r[at].IsNull() })
+		add(c.name+" non-null", NewNonNullKernel(c.col), true, func(r types.Row) bool { return !r[at].IsNull() })
+	}
 
 	// Chains, which must equal the rowwise AND of their kernels: one that
 	// keeps some rows, and one whose first kernel drops every row.
@@ -592,6 +621,30 @@ func TestColumnConstructors(t *testing.T) {
 	for k := range tc.Dict {
 		if again.DictHash[k] != tc.DictHash[k] {
 			t.Fatalf("NewTextColumn hashed entry %d to %#x, NewFrame to %#x", k, again.DictHash[k], tc.DictHash[k])
+		}
+	}
+}
+
+// BenchmarkIsNotNullScan scans 40 000 INTEGER rows for `IS NOT NULL` at
+// degrees 1 and 2, with no NULL (every row kept) and with every 16th row
+// NULL.
+func BenchmarkIsNotNullScan(b *testing.B) {
+	const n = 40_000
+	for _, nulls := range []bool{false, true} {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i))}
+			if nulls && i%16 == 0 {
+				rows[i] = types.Row{types.Null()}
+			}
+		}
+		k := NewNonNullKernel(NewFrame([]types.Kind{types.KindInt}, rows).Col(0))
+		for _, par := range []int{1, 2} {
+			b.Run(fmt.Sprintf("nulls=%v/par=%d", nulls, par), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					RunKernels(n, nil, []Kernel{k}, par)
+				}
+			})
 		}
 	}
 }

@@ -330,13 +330,29 @@ func (k *dictKernel) Mask(lo, hi int, mask []uint64) {
 // ---- IS [NOT] NULL ----
 
 type isNullKernel struct {
-	col Column
-	not bool
+	nulls *Bitmap
+	cells Column // read row by row: a column that keeps no bitmap, else nil
+	not   bool
 }
 
-// NewIsNullKernel compiles `col IS [NOT] NULL` over any column.
+// NewIsNullKernel compiles `col IS [NOT] NULL` over any column. A typed
+// column's NULLs are read from its bitmap, 64 rows a word; the exact-value
+// column keeps none and is read a row at a time.
 func NewIsNullKernel(col Column, not bool) Kernel {
-	return &isNullKernel{col: col, not: not}
+	k := &isNullKernel{not: not}
+	switch c := col.(type) {
+	case *Int64Column:
+		k.nulls = c.Nulls
+	case *Float64Column:
+		k.nulls = c.Nulls
+	case *BoolColumn:
+		k.nulls = c.Nulls
+	case *TextColumn:
+		k.nulls = c.Nulls
+	default:
+		k.cells = col
+	}
+	return k
 }
 
 // NewNonNullKernel returns a kernel keeping exactly the non-NULL rows of col
@@ -345,12 +361,16 @@ func NewIsNullKernel(col Column, not bool) Kernel {
 func NewNonNullKernel(col Column) Kernel { return NewIsNullKernel(col, true) }
 
 func (k *isNullKernel) Mask(lo, hi int, mask []uint64) {
-	not := bit(k.not)
-	andWords(lo, hi, mask, nil, func(at, e int) (p uint64) {
-		for j := at; j < e; j++ {
-			p |= (bit(k.col.Null(j)) ^ not) << (j - at)
+	not := -bit(k.not) // every bit set for IS NOT NULL
+	andWords(lo, hi, mask, nil, func(at, e int) uint64 {
+		if k.cells == nil {
+			return k.nulls.word(at) ^ not
 		}
-		return p
+		var p uint64
+		for j := at; j < e; j++ {
+			p |= bit(k.cells.Null(j)) << (j - at)
+		}
+		return p ^ not
 	})
 }
 

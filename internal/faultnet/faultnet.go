@@ -250,8 +250,12 @@ func (d *Dialer) Dial(addr string) (net.Conn, error) {
 }
 
 // Conn applies one Fault to a wrapped connection. Fault checks happen at
-// operation boundaries (one Read or Write call), which matches how the wire
-// protocol performs frame-sized operations through bufio.
+// operation boundaries (one Read or Write call); Drop, Reset, Truncate and
+// Corrupt then act at their byte offset inside the operation, so they cut
+// or flip the stream where the plan says however the wire protocol
+// segments it (a server response is one Write, a client Read takes what
+// its buffer has room for). A Stall waits for the first operation past its
+// offset.
 type Conn struct {
 	net.Conn
 	fault Fault

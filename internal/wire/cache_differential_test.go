@@ -432,7 +432,7 @@ func dialRaw(t testing.TB, addr string) *rawClient {
 // than the test's own may call it.
 func (c *rawClient) exec(sql string) ([]byte, error) {
 	c.conn.SetDeadline(time.Now().Add(60 * time.Second))
-	if err := writeFrame(c.conn, frameQuery, []byte(sql)); err != nil {
+	if _, err := c.conn.Write(appendFrame(nil, frameQuery, []byte(sql))); err != nil {
 		return nil, err
 	}
 	var body []byte

@@ -499,7 +499,7 @@ func TestIntegrityOnEveryFrame(t *testing.T) {
 	// A query frame with one payload byte flipped after its trailer was
 	// computed: the server reports the mismatch and sheds the connection.
 	var query bytes.Buffer
-	writeFrame(&query, frameQuery, []byte(chaosQuery))
+	query.Write(appendFrame(nil, frameQuery, []byte(chaosQuery)))
 	query.Bytes()[5+len("SELECT ")] ^= 0x20
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -525,9 +525,9 @@ func TestIntegrityOnEveryFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	var resp bytes.Buffer
-	writeFrame(&resp, frameChunk, EncodeResultV2(res))
+	resp.Write(appendFrame(nil, frameChunk, EncodeResultV2(res)))
 	resp.Bytes()[5+100] ^= 0x01
-	writeFrame(&resp, frameEnd, nil)
+	resp.Write(appendFrame(nil, frameEnd, nil))
 	fake := fakeServer(t, func(conn net.Conn) { conn.Write(resp.Bytes()) })
 	fc, err := DialOptions(fake, Options{Retry: RetryPolicy{MaxAttempts: 1, Seed: 1}})
 	if err != nil {

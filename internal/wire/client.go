@@ -1,11 +1,13 @@
 package wire
 
 import (
-	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -21,6 +23,15 @@ import (
 // statements are retried with capped exponential backoff and jitter under a
 // RetryPolicy, and a broken connection is transparently redialed.
 //
+// A query frame goes out in one Write. The response is read straight into
+// one receive buffer the Client keeps: each frame's CRC is checked in place
+// and the chunk payloads are moved together in place into the v2 payload,
+// which is decoded with an inflate scratch the Client also keeps. The
+// buffer grows only as bytes arrive, never to the length a frame header
+// claims. A failed exchange or a reconnect drops what it held of a
+// response. BytesRead counts the payload bytes of the frames received —
+// headers and trailers excluded — as they complete.
+//
 // Concurrency contract: Exec is safe for concurrent use — a mutex serializes
 // whole request/response exchanges (including any retries) on the single
 // underlying connection, so concurrent Execs queue and run one at a time
@@ -30,8 +41,12 @@ import (
 type Client struct {
 	mu   sync.Mutex // serializes one full Exec exchange (retries included)
 	conn net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
+	// out holds the query frame being sent, in holds the bytes read from
+	// the connection, and inflated is the decoder's inflate scratch. All
+	// three are kept from one exchange to the next, unless an exchange grew
+	// one past maxKeptBytes; nothing a decoded result holds points into
+	// them.
+	out, in, inflated []byte
 
 	addr   string
 	retry  RetryPolicy
@@ -105,8 +120,7 @@ func (c *Client) connect() error {
 		return err
 	}
 	c.conn = conn
-	c.r = bufio.NewReader(conn)
-	c.w = bufio.NewWriter(conn)
+	c.in = c.in[:0] // a partial response of the last connection is dropped
 	c.broken = false
 	return nil
 }
@@ -120,8 +134,9 @@ func (c *Client) breakConn() {
 	c.broken = true
 }
 
-// BytesRead returns the accumulated payload bytes received, for transfer
-// accounting. Safe to call concurrently with Exec.
+// BytesRead returns the accumulated payload bytes of the frames received
+// (headers and trailers excluded), for transfer accounting. Safe to call
+// concurrently with Exec.
 func (c *Client) BytesRead() int { return int(c.bytesRead.Load()) }
 
 // Reconnects returns how many times the client redialed after a transport
@@ -243,40 +258,92 @@ func (c *Client) exchange(sql string, overall time.Time) (*db.Result, *ExchangeE
 		c.conn.SetDeadline(deadline)
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	if err := writeFrame(c.w, frameQuery, []byte(sql)); err != nil {
+	c.out = appendFrame(c.out[:0], frameQuery, []byte(sql))
+	_, err := c.conn.Write(c.out)
+	c.out = keep(c.out)
+	if err != nil {
 		return fail(KindRetryable, 0, 0, err)
 	}
-	if err := c.w.Flush(); err != nil {
-		return fail(KindRetryable, 0, 0, err)
-	}
-	frames := 0
+	defer func() {
+		if cap(c.in) > maxKeptBytes {
+			c.in = nil
+		}
+	}()
+	// Read the response into the receive buffer. As each chunk completes,
+	// its payload is moved down in place, so in[:pay] is the response's v2
+	// payload so far; in[next:] is the stream not yet parsed.
+	in := c.in // may begin with bytes the last response left over
+	frames, pay, next := 0, 0, 0
 	var bytes int64
-	var buf []byte
+	var rerr error
 	for {
-		typ, payload, err := readFrame(c.r)
-		if err != nil {
-			return fail(classifyTransport(err), frames, bytes, err)
-		}
-		frames++
-		bytes += int64(len(payload))
-		c.bytesRead.Add(int64(len(payload)))
-		switch typ {
-		case frameChunk:
-			buf = append(buf, payload...)
-		case frameEnd:
-			res, err := DecodeResultExpect(buf, FormatV2)
+		if rest := in[next:]; len(rest) >= 5 {
+			n, err := frameLen(rest)
 			if err != nil {
-				return fail(KindCorrupt, frames, bytes, err)
+				c.in = in[:0]
+				return fail(KindRetryable, frames, bytes, err)
 			}
-			return res, nil
-		case frameErr:
-			return fail(classifyServerErr(payload), frames, bytes, errors.New(string(payload)))
-		default:
-			return fail(KindCorrupt, frames, bytes,
-				fmt.Errorf("wire: unexpected frame type %d in a response", typ))
+			if end := 5 + n; len(rest) >= end+4 {
+				typ, payload := rest[0], rest[5:end]
+				if err := checkFrame(rest[:5], payload, binary.BigEndian.Uint32(rest[end:])); err != nil {
+					c.in = in[:0]
+					return fail(KindCorrupt, frames, bytes, err)
+				}
+				frames++
+				bytes += int64(n)
+				c.bytesRead.Add(int64(n))
+				next += end + 4
+				if typ == frameChunk {
+					pay += copy(in[pay:], payload)
+					continue
+				}
+				var res *db.Result
+				var xe *ExchangeError
+				switch typ {
+				case frameEnd:
+					d := Decoder{buf: in[:pay], inflated: c.inflated}
+					if res, err = d.result(FormatV2); err != nil {
+						res, xe = fail(KindCorrupt, frames, bytes, err)
+					}
+					c.inflated = keep(d.inflated)
+				case frameErr:
+					res, xe = fail(classifyServerErr(payload), frames, bytes, errors.New(string(payload)))
+				default:
+					res, xe = fail(KindCorrupt, frames, bytes,
+						fmt.Errorf("wire: unexpected frame type %d in a response", typ))
+				}
+				// Bytes past the response's last frame stay for the next.
+				c.in = in[:copy(in, in[next:])]
+				return res, xe
+			}
 		}
+		if rerr != nil {
+			c.in = in[:0]
+			if rerr == io.EOF && len(in) > next {
+				rerr = io.ErrUnexpectedEOF
+			}
+			return fail(classifyTransport(rerr), frames, bytes, rerr)
+		}
+		if len(in) == cap(in) {
+			// Full: move the unparsed tail down to the payload's end, and
+			// grow only if that frees nothing. The buffer doubles as bytes
+			// arrive, never to a length a header claims.
+			if next > pay {
+				in = in[:pay+copy(in[pay:], in[next:])]
+				next = pay
+			}
+			if len(in) == cap(in) {
+				in = slices.Grow(in, max(cap(in), recvStep))
+			}
+		}
+		var m int
+		m, rerr = c.conn.Read(in[len(in):cap(in)])
+		in = in[:len(in)+m]
 	}
 }
+
+// recvStep is the least a Client's receive buffer grows by.
+const recvStep = 16 << 10
 
 // classifyTransport distinguishes a checksum failure (corrupt bytes arrived)
 // from an ordinary transport death (nothing arrived).

@@ -160,6 +160,10 @@ type blockCode struct {
 // dictionary, while the tables do not.
 var deflaters = newDeflaterList(runtime.GOMAXPROCS(0))
 
+// maxKeptBytes caps a buffer kept for reuse: a compression state's, a
+// connection's response buffer on the server, a Client's receive buffer and
+// inflate scratch. One that grew past it is dropped instead of kept, so one
+// huge result does not pin its memory for as long as its owner lives.
 const maxKeptBytes = 4 << 20
 
 func newDeflaterList(n int) chan *deflater {

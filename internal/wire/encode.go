@@ -443,7 +443,13 @@ func DecodeResultExpect(buf []byte, version int) (*db.Result, error) {
 
 // decodeResult parses a payload; expect 0 accepts any supported version.
 func decodeResult(buf []byte, expect int) (*db.Result, error) {
-	d := NewDecoder(buf)
+	return NewDecoder(buf).result(expect)
+}
+
+// result parses the whole payload d wraps; expect 0 accepts any supported
+// version. Nothing the result holds points into the payload or into
+// d.inflated, so a caller may reuse both once it returns.
+func (d *Decoder) result(expect int) (*db.Result, error) {
 	m, err := d.uvarint()
 	if err != nil {
 		return nil, err
@@ -473,7 +479,7 @@ func decodeResult(buf []byte, expect int) (*db.Result, error) {
 	// The v2 materialization budget: total decoded cells across all sets,
 	// bounded by what a legitimate encoder can express in len(buf) bytes
 	// (see decodeSetV2).
-	budget := newCellBudget(len(buf))
+	budget := newCellBudget(len(d.buf))
 	res := &db.Result{}
 	for i := 0; i < nSets; i++ {
 		var set *db.ResultSet

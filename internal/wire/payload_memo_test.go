@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"net"
 	"strings"
 	"sync/atomic"
@@ -15,7 +17,7 @@ import (
 // Guards around the encode-once payload memo (db.PayloadMemo): it is armed
 // by cache admission only, it stays inside the cache's byte budget and dies
 // with its entry, and it is what a hit is served from — no column is encoded
-// again. A small response, cached or not, leaves in one write.
+// again. A response of any size, cached or not, leaves in one write.
 
 // TestPayloadMemoUncachedResultsEncodeAfresh: results the cache does not own
 // may be mutated between encodes and must encode to the new bytes.
@@ -206,12 +208,37 @@ func (c countingConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestServeCachedHitLeavesInOneWrite: a multi-relation response smaller
-// than the connection's write buffer reaches the socket in exactly one
-// Write — header, relations and end-of-stream together — whether the
-// statement fills the result cache, hits it, or runs with the cache off.
+// oneWriteDB is chaosDBPar(t, 1) with a table whose text does not
+// compress, one row per order: bigSQL's response is over 100 KB.
+func oneWriteDB(t *testing.T) *db.Database {
+	d := chaosDBPar(t, 1)
+	var b strings.Builder
+	b.WriteString("CREATE TABLE note (id INT PRIMARY KEY, ord_id INT, body TEXT);\n")
+	for i := 0; i < 4000; i++ {
+		if i%100 == 0 {
+			if i > 0 {
+				b.WriteString(";\n")
+			}
+			b.WriteString("INSERT INTO note VALUES ")
+		} else {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "(%d, %d, '%x')", i, 100+i%1200, sha256.Sum256([]byte{byte(i), byte(i >> 8)}))
+	}
+	b.WriteString(";")
+	if _, err := d.ExecScript(b.String()); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestServeCachedHitLeavesInOneWrite: a multi-relation response reaches the
+// socket in exactly one Write — header, relations and end-of-stream
+// together — whether the statement fills the result cache, hits it, or runs
+// with the cache off, and whether the response is a few kilobytes or over
+// a hundred.
 func TestServeCachedHitLeavesInOneWrite(t *testing.T) {
-	const sql = "SELECT RESULTDB c.name, o.id, o.total FROM cust AS c, ord AS o WHERE c.id = o.cust_id AND o.total > 1000"
+	const bigSQL = "SELECT RESULTDB o.id, o.total, n.body FROM ord AS o, note AS n WHERE o.id = n.ord_id"
 	// serve serves d and returns a connected client and the count of socket
 	// writes the server makes.
 	serve := func(d *db.Database) (*Client, *atomic.Int64) {
@@ -233,17 +260,20 @@ func TestServeCachedHitLeavesInOneWrite(t *testing.T) {
 		t.Cleanup(func() { c.Close() })
 		return c, &writes
 	}
-	// respond runs sql and checks the response's size and its count of
-	// socket writes.
-	respond := func(what string, c *Client, writes *atomic.Int64) *db.Result {
+	// respond runs sql and checks the response: no fewer payload bytes than
+	// least, more than one relation, and one socket write.
+	respond := func(what, sql string, least int, c *Client, writes *atomic.Int64) *db.Result {
 		t.Helper()
 		before, bytesBefore := writes.Load(), c.BytesRead()
 		res, err := c.Exec(sql)
 		if err != nil {
 			t.Fatalf("%s: %v", what, err)
 		}
-		if n := c.BytesRead() - bytesBefore; n <= 0 || n >= 4096 {
-			t.Fatalf("%s: response payload is %d bytes; the test needs one smaller than the write buffer", what, n)
+		if n := c.BytesRead() - bytesBefore; n < least {
+			t.Fatalf("%s: response payload is %d bytes; the test needs at least %d", what, n, least)
+		}
+		if len(res.Sets) < 2 {
+			t.Fatalf("%s: want a multi-relation result, got %d sets", what, len(res.Sets))
 		}
 		// Exec returned, so the client has read the end-of-stream frame and
 		// the server's writes for this response are all counted.
@@ -253,28 +283,30 @@ func TestServeCachedHitLeavesInOneWrite(t *testing.T) {
 		return res
 	}
 
-	d := chaosDBPar(t, 1)
-	d.EnableCache(64 << 20)
-	c, writes := serve(d)
-	first := respond("the filling response", c, writes)
-	if len(first.Sets) < 2 {
-		t.Fatalf("want a multi-relation result, got %d sets", len(first.Sets))
+	on := oneWriteDB(t)
+	on.EnableCache(64 << 20)
+	con, won := serve(on)
+	off := oneWriteDB(t)
+	coff, woff := serve(off)
+	for _, st := range []struct {
+		name, sql string
+		least     int
+	}{{"small", chaosQuery, 1}, {"large", bigSQL, 100 << 10}} {
+		first := respond(st.name+": the filling response", st.sql, st.least, con, won)
+		hits := on.CacheStats().Hits
+		second := respond(st.name+": the cached response", st.sql, st.least, con, won)
+		if on.CacheStats().Hits != hits+1 {
+			t.Fatalf("%s: second execution was not a cache hit", st.name)
+		}
+		third := respond(st.name+": the cache-off response", st.sql, st.least, coff, woff)
+		for what, res := range map[string]*db.Result{"hit": second, "cache-off run": third} {
+			if !bytes.Equal(EncodeResult(res), EncodeResult(first)) {
+				t.Fatalf("%s: %s decoded to a different result", st.name, what)
+			}
+		}
 	}
-	hits := d.CacheStats().Hits
-	second := respond("the cached response", c, writes)
-	if d.CacheStats().Hits != hits+1 {
-		t.Fatal("second execution was not a cache hit")
-	}
-	off := chaosDBPar(t, 1)
-	c, writes = serve(off)
-	third := respond("the cache-off response", c, writes)
 	if st := off.CacheStats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("the cache-off run used the cache: %+v", st)
-	}
-	for what, res := range map[string]*db.Result{"hit": second, "cache-off run": third} {
-		if !bytes.Equal(EncodeResult(res), EncodeResult(first)) {
-			t.Fatalf("%s decoded to a different result", what)
-		}
 	}
 }
 

@@ -28,12 +28,12 @@ import (
 // the result, and that concatenation is the whole contract: where chunks
 // begin and end, and how many of them share a TCP segment, is the server's
 // choice (clients append until frameEnd). This server executes the
-// statement first, then writes a header chunk, one chunk per relation and
-// one for the post-join plan, and flushes them with frameEnd at once; one
-// chunk per relation lets a cached relation go out as the bytes its result
-// keeps. A frameErr may replace the response or interrupt a chunk stream at
-// any point (the client discards the partial buffer). Type values 2 and 4
-// belonged to retired frames and stay unused.
+// statement first, then gathers a header chunk, one chunk per relation and
+// one for the post-join plan, and frameEnd, and writes the whole response in
+// one Write; one chunk per relation lets a cached relation go out as a copy
+// of the bytes its result keeps. A frameErr may replace the response or
+// interrupt a chunk stream at any point (the client discards the partial
+// buffer). Type values 2 and 4 belonged to retired frames and stay unused.
 const (
 	frameQuery byte = 1 // client -> server: SQL text
 	frameErr   byte = 3 // server -> client: error text
@@ -61,38 +61,33 @@ var errChecksum = errors.New("wire: frame checksum mismatch")
 // while the server waits for a trailer.
 var errUnexpectedFrame = errors.New("unexpected frame type")
 
-// writeFrame writes one frame and its CRC32-IEEE trailer (over header and
-// payload, folded in as the pieces are written).
-func writeFrame(w io.Writer, typ byte, payload []byte) error {
-	var hdr [5]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
-	var trailer [4]byte
-	binary.BigEndian.PutUint32(trailer[:], sum)
-	_, err := w.Write(trailer[:])
-	return err
+// appendFrame appends one frame — header, payload and CRC32-IEEE trailer
+// over both — to dst.
+func appendFrame(dst []byte, typ byte, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, typ, 0, 0, 0, 0)
+	dst = append(dst, payload...)
+	return sealFrame(dst, start)
 }
 
-// readFrame reads one frame and verifies its CRC32 trailer. A mismatch
-// returns errChecksum (wrapped) with the frame fully consumed, so the stream
-// stays synchronized.
-func readFrame(r io.Reader) (byte, []byte, error) {
-	hdr, err := readFrameHeader(r)
-	if err != nil {
-		return 0, nil, err
+// sealFrame completes the frame that begins at dst[start] and runs to the
+// end of dst: it writes the payload length into the header and appends the
+// trailer.
+func sealFrame(dst []byte, start int) []byte {
+	binary.BigEndian.PutUint32(dst[start+1:], uint32(len(dst)-start-5))
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
+// checkFrame verifies a frame's CRC32 trailer against its header and
+// payload. A mismatch returns errChecksum (wrapped); the frame has been read
+// whole, so the stream stays synchronized.
+func checkFrame(hdr, payload []byte, trailer uint32) error {
+	sum := crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, payload)
+	if trailer != sum {
+		return fmt.Errorf("%w (frame type %d, %d bytes, got %08x want %08x)",
+			errChecksum, hdr[0], len(payload), trailer, sum)
 	}
-	payload, err := readFrameBody(r, hdr)
-	if err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], payload, nil
+	return nil
 }
 
 // readFrameHeader reads a frame's type and length. A length over the limit
@@ -102,10 +97,18 @@ func readFrameHeader(r io.Reader) ([5]byte, error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return hdr, err
 	}
-	if n := binary.BigEndian.Uint32(hdr[1:]); n > maxFrame {
-		return hdr, fmt.Errorf("%w (%d bytes > %d)", errFrameTooLarge, n, maxFrame)
+	_, err := frameLen(hdr[:])
+	return hdr, err
+}
+
+// frameLen returns the payload length a frame header claims, or
+// errFrameTooLarge (wrapped) when the claim is over the limit.
+func frameLen(hdr []byte) (int, error) {
+	n := binary.BigEndian.Uint32(hdr[1:5])
+	if n > maxFrame {
+		return 0, fmt.Errorf("%w (%d bytes > %d)", errFrameTooLarge, n, maxFrame)
 	}
-	return hdr, nil
+	return int(n), nil
 }
 
 // readFrameBody reads the payload and trailer of the frame whose header is
@@ -120,10 +123,8 @@ func readFrameBody(r io.Reader, hdr [5]byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, trailer[:]); err != nil {
 		return nil, err
 	}
-	sum := crc32.Update(crc32.ChecksumIEEE(hdr[:]), crc32.IEEETable, payload)
-	if got := binary.BigEndian.Uint32(trailer[:]); got != sum {
-		return nil, fmt.Errorf("%w (frame type %d, %d bytes, got %08x want %08x)",
-			errChecksum, hdr[0], n, got, sum)
+	if err := checkFrame(hdr[:], payload, binary.BigEndian.Uint32(trailer[:])); err != nil {
+		return nil, err
 	}
 	return payload, nil
 }
@@ -240,10 +241,11 @@ type Server struct {
 	// deadline is re-armed before every frame read, so a busy connection
 	// lives forever and an abandoned one is reaped.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds writing one response frame; zero means none. A
-	// write that misses it sheds the connection (a stuck client reader must
-	// not pin a server goroutine and its response buffer forever) and
-	// counts as a write stall in Stats.
+	// WriteTimeout bounds writing one response, which leaves in one Write:
+	// the deadline is armed once per response, before that Write. Zero means
+	// none. A write that misses it sheds the connection (a stuck client
+	// reader must not pin a server goroutine and its response buffer
+	// forever) and counts as a write stall in Stats.
 	WriteTimeout time.Duration
 	// MaxConns caps concurrently served connections (0 = unlimited). The
 	// accept loop blocks once the cap is reached, leaving excess dials in
@@ -376,34 +378,29 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.Close()
 	}()
 	r := bufio.NewReader(conn)
-	w := bufio.NewWriter(conn)
 	// Each connection gets its own session: statements on this connection see
 	// their own completed writes immediately (the session re-pins after every
 	// mutation) and execute against one consistent MVCC snapshot each, never
 	// blocking on — or observing half of — another connection's writes.
 	sess := s.db.NewSession()
-	// send writes one frame under the write deadline without flushing: a
-	// response's frames leave together in the flush of its last frame.
-	send := func(typ byte, payload []byte) error {
+	var resp response
+	// send writes the response gathered in resp to the socket in one Write,
+	// under one write deadline, and empties resp for the next.
+	send := func() error {
 		if s.WriteTimeout > 0 {
 			conn.SetWriteDeadline(time.Now().Add(s.WriteTimeout))
 		}
-		err := writeFrame(w, typ, payload)
+		_, err := conn.Write(resp.buf)
+		resp.buf = keep(resp.buf)
 		if isTimeout(err) {
 			s.stats.writeStalls.Add(1)
 		}
 		return err
 	}
-	// reply sends one frame and flushes.
+	// reply answers with one frame.
 	reply := func(typ byte, payload []byte) error {
-		err := send(typ, payload)
-		if err == nil {
-			err = w.Flush()
-			if isTimeout(err) {
-				s.stats.writeStalls.Add(1)
-			}
-		}
-		return err
+		resp.frame(typ, payload)
+		return send()
 	}
 	for {
 		if s.draining.Load() {
@@ -440,27 +437,52 @@ func (s *Server) serveConn(conn net.Conn) {
 			return // client gone, idle timeout, or poisoned stream
 		}
 		s.stats.queries.Add(1)
-		if !s.serveStatement(sess, sql, send, reply) {
+		s.serveStatement(sess, sql, &resp)
+		if send() != nil {
 			return
 		}
 	}
 }
 
-// serveStatement answers one query: it executes the statement, then writes
-// the result's v2 payload as chunks (writeResult) and frameEnd into the
-// connection's buffered writer, all on this goroutine, and flushes once.
-// Only the concatenation of the chunk payloads is protocol; where the
-// boundaries fall is the server's business.
+// response gathers one response's frames so that they leave the server in
+// one Write. A connection keeps its response buffer from one response to
+// the next, unless a response grew it past maxKeptBytes.
+type response struct{ buf []byte }
+
+// frame appends one frame.
+func (r *response) frame(typ byte, payload []byte) { r.buf = appendFrame(r.buf, typ, payload) }
+
+// chunk appends one frameChunk whose payload encode writes in place. A
+// panic in encode leaves the frames before it as they were.
+func (r *response) chunk(encode func(*Encoder)) {
+	start := len(r.buf)
+	e := Encoder{buf: append(r.buf, frameChunk, 0, 0, 0, 0)}
+	encode(&e)
+	r.buf = sealFrame(e.buf, start)
+}
+
+// keep returns b emptied for reuse, or nil once it has grown past
+// maxKeptBytes.
+func keep(b []byte) []byte {
+	if cap(b) > maxKeptBytes {
+		return nil
+	}
+	return b[:0]
+}
+
+// serveStatement answers one query into resp: it executes the statement,
+// then appends the result's v2 payload as chunks (writeResult) and
+// frameEnd, all on this goroutine; the caller writes resp to the socket in
+// one Write. Only the concatenation of the chunk payloads is protocol;
+// where the boundaries fall is the server's business.
 //
 // Execution and encoding run with panics confined to the connection: a
 // panic becomes a statement error (terminal for the client — a
 // deterministic panic would just repeat) instead of a dead server. A
 // failed statement is answered with frameErr, which may follow chunks
-// already written (the client discards the partial response). Returns
-// false when the connection is no longer usable.
-func (s *Server) serveStatement(sess *db.Session, sql string, send, reply func(byte, []byte) error) bool {
-	var werr error // the first write error: the connection is unusable
-	execErr := func() (err error) {
+// already appended (the client discards the partial response).
+func (s *Server) serveStatement(sess *db.Session, sql string, resp *response) {
+	err := func() (err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				s.stats.panics.Add(1)
@@ -469,42 +491,30 @@ func (s *Server) serveStatement(sess *db.Session, sql string, send, reply func(b
 		}()
 		res, err := sess.ExecUnboxed(sql)
 		if err == nil {
-			werr = writeResult(send, res, sess.CoreOptions.Parallelism)
+			writeResult(resp, res, sess.CoreOptions.Parallelism)
 		}
 		return err
 	}()
-	if werr != nil {
-		return false
-	}
-	if execErr != nil {
+	if err != nil {
 		s.stats.queryErrors.Add(1)
-		return reply(frameErr, []byte(execErr.Error())) == nil
+		resp.frame(frameErr, []byte(err.Error()))
+		return
 	}
-	return reply(frameEnd, nil) == nil
+	resp.frame(frameEnd, nil)
 }
 
-// writeResult sends res's v2 payload as frameChunks: the header, one chunk
-// per set, and the post-join plan when one is shipped. Each chunk has its
-// own Encoder, so a set whose encoding a cached result keeps is sent from
-// the kept bytes without a copy.
-func writeResult(send func(byte, []byte) error, res *db.Result, par int) error {
-	chunk := func(encode func(*Encoder)) error {
-		var e Encoder
-		encode(&e)
-		return send(frameChunk, e.buf)
-	}
-	if err := chunk(func(e *Encoder) { e.encodeHeader(FormatV2, len(res.Sets), res.PostJoinPlan != nil) }); err != nil {
-		return err
-	}
+// writeResult appends res's v2 payload as frameChunks: the header, one chunk
+// per set, and the post-join plan when one is shipped. Each chunk is encoded
+// in place, and a set whose encoding a cached result keeps is copied from
+// the kept bytes.
+func writeResult(resp *response, res *db.Result, par int) {
+	resp.chunk(func(e *Encoder) { e.encodeHeader(FormatV2, len(res.Sets), res.PostJoinPlan != nil) })
 	for _, set := range res.Sets {
-		if err := chunk(func(e *Encoder) { e.encodeSetVersion(set, FormatV2, par) }); err != nil {
-			return err
-		}
+		resp.chunk(func(e *Encoder) { e.encodeSetVersion(set, FormatV2, par) })
 	}
-	if res.PostJoinPlan == nil {
-		return nil
+	if res.PostJoinPlan != nil {
+		resp.chunk(func(e *Encoder) { e.encodePlan(res.PostJoinPlan, FormatV2) })
 	}
-	return chunk(func(e *Encoder) { e.encodePlan(res.PostJoinPlan, FormatV2) })
 }
 
 // Shutdown drains the server gracefully: new accepts are refused, idle

@@ -2,8 +2,10 @@ package wire
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
@@ -14,6 +16,7 @@ import (
 
 	"resultdb/internal/db"
 	"resultdb/internal/storage"
+	"resultdb/internal/types"
 )
 
 func hardenedTestDB(t *testing.T) *db.Database {
@@ -125,31 +128,61 @@ func TestClaimedFrameLengthDoesNotDriveAllocation(t *testing.T) {
 		t.Fatalf("server allocated %d KiB for a stalled frame claiming %d MiB", grew>>10, claimed>>20)
 	}
 
-	// Client side: readFrame is what wire.Client reads a hostile server's
-	// response with. 100 KiB arrive, then the stream ends.
-	var hdr [5]byte
-	hdr[0] = frameChunk
-	binary.BigEndian.PutUint32(hdr[1:], claimed)
-	stream := io.MultiReader(bytes.NewReader(hdr[:]), bytes.NewReader(make([]byte, 100<<10)))
-	grew = allocatedDuring(func() {
-		if _, _, err := readFrame(stream); !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("truncated frame: got %v, want io.ErrUnexpectedEOF", err)
-		}
-	})
-	if grew > ceiling {
-		t.Fatalf("readFrame allocated %d KiB for 100 KiB of a frame claiming %d MiB", grew>>10, claimed>>20)
+	// The server reads a query that keeps its promise whole, across several
+	// of readPayload's growth steps and with its checksum intact.
+	payload := bytes.Repeat([]byte("0123456789abcdef"), (5*payloadReadStep+4096)/16)
+	typ, got, err := readFrame(bytes.NewReader(appendFrame(nil, frameQuery, payload)))
+	if err != nil || typ != frameQuery || !bytes.Equal(got, payload) {
+		t.Fatalf("large frame round trip: type %d, %d bytes, %v", typ, len(got), err)
 	}
 
-	// A frame that keeps its promise still arrives whole, across several
-	// growth steps and with its checksum intact.
-	payload := bytes.Repeat([]byte("0123456789abcdef"), (5*payloadReadStep+4096)/16)
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameChunk, payload); err != nil {
+	// Client side: a hostile server answers with a chunk header claiming
+	// 1 GiB, sends 100 KiB of it and hangs up. The client's receive buffer
+	// grows with the bytes that arrive, not with the claim, and the
+	// exchange fails as a transport error.
+	addr = fakeServer(t, func(conn net.Conn) {
+		var hdr [5]byte
+		hdr[0] = frameChunk
+		binary.BigEndian.PutUint32(hdr[1:], 1<<30)
+		conn.Write(hdr[:])
+		conn.Write(make([]byte, 100<<10))
+	})
+	c, err := Dial(addr)
+	if err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := readFrame(&buf)
-	if err != nil || typ != frameChunk || !bytes.Equal(got, payload) {
-		t.Fatalf("large frame round trip: type %d, %d bytes, %v", typ, len(got), err)
+	defer c.Close()
+	grew = allocatedDuring(func() {
+		_, err = c.Exec("SELECT 1")
+	})
+	var xe *ExchangeError
+	if !errors.As(err, &xe) || xe.Kind != KindRetryable || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("truncated 1 GiB frame: got %v, want a retryable io.ErrUnexpectedEOF", err)
+	}
+	if grew > ceiling {
+		t.Fatalf("the client allocated %d KiB for 100 KiB of a frame claiming 1 GiB", grew>>10)
+	}
+
+	// A response that keeps its promise arrives whole, its one chunk across
+	// several of the receive buffer's growth steps.
+	rows := make([]types.Row, 4000)
+	for i := range rows {
+		rows[i] = types.Row{types.NewText(fmt.Sprintf("%x", sha256.Sum256([]byte{byte(i), byte(i >> 8)})))}
+	}
+	v2 := EncodeResultV2(oneSet("big", []string{"body"}, rows))
+	if len(v2) < 5*recvStep {
+		t.Fatalf("the payload is %d bytes, the test needs %d", len(v2), 5*recvStep)
+	}
+	addr = fakeServer(t, func(conn net.Conn) {
+		conn.Write(append(appendFrame(nil, frameChunk, v2), appendFrame(nil, frameEnd, nil)...))
+	})
+	if c, err = Dial(addr); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	back, err := c.Exec("SELECT 1")
+	if err != nil || !bytes.Equal(EncodeResultV2(back), v2) {
+		t.Fatalf("large response round trip: %v", err)
 	}
 }
 
@@ -368,7 +401,7 @@ INSERT INTO u VALUES (10, 1), (20, 2);`); err != nil {
 	// exec sends sql and returns the type and payload of the frame that
 	// ends the response, skipping the chunks before it.
 	exec := func(sql string) (byte, []byte) {
-		if err := writeFrame(conn, frameQuery, []byte(sql)); err != nil {
+		if _, err := conn.Write(appendFrame(nil, frameQuery, []byte(sql))); err != nil {
 			t.Fatal(err)
 		}
 		for {

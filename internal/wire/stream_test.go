@@ -191,8 +191,8 @@ func TestClientAbandonsStreamOnMidStreamError(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
 		e := NewEncoder()
 		e.encodeHeader(FormatV2, 1, false)
-		writeFrame(conn, frameChunk, e.Bytes())
-		writeFrame(conn, frameErr, []byte("executor died mid-stream"))
+		conn.Write(appendFrame(nil, frameChunk, e.Bytes()))
+		conn.Write(appendFrame(nil, frameErr, []byte("executor died mid-stream")))
 	})
 	c, err := Dial(addr)
 	if err != nil {
@@ -209,8 +209,8 @@ func TestClientAbandonsStreamOnMidStreamError(t *testing.T) {
 // every response is v2 is caught by DecodeResultExpect.
 func TestClientRejectsDowngradedPayload(t *testing.T) {
 	addr := fakeServer(t, func(conn net.Conn) {
-		writeFrame(conn, frameChunk, EncodeResult(&db.Result{}))
-		writeFrame(conn, frameEnd, nil)
+		conn.Write(appendFrame(nil, frameChunk, EncodeResult(&db.Result{})))
+		conn.Write(appendFrame(nil, frameEnd, nil))
 	})
 	c, err := Dial(addr)
 	if err != nil {

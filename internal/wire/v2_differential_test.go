@@ -112,11 +112,26 @@ func serverResult(d *db.Database, sql string) (*db.Result, error) {
 // streamedPayload is the concatenation of the chunks the server sends for
 // res (writeResult): the header, one chunk per set, the plan.
 func streamedPayload(res *db.Result) []byte {
+	var resp response
+	writeResult(&resp, res, 0)
+	return chunkPayload(resp.buf)
+}
+
+// chunkPayload is the concatenation of the chunk payloads at the start of
+// stream, up to its end or to its first frame of another type. A frame
+// that does not check panics.
+func chunkPayload(stream []byte) []byte {
 	var out []byte
-	writeResult(func(typ byte, chunk []byte) error {
+	for r := bytes.NewReader(stream); r.Len() > 0; {
+		typ, chunk, err := readFrame(r)
+		if err != nil {
+			panic(err)
+		}
+		if typ != frameChunk {
+			break
+		}
 		out = append(out, chunk...)
-		return nil
-	}, res, 0)
+	}
 	return out
 }
 

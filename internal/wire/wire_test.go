@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -244,9 +245,23 @@ func TestServerConcurrentClients(t *testing.T) {
 	}
 }
 
+// readFrame reads one frame and verifies its CRC32 trailer, the way the
+// server reads a query but of any type: the raw client of these tests.
+func readFrame(r io.Reader) (byte, []byte, error) {
+	hdr, err := readFrameHeader(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload, err := readFrameBody(r, hdr)
+	if err != nil {
+		return 0, nil, err
+	}
+	return hdr[0], payload, nil
+}
+
 func TestWriteReadFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameQuery, []byte("SELECT 1")); err != nil {
+	if _, err := buf.Write(appendFrame(nil, frameQuery, []byte("SELECT 1"))); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 5+len("SELECT 1")+4 {
@@ -260,7 +275,7 @@ func TestWriteReadFrameRoundTrip(t *testing.T) {
 		t.Errorf("frame = %d %q", typ, payload)
 	}
 	// Empty payloads round-trip too.
-	if err := writeFrame(&buf, frameEnd, nil); err != nil {
+	if _, err := buf.Write(appendFrame(nil, frameEnd, nil)); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err = readFrame(&buf)
@@ -279,7 +294,7 @@ func TestReadFrameRejectsOversizeAndTruncation(t *testing.T) {
 	}
 	// Truncated payload, and a frame cut inside its trailer.
 	var buf bytes.Buffer
-	if err := writeFrame(&buf, frameQuery, []byte("abcdef")); err != nil {
+	if _, err := buf.Write(appendFrame(nil, frameQuery, []byte("abcdef"))); err != nil {
 		t.Fatal(err)
 	}
 	for _, cut := range []int{7, 2} {
@@ -306,11 +321,7 @@ func TestServerRejectsUnknownFrameType(t *testing.T) {
 	// The server answers from the header and hangs up without reading the
 	// payload, so the frame goes out in one write: a frame written piecewise
 	// could see its later pieces refused by the closed connection.
-	var frame bytes.Buffer
-	if err := writeFrame(&frame, 0x7F, []byte("junk")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Write(frame.Bytes()); err != nil {
+	if _, err := conn.Write(appendFrame(nil, 0x7F, []byte("junk"))); err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := readFrame(conn)

@@ -228,9 +228,13 @@ dead="$dead"'|StreamMeta|streamSink|replayStream|execStreamAt|chunkPipeline|star
 # parallel.Positions writes the selection, as it does a semi-join's. The
 # kernels' append pair and the window-filling primitive are gone.
 dead="$dead"'|FilterDense|FilterSel|parallel\.Filter\b|func Filter\['
+# One write per response: a response's frames are appended to one buffer and
+# written whole, and the client reads them into one buffer it keeps. The
+# frame-at-a-time writer and the buffered writer on a connection are gone.
+dead="$dead"'|\bwriteFrame\b|bufio\.NewWriter\(conn\)'
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
-	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer / per-statement state copies / hand-bumped trace totals / rows-only result sets / streamed execution and chunk pipeline / second selection writer are back:"
+	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer / per-statement state copies / hand-bumped trace totals / rows-only result sets / streamed execution and chunk pipeline / second selection writer / frame-at-a-time writer are back:"
 	echo "$dead_refs"
 	exit 1
 fi
