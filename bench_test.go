@@ -19,6 +19,7 @@ import (
 	"resultdb/internal/core"
 	"resultdb/internal/db"
 	"resultdb/internal/engine"
+	"resultdb/internal/parallel"
 	"resultdb/internal/rewrite"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/stats"
@@ -206,7 +207,7 @@ func BenchmarkSemiJoinReduce16b(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex := &engine.Executor{Src: e.DB}
+	ex := &engine.Executor{Src: e.DB, Run: parallel.NewRun(0)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -248,7 +249,7 @@ func BenchmarkDecompose16b(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex := &engine.Executor{Src: e.DB}
+	ex := &engine.Executor{Src: e.DB, Run: parallel.NewRun(0)}
 	joined, err := ex.RunSPJ(spec)
 	if err != nil {
 		b.Fatal(err)
@@ -311,7 +312,7 @@ func BenchmarkParallelJoin16b(b *testing.B) {
 	}
 	for _, p := range parDegrees() {
 		b.Run(fmt.Sprintf("par=%d", p), func(b *testing.B) {
-			ex := &engine.Executor{Src: e.DB, Parallelism: p}
+			ex := &engine.Executor{Src: e.DB, Run: parallel.NewRun(p)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -341,7 +342,7 @@ func BenchmarkTracerOverhead16b(b *testing.B) {
 	}
 	for _, mode := range []string{"off", "on"} {
 		b.Run(mode, func(b *testing.B) {
-			ex := &engine.Executor{Src: e.DB, Parallelism: 1}
+			ex := &engine.Executor{Src: e.DB, Run: parallel.NewRun(1)}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -373,7 +374,7 @@ func BenchmarkParallelReduce16b(b *testing.B) {
 	}
 	for _, p := range parDegrees() {
 		b.Run(fmt.Sprintf("par=%d", p), func(b *testing.B) {
-			ex := &engine.Executor{Src: e.DB, Parallelism: p}
+			ex := &engine.Executor{Src: e.DB, Run: parallel.NewRun(p)}
 			opts := core.DefaultOptions()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -523,7 +524,7 @@ func BenchmarkServerHitJOB(b *testing.B) {
 	}
 	sess := d.NewSession()
 	for _, sql := range stmts { // fill
-		if _, err := sess.ExecUnboxed(sql); err != nil {
+		if _, _, err := sess.ExecUnboxed(sql); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -531,7 +532,7 @@ func BenchmarkServerHitJOB(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sess.ExecUnboxed(stmts[i%len(stmts)]); err != nil {
+		if _, _, err := sess.ExecUnboxed(stmts[i%len(stmts)]); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -691,7 +692,8 @@ func starServerResults(b *testing.B) (*db.Database, []string, []*db.Result) {
 
 // serverExec runs sql through the entry point the wire server uses.
 func serverExec(d *db.Database, sql string) (*db.Result, error) {
-	return d.NewSession().ExecUnboxed(sql)
+	res, _, err := d.NewSession().ExecUnboxed(sql)
+	return res, err
 }
 
 // BenchmarkStarExec measures the server's execution of the star_transfer
@@ -881,7 +883,7 @@ func BenchmarkCacheExtend(b *testing.B) {
 				}
 				tableStats[r.Table] = stats.Of(t)
 			}
-			ex := &engine.Executor{Src: snap, Parallelism: 1,
+			ex := &engine.Executor{Src: snap, Run: parallel.NewRun(1),
 				StatsOf: func(table string) *stats.Table { return tableStats[table] }}
 			b.ReportAllocs()
 			b.ResetTimer()

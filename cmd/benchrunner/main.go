@@ -44,9 +44,12 @@ func main() {
 	}
 }
 
-func run(exp string, scale float64, reps int, mbps float64, queryList string, par int) error {
+func run(exp string, scale float64, reps int, mbps float64, queryList string, parallelism int) error {
 	if exp != "all" && !slices.Contains(experiments, exp) {
 		return fmt.Errorf("unknown experiment %q (want %s|all)", exp, strings.Join(experiments, "|"))
+	}
+	if parallelism < 0 {
+		return fmt.Errorf("-par %d: the degree must be 0 (GOMAXPROCS) or positive", parallelism)
 	}
 	var names []string
 	if queryList != "" {
@@ -65,9 +68,9 @@ func run(exp string, scale float64, reps int, mbps float64, queryList string, pa
 			return err
 		}
 		env.Reps = reps
-		env.DB.CoreOptions.Parallelism = par
+		env.DB.CoreOptions.Parallelism = parallelism
 		fmt.Printf("loaded JOB workload (scale %.2f) in %v, parallelism %d\n\n",
-			scale, time.Since(start).Round(time.Millisecond), parallel.Degree(par))
+			scale, time.Since(start).Round(time.Millisecond), parallel.NewRun(parallelism).Degree())
 	}
 
 	want := func(name string) bool { return exp == name || exp == "all" }

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestRunEachExperiment smoke-tests the runner end to end at a tiny scale:
 // every experiment id must execute and print without error.
@@ -34,5 +37,14 @@ func TestRunRejectsUnknownExperiment(t *testing.T) {
 		if err := run(exp, 0.02, 1, 100, "", 0); err == nil {
 			t.Errorf("run(%q) should error", exp)
 		}
+	}
+}
+
+// TestRunRejectsNegativeParallelism: -par is input from outside the program,
+// and only 0 means GOMAXPROCS, so a negative degree is refused before any
+// workload loads.
+func TestRunRejectsNegativeParallelism(t *testing.T) {
+	if err := run("table1", 0.02, 1, 100, "", -3); err == nil || !strings.Contains(err.Error(), "-par -3") {
+		t.Errorf("run with -par -3: got %v, want the degree refused", err)
 	}
 }

@@ -560,12 +560,11 @@ func (s *shell) printResult(res *db.Result) {
 		fmt.Fprintf(s.out, "-- %s\n", res.Stats)
 	}
 	if s.wireVer != "" {
-		par := s.sess.CoreOptions.Parallelism
-		v1 := len(wire.EncodeResultOptions(res, wire.EncodeOptions{Version: wire.FormatV1, Parallelism: par}))
+		v1 := len(wire.EncodeResult(res))
 		if s.wireVer == "v1" {
 			fmt.Fprintf(s.out, "-- wire v1: %d bytes\n", v1)
 		} else {
-			v2 := len(wire.EncodeResultOptions(res, wire.EncodeOptions{Version: wire.FormatV2, Parallelism: par}))
+			v2 := len(wire.EncodeResultV2(res))
 			fmt.Fprintf(s.out, "-- wire v2: %d bytes (v1: %d, %.2fx)\n", v2, v1, float64(v1)/float64(v2))
 		}
 	}

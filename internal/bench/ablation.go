@@ -7,6 +7,7 @@ import (
 
 	"resultdb/internal/core"
 	"resultdb/internal/engine"
+	"resultdb/internal/parallel"
 	"resultdb/internal/workload/job"
 )
 
@@ -87,7 +88,7 @@ func (e *Env) ablate(names []string,
 			names = append(names, q.Name)
 		}
 	}
-	ex := &engine.Executor{Src: e.DB, Parallelism: e.DB.CoreOptions.Parallelism}
+	ex := &engine.Executor{Src: e.DB, Run: parallel.NewRun(e.DB.CoreOptions.Parallelism)}
 	var out []AblationRow
 	for _, name := range names {
 		sel, err := e.Select(name)

@@ -7,6 +7,7 @@ import (
 
 	"resultdb/internal/core"
 	"resultdb/internal/engine"
+	"resultdb/internal/parallel"
 	"resultdb/internal/workload/job"
 )
 
@@ -33,7 +34,7 @@ func (e *Env) Fig9(names []string) ([]Fig9Row, error) {
 			names = append(names, q.Name)
 		}
 	}
-	ex := &engine.Executor{Src: e.DB, Parallelism: e.DB.CoreOptions.Parallelism}
+	ex := &engine.Executor{Src: e.DB, Run: parallel.NewRun(e.DB.CoreOptions.Parallelism)}
 	out := make([]Fig9Row, 0, len(names))
 	for _, name := range names {
 		sel, err := e.Select(name)

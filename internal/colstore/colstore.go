@@ -522,9 +522,9 @@ func buildColumn(kind types.Kind, rows []types.Row, j int) Column {
 // are shared with the source — gathering a TEXT column copies uint32 codes,
 // never strings — which is what lets a join output semi-join a base relation
 // by dictionary code and the columnar wire encoder reuse scan-time
-// dictionaries with zero string re-encoding. Column gathers run at degree par;
+// dictionaries with zero string re-encoding. Column gathers run at run's degree;
 // the result is identical at any degree.
-func GatherView(v *View, cols []int, order []int32, par int) *Frame {
+func GatherView(v *View, cols []int, order []int32, run parallel.Run) *Frame {
 	f := &Frame{cols: make([]Column, len(cols)), n: len(order)}
 	idx := order // without a selection, logical positions are frame rows
 	if v.Sel != nil {
@@ -537,7 +537,7 @@ func GatherView(v *View, cols []int, order []int32, par int) *Frame {
 		}
 	}
 	pad := slices.ContainsFunc(order, func(j int32) bool { return j < 0 })
-	parallel.Each(len(cols), par, func(j int) {
+	run.Each(len(cols), func(j int) {
 		f.cols[j] = gatherColumn(v.Frame.cols[cols[j]], idx, pad)
 	})
 	return f

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"resultdb/internal/parallel"
 	"resultdb/internal/types"
 )
 
@@ -111,7 +112,7 @@ func TestFrameHashMatchesRowHash(t *testing.T) {
 		{4, 0, 1, 2}, // everything
 	}
 	for _, cols := range keySets {
-		hs, null := hashAll(ViewKey(&View{Frame: f}, cols), 1)
+		hs, null := hashAll(ViewKey(&View{Frame: f}, cols), parallel.NewRun(1))
 		for i, r := range rows {
 			if got, want := hs[i], r.HashKey(cols); got != want {
 				t.Fatalf("hash(%d, %v) = %#x, want %#x (row %v)", i, cols, got, want, r)
@@ -136,7 +137,7 @@ func TestFrameHashMatchesRowHash(t *testing.T) {
 		for i := range rows {
 			rows[i] = types.Row{types.NewText(gen(i))}
 		}
-		hs, _ := hashAll(ViewKey(&View{Frame: NewFrame([]types.Kind{types.KindText}, rows)}, []int{0}), 1)
+		hs, _ := hashAll(ViewKey(&View{Frame: NewFrame([]types.Kind{types.KindText}, rows)}, []int{0}), parallel.NewRun(1))
 		for i, r := range rows {
 			if got, want := hs[i], r.HashKey([]int{0}); got != want {
 				t.Fatalf("%s: hash(%d) mismatch", name, i)
@@ -357,7 +358,7 @@ func kernelsMatchRowwise(t *testing.T, n int) {
 			want := rowwiseSelect(n, func(i int) bool { return in(i) && c.pass(rows[i]) })
 			orig := slices.Clone(sel)
 			for _, par := range []int{1, 2, 3, 4} {
-				got := RunKernels(n, sel, c.kernels, par)
+				got := RunKernels(n, sel, c.kernels, parallel.NewRun(par))
 				if got == nil || !sameSel(got, want) || !slices.Equal(sel, orig) {
 					over := "every row"
 					if sel != nil {
@@ -401,7 +402,7 @@ func TestScanAllocatesForItsSurvivors(t *testing.T) {
 			for range 3 {
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
-				kept = len(RunKernels(c.rows, c.sel, []Kernel{k}, par))
+				kept = len(RunKernels(c.rows, c.sel, []Kernel{k}, parallel.NewRun(par)))
 				runtime.ReadMemStats(&after)
 				bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 			}
@@ -504,8 +505,8 @@ func TestViewRows(t *testing.T) {
 		t.Error("Rows() of a NewFrame view handed back the builder's tuples instead of boxing")
 	}
 	all := []int{0, 1, 2, 3}
-	same("gathered", (&View{Frame: GatherView(&View{Frame: f, Sel: sel}, all, []int32{0, 1, 2, 3, 4}, 2)}).Rows(), picked)
-	same("gathered, selected", (&View{Frame: GatherView(&View{Frame: f}, all, []int32{299, 0, 7, 8, 150, 1}, 1), Sel: []int32{1, 2, 3, 4}}).Rows(), picked[:4])
+	same("gathered", (&View{Frame: GatherView(&View{Frame: f, Sel: sel}, all, []int32{0, 1, 2, 3, 4}, parallel.NewRun(2))}).Rows(), picked)
+	same("gathered, selected", (&View{Frame: GatherView(&View{Frame: f}, all, []int32{299, 0, 7, 8, 150, 1}, parallel.NewRun(1)), Sel: []int32{1, 2, 3, 4}}).Rows(), picked[:4])
 
 	// Project reorders shared column vectors; Zip sets two frames side by side.
 	var swapped, doubled []types.Row
@@ -519,7 +520,7 @@ func TestViewRows(t *testing.T) {
 	}
 	same("projected", (&View{Frame: proj, Sel: sel}).Rows(), swapped)
 	same("zipped", (&View{Frame: Zip(proj, f), Sel: sel}).Rows(), doubled)
-	if empty := (&View{Frame: GatherView(&View{Frame: f}, all, nil, 1)}).Rows(); len(empty) != 0 {
+	if empty := (&View{Frame: GatherView(&View{Frame: f}, all, nil, parallel.NewRun(1))}).Rows(); len(empty) != 0 {
 		t.Errorf("empty gather boxed %d rows", len(empty))
 	}
 
@@ -548,7 +549,7 @@ func TestViewRows(t *testing.T) {
 				odd[i] = int32(2*i + 1)
 			}
 			for what, v := range map[string]*View{
-				"dense":    {Frame: GatherView(&View{Frame: built}, []int{0, 1, 2, 3, 4}, odd, 1)},
+				"dense":    {Frame: GatherView(&View{Frame: built}, []int{0, 1, 2, 3, 4}, odd, parallel.NewRun(1))},
 				"selected": {Frame: FrameOf(len(src), cols), Sel: odd},
 			} {
 				got := v.Rows()
@@ -642,7 +643,7 @@ func BenchmarkIsNotNullScan(b *testing.B) {
 		for _, par := range []int{1, 2} {
 			b.Run(fmt.Sprintf("nulls=%v/par=%d", nulls, par), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					RunKernels(n, nil, []Kernel{k}, par)
+					RunKernels(n, nil, []Kernel{k}, parallel.NewRun(par))
 				}
 			})
 		}

@@ -377,7 +377,7 @@ func (k *isNullKernel) Mask(lo, hi int, mask []uint64) {
 // RunKernels evaluates a conjunction of kernels over the dense row domain
 // [0, n) or, when sel is non-nil, over the ascending frame rows it lists
 // (sel itself is never written). The domain is chunked across the worker
-// pool at degree par (parallel.Positions): a chunk sets the bits of its
+// pool at run's degree (Run.Positions): a chunk sets the bits of its
 // candidate rows in its mask — every row of its range, or the entries of sel
 // inside it — and each kernel in turn clears the bits of the rows it fails;
 // the surviving bits are written once into a vector of exactly their number.
@@ -386,7 +386,7 @@ func (k *isNullKernel) Mask(lo, hi int, mask []uint64) {
 // ascending selection of frame rows passing every kernel (never nil, so an
 // empty result is distinguishable from a nil "all rows" selection), and it
 // is the caller's.
-func RunKernels(n int, sel []int32, kernels []Kernel, par int) []int32 {
+func RunKernels(n int, sel []int32, kernels []Kernel, run parallel.Run) []int32 {
 	base := 0
 	if sel != nil {
 		n = 0
@@ -394,7 +394,7 @@ func RunKernels(n int, sel []int32, kernels []Kernel, par int) []int32 {
 			base, n = int(sel[0]), int(sel[len(sel)-1])+1-int(sel[0])
 		}
 	}
-	out := parallel.Positions(n, par, func(lo, hi int, mask []uint64) int {
+	out := run.Positions(n, func(lo, hi int, mask []uint64) int {
 		lo, hi = lo+base, hi+base
 		if sel == nil {
 			for w := range mask {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"resultdb/internal/parallel"
 	"resultdb/internal/types"
 )
 
@@ -35,7 +36,7 @@ func TestGatherView(t *testing.T) {
 	// Project columns {text, int} in that order, gathering view positions
 	// out of order and with a repeat.
 	order := []int32{5, 0, 3, 0, 7}
-	got := GatherView(view, []int{1, 0}, order, 2)
+	got := GatherView(view, []int{1, 0}, order, parallel.NewRun(2))
 	if got.Rows() != len(order) || got.NumCols() != 2 {
 		t.Fatalf("gathered %dx%d, want %dx2", got.Rows(), got.NumCols(), len(order))
 	}
@@ -63,7 +64,7 @@ func TestGatherView(t *testing.T) {
 	}
 
 	// Gathering only non-NULL positions must drop the bitmap entirely.
-	noNulls := GatherView(view, []int{2}, []int32{0, 1, 3}, 1)
+	noNulls := GatherView(view, []int{2}, []int32{0, 1, 3}, parallel.NewRun(1))
 	fc, ok := noNulls.Col(0).(*Float64Column)
 	if !ok {
 		t.Fatal("gathered float column has unexpected representation")
@@ -75,7 +76,7 @@ func TestGatherView(t *testing.T) {
 	// Gathering a NULL position must rebuild the bitmap at the new index:
 	// view position 7 is frame row 15, whose float is NULL; position 1 is
 	// frame row 3, non-NULL.
-	withNull := GatherView(view, []int{2}, []int32{1, 7}, 1)
+	withNull := GatherView(view, []int{2}, []int32{1, 7}, parallel.NewRun(1))
 	fc, ok = withNull.Col(0).(*Float64Column)
 	if !ok {
 		t.Fatal("gathered float column has unexpected representation")
@@ -113,7 +114,7 @@ func TestGatherViewNullExtends(t *testing.T) {
 					}
 				}
 				for _, par := range []int{1, 4} {
-					got := GatherView(view, cols, order, par)
+					got := GatherView(view, cols, order, parallel.NewRun(par))
 					name := fmt.Sprintf("nullP=%v %s padP=%v par=%d", nullP, what, padP, par)
 					for c := range cols {
 						nulls := 0

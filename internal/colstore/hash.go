@@ -98,11 +98,11 @@ func (k Key) hash1(j int) (h uint64, null bool) {
 	return hs[0], nl[0]
 }
 
-// hashAll hashes every key of k at degree par (disjoint writes).
-func hashAll(k Key, par int) (hs []uint64, null []bool) {
+// hashAll hashes every key of k at run's degree (disjoint writes).
+func hashAll(k Key, run parallel.Run) (hs []uint64, null []bool) {
 	n := k.Len()
 	hs, null = make([]uint64, n), make([]bool, n)
-	parallel.For(n, par, func(lo, hi int) {
+	run.For(n, func(lo, hi int) {
 		for ; lo < hi; lo += batch {
 			e := min(lo+batch, hi)
 			k.hashes(lo, hs[lo:e], null[lo:e])
@@ -362,7 +362,7 @@ func buildHashed(src Key) *KeySet {
 // set: bit j-lo of mask (LSB-first within a word) for position j, in a mask
 // of (hi-lo+63)/64 zeroed words, and returns how many it marked. NULL keys
 // never match. It writes no position: the caller sizes the selection vector
-// to the count (parallel.Positions).
+// to the count (parallel.Run.Positions).
 func (s *KeySet) Select(p Key, lo, hi int, mask []uint64) int {
 	if s.bits != nil {
 		return s.selectDense(p, lo, hi, mask)
@@ -531,13 +531,13 @@ type HashTable struct {
 	next  []int32 // next[pos]: following build position with pos's key, +1; 0 ends the chain
 }
 
-// BuildHashTable indexes src's rows by key at degree par. NULL keys are
+// BuildHashTable indexes src's rows by key at run's degree. NULL keys are
 // skipped (they can never match under SQL join semantics).
-func BuildHashTable(src Key, par int) *HashTable {
+func BuildHashTable(src Key, run parallel.Run) *HashTable {
 	if lo, hi, keys, ok := denseRange(src); ok && fits(lo, hi, 1, keys) {
 		return buildDenseTable(src, lo, hi)
 	}
-	return buildHashTable(src, par)
+	return buildHashTable(src, run)
 }
 
 // buildDenseTable is the dense form of src's keys, whose non-NULL values lie
@@ -560,13 +560,13 @@ func buildDenseTable(src Key, lo, hi int64) *HashTable {
 // partition's rows into a table of its own, last row first, pushing each onto
 // the front of its key's chain — so chains come out ascending, and workers
 // write disjoint tables and disjoint next entries.
-func buildHashTable(src Key, par int) *HashTable {
+func buildHashTable(src Key, run parallel.Run) *HashTable {
 	n := src.Len()
-	P := max(parallel.Chunks(n, par), 1)
-	hs, null := hashAll(src, par)
+	P := run.Chunks(n)
+	hs, null := hashAll(src, run)
 	t := &HashTable{src: src, parts: make([]posTable, P), next: make([]int32, n)}
 	m := newMatcher(src, src)
-	parallel.Each(P, par, func(p int) {
+	run.Each(P, func(p int) {
 		mine := func(j int) bool { return !null[j] && hs[j]%uint64(P) == uint64(p) }
 		cnt := 0
 		for j := range hs {
@@ -667,9 +667,9 @@ func (pr *Prober) Each(j int, yield func(pos int32)) {
 // partition, so each worker resolves one partition in input order against a
 // table of its own and marks the first occurrences — exactly the positions a
 // serial first-occurrence-wins loop keeps, at any degree.
-func GroupPositions(key Key, par int, gid []int32) []int32 {
+func GroupPositions(key Key, run parallel.Run, gid []int32) []int32 {
 	if !key.unique() {
-		return groupHashed(key, par, gid)
+		return groupHashed(key, run, gid)
 	}
 	order := make([]int32, key.Len())
 	for j := range order {
@@ -680,14 +680,14 @@ func GroupPositions(key Key, par int, gid []int32) []int32 {
 }
 
 // groupHashed is GroupPositions by hashing every key.
-func groupHashed(key Key, par int, gid []int32) []int32 {
+func groupHashed(key Key, run parallel.Run, gid []int32) []int32 {
 	n := key.Len()
-	P := max(parallel.Chunks(n, par), 1)
-	hs, _ := hashAll(key, par)
+	P := run.Chunks(n)
+	hs, _ := hashAll(key, run)
 	first := make([]bool, n)
 	kept := make([]int, P)
 	m := newMatcher(key, key)
-	parallel.Each(P, par, func(p int) {
+	run.Each(P, func(p int) {
 		cnt := 0
 		for _, h := range hs {
 			if h%uint64(P) == uint64(p) {
@@ -774,4 +774,4 @@ func distinctInts(vals []int64, sel []int32, n int, lo, hi int64) bool {
 }
 
 // DistinctPositions is GroupPositions without the group numbers.
-func DistinctPositions(key Key, par int) []int32 { return GroupPositions(key, par, nil) }
+func DistinctPositions(key Key, run parallel.Run) []int32 { return GroupPositions(key, run, nil) }

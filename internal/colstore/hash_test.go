@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"resultdb/internal/parallel"
 	"resultdb/internal/types"
 )
 
@@ -139,7 +140,7 @@ func checkJoinAgainstScan(t *testing.T, build, probe side) {
 				}
 			}
 		}
-		tables := map[int]*HashTable{1: BuildHashTable(bk, 1), 4: BuildHashTable(bk, 4)}
+		tables := map[int]*HashTable{1: BuildHashTable(bk, parallel.NewRun(1)), 4: BuildHashTable(bk, parallel.NewRun(4))}
 		for _, pf := range keyForms {
 			pk := pf.key(probe.kinds, probe.rows, probe.cols)
 			for _, set := range sets {
@@ -221,7 +222,7 @@ func TestKeyMixedSides(t *testing.T) {
 	cols := []int{3, 0, 2, 1}
 	for _, f := range keyForms {
 		k := f.key(kinds, rows, cols)
-		hs, null := hashAll(k, 4)
+		hs, null := hashAll(k, parallel.NewRun(4))
 		m := newMatcher(k, k)
 		for j, r := range rows {
 			if hs[j] != r.HashKey(cols) {
@@ -461,11 +462,11 @@ func TestHashTableDenseMatchesHash(t *testing.T) {
 		probes := []side{{kinds, np, []int{0}}, {kinds, ip, []int{0}}, {[]types.Kind{types.KindFloat}, fp, []int{0}}, {kinds, mp, []int{0}}}
 		for _, bf := range keyForms {
 			bk := bf.key(kinds, c.build, []int{0})
-			dense := BuildHashTable(bk, 4)
+			dense := BuildHashTable(bk, parallel.NewRun(4))
 			if got := tableForm(dense); (got == "dense") != (c.dense && typed[bf.name]) {
 				t.Fatalf("%s, %s build: BuildHashTable chose the %s form", c.name, bf.name, got)
 			}
-			for _, hashed := range []*HashTable{buildHashTable(bk, 1), buildHashTable(bk, 4)} {
+			for _, hashed := range []*HashTable{buildHashTable(bk, parallel.NewRun(1)), buildHashTable(bk, parallel.NewRun(4))} {
 				for _, p := range probes {
 					for _, pf := range keyForms {
 						pk := pf.key(p.kinds, p.rows, p.cols)
@@ -548,11 +549,11 @@ func TestGroupPositionsDenseUniqueMatchesHash(t *testing.T) {
 			}
 			for _, par := range []int{1, 4} {
 				gid, wantGid := make([]int32, n), make([]int32, n)
-				got, want := GroupPositions(k, par, gid), groupHashed(k, par, wantGid)
+				got, want := GroupPositions(k, parallel.NewRun(par), gid), groupHashed(k, parallel.NewRun(par), wantGid)
 				if !sameSel(got, want) || !sameSel(gid, wantGid) {
 					t.Fatalf("%s, %s, par=%d: %d groups, hashing finds %d", c.name, f.name, par, len(got), len(want))
 				}
-				if got := DistinctPositions(k, par); !sameSel(got, want) {
+				if got := DistinctPositions(k, parallel.NewRun(par)); !sameSel(got, want) {
 					t.Fatalf("%s, %s, par=%d: DistinctPositions differs from hashing", c.name, f.name, par)
 				}
 			}
@@ -607,10 +608,10 @@ func TestDenseHashTableBytes(t *testing.T) {
 			rows[i] = types.Row{types.NewInt(int64(i) * (width - 1) / int64(max(n-1, 1)))}
 		}
 		k := ViewKey(&View{Frame: NewFrame([]types.Kind{types.KindInt}, rows)}, []int{0})
-		if form := tableForm(BuildHashTable(k, 1)); form != "dense" {
+		if form := tableForm(BuildHashTable(k, parallel.NewRun(1))); form != "dense" {
 			t.Fatalf("n=%d: %s form", n, form)
 		}
-		dense, hashed := allocBytes(func() { BuildHashTable(k, 1) }), allocBytes(func() { buildHashTable(k, 1) })
+		dense, hashed := allocBytes(func() { BuildHashTable(k, parallel.NewRun(1)) }), allocBytes(func() { buildHashTable(k, parallel.NewRun(1)) })
 		if dense > hashed {
 			t.Errorf("n=%d: the dense build allocates %d bytes, the hashed one %d", n, dense, hashed)
 		}
@@ -664,9 +665,9 @@ func TestPosTableCollisions(t *testing.T) {
 		if s := BuildKeySet(empty); s.ContainsValue(probe.rows[0][0]) || len(selected(t, s, pk, 0, 3)) != 0 {
 			t.Fatalf("%s: empty KeySet matched", f.name)
 		}
-		pr := BuildHashTable(empty, 4).Prober(pk)
+		pr := BuildHashTable(empty, parallel.NewRun(4)).Prober(pk)
 		pr.Each(0, func(int32) { t.Fatalf("%s: empty HashTable matched", f.name) })
-		if got := DistinctPositions(empty, 4); len(got) != 0 {
+		if got := DistinctPositions(empty, parallel.NewRun(4)); len(got) != 0 {
 			t.Fatalf("%s: DistinctPositions(empty) = %v", f.name, got)
 		}
 	}
@@ -707,12 +708,12 @@ func TestDistinctPositionsKeepsFirst(t *testing.T) {
 		for _, f := range keyForms {
 			k := f.key(kinds, rows, cols)
 			for _, par := range []int{1, 4} {
-				if got := DistinctPositions(k, par); !sameSel(got, want) {
+				if got := DistinctPositions(k, parallel.NewRun(par)); !sameSel(got, want) {
 					t.Fatalf("%s cols %v par=%d: %d positions %v..., want %d %v...", f.name, cols, par,
 						len(got), got[:min(len(got), 8)], len(want), want[:min(len(want), 8)])
 				}
 				gid := make([]int32, k.Len())
-				if got := GroupPositions(k, par, gid); !sameSel(got, want) || !sameSel(gid, wantGid) {
+				if got := GroupPositions(k, parallel.NewRun(par), gid); !sameSel(got, want) || !sameSel(gid, wantGid) {
 					t.Fatalf("%s cols %v par=%d: GroupPositions numbers the groups %v..., want %v...", f.name, cols, par,
 						gid[:min(len(gid), 12)], wantGid[:min(len(wantGid), 12)])
 				}
@@ -737,10 +738,10 @@ func TestHashKernelAllocations(t *testing.T) {
 	for name, run := range map[string]func(k Key){
 		"KeySet":            func(k Key) { BuildKeySet(k).Select(k, 0, k.Len(), make([]uint64, (k.Len()+63)/64)) },
 		"KeySet hashed":     func(k Key) { buildHashed(k).Select(k, 0, k.Len(), make([]uint64, (k.Len()+63)/64)) },
-		"HashTable":         func(k Key) { BuildHashTable(k, 1) },
-		"HashTable hashed":  func(k Key) { buildHashTable(k, 1) },
-		"DistinctPositions": func(k Key) { DistinctPositions(k, 1) },
-		"groupHashed":       func(k Key) { groupHashed(k, 1, nil) },
+		"HashTable":         func(k Key) { BuildHashTable(k, parallel.NewRun(1)) },
+		"HashTable hashed":  func(k Key) { buildHashTable(k, parallel.NewRun(1)) },
+		"DistinctPositions": func(k Key) { DistinctPositions(k, parallel.NewRun(1)) },
+		"groupHashed":       func(k Key) { groupHashed(k, parallel.NewRun(1), nil) },
 	} {
 		few := testing.AllocsPerRun(10, func() { run(small) })
 		many := testing.AllocsPerRun(10, func() { run(large) })

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"resultdb/internal/catalog"
+	"resultdb/internal/parallel"
 )
 
 // sameClassTriangleSrc: a, b, c each with (id, k); the query joins all three
@@ -171,7 +172,7 @@ func TestJoinTreeEnforcesTwoAttributesOfOneClass(t *testing.T) {
 		if !st.Cyclic || st.Folds != 0 || st.ImpliedEdgesDropped != 1 {
 			t.Errorf("%s: %s, want cyclic, no folds, one edge dropped", from, st)
 		}
-		if got := renderSorted(out["a"].Distinct(0)); len(got) != 2 {
+		if got := renderSorted(out["a"].Distinct(parallel.NewRun(0))); len(got) != 2 {
 			t.Errorf("%s: a reduced to %v, want rows 1 and 3", from, got)
 		}
 		assertReduceMatchesDecompose(t, src, sql)
@@ -233,7 +234,7 @@ func TestAlphaReduceSkipsFolding(t *testing.T) {
 			t.Errorf("%s: non-alpha path should have folded", c.name)
 		}
 		for _, alias := range c.outputs {
-			if !sameRelation(outWith[alias].Distinct(0), outWithout[alias].Distinct(0)) {
+			if !sameRelation(outWith[alias].Distinct(parallel.NewRun(0)), outWithout[alias].Distinct(parallel.NewRun(0))) {
 				t.Errorf("%s: relation %s differs between alpha and fold paths", c.name, alias)
 			}
 		}

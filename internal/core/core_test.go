@@ -8,6 +8,7 @@ import (
 
 	"resultdb/internal/catalog"
 	"resultdb/internal/engine"
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/storage"
 	"resultdb/internal/types"
@@ -63,8 +64,8 @@ WHERE r1.k = r2.k AND r2.k = r3.k AND r3.k = r4.k`
 // makes the paper's heuristic choices: bare at the automatic degree, serial
 // at degree 1.
 var (
-	bare   = &engine.Executor{}
-	serial = &engine.Executor{Parallelism: 1}
+	bare   = &engine.Executor{Run: parallel.NewRun(0)}
+	serial = &engine.Executor{Run: parallel.NewRun(1)}
 )
 
 func analyze(t *testing.T, src engine.Source, sql string) (*engine.SPJSpec, map[string]*engine.Relation) {
@@ -350,7 +351,7 @@ func assertReduceMatchesDecompose(t *testing.T, src engine.Source, sql string) {
 		}
 		for _, alias := range spec.OutputRels() {
 			key := strings.ToLower(alias)
-			got := reduced[key].Distinct(0)
+			got := reduced[key].Distinct(parallel.NewRun(0))
 			want := oracle[key]
 			if !sameRelation(got, want) {
 				t.Errorf("%s (form %d): relation %s mismatch:\nreduced: %v\ndecompose: %v",
@@ -424,7 +425,7 @@ func TestPostJoinReconstruction(t *testing.T) {
 			}
 			cols[i] = idx
 		}
-		rpRels[alias] = reduced[alias].Project(cols).Distinct(0)
+		rpRels[alias] = reduced[alias].Project(cols).Distinct(parallel.NewRun(0))
 	}
 	post, err := PostJoin(spec.JoinPreds, rpRels, spec.Projection)
 	if err != nil {

@@ -49,7 +49,7 @@ func FoldJoinGraph(ex *engine.Executor, g *Graph, strategy FoldStrategy, st *Sta
 			sp.RowsIn = xr
 			sp.RowsBuild = yr
 		}
-		if err := foldPair(g, x, y, ex.Parallelism, sp); err != nil {
+		if err := foldPair(g, x, y, ex, sp); err != nil {
 			return err
 		}
 		st.Folds++
@@ -123,10 +123,10 @@ func cardProduct(e *Edge) int {
 }
 
 // foldPair replaces x and y by the node x ⋈ y, re-pointing and merging all
-// affected edges (line 5 of Algorithm 3). The fold join runs at degree par
-// (0 = auto, 1 = serial) with deterministic ordered output, recording its
-// build/probe timings on sp (nil = no tracing).
-func foldPair(g *Graph, x, y *Node, par int, sp *trace.Span) error {
+// affected edges (line 5 of Algorithm 3). The fold join runs at ex's run
+// with deterministic ordered output, recording its build/probe timings on sp
+// (nil = no tracing).
+func foldPair(g *Graph, x, y *Node, ex *engine.Executor, sp *trace.Span) error {
 	// Join x and y on the conjunction of all predicates between them.
 	var between *Edge
 	for _, e := range g.Edges {
@@ -145,7 +145,7 @@ func foldPair(g *Graph, x, y *Node, par int, sp *trace.Span) error {
 	if between.X != x {
 		xCols, yCols = yCols, xCols
 	}
-	joined := engine.HashJoin(x.Rel, y.Rel, xCols, yCols, par, sp)
+	joined := engine.HashJoin(x.Rel, y.Rel, xCols, yCols, ex.Run, sp)
 	z := &Node{
 		Aliases: append(append([]string(nil), x.Aliases...), y.Aliases...),
 		Rel:     joined,

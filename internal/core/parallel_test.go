@@ -7,6 +7,7 @@ import (
 
 	"resultdb/internal/catalog"
 	"resultdb/internal/engine"
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/storage"
 	"resultdb/internal/trace"
@@ -78,7 +79,7 @@ func TestReductionParallelMatchesSerial(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				reduced, _, err := SemiJoinReduce(&engine.Executor{Parallelism: par}, spec, mixForms(rels, form), nil, base)
+				reduced, _, err := SemiJoinReduce(&engine.Executor{Run: parallel.NewRun(par)}, spec, mixForms(rels, form), nil, base)
 				if err != nil {
 					t.Fatalf("query %d variant %d par %d: %v", qi, vi, par, err)
 				}
@@ -147,7 +148,7 @@ func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 	wants := map[string]map[string]*engine.Relation{"dense": want, "selected": wantHalf}
 	for form, in := range inputs {
 		for _, par := range []int{1, 2, 4, 7} {
-			got, err := Decompose(&engine.Executor{Parallelism: par}, in, aliases)
+			got, err := Decompose(&engine.Executor{Run: parallel.NewRun(par)}, in, aliases)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +166,7 @@ func TestDecomposeAtAnyDegreeMatchesSerial(t *testing.T) {
 		}
 	}
 	// Unknown alias must surface the same error at any degree.
-	if _, err := Decompose(&engine.Executor{Parallelism: 4}, joined, []string{"nope"}); err == nil {
+	if _, err := Decompose(&engine.Executor{Run: parallel.NewRun(4)}, joined, []string{"nope"}); err == nil {
 		t.Fatal("expected error for unknown alias")
 	}
 }
@@ -189,7 +190,7 @@ func TestTraceFingerprintIndependentOfKeyForm(t *testing.T) {
 		for form := 0; form < 3; form++ {
 			for _, par := range []int{1, 4} {
 				tr := trace.New(sql)
-				ex := &engine.Executor{Parallelism: par, Tracer: tr}
+				ex := &engine.Executor{Run: parallel.NewRun(par), Tracer: tr}
 				if _, _, err := SemiJoinReduce(ex, spec, mixForms(rels, form), nil, Options{EarlyStop: true}); err != nil {
 					t.Fatal(err)
 				}

@@ -10,6 +10,7 @@ import (
 
 	"resultdb/internal/db"
 	"resultdb/internal/engine"
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/trace"
 	"resultdb/internal/workload/hierarchy"
@@ -128,7 +129,7 @@ func renderPlans(t *testing.T, b *strings.Builder, d *db.Database, name, sql str
 				}
 			}
 		}
-		ex := &engine.Executor{Src: snap, Parallelism: 1, Tracer: trace.New(sql)}
+		ex := &engine.Executor{Src: snap, Run: parallel.NewRun(1), Tracer: trace.New(sql)}
 		if mode != "rdb heuristic" {
 			ex.StatsOf = statsOf(spec, tableStats)
 		}
@@ -136,7 +137,7 @@ func renderPlans(t *testing.T, b *strings.Builder, d *db.Database, name, sql str
 		fmt.Fprintf(b, "== %s %s\n%s\n", name, mode, st)
 		renderSpans(b, ex.Tracer.Finish())
 	}
-	ex := &engine.Executor{Src: snap, Parallelism: 1, Tracer: trace.New(sql), StatsOf: statsOf(spec, tableStats)}
+	ex := &engine.Executor{Src: snap, Run: parallel.NewRun(1), Tracer: trace.New(sql), StatsOf: statsOf(spec, tableStats)}
 	if _, err := ex.RunSPJ(spec); err != nil {
 		t.Fatal(err)
 	}

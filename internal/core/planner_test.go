@@ -10,6 +10,7 @@ import (
 	"resultdb/internal/core"
 	"resultdb/internal/db"
 	"resultdb/internal/engine"
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/stats"
 	"resultdb/internal/storage"
@@ -101,7 +102,7 @@ func comparePlanners(t *testing.T, d *db.Database, stmts []string, extended bool
 			}
 			for _, par := range []int{1, 4} {
 				name := fmt.Sprintf("%.40q preserving=%v par=%d extended=%v", strings.Join(strings.Fields(sql), " "), preserving, par, extended)
-				ex := &engine.Executor{Src: snap, Parallelism: par}
+				ex := &engine.Executor{Src: snap, Run: parallel.NewRun(par)}
 				want, wantSt := reduce(t, ex, spec, outputs)
 				ex.StatsOf = statsOf(spec, tableStats)
 				got, gotSt := reduce(t, ex, spec, outputs)
@@ -161,7 +162,7 @@ func statsOf(spec *engine.SPJSpec, tableStats map[string]*stats.Table) func(stri
 // holds the reduction alone).
 func reduce(t *testing.T, ex *engine.Executor, spec *engine.SPJSpec, outputs []string) (map[string]*engine.Relation, *core.Stats) {
 	t.Helper()
-	rels, err := (&engine.Executor{Src: ex.Src, Parallelism: ex.Parallelism}).BaseRelations(spec)
+	rels, err := (&engine.Executor{Src: ex.Src, Run: ex.Run}).BaseRelations(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

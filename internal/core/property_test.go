@@ -8,6 +8,7 @@ import (
 
 	"resultdb/internal/catalog"
 	"resultdb/internal/engine"
+	"resultdb/internal/parallel"
 	"resultdb/internal/reference"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/storage"
@@ -136,8 +137,8 @@ func TestTheorem44RandomQueries(t *testing.T) {
 		// Cyclic queries fold without α-reduction.
 		{Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true}, bare},
 		// Parallel execution must be indistinguishable from serial.
-		{Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, AlphaReduce: true}, &engine.Executor{Parallelism: 4}},
-		{Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true}, &engine.Executor{Parallelism: 4}},
+		{Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true, AlphaReduce: true}, &engine.Executor{Run: parallel.NewRun(4)}},
+		{Options{Root: RootHeuristic, Fold: FoldMaxDegree, EarlyStop: true}, &engine.Executor{Run: parallel.NewRun(4)}},
 	}
 	const trials = 300
 	checked, treed, folded := 0, 0, 0
@@ -177,7 +178,7 @@ func TestTheorem44RandomQueries(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			dec := full.Project(cols).Distinct(0)
+			dec := full.Project(cols).Distinct(parallel.NewRun(0))
 			if ref := engine.FromRows(dec.Cols, set.Rows); !sameRelation(ref, dec) {
 				t.Fatalf("trial %d: %q relation %s: Decompose disagrees with the reference:\ndecompose: %v\nreference: %v",
 					trial, sql, set.Name, renderSorted(dec), renderSorted(ref))
@@ -191,7 +192,7 @@ func TestTheorem44RandomQueries(t *testing.T) {
 			// Rotate through the input forms (see mixForms).
 			reduced, st, err := SemiJoinReduce(run.ex, spec, mixForms(rels, (trial+oi)%3), nil, run.opts)
 			if err != nil {
-				t.Fatalf("trial %d opts %+v par %d: %q: %v", trial, run.opts, run.ex.Parallelism, sql, err)
+				t.Fatalf("trial %d opts %+v par %d: %q: %v", trial, run.opts, run.ex.Run.Degree(), sql, err)
 			}
 			if oi == 0 && st.Cyclic {
 				if st.Folds == 0 {
@@ -202,11 +203,11 @@ func TestTheorem44RandomQueries(t *testing.T) {
 			}
 			for _, alias := range spec.OutputRels() {
 				key := strings.ToLower(alias)
-				got := reduced[key].Distinct(0)
+				got := reduced[key].Distinct(parallel.NewRun(0))
 				want := oracle[key]
 				if !sameRelation(got, want) {
 					t.Fatalf("trial %d opts %+v par %d: %q relation %s:\nreduced:   %v\ndecompose: %v",
-						trial, run.opts, run.ex.Parallelism, sql, alias, renderSorted(got), renderSorted(want))
+						trial, run.opts, run.ex.Run.Degree(), sql, alias, renderSorted(got), renderSorted(want))
 				}
 			}
 			checked++
@@ -342,7 +343,7 @@ func TestPostJoinReconstructionRandom(t *testing.T) {
 				}
 				cols[i] = idx
 			}
-			rp[strings.ToLower(alias)] = reduced[strings.ToLower(alias)].Project(cols).Distinct(0)
+			rp[strings.ToLower(alias)] = reduced[strings.ToLower(alias)].Project(cols).Distinct(parallel.NewRun(0))
 		}
 		post, err := PostJoin(spec.JoinPreds, rp, spec.Projection)
 		if err != nil {
@@ -355,13 +356,13 @@ func TestPostJoinReconstructionRandom(t *testing.T) {
 		// relation may participate via j1/j2 only. Compare as sets.
 		if !sameRelationSet(post, orig) {
 			t.Fatalf("trial %d: %q:\npost: %v\norig: %v",
-				trial, sql, renderSorted(post.Distinct(0)), renderSorted(orig.Distinct(0)))
+				trial, sql, renderSorted(post.Distinct(parallel.NewRun(0))), renderSorted(orig.Distinct(parallel.NewRun(0))))
 		}
 	}
 }
 
 func sameRelationSet(a, b *engine.Relation) bool {
-	return sameRelation(a.Distinct(0), b.Distinct(0))
+	return sameRelation(a.Distinct(parallel.NewRun(0)), b.Distinct(parallel.NewRun(0)))
 }
 
 // TestBigIntegerKeysMatchReference pins what join keys beyond 2^53 do today:
@@ -416,7 +417,7 @@ func TestBigIntegerKeysMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := full.Project([]int{idCol}).Distinct(0)
+			got := full.Project([]int{idCol}).Distinct(parallel.NewRun(0))
 			if ref := engine.FromRows(got.Cols, set.Rows); !sameRelation(ref, got) {
 				t.Fatalf("form %d relation %s: engine %v, reference %v", form, set.Name, renderSorted(got), renderSorted(ref))
 			}

@@ -73,7 +73,7 @@ func SemiJoinReduce(ex *engine.Executor, spec *engine.SPJSpec, rels map[string]*
 				if !g.projected[strings.ToLower(alias)] {
 					continue
 				}
-				base := n.Rel.ProjectDistinctPar(n.Rel.ColumnsOf(alias), ex.Parallelism)
+				base := n.Rel.ProjectDistinctPar(n.Rel.ColumnsOf(alias), ex.Run)
 				if sp := tr.Span("decompose", alias); sp != nil {
 					sp.Phase = "decompose"
 					sp.Detail = "unfold " + n.Name()
@@ -114,21 +114,21 @@ func SemiJoinReduce(ex *engine.Executor, spec *engine.SPJSpec, rels map[string]*
 // after the fan-out completes, in alias order, so the trace is deterministic
 // too.
 func Decompose(ex *engine.Executor, joined *engine.Relation, aliases []string) (map[string]*engine.Relation, error) {
-	par, tr := ex.Parallelism, ex.Tracer
+	run, tr := ex.Run, ex.Tracer
 	var t0 time.Time
 	if tr.Enabled() {
 		t0 = time.Now()
 	}
 	results := make([]*engine.Relation, len(aliases))
 	errs := make([]error, len(aliases))
-	parallel.Each(len(aliases), par, func(i int) {
+	run.Each(len(aliases), func(i int) {
 		alias := aliases[i]
 		cols := joined.ColumnsOf(alias)
 		if len(cols) == 0 {
 			errs[i] = fmt.Errorf("core: decompose: no columns for relation %q", alias)
 			return
 		}
-		results[i] = joined.ProjectDistinctPar(cols, par)
+		results[i] = joined.ProjectDistinctPar(cols, run)
 	})
 	var durNS int64
 	if tr.Enabled() {
@@ -143,7 +143,6 @@ func Decompose(ex *engine.Executor, joined *engine.Relation, aliases []string) (
 			sp.Phase = "decompose"
 			sp.RowsIn = joined.Len()
 			sp.RowsOut = results[i].Len()
-			sp.Par = parallel.Degree(par)
 			if i == 0 {
 				sp.DurNS = durNS // whole fan-out, attributed once
 			}
@@ -158,10 +157,10 @@ func Decompose(ex *engine.Executor, joined *engine.Relation, aliases []string) (
 // original join predicates and project to the original attributes. Filters
 // are not re-applied — the reduced relations already satisfy them. The join
 // gathers the projected attributes alone (a nil projection keeps every
-// column), each once, at the automatic degree, ordered by cardinality: the
-// returned relations name no table, so there are no statistics.
+// column), each once, at GOMAXPROCS, ordered by cardinality: the returned
+// relations name no table, so there are no statistics.
 func PostJoin(preds []engine.JoinPred, rels map[string]*engine.Relation, projection []engine.Attr) (*engine.Relation, error) {
-	return (&engine.Executor{}).JoinAll(&engine.SPJSpec{JoinPreds: preds}, rels, projection)
+	return (&engine.Executor{Run: parallel.NewRun(0)}).JoinAll(&engine.SPJSpec{JoinPreds: preds}, rels, projection)
 }
 
 // RelationshipPreservingAttrs returns A_i* = A_i ∪ A_i^J of Definition 2.3

@@ -123,7 +123,7 @@ func (s *schedule) semiJoin(ex *engine.Executor, i int, up bool, st *Stats) {
 			sp.EstOut = int(s.sel(s.live, i, up)*float64(before) + 0.5)
 		}
 	}
-	target.Rel = engine.SemiJoin(target.Rel, e.cols[side], source.Rel, e.cols[1-side], ex.Parallelism, sp)
+	target.Rel = engine.SemiJoin(target.Rel, e.cols[side], source.Rel, e.cols[1-side], ex.Run, sp)
 	s.live[t] = float64(target.Rel.Len())
 	st.SemiJoins++
 	st.TuplesDropped += before - target.Rel.Len()

@@ -21,8 +21,8 @@ type Config struct {
 	// (StrategySemiJoin, the paper's Algorithm 4, is the default).
 	Strategy Strategy
 	// Parallelism is the intra-query parallelism degree: 0 = auto
-	// (GOMAXPROCS), 1 = serial, n > 1 = n workers. Results are identical at
-	// any degree.
+	// (GOMAXPROCS, as is a negative value), 1 = serial, n > 1 = n workers.
+	// Results are identical at any degree.
 	Parallelism int
 	// CacheEnabled turns the semantic result cache on.
 	CacheEnabled bool
@@ -43,9 +43,8 @@ func DefaultConfig() Config {
 // ExecOptions are how a database or a session executes its statements,
 // beside its Strategy: a statement captures them at entry (execCtx).
 type ExecOptions struct {
-	// Parallelism is the degree of intra-query parallelism of every
-	// operator: 0 = auto (GOMAXPROCS), 1 = serial, n > 1 = n workers.
-	// Results are bit-identical at any degree (ordered morsel merge).
+	// Parallelism is the degree of every statement's parallel work, as in
+	// Config; each statement resolves it once, into its parallel.Run.
 	Parallelism int
 	// ResultCache enables the semantic query-result cache: SELECT results —
 	// classic, RESULTDB, and RESULTDB PRESERVING — are cached under their

@@ -146,10 +146,10 @@ func (d *Database) withWriter(fn func()) {
 }
 
 // execCtx is everything one read statement needs, captured once at entry:
-// the pinned snapshot, the strategy and execution options in effect when it
-// started, and its tracer. Capturing them together keeps a statement
-// internally consistent and lets a Session substitute its own options
-// without touching the database's.
+// the pinned snapshot, the strategy, cache switch and run (the resolved
+// degree) in effect when it started, and its tracer. Capturing them together
+// keeps a statement internally consistent and lets a Session substitute its
+// own options without touching the database's.
 type execCtx struct {
 	// src resolves table names: the pinned Snapshot on read paths, the
 	// writeTxn for statements that read while mutating (CREATE MATERIALIZED
@@ -160,16 +160,23 @@ type execCtx struct {
 	// annotate with its commit position.
 	snap     *Snapshot
 	strategy Strategy
-	opts     ExecOptions
+	cache    bool
+	run      parallel.Run
 	// tr records the statement's spans; nil (the default) is untraced.
 	tr *trace.Tracer
+}
+
+// newCtx captures strategy and opts for one statement whose tables resolve
+// through src (snap is src on read paths, nil otherwise).
+func newCtx(src engine.Source, snap *Snapshot, strategy Strategy, opts ExecOptions) execCtx {
+	return execCtx{src: src, snap: snap, strategy: strategy, cache: opts.ResultCache, run: parallel.NewRun(opts.Parallelism)}
 }
 
 // readCtx pins the newest committed state and captures the database-level
 // options for one read statement.
 func (d *Database) readCtx() execCtx {
 	snap := d.Snapshot()
-	return execCtx{src: snap, snap: snap, strategy: d.Strategy, opts: d.CoreOptions}
+	return newCtx(snap, snap, d.Strategy, d.CoreOptions)
 }
 
 // txnCtx builds the execution context for reads running inside a write
@@ -177,14 +184,14 @@ func (d *Database) readCtx() execCtx {
 // the statement sees its own batch, and no snapshot is pinned (the cache is
 // bypassed — its entries must only ever hold committed states).
 func (d *Database) txnCtx(tx *writeTxn) execCtx {
-	return execCtx{src: tx, strategy: d.Strategy, opts: d.CoreOptions}
+	return newCtx(tx, nil, d.Strategy, d.CoreOptions)
 }
 
 // traced returns ec with a fresh tracer for the statement sql, stamped with
 // the statement's degree and, on read paths, its snapshot's commit position.
 func (ec execCtx) traced(sql string) execCtx {
 	ec.tr = trace.New(sql)
-	ec.tr.SetParallelism(parallel.Degree(ec.opts.Parallelism))
+	ec.tr.SetParallelism(ec.run.Degree())
 	if ec.snap != nil {
 		ec.tr.SetSnapshot(ec.snap.Seq(), ec.snap.LSN())
 	}
@@ -196,9 +203,9 @@ func (ec execCtx) traced(sql string) execCtx {
 // tracer, and each table's statistics are its version's (statsOf).
 func (ec execCtx) executor() *engine.Executor {
 	return &engine.Executor{
-		Src:         ec.src,
-		Parallelism: ec.opts.Parallelism,
-		Tracer:      ec.tr,
+		Src:    ec.src,
+		Run:    ec.run,
+		Tracer: ec.tr,
 		StatsOf: func(table string) *stats.Table {
 			t, err := ec.src.Table(table)
 			if err != nil {

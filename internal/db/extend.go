@@ -105,12 +105,12 @@ func tailDangles(ex *engine.Executor, spec *engine.SPJSpec, r engine.RelRef, fro
 		if !ok {
 			return false
 		}
-		cand := engine.SemiJoin(all, nbCols, tail, tailCols, ex.Parallelism, nil)
+		cand := engine.SemiJoin(all, nbCols, tail, tailCols, ex.Run, nil)
 		partners, err := ex.ScanRows(nb, spec.Filters[nb.Alias], cand.Vec.Sel)
 		if err != nil {
 			return false
 		}
-		tail = engine.SemiJoin(tail, tailCols, partners, nbCols, ex.Parallelism, nil)
+		tail = engine.SemiJoin(tail, tailCols, partners, nbCols, ex.Run, nil)
 	}
 	return tail.Len() == 0
 }

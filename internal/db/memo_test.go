@@ -187,7 +187,7 @@ func runOnce(t *testing.T, d *db.Database, sess *db.Session, kept map[string]sql
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		_, unboxedErr = sess.ExecUnboxed(sql)
+		_, _, unboxedErr = sess.ExecUnboxed(sql)
 	}()
 	_, err := d.Exec(sql)
 	wg.Wait()
@@ -267,7 +267,7 @@ func TestMemoCarriesNoVersion(t *testing.T) {
 				for i := 0; i < 100; i++ {
 					exec := s.Exec
 					if i%2 == 1 {
-						exec = s.ExecUnboxed
+						exec = unboxed(s)
 					}
 					res, err := exec(memoTestSQL)
 					if err != nil {
@@ -371,7 +371,7 @@ func TestMemoVariantsShareCacheEntry(t *testing.T) {
 		}
 		for _, exec := range []func(string) (*db.Result, error){
 			d.Exec,
-			sess.ExecUnboxed,
+			unboxed(sess),
 		} {
 			st := d.CacheStats()
 			res, err := exec(variant)
@@ -386,5 +386,14 @@ func TestMemoVariantsShareCacheEntry(t *testing.T) {
 				t.Fatalf("variant %q served other bytes", variant)
 			}
 		}
+	}
+}
+
+// unboxed is s.ExecUnboxed without the statement's run, so that it lines up
+// with Exec.
+func unboxed(s *db.Session) func(string) (*db.Result, error) {
+	return func(sql string) (*db.Result, error) {
+		res, _, err := s.ExecUnboxed(sql)
+		return res, err
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"resultdb/internal/colstore"
 	"resultdb/internal/core"
 	"resultdb/internal/engine"
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/stats"
 	"resultdb/internal/storage"
@@ -59,7 +60,7 @@ func (d *Database) queryWithTrace(ec execCtx, sel *sqlparse.Select) (*Result, *t
 // shown to hold the same result there, and a fill is admitted only when no
 // writer published past the snapshot while the query ran (see queryCached).
 func (d *Database) query(ec execCtx, sel *selectStmt) (*Result, error) {
-	if ec.opts.ResultCache && ec.snap != nil {
+	if ec.cache && ec.snap != nil {
 		tr := ec.tr
 		if !tr.Enabled() {
 			return d.queryCached(ec, sel)
@@ -171,7 +172,7 @@ func (d *Database) queryResultDBAt(ec execCtx, sel *sqlparse.Select, mode Mode) 
 			attrs = dedupAttrs(spec.ProjectionOf(alias))
 		}
 		rel := reduced[strings.ToLower(alias)]
-		set, err := projectSet(alias, rel, attrs, ec.opts.Parallelism)
+		set, err := projectSet(alias, rel, attrs, ec.run)
 		if err != nil {
 			return nil, err
 		}
@@ -308,8 +309,8 @@ func dedupAttrs(attrs []string) []string {
 
 // projectSet projects a reduced full-width relation onto the chosen
 // attributes and removes duplicates (set semantics of Definition 2.2). Both
-// steps run at degree par (0 = auto, 1 = serial) with deterministic output.
-func projectSet(alias string, rel *engine.Relation, attrs []string, par int) (*ResultSet, error) {
+// steps run at run's degree with deterministic output.
+func projectSet(alias string, rel *engine.Relation, attrs []string, run parallel.Run) (*ResultSet, error) {
 	cols := make([]int, len(attrs))
 	for i, a := range attrs {
 		idx, err := rel.ColIndex(alias, a)
@@ -318,7 +319,7 @@ func projectSet(alias string, rel *engine.Relation, attrs []string, par int) (*R
 		}
 		cols[i] = idx
 	}
-	return relToSet(alias, rel.ProjectDistinctPar(cols, par), attrs), nil
+	return relToSet(alias, rel.ProjectDistinctPar(cols, run), attrs), nil
 }
 
 // setToRelation rebuilds an alias-qualified relation from a result set so it

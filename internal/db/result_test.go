@@ -109,7 +109,7 @@ func TestInProcessCallsBox(t *testing.T) {
 			t.Errorf("%s: post-join set not boxed", name)
 		}
 	}
-	r, err := sess.ExecUnboxed(sql)
+	r, _, err := sess.ExecUnboxed(sql)
 	if err != nil {
 		t.Fatalf("Session.ExecUnboxed: %v", err)
 	}
@@ -128,7 +128,7 @@ func TestInProcessCallsBox(t *testing.T) {
 func TestCacheHitBoxesIntoACopy(t *testing.T) {
 	d := cacheTestDB(t)
 	sql := "SELECT RESULTDB m.title, r.actor FROM movies m, roles r WHERE m.id = r.movie_id"
-	entry, err := d.NewSession().ExecUnboxed(sql)
+	entry, _, err := d.NewSession().ExecUnboxed(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCacheHitBoxesIntoACopy(t *testing.T) {
 			defer wg.Done()
 			sess := d.NewSession()
 			for k := 0; k < 20; k++ {
-				res, err := sess.ExecUnboxed(sql)
+				res, _, err := sess.ExecUnboxed(sql)
 				if err != nil {
 					report(err.Error())
 					return

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/trace"
 )
@@ -87,7 +88,7 @@ func (s *Session) Pinned() bool { return s.pinned != nil }
 // view plus its private options.
 func (s *Session) ctx() execCtx {
 	snap := s.Snapshot()
-	return execCtx{src: snap, snap: snap, strategy: s.Strategy, opts: s.CoreOptions}
+	return newCtx(snap, snap, s.Strategy, s.CoreOptions)
 }
 
 // afterWrite re-pins a frozen session on the newest state so the session's
@@ -105,20 +106,24 @@ func (s *Session) afterWrite() {
 // Panics are confined to the statement, as in ExecStatement.
 func (s *Session) Exec(sql string) (res *Result, err error) {
 	defer confine(&res, &err)
-	return boxed(s.ExecUnboxed(sql))
+	res, _, err = s.ExecUnboxed(sql)
+	return boxed(res, err)
 }
 
 // ExecUnboxed is Exec without the boxing: a SELECT's sets carry their views
-// and no Rows (see ResultSet), which is what the wire server encodes from.
+// and no Rows (see ResultSet), which the wire server encodes at the run
+// returned beside them (a cached Result, shared by sessions, holds none).
 // Reads run against the session's view; mutations go through the write path
 // and refresh it. A panic is not confined here but reaches the caller: the
 // wire server's recover confines it to the connection and counts it.
-func (s *Session) ExecUnboxed(sql string) (*Result, error) {
+func (s *Session) ExecUnboxed(sql string) (*Result, parallel.Run, error) {
 	st, err := s.db.parse(sql)
 	if err != nil {
-		return nil, err
+		return nil, parallel.Run{}, err
 	}
-	return s.db.execAt(s.ctx(), st, s.afterWrite)
+	ec := s.ctx()
+	res, err := s.db.execAt(ec, st, s.afterWrite)
+	return res, ec.run, err
 }
 
 // ExecStatement executes a parsed statement through the session: reads run

@@ -106,7 +106,9 @@ func TestTraceOutputSpansMatchResultSets(t *testing.T) {
 
 // TestTraceCountsIdenticalAcrossParallelism: the deterministic portion of the
 // trace is bit-identical at parallelism 1 and 4, for both the RESULTDB and
-// the single-table execution of every JOB template.
+// the single-table execution of every JOB template. Each trace records the
+// session's degree once, in its header, and no span splits its input into
+// more morsels than that degree.
 func TestTraceCountsIdenticalAcrossParallelism(t *testing.T) {
 	d := loadJOBTrace(t)
 	serial, parallel := d.NewSession(), d.NewSession()
@@ -119,6 +121,18 @@ func TestTraceCountsIdenticalAcrossParallelism(t *testing.T) {
 			if fp1 != fp4 {
 				t.Errorf("%s (resultdb=%v): trace counts differ between par 1 and par 4:\npar1:\n%s\npar4:\n%s",
 					q.Name, resultDB, fp1, fp4)
+			}
+			for degree, tr := range map[int]*trace.Trace{1: tr1, 4: tr4} {
+				if tr.Parallelism != degree {
+					t.Errorf("%s (resultdb=%v): the trace header records parallelism %d, the session runs at %d",
+						q.Name, resultDB, tr.Parallelism, degree)
+				}
+				for _, sp := range tr.Spans {
+					if sp.Morsels > degree {
+						t.Errorf("%s (resultdb=%v): span %s %s splits into %d morsels at degree %d",
+							q.Name, resultDB, sp.Op, sp.Label, sp.Morsels, degree)
+					}
+				}
 			}
 		}
 	}

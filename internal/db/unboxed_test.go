@@ -22,7 +22,7 @@ INSERT INTO b VALUES (10, 1, 0.5), (11, 1, 1.5), (12, 3, 2.5);`); err != nil {
 // makes, and checks that every set it returns is its view alone.
 func unboxedExec(t *testing.T, d *Database, sql string) *Result {
 	t.Helper()
-	res, err := d.NewSession().ExecUnboxed(sql)
+	res, _, err := d.NewSession().ExecUnboxed(sql)
 	if err != nil {
 		t.Fatalf("ExecUnboxed(%q): %v", sql, err)
 	}
@@ -95,7 +95,7 @@ func TestExecStreamNonSelectReplays(t *testing.T) {
 	d := streamDB(t)
 	sess := d.NewSession()
 	sess.Pin()
-	res, err := sess.ExecUnboxed("INSERT INTO a VALUES (4, 'w')")
+	res, _, err := sess.ExecUnboxed("INSERT INTO a VALUES (4, 'w')")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestExecStreamNonSelectReplays(t *testing.T) {
 		t.Fatalf("DML result: %d sets, affected %d; want 0 sets, 1 affected", len(res.Sets), res.Affected)
 	}
 	// The session re-pinned after its own write: its next read sees it.
-	got, err := sess.ExecUnboxed("SELECT a.name FROM a AS a WHERE a.id = 4")
+	got, _, err := sess.ExecUnboxed("SELECT a.name FROM a AS a WHERE a.id = 4")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,7 +83,7 @@ INSERT INTO c VALUES (20, 1, 10), (21, 3, 12), (22, 2, 11);`); err != nil {
 		if err != nil {
 			t.Fatalf("%s: v1 round trip: %v", name, err)
 		}
-		server, err := d.NewSession().ExecUnboxed(sql)
+		server, _, err := d.NewSession().ExecUnboxed(sql)
 		if err != nil {
 			t.Fatalf("%s: server path: %v", name, err)
 		}

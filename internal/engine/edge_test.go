@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"resultdb/internal/catalog"
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/trace"
 	"resultdb/internal/types"
@@ -173,7 +174,7 @@ func TestSubqueryWithNullsThreeValued(t *testing.T) {
 func TestInSubqueryProbeAllocatesNothing(t *testing.T) {
 	floatCol := catalog.Column{Name: "v", Type: types.KindFloat}
 	src := memSource{"s": mkTable(t, "s", []catalog.Column{floatCol}, nil, ir(3.0), ir(4.5), ir(nil))}
-	ex := &Executor{Src: src, Parallelism: 1}
+	ex := &Executor{Src: src, Run: parallel.NewRun(1)}
 	b := ex.binder([]ColRef{{Rel: "t", Name: "id", Kind: types.KindInt}})
 	in, err := b.bind(parseConjuncts(t, "t", []string{"t.id IN (SELECT s.v FROM s AS s)"})[0])
 	if err != nil {

@@ -10,6 +10,7 @@ import (
 
 	"resultdb/internal/catalog"
 	"resultdb/internal/colstore"
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/storage"
 	"resultdb/internal/types"
@@ -433,7 +434,7 @@ func TestJoinAllGathersEachColumnOnce(t *testing.T) {
 		})
 		preds = append(preds, JoinPred{LeftRel: "f", LeftCol: fmt.Sprintf("c%d", d), RightRel: alias, RightCol: "c0"})
 	}
-	ex, spec := &Executor{Parallelism: 1}, &SPJSpec{JoinPreds: preds}
+	ex, spec := &Executor{Run: parallel.NewRun(1)}, &SPJSpec{JoinPreds: preds}
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -537,7 +538,7 @@ func TestHashJoinMatchesNestedLoopOracle(t *testing.T) {
 		for lf, lrel := range keyForms(FromRows(lCols, c.l)) {
 			for rf, rrel := range keyForms(FromRows(c.rCols, c.r)) {
 				for _, par := range []int{1, 4} {
-					got := HashJoin(lrel, rrel, []int{0}, []int{0}, par, nil)
+					got := HashJoin(lrel, rrel, []int{0}, []int{0}, parallel.NewRun(par), nil)
 					what := fmt.Sprintf("%s, l %s, r %s, par=%d", c.name, lf, rf, par)
 					identicalRows(t, what, got, FromRows(concatCols(lCols, c.rCols), want))
 				}
@@ -581,7 +582,7 @@ func TestJoinOutputSharesDictionaries(t *testing.T) {
 	}
 	for _, n := range []int{400, 4000} {
 		l, r := side("l", n), side("r", n/2)
-		fold := HashJoin(l, r, []int{0}, []int{0}, 4, nil)
+		fold := HashJoin(l, r, []int{0}, []int{0}, parallel.NewRun(4), nil)
 		if fold.Len() == 0 {
 			t.Fatal("test setup: join produced no rows")
 		}
@@ -599,12 +600,12 @@ func TestJoinOutputSharesDictionaries(t *testing.T) {
 				want = append(want, row)
 			}
 		}
-		got := SemiJoin(l, []int{1}, fold, []int{1}, 1, nil)
+		got := SemiJoin(l, []int{1}, fold, []int{1}, parallel.NewRun(1), nil)
 		identicalRows(t, "base ⋉ fold over TEXT", got, FromRows(l.Cols, want))
-		if out := SemiJoin(fold, []int{1}, l, []int{1}, 1, nil); out != fold {
+		if out := SemiJoin(fold, []int{1}, l, []int{1}, parallel.NewRun(1), nil); out != fold {
 			t.Error("fold ⋉ base over its own TEXT column dropped rows")
 		}
-		if a := testing.AllocsPerRun(5, func() { SemiJoin(l, []int{1}, fold, []int{1}, 1, nil) }); a > 16 {
+		if a := testing.AllocsPerRun(5, func() { SemiJoin(l, []int{1}, fold, []int{1}, parallel.NewRun(1), nil) }); a > 16 {
 			t.Errorf("n=%d: base ⋉ fold over a shared dictionary allocates %v objects", n, a)
 		}
 	}
@@ -615,7 +616,7 @@ func TestSemiJoinExported(t *testing.T) {
 	r := FromRows([]ColRef{{Rel: "r", Name: "k"}}, []types.Row{ir(2), ir(4)})
 	for _, lrel := range keyForms(l) {
 		for _, rrel := range keyForms(r) {
-			out := SemiJoin(lrel, []int{0}, rrel, []int{0}, 1, nil)
+			out := SemiJoin(lrel, []int{0}, rrel, []int{0}, parallel.NewRun(1), nil)
 			expectRows(t, out, "2", "2")
 			if out.Vec.Frame != lrel.Vec.Frame {
 				t.Error("semi-join output is not a selection over its input's frame")
@@ -651,7 +652,7 @@ func allocBytes(fn func()) uint64 {
 func TestSemiJoinAllocations(t *testing.T) {
 	allocs := func(n int) float64 {
 		l, r := intsRelation(n), intsRelation(n/2) // half of l survives
-		return testing.AllocsPerRun(10, func() { SemiJoin(l, []int{0}, r, []int{0}, 1, nil) })
+		return testing.AllocsPerRun(10, func() { SemiJoin(l, []int{0}, r, []int{0}, parallel.NewRun(1), nil) })
 	}
 	if few, many := allocs(100), allocs(10000); many != few || many > 16 {
 		t.Errorf("SemiJoin: %v allocations over 100 keys, %v over 10000", few, many)
@@ -666,7 +667,7 @@ func TestSemiJoinAllocations(t *testing.T) {
 		}
 		probe := FromRows(build.Cols, rows)
 		return allocBytes(func() {
-			if out := SemiJoin(probe, []int{0}, build, []int{0}, 1, nil); out.Len() != n/2 {
+			if out := SemiJoin(probe, []int{0}, build, []int{0}, parallel.NewRun(1), nil); out.Len() != n/2 {
 				t.Fatalf("kept %d of %d rows, want half", out.Len(), n)
 			}
 		})
@@ -675,7 +676,7 @@ func TestSemiJoinAllocations(t *testing.T) {
 		t.Errorf("SemiJoin allocates %.1f bytes per kept probe row, want under 24", perKept)
 	}
 	for form, rel := range keyForms(intsRelation(2000)) {
-		if out := SemiJoin(rel, []int{0}, rel, []int{0}, 4, nil); out != rel {
+		if out := SemiJoin(rel, []int{0}, rel, []int{0}, parallel.NewRun(4), nil); out != rel {
 			t.Errorf("%s: a semi-join that kept every row copied the relation", form)
 		}
 	}
@@ -692,7 +693,7 @@ func TestBaseRelationAllocatesNoRows(t *testing.T) {
 	}
 	src := memSource{"t": mkTable(t, "t", []catalog.Column{intCol("id"), intCol("m")}, []string{"id"}, rows...)}
 	filters := parseConjuncts(t, "t", []string{"t.id < 5000"})
-	ex := &Executor{Src: src, Parallelism: 1}
+	ex := &Executor{Src: src, Run: parallel.NewRun(1)}
 	scan := func() *Relation {
 		rel, err := ex.baseRelation(RelRef{Alias: "t", Table: "t"}, filters)
 		if err != nil {
@@ -758,7 +759,7 @@ func TestFromRowsRoundTrip(t *testing.T) {
 		t.Errorf("all-NULL BOOLEAN column is %T, want its declared kind preserved", rel.Vec.Frame.Col(3))
 	}
 	gathered := &Relation{Cols: cols, Vec: &colstore.View{
-		Frame: colstore.GatherView(rel.Vec, allCols(len(cols)), []int32{0, 1, 2, 3}, 1)}}
+		Frame: colstore.GatherView(rel.Vec, allCols(len(cols)), []int32{0, 1, 2, 3}, parallel.NewRun(1))}}
 	for name, r := range map[string]*Relation{"FromRows": rel, "gathered": gathered} {
 		if got := r.Vec.Rows(); !reflect.DeepEqual(got, rows) {
 			t.Errorf("%s: Rows() = %v, want %v", name, got, rows)

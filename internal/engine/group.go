@@ -36,7 +36,7 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 		return nil, err
 	}
 	if sel.Distinct && len(sel.GroupBy) == 0 {
-		joined = joined.Distinct(e.Parallelism)
+		joined = joined.Distinct(e.Run)
 	}
 
 	bySQL := map[string]int{}
@@ -59,7 +59,7 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 	// gathered from no row at all.
 	first, gid := []int32{-1}, make([]int32, joined.Len())
 	if len(sel.GroupBy) > 0 {
-		first = colstore.GroupPositions(keys.Key(allCols(len(keys.Cols))), e.Parallelism, gid)
+		first = colstore.GroupPositions(keys.Key(allCols(len(keys.Cols))), e.Run, gid)
 	}
 
 	// Every distinct aggregate call of the select list and HAVING, once.
@@ -89,7 +89,7 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 		grouped.Cols = append(grouped.Cols, ColRef{Name: f.SQL(), Kind: kind})
 	}
 	grouped.Vec = &colstore.View{Frame: colstore.Zip(
-		colstore.GatherView(keys.Vec, allCols(len(keys.Cols)), first, e.Parallelism),
+		colstore.GatherView(keys.Vec, allCols(len(keys.Cols)), first, e.Run),
 		colstore.FrameOf(len(first), aggCols))}
 
 	b := e.binder(grouped.Cols)
@@ -106,7 +106,7 @@ func (e *Executor) selectGrouped(sel *sqlparse.Select) (*Relation, error) {
 		return nil, err
 	}
 	if sel.Distinct && len(sel.GroupBy) > 0 {
-		out = out.Distinct(e.Parallelism)
+		out = out.Distinct(e.Run)
 	}
 	return e.finish(out, sel)
 }

@@ -14,15 +14,15 @@ import (
 // crossJoin is the Cartesian product l × r (a join with no equi predicate).
 // Output schema is l's columns followed by r's, rows in l-major order — every
 // (l position, r position) pair, gathered like any join output. A non-nil sp
-// records the wall time, the effective degree, and the morsel count; a nil sp
-// skips all clock reads.
-func crossJoin(l, r *Relation, par int, sp *trace.Span) *Relation {
+// records the wall time and the morsel count; a nil sp skips all clock
+// reads.
+func crossJoin(l, r *Relation, run parallel.Run, sp *trace.Span) *Relation {
 	var t0 time.Time
 	if sp != nil {
 		t0 = time.Now()
 	}
-	lpos, rpos := crossPositions(l.Len(), r.Len(), par, sp)
-	out := gatherPairs(l, r, lpos, rpos, par)
+	lpos, rpos := crossPositions(l.Len(), r.Len(), run, sp)
+	out := gatherPairs(l, r, lpos, rpos, run)
 	if sp != nil {
 		sp.ProbeNS = time.Since(t0).Nanoseconds()
 	}
@@ -31,12 +31,11 @@ func crossJoin(l, r *Relation, par int, sp *trace.Span) *Relation {
 
 // crossPositions lists the pairs of an nl × nr Cartesian product, l-major:
 // lpos[i] and rpos[i] are the two sides' positions in output row i. A non-nil
-// sp records the effective degree, the morsel count and the time taken.
-func crossPositions(nl, nr, par int, sp *trace.Span) (lpos, rpos []int32) {
+// sp records the morsel count and the time taken.
+func crossPositions(nl, nr int, run parallel.Run, sp *trace.Span) (lpos, rpos []int32) {
 	var t0 time.Time
 	if sp != nil {
-		sp.Par = parallel.Degree(par)
-		sp.Morsels = parallel.Chunks(nl, par)
+		sp.Morsels = run.Chunks(nl)
 		t0 = time.Now()
 	}
 	lpos, rpos = make([]int32, 0, nl*nr), make([]int32, 0, nl*nr)
@@ -65,7 +64,6 @@ func crossPositions(nl, nr, par int, sp *trace.Span) (lpos, rpos []int32) {
 // pure after binding, so concurrent evaluation is safe); per-chunk buffers
 // keep the output order identical to the serial loop.
 func (e *Executor) joinOn(l, r *Relation, on sqlparse.Expr, outer bool) (*Relation, error) {
-	par := e.Parallelism
 	// Split ON into hashable equi pairs and a residual.
 	var lCols, rCols []int
 	var residual []sqlparse.Expr
@@ -79,7 +77,7 @@ func (e *Executor) joinOn(l, r *Relation, on sqlparse.Expr, outer bool) (*Relati
 		residual = append(residual, c)
 	}
 	if len(lCols) > 0 && len(residual) == 0 && !outer {
-		return equiJoin(l, r, lCols, rCols, false, par, nil), nil
+		return equiJoin(l, r, lCols, rCols, false, e.Run, nil), nil
 	}
 	b := e.binder(concatCols(l.Cols, r.Cols))
 	var check boundExpr
@@ -96,10 +94,10 @@ func (e *Executor) joinOn(l, r *Relation, on sqlparse.Expr, outer bool) (*Relati
 	var ht *colstore.HashTable
 	var pk colstore.Key
 	if len(lCols) > 0 {
-		ht = colstore.BuildHashTable(r.Key(rCols), par)
+		ht = colstore.BuildHashTable(r.Key(rCols), e.Run)
 		pk = l.Key(lCols)
 	}
-	pairs, err := parallel.MapErr(l.Len(), par, func(lo, hi int) ([]joinPair, error) {
+	pairs, err := parallel.MapErr(e.Run, l.Len(), func(lo, hi int) ([]joinPair, error) {
 		out := make([]joinPair, 0, hi-lo)
 		row := make(types.Row, len(b.cols))
 		loadL, loadR := b.cursor(row, l.Vec.Frame, 0), b.cursor(row, r.Vec.Frame, len(l.Cols))
@@ -148,7 +146,7 @@ func (e *Executor) joinOn(l, r *Relation, on sqlparse.Expr, outer bool) (*Relati
 		return nil, err
 	}
 	lpos, rpos := splitPairs(pairs)
-	return gatherPairs(l, r, lpos, rpos, par), nil
+	return gatherPairs(l, r, lpos, rpos, e.Run), nil
 }
 
 // equiPair recognizes an ON conjunct "x = y" where one side resolves in l

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"resultdb/internal/catalog"
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/storage"
 	"resultdb/internal/types"
@@ -163,7 +164,7 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 				if len(rest) != 0 {
 					t.Fatalf("%s has no kernel", rest[0].SQL())
 				}
-				e := &Executor{Src: memSource{"r": tab}, Parallelism: par}
+				e := &Executor{Src: memSource{"r": tab}, Run: parallel.NewRun(par)}
 				view, err := e.filterView(f, nil, rel, kernels, residualPart)
 				if err != nil {
 					t.Fatal(err)
@@ -227,7 +228,7 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 				filters := parseConjuncts(t, "r", preds)
 				want := boundSelection(t, rel, tabRows, filters)
 				for _, par := range []int{1, 4} {
-					e := &Executor{Src: memSource{"r": tab}, Parallelism: par}
+					e := &Executor{Src: memSource{"r": tab}, Run: parallel.NewRun(par)}
 					got, err := e.baseRelation(RelRef{Alias: "r", Table: "r"}, filters)
 					if err != nil {
 						t.Fatal(err)
@@ -275,7 +276,7 @@ func TestKernelSelectionMatchesBoundExpression(t *testing.T) {
 func TestScanConjunctionShortCircuitsErrors(t *testing.T) {
 	tab := mkTable(t, "m", []catalog.Column{intCol("id"), intCol("n")}, nil,
 		ir(1, nil), ir(2, 5))
-	e := &Executor{Src: memSource{"m": tab}, Parallelism: 1}
+	e := &Executor{Src: memSource{"m": tab}, Run: parallel.NewRun(1)}
 	scan := func(preds ...string) (*Relation, error) {
 		return e.baseRelation(RelRef{Alias: "m", Table: "m"}, parseConjuncts(t, "m", preds))
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/types"
 )
@@ -59,14 +60,14 @@ func TestHashJoinParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	l := bigRelation(rng, "l", 5000, 97)
 	r := bigRelation(rng, "r", 3000, 97)
-	want := HashJoin(l, r, []int{1}, []int{1}, 1, nil)
+	want := HashJoin(l, r, []int{1}, []int{1}, parallel.NewRun(1), nil)
 	if want.Len() == 0 {
 		t.Fatal("test setup: join produced no rows")
 	}
 	for lf, lrel := range keyForms(l) {
 		for rf, rrel := range keyForms(r) {
 			for _, par := range append([]int{1}, sweepDegrees...) {
-				got := HashJoin(lrel, rrel, []int{1}, []int{1}, par, nil)
+				got := HashJoin(lrel, rrel, []int{1}, []int{1}, parallel.NewRun(par), nil)
 				identicalRows(t, fmt.Sprintf("HashJoin l as %s, r as %s, par=%d", lf, rf, par), got, want)
 			}
 		}
@@ -77,7 +78,7 @@ func TestHashJoinParallelCrossProduct(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	l := bigRelation(rng, "l", 1200, 7)
 	r := bigRelation(rng, "r", 3, 7)
-	want := HashJoin(l, r, nil, nil, 1, nil)
+	want := HashJoin(l, r, nil, nil, parallel.NewRun(1), nil)
 	if want.Len() != l.Len()*r.Len() {
 		t.Fatalf("cross product has %d rows, want %d", want.Len(), l.Len()*r.Len())
 	}
@@ -89,7 +90,7 @@ func TestHashJoinParallelCrossProduct(t *testing.T) {
 	}
 	identicalRows(t, "cross par=1 vs nested loop", want, FromRows(want.Cols, scan))
 	for _, par := range sweepDegrees {
-		got := HashJoin(l, r, nil, nil, par, nil)
+		got := HashJoin(l, r, nil, nil, parallel.NewRun(par), nil)
 		identicalRows(t, fmt.Sprintf("cross par=%d", par), got, want)
 	}
 }
@@ -98,7 +99,7 @@ func TestSemiJoinParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	l := bigRelation(rng, "l", 6000, 211)
 	r := bigRelation(rng, "r", 500, 211)
-	want := SemiJoin(l, []int{1}, r, []int{1}, 1, nil)
+	want := SemiJoin(l, []int{1}, r, []int{1}, parallel.NewRun(1), nil)
 	if want.Len() == 0 || want.Len() == l.Len() {
 		t.Fatalf("test setup: semi-join kept %d of %d rows (want a strict subset)",
 			want.Len(), l.Len())
@@ -106,7 +107,7 @@ func TestSemiJoinParallelMatchesSerial(t *testing.T) {
 	for lf, lrel := range keyForms(l) {
 		for rf, rrel := range keyForms(r) {
 			for _, par := range append([]int{1}, sweepDegrees...) {
-				got := SemiJoin(lrel, []int{1}, rrel, []int{1}, par, nil)
+				got := SemiJoin(lrel, []int{1}, rrel, []int{1}, parallel.NewRun(par), nil)
 				identicalRows(t, fmt.Sprintf("SemiJoin l as %s, r as %s, par=%d", lf, rf, par), got, want)
 			}
 		}
@@ -133,14 +134,14 @@ func TestDistinctParMatchesSerial(t *testing.T) {
 	want := FromRows(rel.Cols, first)
 	for form, frel := range keyForms(rel) {
 		for _, par := range append([]int{1}, sweepDegrees...) {
-			identicalRows(t, fmt.Sprintf("Distinct on %s, par=%d", form, par), frel.Distinct(par), want)
+			identicalRows(t, fmt.Sprintf("Distinct on %s, par=%d", form, par), frel.Distinct(parallel.NewRun(par)), want)
 		}
 	}
 	// Project+dedup in one step finds the same rows from the unprojected
 	// relation.
 	for form, frel := range keyForms(full) {
 		for _, par := range append([]int{1}, sweepDegrees...) {
-			got := frel.ProjectDistinctPar([]int{1, 2}, par)
+			got := frel.ProjectDistinctPar([]int{1, 2}, parallel.NewRun(par))
 			identicalRows(t, fmt.Sprintf("ProjectDistinctPar on %s, par=%d", form, par), got, want)
 		}
 	}
@@ -179,7 +180,7 @@ func TestFilterParallelMatchesSerial(t *testing.T) {
 	want := FromRows(rel.Cols, keep)
 	for form, frel := range keyForms(rel) {
 		for _, par := range append([]int{1}, sweepDegrees...) {
-			got, err := (&Executor{Parallelism: par}).filter(frel, cond)
+			got, err := (&Executor{Run: parallel.NewRun(par)}).filter(frel, cond)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,12 +198,12 @@ func TestFilterParallelErrorMatchesSerial(t *testing.T) {
 	// Division by zero on the one row whose id is 4999, deep in the input:
 	// the error surfaces at every degree.
 	cond := parseConjuncts(t, "e", []string{"100 / (e.id - 4999) < 1000"})[0]
-	_, wantErr := (&Executor{Parallelism: 1}).filter(rel, cond)
+	_, wantErr := (&Executor{Run: parallel.NewRun(1)}).filter(rel, cond)
 	if wantErr == nil {
 		t.Fatal("test setup: serial filter did not error")
 	}
 	for _, par := range sweepDegrees {
-		_, err := (&Executor{Parallelism: par}).filter(rel, cond)
+		_, err := (&Executor{Run: parallel.NewRun(par)}).filter(rel, cond)
 		if err == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("par=%d: error %v, want %v", par, err, wantErr)
 		}
@@ -228,7 +229,7 @@ func TestJoinAllParallelMatchesSerial(t *testing.T) {
 		return m
 	}
 	spec := &SPJSpec{JoinPreds: preds}
-	want, err := (&Executor{Parallelism: 1}).JoinAll(spec, clone(), nil)
+	want, err := (&Executor{Run: parallel.NewRun(1)}).JoinAll(spec, clone(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestJoinAllParallelMatchesSerial(t *testing.T) {
 		t.Fatal("test setup: join produced no rows")
 	}
 	for _, par := range sweepDegrees {
-		got, err := (&Executor{Parallelism: par}).JoinAll(spec, clone(), nil)
+		got, err := (&Executor{Run: parallel.NewRun(par)}).JoinAll(spec, clone(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,9 +263,9 @@ func TestSequentialParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
-		want, wantErr := (&Executor{Src: src, Parallelism: 1}).Select(sel)
+		want, wantErr := (&Executor{Src: src, Run: parallel.NewRun(1)}).Select(sel)
 		for _, par := range []int{2, 4} {
-			got, err := (&Executor{Src: src, Parallelism: par}).Select(sel)
+			got, err := (&Executor{Src: src, Run: parallel.NewRun(par)}).Select(sel)
 			if wantErr != nil {
 				if err == nil || err.Error() != wantErr.Error() {
 					t.Fatalf("par=%d: error %v, want %v\nsql: %s", par, err, wantErr, sql)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 
 	"resultdb/internal/colstore"
+	"resultdb/internal/parallel"
 	"resultdb/internal/types"
 )
 
@@ -121,11 +122,10 @@ func (r *Relation) Project(cols []int) *Relation {
 }
 
 // Distinct returns r with duplicate rows removed (first occurrence wins), at
-// degree of parallelism par: the rows at colstore.DistinctPositions over
-// every column, so the result is the same rows in the same order at any
-// degree.
-func (r *Relation) Distinct(par int) *Relation {
-	return r.Narrow(colstore.DistinctPositions(r.Key(allCols(len(r.Cols))), par))
+// run's degree: the rows at colstore.DistinctPositions over every column, so
+// the result is the same rows in the same order at any degree.
+func (r *Relation) Distinct(run parallel.Run) *Relation {
+	return r.Narrow(colstore.DistinctPositions(r.Key(allCols(len(r.Cols))), run))
 }
 
 // allCols lists the column positions 0..n-1.

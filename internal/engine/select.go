@@ -20,11 +20,10 @@ import (
 // statistics.
 type Executor struct {
 	Src Source
-	// Parallelism is the degree of intra-query parallelism for joins,
-	// filters, semi-joins and DISTINCT: 0 resolves to GOMAXPROCS, 1 forces
-	// serial execution. Results are identical at any degree (deterministic
-	// morsel merge).
-	Parallelism int
+	// Run is the statement's run: the degree of its joins, filters,
+	// semi-joins and DISTINCT. The zero Run is serial. Results are identical
+	// at any degree (deterministic morsel merge).
+	Run parallel.Run
 	// StatsOf resolves table statistics by table name. When set, the greedy
 	// SPJ join order scores candidates by estimated join output instead of
 	// raw cardinality (see JoinAll), and internal/core plans reduction with
@@ -66,7 +65,7 @@ func (e *Executor) Select(sel *sqlparse.Select) (*Relation, error) {
 				return nil, err
 			}
 			if sel.Distinct {
-				out = out.Distinct(e.Parallelism)
+				out = out.Distinct(e.Run)
 			}
 			if sp := e.Tracer.Span("project", projectionLabel(spec)); sp != nil {
 				sp.RowsIn = joined.Len()
@@ -103,7 +102,7 @@ func (e *Executor) finish(rel *Relation, sel *sqlparse.Select) (*Relation, error
 			keys[i] = idx
 			desc[i] = o.Desc
 		}
-		rel = rel.sortBy(keys, desc)
+		rel = rel.sortBy(keys, desc, e.Run)
 	}
 	if sel.Limit != nil && int64(rel.Len()) > *sel.Limit {
 		rel = rel.Narrow(allPositions(int(*sel.Limit)))
@@ -113,8 +112,8 @@ func (e *Executor) finish(rel *Relation, sel *sqlparse.Select) (*Relation, error
 
 // sortBy returns r stably ordered by the given key columns (ascending unless
 // desc): the key columns' values are boxed once, a permutation is sorted over
-// them, and every column is gathered in that order.
-func (r *Relation) sortBy(keys []int, desc []bool) *Relation {
+// them, and every column is gathered in that order, at run's degree.
+func (r *Relation) sortBy(keys []int, desc []bool, run parallel.Run) *Relation {
 	vals := make([][]types.Value, len(keys))
 	for k, col := range keys {
 		vals[k] = make([]types.Value, r.Len())
@@ -136,7 +135,7 @@ func (r *Relation) sortBy(keys []int, desc []bool) *Relation {
 		}
 		return false
 	})
-	f := colstore.GatherView(r.Vec, allCols(len(r.Cols)), order, 0)
+	f := colstore.GatherView(r.Vec, allCols(len(r.Cols)), order, run)
 	return &Relation{Cols: r.Cols, Vec: &colstore.View{Frame: f}}
 }
 
@@ -231,7 +230,7 @@ func (e *Executor) AliasStats(spec *SPJSpec) map[string]*stats.Table {
 // row order. Each hash join runs at the executor's degree and records one
 // span on its tracer, with the estimate when there is one.
 func (e *Executor) JoinAll(spec *SPJSpec, rels map[string]*Relation, project []Attr) (*Relation, error) {
-	preds, st, par, tr := spec.JoinPreds, e.AliasStats(spec), e.Parallelism, e.Tracer
+	preds, st, run, tr := spec.JoinPreds, e.AliasStats(spec), e.Run, e.Tracer
 	remaining := make(map[string]*Relation, len(rels))
 	for k, v := range rels {
 		remaining[k] = v
@@ -290,7 +289,7 @@ func (e *Executor) JoinAll(spec *SPJSpec, rels map[string]*Relation, project []A
 		}
 		nrel := remaining[next]
 		delete(remaining, next)
-		if err := cur.join(inSet, next, nrel, preds, par, tr, estOut); err != nil {
+		if err := cur.join(inSet, next, nrel, preds, run, tr, estOut); err != nil {
 			return nil, err
 		}
 		inSet[next] = true
@@ -306,7 +305,7 @@ func (e *Executor) JoinAll(spec *SPJSpec, rels map[string]*Relation, project []A
 		}
 		cols[i] = idx
 	}
-	return cur.relation(cols, par), nil
+	return cur.relation(cols, run), nil
 }
 
 // estJoin estimates |cur ⋈ rel| for the candidate alias: |cur|·|rel| through
@@ -370,14 +369,14 @@ func (j *joined) at(c int) (k, col int) {
 // key addresses the schema columns cols of the joined rows: the seed's own
 // view while it is alone, else those columns alone gathered through their
 // relations' positions.
-func (j *joined) key(cols []int, par int) colstore.Key {
+func (j *joined) key(cols []int, run parallel.Run) colstore.Key {
 	if j.pos == nil {
 		return j.rels[0].Key(cols)
 	}
 	kc := make([]colstore.Column, len(cols))
 	for i, c := range cols {
 		k, col := j.at(c)
-		kc[i] = colstore.GatherView(j.rels[k].Vec, []int{col}, j.pos[k], par).Col(0)
+		kc[i] = colstore.GatherView(j.rels[k].Vec, []int{col}, j.pos[k], run).Col(0)
 	}
 	return colstore.ViewKey(&colstore.View{Frame: colstore.FrameOf(j.n, kc)}, allCols(len(cols)))
 }
@@ -388,7 +387,7 @@ func (j *joined) key(cols []int, par int) colstore.Key {
 // builds — or as a Cartesian product when none links them. estOut, when
 // non-zero, is the planner's estimated output cardinality, recorded in the
 // span's strippable bracket.
-func (j *joined) join(inSet map[string]bool, next string, nrel *Relation, preds []JoinPred, par int, tr *trace.Tracer, estOut int) error {
+func (j *joined) join(inSet map[string]bool, next string, nrel *Relation, preds []JoinPred, run parallel.Run, tr *trace.Tracer, estOut int) error {
 	// Gather every join predicate between `next` and the joined set.
 	var lCols, rCols []int
 	for _, p := range preds {
@@ -431,11 +430,11 @@ func (j *joined) join(inSet map[string]bool, next string, nrel *Relation, preds 
 	}
 	var lpos, rpos []int32
 	if len(lCols) == 0 {
-		lpos, rpos = crossPositions(j.n, nrel.Len(), par, sp)
+		lpos, rpos = crossPositions(j.n, nrel.Len(), run, sp)
 	} else {
-		lpos, rpos = equiPositions(j.key(lCols, par), nrel.Key(rCols), nrel.Len() > j.n, par, sp)
+		lpos, rpos = equiPositions(j.key(lCols, run), nrel.Key(rCols), nrel.Len() > j.n, run, sp)
 	}
-	j.extend(nrel, lpos, rpos, par)
+	j.extend(nrel, lpos, rpos, run)
 	if sp != nil {
 		sp.RowsOut = j.n
 	}
@@ -445,12 +444,12 @@ func (j *joined) join(inSet map[string]bool, next string, nrel *Relation, preds 
 // extend makes the joined rows those of the join with nrel whose row i is
 // joined row lpos[i] and nrel's row rpos[i]: every relation's positions are
 // read through lpos, and rpos are nrel's.
-func (j *joined) extend(nrel *Relation, lpos, rpos []int32, par int) {
+func (j *joined) extend(nrel *Relation, lpos, rpos []int32, run parallel.Run) {
 	if j.pos == nil {
 		j.pos = [][]int32{lpos}
 	} else {
 		pos := make([][]int32, len(j.pos))
-		parallel.Each(len(pos), par, func(k int) {
+		run.Each(len(pos), func(k int) {
 			pos[k] = make([]int32, len(lpos))
 			for i, p := range lpos {
 				pos[k][i] = j.pos[k][p]
@@ -468,7 +467,7 @@ func (j *joined) extend(nrel *Relation, lpos, rpos []int32, par int) {
 // (nil: every column in schema order), gathering each distinct column once:
 // one gather per relation, of its columns among cols, through its positions.
 // Before the first join it is the seed itself, projected.
-func (j *joined) relation(cols []int, par int) *Relation {
+func (j *joined) relation(cols []int, run parallel.Run) *Relation {
 	if j.pos == nil {
 		if cols == nil {
 			return j.rels[0]
@@ -489,7 +488,7 @@ func (j *joined) relation(cols []int, par int) *Relation {
 		if len(mine) == 0 {
 			continue
 		}
-		f := colstore.GatherView(rel.Vec, mine, j.pos[k], par)
+		f := colstore.GatherView(rel.Vec, mine, j.pos[k], run)
 		for i, c := range cols {
 			if kc, col := j.at(c); kc == k {
 				out[i] = f.Col(slices.Index(mine, col))
@@ -558,7 +557,7 @@ func (e *Executor) selectSequential(sel *sqlparse.Select) (*Relation, error) {
 		if cur == nil {
 			cur = base
 		} else {
-			cur = crossJoin(cur, base, e.Parallelism, nil) // comma join
+			cur = crossJoin(cur, base, e.Run, nil) // comma join
 		}
 		for _, j := range item.Joins {
 			right, err := e.baseRelation(RelRef{Alias: j.Ref.Name(), Table: j.Ref.Table}, nil)
@@ -584,7 +583,7 @@ func (e *Executor) selectSequential(sel *sqlparse.Select) (*Relation, error) {
 		return nil, err
 	}
 	if sel.Distinct {
-		out = out.Distinct(e.Parallelism)
+		out = out.Distinct(e.Run)
 	}
 	return e.finish(out, sel)
 }
@@ -700,7 +699,7 @@ func (e *Executor) project(rel *Relation, items []projItem, b *binder) (*Relatio
 	}
 	shared := rel.Vec.Frame.Project(srcs)
 	if rel.Vec.Sel != nil {
-		shared = colstore.GatherView(rel.Vec, srcs, allPositions(n), e.Parallelism)
+		shared = colstore.GatherView(rel.Vec, srcs, allPositions(n), e.Run)
 	}
 	cols := make([]colstore.Column, len(items))
 	next := 0

@@ -6,6 +6,7 @@ import (
 
 	"resultdb/internal/catalog"
 	"resultdb/internal/colstore"
+	"resultdb/internal/parallel"
 	"resultdb/internal/sqlparse"
 	"resultdb/internal/types"
 )
@@ -50,7 +51,7 @@ func factSource(t *testing.T, n int) memSource {
 // here.
 func TestSequentialOperatorsBoxNoInput(t *testing.T) {
 	const n = 10000
-	ex := &Executor{Src: factSource(t, n), Parallelism: 1}
+	ex := &Executor{Src: factSource(t, n), Run: parallel.NewRun(1)}
 	for _, c := range []struct {
 		name, sql string
 		rows      int

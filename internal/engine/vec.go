@@ -18,7 +18,7 @@ package engine
 // longest prefix of the pushed-down conjuncts that maps onto typed kernels
 // runs columnar (dictionary-mask text predicates, typed numeric comparisons,
 // IS NULL tests), each kernel clearing the bits of the rows it fails in a
-// mask of the candidates, and parallel.Positions writes the survivors once,
+// mask of the candidates, and parallel.Run.Positions writes the survivors once,
 // as it writes a semi-join's; the remaining conjuncts are bound and
 // evaluated row-at-a-time over the survivors, in order. All kernels are error-free, and
 // either way a row is dropped at the first conjunct that is not TRUE. That
@@ -72,8 +72,7 @@ func (e *Executor) ScanRows(r RelRef, filters []sqlparse.Expr, sel []int32) (*Re
 			sp.Detail = sqlparse.AndAll(filters).SQL()
 		}
 		sp.RowsIn = f.Rows()
-		sp.Par = parallel.Degree(e.Parallelism)
-		sp.Morsels = parallel.Chunks(f.Rows(), e.Parallelism)
+		sp.Morsels = e.Run.Chunks(f.Rows())
 		sp.Dict = f.DictEntries()
 		t0 = time.Now()
 	}
@@ -96,7 +95,7 @@ func (e *Executor) ScanRows(r RelRef, filters []sqlparse.Expr, sel []int32) (*Re
 func (e *Executor) filterView(f *colstore.Frame, sel []int32, cols []ColRef, kernels []colstore.Kernel, residual []sqlparse.Expr) (*colstore.View, error) {
 	view := &colstore.View{Frame: f, Sel: sel}
 	if len(kernels) > 0 {
-		view.Sel = colstore.RunKernels(f.Rows(), sel, kernels, e.Parallelism)
+		view.Sel = colstore.RunKernels(f.Rows(), sel, kernels, e.Run)
 	}
 	if len(residual) == 0 {
 		return view, nil
@@ -124,7 +123,7 @@ func (e *Executor) keep(view *colstore.View, b *binder, conds []sqlparse.Expr) (
 			return nil, err
 		}
 	}
-	return parallel.MapErr(view.Len(), e.Parallelism, func(lo, hi int) ([]int32, error) {
+	return parallel.MapErr(e.Run, view.Len(), func(lo, hi int) ([]int32, error) {
 		out := make([]int32, 0, hi-lo)
 		row := make(types.Row, len(b.cols))
 		load := b.cursor(row, view.Frame, 0)
@@ -427,18 +426,17 @@ func compileKernel(f *colstore.Frame, cols []ColRef, e sqlparse.Expr) (colstore.
 // primitive of the paper's reduction phase (Section 4.1). The build side's
 // distinct keys go into a position-based key set (no per-row key projection,
 // dictionary-hash text keys), the probe over l's rows runs in parallel chunks
-// at degree par (0 = auto, 1 = serial) marking the rows it keeps in bit
-// masks, the kept positions are written once into a selection vector of
-// exactly their number (parallel.Positions), and l's selection is narrowed
-// to it, which the narrowed view takes over — no row or value is copied, no
-// position twice, and when every row survives, l itself is returned. A non-nil sp
-// records the build/probe wall-time split, degree, and morsel count; nil
-// skips all clock reads.
-func SemiJoin(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *trace.Span) *Relation {
+// at run's degree marking the rows it keeps in bit masks, the kept positions
+// are written once into a selection vector of exactly their number
+// (Run.Positions), and l's selection is narrowed to it, which the narrowed
+// view takes over — no row or value is copied, no position twice, and when
+// every row survives, l itself is returned. A non-nil sp records the
+// build/probe wall-time split and the morsel count; nil skips all clock
+// reads.
+func SemiJoin(l *Relation, lCols []int, r *Relation, rCols []int, run parallel.Run, sp *trace.Span) *Relation {
 	var t0 time.Time
 	if sp != nil {
-		sp.Par = parallel.Degree(par)
-		sp.Morsels = parallel.Chunks(l.Len(), par)
+		sp.Morsels = run.Chunks(l.Len())
 		t0 = time.Now()
 	}
 	keys := colstore.BuildKeySet(r.Key(rCols))
@@ -447,7 +445,7 @@ func SemiJoin(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *t
 		t0 = time.Now()
 	}
 	probe := l.Key(lCols)
-	kept := parallel.Positions(l.Len(), par, func(lo, hi int, mask []uint64) int {
+	kept := run.Positions(l.Len(), func(lo, hi int, mask []uint64) int {
 		return keys.Select(probe, lo, hi, mask)
 	})
 	out := l
@@ -466,15 +464,15 @@ func SemiJoin(l *Relation, lCols []int, r *Relation, rCols []int, par int, sp *t
 //
 // The smaller input is indexed in a colstore.HashTable (hash-partitioned so
 // the build runs in parallel), the larger is probed in contiguous row chunks
-// at degree par (0 = auto, 1 = serial) with per-chunk output buffers merged
-// in input order, so the result is bit-identical to serial execution at any
-// degree. A non-nil sp records the build/probe wall-time split, the
-// effective degree, and the morsel count; nil skips all clock reads.
-func HashJoin(l, r *Relation, lCols, rCols []int, par int, sp *trace.Span) *Relation {
+// at run's degree with per-chunk output buffers merged in input order, so
+// the result is bit-identical to serial execution at any degree. A non-nil
+// sp records the build/probe wall-time split and the morsel count; nil
+// skips all clock reads.
+func HashJoin(l, r *Relation, lCols, rCols []int, run parallel.Run, sp *trace.Span) *Relation {
 	if len(lCols) == 0 {
-		return crossJoin(l, r, par, sp)
+		return crossJoin(l, r, run, sp)
 	}
-	return equiJoin(l, r, lCols, rCols, r.Len() > l.Len(), par, sp)
+	return equiJoin(l, r, lCols, rCols, r.Len() > l.Len(), run, sp)
 }
 
 // joinPair is one match of a hash probe: a row position on each side.
@@ -483,13 +481,13 @@ type joinPair struct{ build, probe int32 }
 // equiJoin is HashJoin with the build side chosen by the caller (the probe
 // side's order is the output's): the probe emits position pairs, and the
 // output frame is gathered from them once per column.
-func equiJoin(l, r *Relation, lCols, rCols []int, buildLeft bool, par int, sp *trace.Span) *Relation {
-	lpos, rpos := equiPositions(l.Key(lCols), r.Key(rCols), buildLeft, par, sp)
+func equiJoin(l, r *Relation, lCols, rCols []int, buildLeft bool, run parallel.Run, sp *trace.Span) *Relation {
+	lpos, rpos := equiPositions(l.Key(lCols), r.Key(rCols), buildLeft, run, sp)
 	var t0 time.Time
 	if sp != nil {
 		t0 = time.Now()
 	}
-	out := gatherPairs(l, r, lpos, rpos, par)
+	out := gatherPairs(l, r, lpos, rpos, run)
 	if sp != nil {
 		sp.ProbeNS += time.Since(t0).Nanoseconds()
 	}
@@ -500,27 +498,25 @@ func equiJoin(l, r *Relation, lCols, rCols []int, buildLeft bool, par int, sp *t
 // buildLeft and on rk otherwise: the position lpos[i] of lk's and rpos[i] of
 // rk's row in output row i, in the probe side's order and, for one probe row,
 // the build side's ascending. The probe runs in contiguous row chunks at
-// degree par with per-chunk output buffers merged in input order, so the
-// positions are identical at any degree. A non-nil sp records the effective
-// degree, the morsel count and the build/probe wall-time split; nil skips all
-// clock reads.
-func equiPositions(lk, rk colstore.Key, buildLeft bool, par int, sp *trace.Span) (lpos, rpos []int32) {
+// run's degree with per-chunk output buffers merged in input order, so the
+// positions are identical at any degree. A non-nil sp records the morsel
+// count and the build/probe wall-time split; nil skips all clock reads.
+func equiPositions(lk, rk colstore.Key, buildLeft bool, run parallel.Run, sp *trace.Span) (lpos, rpos []int32) {
 	build, probe := rk, lk
 	if buildLeft {
 		build, probe = lk, rk
 	}
 	var t0 time.Time
 	if sp != nil {
-		sp.Par = parallel.Degree(par)
-		sp.Morsels = parallel.Chunks(probe.Len(), par)
+		sp.Morsels = run.Chunks(probe.Len())
 		t0 = time.Now()
 	}
-	ht := colstore.BuildHashTable(build, par)
+	ht := colstore.BuildHashTable(build, run)
 	if sp != nil {
 		sp.BuildNS = time.Since(t0).Nanoseconds()
 		t0 = time.Now()
 	}
-	pairs := parallel.Map(probe.Len(), par, func(lo, hi int) []joinPair {
+	pairs := parallel.Map(run, probe.Len(), func(lo, hi int) []joinPair {
 		out := make([]joinPair, 0, hi-lo)
 		pr := ht.Prober(probe)
 		for j := lo; j < hi; j++ {
@@ -552,10 +548,10 @@ func splitPairs(pairs []joinPair) (probe, build []int32) {
 // gatherPairs materializes a join output: row i is l's row lpos[i] followed
 // by r's row rpos[i] — NULLs where rpos[i] is negative — each column gathered
 // once (TEXT dictionaries are shared with the inputs).
-func gatherPairs(l, r *Relation, lpos, rpos []int32, par int) *Relation {
+func gatherPairs(l, r *Relation, lpos, rpos []int32, run parallel.Run) *Relation {
 	f := colstore.Zip(
-		colstore.GatherView(l.Vec, allCols(len(l.Cols)), lpos, par),
-		colstore.GatherView(r.Vec, allCols(len(r.Cols)), rpos, par))
+		colstore.GatherView(l.Vec, allCols(len(l.Cols)), lpos, run),
+		colstore.GatherView(r.Vec, allCols(len(r.Cols)), rpos, run))
 	return &Relation{Cols: concatCols(l.Cols, r.Cols), Vec: &colstore.View{Frame: f}}
 }
 
@@ -565,12 +561,12 @@ func gatherPairs(l, r *Relation, lpos, rpos []int32, par int) *Relation {
 // input order, identical at any degree. Text columns share the source
 // dictionary (code copies only), which is what lets the columnar wire encoder
 // ship scan-time dictionaries without re-encoding.
-func (r *Relation) ProjectDistinctPar(cols []int, par int) *Relation {
+func (r *Relation) ProjectDistinctPar(cols []int, run parallel.Run) *Relation {
 	out := &Relation{Cols: make([]ColRef, len(cols))}
 	for i, c := range cols {
 		out.Cols[i] = r.Cols[c]
 	}
-	order := colstore.DistinctPositions(r.Key(cols), par)
-	out.Vec = &colstore.View{Frame: colstore.GatherView(r.Vec, cols, order, par)}
+	order := colstore.DistinctPositions(r.Key(cols), run)
+	out.Vec = &colstore.View{Frame: colstore.GatherView(r.Vec, cols, order, run)}
 	return out
 }

@@ -18,9 +18,9 @@
 //     inline in the caller. A worker that itself fans out (for example
 //     Decompose → Distinct) can never wait on a task that no one runs.
 //
-// The pool is shared process-wide and sized from runtime.GOMAXPROCS. The
-// effective degree of parallelism for a call is the explicit positive degree,
-// or GOMAXPROCS when it is 0; degree 1 forces the serial path.
+// The pool is shared process-wide and sized from runtime.GOMAXPROCS. A
+// statement's degree is resolved once, into its Run (NewRun), which every
+// primitive it calls reads; degree 1 forces the serial path.
 package parallel
 
 import (
@@ -35,8 +35,8 @@ import (
 // (~1µs) stays well under 1% of per-chunk work for typical row operations.
 const Threshold = 512
 
-// Degree resolves a requested degree of parallelism: a positive request wins,
-// 0 means GOMAXPROCS. The result is always >= 1.
+// Degree resolves a requested degree of parallelism for NewRun: a positive
+// request wins, 0 or a negative one means GOMAXPROCS. The result is >= 1.
 func Degree(requested int) int {
 	if requested > 0 {
 		return requested
@@ -44,23 +44,26 @@ func Degree(requested int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Chunks reports how many chunks For/Map would use for n items at the given
-// requested degree: 1 when the input is below the serial-fallback threshold
-// or the degree resolves to 1, otherwise at most Degree(degree) chunks of at
-// least Threshold items each.
-func Chunks(n, degree int) int {
-	d := Degree(degree)
-	if d <= 1 || n < 2*Threshold {
+// Run is one statement's parallel work: the degree every primitive the
+// statement calls splits its input to. It is built once per statement
+// (NewRun) and passed by value, so building and passing it allocate nothing.
+// The zero Run is serial.
+type Run struct{ degree int }
+
+// NewRun builds a run at the requested degree, resolved by Degree.
+func NewRun(requested int) Run { return Run{degree: Degree(requested)} }
+
+// Degree reports the run's degree, at least 1.
+func (r Run) Degree() int { return max(r.degree, 1) }
+
+// Chunks reports how many chunks For/Map split n items into: 1 below the
+// serial-fallback threshold or on a serial run, otherwise n/Threshold (each
+// chunk holds at least Threshold items) but at most the run's degree.
+func (r Run) Chunks(n int) int {
+	if r.degree <= 1 || n < 2*Threshold {
 		return 1
 	}
-	nc := n / Threshold
-	if nc > d {
-		nc = d
-	}
-	if nc < 1 {
-		nc = 1
-	}
-	return nc
+	return min(n/Threshold, r.degree)
 }
 
 // pool is the shared worker pool. Workers block on an unbuffered channel, so
@@ -119,7 +122,6 @@ func runChunks(nc int, run func(chunk int)) {
 	}
 	var wg sync.WaitGroup
 	for c := 1; c < nc; c++ {
-		c := c
 		wg.Add(1)
 		task := func() {
 			defer wg.Done()
@@ -141,11 +143,11 @@ func runChunks(nc int, run func(chunk int)) {
 // For runs body over contiguous sub-ranges of [0, n) in parallel. body must
 // only touch state owned by its range (e.g. disjoint slice elements). Serial
 // below the threshold; see Chunks.
-func For(n, degree int, body func(lo, hi int)) {
+func (r Run) For(n int, body func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	nc := Chunks(n, degree)
+	nc := r.Chunks(n)
 	if nc <= 1 {
 		body(0, n)
 		return
@@ -158,18 +160,11 @@ func For(n, degree int, body func(lo, hi int)) {
 
 // Each runs body(0..k-1) in parallel with no serial-fallback threshold: the
 // items are assumed to be coarse independent tasks (one relation each, say),
-// not rows. Degree 1 runs serially in order.
-func Each(k, degree int, body func(i int)) {
-	if k <= 0 {
-		return
-	}
-	d := Degree(degree)
-	nc := k
-	if nc > d {
-		nc = d
-	}
-	if d <= 1 || nc <= 1 {
-		for i := 0; i < k; i++ {
+// not rows. A serial run runs them in order.
+func (r Run) Each(k int, body func(i int)) {
+	nc := min(k, r.degree)
+	if nc <= 1 {
+		for i := range k {
 			body(i)
 		}
 		return
@@ -188,11 +183,11 @@ func Each(k, degree int, body func(i int)) {
 // variable-output operators (probes) deterministic without locks; an
 // error-free filter, whose chunks keep a subset of their range, writes one
 // exact vector with Positions instead.
-func Map[T any](n, degree int, body func(lo, hi int) []T) []T {
+func Map[T any](r Run, n int, body func(lo, hi int) []T) []T {
 	if n <= 0 {
 		return nil
 	}
-	nc := Chunks(n, degree)
+	nc := r.Chunks(n)
 	if nc <= 1 {
 		return body(0, n)
 	}
@@ -207,11 +202,11 @@ func Map[T any](n, degree int, body func(lo, hi int) []T) []T {
 // MapErr is Map for fallible bodies. On failure it returns the error of the
 // lowest-numbered failing chunk — the chunk covering the earliest rows — so
 // the reported error matches what serial execution would have hit first.
-func MapErr[T any](n, degree int, body func(lo, hi int) ([]T, error)) ([]T, error) {
+func MapErr[T any](r Run, n int, body func(lo, hi int) ([]T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
-	nc := Chunks(n, degree)
+	nc := r.Chunks(n)
 	if nc <= 1 {
 		return body(0, n)
 	}
@@ -238,11 +233,11 @@ func MapErr[T any](n, degree int, body func(lo, hi int) ([]T, error)) ([]T, erro
 // many items allocates for those few. Every scan kernel chain
 // (colstore.RunKernels) and every semi-join probe writes its selection here.
 // The result is identical at any degree, and never nil.
-func Positions(n, degree int, mark func(lo, hi int, mask []uint64) int) []int32 {
+func (r Run) Positions(n int, mark func(lo, hi int, mask []uint64) int) []int32 {
 	if n <= 0 {
 		return []int32{}
 	}
-	nc := Chunks(n, degree)
+	nc := r.Chunks(n)
 	words := make([]int, nc+1) // chunk c's mask is masks[words[c]:words[c+1]]
 	for c := range nc {
 		lo, hi := bounds(n, nc, c)

@@ -8,12 +8,25 @@ import (
 	"testing"
 )
 
+// TestDegreeResolution: a run's degree is resolved once, when it is built —
+// a positive request wins, 0 and a negative one mean GOMAXPROCS — and the
+// zero Run is serial.
 func TestDegreeResolution(t *testing.T) {
-	if got := Degree(3); got != 3 {
-		t.Fatalf("explicit degree: got %d, want 3", got)
+	procs := runtime.GOMAXPROCS(0)
+	for _, c := range []struct{ requested, want int }{{0, procs}, {1, 1}, {3, 3}, {-3, procs}} {
+		if got := Degree(c.requested); got != c.want {
+			t.Errorf("Degree(%d) = %d, want %d", c.requested, got, c.want)
+		}
+		if got := NewRun(c.requested).Degree(); got != c.want {
+			t.Errorf("NewRun(%d).Degree() = %d, want %d", c.requested, got, c.want)
+		}
 	}
-	if got := Degree(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("auto degree: got %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	var zero Run
+	if got := zero.Degree(); got != 1 {
+		t.Errorf("the zero Run has degree %d, want 1", got)
+	}
+	if got := zero.Chunks(100 * Threshold); got != 1 {
+		t.Errorf("the zero Run splits into %d chunks, want 1", got)
 	}
 }
 
@@ -31,8 +44,8 @@ func TestChunksThresholdFallback(t *testing.T) {
 		{10 * Threshold, 8, 8},  // capped by degree again
 	}
 	for _, c := range cases {
-		if got := Chunks(c.n, c.degree); got != c.want {
-			t.Errorf("Chunks(%d, %d) = %d, want %d", c.n, c.degree, got, c.want)
+		if got := NewRun(c.degree).Chunks(c.n); got != c.want {
+			t.Errorf("NewRun(%d).Chunks(%d) = %d, want %d", c.degree, c.n, got, c.want)
 		}
 	}
 }
@@ -40,7 +53,7 @@ func TestChunksThresholdFallback(t *testing.T) {
 func TestForCoversAllIndicesOnce(t *testing.T) {
 	const n = 10*Threshold + 37
 	hits := make([]int32, n)
-	For(n, 8, func(lo, hi int) {
+	NewRun(8).For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			atomic.AddInt32(&hits[i], 1)
 		}
@@ -67,7 +80,7 @@ func TestMapOrderDeterministic(t *testing.T) {
 	}
 	serial := body(0, n)
 	for _, degree := range []int{1, 2, 4, 7, runtime.GOMAXPROCS(0)} {
-		got := Map(n, degree, body)
+		got := Map(NewRun(degree), n, body)
 		if len(got) != len(serial) {
 			t.Fatalf("degree %d: len %d, want %d", degree, len(got), len(serial))
 		}
@@ -80,24 +93,24 @@ func TestMapOrderDeterministic(t *testing.T) {
 }
 
 func TestMapEmptyOutputIsNil(t *testing.T) {
-	got := Map(8*Threshold, 4, func(lo, hi int) []int { return nil })
+	got := Map(NewRun(4), 8*Threshold, func(lo, hi int) []int { return nil })
 	if got != nil {
 		t.Fatalf("all-empty map: got %v, want nil", got)
 	}
-	if got := Map(0, 4, func(lo, hi int) []int { return []int{1} }); got != nil {
+	if got := Map(NewRun(4), 0, func(lo, hi int) []int { return []int{1} }); got != nil {
 		t.Fatalf("n=0 map: got %v, want nil", got)
 	}
 }
 
 func TestMapErrLowestChunkWins(t *testing.T) {
 	const n = 8 * Threshold
-	nc := Chunks(n, 4)
+	nc := NewRun(4).Chunks(n)
 	if nc < 3 {
 		t.Skipf("need >=3 chunks, got %d", nc)
 	}
 	// Every chunk after the first fails; the error of the earliest failing
 	// chunk (covering the earliest rows) must be reported.
-	_, err := MapErr(n, 4, func(lo, hi int) ([]int, error) {
+	_, err := MapErr(NewRun(4), n, func(lo, hi int) ([]int, error) {
 		if lo == 0 {
 			return []int{1}, nil
 		}
@@ -112,7 +125,7 @@ func TestMapErrLowestChunkWins(t *testing.T) {
 	}
 
 	// No error: identical to serial.
-	got, err := MapErr(n, 4, func(lo, hi int) ([]int, error) {
+	got, err := MapErr(NewRun(4), n, func(lo, hi int) ([]int, error) {
 		out := make([]int, 0, hi-lo)
 		for i := lo; i < hi; i++ {
 			out = append(out, i)
@@ -131,7 +144,7 @@ func TestMapErrLowestChunkWins(t *testing.T) {
 
 func TestMapErrSerialPath(t *testing.T) {
 	want := errors.New("boom")
-	_, err := MapErr(10, 1, func(lo, hi int) ([]int, error) { return nil, want })
+	_, err := MapErr(NewRun(1), 10, func(lo, hi int) ([]int, error) { return nil, want })
 	if !errors.Is(err, want) {
 		t.Fatalf("got %v, want %v", err, want)
 	}
@@ -148,7 +161,7 @@ func TestPanicPropagation(t *testing.T) {
 			t.Fatalf("unexpected panic value %v", p)
 		}
 	}()
-	For(n, 4, func(lo, hi int) {
+	NewRun(4).For(n, func(lo, hi int) {
 		if lo > 0 {
 			panic("chunk panic")
 		}
@@ -161,7 +174,7 @@ func TestPanicInSerialPath(t *testing.T) {
 			t.Fatal("serial panic did not propagate")
 		}
 	}()
-	For(3, 1, func(lo, hi int) { panic("serial") })
+	NewRun(1).For(3, func(lo, hi int) { panic("serial") })
 }
 
 // TestNestedForNoDeadlock exercises fan-out from inside pool workers (the
@@ -170,8 +183,8 @@ func TestPanicInSerialPath(t *testing.T) {
 func TestNestedForNoDeadlock(t *testing.T) {
 	const outer = 16
 	var total int64
-	Each(outer, runtime.GOMAXPROCS(0), func(i int) {
-		For(4*Threshold, 4, func(lo, hi int) {
+	NewRun(runtime.GOMAXPROCS(0)).Each(outer, func(i int) {
+		NewRun(4).For(4*Threshold, func(lo, hi int) {
 			atomic.AddInt64(&total, int64(hi-lo))
 		})
 	})
@@ -184,7 +197,7 @@ func TestEachRunsEveryItem(t *testing.T) {
 	for _, degree := range []int{1, 3, 16} {
 		const k = 9
 		hits := make([]int32, k)
-		Each(k, degree, func(i int) { atomic.AddInt32(&hits[i], 1) })
+		NewRun(degree).Each(k, func(i int) { atomic.AddInt32(&hits[i], 1) })
 		for i, h := range hits {
 			if h != 1 {
 				t.Fatalf("degree %d: item %d run %d times", degree, i, h)
@@ -219,7 +232,7 @@ func TestPositionsMatchesSerialMarks(t *testing.T) {
 		return k
 	}
 	for _, degree := range []int{1, 2, 3, 4, 7, runtime.GOMAXPROCS(0)} {
-		got := Positions(n, degree, mark)
+		got := NewRun(degree).Positions(n, mark)
 		if len(got) != len(want) || cap(got) != len(want) {
 			t.Fatalf("degree %d: %d positions in a vector of %d, want %d", degree, len(got), cap(got), len(want))
 		}
@@ -229,7 +242,7 @@ func TestPositionsMatchesSerialMarks(t *testing.T) {
 			}
 		}
 	}
-	if got := Positions(0, 4, mark); got == nil || len(got) != 0 {
+	if got := NewRun(4).Positions(0, mark); got == nil || len(got) != 0 {
 		t.Fatalf("an empty domain gives %v, want an empty non-nil vector", got)
 	}
 }

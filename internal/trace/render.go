@@ -159,7 +159,7 @@ func (tr *Trace) topLevelLine(sp *Span) []string {
 }
 
 // spanLine renders one operator with its deterministic counts first and the
-// run-varying annotations (times, degree, morsels) in a trailing bracket.
+// run-varying annotations (times, morsels) in a trailing bracket.
 func spanLine(sp *Span) string {
 	var b strings.Builder
 	switch sp.Op {
@@ -212,9 +212,6 @@ func spanLine(sp *Span) string {
 	}
 	if sp.DurNS > 0 {
 		ann = append(ann, ms(sp.DurNS))
-	}
-	if sp.Par > 1 {
-		ann = append(ann, fmt.Sprintf("par %d", sp.Par))
 	}
 	if sp.Morsels > 1 {
 		ann = append(ann, fmt.Sprintf("morsels %d", sp.Morsels))

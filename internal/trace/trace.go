@@ -1,7 +1,7 @@
 // Package trace is the execution-observability layer of the reproduction:
 // a zero-dependency tracer recording per-operator spans (cardinalities,
-// build/probe wall time, parallel degree, morsel counts) while a query runs;
-// a finished trace's whole-query totals are summed from those spans.
+// build/probe wall time, morsel counts) under a header holding the degree
+// while a query runs; a finished trace's totals are summed from its spans.
 //
 // Design rules:
 //
@@ -63,8 +63,6 @@ type Span struct {
 	// describes the storage image, not the operator's result.
 	Dict int `json:"dict,omitempty"`
 
-	// Par is the effective degree of parallelism the operator ran at.
-	Par int `json:"par,omitempty"`
 	// Morsels is the number of row chunks the probe/scan was split into.
 	Morsels int `json:"morsels,omitempty"`
 	// BuildNS and ProbeNS split a join's wall time into its two phases.

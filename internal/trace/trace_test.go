@@ -108,10 +108,11 @@ func TestCountsFingerprintExcludesRunVaryingFields(t *testing.T) {
 		tr := New("q")
 		tr.SetMode("resultdb")
 		tr.SetStrategy("semijoin")
+		tr.SetParallelism(par)
 		sp := tr.Span("semi-join", "a ⋉ b")
 		sp.Phase = "bottom-up"
 		sp.RowsIn, sp.RowsOut = 100, 40
-		sp.Par, sp.Morsels = par, par*3
+		sp.Morsels = par * 3
 		sp.BuildNS, sp.ProbeNS = ns, ns*2
 		return tr.Finish()
 	}
@@ -137,11 +138,11 @@ func TestTreeLinesBracketsAreStrippable(t *testing.T) {
 	sp := tr.Span("semi-join", "a ⋉ b")
 	sp.Phase = "bottom-up"
 	sp.RowsIn, sp.RowsBuild, sp.RowsOut = 100, 20, 40
-	sp.Par, sp.Morsels, sp.BuildNS, sp.ProbeNS = 4, 7, 12345, 54321
+	sp.Morsels, sp.BuildNS, sp.ProbeNS = 4, 12345, 54321
 	lines := tr.Finish().TreeLines()
 	strip := regexp.MustCompile(`\s*\[[^\]]*\]`)
 	joined := strip.ReplaceAllString(strings.Join(lines, "\n"), "")
-	if strings.Contains(joined, "ms") || strings.Contains(joined, "par 4") || strings.Contains(joined, "morsels") {
+	if strings.Contains(joined, "ms") || strings.Contains(joined, "parallelism") || strings.Contains(joined, "morsels") {
 		t.Errorf("run-varying annotation outside brackets:\n%s", joined)
 	}
 	if !strings.Contains(joined, "semi-join a ⋉ b  rows: 100 -> 40  (source 20 rows)") {

@@ -10,6 +10,7 @@ import (
 
 	"resultdb/internal/colstore"
 	"resultdb/internal/db"
+	"resultdb/internal/parallel"
 	"resultdb/internal/types"
 	"resultdb/internal/workload/job"
 )
@@ -47,13 +48,13 @@ func TestColdJOBAllocatesForItsResult(t *testing.T) {
 	}
 	pass := func() {
 		for _, sql := range stmts {
-			res, err := sess.ExecUnboxed(sql)
+			res, run, err := sess.ExecUnboxed(sql)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, set := range res.Sets {
 				var e Encoder
-				e.encodeSetVersion(set, FormatV2, 2)
+				e.encodeSetVersion(set, FormatV2, run)
 			}
 		}
 	}
@@ -159,14 +160,14 @@ func TestWarmedDeflaterListMakesNoState(t *testing.T) {
 	}
 	blk, br := plainColV2(new(deflater), res.Sets[0], 0, n)
 	state := allocatedBy(func() { deflate(new(deflater), nil, blk[1:], br.at[:br.n]) })
-	want := EncodeResultOptions(res, EncodeOptions{Version: FormatV2, Parallelism: 1})
+	want := EncodeResultOptions(res, EncodeOptions{Version: FormatV2, Run: parallel.NewRun(1)})
 	side := func() {
 		var wg sync.WaitGroup
 		for range 2 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if got := EncodeResultOptions(res, EncodeOptions{Version: FormatV2, Parallelism: 2}); !bytes.Equal(got, want) {
+				if got := EncodeResultOptions(res, EncodeOptions{Version: FormatV2, Run: parallel.NewRun(2)}); !bytes.Equal(got, want) {
 					t.Error("a concurrent degree-2 encode gives other bytes than a serial one")
 				}
 			}()

@@ -12,6 +12,7 @@ import (
 
 	"resultdb/internal/db"
 	"resultdb/internal/faultnet"
+	"resultdb/internal/parallel"
 )
 
 // The chaos differential gate: a retrying client driven through every
@@ -62,7 +63,7 @@ const chaosQuery = "SELECT RESULTDB c.name, c.tier, o.id, o.total FROM cust AS c
 // parallelism, giving the byte-exact comparison key the gate checks client
 // results against.
 func canonical(res *db.Result) []byte {
-	return EncodeResultOptions(res, EncodeOptions{Version: FormatV1, Parallelism: 1})
+	return EncodeResultOptions(res, EncodeOptions{Version: FormatV1, Run: parallel.NewRun(1)})
 }
 
 // chaosRetry is a fast, deterministic retry policy for fault sweeps: real

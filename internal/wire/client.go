@@ -37,10 +37,16 @@ import (
 // underlying connection, so concurrent Execs queue and run one at a time
 // (open one Client per desired in-flight request for pipelining). BytesRead
 // may be read concurrently with in-flight Execs. Close may be called at any
-// time; Execs blocked on the connection fail with the close error.
+// time and does not wait for an exchange: an Exec blocked on the connection
+// fails with ErrClosed, and so does every later Exec, without dialing. A
+// closed client stays closed.
 type Client struct {
-	mu   sync.Mutex // serializes one full Exec exchange (retries included)
-	conn net.Conn
+	mu sync.Mutex // serializes one full Exec exchange (retries included)
+	// connMu guards conn and closed, so that Close, which never takes mu,
+	// and connect do not race.
+	connMu sync.Mutex
+	conn   net.Conn
+	closed bool
 	// out holds the query frame being sent, in holds the bytes read from
 	// the connection, and inflated is the decoder's inflate scratch. All
 	// three are kept from one exchange to the next, unless an exchange grew
@@ -112,12 +118,21 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 	return c, nil
 }
 
+// ErrClosed is the error of an Exec that Close ended or that came after it.
+var ErrClosed = errors.New("wire: client closed")
+
 // connect dials. Callers hold c.mu (or are inside DialOptions, before the
-// client escapes).
+// client escapes). A connection dialed while Close ran is closed at once.
 func (c *Client) connect() error {
 	conn, err := c.dial(c.addr)
 	if err != nil {
 		return err
+	}
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	if c.closed {
+		conn.Close()
+		return ErrClosed
 	}
 	c.conn = conn
 	c.in = c.in[:0] // a partial response of the last connection is dropped
@@ -200,6 +215,11 @@ func (c *Client) Exec(sql string) (*db.Result, error) {
 		if xe.Kind == KindTerminal {
 			return nil, xe
 		}
+		if c.isClosed() {
+			// Close ended the exchange: nothing is retried.
+			xe.Kind, xe.Err = KindTerminal, ErrClosed
+			return nil, xe
+		}
 		// The transport or the payload failed: the connection cannot be
 		// trusted for another exchange.
 		c.breakConn()
@@ -237,6 +257,9 @@ func (c *Client) exchange(sql string, overall time.Time) (*db.Result, *ExchangeE
 			BytesRead:  bytes,
 			Err:        err,
 		}
+	}
+	if c.isClosed() {
+		return fail(KindTerminal, 0, 0, ErrClosed)
 	}
 	if c.broken || c.conn == nil {
 		c.reconnects.Add(1)
@@ -364,11 +387,23 @@ func classifyServerErr(payload []byte) ErrorKind {
 	return KindTerminal
 }
 
-// Close tears the connection down.
+// isClosed reports whether Close has been called.
+func (c *Client) isClosed() bool {
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	return c.closed
+}
+
+// Close tears the connection down without waiting for an exchange in flight,
+// which then fails with ErrClosed, as every later Exec does. Closing a
+// closed client does nothing.
 func (c *Client) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.broken = true
+	c.connMu.Lock()
+	defer c.connMu.Unlock()
+	if c.closed {
+		return nil
+	}
+	c.closed = true
 	if c.conn == nil {
 		return nil
 	}

@@ -3,11 +3,15 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"io"
 	"math"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"resultdb/internal/db"
 	"resultdb/internal/types"
@@ -142,12 +146,12 @@ func TestClientExchangeAddsNoAllocation(t *testing.T) {
 	var responses, payloads [][]byte
 	for _, q := range job.Queries() {
 		sql := jobRDB(t, q.Name)
-		res, err := sess.ExecUnboxed(sql)
+		res, run, err := sess.ExecUnboxed(sql)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var r response
-		writeResult(&r, res, 1)
+		writeResult(&r, res, run)
 		r.frame(frameEnd, nil)
 		stmts = append(stmts, sql)
 		responses = append(responses, r.buf)
@@ -186,4 +190,173 @@ func TestClientExchangeAddsNoAllocation(t *testing.T) {
 		t.Errorf("exchanging the %d JOB statements allocated %d bytes, decoding their payloads %d", len(stmts), client, decoded)
 	}
 	t.Logf("%d statements: the exchanges allocate %d bytes, their decodes %d", len(stmts), client, decoded)
+}
+
+// silentServer accepts connections, reads what they send and answers
+// nothing; received gets a value once a query's first bytes have arrived on
+// a connection. Its connections are closed when the test ends.
+func silentServer(t *testing.T) (addr string, received <-chan struct{}) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan struct{}, 1)
+	var mu sync.Mutex
+	var conns []net.Conn
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, c := range conns {
+			c.Close()
+		}
+	})
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, conn)
+			mu.Unlock()
+			go func() {
+				var b [1]byte
+				if _, err := conn.Read(b[:]); err == nil {
+					select {
+					case got <- struct{}{}:
+					default:
+					}
+				}
+				io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+	return ln.Addr().String(), got
+}
+
+// TestCloseEndsAnExecInFlight: Close does not wait for an exchange. Against
+// a server that takes a query and never answers, Close returns at once and
+// the Exec blocked on the response fails with ErrClosed, unretried, though
+// the client's policy would retry a read.
+func TestCloseEndsAnExecInFlight(t *testing.T) {
+	addr, received := silentServer(t)
+	c, err := DialOptions(addr, Options{Retry: RetryPolicy{MaxAttempts: 3, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	execErr := make(chan error, 1)
+	go func() {
+		_, err := c.Exec("SELECT a.id FROM a AS a")
+		execErr <- err
+	}()
+	select {
+	case <-received:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the server never received the query")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- c.Close() }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close waited for the exchange in flight")
+	}
+	select {
+	case err := <-execErr:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("the Exec in flight failed with %v, want ErrClosed", err)
+		}
+		if k, _ := Classify(err); k != KindTerminal {
+			t.Fatalf("the Exec in flight failed as %v, want terminal", k)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the Exec in flight outlived Close")
+	}
+}
+
+// TestExecAfterCloseNeverDials: a closed client stays closed. An Exec after
+// Close fails with ErrClosed and dials nothing, even with retries
+// configured, and a second Close does nothing. (The query timeout bounds
+// the wait of an Exec that redials the silent server instead.)
+func TestExecAfterCloseNeverDials(t *testing.T) {
+	addr, _ := silentServer(t)
+	var dials atomic.Int32
+	c, err := DialOptions(addr, Options{
+		Retry: RetryPolicy{MaxAttempts: 3, Seed: 1, QueryTimeout: 2 * time.Second},
+		Dial: func(addr string) (net.Conn, error) {
+			dials.Add(1)
+			return net.Dial("tcp", addr)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dials.Load()
+	for range 2 {
+		if _, err := c.Exec("SELECT a.id FROM a AS a"); !errors.Is(err, ErrClosed) {
+			t.Fatalf("Exec after Close: %v, want ErrClosed", err)
+		}
+	}
+	if got := dials.Load() - before; got != 0 {
+		t.Fatalf("Exec after Close dialed %d times, want 0", got)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("a second Close: %v", err)
+	}
+}
+
+// TestCloseRacesExec: Close concurrent with Execs that dial, send and read
+// runs clean under -race. Every Exec either completes or fails with
+// ErrClosed, and every Exec after Close fails with it. Odd rounds complete
+// one Exec before the racing ones start.
+func TestCloseRacesExec(t *testing.T) {
+	d := db.New()
+	if _, err := d.Exec("CREATE TABLE a (id INT)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Exec("INSERT INTO a VALUES (1), (2), (3)"); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(d)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for round := range 20 {
+		c, err := DialOptions(addr, Options{Retry: RetryPolicy{MaxAttempts: 3, Seed: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if round%2 == 1 {
+			if _, err := c.Exec("SELECT a.id FROM a AS a"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		for range 4 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for range 10 {
+					if _, err := c.Exec("SELECT a.id FROM a AS a"); err != nil {
+						if !errors.Is(err, ErrClosed) {
+							t.Errorf("round %d: Exec failed with %v, want success or ErrClosed", round, err)
+						}
+						return
+					}
+				}
+			}()
+		}
+		c.Close()
+		wg.Wait()
+		if _, err := c.Exec("SELECT a.id FROM a AS a"); !errors.Is(err, ErrClosed) {
+			t.Fatalf("round %d: Exec after Close: %v, want ErrClosed", round, err)
+		}
+	}
 }

@@ -208,7 +208,7 @@ func TestDeflateRoundTrips(t *testing.T) {
 		}
 	}
 	par := make([][]byte, len(bodies))
-	parallel.Each(len(bodies), 4, func(i int) {
+	parallel.NewRun(4).Each(len(bodies), func(i int) {
 		z := getDeflater()
 		defer putDeflater(z)
 		par[i] = deflate(z, nil, bodies[i].raw, bodies[i].breaks)
@@ -219,8 +219,8 @@ func TestDeflateRoundTrips(t *testing.T) {
 		}
 	}
 	for _, w := range workloadResults(t) {
-		p1 := EncodeResultOptions(w.res, EncodeOptions{Version: FormatV2, Parallelism: 1})
-		p4 := EncodeResultOptions(w.res, EncodeOptions{Version: FormatV2, Parallelism: 4})
+		p1 := EncodeResultOptions(w.res, EncodeOptions{Version: FormatV2, Run: parallel.NewRun(1)})
+		p4 := EncodeResultOptions(w.res, EncodeOptions{Version: FormatV2, Run: parallel.NewRun(4)})
 		if !bytes.Equal(p1, p4) {
 			t.Fatalf("%s %s: the v2 payload differs between parallelism 1 and 4", w.workload, w.name)
 		}

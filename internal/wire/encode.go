@@ -14,6 +14,7 @@ import (
 	"resultdb/internal/colstore"
 	"resultdb/internal/db"
 	"resultdb/internal/engine"
+	"resultdb/internal/parallel"
 	"resultdb/internal/types"
 )
 
@@ -146,9 +147,9 @@ type EncodeOptions struct {
 	// value means FormatV1 (the original format), so existing callers are
 	// unaffected.
 	Version int
-	// Parallelism is the degree used for per-column encoding in FormatV2
-	// (0 = auto, 1 = serial). Output bytes are identical at any degree.
-	Parallelism int
+	// Run is the run FormatV2 encodes a set's columns at; the zero Run means
+	// GOMAXPROCS. Output bytes are identical at any degree.
+	Run parallel.Run
 }
 
 func (o EncodeOptions) version() int {
@@ -183,8 +184,11 @@ func EncodeResultOptions(r *db.Result, opts EncodeOptions) []byte {
 	// to be encoded, and a kept payload needs exactly its length.
 	e := Encoder{buf: make([]byte, 0, 16)}
 	e.encodeHeader(v, len(r.Sets), r.PostJoinPlan != nil)
+	if opts.Run == (parallel.Run{}) {
+		opts.Run = parallel.NewRun(0)
+	}
 	for _, set := range r.Sets {
-		e.encodeSetVersion(set, v, opts.Parallelism)
+		e.encodeSetVersion(set, v, opts.Run)
 	}
 	if r.PostJoinPlan != nil {
 		e.encodePlan(r.PostJoinPlan, v)
@@ -244,14 +248,14 @@ func (e *Encoder) appendKept(memo *db.PayloadMemo) bool {
 // encodeSetVersion writes one result set in the given format version: for
 // v2, the payload the set keeps, or a fresh encoding, which the set is then
 // offered to keep; for v1, always a fresh encoding.
-func (e *Encoder) encodeSetVersion(set *db.ResultSet, version, par int) {
+func (e *Encoder) encodeSetVersion(set *db.ResultSet, version int, run parallel.Run) {
 	memo := memoFor(set.Memo(), version)
 	if e.appendKept(memo) {
 		return
 	}
 	start := len(e.buf)
 	if version == FormatV2 {
-		e.encodeSetV2(set, par)
+		e.encodeSetV2(set, run)
 	} else {
 		e.reserve(setCapacityHint(set))
 		e.encodeSet(set)

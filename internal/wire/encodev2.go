@@ -179,10 +179,10 @@ func (c *colData) setNull(i int) {
 }
 
 // encodeSetV2 writes one result set column-at-a-time, parallelizing the
-// per-column encoders at degree par and stitching the blocks in column
+// per-column encoders at run's degree and stitching the blocks in column
 // order (identical bytes at any degree). The set's bytes are reserved
 // exactly, once the blocks are known.
-func (e *Encoder) encodeSetV2(set *db.ResultSet, par int) {
+func (e *Encoder) encodeSetV2(set *db.ResultSet, run parallel.Run) {
 	nCols, n := len(set.Columns), set.NumRows()
 	size := strLen(set.Name) + uvarintLen(uint64(nCols)) + uvarintLen(uint64(n))
 	for _, c := range set.Columns {
@@ -191,7 +191,7 @@ func (e *Encoder) encodeSetV2(set *db.ResultSet, par int) {
 	var blocks [][]byte
 	if n > 0 && nCols > 0 {
 		blocks = make([][]byte, nCols)
-		parallel.Each(nCols, par, func(j int) {
+		run.Each(nCols, func(j int) {
 			blocks[j] = encodeColV2(set, j, n)
 		})
 		for _, b := range blocks {

@@ -13,6 +13,7 @@ import (
 
 	"resultdb/internal/colstore"
 	"resultdb/internal/db"
+	"resultdb/internal/parallel"
 	"resultdb/internal/types"
 	"resultdb/internal/workload/hierarchy"
 	"resultdb/internal/workload/job"
@@ -316,8 +317,8 @@ func jobishResult(n int) *db.Result {
 
 func TestV2ParallelismInvariantBytes(t *testing.T) {
 	r := jobishResult(500)
-	p1 := EncodeResultOptions(r, EncodeOptions{Version: FormatV2, Parallelism: 1})
-	p4 := EncodeResultOptions(r, EncodeOptions{Version: FormatV2, Parallelism: 4})
+	p1 := EncodeResultOptions(r, EncodeOptions{Version: FormatV2, Run: parallel.NewRun(1)})
+	p4 := EncodeResultOptions(r, EncodeOptions{Version: FormatV2, Run: parallel.NewRun(4)})
 	if !bytes.Equal(p1, p4) {
 		t.Fatal("v2 bytes differ between parallelism 1 and 4")
 	}

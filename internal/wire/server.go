@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"resultdb/internal/db"
+	"resultdb/internal/parallel"
 	"resultdb/internal/trace"
 )
 
@@ -489,9 +490,9 @@ func (s *Server) serveStatement(sess *db.Session, sql string, resp *response) {
 				err = fmt.Errorf("internal error: %v", p)
 			}
 		}()
-		res, err := sess.ExecUnboxed(sql)
+		res, run, err := sess.ExecUnboxed(sql)
 		if err == nil {
-			writeResult(resp, res, sess.CoreOptions.Parallelism)
+			writeResult(resp, res, run)
 		}
 		return err
 	}()
@@ -505,12 +506,12 @@ func (s *Server) serveStatement(sess *db.Session, sql string, resp *response) {
 
 // writeResult appends res's v2 payload as frameChunks: the header, one chunk
 // per set, and the post-join plan when one is shipped. Each chunk is encoded
-// in place, and a set whose encoding a cached result keeps is copied from
-// the kept bytes.
-func writeResult(resp *response, res *db.Result, par int) {
+// in place, at the run of the statement that produced res, and a set whose
+// encoding a cached result keeps is copied from the kept bytes.
+func writeResult(resp *response, res *db.Result, run parallel.Run) {
 	resp.chunk(func(e *Encoder) { e.encodeHeader(FormatV2, len(res.Sets), res.PostJoinPlan != nil) })
 	for _, set := range res.Sets {
-		resp.chunk(func(e *Encoder) { e.encodeSetVersion(set, FormatV2, par) })
+		resp.chunk(func(e *Encoder) { e.encodeSetVersion(set, FormatV2, run) })
 	}
 	if res.PostJoinPlan != nil {
 		resp.chunk(func(e *Encoder) { e.encodePlan(res.PostJoinPlan, FormatV2) })

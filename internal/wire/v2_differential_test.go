@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"resultdb/internal/db"
+	"resultdb/internal/parallel"
 	"resultdb/internal/workload/hierarchy"
 	"resultdb/internal/workload/job"
 	"resultdb/internal/workload/star"
@@ -106,14 +107,15 @@ func checkWire(t *testing.T, oracle *db.Database, cands []wireCandidate, name, s
 // serverResult runs sql the way the server does (Session.ExecUnboxed): the
 // result as it leaves the engine.
 func serverResult(d *db.Database, sql string) (*db.Result, error) {
-	return d.NewSession().ExecUnboxed(sql)
+	res, _, err := d.NewSession().ExecUnboxed(sql)
+	return res, err
 }
 
 // streamedPayload is the concatenation of the chunks the server sends for
 // res (writeResult): the header, one chunk per set, the plan.
 func streamedPayload(res *db.Result) []byte {
 	var resp response
-	writeResult(&resp, res, 0)
+	writeResult(&resp, res, parallel.NewRun(0))
 	return chunkPayload(resp.buf)
 }
 

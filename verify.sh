@@ -232,10 +232,26 @@ dead="$dead"'|FilterDense|FilterSel|parallel\.Filter\b|func Filter\['
 # written whole, and the client reads them into one buffer it keeps. The
 # frame-at-a-time writer and the buffered writer on a connection are gone.
 dead="$dead"'|\bwriteFrame\b|bufio\.NewWriter\(conn\)'
+# One run per statement: db's execCtx builds one parallel.Run, which carries
+# the statement's degree to every primitive and to the encode of its result,
+# and a trace records the degree once, in its header. A span's copy of the
+# degree, the executor's and the encode options' degree fields, and the
+# primitives' degree-taking function forms are gone.
+dead="$dead"'|sp\.Par\b|Span\.Par\b|Executor\{[^}]*Parallelism:|EncodeOptions\{[^}]*Parallelism:|parallel\.(Degree|Chunks|For|Each|Positions)\(|func (Map|MapErr)\[T any\]\(n, degree'
 dead_refs=$(grep -rnE "$dead" --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./benchmark/' || true)
 if [ -n "$dead_refs" ]; then
-	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer / per-statement state copies / hand-bumped trace totals / rows-only result sets / streamed execution and chunk pipeline / second selection writer / frame-at-a-time writer are back:"
+	echo "FAIL: identifiers of the deleted row path / second planner / A-B knobs / negotiated protocol / second reduction walk / interleaved float layout / key-set count / second acyclicity mechanism / second table registry / post-parse AST write / step-by-step join gather / environment configuration layer / per-statement state copies / hand-bumped trace totals / rows-only result sets / streamed execution and chunk pipeline / second selection writer / frame-at-a-time writer / per-call degrees are back:"
 	echo "$dead_refs"
+	exit 1
+fi
+
+echo "== lint: one run per statement (no degree parameter in non-test code)"
+# A function that runs parallel work takes the statement's parallel.Run; a
+# bare degree parameter would resolve, or pass on, a second degree.
+degree_params=$(grep -rnE '^func .*\b(par|degree),? int\b' --include='*.go' internal cmd | grep -v '_test\.go:' || true)
+if [ -n "$degree_params" ]; then
+	echo "FAIL: non-test functions take a degree instead of the statement's run:"
+	echo "$degree_params"
 	exit 1
 fi
 
@@ -446,7 +462,7 @@ echo "== cache differential + stress gate (cold/warm, dangling and joining appen
 gate -race -run 'TestCacheDifferential|TestServerCacheStress|TestPayloadMemo|TestServeCachedHit|TestCacheExtend|TestDoAt|TestMemo' \
 	-bench BenchmarkServeCachedHit -benchtime 1x -count=1 ./internal/wire ./internal/db ./internal/cache
 
-echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x local/TCP byte-identical, socket payload == in-process v2 encoding; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy/fact-mid-dim x RDB/RDBRP x par, before and after an INSERT batch; every plan decision and estimate of those statements against testdata/plans.golden; the one containment model's edge cases, the reduction schedule allocating nothing per candidate root or bottom-up order, greedy join orders with and without statistics joining the same rows; dense integer key sets matching exactly what the hashed form of the same key matches, the branch-free bitmap probe included; dense join hash tables yielding the hashed form's pairs in its order; GROUP BY and DISTINCT over a unique dense integer column numbering every row as the hashing path does; a cold JOB statement executed and v2-encoded within its byte budget, a scan keeping few of many rows allocating for its survivors and not its candidates, parallel.Positions' exact vector holding what a serial filter keeps; Theorem 4.4 over random cyclic and α-acyclic queries, GYO join trees spanning every JG-acyclic query and enforcing two attributes of one class; under -race)"
+echo "== execution differential gate (SPJ, subdatabases and the sequential list — outer joins, computed select lists, GROUP BY/HAVING, ORDER BY/LIMIT — vs naive reference as sorted sets; par x cache x lazy/ANALYZEd statistics x local/TCP byte-identical, socket payload == in-process v2 encoding; the server's unboxed result encoding like the boxed one, sizes from columns equal sizes from rows; the server path boxing no row block; reductions planned with statistics vs the heuristic plan, JOB/star/hierarchy/fact-mid-dim x RDB/RDBRP x par, before and after an INSERT batch; every plan decision and estimate of those statements against testdata/plans.golden; the one containment model's edge cases, the reduction schedule allocating nothing per candidate root or bottom-up order, greedy join orders with and without statistics joining the same rows; dense integer key sets matching exactly what the hashed form of the same key matches, the branch-free bitmap probe included; dense join hash tables yielding the hashed form's pairs in its order; GROUP BY and DISTINCT over a unique dense integer column numbering every row as the hashing path does; a cold JOB statement executed and v2-encoded within its byte budget, a scan keeping few of many rows allocating for its survivors and not its candidates, Run.Positions' exact vector holding what a serial filter keeps; Theorem 4.4 over random cyclic and α-acyclic queries, GYO join trees spanning every JG-acyclic query and enforcing two attributes of one class; under -race)"
 gate -race -timeout 600s -run 'TestExecutionDifferential|TestCostBased|TestPlanGolden|TestServerPathBoxesNoRows|TestRootSim|TestContainmentModel|TestGreedyJoinOrder|TestKeySetDenseMatchesHash|TestHashTableDenseMatchesHash|TestGroupPositionsDenseUniqueMatchesHash|TestTheorem44|TestJoinTree|TestJGAcyclic|TestGYOJoinTree|TestColdJOBAllocatesForItsResult|TestScanAllocatesForItsSurvivors|TestPositionsMatchesSerialMarks' -count=1 \
 	./internal/wire ./internal/core ./internal/stats ./internal/engine ./internal/colstore ./internal/parallel
 gate -race -run 'TestDifferentialOracle' -count=1 ./internal/rewrite
