@@ -18,7 +18,7 @@ package engine
 // longest prefix of the pushed-down conjuncts that maps onto typed kernels
 // runs columnar (dictionary-mask text predicates, typed numeric comparisons,
 // IS NULL tests), each kernel clearing the bits of the rows it fails in a
-// mask of the candidates, and parallel.Run.Positions writes the survivors once,
+// mask of the candidates, and Run.Positions writes the survivors once,
 // as it writes a semi-join's; the remaining conjuncts are bound and
 // evaluated row-at-a-time over the survivors, in order. All kernels are error-free, and
 // either way a row is dropped at the first conjunct that is not TRUE. That
