@@ -547,12 +547,11 @@ func (s *shell) printResult(res *db.Result) {
 		}
 		fmt.Fprintln(s.out, strings.Join(set.Columns, " | "))
 		fmt.Fprintln(s.out, strings.Repeat("-", len(strings.Join(set.Columns, " | "))))
-		for i, row := range set.Rows {
-			if i >= maxDisplayRows {
-				fmt.Fprintf(s.out, "... (%d more rows)\n", set.NumRows()-maxDisplayRows)
-				break
-			}
-			fmt.Fprintln(s.out, row.String())
+		for i := range min(set.NumRows(), maxDisplayRows) {
+			fmt.Fprintln(s.out, set.Row(i).String())
+		}
+		if set.NumRows() > maxDisplayRows {
+			fmt.Fprintf(s.out, "... (%d more rows)\n", set.NumRows()-maxDisplayRows)
 		}
 		fmt.Fprintf(s.out, "(%d rows)\n", set.NumRows())
 	}

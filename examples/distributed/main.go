@@ -97,8 +97,9 @@ func main() {
 	}
 	elapsed := time.Since(start)
 	stDistinct := map[string]bool{}
-	for _, r := range st.First().Rows {
-		stDistinct[r.String()] = true
+	stSet := st.First()
+	for i := range stSet.NumRows() {
+		stDistinct[stSet.Row(i).String()] = true
 	}
 	fmt.Printf("client post-join: %d distinct rows in %v (single table: %d distinct rows)\n",
 		len(distinct), elapsed.Round(time.Millisecond), len(stDistinct))

@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"resultdb/internal/db"
-	"resultdb/internal/types"
 	"resultdb/internal/workload/hierarchy"
 )
 
@@ -28,9 +27,10 @@ func main() {
 	}
 	set := outer.First()
 	nulls := 0
-	for _, row := range set.Rows {
-		for _, v := range row {
-			if v.IsNull() {
+	for j := range set.Columns {
+		col := set.Column(j)
+		for i := range set.NumRows() {
+			if col.At(i).IsNull() {
 				nulls++
 			}
 		}
@@ -53,16 +53,13 @@ func main() {
 	fmt.Printf("size reduction: %.1fx\n", float64(outer.WireSize())/float64(total))
 
 	fmt.Println("\nfirst electronics rows (id, pid, storage):")
-	preview(elec.First().Rows, 3)
+	preview(elec.First(), 3)
 	fmt.Println("first clothing rows (id, pid, size):")
-	preview(cloth.First().Rows, 3)
+	preview(cloth.First(), 3)
 }
 
-func preview(rows []types.Row, n int) {
-	for i, row := range rows {
-		if i >= n {
-			return
-		}
-		fmt.Println("  ", row)
+func preview(set *db.ResultSet, n int) {
+	for i := range min(set.NumRows(), n) {
+		fmt.Println("  ", set.Row(i))
 	}
 }

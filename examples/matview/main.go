@@ -65,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("companies in the view matching '%%Pictures%%': %s\n", cnt.First().Rows[0])
+	fmt.Printf("companies in the view matching '%%Pictures%%': %s\n", cnt.First().Row(0))
 
 	// The single-table result stays reconstructible: post-join the stored
 	// views on the preserved keys (Definition 2.3). The paper's semantics

@@ -59,8 +59,8 @@ func printResult(res *db.Result) {
 		if len(res.Sets) > 1 {
 			fmt.Printf("-- relation %s\n", set.Name)
 		}
-		for _, row := range set.Rows {
-			fmt.Println("  ", row)
+		for i := range set.NumRows() {
+			fmt.Println("  ", set.Row(i))
 		}
 	}
 }

@@ -86,30 +86,34 @@ func (r *Rows) Next() bool {
 		return false
 	}
 	r.pos++
-	return r.pos < len(r.set.Rows)
+	return r.pos < r.set.NumRows()
 }
 
-// Row returns the current raw row (valid after a true Next).
+// valid reports whether the cursor is on a row.
+func (r *Rows) valid() bool { return r.pos >= 0 && r.pos < r.set.NumRows() }
+
+// Row returns the current row, boxed afresh from the set's view (valid
+// after a true Next).
 func (r *Rows) Row() types.Row {
-	if r.pos < 0 || r.pos >= len(r.set.Rows) {
+	if !r.valid() {
 		return nil
 	}
-	return r.set.Rows[r.pos]
+	return r.set.Row(r.pos)
 }
 
 // Scan copies the current row into the destinations: *int64, *float64,
 // *string, *bool, or *types.Value. NULL scans into a *types.Value as a NULL
-// value and is an error for concrete destinations.
+// value and is an error for concrete destinations. It reads the cells off
+// the set's view and boxes no row.
 func (r *Rows) Scan(dest ...any) error {
-	row := r.Row()
-	if row == nil {
+	if !r.valid() {
 		return errors.New("client: Scan called without a successful Next")
 	}
-	if len(dest) != len(row) {
-		return fmt.Errorf("client: Scan expects %d destinations, got %d", len(row), len(dest))
+	if len(dest) != len(r.set.Columns) {
+		return fmt.Errorf("client: Scan expects %d destinations, got %d", len(r.set.Columns), len(dest))
 	}
 	for i, d := range dest {
-		v := row[i]
+		v := r.set.Column(i).At(r.pos)
 		switch p := d.(type) {
 		case *types.Value:
 			*p = v
@@ -233,19 +237,21 @@ func (s *SubDB) CoGroup(left, leftCol, right, rightCol string) (*CoGroups, error
 		order = append(order, g)
 		return g
 	}
-	for _, row := range ls.Rows {
-		if row[li].IsNull() {
+	for i := range ls.NumRows() {
+		k := ls.Column(li).At(i)
+		if k.IsNull() {
 			continue // NULL keys never participate in joins
 		}
-		g := upsert(row[li])
-		g.Left = append(g.Left, row)
+		g := upsert(k)
+		g.Left = append(g.Left, ls.Row(i))
 	}
-	for _, row := range rs.Rows {
-		if row[ri].IsNull() {
+	for i := range rs.NumRows() {
+		k := rs.Column(ri).At(i)
+		if k.IsNull() {
 			continue
 		}
-		g := upsert(row[ri])
-		g.Right = append(g.Right, row)
+		g := upsert(k)
+		g.Right = append(g.Right, rs.Row(i))
 	}
 	sort.Slice(order, func(i, j int) bool {
 		return types.Compare(order[i].Key, order[j].Key) < 0

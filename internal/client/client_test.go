@@ -1,12 +1,14 @@
 package client
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"resultdb/internal/db"
 	"resultdb/internal/types"
 	"resultdb/internal/wire"
+	"resultdb/internal/workload/star"
 )
 
 func shopDB(t *testing.T) *db.Database {
@@ -278,5 +280,99 @@ func TestClientOverWire(t *testing.T) {
 	}
 	if strings.Join(names, ",") != "custA,custC" && strings.Join(names, ",") != "custC,custA" {
 		t.Errorf("names = %v", names)
+	}
+}
+
+// TestClientAPISameOverWire: the client package's cursors, Scan, co-groups
+// and post-join print the same over a Client — where a subdatabase's sets
+// are views alone — as over the in-process Database, where they are boxed,
+// for a RESULTDB and a RESULTDB PRESERVING statement over the star schema,
+// and so does the single cursor of a classic statement.
+func TestClientAPISameOverWire(t *testing.T) {
+	cfg := star.Config{Dims: 2, DimRows: 8, PayloadLen: 6, Seed: 7}
+	d := db.New()
+	if err := star.Load(d, cfg); err != nil {
+		t.Fatal(err)
+	}
+	srv := wire.NewServer(d)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	wc, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wc.Close()
+
+	st := star.Query(cfg, 0.6)
+	body := strings.TrimPrefix(st, "SELECT")
+	stmts := []string{"SELECT RESULTDB" + body, "SELECT RESULTDB PRESERVING" + body}
+	output := func(conn Conn, boxed bool) string {
+		var b strings.Builder
+		cur := func(rows *Rows) {
+			fmt.Fprintf(&b, "%s %v\n", rows.Name(), rows.Columns())
+			for rows.Next() {
+				cells := make([]any, len(rows.Columns()))
+				vals := make([]types.Value, len(cells))
+				for i := range cells {
+					cells[i] = &vals[i]
+				}
+				if err := rows.Scan(cells...); err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(&b, "%v %v\n", rows.Row(), types.Row(vals))
+			}
+		}
+		c := Open(conn)
+		for _, sql := range stmts {
+			sub, err := c.QuerySubDB(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(sub.Relations()) < 2 {
+				t.Fatalf("%s: relations %v; the shape is not exercised", sql, sub.Relations())
+			}
+			for _, set := range sub.Result().Sets {
+				if (set.Rows != nil) != boxed {
+					t.Fatalf("%s: set %q has Rows %v, want %v", sql, set.Name, set.Rows != nil, boxed)
+				}
+			}
+			for _, name := range sub.Relations() {
+				cur(sub.Cursor(name))
+			}
+			for i := range cfg.Dims {
+				dim := star.DimName(i)
+				groups, err := sub.CoGroup("f", dim+"_id", dim, "id")
+				if err != nil {
+					t.Fatal(err)
+				}
+				for groups.Next() {
+					g := groups.Group()
+					fmt.Fprintf(&b, "%s %v: %v | %v\n", dim, g.Key, g.Left, g.Right)
+				}
+			}
+			if sub.HasPostJoinPlan() {
+				pj, err := sub.PostJoin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cur(pj)
+			}
+		}
+		rows, err := c.Query(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cur(rows)
+		return b.String()
+	}
+	local, remote := output(d, true), output(wc, false)
+	if remote != local {
+		t.Fatalf("over the wire the client API prints\n%s\nin process\n%s", remote, local)
+	}
+	if n := strings.Count(local, "\n"); n < 100 {
+		t.Fatalf("the client API printed %d lines; the shape is not exercised", n)
 	}
 }

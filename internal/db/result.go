@@ -17,19 +17,21 @@ import (
 // filled only where a caller reads it. Results leave the engine unboxed: the
 // wire server and Session.ExecUnboxed see Vec alone, and the wire encoders read it.
 // The in-process calls — Exec, ExecStatement, Query, QueryResultDB,
-// QueryWithTrace, PostJoin and ExecutePostJoinPlan — and the wire client's
-// decoder return sets with Rows boxed, so their callers read both. A set
-// that starts from rows (EXPLAIN's, a v1-decoded one, a hand-built one) is
-// made by NewResultSet, which gives it a view of the rows' exact values.
-// This file holds the set's only readers of Rows that also know the view:
-// everything else goes through NumRows, WireSize and Column.
+// QueryWithTrace, PostJoin and ExecutePostJoinPlan — return sets with Rows
+// boxed, so their callers read both. The wire decoders box only the set of a
+// one-set result, the classic single cursor; the sets of a decoded
+// subdatabase are views with Rows nil. A set that starts from rows
+// (EXPLAIN's, a hand-built one) is made by NewResultSet, which gives it a
+// view of the rows' exact values. This file holds the set's only readers of
+// Rows that also know the view: everything else goes through NumRows,
+// WireSize, Column and Row.
 type ResultSet struct {
 	// Name labels the set; for subdatabase results it is the relation
 	// alias, for single-table results "result".
 	Name    string
 	Columns []string
 	// Rows holds the tuples boxed, in order; nil on a set that leaves the
-	// engine for the wire server or a stream.
+	// engine for the wire server and on each set of a decoded subdatabase.
 	Rows []types.Row
 	// Vec is the set's columnar view, one frame column per Columns entry:
 	// the result itself. Rows, when present, holds the same values in the
@@ -127,6 +129,17 @@ func (c Cells) At(i int) types.Value {
 		i = int(c.sel[i])
 	}
 	return c.col.Value(i)
+}
+
+// Row boxes row i of the view into a fresh tuple: how a reader that needs
+// types.Row — a cursor, a printer, a co-group — reads a set whether or not
+// Rows is there.
+func (rs *ResultSet) Row(i int) types.Row {
+	row := make(types.Row, len(rs.Columns))
+	for j := range row {
+		row[j] = rs.Column(j).At(i)
+	}
+	return row
 }
 
 // boxed returns the set as an in-process caller reads it: itself when Rows

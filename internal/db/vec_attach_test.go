@@ -19,9 +19,11 @@ import (
 // SELECT, the Decompose strategy, a folded (cyclic) reduction, the sequential
 // pipeline; and so does the same result after a trip over the v2 or the v1
 // wire, where the decoder is the producer, and EXPLAIN's and EXPLAIN
-// ANALYZE's plan. A boxed set's Rows hold its view's values. The server's
-// form (Session.ExecUnboxed) is the view alone, Rows nil, and encodes in v1
-// and v2 to the bytes of the boxed form in-process callers get.
+// ANALYZE's plan. A boxed set's Rows hold its view's values. A decoded set
+// has Rows exactly when its result has one set (the classic cursor), and its
+// view holds the in-process rows cell for cell. The server's form
+// (Session.ExecUnboxed) is the view alone, Rows nil, and encodes in v1 and
+// v2 to the bytes of the boxed form in-process callers get.
 func TestResultSetsCarryViews(t *testing.T) {
 	d := db.New()
 	if _, err := d.ExecScript(`
@@ -63,6 +65,28 @@ INSERT INTO c VALUES (20, 1, 10), (21, 3, 12), (22, 2, 11);`); err != nil {
 			}
 		}
 	}
+	// sameCells: each set of got holds, in its view, the boxed rows of the
+	// same set of want, cell for cell.
+	sameCells := func(name, where string, got, want *db.Result) {
+		t.Helper()
+		if len(got.Sets) != len(want.Sets) {
+			t.Fatalf("%s (%s): %d sets, want %d", name, where, len(got.Sets), len(want.Sets))
+		}
+		for k, set := range got.Sets {
+			rows := want.Sets[k].Rows
+			if set.NumRows() != len(rows) {
+				t.Errorf("%s (%s): set %q has %d rows, want %d", name, where, set.Name, set.NumRows(), len(rows))
+				continue
+			}
+			for i, row := range rows {
+				for j, v := range row {
+					if got := set.Column(j).At(i); got != v {
+						t.Errorf("%s (%s): set %q cell (%d,%d): %v, in process %v", name, where, set.Name, i, j, got, v)
+					}
+				}
+			}
+		}
+	}
 	for name, sql := range map[string]string{
 		"RDB":                    "SELECT RESULTDB a.name, b.v FROM a AS a, b AS b WHERE a.id = b.a_id",
 		"RDBRP":                  "SELECT RESULTDB PRESERVING a.name, b.v FROM a AS a, b AS b WHERE a.id = b.a_id",
@@ -94,8 +118,10 @@ INSERT INTO c VALUES (20, 1, 10), (21, 3, 12), (22, 2, 11);`); err != nil {
 			}
 		}
 		check(name, "engine", res, true)
-		check(name, "decoded", decoded, true)
-		check(name, "decoded v1", decodedV1, true)
+		check(name, "decoded", decoded, len(decoded.Sets) == 1)
+		check(name, "decoded v1", decodedV1, len(decodedV1.Sets) == 1)
+		sameCells(name, "decoded", decoded, res)
+		sameCells(name, "decoded v1", decodedV1, res)
 		check(name, "server", server, false)
 	}
 	for _, explain := range []string{"EXPLAIN", "EXPLAIN ANALYZE"} {

@@ -199,13 +199,14 @@ func TestWarmedDeflaterListMakesNoState(t *testing.T) {
 // RESULTDB results at scale 0.1 allocates (TestV1DecodeHoldsEachValueOnce):
 // 749 118 bytes, what the decoder allocated when a decoded set was its rows
 // alone. Boxing rows and then copying them into exact-value columns for the
-// set's view took it to 957 174; rows boxed from typed vectors take 719 992.
+// set's view took it to 957 174; rows boxed from typed vectors took 719 992,
+// and sets left unboxed unless their result has one set take 380 032.
 const v1DecodeJOBBytes = 749_118
 
 // TestV1DecodeHoldsEachValueOnce: a v1-decoded set holds each value in its
-// view's vector and in the row block boxed from it, not in rows and a copy
-// of them, so decoding the 33 JOB results allocates no more than decoding
-// them into rows alone did.
+// view's vector — and, in a one-set result, in the row block boxed from it —
+// not in rows and a copy of them, so decoding the 33 JOB results allocates
+// no more than decoding them into rows alone did.
 func TestV1DecodeHoldsEachValueOnce(t *testing.T) {
 	d := db.New()
 	if err := job.Load(d, job.Config{Scale: 0.1, Seed: 42}); err != nil {

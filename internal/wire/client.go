@@ -38,8 +38,8 @@ import (
 // (open one Client per desired in-flight request for pipelining). BytesRead
 // may be read concurrently with in-flight Execs. Close may be called at any
 // time and does not wait for an exchange: an Exec blocked on the connection
-// fails with ErrClosed, and so does every later Exec, without dialing. A
-// closed client stays closed.
+// or sleeping in a retry backoff fails with ErrClosed, and so does every
+// later Exec, without dialing. A closed client stays closed.
 type Client struct {
 	mu sync.Mutex // serializes one full Exec exchange (retries included)
 	// connMu guards conn and closed, so that Close, which never takes mu,
@@ -47,6 +47,8 @@ type Client struct {
 	connMu sync.Mutex
 	conn   net.Conn
 	closed bool
+	// done is closed by Close: it ends a retry backoff in progress.
+	done chan struct{}
 	// out holds the query frame being sent, in holds the bytes read from
 	// the connection, and inflated is the decoder's inflate scratch. All
 	// three are kept from one exchange to the next, unless an exchange grew
@@ -90,6 +92,7 @@ func DialOptions(addr string, opts Options) (*Client, error) {
 		addr:  addr,
 		retry: opts.Retry,
 		clock: realClock{},
+		done:  make(chan struct{}),
 	}
 	seed := opts.Retry.Seed
 	if seed == 0 {
@@ -242,7 +245,8 @@ func (c *Client) Exec(sql string) (*db.Result, error) {
 				delay = remaining
 			}
 		}
-		c.clock.Sleep(delay)
+		// Close ends the wait; the next attempt then fails with ErrClosed.
+		c.clock.Sleep(delay, c.done)
 	}
 }
 
@@ -394,9 +398,9 @@ func (c *Client) isClosed() bool {
 	return c.closed
 }
 
-// Close tears the connection down without waiting for an exchange in flight,
-// which then fails with ErrClosed, as every later Exec does. Closing a
-// closed client does nothing.
+// Close tears the connection down without waiting for an exchange in flight
+// or a retry backoff, which then fails with ErrClosed, as every later Exec
+// does. Closing a closed client does nothing.
 func (c *Client) Close() error {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
@@ -404,6 +408,7 @@ func (c *Client) Close() error {
 		return nil
 	}
 	c.closed = true
+	close(c.done)
 	if c.conn == nil {
 		return nil
 	}

@@ -31,9 +31,10 @@ func jobRDB(t testing.TB, name string) string {
 // TestResultsOutliveTheClientsBuffers: a Client reads every response into
 // one receive buffer and inflates into one scratch, both kept across
 // exchanges, so a decoded result must hold copies of what it needs. A
-// result kept across a larger and a smaller response still re-encodes to
-// the payload the server sent for it, and each one-column set's rows are
-// its view's values.
+// subdatabase and a one-set text result kept across a larger and a smaller
+// response still re-encode to the payloads the server sent for them; the
+// subdatabase's sets are views alone, and the one set's rows are its view's
+// values.
 func TestResultsOutliveTheClientsBuffers(t *testing.T) {
 	d := db.New()
 	if err := job.Load(d, job.Config{Scale: 0.1, Seed: 42}); err != nil {
@@ -68,21 +69,24 @@ func TestResultsOutliveTheClientsBuffers(t *testing.T) {
 	if len(kept.Sets) < 2 {
 		t.Fatalf("16b gave %d sets, want several", len(kept.Sets))
 	}
+	cursor, cursorPayload := exec("SELECT k.keyword FROM keyword AS k")
 	_, small := exec(jobRDB(t, "3c"))
 	_, large := exec("SELECT mk.keyword_id, t.title, t.production_year FROM movie_keyword AS mk, title AS t WHERE mk.movie_id = t.id")
 	exec(jobRDB(t, "3c"))
 	if len(small) >= len(payload) || len(large) <= len(payload) {
 		t.Fatalf("payloads of %d, %d and %d bytes: want one smaller and one larger than 16b's", len(payload), len(small), len(large))
 	}
-	if !bytes.Equal(EncodeResultV2(kept), payload) {
+	if !bytes.Equal(EncodeResultV2(kept), payload) || !bytes.Equal(EncodeResultV2(cursor), cursorPayload) {
 		t.Fatal("a result kept across later exchanges no longer re-encodes to the payload sent for it")
 	}
 	for _, set := range kept.Sets {
-		if len(set.Columns) != 1 {
-			continue
+		if set.Rows != nil {
+			t.Fatalf("set %s of a %d-set result is boxed", set.Name, len(kept.Sets))
 		}
+	}
+	for _, set := range cursor.Sets {
 		col := set.Column(0)
-		if len(set.Rows) != set.NumRows() {
+		if set.NumRows() == 0 || len(set.Rows) != set.NumRows() {
 			t.Fatalf("set %s: %d rows, its view has %d", set.Name, len(set.Rows), set.NumRows())
 		}
 		for i, row := range set.Rows {
@@ -273,6 +277,45 @@ func TestCloseEndsAnExecInFlight(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("the Exec in flight outlived Close")
+	}
+}
+
+// TestCloseEndsABackoff: Close also ends an Exec that sleeps between two
+// attempts. Against a server that accepts and hangs up at once, a read is
+// retried after a 1.5 s backoff; Close, 200 ms into the Exec, wakes that
+// sleep, and the Exec fails at once with a terminal ErrClosed.
+func TestCloseEndsABackoff(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			conn.Close()
+		}
+	}()
+	const backoff = 1500 * time.Millisecond
+	c, err := DialOptions(ln.Addr().String(), Options{Retry: RetryPolicy{MaxAttempts: 3, BaseBackoff: backoff, Jitter: -1, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	time.AfterFunc(200*time.Millisecond, func() { c.Close() })
+	_, err = c.Exec("SELECT a.id FROM a AS a")
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("the Exec failed with %v, want ErrClosed", err)
+	}
+	if k, _ := Classify(err); k != KindTerminal {
+		t.Fatalf("the Exec failed as %v, want terminal", k)
+	}
+	if elapsed >= backoff/2 {
+		t.Fatalf("the Exec returned %v after it began, %v after Close: the backoff outlived Close", elapsed, elapsed-200*time.Millisecond)
 	}
 }
 

@@ -497,6 +497,9 @@ func (d *Decoder) result(expect int) (*db.Result, error) {
 		}
 		res.Sets = append(res.Sets, set)
 	}
+	if len(res.Sets) == 1 {
+		boxCursor(res.Sets[0])
+	}
 	if flags&flagHasPlan != 0 {
 		plan, err := d.decodePlan()
 		if err != nil {
@@ -508,6 +511,27 @@ func (d *Decoder) result(expect int) (*db.Result, error) {
 		return nil, fmt.Errorf("wire: %d trailing bytes", len(d.buf)-d.off)
 	}
 	return res, nil
+}
+
+// boxCursor gives the set of a one-set result its Rows: that result is the
+// classic single cursor, read row by row. A set of one exact-value column
+// gets rows that are windows of one value on that column, so it holds each
+// value once (the decoded result is its caller's alone, so no other reader
+// sees a write to a row); any other set is boxed by colstore.View.Rows. The
+// sets of a subdatabase stay unboxed: their readers — the post-join, the
+// client's cursors, the encoders — read the view.
+func boxCursor(set *db.ResultSet) {
+	if len(set.Columns) == 1 {
+		if vals, ok := set.Vec.Frame.Col(0).(*colstore.AnyColumn); ok {
+			rows := make([]types.Row, set.NumRows())
+			for i := range rows {
+				rows[i] = vals.Vals[i : i+1 : i+1]
+			}
+			set.Rows = rows
+			return
+		}
+	}
+	set.Rows = set.Vec.Rows()
 }
 
 func (d *Decoder) decodePlan() (*db.PostJoinPlan, error) {
@@ -550,13 +574,12 @@ func (d *Decoder) decodePlan() (*db.PostJoinPlan, error) {
 }
 
 // decodeSet parses one v1 set — rows of tagged values — into a frame, one
-// vector per column, attaches it as the set's view and boxes Rows from it
-// (colstore.View.Rows), as decodeSetV2 does, so every value is held once in
-// a vector and once in the row block. A first pass over the rows learns each
-// column's kinds without allocating; the second fills vectors of exactly n
-// rows: typed ones for a column whose values are all INTEGER, all DOUBLE or
-// all BOOLEAN (or NULL), exact values for TEXT, mixed-kind and all-NULL
-// columns, as v2's inline text and any blocks decode.
+// vector per column, and attaches it as the set's view, unboxed, as
+// decodeSetV2 does. A first pass over the rows learns each column's kinds
+// without allocating; the second fills vectors of exactly n rows: typed
+// ones for a column whose values are all INTEGER, all DOUBLE or all BOOLEAN
+// (or NULL), exact values for TEXT, mixed-kind and all-NULL columns, as
+// v2's inline text and any blocks decode.
 func (d *Decoder) decodeSet() (*db.ResultSet, error) {
 	name, err := d.str()
 	if err != nil {
@@ -655,9 +678,7 @@ func (d *Decoder) decodeSet() (*db.ResultSet, error) {
 			col.Nulls = colstore.BitmapFromBytes(nulls[j])
 		}
 	}
-	set := &db.ResultSet{Name: name, Columns: columns, Vec: &colstore.View{Frame: colstore.FrameOf(nRows, cols)}}
-	set.Rows = set.Vec.Rows()
-	return set, nil
+	return &db.ResultSet{Name: name, Columns: columns, Vec: &colstore.View{Frame: colstore.FrameOf(nRows, cols)}}, nil
 }
 
 // valueKind steps over one tagged value and returns its kind; unlike value,

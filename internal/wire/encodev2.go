@@ -623,12 +623,9 @@ func gatherColVec(z *deflater, set *db.ResultSet, j int, c *colData) bool {
 // --- Decoding ----------------------------------------------------------------
 
 // decodeSetV2 parses one columnar set into a colstore frame — one column
-// vector per block — attaches it as the set's view and boxes Rows from it
-// with the same kernel the engine's own results use (colstore.View.Rows), so
-// a decoded set is what a locally computed one is; a set of one exact-value
-// column gets rows that are windows on that column instead of a copy.
-// Materialization is bounded by the payload-wide cell budget before any
-// allocation sized by the claimed row count happens.
+// vector per block — and attaches it as the set's view, unboxed: Rows is
+// left to Decoder.result. Materialization is bounded by the payload-wide
+// cell budget before any allocation sized by the claimed row count happens.
 func (d *Decoder) decodeSetV2(budget *cellBudget) (*db.ResultSet, error) {
 	name, err := d.str()
 	if err != nil {
@@ -674,18 +671,6 @@ func (d *Decoder) decodeSetV2(budget *cellBudget) (*db.ResultSet, error) {
 		}
 	}
 	set.Vec = &colstore.View{Frame: colstore.FrameOf(n, cols)}
-	if vals, ok := cols[0].(*colstore.AnyColumn); ok && nCols == 1 {
-		// One column of exact values: each row is a window of one value on
-		// the column, so the set holds each value once. The decoded result
-		// is its caller's alone, so no other reader sees a write to a row.
-		rows := make([]types.Row, n)
-		for i := range rows {
-			rows[i] = vals.Vals[i : i+1 : i+1]
-		}
-		set.Rows = rows
-		return set, nil
-	}
-	set.Rows = set.Vec.Rows()
 	return set, nil
 }
 

@@ -52,7 +52,7 @@ func TestPayloadMemoUncachedResultsEncodeAfresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := dec.Sets[0].Rows[0][0]; got.Int() != 424242 {
+			if got := dec.Sets[0].Column(0).At(0); got.Int() != 424242 {
 				t.Fatalf("%s: encoding %d decoded %v, want the mutated value", name, v, got)
 			}
 		}

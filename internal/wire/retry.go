@@ -109,13 +109,21 @@ func (p RetryPolicy) backoff(attempt int, rng *rand.Rand) time.Duration {
 }
 
 // clock abstracts time for the retry loop so backoff tests run on a fake
-// clock with zero real sleeping.
+// clock with zero real sleeping. Sleep waits d, or until wake is closed.
 type clock interface {
 	Now() time.Time
-	Sleep(d time.Duration)
+	Sleep(d time.Duration, wake <-chan struct{})
 }
 
 type realClock struct{}
 
-func (realClock) Now() time.Time        { return time.Now() }
-func (realClock) Sleep(d time.Duration) { time.Sleep(d) }
+func (realClock) Now() time.Time { return time.Now() }
+
+func (realClock) Sleep(d time.Duration, wake <-chan struct{}) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-wake:
+	}
+}

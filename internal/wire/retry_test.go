@@ -9,7 +9,7 @@ import (
 )
 
 // fakeClock drives the retry loop without real sleeping: Sleep records the
-// request and advances virtual time instantly.
+// request and advances virtual time instantly, whatever wake does.
 type fakeClock struct {
 	now    time.Time
 	sleeps []time.Duration
@@ -20,7 +20,7 @@ func newFakeClock() *fakeClock {
 }
 
 func (c *fakeClock) Now() time.Time { return c.now }
-func (c *fakeClock) Sleep(d time.Duration) {
+func (c *fakeClock) Sleep(d time.Duration, _ <-chan struct{}) {
 	c.sleeps = append(c.sleeps, d)
 	c.now = c.now.Add(d)
 }

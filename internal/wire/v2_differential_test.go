@@ -179,9 +179,10 @@ func checkServerForm(t *testing.T, d *db.Database, name, sql string, boxed *db.R
 }
 
 // checkDecodedV2 asserts what holds for every result decoded from the v2
-// payload: each set carries its columnar view, the view boxes to exactly the
-// set's rows, and re-encoding the decoded result — which now reads the views
-// — reproduces the payload byte for byte.
+// payload: each set carries its columnar view, Rows is there exactly when
+// the result has one set and then holds exactly what the view boxes to, and
+// re-encoding the decoded result — which reads the views — reproduces the
+// payload byte for byte.
 func checkDecodedV2(t testing.TB, what string, payload []byte, res *db.Result) {
 	t.Helper()
 	for _, set := range res.Sets {
@@ -190,6 +191,12 @@ func checkDecodedV2(t testing.TB, what string, payload []byte, res *db.Result) {
 		}
 		if set.Vec.Frame.NumCols() != len(set.Columns) {
 			t.Fatalf("%s: set %q: view has %d columns, set has %d", what, set.Name, set.Vec.Frame.NumCols(), len(set.Columns))
+		}
+		if (set.Rows != nil) != (len(res.Sets) == 1) {
+			t.Fatalf("%s: set %q of a %d-set result has Rows %v", what, set.Name, len(res.Sets), set.Rows != nil)
+		}
+		if set.Rows == nil {
+			continue
 		}
 		boxed := set.Vec.Rows()
 		if len(boxed) != len(set.Rows) {

@@ -46,12 +46,15 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if gs.Name != set.Name || strings.Join(gs.Columns, ",") != strings.Join(set.Columns, ",") {
 			t.Errorf("set %d header mismatch: %+v", i, gs)
 		}
-		if len(gs.Rows) != len(set.Rows) {
-			t.Fatalf("set %d rows = %d, want %d", i, len(gs.Rows), len(set.Rows))
+		if gs.Rows != nil {
+			t.Errorf("set %d of a %d-set result is boxed", i, len(got.Sets))
+		}
+		if gs.NumRows() != len(set.Rows) {
+			t.Fatalf("set %d rows = %d, want %d", i, gs.NumRows(), len(set.Rows))
 		}
 		for j := range set.Rows {
-			if !gs.Rows[j].Equal(set.Rows[j]) {
-				t.Errorf("set %d row %d = %v, want %v", i, j, gs.Rows[j], set.Rows[j])
+			if !gs.Row(j).Equal(set.Rows[j]) {
+				t.Errorf("set %d row %d = %v, want %v", i, j, gs.Row(j), set.Rows[j])
 			}
 		}
 	}

@@ -29,7 +29,8 @@
 # .Rows() on a relation or view, []types.Row outside FromRows) and no src
 # rows kept by a colstore frame; results leave the engine unboxed (no
 # len(set.Rows) or range set.Rows in internal/wire or internal/db outside
-# db/result.go) and every result set has its view (no non-test Vec == nil or
+# db/result.go, no read of a set's Rows field in internal/client or
+# cmd/resultdb) and every result set has its view (no non-test Vec == nil or
 # Vec != nil in internal/db or internal/wire); no map-of-slices bucket structure
 # in colstore/engine/storage; row blocks filled by colstore.View.Rows only,
 # one inflate (the v2 column decoder's one-pass decoder, compress/flate's
@@ -322,8 +323,18 @@ if [ -n "$row_reads" ]; then
 	echo "$row_reads"
 	exit 1
 fi
-# Every set has a view: the engine's and the v2 decoder's are built from
-# columns, and a set that starts from rows (EXPLAIN's, the v1 decoder's) gets
+# The client package and the shell read sets through the view as well
+# (NumRows, Column, Row): the wire decoders box only a one-set result, so a
+# decoded subdatabase's sets have no Rows, and reading the field there reads
+# nothing.
+client_rows=$(grep -nE '\.Rows\b([^(]|$)' internal/client/*.go cmd/resultdb/*.go | grep -v '_test\.go:' || true)
+if [ -n "$client_rows" ]; then
+	echo "FAIL: a result set's Rows read in internal/client or cmd/resultdb (use NumRows, Column, Row):"
+	echo "$client_rows"
+	exit 1
+fi
+# Every set has a view: the engine's and the decoders' are built from
+# columns, and a set that starts from rows (EXPLAIN's, a hand-built one) gets
 # one from db.NewResultSet. A test of Vec against nil in db or wire code is a
 # reader of the rows-only form, which no longer exists.
 vec_nil=$(grep -rnE 'Vec (==|!=) nil' --include='*.go' internal/db internal/wire | grep -v '_test\.go:' || true)
