@@ -76,8 +76,24 @@ func parseFlags(args []string) options {
 // openDatabase builds the database o describes: recovered from (or seeded
 // into) -data-dir when one is given, loaded in memory otherwise. Either way
 // the database starts from db.DefaultConfig, and -cache and -cache-budget
-// then apply on top of it. mgr is nil in memory.
+// then apply on top of it. mgr is nil in memory. A negative count or
+// duration fails here, before anything is opened or bound: the server reads
+// each of them as unlimited, none or never only when it is 0.
 func openDatabase(o options) (d *db.Database, mgr *durable.Manager, err error) {
+	for _, f := range []struct {
+		name string
+		v    int64
+	}{
+		{"-max-conns", int64(o.maxConns)},
+		{"-read-timeout", int64(o.readTimeout)},
+		{"-write-timeout", int64(o.writeTimeout)},
+		{"-drain-timeout", int64(o.drainTimeout)},
+		{"-checkpoint-every", o.ckptEvery},
+	} {
+		if f.v < 0 {
+			return nil, nil, fmt.Errorf("%s: must not be negative", f.name)
+		}
+	}
 	var budget int64
 	if o.cacheOn {
 		if budget, err = db.ParseByteSize(o.cacheBudget); err != nil {

@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // TestCacheFlagsOverrideEnvironment: -cache -cache-budget turn the cache on
 // with that budget, in place of the default 64 MiB, in memory and on a
@@ -30,12 +33,17 @@ func TestCacheFlagsOverrideEnvironment(t *testing.T) {
 	}
 }
 
-// TestNegativeSizeFlagsFail: a negative -cache-budget or -wal-segment is an
-// error, not a silent fall back to the default.
+// TestNegativeSizeFlagsFail: a negative size, count or duration flag is an
+// error, not a silent fall back to the default or to "unlimited".
 func TestNegativeSizeFlagsFail(t *testing.T) {
 	for _, args := range [][]string{
 		{"-cache", "-cache-budget", "-5MB"},
 		{"-data-dir", t.TempDir(), "-fsync", "off", "-wal-segment", "-1MB"},
+		{"-max-conns", "-1"},
+		{"-read-timeout", "-1s"},
+		{"-write-timeout", "-1s"},
+		{"-drain-timeout", "-1s"},
+		{"-data-dir", t.TempDir(), "-fsync", "off", "-checkpoint-every", "-1"},
 	} {
 		o := parseFlags(append([]string{"-workload", "none"}, args...))
 		d, mgr, err := openDatabase(o)
@@ -44,6 +52,8 @@ func TestNegativeSizeFlagsFail(t *testing.T) {
 		}
 		if err == nil {
 			t.Errorf("%v: opened a database (cache budget %d), want an error", args, d.CacheStats().Budget)
+		} else if flag := args[len(args)-2]; !strings.Contains(err.Error(), flag) {
+			t.Errorf("%v: error %q does not name %s", args, err, flag)
 		}
 	}
 }

@@ -74,7 +74,7 @@ const (
 type Database struct {
 	// mu is the writer lock: it serializes mutation batches (DML/DDL) and
 	// the commit-log appends that order them. Readers never take it. All
-	// uses of mu live in this file — verify.sh lints against new d.mu
+	// uses of mu live in this file — TestDesignInvariants rejects d.mu
 	// references elsewhere in the package.
 	mu sync.Mutex
 
@@ -138,7 +138,7 @@ func (d *Database) SetRecoveredLSN(lsn uint64) {
 
 // withWriter runs fn under the writer lock. It exists so sibling files can
 // serialize configuration changes against the write path without referencing
-// d.mu directly (which verify.sh lints against outside this file).
+// d.mu directly (which TestDesignInvariants rejects outside this file).
 func (d *Database) withWriter(fn func()) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -48,7 +48,7 @@ func sameSets(t *testing.T, sets []*ResultSet, res *Result) {
 	}
 }
 
-func TestExecStreamResultDB(t *testing.T) {
+func TestExecUnboxedResultDB(t *testing.T) {
 	d := streamDB(t)
 	sql := "SELECT RESULTDB a.name, b.v FROM a AS a, b AS b WHERE a.id = b.a_id"
 	res := unboxedExec(t, d, sql)
@@ -63,7 +63,7 @@ func TestExecStreamResultDB(t *testing.T) {
 	sameSets(t, res.Sets, plain)
 }
 
-func TestExecStreamPreservingCarriesPlan(t *testing.T) {
+func TestExecUnboxedPreservingCarriesPlan(t *testing.T) {
 	d := streamDB(t)
 	sql := "SELECT RESULTDB PRESERVING a.name, b.v FROM a AS a, b AS b WHERE a.id = b.a_id"
 	res := unboxedExec(t, d, sql)
@@ -77,7 +77,7 @@ func TestExecStreamPreservingCarriesPlan(t *testing.T) {
 	sameSets(t, res.Sets, plain)
 }
 
-func TestExecStreamSingleTable(t *testing.T) {
+func TestExecUnboxedSingleTable(t *testing.T) {
 	d := streamDB(t)
 	sql := "SELECT a.name FROM a AS a WHERE a.id > 1"
 	res := unboxedExec(t, d, sql)
@@ -91,7 +91,7 @@ func TestExecStreamSingleTable(t *testing.T) {
 	sameSets(t, res.Sets, plain)
 }
 
-func TestExecStreamNonSelectReplays(t *testing.T) {
+func TestExecUnboxedNonSelectReplays(t *testing.T) {
 	d := streamDB(t)
 	sess := d.NewSession()
 	sess.Pin()
@@ -112,7 +112,7 @@ func TestExecStreamNonSelectReplays(t *testing.T) {
 	}
 }
 
-func TestExecStreamCachedReplays(t *testing.T) {
+func TestExecUnboxedCachedReplays(t *testing.T) {
 	d := streamDB(t)
 	d.EnableCache(DefaultCacheBudget)
 	sql := "SELECT RESULTDB a.name, b.v FROM a AS a, b AS b WHERE a.id = b.a_id"

@@ -407,27 +407,6 @@ func (d *Decoder) count(minBytes int, what string) (int, error) {
 	return int(n), nil
 }
 
-// PayloadVersion reports the format version of an encoded payload
-// (FormatV1 or FormatV2) without decoding it.
-func PayloadVersion(buf []byte) (int, error) {
-	d := NewDecoder(buf)
-	m, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if m != magic {
-		return 0, fmt.Errorf("wire: bad magic %#x", m)
-	}
-	v, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if v != FormatV1 && v != FormatV2 {
-		return 0, fmt.Errorf("wire: unsupported version %d", v)
-	}
-	return int(v), nil
-}
-
 // DecodeResult parses a payload produced by EncodeResultOptions in either
 // format version.
 func DecodeResult(buf []byte) (*db.Result, error) {

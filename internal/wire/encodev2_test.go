@@ -31,10 +31,7 @@ func oneSet(name string, cols []string, rows []types.Row) *db.Result {
 func mustRoundTripV2(t *testing.T, r *db.Result) []byte {
 	t.Helper()
 	enc := EncodeResultV2(r)
-	if v, err := PayloadVersion(enc); err != nil || v != FormatV2 {
-		t.Fatalf("PayloadVersion = %d, %v; want %d", v, err, FormatV2)
-	}
-	dec, err := DecodeResult(enc)
+	dec, err := DecodeResultExpect(enc, FormatV2)
 	if err != nil {
 		t.Fatalf("v2 payload does not decode: %v", err)
 	}

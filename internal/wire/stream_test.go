@@ -37,8 +37,8 @@ func TestHelloNegotiationDefaults(t *testing.T) {
 	defer srv.Close()
 
 	raw := dialRaw(t, addr)
-	if v, err := PayloadVersion(raw.mustExec(t, "raw", streamTestQuery)); err != nil || v != FormatV2 {
-		t.Errorf("first query on a bare connection drew payload version %d (%v), want %d", v, err, FormatV2)
+	if _, err := DecodeResultExpect(raw.mustExec(t, "raw", streamTestQuery), FormatV2); err != nil {
+		t.Errorf("first query on a bare connection: %v, want a v2 payload", err)
 	}
 
 	c, err := Dial(addr)
